@@ -362,10 +362,6 @@ impl FailoverCore {
         }
     }
 
-    pub(crate) fn client(&self) -> &Machine {
-        &self.client
-    }
-
     /// The active endpoint, if any — for remote calls and GC releases.
     pub(crate) fn endpoint_for_call(&self) -> Option<Arc<Endpoint>> {
         self.active.lock().as_ref().map(|l| l.endpoint.clone())

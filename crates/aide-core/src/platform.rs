@@ -17,7 +17,7 @@
 //! 5. After every client collection, dropped cross-VM references are
 //!    released to the peer (distributed GC).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -915,20 +915,19 @@ impl Platform {
         controller.bind_failover(client_machine.clone(), core.clone());
 
         // Heartbeat: probe the active surrogate so failures are detected
-        // even while the mutator runs purely locally.
-        let stop = Arc::new(AtomicBool::new(false));
+        // even while the mutator runs purely locally. It sleeps on its stop
+        // channel, so the end of the run interrupts the interval instead of
+        // waiting it out.
+        let (stop_heartbeat, stopped) = std::sync::mpsc::channel::<()>();
         let heartbeat = {
             let core = core.clone();
-            let stop = stop.clone();
             let interval = failover_cfg.heartbeat_interval;
             std::thread::Builder::new()
                 .name("aide-heartbeat".into())
                 .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(interval);
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
+                    while let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+                        stopped.recv_timeout(interval)
+                    {
                         core.heartbeat_tick();
                     }
                 })
@@ -937,7 +936,7 @@ impl Platform {
 
         let outcome = client_machine.run_entry();
 
-        stop.store(true, Ordering::Relaxed);
+        drop(stop_heartbeat);
         let _ = heartbeat.join();
         // Shipments still parked at end-of-run come home: the report (and
         // the process-wide export/pin gauges) must reflect a consistent

@@ -340,3 +340,31 @@ fn run_without_any_reachable_surrogate_degrades_but_may_oom() {
     assert_eq!(failover.failovers, 0);
     assert!(failover.surrogates_used.is_empty());
 }
+
+#[test]
+fn a_trivial_run_does_not_wait_out_the_heartbeat_interval() {
+    // A program that finishes at once, under the default 250 ms heartbeat:
+    // the run ends when the program does, not a whole interval later.
+    let mut b = ProgramBuilder::new();
+    let main = b.add_native_class("Main");
+    b.add_method(main, MethodDef::new("main", vec![Op::Work { micros: 1 }]));
+    let program = Arc::new(b.build(main, MethodId(0), 0, 0).unwrap());
+    let provider = Arc::new(ChainProvider {
+        sessions: Mutex::new(VecDeque::new()),
+        failures: Mutex::new(Vec::new()),
+    });
+    assert_eq!(
+        FailoverConfig::default().heartbeat_interval,
+        Duration::from_millis(250)
+    );
+
+    let started = std::time::Instant::now();
+    let report = Platform::with_surrogates(program, platform_config(), provider).run();
+    let elapsed = started.elapsed();
+
+    assert!(report.outcome.is_ok(), "{:?}", report.outcome);
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "run() joined its heartbeat thread after {elapsed:?}"
+    );
+}

@@ -426,6 +426,7 @@ fn platform_report_serde_round_trip() {
         reoffloads: 1,
         surrogates_used: vec!["alpha".to_string(), "bravo".to_string()],
         failover_durations_micros: vec![1_250],
+        ..FailoverReport::default()
     });
 
     let json = serde_json::to_string(&report).expect("report serializes");

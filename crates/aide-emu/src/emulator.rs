@@ -103,7 +103,7 @@ impl EmuChaos {
 
 /// Extra round trips the chaos schedule charges for one remote
 /// interaction, and their virtual-time cost.
-fn chaos_penalty(params: &CommParams, chaos: &EmuChaos, state: &mut u64, bytes: u32) -> (u64, f64) {
+fn chaos_penalty(params: &CommParams, chaos: &EmuChaos, state: &mut u64, bytes: u64) -> (u64, f64) {
     let mut extra = 0u64;
     while extra < u64::from(chaos.max_retries) {
         *state ^= *state << 13;

@@ -22,15 +22,14 @@
 //! [`WireError::BadChecksum`]: crate::WireError::BadChecksum
 //! [`WireError::Truncated`]: crate::WireError::Truncated
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use aide_graph::CommParams;
-use crossbeam::channel::unbounded;
 use serde::{Deserialize, Serialize};
 
-use crate::link::{Link, Session, TrafficStats};
+use crate::link::{session_pair, FrameSink, Link, Session};
 use crate::wire::Frame;
 
 /// A reproducible schedule of transport faults.
@@ -202,6 +201,24 @@ impl ChaosRng {
     }
 }
 
+/// The inbound half of a chaos wrap: whoever produces `inner`'s frames
+/// (a carrier's reader, the in-process peer's sending thread) forwards
+/// them, untouched, straight into the application-facing session.
+struct ForwardInbound {
+    to_app: Session,
+}
+
+impl FrameSink for ForwardInbound {
+    fn deliver(&self, frame: Frame) {
+        // Refused only after a reset or once the application is gone.
+        let _ = self.to_app.send(frame);
+    }
+
+    fn closed(&self) {
+        self.to_app.hang_up();
+    }
+}
+
 /// Wraps `inner` in a chaos layer driven by `schedule`, returning the
 /// wrapped session and its fault counters.
 ///
@@ -211,10 +228,13 @@ impl ChaosRng {
 /// actually crossed the carrier (duplicates included, drops excluded).
 pub fn chaos_wrap(inner: Session, schedule: ChaosSchedule) -> (Session, Arc<ChaosStats>) {
     let stats = Arc::new(ChaosStats::default());
-    let backend = inner.backend();
-    let (app_out_tx, app_out_rx) = unbounded::<Frame>();
-    let (app_in_tx, app_in_rx) = unbounded::<Frame>();
-    let dead = Arc::new(AtomicBool::new(false));
+    // The application holds `app`; the shim holds its peer end: what the
+    // application sends queues in `shim`'s inbox for the outbound thread,
+    // and what `shim` sends lands in the application's inbox.
+    let (app, shim) = session_pair(inner.backend());
+    inner.attach_sink(Arc::new(ForwardInbound {
+        to_app: shim.clone(),
+    }));
 
     let telemetry = aide_telemetry::global();
     let tele_dropped = telemetry.counter(aide_telemetry::names::CHAOS_DROPPED);
@@ -224,23 +244,27 @@ pub fn chaos_wrap(inner: Session, schedule: ChaosSchedule) -> (Session, Arc<Chao
     let tele_resets = telemetry.counter(aide_telemetry::names::CHAOS_RESETS);
 
     // Outbound shim: pull application frames, roll the dice, forward.
+    // Dropping `inner` when it ends releases the inbound forwarder too.
     {
-        let inner = inner.clone();
         let stats = stats.clone();
-        let dead = dead.clone();
         std::thread::Builder::new()
             .name("rpc-chaos-out".into())
             .spawn(move || {
                 let mut rng = ChaosRng::new(schedule.seed);
                 let mut seen = 0u64;
                 let mut held: Option<Frame> = None;
-                while let Ok(mut frame) = app_out_rx.recv() {
+                let mut reset = false;
+                while let Ok(mut frame) = shim.recv() {
                     seen += 1;
                     if let Some(limit) = schedule.reset_after_frames {
                         if seen > limit {
                             stats.resets.fetch_add(1, Ordering::Relaxed);
                             tele_resets.inc();
-                            dead.store(true, Ordering::Relaxed);
+                            // Both directions die: the application's
+                            // receive side now, its send side when `shim`
+                            // drops with this thread.
+                            shim.hang_up();
+                            reset = true;
                             break;
                         }
                     }
@@ -297,7 +321,7 @@ pub fn chaos_wrap(inner: Session, schedule: ChaosSchedule) -> (Session, Arc<Chao
                         }
                     }
                 }
-                if !dead.load(Ordering::Relaxed) {
+                if !reset {
                     if let Some(h) = held.take() {
                         stats.forwarded.fetch_add(1, Ordering::Relaxed);
                         let _ = inner.send(h);
@@ -307,32 +331,7 @@ pub fn chaos_wrap(inner: Session, schedule: ChaosSchedule) -> (Session, Arc<Chao
             .expect("spawn chaos outbound shim");
     }
 
-    // Inbound shim: forward peer frames untouched, but honour a reset.
-    std::thread::Builder::new()
-        .name("rpc-chaos-in".into())
-        .spawn(move || loop {
-            if dead.load(Ordering::Relaxed) {
-                break;
-            }
-            match inner.recv_timeout(Duration::from_millis(20)) {
-                Ok(Some(frame)) => {
-                    if app_in_tx.send(frame).is_err() {
-                        break;
-                    }
-                }
-                Ok(None) => {}
-                Err(_) => break,
-            }
-        })
-        .expect("spawn chaos inbound shim");
-
-    let session = Session::from_parts(
-        app_out_tx,
-        app_in_rx,
-        Arc::new(TrafficStats::default()),
-        backend,
-    );
-    (session, stats)
+    (app, stats)
 }
 
 /// Fault counters for both ends of a [`chaos_pair`].
@@ -431,7 +430,8 @@ mod tests {
             )
         };
         assert_eq!(run(42), run(42));
-        assert_ne!(run(42), run(43), "different seeds should diverge");
+        // 42 and 43 differ only in bit 0, which `ChaosRng::new` forces on.
+        assert_ne!(run(42), run(44), "different seeds should diverge");
     }
 
     #[test]

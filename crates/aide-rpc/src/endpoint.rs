@@ -1,17 +1,20 @@
 //! RPC endpoints: request/reply correlation, the dispatcher worker pool,
 //! and simulated link-time accounting.
 //!
-//! Each VM owns an [`Endpoint`]. A background *receiver loop* reads frames
-//! from the transport: replies are routed to the blocked caller by sequence
-//! number; requests are queued to a pool of worker threads that execute them
-//! through the endpoint's [`Dispatcher`] — the paper's "pool of threads to
-//! perform RPCs on behalf of the other JVM". Workers can re-enter the
-//! interpreter, which may issue further nested remote calls, so the pool
-//! must be at least as deep as the maximum cross-VM call nesting.
+//! Each VM owns an [`Endpoint`]. It has no receiver thread: the endpoint
+//! attaches a sink to its session, and whoever produces an inbound frame —
+//! the carrier's reader, or the in-process peer's sending thread — decodes
+//! it on the spot, renews leases, and either completes the blocked caller's
+//! one-shot slot (a reply, matched by sequence number) or queues the
+//! request to a pool of worker threads that execute it through the
+//! endpoint's [`Dispatcher`] — the paper's "pool of threads to perform RPCs
+//! on behalf of the other JVM". Workers can re-enter the interpreter, which
+//! may issue further nested remote calls, so the pool must be at least as
+//! deep as the maximum cross-VM call nesting.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use aide_graph::CommParams;
@@ -19,10 +22,10 @@ use aide_trace::{names as span_names, SpanContext};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::link::{LinkError, NetClock, Session};
+use crate::link::{FrameSink, LinkError, NetClock, Session};
 use crate::reftable::{ExportTable, ImportTable};
 use crate::transport::BackendKind;
-use crate::wire::{Message, Reply, Request, WireError};
+use crate::wire::{Frame, Message, Reply, Request, WireError};
 
 /// A unit of work queued to the serving pool: the dedup key, the request,
 /// and the caller's wire trace context (the parent of the serve span).
@@ -186,8 +189,8 @@ pub struct EndpointConfig {
     pub workers: usize,
     /// How long a caller waits for a reply before giving up.
     pub call_timeout: Duration,
-    /// How long the receiver keeps draining in-flight replies after
-    /// shutdown begins. Bounds [`Endpoint::join`] even when the peer never
+    /// How long in-flight calls may still be answered after shutdown
+    /// begins. Bounds [`Endpoint::join`] even when the peer never
     /// acknowledges the shutdown (a crashed or hung surrogate).
     pub drain_timeout: Duration,
     /// Retry discipline used by [`Endpoint::call_with_retry`].
@@ -205,12 +208,82 @@ impl Default for EndpointConfig {
     }
 }
 
-type PendingMap = Arc<Mutex<HashMap<u64, Sender<Result<Reply, String>>>>>;
+/// What a blocked caller is handed: the peer's answer, or why none came.
+type CallOutcome = Result<Result<Reply, String>, RpcError>;
 
-/// Sequence numbers whose caller gave up waiting. When the reply finally
-/// arrives the receiver counts it as a *late reply* instead of silently
-/// discarding it — the observable symptom that a retry layer is needed.
-type LateSet = Arc<Mutex<HashSet<u64>>>;
+struct SlotState {
+    outcome: Option<CallOutcome>,
+    /// Set when the endpoint starts draining: the caller gives up then,
+    /// whatever its own timeout says.
+    give_up_at: Option<Instant>,
+}
+
+/// One blocked caller's one-shot rendezvous with the thread that delivers
+/// its reply (the carrier's reader, or the in-process peer's worker).
+struct CallSlot {
+    state: std::sync::Mutex<SlotState>,
+    changed: Condvar,
+}
+
+impl CallSlot {
+    fn lock(&self) -> MutexGuard<'_, SlotState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The first outcome wins; a duplicate reply is ignored.
+    fn complete(&self, outcome: CallOutcome) {
+        let mut state = self.lock();
+        if state.outcome.is_none() {
+            state.outcome = Some(outcome);
+            self.changed.notify_one();
+        }
+    }
+
+    fn give_up_at(&self, deadline: Instant) {
+        self.lock().give_up_at = Some(deadline);
+        self.changed.notify_one();
+    }
+
+    /// Waits up to `timeout` for the outcome. [`RpcError::Timeout`] leaves
+    /// the slot armed, so a retry can wait on it again and a late reply to
+    /// an earlier attempt still lands.
+    fn wait(&self, timeout: Duration) -> CallOutcome {
+        let until = Instant::now() + timeout;
+        let mut state = self.lock();
+        loop {
+            if let Some(outcome) = state.outcome.take() {
+                return outcome;
+            }
+            let now = Instant::now();
+            if state.give_up_at.is_some_and(|deadline| now >= deadline) {
+                return Err(RpcError::Disconnected);
+            }
+            if now >= until {
+                return Err(RpcError::Timeout);
+            }
+            let limit = state
+                .give_up_at
+                .map_or(until, |deadline| deadline.min(until));
+            state = self
+                .changed
+                .wait_timeout(state, limit - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+}
+
+/// Calls awaiting replies, and how far the endpoint's life has got.
+#[derive(Default)]
+struct Pending {
+    slots: HashMap<u64, Arc<CallSlot>>,
+    /// Set once shutdown began (locally, or by the peer's `Shutdown`
+    /// frame): outstanding calls may be answered until then.
+    drain_until: Option<Instant>,
+    /// Nothing is awaited or served any more: the drain finished, the
+    /// peer hung up, or the carrier died.
+    closed: bool,
+}
 
 /// Bound on remembered timed-out sequence numbers; replies that never
 /// arrive would otherwise grow the set forever.
@@ -318,39 +391,190 @@ fn xorshift_unit(state: &mut u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// The part of an endpoint its session's sink and its workers share: the
+/// sink is this struct, run by whichever thread produced the frame.
+struct Shared {
+    pending: std::sync::Mutex<Pending>,
+    /// Notified when the drain begins and when the endpoint closes; what
+    /// [`Endpoint::join`] sleeps on.
+    settled: Condvar,
+    /// Sequence numbers whose caller gave up waiting. When the reply
+    /// finally arrives it is counted as a *late reply* instead of being
+    /// silently discarded — the observable symptom that a retry layer is
+    /// needed.
+    late_expected: Mutex<HashSet<u64>>,
+    /// The serving pool's queue; dropped on close, which is what stops the
+    /// workers once they have finished what is queued.
+    jobs: Mutex<Option<Sender<Job>>>,
+    drain_timeout: Duration,
+    requests_served: AtomicU64,
+    dedup_hits: AtomicU64,
+    late_replies: AtomicU64,
+    bad_frames: AtomicU64,
+    gc: Mutex<Option<GcHooks>>,
+    metrics: RpcMetrics,
+}
+
+impl Shared {
+    fn pending(&self) -> MutexGuard<'_, Pending> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The lease epoch to stamp on outgoing frames, when GC is attached.
+    fn lease_stamp(&self) -> Option<u64> {
+        self.gc
+            .lock()
+            .as_ref()
+            .map(|h| h.imports.advertised_epoch())
+    }
+
+    /// Registers a caller for `seq`.
+    fn register(&self, seq: u64) -> Result<Arc<CallSlot>, RpcError> {
+        let mut pending = self.pending();
+        if pending.closed {
+            return Err(RpcError::Disconnected);
+        }
+        let slot = Arc::new(CallSlot {
+            state: std::sync::Mutex::new(SlotState {
+                outcome: None,
+                give_up_at: pending.drain_until,
+            }),
+            changed: Condvar::new(),
+        });
+        pending.slots.insert(seq, Arc::clone(&slot));
+        Ok(slot)
+    }
+
+    /// The caller of `seq` is done waiting, answered or not.
+    fn forget(&self, seq: u64) {
+        let mut pending = self.pending();
+        pending.slots.remove(&seq);
+        self.close_if_drained(&mut pending);
+    }
+
+    /// Shutdown began: outstanding calls get `drain_timeout` to be
+    /// answered — each caller enforces that bound on its own wait, so no
+    /// thread has to watch the clock — and the endpoint closes as soon as
+    /// none is left. `false` if the endpoint was already draining or closed.
+    fn begin_drain(&self) -> bool {
+        let mut pending = self.pending();
+        if pending.closed || pending.drain_until.is_some() {
+            return false;
+        }
+        let deadline = Instant::now() + self.drain_timeout;
+        pending.drain_until = Some(deadline);
+        for slot in pending.slots.values() {
+            slot.give_up_at(deadline);
+        }
+        self.close_if_drained(&mut pending);
+        self.settled.notify_all();
+        true
+    }
+
+    fn close_if_drained(&self, pending: &mut Pending) {
+        if pending.drain_until.is_some() && pending.slots.is_empty() {
+            self.close(pending);
+        }
+    }
+
+    /// Fails every outstanding call fast and lets the workers run out.
+    fn close(&self, pending: &mut Pending) {
+        if std::mem::replace(&mut pending.closed, true) {
+            return;
+        }
+        for (_, slot) in pending.slots.drain() {
+            slot.complete(Err(RpcError::Disconnected));
+        }
+        *self.jobs.lock() = None;
+        self.settled.notify_all();
+    }
+}
+
+impl FrameSink for Shared {
+    fn deliver(&self, frame: Frame) {
+        let Ok((message, ctx, lease)) = Message::decode_stamped(&frame) else {
+            // Malformed frame (truncated, corrupted, wrong version): count
+            // and drop it; retries recover the request.
+            self.bad_frames.fetch_add(1, Ordering::Relaxed);
+            self.metrics.bad_frames.inc();
+            return;
+        };
+        if let Some(epoch) = lease {
+            // The peer's lease stamp rides every frame: renewing here,
+            // before dispatch, is what makes ordinary traffic keep this
+            // side's exports alive with no dedicated GC messages.
+            if let Some(hooks) = self.gc.lock().as_ref() {
+                hooks.exports.renew(epoch);
+            }
+        }
+        match message {
+            Message::Request {
+                body: Request::Shutdown,
+                ..
+            } => {
+                // Fire-and-forget: the sender does not wait for a reply.
+                self.begin_drain();
+            }
+            Message::Request { seq, client, body } => {
+                if let Some(jobs) = self.jobs.lock().as_ref() {
+                    let _ = jobs.send((client, seq, body, ctx));
+                }
+            }
+            Message::Reply { seq, result } => {
+                let slot = {
+                    let mut pending = self.pending();
+                    let slot = pending.slots.remove(&seq);
+                    if slot.is_some() {
+                        self.close_if_drained(&mut pending);
+                    }
+                    slot
+                };
+                if let Some(slot) = slot {
+                    slot.complete(Ok(result));
+                } else if self.late_expected.lock().remove(&seq) {
+                    // The caller already gave up on this sequence number:
+                    // account for the straggler instead of losing it
+                    // silently. (Replies to retried calls never land here
+                    // — retries keep their slot registered.)
+                    self.late_replies.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.late_replies.inc();
+                }
+            }
+        }
+    }
+
+    fn closed(&self) {
+        self.close(&mut self.pending());
+    }
+}
+
 /// One VM's side of the RPC connection.
 pub struct Endpoint {
     session: Session,
     params: CommParams,
     clock: Arc<NetClock>,
-    pending: PendingMap,
-    late_expected: LateSet,
     next_seq: AtomicU64,
     client_id: u64,
-    closing: Arc<AtomicBool>,
-    shutdown_tx: Sender<()>,
     config: EndpointConfig,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    requests_served: Arc<AtomicU64>,
     retries: AtomicU64,
-    dedup_hits: Arc<AtomicU64>,
-    late_replies: Arc<AtomicU64>,
-    bad_frames: Arc<AtomicU64>,
-    gc: Arc<Mutex<Option<GcHooks>>>,
-    metrics: RpcMetrics,
+    shared: Arc<Shared>,
 }
 
 impl std::fmt::Debug for Endpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Endpoint")
             .field("workers", &self.config.workers)
-            .field("closing", &self.closing.load(Ordering::Relaxed))
+            .field("closing", &self.shared.pending().drain_until.is_some())
             .finish()
     }
 }
 
 impl Endpoint {
-    /// Starts an endpoint: spawns the receiver loop and the worker pool.
+    /// Starts an endpoint: spawns the worker pool and attaches the
+    /// endpoint to `session` as the consumer of its inbound frames. It
+    /// serves its peer until [`Endpoint::shutdown`] or until the peer hangs
+    /// up, whether or not the returned handle is kept.
     ///
     /// `dispatcher` serves the peer's requests; `clock` accumulates
     /// simulated link time priced by `params`.
@@ -361,30 +585,20 @@ impl Endpoint {
         dispatcher: Arc<dyn Dispatcher>,
         config: EndpointConfig,
     ) -> Arc<Endpoint> {
-        let (shutdown_tx, shutdown_rx) = unbounded::<()>();
-        let backend = session.backend();
-        let endpoint = Arc::new(Endpoint {
-            session: session.clone(),
-            params,
-            clock,
-            pending: Arc::new(Mutex::new(HashMap::new())),
-            late_expected: Arc::new(Mutex::new(HashSet::new())),
-            next_seq: AtomicU64::new(0),
-            client_id: NEXT_CLIENT_ID.fetch_add(1, Ordering::Relaxed),
-            closing: Arc::new(AtomicBool::new(false)),
-            shutdown_tx,
-            config,
-            threads: Mutex::new(Vec::new()),
-            requests_served: Arc::new(AtomicU64::new(0)),
-            retries: AtomicU64::new(0),
-            dedup_hits: Arc::new(AtomicU64::new(0)),
-            late_replies: Arc::new(AtomicU64::new(0)),
-            bad_frames: Arc::new(AtomicU64::new(0)),
-            gc: Arc::new(Mutex::new(None)),
-            metrics: RpcMetrics::resolve(backend),
-        });
-
         let (job_tx, job_rx) = unbounded::<Job>();
+        let shared = Arc::new(Shared {
+            pending: std::sync::Mutex::default(),
+            settled: Condvar::new(),
+            late_expected: Mutex::new(HashSet::new()),
+            jobs: Mutex::new(Some(job_tx)),
+            drain_timeout: config.drain_timeout,
+            requests_served: AtomicU64::new(0),
+            dedup_hits: AtomicU64::new(0),
+            late_replies: AtomicU64::new(0),
+            bad_frames: AtomicU64::new(0),
+            gc: Mutex::new(None),
+            metrics: RpcMetrics::resolve(session.backend()),
+        });
         let dedup = Arc::new(DedupCache::new(1024));
 
         // Threads inherit the spawner's track label, so an endpoint started
@@ -392,17 +606,13 @@ impl Endpoint {
         // "surrogate" Perfetto lane even in a single-process run.
         let track = aide_trace::current_track();
 
-        // Worker pool.
-        let mut handles = Vec::with_capacity(config.workers + 1);
+        let mut handles = Vec::with_capacity(config.workers);
         for i in 0..config.workers {
             let rx: Receiver<Job> = job_rx.clone();
             let disp = dispatcher.clone();
             let out = session.clone();
-            let served = endpoint.requests_served.clone();
+            let shared = shared.clone();
             let dedup = dedup.clone();
-            let dedup_hits = endpoint.dedup_hits.clone();
-            let dedup_hits_metric = endpoint.metrics.dedup_hits.clone();
-            let gc = endpoint.gc.clone();
             let track = track.clone();
             handles.push(
                 std::thread::Builder::new()
@@ -416,8 +626,8 @@ impl Endpoint {
                                 match dedup.begin((client, seq)) {
                                     DedupDecision::Execute => {}
                                     DedupDecision::InFlight => {
-                                        dedup_hits.fetch_add(1, Ordering::Relaxed);
-                                        dedup_hits_metric.inc();
+                                        shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                                        shared.metrics.dedup_hits.inc();
                                         let mut span =
                                             aide_trace::child_of(ctx, span_names::RPC_DEDUP, "rpc");
                                         span.arg("kind", kind);
@@ -425,8 +635,8 @@ impl Endpoint {
                                         continue;
                                     }
                                     DedupDecision::Replay(frame) => {
-                                        dedup_hits.fetch_add(1, Ordering::Relaxed);
-                                        dedup_hits_metric.inc();
+                                        shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                                        shared.metrics.dedup_hits.inc();
                                         let mut span =
                                             aide_trace::child_of(ctx, span_names::RPC_DEDUP, "rpc");
                                         span.arg("kind", kind);
@@ -446,9 +656,9 @@ impl Endpoint {
                             span.arg("kind", kind);
                             span.arg("seq", seq);
                             let result = disp.dispatch(request);
-                            served.fetch_add(1, Ordering::Relaxed);
-                            let stamp = gc.lock().as_ref().map(|h| h.imports.advertised_epoch());
-                            let frame = Message::Reply { seq, result }.encode_pooled_stamped(stamp);
+                            shared.requests_served.fetch_add(1, Ordering::Relaxed);
+                            let frame = Message::Reply { seq, result }
+                                .encode_pooled_stamped(shared.lease_stamp());
                             drop(span);
                             if dedupable {
                                 dedup.complete((client, seq), frame.to_vec());
@@ -463,46 +673,20 @@ impl Endpoint {
             );
         }
 
-        // Receiver loop.
-        {
-            let session = session.clone();
-            let pending = endpoint.pending.clone();
-            let late_expected = endpoint.late_expected.clone();
-            let closing = endpoint.closing.clone();
-            let drain_timeout = config.drain_timeout;
-            let late_replies = endpoint.late_replies.clone();
-            let late_replies_metric = endpoint.metrics.late_replies.clone();
-            let bad_frames = endpoint.bad_frames.clone();
-            let bad_frames_metric = endpoint.metrics.bad_frames.clone();
-            let gc = endpoint.gc.clone();
-            let track = track.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name("rpc-recv".into())
-                    .spawn(move || {
-                        aide_trace::set_thread_track(&track);
-                        receiver_loop(ReceiverCtx {
-                            session: &session,
-                            pending: &pending,
-                            late_expected: &late_expected,
-                            closing: &closing,
-                            jobs: &job_tx,
-                            shutdown: &shutdown_rx,
-                            drain_timeout,
-                            late_replies: &late_replies,
-                            late_replies_metric: &late_replies_metric,
-                            bad_frames: &bad_frames,
-                            bad_frames_metric: &bad_frames_metric,
-                            gc: &gc,
-                        });
-                        // Receiver gone: fail all outstanding calls.
-                        pending.lock().clear();
-                    })
-                    .expect("spawn rpc receiver"),
-            );
-        }
-        *endpoint.threads.lock() = handles;
-        endpoint
+        // From here on every producer of `session`'s inbound frames runs
+        // the endpoint itself; what queued before is delivered first.
+        session.attach_sink(shared.clone());
+        Arc::new(Endpoint {
+            session,
+            params,
+            clock,
+            next_seq: AtomicU64::new(0),
+            client_id: NEXT_CLIENT_ID.fetch_add(1, Ordering::Relaxed),
+            config,
+            threads: Mutex::new(handles),
+            retries: AtomicU64::new(0),
+            shared,
+        })
     }
 
     /// Wires this endpoint into distributed GC lease maintenance.
@@ -512,15 +696,7 @@ impl Endpoint {
     /// frame renews `exports`' current-epoch leases — so steady-state RPC
     /// traffic keeps cross-VM references alive with no extra messages.
     pub fn attach_gc(&self, exports: Arc<ExportTable>, imports: Arc<ImportTable>) {
-        *self.gc.lock() = Some(GcHooks { exports, imports });
-    }
-
-    /// The lease epoch to stamp on outgoing frames, when GC is attached.
-    fn lease_stamp(&self) -> Option<u64> {
-        self.gc
-            .lock()
-            .as_ref()
-            .map(|h| h.imports.advertised_epoch())
+        *self.shared.gc.lock() = Some(GcHooks { exports, imports });
     }
 
     /// Number of requests this endpoint has served for its peer.
@@ -528,7 +704,7 @@ impl Endpoint {
     /// Retries absorbed by the at-most-once cache are *not* counted here —
     /// this is the number of actual dispatcher executions.
     pub fn requests_served(&self) -> u64 {
-        self.requests_served.load(Ordering::Relaxed)
+        self.shared.requests_served.load(Ordering::Relaxed)
     }
 
     /// Process-unique id stamped into every request this endpoint sends;
@@ -547,7 +723,7 @@ impl Endpoint {
     /// while serving the peer (dropped in-flight or answered from the
     /// memoized reply).
     pub fn dedup_hits(&self) -> u64 {
-        self.dedup_hits.load(Ordering::Relaxed)
+        self.shared.dedup_hits.load(Ordering::Relaxed)
     }
 
     /// Number of replies that arrived after their caller had already timed
@@ -555,13 +731,13 @@ impl Endpoint {
     /// are accounted for, and retries (which keep the original sequence
     /// number registered) consume them directly.
     pub fn late_replies(&self) -> u64 {
-        self.late_replies.load(Ordering::Relaxed)
+        self.shared.late_replies.load(Ordering::Relaxed)
     }
 
     /// Number of frames that failed to decode (truncated, corrupted, or
     /// wrong protocol version) and were discarded.
     pub fn bad_frames(&self) -> u64 {
-        self.bad_frames.load(Ordering::Relaxed)
+        self.shared.bad_frames.load(Ordering::Relaxed)
     }
 
     /// The shared simulated-communication clock.
@@ -608,40 +784,41 @@ impl Endpoint {
             Message::Reply { .. } => unreachable!(),
         };
 
-        let (tx, rx) = unbounded();
-        self.pending.lock().insert(seq, tx);
+        let slot = match self.shared.register(seq) {
+            Ok(slot) => slot,
+            Err(e) => {
+                self.shared.metrics.errors.inc();
+                span.arg("outcome", "disconnected");
+                return Err(e);
+            }
+        };
         // Encoded while the call span is ambient, so the frame carries it
         // as the wire trace context.
-        let frame = msg.encode_pooled_stamped(self.lease_stamp());
+        let frame = msg.encode_pooled_stamped(self.shared.lease_stamp());
         let started = std::time::Instant::now();
         if let Err(e) = self.session.send(frame) {
-            self.pending.lock().remove(&seq);
-            self.metrics.errors.inc();
+            self.shared.forget(seq);
+            self.shared.metrics.errors.inc();
             span.arg("outcome", "disconnected");
             return Err(e.into());
         }
 
-        let outcome = rx
-            .recv_timeout(self.config.call_timeout)
-            .map_err(|e| match e {
-                crossbeam::channel::RecvTimeoutError::Timeout => RpcError::Timeout,
-                crossbeam::channel::RecvTimeoutError::Disconnected => RpcError::Disconnected,
-            });
-        self.pending.lock().remove(&seq);
-        self.metrics.requests.inc();
-        self.metrics.backend_requests.inc();
+        let outcome = slot.wait(self.config.call_timeout);
+        self.shared.forget(seq);
+        self.shared.metrics.requests.inc();
+        self.shared.metrics.backend_requests.inc();
         let elapsed_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.metrics.latency_micros.observe(elapsed_micros);
+        self.shared.metrics.latency_micros.observe(elapsed_micros);
         crate::observe::call_completed(seq, 1, elapsed_micros, matches!(&outcome, Ok(Ok(_))));
         let result = match outcome {
             Ok(r) => r,
             Err(e) => {
                 if e == RpcError::Timeout {
                     // Remember the abandoned sequence number so the
-                    // receiver can count the reply if it straggles in.
+                    // sink can count the reply if it straggles in.
                     self.note_late_expected(seq);
                 }
-                self.metrics.errors.inc();
+                self.shared.metrics.errors.inc();
                 span.arg(
                     "outcome",
                     match &e {
@@ -660,7 +837,10 @@ impl Endpoint {
                 Err(_) => "remote_error",
             },
         );
-        self.metrics.simulated_bytes.add(req_bytes + reply_bytes);
+        self.shared
+            .metrics
+            .simulated_bytes
+            .add(req_bytes + reply_bytes);
 
         // Simulated link time: bulk transfers (offloading) stream at link
         // bandwidth with half-RTT setup; everything else is a synchronous
@@ -676,12 +856,12 @@ impl Endpoint {
 
         match result {
             Ok(Reply::Busy { retry_after_ms }) => {
-                self.metrics.errors.inc();
+                self.shared.metrics.errors.inc();
                 Err(RpcError::Busy { retry_after_ms })
             }
             Ok(reply) => Ok(reply),
             Err(msg) => {
-                self.metrics.errors.inc();
+                self.shared.metrics.errors.inc();
                 Err(RpcError::Remote(msg))
             }
         }
@@ -732,8 +912,14 @@ impl Endpoint {
             Message::Reply { .. } => unreachable!(),
         };
 
-        let (tx, rx) = unbounded();
-        self.pending.lock().insert(seq, tx);
+        let slot = match self.shared.register(seq) {
+            Ok(slot) => slot,
+            Err(e) => {
+                self.shared.metrics.errors.inc();
+                retry_span.arg("outcome", "disconnected");
+                return Err(e);
+            }
+        };
         let deadline = Instant::now() + policy.deadline;
         let mut jitter_state = (policy.seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
         let started = Instant::now();
@@ -742,7 +928,7 @@ impl Endpoint {
             attempt += 1;
             if attempt > 1 {
                 self.retries.fetch_add(1, Ordering::Relaxed);
-                self.metrics.retries.inc();
+                self.shared.metrics.retries.inc();
             }
             // Each attempt is its own span and re-encodes the frame under
             // it, so the serving side parents its serve span on the exact
@@ -751,7 +937,7 @@ impl Endpoint {
             // context differs, so the at-most-once dedup still works.
             let mut attempt_span = aide_trace::span(span_names::RPC_ATTEMPT, "rpc");
             attempt_span.arg("attempt", attempt);
-            let frame = msg.encode_pooled_stamped(self.lease_stamp());
+            let frame = msg.encode_pooled_stamped(self.shared.lease_stamp());
             if self.session.send(frame).is_err() {
                 attempt_span.arg("outcome", "disconnected");
                 break Err(RpcError::Disconnected);
@@ -759,16 +945,12 @@ impl Endpoint {
             let wait = policy
                 .attempt_timeout
                 .min(deadline.saturating_duration_since(Instant::now()));
-            match rx.recv_timeout(wait) {
+            match slot.wait(wait) {
                 Ok(r) => {
                     attempt_span.arg("outcome", "ok");
                     break Ok(r);
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    attempt_span.arg("outcome", "disconnected");
-                    break Err(RpcError::Disconnected);
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                Err(RpcError::Timeout) => {
                     attempt_span.arg("outcome", "timeout");
                     // Close the attempt before sleeping: the backoff is a
                     // sibling span, so attempt and backoff durations never
@@ -789,13 +971,17 @@ impl Endpoint {
                     backoff_span.arg("micros", sleep.as_micros());
                     std::thread::sleep(sleep);
                 }
+                Err(_) => {
+                    attempt_span.arg("outcome", "disconnected");
+                    break Err(RpcError::Disconnected);
+                }
             }
         };
-        self.pending.lock().remove(&seq);
-        self.metrics.requests.inc();
-        self.metrics.backend_requests.inc();
+        self.shared.forget(seq);
+        self.shared.metrics.requests.inc();
+        self.shared.metrics.backend_requests.inc();
         let elapsed_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.metrics.latency_micros.observe(elapsed_micros);
+        self.shared.metrics.latency_micros.observe(elapsed_micros);
         crate::observe::call_completed(seq, attempt, elapsed_micros, matches!(&outcome, Ok(Ok(_))));
         retry_span.arg("attempts", attempt);
         let result = match outcome {
@@ -804,7 +990,7 @@ impl Endpoint {
                 if e == RpcError::Timeout {
                     self.note_late_expected(seq);
                 }
-                self.metrics.errors.inc();
+                self.shared.metrics.errors.inc();
                 retry_span.arg(
                     "outcome",
                     match &e {
@@ -823,7 +1009,10 @@ impl Endpoint {
                 Err(_) => "remote_error",
             },
         );
-        self.metrics.simulated_bytes.add(req_bytes + reply_bytes);
+        self.shared
+            .metrics
+            .simulated_bytes
+            .add(req_bytes + reply_bytes);
         let seconds = if is_migrate {
             self.params.transfer_seconds(req_bytes)
         } else {
@@ -838,12 +1027,12 @@ impl Endpoint {
         // as its own error so placement can move the work elsewhere.
         match result {
             Ok(Reply::Busy { retry_after_ms }) => {
-                self.metrics.errors.inc();
+                self.shared.metrics.errors.inc();
                 Err(RpcError::Busy { retry_after_ms })
             }
             Ok(reply) => Ok(reply),
             Err(msg) => {
-                self.metrics.errors.inc();
+                self.shared.metrics.errors.inc();
                 Err(RpcError::Remote(msg))
             }
         }
@@ -852,7 +1041,7 @@ impl Endpoint {
     /// Marks `seq` as timed-out-but-possibly-answered, bounding the set so
     /// replies that never arrive cannot grow it without limit.
     fn note_late_expected(&self, seq: u64) {
-        let mut late = self.late_expected.lock();
+        let mut late = self.shared.late_expected.lock();
         if late.len() >= LATE_SET_CAPACITY {
             late.clear();
         }
@@ -875,40 +1064,38 @@ impl Endpoint {
     /// [`call`]: Endpoint::call
     pub fn probe(&self, timeout: Duration) -> Result<Duration, RpcError> {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = unbounded();
-        self.pending.lock().insert(seq, tx);
+        let slot = self.shared.register(seq)?;
         let frame = Message::Request {
             seq,
             client: self.client_id,
             body: Request::Ping,
         }
-        .encode_pooled_stamped(self.lease_stamp());
+        .encode_pooled_stamped(self.shared.lease_stamp());
         let started = std::time::Instant::now();
         if let Err(e) = self.session.send(frame) {
-            self.pending.lock().remove(&seq);
+            self.shared.forget(seq);
             return Err(e.into());
         }
-        let outcome = rx.recv_timeout(timeout).map_err(|e| match e {
-            crossbeam::channel::RecvTimeoutError::Timeout => RpcError::Timeout,
-            crossbeam::channel::RecvTimeoutError::Disconnected => RpcError::Disconnected,
-        });
-        self.pending.lock().remove(&seq);
+        let outcome = slot.wait(timeout);
+        self.shared.forget(seq);
         outcome?.map_err(RpcError::Remote)?;
         let rtt = started.elapsed();
-        self.metrics.requests.inc();
-        self.metrics.backend_requests.inc();
-        self.metrics
+        self.shared.metrics.requests.inc();
+        self.shared.metrics.backend_requests.inc();
+        self.shared
+            .metrics
             .latency_micros
             .observe(u64::try_from(rtt.as_micros()).unwrap_or(u64::MAX));
         Ok(rtt)
     }
 
-    /// Initiates an orderly shutdown: tells the peer (fire-and-forget so a
-    /// half-closed peer cannot stall us), then signals the receiver to
-    /// begin its bounded drain.
+    /// Initiates an orderly shutdown: starts the bounded drain —
+    /// outstanding calls have [`EndpointConfig::drain_timeout`] left to be
+    /// answered and fail fast after it — and tells the peer
+    /// (fire-and-forget so a half-closed peer cannot stall us).
     pub fn shutdown(&self) {
-        if self.closing.swap(true, Ordering::SeqCst) {
-            return;
+        if !self.shared.begin_drain() {
+            return; // already draining (perhaps at the peer's request) or closed
         }
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let frame = Message::Request {
@@ -918,141 +1105,49 @@ impl Endpoint {
         }
         .encode_pooled();
         let _ = self.session.send(frame);
-        let _ = self.shutdown_tx.send(());
     }
 
-    /// Waits for the endpoint's threads to finish. After [`shutdown`] this
+    /// Waits for the endpoint to wind down: until the drain that
+    /// [`shutdown`] (or the peer's `Shutdown` frame) began has finished or
+    /// the peer hung up, then for the workers. After [`shutdown`] this
     /// returns within roughly [`EndpointConfig::drain_timeout`] even if the
-    /// peer is dead or never acknowledges — the receiver's drain phase has
-    /// a deadline, not just an idle condition.
+    /// peer is dead or never acknowledges — the drain has a deadline, not
+    /// just an idle condition.
     ///
     /// [`shutdown`]: Endpoint::shutdown
     pub fn join(&self) {
+        {
+            let mut pending = self.shared.pending();
+            while !pending.closed {
+                pending = match pending.drain_until {
+                    None => self
+                        .shared
+                        .settled
+                        .wait(pending)
+                        .unwrap_or_else(PoisonError::into_inner),
+                    Some(deadline) => {
+                        let now = Instant::now();
+                        if now >= deadline {
+                            self.shared.close(&mut pending);
+                            break;
+                        }
+                        self.shared
+                            .settled
+                            .wait_timeout(pending, deadline - now)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0
+                    }
+                };
+            }
+        }
         let handles = std::mem::take(&mut *self.threads.lock());
         for h in handles {
             let _ = h.join();
         }
+        self.session.detach_sink();
         // Tell a multiplexed carrier this logical session is finished so
         // the mux can free its route (no-op on direct channel sessions).
         self.session.close();
-    }
-}
-
-/// Everything the receiver loop needs, bundled to keep the signature sane.
-struct ReceiverCtx<'a> {
-    session: &'a Session,
-    pending: &'a PendingMap,
-    late_expected: &'a LateSet,
-    closing: &'a AtomicBool,
-    jobs: &'a Sender<Job>,
-    shutdown: &'a Receiver<()>,
-    drain_timeout: Duration,
-    late_replies: &'a AtomicU64,
-    late_replies_metric: &'a aide_telemetry::Counter,
-    bad_frames: &'a AtomicU64,
-    bad_frames_metric: &'a aide_telemetry::Counter,
-    gc: &'a Mutex<Option<GcHooks>>,
-}
-
-fn receiver_loop(ctx: ReceiverCtx<'_>) {
-    let ReceiverCtx {
-        session,
-        pending,
-        late_expected,
-        closing,
-        jobs,
-        shutdown,
-        drain_timeout,
-        late_replies,
-        late_replies_metric,
-        bad_frames,
-        bad_frames_metric,
-        gc,
-    } = ctx;
-    let incoming = session.incoming();
-    // `None` while running normally; set to a deadline once shutdown begins
-    // (locally via the signal channel, or by the peer's Shutdown frame).
-    // The deadline bounds the drain of in-flight replies so `join()` cannot
-    // hang on a peer that never acknowledges.
-    let mut drain_until: Option<std::time::Instant> = None;
-    loop {
-        let frame = if let Some(deadline) = drain_until {
-            if pending.lock().is_empty() {
-                return;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return;
-            }
-            match incoming.recv_timeout((deadline - now).min(Duration::from_millis(20))) {
-                Ok(frame) => frame,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-            }
-        } else {
-            // Steady state: block on the transport with no idle wakeups; an
-            // explicit shutdown signal interrupts the wait immediately.
-            crossbeam::select! {
-                recv(incoming) -> msg => match msg {
-                    Ok(frame) => frame,
-                    Err(_) => return,
-                },
-                recv(shutdown) -> _ => {
-                    closing.store(true, Ordering::SeqCst);
-                    drain_until = Some(std::time::Instant::now() + drain_timeout);
-                    continue;
-                }
-            }
-        };
-        session.note_received(frame.len());
-        match Message::decode_stamped(&frame) {
-            Ok((message, ctx, lease)) => {
-                if let Some(epoch) = lease {
-                    // The peer's lease stamp rides every frame: renewing
-                    // here is what makes ordinary traffic keep this side's
-                    // exports alive with no dedicated GC messages.
-                    if let Some(hooks) = gc.lock().as_ref() {
-                        hooks.exports.renew(epoch);
-                    }
-                }
-                match message {
-                    Message::Request { seq, client, body } => {
-                        if matches!(body, Request::Shutdown) {
-                            // Fire-and-forget: the sender does not wait for
-                            // a reply.
-                            closing.store(true, Ordering::SeqCst);
-                            if drain_until.is_none() {
-                                drain_until = Some(std::time::Instant::now() + drain_timeout);
-                            }
-                            continue;
-                        }
-                        if jobs.send((client, seq, body, ctx)).is_err() {
-                            return;
-                        }
-                    }
-                    Message::Reply { seq, result } => {
-                        let waiter = pending.lock().remove(&seq);
-                        if let Some(tx) = waiter {
-                            let _ = tx.send(result);
-                        } else if late_expected.lock().remove(&seq) {
-                            // The caller already gave up on this sequence
-                            // number: account for the straggler instead of
-                            // losing it silently. (Replies to retried calls
-                            // never land here — retries keep their waiter
-                            // registered.)
-                            late_replies.fetch_add(1, Ordering::Relaxed);
-                            late_replies_metric.inc();
-                        }
-                    }
-                }
-            }
-            Err(_) => {
-                // Malformed frame (truncated, corrupted, wrong version):
-                // count and drop it; retries recover the request.
-                bad_frames.fetch_add(1, Ordering::Relaxed);
-                bad_frames_metric.inc();
-            }
-        }
     }
 }
 
@@ -1286,7 +1381,7 @@ mod tests {
             "join must be bounded by the drain deadline, took {:?}",
             started.elapsed()
         );
-        // The abandoned caller fails fast once the receiver clears pending.
+        // The abandoned caller fails fast once the drain deadline passes.
         let err = caller.join().unwrap();
         assert!(matches!(err, RpcError::Disconnected | RpcError::Timeout));
     }
@@ -1434,7 +1529,7 @@ mod tests {
         s_exports.export(id);
         s_exports.clock().advance_ms(90);
         // An ordinary request from the client carries its lease stamp; the
-        // surrogate's receiver renews its exports before dispatching, so
+        // surrogate's sink renews its exports before dispatching, so
         // by the time the reply is back the lease is fresh.
         client
             .call(Request::GetSlot {
@@ -1608,5 +1703,137 @@ mod tests {
         assert_eq!(client.late_replies(), 1);
         client.shutdown();
         surrogate.shutdown();
+    }
+
+    /// Remembers the `bytes` of every field access it serves, in order.
+    #[derive(Default)]
+    struct OrderDispatcher {
+        seen: Mutex<Vec<u32>>,
+    }
+
+    impl Dispatcher for OrderDispatcher {
+        fn dispatch(&self, request: Request) -> Result<Reply, String> {
+            if let Request::FieldAccess { bytes, .. } = request {
+                self.seen.lock().push(bytes);
+            }
+            Ok(Reply::Unit)
+        }
+    }
+
+    #[test]
+    fn requests_queued_before_the_endpoint_started_are_served_first_in_order() {
+        let (link, ct, st) = Link::pair(CommParams::WAVELAN);
+        let access = |bytes| Request::FieldAccess {
+            target: ObjectId::surrogate(1),
+            bytes,
+            write: true,
+        };
+        // Three requests reach the session before anything serves it.
+        for i in 0..3u32 {
+            let early = Message::Request {
+                seq: 100 + u64::from(i),
+                client: 9,
+                body: access(i),
+            };
+            ct.send(early.encode_pooled()).unwrap();
+        }
+        let order = Arc::new(OrderDispatcher::default());
+        let surrogate = Endpoint::start(
+            st,
+            link.params,
+            link.clock.clone(),
+            order.clone(),
+            EndpointConfig {
+                workers: 1, // one worker: service order is queue order
+                ..EndpointConfig::default()
+            },
+        );
+        let client = Endpoint::start(
+            ct,
+            link.params,
+            link.clock.clone(),
+            Arc::new(OrderDispatcher::default()),
+            EndpointConfig::default(),
+        );
+        client.call(access(3)).unwrap();
+        assert_eq!(*order.seen.lock(), [0, 1, 2, 3]);
+        // The three replies nobody waited for are neither late nor bad.
+        assert_eq!(client.late_replies(), 0);
+        assert_eq!(client.bad_frames(), 0);
+        client.shutdown();
+        surrogate.shutdown();
+        client.join();
+        surrogate.join();
+    }
+
+    #[test]
+    fn outstanding_calls_fail_fast_when_the_peer_hangs_up() {
+        let (link, ct, st) = Link::pair(CommParams::WAVELAN);
+        let client = Endpoint::start(
+            ct,
+            link.params,
+            link.clock.clone(),
+            Arc::new(TestDispatcher {
+                known: ObjectId::client(1),
+            }),
+            EndpointConfig::default(), // 30 s call timeout
+        );
+        let caller = {
+            let client = client.clone();
+            std::thread::spawn(move || {
+                client.call(Request::ClassOf {
+                    target: ObjectId::surrogate(0),
+                })
+            })
+        };
+        // The request is in the peer's inbox once the call is in flight.
+        let request = st.recv().unwrap();
+        assert!(Message::decode(&request).is_ok());
+        let started = Instant::now();
+        drop(st);
+        assert_eq!(caller.join().unwrap(), Err(RpcError::Disconnected));
+        assert!(started.elapsed() < Duration::from_secs(5));
+        // Later calls do not even try.
+        assert_eq!(client.call(Request::Ping), Err(RpcError::Disconnected));
+        client.join();
+    }
+
+    #[test]
+    fn shutdown_fails_outstanding_calls_within_the_drain_timeout_without_a_join() {
+        let (link, ct, st) = Link::pair(CommParams::WAVELAN);
+        let client = Endpoint::start(
+            ct,
+            link.params,
+            link.clock.clone(),
+            Arc::new(TestDispatcher {
+                known: ObjectId::client(1),
+            }),
+            EndpointConfig {
+                call_timeout: Duration::from_secs(30),
+                drain_timeout: Duration::from_millis(100),
+                ..EndpointConfig::default()
+            },
+        );
+        let caller = {
+            let client = client.clone();
+            std::thread::spawn(move || {
+                client.call(Request::ClassOf {
+                    target: ObjectId::surrogate(0),
+                })
+            })
+        };
+        // The peer is up but never answers; its inbox holding the request
+        // means the call is registered and waiting.
+        st.recv().unwrap();
+        let started = Instant::now();
+        client.shutdown();
+        // Nobody joins: the caller enforces the drain deadline itself.
+        assert_eq!(caller.join().unwrap(), Err(RpcError::Disconnected));
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed >= Duration::from_millis(100) && elapsed < Duration::from_secs(5),
+            "let go after {elapsed:?}"
+        );
+        client.join();
     }
 }

@@ -18,7 +18,11 @@
 //!   accumulating *simulated* link seconds priced by
 //!   [`aide_graph::CommParams`].
 //! * [`Endpoint`] — request/reply correlation plus the dispatcher worker
-//!   pool that re-enters the interpreter to serve the peer.
+//!   pool that re-enters the interpreter to serve the peer. It has no
+//!   receiver thread: whoever produces an inbound frame (a carrier's
+//!   reader, the in-process peer's sending thread) decodes it and completes
+//!   the waiting call or queues the job, so a call over TCP is four thread
+//!   hand-offs and four syscalls.
 //! * [`ExportTable`] / [`ImportTable`] — cross-VM reference bookkeeping for
 //!   the distributed garbage collection scheme, hardened with lease/epoch
 //!   reclamation (TTL deadlines on a manual [`GcClock`], watermarked
@@ -70,7 +74,7 @@ pub use aide_trace::SpanContext;
 pub use chaos::{chaos_pair, chaos_wrap, ChaosPairStats, ChaosSchedule, ChaosStats};
 pub use endpoint::{Dispatcher, Endpoint, EndpointConfig, RetryPolicy, RpcError};
 pub use link::{Link, LinkError, NetClock, Session, TrafficStats};
-pub use mux::{BusEvent, ConnKiller, MuxConn, MuxSender};
+pub use mux::{BusEvent, BusSink, ConnKiller, MuxConn, MuxSender};
 pub use observe::{set_rpc_observer, RpcObserver};
 pub use reftable::{
     live_remote_refs, ExportTable, GcClock, ImportTable, ReleaseOutcome, DEFAULT_LEASE_TTL_MS,

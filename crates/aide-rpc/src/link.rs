@@ -2,22 +2,25 @@
 //!
 //! A [`Session`] is one end of a logical duplex frame channel between two
 //! VMs. Sessions are produced by every backend behind the unified
-//! [`Transport`](crate::transport::Transport) seam: in-memory channel pairs
+//! [`Transport`](crate::transport::Transport) seam: in-process inbox pairs
 //! ([`Link::pair`]), multiplexed TCP connections (`crate::tcp`), and the
 //! emulated virtual-time link ([`Link::virtual_pair`]). The [`Link`] keeps
 //! the shared [`NetClock`] that accumulates *simulated* communication
 //! seconds according to [`CommParams`] — the paper's 11 Mbps / 2.4 ms RTT
 //! WaveLAN model.
 
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::io::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, PoisonError};
+use std::time::Instant;
 
 use aide_graph::CommParams;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
-use crate::mux::{MuxOut, KIND_CLOSE, KIND_DATA};
+use crate::mux::{mux_head, KIND_CLOSE, KIND_DATA};
 use crate::transport::BackendKind;
-use crate::wire::Frame;
+use crate::wire::{write_framed, Frame};
 
 /// Accumulates simulated communication time for one client/surrogate pair.
 ///
@@ -60,41 +63,42 @@ impl NetClock {
 /// Per-endpoint traffic counters (real frames, real bytes).
 #[derive(Debug, Default)]
 pub struct TrafficStats {
-    frames_sent: Mutex<u64>,
-    bytes_sent: Mutex<u64>,
-    frames_received: Mutex<u64>,
-    bytes_received: Mutex<u64>,
+    frames_sent: AtomicU64,
+    bytes_sent: AtomicU64,
+    frames_received: AtomicU64,
+    bytes_received: AtomicU64,
 }
 
 impl TrafficStats {
     /// Frames sent by this endpoint.
     pub fn frames_sent(&self) -> u64 {
-        *self.frames_sent.lock()
+        self.frames_sent.load(Ordering::Relaxed)
     }
 
     /// Encoded bytes sent by this endpoint.
     pub fn bytes_sent(&self) -> u64 {
-        *self.bytes_sent.lock()
+        self.bytes_sent.load(Ordering::Relaxed)
     }
 
     /// Frames received by this endpoint.
     pub fn frames_received(&self) -> u64 {
-        *self.frames_received.lock()
+        self.frames_received.load(Ordering::Relaxed)
     }
 
     /// Encoded bytes received by this endpoint.
     pub fn bytes_received(&self) -> u64 {
-        *self.bytes_received.lock()
+        self.bytes_received.load(Ordering::Relaxed)
     }
 
     fn note_sent(&self, bytes: usize) {
-        *self.frames_sent.lock() += 1;
-        *self.bytes_sent.lock() += bytes as u64;
+        self.frames_sent.fetch_add(1, Ordering::Relaxed);
+        self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     fn note_received(&self, bytes: usize) {
-        *self.frames_received.lock() += 1;
-        *self.bytes_received.lock() += bytes as u64;
+        self.frames_received.fetch_add(1, Ordering::Relaxed);
+        self.bytes_received
+            .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 }
 
@@ -136,13 +140,284 @@ impl LinkCharge {
     }
 }
 
-/// The outbound half of a session: either a dedicated channel (in-memory
-/// and single-session carriers) or a share of a multiplexed connection's
-/// writer, tagged with this session's id.
+/// Consumes a session's inbound frames **on the thread that produced
+/// them** — a carrier's reader, or the in-process peer's sending thread.
+///
+/// The deadlock rule every implementation obeys: a sink never writes to a
+/// carrier and never blocks. It decodes, renews, completes a waiting call,
+/// enqueues for a worker, or forwards into another session's inbox —
+/// nothing else — so a carrier's reader blocks on nothing but its socket.
+pub(crate) trait FrameSink: Send + Sync {
+    /// One frame, in arrival order.
+    fn deliver(&self, frame: Frame);
+    /// No further frame will arrive: the peer hung up or the carrier died.
+    fn closed(&self);
+}
+
+#[derive(Default)]
+struct InboxState {
+    queue: VecDeque<Frame>,
+    sink: Option<Arc<dyn FrameSink>>,
+    /// No further frame will arrive (peer hung up, CLOSE, carrier death).
+    closed: bool,
+    /// Every receiving handle is gone: producers see `Disconnected`.
+    abandoned: bool,
+}
+
+/// The inbound half of a session: frames queue here until a consumer pulls
+/// them ([`Session::recv`]) or a [`FrameSink`] is attached, after which
+/// producers deliver straight into the sink. Queueing, the switch to a
+/// sink, and delivery all happen under one lock, which is what keeps
+/// per-session frame order across the switch.
+pub(crate) struct Inbox {
+    state: std::sync::Mutex<InboxState>,
+    ready: Condvar,
+    stats: Arc<TrafficStats>,
+}
+
+impl std::fmt::Debug for Inbox {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = self.lock();
+        f.debug_struct("Inbox")
+            .field("queued", &state.queue.len())
+            .field("sink", &state.sink.is_some())
+            .field("closed", &state.closed)
+            .finish()
+    }
+}
+
+impl Inbox {
+    pub(crate) fn new() -> Arc<Inbox> {
+        Arc::new(Inbox {
+            state: std::sync::Mutex::default(),
+            ready: Condvar::new(),
+            stats: Arc::new(TrafficStats::default()),
+        })
+    }
+
+    /// Every update leaves the state valid, so a panicking sink poisons
+    /// nothing worth refusing (parking_lot semantics, on a std mutex
+    /// because the queue needs a condvar).
+    fn lock(&self) -> std::sync::MutexGuard<'_, InboxState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Producer side: hands `frame` to the attached sink, or queues it.
+    ///
+    /// # Errors
+    ///
+    /// [`LinkError::Disconnected`] once the inbox is closed or every
+    /// receiving handle is gone.
+    pub(crate) fn push(&self, frame: Frame) -> Result<(), LinkError> {
+        let mut state = self.lock();
+        if state.closed || state.abandoned {
+            return Err(LinkError::Disconnected);
+        }
+        match &state.sink {
+            Some(sink) => {
+                self.stats.note_received(frame.len());
+                sink.deliver(frame);
+            }
+            None => {
+                state.queue.push_back(frame);
+                self.ready.notify_one();
+            }
+        }
+        Ok(())
+    }
+
+    /// Producer side: no further frame will arrive. Queued frames stay
+    /// deliverable; an attached sink is told and released.
+    pub(crate) fn close(&self) {
+        let sink = {
+            let mut state = self.lock();
+            if std::mem::replace(&mut state.closed, true) {
+                return;
+            }
+            self.ready.notify_all();
+            state.sink.take()
+        };
+        // After the lock: nothing can be delivered behind this any more,
+        // and the sink is free to let go of whatever it holds.
+        if let Some(sink) = sink {
+            sink.closed();
+        }
+    }
+
+    /// Hands everything queued to `sink`, in order, then routes every later
+    /// frame to it directly.
+    fn attach(&self, sink: Arc<dyn FrameSink>) {
+        let mut state = self.lock();
+        while let Some(frame) = state.queue.pop_front() {
+            self.stats.note_received(frame.len());
+            sink.deliver(frame);
+        }
+        if state.closed {
+            sink.closed();
+        } else {
+            state.sink = Some(sink);
+        }
+    }
+
+    fn detach(&self) {
+        let sink = self.lock().sink.take();
+        drop(sink); // outside the lock: it may own sessions of its own
+    }
+
+    /// Takes whatever is queued, for a carrier that re-routes a session
+    /// nobody accepted onto its bus.
+    pub(crate) fn take_queued(&self) -> VecDeque<Frame> {
+        std::mem::take(&mut self.lock().queue)
+    }
+
+    /// Pulls the next queued frame, waiting until `deadline` (forever when
+    /// `None`); `Ok(None)` is a timeout.
+    fn pop(&self, deadline: Option<Instant>) -> Result<Option<Frame>, LinkError> {
+        let mut state = self.lock();
+        loop {
+            if let Some(frame) = state.queue.pop_front() {
+                self.stats.note_received(frame.len());
+                return Ok(Some(frame));
+            }
+            if state.closed {
+                return Err(LinkError::Disconnected);
+            }
+            state = match deadline {
+                None => self
+                    .ready
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Ok(None);
+                    }
+                    self.ready
+                        .wait_timeout(state, deadline - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+        }
+    }
+}
+
+/// A session's claim on its inbox: when the last clone of the session is
+/// dropped nobody can receive any more, so producers are refused.
+#[derive(Debug)]
+struct Receiving(Arc<Inbox>);
+
+impl Drop for Receiving {
+    fn drop(&mut self) {
+        let orphaned = {
+            let mut state = self.0.lock();
+            state.abandoned = true;
+            (std::mem::take(&mut state.queue), state.sink.take())
+        };
+        drop(orphaned); // outside the lock: a sink may own sessions of its own
+    }
+}
+
+/// The in-process outbound half: frames go straight into the peer's inbox.
+/// Dropping the last clone is the hang-up the peer observes.
+#[derive(Debug)]
+struct DirectTx(Arc<Inbox>);
+
+impl Drop for DirectTx {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+struct WriterState {
+    out: Box<dyn Write + Send>,
+    scratch: Vec<u8>,
+    dead: bool,
+}
+
+/// The write half of a byte-stream carrier, shared by every session (and
+/// every [`MuxSender`](crate::MuxSender)) riding it. There is no writer
+/// thread: whoever sends composes the frame into the reused buffer and
+/// issues the one `write_all` itself, under this mutex, so frames of
+/// concurrent senders never interleave. When the last handle drops, the
+/// carrier's shutdown hook runs (a socket shuts its write half so the peer
+/// reads EOF).
+pub(crate) struct CarrierWriter {
+    state: Mutex<WriterState>,
+    frames: Arc<aide_telemetry::Counter>,
+    bytes: Arc<aide_telemetry::Counter>,
+    on_last_drop: Option<Box<dyn FnOnce() + Send + Sync>>,
+}
+
+impl std::fmt::Debug for CarrierWriter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("CarrierWriter")
+    }
+}
+
+impl CarrierWriter {
+    /// Wraps `out`; `frames`/`bytes` count what is written, `on_last_drop`
+    /// runs once when the last handle goes away.
+    pub(crate) fn new(
+        out: impl Write + Send + 'static,
+        frames: Arc<aide_telemetry::Counter>,
+        bytes: Arc<aide_telemetry::Counter>,
+        on_last_drop: impl FnOnce() + Send + Sync + 'static,
+    ) -> Arc<CarrierWriter> {
+        Arc::new(CarrierWriter {
+            state: Mutex::new(WriterState {
+                out: Box::new(out),
+                scratch: Vec::new(),
+                dead: false,
+            }),
+            frames,
+            bytes,
+            on_last_drop: Some(Box::new(on_last_drop)),
+        })
+    }
+
+    /// Writes one `[len][head][payload]` frame with a single `write_all`.
+    ///
+    /// # Errors
+    ///
+    /// [`LinkError::Disconnected`] if this or an earlier write failed: a
+    /// carrier that lost part of a frame cannot be resynchronised.
+    pub(crate) fn send(&self, head: &[u8], payload: &[u8]) -> Result<(), LinkError> {
+        let mut state = self.state.lock();
+        let WriterState { out, scratch, dead } = &mut *state;
+        if *dead {
+            return Err(LinkError::Disconnected);
+        }
+        if write_framed(out, scratch, head, payload).is_err() {
+            *dead = true;
+            return Err(LinkError::Disconnected);
+        }
+        self.frames.inc();
+        self.bytes.add((4 + head.len() + payload.len()) as u64);
+        Ok(())
+    }
+}
+
+impl Drop for CarrierWriter {
+    fn drop(&mut self) {
+        if let Some(hook) = self.on_last_drop.take() {
+            hook();
+        }
+    }
+}
+
+/// The outbound half of a session.
 #[derive(Debug, Clone)]
 enum SessionSender {
-    Direct(Sender<Frame>),
-    Mux { id: u32, tx: Sender<MuxOut> },
+    /// In-process: the peer's inbox.
+    Direct(Arc<DirectTx>),
+    /// A share of a byte-stream carrier's write half. `mux_id` tags the
+    /// frames on a multiplexed connection; a single-session socket has
+    /// none.
+    Carrier {
+        writer: Arc<CarrierWriter>,
+        mux_id: Option<u32>,
+    },
 }
 
 /// One end of a duplex logical frame channel — the single session
@@ -150,45 +425,32 @@ enum SessionSender {
 #[derive(Debug, Clone)]
 pub struct Session {
     tx: SessionSender,
-    rx: Receiver<Frame>,
-    stats: Arc<TrafficStats>,
+    rx: Arc<Receiving>,
     backend: BackendKind,
     charge: Option<Arc<LinkCharge>>,
 }
 
 impl Session {
-    /// Assembles a session from raw channel halves (used by alternative
-    /// carriers such as the TCP bridge and chaos wrappers).
-    pub(crate) fn from_parts(
-        tx: Sender<Frame>,
-        rx: Receiver<Frame>,
-        stats: Arc<TrafficStats>,
-        backend: BackendKind,
-    ) -> Self {
+    fn assemble(tx: SessionSender, inbox: Arc<Inbox>, backend: BackendKind) -> Self {
         Session {
-            tx: SessionSender::Direct(tx),
-            rx,
-            stats,
+            tx,
+            rx: Arc::new(Receiving(inbox)),
             backend,
             charge: None,
         }
     }
 
-    /// Assembles a session riding a multiplexed connection: outbound frames
-    /// are tagged with `id` and funneled through the shared writer.
-    pub(crate) fn mux_parts(
-        id: u32,
-        tx: Sender<MuxOut>,
-        rx: Receiver<Frame>,
+    /// Assembles a session riding a byte-stream carrier: outbound frames go
+    /// through the shared `writer` (tagged with `mux_id` on a multiplexed
+    /// connection), inbound frames are pushed into `inbox` by the
+    /// carrier's reader.
+    pub(crate) fn on_carrier(
+        writer: Arc<CarrierWriter>,
+        mux_id: Option<u32>,
+        inbox: Arc<Inbox>,
         backend: BackendKind,
     ) -> Self {
-        Session {
-            tx: SessionSender::Mux { id, tx },
-            rx,
-            stats: Arc::new(TrafficStats::default()),
-            backend,
-            charge: None,
-        }
+        Session::assemble(SessionSender::Carrier { writer, mux_id }, inbox, backend)
     }
 
     /// Attaches virtual-time charging: every sent frame adds transmission
@@ -206,43 +468,67 @@ impl Session {
     /// Sends one encoded frame to the peer. Accepts anything convertible
     /// into a [`Frame`] (plain `Vec<u8>` or a pooled frame).
     ///
+    /// In process the frame lands in the peer's inbox (and runs its sink)
+    /// on this thread; on a carrier this thread does the socket write.
+    ///
     /// # Errors
     ///
-    /// Returns [`LinkError::Disconnected`] if the peer's receiver is gone.
+    /// Returns [`LinkError::Disconnected`] if the peer's receiver or the
+    /// carrier is gone.
     pub fn send(&self, frame: impl Into<Frame>) -> Result<(), LinkError> {
         let frame = frame.into();
-        self.stats.note_sent(frame.len());
+        self.stats().note_sent(frame.len());
         if let Some(charge) = &self.charge {
             charge.charge(frame.len());
         }
         match &self.tx {
-            SessionSender::Direct(tx) => tx.send(frame).map_err(|_| LinkError::Disconnected),
-            SessionSender::Mux { id, tx } => tx
-                .send((*id, KIND_DATA, frame))
-                .map_err(|_| LinkError::Disconnected),
+            SessionSender::Direct(peer) => peer.0.push(frame),
+            SessionSender::Carrier {
+                writer,
+                mux_id: Some(id),
+            } => writer.send(&mux_head(*id, KIND_DATA), &frame),
+            SessionSender::Carrier {
+                writer,
+                mux_id: None,
+            } => writer.send(&[], &frame),
         }
     }
 
     /// Tells the peer this logical session is finished. A no-op for
-    /// dedicated channels (dropping the session is enough); on a
+    /// dedicated carriers (dropping the session is enough); on a
     /// multiplexed connection this releases the peer's per-session route
     /// without touching its sibling sessions.
     pub fn close(&self) {
-        if let SessionSender::Mux { id, tx } = &self.tx {
-            let _ = tx.send((*id, KIND_CLOSE, Frame::empty()));
+        if let SessionSender::Carrier {
+            writer,
+            mux_id: Some(id),
+        } = &self.tx
+        {
+            let _ = writer.send(&mux_head(*id, KIND_CLOSE), &[]);
         }
     }
 
-    /// Receives the next frame, blocking until one arrives.
+    /// Hangs up on an in-process peer while clones of this session are
+    /// still held elsewhere: the peer's inbox closes as if the last clone
+    /// had dropped. Carrier sessions end with their carrier instead.
+    pub(crate) fn hang_up(&self) {
+        if let SessionSender::Direct(peer) = &self.tx {
+            peer.0.close();
+        }
+    }
+
+    /// Receives the next frame, blocking until one arrives. Frames only
+    /// queue for `recv` while no sink is attached (endpoints attach one).
     ///
     /// # Errors
     ///
     /// Returns [`LinkError::Disconnected`] when the peer hung up and the
     /// queue is drained.
     pub fn recv(&self) -> Result<Frame, LinkError> {
-        let frame = self.rx.recv().map_err(|_| LinkError::Disconnected)?;
-        self.stats.note_received(frame.len());
-        Ok(frame)
+        self.rx
+            .0
+            .pop(None)
+            .map(|frame| frame.expect("no deadline, no timeout"))
     }
 
     /// Receives the next frame, or `Ok(None)` after `timeout`.
@@ -251,43 +537,37 @@ impl Session {
     ///
     /// Returns [`LinkError::Disconnected`] when the peer hung up.
     pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Option<Frame>, LinkError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(frame) => {
-                self.stats.note_received(frame.len());
-                Ok(Some(frame))
-            }
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(LinkError::Disconnected),
-        }
+        self.rx.0.pop(Some(Instant::now() + timeout))
     }
 
     /// This endpoint's traffic statistics.
     pub fn stats(&self) -> &Arc<TrafficStats> {
-        &self.stats
+        &self.rx.0.stats
     }
 
-    /// Raw access to the incoming-frame channel, for select-based receive
-    /// loops. Callers pulling frames off this channel directly must pair
-    /// each one with [`Session::note_received`] so traffic statistics
-    /// stay exact.
-    pub(crate) fn incoming(&self) -> &Receiver<Frame> {
-        &self.rx
+    /// Makes `sink` the consumer of this session's inbound frames: what is
+    /// already queued is delivered first, in order, then every producer
+    /// runs the sink itself.
+    pub(crate) fn attach_sink(&self, sink: Arc<dyn FrameSink>) {
+        self.rx.0.attach(sink);
     }
 
-    /// Records one received frame in the traffic statistics (companion to
-    /// [`Session::incoming`]).
-    pub(crate) fn note_received(&self, bytes: usize) {
-        self.stats.note_received(bytes);
+    /// Releases the attached sink; later frames queue (or are refused once
+    /// the session is dropped).
+    pub(crate) fn detach_sink(&self) {
+        self.rx.0.detach();
     }
 }
 
-/// Builds a connected pair of direct (channel-backed) sessions.
+/// Builds a connected pair of direct (in-process) sessions.
 pub(crate) fn session_pair(backend: BackendKind) -> (Session, Session) {
-    let (a_tx, b_rx) = unbounded();
-    let (b_tx, a_rx) = unbounded();
-    let a = Session::from_parts(a_tx, a_rx, Arc::new(TrafficStats::default()), backend);
-    let b = Session::from_parts(b_tx, b_rx, Arc::new(TrafficStats::default()), backend);
-    (a, b)
+    let (a_inbox, b_inbox) = (Inbox::new(), Inbox::new());
+    let a_tx = SessionSender::Direct(Arc::new(DirectTx(Arc::clone(&b_inbox))));
+    let b_tx = SessionSender::Direct(Arc::new(DirectTx(Arc::clone(&a_inbox))));
+    (
+        Session::assemble(a_tx, a_inbox, backend),
+        Session::assemble(b_tx, b_inbox, backend),
+    )
 }
 
 /// A connected pair of sessions plus the shared link model.
@@ -391,5 +671,66 @@ mod tests {
         clock.note_round_trip();
         assert!((clock.seconds() - 0.75).abs() < 1e-12);
         assert_eq!(clock.round_trips(), 1);
+    }
+
+    /// Remembers what it was handed.
+    #[derive(Default)]
+    struct Recorder {
+        frames: Mutex<Vec<Vec<u8>>>,
+        closed: std::sync::atomic::AtomicBool,
+    }
+
+    impl FrameSink for Recorder {
+        fn deliver(&self, frame: Frame) {
+            self.frames.lock().push(frame.to_vec());
+        }
+
+        fn closed(&self) {
+            self.closed.store(true, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_late_sink_sees_the_queued_frames_first_and_in_order() {
+        let (_, client, surrogate) = Link::pair(CommParams::WAVELAN);
+        for i in 0..3u8 {
+            client.send(vec![i]).unwrap();
+        }
+        let sink = Arc::new(Recorder::default());
+        surrogate.attach_sink(sink.clone());
+        assert_eq!(*sink.frames.lock(), [[0], [1], [2]]);
+        // From here on the sender's thread runs the sink itself.
+        client.send(vec![3]).unwrap();
+        assert_eq!(*sink.frames.lock(), [[0], [1], [2], [3]]);
+        assert_eq!(surrogate.stats().frames_received(), 4);
+        assert!(!sink.closed.load(Ordering::SeqCst));
+        drop(client);
+        assert!(
+            sink.closed.load(Ordering::SeqCst),
+            "hang-up reaches the sink"
+        );
+    }
+
+    #[test]
+    fn a_sink_attached_after_the_hang_up_gets_the_backlog_then_the_close() {
+        let (_, client, surrogate) = Link::pair(CommParams::WAVELAN);
+        client.send(vec![7]).unwrap();
+        drop(client);
+        let sink = Arc::new(Recorder::default());
+        surrogate.attach_sink(sink.clone());
+        assert_eq!(*sink.frames.lock(), [[7]]);
+        assert!(sink.closed.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn a_detached_session_queues_again() {
+        let (_, client, surrogate) = Link::pair(CommParams::WAVELAN);
+        let sink = Arc::new(Recorder::default());
+        surrogate.attach_sink(sink.clone());
+        client.send(vec![1]).unwrap();
+        surrogate.detach_sink();
+        client.send(vec![2]).unwrap();
+        assert_eq!(*sink.frames.lock(), [[1]]);
+        assert_eq!(surrogate.recv().unwrap(), vec![2]);
     }
 }

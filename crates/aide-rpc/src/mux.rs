@@ -12,26 +12,30 @@
 //! where `kind` is [`KIND_DATA`], [`KIND_OPEN`], or [`KIND_CLOSE`]. The
 //! initiating side allocates odd session ids and the accepting side even
 //! ones, so both peers can open sessions concurrently without collisions.
-//! One writer thread serializes all outbound frames; one reader thread
-//! demultiplexes inbound frames into per-session channels, so a slow
-//! session never blocks its siblings (each session has its own unbounded
-//! queue and its own [`Endpoint`](crate::Endpoint) worker on the serving
-//! side).
+//!
+//! There is no writer thread: a sender composes its frame and issues the
+//! one `write_all` itself, under the carrier's writer mutex
+//! (`CarrierWriter`). One reader thread, behind a 64 KiB `BufReader`,
+//! demultiplexes inbound frames and *runs each session's consumer itself*
+//! — the session's inbox queue until a sink is attached, the sink (decode,
+//! complete a call or enqueue a job) afterwards. The rule that keeps this
+//! deadlock-free: the reader never writes to a carrier and blocks on
+//! nothing but its socket, so a slow session never stalls its siblings.
 //!
 //! The module is generic over `Read`/`Write` carriers; the only TCP-aware
 //! code lives in `crate::tcp`, which wires a socket's two halves in here.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::link::{LinkError, Session};
+use crate::link::{CarrierWriter, Inbox, LinkError, Session};
 use crate::transport::{Acceptor, BackendKind, Transport};
-use crate::wire::{read_exact_pooled, write_frame, Frame, MAX_FRAME};
+use crate::wire::{read_framed, Frame, READ_BUFFER};
 
 /// Application frame for an established session.
 pub(crate) const KIND_DATA: u8 = 0;
@@ -43,8 +47,11 @@ pub(crate) const KIND_CLOSE: u8 = 2;
 /// Bytes of mux header inside the length-delimited frame.
 const MUX_HEADER: usize = 5;
 
-/// One outbound mux frame: `(session id, kind, payload)`.
-pub(crate) type MuxOut = (u32, u8, Frame);
+/// The mux's per-frame header: `[session u32 LE][kind u8]`.
+pub(crate) fn mux_head(session: u32, kind: u8) -> [u8; MUX_HEADER] {
+    let id = session.to_le_bytes();
+    [id[0], id[1], id[2], id[3], kind]
+}
 
 /// A cloneable handle that severs the underlying carrier, taking every
 /// session on the connection down with it (used for injected surrogate
@@ -75,13 +82,13 @@ impl std::fmt::Debug for ConnKiller {
     }
 }
 
-type Routes = Arc<Mutex<HashMap<u32, Sender<Frame>>>>;
+type Routes = Arc<Mutex<HashMap<u32, Arc<Inbox>>>>;
 
 /// One inbound event from a bus-routed carrier (see
 /// [`MuxConn::route_accepts_to`]). Events for all sessions of a carrier —
-/// and, at the consumer's choice, of many carriers — share one queue, so a
-/// bounded pool of workers can serve every session without a thread or an
-/// acceptor handoff per session.
+/// and, at the consumer's choice, of many carriers — go to one
+/// [`BusSink`], so a bounded pool of workers can serve every session
+/// without a thread or an acceptor handoff per session.
 ///
 /// `Opened` may be delivered more than once for the same session (a
 /// duplicate OPEN, or data racing ahead of its OPEN): consumers must treat
@@ -118,24 +125,34 @@ pub enum BusEvent {
     },
 }
 
-/// Where the reader routes peer-initiated sessions: the per-session
-/// acceptor queue (default) or a shared event bus.
-#[derive(Debug)]
+/// Consumes the [`BusEvent`]s of bus-routed carriers **on each carrier's
+/// reader thread**. An implementation must not write to a carrier and must
+/// not block: it routes the event onto a queue some worker drains (the
+/// surrogate daemon's shard pool hashes `(conn, session)` onto a shard
+/// queue here, with no forwarding thread in between).
+pub trait BusSink: Send + Sync {
+    /// One event; events of one carrier arrive in carrier order, and
+    /// [`BusEvent::CarrierClosed`] is the last for its `conn`.
+    fn deliver(&self, event: BusEvent);
+}
+
+/// Where the reader routes peer-initiated sessions: a per-session inbox
+/// handed out by the acceptor (default) or a shared event sink.
 enum PeerSink {
-    /// Classic mode: each peer session gets its own channel, handed to
+    /// Classic mode: each peer session gets its own inbox, handed to
     /// [`Acceptor::accept`].
     Accept,
     /// Bus mode: OPEN/DATA/CLOSE for peer sessions become [`BusEvent`]s.
-    Bus { conn: u64, tx: Sender<BusEvent> },
+    Bus { conn: u64, sink: Arc<dyn BusSink> },
 }
 
 /// The outbound half of a bus-routed carrier: lets any worker thread reply
-/// on any of the carrier's sessions. Cloneable and cheap; all clones feed
-/// the carrier's single writer thread.
+/// on any of the carrier's sessions. Cloneable and cheap; every clone
+/// writes through the carrier's one writer mutex.
 #[derive(Clone, Debug)]
 pub struct MuxSender {
     conn: u64,
-    out_tx: Sender<MuxOut>,
+    writer: Arc<CarrierWriter>,
     killer: ConnKiller,
 }
 
@@ -145,20 +162,18 @@ impl MuxSender {
         self.conn
     }
 
-    /// Queues an application frame for `session`.
+    /// Writes an application frame for `session`.
     ///
     /// # Errors
     ///
-    /// [`LinkError::Disconnected`] if the carrier's writer is gone.
+    /// [`LinkError::Disconnected`] if the carrier is dead.
     pub fn send(&self, session: u32, frame: Frame) -> Result<(), LinkError> {
-        self.out_tx
-            .send((session, KIND_DATA, frame))
-            .map_err(|_| LinkError::Disconnected)
+        self.writer.send(&mux_head(session, KIND_DATA), &frame)
     }
 
     /// Tells the peer `session` is finished (fire-and-forget).
     pub fn close(&self, session: u32) {
-        let _ = self.out_tx.send((session, KIND_CLOSE, Frame::empty()));
+        let _ = self.writer.send(&mux_head(session, KIND_CLOSE), &[]);
     }
 
     /// A handle that severs the whole carrier.
@@ -172,11 +187,10 @@ impl MuxSender {
 /// peer opened); either side may do both.
 ///
 /// Dropping the `MuxConn` does not tear down live sessions: each session
-/// keeps the shared writer alive through its own sender clone.
-#[derive(Debug)]
+/// keeps the shared write half alive through its own handle.
 pub struct MuxConn {
-    out_tx: Sender<MuxOut>,
-    accepted_rx: Receiver<(u32, Receiver<Frame>)>,
+    writer: Arc<CarrierWriter>,
+    accepted_rx: Receiver<(u32, Arc<Inbox>)>,
     routes: Routes,
     sink: Arc<Mutex<PeerSink>>,
     next_id: AtomicU32,
@@ -186,7 +200,22 @@ pub struct MuxConn {
     sessions_opened: Arc<aide_telemetry::Counter>,
 }
 
+impl std::fmt::Debug for MuxConn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MuxConn")
+            .field("initiator", &(self.parity == 1))
+            .field("backend", &self.backend)
+            .finish_non_exhaustive()
+    }
+}
+
 impl MuxConn {
+    /// Our end of session `id`: the carrier's write half plus `inbox`.
+    fn session(&self, id: u32, inbox: Arc<Inbox>) -> Session {
+        self.sessions_opened.inc();
+        Session::on_carrier(Arc::clone(&self.writer), Some(id), inbox, self.backend)
+    }
+
     /// A handle that severs the whole connection.
     pub fn killer(&self) -> ConnKiller {
         self.killer.clone()
@@ -200,30 +229,29 @@ impl MuxConn {
     pub fn bus_sender(&self, conn: u64) -> MuxSender {
         MuxSender {
             conn,
-            out_tx: self.out_tx.clone(),
+            writer: Arc::clone(&self.writer),
             killer: self.killer.clone(),
         }
     }
 
-    /// Switches this carrier into *bus mode*: instead of materializing a
-    /// channel pair and an [`Acceptor::accept`] handoff per peer-opened
-    /// session, the reader forwards every peer session's OPEN/DATA/CLOSE
-    /// as [`BusEvent`]s tagged with `conn` onto `bus`. Returns the
-    /// carrier's [`MuxSender`], which any worker can use to reply on any
-    /// session.
+    /// Switches this carrier into *bus mode*: instead of materializing an
+    /// inbox and an [`Acceptor::accept`] handoff per peer-opened session,
+    /// the reader hands every peer session's OPEN/DATA/CLOSE to `sink` as
+    /// [`BusEvent`]s tagged with `conn`. Returns the carrier's
+    /// [`MuxSender`], which any worker can use to reply on any session.
     ///
     /// Sessions the peer opened *before* the switch are drained into the
-    /// bus (an `Opened` plus their queued frames), so nothing observed by
+    /// sink (an `Opened` plus their queued frames), so nothing observed by
     /// the reader is lost; in-order delivery per session is preserved
     /// because the drain and the reader's dispatch serialize on the sink
     /// lock. Locally-initiated sessions ([`Transport::open_session`]) are
-    /// unaffected and keep their dedicated channels.
-    pub fn route_accepts_to(&self, conn: u64, bus: Sender<BusEvent>) -> MuxSender {
-        let mut sink = self.sink.lock();
-        while let Ok((id, in_rx)) = self.accepted_rx.try_recv() {
-            let _ = bus.send(BusEvent::Opened { conn, session: id });
-            while let Ok(frame) = in_rx.try_recv() {
-                let _ = bus.send(BusEvent::Data {
+    /// unaffected and keep their dedicated inboxes.
+    pub fn route_accepts_to(&self, conn: u64, sink: Arc<dyn BusSink>) -> MuxSender {
+        let mut current = self.sink.lock();
+        while let Ok((id, inbox)) = self.accepted_rx.try_recv() {
+            sink.deliver(BusEvent::Opened { conn, session: id });
+            for frame in inbox.take_queued() {
+                sink.deliver(BusEvent::Data {
                     conn,
                     session: id,
                     frame,
@@ -231,13 +259,9 @@ impl MuxConn {
             }
             self.routes.lock().remove(&id);
         }
-        *sink = PeerSink::Bus { conn, tx: bus };
-        drop(sink);
-        MuxSender {
-            conn,
-            out_tx: self.out_tx.clone(),
-            killer: self.killer.clone(),
-        }
+        *current = PeerSink::Bus { conn, sink };
+        drop(current);
+        self.bus_sender(conn)
     }
 }
 
@@ -249,52 +273,40 @@ impl Transport for MuxConn {
     fn open_session(&self) -> Result<Session, LinkError> {
         let n = self.next_id.fetch_add(1, Ordering::Relaxed);
         let id = (n << 1) | self.parity;
-        let (in_tx, in_rx) = unbounded();
-        self.routes.lock().insert(id, in_tx);
-        if self.out_tx.send((id, KIND_OPEN, Frame::empty())).is_err() {
+        let inbox = Inbox::new();
+        self.routes.lock().insert(id, Arc::clone(&inbox));
+        if self.writer.send(&mux_head(id, KIND_OPEN), &[]).is_err() {
             self.routes.lock().remove(&id);
             return Err(LinkError::Disconnected);
         }
-        self.sessions_opened.inc();
-        Ok(Session::mux_parts(
-            id,
-            self.out_tx.clone(),
-            in_rx,
-            self.backend,
-        ))
+        Ok(self.session(id, inbox))
     }
 }
 
 impl Acceptor for MuxConn {
     fn accept(&self) -> Result<Session, LinkError> {
-        // The reader hands over only `(id, inbound half)`; the session is
-        // assembled here so the reader thread never holds a writer sender
-        // (which would keep the writer alive after every handle dropped).
-        let (id, in_rx) = self
+        // The reader hands over only `(id, inbox)`; the session is
+        // assembled here so the reader thread never holds the write half
+        // (which would keep it open after every handle dropped).
+        let (id, inbox) = self
             .accepted_rx
             .recv()
             .map_err(|_| LinkError::Disconnected)?;
-        self.sessions_opened.inc();
-        Ok(Session::mux_parts(
-            id,
-            self.out_tx.clone(),
-            in_rx,
-            self.backend,
-        ))
+        Ok(self.session(id, inbox))
     }
 }
 
-/// Starts the reader/writer threads for one multiplexed connection and
-/// returns the local handle. `initiator` decides session-id parity;
-/// `on_writer_exit` runs when the writer drains out (e.g. to shut down a
-/// socket's write half so the peer sees EOF).
+/// Starts the reader thread for one multiplexed connection and returns the
+/// local handle. `initiator` decides session-id parity; `on_writer_drop`
+/// runs when the last handle on the write half goes away (e.g. to shut
+/// down a socket's write half so the peer sees EOF).
 pub(crate) fn spawn_mux<R, W>(
-    mut reader: R,
-    mut writer: W,
+    reader: R,
+    writer: W,
     initiator: bool,
     killer: ConnKiller,
     backend: BackendKind,
-    on_writer_exit: impl FnOnce() + Send + 'static,
+    on_writer_drop: impl FnOnce() + Send + Sync + 'static,
 ) -> MuxConn
 where
     R: Read + Send + 'static,
@@ -304,36 +316,16 @@ where
     let frames = telemetry.counter(aide_telemetry::names::MUX_FRAMES);
     let bytes = telemetry.counter(aide_telemetry::names::MUX_BYTES);
 
-    let (out_tx, out_rx) = unbounded::<MuxOut>();
-    let (accepted_tx, accepted_rx) = unbounded::<(u32, Receiver<Frame>)>();
+    let writer = CarrierWriter::new(
+        writer,
+        Arc::clone(&frames),
+        Arc::clone(&bytes),
+        on_writer_drop,
+    );
+    let (accepted_tx, accepted_rx) = unbounded::<(u32, Arc<Inbox>)>();
     let routes: Routes = Arc::new(Mutex::new(HashMap::new()));
     let sink: Arc<Mutex<PeerSink>> = Arc::new(Mutex::new(PeerSink::Accept));
     let parity = u32::from(initiator);
-
-    {
-        let frames = Arc::clone(&frames);
-        let bytes = Arc::clone(&bytes);
-        std::thread::Builder::new()
-            .name("rpc-mux-writer".into())
-            .spawn(move || {
-                let mut header = [0u8; MUX_HEADER];
-                while let Ok((id, kind, frame)) = out_rx.recv() {
-                    header[0..4].copy_from_slice(&id.to_le_bytes());
-                    header[4] = kind;
-                    let len = (MUX_HEADER + frame.len()) as u32;
-                    if writer.write_all(&len.to_le_bytes()).is_err()
-                        || writer.write_all(&header).is_err()
-                        || writer.write_all(&frame).is_err()
-                    {
-                        break;
-                    }
-                    frames.inc();
-                    bytes.add(4 + len as u64);
-                }
-                on_writer_exit();
-            })
-            .expect("spawning the mux writer thread");
-    }
 
     {
         let routes = Arc::clone(&routes);
@@ -341,77 +333,59 @@ where
         std::thread::Builder::new()
             .name("rpc-mux-reader".into())
             .spawn(move || {
-                loop {
-                    let mut header = [0u8; 4 + MUX_HEADER];
-                    if reader.read_exact(&mut header).is_err() {
-                        break;
-                    }
-                    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-                    if (len as usize) < MUX_HEADER || len > MAX_FRAME {
-                        break;
-                    }
-                    let id = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-                    let kind = header[8];
-                    let frame = match read_exact_pooled(&mut reader, len as usize - MUX_HEADER) {
-                        Ok(frame) => frame,
-                        Err(_) => break,
-                    };
+                let mut reader = BufReader::with_capacity(READ_BUFFER, reader);
+                while let Ok((head, frame)) = read_framed::<MUX_HEADER>(&mut reader) {
+                    let id = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
+                    let kind = head[4];
                     frames.inc();
-                    bytes.add(4 + u64::from(len));
+                    bytes.add((4 + MUX_HEADER + frame.len()) as u64);
                     if kind != KIND_OPEN && kind != KIND_CLOSE && kind != KIND_DATA {
                         break;
                     }
                     let peer_initiated = (id & 1) != parity;
-                    if peer_initiated {
-                        // The sink lock serializes this dispatch against
-                        // route_accepts_to's drain, which is what keeps
-                        // per-session frame order intact across the switch.
-                        let sink_now = sink.lock();
-                        if let PeerSink::Bus { conn, tx } = &*sink_now {
-                            let event = match kind {
-                                KIND_OPEN => BusEvent::Opened {
-                                    conn: *conn,
-                                    session: id,
-                                },
-                                KIND_CLOSE => BusEvent::Closed {
-                                    conn: *conn,
-                                    session: id,
-                                },
-                                _ => BusEvent::Data {
-                                    conn: *conn,
-                                    session: id,
-                                    frame,
-                                },
-                            };
-                            let _ = tx.send(event);
-                            continue;
-                        }
-                        drop(sink_now);
+                    // Held across the whole dispatch of a peer session's
+                    // frame: it serializes against route_accepts_to's
+                    // drain, which is what keeps per-session frame order
+                    // intact across the switch.
+                    let peer_sink = peer_initiated.then(|| sink.lock());
+                    if let Some(PeerSink::Bus { conn, sink }) = peer_sink.as_deref() {
+                        let (conn, session) = (*conn, id);
+                        sink.deliver(match kind {
+                            KIND_OPEN => BusEvent::Opened { conn, session },
+                            KIND_CLOSE => BusEvent::Closed { conn, session },
+                            _ => BusEvent::Data {
+                                conn,
+                                session,
+                                frame,
+                            },
+                        });
+                        continue;
                     }
                     match kind {
                         KIND_OPEN => {
                             open_route(&routes, &accepted_tx, id);
                         }
                         KIND_CLOSE => {
-                            routes.lock().remove(&id);
+                            if let Some(inbox) = routes.lock().remove(&id) {
+                                inbox.close();
+                            }
                         }
                         _ => {
-                            let known = routes.lock().contains_key(&id);
-                            if !known {
-                                if !peer_initiated {
-                                    // A late frame for a session we already
-                                    // closed: drop it.
-                                    continue;
-                                }
+                            let mut inbox = routes.lock().get(&id).cloned();
+                            if inbox.is_none() && peer_initiated {
                                 // Data can race ahead of its OPEN only if the
                                 // peer speaks a newer dialect; treat it as an
-                                // implicit open so nothing is lost.
-                                open_route(&routes, &accepted_tx, id);
+                                // implicit open so nothing is lost. (For a
+                                // session of ours it is a late frame after our
+                                // close: dropped.)
+                                inbox = open_route(&routes, &accepted_tx, id);
                             }
-                            let mut map = routes.lock();
-                            if let Some(tx) = map.get(&id) {
-                                if tx.send(frame).is_err() {
-                                    map.remove(&id);
+                            // Pushed outside the routes lock: the push runs
+                            // the session's sink, and `open_session` on
+                            // another thread must not wait for it.
+                            if let Some(inbox) = inbox {
+                                if inbox.push(frame).is_err() {
+                                    routes.lock().remove(&id);
                                 }
                             }
                         }
@@ -420,16 +394,19 @@ where
                 // Carrier gone: every session sees Disconnected once its
                 // queue drains, the acceptor stops yielding sessions, and a
                 // bus consumer is told every session died at once.
-                routes.lock().clear();
-                if let PeerSink::Bus { conn, tx } = &*sink.lock() {
-                    let _ = tx.send(BusEvent::CarrierClosed { conn: *conn });
+                let orphans: Vec<Arc<Inbox>> = routes.lock().drain().map(|(_, i)| i).collect();
+                for inbox in orphans {
+                    inbox.close();
+                }
+                if let PeerSink::Bus { conn, sink } = &*sink.lock() {
+                    sink.deliver(BusEvent::CarrierClosed { conn: *conn });
                 }
             })
             .expect("spawning the mux reader thread");
     }
 
     MuxConn {
-        out_tx,
+        writer,
         accepted_rx,
         routes,
         sink,
@@ -441,24 +418,37 @@ where
     }
 }
 
-/// Installs a route for a peer-opened session and hands its inbound half
-/// to the acceptor.
-fn open_route(routes: &Routes, accepted_tx: &Sender<(u32, Receiver<Frame>)>, id: u32) {
+/// Installs a route for a peer-opened session and hands its inbox to the
+/// acceptor. `None` for a duplicate OPEN or once nobody accepts any more.
+fn open_route(
+    routes: &Routes,
+    accepted_tx: &Sender<(u32, Arc<Inbox>)>,
+    id: u32,
+) -> Option<Arc<Inbox>> {
     let mut map = routes.lock();
     if map.contains_key(&id) {
-        return; // duplicate OPEN
+        return None;
     }
-    let (in_tx, in_rx) = unbounded();
-    map.insert(id, in_tx);
+    let inbox = Inbox::new();
+    map.insert(id, Arc::clone(&inbox));
     drop(map);
-    if accepted_tx.send((id, in_rx)).is_err() {
+    if accepted_tx.send((id, Arc::clone(&inbox))).is_err() {
         routes.lock().remove(&id);
+        return None;
     }
+    Some(inbox)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A bus that is just a queue, so a test can watch the events.
+    impl BusSink for Sender<BusEvent> {
+        fn deliver(&self, event: BusEvent) {
+            let _ = self.send(event);
+        }
+    }
 
     /// In-memory byte pipe so mux logic is testable without sockets.
     fn pipe() -> (PipeWriter, PipeReader) {
@@ -602,7 +592,7 @@ mod tests {
         // Give the reader time to route the pre-switch traffic.
         std::thread::sleep(std::time::Duration::from_millis(50));
         let (bus_tx, bus_rx) = unbounded();
-        let sender = b.route_accepts_to(7, bus_tx);
+        let sender = b.route_accepts_to(7, Arc::new(bus_tx));
         early.send(vec![0xE, 2]).unwrap();
         let late = a.open_session().unwrap();
         late.send(vec![0x1A]).unwrap();
@@ -676,5 +666,146 @@ mod tests {
         drop(a);
         assert_eq!(server.recv().unwrap_err(), LinkError::Disconnected);
         assert_eq!(b.accept().unwrap_err(), LinkError::Disconnected);
+    }
+
+    /// Records the bytes of every `write` call; refuses them while `broken`.
+    #[derive(Clone, Default)]
+    struct RecordingWriter {
+        writes: Arc<Mutex<Vec<Vec<u8>>>>,
+        broken: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.broken.load(Ordering::SeqCst) {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            self.writes.lock().push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_is_exactly_one_write() {
+        let out = RecordingWriter::default();
+        // A peer that never speaks: only the write half is under test.
+        let (_keep_open, silent) = pipe();
+        let conn = spawn_mux(
+            silent,
+            out.clone(),
+            true,
+            ConnKiller::noop(),
+            BackendKind::InMemory,
+            || {},
+        );
+        let session = conn.open_session().unwrap();
+        session.send(vec![7u8; 40]).unwrap();
+        session.close();
+
+        let writes = out.writes.lock().clone();
+        let expected = [(KIND_OPEN, 0usize), (KIND_DATA, 40), (KIND_CLOSE, 0)];
+        assert_eq!(writes.len(), expected.len(), "one write per frame");
+        for (write, (kind, payload)) in writes.iter().zip(expected) {
+            assert_eq!(write.len(), 4 + MUX_HEADER + payload, "a whole frame");
+            let len = u32::from_le_bytes([write[0], write[1], write[2], write[3]]);
+            assert_eq!(len as usize, MUX_HEADER + payload);
+            // The initiator's first session id is 3: (1 << 1) | parity.
+            assert_eq!(&write[4..9], &mux_head(3, kind));
+            assert!(write[9..].iter().all(|b| *b == 7));
+        }
+    }
+
+    #[test]
+    fn concurrent_senders_interleave_whole_frames_in_per_session_order() {
+        const THREADS: u8 = 8;
+        const FRAMES: u32 = 1_000;
+        let shape = |thread: u8, seq: u32| 5 + (seq as usize * 7 + thread as usize) % 97;
+
+        let (a, b) = mux_pair();
+        let ours: Vec<Session> = (0..4).map(|_| a.open_session().unwrap()).collect();
+        let theirs: Vec<Session> = (0..4).map(|_| b.accept().unwrap()).collect();
+        let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+        let senders: Vec<_> = (0..THREADS)
+            .map(|thread| {
+                let session = ours[thread as usize % 4].clone();
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for seq in 0..FRAMES {
+                        let mut frame = vec![thread];
+                        frame.extend_from_slice(&seq.to_le_bytes());
+                        frame.resize(shape(thread, seq), thread);
+                        session.send(frame).unwrap();
+                    }
+                })
+            })
+            .collect();
+
+        // Session i carries threads i and i + 4; each thread's frames arrive
+        // whole and in the order it sent them.
+        for (i, session) in theirs.iter().enumerate() {
+            let mut next = [0u32; THREADS as usize];
+            for _ in 0..2 * FRAMES {
+                let frame = session.recv().unwrap();
+                let thread = frame[0];
+                assert_eq!(thread as usize % 4, i, "frame crossed sessions");
+                let seq = u32::from_le_bytes([frame[1], frame[2], frame[3], frame[4]]);
+                assert_eq!(seq, next[thread as usize], "thread {thread} out of order");
+                next[thread as usize] += 1;
+                assert_eq!(frame.len(), shape(thread, seq), "torn frame");
+                assert!(frame[5..].iter().all(|b| *b == thread), "torn frame");
+            }
+        }
+        for sender in senders {
+            sender.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_dead_carrier_refuses_sends_and_its_hook_fires_once_on_the_last_drop() {
+        let out = RecordingWriter::default();
+        let hook_runs = Arc::new(AtomicU32::new(0));
+        let (_keep_open, silent) = pipe();
+        let conn = spawn_mux(
+            silent,
+            out.clone(),
+            true,
+            ConnKiller::noop(),
+            BackendKind::InMemory,
+            {
+                let hook_runs = Arc::clone(&hook_runs);
+                move || {
+                    hook_runs.fetch_add(1, Ordering::SeqCst);
+                }
+            },
+        );
+        let session = conn.open_session().unwrap();
+        let sender = conn.bus_sender(1);
+
+        out.broken.store(true, Ordering::SeqCst);
+        assert_eq!(session.send(vec![1]), Err(LinkError::Disconnected));
+        // Part of a frame may be on the wire: the carrier stays dead even
+        // if the socket would take bytes again.
+        out.broken.store(false, Ordering::SeqCst);
+        assert_eq!(session.send(vec![1]), Err(LinkError::Disconnected));
+        assert_eq!(
+            sender.send(3, Frame::from(vec![1])),
+            Err(LinkError::Disconnected)
+        );
+        assert_eq!(conn.open_session().unwrap_err(), LinkError::Disconnected);
+
+        drop(session);
+        drop(conn);
+        assert_eq!(
+            hook_runs.load(Ordering::SeqCst),
+            0,
+            "a MuxSender still holds the write half"
+        );
+        drop(sender);
+        assert_eq!(hook_runs.load(Ordering::SeqCst), 1);
     }
 }

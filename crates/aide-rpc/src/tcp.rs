@@ -16,20 +16,17 @@
 //! `TcpStream` (CI greps for leaks). Simulated link *timing* is unchanged
 //! by the carrier choice — the WaveLAN model is applied by the endpoint.
 
-use std::io::Read;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use aide_graph::CommParams;
-use crossbeam::channel::unbounded;
 
-use crate::link::{Link, Session, TrafficStats};
+use crate::link::{CarrierWriter, Inbox, Link, Session};
 use crate::mux::{spawn_mux, ConnKiller, MuxConn};
 use crate::transport::{BackendKind, Transport};
-use crate::wire::{read_frame, write_frame, Frame};
-
-pub(crate) use crate::wire::MAX_FRAME;
+use crate::wire::{read_framed, READ_BUFFER};
 
 /// Creates a connected pair of TCP-backed sessions over a fresh localhost
 /// socket.
@@ -60,63 +57,57 @@ pub fn tcp_pair(params: CommParams) -> std::io::Result<(Link, Session, Session)>
     ))
 }
 
-/// Wraps one already-connected socket in a single [`Session`], spawning
-/// reader and writer threads that bridge it to the session's channels.
+/// Wraps one already-connected socket in a single [`Session`]: senders
+/// write their frames to the socket themselves, and one reader thread
+/// pushes what arrives into the session's inbox.
 ///
 /// Frames are length-prefixed with a little-endian `u32` (the shared
 /// framing in `wire.rs`); a prefix larger than the 64 MiB `MAX_FRAME` cap
 /// or a mid-frame EOF tears the connection down, which callers observe as
-/// a disconnected session. Inbound frames land in pooled buffers.
+/// a disconnected session. Inbound frames land in pooled buffers. The
+/// socket's write half is shut down when the last clone of the session
+/// drops.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from cloning the stream for the writer half.
 pub fn tcp_transport(stream: TcpStream) -> std::io::Result<Session> {
-    let (out_tx, out_rx) = unbounded::<Frame>();
-    let (in_tx, in_rx) = unbounded::<Frame>();
-    let stats = Arc::new(TrafficStats::default());
-
-    // Writer: drain outgoing frames onto the socket, length-prefixed.
-    let mut write_half = stream.try_clone()?;
     let telemetry = aide_telemetry::global();
-    let frames_sent = telemetry.counter(aide_telemetry::names::TCP_FRAMES_SENT);
-    let bytes_sent = telemetry.counter(aide_telemetry::names::TCP_BYTES_SENT);
-    std::thread::Builder::new()
-        .name("rpc-tcp-writer".into())
-        .spawn(move || {
-            while let Ok(frame) = out_rx.recv() {
-                if write_frame(&mut write_half, &frame).is_err() {
-                    break;
-                }
-                frames_sent.inc();
-                bytes_sent.add(4 + frame.len() as u64);
-            }
-            let _ = write_half.shutdown(std::net::Shutdown::Write);
-        })
-        .expect("spawn tcp writer");
+    let write_half = stream.try_clone()?;
+    let shutdown_half = stream.try_clone()?;
+    let writer = CarrierWriter::new(
+        write_half,
+        telemetry.counter(aide_telemetry::names::TCP_FRAMES_SENT),
+        telemetry.counter(aide_telemetry::names::TCP_BYTES_SENT),
+        move || {
+            let _ = shutdown_half.shutdown(std::net::Shutdown::Write);
+        },
+    );
 
-    // Reader: reassemble frames and feed the incoming channel.
-    let mut read_half = stream;
+    let inbox = Inbox::new();
     let frames_received = telemetry.counter(aide_telemetry::names::TCP_FRAMES_RECEIVED);
     let bytes_received = telemetry.counter(aide_telemetry::names::TCP_BYTES_RECEIVED);
-    std::thread::Builder::new()
-        .name("rpc-tcp-reader".into())
-        .spawn(move || {
-            loop {
-                let frame = match read_frame(&mut read_half) {
-                    Ok(frame) => frame,
-                    Err(_) => break, // EOF, oversize, or error: drop in_tx
-                };
-                frames_received.inc();
-                bytes_received.add(4 + frame.len() as u64);
-                if in_tx.send(frame).is_err() {
-                    break;
+    {
+        let inbox = Arc::clone(&inbox);
+        std::thread::Builder::new()
+            .name("rpc-tcp-reader".into())
+            .spawn(move || {
+                let mut read_half = BufReader::with_capacity(READ_BUFFER, stream);
+                // EOF, an out-of-range prefix, an I/O error, or a receiver
+                // that went away all end the carrier.
+                while let Ok(([], frame)) = read_framed::<0>(&mut read_half) {
+                    frames_received.inc();
+                    bytes_received.add(4 + frame.len() as u64);
+                    if inbox.push(frame).is_err() {
+                        break;
+                    }
                 }
-            }
-        })
-        .expect("spawn tcp reader");
+                inbox.close();
+            })
+            .expect("spawn tcp reader");
+    }
 
-    Ok(Session::from_parts(out_tx, in_rx, stats, BackendKind::Tcp))
+    Ok(Session::on_carrier(writer, None, inbox, BackendKind::Tcp))
 }
 
 /// Wires an already-connected socket into a multiplexed connection.
@@ -150,7 +141,7 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Connects to `addr` and starts the mux reader/writer threads.
+    /// Connects to `addr` and starts the mux reader thread.
     ///
     /// # Errors
     ///
@@ -319,7 +310,8 @@ mod tests {
         let (mut raw, transport) = raw_pair();
         // A corrupted prefix claiming a frame beyond MAX_FRAME must tear
         // the connection down, not attempt a 4 GiB allocation.
-        raw.write_all(&(MAX_FRAME + 1).to_le_bytes()).unwrap();
+        raw.write_all(&(crate::wire::MAX_FRAME + 1).to_le_bytes())
+            .unwrap();
         raw.write_all(&[0u8; 16]).unwrap();
         assert!(transport.recv().is_err());
     }

@@ -4,11 +4,11 @@
 //! [`Acceptor`] yields the matching peer ends. Three backends implement
 //! the pair:
 //!
-//! - **In-memory** ([`channel_transport`]): crossbeam channel pairs, the
+//! - **In-memory** ([`channel_transport`]): in-process inbox pairs, the
 //!   prototype's stand-in for a local socket.
 //! - **TCP** (`crate::tcp::TcpTransport` / `crate::tcp::TcpMuxListener`):
 //!   many sessions multiplexed over one real socket.
-//! - **Emulated** ([`virtual_transport`]): channel pairs that charge
+//! - **Emulated** ([`virtual_transport`]): in-process pairs that charge
 //!   virtual link time per frame at [`CommParams`] rates, for
 //!   deterministic emulator runs.
 //!
@@ -28,11 +28,11 @@ use crate::link::{session_pair, LinkError, NetClock, Session};
 /// and to pick charging behavior; the RPC layer is otherwise oblivious.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// Crossbeam channel pair inside one process.
+    /// Inbox pair inside one process.
     InMemory,
     /// Real TCP socket (possibly multiplexed).
     Tcp,
-    /// In-process channel pair charging emulated link time per frame.
+    /// In-process pair charging emulated link time per frame.
     Emulated,
 }
 
@@ -84,8 +84,8 @@ enum Charging {
     Virtual(Arc<NetClock>, CommParams),
 }
 
-/// In-process [`Transport`]: each `open_session` builds a fresh crossbeam
-/// channel pair and hands the peer end to the matching
+/// In-process [`Transport`]: each `open_session` builds a fresh session
+/// pair and hands the peer end to the matching
 /// [`ChannelAcceptor`]. Doubles as the emulated backend when constructed
 /// via [`virtual_transport`].
 #[derive(Debug)]

@@ -932,36 +932,60 @@ impl FramePool {
     }
 }
 
-/// Writes one `[len u32 LE][bytes]` frame to a byte-stream carrier.
-/// Shared by the single-session TCP carrier and the mux writer so framing
-/// exists in exactly one place.
-pub(crate) fn write_frame(w: &mut impl Write, frame: &[u8]) -> std::io::Result<()> {
-    let len = frame.len() as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(frame)
+/// Writes one `[len u32 LE][head][payload]` frame to a byte-stream carrier
+/// with a single `write_all`, so a frame is one segment on a `TCP_NODELAY`
+/// socket and one wake-up for the peer's reader. `scratch` is the carrier's
+/// reused compose buffer. `head` is the carrier's own per-frame header (the
+/// mux's `[session][kind]`, nothing on a single-session socket) and counts
+/// toward `len`. This and [`read_framed`] are the only framing code: the mux
+/// and the single-session TCP carrier both go through them.
+pub(crate) fn write_framed(
+    w: &mut impl Write,
+    scratch: &mut Vec<u8>,
+    head: &[u8],
+    payload: &[u8],
+) -> std::io::Result<()> {
+    let len = u32::try_from(head.len() + payload.len())
+        .ok()
+        .filter(|len| *len <= MAX_FRAME)
+        .ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame exceeds MAX_FRAME")
+        })?;
+    scratch.clear();
+    scratch.extend_from_slice(&len.to_le_bytes());
+    scratch.extend_from_slice(head);
+    scratch.extend_from_slice(payload);
+    let written = w.write_all(scratch);
+    if scratch.capacity() > POOL_MAX_RETAIN {
+        // A bulk migration passed through: do not keep its buffer hot.
+        *scratch = Vec::new();
+    }
+    written
 }
 
-/// Reads exactly `len` bytes from a carrier into a pooled frame buffer.
-pub(crate) fn read_exact_pooled(r: &mut impl Read, len: usize) -> std::io::Result<Frame> {
-    let mut frame = FramePool::global().acquire();
-    frame.vec_mut().resize(len, 0);
-    r.read_exact(frame.vec_mut())?;
-    Ok(frame)
-}
+/// Capacity of the `BufReader` a carrier's reader thread sits behind: a
+/// burst of small frames costs one `read`, not two per frame.
+pub(crate) const READ_BUFFER: usize = 64 << 10;
 
-/// Reads one `[len u32 LE][bytes]` frame from a byte-stream carrier into
-/// a pooled buffer, enforcing [`MAX_FRAME`].
-pub(crate) fn read_frame(r: &mut impl Read) -> std::io::Result<Frame> {
+/// Reads one `[len u32 LE][head; N][payload]` frame from a byte-stream
+/// carrier, the payload into a pooled buffer. A `len` shorter than the head
+/// or beyond [`MAX_FRAME`] is an error before anything is allocated for it.
+pub(crate) fn read_framed<const N: usize>(r: &mut impl Read) -> std::io::Result<([u8; N], Frame)> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME {
+    if (len as usize) < N || len > MAX_FRAME {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            "frame exceeds MAX_FRAME",
+            "frame length out of range",
         ));
     }
-    read_exact_pooled(r, len as usize)
+    let mut head = [0u8; N];
+    r.read_exact(&mut head)?;
+    let mut frame = FramePool::global().acquire();
+    frame.vec_mut().resize(len as usize - N, 0);
+    r.read_exact(frame.vec_mut())?;
+    Ok((head, frame))
 }
 
 fn encode_request<B: BufMut>(buf: &mut B, body: &Request) {

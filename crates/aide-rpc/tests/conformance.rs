@@ -502,3 +502,140 @@ fn session_close_leaves_siblings_running_on_every_backend() {
         assert_eq!(b_theirs.recv().unwrap(), vec![5], "{}", fx.name);
     }
 }
+
+/// Takes `delay` of wall time over every request.
+struct SlowDispatcher {
+    delay: Duration,
+}
+
+impl Dispatcher for SlowDispatcher {
+    fn dispatch(&self, _request: Request) -> Result<Reply, String> {
+        std::thread::sleep(self.delay);
+        Ok(Reply::Unit)
+    }
+}
+
+#[test]
+fn a_slow_dispatcher_does_not_stall_a_sibling_sessions_calls() {
+    // The same fairness property one layer up: a carrier's reader runs each
+    // session's endpoint itself, so it must hand a request to the workers
+    // and move on, never wait for the dispatcher.
+    for fx in fixtures() {
+        let (slow_cs, slow_ss) = open_pair(&fx);
+        let (fast_cs, fast_ss) = open_pair(&fx);
+        let clock = Arc::new(NetClock::new());
+        let start = |session, dispatcher: Arc<dyn Dispatcher>| {
+            Endpoint::start(
+                session,
+                CommParams::WAVELAN,
+                clock.clone(),
+                dispatcher,
+                small_config(),
+            )
+        };
+        let slow_server = start(
+            slow_ss,
+            Arc::new(SlowDispatcher {
+                delay: Duration::from_millis(600),
+            }),
+        );
+        let slow_client = start(slow_cs, Arc::new(NullDispatcher));
+        let fast_server = start(fast_ss, Arc::new(EchoDispatcher));
+        let fast_client = start(fast_cs, Arc::new(NullDispatcher));
+
+        let access = Request::FieldAccess {
+            target: ObjectId::surrogate(1),
+            bytes: 16,
+            write: false,
+        };
+        let slow_call = {
+            let slow_client = slow_client.clone();
+            let access = access.clone();
+            std::thread::spawn(move || slow_client.call(access))
+        };
+        // Wait until the slow request is being served.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while slow_server.traffic().frames_received() == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "{}: slow call never arrived",
+                fx.name
+            );
+            std::thread::yield_now();
+        }
+        let started = Instant::now();
+        for _ in 0..50 {
+            assert_eq!(
+                fast_client.call(access.clone()),
+                Ok(Reply::Unit),
+                "{}",
+                fx.name
+            );
+        }
+        let fast_elapsed = started.elapsed();
+        assert!(
+            fast_elapsed < Duration::from_millis(500),
+            "{}: 50 fast calls took {fast_elapsed:?} behind a sleeping dispatcher",
+            fx.name
+        );
+        assert_eq!(slow_call.join().unwrap(), Ok(Reply::Unit), "{}", fx.name);
+        for endpoint in [&slow_client, &slow_server, &fast_client, &fast_server] {
+            endpoint.shutdown();
+        }
+        for endpoint in [&slow_client, &slow_server, &fast_client, &fast_server] {
+            endpoint.join();
+        }
+    }
+}
+
+/// Names of this process's threads, as the kernel reports them.
+#[cfg(target_os = "linux")]
+fn thread_census() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("thread list")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim().to_owned())
+        .collect()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn tcp_endpoint_pairs_run_no_relay_threads() {
+    // A call is caller -> peer reader -> worker -> own reader -> caller:
+    // per carrier end one reader, per endpoint its workers, and nothing
+    // that only forwards. Both TCP carriers are up while the census runs.
+    let mux = fixtures().pop().expect("the tcp fixture is last");
+    assert_eq!(mux.name, "tcp");
+    let (cs, ss) = open_pair(&mux);
+    let muxed = endpoint_pair(cs, ss, small_config());
+    let (_, cs, ss) = aide_rpc::tcp_pair(CommParams::WAVELAN).expect("loopback pair");
+    let single = endpoint_pair(cs, ss, small_config());
+    for (client, server) in [&muxed, &single] {
+        client.call(Request::Ping).unwrap();
+        assert_eq!(server.requests_served(), 1);
+    }
+
+    let census = thread_census();
+    // The kernel keeps 15 bytes of a thread name.
+    for gone in [
+        "rpc-recv",
+        "rpc-mux-writer",
+        "rpc-tcp-writer",
+        "aide-shard-rout",
+    ] {
+        assert!(
+            !census.iter().any(|name| name.starts_with(gone)),
+            "{gone} is running: {census:?}"
+        );
+    }
+    for kept in ["rpc-mux-reader", "rpc-tcp-reader", "rpc-worker-0"] {
+        assert!(census.iter().any(|name| name == kept), "{kept}: {census:?}");
+    }
+
+    for (client, server) in [muxed, single] {
+        client.shutdown();
+        server.shutdown();
+        client.join();
+        server.join();
+    }
+}

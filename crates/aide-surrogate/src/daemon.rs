@@ -43,7 +43,7 @@ use crate::shard::{SessionParts, ShardConfig, ShardPool};
 /// How the daemon turns accepted mux sessions into served sessions.
 #[derive(Debug, Clone, Copy)]
 pub enum ServingMode {
-    /// One [`Endpoint`] (receiver + worker pool) per logical session:
+    /// One [`Endpoint`] (its own worker pool) per logical session:
     /// maximum isolation, a few hundred sessions per process.
     Threaded,
     /// A bounded sharded worker pool over mux bus events: one process
@@ -290,10 +290,9 @@ impl SurrogateDaemon {
                             let conn_id = next_conn;
                             next_conn += 1;
                             pool.attach_carrier(conn_id, conn.bus_sender(conn_id));
-                            conn.route_accepts_to(conn_id, pool.bus());
-                            // Dropping `conn` is safe: live sessions keep
-                            // the carrier's writer alive through the pool's
-                            // sender clone.
+                            conn.route_accepts_to(conn_id, pool.sink());
+                            // Dropping `conn` is safe: the pool's sender
+                            // keeps the carrier's write half open.
                             continue;
                         }
                         // One carrier per client process; every logical session

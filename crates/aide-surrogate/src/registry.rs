@@ -612,7 +612,8 @@ mod tests {
         registry.upsert(info("big", 256 << 20, Some(2_400)));
         // Never probed: last.
         registry.upsert(info("unknown", 1 << 30, None));
-        let order: Vec<&str> = registry.ranked().iter().map(|e| e.name.as_str()).collect();
+        let ranked = registry.ranked();
+        let order: Vec<&str> = ranked.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(order, ["big", "fast", "slow", "unknown"]);
     }
 
@@ -622,7 +623,8 @@ mod tests {
         registry.upsert(info("a", 1, Some(100)));
         registry.upsert(info("b", 1, Some(200)));
         registry.report_failure("a");
-        let order: Vec<&str> = registry.ranked().iter().map(|e| e.name.as_str()).collect();
+        let ranked = registry.ranked();
+        let order: Vec<&str> = ranked.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(order, ["b"]);
         assert_eq!(registry.dead_names(), ["a"]);
         // Hearing from the surrogate again (beacon or static) revives it.
@@ -662,7 +664,8 @@ mod tests {
         spiky.observe_rtt(Duration::from_micros(40_000));
         registry.upsert(steady);
         registry.upsert(spiky);
-        let order: Vec<&str> = registry.ranked().iter().map(|e| e.name.as_str()).collect();
+        let ranked = registry.ranked();
+        let order: Vec<&str> = ranked.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(
             order,
             ["spiky", "steady"],
@@ -721,7 +724,8 @@ mod tests {
         let registry = SurrogateRegistry::new(RegistryConfig::default());
         registry.add_static("first", "127.0.0.1:1".parse().unwrap(), 1);
         registry.add_static("second", "127.0.0.1:2".parse().unwrap(), 1 << 30);
-        let order: Vec<&str> = registry.ranked().iter().map(|e| e.name.as_str()).collect();
+        let ranked = registry.ranked();
+        let order: Vec<&str> = ranked.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(order, ["first", "second"]);
     }
 

@@ -2,18 +2,20 @@
 //! sessions per daemon process.
 //!
 //! The daemon's classic serving path spawns an [`Endpoint`] per logical
-//! session — a receiver thread plus a worker pool each, which is perfect
+//! session — a worker pool each, which is perfect
 //! isolation but caps a process at a few hundred sessions. The sharded
 //! pool inverts that: every carrier is switched into mux *bus mode*
-//! ([`aide_rpc::MuxConn::route_accepts_to`]), so all sessions of all
-//! carriers feed one event stream, and a fixed set of shard workers serves
-//! them. Sessions keep their own surrogate VM, reference tables, and
-//! dispatcher (the isolation the paper's per-client platform instances
-//! require); only the *threads* are shared.
+//! ([`aide_rpc::MuxConn::route_accepts_to`]) with the pool as its sink, so
+//! all sessions of all carriers feed a fixed set of shard workers.
+//! Sessions keep their own surrogate VM, reference tables, and dispatcher
+//! (the isolation the paper's per-client platform instances require); only
+//! the *threads* are shared.
 //!
-//! A router thread hashes `(carrier, session)` onto a shard; each shard is
-//! served by exactly one worker, so frames of one session are processed in
-//! arrival order without any per-session locking. The worker replicates
+//! Each carrier's reader hashes `(carrier, session)` onto a shard and
+//! enqueues the event on that shard's queue itself — there is no router
+//! thread in between. Each shard is served by exactly one worker, so frames
+//! of one session are processed in arrival order without any per-session
+//! locking. The worker replicates
 //! the endpoint's serving semantics: lease renewal from stamped frames,
 //! at-most-once dedup with memoized reply frames, and replies stamped with
 //! the session's advertised import epoch.
@@ -27,15 +29,14 @@
 //! [`Endpoint`]: aide_rpc::Endpoint
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use aide_core::{RefTables, VmDispatcher};
-use aide_rpc::{BusEvent, Dispatcher, Frame, Message, MuxSender, Reply, Request};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use aide_rpc::{BusEvent, BusSink, Dispatcher, Frame, Message, MuxSender, Reply, Request};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use parking_lot::{Mutex, RwLock};
 
 /// Tuning for a [`ShardPool`].
 #[derive(Debug, Clone, Copy)]
@@ -91,11 +92,11 @@ struct ShardSession {
     reply_order: VecDeque<(u64, u64)>,
 }
 
-/// State shared by the router, the shard workers, and the daemon.
+/// State shared by the carriers' readers (which route into it), the shard
+/// workers, and the daemon.
 struct PoolShared {
     name: String,
     config: ShardConfig,
-    stop: AtomicBool,
     /// Live sessions across all shards (the admission gate).
     live: AtomicUsize,
     /// Sessions ever admitted (the daemon's `sessions_accepted`).
@@ -110,18 +111,75 @@ struct PoolShared {
     /// GC dispatchers of every live session, for the daemon's sweeper and
     /// the per-session lease-age stats lines.
     gc_sessions: Mutex<HashMap<(u64, u32), Arc<VmDispatcher>>>,
-    /// Shard inputs; kept here so queue depth is observable (`len` on a
-    /// crossbeam sender counts messages in flight).
-    shard_txs: Vec<Sender<BusEvent>>,
+    /// Shard inputs, one per worker (`len` on a crossbeam sender counts
+    /// messages in flight, which is the queue-depth stat). Emptied by
+    /// [`ShardPool::shutdown`]: the disconnect is what stops the workers.
+    shard_txs: RwLock<Vec<Sender<Routed>>>,
     factory: Box<SessionFactory>,
 }
 
+/// A bus event on its way to a shard worker. An `Opened` carries whether
+/// it claimed an admission slot when the carrier's reader routed it, so
+/// sessions of one carrier are admitted in the order they were opened,
+/// whichever shards they hash to.
+struct Routed {
+    event: BusEvent,
+    slot_claimed: bool,
+}
+
+impl PoolShared {
+    /// Takes one of the `max_sessions` admission slots, if any is free.
+    fn claim_slot(&self) -> bool {
+        let limit = self.config.max_sessions;
+        self.live
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |live| {
+                (live < limit).then_some(live + 1)
+            })
+            .is_ok()
+    }
+}
+
+/// Routing happens on the carrier's reader thread: hash, enqueue, return.
+impl BusSink for PoolShared {
+    fn deliver(&self, event: BusEvent) {
+        let shard_txs = self.shard_txs.read();
+        if shard_txs.is_empty() {
+            return; // pool shut down
+        }
+        match &event {
+            BusEvent::Opened { conn, session }
+            | BusEvent::Data { conn, session, .. }
+            | BusEvent::Closed { conn, session } => {
+                let shard = shard_of(*conn, *session, shard_txs.len());
+                let slot_claimed = matches!(event, BusEvent::Opened { .. }) && self.claim_slot();
+                let _ = shard_txs[shard].send(Routed {
+                    event,
+                    slot_claimed,
+                });
+            }
+            BusEvent::CarrierClosed { conn } => {
+                // The carrier's sessions may live on any shard: everyone
+                // hears about the death. The event is the last the reader
+                // emits for this conn, and this is the reader's thread, so
+                // all its data is already on the shard queues ahead of it.
+                let conn = *conn;
+                self.carriers.lock().remove(&conn);
+                for tx in shard_txs.iter() {
+                    let _ = tx.send(Routed {
+                        event: BusEvent::CarrierClosed { conn },
+                        slot_claimed: false,
+                    });
+                }
+            }
+        }
+    }
+}
+
 /// A running sharded serving pool; create with [`ShardPool::start`], feed
-/// with [`bus`](ShardPool::bus) + [`attach_carrier`](ShardPool::attach_carrier),
+/// with [`sink`](ShardPool::sink) + [`attach_carrier`](ShardPool::attach_carrier),
 /// stop with [`shutdown`](ShardPool::shutdown).
 pub struct ShardPool {
     shared: Arc<PoolShared>,
-    bus_tx: Sender<BusEvent>,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -136,43 +194,32 @@ impl std::fmt::Debug for ShardPool {
 }
 
 impl ShardPool {
-    /// Spawns the router and the shard workers. `name` labels the per-
+    /// Spawns the shard workers. `name` labels the per-
     /// daemon stats lines; `factory` builds each admitted session's VM and
     /// dispatcher chain.
     pub fn start(name: &str, config: ShardConfig, factory: Box<SessionFactory>) -> ShardPool {
         let shards = config.shards.max(1);
-        let (bus_tx, bus_rx) = unbounded::<BusEvent>();
         let mut shard_txs = Vec::with_capacity(shards);
         let mut shard_rxs = Vec::with_capacity(shards);
         for _ in 0..shards {
-            let (tx, rx) = unbounded::<BusEvent>();
+            let (tx, rx) = unbounded::<Routed>();
             shard_txs.push(tx);
             shard_rxs.push(rx);
         }
         let shared = Arc::new(PoolShared {
             name: name.to_string(),
             config,
-            stop: AtomicBool::new(false),
             live: AtomicUsize::new(0),
             admitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             served: AtomicU64::new(0),
             carriers: Mutex::new(HashMap::new()),
             gc_sessions: Mutex::new(HashMap::new()),
-            shard_txs,
+            shard_txs: RwLock::new(shard_txs),
             factory,
         });
 
-        let mut threads = Vec::with_capacity(shards + 1);
-        {
-            let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("aide-shard-router-{name}"))
-                    .spawn(move || router_loop(&shared, &bus_rx))
-                    .expect("spawn shard router"),
-            );
-        }
+        let mut threads = Vec::with_capacity(shards);
         for (i, rx) in shard_rxs.into_iter().enumerate() {
             let shared = shared.clone();
             threads.push(
@@ -189,14 +236,13 @@ impl ShardPool {
 
         ShardPool {
             shared,
-            bus_tx,
             threads: Mutex::new(threads),
         }
     }
 
-    /// The event bus to hand to [`aide_rpc::MuxConn::route_accepts_to`].
-    pub fn bus(&self) -> Sender<BusEvent> {
-        self.bus_tx.clone()
+    /// The routing sink to hand to [`aide_rpc::MuxConn::route_accepts_to`].
+    pub fn sink(&self) -> Arc<dyn BusSink> {
+        self.shared.clone()
     }
 
     /// Registers a carrier's outbound handle. Must be called *before* the
@@ -232,15 +278,18 @@ impl ShardPool {
         self.shared.gc_sessions.lock().values().cloned().collect()
     }
 
-    /// Stops the pool: severs every carrier, joins the router and the
+    /// Stops the pool: severs every carrier, disconnects the shard queues
+    /// (each worker finishes what is queued, then exits), joins the
     /// workers, and drops all session state.
     pub fn shutdown(&self) {
-        if self.shared.stop.swap(true, Ordering::SeqCst) {
-            return;
+        let shard_txs = std::mem::take(&mut *self.shared.shard_txs.write());
+        if shard_txs.is_empty() {
+            return; // already shut down
         }
         for sender in self.shared.carriers.lock().values() {
             sender.killer().kill();
         }
+        drop(shard_txs);
         for handle in self.threads.lock().drain(..) {
             let _ = handle.join();
         }
@@ -257,40 +306,7 @@ fn shard_of(conn: u64, session: u32, shards: usize) -> usize {
     (mixed >> 32) as usize % shards
 }
 
-fn router_loop(shared: &PoolShared, bus_rx: &Receiver<BusEvent>) {
-    let shards = shared.shard_txs.len();
-    loop {
-        let event = match bus_rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(event) => event,
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        match &event {
-            BusEvent::Opened { conn, session }
-            | BusEvent::Data { conn, session, .. }
-            | BusEvent::Closed { conn, session } => {
-                let _ = shared.shard_txs[shard_of(*conn, *session, shards)].send(event);
-            }
-            BusEvent::CarrierClosed { conn } => {
-                // The carrier's sessions may live on any shard: everyone
-                // hears about the death. The event is the last the reader
-                // emits for this conn, so all its data already routed.
-                let conn = *conn;
-                shared.carriers.lock().remove(&conn);
-                for tx in &shared.shard_txs {
-                    let _ = tx.send(BusEvent::CarrierClosed { conn });
-                }
-            }
-        }
-    }
-}
-
-fn worker_loop(shared: &PoolShared, rx: &Receiver<BusEvent>) {
+fn worker_loop(shared: &PoolShared, rx: &Receiver<Routed>) {
     let telemetry = aide_telemetry::global();
     let active = telemetry.gauge(aide_telemetry::names::SURROGATE_ACTIVE_SESSIONS);
     let fleet_live = telemetry.gauge(aide_telemetry::names::FLEET_LIVE_SESSIONS);
@@ -312,24 +328,22 @@ fn worker_loop(shared: &PoolShared, rx: &Receiver<BusEvent>) {
         }
     };
 
-    loop {
-        let event = match rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(event) => event,
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
+    while let Ok(Routed {
+        event,
+        slot_claimed,
+    }) = rx.recv()
+    {
         match event {
             BusEvent::Opened { conn, session } => {
                 let key = (conn, session);
                 if sessions.contains_key(&key) || rejected.contains(&key) {
-                    continue; // duplicate OPEN: idempotent
+                    // Duplicate OPEN: idempotent, and its slot goes back.
+                    if slot_claimed {
+                        shared.live.fetch_sub(1, Ordering::SeqCst);
+                    }
+                    continue;
                 }
-                admit(shared, &mut sessions, &mut rejected, key);
+                admit(shared, &mut sessions, &mut rejected, key, slot_claimed);
                 if sessions.contains_key(&key) {
                     accepted.inc();
                     active.add(1);
@@ -349,7 +363,8 @@ fn worker_loop(shared: &PoolShared, rx: &Receiver<BusEvent>) {
                 };
                 if !sessions.contains_key(&key) && !rejected.contains(&key) {
                     // Data racing ahead of its OPEN: implicit open.
-                    admit(shared, &mut sessions, &mut rejected, key);
+                    let slot_claimed = shared.claim_slot();
+                    admit(shared, &mut sessions, &mut rejected, key, slot_claimed);
                     if sessions.contains_key(&key) {
                         accepted.inc();
                         active.add(1);
@@ -394,7 +409,8 @@ fn worker_loop(shared: &PoolShared, rx: &Receiver<BusEvent>) {
     shared.live.fetch_sub(sessions.len(), Ordering::SeqCst);
 }
 
-/// Admits `key` if the pool is under its session limit, building the
+/// Admits `key` if it holds an admission slot (`slot_claimed`: the pool
+/// was under its session limit when the session asked), building the
 /// session's VM and dispatcher chain; otherwise parks it in the rejected
 /// set (its data frames are answered `Busy`).
 fn admit(
@@ -402,15 +418,9 @@ fn admit(
     sessions: &mut HashMap<(u64, u32), ShardSession>,
     rejected: &mut HashSet<(u64, u32)>,
     key: (u64, u32),
+    slot_claimed: bool,
 ) {
-    let limit = shared.config.max_sessions;
-    let won = shared
-        .live
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |live| {
-            (live < limit).then_some(live + 1)
-        })
-        .is_ok();
-    if !won {
+    if !slot_claimed {
         shared.rejected.fetch_add(1, Ordering::SeqCst);
         rejected.insert(key);
         return;
@@ -468,7 +478,7 @@ fn serve(
     };
     if let Some(epoch) = lease {
         // Stamped traffic renews this session's export leases, exactly as
-        // the endpoint's receiver loop does.
+        // the endpoint's sink does.
         sess.parts.tables.exports.renew(epoch);
     }
     let Message::Request { seq, client, body } = message else {
@@ -551,7 +561,12 @@ fn fleet_snapshot(shared: &PoolShared) -> aide_telemetry::FleetSnapshot {
         daemon: shared.name.clone(),
         live_sessions: shared.live.load(Ordering::SeqCst) as u64,
         session_limit: shared.config.max_sessions as u64,
-        queue_depth: shared.shard_txs.iter().map(Sender::len).sum::<usize>() as u64,
+        queue_depth: shared
+            .shard_txs
+            .read()
+            .iter()
+            .map(Sender::len)
+            .sum::<usize>() as u64,
         sessions_rejected_total: shared.rejected.load(Ordering::SeqCst),
         leases,
     }
@@ -580,5 +595,81 @@ mod tests {
         let shards = 4;
         let hit: HashSet<usize> = (0..256u32).map(|s| shard_of(1, s, shards)).collect();
         assert_eq!(hit.len(), shards, "256 sessions must reach every shard");
+    }
+
+    /// A pool whose sessions run an empty program.
+    fn tiny_pool(name: &str, config: ShardConfig) -> ShardPool {
+        use aide_vm::{Machine, MethodDef, MethodId, ProgramBuilder, VmConfig};
+        let mut b = ProgramBuilder::new();
+        let main = b.add_native_class("Main");
+        b.add_method(main, MethodDef::new("main", Vec::new()));
+        let program = Arc::new(b.build(main, MethodId(0), 0, 0).unwrap());
+        ShardPool::start(
+            name,
+            config,
+            Box::new(move |_killer| {
+                let machine = Machine::new(program.clone(), VmConfig::surrogate(1 << 20));
+                let tables = Arc::new(RefTables::new());
+                SessionParts {
+                    dispatcher: Arc::new(VmDispatcher::new(machine.clone(), tables.clone())),
+                    gc: Arc::new(VmDispatcher::new(machine, tables.clone())),
+                    tables,
+                }
+            }),
+        )
+    }
+
+    #[test]
+    fn sessions_are_admitted_in_the_order_their_carrier_opened_them() {
+        // Two sessions on different shards and room for one: the slot is
+        // claimed on the routing thread, so the first to open gets it
+        // however the two shard workers are scheduled.
+        let shards = 4;
+        let first = 1u32;
+        let second = (2..)
+            .find(|s| shard_of(1, *s, shards) != shard_of(1, first, shards))
+            .unwrap();
+        for _ in 0..20 {
+            let pool = tiny_pool(
+                "order",
+                ShardConfig {
+                    shards,
+                    max_sessions: 1,
+                    ..ShardConfig::default()
+                },
+            );
+            let sink = pool.sink();
+            for session in [first, second, first] {
+                // The repeated OPEN is idempotent: no second slot, no leak.
+                sink.deliver(BusEvent::Opened { conn: 1, session });
+            }
+            while pool.sessions_admitted() + pool.sessions_rejected() < 2 {
+                std::thread::yield_now();
+            }
+            assert!(pool.shared.gc_sessions.lock().contains_key(&(1, first)));
+            assert_eq!(pool.sessions_rejected(), 1);
+            sink.deliver(BusEvent::CarrierClosed { conn: 1 });
+            pool.shutdown(); // workers finish what is queued, then exit
+            assert_eq!(pool.live_sessions(), 0);
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn the_pool_is_its_workers_and_no_router_thread() {
+        // The kernel keeps 15 bytes of "aide-shard-census-<i>".
+        let census = |prefix: &str| {
+            std::fs::read_dir("/proc/self/task")
+                .expect("thread list")
+                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+                .filter(|name| name.starts_with(prefix))
+                .count()
+        };
+        let pool = tiny_pool("census", ShardConfig::default());
+        assert_eq!(census("aide-shard-cens"), ShardConfig::default().shards);
+        assert_eq!(census("aide-shard-rout"), 0);
+        // Disconnecting the shard queues is what stops the workers.
+        pool.shutdown();
+        assert_eq!(census("aide-shard-cens"), 0);
     }
 }
