@@ -16,7 +16,7 @@
 //! the remote-interaction counters behind Figure 8, and the execution
 //! metrics behind Table 2.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -25,7 +25,8 @@ use serde::{Deserialize, Serialize};
 
 use aide_graph::{EdgeInfo, ExecutionGraph, GraphDelta, NodeId, NodeInfo, PinReason};
 use aide_vm::{
-    ClassId, GcReport, Interaction, InteractionKind, NativeKind, ObjectId, Program, RuntimeHooks,
+    ClassId, GcReport, Interaction, InteractionKind, NativeKind, ObjectId, PendingEvent, Program,
+    RuntimeHooks,
 };
 
 /// What a graph node stands for.
@@ -111,28 +112,68 @@ pub struct RemoteStats {
     pub remote_bytes: u64,
 }
 
+/// Hashes the packed `(lo, hi)` node-index pair of an edge. The keys are
+/// dense indices this module mints itself, so SipHash's resistance to
+/// crafted keys buys nothing here; one multiply and a fold do.
+#[derive(Debug, Default, Clone, Copy)]
+struct EdgeKeyHasher(u64);
+
+impl std::hash::Hasher for EdgeKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("edge keys hash through write_u64")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        // The map takes its bucket from the low bits and its tag from the
+        // high ones; the product's high half is the well-mixed one, so fold
+        // it down.
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// An edge's statistics: since the monitor started, and since the last
+/// [`Monitor::drain_deltas`].
+#[derive(Debug, Default, Clone, Copy)]
+struct EdgeTally {
+    total: EdgeInfo,
+    undrained: EdgeInfo,
+}
+
+/// "No node yet" in [`MonitorState::class_nodes`].
+const NO_NODE: u32 = u32::MAX;
+
+/// Everything the hooks mutate, behind the monitor's one lock.
 #[derive(Debug, Default)]
-struct GraphState {
-    nodes: HashMap<NodeKey, usize>,
+struct MonitorState {
+    /// Class -> node index, indexed by [`ClassId`]; [`NO_NODE`] until the
+    /// class first appears in an event.
+    class_nodes: Vec<u32>,
+    /// Object -> node index, for objects of object-granular classes.
+    object_nodes: HashMap<ObjectId, u32>,
     labels: Vec<(NodeKey, String, Option<PinReason>)>,
     memory: Vec<i64>,
     cpu_micros: Vec<f64>,
     live_objects: Vec<i64>,
-    edges: HashMap<(usize, usize), EdgeInfo>,
-    /// Object -> node index, for object-granular classes.
+    /// Keyed by `lo << 32 | hi` over node indices, `lo < hi`.
+    edges: HashMap<u64, EdgeTally, std::hash::BuildHasherDefault<EdgeKeyHasher>>,
+    /// Object -> class, for object-granular classes.
     object_class: HashMap<ObjectId, ClassId>,
     /// Node indices already announced to delta consumers via `AddNode`
     /// (the [`Monitor::drain_deltas`] watermark).
     published_nodes: usize,
-    /// Already-published nodes whose annotations changed since the last
-    /// drain (ordered, for deterministic delta batches).
-    dirty_nodes: BTreeSet<usize>,
-    /// Edge increments accumulated since the last drain.
-    edge_accum: HashMap<(usize, usize), EdgeInfo>,
-}
-
-#[derive(Debug, Default)]
-struct MetricState {
+    /// Per node: its annotations changed since the last drain.
+    dirty: Vec<bool>,
+    /// The nodes flagged in `dirty`, in the order they were first touched.
+    dirty_nodes: Vec<u32>,
+    invocations: u64,
+    accesses: u64,
+    remote: RemoteStats,
+    work_since_eval_micros: f64,
     samples: u64,
     class_live_sum: u64,
     class_live_max: u64,
@@ -143,8 +184,65 @@ struct MetricState {
     obj_total: u64,
     links_sum: u64,
     links_max: u64,
-    invocations: u64,
-    accesses: u64,
+}
+
+impl MonitorState {
+    /// The node standing for `class`, if an event has named it yet.
+    fn find_class_node(&self, class: ClassId) -> Option<usize> {
+        let node = *self.class_nodes.get(class.index())?;
+        (node != NO_NODE).then_some(node as usize)
+    }
+
+    fn add_node(&mut self, key: NodeKey, label: String, pin: Option<PinReason>) -> u32 {
+        let i = self.labels.len() as u32;
+        self.labels.push((key, label, pin));
+        self.memory.push(0);
+        self.cpu_micros.push(0.0);
+        self.live_objects.push(0);
+        self.dirty.push(false);
+        i
+    }
+
+    /// The node standing for `object` itself, created on first sight.
+    fn object_node(&mut self, object: ObjectId) -> usize {
+        if let Some(&i) = self.object_nodes.get(&object) {
+            return i as usize;
+        }
+        let i = self.add_node(NodeKey::Object(object), format!("obj:{object}"), None);
+        self.object_nodes.insert(object, i);
+        i as usize
+    }
+
+    fn remote_native(&mut self, bytes: u64) {
+        self.remote.remote_native_calls += 1;
+        self.remote.remote_interactions += 1;
+        self.remote.remote_invocations += 1;
+        self.remote.remote_bytes += bytes;
+    }
+
+    fn remote_static_access(&mut self, bytes: u64) {
+        self.remote.remote_static_accesses += 1;
+        self.remote.remote_interactions += 1;
+        self.remote.remote_bytes += bytes;
+    }
+
+    fn mark_dirty(&mut self, node: usize) {
+        if !self.dirty[node] {
+            self.dirty[node] = true;
+            self.dirty_nodes.push(node as u32);
+        }
+    }
+
+    /// The `(memory_bytes, cpu_micros, live_objects)` a consumer sees for
+    /// `node`: negative balances floor at zero, fractional microseconds
+    /// round.
+    fn annotations(&self, node: usize) -> (u64, u64, u64) {
+        (
+            self.memory[node].max(0) as u64,
+            self.cpu_micros[node].round() as u64,
+            self.live_objects[node].max(0) as u64,
+        )
+    }
 }
 
 /// The monitoring module.
@@ -155,13 +253,11 @@ struct MetricState {
 pub struct Monitor {
     program: Arc<Program>,
     trigger: TriggerConfig,
-    object_granular: HashSet<ClassId>,
-    graph: Mutex<GraphState>,
-    metrics: Mutex<MetricState>,
-    remote: Mutex<RemoteStats>,
+    /// Indexed by [`ClassId`]: the class is monitored at object granularity.
+    object_granular: Vec<bool>,
+    state: Mutex<MonitorState>,
     low_memory_streak: AtomicU64,
     memory_triggered: AtomicBool,
-    work_since_eval_micros: Mutex<f64>,
     gc_reports: Mutex<Vec<GcReport>>,
     hook_events: Arc<aide_telemetry::Counter>,
     hook_nanos: Arc<aide_telemetry::Counter>,
@@ -171,7 +267,10 @@ impl std::fmt::Debug for Monitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Monitor")
             .field("trigger", &self.trigger)
-            .field("object_granular_classes", &self.object_granular.len())
+            .field(
+                "object_granular_classes",
+                &self.object_granular.iter().filter(|&&g| g).count(),
+            )
             .finish()
     }
 }
@@ -187,16 +286,19 @@ impl Monitor {
         trigger: TriggerConfig,
         object_granular: HashSet<ClassId>,
     ) -> Self {
+        let classes = program.classes().len();
         Monitor {
+            object_granular: (0..classes)
+                .map(|c| object_granular.contains(&ClassId(c as u32)))
+                .collect(),
+            state: Mutex::new(MonitorState {
+                class_nodes: vec![NO_NODE; classes],
+                ..MonitorState::default()
+            }),
             program,
             trigger,
-            object_granular,
-            graph: Mutex::new(GraphState::default()),
-            metrics: Mutex::new(MetricState::default()),
-            remote: Mutex::new(RemoteStats::default()),
             low_memory_streak: AtomicU64::new(0),
             memory_triggered: AtomicBool::new(false),
-            work_since_eval_micros: Mutex::new(0.0),
             gc_reports: Mutex::new(Vec::new()),
             hook_events: aide_telemetry::global()
                 .counter(aide_telemetry::names::MONITOR_HOOK_EVENTS),
@@ -204,16 +306,16 @@ impl Monitor {
         }
     }
 
-    /// Starts timing one hook invocation, unless telemetry is disabled
+    /// Starts timing one hook delivery, unless telemetry is disabled
     /// (the disabled path must not even read the clock).
     fn hook_timer(&self) -> Option<std::time::Instant> {
         aide_telemetry::enabled().then(std::time::Instant::now)
     }
 
-    /// Accounts one completed hook invocation.
-    fn note_hook(&self, started: Option<std::time::Instant>) {
+    /// Accounts one completed delivery of `events` instrumented events.
+    fn note_hooks(&self, started: Option<std::time::Instant>, events: u64) {
         if let Some(t0) = started {
-            self.hook_events.inc();
+            self.hook_events.add(events);
             self.hook_nanos
                 .add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
@@ -238,14 +340,13 @@ impl Monitor {
     /// Exclusive work accumulated since the last periodic evaluation
     /// (non-destructive peek).
     pub fn work_since_eval(&self) -> f64 {
-        *self.work_since_eval_micros.lock()
+        self.state.lock().work_since_eval_micros
     }
 
     /// Exclusive work accumulated since the last periodic evaluation, and
     /// resets the accumulator — used by CPU-constraint triggering.
     pub fn take_work_since_eval(&self) -> f64 {
-        let mut w = self.work_since_eval_micros.lock();
-        std::mem::replace(&mut *w, 0.0)
+        std::mem::replace(&mut self.state.lock().work_since_eval_micros, 0.0)
     }
 
     /// All garbage-collection reports observed so far.
@@ -255,28 +356,32 @@ impl Monitor {
 
     /// Remote-execution counters (Figure 8).
     pub fn remote_stats(&self) -> RemoteStats {
-        *self.remote.lock()
+        self.state.lock().remote
     }
 
     /// Table 2-style execution metrics.
     pub fn metrics(&self) -> MonitorMetrics {
-        let m = self.metrics.lock();
-        let g = self.graph.lock();
-        let storage = graph_storage_estimate(&g);
+        let s = self.state.lock();
+        let storage = s
+            .labels
+            .iter()
+            .map(|(_, label, _)| 48 + label.len())
+            .sum::<usize>()
+            + s.edges.len() * (16 + std::mem::size_of::<EdgeInfo>());
         let div = |sum: u64, n: u64| if n == 0 { 0.0 } else { sum as f64 / n as f64 };
         MonitorMetrics {
-            samples: m.samples,
-            classes_avg: div(m.class_live_sum, m.samples),
-            classes_max: m.class_live_max,
-            classes_total: m.classes_seen.len() as u64,
-            objects_avg: div(m.obj_live_sum, m.samples),
-            objects_max: m.obj_live_max,
-            objects_total: m.obj_total,
-            links_avg: div(m.links_sum, m.samples),
-            links_max: m.links_max,
-            interaction_events: m.invocations + m.accesses,
-            invocation_events: m.invocations,
-            field_access_events: m.accesses,
+            samples: s.samples,
+            classes_avg: div(s.class_live_sum, s.samples),
+            classes_max: s.class_live_max,
+            classes_total: s.classes_seen.len() as u64,
+            objects_avg: div(s.obj_live_sum, s.samples),
+            objects_max: s.obj_live_max,
+            objects_total: s.obj_total,
+            links_avg: div(s.links_sum, s.samples),
+            links_max: s.links_max,
+            interaction_events: s.invocations + s.accesses,
+            invocation_events: s.invocations,
+            field_access_events: s.accesses,
             graph_storage_bytes: storage as u64,
         }
     }
@@ -287,23 +392,32 @@ impl Monitor {
     /// which the offload executor needs to translate a partitioning back
     /// into concrete objects.
     pub fn snapshot(&self) -> (ExecutionGraph, Vec<NodeKey>) {
-        let g = self.graph.lock();
+        let s = self.state.lock();
         let mut graph = ExecutionGraph::new();
-        let mut keys = Vec::with_capacity(g.labels.len());
-        for (i, (key, label, pin)) in g.labels.iter().enumerate() {
+        let mut keys = Vec::with_capacity(s.labels.len());
+        for (i, (key, label, pin)) in s.labels.iter().enumerate() {
             let mut info = match pin {
                 Some(reason) => NodeInfo::pinned(label.clone(), *reason),
                 None => NodeInfo::new(label.clone()),
             };
-            info.memory_bytes = g.memory[i].max(0) as u64;
-            info.cpu_micros = g.cpu_micros[i].round() as u64;
-            info.live_objects = g.live_objects[i].max(0) as u64;
+            (info.memory_bytes, info.cpu_micros, info.live_objects) = s.annotations(i);
             let id = graph.add_node(info);
             debug_assert_eq!(id.index(), i);
             keys.push(*key);
         }
-        for (&(a, b), &e) in &g.edges {
-            graph.record_interaction(NodeId(a as u32), NodeId(b as u32), e);
+        // In key order, not the map's: the graph keeps its edges in a
+        // B-tree whose node layout follows insertion order, and everything
+        // downstream walks that tree. One order for one state — and
+        // ascending builds the layout `decide_with` walks fastest.
+        let mut edges: Vec<(u64, EdgeInfo)> = s
+            .edges
+            .iter()
+            .map(|(&key, tally)| (key, tally.total))
+            .collect();
+        edges.sort_unstable_by_key(|&(key, _)| key);
+        for (key, total) in edges {
+            let (a, b) = edge_ends(key);
+            graph.record_interaction(a, b, total);
         }
         (graph, keys)
     }
@@ -320,185 +434,178 @@ impl Monitor {
     /// order, then annotation updates in id order, then edge increments in
     /// `(a, b)` order.
     pub fn drain_deltas(&self) -> (Vec<GraphDelta>, Vec<NodeKey>) {
-        let mut g = self.graph.lock();
-        let was_published = g.published_nodes;
+        let mut guard = self.state.lock();
+        let s = &mut *guard;
+        let was_published = s.published_nodes;
         let mut deltas = Vec::new();
-        for i in was_published..g.labels.len() {
-            let (_, label, pin) = &g.labels[i];
+        for i in was_published..s.labels.len() {
+            let (_, label, pin) = &s.labels[i];
+            let (memory_bytes, cpu_micros, live_objects) = s.annotations(i);
             deltas.push(GraphDelta::AddNode {
                 label: label.clone(),
                 pinned: *pin,
-                memory_bytes: g.memory[i].max(0) as u64,
-                cpu_micros: g.cpu_micros[i].round() as u64,
-                live_objects: g.live_objects[i].max(0) as u64,
+                memory_bytes,
+                cpu_micros,
+                live_objects,
             });
         }
-        for &i in g.dirty_nodes.iter().filter(|&&i| i < was_published) {
-            deltas.push(GraphDelta::UpdateNode {
-                node: NodeId(i as u32),
-                memory_bytes: g.memory[i].max(0) as u64,
-                cpu_micros: g.cpu_micros[i].round() as u64,
-                live_objects: g.live_objects[i].max(0) as u64,
-            });
+        s.dirty_nodes.sort_unstable();
+        for &node in &s.dirty_nodes {
+            let i = node as usize;
+            s.dirty[i] = false;
+            // A node first announced by this very batch carries its current
+            // annotations in the `AddNode` above.
+            if i < was_published {
+                let (memory_bytes, cpu_micros, live_objects) = s.annotations(i);
+                deltas.push(GraphDelta::UpdateNode {
+                    node: NodeId(node),
+                    memory_bytes,
+                    cpu_micros,
+                    live_objects,
+                });
+            }
         }
-        let mut edges: Vec<((usize, usize), EdgeInfo)> = g.edge_accum.drain().collect();
+        s.dirty_nodes.clear();
+        let mut edges: Vec<(u64, EdgeInfo)> = s
+            .edges
+            .iter_mut()
+            .filter(|(_, tally)| tally.undrained.interactions > 0)
+            .map(|(&key, tally)| (key, std::mem::take(&mut tally.undrained)))
+            .collect();
+        // `lo << 32 | hi` orders exactly as `(lo, hi)` does.
         edges.sort_unstable_by_key(|&(key, _)| key);
-        for ((a, b), e) in edges {
-            deltas.push(GraphDelta::Interaction {
-                a: NodeId(a as u32),
-                b: NodeId(b as u32),
-                delta: e,
-            });
+        for (key, delta) in edges {
+            let (a, b) = edge_ends(key);
+            deltas.push(GraphDelta::Interaction { a, b, delta });
         }
-        g.dirty_nodes.clear();
-        g.published_nodes = g.labels.len();
-        let keys = g.labels.iter().map(|(k, _, _)| *k).collect();
+        s.published_nodes = s.labels.len();
+        let keys = s.labels.iter().map(|(k, _, _)| *k).collect();
         (deltas, keys)
     }
 
     /// The class a monitored object belongs to, if the monitor saw its
     /// allocation (used for object-granular placement).
     pub fn class_of_object(&self, id: ObjectId) -> Option<ClassId> {
-        self.graph.lock().object_class.get(&id).copied()
+        self.state.lock().object_class.get(&id).copied()
     }
 
-    fn node_index(&self, g: &mut GraphState, key: NodeKey) -> usize {
-        if let Some(&i) = g.nodes.get(&key) {
+    fn is_object_granular(&self, class: ClassId) -> bool {
+        self.object_granular
+            .get(class.index())
+            .copied()
+            .unwrap_or(false)
+    }
+
+    fn class_node(&self, s: &mut MonitorState, class: ClassId) -> usize {
+        if let Some(i) = s.find_class_node(class) {
             return i;
         }
-        let (label, pin) = match key {
-            NodeKey::Class(c) => {
-                let def = self.program.class(c).expect("monitored class exists");
-                // Only classes *implemented with* native methods are pinned
-                // (paper §3.3); classes that merely invoke natives remain
-                // offloadable — their native calls are redirected to the
-                // client at run time instead.
-                (
-                    def.name.clone(),
-                    def.native_impl.then_some(PinReason::NativeMethods),
-                )
-            }
-            NodeKey::Object(o) => (format!("obj:{o}"), None),
-        };
-        let i = g.labels.len();
-        g.labels.push((key, label, pin));
-        g.memory.push(0);
-        g.cpu_micros.push(0.0);
-        g.live_objects.push(0);
-        g.nodes.insert(key, i);
-        i
+        let def = self.program.class(class).expect("monitored class exists");
+        // Only classes *implemented with* native methods are pinned
+        // (paper §3.3); classes that merely invoke natives remain
+        // offloadable — their native calls are redirected to the
+        // client at run time instead.
+        let pin = def.native_impl.then_some(PinReason::NativeMethods);
+        let i = s.add_node(NodeKey::Class(class), def.name.clone(), pin);
+        s.class_nodes[class.index()] = i;
+        i as usize
     }
 
-    fn key_for_target(&self, class: ClassId, target: Option<ObjectId>, g: &GraphState) -> NodeKey {
-        if self.object_granular.contains(&class) {
-            if let Some(obj) = target {
-                if g.object_class.contains_key(&obj) || self.object_granular.contains(&class) {
-                    return NodeKey::Object(obj);
-                }
-            }
+    /// The node an access to `target` of `class` lands on: the object's own
+    /// node for an object-granular class, the class node otherwise.
+    fn target_node(&self, s: &mut MonitorState, class: ClassId, target: Option<ObjectId>) -> usize {
+        match target {
+            Some(object) if self.is_object_granular(class) => s.object_node(object),
+            _ => self.class_node(s, class),
         }
-        NodeKey::Class(class)
+    }
+
+    fn interaction(&self, s: &mut MonitorState, event: Interaction) {
+        let a = self.class_node(s, event.caller);
+        let b = self.target_node(s, event.callee, event.target);
+        if a != b {
+            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+            let increment = EdgeInfo::new(1, event.bytes);
+            let tally = s.edges.entry((lo as u64) << 32 | hi as u64).or_default();
+            tally.total.absorb(increment);
+            tally.undrained.absorb(increment);
+        }
+        match event.kind {
+            InteractionKind::Invocation => s.invocations += 1,
+            InteractionKind::FieldAccess => s.accesses += 1,
+        }
+        if event.remote {
+            s.remote.remote_interactions += 1;
+            if event.kind == InteractionKind::Invocation {
+                s.remote.remote_invocations += 1;
+            }
+            s.remote.remote_bytes += event.bytes;
+        }
+    }
+
+    fn work(&self, s: &mut MonitorState, class: ClassId, micros: f64) {
+        let i = self.class_node(s, class);
+        s.cpu_micros[i] += micros;
+        s.mark_dirty(i);
+        s.work_since_eval_micros += micros;
     }
 }
 
-fn graph_storage_estimate(g: &GraphState) -> usize {
-    g.labels
-        .iter()
-        .map(|(_, label, _)| 48 + label.len())
-        .sum::<usize>()
-        + g.edges.len() * (16 + std::mem::size_of::<EdgeInfo>())
+/// The two node ids packed into an edge key.
+fn edge_ends(key: u64) -> (NodeId, NodeId) {
+    (NodeId((key >> 32) as u32), NodeId(key as u32))
 }
 
 impl RuntimeHooks for Monitor {
     fn on_interaction(&self, event: Interaction) {
         let hook_started = self.hook_timer();
-        let mut g = self.graph.lock();
-        let caller_key = NodeKey::Class(event.caller);
-        let callee_key = self.key_for_target(event.callee, event.target, &g);
-        let a = self.node_index(&mut g, caller_key);
-        let b = self.node_index(&mut g, callee_key);
-        if a != b {
-            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-            let increment = EdgeInfo::new(1, event.bytes);
-            g.edges.entry((lo, hi)).or_default().absorb(increment);
-            g.edge_accum.entry((lo, hi)).or_default().absorb(increment);
-        }
-        drop(g);
-
-        let mut m = self.metrics.lock();
-        match event.kind {
-            InteractionKind::Invocation => m.invocations += 1,
-            InteractionKind::FieldAccess => m.accesses += 1,
-        }
-        drop(m);
-
-        if event.remote {
-            let mut r = self.remote.lock();
-            r.remote_interactions += 1;
-            if event.kind == InteractionKind::Invocation {
-                r.remote_invocations += 1;
-            }
-            r.remote_bytes += event.bytes;
-        }
-        self.note_hook(hook_started);
+        self.interaction(&mut self.state.lock(), event);
+        self.note_hooks(hook_started, 1);
     }
 
     fn on_alloc(&self, class: ClassId, object: ObjectId, bytes: u64) {
         let hook_started = self.hook_timer();
-        let mut g = self.graph.lock();
-        let key = if self.object_granular.contains(&class) {
-            g.object_class.insert(object, class);
-            NodeKey::Object(object)
+        let mut guard = self.state.lock();
+        let s = &mut *guard;
+        let i = if self.is_object_granular(class) {
+            s.object_class.insert(object, class);
+            s.object_node(object)
         } else {
-            NodeKey::Class(class)
+            self.class_node(s, class)
         };
-        let i = self.node_index(&mut g, key);
-        g.memory[i] += bytes as i64;
-        g.live_objects[i] += 1;
-        g.dirty_nodes.insert(i);
-        drop(g);
-
-        let mut m = self.metrics.lock();
-        m.classes_seen.insert(class);
-        m.obj_live += 1;
-        m.obj_total += 1;
-        drop(m);
-        self.note_hook(hook_started);
+        s.memory[i] += bytes as i64;
+        s.live_objects[i] += 1;
+        s.mark_dirty(i);
+        s.classes_seen.insert(class);
+        s.obj_live += 1;
+        s.obj_total += 1;
+        drop(guard);
+        self.note_hooks(hook_started, 1);
     }
 
     fn on_free(&self, class: ClassId, objects: u64, bytes: u64) {
         let hook_started = self.hook_timer();
-        let mut g = self.graph.lock();
-        // Object-granular frees arrive aggregated per class; distribute is
-        // unnecessary because dead arrays stop mattering — zero the class
-        // node if present, otherwise subtract from the class node.
-        let key = NodeKey::Class(class);
-        if self.object_granular.contains(&class) {
-            // Dead object nodes are detected lazily: their memory stays
-            // until re-snapshot; acceptable because offload decisions use
-            // live class bytes from the heap at offload time.
-        } else if let Some(&i) = g.nodes.get(&key) {
-            g.memory[i] -= bytes as i64;
-            g.live_objects[i] -= objects as i64;
-            g.dirty_nodes.insert(i);
+        let mut s = self.state.lock();
+        // Frees arrive aggregated per class. Object-granular classes are
+        // skipped: dead object nodes are detected lazily (their memory
+        // stays until re-snapshot), acceptable because offload decisions
+        // use live class bytes from the heap at offload time.
+        if !self.is_object_granular(class) {
+            if let Some(i) = s.find_class_node(class) {
+                s.memory[i] -= bytes as i64;
+                s.live_objects[i] -= objects as i64;
+                s.mark_dirty(i);
+            }
         }
-        drop(g);
-
-        let mut m = self.metrics.lock();
-        m.obj_live -= objects as i64;
-        drop(m);
-        self.note_hook(hook_started);
+        s.obj_live -= objects as i64;
+        drop(s);
+        self.note_hooks(hook_started, 1);
     }
 
     fn on_work(&self, class: ClassId, micros: f64) {
         let hook_started = self.hook_timer();
-        let mut g = self.graph.lock();
-        let i = self.node_index(&mut g, NodeKey::Class(class));
-        g.cpu_micros[i] += micros;
-        g.dirty_nodes.insert(i);
-        drop(g);
-        *self.work_since_eval_micros.lock() += micros;
-        self.note_hook(hook_started);
+        self.work(&mut self.state.lock(), class, micros);
+        self.note_hooks(hook_started, 1);
     }
 
     fn on_native(
@@ -511,24 +618,17 @@ impl RuntimeHooks for Monitor {
     ) {
         let hook_started = self.hook_timer();
         if remote {
-            let mut r = self.remote.lock();
-            r.remote_native_calls += 1;
-            r.remote_interactions += 1;
-            r.remote_invocations += 1;
-            r.remote_bytes += bytes;
+            self.state.lock().remote_native(bytes);
         }
-        self.note_hook(hook_started);
+        self.note_hooks(hook_started, 1);
     }
 
     fn on_static_access(&self, _accessor: ClassId, _class: ClassId, bytes: u64, remote: bool) {
         let hook_started = self.hook_timer();
         if remote {
-            let mut r = self.remote.lock();
-            r.remote_static_accesses += 1;
-            r.remote_interactions += 1;
-            r.remote_bytes += bytes;
+            self.state.lock().remote_static_access(bytes);
         }
-        self.note_hook(hook_started);
+        self.note_hooks(hook_started, 1);
     }
 
     fn on_gc(&self, report: &GcReport) {
@@ -537,25 +637,25 @@ impl RuntimeHooks for Monitor {
 
         // Sample Table 2 metrics.
         {
-            let g = self.graph.lock();
-            let classes_live = g
+            let mut guard = self.state.lock();
+            let s = &mut *guard;
+            let classes_live = s
                 .labels
                 .iter()
                 .enumerate()
                 .filter(|(i, (key, _, _))| {
-                    matches!(key, NodeKey::Class(_)) && g.live_objects[*i] > 0
+                    matches!(key, NodeKey::Class(_)) && s.live_objects[*i] > 0
                 })
                 .count() as u64;
-            let links = g.edges.len() as u64;
-            let mut m = self.metrics.lock();
-            m.samples += 1;
-            m.class_live_sum += classes_live;
-            m.class_live_max = m.class_live_max.max(classes_live);
-            let live = m.obj_live.max(0) as u64;
-            m.obj_live_sum += live;
-            m.obj_live_max = m.obj_live_max.max(live);
-            m.links_sum += links;
-            m.links_max = m.links_max.max(links);
+            let links = s.edges.len() as u64;
+            s.samples += 1;
+            s.class_live_sum += classes_live;
+            s.class_live_max = s.class_live_max.max(classes_live);
+            let live = s.obj_live.max(0) as u64;
+            s.obj_live_sum += live;
+            s.obj_live_max = s.obj_live_max.max(live);
+            s.links_sum += links;
+            s.links_max = s.links_max.max(links);
         }
 
         // Memory trigger state machine.
@@ -570,7 +670,41 @@ impl RuntimeHooks for Monitor {
         } else {
             self.low_memory_streak.store(0, Ordering::SeqCst);
         }
-        self.note_hook(hook_started);
+        self.note_hooks(hook_started, 1);
+    }
+
+    /// One clock read, one lock and one counter update for the whole burst.
+    fn on_events(&self, events: &[PendingEvent]) {
+        let hook_started = self.hook_timer();
+        let mut guard = self.state.lock();
+        let s = &mut *guard;
+        // `on_method_exit` is not instrumented, so it is not counted either.
+        let mut instrumented = events.len() as u64;
+        for event in events {
+            match *event {
+                PendingEvent::Interaction(i) => self.interaction(s, i),
+                PendingEvent::Work { class, micros } => self.work(s, class, micros),
+                PendingEvent::Native { bytes, remote, .. } => {
+                    if remote {
+                        s.remote_native(bytes);
+                    }
+                }
+                PendingEvent::StaticAccess { bytes, remote, .. } => {
+                    if remote {
+                        s.remote_static_access(bytes);
+                    }
+                }
+                PendingEvent::MethodExit { .. } => instrumented -= 1,
+            }
+        }
+        drop(guard);
+        self.note_hooks(hook_started, instrumented);
+    }
+
+    /// The monitor only accumulates work; nothing in it reacts to a `Work`
+    /// op before the next op runs.
+    fn needs_work_boundary(&self) -> bool {
+        false
     }
 }
 

@@ -470,6 +470,12 @@ impl RuntimeHooks for Controller {
             }
         }
     }
+
+    /// Only the periodic evaluator acts on `on_work`, and it must do so
+    /// before the next op runs.
+    fn needs_work_boundary(&self) -> bool {
+        matches!(self.evaluation, EvaluationMode::Periodic { .. })
+    }
 }
 
 /// Opens the client/surrogate session pair for the configured backend.

@@ -1,0 +1,237 @@
+//! Batch delivery is an optimisation, not a semantics: a `Monitor` fed one
+//! event stream through `on_events` slices of arbitrary sizes must end up
+//! exactly where a `Monitor` fed the same stream one `on_*` call at a time
+//! does — graph, drained deltas, Table 2 metrics, Figure 8 counters and
+//! trigger state.
+
+use std::collections::HashSet;
+use std::sync::Arc;
+
+use aide_core::{Monitor, TriggerConfig};
+use aide_graph::IncrementalGraph;
+use aide_vm::{
+    ClassId, GcReport, Interaction, InteractionKind, MethodDef, MethodId, NativeKind, ObjectId,
+    PendingEvent, Program, ProgramBuilder, RuntimeHooks,
+};
+
+const CLASSES: u32 = 12;
+/// Classes monitored per object when the array enhancement is on.
+const GRANULAR: [u32; 2] = [3, 7];
+
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+fn program() -> Arc<Program> {
+    let mut b = ProgramBuilder::new();
+    let main = b.add_class("C0");
+    b.add_method(main, MethodDef::new("main", vec![]));
+    for c in 1..CLASSES {
+        if c % 5 == 0 {
+            b.add_native_class(format!("C{c}"));
+        } else {
+            b.add_class(format!("C{c}"));
+        }
+    }
+    Arc::new(b.build(main, MethodId(0), 0, 0).unwrap())
+}
+
+/// Everything the VM can tell a monitor, in one vocabulary.
+#[derive(Clone, Copy)]
+enum Event {
+    /// Queued by the interpreter; reaches the hooks in a flushed slice.
+    Queued(PendingEvent),
+    /// Delivered by the allocation / collection path, between flushes.
+    Alloc(ClassId, ObjectId, u64),
+    Free(ClassId, u64, u64),
+    Gc(GcReport),
+    /// Not a VM event: the controller draining the monitor mid-run.
+    Drain,
+}
+
+fn stream(rng: &mut XorShift, len: usize) -> Vec<Event> {
+    let mut next_object = 0u64;
+    let mut cycle = 0u64;
+    (0..len)
+        .map(|_| {
+            let class = ClassId(rng.below(CLASSES as u64) as u32);
+            let other = ClassId(rng.below(CLASSES as u64) as u32);
+            let remote = rng.below(4) == 0;
+            let bytes = rng.below(512);
+            match rng.below(100) {
+                0..=54 => Event::Queued(PendingEvent::Interaction(Interaction {
+                    caller: class,
+                    callee: other,
+                    // Known objects, unknown objects and static calls.
+                    target: match rng.below(3) {
+                        0 => None,
+                        _ => Some(ObjectId::client(rng.below(next_object + 2))),
+                    },
+                    kind: if rng.below(2) == 0 {
+                        InteractionKind::Invocation
+                    } else {
+                        InteractionKind::FieldAccess
+                    },
+                    bytes,
+                    remote,
+                })),
+                55..=69 => Event::Queued(PendingEvent::Work {
+                    class,
+                    // Fractions, so summation order would show.
+                    micros: rng.below(10_000) as f64 / 7.0,
+                }),
+                70..=74 => Event::Queued(PendingEvent::Native {
+                    caller: class,
+                    kind: NativeKind::Math,
+                    work_micros: 3,
+                    bytes,
+                    remote,
+                }),
+                75..=79 => Event::Queued(PendingEvent::StaticAccess {
+                    accessor: class,
+                    class: other,
+                    bytes,
+                    remote,
+                }),
+                80..=84 => Event::Queued(PendingEvent::MethodExit {
+                    class,
+                    method: MethodId(0),
+                }),
+                85..=92 => {
+                    next_object += 1;
+                    Event::Alloc(class, ObjectId::client(next_object), 16 + bytes)
+                }
+                // Frees may exceed what was allocated: balances clamp.
+                93..=95 => Event::Free(class, 1 + rng.below(3), rng.below(2_000)),
+                96..=97 => {
+                    cycle += 1;
+                    // Every third report is healthy, so streaks both build
+                    // and reset.
+                    let free_after = if rng.below(3) == 0 { 500 } else { 20 };
+                    Event::Gc(GcReport {
+                        cycle,
+                        capacity: 1_000,
+                        used_after: 1_000 - free_after,
+                        free_after,
+                        freed_objects: rng.below(2),
+                        freed_bytes: 0,
+                        duration_micros: 1.0,
+                    })
+                }
+                _ => Event::Drain,
+            }
+        })
+        .collect()
+}
+
+/// What a run leaves behind, in comparable form.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    snapshot: (aide_graph::ExecutionGraph, Vec<aide_core::NodeKey>),
+    deltas: Vec<aide_graph::GraphDelta>,
+    metrics: aide_core::MonitorMetrics,
+    remote: aide_core::RemoteStats,
+    triggered: bool,
+    work_since_eval: f64,
+    gc_reports: Vec<GcReport>,
+}
+
+/// Feeds `events` to a fresh monitor. `batch` picks how many queued events
+/// may pile up before a flush (1 = per-event delivery through `on_*`).
+fn feed(events: &[Event], granular: bool, mut batch: impl FnMut() -> usize) -> Outcome {
+    let granular: HashSet<ClassId> = if granular {
+        GRANULAR.into_iter().map(ClassId).collect()
+    } else {
+        HashSet::new()
+    };
+    let monitor = Monitor::new(program(), TriggerConfig::default(), granular);
+    let mut deltas = Vec::new();
+    let mut pending: Vec<PendingEvent> = Vec::new();
+    let mut limit = batch();
+    let flush = |pending: &mut Vec<PendingEvent>| {
+        match pending.as_slice() {
+            [] => {}
+            [one] => one.deliver(&monitor),
+            many => monitor.on_events(many),
+        }
+        pending.clear();
+    };
+    for &event in events {
+        if let Event::Queued(e) = event {
+            pending.push(e);
+            if pending.len() >= limit {
+                flush(&mut pending);
+                limit = batch();
+            }
+            continue;
+        }
+        // As in the VM: whatever is queued reaches the hooks before the
+        // allocation / collection path speaks.
+        flush(&mut pending);
+        match event {
+            Event::Alloc(class, object, bytes) => monitor.on_alloc(class, object, bytes),
+            Event::Free(class, objects, bytes) => monitor.on_free(class, objects, bytes),
+            Event::Gc(report) => {
+                monitor.on_gc(&report);
+                if monitor.memory_triggered() && report.cycle % 2 == 0 {
+                    monitor.reset_memory_trigger();
+                }
+            }
+            Event::Drain => deltas.extend(monitor.drain_deltas().0),
+            Event::Queued(_) => unreachable!(),
+        }
+    }
+    flush(&mut pending);
+    deltas.extend(monitor.drain_deltas().0);
+    Outcome {
+        snapshot: monitor.snapshot(),
+        deltas,
+        metrics: monitor.metrics(),
+        remote: monitor.remote_stats(),
+        triggered: monitor.memory_triggered(),
+        work_since_eval: monitor.work_since_eval(),
+        gc_reports: monitor.gc_reports(),
+    }
+}
+
+#[test]
+fn batched_delivery_is_indistinguishable_from_per_event_delivery() {
+    for seed in 1..=48u64 {
+        let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let events = stream(&mut rng, 2_000);
+        for granular in [false, true] {
+            let per_event = feed(&events, granular, || 1);
+            let batched = feed(&events, granular, || 1 + rng.below(40) as usize);
+            assert_eq!(per_event, batched, "seed {seed}, granular {granular}");
+
+            // The drained batches, applied in order, rebuild the snapshot.
+            let mut inc = IncrementalGraph::new();
+            inc.apply_all(&batched.deltas);
+            assert_eq!(inc.graph(), &batched.snapshot.0, "seed {seed}");
+            assert!(inc.strengths_consistent());
+
+            // The stream exercised what it claims to.
+            assert!(batched.metrics.interaction_events > 500);
+            assert!(batched.remote.remote_interactions > 0);
+            assert!(batched.metrics.samples > 0);
+            let object_nodes = batched
+                .snapshot
+                .1
+                .iter()
+                .filter(|k| matches!(k, aide_core::NodeKey::Object(_)))
+                .count();
+            assert_eq!(object_nodes > 0, granular);
+        }
+    }
+}

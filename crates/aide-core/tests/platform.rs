@@ -517,4 +517,20 @@ fn cpu_policy_platform_offloads_compute_heavy_work() {
     // Remote execution consumed surrogate CPU at 3.5x speed.
     assert!(report.surrogate_cpu_seconds > 0.0);
     assert!(report.surrogate_requests_served > 0);
+
+    // The periodic evaluator fires at the op where accumulated work first
+    // reaches the period: right after the 10th crunch's `Work`, before its
+    // `Return` and the 11th `Call`. The graph it decided over says so, and
+    // so does the virtual clock (a later offload runs more crunches at
+    // client speed).
+    let first = &report.offloads[0];
+    assert_eq!(first.at_gc_cycle, 0);
+    let engine_node = first.graph.node_by_label("Engine").unwrap();
+    let main_node = first.graph.node_by_label("Main").unwrap();
+    assert_eq!(first.graph.node(engine_node).cpu_micros, 200_000);
+    assert_eq!(
+        first.graph.edge(main_node, engine_node).unwrap(),
+        aide_graph::EdgeInfo::new(10, 160)
+    );
+    assert_eq!(report.total_seconds(), 2.574_027_493_506_492_6);
 }

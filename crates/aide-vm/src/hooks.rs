@@ -91,6 +91,27 @@ pub trait RuntimeHooks: Send + Sync {
 
     /// A garbage-collection cycle completed.
     fn on_gc(&self, report: &GcReport) {}
+
+    /// One flushed burst: the events the flat interpreter queued since its
+    /// previous flush, oldest first. The default hands them one by one to
+    /// the `on_*` methods above; a sink that pays a fixed cost per delivery
+    /// (a lock, a clock read) overrides this to pay it once per burst.
+    fn on_events(&self, events: &[PendingEvent]) {
+        for &event in events {
+            event.deliver(self);
+        }
+    }
+
+    /// Whether this sink must see each `on_work` before the op after it
+    /// runs. The flat interpreter asks once, when the [`Machine`] is built,
+    /// and ends its burst at every `Work` op only if the answer is `true`;
+    /// a sink that merely accumulates answers `false` and gets the same
+    /// events, in the same order, in longer bursts.
+    ///
+    /// [`Machine`]: crate::Machine
+    fn needs_work_boundary(&self) -> bool {
+        true
+    }
 }
 
 /// One deferred hook event, queued by the flat interpreter's burst loop.
@@ -98,11 +119,11 @@ pub trait RuntimeHooks: Send + Sync {
 /// The tree-walking interpreter pays an `Arc<Mutex<Vm>>` unlock/relock plus
 /// a dynamic-dispatch hook call at every instrumented op. The flat
 /// interpreter instead executes a burst of ops under one lock, pushing
-/// observable events onto a [`PendingEvents`] queue, and drains the queue to
-/// the real [`RuntimeHooks`] *outside* the lock — same events, same order,
-/// amortised dispatch. Allocation, free, and GC events are not queued: they
-/// are delivered by the allocation/collection path itself, which already
-/// runs between bursts.
+/// observable events onto a [`PendingEvents`] queue, and hands the queued
+/// slice to [`RuntimeHooks::on_events`] *outside* the lock — same events,
+/// same order, one dispatch per burst. Allocation, free, and GC events are
+/// not queued: they are delivered by the allocation/collection path itself,
+/// which already runs between bursts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PendingEvent {
     /// An inter-class interaction ([`RuntimeHooks::on_interaction`]).
@@ -147,6 +168,31 @@ pub enum PendingEvent {
     },
 }
 
+impl PendingEvent {
+    /// Delivers this event through the matching per-event hook method.
+    #[inline]
+    pub fn deliver<H: RuntimeHooks + ?Sized>(self, hooks: &H) {
+        match self {
+            PendingEvent::Interaction(i) => hooks.on_interaction(i),
+            PendingEvent::Work { class, micros } => hooks.on_work(class, micros),
+            PendingEvent::Native {
+                caller,
+                kind,
+                work_micros,
+                bytes,
+                remote,
+            } => hooks.on_native(caller, kind, work_micros, bytes, remote),
+            PendingEvent::StaticAccess {
+                accessor,
+                class,
+                bytes,
+                remote,
+            } => hooks.on_static_access(accessor, class, bytes, remote),
+            PendingEvent::MethodExit { class, method } => hooks.on_method_exit(class, method),
+        }
+    }
+}
+
 /// FIFO queue of [`PendingEvent`]s awaiting delivery to a hook sink.
 ///
 /// The backing buffer is reused across flushes, so steady-state batched
@@ -178,27 +224,13 @@ impl PendingEvents {
         self.queue.len()
     }
 
-    /// Drains every queued event to `hooks`, in the order queued.
+    /// Hands every queued event to `hooks` in one
+    /// [`RuntimeHooks::on_events`] call, in the order queued, and empties
+    /// the queue.
     pub fn flush(&mut self, hooks: &dyn RuntimeHooks) {
-        for event in self.queue.drain(..) {
-            match event {
-                PendingEvent::Interaction(i) => hooks.on_interaction(i),
-                PendingEvent::Work { class, micros } => hooks.on_work(class, micros),
-                PendingEvent::Native {
-                    caller,
-                    kind,
-                    work_micros,
-                    bytes,
-                    remote,
-                } => hooks.on_native(caller, kind, work_micros, bytes, remote),
-                PendingEvent::StaticAccess {
-                    accessor,
-                    class,
-                    bytes,
-                    remote,
-                } => hooks.on_static_access(accessor, class, bytes, remote),
-                PendingEvent::MethodExit { class, method } => hooks.on_method_exit(class, method),
-            }
+        if !self.queue.is_empty() {
+            hooks.on_events(&self.queue);
+            self.queue.clear();
         }
     }
 }
@@ -207,7 +239,13 @@ impl PendingEvents {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullHooks;
 
-impl RuntimeHooks for NullHooks {}
+impl RuntimeHooks for NullHooks {
+    fn on_events(&self, _: &[PendingEvent]) {}
+
+    fn needs_work_boundary(&self) -> bool {
+        false
+    }
+}
 
 /// Fans events out to several hook implementations in order.
 ///
@@ -304,6 +342,18 @@ impl RuntimeHooks for HookChain {
         for h in &self.hooks {
             h.on_gc(report);
         }
+    }
+
+    /// Member by member: each sees the whole slice, in order, before the
+    /// next member sees any of it.
+    fn on_events(&self, events: &[PendingEvent]) {
+        for h in &self.hooks {
+            h.on_events(events);
+        }
+    }
+
+    fn needs_work_boundary(&self) -> bool {
+        self.hooks.iter().any(|h| h.needs_work_boundary())
     }
 }
 

@@ -163,7 +163,8 @@ struct FlatFrame {
 /// One logical thread of flat-interpreter execution. States live in
 /// [`Vm::exec_states`] (not on the host stack) so the collector sees every
 /// register of every in-flight burst as a root, exactly like the legacy
-/// frame table.
+/// frame table. A finished run leaves its emptied state in the table, so
+/// the next run on that slot reuses all four buffers.
 #[derive(Debug, Default)]
 struct ExecState {
     /// Contiguous value stack; each frame owns an 8-register window.
@@ -172,6 +173,9 @@ struct ExecState {
     frames: Vec<FlatFrame>,
     /// Active `Loop` iteration counters, innermost last.
     loops: Vec<u32>,
+    /// The slot's hook-event queue, parked here between runs; the running
+    /// `run_flat` holds it, because it flushes with the VM unlocked.
+    pending: PendingEvents,
 }
 
 /// One inline-cache entry: the last object seen at a flat-IR site, the
@@ -206,7 +210,8 @@ const BURST_OPS: u32 = 128;
 enum Exit {
     /// The entry frame returned; the run is complete.
     Done,
-    /// Burst budget exhausted or a queued event needs flushing.
+    /// Burst budget exhausted, or a `Work` op whose `on_work` the hooks
+    /// asked to see before the next op.
     Yield,
     /// An `Op::New` needs the allocation/GC path (which takes its own
     /// locks and emits its own hooks).
@@ -349,10 +354,11 @@ pub struct Vm {
     next_object: u64,
     next_frame: u64,
     frames: HashMap<u64, Frame>,
-    /// Flat-interpreter execution states, keyed by a fresh id per run so
-    /// the collector can enumerate their registers as roots.
-    exec_states: HashMap<u64, ExecState>,
-    next_state: u64,
+    /// Flat-interpreter execution states, indexed by the slot a run holds,
+    /// so the collector can enumerate their registers as roots.
+    exec_states: Vec<ExecState>,
+    /// Slots of `exec_states` no run holds (their states are empty).
+    free_states: Vec<usize>,
     /// Inline-cache table, one entry per flat-IR cache site.
     ic: Vec<IcEntry>,
     ic_hits: u64,
@@ -382,8 +388,8 @@ impl Vm {
             next_object: 0,
             next_frame: 0,
             frames: HashMap::new(),
-            exec_states: HashMap::new(),
-            next_state: 0,
+            exec_states: Vec::new(),
+            free_states: Vec::new(),
             ic: Vec::new(),
             ic_hits: 0,
             ic_misses: 0,
@@ -552,8 +558,9 @@ impl Vm {
         // Flat-interpreter states: every live register window plus every
         // frame's receiver. States stay in this table for the whole run,
         // so a collection triggered from the allocation path between
-        // bursts sees exactly the same roots the legacy frame table would.
-        for s in self.exec_states.values() {
+        // bursts sees exactly the same roots the legacy frame table would
+        // (a slot no run holds is empty and contributes none).
+        for s in &self.exec_states {
             for f in &s.frames {
                 roots.extend(f.self_obj);
             }
@@ -718,6 +725,8 @@ pub struct Machine {
     remote: Arc<std::sync::OnceLock<Arc<dyn RemoteAccess>>>,
     max_depth: usize,
     mode: ExecMode,
+    /// [`RuntimeHooks::needs_work_boundary`] of `hooks`, asked once here.
+    yield_on_work: bool,
 }
 
 impl std::fmt::Debug for Machine {
@@ -767,6 +776,7 @@ impl Machine {
         }
         Machine {
             vm,
+            yield_on_work: hooks.needs_work_boundary(),
             hooks,
             remote: cell,
             max_depth: Self::DEFAULT_MAX_DEPTH,
@@ -1501,7 +1511,7 @@ impl Machine {
         if self.max_depth == 0 {
             return Err(VmError::CallDepthExceeded(0));
         }
-        let (flat, sid, base_stats) = {
+        let (flat, sid, mut pending, base_stats) = {
             let mut vm = self.vm.lock();
             let flat = vm.flat_program();
             let sites = flat.site_count() as usize;
@@ -1521,47 +1531,51 @@ impl Machine {
                 .method_entry(class, method)
                 .ok_or_else(|| flat.resolution_error(class, method))?;
             let m = *flat.method(entry);
-            let mut values = vec![None; Reg::COUNT];
+            let sid = vm.free_states.pop().unwrap_or_else(|| {
+                vm.exec_states.push(ExecState::default());
+                vm.exec_states.len() - 1
+            });
+            let state = &mut vm.exec_states[sid];
+            state.values.resize(Reg::COUNT, None);
             for (i, &a) in args.iter().take(Reg::COUNT).enumerate() {
-                values[i] = Some(a);
+                state.values[i] = Some(a);
             }
-            let sid = vm.next_state;
-            vm.next_state += 1;
-            vm.exec_states.insert(
-                sid,
-                ExecState {
-                    values,
-                    frames: vec![FlatFrame {
-                        base: 0,
-                        ip: m.code_start,
-                        class,
-                        method,
-                        self_obj,
-                        loop_base: 0,
-                    }],
-                    loops: Vec::new(),
-                },
-            );
-            (flat, sid, (vm.ic_hits, vm.ic_misses, vm.ops_executed))
+            state.frames.push(FlatFrame {
+                base: 0,
+                ip: m.code_start,
+                class,
+                method,
+                self_obj,
+                loop_base: 0,
+            });
+            let pending = std::mem::take(&mut state.pending);
+            let base_stats = (vm.ic_hits, vm.ic_misses, vm.ops_executed);
+            (flat, sid, pending, base_stats)
         };
 
-        let mut pending = PendingEvents::new();
         let result = self.flat_drive(sid, &flat, &mut pending);
 
         let run_stats = {
             let mut vm = self.vm.lock();
-            if let Some(state) = vm.exec_states.remove(&sid) {
-                if result.is_err() {
-                    // The legacy tree-walker emits `on_method_exit` for
-                    // every unwound frame, innermost first, even on error.
-                    for fr in state.frames.iter().rev() {
-                        pending.push(PendingEvent::MethodExit {
-                            class: fr.class,
-                            method: fr.method,
-                        });
-                    }
+            let state = &mut vm.exec_states[sid];
+            if result.is_err() {
+                // The legacy tree-walker emits `on_method_exit` for
+                // every unwound frame, innermost first, even on error.
+                for fr in state.frames.iter().rev() {
+                    pending.push(PendingEvent::MethodExit {
+                        class: fr.class,
+                        method: fr.method,
+                    });
                 }
+            } else {
+                // Every burst was flushed, so the queue goes back empty; a
+                // failed run's is flushed below and dropped.
+                state.pending = std::mem::take(&mut pending);
             }
+            state.values.clear();
+            state.frames.clear();
+            state.loops.clear();
+            vm.free_states.push(sid);
             (
                 vm.ic_hits - base_stats.0,
                 vm.ic_misses - base_stats.1,
@@ -1582,14 +1596,21 @@ impl Machine {
     #[allow(clippy::too_many_lines)]
     fn flat_drive(
         &self,
-        sid: u64,
+        sid: usize,
         flat: &FlatProgram,
         pending: &mut PendingEvents,
     ) -> VmResult<()> {
         loop {
             let exit = {
                 let mut vm = self.vm.lock();
-                flat_burst(&mut vm, sid, flat, pending, self.max_depth)
+                flat_burst(
+                    &mut vm,
+                    sid,
+                    flat,
+                    pending,
+                    self.max_depth,
+                    self.yield_on_work,
+                )
             };
             // Deliver events queued up to the exit (or error) point before
             // acting on it — hook order must match the tree-walker's.
@@ -1740,9 +1761,9 @@ impl Machine {
     /// Writes a register of the current (topmost) frame of flat state
     /// `sid` — used by the driver to store allocation and remote-read
     /// results back into the window.
-    fn flat_write_reg(&self, sid: u64, reg: u8, value: Option<ObjectId>) -> VmResult<()> {
+    fn flat_write_reg(&self, sid: usize, reg: u8, value: Option<ObjectId>) -> VmResult<()> {
         let mut vm = self.vm.lock();
-        let state = vm.exec_states.get_mut(&sid).expect("live exec state");
+        let state = &mut vm.exec_states[sid];
         let f = *state.frames.last().expect("exec state has a frame");
         reg_set(&mut state.values, f.base, reg, value)
     }
@@ -1787,10 +1808,11 @@ fn reg_set(
 #[allow(clippy::too_many_lines)]
 fn flat_burst(
     vm: &mut Vm,
-    sid: u64,
+    sid: usize,
     flat: &FlatProgram,
     pending: &mut PendingEvents,
     max_depth: usize,
+    yield_on_work: bool,
 ) -> VmResult<Exit> {
     let Vm {
         config,
@@ -1811,7 +1833,7 @@ fn flat_burst(
     let my_kind = config.kind;
     let stateless_local = config.stateless_natives_local;
     let code = flat.code();
-    let state = exec_states.get_mut(&sid).expect("live exec state");
+    let state = &mut exec_states[sid];
     // The hot loop works on a local copy of the top frame; resumable exits
     // write it back. Error returns skip the write-back deliberately: the
     // whole state is torn down by `run_flat` on the error path.
@@ -1850,11 +1872,14 @@ fn flat_burst(
                 });
                 hook_charge!();
                 f.ip += 1;
-                save!();
-                // Exit so the queued `on_work` reaches the hooks (and
-                // through them the periodic offload evaluator) before the
-                // next op runs — exactly where the tree-walker fired it.
-                return Ok(Exit::Yield);
+                if yield_on_work {
+                    // Exit so the queued `on_work` reaches the hooks (and
+                    // through them the periodic offload evaluator) before
+                    // the next op runs — exactly where the tree-walker
+                    // fired it.
+                    save!();
+                    return Ok(Exit::Yield);
+                }
             }
             FlatOp::New {
                 class,

@@ -216,14 +216,8 @@ fn gen_body(
                 if depth < 2 {
                     let mut inner = *state;
                     let n = rng.below(4) as u32;
-                    let nested = gen_body(
-                        rng,
-                        specs,
-                        my_index,
-                        &mut inner,
-                        depth + 1,
-                        1 + rng.below(4),
-                    );
+                    let len = 1 + rng.below(4);
+                    let nested = gen_body(rng, specs, my_index, &mut inner, depth + 1, len);
                     // The loop may run zero times: keep only register facts
                     // that hold both before and after the body.
                     for (s, i) in state.iter_mut().zip(inner.iter()) {
@@ -346,7 +340,8 @@ fn gen_program(seed: u64) -> Arc<Program> {
         for p in 0..spec.params {
             state[p as usize] = RegState::Filled;
         }
-        let body = gen_body(&mut rng, &specs, i, &mut state, 0, 2 + rng.below(7));
+        let len = 2 + rng.below(7);
+        let body = gen_body(&mut rng, &specs, i, &mut state, 0, len);
         let name = format!("m{i}");
         let def = if spec.is_static {
             MethodDef::new_static(name, body)
