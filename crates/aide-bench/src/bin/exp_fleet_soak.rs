@@ -7,8 +7,7 @@
 //! 1. **Session scale** — a small client-thread pool drives raw mux
 //!    sessions (encoded frames, no per-session endpoint machinery)
 //!    against one sharded daemon, holding every session open at once.
-//!    The thread-per-carrier daemon of earlier revisions died here; the
-//!    sharded pool must hold ≥ 5 000 live sessions and keep serving.
+//!    The pool must hold ≥ 5 000 live sessions and keep serving.
 //! 2. **Migration latency** — platform clients offload against a
 //!    three-daemon fleet; every migration's wall-clock duration feeds a
 //!    p99.
@@ -141,8 +140,8 @@ fn session_scale() -> (usize, f64) {
                             client: (t * per_thread + i) as u64,
                             body: Request::Ping,
                         }
-                        .encode_pooled();
-                        session.send(frame.to_vec()).expect("send ping");
+                        .encode();
+                        session.send(frame).expect("send ping");
                     }
                     for session in &sessions {
                         let frame = session.recv().expect("recv reply");
@@ -188,10 +187,8 @@ fn migration_latencies() -> Vec<u64> {
     let daemons: Vec<_> = ["m0", "m1", "m2"]
         .iter()
         .map(|name| {
-            SurrogateDaemon::start(
-                DaemonConfig::new(name, program.clone()).sharded(ShardConfig::default()),
-            )
-            .expect("start fleet daemon")
+            SurrogateDaemon::start(DaemonConfig::new(name, program.clone()))
+                .expect("start fleet daemon")
         })
         .collect();
     let addrs: Vec<_> = daemons.iter().map(|d| d.local_addr()).collect();
@@ -291,8 +288,7 @@ fn placement_spread() -> Vec<u64> {
                     client: counts[index],
                     body: Request::Ping,
                 }
-                .encode_pooled()
-                .to_vec(),
+                .encode(),
             )
             .expect("send ping");
         let frame = session.recv().expect("recv reply");
@@ -314,10 +310,8 @@ fn placement_spread() -> Vec<u64> {
 /// Phase 3b: flush a parked relay backlog into a daemon; returns the
 /// queue's (relayed, expired) lifetime counters.
 fn relay_drain() -> (u64, u64) {
-    let daemon = SurrogateDaemon::start(
-        DaemonConfig::new("relay-target", tiny_program()).sharded(ShardConfig::default()),
-    )
-    .expect("start relay target");
+    let daemon = SurrogateDaemon::start(DaemonConfig::new("relay-target", tiny_program()))
+        .expect("start relay target");
     let queue = RelayQueue::new(RelayConfig {
         ttl_ms: 60 * 60 * 1000,
         max_depth: RELAY_SHIPMENTS + 1,

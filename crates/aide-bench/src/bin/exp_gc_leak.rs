@@ -100,8 +100,8 @@ fn renewal_overhead_bytes() -> usize {
         client: 7,
         body: Request::Ping,
     };
-    let bare = msg.encode_pooled_stamped(None);
-    let stamped = msg.encode_pooled_stamped(Some(42));
+    let bare = msg.encode();
+    let stamped = msg.encode_stamped(Some(42));
     stamped.len() - bare.len()
 }
 

@@ -1,15 +1,15 @@
-//! RPC transport throughput: what the unified transport layer's two
-//! optimisations buy. The same workload — several concurrent sessions,
-//! each completing a fixed count of RPC round trips over real localhost
-//! TCP — runs four ways: frame-buffer pooling on or off, crossed with
-//! session multiplexing (all sessions share one connection) versus a
-//! connection per session.
+//! RPC transport throughput: what frame-buffer pooling and session
+//! multiplexing cost in allocation. The same workload — several concurrent
+//! sessions, each completing a fixed count of RPC round trips over real
+//! localhost TCP — runs two ways: all sessions multiplexed over one
+//! connection, and a connection per session.
 //!
 //! The quantity of record is *allocated bytes per operation*, read from
 //! the [`FramePool`]'s release-time accounting (logical, not wall-clock,
-//! so it is stable in CI). The binary asserts the headline claim —
-//! pooled+multiplexed allocates fewer bytes per op than the
-//! unpooled connection-per-session baseline — and writes every point to
+//! so it is stable in CI). The binary asserts what pooling means: in the
+//! measured window nearly every frame buffer comes off the shelf
+//! ([`MIN_SHELF_HIT_SHARE`]), and multiplexing allocates no more per
+//! operation than a connection per session ([`SHELF_DEPTH_SLACK_BYTES`]). Every point goes to
 //! `BENCH_rpc.json` (JSON lines) for CI to archive.
 
 use std::sync::Arc;
@@ -31,6 +31,21 @@ const CALLS: u64 = 150;
 
 /// Unmeasured calls per session that warm the frame-buffer shelf.
 const WARMUP: u64 = 25;
+
+/// Least share of released buffer bytes that must have come off the shelf
+/// in the measured window, `recycled / (recycled + allocated)`. The pooled
+/// cells measured 0.9994–1.0 when the unpooled baseline was retired (its
+/// cells allocated a flat 226 B/op, share 0; CHANGES.md, PR 14); a pool
+/// that stops recycling falls far below this.
+const MIN_SHELF_HIT_SHARE: f64 = 0.99;
+
+/// What the mux cell may allocate beyond the connection-per-session cell.
+/// The shelf is process-wide and the mux cell runs first: when its window
+/// keeps more buffers in flight than its warm-up did, it is the cell that
+/// deepens the shelf (0–261 B observed). A request and a reply buffer per
+/// session (≤ 128 B each) bounds that; a mux path that allocated per
+/// operation would show ≥ 54 B × 600 ops.
+const SHELF_DEPTH_SLACK_BYTES: u64 = 2 * SESSIONS as u64 * 128;
 
 struct Sink;
 impl Dispatcher for Sink {
@@ -65,7 +80,6 @@ fn tcp_carrier() -> Carrier {
 
 struct Point {
     label: String,
-    pooled: bool,
     mux: bool,
     ops: u64,
     wall_seconds: f64,
@@ -73,6 +87,7 @@ struct Point {
     allocated_bytes: u64,
     recycled_bytes: u64,
     bytes_per_op: f64,
+    shelf_hit_share: f64,
 }
 
 fn workload() -> Request {
@@ -83,11 +98,25 @@ fn workload() -> Request {
     }
 }
 
+/// One thread per session, each completing `calls` round trips.
+fn drive(endpoints: &[(Arc<Endpoint>, Arc<Endpoint>)], calls: u64, label: &str) {
+    std::thread::scope(|scope| {
+        for (client, _) in endpoints {
+            scope.spawn(move || {
+                for i in 0..calls {
+                    client
+                        .call(workload())
+                        .unwrap_or_else(|e| panic!("{label}: call {i} failed: {e:?}"));
+                }
+            });
+        }
+    });
+}
+
 /// Runs `SESSIONS` concurrent sessions of `CALLS` round trips each over
-/// real TCP and returns the cost axes for one (pooled, mux) cell.
-fn run_point(label: &str, pooled: bool, mux: bool) -> Point {
+/// real TCP and returns the cost axes for one cell.
+fn run_point(label: &str, mux: bool) -> Point {
     let pool = FramePool::global();
-    pool.set_pooling(pooled);
 
     let carriers: Vec<Carrier> = if mux {
         vec![tcp_carrier()]
@@ -123,35 +152,15 @@ fn run_point(label: &str, pooled: bool, mux: bool) -> Point {
         endpoints.push((client, server));
     }
 
-    // Warm the shelf (and the sockets) outside the measured window.
-    for (client, _) in &endpoints {
-        for i in 0..WARMUP {
-            client
-                .call(workload())
-                .unwrap_or_else(|e| panic!("{label}: warmup call {i} failed: {e:?}"));
-        }
-    }
+    // Warm the shelf (and the sockets) outside the measured window, with
+    // the window's own concurrency: the shelf must already hold as many
+    // buffers as the sessions keep in flight at once.
+    drive(&endpoints, WARMUP, label);
 
     let alloc_before = pool.allocated_bytes();
     let recycled_before = pool.recycled_bytes();
     let started = Instant::now();
-    let threads: Vec<_> = endpoints
-        .iter()
-        .map(|(client, _)| {
-            let client = client.clone();
-            let label = label.to_string();
-            std::thread::spawn(move || {
-                for i in 0..CALLS {
-                    client
-                        .call(workload())
-                        .unwrap_or_else(|e| panic!("{label}: call {i} failed: {e:?}"));
-                }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().expect("session thread panicked");
-    }
+    drive(&endpoints, CALLS, label);
     let wall = started.elapsed().as_secs_f64();
     let allocated = pool.allocated_bytes() - alloc_before;
     let recycled = pool.recycled_bytes() - recycled_before;
@@ -168,7 +177,6 @@ fn run_point(label: &str, pooled: bool, mux: bool) -> Point {
     let ops = CALLS * SESSIONS as u64;
     Point {
         label: label.to_string(),
-        pooled,
         mux,
         ops,
         wall_seconds: wall,
@@ -176,57 +184,44 @@ fn run_point(label: &str, pooled: bool, mux: bool) -> Point {
         allocated_bytes: allocated,
         recycled_bytes: recycled,
         bytes_per_op: allocated as f64 / ops as f64,
+        shelf_hit_share: recycled as f64 / (recycled + allocated) as f64,
     }
 }
 
 fn main() {
     header(
-        "rpc transport throughput: frame pooling x session multiplexing",
+        "rpc transport throughput: pooled frames, multiplexed vs connection per session",
         "unified transport layer; not a paper figure — infrastructure cost accounting",
     );
 
-    let points = vec![
-        run_point("pooled + mux", true, true),
-        run_point("pooled + conn-per-session", true, false),
-        run_point("unpooled + mux", false, true),
-        run_point("unpooled + conn-per-session", false, false),
-    ];
-    // Leave the process-wide pool the way everyone else expects it.
-    FramePool::global().set_pooling(true);
+    let points = [run_point("mux", true), run_point("conn-per-session", false)];
 
     for p in &points {
         row(
             &p.label,
             format!(
-                "{} ops/s, {} B allocated/op ({} allocated, {} recycled over {} ops)",
+                "{} ops/s, {} B allocated/op ({} allocated, {} recycled over {} ops, \
+                 shelf hit share {:.4})",
                 s(p.ops_per_sec),
                 s(p.bytes_per_op),
                 p.allocated_bytes,
                 p.recycled_bytes,
                 p.ops,
+                p.shelf_hit_share,
             ),
         );
     }
 
-    let best = &points[0]; // pooled + mux
-    let baseline = &points[3]; // unpooled + conn-per-session
-    row(
-        "headline",
-        format!(
-            "pooled+mux {} B/op vs unpooled conn-per-session {} B/op",
-            s(best.bytes_per_op),
-            s(baseline.bytes_per_op),
-        ),
-    );
-
+    let [mux, conn] = &points;
     let mut artifact = serde_json::json!({
         "kind": "summary",
         "experiment": "rpc_throughput",
         "sessions": SESSIONS,
         "calls_per_session": CALLS,
         "warmup_per_session": WARMUP,
-        "pooled_mux_bytes_per_op": best.bytes_per_op,
-        "unpooled_conn_bytes_per_op": baseline.bytes_per_op,
+        "pooled_mux_bytes_per_op": mux.bytes_per_op,
+        "pooled_conn_bytes_per_op": conn.bytes_per_op,
+        "min_shelf_hit_share": MIN_SHELF_HIT_SHARE,
     })
     .to_string();
     artifact.push('\n');
@@ -235,7 +230,6 @@ fn main() {
             &serde_json::json!({
                 "kind": "point",
                 "label": p.label,
-                "pooled": p.pooled,
                 "mux": p.mux,
                 "ops": p.ops,
                 "wall_seconds": p.wall_seconds,
@@ -243,6 +237,7 @@ fn main() {
                 "allocated_bytes": p.allocated_bytes,
                 "recycled_bytes": p.recycled_bytes,
                 "bytes_per_op": p.bytes_per_op,
+                "shelf_hit_share": p.shelf_hit_share,
             })
             .to_string(),
         );
@@ -254,15 +249,25 @@ fn main() {
         Err(e) => row("artifact", format!("write failed: {e}")),
     }
 
-    // The acceptance gate: pooling plus multiplexing must beat the naive
-    // baseline on allocation volume. CI runs this binary and relies on a
-    // non-zero exit to catch a regression.
+    // The acceptance gate. CI runs this binary and relies on a non-zero
+    // exit to catch a regression.
+    for p in &points {
+        assert!(
+            p.shelf_hit_share >= MIN_SHELF_HIT_SHARE,
+            "{}: shelf hit share {} is below {MIN_SHELF_HIT_SHARE}",
+            p.label,
+            p.shelf_hit_share,
+        );
+    }
     assert!(
-        best.bytes_per_op < baseline.bytes_per_op,
-        "pooled+mux allocated {} B/op, expected less than unpooled \
-         conn-per-session at {} B/op",
-        best.bytes_per_op,
-        baseline.bytes_per_op,
+        mux.allocated_bytes <= conn.allocated_bytes + SHELF_DEPTH_SLACK_BYTES,
+        "mux allocated {} B/op, expected no more than conn-per-session at {} B/op \
+         (+ {SHELF_DEPTH_SLACK_BYTES} B of shelf deepening over the window)",
+        mux.bytes_per_op,
+        conn.bytes_per_op,
     );
-    row("gate", "pooled+mux allocates fewer bytes/op: ok");
+    row(
+        "gate",
+        "frames come off the shelf; mux allocates no more than conn-per-session: ok",
+    );
 }

@@ -56,9 +56,6 @@ pub struct ChaosSchedule {
     pub duplicate: f64,
     /// Probability a frame is held back and delivered after its successor.
     pub reorder: f64,
-    /// Number of initial frames that pass untouched before any fault is
-    /// armed (lets a session establish before the weather turns).
-    pub after_frames: u64,
     /// Hard reset: after this many outbound frames the connection is torn
     /// down for good — both directions of the wrapped end observe a
     /// disconnect, like a crashed peer or a dropped carrier.
@@ -78,7 +75,6 @@ impl ChaosSchedule {
             max_delay: Duration::from_millis(20),
             duplicate: 0.0,
             reorder: 0.0,
-            after_frames: 0,
             reset_after_frames: None,
         }
     }
@@ -268,33 +264,32 @@ pub fn chaos_wrap(inner: Session, schedule: ChaosSchedule) -> (Session, Arc<Chao
                             break;
                         }
                     }
-                    let armed = seen > schedule.after_frames;
-                    if armed && rng.unit() < schedule.drop {
+                    if rng.unit() < schedule.drop {
                         stats.dropped.fetch_add(1, Ordering::Relaxed);
                         tele_dropped.inc();
                         continue;
                     }
-                    if armed && rng.unit() < schedule.corrupt && !frame.is_empty() {
+                    if rng.unit() < schedule.corrupt && !frame.is_empty() {
                         let pos = (rng.next_u64() as usize) % frame.len();
                         let flip = (rng.next_u64() as u8) | 1; // never a no-op
                         frame[pos] ^= flip;
                         stats.corrupted.fetch_add(1, Ordering::Relaxed);
                         tele_corrupted.inc();
                     }
-                    if armed && rng.unit() < schedule.truncate && !frame.is_empty() {
+                    if rng.unit() < schedule.truncate && !frame.is_empty() {
                         let keep = (rng.next_u64() as usize) % frame.len();
                         frame.truncate(keep);
                         stats.corrupted.fetch_add(1, Ordering::Relaxed);
                         tele_corrupted.inc();
                     }
-                    if armed && rng.unit() < schedule.delay {
+                    if rng.unit() < schedule.delay {
                         let span = schedule.max_delay.as_nanos() as f64;
                         std::thread::sleep(Duration::from_nanos((rng.unit() * span) as u64));
                         stats.delayed.fetch_add(1, Ordering::Relaxed);
                         tele_delayed.inc();
                     }
-                    let duplicate = armed && rng.unit() < schedule.duplicate;
-                    if armed && rng.unit() < schedule.reorder && held.is_none() {
+                    let duplicate = rng.unit() < schedule.duplicate;
+                    if rng.unit() < schedule.reorder && held.is_none() {
                         // Hold this frame back; it rides behind its
                         // successor (flushed on shutdown if none comes).
                         stats.delayed.fetch_add(1, Ordering::Relaxed);
@@ -445,7 +440,7 @@ mod tests {
             result: Ok(Reply::Unit),
         }
         .encode();
-        ct.send(frame.to_vec()).unwrap();
+        ct.send(frame).unwrap();
         let received = st.recv().unwrap();
         assert!(matches!(
             Message::decode(&received),

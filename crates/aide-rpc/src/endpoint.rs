@@ -492,14 +492,14 @@ impl Shared {
 
 impl FrameSink for Shared {
     fn deliver(&self, frame: Frame) {
-        let Ok((message, ctx, lease)) = Message::decode_stamped(&frame) else {
+        let Ok((header, message)) = Message::decode_framed(&frame) else {
             // Malformed frame (truncated, corrupted, wrong version): count
             // and drop it; retries recover the request.
             self.bad_frames.fetch_add(1, Ordering::Relaxed);
             self.metrics.bad_frames.inc();
             return;
         };
-        if let Some(epoch) = lease {
+        if let Some(epoch) = header.lease_epoch {
             // The peer's lease stamp rides every frame: renewing here,
             // before dispatch, is what makes ordinary traffic keep this
             // side's exports alive with no dedicated GC messages.
@@ -517,7 +517,7 @@ impl FrameSink for Shared {
             }
             Message::Request { seq, client, body } => {
                 if let Some(jobs) = self.jobs.lock().as_ref() {
-                    let _ = jobs.send((client, seq, body, ctx));
+                    let _ = jobs.send((client, seq, body, header.trace));
                 }
             }
             Message::Reply { seq, result } => {
@@ -657,8 +657,8 @@ impl Endpoint {
                             span.arg("seq", seq);
                             let result = disp.dispatch(request);
                             shared.requests_served.fetch_add(1, Ordering::Relaxed);
-                            let frame = Message::Reply { seq, result }
-                                .encode_pooled_stamped(shared.lease_stamp());
+                            let frame =
+                                Message::Reply { seq, result }.encode_stamped(shared.lease_stamp());
                             drop(span);
                             if dedupable {
                                 dedup.complete((client, seq), frame.to_vec());
@@ -794,7 +794,7 @@ impl Endpoint {
         };
         // Encoded while the call span is ambient, so the frame carries it
         // as the wire trace context.
-        let frame = msg.encode_pooled_stamped(self.shared.lease_stamp());
+        let frame = msg.encode_stamped(self.shared.lease_stamp());
         let started = std::time::Instant::now();
         if let Err(e) = self.session.send(frame) {
             self.shared.forget(seq);
@@ -937,7 +937,7 @@ impl Endpoint {
             // context differs, so the at-most-once dedup still works.
             let mut attempt_span = aide_trace::span(span_names::RPC_ATTEMPT, "rpc");
             attempt_span.arg("attempt", attempt);
-            let frame = msg.encode_pooled_stamped(self.shared.lease_stamp());
+            let frame = msg.encode_stamped(self.shared.lease_stamp());
             if self.session.send(frame).is_err() {
                 attempt_span.arg("outcome", "disconnected");
                 break Err(RpcError::Disconnected);
@@ -1070,7 +1070,7 @@ impl Endpoint {
             client: self.client_id,
             body: Request::Ping,
         }
-        .encode_pooled_stamped(self.shared.lease_stamp());
+        .encode_stamped(self.shared.lease_stamp());
         let started = std::time::Instant::now();
         if let Err(e) = self.session.send(frame) {
             self.shared.forget(seq);
@@ -1103,7 +1103,7 @@ impl Endpoint {
             client: self.client_id,
             body: Request::Shutdown,
         }
-        .encode_pooled();
+        .encode();
         let _ = self.session.send(frame);
     }
 
@@ -1328,7 +1328,7 @@ mod tests {
 
     #[test]
     fn probe_times_out_against_a_silent_peer() {
-        let (link, ct, _st) = Link::pair(CommParams::WAVELAN);
+        let (link, ct, st) = Link::pair(CommParams::WAVELAN);
         let client = Endpoint::start(
             ct,
             link.params,
@@ -1338,9 +1338,18 @@ mod tests {
             }),
             EndpointConfig::default(),
         );
-        // `_st` is alive but nothing serves it: the probe must not hang.
+        // `st` is alive but nothing serves it: the probe must not hang.
         let err = client.probe(Duration::from_millis(100)).unwrap_err();
         assert_eq!(err, RpcError::Timeout);
+        // A probe opens no span and this endpoint has no lease to stamp:
+        // what it sent is, byte for byte, `Message::encode` of the message.
+        let sent = st.recv().unwrap();
+        let ping = Message::decode(&sent).expect("the probe frame decodes");
+        assert!(matches!(
+            ping,
+            Message::Request { client: id, body: Request::Ping, .. } if id == client.client_id()
+        ));
+        assert_eq!(sent, ping.encode());
     }
 
     #[test]
@@ -1740,7 +1749,7 @@ mod tests {
                 client: 9,
                 body: access(i),
             };
-            ct.send(early.encode_pooled()).unwrap();
+            ct.send(early.encode()).unwrap();
         }
         let order = Arc::new(OrderDispatcher::default());
         let surrogate = Endpoint::start(

@@ -5,9 +5,11 @@
 //! request uses a pool of threads to perform RPCs on behalf of the other
 //! JVM" (§3.2). This crate is that layer:
 //!
-//! * [`Message`] / [`Request`] / [`Reply`] — the RPC protocol, with a
-//!   hand-rolled length-safe binary codec and a reusable [`FramePool`]
-//!   behind [`Message::encode_pooled`].
+//! * [`Message`] / [`Request`] / [`Reply`] — the RPC protocol: one frame
+//!   format (version 4, a [`FrameHeader`] then the message) behind one
+//!   hand-rolled length-safe binary codec, [`Message::encode_stamped`] /
+//!   [`Message::decode_framed`], encoding in place into buffers leased
+//!   from the [`FramePool`].
 //! * [`Transport`] / [`Acceptor`] / [`Session`] — the unified transport
 //!   seam. Three backends implement it: in-memory channels
 //!   ([`channel_transport`]), real TCP with many sessions multiplexed over
@@ -85,6 +87,5 @@ pub use transport::{
     Transport,
 };
 pub use wire::{
-    crc32, Frame, FramePool, Message, Reply, Request, WireError, LEGACY_PROTOCOL_VERSION,
-    PROTOCOL_VERSION, TRACED_PROTOCOL_VERSION,
+    crc32, Frame, FrameHeader, FramePool, Message, Reply, Request, WireError, PROTOCOL_VERSION,
 };

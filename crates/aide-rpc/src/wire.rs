@@ -17,45 +17,40 @@
 //! [`WireError::BadChecksum`] — never to a panic or a wrong message — so
 //! the retry layer above can treat corruption exactly like loss.
 //!
-//! Since protocol version 3 the checksummed payload opens with a *trace
-//! context* prefix — a presence flag plus, when the encoding thread has
-//! an active span, its `(trace_id, span_id)` — so every RPC carries its
-//! causal parent across the wire and the serving side can parent its
-//! service span under the caller's span. Version-2 frames (no prefix)
-//! still decode, mapping to "no context".
+//! There is one frame format, version 4:
+//! `[version][crc32 LE][ctx flag][ctx?][lease flag][epoch?][body]`. The
+//! checksummed payload opens with the [`FrameHeader`]: a *trace context* —
+//! a presence flag plus, when the encoding thread has an active span, its
+//! `(trace_id, span_id)` — so every RPC carries its causal parent across
+//! the wire and the serving side can parent its service span under the
+//! caller's span; then a *lease stamp* — a presence flag plus, when the
+//! sender participates in distributed GC, its current lease epoch — so
+//! every ordinary frame doubles as a lease renewal for the receiver's
+//! export table. A frame announcing any other version is
+//! [`WireError::BadVersion`].
 //!
-//! Since protocol version 4 the trace context is followed by a *lease
-//! stamp* — a presence flag plus, when the sender participates in
-//! distributed GC, its current lease epoch — so every ordinary frame
-//! doubles as a lease renewal for the receiver's export table. Version-3
-//! and version-2 frames still decode, mapping to "no lease advertised".
+//! There is likewise one encoder and one decoder:
+//! [`Message::encode_stamped`] writes the frame in place into a buffer
+//! leased from the [`FramePool`], and [`Message::decode_framed`] returns
+//! the header with the message. [`Message::encode`] and
+//! [`Message::decode`] are their shorthands for "no lease" and "drop the
+//! header".
 
 use std::io::{Read, Write};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut};
 use parking_lot::Mutex;
 
 use aide_trace::SpanContext;
 use aide_vm::{ClassId, MethodId, NativeKind, ObjectId, ObjectRecord};
 
-/// Current protocol version, carried as the first byte of every frame.
-/// Version 3 added the trace-context prefix to the checksummed payload;
-/// version 4 added the lease stamp that follows it (a presence flag plus
-/// the sender's GC lease epoch), which is how lease renewals piggyback on
-/// ordinary RPC traffic.
+/// The protocol version, carried as the first byte of every frame. A
+/// frame announcing any other version is rejected with
+/// [`WireError::BadVersion`].
 pub const PROTOCOL_VERSION: u8 = 4;
-
-/// Protocol version 3: trace-context prefix but no lease stamp. Still
-/// accepted by [`Message::decode`], mapping to "no lease advertised".
-pub const TRACED_PROTOCOL_VERSION: u8 = 3;
-
-/// Protocol version 2 (no trace-context prefix, no lease stamp). Still
-/// accepted by [`Message::decode`] so pre-tracing peers and recorded
-/// frames keep working.
-pub const LEGACY_PROTOCOL_VERSION: u8 = 2;
 
 /// Bytes of framing overhead preceding the message payload: the version
 /// byte plus the little-endian CRC32.
@@ -327,6 +322,18 @@ pub enum Reply {
     },
 }
 
+/// What every frame carries ahead of its message, covered by the frame
+/// CRC like the message itself.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrameHeader {
+    /// The span that was active on the encoding thread, so the serving
+    /// side can parent its service span under the caller's.
+    pub trace: Option<SpanContext>,
+    /// The sender's GC lease epoch, when it participates in distributed
+    /// GC: the receiver renews its export leases from it.
+    pub lease_epoch: Option<u64>,
+}
+
 /// A framed protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -429,38 +436,30 @@ impl Message {
             }
     }
 
-    /// Encodes the message into a frame: `[version][crc32 LE][payload]`.
-    pub fn encode(&self) -> Bytes {
-        let payload = self.encode_payload();
-        seal_frame(&payload).freeze()
+    /// Encodes the message into a frame with no lease stamp; shorthand for
+    /// [`encode_stamped(None)`](Message::encode_stamped).
+    pub fn encode(&self) -> Frame {
+        self.encode_stamped(None)
     }
 
-    /// Encodes the message into a frame whose backing buffer is leased
-    /// from the process-wide [`FramePool`]. Byte-identical to
-    /// [`Message::encode`], but steady-state encoding performs no heap
-    /// allocation: the buffer returns to the pool when the frame drops.
-    pub fn encode_pooled(&self) -> Frame {
-        self.encode_pooled_stamped(None)
-    }
-
-    /// Like [`Message::encode_pooled`], but stamps the frame with the
-    /// sender's GC lease epoch so the receiving side renews its export
+    /// Encodes the message into a frame
+    /// (`[version][crc32 LE][trace ctx][lease stamp][body]`) whose backing
+    /// buffer is leased from the process-wide [`FramePool`]: steady-state
+    /// encoding performs no heap allocation, and the buffer returns to the
+    /// pool when the frame drops. The header carries the encoding thread's
+    /// active span context, and `lease_epoch` — the sender's GC lease
+    /// epoch — when present, so the receiving side renews its export
     /// leases as a side effect of ordinary traffic.
-    pub fn encode_pooled_stamped(&self, lease_epoch: Option<u64>) -> Frame {
+    pub fn encode_stamped(&self, lease_epoch: Option<u64>) -> Frame {
         let mut frame = FramePool::global().acquire();
-        self.encode_into_stamped(frame.vec_mut(), lease_epoch);
+        self.encode_into(frame.vec_mut(), lease_epoch);
         frame
     }
 
-    /// Encodes the message frame (`[version][crc32 LE][payload]`) in place
-    /// into `buf`, replacing its contents and reusing its capacity.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.encode_into_stamped(buf, None);
-    }
-
-    /// Encodes the message frame in place, carrying `lease_epoch` in the
-    /// version-4 lease stamp when present.
-    pub fn encode_into_stamped(&self, buf: &mut Vec<u8>, lease_epoch: Option<u64>) {
+    /// Encodes the frame in place into `buf`, replacing its contents and
+    /// reusing its capacity; the checksum is patched in once the payload
+    /// is written.
+    fn encode_into(&self, buf: &mut Vec<u8>, lease_epoch: Option<u64>) {
         buf.clear();
         buf.reserve(FRAME_HEADER + 64);
         buf.put_u8(PROTOCOL_VERSION);
@@ -470,15 +469,6 @@ impl Message {
         self.encode_body(buf);
         let crc = crc32(&buf[FRAME_HEADER..]);
         buf[1..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
-    }
-
-    /// Encodes just the message payload (no version byte, no checksum).
-    fn encode_payload(&self) -> BytesMut {
-        let mut buf = BytesMut::with_capacity(64);
-        encode_trace_context(&mut buf);
-        encode_lease_stamp(&mut buf, None);
-        self.encode_body(&mut buf);
-        buf
     }
 
     /// Writes the tagged payload bytes of this message into `buf`.
@@ -507,46 +497,31 @@ impl Message {
         }
     }
 
-    /// Decodes a message from a frame.
+    /// Decodes a message from a frame, dropping its header; shorthand for
+    /// [`Message::decode_framed`].
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] if the frame announces an unknown protocol
-    /// version, fails its checksum, is truncated, carries an unknown tag,
-    /// or has trailing bytes.
+    /// Same failure modes as [`Message::decode_framed`].
     pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
-        Self::decode_traced(frame).map(|(message, _)| message)
+        Self::decode_framed(frame).map(|(_, message)| message)
     }
 
-    /// Decodes a message from a frame together with the sender's trace
-    /// context, when the frame carries one. Legacy (version-2) frames
-    /// decode with `None`.
+    /// Decodes a frame into its [`FrameHeader`] — the sender's trace
+    /// context and GC lease stamp, when the frame carries them — and its
+    /// message.
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`Message::decode`].
-    pub fn decode_traced(frame: &[u8]) -> Result<(Message, Option<SpanContext>), WireError> {
-        Self::decode_stamped(frame).map(|(message, context, _)| (message, context))
-    }
-
-    /// Decodes a message from a frame together with the sender's trace
-    /// context and GC lease stamp, when the frame carries them. Version-3
-    /// frames decode with no lease; version-2 frames with neither.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Message::decode`].
-    pub fn decode_stamped(
-        frame: &[u8],
-    ) -> Result<(Message, Option<SpanContext>, Option<u64>), WireError> {
+    /// Returns a [`WireError`] if the frame announces a protocol version
+    /// other than [`PROTOCOL_VERSION`], fails its checksum, is truncated,
+    /// carries an unknown tag, or has trailing bytes.
+    pub fn decode_framed(frame: &[u8]) -> Result<(FrameHeader, Message), WireError> {
         if frame.len() < FRAME_HEADER {
             return Err(WireError::Truncated);
         }
         let version = frame[0];
-        if version != PROTOCOL_VERSION
-            && version != TRACED_PROTOCOL_VERSION
-            && version != LEGACY_PROTOCOL_VERSION
-        {
+        if version != PROTOCOL_VERSION {
             return Err(WireError::BadVersion(version));
         }
         let declared = u32::from_le_bytes([frame[1], frame[2], frame[3], frame[4]]);
@@ -554,17 +529,11 @@ impl Message {
         if crc32(payload) != declared {
             return Err(WireError::BadChecksum);
         }
-        let context = if version >= TRACED_PROTOCOL_VERSION {
-            decode_trace_context(&mut payload)?
-        } else {
-            None
+        let header = FrameHeader {
+            trace: decode_trace_context(&mut payload)?,
+            lease_epoch: decode_lease_stamp(&mut payload)?,
         };
-        let lease = if version >= PROTOCOL_VERSION {
-            decode_lease_stamp(&mut payload)?
-        } else {
-            None
-        };
-        Ok((Self::decode_payload(payload)?, context, lease))
+        Ok((header, Self::decode_payload(payload)?))
     }
 
     /// Decodes a checksum-verified message payload.
@@ -595,9 +564,9 @@ impl Message {
     }
 }
 
-/// Writes the trace-context prefix that opens every version-3 payload:
-/// a presence flag, then the encoding thread's active `(trace_id,
-/// span_id)` when it has one. The prefix is covered by the frame CRC.
+/// Writes the trace-context prefix that opens every payload: a presence
+/// flag, then the encoding thread's active `(trace_id, span_id)` when it
+/// has one. The prefix is covered by the frame CRC.
 fn encode_trace_context<B: BufMut>(buf: &mut B) {
     match aide_trace::current_context() {
         Some(ctx) => {
@@ -609,7 +578,7 @@ fn encode_trace_context<B: BufMut>(buf: &mut B) {
     }
 }
 
-/// Reads the version-3 trace-context prefix, advancing `buf` past it.
+/// Reads the trace-context prefix, advancing `buf` past it.
 fn decode_trace_context(buf: &mut &[u8]) -> Result<Option<SpanContext>, WireError> {
     match get_u8(buf)? {
         0 => Ok(None),
@@ -622,7 +591,7 @@ fn decode_trace_context(buf: &mut &[u8]) -> Result<Option<SpanContext>, WireErro
     }
 }
 
-/// Writes the version-4 lease stamp that follows the trace context: a
+/// Writes the lease stamp that follows the trace context: a
 /// presence flag plus, when present, the sender's GC lease epoch. Covered
 /// by the frame CRC like everything else in the payload.
 fn encode_lease_stamp<B: BufMut>(buf: &mut B, lease_epoch: Option<u64>) {
@@ -635,22 +604,13 @@ fn encode_lease_stamp<B: BufMut>(buf: &mut B, lease_epoch: Option<u64>) {
     }
 }
 
-/// Reads the version-4 lease stamp, advancing `buf` past it.
+/// Reads the lease stamp, advancing `buf` past it.
 fn decode_lease_stamp(buf: &mut &[u8]) -> Result<Option<u64>, WireError> {
     match get_u8(buf)? {
         0 => Ok(None),
         1 => Ok(Some(get_u64(buf)?)),
         t => Err(WireError::BadTag(t)),
     }
-}
-
-/// Prefixes a payload with the protocol version and its CRC32.
-fn seal_frame(payload: &[u8]) -> BytesMut {
-    let mut framed = BytesMut::with_capacity(FRAME_HEADER + payload.len());
-    framed.put_u8(PROTOCOL_VERSION);
-    framed.put_u32_le(crc32(payload));
-    framed.put_slice(payload);
-    framed
 }
 
 /// Hard cap on a single frame read from a byte-stream carrier. A peer
@@ -665,8 +625,8 @@ enum FrameOrigin {
     Raw,
     /// Leased from the pool shelf (a reuse); returns to the shelf.
     PoolHit,
-    /// Freshly allocated because the shelf was empty or pooling is off;
-    /// still returns to the shelf so it can be a hit next time.
+    /// Freshly allocated because the shelf was empty; still returns to
+    /// the shelf so it can be a hit next time.
     PoolMiss,
 }
 
@@ -801,18 +761,14 @@ const POOL_MAX_RETAIN: usize = 1 << 20;
 
 /// Process-wide shelf of reusable frame buffers.
 ///
-/// [`Message::encode_pooled`] and the byte-stream carriers lease buffers
+/// [`Message::encode_stamped`] and the byte-stream carriers lease buffers
 /// from here; dropping the resulting [`Frame`] returns the buffer. The
 /// pool keeps logical allocation accounting (independent of wall clock, so
 /// it is stable in CI): every buffer capacity released by a miss-origin
 /// frame counts as freshly allocated bytes, every capacity released by a
-/// hit-origin frame counts as recycled bytes. `set_pooling(false)` turns
-/// the shelf off (every acquire becomes a miss) for A/B measurement.
+/// hit-origin frame counts as recycled bytes.
 pub struct FramePool {
     shelf: Mutex<Vec<Vec<u8>>>,
-    enabled: AtomicBool,
-    hits: AtomicU64,
-    misses: AtomicU64,
     allocated_bytes: AtomicU64,
     recycled_bytes: AtomicU64,
     tele_hits: Arc<aide_telemetry::Counter>,
@@ -827,9 +783,6 @@ impl FramePool {
         let t = aide_telemetry::global();
         FramePool {
             shelf: Mutex::new(Vec::new()),
-            enabled: AtomicBool::new(true),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             allocated_bytes: AtomicU64::new(0),
             recycled_bytes: AtomicU64::new(0),
             tele_hits: t.counter(aide_telemetry::names::RPC_POOL_HITS),
@@ -846,39 +799,17 @@ impl FramePool {
         POOL.get_or_init(FramePool::new)
     }
 
-    /// Enables or disables buffer reuse. While disabled every acquire is a
-    /// miss and released buffers are freed — the unpooled baseline for the
-    /// `exp_rpc_throughput` comparison.
-    pub fn set_pooling(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-        if !enabled {
-            let mut shelf = self.shelf.lock();
-            let n = shelf.len();
-            shelf.clear();
-            self.tele_buffers.add(-(n as i64));
-        }
-    }
-
-    /// Whether buffer reuse is currently enabled.
-    pub fn pooling(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Leases an empty buffer, reusing a shelved one when possible.
     pub fn acquire(&self) -> Frame {
-        if self.enabled.load(Ordering::Relaxed) {
-            if let Some(mut buf) = self.shelf.lock().pop() {
-                buf.clear();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.tele_hits.inc();
-                self.tele_buffers.add(-1);
-                return Frame {
-                    buf,
-                    origin: FrameOrigin::PoolHit,
-                };
-            }
+        if let Some(mut buf) = self.shelf.lock().pop() {
+            buf.clear();
+            self.tele_hits.inc();
+            self.tele_buffers.add(-1);
+            return Frame {
+                buf,
+                origin: FrameOrigin::PoolHit,
+            };
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         self.tele_misses.inc();
         Frame {
             buf: Vec::new(),
@@ -900,7 +831,7 @@ impl FramePool {
             }
             FrameOrigin::Raw => return,
         }
-        if !self.enabled.load(Ordering::Relaxed) || cap == 0 || cap as usize > POOL_MAX_RETAIN {
+        if cap == 0 || cap as usize > POOL_MAX_RETAIN {
             return;
         }
         let mut shelf = self.shelf.lock();
@@ -908,16 +839,6 @@ impl FramePool {
             shelf.push(buf);
             self.tele_buffers.add(1);
         }
-    }
-
-    /// Number of acquires served from the shelf.
-    pub fn hit_count(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of acquires that had to start from an empty buffer.
-    pub fn miss_count(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 
     /// Total capacity (bytes) of freshly allocated frame buffers released
@@ -1379,6 +1300,14 @@ mod tests {
         assert_eq!(msg, back);
     }
 
+    /// A hand-built frame: `payload` under `version` with a valid CRC.
+    fn seal(version: u8, payload: &[u8]) -> Vec<u8> {
+        let mut frame = vec![version];
+        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
     #[test]
     fn invoke_round_trip() {
         round_trip(Message::Request {
@@ -1529,80 +1458,52 @@ mod tests {
             seq: 1,
             result: Ok(Reply::Unit),
         };
-        let mut payload = msg.encode_payload();
-        payload.put_u8(0xFF);
-        let frame = seal_frame(&payload);
+        let mut payload = msg.encode()[FRAME_HEADER..].to_vec();
+        payload.push(0xFF);
         assert_eq!(
-            Message::decode(&frame).unwrap_err(),
+            Message::decode(&seal(PROTOCOL_VERSION, &payload)).unwrap_err(),
             WireError::TrailingBytes(1)
         );
     }
 
     #[test]
     fn bad_tags_are_rejected() {
-        // A valid envelope around an unknown message tag.
-        let frame = seal_frame(&[7]);
+        // A valid envelope and an empty header around an unknown message tag.
+        let frame = seal(PROTOCOL_VERSION, &[0, 0, 7]);
         assert_eq!(Message::decode(&frame).unwrap_err(), WireError::BadTag(7));
     }
 
     #[test]
-    fn wrong_version_is_rejected() {
-        let msg = Message::Reply {
-            seq: 1,
-            result: Ok(Reply::Unit),
-        };
-        let mut frame = msg.encode().to_vec();
-        frame[0] = PROTOCOL_VERSION.wrapping_add(1);
-        assert_eq!(
-            Message::decode(&frame).unwrap_err(),
-            WireError::BadVersion(PROTOCOL_VERSION.wrapping_add(1))
-        );
-    }
-
-    #[test]
-    fn legacy_v2_frames_still_decode() {
-        // A pre-tracing peer frames the bare message body under version 2;
-        // it must decode unchanged, with no trace context.
+    fn only_version_4_frames_decode() {
         let msg = Message::Request {
             seq: 5,
-            client: 2,
-            body: Request::Ping,
-        };
-        let mut payload = BytesMut::new();
-        msg.encode_body(&mut payload);
-        let mut frame = BytesMut::with_capacity(FRAME_HEADER + payload.len());
-        frame.put_u8(LEGACY_PROTOCOL_VERSION);
-        frame.put_u32_le(crc32(&payload));
-        frame.put_slice(&payload);
-        let (decoded, ctx) = Message::decode_traced(&frame).expect("legacy decode");
-        assert_eq!(decoded, msg);
-        assert_eq!(ctx, None);
-        assert_eq!(Message::decode(&frame).expect("legacy decode"), msg);
-    }
-
-    #[test]
-    fn v3_frames_without_a_lease_stamp_still_decode() {
-        // A pre-lease peer frames [trace ctx][body] under version 3; it
-        // must decode unchanged, with no lease advertised.
-        let msg = Message::Request {
-            seq: 6,
             client: 2,
             body: Request::ClassOf {
                 target: ObjectId::surrogate(4),
             },
         };
-        let mut payload = BytesMut::new();
-        payload.put_u8(0); // no trace context
-        msg.encode_body(&mut payload);
-        let mut frame = BytesMut::with_capacity(FRAME_HEADER + payload.len());
-        frame.put_u8(TRACED_PROTOCOL_VERSION);
-        frame.put_u32_le(crc32(&payload));
-        frame.put_slice(&payload);
-        let (decoded, ctx, lease) = Message::decode_stamped(&frame).expect("v3 decode");
-        assert_eq!(decoded, msg);
-        assert_eq!(ctx, None);
-        assert_eq!(lease, None);
-        assert_eq!(Message::decode(&frame).expect("v3 decode"), msg);
+        let guard = aide_trace::span("wire.test", "test");
+        let header = FrameHeader {
+            trace: Some(guard.context()),
+            lease_epoch: Some(7),
+        };
+        let frame = msg.encode_stamped(header.lease_epoch);
+        drop(guard);
+        assert_eq!(frame[0], 4);
+        assert_eq!(
+            Message::decode_framed(&frame).expect("v4 decode"),
+            (header, msg)
+        );
+        // The same checksummed payload under any other version — the two
+        // retired ones, a future one, the extremes — is refused by version,
+        // not misread.
+        for version in [2u8, 3, 5, 0, 255] {
+            let other = seal(version, &frame[FRAME_HEADER..]);
+            assert_eq!(
+                Message::decode_framed(&other).unwrap_err(),
+                WireError::BadVersion(version)
+            );
+        }
     }
 
     #[test]
@@ -1612,15 +1513,15 @@ mod tests {
             client: 5,
             body: Request::Ping,
         };
-        let stamped = msg.encode_pooled_stamped(Some(7));
-        let (decoded, _, lease) = Message::decode_stamped(&stamped).expect("decode stamped");
+        let stamped = msg.encode_stamped(Some(7));
+        let (header, decoded) = Message::decode_framed(&stamped).expect("decode stamped");
         assert_eq!(decoded, msg);
-        assert_eq!(lease, Some(7));
+        assert_eq!(header.lease_epoch, Some(7));
         // Unstamped frames decode with no lease, and the stamp costs
         // exactly the epoch bytes.
-        let bare = msg.encode_pooled();
-        let (_, _, none) = Message::decode_stamped(&bare).expect("decode bare");
-        assert_eq!(none, None);
+        let bare = msg.encode();
+        let (header, _) = Message::decode_framed(&bare).expect("decode bare");
+        assert_eq!(header.lease_epoch, None);
         assert_eq!(stamped.len(), bare.len() + 8);
     }
 
@@ -1655,9 +1556,9 @@ mod tests {
         let parent = guard.context();
         let frame = msg.encode();
         drop(guard); // the context is captured at encode time
-        let (decoded, ctx) = Message::decode_traced(&frame).expect("decode");
+        let (header, decoded) = Message::decode_framed(&frame).expect("decode");
         assert_eq!(decoded, msg);
-        assert_eq!(ctx, Some(parent));
+        assert_eq!(header.trace, Some(parent));
         // A flipped context byte is corruption like any other payload byte.
         let mut bad = frame.to_vec();
         bad[FRAME_HEADER] ^= 0x01;
@@ -1766,20 +1667,28 @@ mod tests {
     }
 
     #[test]
-    fn pooled_encode_is_byte_identical_to_plain_encode() {
+    fn encode_writes_the_v4_layout_byte_for_byte() {
+        let target = ObjectId::surrogate(4);
         let msg = Message::Request {
             seq: 9,
             client: 3,
             body: Request::FieldAccess {
-                target: ObjectId::surrogate(4),
+                target,
                 bytes: 128,
                 write: false,
             },
         };
-        let plain = msg.encode();
-        let pooled = msg.encode_pooled();
-        assert_eq!(&plain[..], &pooled[..]);
-        assert_eq!(Message::decode(&pooled).expect("decode pooled"), msg);
+        // [ctx flag][lease flag][request][seq][client][FieldAccess][target][bytes][write]
+        let mut payload = vec![0u8, 0, 0];
+        payload.extend_from_slice(&9u64.to_le_bytes());
+        payload.extend_from_slice(&3u64.to_le_bytes());
+        payload.push(1);
+        payload.extend_from_slice(&target.0.to_le_bytes());
+        payload.extend_from_slice(&128u32.to_le_bytes());
+        payload.push(0);
+        let frame = msg.encode();
+        assert_eq!(frame, seal(4, &payload));
+        assert_eq!(Message::decode(&frame).expect("decode"), msg);
     }
 
     #[test]
@@ -1801,11 +1710,11 @@ mod tests {
             },
         };
         let mut buf = Vec::new();
-        big.encode_into(&mut buf);
-        assert_eq!(buf, big.encode().to_vec());
+        big.encode_into(&mut buf, None);
+        assert_eq!(buf, big.encode());
         let cap = buf.capacity();
-        small.encode_into(&mut buf);
-        assert_eq!(buf, small.encode().to_vec());
+        small.encode_into(&mut buf, None);
+        assert_eq!(buf, small.encode());
         assert_eq!(buf.capacity(), cap, "re-encode must not reallocate");
     }
 
@@ -1818,7 +1727,7 @@ mod tests {
             seq: 7,
             result: Ok(Reply::Unit),
         };
-        let frame = msg.encode_pooled();
+        let frame = msg.encode();
         // Capacity is at least the frame length, so the length is a safe
         // lower bound on the accounted bytes.
         let len = frame.len() as u64;
@@ -1837,7 +1746,7 @@ mod tests {
             seq: 11,
             result: Err("nope".into()),
         };
-        let pooled = msg.encode_pooled();
+        let pooled = msg.encode();
         let copy = pooled.clone();
         assert_eq!(pooled, copy);
         let raw: Frame = pooled.to_vec().into();

@@ -5,54 +5,37 @@
 //! sessions. Each accepted connection is a multiplexed carrier
 //! ([`aide_rpc::TcpMuxListener`]) over which the client opens any number of
 //! logical sessions; each logical session gets its own surrogate VM,
-//! export/import tables, dispatcher, and RPC endpoint — sessions are fully
-//! isolated, exactly as the paper's surrogate hosts one platform instance
-//! per client application, but they share one socket instead of one socket
-//! each. A session ends when the client closes it (or the carrier dies);
-//! the daemon itself runs until [`SurrogateDaemon::shutdown`].
+//! export/import tables, and dispatcher — sessions are fully isolated,
+//! exactly as the paper's surrogate hosts one platform instance per client
+//! application, but they share one socket instead of one socket each, and
+//! one bounded worker pool ([`ShardPool`]) instead of threads each: every
+//! carrier is switched onto the pool's bus, and the pool's admission
+//! control answers [`Reply::Busy`](aide_rpc::Reply::Busy) at its session
+//! limit. A session ends — and its VM is released — when the client closes
+//! it (or the carrier dies); the daemon itself runs until
+//! [`SurrogateDaemon::shutdown`].
 //!
-//! For failover and chaos testing the daemon can be configured to
-//! misbehave deliberately: [`DaemonConfig::fail_after_requests`] arms a
-//! fault injector whose behaviour is chosen by [`DaemonConfig::fault_mode`].
-//! The default, [`FaultMode::Crash`], severs the session's socket after
-//! serving a fixed number of application requests, which the client
-//! observes as a dead surrogate (disconnected transport), not as a polite
-//! error reply. The reply-level modes ([`FaultMode::DropReplies`],
-//! [`FaultMode::DelayReplies`], [`FaultMode::CorruptReplies`]) keep the
-//! session alive but sabotage its outbound frames through the chaos layer,
-//! exercising the client's retry and checksum paths instead of failover.
+//! For failover testing the daemon can be configured to crash
+//! deliberately: [`DaemonConfig::fail_after_requests`] arms a fault
+//! injector that severs the session's carrier after serving a fixed number
+//! of application requests, which the client observes as a dead surrogate
+//! (disconnected transport), not as a polite error reply. Lossy, late or
+//! corrupted replies are a property of the link, not of the daemon: wrap
+//! the client's session in [`aide_rpc::chaos_wrap`] for those.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use aide_core::{RefTables, VmDispatcher};
-use aide_graph::CommParams;
-use aide_rpc::{
-    chaos_wrap, nudge, Acceptor, ChaosSchedule, ConnKiller, Dispatcher, Endpoint, EndpointConfig,
-    NetClock, Reply, Request, TcpMuxListener,
-};
+use aide_rpc::{nudge, ConnKiller, Dispatcher, Reply, Request, TcpMuxListener};
 use aide_vm::{Machine, Program, VmConfig};
 use parking_lot::Mutex;
 
 use crate::beacon::{spawn_announcer, Announcement, BeaconConfig};
 use crate::shard::{SessionParts, ShardConfig, ShardPool};
-
-/// How the daemon turns accepted mux sessions into served sessions.
-#[derive(Debug, Clone, Copy)]
-pub enum ServingMode {
-    /// One [`Endpoint`] (its own worker pool) per logical session:
-    /// maximum isolation, a few hundred sessions per process.
-    Threaded,
-    /// A bounded sharded worker pool over mux bus events: one process
-    /// holds tens of thousands of logical sessions, with admission
-    /// control answering [`Reply::Busy`](aide_rpc::Reply::Busy) at the
-    /// limit. Reply-level fault modes are not supported here (they wrap a
-    /// per-session transport); [`FaultMode::Crash`] is.
-    Sharded(ShardConfig),
-}
 
 /// Configuration for a [`SurrogateDaemon`].
 #[derive(Clone)]
@@ -69,22 +52,12 @@ pub struct DaemonConfig {
     /// the same program: object migration ships records whose class and
     /// method identifiers are resolved against it.
     pub program: Arc<Program>,
-    /// Simulated-link parameters charged by each session's endpoint.
-    pub params: CommParams,
-    /// Per-session endpoint tuning.
-    pub endpoint: EndpointConfig,
-    /// Fault injection: arm [`fault_mode`](DaemonConfig::fault_mode) after
-    /// this budget is spent. For [`FaultMode::Crash`] the budget counts
-    /// application requests (`Ping` health probes and `Stats` scrapes are
-    /// not counted, so the crash point stays deterministic under
+    /// Fault injection: sever a session's carrier once it has served this
+    /// many application requests (`Ping` health probes and `Stats` scrapes
+    /// are not counted, so the crash point stays deterministic under
     /// heartbeating); `Some(0)` kills the very first request — typically
     /// the client's initial `Migrate` — exercising mid-offload rollback.
-    /// For the reply-level modes the budget counts outbound frames
-    /// (including probe replies), since those faults live in the transport.
     pub fail_after_requests: Option<u64>,
-    /// What the armed fault injector does; ignored while
-    /// [`fail_after_requests`](DaemonConfig::fail_after_requests) is `None`.
-    pub fault_mode: FaultMode,
     /// Optional beacon announcing this daemon; `None` means clients must
     /// register the daemon's address statically.
     pub beacon: Option<BeaconConfig>,
@@ -96,33 +69,30 @@ pub struct DaemonConfig {
     /// Lease TTL granted to each session's exports; renewed by any stamped
     /// frame the session receives. `None` keeps the table default.
     pub lease_ttl_ms: Option<u64>,
-    /// Thread-per-session or sharded-pool serving; see [`ServingMode`].
-    pub serving: ServingMode,
+    /// Tuning of the worker pool that serves every session.
+    pub shard: ShardConfig,
 }
 
 impl DaemonConfig {
-    /// A daemon on an OS-assigned localhost port with WaveLAN link timing
-    /// and a 64 MiB per-session heap.
+    /// A daemon on an OS-assigned localhost port with a 64 MiB per-session
+    /// heap and the default [`ShardConfig`].
     pub fn new(name: &str, program: Arc<Program>) -> Self {
         DaemonConfig {
             addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             name: name.to_string(),
             capacity_bytes: 64 << 20,
             program,
-            params: CommParams::WAVELAN,
-            endpoint: EndpointConfig::default(),
             fail_after_requests: None,
-            fault_mode: FaultMode::Crash,
             beacon: None,
             lease_sweep_interval: Duration::from_millis(500),
             lease_ttl_ms: None,
-            serving: ServingMode::Threaded,
+            shard: ShardConfig::default(),
         }
     }
 
-    /// Switches the daemon to sharded serving (see [`ServingMode::Sharded`]).
+    /// Sets the worker pool's tuning.
     pub fn sharded(mut self, shard: ShardConfig) -> Self {
-        self.serving = ServingMode::Sharded(shard);
+        self.shard = shard;
         self
     }
 }
@@ -134,29 +104,10 @@ impl std::fmt::Debug for DaemonConfig {
             .field("name", &self.name)
             .field("capacity_bytes", &self.capacity_bytes)
             .field("fail_after_requests", &self.fail_after_requests)
-            .field("fault_mode", &self.fault_mode)
             .field("beacon", &self.beacon)
-            .field("serving", &self.serving)
+            .field("shard", &self.shard)
             .finish_non_exhaustive()
     }
-}
-
-/// How an armed fault injector misbehaves once its budget is spent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultMode {
-    /// Sever the session socket: the client sees a dead surrogate and
-    /// fails over. The budget counts application requests.
-    Crash,
-    /// Serve every request but silently discard the reply frames: the
-    /// client's retries go unanswered and its at-most-once cache absorbs
-    /// the re-executions. The budget counts outbound frames.
-    DropReplies,
-    /// Hold each reply back for up to the given duration before
-    /// delivering it, surfacing late replies and retry races.
-    DelayReplies(Duration),
-    /// Flip one bit in each reply frame; the client's CRC check rejects
-    /// the frame and a retry fetches the memoized reply.
-    CorruptReplies,
 }
 
 /// Severs the session's carrier after a budget of served requests, so the
@@ -199,17 +150,6 @@ impl Dispatcher for CountingDispatcher {
     }
 }
 
-/// One live client session kept for stats and teardown, plus the killer of
-/// the carrier it rides on (shared by every session on that carrier). The
-/// `gc` dispatcher shares the session's VM and tables so the daemon's
-/// sweeper thread can reclaim expired-lease exports without going through
-/// the wire.
-struct LiveSession {
-    endpoint: Arc<Endpoint>,
-    killer: ConnKiller,
-    gc: Arc<VmDispatcher>,
-}
-
 /// A running surrogate daemon; dropping the handle does *not* stop it —
 /// call [`shutdown`](SurrogateDaemon::shutdown).
 pub struct SurrogateDaemon {
@@ -218,14 +158,13 @@ pub struct SurrogateDaemon {
     accept_thread: Mutex<Option<JoinHandle<()>>>,
     beacon_thread: Mutex<Option<JoinHandle<()>>>,
     sweep_thread: Mutex<Option<JoinHandle<()>>>,
-    sessions: Arc<Mutex<Vec<LiveSession>>>,
-    sessions_accepted: Arc<AtomicU64>,
-    pool: Option<Arc<ShardPool>>,
+    pool: Arc<ShardPool>,
 }
 
 impl SurrogateDaemon {
-    /// Binds the listener, spawns the accept loop (and the beacon, if
-    /// configured), and returns immediately.
+    /// Binds the listener, spawns the worker pool, the accept loop and the
+    /// lease sweeper (and the beacon, if configured), and returns
+    /// immediately.
     ///
     /// # Errors
     ///
@@ -235,8 +174,6 @@ impl SurrogateDaemon {
         let listener = TcpMuxListener::bind(config.addr)?;
         let addr = listener.local_addr();
         let stop = Arc::new(AtomicBool::new(false));
-        let sessions: Arc<Mutex<Vec<LiveSession>>> = Arc::new(Mutex::new(Vec::new()));
-        let sessions_accepted = Arc::new(AtomicU64::new(0));
 
         let beacon_thread = match &config.beacon {
             Some(beacon) => Some(spawn_announcer(
@@ -252,29 +189,20 @@ impl SurrogateDaemon {
         };
 
         let sweep_interval = config.lease_sweep_interval;
+        let name = config.name.clone();
+        let pool = Arc::new(ShardPool::start(
+            &name,
+            config.shard,
+            Box::new(move |killer| session_parts(&config, killer)),
+        ));
 
-        // Sharded serving builds its worker pool up front; each accepted
-        // carrier is then switched into mux bus mode instead of getting a
-        // dedicated thread.
-        let pool = match config.serving {
-            ServingMode::Sharded(shard) => {
-                let factory_config = config.clone();
-                Some(Arc::new(ShardPool::start(
-                    &config.name,
-                    shard,
-                    Box::new(move |killer| session_parts(&factory_config, killer)),
-                )))
-            }
-            ServingMode::Threaded => None,
-        };
-
+        // Each accepted carrier is switched into mux bus mode with the pool
+        // as its sink: no thread is spawned per carrier or per session.
         let accept_thread = {
             let stop = stop.clone();
-            let sessions = sessions.clone();
-            let sessions_accepted = sessions_accepted.clone();
             let pool = pool.clone();
             std::thread::Builder::new()
-                .name(format!("aide-surrogate-{}", config.name))
+                .name(format!("aide-surrogate-{name}"))
                 .spawn(move || {
                     let mut next_conn: u64 = 1;
                     loop {
@@ -283,38 +211,15 @@ impl SurrogateDaemon {
                             Ok(conn) => conn,
                             Err(_) => continue, // a broken accept hurts no one else
                         };
-                        if let Some(pool) = &pool {
-                            // Register the carrier's sender first, then
-                            // switch it onto the bus: no event can reach a
-                            // shard worker before the worker can reply.
-                            let conn_id = next_conn;
-                            next_conn += 1;
-                            pool.attach_carrier(conn_id, conn.bus_sender(conn_id));
-                            conn.route_accepts_to(conn_id, pool.sink());
-                            // Dropping `conn` is safe: the pool's sender
-                            // keeps the carrier's write half open.
-                            continue;
-                        }
-                        // One carrier per client process; every logical session
-                        // the client opens over it gets its own surrogate VM.
-                        let config = config.clone();
-                        let sessions = sessions.clone();
-                        let sessions_accepted = sessions_accepted.clone();
-                        let spawned = std::thread::Builder::new()
-                            .name("aide-surrogate-conn".into())
-                            .spawn(move || {
-                                // Everything this carrier spawns (session
-                                // endpoints and their workers) inherits the
-                                // surrogate trace lane.
-                                aide_trace::set_thread_track("surrogate");
-                                let killer = conn.killer();
-                                while let Ok(session) = conn.accept() {
-                                    let live = start_session(session, killer.clone(), &config);
-                                    sessions_accepted.fetch_add(1, Ordering::SeqCst);
-                                    sessions.lock().push(live);
-                                }
-                            });
-                        let _ = spawned;
+                        // Register the carrier's sender first, then switch
+                        // it onto the bus: no event can reach a shard worker
+                        // before the worker can reply.
+                        let conn_id = next_conn;
+                        next_conn += 1;
+                        pool.attach_carrier(conn_id, conn.bus_sender(conn_id));
+                        conn.route_accepts_to(conn_id, pool.sink());
+                        // Dropping `conn` is safe: the pool's sender keeps
+                        // the carrier's write half open.
                     }
                 })
                 .expect("spawn surrogate accept loop")
@@ -326,26 +231,18 @@ impl SurrogateDaemon {
         // a client that died without releasing cannot strand pins forever.
         let sweep_thread = {
             let stop = stop.clone();
-            let sessions = sessions.clone();
             let pool = pool.clone();
-            let interval = sweep_interval;
             std::thread::Builder::new()
                 .name("aide-surrogate-gc".into())
                 .spawn(move || {
                     let mut last = std::time::Instant::now();
                     while !stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(interval);
+                        std::thread::sleep(sweep_interval);
                         let elapsed = u64::try_from(last.elapsed().as_millis()).unwrap_or(u64::MAX);
                         last = std::time::Instant::now();
-                        for session in sessions.lock().iter() {
-                            session.gc.tables().exports.clock().advance_ms(elapsed);
-                            session.gc.sweep_expired_exports();
-                        }
-                        if let Some(pool) = &pool {
-                            for gc in pool.gc_handles() {
-                                gc.tables().exports.clock().advance_ms(elapsed);
-                                gc.sweep_expired_exports();
-                            }
+                        for gc in pool.gc_handles() {
+                            gc.tables().exports.clock().advance_ms(elapsed);
+                            gc.sweep_expired_exports();
                         }
                     }
                 })
@@ -358,8 +255,6 @@ impl SurrogateDaemon {
             accept_thread: Mutex::new(Some(accept_thread)),
             beacon_thread: Mutex::new(beacon_thread),
             sweep_thread: Mutex::new(Some(sweep_thread)),
-            sessions,
-            sessions_accepted,
             pool,
         })
     }
@@ -369,36 +264,27 @@ impl SurrogateDaemon {
         self.addr
     }
 
-    /// Number of client sessions accepted so far (including finished ones).
-    /// In sharded mode this counts admitted sessions; rejected ones are in
+    /// Number of client sessions admitted so far (including finished
+    /// ones); refused ones are in
     /// [`sessions_rejected`](SurrogateDaemon::sessions_rejected).
     pub fn sessions_accepted(&self) -> u64 {
-        self.sessions_accepted.load(Ordering::SeqCst)
-            + self.pool.as_ref().map_or(0, |p| p.sessions_admitted())
+        self.pool.sessions_admitted()
     }
 
-    /// Sessions currently live (sharded mode only; threaded sessions stay
-    /// registered until shutdown).
+    /// Sessions currently live: a session leaves this count, and its VM is
+    /// released, as soon as the client closes it or its carrier dies.
     pub fn live_sessions(&self) -> usize {
-        self.pool
-            .as_ref()
-            .map_or_else(|| self.sessions.lock().len(), |p| p.live_sessions())
+        self.pool.live_sessions()
     }
 
-    /// Sessions refused admission with a `Busy` reply (sharded mode).
+    /// Sessions refused admission with a `Busy` reply.
     pub fn sessions_rejected(&self) -> u64 {
-        self.pool.as_ref().map_or(0, |p| p.sessions_rejected())
+        self.pool.sessions_rejected()
     }
 
-    /// Total application requests served across all sessions.
+    /// Total requests served across all sessions.
     pub fn requests_served(&self) -> u64 {
-        let threaded: u64 = self
-            .sessions
-            .lock()
-            .iter()
-            .map(|s| s.endpoint.requests_served())
-            .sum();
-        threaded + self.pool.as_ref().map_or(0, |p| p.requests_served())
+        self.pool.requests_served()
     }
 
     /// Blocks until the daemon is shut down (from another thread). This is
@@ -426,101 +312,13 @@ impl SurrogateDaemon {
         if let Some(handle) = self.sweep_thread.lock().take() {
             let _ = handle.join();
         }
-        let sessions = std::mem::take(&mut *self.sessions.lock());
-        aide_telemetry::global()
-            .gauge(aide_telemetry::names::SURROGATE_ACTIVE_SESSIONS)
-            .add(-(sessions.len() as i64));
-        for session in &sessions {
-            session.endpoint.shutdown();
-        }
-        for session in &sessions {
-            session.endpoint.join();
-            // Sever the carrier so its per-connection accept thread exits
-            // even if the client never closes its side.
-            session.killer.kill();
-        }
-        if let Some(pool) = &self.pool {
-            pool.shutdown();
-        }
-    }
-}
-
-/// Builds the per-session machinery: a fresh surrogate VM over the daemon's
-/// program, its own reference tables and dispatcher, and an endpoint
-/// bridging them to the accepted logical session. `killer` severs the whole
-/// carrier the session rides on (used by [`FaultMode::Crash`]).
-fn start_session(
-    session: aide_rpc::Session,
-    killer: ConnKiller,
-    config: &DaemonConfig,
-) -> LiveSession {
-    let mut session_span = aide_trace::span(aide_trace::names::DAEMON_SESSION, "surrogate");
-    session_span.arg("daemon", &config.name);
-    let telemetry = aide_telemetry::global();
-    telemetry
-        .counter(aide_telemetry::names::SURROGATE_SESSIONS)
-        .inc();
-    telemetry
-        .gauge(aide_telemetry::names::SURROGATE_ACTIVE_SESSIONS)
-        .add(1);
-    let SessionParts {
-        dispatcher,
-        tables,
-        gc,
-    } = session_parts(config, killer.clone());
-    // Reply-level fault modes sabotage the session's *outbound* frames via
-    // the chaos layer; the dispatcher itself stays honest.
-    let session = match (config.fail_after_requests, config.fault_mode) {
-        (Some(budget), FaultMode::DropReplies) => {
-            let schedule = ChaosSchedule {
-                drop: 1.0,
-                after_frames: budget,
-                ..ChaosSchedule::seeded(0xFA01 ^ budget)
-            };
-            chaos_wrap(session, schedule).0
-        }
-        (Some(budget), FaultMode::DelayReplies(max_delay)) => {
-            let schedule = ChaosSchedule {
-                delay: 1.0,
-                max_delay,
-                after_frames: budget,
-                ..ChaosSchedule::seeded(0xFA01 ^ budget)
-            };
-            chaos_wrap(session, schedule).0
-        }
-        (Some(budget), FaultMode::CorruptReplies) => {
-            let schedule = ChaosSchedule {
-                corrupt: 1.0,
-                after_frames: budget,
-                ..ChaosSchedule::seeded(0xFA01 ^ budget)
-            };
-            chaos_wrap(session, schedule).0
-        }
-        _ => session,
-    };
-    let endpoint = Endpoint::start(
-        session,
-        config.params,
-        Arc::new(NetClock::new()),
-        dispatcher,
-        config.endpoint,
-    );
-    // Lease piggybacking: stamped client traffic renews this session's
-    // exports; our replies advertise the session's import epoch back.
-    tables.attach_to(&endpoint);
-    LiveSession {
-        endpoint,
-        killer,
-        gc,
+        self.pool.shutdown();
     }
 }
 
 /// Builds one session's VM, reference tables, and dispatcher chain — the
-/// part of session setup shared by the threaded path and the sharded
 /// pool's session factory. `killer` severs the carrier the session rides
-/// on, which is what an armed [`FaultMode::Crash`] injector pulls; the
-/// reply-level fault modes live in the transport and only apply to the
-/// threaded path.
+/// on, which is what an armed fault injector pulls.
 fn session_parts(config: &DaemonConfig, killer: ConnKiller) -> SessionParts {
     let machine = Machine::new(
         config.program.clone(),
@@ -532,13 +330,13 @@ fn session_parts(config: &DaemonConfig, killer: ConnKiller) -> SessionParts {
     }
     let gc = Arc::new(VmDispatcher::new(machine.clone(), tables.clone()));
     let inner = VmDispatcher::new(machine, tables.clone());
-    let dispatcher: Arc<dyn Dispatcher> = match (config.fail_after_requests, config.fault_mode) {
-        (Some(budget), FaultMode::Crash) => Arc::new(FaultInjector {
+    let dispatcher: Arc<dyn Dispatcher> = match config.fail_after_requests {
+        Some(budget) => Arc::new(FaultInjector {
             inner,
             remaining: AtomicI64::new(i64::try_from(budget).unwrap_or(i64::MAX)),
             killer,
         }),
-        _ => Arc::new(inner),
+        None => Arc::new(inner),
     };
     let dispatcher: Arc<dyn Dispatcher> = Arc::new(CountingDispatcher {
         inner: dispatcher,
@@ -548,5 +346,55 @@ fn session_parts(config: &DaemonConfig, killer: ConnKiller) -> SessionParts {
         dispatcher,
         tables,
         gc,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aide_rpc::{Message, TcpTransport, Transport};
+    use aide_vm::{MethodDef, MethodId, ProgramBuilder};
+    use std::time::Instant;
+
+    #[test]
+    fn a_finished_session_releases_its_vm_before_shutdown() {
+        let mut b = ProgramBuilder::new();
+        let main = b.add_native_class("Main");
+        b.add_method(main, MethodDef::new("main", Vec::new()));
+        let program = Arc::new(b.build(main, MethodId(0), 0, 0).unwrap());
+        let daemon = SurrogateDaemon::start(DaemonConfig::new("release", program)).unwrap();
+
+        let carrier = TcpTransport::connect(daemon.local_addr(), Duration::from_secs(2)).unwrap();
+        let sessions: Vec<_> = (0..8)
+            .map(|_| carrier.open_session().expect("open session"))
+            .collect();
+        for (client, session) in sessions.iter().enumerate() {
+            let ping = Message::Request {
+                seq: 1,
+                client: client as u64,
+                body: Request::Ping,
+            };
+            session.send(ping.encode()).unwrap();
+            let reply = Message::decode(&session.recv().unwrap()).unwrap();
+            assert!(matches!(reply, Message::Reply { result: Ok(_), .. }));
+        }
+        assert_eq!(daemon.live_sessions(), 8);
+        assert_eq!(daemon.pool.gc_handles().len(), 8);
+
+        for session in &sessions {
+            session.close();
+        }
+        // The CLOSE frames travel the carrier: wait, bounded, for the last.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while daemon.live_sessions() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(daemon.live_sessions(), 0);
+        assert!(
+            daemon.pool.gc_handles().is_empty(),
+            "the lease sweeper must hold no finished session's VM"
+        );
+        assert_eq!(daemon.sessions_accepted(), 8);
+        daemon.shutdown();
     }
 }

@@ -7,8 +7,9 @@
 //!
 //! * [`SurrogateDaemon`] — a long-running TCP daemon serving any number of
 //!   concurrent client sessions, each with its own surrogate VM, reference
-//!   tables, and RPC endpoint (plus an optional fault injector that crashes
-//!   a session on demand, for failover testing).
+//!   tables, and dispatcher, all served by one bounded [`ShardPool`] with
+//!   admission control (plus an optional fault injector that crashes a
+//!   session on demand, for failover testing).
 //! * [`beacon`] — UDP announcements so surrogates are discovered rather
 //!   than configured; static registration remains the fallback.
 //! * [`SurrogateRegistry`] — the client-side directory: merges discovered
@@ -35,7 +36,7 @@ pub use beacon::{
     decode_announcement, encode_announcement, listen_for_announcements, Announcement, BeaconConfig,
     BEACON_MAGIC,
 };
-pub use daemon::{DaemonConfig, FaultMode, ServingMode, SurrogateDaemon};
+pub use daemon::{DaemonConfig, SurrogateDaemon};
 pub use registry::{placement_order, RegistryConfig, SurrogateInfo, SurrogateRegistry};
 pub use relay::{RelayConfig, RelayQueue, RelayStats};
 pub use shard::{SessionParts, ShardConfig, ShardPool};

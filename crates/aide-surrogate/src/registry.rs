@@ -651,26 +651,28 @@ mod tests {
 
     #[test]
     fn ranking_uses_the_smoothed_rtt_not_the_last_sample() {
-        let registry = SurrogateRegistry::new(RegistryConfig::default());
-        let mut steady = info("steady", 1, None);
-        for _ in 0..8 {
-            steady.observe_rtt(Duration::from_micros(3_000));
+        // A historically fast surrogate (1 ms) whose latest probe spiked,
+        // against a steady 3 ms one. The gain decides: one sample moves the
+        // estimate an eighth of the way, so a 12 ms spike reads as 2 375 µs
+        // and is absorbed, while a 40 ms spike reads as 5 875 µs and does
+        // reorder (the break-even spike is 17 ms).
+        for (spike_micros, expected) in
+            [(12_000, ["spiky", "steady"]), (40_000, ["steady", "spiky"])]
+        {
+            let registry = SurrogateRegistry::new(RegistryConfig::default());
+            let mut steady = info("steady", 1, None);
+            let mut spiky = info("spiky", 1, None);
+            for _ in 0..8 {
+                steady.observe_rtt(Duration::from_micros(3_000));
+                spiky.observe_rtt(Duration::from_micros(1_000));
+            }
+            spiky.observe_rtt(Duration::from_micros(spike_micros));
+            registry.upsert(steady);
+            registry.upsert(spiky);
+            let ranked = registry.ranked();
+            let order: Vec<&str> = ranked.iter().map(|e| e.name.as_str()).collect();
+            assert_eq!(order, expected, "after a {spike_micros} µs spike");
         }
-        // A historically-fast surrogate whose latest probe spiked.
-        let mut spiky = info("spiky", 1, None);
-        for _ in 0..8 {
-            spiky.observe_rtt(Duration::from_micros(1_000));
-        }
-        spiky.observe_rtt(Duration::from_micros(40_000));
-        registry.upsert(steady);
-        registry.upsert(spiky);
-        let ranked = registry.ranked();
-        let order: Vec<&str> = ranked.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(
-            order,
-            ["spiky", "steady"],
-            "one bad sample must not dethrone the historically faster link"
-        );
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! Sharded serving: a bounded worker pool holding thousands of logical
-//! sessions per daemon process.
+//! The daemon's serving path: a bounded worker pool holding thousands of
+//! logical sessions per daemon process.
 //!
-//! The daemon's classic serving path spawns an [`Endpoint`] per logical
-//! session — a worker pool each, which is perfect
-//! isolation but caps a process at a few hundred sessions. The sharded
-//! pool inverts that: every carrier is switched into mux *bus mode*
-//! ([`aide_rpc::MuxConn::route_accepts_to`]) with the pool as its sink, so
-//! all sessions of all carriers feed a fixed set of shard workers.
-//! Sessions keep their own surrogate VM, reference tables, and dispatcher
-//! (the isolation the paper's per-client platform instances require); only
-//! the *threads* are shared.
+//! An [`Endpoint`] per logical session — a worker pool each — would be
+//! perfect isolation but caps a process at a few hundred sessions. The
+//! pool shares the threads instead: every carrier is switched into mux
+//! *bus mode* ([`aide_rpc::MuxConn::route_accepts_to`]) with the pool as
+//! its sink, so all sessions of all carriers feed a fixed set of shard
+//! workers. Sessions keep their own surrogate VM, reference tables, and
+//! dispatcher (the isolation the paper's per-client platform instances
+//! require); only the *threads* are shared.
 //!
 //! Each carrier's reader hashes `(carrier, session)` onto a shard and
 //! enqueues the event on that shard's queue itself — there is no router
@@ -80,7 +79,8 @@ pub struct SessionParts {
 
 /// Builds a fresh session's VM, tables, and dispatcher chain. The
 /// [`aide_rpc::ConnKiller`] severs the whole carrier the session rides on,
-/// which is what a [`FaultMode::Crash`](crate::FaultMode::Crash) injector
+/// which is what the daemon's crash injector
+/// ([`DaemonConfig::fail_after_requests`](crate::DaemonConfig::fail_after_requests))
 /// pulls.
 pub type SessionFactory = dyn Fn(aide_rpc::ConnKiller) -> SessionParts + Send + Sync;
 
@@ -448,12 +448,12 @@ fn admit(
 /// the session — the client's failover layer treats it like saturation,
 /// backing off or moving to another surrogate.
 fn reply_busy(sender: &MuxSender, session: u32, frame: &Frame, retry_after_ms: u32) {
-    if let Ok((Message::Request { seq, .. }, _, _)) = Message::decode_stamped(frame) {
+    if let Ok(Message::Request { seq, .. }) = Message::decode(frame) {
         let reply = Message::Reply {
             seq,
             result: Ok(Reply::Busy { retry_after_ms }),
         }
-        .encode_pooled();
+        .encode();
         let _ = sender.send(session, reply);
     }
     sender.close(session);
@@ -473,10 +473,10 @@ fn serve(
     let Some(sess) = sessions.get_mut(&key) else {
         return false;
     };
-    let Ok((message, ctx, lease)) = Message::decode_stamped(frame) else {
+    let Ok((header, message)) = Message::decode_framed(frame) else {
         return false; // corrupt frame: the client's retry will re-send
     };
-    if let Some(epoch) = lease {
+    if let Some(epoch) = header.lease_epoch {
         // Stamped traffic renews this session's export leases, exactly as
         // the endpoint's sink does.
         sess.parts.tables.exports.renew(epoch);
@@ -500,7 +500,7 @@ fn serve(
         }
     }
     let is_stats = matches!(body, Request::Stats);
-    let mut span = aide_trace::child_of(ctx, aide_trace::names::RPC_SERVE, "rpc");
+    let mut span = aide_trace::child_of(header.trace, aide_trace::names::RPC_SERVE, "rpc");
     span.arg("kind", body.kind());
     span.arg("seq", seq);
     let mut result = sess.parts.dispatcher.dispatch(body);
@@ -513,7 +513,7 @@ fn serve(
         }
     }
     let stamp = Some(sess.parts.tables.imports.advertised_epoch());
-    let reply = Message::Reply { seq, result }.encode_pooled_stamped(stamp);
+    let reply = Message::Reply { seq, result }.encode_stamped(stamp);
     drop(span);
     if dedupable {
         if sess.reply_order.len() >= shared.config.dedup_capacity.max(1) {
@@ -666,6 +666,13 @@ mod tests {
                 .count()
         };
         let pool = tiny_pool("census", ShardConfig::default());
+        // A thread names itself as it starts: wait, bounded, for the last.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while census("aide-shard-cens") < ShardConfig::default().shards
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::yield_now();
+        }
         assert_eq!(census("aide-shard-cens"), ShardConfig::default().shards);
         assert_eq!(census("aide-shard-rout"), 0);
         // Disconnecting the shard queues is what stops the workers.

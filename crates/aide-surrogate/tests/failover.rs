@@ -111,19 +111,38 @@ fn failover_config() -> FailoverConfig {
 #[test]
 fn daemon_serves_isolated_sessions_and_answers_probes() {
     let daemon = SurrogateDaemon::start(DaemonConfig::new("porch-pc", tiny_program())).unwrap();
-    let registry = SurrogateRegistry::new(RegistryConfig::default());
-    registry.add_static("porch-pc", daemon.local_addr(), 64 << 20);
+    let registries = [
+        SurrogateRegistry::new(RegistryConfig::default()),
+        SurrogateRegistry::new(RegistryConfig::default()),
+    ];
+    for registry in &registries {
+        registry.add_static("porch-pc", daemon.local_addr(), 64 << 20);
+        registry.probe_all();
+        let ranked = registry.ranked();
+        assert_eq!(ranked[0].name, "porch-pc");
+        let rtt = ranked[0].rtt.expect("reachable daemon must be probed");
+        assert!(rtt > Duration::ZERO);
+    }
 
-    registry.probe_all();
-    let ranked = registry.ranked();
-    assert_eq!(ranked[0].name, "porch-pc");
-    let rtt = ranked[0].rtt.expect("reachable daemon must be probed");
-    assert!(rtt > Duration::ZERO);
+    // Each registry dialed a carrier of its own and probes over one pooled
+    // session on it, so probing again opens nothing new.
+    registries[0].probe_all();
+    assert!(registries[0].ranked()[0].rtt.is_some());
+    assert_eq!(daemon.sessions_accepted(), 2);
 
-    // A second probe opens a second, fully isolated session.
-    registry.probe_all();
-    assert!(registry.ranked()[0].rtt.is_some());
-    assert!(daemon.sessions_accepted() >= 2);
+    // The two sessions are isolated: each has its own VM and reference
+    // tables, which is what the per-session lease lines of a scrape list,
+    // one per carrier.
+    for registry in &registries {
+        let stats = registry
+            .scrape_stats("porch-pc")
+            .expect("daemon answers STATS");
+        let fleet = aide_telemetry::FleetSnapshot::parse(&stats, "porch-pc")
+            .expect("the scrape carries the daemon's load lines");
+        assert_eq!(fleet.live_sessions, 2);
+        let carriers: Vec<u64> = fleet.leases.iter().map(|lease| lease.conn).collect();
+        assert_eq!(carriers, [1, 2], "one session per carrier:\n{stats}");
+    }
 
     daemon.shutdown();
 }

@@ -1,5 +1,5 @@
 //! Per-daemon fleet load exposition: the typed form of the
-//! `aide_daemon_*` lines a sharded daemon appends to its `STATS` scrape.
+//! `aide_daemon_*` lines a daemon appends to its `STATS` scrape.
 //!
 //! The daemon side renders a [`FleetSnapshot`] into Prometheus text
 //! (`aide-surrogate`'s worker pool appends it to every `STATS` answer);
@@ -85,8 +85,8 @@ impl FleetSnapshot {
     /// Parses the `aide_daemon_*` lines labelled `daemon="<daemon>"` out
     /// of a `STATS` exposition. Other daemons' lines and unrelated
     /// metrics are ignored. Returns `None` when the text carries no
-    /// live-session gauge for that daemon (i.e. it is not a sharded
-    /// daemon's scrape).
+    /// live-session gauge for that daemon (i.e. it is not that daemon's
+    /// scrape).
     pub fn parse(text: &str, daemon: &str) -> Option<FleetSnapshot> {
         let mut snapshot = FleetSnapshot {
             daemon: daemon.to_string(),

@@ -165,7 +165,7 @@ pub fn span(name: &str, cat: &'static str) -> SpanGuard {
 
 /// Opens a span under an explicit parent — the serving side of an RPC
 /// adopts the caller's wire context this way. `None` falls back to the
-/// ambient parent (a legacy v2 peer sent no context).
+/// ambient parent (the frame carried no context).
 pub fn child_of(parent: Option<SpanContext>, name: &str, cat: &'static str) -> SpanGuard {
     start(name, cat, parent.or_else(current_context))
 }

@@ -7,7 +7,7 @@
 //! missing layer:
 //!
 //! * [`SpanContext`] — an explicit `(trace_id, span_id)` pair small enough
-//!   to ride in every RPC frame (aide-rpc stamps it into the v3 wire
+//!   to ride in every RPC frame (aide-rpc stamps it into the frame
 //!   header), so the serving side can parent its dispatch span under the
 //!   caller's span even across processes.
 //! * [`span`] / [`child_of`] — RAII span guards over a per-thread context
@@ -101,9 +101,6 @@ pub mod names {
     pub const MIGRATE_ROLLBACK: &str = "migrate.rollback";
     /// One garbage-collection pause.
     pub const VM_GC: &str = "vm.gc";
-    /// Surrogate daemon standing up one logical session (VM + tables +
-    /// dispatcher + endpoint).
-    pub const DAEMON_SESSION: &str = "daemon.session";
     /// Recovery from a dead surrogate: shadow reinstatement, pin release,
     /// and lease retirement.
     pub const FAILOVER: &str = "failover";

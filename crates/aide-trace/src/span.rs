@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 /// The portable part of a span: enough to parent a child span in another
-/// process. This is what aide-rpc carries in the v3 frame header
+/// process. This is what aide-rpc carries in every frame's header
 /// (17 bytes: a presence flag plus two little-endian u64s).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanContext {

@@ -83,7 +83,9 @@ fn main() {
     let program = doc_store();
 
     // Two surrogate daemons on localhost. The first is rigged to crash
-    // after serving the initial offload and one GC exchange.
+    // after serving the initial offload and one GC exchange: its worker
+    // pool's fault injector severs the client's carrier, so the client
+    // sees a dead link, not an error reply.
     let mut doomed = DaemonConfig::new("porch-pc", program.clone());
     doomed.fail_after_requests = Some(2);
     let d1 = SurrogateDaemon::start(doomed).expect("start porch-pc");

@@ -231,9 +231,10 @@ fn assert_session_ok(who: &str, seed: u64, report: &PlatformReport) {
 fn run_seed(seed: u64) {
     let program = doc_store_program();
 
-    // d0: sharded, deliberately tiny admission limit — the saturation
-    // target. d1: threaded and seed-scheduled to crash mid-run. d2:
-    // sharded and healthy, the fleet's safety net.
+    // d0: deliberately tiny admission limit — the saturation target.
+    // d1: seed-scheduled to crash mid-run; the crash is the worker pool's
+    // fault injector severing the carrier of the session whose request
+    // budget runs out. d2: default pool and healthy, the fleet's safety net.
     let shard = ShardConfig {
         shards: 1 + (seed as usize % 3),
         max_sessions: 1,
@@ -245,10 +246,7 @@ fn run_seed(seed: u64) {
     let mut c1 = DaemonConfig::new("d1", program.clone());
     c1.fail_after_requests = Some(1 + (seed % 4));
     let d1 = SurrogateDaemon::start(c1).expect("start d1");
-    let d2 = SurrogateDaemon::start(
-        DaemonConfig::new("d2", program.clone()).sharded(ShardConfig::default()),
-    )
-    .expect("start d2");
+    let d2 = SurrogateDaemon::start(DaemonConfig::new("d2", program.clone())).expect("start d2");
 
     // Deterministic Busy handshake before the concurrent churn.
     assert_admission_control(d0.local_addr(), 10);
