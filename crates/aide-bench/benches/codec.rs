@@ -45,7 +45,8 @@ fn bench_codec(c: &mut Criterion) {
     let migrate = Message::Request {
         seq: 7,
         client: 1,
-        body: Request::Migrate {
+        body: Request::MigratePrepare {
+            txn: 1,
             objects: (0..64)
                 .map(|i| {
                     let mut rec = ObjectRecord::new(ClassId(5), 1_024, 4);

@@ -1,13 +1,14 @@
 //! Glue between the VM's [`RemoteAccess`] abstraction and the RPC layer.
 //!
-//! [`RemoteAdapter`] turns the interpreter's remote-object touches into RPC
-//! calls; [`VmDispatcher`] serves the peer's RPC calls by re-entering the
-//! local interpreter. Both maintain the export/import tables that implement
-//! the distributed garbage collection scheme: any local object whose
-//! reference leaves this VM is pinned as an external GC root until the peer
-//! reports (via a watermarked `GcReleaseSeq`) that it no longer holds it,
-//! or until its lease runs out unrenewed and
-//! [`VmDispatcher::sweep_expired_exports`] hands it back to the collector.
+//! [`RemoteAdapter`] — the one [`RemoteAccess`] implementation — turns the
+//! interpreter's remote-object touches into RPC calls; [`VmDispatcher`]
+//! serves the peer's RPC calls by re-entering the local interpreter. Both
+//! maintain the export/import tables that implement the distributed
+//! garbage collection scheme: any local object whose reference leaves this
+//! VM is pinned as an external GC root until the peer reports (via a
+//! watermarked `GcReleaseSeq`) that it no longer holds it, or until its
+//! lease runs out unrenewed and [`VmDispatcher::sweep_expired_exports`]
+//! hands it back to the collector.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -17,6 +18,8 @@ use aide_vm::{
     ClassId, Machine, MethodId, NativeKind, ObjectId, ObjectRecord, RemoteAccess, VmError, VmResult,
 };
 use parking_lot::Mutex;
+
+use crate::failover::Surrogate;
 
 /// Shared distributed-GC state for one side of the platform.
 ///
@@ -51,20 +54,43 @@ impl RefTables {
     pub fn attach_to(&self, endpoint: &Endpoint) {
         endpoint.attach_gc(self.exports.clone(), self.imports.clone());
     }
+
+    /// Pins `id` if it is an object of `machine` whose reference is about
+    /// to leave for the peer.
+    fn export_if_local(&self, machine: &Machine, id: ObjectId) {
+        let vm = machine.vm();
+        let mut vm = vm.lock();
+        if vm.heap().contains(id) && self.exports.export(id) {
+            vm.external_root_inc(id);
+        }
+    }
+
+    /// Notes receipt of every reference in `ids` that the peer owns.
+    fn import_if_remote(&self, machine: &Machine, ids: &[ObjectId]) {
+        let vm = machine.vm();
+        let vm = vm.lock();
+        for &id in ids {
+            if !vm.heap().contains(id) {
+                self.imports.import(id);
+            }
+        }
+    }
 }
 
-fn rpc_to_vm_error(e: RpcError) -> VmError {
+pub(crate) fn rpc_to_vm_error(e: RpcError) -> VmError {
     match e {
         RpcError::Remote(msg) => VmError::RemoteFailure(msg),
         other => VmError::RemoteFailure(other.to_string()),
     }
 }
 
-/// The interpreter's window onto the peer VM, backed by an [`Endpoint`].
+/// The interpreter's window onto the peer VM: every remote-object touch
+/// becomes an RPC to wherever the run's surrogate currently is, and is served
+/// by the local interpreter when the surrogate says there is none any more.
 pub struct RemoteAdapter {
-    endpoint: Arc<Endpoint>,
-    machine: Machine,
-    tables: Arc<RefTables>,
+    pub(crate) surrogate: Surrogate,
+    pub(crate) machine: Machine,
+    pub(crate) tables: Arc<RefTables>,
 }
 
 impl std::fmt::Debug for RemoteAdapter {
@@ -80,31 +106,16 @@ impl RemoteAdapter {
     /// which outgoing references are local (and must be export-pinned).
     pub fn new(endpoint: Arc<Endpoint>, machine: Machine, tables: Arc<RefTables>) -> Self {
         RemoteAdapter {
-            endpoint,
+            surrogate: Surrogate::Fixed(endpoint),
             machine,
             tables,
         }
     }
-
-    /// Pins `id` if it is a local object about to be referenced remotely.
-    fn export_if_local(&self, id: ObjectId) {
-        let vm = self.machine.vm();
-        let mut vm = vm.lock();
-        if vm.heap().contains(id) && self.tables.exports.export(id) {
-            vm.external_root_inc(id);
-        }
-    }
-
-    /// Notes receipt of a reference owned by the peer.
-    fn import_if_remote(&self, id: ObjectId) {
-        let vm = self.machine.vm();
-        let vm = vm.lock();
-        if !vm.heap().contains(id) {
-            self.tables.imports.import(id);
-        }
-    }
 }
 
+/// Each method sends its request through `Surrogate::call`; `None` back
+/// means the surrogate is gone and its objects are home again, so the
+/// touch is served by the local interpreter.
 impl RemoteAccess for RemoteAdapter {
     fn invoke(
         &self,
@@ -116,66 +127,63 @@ impl RemoteAccess for RemoteAdapter {
         args: &[ObjectId],
     ) -> VmResult<()> {
         for &a in args {
-            self.export_if_local(a);
+            self.tables.export_if_local(&self.machine, a);
         }
-        self.import_if_remote(target);
-        self.endpoint
-            .call_with_retry(Request::Invoke {
-                target,
-                class,
-                method,
-                arg_bytes,
-                ret_bytes,
-                args: args.to_vec(),
-            })
-            .map(|_| ())
-            .map_err(rpc_to_vm_error)
+        self.tables.import_if_remote(&self.machine, &[target]);
+        match self.surrogate.call(Request::Invoke {
+            target,
+            class,
+            method,
+            arg_bytes,
+            ret_bytes,
+            args: args.to_vec(),
+        })? {
+            Some(_) => Ok(()),
+            None => self.machine.call_on(target, class, method, args),
+        }
     }
 
     fn field_access(&self, target: ObjectId, bytes: u32, write: bool) -> VmResult<()> {
-        self.import_if_remote(target);
-        self.endpoint
-            .call_with_retry(Request::FieldAccess {
-                target,
-                bytes,
-                write,
-            })
-            .map(|_| ())
-            .map_err(rpc_to_vm_error)
+        self.tables.import_if_remote(&self.machine, &[target]);
+        match self.surrogate.call(Request::FieldAccess {
+            target,
+            bytes,
+            write,
+        })? {
+            Some(_) => Ok(()),
+            None => self.machine.field_access_on(target, bytes, write),
+        }
     }
 
     fn get_slot(&self, target: ObjectId, slot: u16) -> VmResult<Option<ObjectId>> {
-        self.import_if_remote(target);
-        match self
-            .endpoint
-            .call_with_retry(Request::GetSlot { target, slot })
-            .map_err(rpc_to_vm_error)?
-        {
-            Reply::Slot(value) => {
+        self.tables.import_if_remote(&self.machine, &[target]);
+        match self.surrogate.call(Request::GetSlot { target, slot })? {
+            Some(Reply::Slot(value)) => {
                 if let Some(v) = value {
-                    self.import_if_remote(v);
+                    self.tables.import_if_remote(&self.machine, &[v]);
                 }
                 Ok(value)
             }
-            other => Err(VmError::RemoteFailure(format!(
+            Some(other) => Err(VmError::RemoteFailure(format!(
                 "unexpected reply {other:?} to GetSlot"
             ))),
+            None => self.machine.get_slot_on(target, slot),
         }
     }
 
     fn put_slot(&self, target: ObjectId, slot: u16, value: Option<ObjectId>) -> VmResult<()> {
         if let Some(v) = value {
-            self.export_if_local(v);
+            self.tables.export_if_local(&self.machine, v);
         }
-        self.import_if_remote(target);
-        self.endpoint
-            .call_with_retry(Request::PutSlot {
-                target,
-                slot,
-                value,
-            })
-            .map(|_| ())
-            .map_err(rpc_to_vm_error)
+        self.tables.import_if_remote(&self.machine, &[target]);
+        match self.surrogate.call(Request::PutSlot {
+            target,
+            slot,
+            value,
+        })? {
+            Some(_) => Ok(()),
+            None => self.machine.put_slot_on(target, slot, value),
+        }
     }
 
     fn native(
@@ -186,16 +194,20 @@ impl RemoteAccess for RemoteAdapter {
         arg_bytes: u32,
         ret_bytes: u32,
     ) -> VmResult<()> {
-        self.endpoint
-            .call_with_retry(Request::Native {
+        if self
+            .surrogate
+            .call(Request::Native {
                 caller,
                 kind,
                 work_micros,
                 arg_bytes,
                 ret_bytes,
-            })
-            .map(|_| ())
-            .map_err(rpc_to_vm_error)
+            })?
+            .is_none()
+        {
+            self.machine.native_on(work_micros);
+        }
+        Ok(())
     }
 
     fn static_access(
@@ -205,27 +217,28 @@ impl RemoteAccess for RemoteAdapter {
         bytes: u32,
         write: bool,
     ) -> VmResult<()> {
-        self.endpoint
-            .call_with_retry(Request::StaticAccess {
+        if self
+            .surrogate
+            .call(Request::StaticAccess {
                 accessor,
                 class,
                 bytes,
                 write,
-            })
-            .map(|_| ())
-            .map_err(rpc_to_vm_error)
+            })?
+            .is_none()
+        {
+            self.machine.static_access_on(class, bytes, write);
+        }
+        Ok(())
     }
 
     fn class_of(&self, target: ObjectId) -> VmResult<ClassId> {
-        match self
-            .endpoint
-            .call_with_retry(Request::ClassOf { target })
-            .map_err(rpc_to_vm_error)?
-        {
-            Reply::Class(c) => Ok(c),
-            other => Err(VmError::RemoteFailure(format!(
+        match self.surrogate.call(Request::ClassOf { target })? {
+            Some(Reply::Class(c)) => Ok(c),
+            Some(other) => Err(VmError::RemoteFailure(format!(
                 "unexpected reply {other:?} to ClassOf"
             ))),
+            None => self.machine.class_of_local(target),
         }
     }
 }
@@ -274,7 +287,7 @@ impl VmDispatcher {
     }
 
     /// Installs `objects` into the local heap, pinning each one. Shared by
-    /// the single-shot [`Request::Migrate`] path and COMMIT.
+    /// COMMIT and relay delivery.
     fn install_objects(&self, objects: Vec<(ObjectId, ObjectRecord)>) -> Result<Reply, String> {
         let vm = self.machine.vm();
         let mut vm = vm.lock();
@@ -299,30 +312,12 @@ impl VmDispatcher {
                 .map_err(|e| e.to_string())?;
             // Conservatively pin every migrated-in object: the peer
             // still holds references (frames, slots) to it. Released
-            // by the peer's GcRelease when it drops them.
+            // by the peer's GcReleaseSeq when it drops them.
             if self.tables.exports.export(id) {
                 vm.external_root_inc(id);
             }
         }
         Ok(Reply::Unit)
-    }
-
-    fn import_incoming_refs(&self, args: &[ObjectId]) {
-        let vm = self.machine.vm();
-        let vm = vm.lock();
-        for &a in args {
-            if !vm.heap().contains(a) {
-                self.tables.imports.import(a);
-            }
-        }
-    }
-
-    fn export_outgoing(&self, id: ObjectId) {
-        let vm = self.machine.vm();
-        let mut vm = vm.lock();
-        if vm.heap().contains(id) && self.tables.exports.export(id) {
-            vm.external_root_inc(id);
-        }
     }
 
     /// The dispatcher's reference tables (shared with the platform side).
@@ -359,7 +354,7 @@ impl Dispatcher for VmDispatcher {
                 args,
                 ..
             } => {
-                self.import_incoming_refs(&args);
+                self.tables.import_if_remote(&self.machine, &args);
                 self.machine
                     .call_on(target, class, method, &args)
                     .map(|()| Reply::Unit)
@@ -381,7 +376,7 @@ impl Dispatcher for VmDispatcher {
                     .map_err(|e| e.to_string())?;
                 // The peer will hold whatever reference we hand out.
                 if let Some(v) = value {
-                    self.export_outgoing(v);
+                    self.tables.export_if_local(&self.machine, v);
                 }
                 Ok(Reply::Slot(value))
             }
@@ -391,7 +386,7 @@ impl Dispatcher for VmDispatcher {
                 value,
             } => {
                 if let Some(v) = value {
-                    self.import_incoming_refs(&[v]);
+                    self.tables.import_if_remote(&self.machine, &[v]);
                 }
                 self.machine
                     .put_slot_on(target, slot, value)
@@ -416,7 +411,6 @@ impl Dispatcher for VmDispatcher {
                 .class_of_local(target)
                 .map(Reply::Class)
                 .map_err(|e| e.to_string()),
-            Request::Migrate { objects } => self.install_objects(objects),
             Request::RelayDeliver { txn, objects, .. } => {
                 // Exactly-once per relay transaction: the relay retries
                 // delivery until acknowledged, and acknowledgements can be
@@ -458,16 +452,6 @@ impl Dispatcher for VmDispatcher {
                 // transaction is a no-op so the client can abort blindly
                 // while cleaning up after a failure.
                 self.staged.lock().remove(&txn);
-                Ok(Reply::Unit)
-            }
-            Request::GcRelease { objects } => {
-                let vm = self.machine.vm();
-                let mut vm = vm.lock();
-                for id in objects {
-                    if self.tables.exports.release(id) {
-                        vm.external_root_dec(id);
-                    }
-                }
                 Ok(Reply::Unit)
             }
             Request::GcRenew { epoch } => {
@@ -586,10 +570,12 @@ mod tests {
         };
         // Offload it over the wire: the client's endpoint sends, the
         // surrogate's dispatcher serves.
-        cep.call(Request::Migrate {
+        cep.call(Request::MigratePrepare {
+            txn: 1,
             objects: vec![(worker_id, record)],
         })
         .unwrap();
+        cep.call(Request::MigrateCommit { txn: 1 }).unwrap();
         assert!(surrogate.vm().lock().heap().contains(worker_id));
         // The object is no longer client-local, so a direct local call
         // fails there...
@@ -684,40 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_release_unpins_exports() {
-        let (client, _surrogate, cep, _sep) = machine_pair();
-        // Client exports an object (simulating an earlier reference send).
-        let id = ObjectId::client(55);
-        {
-            let vm = client.vm();
-            let mut vm = vm.lock();
-            vm.heap_mut()
-                .insert(id, aide_vm::ObjectRecord::new(ClassId(1), 10, 0))
-                .unwrap();
-        }
-        // Reproduce what RemoteAdapter::export_if_local does, through the
-        // same tables the client dispatcher uses. We need those tables —
-        // rebuild the dispatcher path instead: surrogate sends GcRelease.
-        // For unit purposes, drive the client's dispatcher directly.
-        let tables = Arc::new(RefTables::new());
-        let dispatcher = VmDispatcher::new(client.clone(), tables.clone());
-        {
-            let vm = client.vm();
-            let mut vm = vm.lock();
-            if tables.exports.export(id) {
-                vm.external_root_inc(id);
-            }
-        }
-        assert_eq!(client.vm().lock().external_root_count(), 1);
-        let reply = dispatcher
-            .dispatch(Request::GcRelease { objects: vec![id] })
-            .unwrap();
-        assert_eq!(reply, Reply::Unit);
-        assert_eq!(client.vm().lock().external_root_count(), 0);
-        let _ = cep;
-    }
-
-    #[test]
     fn release_seq_is_idempotent_through_the_dispatcher() {
         let (client, _surrogate, _cep, _sep) = machine_pair();
         let id = ObjectId::client(56);
@@ -737,13 +689,14 @@ mod tests {
                 vm.external_root_inc(id);
             }
         }
+        assert_eq!(client.vm().lock().external_root_count(), 1);
         let release = Request::GcReleaseSeq {
             epoch: 0,
             release_seq: 1,
             objects: vec![id],
         };
-        dispatcher.dispatch(release.clone()).unwrap();
-        assert_eq!(client.vm().lock().external_root_count(), 0);
+        assert_eq!(dispatcher.dispatch(release.clone()), Ok(Reply::Unit));
+        assert_eq!(client.vm().lock().external_root_count(), 0, "unpinned");
         // A chaos duplicate of the same batch is a no-op: no double-unpin,
         // no unbalanced audit entry.
         let before = client.vm().lock().external_root_audit();
@@ -782,7 +735,7 @@ mod tests {
     }
 
     #[test]
-    fn migrate_request_installs_objects_and_pins_them() {
+    fn committed_migration_installs_objects_and_pins_them() {
         let (_client, surrogate, _cep, _sep) = machine_pair();
         let tables = Arc::new(RefTables::new());
         let dispatcher = VmDispatcher::new(surrogate.clone(), tables.clone());
@@ -790,9 +743,13 @@ mod tests {
         rec.slots[0] = Some(ObjectId::client(123)); // back-ref to the client
         let id = ObjectId::client(500);
         dispatcher
-            .dispatch(Request::Migrate {
+            .dispatch(Request::MigratePrepare {
+                txn: 5,
                 objects: vec![(id, rec)],
             })
+            .unwrap();
+        dispatcher
+            .dispatch(Request::MigrateCommit { txn: 5 })
             .unwrap();
         let vm = surrogate.vm();
         let vm = vm.lock();

@@ -33,13 +33,11 @@ use std::time::{Duration, Instant};
 use aide_graph::{CommParams, SelectedPartition};
 use aide_rpc::{Dispatcher, Endpoint, EndpointConfig, NetClock, Reply, Request, RpcError};
 use aide_telemetry::{FlightRecorder, PlatformEvent};
-use aide_vm::{
-    ClassId, Machine, MethodId, NativeKind, ObjectId, ObjectRecord, RemoteAccess, VmError, VmResult,
-};
+use aide_vm::{Machine, ObjectId, ObjectRecord, VmError, VmResult};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::adapter::RefTables;
+use crate::adapter::{rpc_to_vm_error, RefTables};
 use crate::monitor::NodeKey;
 use crate::nondet::{LinkPhase, NondetSource};
 use crate::offload::{gather_shipment, GatheredShipment};
@@ -637,12 +635,7 @@ impl FailoverCore {
     /// expiry cadence, whether or not a surrogate is active.
     pub(crate) fn heartbeat_tick(&self) {
         self.relay_tick();
-        let Some(endpoint) = self.endpoint_for_call() else {
-            return;
-        };
-        if endpoint.probe(self.probe_timeout).is_err() {
-            self.handle_failure();
-        }
+        self.fail_active_if_dead();
     }
 
     /// After an offload error: if the active surrogate no longer answers
@@ -806,47 +799,107 @@ impl std::fmt::Debug for FailoverCore {
     }
 }
 
-/// Outcome of one remote call attempt through the failover adapter.
-enum CallOutcome {
-    Reply(Reply),
-    RemoteErr(String),
-    /// The surrogate is gone and recovery ran (or had already run): the
-    /// operation must now be served locally against the reinstated heap.
-    FailedOver,
+/// Where a run's surrogate is — "which endpoint now" and "what happens
+/// when a call to it fails" — for the controller and the
+/// [`RemoteAdapter`](crate::RemoteAdapter) alike.
+#[derive(Clone)]
+pub(crate) enum Surrogate {
+    /// One endpoint for the whole run; its failures surface to the caller.
+    Fixed(Arc<Endpoint>),
+    /// The failover core's active lease: acquired on demand, and replaced
+    /// (the offloaded objects reinstated locally) when it dies.
+    Managed(Arc<FailoverCore>),
 }
 
-/// A [`RemoteAccess`] implementation that survives surrogate death: remote
-/// touches go to the active lease; on `Disconnected`/`Timeout` the core
-/// recovers (reinstating offloaded objects locally) and the touch is then
-/// served by the local interpreter.
-pub(crate) struct FailoverAdapter {
-    core: Arc<FailoverCore>,
-}
-
-impl FailoverAdapter {
-    pub(crate) fn new(core: Arc<FailoverCore>) -> Self {
-        FailoverAdapter { core }
+impl Surrogate {
+    /// The endpoint for remote calls and GC releases right now, if any.
+    pub(crate) fn endpoint_for_call(&self) -> Option<Arc<Endpoint>> {
+        match self {
+            Surrogate::Fixed(endpoint) => Some(endpoint.clone()),
+            Surrogate::Managed(core) => core.endpoint_for_call(),
+        }
     }
 
-    fn call(&self, request: Request) -> CallOutcome {
-        let Some(endpoint) = self.core.endpoint_for_call() else {
+    /// The endpoint to offload to, acquiring a surrogate from the provider
+    /// if none is active; `None` when none is reachable right now.
+    pub(crate) fn endpoint_for_offload(&self) -> Option<Arc<Endpoint>> {
+        match self {
+            Surrogate::Fixed(endpoint) => Some(endpoint.clone()),
+            Surrogate::Managed(core) => core.acquire_for_offload(),
+        }
+    }
+
+    /// Parks an offload's victims for the next surrogate, if it can (see
+    /// [`FailoverCore::queue_for_relay`]).
+    pub(crate) fn queue_for_relay(&self, selection: &SelectedPartition, keys: &[NodeKey]) -> bool {
+        match self {
+            Surrogate::Fixed(_) => false,
+            Surrogate::Managed(core) => core.queue_for_relay(selection, keys),
+        }
+    }
+
+    /// Enters a completed shipment into the reinstatement ledger.
+    pub(crate) fn record_shipment(
+        &self,
+        shadow: Vec<(ObjectId, ObjectRecord)>,
+        pins: Vec<ObjectId>,
+    ) {
+        if let Surrogate::Managed(core) = self {
+            core.record_shipment(shadow, pins);
+        }
+    }
+
+    /// After a failed migration: recovers if the surrogate died under it.
+    pub(crate) fn fail_active_if_dead(&self) {
+        if let Surrogate::Managed(core) = self {
+            core.fail_active_if_dead();
+        }
+    }
+
+    /// Replacement offloads earned so far: one per recovered failover.
+    pub(crate) fn failovers_so_far(&self) -> u32 {
+        match self {
+            Surrogate::Fixed(_) => 0,
+            Surrogate::Managed(core) => core.failovers_so_far(),
+        }
+    }
+
+    /// Sends `request` to the surrogate. `Ok(None)` means there is no
+    /// surrogate any more — recovery has run and every offloaded object is
+    /// back in the client heap — so the caller serves the touch locally.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::RemoteFailure`] when the surrogate executed the request
+    /// and reported an error, or — `Fixed` only — when the link failed.
+    pub(crate) fn call(&self, request: Request) -> VmResult<Option<Reply>> {
+        let core = match self {
+            Surrogate::Fixed(endpoint) => {
+                return endpoint
+                    .call_with_retry(request)
+                    .map(Some)
+                    .map_err(rpc_to_vm_error)
+            }
+            Surrogate::Managed(core) => core,
+        };
+        let Some(endpoint) = core.endpoint_for_call() else {
             // About to serve locally with no surrogate attached: any
             // shipment still parked in the relay queue must come home
             // first, or touching a queued object would surface a dangling
             // reference.
-            self.core.recall_relay();
-            return CallOutcome::FailedOver;
+            core.recall_relay();
+            return Ok(None);
         };
         // Retries (same seq, deduplicated on the serving side) mask
         // transient loss and corruption; only a persistently unreachable
         // surrogate escalates to failover.
         match endpoint.call_with_retry(request) {
-            Ok(reply) => CallOutcome::Reply(reply),
-            Err(RpcError::Remote(msg)) => CallOutcome::RemoteErr(msg),
-            Err(RpcError::Protocol(msg)) => CallOutcome::RemoteErr(format!("protocol: {msg}")),
+            Ok(reply) => Ok(Some(reply)),
+            Err(RpcError::Remote(msg)) => Err(VmError::RemoteFailure(msg)),
+            Err(RpcError::Protocol(msg)) => Err(VmError::RemoteFailure(format!("protocol: {msg}"))),
             Err(RpcError::Disconnected | RpcError::Timeout) => {
-                self.core.handle_failure();
-                CallOutcome::FailedOver
+                core.handle_failure();
+                Ok(None)
             }
             // A saturated surrogate is unusable for steady-state touches
             // just like a dead one — recover locally and let the next
@@ -854,165 +907,9 @@ impl FailoverAdapter {
             // told this was saturation, not death, so the surrogate stays
             // in the registry under a brief cooldown.
             Err(RpcError::Busy { retry_after_ms }) => {
-                self.core.handle_saturation(retry_after_ms);
-                CallOutcome::FailedOver
+                core.handle_saturation(retry_after_ms);
+                Ok(None)
             }
-        }
-    }
-
-    /// Pins `id` if it is a local object about to be referenced remotely.
-    fn export_if_local(&self, id: ObjectId) {
-        let vm = self.core.client.vm();
-        let mut vm = vm.lock();
-        if vm.heap().contains(id) && self.core.tables.exports.export(id) {
-            vm.external_root_inc(id);
-        }
-    }
-
-    /// Notes receipt of a reference owned by the peer.
-    fn import_if_remote(&self, id: ObjectId) {
-        let vm = self.core.client.vm();
-        let vm = vm.lock();
-        if !vm.heap().contains(id) {
-            self.core.tables.imports.import(id);
-        }
-    }
-}
-
-impl std::fmt::Debug for FailoverAdapter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FailoverAdapter").finish()
-    }
-}
-
-impl RemoteAccess for FailoverAdapter {
-    fn invoke(
-        &self,
-        target: ObjectId,
-        class: ClassId,
-        method: MethodId,
-        arg_bytes: u32,
-        ret_bytes: u32,
-        args: &[ObjectId],
-    ) -> VmResult<()> {
-        for &a in args {
-            self.export_if_local(a);
-        }
-        self.import_if_remote(target);
-        match self.call(Request::Invoke {
-            target,
-            class,
-            method,
-            arg_bytes,
-            ret_bytes,
-            args: args.to_vec(),
-        }) {
-            CallOutcome::Reply(_) => Ok(()),
-            CallOutcome::RemoteErr(msg) => Err(VmError::RemoteFailure(msg)),
-            CallOutcome::FailedOver => self.core.client.call_on(target, class, method, args),
-        }
-    }
-
-    fn field_access(&self, target: ObjectId, bytes: u32, write: bool) -> VmResult<()> {
-        self.import_if_remote(target);
-        match self.call(Request::FieldAccess {
-            target,
-            bytes,
-            write,
-        }) {
-            CallOutcome::Reply(_) => Ok(()),
-            CallOutcome::RemoteErr(msg) => Err(VmError::RemoteFailure(msg)),
-            CallOutcome::FailedOver => self.core.client.field_access_on(target, bytes, write),
-        }
-    }
-
-    fn get_slot(&self, target: ObjectId, slot: u16) -> VmResult<Option<ObjectId>> {
-        self.import_if_remote(target);
-        match self.call(Request::GetSlot { target, slot }) {
-            CallOutcome::Reply(Reply::Slot(value)) => {
-                if let Some(v) = value {
-                    self.import_if_remote(v);
-                }
-                Ok(value)
-            }
-            CallOutcome::Reply(other) => Err(VmError::RemoteFailure(format!(
-                "unexpected reply {other:?} to GetSlot"
-            ))),
-            CallOutcome::RemoteErr(msg) => Err(VmError::RemoteFailure(msg)),
-            CallOutcome::FailedOver => self.core.client.get_slot_on(target, slot),
-        }
-    }
-
-    fn put_slot(&self, target: ObjectId, slot: u16, value: Option<ObjectId>) -> VmResult<()> {
-        if let Some(v) = value {
-            self.export_if_local(v);
-        }
-        self.import_if_remote(target);
-        match self.call(Request::PutSlot {
-            target,
-            slot,
-            value,
-        }) {
-            CallOutcome::Reply(_) => Ok(()),
-            CallOutcome::RemoteErr(msg) => Err(VmError::RemoteFailure(msg)),
-            CallOutcome::FailedOver => self.core.client.put_slot_on(target, slot, value),
-        }
-    }
-
-    fn native(
-        &self,
-        caller: ClassId,
-        kind: NativeKind,
-        work_micros: u32,
-        arg_bytes: u32,
-        ret_bytes: u32,
-    ) -> VmResult<()> {
-        match self.call(Request::Native {
-            caller,
-            kind,
-            work_micros,
-            arg_bytes,
-            ret_bytes,
-        }) {
-            CallOutcome::Reply(_) => Ok(()),
-            CallOutcome::RemoteErr(msg) => Err(VmError::RemoteFailure(msg)),
-            CallOutcome::FailedOver => {
-                self.core.client.native_on(work_micros);
-                Ok(())
-            }
-        }
-    }
-
-    fn static_access(
-        &self,
-        accessor: ClassId,
-        class: ClassId,
-        bytes: u32,
-        write: bool,
-    ) -> VmResult<()> {
-        match self.call(Request::StaticAccess {
-            accessor,
-            class,
-            bytes,
-            write,
-        }) {
-            CallOutcome::Reply(_) => Ok(()),
-            CallOutcome::RemoteErr(msg) => Err(VmError::RemoteFailure(msg)),
-            CallOutcome::FailedOver => {
-                self.core.client.static_access_on(class, bytes, write);
-                Ok(())
-            }
-        }
-    }
-
-    fn class_of(&self, target: ObjectId) -> VmResult<ClassId> {
-        match self.call(Request::ClassOf { target }) {
-            CallOutcome::Reply(Reply::Class(c)) => Ok(c),
-            CallOutcome::Reply(other) => Err(VmError::RemoteFailure(format!(
-                "unexpected reply {other:?} to ClassOf"
-            ))),
-            CallOutcome::RemoteErr(msg) => Err(VmError::RemoteFailure(msg)),
-            CallOutcome::FailedOver => self.core.client.class_of_local(target),
         }
     }
 }
@@ -1021,13 +918,16 @@ impl RemoteAccess for FailoverAdapter {
 mod tests {
     use super::*;
     use aide_rpc::Link;
-    use aide_vm::{MethodDef, ProgramBuilder, VmConfig};
+    use aide_vm::{
+        ClassId, MethodDef, MethodId, NativeKind, ProgramBuilder, RemoteAccess, VmConfig,
+    };
 
     fn test_machine() -> Machine {
         let mut b = ProgramBuilder::new();
         let main = b.add_class("Main");
-        let _doc = b.add_class("Doc");
+        let doc = b.add_class("Doc");
         b.add_method(main, MethodDef::new("main", vec![]));
+        b.add_method(doc, MethodDef::new("touch", vec![]));
         let program = Arc::new(b.build(main, MethodId(0), 64, 4).unwrap());
         Machine::new(program, VmConfig::client(1 << 20))
     }
@@ -1312,38 +1212,121 @@ mod tests {
         assert!(core.endpoint_for_call().is_none(), "no active lease");
     }
 
+    /// All seven [`RemoteAccess`] methods through a [`RemoteAdapter`] over
+    /// either kind of [`Surrogate`], against a live surrogate VM; then the
+    /// surrogate goes away, and the two kinds part: `Fixed` surfaces the
+    /// dead link, `Managed` recovers and serves the touch locally.
     #[test]
-    fn failed_over_adapter_serves_locally() {
-        let client = test_machine();
-        let tables = Arc::new(RefTables::new());
-        let provider = Arc::new(QueueProvider {
-            leases: Mutex::new(Vec::new()),
-            acquire_calls: AtomicU64::new(0),
-            failures: Mutex::new(Vec::new()),
-        });
-        let clock = Arc::new(NetClock::new());
-        let core = Arc::new(FailoverCore::new(
-            provider,
-            test_ctx(clock),
-            client.clone(),
-            tables,
-            &quick_config(),
-        ));
-        let adapter = FailoverAdapter::new(core);
-        let id = ObjectId::client(5);
-        {
-            let vm = client.vm();
-            let mut vm = vm.lock();
-            vm.heap_mut()
-                .insert(id, ObjectRecord::new(ClassId(1), 100, 0))
+    fn remote_access_works_through_both_surrogate_kinds_and_they_differ_only_on_failure() {
+        use crate::adapter::{RemoteAdapter, VmDispatcher};
+
+        for managed in [false, true] {
+            let client = test_machine();
+            let surrogate_machine = Machine::new(
+                client.vm().lock().program().clone(),
+                VmConfig::surrogate(1 << 20),
+            );
+            let tables = Arc::new(RefTables::new());
+            let (link, ct, st) = Link::pair(CommParams::WAVELAN);
+            let config = test_ctx(link.clock.clone()).endpoint_config;
+            let client_ep = Endpoint::start(
+                ct,
+                link.params,
+                link.clock.clone(),
+                Arc::new(VmDispatcher::new(client.clone(), tables.clone())),
+                config,
+            );
+            let surrogate_ep = Endpoint::start(
+                st,
+                link.params,
+                link.clock.clone(),
+                Arc::new(VmDispatcher::new(
+                    surrogate_machine.clone(),
+                    Arc::new(RefTables::new()),
+                )),
+                config,
+            );
+            let core = Arc::new(FailoverCore::new(
+                Arc::new(QueueProvider {
+                    leases: Mutex::new(Vec::new()),
+                    acquire_calls: AtomicU64::new(0),
+                    failures: Mutex::new(Vec::new()),
+                }),
+                test_ctx(link.clock.clone()),
+                client.clone(),
+                tables.clone(),
+                &quick_config(),
+            ));
+            let surrogate = if managed {
+                *core.active.lock() = Some(SurrogateLease {
+                    name: "s1".into(),
+                    endpoint: client_ep.clone(),
+                });
+                Surrogate::Managed(core.clone())
+            } else {
+                Surrogate::Fixed(client_ep.clone())
+            };
+            let adapter = RemoteAdapter {
+                surrogate,
+                machine: client.clone(),
+                tables: tables.clone(),
+            };
+
+            // A Doc on the surrogate, a Doc at home.
+            let remote = ObjectId::surrogate(5);
+            let local = ObjectId::client(5);
+            surrogate_machine
+                .vm()
+                .lock()
+                .heap_mut()
+                .insert(remote, ObjectRecord::new(ClassId(1), 100, 1))
                 .unwrap();
+            client
+                .vm()
+                .lock()
+                .heap_mut()
+                .insert(local, ObjectRecord::new(ClassId(1), 100, 1))
+                .unwrap();
+
+            adapter
+                .invoke(remote, ClassId(1), MethodId(0), 8, 8, &[])
+                .unwrap();
+            adapter.field_access(remote, 16, true).unwrap();
+            adapter.put_slot(remote, 0, Some(local)).unwrap();
+            assert!(tables.exports.contains(local), "a local ref left: pinned");
+            assert_eq!(adapter.get_slot(remote, 0).unwrap(), Some(local));
+            adapter
+                .native(ClassId(1), NativeKind::Framebuffer, 5, 0, 0)
+                .unwrap();
+            adapter
+                .static_access(ClassId(1), ClassId(0), 8, false)
+                .unwrap();
+            assert_eq!(adapter.class_of(remote).unwrap(), ClassId(1));
+            assert_eq!(surrogate_ep.requests_served(), 7, "managed: {managed}");
+
+            // The surrogate goes away.
+            surrogate_ep.shutdown();
+            surrogate_ep.join();
+            if managed {
+                assert_eq!(adapter.class_of(local).unwrap(), ClassId(1));
+                adapter.field_access(local, 16, false).unwrap();
+                assert_eq!(adapter.get_slot(local, 0).unwrap(), None);
+                assert_eq!(core.report().failovers, 1);
+                assert!(core.endpoint_for_call().is_none());
+                // What never came home is a dangling reference, not a hang.
+                assert!(matches!(
+                    adapter.class_of(remote),
+                    Err(VmError::DanglingReference(_)) | Err(VmError::RemoteFailure(_))
+                ));
+            } else {
+                assert!(matches!(
+                    adapter.class_of(local),
+                    Err(VmError::RemoteFailure(_))
+                ));
+                assert_eq!(core.report().failovers, 0);
+            }
+            client_ep.shutdown();
+            client_ep.join();
         }
-        // No active surrogate: every operation is served locally.
-        assert_eq!(adapter.class_of(id).unwrap(), ClassId(1));
-        adapter.field_access(id, 16, false).unwrap();
-        assert!(matches!(
-            adapter.class_of(ObjectId::surrogate(404)),
-            Err(VmError::DanglingReference(_)) | Err(VmError::RemoteFailure(_))
-        ));
     }
 }

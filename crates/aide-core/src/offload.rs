@@ -47,7 +47,7 @@ pub struct OffloadOutcome {
     /// reference them.
     pub back_references_pinned: u64,
     /// Wall-clock duration of the migration (victim gathering through the
-    /// last `Migrate` reply), in microseconds.
+    /// `MigrateCommit` reply), in microseconds.
     pub duration_micros: u64,
 }
 
@@ -176,29 +176,12 @@ pub(crate) fn gather_shipment(
 }
 
 /// Executes `selection` against the client machine, shipping the offloaded
-/// objects to the surrogate through `endpoint`.
+/// objects to the surrogate through `endpoint`. `keys[i]` names what graph
+/// node `i` stands for (class or single object).
 ///
-/// `keys[i]` names what graph node `i` stands for (class or single object).
-///
-/// # Errors
-///
-/// Returns [`VmError::RemoteFailure`] if migration RPCs fail; the client
-/// heap is left consistent (objects that could not be shipped are
-/// reinstalled).
-pub fn execute_offload(
-    selection: &SelectedPartition,
-    keys: &[NodeKey],
-    client: &Machine,
-    endpoint: &Arc<Endpoint>,
-    tables: &Arc<RefTables>,
-) -> VmResult<OffloadOutcome> {
-    execute_offload_tracked(selection, keys, client, endpoint, tables, None)
-        .map(|(outcome, _, _)| outcome)
-}
-
-/// Like [`execute_offload`], but also returns shadow copies of the shipped
-/// object records and the back-reference pins taken — the raw material for
-/// a reinstatement ledger. If the surrogate later dies, the failover path
+/// Besides the outcome, returns shadow copies of the shipped object records
+/// and the back-reference pins taken — the raw material for a
+/// reinstatement ledger. If the surrogate later dies, the failover path
 /// re-installs the shadow copies into the client heap and releases the
 /// listed pins, restoring purely-local execution.
 ///
@@ -214,8 +197,8 @@ pub fn execute_offload(
 ///
 /// # Errors
 ///
-/// Same contract as [`execute_offload`]: on error the client heap has been
-/// restored and nothing was tracked.
+/// Returns [`VmError::RemoteFailure`] if migration RPCs fail; the client
+/// heap has been restored and nothing was tracked.
 pub fn execute_offload_tracked(
     selection: &SelectedPartition,
     keys: &[NodeKey],
@@ -436,7 +419,8 @@ mod tests {
                 .unwrap();
         }
         let (sel, keys) = doc_selection(300_000);
-        let outcome = execute_offload(&sel, &keys, &client, &cep, &tables).unwrap();
+        let (outcome, _, _) =
+            execute_offload_tracked(&sel, &keys, &client, &cep, &tables, None).unwrap();
         assert_eq!(outcome.objects_moved, 3);
         assert!(outcome.bytes_moved >= 300_000);
         assert!(outcome.client_used_after < outcome.client_used_before);
@@ -464,7 +448,8 @@ mod tests {
                 .unwrap();
         }
         let (sel, keys) = doc_selection(1_000);
-        let outcome = execute_offload(&sel, &keys, &client, &cep, &tables).unwrap();
+        let (outcome, _, _) =
+            execute_offload_tracked(&sel, &keys, &client, &cep, &tables, None).unwrap();
         assert_eq!(outcome.back_references_pinned, 1);
         assert_eq!(client.vm().lock().external_root_count(), 1);
         assert!(tables.exports.contains(ObjectId::client(10)));
@@ -485,7 +470,7 @@ mod tests {
                 .unwrap();
         }
         let (sel, keys) = doc_selection(550_000);
-        execute_offload(&sel, &keys, &client, &cep, &tables).unwrap();
+        execute_offload_tracked(&sel, &keys, &client, &cep, &tables, None).unwrap();
         // 550 KB at 11 Mbps ≈ 0.4 s of simulated link time.
         assert!(cep.clock().seconds() > 0.35);
     }
@@ -524,7 +509,8 @@ mod tests {
             NodeKey::Object(ObjectId::client(0)),
             NodeKey::Object(ObjectId::client(1)),
         ];
-        let outcome = execute_offload(&sel, &keys, &client, &cep, &tables).unwrap();
+        let (outcome, _, _) =
+            execute_offload_tracked(&sel, &keys, &client, &cep, &tables, None).unwrap();
         // The cheapest candidate offloads only the cold array (obj1).
         assert_eq!(outcome.objects_moved, 1);
         let svm = surrogate.vm();

@@ -37,8 +37,7 @@ use serde::{Deserialize, Serialize};
 use crate::adapter::{RefTables, RemoteAdapter, VmDispatcher};
 use crate::config::{EvaluationMode, PlatformConfig, TransportKind};
 use crate::failover::{
-    FailoverAdapter, FailoverConfig, FailoverCore, FailoverReport, ProviderContext,
-    SurrogateProvider,
+    FailoverConfig, FailoverCore, FailoverReport, ProviderContext, Surrogate, SurrogateProvider,
 };
 use crate::monitor::{Monitor, MonitorMetrics, RemoteStats};
 use crate::nondet::{LiveSource, MigrationRecord, NondetSource, TriggerSample};
@@ -150,12 +149,8 @@ struct Controller {
     partitioner: Mutex<IncrementalPartitioner>,
     evaluation: EvaluationMode,
     /// Late-bound: the controller participates in the client's hook chain,
-    /// which must exist before the machine and endpoint it drives.
-    client: std::sync::OnceLock<Machine>,
-    endpoint: std::sync::OnceLock<Arc<Endpoint>>,
-    /// Present on provider-backed runs: the failover core supplies (and
-    /// replaces) the surrogate endpoint instead of `endpoint`.
-    failover: std::sync::OnceLock<Arc<FailoverCore>>,
+    /// which must exist before the machine and surrogate it drives.
+    bound: std::sync::OnceLock<(Machine, Surrogate)>,
     tables: Arc<RefTables>,
     max_offloads: u32,
     offloads_done: AtomicU32,
@@ -170,32 +165,23 @@ struct Controller {
 }
 
 impl Controller {
-    fn bind(&self, client: Machine, endpoint: Arc<Endpoint>) {
-        self.client
-            .set(client)
-            .ok()
-            .expect("controller already bound");
-        self.endpoint
-            .set(endpoint)
-            .ok()
-            .expect("controller already bound");
-    }
-
-    fn bind_failover(&self, client: Machine, core: Arc<FailoverCore>) {
-        self.client
-            .set(client)
-            .ok()
-            .expect("controller already bound");
-        self.failover
-            .set(core)
+    fn bind(&self, client: Machine, surrogate: Surrogate) {
+        self.bound
+            .set((client, surrogate))
             .ok()
             .expect("controller already bound");
     }
 
     fn client(&self) -> &Machine {
-        self.client
+        &self
+            .bound
             .get()
             .expect("controller bound before execution")
+            .0
+    }
+
+    fn surrogate(&self) -> Option<&Surrogate> {
+        self.bound.get().map(|(_, surrogate)| surrogate)
     }
 
     /// How many offloads the run may still perform. Each recovered failover
@@ -203,7 +189,7 @@ impl Controller {
     /// is not blocked by the original budget.
     fn offload_budget(&self) -> u32 {
         self.max_offloads
-            .saturating_add(self.failover.get().map_or(0, |c| c.failovers_so_far()))
+            .saturating_add(self.surrogate().map_or(0, Surrogate::failovers_so_far))
     }
 
     fn maybe_offload(&self, at_gc_cycle: u64, reason: &str) {
@@ -328,27 +314,21 @@ impl Controller {
         // Resolve the surrogate endpoint: provider-backed runs acquire one
         // lazily (and may have none reachable right now); fixed-link runs
         // use the endpoint bound at startup.
-        let endpoint = if let Some(core) = self.failover.get() {
-            match core.acquire_for_offload() {
-                Some(ep) => ep,
-                None => {
-                    // No surrogate reachable (or backoff gate closed). With
-                    // a relay wired the decision still frees memory *now*:
-                    // the victims are gathered out of the heap and parked
-                    // for delivery to the next surrogate. Without one, stay
-                    // local; the next trigger re-evaluates.
-                    self.nondet.migration(MigrationRecord::NoSurrogate);
-                    if core.queue_for_relay(&selection, &keys) {
-                        decision_span.arg("outcome", "queued_for_relay");
-                    } else {
-                        decision_span.arg("outcome", "no_surrogate");
-                    }
-                    self.monitor.reset_memory_trigger();
-                    return;
-                }
+        let surrogate = self.surrogate().expect("controller bound");
+        let Some(endpoint) = surrogate.endpoint_for_offload() else {
+            // No surrogate reachable (or backoff gate closed). With a relay
+            // wired the decision still frees memory *now*: the victims are
+            // gathered out of the heap and parked for delivery to the next
+            // surrogate. Without one, stay local; the next trigger
+            // re-evaluates.
+            self.nondet.migration(MigrationRecord::NoSurrogate);
+            if surrogate.queue_for_relay(&selection, &keys) {
+                decision_span.arg("outcome", "queued_for_relay");
+            } else {
+                decision_span.arg("outcome", "no_surrogate");
             }
-        } else {
-            self.endpoint.get().expect("controller bound").clone()
+            self.monitor.reset_memory_trigger();
+            return;
         };
         match execute_offload_tracked(
             &selection,
@@ -359,9 +339,7 @@ impl Controller {
             Some(self.recorder.as_ref()),
         ) {
             Ok((outcome, shadow, pins)) => {
-                if let Some(core) = self.failover.get() {
-                    core.record_shipment(shadow, pins);
-                }
+                surrogate.record_shipment(shadow, pins);
                 self.nondet.migration(MigrationRecord::Completed {
                     objects: outcome.objects_moved,
                     bytes: outcome.bytes_moved,
@@ -397,9 +375,7 @@ impl Controller {
                 let _ = err;
                 self.nondet.migration(MigrationRecord::Failed);
                 decision_span.arg("outcome", "migration_failed");
-                if let Some(core) = self.failover.get() {
-                    core.fail_active_if_dead();
-                }
+                surrogate.fail_active_if_dead();
                 self.monitor.reset_memory_trigger();
             }
         }
@@ -408,17 +384,13 @@ impl Controller {
     /// Distributed GC: after a client collection, release remote references
     /// the client no longer holds in heap slots or mutator roots.
     fn release_dropped_refs(&self) {
-        let endpoint = if let Some(core) = self.failover.get() {
-            // Provider-backed: the active lease, if any. With no surrogate
-            // attached, still sweep the import table (nobody to notify, but
-            // the table must reflect what the client actually references).
-            core.endpoint_for_call()
-        } else {
-            match self.endpoint.get() {
-                Some(ep) => Some(ep.clone()),
-                None => return,
-            }
+        let Some(surrogate) = self.surrogate() else {
+            return;
         };
+        // With no surrogate attached (a provider-backed run between
+        // leases), still sweep the import table: nobody to notify, but the
+        // table must reflect what the client actually references.
+        let endpoint = surrogate.endpoint_for_call();
         let still = {
             let vm = self.client().vm();
             let vm = vm.lock();
@@ -635,14 +607,7 @@ impl Platform {
         }
         let cfg = &self.config;
 
-        // VM configurations.
-        let mut client_cfg = VmConfig::client(cfg.client_heap);
-        client_cfg.gc = cfg.gc;
-        client_cfg.cost = cfg.cost;
-        client_cfg.stateless_natives_local = cfg.stateless_natives_local;
-        if cfg.monitoring {
-            client_cfg.cost.monitor_event_micros = cfg.monitor_event_micros;
-        }
+        // The surrogate VM and the link to it.
         let mut surrogate_cfg = VmConfig {
             kind: VmKind::Surrogate,
             heap_capacity: cfg.surrogate_heap,
@@ -654,29 +619,8 @@ impl Platform {
         if cfg.monitoring {
             surrogate_cfg.cost.monitor_event_micros = cfg.monitor_event_micros;
         }
-
-        // Monitor (shared by both VMs).
-        let object_granular = if cfg.array_object_granularity {
-            self.program
-                .classes()
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.is_primitive_array)
-                .map(|(i, _)| ClassId(i as u32))
-                .collect()
-        } else {
-            Default::default()
-        };
-        let monitor = Arc::new(Monitor::new(
-            self.program.clone(),
-            cfg.trigger,
-            object_granular,
-        ));
-
-        // VMs and link.
-        let client_vm = Arc::new(Mutex::new(Vm::new(self.program.clone(), client_cfg)));
         let surrogate_vm = Arc::new(Mutex::new(Vm::new(self.program.clone(), surrogate_cfg)));
-        let (link, ct, st) = build_sessions(&cfg);
+        let (link, ct, st) = build_sessions(cfg);
         // Optional fault injection: both directions wrapped in seeded chaos
         // shims, the surrogate direction reseeded exactly like `chaos_pair`
         // so one seed drives a deterministic fault schedule per direction.
@@ -692,46 +636,14 @@ impl Platform {
             None => (ct, st),
         };
         let net_clock = link.clock.clone();
-        let client_tables = Arc::new(RefTables::new());
         let surrogate_tables = Arc::new(RefTables::new());
-        let telemetry_before = aide_telemetry::global().snapshot();
-        let recorder = Arc::new(FlightRecorder::new(FLIGHT_RECORDER_EVENTS));
 
-        // Tracing: flight-recorder events link to the active span, and the
-        // two in-process roles get distinct Perfetto lanes.
-        aide_trace::install_recorder_annotator();
-        aide_trace::set_process_label("client");
-
-        // Controller first (late-bound), so the client machine's hook chain
-        // can include it from the start.
-        let controller = Arc::new(Controller {
-            monitor: monitor.clone(),
-            policy: cfg.policy.build(cfg.comm, cfg.surrogate_speed),
-            partitioner: Mutex::new(IncrementalPartitioner::new(cfg.partitioner)),
-            evaluation: cfg.evaluation,
-            client: std::sync::OnceLock::new(),
-            endpoint: std::sync::OnceLock::new(),
-            failover: std::sync::OnceLock::new(),
-            tables: client_tables.clone(),
-            max_offloads: cfg.max_offloads,
-            offloads_done: AtomicU32::new(0),
-            events: Mutex::new(Vec::new()),
-            recorder: recorder.clone(),
-            nondet: self.nondet.clone().unwrap_or_else(|| Arc::new(LiveSource)),
-            evaluating: Mutex::new(()),
-        });
-
-        // Machines: a single client machine (mutator AND dispatcher target,
-        // so callbacks from the surrogate are monitored too) and one
-        // surrogate machine.
-        let client_hooks: Arc<dyn RuntimeHooks> = if cfg.monitoring {
-            Arc::new(HookChain::new(vec![monitor.clone(), controller.clone()]))
-        } else {
-            Arc::new(NullHooks)
-        };
-        let client_machine = Machine::with_parts(client_vm.clone(), client_hooks, None);
+        // One client machine (mutator AND dispatcher target, so callbacks
+        // from the surrogate are monitored too); the surrogate machine
+        // reports to the same monitor.
+        let side = self.client_side();
         let surrogate_hooks: Arc<dyn RuntimeHooks> = if cfg.monitoring {
-            monitor.clone()
+            side.monitor.clone()
         } else {
             Arc::new(NullHooks)
         };
@@ -742,10 +654,7 @@ impl Platform {
             ct,
             cfg.comm,
             net_clock.clone(),
-            Arc::new(VmDispatcher::new(
-                client_machine.clone(),
-                client_tables.clone(),
-            )),
+            Arc::new(VmDispatcher::new(side.machine.clone(), side.tables.clone())),
             EndpointConfig::default(),
         );
         // The surrogate endpoint's workers inherit the track active at
@@ -767,25 +676,19 @@ impl Platform {
         // Lease piggybacking: each endpoint stamps outgoing frames with its
         // imports epoch and renews its own exports on stamped arrivals, so
         // ordinary RPC traffic keeps cross-VM references alive.
-        client_tables.attach_to(&client_ep);
+        side.tables.attach_to(&client_ep);
         surrogate_tables.attach_to(&surrogate_ep);
-        client_tables.exports.set_recorder(recorder.clone());
-        surrogate_tables.exports.set_recorder(recorder.clone());
+        surrogate_tables.exports.set_recorder(side.recorder.clone());
 
-        client_machine.set_remote(Arc::new(RemoteAdapter::new(
-            client_ep.clone(),
-            client_machine.clone(),
-            client_tables.clone(),
-        )));
         surrogate_machine.set_remote(Arc::new(RemoteAdapter::new(
             surrogate_ep.clone(),
             surrogate_machine.clone(),
             surrogate_tables,
         )));
-        controller.bind(client_machine.clone(), client_ep.clone());
+        side.bind(Surrogate::Fixed(client_ep.clone()));
 
         // Run the application on the client.
-        let outcome = client_machine.run_entry();
+        let outcome = side.machine.run_entry();
 
         // Orderly teardown.
         client_ep.shutdown();
@@ -793,31 +696,15 @@ impl Platform {
         client_ep.join();
         surrogate_ep.join();
 
-        let (final_graph, _) = monitor.snapshot();
-        let offloads = std::mem::take(&mut *controller.events.lock());
-        let client_vm_guard = client_vm.lock();
-        let surrogate_vm_guard = surrogate_vm.lock();
+        let surrogate_vm = surrogate_vm.lock();
         PlatformReport {
-            outcome,
-            client_cpu_seconds: client_vm_guard.cpu_seconds(),
-            surrogate_cpu_seconds: surrogate_vm_guard.cpu_seconds(),
-            client_hook_seconds: client_vm_guard.hook_seconds(),
-            surrogate_hook_seconds: surrogate_vm_guard.hook_seconds(),
-            comm_seconds: net_clock.seconds(),
-            client_gc_cycles: client_vm_guard.collector().cycles(),
-            offloads,
-            final_graph,
-            metrics: monitor.metrics(),
-            remote_stats: monitor.remote_stats(),
+            surrogate_cpu_seconds: surrogate_vm.cpu_seconds(),
+            surrogate_hook_seconds: surrogate_vm.hook_seconds(),
             surrogate_requests_served: surrogate_ep.requests_served(),
             client_requests_served: client_ep.requests_served(),
             frames_exchanged: client_ep.traffic().frames_sent()
                 + surrogate_ep.traffic().frames_sent(),
-            failover: None,
-            telemetry: aide_telemetry::global()
-                .snapshot()
-                .delta_since(&telemetry_before),
-            events: recorder.events(),
+            ..side.report(outcome, net_clock.seconds())
         }
     }
 
@@ -829,96 +716,33 @@ impl Platform {
         failover_cfg: &FailoverConfig,
     ) -> PlatformReport {
         let cfg = &self.config;
-
-        let mut client_cfg = VmConfig::client(cfg.client_heap);
-        client_cfg.gc = cfg.gc;
-        client_cfg.cost = cfg.cost;
-        client_cfg.stateless_natives_local = cfg.stateless_natives_local;
-        if cfg.monitoring {
-            client_cfg.cost.monitor_event_micros = cfg.monitor_event_micros;
-        }
-
-        let object_granular = if cfg.array_object_granularity {
-            self.program
-                .classes()
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.is_primitive_array)
-                .map(|(i, _)| ClassId(i as u32))
-                .collect()
-        } else {
-            Default::default()
-        };
-        let monitor = Arc::new(Monitor::new(
-            self.program.clone(),
-            cfg.trigger,
-            object_granular,
-        ));
-
-        let client_vm = Arc::new(Mutex::new(Vm::new(self.program.clone(), client_cfg)));
         let net_clock = Arc::new(NetClock::new());
-        let client_tables = Arc::new(RefTables::new());
-        let telemetry_before = aide_telemetry::global().snapshot();
-        let recorder = Arc::new(FlightRecorder::new(FLIGHT_RECORDER_EVENTS));
-
-        // Tracing: this process is the client role; the surrogate side is
-        // whatever the provider connects to (typically the daemon, which
-        // labels itself).
-        aide_trace::install_recorder_annotator();
-        aide_trace::set_process_label("client");
-
-        let nondet: Arc<dyn NondetSource> =
-            self.nondet.clone().unwrap_or_else(|| Arc::new(LiveSource));
-        let controller = Arc::new(Controller {
-            monitor: monitor.clone(),
-            policy: cfg.policy.build(cfg.comm, cfg.surrogate_speed),
-            partitioner: Mutex::new(IncrementalPartitioner::new(cfg.partitioner)),
-            evaluation: cfg.evaluation,
-            client: std::sync::OnceLock::new(),
-            endpoint: std::sync::OnceLock::new(),
-            failover: std::sync::OnceLock::new(),
-            tables: client_tables.clone(),
-            max_offloads: cfg.max_offloads,
-            offloads_done: AtomicU32::new(0),
-            events: Mutex::new(Vec::new()),
-            recorder: recorder.clone(),
-            nondet: nondet.clone(),
-            evaluating: Mutex::new(()),
-        });
-
-        let client_hooks: Arc<dyn RuntimeHooks> = if cfg.monitoring {
-            Arc::new(HookChain::new(vec![monitor.clone(), controller.clone()]))
-        } else {
-            Arc::new(NullHooks)
-        };
-        let client_machine = Machine::with_parts(client_vm.clone(), client_hooks, None);
+        // This process is the client role; the surrogate side is whatever
+        // the provider connects to (typically the daemon, which labels
+        // itself).
+        let side = self.client_side();
 
         // Every surrogate session the provider opens shares the client's
         // dispatcher (serving surrogate callbacks), link pricing, and clock.
         let ctx = ProviderContext {
             comm: cfg.comm,
             clock: net_clock.clone(),
-            dispatcher: Arc::new(VmDispatcher::new(
-                client_machine.clone(),
-                client_tables.clone(),
-            )),
+            dispatcher: Arc::new(VmDispatcher::new(side.machine.clone(), side.tables.clone())),
             endpoint_config: EndpointConfig::default(),
         };
         let core = Arc::new(FailoverCore::new(
             provider,
             ctx,
-            client_machine.clone(),
-            client_tables.clone(),
+            side.machine.clone(),
+            side.tables.clone(),
             failover_cfg,
         ));
-        core.set_recorder(recorder.clone());
-        core.set_nondet(nondet.clone());
+        core.set_recorder(side.recorder.clone());
+        core.set_nondet(side.nondet.clone());
         if let Some(relay) = self.relay.clone() {
             core.set_relay(relay);
         }
-        client_tables.exports.set_recorder(recorder.clone());
-        client_machine.set_remote(Arc::new(FailoverAdapter::new(core.clone())));
-        controller.bind_failover(client_machine.clone(), core.clone());
+        side.bind(Surrogate::Managed(core.clone()));
 
         // Heartbeat: probe the active surrogate so failures are detected
         // even while the mutator runs purely locally. It sleeps on its stop
@@ -940,7 +764,7 @@ impl Platform {
                 .expect("spawn heartbeat thread")
         };
 
-        let outcome = client_machine.run_entry();
+        let outcome = side.machine.run_entry();
 
         drop(stop_heartbeat);
         let _ = heartbeat.join();
@@ -950,31 +774,146 @@ impl Platform {
         core.recall_relay();
         core.shutdown();
 
-        let (final_graph, _) = monitor.snapshot();
-        let offloads = std::mem::take(&mut *controller.events.lock());
-        let client_vm_guard = client_vm.lock();
+        // Surrogate VMs live in the provider's daemons, out of process:
+        // their virtual CPU time and request counts stay at zero.
         PlatformReport {
-            outcome,
-            client_cpu_seconds: client_vm_guard.cpu_seconds(),
-            // Surrogate VMs live in the provider's daemons, out of process;
-            // their virtual CPU time is not visible from here.
-            surrogate_cpu_seconds: 0.0,
-            client_hook_seconds: client_vm_guard.hook_seconds(),
-            surrogate_hook_seconds: 0.0,
-            comm_seconds: net_clock.seconds(),
-            client_gc_cycles: client_vm_guard.collector().cycles(),
-            offloads,
-            final_graph,
-            metrics: monitor.metrics(),
-            remote_stats: monitor.remote_stats(),
-            surrogate_requests_served: 0,
             client_requests_served: core.requests_served_total(),
             frames_exchanged: core.frames_total(),
             failover: Some(core.report()),
+            ..side.report(outcome, net_clock.seconds())
+        }
+    }
+
+    /// Builds the half of a run that does not depend on where the
+    /// surrogate is: the client VM and machine, the monitor and the
+    /// late-bound controller in its hook chain, the client's reference
+    /// tables, and the run's recorder and telemetry baseline.
+    fn client_side(&self) -> ClientSide {
+        let cfg = &self.config;
+        let mut client_cfg = VmConfig::client(cfg.client_heap);
+        client_cfg.gc = cfg.gc;
+        client_cfg.cost = cfg.cost;
+        client_cfg.stateless_natives_local = cfg.stateless_natives_local;
+        if cfg.monitoring {
+            client_cfg.cost.monitor_event_micros = cfg.monitor_event_micros;
+        }
+
+        // Monitor (shared by both VMs of a fixed-link run).
+        let object_granular = if cfg.array_object_granularity {
+            self.program
+                .classes()
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.is_primitive_array)
+                .map(|(i, _)| ClassId(i as u32))
+                .collect()
+        } else {
+            Default::default()
+        };
+        let monitor = Arc::new(Monitor::new(
+            self.program.clone(),
+            cfg.trigger,
+            object_granular,
+        ));
+
+        let vm = Arc::new(Mutex::new(Vm::new(self.program.clone(), client_cfg)));
+        let tables = Arc::new(RefTables::new());
+        let telemetry_before = aide_telemetry::global().snapshot();
+        let recorder = Arc::new(FlightRecorder::new(FLIGHT_RECORDER_EVENTS));
+
+        // Tracing: flight-recorder events link to the active span, and
+        // this thread's spans go to the "client" lane.
+        aide_trace::install_recorder_annotator();
+        aide_trace::set_process_label("client");
+
+        // Controller first (late-bound), so the client machine's hook chain
+        // can include it from the start.
+        let nondet: Arc<dyn NondetSource> =
+            self.nondet.clone().unwrap_or_else(|| Arc::new(LiveSource));
+        let controller = Arc::new(Controller {
+            monitor: monitor.clone(),
+            policy: cfg.policy.build(cfg.comm, cfg.surrogate_speed),
+            partitioner: Mutex::new(IncrementalPartitioner::new(cfg.partitioner)),
+            evaluation: cfg.evaluation,
+            bound: std::sync::OnceLock::new(),
+            tables: tables.clone(),
+            max_offloads: cfg.max_offloads,
+            offloads_done: AtomicU32::new(0),
+            events: Mutex::new(Vec::new()),
+            recorder: recorder.clone(),
+            nondet: nondet.clone(),
+            evaluating: Mutex::new(()),
+        });
+        let hooks: Arc<dyn RuntimeHooks> = if cfg.monitoring {
+            Arc::new(HookChain::new(vec![monitor.clone(), controller.clone()]))
+        } else {
+            Arc::new(NullHooks)
+        };
+        let machine = Machine::with_parts(vm, hooks, None);
+        tables.exports.set_recorder(recorder.clone());
+        ClientSide {
+            monitor,
+            controller,
+            machine,
+            tables,
+            recorder,
+            nondet,
+            telemetry_before,
+        }
+    }
+}
+
+/// The client half of a run, as [`Platform::client_side`] builds it.
+struct ClientSide {
+    monitor: Arc<Monitor>,
+    controller: Arc<Controller>,
+    machine: Machine,
+    tables: Arc<RefTables>,
+    recorder: Arc<FlightRecorder>,
+    nondet: Arc<dyn NondetSource>,
+    telemetry_before: TelemetrySnapshot,
+}
+
+impl ClientSide {
+    /// Points the client machine's remote touches and the controller's
+    /// offloads at `surrogate`.
+    fn bind(&self, surrogate: Surrogate) {
+        self.machine.set_remote(Arc::new(RemoteAdapter {
+            surrogate: surrogate.clone(),
+            machine: self.machine.clone(),
+            tables: self.tables.clone(),
+        }));
+        self.controller.bind(self.machine.clone(), surrogate);
+    }
+
+    /// The report of a finished run, as far as the client side knows it:
+    /// what the surrogate and the link did is left at zero for the caller
+    /// to fill in.
+    fn report(self, outcome: Result<RunSummary, VmError>, comm_seconds: f64) -> PlatformReport {
+        let (final_graph, _) = self.monitor.snapshot();
+        let offloads = std::mem::take(&mut *self.controller.events.lock());
+        let vm = self.machine.vm();
+        let vm = vm.lock();
+        PlatformReport {
+            outcome,
+            client_cpu_seconds: vm.cpu_seconds(),
+            surrogate_cpu_seconds: 0.0,
+            client_hook_seconds: vm.hook_seconds(),
+            surrogate_hook_seconds: 0.0,
+            comm_seconds,
+            client_gc_cycles: vm.collector().cycles(),
+            offloads,
+            final_graph,
+            metrics: self.monitor.metrics(),
+            remote_stats: self.monitor.remote_stats(),
+            surrogate_requests_served: 0,
+            client_requests_served: 0,
+            frames_exchanged: 0,
+            failover: None,
             telemetry: aide_telemetry::global()
                 .snapshot()
-                .delta_since(&telemetry_before),
-            events: recorder.events(),
+                .delta_since(&self.telemetry_before),
+            events: self.recorder.events(),
         }
     }
 }

@@ -28,7 +28,7 @@ const HEAP: u64 = 256 * 1024;
 ///   triggers and the controller offloads the live documents.
 /// * **B** — drop the first 50 documents (clear their slots).
 /// * **B2** — load 10 more docs; the periodic GC sweeps the dropped imports
-///   and sends `GcRelease` (the kill-switch dispatcher arms on it).
+///   and sends `GcReleaseSeq` (the kill-switch dispatcher arms on it).
 /// * **C** — read the surviving offloaded docs: the first remote touch hits
 ///   the dead surrogate, times out, and fails over (reinstating them).
 /// * **D** — load 40 more docs: pressure returns and the controller
@@ -141,15 +141,15 @@ fn lease_endpoint_config() -> EndpointConfig {
 }
 
 /// Wraps the surrogate's dispatcher with a kill switch: serves everything
-/// normally until the first `GcRelease` has been answered, then delays every
+/// normally until the first `GcReleaseSeq` has been answered, then delays every
 /// request past the client's call timeout — the surrogate is "dead" (its
 /// replies arrive after the caller has given up).
-struct KillAfterGcRelease {
+struct KillAfterGcReleaseSeq {
     inner: VmDispatcher,
     armed: AtomicBool,
 }
 
-impl Dispatcher for KillAfterGcRelease {
+impl Dispatcher for KillAfterGcReleaseSeq {
     fn dispatch(&self, request: Request) -> Result<Reply, String> {
         if self.armed.load(Ordering::SeqCst) {
             // Longer than the client's 150 ms call timeout. Returning Ok
@@ -159,7 +159,7 @@ impl Dispatcher for KillAfterGcRelease {
             std::thread::sleep(Duration::from_millis(400));
             return self.inner.dispatch(request);
         }
-        let arm = matches!(request, Request::GcRelease { .. });
+        let arm = matches!(request, Request::GcReleaseSeq { .. });
         let reply = self.inner.dispatch(request);
         if arm {
             self.armed.store(true, Ordering::SeqCst);
@@ -187,7 +187,7 @@ fn build_session(program: &Arc<Program>, name: &str, killable: bool) -> (Session
     let tables = Arc::new(RefTables::new());
     let inner = VmDispatcher::new(machine.clone(), tables);
     let dispatcher: Arc<dyn Dispatcher> = if killable {
-        Arc::new(KillAfterGcRelease {
+        Arc::new(KillAfterGcReleaseSeq {
             inner,
             armed: AtomicBool::new(false),
         })

@@ -12,7 +12,7 @@
 //! may issue further nested remote calls, so the pool must be at least as
 //! deep as the maximum cross-VM call nesting.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -24,6 +24,7 @@ use parking_lot::Mutex;
 
 use crate::link::{FrameSink, LinkError, NetClock, Session};
 use crate::reftable::{ExportTable, ImportTable};
+use crate::responder::{Responder, Served};
 use crate::transport::BackendKind;
 use crate::wire::{Frame, Message, Reply, Request, WireError};
 
@@ -44,7 +45,6 @@ struct RpcMetrics {
     latency_micros: Arc<aide_telemetry::Histogram>,
     simulated_bytes: Arc<aide_telemetry::Counter>,
     retries: Arc<aide_telemetry::Counter>,
-    dedup_hits: Arc<aide_telemetry::Counter>,
     late_replies: Arc<aide_telemetry::Counter>,
     bad_frames: Arc<aide_telemetry::Counter>,
 }
@@ -71,7 +71,6 @@ impl RpcMetrics {
             ),
             simulated_bytes: t.counter(aide_telemetry::names::RPC_SIMULATED_BYTES),
             retries: t.counter(aide_telemetry::names::RPC_RETRIES),
-            dedup_hits: t.counter(aide_telemetry::names::RPC_DEDUP_HITS),
             late_replies: t.counter(aide_telemetry::names::RPC_LATE_REPLIES),
             bad_frames: t.counter(aide_telemetry::names::RPC_BAD_FRAMES),
         }
@@ -289,86 +288,8 @@ struct Pending {
 /// arrive would otherwise grow the set forever.
 const LATE_SET_CAPACITY: usize = 4096;
 
-/// At-most-once execution cache on the serving side, keyed by
-/// `(client id, sequence number)`.
-///
-/// A retried non-idempotent request ([`Request::Invoke`],
-/// [`Request::Migrate`], …) must never execute twice: the first arrival
-/// marks the key in-flight and executes; duplicates arriving during
-/// execution are dropped (the eventual reply answers every copy, since
-/// retries share the sequence number); duplicates arriving after
-/// completion are answered from the memoized reply frame.
-struct DedupCache {
-    capacity: usize,
-    entries: Mutex<DedupInner>,
-}
-
-#[derive(Default)]
-struct DedupInner {
-    map: HashMap<(u64, u64), Option<Vec<u8>>>,
-    fifo: VecDeque<(u64, u64)>,
-}
-
-/// What the worker should do with an arriving request.
-enum DedupDecision {
-    /// First sighting: execute it.
-    Execute,
-    /// Duplicate of a request still executing: drop (its reply is coming).
-    InFlight,
-    /// Duplicate of a completed request: resend the memoized reply frame.
-    Replay(Vec<u8>),
-}
-
-impl DedupCache {
-    fn new(capacity: usize) -> Self {
-        DedupCache {
-            capacity: capacity.max(1),
-            entries: Mutex::new(DedupInner::default()),
-        }
-    }
-
-    fn begin(&self, key: (u64, u64)) -> DedupDecision {
-        let mut inner = self.entries.lock();
-        match inner.map.get(&key) {
-            Some(None) => return DedupDecision::InFlight,
-            Some(Some(frame)) => return DedupDecision::Replay(frame.clone()),
-            None => {}
-        }
-        if inner.fifo.len() >= self.capacity {
-            // Evict the oldest *completed* entry; in-flight markers rotate
-            // to the back so an executing request is never forgotten.
-            for _ in 0..inner.fifo.len() {
-                let oldest = inner.fifo.pop_front().expect("fifo non-empty");
-                if matches!(inner.map.get(&oldest), Some(None)) {
-                    inner.fifo.push_back(oldest);
-                } else {
-                    inner.map.remove(&oldest);
-                    break;
-                }
-            }
-        }
-        inner.map.insert(key, None);
-        inner.fifo.push_back(key);
-        DedupDecision::Execute
-    }
-
-    fn complete(&self, key: (u64, u64), reply_frame: Vec<u8>) {
-        let mut inner = self.entries.lock();
-        if let Some(slot) = inner.map.get_mut(&key) {
-            *slot = Some(reply_frame);
-        }
-    }
-}
-
-/// Requests exempt from at-most-once bookkeeping: idempotent health and
-/// introspection traffic that would otherwise churn the cache. Lease
-/// renewals qualify — renewing twice is the same as renewing once.
-fn is_idempotent(request: &Request) -> bool {
-    matches!(
-        request,
-        Request::Ping | Request::Stats | Request::GcRenew { .. }
-    )
-}
+/// Replies the endpoint's at-most-once cache remembers.
+const DEDUP_CAPACITY: usize = 1024;
 
 /// Reference-table handles wired into an endpoint by
 /// [`Endpoint::attach_gc`] so lease maintenance piggybacks on ordinary
@@ -599,7 +520,7 @@ impl Endpoint {
             gc: Mutex::new(None),
             metrics: RpcMetrics::resolve(session.backend()),
         });
-        let dedup = Arc::new(DedupCache::new(1024));
+        let responder = Arc::new(Responder::new(DEDUP_CAPACITY));
 
         // Threads inherit the spawner's track label, so an endpoint started
         // by the surrogate daemon exports its serve spans on the
@@ -612,7 +533,7 @@ impl Endpoint {
             let disp = dispatcher.clone();
             let out = session.clone();
             let shared = shared.clone();
-            let dedup = dedup.clone();
+            let responder = responder.clone();
             let track = track.clone();
             handles.push(
                 std::thread::Builder::new()
@@ -620,49 +541,18 @@ impl Endpoint {
                     .spawn(move || {
                         aide_trace::set_thread_track(&track);
                         while let Ok((client, seq, request, ctx)) = rx.recv() {
-                            let kind = request.kind();
-                            let dedupable = !is_idempotent(&request);
-                            if dedupable {
-                                match dedup.begin((client, seq)) {
-                                    DedupDecision::Execute => {}
-                                    DedupDecision::InFlight => {
-                                        shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                                        shared.metrics.dedup_hits.inc();
-                                        let mut span =
-                                            aide_trace::child_of(ctx, span_names::RPC_DEDUP, "rpc");
-                                        span.arg("kind", kind);
-                                        span.arg("action", "drop_in_flight");
-                                        continue;
-                                    }
-                                    DedupDecision::Replay(frame) => {
-                                        shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                                        shared.metrics.dedup_hits.inc();
-                                        let mut span =
-                                            aide_trace::child_of(ctx, span_names::RPC_DEDUP, "rpc");
-                                        span.arg("kind", kind);
-                                        span.arg("action", "replay_reply");
-                                        drop(span);
-                                        if out.send(frame).is_err() {
-                                            break;
-                                        }
-                                        continue;
-                                    }
-                                }
+                            let served =
+                                responder.respond(disp.as_ref(), ctx, client, seq, request, || {
+                                    shared.lease_stamp()
+                                });
+                            if matches!(served, Served::Executed(_)) {
+                                shared.requests_served.fetch_add(1, Ordering::Relaxed);
+                            } else {
+                                shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
                             }
-                            // The serve span adopts the caller's wire context,
-                            // which is what stitches client and surrogate into
-                            // one connected trace tree.
-                            let mut span = aide_trace::child_of(ctx, span_names::RPC_SERVE, "rpc");
-                            span.arg("kind", kind);
-                            span.arg("seq", seq);
-                            let result = disp.dispatch(request);
-                            shared.requests_served.fetch_add(1, Ordering::Relaxed);
-                            let frame =
-                                Message::Reply { seq, result }.encode_stamped(shared.lease_stamp());
-                            drop(span);
-                            if dedupable {
-                                dedup.complete((client, seq), frame.to_vec());
-                            }
+                            let (Served::Executed(frame) | Served::Replayed(frame)) = served else {
+                                continue; // the first copy's reply answers this one
+                            };
                             if out.send(frame).is_err() {
                                 break;
                             }
@@ -763,108 +653,13 @@ impl Endpoint {
     /// [`RpcError::Remote`] if the peer reported an execution error,
     /// [`RpcError::Disconnected`] / [`RpcError::Timeout`] on link failures.
     pub fn call(&self, request: Request) -> Result<Reply, RpcError> {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let mut span = aide_trace::span(span_names::RPC_CALL, "rpc");
-        span.arg("kind", request.kind());
-        span.arg("seq", seq);
-        let msg = Message::Request {
-            seq,
-            client: self.client_id,
-            body: request,
+        let single_shot = RetryPolicy {
+            max_attempts: 1,
+            attempt_timeout: self.config.call_timeout,
+            deadline: self.config.call_timeout,
+            ..self.config.retry
         };
-        let req_bytes = msg.simulated_request_bytes();
-        let (reply_bytes, is_migrate) = match &msg {
-            Message::Request { body, .. } => (
-                Message::simulated_reply_bytes(body),
-                matches!(
-                    body,
-                    Request::Migrate { .. } | Request::MigratePrepare { .. }
-                ),
-            ),
-            Message::Reply { .. } => unreachable!(),
-        };
-
-        let slot = match self.shared.register(seq) {
-            Ok(slot) => slot,
-            Err(e) => {
-                self.shared.metrics.errors.inc();
-                span.arg("outcome", "disconnected");
-                return Err(e);
-            }
-        };
-        // Encoded while the call span is ambient, so the frame carries it
-        // as the wire trace context.
-        let frame = msg.encode_stamped(self.shared.lease_stamp());
-        let started = std::time::Instant::now();
-        if let Err(e) = self.session.send(frame) {
-            self.shared.forget(seq);
-            self.shared.metrics.errors.inc();
-            span.arg("outcome", "disconnected");
-            return Err(e.into());
-        }
-
-        let outcome = slot.wait(self.config.call_timeout);
-        self.shared.forget(seq);
-        self.shared.metrics.requests.inc();
-        self.shared.metrics.backend_requests.inc();
-        let elapsed_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.shared.metrics.latency_micros.observe(elapsed_micros);
-        crate::observe::call_completed(seq, 1, elapsed_micros, matches!(&outcome, Ok(Ok(_))));
-        let result = match outcome {
-            Ok(r) => r,
-            Err(e) => {
-                if e == RpcError::Timeout {
-                    // Remember the abandoned sequence number so the
-                    // sink can count the reply if it straggles in.
-                    self.note_late_expected(seq);
-                }
-                self.shared.metrics.errors.inc();
-                span.arg(
-                    "outcome",
-                    match &e {
-                        RpcError::Timeout => "timeout",
-                        _ => "disconnected",
-                    },
-                );
-                return Err(e);
-            }
-        };
-        span.arg(
-            "outcome",
-            match &result {
-                Ok(Reply::Busy { .. }) => "busy",
-                Ok(_) => "ok",
-                Err(_) => "remote_error",
-            },
-        );
-        self.shared
-            .metrics
-            .simulated_bytes
-            .add(req_bytes + reply_bytes);
-
-        // Simulated link time: bulk transfers (offloading) stream at link
-        // bandwidth with half-RTT setup; everything else is a synchronous
-        // round trip.
-        let seconds = if is_migrate {
-            self.params.transfer_seconds(req_bytes)
-        } else {
-            self.params.rtt_seconds
-                + ((req_bytes + reply_bytes) as f64 * 8.0) / self.params.bandwidth_bps
-        };
-        self.clock.add(seconds);
-        self.clock.note_round_trip();
-
-        match result {
-            Ok(Reply::Busy { retry_after_ms }) => {
-                self.shared.metrics.errors.inc();
-                Err(RpcError::Busy { retry_after_ms })
-            }
-            Ok(reply) => Ok(reply),
-            Err(msg) => {
-                self.shared.metrics.errors.inc();
-                Err(RpcError::Remote(msg))
-            }
-        }
+        self.round_trip(request, single_shot, false)
     }
 
     /// Like [`call`], but resends the request under the endpoint's
@@ -890,35 +685,50 @@ impl Endpoint {
     ///
     /// [`call`]: Endpoint::call
     pub fn call_with_retry(&self, request: Request) -> Result<Reply, RpcError> {
-        let policy = self.config.retry;
+        self.round_trip(request, self.config.retry, true)
+    }
+
+    /// The calling half of the protocol: one logical round trip spending
+    /// the attempt budget of `policy`. The single-shot form (`retried`
+    /// false) is one `rpc.call` span; the retried form is an `rpc.retry`
+    /// span whose attempts and backoffs are child spans.
+    fn round_trip(
+        &self,
+        request: Request,
+        policy: RetryPolicy,
+        retried: bool,
+    ) -> Result<Reply, RpcError> {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let mut retry_span = aide_trace::span(span_names::RPC_RETRY, "rpc");
-        retry_span.arg("kind", request.kind());
-        retry_span.arg("seq", seq);
+        let name = if retried {
+            span_names::RPC_RETRY
+        } else {
+            span_names::RPC_CALL
+        };
+        let mut span = aide_trace::span(name, "rpc");
+        span.arg("kind", request.kind());
+        span.arg("seq", seq);
+        let reply_bytes = Message::simulated_reply_bytes(&request);
+        let is_migrate = matches!(request, Request::MigratePrepare { .. });
         let msg = Message::Request {
             seq,
             client: self.client_id,
             body: request,
         };
         let req_bytes = msg.simulated_request_bytes();
-        let (reply_bytes, is_migrate) = match &msg {
-            Message::Request { body, .. } => (
-                Message::simulated_reply_bytes(body),
-                matches!(
-                    body,
-                    Request::Migrate { .. } | Request::MigratePrepare { .. }
-                ),
-            ),
-            Message::Reply { .. } => unreachable!(),
-        };
 
+        // A round trip the transport failed: counted, and named in its span.
+        let fail = |mut span: aide_trace::SpanGuard, e: RpcError| {
+            self.shared.metrics.errors.inc();
+            let outcome = match &e {
+                RpcError::Timeout => "timeout",
+                _ => "disconnected",
+            };
+            span.arg("outcome", outcome);
+            Err(e)
+        };
         let slot = match self.shared.register(seq) {
             Ok(slot) => slot,
-            Err(e) => {
-                self.shared.metrics.errors.inc();
-                retry_span.arg("outcome", "disconnected");
-                return Err(e);
-            }
+            Err(e) => return fail(span, e),
         };
         let deadline = Instant::now() + policy.deadline;
         let mut jitter_state = (policy.seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
@@ -930,16 +740,29 @@ impl Endpoint {
                 self.retries.fetch_add(1, Ordering::Relaxed);
                 self.shared.metrics.retries.inc();
             }
-            // Each attempt is its own span and re-encodes the frame under
-            // it, so the serving side parents its serve span on the exact
-            // attempt that reached it — the payload bytes are identical
-            // across attempts (same seq, same client), only the trace
-            // context differs, so the at-most-once dedup still works.
-            let mut attempt_span = aide_trace::span(span_names::RPC_ATTEMPT, "rpc");
-            attempt_span.arg("attempt", attempt);
-            let frame = msg.encode_stamped(self.shared.lease_stamp());
-            if self.session.send(frame).is_err() {
-                attempt_span.arg("outcome", "disconnected");
+            // Each retried attempt is its own span and re-encodes the frame
+            // under it, so the serving side parents its serve span on the
+            // exact attempt that reached it — the payload bytes are
+            // identical across attempts (same seq, same client), only the
+            // trace context differs, so the at-most-once dedup still works.
+            let mut attempt_span = retried.then(|| {
+                let mut attempt_span = aide_trace::span(span_names::RPC_ATTEMPT, "rpc");
+                attempt_span.arg("attempt", attempt);
+                attempt_span
+            });
+            let mut attempt_outcome = |outcome: &str| {
+                if let Some(attempt_span) = attempt_span.as_mut() {
+                    attempt_span.arg("outcome", outcome);
+                }
+            };
+            if self.send_request(&msg).is_err() {
+                if !retried {
+                    // Nothing left this endpoint, so nothing completed: the
+                    // single-shot form reports the dead link and no call.
+                    self.shared.forget(seq);
+                    return fail(span, RpcError::Disconnected);
+                }
+                attempt_outcome("disconnected");
                 break Err(RpcError::Disconnected);
             }
             let wait = policy
@@ -947,11 +770,11 @@ impl Endpoint {
                 .min(deadline.saturating_duration_since(Instant::now()));
             match slot.wait(wait) {
                 Ok(r) => {
-                    attempt_span.arg("outcome", "ok");
+                    attempt_outcome("ok");
                     break Ok(r);
                 }
                 Err(RpcError::Timeout) => {
-                    attempt_span.arg("outcome", "timeout");
+                    attempt_outcome("timeout");
                     // Close the attempt before sleeping: the backoff is a
                     // sibling span, so attempt and backoff durations never
                     // overlap in the critical-path attribution.
@@ -972,7 +795,7 @@ impl Endpoint {
                     std::thread::sleep(sleep);
                 }
                 Err(_) => {
-                    attempt_span.arg("outcome", "disconnected");
+                    attempt_outcome("disconnected");
                     break Err(RpcError::Disconnected);
                 }
             }
@@ -983,36 +806,45 @@ impl Endpoint {
         let elapsed_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.shared.metrics.latency_micros.observe(elapsed_micros);
         crate::observe::call_completed(seq, attempt, elapsed_micros, matches!(&outcome, Ok(Ok(_))));
-        retry_span.arg("attempts", attempt);
+        if retried {
+            span.arg("attempts", attempt);
+        }
         let result = match outcome {
             Ok(r) => r,
             Err(e) => {
                 if e == RpcError::Timeout {
+                    // Remember the abandoned sequence number so the sink
+                    // can count the reply if it straggles in.
                     self.note_late_expected(seq);
                 }
-                self.shared.metrics.errors.inc();
-                retry_span.arg(
-                    "outcome",
-                    match &e {
-                        RpcError::Timeout => "timeout",
-                        _ => "disconnected",
-                    },
-                );
-                return Err(e);
+                return fail(span, e);
             }
         };
-        retry_span.arg(
-            "outcome",
-            match &result {
-                Ok(Reply::Busy { .. }) => "busy",
-                Ok(_) => "ok",
-                Err(_) => "remote_error",
-            },
-        );
+        // A Busy reply is an answer, not a loss: it never burns another
+        // attempt (the loop already broke on the reply) and surfaces as
+        // its own error so placement can move the work elsewhere.
+        let reply = match result {
+            Ok(Reply::Busy { retry_after_ms }) => Err(RpcError::Busy { retry_after_ms }),
+            Ok(reply) => Ok(reply),
+            Err(msg) => Err(RpcError::Remote(msg)),
+        };
+        let outcome = match &reply {
+            Ok(_) => "ok",
+            Err(RpcError::Busy { .. }) => "busy",
+            Err(_) => "remote_error",
+        };
+        span.arg("outcome", outcome);
+        if reply.is_err() {
+            self.shared.metrics.errors.inc();
+        }
         self.shared
             .metrics
             .simulated_bytes
             .add(req_bytes + reply_bytes);
+
+        // Simulated link time, charged once per logical round trip: bulk
+        // transfers (offloading) stream at link bandwidth with half-RTT
+        // setup; everything else is a synchronous round trip.
         let seconds = if is_migrate {
             self.params.transfer_seconds(req_bytes)
         } else {
@@ -1021,21 +853,15 @@ impl Endpoint {
         };
         self.clock.add(seconds);
         self.clock.note_round_trip();
+        reply
+    }
 
-        // A Busy reply is an answer, not a loss: it never burns another
-        // attempt here (the loop already broke on the reply) and surfaces
-        // as its own error so placement can move the work elsewhere.
-        match result {
-            Ok(Reply::Busy { retry_after_ms }) => {
-                self.shared.metrics.errors.inc();
-                Err(RpcError::Busy { retry_after_ms })
-            }
-            Ok(reply) => Ok(reply),
-            Err(msg) => {
-                self.shared.metrics.errors.inc();
-                Err(RpcError::Remote(msg))
-            }
-        }
+    /// Encodes `msg` — under the ambient span, which the frame carries as
+    /// its wire trace context, and with this endpoint's lease stamp — and
+    /// sends it.
+    fn send_request(&self, msg: &Message) -> Result<(), RpcError> {
+        let frame = msg.encode_stamped(self.shared.lease_stamp());
+        Ok(self.session.send(frame)?)
     }
 
     /// Marks `seq` as timed-out-but-possibly-answered, bounding the set so
@@ -1065,18 +891,13 @@ impl Endpoint {
     pub fn probe(&self, timeout: Duration) -> Result<Duration, RpcError> {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let slot = self.shared.register(seq)?;
-        let frame = Message::Request {
+        let ping = Message::Request {
             seq,
             client: self.client_id,
             body: Request::Ping,
-        }
-        .encode_stamped(self.shared.lease_stamp());
+        };
         let started = std::time::Instant::now();
-        if let Err(e) = self.session.send(frame) {
-            self.shared.forget(seq);
-            return Err(e.into());
-        }
-        let outcome = slot.wait(timeout);
+        let outcome = self.send_request(&ping).and_then(|()| slot.wait(timeout));
         self.shared.forget(seq);
         outcome?.map_err(RpcError::Remote)?;
         let rtt = started.elapsed();

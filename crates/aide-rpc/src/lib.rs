@@ -19,12 +19,17 @@
 //!   socket, with real traffic statistics and a shared [`NetClock`]
 //!   accumulating *simulated* link seconds priced by
 //!   [`aide_graph::CommParams`].
-//! * [`Endpoint`] — request/reply correlation plus the dispatcher worker
-//!   pool that re-enters the interpreter to serve the peer. It has no
-//!   receiver thread: whoever produces an inbound frame (a carrier's
-//!   reader, the in-process peer's sending thread) decodes it and completes
-//!   the waiting call or queues the job, so a call over TCP is four thread
-//!   hand-offs and four syscalls.
+//! * [`Endpoint`] — request/reply correlation (one round-trip routine
+//!   behind [`Endpoint::call`] and [`Endpoint::call_with_retry`]) plus the
+//!   dispatcher worker pool that re-enters the interpreter to serve the
+//!   peer. It has no receiver thread: whoever produces an inbound frame (a
+//!   carrier's reader, the in-process peer's sending thread) decodes it and
+//!   completes the waiting call or queues the job, so a call over TCP is
+//!   four thread hand-offs and four syscalls.
+//! * [`Responder`] — the serving half of the protocol, once: at-most-once
+//!   execution with memoized replies, the serve span, the stamped reply
+//!   frame. The endpoint's workers and the surrogate daemon's shard
+//!   workers both run it.
 //! * [`ExportTable`] / [`ImportTable`] — cross-VM reference bookkeeping for
 //!   the distributed garbage collection scheme, hardened with lease/epoch
 //!   reclamation (TTL deadlines on a manual [`GcClock`], watermarked
@@ -68,6 +73,7 @@ mod link;
 mod mux;
 pub mod observe;
 mod reftable;
+mod responder;
 mod tcp;
 mod transport;
 mod wire;
@@ -81,6 +87,7 @@ pub use observe::{set_rpc_observer, RpcObserver};
 pub use reftable::{
     live_remote_refs, ExportTable, GcClock, ImportTable, ReleaseOutcome, DEFAULT_LEASE_TTL_MS,
 };
+pub use responder::{Responder, Served};
 pub use tcp::{nudge, tcp_pair, tcp_transport, TcpMuxListener, TcpTransport};
 pub use transport::{
     channel_transport, virtual_transport, Acceptor, BackendKind, ChannelAcceptor, ChannelTransport,

@@ -1,0 +1,339 @@
+//! The serving half of the RPC protocol. Whoever owns the threads — an
+//! [`Endpoint`](crate::Endpoint)'s worker pool, a daemon's shard worker —
+//! decodes a frame, renews leases from its header, and hands the request
+//! to a [`Responder`], which decides whether it executes at all
+//! (at-most-once), runs it through the [`Dispatcher`] under an `rpc.serve`
+//! span parented on the caller's wire context, and encodes the stamped
+//! reply.
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+
+use aide_trace::{names as span_names, SpanContext};
+use parking_lot::Mutex;
+
+use crate::endpoint::Dispatcher;
+use crate::wire::{Frame, Message, Request};
+
+/// At-most-once execution cache, keyed by `(client id, sequence number)`.
+///
+/// A retried non-idempotent request ([`Request::Invoke`],
+/// [`Request::MigrateCommit`], …) must never execute twice: the first
+/// arrival marks the key in-flight and executes; duplicates arriving
+/// during execution are dropped (the eventual reply answers every copy,
+/// since retries share the sequence number); duplicates arriving after
+/// completion are answered from the memoized reply frame.
+struct DedupCache {
+    capacity: usize,
+    entries: Mutex<DedupInner>,
+}
+
+#[derive(Default)]
+struct DedupInner {
+    map: HashMap<(u64, u64), Option<Vec<u8>>>,
+    fifo: VecDeque<(u64, u64)>,
+}
+
+impl DedupCache {
+    fn new(capacity: usize) -> Self {
+        DedupCache {
+            capacity: capacity.max(1),
+            entries: Mutex::new(DedupInner::default()),
+        }
+    }
+
+    /// `None` on first sight of `key`, now marked in flight until
+    /// [`complete`](DedupCache::complete); otherwise what the duplicate
+    /// gets instead of an execution.
+    fn begin(&self, key: (u64, u64)) -> Option<Served> {
+        let mut inner = self.entries.lock();
+        match inner.map.get(&key) {
+            Some(None) => return Some(Served::InFlight),
+            Some(Some(frame)) => return Some(Served::Replayed(Frame::from(frame.clone()))),
+            None => {}
+        }
+        if inner.fifo.len() >= self.capacity {
+            // Evict the oldest *completed* entry; in-flight markers rotate
+            // to the back so an executing request is never forgotten.
+            for _ in 0..inner.fifo.len() {
+                let oldest = inner.fifo.pop_front().expect("fifo non-empty");
+                if matches!(inner.map.get(&oldest), Some(None)) {
+                    inner.fifo.push_back(oldest);
+                } else {
+                    inner.map.remove(&oldest);
+                    break;
+                }
+            }
+        }
+        inner.map.insert(key, None);
+        inner.fifo.push_back(key);
+        None
+    }
+
+    fn complete(&self, key: (u64, u64), reply_frame: Vec<u8>) {
+        let mut inner = self.entries.lock();
+        if let Some(slot) = inner.map.get_mut(&key) {
+            *slot = Some(reply_frame);
+        }
+    }
+}
+
+/// Requests exempt from at-most-once bookkeeping: idempotent health and
+/// introspection traffic that would otherwise churn the cache. Lease
+/// renewals qualify — renewing twice is the same as renewing once.
+fn is_idempotent(request: &Request) -> bool {
+    matches!(
+        request,
+        Request::Ping | Request::Stats | Request::GcRenew { .. }
+    )
+}
+
+/// What [`Responder::respond`] made of one request.
+#[derive(Debug)]
+pub enum Served {
+    /// First sight of the request: the dispatcher ran, and this is its
+    /// reply frame.
+    Executed(Frame),
+    /// A duplicate of a request that already completed: the dispatcher
+    /// did not run, and this is the memoized reply, byte for byte.
+    Replayed(Frame),
+    /// A duplicate of a request still executing: nothing to send, the
+    /// reply to the first copy answers this one too.
+    InFlight,
+}
+
+/// Serves decoded requests with at-most-once semantics. One per stream
+/// of client sequence numbers: an endpoint has one, a daemon has one per
+/// session.
+pub struct Responder {
+    dedup: DedupCache,
+    dedup_hits: Arc<aide_telemetry::Counter>,
+}
+
+impl Responder {
+    /// A responder remembering the replies of the last `dedup_capacity`
+    /// non-idempotent requests (at least one).
+    pub fn new(dedup_capacity: usize) -> Self {
+        Responder {
+            dedup: DedupCache::new(dedup_capacity),
+            dedup_hits: aide_telemetry::global().counter(aide_telemetry::names::RPC_DEDUP_HITS),
+        }
+    }
+
+    /// Serves request `body`, which `client` sent as its `seq`-th, through
+    /// `dispatcher`. `trace` is the caller's wire context (the parent of
+    /// the serve span); `lease_stamp` is read once the dispatcher has run
+    /// and rides the reply frame's header.
+    pub fn respond(
+        &self,
+        dispatcher: &dyn Dispatcher,
+        trace: Option<SpanContext>,
+        client: u64,
+        seq: u64,
+        body: Request,
+        lease_stamp: impl FnOnce() -> Option<u64>,
+    ) -> Served {
+        let kind = body.kind();
+        let key = (client, seq);
+        let dedupable = !is_idempotent(&body);
+        if dedupable {
+            if let Some(duplicate) = self.dedup.begin(key) {
+                // Absorbed: counted, and visible in the trace of the call
+                // that sent it.
+                self.dedup_hits.inc();
+                let mut span = aide_trace::child_of(trace, span_names::RPC_DEDUP, "rpc");
+                span.arg("kind", kind);
+                let action = match duplicate {
+                    Served::InFlight => "drop_in_flight",
+                    _ => "replay_reply",
+                };
+                span.arg("action", action);
+                return duplicate;
+            }
+        }
+        // The serve span adopts the caller's wire context, which is what
+        // stitches client and surrogate into one connected trace tree.
+        let mut span = aide_trace::child_of(trace, span_names::RPC_SERVE, "rpc");
+        span.arg("kind", kind);
+        span.arg("seq", seq);
+        let result = dispatcher.dispatch(body);
+        let frame = Message::Reply { seq, result }.encode_stamped(lease_stamp());
+        drop(span);
+        if dedupable {
+            self.dedup.complete(key, frame.to_vec());
+        }
+        Served::Executed(frame)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::Reply;
+    use aide_vm::ObjectId;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc;
+
+    /// Counts executions; answers each with the number it was.
+    #[derive(Default)]
+    struct Counting {
+        runs: AtomicU64,
+    }
+
+    impl Dispatcher for Counting {
+        fn dispatch(&self, _request: Request) -> Result<Reply, String> {
+            let run = self.runs.fetch_add(1, Ordering::SeqCst) + 1;
+            Ok(Reply::Text(format!("run {run}")))
+        }
+    }
+
+    fn write(bytes: u32) -> Request {
+        Request::FieldAccess {
+            target: ObjectId::surrogate(1),
+            bytes,
+            write: true,
+        }
+    }
+
+    /// Serves `body` as `(client 7, seq)` with no trace context and no stamp.
+    fn serve(
+        responder: &Responder,
+        dispatcher: &dyn Dispatcher,
+        seq: u64,
+        body: Request,
+    ) -> Served {
+        responder.respond(dispatcher, None, 7, seq, body, || None)
+    }
+
+    fn executed(served: Served) -> Frame {
+        match served {
+            Served::Executed(frame) => frame,
+            other => panic!("expected an execution, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn first_sight_executes_and_a_duplicate_gets_the_memoized_frame() {
+        let responder = Responder::new(8);
+        let dispatcher = Counting::default();
+        let first = executed(serve(&responder, &dispatcher, 1, write(4)));
+        assert_eq!(
+            Message::decode(&first).unwrap(),
+            Message::Reply {
+                seq: 1,
+                result: Ok(Reply::Text("run 1".into())),
+            }
+        );
+        match serve(&responder, &dispatcher, 1, write(4)) {
+            Served::Replayed(again) => assert_eq!(again, first, "byte-identical replay"),
+            other => panic!("expected a replay, got {other:?}"),
+        }
+        assert_eq!(dispatcher.runs.load(Ordering::SeqCst), 1, "executed once");
+        // Another client's seq 1 is another request.
+        executed(responder.respond(&dispatcher, None, 8, 1, write(4), || None));
+        assert_eq!(dispatcher.runs.load(Ordering::SeqCst), 2);
+    }
+
+    /// Blocks every execution until the test releases it.
+    struct Gated {
+        entered: mpsc::Sender<()>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl Dispatcher for Gated {
+        fn dispatch(&self, _request: Request) -> Result<Reply, String> {
+            self.entered.send(()).unwrap();
+            self.release.lock().recv().unwrap();
+            Ok(Reply::Unit)
+        }
+    }
+
+    #[test]
+    fn a_duplicate_of_an_executing_request_is_dropped_and_survives_eviction() {
+        let responder = Responder::new(2);
+        let (entered, has_entered) = mpsc::channel();
+        let (release, released) = mpsc::channel();
+        let gated = Gated {
+            entered,
+            release: Mutex::new(released),
+        };
+        std::thread::scope(|scope| {
+            let executing = scope.spawn(|| serve(&responder, &gated, 1, write(0)));
+            has_entered.recv().unwrap(); // seq 1 is inside the dispatcher
+            assert!(matches!(
+                serve(&responder, &gated, 1, write(0)),
+                Served::InFlight
+            ));
+            // Fill the two-entry cache past capacity with completed
+            // requests: the in-flight marker must not be the one evicted.
+            let quick = Counting::default();
+            for seq in 2..6 {
+                executed(serve(&responder, &quick, seq, write(0)));
+            }
+            assert!(matches!(
+                serve(&responder, &gated, 1, write(0)),
+                Served::InFlight
+            ));
+            release.send(()).unwrap();
+            let reply = executed(executing.join().unwrap());
+            // Completed while still remembered: now it replays.
+            match serve(&responder, &quick, 1, write(0)) {
+                Served::Replayed(again) => assert_eq!(again, reply),
+                other => panic!("expected a replay, got {other:?}"),
+            }
+            assert_eq!(quick.runs.load(Ordering::SeqCst), 4);
+        });
+    }
+
+    #[test]
+    fn eviction_at_capacity_forgets_the_oldest_completed_reply() {
+        let responder = Responder::new(2);
+        let dispatcher = Counting::default();
+        for seq in 1..=3 {
+            executed(serve(&responder, &dispatcher, seq, write(0)));
+        }
+        // 2 and 3 are remembered; 1 was evicted and executes again.
+        assert!(matches!(
+            serve(&responder, &dispatcher, 2, write(0)),
+            Served::Replayed(_)
+        ));
+        assert!(matches!(
+            serve(&responder, &dispatcher, 3, write(0)),
+            Served::Replayed(_)
+        ));
+        executed(serve(&responder, &dispatcher, 1, write(0)));
+        assert_eq!(dispatcher.runs.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn idempotent_requests_bypass_the_cache() {
+        let responder = Responder::new(1);
+        let dispatcher = Counting::default();
+        let remembered = executed(serve(&responder, &dispatcher, 1, write(0)));
+        for body in [Request::Ping, Request::Stats, Request::GcRenew { epoch: 3 }] {
+            // Same key twice: both execute, and neither takes the one slot.
+            executed(serve(&responder, &dispatcher, 9, body.clone()));
+            executed(serve(&responder, &dispatcher, 9, body));
+        }
+        assert_eq!(dispatcher.runs.load(Ordering::SeqCst), 7);
+        match serve(&responder, &dispatcher, 1, write(0)) {
+            Served::Replayed(again) => assert_eq!(again, remembered),
+            other => panic!("expected a replay, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_reply_carries_the_lease_stamp_read_after_dispatch() {
+        let responder = Responder::new(8);
+        let dispatcher = Counting::default();
+        let stamped = executed(responder.respond(&dispatcher, None, 7, 1, write(0), || {
+            // The dispatcher has run by the time the stamp is read.
+            Some(dispatcher.runs.load(Ordering::SeqCst) + 40)
+        }));
+        let (header, _) = Message::decode_framed(&stamped).unwrap();
+        assert_eq!(header.lease_epoch, Some(41));
+        let plain = executed(serve(&responder, &dispatcher, 2, write(0)));
+        let (header, _) = Message::decode_framed(&plain).unwrap();
+        assert_eq!(header.lease_epoch, None);
+    }
+}

@@ -187,17 +187,6 @@ pub enum Request {
         /// Target object.
         target: ObjectId,
     },
-    /// Transfer whole objects to the serving VM (offloading).
-    Migrate {
-        /// `(id, record)` pairs to install in the serving VM's heap.
-        objects: Vec<(ObjectId, ObjectRecord)>,
-    },
-    /// Distributed GC: the sender no longer references these objects of the
-    /// serving VM; their external-root pins can be released.
-    GcRelease {
-        /// Objects to unpin.
-        objects: Vec<ObjectId>,
-    },
     /// Phase one of a transactional migration: stage these objects under
     /// transaction `txn` without installing them. The serving VM checks
     /// capacity for everything staged so far and holds the objects in a
@@ -247,8 +236,7 @@ pub enum Request {
     /// the sender's lease epoch (so post-failover zombies are detectable)
     /// and a monotonically increasing per-session sequence number (so
     /// retries and chaos duplicates are dropped at the watermark instead
-    /// of double-unpinning). Supersedes [`Request::GcRelease`], which is
-    /// kept for wire compatibility.
+    /// of double-unpinning).
     GcReleaseSeq {
         /// The sender's current lease epoch.
         epoch: u64,
@@ -258,9 +246,9 @@ pub enum Request {
         objects: Vec<ObjectId>,
     },
     /// Store-and-forward delivery of a migration that was queued while the
-    /// serving VM was unreachable. Semantically a [`Request::Migrate`], but
-    /// keyed by the relay transaction id so redelivery attempts (the relay
-    /// retries until acknowledged) install the objects at most once.
+    /// serving VM was unreachable: the objects install in one step, keyed
+    /// by the relay transaction id so redelivery attempts (the relay
+    /// retries until acknowledged) install them at most once.
     RelayDeliver {
         /// Relay transaction id, unique per queued migration.
         txn: u64,
@@ -285,8 +273,6 @@ impl Request {
             Request::Native { .. } => "Native",
             Request::StaticAccess { .. } => "StaticAccess",
             Request::ClassOf { .. } => "ClassOf",
-            Request::Migrate { .. } => "Migrate",
-            Request::GcRelease { .. } => "GcRelease",
             Request::MigratePrepare { .. } => "MigratePrepare",
             Request::MigrateCommit { .. } => "MigrateCommit",
             Request::MigrateAbort { .. } => "MigrateAbort",
@@ -389,13 +375,11 @@ impl Message {
                             }
                         }
                         Request::ClassOf { .. } => 0,
-                        Request::Migrate { objects }
-                        | Request::MigratePrepare { objects, .. }
+                        Request::MigratePrepare { objects, .. }
                         | Request::RelayDeliver { objects, .. } => objects
                             .iter()
                             .map(|(_, rec)| rec.footprint() + 16)
                             .sum::<u64>(),
-                        Request::GcRelease { objects } => 8 * objects.len() as u64,
                         Request::GcRenew { .. } => 8,
                         Request::GcReleaseSeq { objects, .. } => 16 + 8 * objects.len() as u64,
                         Request::MigrateCommit { .. }
@@ -909,6 +893,9 @@ pub(crate) fn read_framed<const N: usize>(r: &mut impl Read) -> std::io::Result<
     Ok((head, frame))
 }
 
+/// Writes a request as its tag byte and fields. Tags 7 and 8 are
+/// unassigned: nothing encodes them and they decode to
+/// [`WireError::BadTag`].
 fn encode_request<B: BufMut>(buf: &mut B, body: &Request) {
     match body {
         Request::Invoke {
@@ -984,17 +971,6 @@ fn encode_request<B: BufMut>(buf: &mut B, body: &Request) {
         Request::ClassOf { target } => {
             buf.put_u8(6);
             buf.put_u64_le(target.0);
-        }
-        Request::Migrate { objects } => {
-            buf.put_u8(7);
-            put_object_records(buf, objects);
-        }
-        Request::GcRelease { objects } => {
-            buf.put_u8(8);
-            buf.put_u32_le(objects.len() as u32);
-            for id in objects {
-                buf.put_u64_le(id.0);
-            }
         }
         Request::Shutdown => buf.put_u8(9),
         Request::Ping => buf.put_u8(10),
@@ -1124,17 +1100,6 @@ fn decode_request(buf: &mut &[u8]) -> Result<Request, WireError> {
         6 => Request::ClassOf {
             target: ObjectId(get_u64(buf)?),
         },
-        7 => Request::Migrate {
-            objects: get_object_records(buf)?,
-        },
-        8 => {
-            let n = get_u32(buf)? as usize;
-            let mut objects = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                objects.push(ObjectId(get_u64(buf)?));
-            }
-            Request::GcRelease { objects }
-        }
         9 => Request::Shutdown,
         10 => Request::Ping,
         11 => Request::Stats,
@@ -1364,18 +1329,15 @@ mod tests {
             Request::ClassOf {
                 target: ObjectId::surrogate(11),
             },
-            Request::Migrate {
-                objects: vec![(ObjectId::client(4), rec)],
-            },
-            Request::GcRelease {
-                objects: vec![ObjectId::client(5), ObjectId::client(6)],
-            },
             Request::Shutdown,
             Request::Ping,
             Request::Stats,
             Request::MigratePrepare {
                 txn: 77,
-                objects: vec![(ObjectId::client(12), ObjectRecord::new(ClassId(2), 256, 0))],
+                objects: vec![
+                    (ObjectId::client(4), rec),
+                    (ObjectId::client(12), ObjectRecord::new(ClassId(2), 256, 0)),
+                ],
             },
             Request::MigrateCommit { txn: 77 },
             Request::MigrateAbort { txn: 78 },
@@ -1471,6 +1433,15 @@ mod tests {
         // A valid envelope and an empty header around an unknown message tag.
         let frame = seal(PROTOCOL_VERSION, &[0, 0, 7]);
         assert_eq!(Message::decode(&frame).unwrap_err(), WireError::BadTag(7));
+        // Request tags 7 and 8 are unassigned, like every tag past the
+        // last one.
+        for tag in [7u8, 8, 18] {
+            let mut payload = vec![0, 0, 0]; // no trace, no stamp, a request
+            payload.extend_from_slice(&[0; 16]); // seq, client
+            payload.push(tag);
+            let frame = seal(PROTOCOL_VERSION, &payload);
+            assert_eq!(Message::decode(&frame).unwrap_err(), WireError::BadTag(tag));
+        }
     }
 
     #[test]
@@ -1627,23 +1598,10 @@ mod tests {
     }
 
     #[test]
-    fn migrate_size_counts_object_footprints() {
-        let rec = ObjectRecord::new(ClassId(0), 984, 0); // footprint 1000
-        let msg = Message::Request {
-            seq: 0,
-            client: 0,
-            body: Request::Migrate {
-                objects: vec![(ObjectId::client(0), rec)],
-            },
-        };
-        assert_eq!(msg.simulated_request_bytes(), 32 + 1_000 + 16);
-    }
-
-    #[test]
-    fn two_phase_migration_sizes_match_the_single_shot_path() {
-        // PREPARE carries the objects (priced like Migrate); COMMIT and
-        // ABORT are control messages priced as bare headers, so switching
-        // to the transactional path does not change per-object link cost.
+    fn migration_size_counts_object_footprints_in_prepare_only() {
+        // PREPARE carries the objects, each priced at its footprint plus a
+        // 16-byte envelope; COMMIT and ABORT are control messages priced as
+        // bare headers.
         let rec = ObjectRecord::new(ClassId(0), 984, 0); // footprint 1000
         let prepare = Message::Request {
             seq: 0,

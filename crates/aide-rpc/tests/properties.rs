@@ -107,8 +107,16 @@ fn arb_request() -> impl Strategy<Value = Request> {
             }
         ),
         arb_object_id().prop_map(|target| Request::ClassOf { target }),
-        proptest::collection::vec((arb_object_id(), arb_record()), 0..12)
-            .prop_map(|objects| Request::Migrate { objects }),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            proptest::collection::vec((arb_object_id(), arb_record()), 0..12)
+        )
+            .prop_map(|(txn, queued_for_ms, objects)| Request::RelayDeliver {
+                txn,
+                queued_for_ms,
+                objects
+            }),
         (
             any::<u64>(),
             proptest::collection::vec((arb_object_id(), arb_record()), 0..12)
@@ -116,8 +124,16 @@ fn arb_request() -> impl Strategy<Value = Request> {
             .prop_map(|(txn, objects)| Request::MigratePrepare { txn, objects }),
         any::<u64>().prop_map(|txn| Request::MigrateCommit { txn }),
         any::<u64>().prop_map(|txn| Request::MigrateAbort { txn }),
-        proptest::collection::vec(arb_object_id(), 0..24)
-            .prop_map(|objects| Request::GcRelease { objects }),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            proptest::collection::vec(arb_object_id(), 0..24)
+        )
+            .prop_map(|(epoch, release_seq, objects)| Request::GcReleaseSeq {
+                epoch,
+                release_seq,
+                objects
+            }),
         Just(Request::Shutdown),
         Just(Request::Ping),
         Just(Request::Stats),

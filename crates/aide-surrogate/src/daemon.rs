@@ -56,7 +56,7 @@ pub struct DaemonConfig {
     /// many application requests (`Ping` health probes and `Stats` scrapes
     /// are not counted, so the crash point stays deterministic under
     /// heartbeating); `Some(0)` kills the very first request — typically
-    /// the client's initial `Migrate` — exercising mid-offload rollback.
+    /// the client's initial `MigratePrepare` — exercising mid-offload rollback.
     pub fail_after_requests: Option<u64>,
     /// Optional beacon announcing this daemon; `None` means clients must
     /// register the daemon's address statically.

@@ -14,10 +14,12 @@
 //! enqueues the event on that shard's queue itself — there is no router
 //! thread in between. Each shard is served by exactly one worker, so frames
 //! of one session are processed in arrival order without any per-session
-//! locking. The worker replicates
-//! the endpoint's serving semantics: lease renewal from stamped frames,
-//! at-most-once dedup with memoized reply frames, and replies stamped with
-//! the session's advertised import epoch.
+//! locking. The worker does what the endpoint's sink does with an inbound
+//! frame — decode it, renew leases from its stamp — and then serves the
+//! request through the same [`aide_rpc::Responder`] the endpoint's workers
+//! run (at-most-once dedup with memoized reply frames, the serve span,
+//! the reply stamped with the session's advertised import epoch), one
+//! responder per session.
 //!
 //! Admission control bounds the pool: once `max_sessions` sessions are
 //! live, new sessions are answered with [`Reply::Busy`] and closed instead
@@ -27,13 +29,15 @@
 //!
 //! [`Endpoint`]: aide_rpc::Endpoint
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use aide_core::{RefTables, VmDispatcher};
-use aide_rpc::{BusEvent, BusSink, Dispatcher, Frame, Message, MuxSender, Reply, Request};
+use aide_rpc::{
+    BusEvent, BusSink, Dispatcher, Frame, Message, MuxSender, Reply, Request, Responder, Served,
+};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 
@@ -85,11 +89,10 @@ pub struct SessionParts {
 pub type SessionFactory = dyn Fn(aide_rpc::ConnKiller) -> SessionParts + Send + Sync;
 
 /// One live session owned by a shard worker: its machinery plus the
-/// memoized replies of its at-most-once cache, keyed by `(client, seq)`.
+/// responder holding its at-most-once cache.
 struct ShardSession {
     parts: SessionParts,
-    replies: HashMap<(u64, u64), Frame>,
-    reply_order: VecDeque<(u64, u64)>,
+    responder: Responder,
 }
 
 /// State shared by the carriers' readers (which route into it), the shard
@@ -438,8 +441,7 @@ fn admit(
         key,
         ShardSession {
             parts,
-            replies: HashMap::new(),
-            reply_order: VecDeque::new(),
+            responder: Responder::new(shared.config.dedup_capacity),
         },
     );
 }
@@ -459,9 +461,9 @@ fn reply_busy(sender: &MuxSender, session: u32, frame: &Frame, retry_after_ms: u
     sender.close(session);
 }
 
-/// Serves one data frame on a live session, replicating the endpoint's
-/// semantics: lease renewal, at-most-once dedup with memoized replies, and
-/// epoch-stamped responses. Returns `true` when the session asked to shut
+/// Serves one data frame on a live session: decodes it, renews the
+/// session's leases from its stamp, and runs the request through the
+/// session's [`Responder`]. Returns `true` when the session asked to shut
 /// down.
 fn serve(
     shared: &PoolShared,
@@ -487,54 +489,47 @@ fn serve(
     if matches!(body, Request::Shutdown) {
         return true;
     }
-    // Idempotent health/introspection traffic bypasses the at-most-once
-    // cache (same exemptions as the endpoint worker).
-    let dedupable = !matches!(
-        body,
-        Request::Ping | Request::Stats | Request::GcRenew { .. }
-    );
-    if dedupable {
-        if let Some(memo) = sess.replies.get(&(client, seq)) {
-            let _ = sender.send(key.1, memo.clone());
-            return false;
-        }
+    let dispatcher = WithFleetStats {
+        session: sess.parts.dispatcher.as_ref(),
+        shared,
+    };
+    let imports = &sess.parts.tables.imports;
+    let served = sess
+        .responder
+        .respond(&dispatcher, header.trace, client, seq, body, || {
+            Some(imports.advertised_epoch())
+        });
+    if matches!(served, Served::Executed(_)) {
+        shared.served.fetch_add(1, Ordering::Relaxed);
     }
-    let is_stats = matches!(body, Request::Stats);
-    let mut span = aide_trace::child_of(header.trace, aide_trace::names::RPC_SERVE, "rpc");
-    span.arg("kind", body.kind());
-    span.arg("seq", seq);
-    let mut result = sess.parts.dispatcher.dispatch(body);
-    shared.served.fetch_add(1, Ordering::Relaxed);
-    if is_stats {
-        // STATS answers get the pool's per-daemon lines appended, so one
-        // scrape shows fleet load even with many daemons in one process.
-        if let Ok(Reply::Text(text)) = &mut result {
-            append_stats(shared, text);
-        }
+    if let Served::Executed(reply) | Served::Replayed(reply) = served {
+        let _ = sender.send(key.1, reply);
     }
-    let stamp = Some(sess.parts.tables.imports.advertised_epoch());
-    let reply = Message::Reply { seq, result }.encode_stamped(stamp);
-    drop(span);
-    if dedupable {
-        if sess.reply_order.len() >= shared.config.dedup_capacity.max(1) {
-            if let Some(oldest) = sess.reply_order.pop_front() {
-                sess.replies.remove(&oldest);
-            }
-        }
-        sess.replies.insert((client, seq), reply.clone());
-        sess.reply_order.push_back((client, seq));
-    }
-    let _ = sender.send(key.1, reply);
     false
 }
 
-/// Appends the pool's per-daemon Prometheus lines to a `STATS` scrape:
-/// live-session and queue-depth gauges, the admission limit, rejected
-/// sessions, and each live session's oldest lease age. Labelled by daemon
-/// name because the process-global registry cannot tell co-hosted daemons
-/// apart.
-fn append_stats(shared: &PoolShared, text: &mut String) {
-    text.push_str(&fleet_snapshot(shared).render());
+/// A session's dispatcher as the pool serves it: `STATS` answers get the
+/// pool's per-daemon Prometheus lines appended — live-session and
+/// queue-depth gauges, the admission limit, rejected sessions, each live
+/// session's oldest lease age — so one scrape shows fleet load even with
+/// many daemons in one process. Labelled by daemon name because the
+/// process-global registry cannot tell co-hosted daemons apart.
+struct WithFleetStats<'a> {
+    session: &'a dyn Dispatcher,
+    shared: &'a PoolShared,
+}
+
+impl Dispatcher for WithFleetStats<'_> {
+    fn dispatch(&self, request: Request) -> Result<Reply, String> {
+        let is_stats = matches!(request, Request::Stats);
+        let mut result = self.session.dispatch(request);
+        if is_stats {
+            if let Ok(Reply::Text(text)) = &mut result {
+                text.push_str(&fleet_snapshot(self.shared).render());
+            }
+        }
+        result
+    }
 }
 
 /// The pool's current load as a typed [`aide_telemetry::FleetSnapshot`]
@@ -675,8 +670,68 @@ mod tests {
         }
         assert_eq!(census("aide-shard-cens"), ShardConfig::default().shards);
         assert_eq!(census("aide-shard-rout"), 0);
-        // Disconnecting the shard queues is what stops the workers.
+        // Disconnecting the shard queues is what stops the workers. A
+        // joined thread's task entry outlives the join by a moment: wait,
+        // bounded, for the last to go.
         pool.shutdown();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while census("aide-shard-cens") > 0 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         assert_eq!(census("aide-shard-cens"), 0);
+    }
+
+    #[test]
+    fn a_duplicate_request_on_a_pool_session_is_answered_from_its_memo() {
+        use aide_rpc::{TcpMuxListener, TcpTransport, Transport};
+        use std::time::Duration;
+
+        let pool = tiny_pool(
+            "dedup",
+            ShardConfig {
+                dedup_capacity: 2,
+                ..ShardConfig::default()
+            },
+        );
+        let listener = TcpMuxListener::bind(([127, 0, 0, 1], 0).into()).unwrap();
+        let transport =
+            TcpTransport::connect(listener.local_addr(), Duration::from_secs(2)).unwrap();
+        let conn = listener.accept().unwrap();
+        pool.attach_carrier(1, conn.bus_sender(1));
+        conn.route_accepts_to(1, pool.sink());
+        let session = transport.open_session().unwrap();
+
+        // A non-idempotent request, sent as the same frame each time.
+        let exchange = |seq: u64| {
+            let request = Message::Request {
+                seq,
+                client: 9,
+                body: Request::MigrateAbort { txn: seq },
+            };
+            session.send(request.encode()).unwrap();
+            session
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap()
+                .expect("the pool answers every copy")
+        };
+        let first = exchange(1);
+        assert_eq!(
+            Message::decode(&first).unwrap(),
+            Message::Reply {
+                seq: 1,
+                result: Ok(Reply::Unit),
+            }
+        );
+        assert_eq!(exchange(1), first, "the duplicate gets the same bytes");
+        assert_eq!(pool.requests_served(), 1, "and is not dispatched");
+
+        // The session remembers two replies: 2 and 3 push 1 out.
+        exchange(2);
+        let third = exchange(3);
+        assert_eq!(exchange(3), third);
+        assert_eq!(pool.requests_served(), 3);
+        exchange(1);
+        assert_eq!(pool.requests_served(), 4, "the evicted memo is gone");
+        pool.shutdown();
     }
 }

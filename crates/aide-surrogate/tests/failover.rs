@@ -236,8 +236,8 @@ fn beacon_discovery_registers_the_daemon() {
 fn platform_survives_daemon_crash_and_reoffloads_over_tcp() {
     let program = doc_store_program();
     let mut c1 = DaemonConfig::new("s1", program.clone());
-    // Serve the Migrate and the GcRelease, then sever the socket on the
-    // next application request (health pings are not counted).
+    // Serve the migration's PREPARE and COMMIT, then sever the socket on
+    // the next application request (health pings are not counted).
     c1.fail_after_requests = Some(2);
     let d1 = SurrogateDaemon::start(c1).unwrap();
     let d2 = SurrogateDaemon::start(DaemonConfig::new("s2", program.clone())).unwrap();
@@ -276,7 +276,7 @@ fn platform_survives_daemon_crash_and_reoffloads_over_tcp() {
 }
 
 /// Acceptance variant: the daemon dies *during* the very first offload (the
-/// `Migrate` itself is severed). The transactional migration rolls back,
+/// `MigratePrepare` itself is severed). The transactional migration rolls back,
 /// nothing is lost, and the retry lands on the second daemon.
 #[test]
 fn offload_interrupted_mid_migration_rolls_back_and_retries() {

@@ -18,8 +18,8 @@
 //!   forwards operations on non-local objects through [`RemoteAccess`] (the
 //!   transparent remote-execution interposition point).
 //! * [`FlatProgram`] — the pre-decoded flat IR the default register-VM
-//!   interpreter executes (select the legacy tree-walker with
-//!   `AIDE_VM_LEGACY=1` or [`Machine::set_exec_mode`]).
+//!   interpreter executes (tests select the reference tree-walker with
+//!   [`Machine::set_exec_mode`]).
 //! * [`NativeKind`] — native-method annotations, including the paper's
 //!   stateless-native enhancement.
 //!

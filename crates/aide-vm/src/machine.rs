@@ -20,9 +20,10 @@
 //!   contiguous value stack with `{ base, ip }` frame windows, per-site
 //!   inline caches for the local-vs-remote reference check, and batched
 //!   hook dispatch via [`PendingEvents`];
-//! * the **legacy** tree-walker (`AIDE_VM_LEGACY=1`): the seed
-//!   implementation, kept as a differential-testing oracle and escape
-//!   hatch. Both produce identical [`RunSummary`]s and hook event streams.
+//! * the **legacy** tree-walker: the seed implementation, kept as the
+//!   reference the differential and golden-event tests compare the flat
+//!   VM against ([`Machine::set_exec_mode`] selects it). Both produce
+//!   identical [`RunSummary`]s and hook event streams.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -696,21 +697,9 @@ pub struct RunSummary {
 pub enum ExecMode {
     /// The pre-decoded flat-IR register VM (default).
     Flat,
-    /// The seed tree-walking interpreter — escape hatch and differential
-    /// oracle, selected by `AIDE_VM_LEGACY=1`.
+    /// The seed tree-walking interpreter: the reference the tests compare
+    /// the flat VM against.
     Legacy,
-}
-
-impl ExecMode {
-    /// Resolves the mode from the `AIDE_VM_LEGACY` environment variable:
-    /// `1` selects [`ExecMode::Legacy`], anything else the default flat
-    /// interpreter.
-    pub fn from_env() -> Self {
-        match std::env::var("AIDE_VM_LEGACY") {
-            Ok(v) if v == "1" => ExecMode::Legacy,
-            _ => ExecMode::Flat,
-        }
-    }
 }
 
 /// The interpreter: executes program methods against a shared [`Vm`].
@@ -780,12 +769,12 @@ impl Machine {
             hooks,
             remote: cell,
             max_depth: Self::DEFAULT_MAX_DEPTH,
-            mode: ExecMode::from_env(),
+            mode: ExecMode::Flat,
         }
     }
 
-    /// Selects which interpreter executes method bodies (overrides the
-    /// `AIDE_VM_LEGACY` environment default).
+    /// Selects which interpreter executes method bodies; a machine starts
+    /// on [`ExecMode::Flat`].
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.mode = mode;
     }

@@ -480,7 +480,7 @@ fn migration_bumps_epoch_and_flushes_inline_caches() {
 }
 
 #[test]
-fn legacy_escape_hatch_reports_no_cache_traffic() {
+fn legacy_tree_walker_reports_no_cache_traffic() {
     let (program, ..) = golden_program();
     let (result, _, machine) = run_mode(&program, ExecMode::Legacy);
     result.expect("legacy run succeeds");
@@ -493,21 +493,14 @@ fn legacy_escape_hatch_reports_no_cache_traffic() {
 }
 
 #[test]
-fn legacy_env_var_selects_tree_walker() {
-    // Every other test in this binary pins its mode explicitly via
-    // set_exec_mode, so briefly setting the escape hatch here cannot
-    // perturb them even when tests run in parallel.
-    std::env::set_var("AIDE_VM_LEGACY", "1");
+fn machines_start_on_the_flat_interpreter() {
     let (program, ..) = golden_program();
     let machine = Machine::with_hooks(
         program,
         VmConfig::client(1 << 22),
         Arc::new(aide_vm::NullHooks),
     );
-    std::env::remove_var("AIDE_VM_LEGACY");
-    assert_eq!(machine.exec_mode(), ExecMode::Legacy);
-    machine.run_entry().expect("legacy run succeeds");
-    assert_eq!(machine.vm().lock().ic_stats(), (0, 0));
+    assert_eq!(machine.exec_mode(), ExecMode::Flat);
 }
 
 #[test]

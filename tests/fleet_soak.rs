@@ -93,6 +93,15 @@ fn doc_store_program() -> Arc<Program> {
 /// A lighter store whose final live set always fits back into the client
 /// heap — the relay client's workload, so an end-of-run recall of parked
 /// shipments can never overflow (and never lose objects).
+///
+/// The first fill must *cross* the heap, or the memory trigger never fires
+/// and nothing is ever queued for the relay. A `Doc` is
+/// `ObjectRecord::footprint_of(DOC_BYTES, 0)` = 4 016 B and `Main`, with
+/// its 68 slots, 64 + 16 + 8 × 68 = 624 B, so the 256 KB heap holds 65
+/// docs (65 × 4 016 + 624 = 261 664 of 262 144 B: 480 B free, far under
+/// `TriggerConfig::low_free_fraction`'s 5 % = 13 107 B) and the 66th of the
+/// 68 allocations finds it full. Sixty docs — 92 % of the heap — never
+/// arm the trigger. Re-derive these numbers when the footprint changes.
 fn relay_store_program() -> Arc<Program> {
     let mut b = ProgramBuilder::new();
     let main = b.add_native_class("Main");
@@ -109,7 +118,7 @@ fn relay_store_program() -> Arc<Program> {
         ops.push(Op::PutSlot { slot, src: Reg(1) });
         ops.push(Op::Work { micros: 20 });
     };
-    for i in 0..60 {
+    for i in 0..68 {
         new_doc(&mut ops, i);
         if i % 8 == 0 {
             ops.push(Op::GetSlot {
@@ -142,7 +151,7 @@ fn relay_store_program() -> Arc<Program> {
         });
     }
     b.add_method(main, MethodDef::new("main", ops));
-    Arc::new(b.build(main, MethodId(0), 64, 60).unwrap())
+    Arc::new(b.build(main, MethodId(0), 64, 68).unwrap())
 }
 
 fn platform_config() -> PlatformConfig {
