@@ -495,7 +495,7 @@ mod tests {
     use super::*;
     use aide_graph::CommParams;
     use aide_rpc::{EndpointConfig, Link};
-    use aide_vm::{MethodDef, Op, ProgramBuilder, Reg, VmConfig};
+    use aide_vm::{MethodDef, Op, ProgramBuilder, VmConfig};
 
     /// Builds a connected client/surrogate machine pair over real RPC.
     fn machine_pair() -> (Machine, Machine, Arc<Endpoint>, Arc<Endpoint>) {

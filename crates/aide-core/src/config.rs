@@ -54,7 +54,7 @@ impl PolicyKind {
     }
 }
 
-/// Which carrier the prototype's RPC link uses. All three are reached
+/// Which carrier the prototype's RPC link uses. Both are reached
 /// through the same `aide_rpc::Transport` seam; platform code never sees
 /// the difference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,10 +63,6 @@ pub enum TransportKind {
     InProcess,
     /// A real localhost TCP socket carrying multiplexed sessions.
     Tcp,
-    /// In-process channels that additionally charge emulated link time
-    /// per frame at the configured [`CommParams`](aide_graph::CommParams)
-    /// rates, for deterministic emulator runs.
-    Emulated,
 }
 
 /// When the platform re-evaluates partitioning.

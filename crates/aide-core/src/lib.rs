@@ -65,7 +65,7 @@ pub use failover::{
 };
 pub use monitor::{Monitor, MonitorMetrics, NodeKey, RemoteStats, TriggerConfig};
 pub use nondet::{LinkPhase, LiveSource, MigrationRecord, NondetMode, NondetSource, TriggerSample};
-pub use offload::{execute_offload_tracked, OffloadOutcome};
+pub use offload::{execute_offload_tracked, OffloadOutcome, TrackedOffload};
 pub use partitioner::{
     decide, decide_with, EpochDecision, HeuristicKind, IncrementalPartitioner, PartitionDecision,
     PartitionerConfig,

@@ -19,6 +19,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -306,19 +307,11 @@ impl Monitor {
         }
     }
 
-    /// Starts timing one hook delivery, unless telemetry is disabled
-    /// (the disabled path must not even read the clock).
-    fn hook_timer(&self) -> Option<std::time::Instant> {
-        aide_telemetry::enabled().then(std::time::Instant::now)
-    }
-
     /// Accounts one completed delivery of `events` instrumented events.
-    fn note_hooks(&self, started: Option<std::time::Instant>, events: u64) {
-        if let Some(t0) = started {
-            self.hook_events.add(events);
-            self.hook_nanos
-                .add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
+    fn note_hooks(&self, started: Instant, events: u64) {
+        self.hook_events.add(events);
+        self.hook_nanos
+            .add(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// The trigger configuration.
@@ -558,13 +551,13 @@ fn edge_ends(key: u64) -> (NodeId, NodeId) {
 
 impl RuntimeHooks for Monitor {
     fn on_interaction(&self, event: Interaction) {
-        let hook_started = self.hook_timer();
+        let hook_started = Instant::now();
         self.interaction(&mut self.state.lock(), event);
         self.note_hooks(hook_started, 1);
     }
 
     fn on_alloc(&self, class: ClassId, object: ObjectId, bytes: u64) {
-        let hook_started = self.hook_timer();
+        let hook_started = Instant::now();
         let mut guard = self.state.lock();
         let s = &mut *guard;
         let i = if self.is_object_granular(class) {
@@ -584,7 +577,7 @@ impl RuntimeHooks for Monitor {
     }
 
     fn on_free(&self, class: ClassId, objects: u64, bytes: u64) {
-        let hook_started = self.hook_timer();
+        let hook_started = Instant::now();
         let mut s = self.state.lock();
         // Frees arrive aggregated per class. Object-granular classes are
         // skipped: dead object nodes are detected lazily (their memory
@@ -603,7 +596,7 @@ impl RuntimeHooks for Monitor {
     }
 
     fn on_work(&self, class: ClassId, micros: f64) {
-        let hook_started = self.hook_timer();
+        let hook_started = Instant::now();
         self.work(&mut self.state.lock(), class, micros);
         self.note_hooks(hook_started, 1);
     }
@@ -616,7 +609,7 @@ impl RuntimeHooks for Monitor {
         bytes: u64,
         remote: bool,
     ) {
-        let hook_started = self.hook_timer();
+        let hook_started = Instant::now();
         if remote {
             self.state.lock().remote_native(bytes);
         }
@@ -624,7 +617,7 @@ impl RuntimeHooks for Monitor {
     }
 
     fn on_static_access(&self, _accessor: ClassId, _class: ClassId, bytes: u64, remote: bool) {
-        let hook_started = self.hook_timer();
+        let hook_started = Instant::now();
         if remote {
             self.state.lock().remote_static_access(bytes);
         }
@@ -632,7 +625,7 @@ impl RuntimeHooks for Monitor {
     }
 
     fn on_gc(&self, report: &GcReport) {
-        let hook_started = self.hook_timer();
+        let hook_started = Instant::now();
         self.gc_reports.lock().push(*report);
 
         // Sample Table 2 metrics.
@@ -675,7 +668,7 @@ impl RuntimeHooks for Monitor {
 
     /// One clock read, one lock and one counter update for the whole burst.
     fn on_events(&self, events: &[PendingEvent]) {
-        let hook_started = self.hook_timer();
+        let hook_started = Instant::now();
         let mut guard = self.state.lock();
         let s = &mut *guard;
         // `on_method_exit` is not instrumented, so it is not counted either.

@@ -175,15 +175,23 @@ pub(crate) fn gather_shipment(
     })
 }
 
+/// A committed offload together with the raw material for a reinstatement
+/// ledger: if the surrogate later dies, the failover path re-installs the
+/// shadow copies into the client heap and releases the listed pins,
+/// restoring purely-local execution.
+#[derive(Debug)]
+pub struct TrackedOffload {
+    /// Summary of the migration.
+    pub outcome: OffloadOutcome,
+    /// Shadow copies of the shipped object records.
+    pub shadow: Vec<(ObjectId, ObjectRecord)>,
+    /// The back-reference pins taken.
+    pub pins: Vec<ObjectId>,
+}
+
 /// Executes `selection` against the client machine, shipping the offloaded
 /// objects to the surrogate through `endpoint`. `keys[i]` names what graph
 /// node `i` stands for (class or single object).
-///
-/// Besides the outcome, returns shadow copies of the shipped object records
-/// and the back-reference pins taken — the raw material for a
-/// reinstatement ledger. If the surrogate later dies, the failover path
-/// re-installs the shadow copies into the client heap and releases the
-/// listed pins, restoring purely-local execution.
 ///
 /// The migration itself runs as a two-phase transaction: every batch is
 /// staged with `MigratePrepare` (retried under the endpoint's
@@ -206,7 +214,7 @@ pub fn execute_offload_tracked(
     endpoint: &Arc<Endpoint>,
     tables: &Arc<RefTables>,
     recorder: Option<&FlightRecorder>,
-) -> VmResult<(OffloadOutcome, Vec<(ObjectId, ObjectRecord)>, Vec<ObjectId>)> {
+) -> VmResult<TrackedOffload> {
     let started = std::time::Instant::now();
     // The migration root span: every serialize/prepare/commit/rollback
     // child below — and the RPC spans nested under them, including the
@@ -323,8 +331,8 @@ pub fn execute_offload_tracked(
         )
         .observe(duration_micros);
 
-    Ok((
-        OffloadOutcome {
+    Ok(TrackedOffload {
+        outcome: OffloadOutcome {
             objects_moved,
             bytes_moved,
             client_used_before: used_before,
@@ -333,8 +341,8 @@ pub fn execute_offload_tracked(
             duration_micros,
         },
         shadow,
-        pinned_ids,
-    ))
+        pins: pinned_ids,
+    })
 }
 
 #[cfg(test)]
@@ -419,8 +427,9 @@ mod tests {
                 .unwrap();
         }
         let (sel, keys) = doc_selection(300_000);
-        let (outcome, _, _) =
-            execute_offload_tracked(&sel, &keys, &client, &cep, &tables, None).unwrap();
+        let outcome = execute_offload_tracked(&sel, &keys, &client, &cep, &tables, None)
+            .unwrap()
+            .outcome;
         assert_eq!(outcome.objects_moved, 3);
         assert!(outcome.bytes_moved >= 300_000);
         assert!(outcome.client_used_after < outcome.client_used_before);
@@ -448,8 +457,9 @@ mod tests {
                 .unwrap();
         }
         let (sel, keys) = doc_selection(1_000);
-        let (outcome, _, _) =
-            execute_offload_tracked(&sel, &keys, &client, &cep, &tables, None).unwrap();
+        let outcome = execute_offload_tracked(&sel, &keys, &client, &cep, &tables, None)
+            .unwrap()
+            .outcome;
         assert_eq!(outcome.back_references_pinned, 1);
         assert_eq!(client.vm().lock().external_root_count(), 1);
         assert!(tables.exports.contains(ObjectId::client(10)));
@@ -509,8 +519,9 @@ mod tests {
             NodeKey::Object(ObjectId::client(0)),
             NodeKey::Object(ObjectId::client(1)),
         ];
-        let (outcome, _, _) =
-            execute_offload_tracked(&sel, &keys, &client, &cep, &tables, None).unwrap();
+        let outcome = execute_offload_tracked(&sel, &keys, &client, &cep, &tables, None)
+            .unwrap()
+            .outcome;
         // The cheapest candidate offloads only the cold array (obj1).
         assert_eq!(outcome.objects_moved, 1);
         let svm = surrogate.vm();

@@ -41,7 +41,7 @@ use crate::failover::{
 };
 use crate::monitor::{Monitor, MonitorMetrics, RemoteStats};
 use crate::nondet::{LiveSource, MigrationRecord, NondetSource, TriggerSample};
-use crate::offload::{execute_offload_tracked, OffloadOutcome};
+use crate::offload::{execute_offload_tracked, OffloadOutcome, TrackedOffload};
 use crate::partitioner::IncrementalPartitioner;
 use crate::relay::RelaySink;
 
@@ -261,36 +261,6 @@ impl Controller {
             candidates: decision.candidates_evaluated,
             elapsed_micros: u64::try_from(decision.elapsed.as_micros()).unwrap_or(u64::MAX),
         });
-        if std::env::var_os("AIDE_DEBUG").is_some() {
-            let graph = partitioner.graph();
-            eprintln!(
-                "[aide] evaluate: nodes={} candidates={} selected={} heap_used={} graph_mem={}",
-                graph.node_count(),
-                decision.candidates_evaluated,
-                decision.selection.is_some(),
-                snapshot.heap_used,
-                graph.total_memory(),
-            );
-            for (id, n) in graph.iter() {
-                eprintln!(
-                    "[aide]   node {id} {} mem={} pinned={:?}",
-                    n.label, n.memory_bytes, n.pinned
-                );
-            }
-            if let Some(sel) = &decision.selection {
-                let client: Vec<&str> = sel
-                    .partitioning
-                    .nodes_on(aide_graph::Side::Client)
-                    .map(|n| graph.node(n).label.as_str())
-                    .collect();
-                eprintln!(
-                    "[aide] selected: {} offloaded, client side = {:?}, cut = {:?}",
-                    sel.partitioning.offloaded_count(),
-                    client,
-                    sel.stats.cut
-                );
-            }
-        }
         let Some(selection) = decision.selection else {
             // Not beneficial / not feasible: leave the trigger armed only if
             // pressure persists (the monitor will re-fire).
@@ -338,7 +308,11 @@ impl Controller {
             &self.tables,
             Some(self.recorder.as_ref()),
         ) {
-            Ok((outcome, shadow, pins)) => {
+            Ok(TrackedOffload {
+                outcome,
+                shadow,
+                pins,
+            }) => {
                 surrogate.record_shipment(shadow, pins);
                 self.nondet.migration(MigrationRecord::Completed {
                     objects: outcome.objects_moved,
@@ -474,13 +448,6 @@ fn build_sessions(cfg: &PlatformConfig) -> (Link, Session, Session) {
                 .expect("accept thread panicked")
                 .expect("accepting the RPC connection");
             sessions_via(Box::new(transport), Box::new(conn), cfg.comm)
-        }
-        TransportKind::Emulated => {
-            // The emulated link charges virtual time per frame to its own
-            // link-level clock; the platform's simulated accounting stays on
-            // the endpoint clock so round trips are not double-counted.
-            let (t, a, _link_clock) = aide_rpc::virtual_transport(cfg.comm);
-            sessions_via(Box::new(t), Box::new(a), cfg.comm)
         }
     }
 }

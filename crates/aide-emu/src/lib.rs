@@ -41,7 +41,6 @@
 
 mod emulator;
 mod multi;
-mod netlink;
 mod record;
 mod sweep;
 mod trace;
@@ -54,7 +53,6 @@ pub use multi::{
     Handoff, HandoffStrategy, MultiReport, MultiSurrogateConfig, MultiSurrogateEmulator,
     SurrogateSpec, SurrogateUse,
 };
-pub use netlink::EmuNet;
 pub use record::{record_program, record_program_in_mode, Recorder};
 pub use sweep::{best_point, sweep_memory_policies, PolicyGrid, PolicyParams, SweepPoint};
 pub use trace::{ClassMeta, Trace, TraceEvent};

@@ -1,10 +1,10 @@
 //! Deterministic fault injection at the transport layer.
 //!
 //! A chaos wrap composes over any [`Session`] — whichever backend
-//! produced it (in-process channels, multiplexed TCP, emulated virtual
-//! time) — and injects the failure modes of a lossy wireless link — drop, delay, duplication, reordering,
-//! truncation, bit corruption, and hard connection resets — from a
-//! reproducible [`ChaosSchedule`]. All randomness comes from a seeded
+//! produced it (in-process channels, multiplexed TCP) — and injects the
+//! failure modes of a lossy wireless link — drop, delay, duplication,
+//! reordering, truncation, bit corruption, and hard connection resets —
+//! from a reproducible [`ChaosSchedule`]. All randomness comes from a seeded
 //! xorshift64 stream, so a failing run replays bit-for-bit from its seed.
 //!
 //! Faults are applied to the *outbound* direction of the wrapped end.
@@ -54,7 +54,8 @@ pub struct ChaosSchedule {
     pub max_delay: Duration,
     /// Probability a frame is delivered twice.
     pub duplicate: f64,
-    /// Probability a frame is held back and delivered after its successor.
+    /// Probability a frame is held back and delivered after its successor
+    /// (or after `max_delay`, when no successor comes).
     pub reorder: f64,
     /// Hard reset: after this many outbound frames the connection is torn
     /// down for good — both directions of the wrapped end observe a
@@ -250,7 +251,26 @@ pub fn chaos_wrap(inner: Session, schedule: ChaosSchedule) -> (Session, Arc<Chao
                 let mut seen = 0u64;
                 let mut held: Option<Frame> = None;
                 let mut reset = false;
-                while let Ok(mut frame) = shim.recv() {
+                loop {
+                    // A held frame waits for its successor only so long: a
+                    // synchronous caller sends nothing more until this very
+                    // frame is answered. Releasing it draws nothing, so the
+                    // fault stream is the same either way.
+                    let next = match held {
+                        Some(_) => shim.recv_timeout(schedule.max_delay),
+                        None => shim.recv().map(Some),
+                    };
+                    let mut frame = match next {
+                        Ok(Some(frame)) => frame,
+                        Ok(None) => {
+                            stats.forwarded.fetch_add(1, Ordering::Relaxed);
+                            if inner.send(held.take().expect("waited on it")).is_err() {
+                                break;
+                            }
+                            continue;
+                        }
+                        Err(_) => break,
+                    };
                     seen += 1;
                     if let Some(limit) = schedule.reset_after_frames {
                         if seen > limit {
@@ -291,7 +311,8 @@ pub fn chaos_wrap(inner: Session, schedule: ChaosSchedule) -> (Session, Arc<Chao
                     let duplicate = rng.unit() < schedule.duplicate;
                     if rng.unit() < schedule.reorder && held.is_none() {
                         // Hold this frame back; it rides behind its
-                        // successor (flushed on shutdown if none comes).
+                        // successor (or goes alone after `max_delay`, or
+                        // on shutdown, if none comes).
                         stats.delayed.fetch_add(1, Ordering::Relaxed);
                         tele_delayed.inc();
                         held = Some(frame);
@@ -479,6 +500,20 @@ mod tests {
             delivered += 1;
         }
         assert_eq!(delivered, 3);
+    }
+
+    #[test]
+    fn a_held_frame_is_released_when_no_successor_comes() {
+        let (_, ct, st) = Link::pair(CommParams::WAVELAN);
+        let mut schedule = quiet(13);
+        schedule.reorder = 1.0;
+        let (ct, stats) = chaos_wrap(ct, schedule);
+        ct.send(vec![4, 2]).unwrap();
+        // `ct` stays open and silent, like a caller parked on the reply.
+        let got = st.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(got.expect("released after max_delay"), vec![4, 2]);
+        assert_eq!(stats.delayed(), 1);
+        assert_eq!(stats.forwarded(), 1);
     }
 
     #[test]

@@ -54,7 +54,6 @@ fn backend_requests_name(backend: BackendKind) -> &'static str {
     match backend {
         BackendKind::InMemory => aide_telemetry::names::RPC_BACKEND_INMEM_REQUESTS,
         BackendKind::Tcp => aide_telemetry::names::RPC_BACKEND_TCP_REQUESTS,
-        BackendKind::Emulated => aide_telemetry::names::RPC_BACKEND_EMU_REQUESTS,
     }
 }
 

@@ -11,10 +11,9 @@
 //!   [`Message::decode_framed`], encoding in place into buffers leased
 //!   from the [`FramePool`].
 //! * [`Transport`] / [`Acceptor`] / [`Session`] — the unified transport
-//!   seam. Three backends implement it: in-memory channels
-//!   ([`channel_transport`]), real TCP with many sessions multiplexed over
-//!   one socket ([`TcpTransport`] / [`TcpMuxListener`]), and emulated
-//!   links charging virtual time per frame ([`virtual_transport`]).
+//!   seam. Two backends implement it: in-memory channels
+//!   ([`channel_transport`]) and real TCP with many sessions multiplexed
+//!   over one socket ([`TcpTransport`] / [`TcpMuxListener`]).
 //! * [`Link`] — a duplex in-process frame link standing in for the WaveLAN
 //!   socket, with real traffic statistics and a shared [`NetClock`]
 //!   accumulating *simulated* link seconds priced by
@@ -90,8 +89,7 @@ pub use reftable::{
 pub use responder::{Responder, Served};
 pub use tcp::{nudge, tcp_pair, tcp_transport, TcpMuxListener, TcpTransport};
 pub use transport::{
-    channel_transport, virtual_transport, Acceptor, BackendKind, ChannelAcceptor, ChannelTransport,
-    Transport,
+    channel_transport, Acceptor, BackendKind, ChannelAcceptor, ChannelTransport, Transport,
 };
 pub use wire::{
     crc32, Frame, FrameHeader, FramePool, Message, Reply, Request, WireError, PROTOCOL_VERSION,

@@ -1,13 +1,12 @@
 //! Duplex RPC sessions and simulated link-time accounting.
 //!
 //! A [`Session`] is one end of a logical duplex frame channel between two
-//! VMs. Sessions are produced by every backend behind the unified
+//! VMs. Sessions are produced by both backends behind the unified
 //! [`Transport`](crate::transport::Transport) seam: in-process inbox pairs
-//! ([`Link::pair`]), multiplexed TCP connections (`crate::tcp`), and the
-//! emulated virtual-time link ([`Link::virtual_pair`]). The [`Link`] keeps
-//! the shared [`NetClock`] that accumulates *simulated* communication
-//! seconds according to [`CommParams`] — the paper's 11 Mbps / 2.4 ms RTT
-//! WaveLAN model.
+//! ([`Link::pair`]) and multiplexed TCP connections (`crate::tcp`). The
+//! [`Link`] keeps the shared [`NetClock`] that accumulates *simulated*
+//! communication seconds according to [`CommParams`] — the paper's
+//! 11 Mbps / 2.4 ms RTT WaveLAN model, charged per call by the endpoint.
 
 use std::collections::VecDeque;
 use std::io::Write;
@@ -118,27 +117,6 @@ impl std::fmt::Display for LinkError {
 }
 
 impl std::error::Error for LinkError {}
-
-/// Virtual-time accounting attached to a session by the emulated backend:
-/// every frame sent charges transmission time plus half the null RTT to a
-/// link-level [`NetClock`], independently of the endpoint's per-call
-/// simulated accounting.
-#[derive(Debug)]
-pub(crate) struct LinkCharge {
-    clock: Arc<NetClock>,
-    params: CommParams,
-}
-
-impl LinkCharge {
-    pub(crate) fn new(clock: Arc<NetClock>, params: CommParams) -> Self {
-        LinkCharge { clock, params }
-    }
-
-    fn charge(&self, bytes: usize) {
-        let transmit = (bytes as f64) * 8.0 / self.params.bandwidth_bps;
-        self.clock.add(transmit + self.params.rtt_seconds / 2.0);
-    }
-}
 
 /// Consumes a session's inbound frames **on the thread that produced
 /// them** — a carrier's reader, or the in-process peer's sending thread.
@@ -427,7 +405,6 @@ pub struct Session {
     tx: SessionSender,
     rx: Arc<Receiving>,
     backend: BackendKind,
-    charge: Option<Arc<LinkCharge>>,
 }
 
 impl Session {
@@ -436,7 +413,6 @@ impl Session {
             tx,
             rx: Arc::new(Receiving(inbox)),
             backend,
-            charge: None,
         }
     }
 
@@ -451,13 +427,6 @@ impl Session {
         backend: BackendKind,
     ) -> Self {
         Session::assemble(SessionSender::Carrier { writer, mux_id }, inbox, backend)
-    }
-
-    /// Attaches virtual-time charging: every sent frame adds transmission
-    /// time at `params` rates plus half an RTT to `clock`.
-    pub(crate) fn with_charge(mut self, clock: Arc<NetClock>, params: CommParams) -> Self {
-        self.charge = Some(Arc::new(LinkCharge::new(clock, params)));
-        self
     }
 
     /// The backend this session rides on.
@@ -478,9 +447,6 @@ impl Session {
     pub fn send(&self, frame: impl Into<Frame>) -> Result<(), LinkError> {
         let frame = frame.into();
         self.stats().note_sent(frame.len());
-        if let Some(charge) = &self.charge {
-            charge.charge(frame.len());
-        }
         match &self.tx {
             SessionSender::Direct(peer) => peer.0.push(frame),
             SessionSender::Carrier {
@@ -594,20 +560,6 @@ impl Link {
             a,
             b,
         )
-    }
-
-    /// Creates a connected emulated session pair: same in-process channel
-    /// carrier, but every frame sent charges transmission time at `params`
-    /// rates (plus half an RTT) to a dedicated link-level [`NetClock`],
-    /// reachable via [`Link::clock`] on the returned link.
-    ///
-    /// Returns `(link, client_session, surrogate_session)`.
-    pub fn virtual_pair(params: CommParams) -> (Link, Session, Session) {
-        let clock = Arc::new(NetClock::new());
-        let (a, b) = session_pair(BackendKind::Emulated);
-        let a = a.with_charge(Arc::clone(&clock), params);
-        let b = b.with_charge(Arc::clone(&clock), params);
-        (Link { params, clock }, a, b)
     }
 }
 

@@ -1,39 +1,35 @@
 //! The unified transport seam: one trait pair every backend implements.
 //!
 //! A [`Transport`] opens logical [`Session`]s toward a peer; an
-//! [`Acceptor`] yields the matching peer ends. Three backends implement
+//! [`Acceptor`] yields the matching peer ends. Two backends implement
 //! the pair:
 //!
 //! - **In-memory** ([`channel_transport`]): in-process inbox pairs, the
 //!   prototype's stand-in for a local socket.
 //! - **TCP** (`crate::tcp::TcpTransport` / `crate::tcp::TcpMuxListener`):
 //!   many sessions multiplexed over one real socket.
-//! - **Emulated** ([`virtual_transport`]): in-process pairs that charge
-//!   virtual link time per frame at [`CommParams`] rates, for
-//!   deterministic emulator runs.
 //!
 //! Everything above this seam — [`Endpoint`](crate::Endpoint) retry and
 //! dedup, [`chaos_wrap`](crate::chaos_wrap), CRC framing, telemetry — is
 //! backend-agnostic: it sees only [`Session`]s, so chaos soaks and wire
-//! hardening exercise every backend identically.
+//! hardening exercise both backends identically. Simulated link time is
+//! not a transport concern: the endpoint charges it per call to the
+//! [`NetClock`](crate::NetClock) it was started with.
 
 use std::sync::Arc;
 
-use aide_graph::CommParams;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use crate::link::{session_pair, LinkError, NetClock, Session};
+use crate::link::{session_pair, LinkError, Session};
 
-/// Which carrier a session rides on. Used to label telemetry per backend
-/// and to pick charging behavior; the RPC layer is otherwise oblivious.
+/// Which carrier a session rides on. Used to label telemetry per backend;
+/// the RPC layer is otherwise oblivious.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// Inbox pair inside one process.
     InMemory,
     /// Real TCP socket (possibly multiplexed).
     Tcp,
-    /// In-process pair charging emulated link time per frame.
-    Emulated,
 }
 
 impl BackendKind {
@@ -42,7 +38,6 @@ impl BackendKind {
         match self {
             BackendKind::InMemory => "inmem",
             BackendKind::Tcp => "tcp",
-            BackendKind::Emulated => "emu",
         }
     }
 }
@@ -75,23 +70,10 @@ pub trait Acceptor: Send + Sync {
     fn accept(&self) -> Result<Session, LinkError>;
 }
 
-/// Charging model for channel-backed transports.
-#[derive(Debug, Clone)]
-enum Charging {
-    /// No virtual-time accounting (plain in-memory backend).
-    None,
-    /// Charge each sent frame to this clock at these rates.
-    Virtual(Arc<NetClock>, CommParams),
-}
-
 /// In-process [`Transport`]: each `open_session` builds a fresh session
-/// pair and hands the peer end to the matching
-/// [`ChannelAcceptor`]. Doubles as the emulated backend when constructed
-/// via [`virtual_transport`].
+/// pair and hands the peer end to the matching [`ChannelAcceptor`].
 #[derive(Debug)]
 pub struct ChannelTransport {
-    backend: BackendKind,
-    charging: Charging,
     peer_tx: Sender<Session>,
     sessions_opened: Arc<aide_telemetry::Counter>,
 }
@@ -104,30 +86,9 @@ pub struct ChannelAcceptor {
 
 /// Creates a connected in-memory transport/acceptor pair.
 pub fn channel_transport() -> (ChannelTransport, ChannelAcceptor) {
-    build_channel_transport(BackendKind::InMemory, Charging::None)
-}
-
-/// Creates a connected emulated transport/acceptor pair: sessions charge
-/// virtual link time per frame at `params` rates to the returned
-/// [`NetClock`].
-pub fn virtual_transport(params: CommParams) -> (ChannelTransport, ChannelAcceptor, Arc<NetClock>) {
-    let clock = Arc::new(NetClock::new());
-    let (t, a) = build_channel_transport(
-        BackendKind::Emulated,
-        Charging::Virtual(Arc::clone(&clock), params),
-    );
-    (t, a, clock)
-}
-
-fn build_channel_transport(
-    backend: BackendKind,
-    charging: Charging,
-) -> (ChannelTransport, ChannelAcceptor) {
     let (peer_tx, peer_rx) = unbounded();
     (
         ChannelTransport {
-            backend,
-            charging,
             peer_tx,
             sessions_opened: aide_telemetry::global().counter(aide_telemetry::names::MUX_SESSIONS),
         },
@@ -135,31 +96,13 @@ fn build_channel_transport(
     )
 }
 
-impl ChannelTransport {
-    /// The clock virtual-time sessions charge into, if this is the
-    /// emulated backend.
-    pub fn link_clock(&self) -> Option<Arc<NetClock>> {
-        match &self.charging {
-            Charging::None => None,
-            Charging::Virtual(clock, _) => Some(Arc::clone(clock)),
-        }
-    }
-}
-
 impl Transport for ChannelTransport {
     fn backend(&self) -> BackendKind {
-        self.backend
+        BackendKind::InMemory
     }
 
     fn open_session(&self) -> Result<Session, LinkError> {
-        let (ours, theirs) = session_pair(self.backend);
-        let (ours, theirs) = match &self.charging {
-            Charging::None => (ours, theirs),
-            Charging::Virtual(clock, params) => (
-                ours.with_charge(Arc::clone(clock), *params),
-                theirs.with_charge(Arc::clone(clock), *params),
-            ),
-        };
+        let (ours, theirs) = session_pair(BackendKind::InMemory);
         self.peer_tx
             .send(theirs)
             .map_err(|_| LinkError::Disconnected)?;
@@ -208,22 +151,5 @@ mod tests {
         let (t, a) = channel_transport();
         drop(t);
         assert_eq!(a.accept().unwrap_err(), LinkError::Disconnected);
-    }
-
-    #[test]
-    fn virtual_sessions_charge_link_time_per_frame() {
-        let params = CommParams::WAVELAN;
-        let (t, a, clock) = virtual_transport(params);
-        let client = t.open_session().unwrap();
-        let server = a.accept().unwrap();
-        assert_eq!(client.backend(), BackendKind::Emulated);
-        assert_eq!(clock.seconds(), 0.0);
-        client.send(vec![0u8; 1100]).unwrap();
-        server.recv().unwrap();
-        let expected = 1100.0 * 8.0 / params.bandwidth_bps + params.rtt_seconds / 2.0;
-        assert!((clock.seconds() - expected).abs() < 1e-12);
-        server.send(vec![0u8; 1100]).unwrap();
-        client.recv().unwrap();
-        assert!((clock.seconds() - 2.0 * expected).abs() < 1e-12);
     }
 }

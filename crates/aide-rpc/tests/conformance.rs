@@ -1,17 +1,17 @@
 //! Backend conformance: the same session, multiplexing, chaos, and retry
 //! scenarios must behave identically over every `Transport` backend —
-//! in-memory channels, real multiplexed TCP, and the emulated virtual-time
-//! link. Each scenario iterates the full fixture set, so a backend that
-//! diverges from the shared seam fails by name.
+//! in-memory channels and real multiplexed TCP. Each scenario iterates the
+//! full fixture set, so a backend that diverges from the shared seam fails
+//! by name.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aide_graph::CommParams;
 use aide_rpc::{
-    channel_transport, chaos_wrap, virtual_transport, Acceptor, BackendKind, ChaosSchedule,
-    Dispatcher, Endpoint, EndpointConfig, NetClock, Reply, Request, RetryPolicy, RpcError, Session,
-    TcpMuxListener, TcpTransport, Transport,
+    channel_transport, chaos_wrap, Acceptor, BackendKind, ChaosSchedule, Dispatcher, Endpoint,
+    EndpointConfig, NetClock, Reply, Request, RetryPolicy, RpcError, Session, TcpMuxListener,
+    TcpTransport, Transport,
 };
 use aide_vm::{ClassId, ObjectId, ObjectRecord};
 
@@ -29,13 +29,6 @@ fn fixtures() -> Vec<Fixture> {
     let (t, a) = channel_transport();
     all.push(Fixture {
         name: "inmem",
-        transport: Box::new(t),
-        acceptor: Box::new(a),
-    });
-
-    let (t, a, _clock) = virtual_transport(CommParams::WAVELAN);
-    all.push(Fixture {
-        name: "emu",
         transport: Box::new(t),
         acceptor: Box::new(a),
     });
@@ -127,11 +120,7 @@ fn raw_frames_round_trip_on_every_backend() {
 
 #[test]
 fn backends_report_their_kind() {
-    let expected = [
-        ("inmem", BackendKind::InMemory),
-        ("emu", BackendKind::Emulated),
-        ("tcp", BackendKind::Tcp),
-    ];
+    let expected = [("inmem", BackendKind::InMemory), ("tcp", BackendKind::Tcp)];
     for (fx, (name, kind)) in fixtures().iter().zip(expected) {
         assert_eq!(fx.name, name);
         assert_eq!(fx.transport.backend(), kind);

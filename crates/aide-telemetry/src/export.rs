@@ -8,7 +8,7 @@ use serde_json::json;
 use crate::metrics::TelemetrySnapshot;
 
 /// Serializes a snapshot as JSON lines: one object per metric, with a
-/// `kind` discriminant. This is the `BENCH_*.json` artifact format.
+/// `kind` discriminant.
 pub fn snapshot_json_lines(snapshot: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     for (name, value) in &snapshot.counters {
@@ -89,7 +89,6 @@ mod tests {
 
     #[test]
     fn json_lines_parse_individually() {
-        let _guard = crate::test_guard();
         let text = snapshot_json_lines(&sample());
         let lines: Vec<serde_json::Value> = text
             .lines()
@@ -106,7 +105,6 @@ mod tests {
 
     #[test]
     fn prometheus_text_has_cumulative_buckets() {
-        let _guard = crate::test_guard();
         let text = prometheus_text(&sample());
         assert!(text.contains("# TYPE aide_rpc_requests_total counter"));
         assert!(text.contains("aide_rpc_requests_total 3"));

@@ -7,8 +7,7 @@
 //!
 //! - a lock-cheap **metrics registry** ([`Telemetry`]) of atomic
 //!   counters, gauges, and fixed-bucket histograms. Handles are `Arc`s
-//!   resolved once at registration; the hot path is a relaxed atomic op
-//!   plus one branch on the global [`enabled`] switch.
+//!   resolved once at registration; the hot path is a relaxed atomic op.
 //! - a bounded ring-buffer **flight recorder** ([`FlightRecorder`]) of
 //!   structured [`PlatformEvent`]s, so a report can explain each offload
 //!   decision (trigger, candidate scores, winner, migrations, failures)
@@ -36,11 +35,9 @@ pub use recorder::{
     events_json_lines, render_timeline, FlightRecorder, PlatformEvent, SpanRef, TimedEvent,
 };
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
-static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// The process-wide metrics registry.
 ///
@@ -50,20 +47,6 @@ static ENABLED: AtomicBool = AtomicBool::new(true);
 /// [`TelemetrySnapshot::delta_since`].
 pub fn global() -> &'static Telemetry {
     GLOBAL.get_or_init(Telemetry::new)
-}
-
-/// Globally enables or disables metric recording.
-///
-/// When disabled, every recording call is a single relaxed load plus a
-/// branch — the overhead bench uses this to price the enabled path
-/// against a true baseline.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether metric recording is currently enabled (default: enabled).
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
 }
 
 /// The flight recorder's trace annotator: returns the recording thread's
@@ -81,16 +64,6 @@ pub fn set_trace_annotator(annotator: fn() -> Option<(u64, u64)>) {
 
 pub(crate) fn annotate_with_trace() -> Option<(u64, u64)> {
     TRACE_ANNOTATOR.get().and_then(|f| f())
-}
-
-/// Serializes tests that record metrics against tests that flip the
-/// global [`enabled`] switch, and restores the enabled state.
-#[cfg(test)]
-pub(crate) fn test_guard() -> parking_lot::MutexGuard<'static, ()> {
-    static LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-    let guard = LOCK.lock();
-    set_enabled(true);
-    guard
 }
 
 /// Canonical metric names, shared by all instrumented crates.
@@ -128,8 +101,6 @@ pub mod names {
     pub const RPC_BACKEND_INMEM_REQUESTS: &str = "aide_rpc_inmem_requests_total";
     /// RPC requests issued over the TCP backend.
     pub const RPC_BACKEND_TCP_REQUESTS: &str = "aide_rpc_tcp_requests_total";
-    /// RPC requests issued over the emulated virtual-time backend.
-    pub const RPC_BACKEND_EMU_REQUESTS: &str = "aide_rpc_emu_requests_total";
     /// Frame-buffer pool acquires served by reusing a shelved buffer.
     pub const RPC_POOL_HITS: &str = "aide_rpc_pool_hits_total";
     /// Frame-buffer pool acquires that started from an empty buffer.

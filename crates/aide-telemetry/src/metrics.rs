@@ -8,8 +8,6 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
-use crate::enabled;
-
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
 pub struct Counter {
@@ -24,9 +22,7 @@ impl Counter {
 
     /// Increments the counter by `n`.
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -44,16 +40,12 @@ pub struct Gauge {
 impl Gauge {
     /// Sets the gauge to `v`.
     pub fn set(&self, v: i64) {
-        if enabled() {
-            self.value.store(v, Ordering::Relaxed);
-        }
+        self.value.store(v, Ordering::Relaxed);
     }
 
     /// Adds `delta` (may be negative).
     pub fn add(&self, delta: i64) {
-        if enabled() {
-            self.value.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -92,9 +84,6 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&self, v: u64) {
-        if !enabled() {
-            return;
-        }
         let idx = self.bounds.partition_point(|&b| b < v);
         self.counts[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -324,7 +313,6 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_record() {
-        let _guard = crate::test_guard();
         let t = Telemetry::new();
         let c = t.counter("c");
         c.inc();
@@ -341,7 +329,6 @@ mod tests {
 
     #[test]
     fn histogram_buckets_observations() {
-        let _guard = crate::test_guard();
         let h = Histogram::new(&[10, 100, 1000]);
         for v in [1, 10, 11, 100, 5000] {
             h.observe(v);
@@ -354,26 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recording_is_a_no_op() {
-        let _guard = crate::test_guard();
-        let t = Telemetry::new();
-        let c = t.counter("c");
-        let h = t.histogram("h", &[10]);
-        crate::set_enabled(false);
-        c.inc();
-        h.observe(5);
-        crate::set_enabled(true);
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        c.inc();
-        h.observe(5);
-        assert_eq!(c.get(), 1);
-        assert_eq!(h.count(), 1);
-    }
-
-    #[test]
     fn snapshot_delta_reports_per_run_activity() {
-        let _guard = crate::test_guard();
         let t = Telemetry::new();
         let c = t.counter("requests");
         let h = t.histogram("latency", &[10, 100]);
@@ -396,7 +364,6 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_serde() {
-        let _guard = crate::test_guard();
         let t = Telemetry::new();
         t.counter("c").add(7);
         t.gauge("g").set(-2);

@@ -85,8 +85,10 @@ fn flush_records(batch: Vec<SpanRecord>) {
         .set(i64::try_from(len).unwrap_or(i64::MAX));
 }
 
-/// Accepts a completed span from a guard (crate-internal hot path).
-pub(crate) fn record(span: SpanRecord) {
+/// Accepts a completed span: from a dropping guard, or pre-built — the
+/// emulator stamps spans at *virtual* time this way, so emulated runs
+/// export the same trace shape as live TCP runs.
+pub fn record_raw(span: SpanRecord) {
     LOCAL.with(|l| {
         let mut local = l.borrow_mut();
         local.spans.push(span);
@@ -94,16 +96,6 @@ pub(crate) fn record(span: SpanRecord) {
             flush_records(std::mem::take(&mut local.spans));
         }
     });
-}
-
-/// Records a pre-built span directly — the emulator uses this to stamp
-/// spans at *virtual* time, so emulated runs export the same trace shape
-/// as live TCP runs. Ignored while tracing is disabled.
-pub fn record_raw(span: SpanRecord) {
-    if !crate::enabled() {
-        return;
-    }
-    record(span);
 }
 
 /// Flushes the calling thread's buffered spans to the global store. Call

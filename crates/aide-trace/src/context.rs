@@ -57,9 +57,6 @@ pub fn current_track() -> String {
 /// what aide-rpc stamps into outgoing frames and what the recorder
 /// annotator attaches to flight-recorder events.
 pub fn current_context() -> Option<SpanContext> {
-    if !crate::enabled() {
-        return None;
-    }
     STACK.with(|s| s.borrow().last().copied())
 }
 
@@ -68,52 +65,37 @@ pub fn current_context() -> Option<SpanContext> {
 /// guard lives, its context is the thread's ambient parent.
 #[must_use = "a span measures the scope of its guard; dropping it immediately records an empty span"]
 pub struct SpanGuard {
-    /// `None` for inert guards (tracing disabled at creation).
-    record: Option<SpanRecord>,
+    record: SpanRecord,
 }
 
 impl std::fmt::Debug for SpanGuard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.record {
-            Some(r) => f
-                .debug_struct("SpanGuard")
-                .field("name", &r.name)
-                .field("trace_id", &r.trace_id)
-                .field("span_id", &r.span_id)
-                .finish(),
-            None => f.debug_struct("SpanGuard").field("inert", &true).finish(),
-        }
+        f.debug_struct("SpanGuard")
+            .field("name", &self.record.name)
+            .field("trace_id", &self.record.trace_id)
+            .field("span_id", &self.record.span_id)
+            .finish()
     }
 }
 
 impl SpanGuard {
-    /// This span's portable context (zeros when tracing is disabled).
+    /// This span's portable context.
     pub fn context(&self) -> SpanContext {
-        match &self.record {
-            Some(r) => SpanContext {
-                trace_id: r.trace_id,
-                span_id: r.span_id,
-            },
-            None => SpanContext {
-                trace_id: 0,
-                span_id: 0,
-            },
+        SpanContext {
+            trace_id: self.record.trace_id,
+            span_id: self.record.span_id,
         }
     }
 
     /// Attaches a key/value annotation to the span.
     pub fn arg(&mut self, key: &str, value: impl Display) {
-        if let Some(r) = &mut self.record {
-            r.args.push((key.to_string(), value.to_string()));
-        }
+        self.record.args.push((key.to_string(), value.to_string()));
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(mut record) = self.record.take() else {
-            return;
-        };
+        let mut record = std::mem::take(&mut self.record);
         STACK.with(|s| {
             let mut stack = s.borrow_mut();
             // Pop our own frame. RAII guarantees LIFO order per thread.
@@ -124,14 +106,11 @@ impl Drop for SpanGuard {
             }
         });
         record.duration_micros = now_micros().saturating_sub(record.start_micros);
-        crate::buffer::record(record);
+        crate::buffer::record_raw(record);
     }
 }
 
 fn start(name: &str, cat: &'static str, parent: Option<SpanContext>) -> SpanGuard {
-    if !crate::enabled() {
-        return SpanGuard { record: None };
-    }
     let (trace_id, parent_id) = match parent {
         Some(p) => (p.trace_id, Some(p.span_id)),
         None => (next_trace_id(), None),
@@ -142,7 +121,7 @@ fn start(name: &str, cat: &'static str, parent: Option<SpanContext>) -> SpanGuar
     };
     STACK.with(|s| s.borrow_mut().push(ctx));
     SpanGuard {
-        record: Some(SpanRecord {
+        record: SpanRecord {
             trace_id: ctx.trace_id,
             span_id: ctx.span_id,
             parent_id,
@@ -153,7 +132,7 @@ fn start(name: &str, cat: &'static str, parent: Option<SpanContext>) -> SpanGuar
             track: current_track(),
             thread: THREAD_LANE.with(|l| *l),
             args: Vec::new(),
-        }),
+        },
     }
 }
 

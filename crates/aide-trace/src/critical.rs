@@ -117,8 +117,7 @@ fn net_of_service(attempt: &SpanRecord, children: &HashMap<u64, Vec<&SpanRecord>
     attempt.duration_micros.saturating_sub(service)
 }
 
-/// Renders breakdowns as JSON lines (one object per migration), the
-/// format `BENCH_trace.json` carries.
+/// Renders breakdowns as JSON lines (one object per migration).
 pub fn breakdown_json(breakdowns: &[MigrationBreakdown]) -> String {
     let mut out = String::new();
     for b in breakdowns {

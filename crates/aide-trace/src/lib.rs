@@ -21,8 +21,8 @@
 //!   loads directly in Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
 //! * [`critical_path`] — a per-migration latency attribution pass over a
 //!   span forest: time split into serialize / wire / retry+backoff /
-//!   remote instantiate / commit, emitted as `BENCH_trace.json` by the
-//!   `exp_trace_overhead` bench.
+//!   remote instantiate / commit (printed by the `trace_migration`
+//!   example).
 //!
 //! The crate is std-only (atomics, thread-locals, hand-rolled JSON); its
 //! single dependency is aide-telemetry, so span-buffer accounting shows
@@ -61,8 +61,6 @@ pub use context::{
 pub use critical::{breakdown_json, critical_path, MigrationBreakdown};
 pub use export::chrome_trace;
 pub use span::{SpanContext, SpanRecord};
-
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Well-known span names, shared by the instrumentation sites and the
 /// critical-path analyzer so attribution never drifts out of sync with
@@ -104,21 +102,6 @@ pub mod names {
     /// Recovery from a dead surrogate: shadow reinstatement, pin release,
     /// and lease retirement.
     pub const FAILOVER: &str = "failover";
-}
-
-/// Process-wide tracing switch. Defaults to on; when off, span guards are
-/// inert (no context is pushed, nothing is recorded) and
-/// [`current_context`] returns `None`, so frames carry no context either.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables span recording process-wide.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether span recording is currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Wires the flight recorder to this crate: recorder events get stamped
@@ -179,21 +162,6 @@ mod tests {
             .expect("serve span recorded");
         assert_eq!(serve.parent_id, Some(0x1234));
         assert_eq!(serve.trace_id, 0xABCD);
-    }
-
-    #[test]
-    fn disabled_tracing_records_nothing_and_carries_no_context() {
-        let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-        flush_thread();
-        let before = recorded_total();
-        set_enabled(false);
-        {
-            let _g = span("ghost", "test");
-            assert!(current_context().is_none());
-        }
-        set_enabled(true);
-        flush_thread();
-        assert_eq!(recorded_total(), before);
     }
 
     #[test]

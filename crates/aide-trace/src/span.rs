@@ -16,7 +16,7 @@ pub struct SpanContext {
 }
 
 /// A completed span as stored in the collector.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanRecord {
     /// The trace this span belongs to.
     pub trace_id: u64,

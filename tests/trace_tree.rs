@@ -169,20 +169,15 @@ fn chaos_tcp_migration_yields_one_connected_cross_device_span_tree() {
 }
 
 /// Satellite 4: the decision/migration span tree has the same shape over
-/// the in-memory channel, the TCP multiplexer, and the emulated link —
-/// and the trace-driven emulator stamps an isomorphic (coarser) tree at
-/// virtual time.
+/// the in-memory channel and the TCP multiplexer — and the trace-driven
+/// emulator stamps an isomorphic (coarser) tree at virtual time.
 #[test]
 fn span_trees_are_isomorphic_across_backends() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let program = javanote(TEST_SCALE).program;
 
     let mut shapes: Vec<(TransportKind, String, String)> = Vec::new();
-    for transport in [
-        TransportKind::InProcess,
-        TransportKind::Tcp,
-        TransportKind::Emulated,
-    ] {
+    for transport in [TransportKind::InProcess, TransportKind::Tcp] {
         aide::trace::drain();
         let mut cfg = PlatformConfig::prototype(TEST_HEAP);
         cfg.transport = transport;
