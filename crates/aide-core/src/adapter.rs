@@ -542,16 +542,23 @@ mod tests {
 
         // Calls placed on an endpoint travel to the peer and are served by
         // the peer's dispatcher: the client's outbound path is client_ep.
-        client.set_remote(Arc::new(RemoteAdapter::new(
-            client_ep.clone(),
-            client.clone(),
-            client_tables,
-        )));
-        surrogate.set_remote(Arc::new(RemoteAdapter::new(
-            surrogate_ep.clone(),
-            surrogate.clone(),
-            surrogate_tables,
-        )));
+        let adapters: [Arc<dyn RemoteAccess>; 2] = [
+            Arc::new(RemoteAdapter::new(
+                client_ep.clone(),
+                client.clone(),
+                client_tables,
+            )),
+            Arc::new(RemoteAdapter::new(
+                surrogate_ep.clone(),
+                surrogate.clone(),
+                surrogate_tables,
+            )),
+        ];
+        client.set_remote(&adapters[0]);
+        surrogate.set_remote(&adapters[1]);
+        // The machines hold their adapters weakly and these tests hand the
+        // pair around as plain machines: the adapters stay for the process.
+        std::mem::forget(adapters);
         (client, surrogate, client_ep, surrogate_ep)
     }
 

@@ -28,8 +28,8 @@ use aide_rpc::{
 };
 use aide_telemetry::{FlightRecorder, PlatformEvent, TelemetrySnapshot, TimedEvent};
 use aide_vm::{
-    ClassId, GcReport, HookChain, Machine, NullHooks, Program, RunSummary, RuntimeHooks, Vm,
-    VmConfig, VmError, VmKind,
+    ClassId, GcReport, HookChain, Machine, NullHooks, Program, RemoteAccess, RunSummary,
+    RuntimeHooks, Vm, VmConfig, VmError, VmKind,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -149,8 +149,10 @@ struct Controller {
     partitioner: Mutex<IncrementalPartitioner>,
     evaluation: EvaluationMode,
     /// Late-bound: the controller participates in the client's hook chain,
-    /// which must exist before the machine and surrogate it drives.
-    bound: std::sync::OnceLock<(Machine, Surrogate)>,
+    /// which must exist before the machine and surrogate it drives — and
+    /// unbound when the run ends, because that machine's hook chain holds
+    /// this controller.
+    bound: Mutex<Option<(Machine, Surrogate)>>,
     tables: Arc<RefTables>,
     max_offloads: u32,
     offloads_done: AtomicU32,
@@ -166,40 +168,40 @@ struct Controller {
 
 impl Controller {
     fn bind(&self, client: Machine, surrogate: Surrogate) {
-        self.bound
-            .set((client, surrogate))
-            .ok()
-            .expect("controller already bound");
+        let previous = self.bound.lock().replace((client, surrogate));
+        assert!(previous.is_none(), "controller already bound");
     }
 
-    fn client(&self) -> &Machine {
-        &self
-            .bound
-            .get()
-            .expect("controller bound before execution")
-            .0
+    /// Lets go of the machine and the surrogate; hook events that still
+    /// arrive find nothing to act on.
+    fn unbind(&self) {
+        *self.bound.lock() = None;
     }
 
-    fn surrogate(&self) -> Option<&Surrogate> {
-        self.bound.get().map(|(_, surrogate)| surrogate)
+    /// The client machine and the surrogate, from `bind` to `unbind`.
+    fn bound(&self) -> Option<(Machine, Surrogate)> {
+        self.bound.lock().clone()
     }
 
     /// How many offloads the run may still perform. Each recovered failover
     /// earns one replacement offload, so a re-offload to the next surrogate
     /// is not blocked by the original budget.
-    fn offload_budget(&self) -> u32 {
+    fn offload_budget(&self, surrogate: &Surrogate) -> u32 {
         self.max_offloads
-            .saturating_add(self.surrogate().map_or(0, Surrogate::failovers_so_far))
+            .saturating_add(surrogate.failovers_so_far())
     }
 
-    fn maybe_offload(&self, at_gc_cycle: u64, reason: &str) {
-        if self.offloads_done.load(Ordering::SeqCst) >= self.offload_budget() {
+    fn maybe_offload(&self, at_gc_cycle: u64, reason: &'static str) {
+        let Some((client, surrogate)) = self.bound() else {
+            return;
+        };
+        if self.offloads_done.load(Ordering::SeqCst) >= self.offload_budget(&surrogate) {
             return;
         }
         let Some(_guard) = self.evaluating.try_lock() else {
             return;
         };
-        if self.offloads_done.load(Ordering::SeqCst) >= self.offload_budget() {
+        if self.offloads_done.load(Ordering::SeqCst) >= self.offload_budget(&surrogate) {
             return;
         }
 
@@ -212,8 +214,7 @@ impl Controller {
         let sample_span = aide_trace::span(aide_trace::names::TRIGGER_SAMPLE, "core");
         let (deltas, keys) = self.monitor.drain_deltas();
         let live_snapshot = {
-            let vm = self.client().vm();
-            let vm = vm.lock();
+            let vm = client.vm().lock();
             ResourceSnapshot::new(vm.heap().capacity(), vm.heap().stats().used_bytes)
         };
         // The nondeterminism seam sees (and may substitute) everything the
@@ -284,7 +285,6 @@ impl Controller {
         // Resolve the surrogate endpoint: provider-backed runs acquire one
         // lazily (and may have none reachable right now); fixed-link runs
         // use the endpoint bound at startup.
-        let surrogate = self.surrogate().expect("controller bound");
         let Some(endpoint) = surrogate.endpoint_for_offload() else {
             // No surrogate reachable (or backoff gate closed). With a relay
             // wired the decision still frees memory *now*: the victims are
@@ -303,7 +303,7 @@ impl Controller {
         match execute_offload_tracked(
             &selection,
             &keys,
-            self.client(),
+            &client,
             &endpoint,
             &self.tables,
             Some(self.recorder.as_ref()),
@@ -358,18 +358,14 @@ impl Controller {
     /// Distributed GC: after a client collection, release remote references
     /// the client no longer holds in heap slots or mutator roots.
     fn release_dropped_refs(&self) {
-        let Some(surrogate) = self.surrogate() else {
+        let Some((client, surrogate)) = self.bound() else {
             return;
         };
         // With no surrogate attached (a provider-backed run between
         // leases), still sweep the import table: nobody to notify, but the
         // table must reflect what the client actually references.
         let endpoint = surrogate.endpoint_for_call();
-        let still = {
-            let vm = self.client().vm();
-            let vm = vm.lock();
-            live_remote_refs(&vm)
-        };
+        let still = live_remote_refs(&client.vm().lock());
         let dropped = self.tables.imports.sweep_dropped(&still);
         if !dropped.is_empty() {
             if let Some(endpoint) = endpoint {
@@ -608,7 +604,7 @@ impl Platform {
         // One client machine (mutator AND dispatcher target, so callbacks
         // from the surrogate are monitored too); the surrogate machine
         // reports to the same monitor.
-        let side = self.client_side();
+        let mut side = self.client_side();
         let surrogate_hooks: Arc<dyn RuntimeHooks> = if cfg.monitoring {
             side.monitor.clone()
         } else {
@@ -647,11 +643,14 @@ impl Platform {
         surrogate_tables.attach_to(&surrogate_ep);
         surrogate_tables.exports.set_recorder(side.recorder.clone());
 
-        surrogate_machine.set_remote(Arc::new(RemoteAdapter::new(
+        // The machines hold their adapters weakly (each adapter holds its
+        // machine); the run owns them, so they go when it returns.
+        let surrogate_remote: Arc<dyn RemoteAccess> = Arc::new(RemoteAdapter::new(
             surrogate_ep.clone(),
             surrogate_machine.clone(),
             surrogate_tables,
-        )));
+        ));
+        surrogate_machine.set_remote(&surrogate_remote);
         side.bind(Surrogate::Fixed(client_ep.clone()));
 
         // Run the application on the client.
@@ -687,7 +686,7 @@ impl Platform {
         // This process is the client role; the surrogate side is whatever
         // the provider connects to (typically the daemon, which labels
         // itself).
-        let side = self.client_side();
+        let mut side = self.client_side();
 
         // Every surrogate session the provider opens shares the client's
         // dispatcher (serving surrogate callbacks), link pricing, and clock.
@@ -802,7 +801,7 @@ impl Platform {
             policy: cfg.policy.build(cfg.comm, cfg.surrogate_speed),
             partitioner: Mutex::new(IncrementalPartitioner::new(cfg.partitioner)),
             evaluation: cfg.evaluation,
-            bound: std::sync::OnceLock::new(),
+            bound: Mutex::new(None),
             tables: tables.clone(),
             max_offloads: cfg.max_offloads,
             offloads_done: AtomicU32::new(0),
@@ -822,6 +821,7 @@ impl Platform {
             monitor,
             controller,
             machine,
+            remote: None,
             tables,
             recorder,
             nondet,
@@ -835,6 +835,9 @@ struct ClientSide {
     monitor: Arc<Monitor>,
     controller: Arc<Controller>,
     machine: Machine,
+    /// The adapter `machine` reaches the surrogate through, once bound.
+    /// The machine holds it weakly; this is what keeps it for the run.
+    remote: Option<Arc<dyn RemoteAccess>>,
     tables: Arc<RefTables>,
     recorder: Arc<FlightRecorder>,
     nondet: Arc<dyn NondetSource>,
@@ -844,19 +847,24 @@ struct ClientSide {
 impl ClientSide {
     /// Points the client machine's remote touches and the controller's
     /// offloads at `surrogate`.
-    fn bind(&self, surrogate: Surrogate) {
-        self.machine.set_remote(Arc::new(RemoteAdapter {
+    fn bind(&mut self, surrogate: Surrogate) {
+        let remote: Arc<dyn RemoteAccess> = Arc::new(RemoteAdapter {
             surrogate: surrogate.clone(),
             machine: self.machine.clone(),
             tables: self.tables.clone(),
-        }));
+        });
+        self.machine.set_remote(&remote);
+        self.remote = Some(remote);
         self.controller.bind(self.machine.clone(), surrogate);
     }
 
     /// The report of a finished run, as far as the client side knows it:
     /// what the surrogate and the link did is left at zero for the caller
-    /// to fill in.
+    /// to fill in. Ends the run's bindings: the controller sits in the hook
+    /// chain of the machine it drives, and would keep both VMs, the
+    /// endpoints and their sockets alive behind the report.
     fn report(self, outcome: Result<RunSummary, VmError>, comm_seconds: f64) -> PlatformReport {
+        self.controller.unbind();
         let (final_graph, _) = self.monitor.snapshot();
         let offloads = std::mem::take(&mut *self.controller.events.lock());
         let vm = self.machine.vm();

@@ -749,7 +749,7 @@ impl Endpoint {
                 attempt_span.arg("attempt", attempt);
                 attempt_span
             });
-            let mut attempt_outcome = |outcome: &str| {
+            let mut attempt_outcome = |outcome: &'static str| {
                 if let Some(attempt_span) = attempt_span.as_mut() {
                     attempt_span.arg("outcome", outcome);
                 }

@@ -13,11 +13,11 @@
 //! additionally carries a **lease**: an epoch tag plus a TTL deadline on a
 //! shared [`GcClock`]. Ordinary RPC traffic piggybacks the importer's lease
 //! epoch on every frame, which renews the exporter's current-epoch leases
-//! for free; a session that goes quiet renews with an explicit
-//! `Request::GcRenew`. An export whose lease runs out without renewal is
-//! swept back to the collector ([`ExportTable::sweep_expired`]) — the
-//! holder is presumed dead or partitioned, so pin-forever leaks become
-//! bounded-by-TTL reclaims.
+//! in constant time (see below); a session that goes quiet renews with an
+//! explicit `Request::GcRenew`. An export whose lease runs out without
+//! renewal is swept back to the collector
+//! ([`ExportTable::sweep_expired`]) — the holder is presumed dead or
+//! partitioned, so pin-forever leaks become bounded-by-TTL reclaims.
 //!
 //! Releases are made idempotent under the at-most-once retry machinery:
 //! each batch carries the sender's lease epoch and a monotonically
@@ -27,6 +27,19 @@
 //! from an older epoch (a zombie from before a failover) — counted no-ops,
 //! never a double-unpin. A batch lost outright simply leaves the entries to
 //! their lease deadline.
+//!
+//! A renewal extends *every* current-epoch lease, and one arrives with
+//! every stamped frame, so [`ExportTable::renew`] does not visit the
+//! entries: the table keeps the newest table-wide renewal of the current
+//! epoch (its deadline and its serial number) and a count of current-epoch
+//! entries, and each entry remembers how many renewals had happened when
+//! its own deadline was last written. An entry's *effective* deadline is
+//! its own unless a later renewal of its still-current epoch supersedes it
+//! — later in order, not larger in value, so a lowered TTL shortens leases
+//! exactly as a per-entry overwrite would. [`ExportTable::begin_epoch`]
+//! writes the pending renewal into the entries of the epoch it closes,
+//! once; the sweeps and [`ExportTable::lease_ages_ms`] read the effective
+//! deadline.
 //!
 //! [`GcClock`] is a manual millisecond clock rather than wall time so the
 //! lease state machine is fully deterministic under test: soaks and
@@ -84,12 +97,16 @@ pub enum ReleaseOutcome {
 }
 
 /// One exported object's bookkeeping: how many references are out, which
-/// export epoch it was last handed out under, and when its lease runs out.
+/// export epoch it was last handed out under, and when its lease runs out
+/// — unless a later table-wide renewal says otherwise (see
+/// [`ExportInner::deadline_of`]).
 #[derive(Debug, Clone, Copy)]
 struct ExportEntry {
     count: u64,
     epoch: u64,
     deadline_ms: u64,
+    /// [`ExportInner::renewals`] when `deadline_ms` was written.
+    renewals_seen: u64,
 }
 
 #[derive(Debug, Default)]
@@ -98,12 +115,44 @@ struct ExportInner {
     /// Current local export epoch; bumped by failover so survivors of the
     /// old session become sweepable.
     epoch: u64,
+    /// Entries tagged with `epoch`: what one renewal extends.
+    current_entries: usize,
+    /// Table-wide renewals so far. Only its order against
+    /// [`ExportEntry::renewals_seen`] matters.
+    renewals: u64,
+    /// The deadline the newest renewal gave every entry that was of the
+    /// current epoch then.
+    renewed_deadline_ms: u64,
     /// Highest lease epoch the peer has advertised; releases and renewals
     /// from older epochs are zombies and are ignored.
     peer_epoch: u64,
     /// Highest release sequence number applied; batches at or below it
     /// are duplicates.
     watermark: u64,
+}
+
+impl ExportInner {
+    /// When `e`'s lease runs out: at its own deadline, unless the table
+    /// was renewed after that deadline was written and `e` is still of the
+    /// current epoch (an older epoch's pending renewal was written into its
+    /// entries when the epoch closed).
+    fn deadline_of(&self, e: &ExportEntry) -> u64 {
+        if e.epoch == self.epoch && e.renewals_seen < self.renewals {
+            self.renewed_deadline_ms
+        } else {
+            e.deadline_ms
+        }
+    }
+
+    /// Takes `id` out of the table — the one way an entry leaves it, so
+    /// that `current_entries` stays true.
+    fn remove(&mut self, id: &ObjectId) -> Option<ExportEntry> {
+        let gone = self.entries.remove(id)?;
+        if gone.epoch == self.epoch {
+            self.current_entries -= 1;
+        }
+        Some(gone)
+    }
 }
 
 /// Telemetry handles resolved once per table.
@@ -215,12 +264,17 @@ impl ExportTable {
         let now = self.clock.now_ms();
         let ttl = self.ttl_ms();
         let mut inner = self.inner.lock();
-        let epoch = inner.epoch;
+        let inner = &mut *inner;
+        let (epoch, renewals_seen) = (inner.epoch, inner.renewals);
         match inner.entries.get_mut(&id) {
             Some(e) => {
+                if e.epoch != epoch {
+                    inner.current_entries += 1;
+                }
                 e.count += 1;
                 e.epoch = epoch;
                 e.deadline_ms = now + ttl;
+                e.renewals_seen = renewals_seen;
                 false
             }
             None => {
@@ -230,8 +284,10 @@ impl ExportTable {
                         count: 1,
                         epoch,
                         deadline_ms: now + ttl,
+                        renewals_seen,
                     },
                 );
+                inner.current_entries += 1;
                 self.metrics.export_entries.add(1);
                 true
             }
@@ -245,7 +301,7 @@ impl ExportTable {
             Some(e) => {
                 e.count -= 1;
                 if e.count == 0 {
-                    inner.entries.remove(&id);
+                    inner.remove(&id);
                     drop(inner);
                     self.metrics.export_entries.add(-1);
                     ReleaseOutcome::Unpinned
@@ -299,7 +355,7 @@ impl ExportTable {
         let mut unpinned = Vec::new();
         let mut unknown = Vec::new();
         for &id in objects {
-            if inner.entries.remove(&id).is_some() {
+            if inner.remove(&id).is_some() {
                 unpinned.push(id);
             } else {
                 unknown.push(id);
@@ -317,9 +373,10 @@ impl ExportTable {
 
     /// Extends the lease deadline of every current-epoch entry — called on
     /// every frame that carries the peer's lease epoch, and by the
-    /// explicit `GcRenew` path. Renewals advertising an epoch older than
-    /// one already seen are zombies and extend nothing. Returns the number
-    /// of leases extended.
+    /// explicit `GcRenew` path — in constant time: the new deadline is
+    /// recorded once for the table, not per entry (see the module docs).
+    /// Renewals advertising an epoch older than one already seen are
+    /// zombies and extend nothing. Returns the number of leases extended.
     pub fn renew(&self, peer_epoch: u64) -> usize {
         let now = self.clock.now_ms();
         let ttl = self.ttl_ms();
@@ -328,14 +385,9 @@ impl ExportTable {
             return 0;
         }
         inner.peer_epoch = peer_epoch;
-        let epoch = inner.epoch;
-        let mut n = 0usize;
-        for e in inner.entries.values_mut() {
-            if e.epoch == epoch {
-                e.deadline_ms = now + ttl;
-                n += 1;
-            }
-        }
+        inner.renewals += 1;
+        inner.renewed_deadline_ms = now + ttl;
+        let n = inner.current_entries;
         drop(inner);
         self.metrics.renewed.add(n as u64);
         n
@@ -347,7 +399,17 @@ impl ExportTable {
     /// epoch.
     pub fn begin_epoch(&self) -> u64 {
         let mut inner = self.inner.lock();
+        let inner = &mut *inner;
+        // The closing epoch's entries keep what its last renewal gave
+        // them; no later renewal reaches them.
+        let (epoch, renewals, renewed) = (inner.epoch, inner.renewals, inner.renewed_deadline_ms);
+        for e in inner.entries.values_mut() {
+            if e.epoch == epoch && e.renewals_seen < renewals {
+                e.deadline_ms = renewed;
+            }
+        }
         inner.epoch += 1;
+        inner.current_entries = 0;
         inner.epoch
     }
 
@@ -359,11 +421,11 @@ impl ExportTable {
         let expired: Vec<ObjectId> = inner
             .entries
             .iter()
-            .filter(|(_, e)| e.deadline_ms < now)
+            .filter(|(_, e)| inner.deadline_of(e) < now)
             .map(|(id, _)| *id)
             .collect();
         for id in &expired {
-            inner.entries.remove(id);
+            inner.remove(id);
         }
         let epoch = inner.epoch;
         drop(inner);
@@ -396,7 +458,7 @@ impl ExportTable {
             .map(|(id, _)| *id)
             .collect();
         for id in &stale {
-            inner.entries.remove(id);
+            inner.remove(id);
         }
         drop(inner);
         self.metrics.reclaimed.add(stale.len() as u64);
@@ -449,11 +511,11 @@ impl ExportTable {
     pub fn lease_ages_ms(&self) -> Vec<u64> {
         let now = self.clock.now_ms();
         let ttl = self.ttl_ms();
-        self.inner
-            .lock()
+        let inner = self.inner.lock();
+        inner
             .entries
             .values()
-            .map(|e| ttl.saturating_sub(e.deadline_ms.saturating_sub(now)))
+            .map(|e| ttl.saturating_sub(inner.deadline_of(e).saturating_sub(now)))
             .collect()
     }
 }

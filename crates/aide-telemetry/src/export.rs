@@ -1,47 +1,8 @@
-//! Exporters: JSON-lines snapshot dumps and Prometheus-style text
-//! exposition.
+//! Exporter: Prometheus-style text exposition of a snapshot.
 
 use std::fmt::Write as _;
 
-use serde_json::json;
-
 use crate::metrics::TelemetrySnapshot;
-
-/// Serializes a snapshot as JSON lines: one object per metric, with a
-/// `kind` discriminant.
-pub fn snapshot_json_lines(snapshot: &TelemetrySnapshot) -> String {
-    let mut out = String::new();
-    for (name, value) in &snapshot.counters {
-        let line = json!({"kind": "counter", "name": name, "value": value});
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    for (name, value) in &snapshot.gauges {
-        let line = json!({"kind": "gauge", "name": name, "value": value});
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    for (name, h) in &snapshot.histograms {
-        let buckets: Vec<_> = h
-            .bounds
-            .iter()
-            .zip(&h.counts)
-            .map(|(b, c)| json!([b, c]))
-            .collect();
-        let overflow = h.counts.last().copied().unwrap_or(0);
-        let line = json!({
-            "kind": "histogram",
-            "name": name,
-            "count": h.count,
-            "sum": h.sum,
-            "buckets": buckets,
-            "overflow": overflow,
-        });
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    out
-}
 
 /// Renders a snapshot in the Prometheus text exposition format
 /// (version 0.0.4). Histogram buckets are emitted cumulatively with
@@ -85,22 +46,6 @@ mod tests {
         h.observe(50);
         h.observe(5000);
         t.snapshot()
-    }
-
-    #[test]
-    fn json_lines_parse_individually() {
-        let text = snapshot_json_lines(&sample());
-        let lines: Vec<serde_json::Value> = text
-            .lines()
-            .map(|l| serde_json::from_str(l).expect("valid json"))
-            .collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines
-            .iter()
-            .any(|l| l["kind"] == "counter" && l["value"] == 3));
-        assert!(lines
-            .iter()
-            .any(|l| l["kind"] == "histogram" && l["count"] == 3));
     }
 
     #[test]

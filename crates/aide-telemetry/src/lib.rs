@@ -12,9 +12,10 @@
 //!   structured [`PlatformEvent`]s, so a report can explain each offload
 //!   decision (trigger, candidate scores, winner, migrations, failures)
 //!   after the fact.
-//! - **exporters**: JSON-lines snapshot dumps and a Prometheus-style
-//!   text exposition (served by `aide-surrogate` on its RPC port via a
-//!   `STATS` request), plus human-readable timeline rendering.
+//! - **exporters**: a Prometheus-style text exposition of a snapshot
+//!   (served by `aide-surrogate` on its RPC port via a `STATS` request),
+//!   JSON lines of recorder events, and human-readable timeline
+//!   rendering.
 //!
 //! The crate is a leaf: it depends only on `serde`/`serde_json`/
 //! `parking_lot`, so every other crate in the workspace can record into
@@ -28,7 +29,7 @@ mod fleet;
 mod metrics;
 mod recorder;
 
-pub use export::{prometheus_text, snapshot_json_lines};
+pub use export::prometheus_text;
 pub use fleet::{FleetSnapshot, SessionLease};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Telemetry, TelemetrySnapshot};
 pub use recorder::{

@@ -9,7 +9,6 @@
 //! reported as `unattributed` rather than silently absorbed.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 use crate::names;
 use crate::span::SpanRecord;
@@ -117,29 +116,6 @@ fn net_of_service(attempt: &SpanRecord, children: &HashMap<u64, Vec<&SpanRecord>
     attempt.duration_micros.saturating_sub(service)
 }
 
-/// Renders breakdowns as JSON lines (one object per migration).
-pub fn breakdown_json(breakdowns: &[MigrationBreakdown]) -> String {
-    let mut out = String::new();
-    for b in breakdowns {
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"migration_critical_path\",\"trace_id\":\"{:#x}\",\
-             \"total_micros\":{},\"serialize_micros\":{},\"wire_micros\":{},\
-             \"retry_micros\":{},\"instantiate_micros\":{},\"commit_micros\":{},\
-             \"unattributed_micros\":{}}}",
-            b.trace_id,
-            b.total_micros,
-            b.serialize_micros,
-            b.wire_micros,
-            b.retry_micros,
-            b.instantiate_micros,
-            b.commit_micros,
-            b.unattributed_micros,
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,8 +194,5 @@ mod tests {
         assert_eq!(b.instantiate_micros, 120);
         assert_eq!(b.commit_micros, 60);
         assert_eq!(b.unattributed_micros, 1_000 - (100 + 250 + 260 + 120 + 60));
-        let json = breakdown_json(&breakdowns);
-        assert!(json.contains("\"serialize_micros\":100"));
-        assert!(json.contains("migration_critical_path"));
     }
 }

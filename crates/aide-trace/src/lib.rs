@@ -12,11 +12,18 @@
 //!   caller's span even across processes.
 //! * [`span`] / [`child_of`] — RAII span guards over a per-thread context
 //!   stack. Guards nest: a migration span opened in the offload engine
-//!   automatically parents the RPC call spans the engine performs.
+//!   automatically parents the RPC call spans the engine performs. A live
+//!   span is a fixed-size plain record — `&'static` name, category and
+//!   annotation keys, a shared track label, annotation values kept as
+//!   [`ArgValue`]s — so opening, annotating and closing one is two clock
+//!   reads and one push: no allocation, no formatting, no system call.
+//!   Every remote call opens three.
 //! * a bounded, lock-cheap collector ([`drain`] / [`snapshot`]): spans
 //!   buffer per-thread and flush to a process-global store in batches;
 //!   overflow drops (never blocks) and is accounted in
-//!   `aide_trace_spans_dropped_total`.
+//!   `aide_trace_spans_dropped_total`. Spans are rendered into
+//!   [`SpanRecord`]s — owned strings, what the exporter and the analyzer
+//!   below read — only when the collector is read.
 //! * [`chrome_trace`] — a Chrome trace-event JSON exporter; the output
 //!   loads directly in Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
 //! * [`critical_path`] — a per-migration latency attribution pass over a
@@ -58,9 +65,9 @@ pub use buffer::{
 pub use context::{
     child_of, current_context, current_track, set_process_label, set_thread_track, span, SpanGuard,
 };
-pub use critical::{breakdown_json, critical_path, MigrationBreakdown};
+pub use critical::{critical_path, MigrationBreakdown};
 pub use export::chrome_trace;
-pub use span::{SpanContext, SpanRecord};
+pub use span::{ArgValue, SpanContext, SpanRecord};
 
 /// Well-known span names, shared by the instrumentation sites and the
 /// critical-path analyzer so attribution never drifts out of sync with

@@ -26,7 +26,7 @@
 //!   identical [`RunSummary`]s and hook event streams.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -711,7 +711,10 @@ pub enum ExecMode {
 pub struct Machine {
     vm: Arc<Mutex<Vm>>,
     hooks: Arc<dyn RuntimeHooks>,
-    remote: Arc<std::sync::OnceLock<Arc<dyn RemoteAccess>>>,
+    /// Weak: the peer connection holds this machine in turn (it serves the
+    /// peer's touches on it), so whoever wired the two owns the connection
+    /// and ends it by dropping it.
+    remote: Arc<OnceLock<Weak<dyn RemoteAccess>>>,
     max_depth: usize,
     mode: ExecMode,
     /// [`RuntimeHooks::needs_work_boundary`] of `hooks`, asked once here.
@@ -723,7 +726,7 @@ impl std::fmt::Debug for Machine {
         f.debug_struct("Machine")
             .field("max_depth", &self.max_depth)
             .field("mode", &self.mode)
-            .field("has_remote", &self.remote.get().is_some())
+            .field("has_remote", &self.remote().is_some())
             .finish()
     }
 }
@@ -753,24 +756,25 @@ impl Machine {
         Machine::with_parts(Arc::new(Mutex::new(Vm::new(program, config))), hooks, None)
     }
 
-    /// Creates a machine from explicit parts (shared VM, hooks, peer).
+    /// Creates a machine from explicit parts (shared VM, hooks, peer —
+    /// held as [`Machine::set_remote`] holds it).
     pub fn with_parts(
         vm: Arc<Mutex<Vm>>,
         hooks: Arc<dyn RuntimeHooks>,
-        remote: Option<Arc<dyn RemoteAccess>>,
+        remote: Option<&Arc<dyn RemoteAccess>>,
     ) -> Self {
-        let cell = Arc::new(std::sync::OnceLock::new());
-        if let Some(r) = remote {
-            cell.set(r).ok().expect("fresh cell");
-        }
-        Machine {
+        let machine = Machine {
             vm,
             yield_on_work: hooks.needs_work_boundary(),
             hooks,
-            remote: cell,
+            remote: Arc::new(OnceLock::new()),
             max_depth: Self::DEFAULT_MAX_DEPTH,
             mode: ExecMode::Flat,
+        };
+        if let Some(remote) = remote {
+            machine.set_remote(remote);
         }
+        machine
     }
 
     /// Selects which interpreter executes method bodies; a machine starts
@@ -787,14 +791,23 @@ impl Machine {
     /// Wires the peer connection after construction (the RPC layer needs
     /// the machine to build its dispatcher, so the dependency is cyclic).
     ///
+    /// The machine does not keep `remote` alive — the caller does, for as
+    /// long as the machine may touch remote objects. Once the caller drops
+    /// it, a remote touch is a dangling reference again and everything the
+    /// connection held (this machine included) is free to go.
+    ///
     /// # Panics
     ///
     /// Panics if a remote was already set.
-    pub fn set_remote(&self, remote: Arc<dyn RemoteAccess>) {
+    pub fn set_remote(&self, remote: &Arc<dyn RemoteAccess>) {
         self.remote
-            .set(remote)
-            .ok()
+            .set(Arc::downgrade(remote))
             .expect("machine remote already set");
+    }
+
+    /// The peer connection, while its owner keeps it.
+    fn remote(&self) -> Option<Arc<dyn RemoteAccess>> {
+        self.remote.get().and_then(Weak::upgrade)
     }
 
     /// The shared VM handle.
@@ -1119,7 +1132,7 @@ impl Machine {
                 return Ok(rec.class);
             }
         }
-        match self.remote.get() {
+        match self.remote() {
             Some(r) => r.class_of(id),
             None => Err(VmError::DanglingReference(id)),
         }
@@ -1224,10 +1237,7 @@ impl Machine {
                             bytes,
                             true,
                         );
-                        let remote = self
-                            .remote
-                            .get()
-                            .ok_or(VmError::DanglingReference(target))?;
+                        let remote = self.remote().ok_or(VmError::DanglingReference(target))?;
                         remote.invoke(
                             target,
                             *callee_class,
@@ -1299,10 +1309,7 @@ impl Machine {
                             *bytes as u64,
                             true,
                         );
-                        let remote = self
-                            .remote
-                            .get()
-                            .ok_or(VmError::DanglingReference(target))?;
+                        let remote = self.remote().ok_or(VmError::DanglingReference(target))?;
                         remote.field_access(target, *bytes, write)?;
                     }
                 }
@@ -1326,7 +1333,7 @@ impl Machine {
                             8,
                             true,
                         );
-                        let remote = self.remote.get().ok_or(VmError::DanglingReference(me))?;
+                        let remote = self.remote().ok_or(VmError::DanglingReference(me))?;
                         remote.get_slot(me, *slot)?
                     };
                     self.write_reg(frame_id, *dst, value)?;
@@ -1349,7 +1356,7 @@ impl Machine {
                             8,
                             true,
                         );
-                        let remote = self.remote.get().ok_or(VmError::DanglingReference(me))?;
+                        let remote = self.remote().ok_or(VmError::DanglingReference(me))?;
                         remote.put_slot(me, *slot, value)?;
                     }
                 }
@@ -1361,10 +1368,7 @@ impl Machine {
                         let rec = vm.heap.get(target)?;
                         *slot_ref(rec, target, *slot)?
                     } else {
-                        let remote = self
-                            .remote
-                            .get()
-                            .ok_or(VmError::DanglingReference(target))?;
+                        let remote = self.remote().ok_or(VmError::DanglingReference(target))?;
                         remote.get_slot(target, *slot)?
                     };
                     let remote_access = !self.is_local(target);
@@ -1386,10 +1390,7 @@ impl Machine {
                     let value = self.read_reg(frame_id, *src)?;
                     let remote_access = !self.is_local(target);
                     if remote_access {
-                        let remote = self
-                            .remote
-                            .get()
-                            .ok_or(VmError::DanglingReference(target))?;
+                        let remote = self.remote().ok_or(VmError::DanglingReference(target))?;
                         remote.put_slot(target, *slot, value)?;
                     } else {
                         let mut vm = self.vm.lock();
@@ -1424,7 +1425,7 @@ impl Machine {
                         self.hooks
                             .on_native(class, *kind, *work_micros, bytes, true);
                         self.charge_monitor_event();
-                        let remote = self.remote.get().ok_or_else(|| {
+                        let remote = self.remote().ok_or_else(|| {
                             VmError::RemoteFailure("client-bound native with no peer".into())
                         })?;
                         remote.native(class, *kind, *work_micros, *arg_bytes, *ret_bytes)?;
@@ -1455,7 +1456,7 @@ impl Machine {
                         self.hooks
                             .on_static_access(class, *target_class, *bytes as u64, true);
                         self.charge_monitor_event();
-                        let remote = self.remote.get().ok_or_else(|| {
+                        let remote = self.remote().ok_or_else(|| {
                             VmError::RemoteFailure("static access with no peer".into())
                         })?;
                         remote.static_access(class, *target_class, *bytes, write)?;
@@ -1624,10 +1625,7 @@ impl Machine {
                     n_args,
                 } => {
                     let cs = *flat.call(call);
-                    let remote = self
-                        .remote
-                        .get()
-                        .ok_or(VmError::DanglingReference(target))?;
+                    let remote = self.remote().ok_or(VmError::DanglingReference(target))?;
                     remote.invoke(
                         target,
                         cs.class,
@@ -1652,17 +1650,11 @@ impl Machine {
                         bytes as u64,
                         true,
                     );
-                    let remote = self
-                        .remote
-                        .get()
-                        .ok_or(VmError::DanglingReference(target))?;
+                    let remote = self.remote().ok_or(VmError::DanglingReference(target))?;
                     remote.field_access(target, bytes, write)?;
                 }
                 Exit::SlotGet { target, slot, dst } => {
-                    let remote = self
-                        .remote
-                        .get()
-                        .ok_or(VmError::DanglingReference(target))?;
+                    let remote = self.remote().ok_or(VmError::DanglingReference(target))?;
                     let value = remote.get_slot(target, slot)?;
                     self.flat_write_reg(sid, dst, value)?;
                 }
@@ -1671,10 +1663,7 @@ impl Machine {
                     slot,
                     value,
                 } => {
-                    let remote = self
-                        .remote
-                        .get()
-                        .ok_or(VmError::DanglingReference(target))?;
+                    let remote = self.remote().ok_or(VmError::DanglingReference(target))?;
                     remote.put_slot(target, slot, value)?;
                 }
                 Exit::SlotGetOf {
@@ -1684,10 +1673,7 @@ impl Machine {
                     dst,
                 } => {
                     let callee = self.class_of(target)?;
-                    let remote = self
-                        .remote
-                        .get()
-                        .ok_or(VmError::DanglingReference(target))?;
+                    let remote = self.remote().ok_or(VmError::DanglingReference(target))?;
                     let value = remote.get_slot(target, slot)?;
                     self.record_interaction(
                         caller,
@@ -1706,10 +1692,7 @@ impl Machine {
                     value,
                 } => {
                     let callee = self.class_of(target)?;
-                    let remote = self
-                        .remote
-                        .get()
-                        .ok_or(VmError::DanglingReference(target))?;
+                    let remote = self.remote().ok_or(VmError::DanglingReference(target))?;
                     remote.put_slot(target, slot, value)?;
                     self.record_interaction(
                         caller,
@@ -1727,7 +1710,7 @@ impl Machine {
                     arg_bytes,
                     ret_bytes,
                 } => {
-                    let remote = self.remote.get().ok_or_else(|| {
+                    let remote = self.remote().ok_or_else(|| {
                         VmError::RemoteFailure("client-bound native with no peer".into())
                     })?;
                     remote.native(caller, kind, work_micros, arg_bytes, ret_bytes)?;
@@ -1738,7 +1721,7 @@ impl Machine {
                     bytes,
                     write,
                 } => {
-                    let remote = self.remote.get().ok_or_else(|| {
+                    let remote = self.remote().ok_or_else(|| {
                         VmError::RemoteFailure("static access with no peer".into())
                     })?;
                     remote.static_access(accessor, class, bytes, write)?;
