@@ -206,9 +206,12 @@ struct ForwardInbound {
 }
 
 impl FrameSink for ForwardInbound {
-    fn deliver(&self, frame: Frame) {
+    fn deliver(&self, frame: Frame) -> bool {
         // Refused only after a reset or once the application is gone.
         let _ = self.to_app.send(frame);
+        // Whoever waits behind the shim holds an in-process session and
+        // cannot read `inner`'s carrier itself.
+        false
     }
 
     fn closed(&self) {

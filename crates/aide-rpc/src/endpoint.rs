@@ -3,18 +3,24 @@
 //!
 //! Each VM owns an [`Endpoint`]. It has no receiver thread: the endpoint
 //! attaches a sink to its session, and whoever produces an inbound frame —
-//! the carrier's reader, or the in-process peer's sending thread — decodes
-//! it on the spot, renews leases, and either completes the blocked caller's
-//! one-shot slot (a reply, matched by sequence number) or queues the
-//! request to a pool of worker threads that execute it through the
-//! endpoint's [`Dispatcher`] — the paper's "pool of threads to perform RPCs
-//! on behalf of the other JVM". Workers can re-enter the interpreter, which
-//! may issue further nested remote calls, so the pool must be at least as
-//! deep as the maximum cross-VM call nesting.
+//! the holder of the carrier's read half, or the in-process peer's sending
+//! thread — decodes it on the spot, renews leases, and either completes the
+//! blocked caller's one-shot slot (a reply, matched by sequence number) or
+//! queues the request to a pool of worker threads that execute it through
+//! the endpoint's [`Dispatcher`] — the paper's "pool of threads to perform
+//! RPCs on behalf of the other JVM". Workers can re-enter the interpreter,
+//! which may issue further nested remote calls, so the pool must be at
+//! least as deep as the maximum cross-VM call nesting.
+//!
+//! On a session of a carrier end that initiated its connection the blocked
+//! caller is itself that holder: having written its request it reads and
+//! routes the carrier's frames until its own reply is among them, and only
+//! waits to be handed the reply when somebody else is already reading (see
+//! `CallSlot::wait`, the one place a call waits).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use aide_graph::CommParams;
@@ -23,6 +29,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::link::{FrameSink, LinkError, NetClock, Session};
+use crate::mux::{CarrierReader, Turn};
 use crate::reftable::{ExportTable, ImportTable};
 use crate::responder::{Responder, Served};
 use crate::transport::BackendKind;
@@ -214,10 +221,21 @@ struct SlotState {
     /// Set when the endpoint starts draining: the caller gives up then,
     /// whatever its own timeout says.
     give_up_at: Option<Instant>,
+    /// The caller sleeps on `changed`. A caller reading its carrier does
+    /// not, and is spared the wake-up call nobody would hear.
+    asleep: bool,
 }
 
+/// How long a caller reading its carrier goes without looking at its slot
+/// when no frame arrives: the one thing another thread can change under it
+/// is the drain deadline `shutdown()` stamps on the slot, which is thereby
+/// noticed at most this late. A caller waiting on the condition variable is
+/// notified instead and needs no such bound.
+const SLOT_RECHECK: Duration = Duration::from_millis(50);
+
 /// One blocked caller's one-shot rendezvous with the thread that delivers
-/// its reply (the carrier's reader, or the in-process peer's worker).
+/// its reply (the holder of the carrier's read half — possibly the caller
+/// itself — or the in-process peer's worker).
 struct CallSlot {
     state: std::sync::Mutex<SlotState>,
     changed: Condvar,
@@ -233,23 +251,48 @@ impl CallSlot {
         let mut state = self.lock();
         if state.outcome.is_none() {
             state.outcome = Some(outcome);
-            self.changed.notify_one();
+            self.wake(state);
         }
     }
 
     fn give_up_at(&self, deadline: Instant) {
-        self.lock().give_up_at = Some(deadline);
-        self.changed.notify_one();
+        let mut state = self.lock();
+        state.give_up_at = Some(deadline);
+        self.wake(state);
     }
 
-    /// Waits up to `timeout` for the outcome. [`RpcError::Timeout`] leaves
-    /// the slot armed, so a retry can wait on it again and a late reply to
-    /// an earlier attempt still lands.
-    fn wait(&self, timeout: Duration) -> CallOutcome {
+    /// Lets go of the slot, then wakes its caller if it sleeps: woken while
+    /// the lock is still held, it would run straight into it and go back to
+    /// sleep.
+    fn wake(&self, state: MutexGuard<'_, SlotState>) {
+        let asleep = state.asleep;
+        drop(state);
+        if asleep {
+            self.changed.notify_one();
+        }
+    }
+
+    /// Waits up to `timeout` for the outcome — the one way a call waits.
+    /// [`RpcError::Timeout`] leaves the slot armed, so a retry can wait on
+    /// it again and a late reply to an earlier attempt still lands.
+    ///
+    /// With `carrier` (a session whose callers may drive their carrier's
+    /// read half) the caller takes the read half if it is free and reads
+    /// and routes frames on this thread until the outcome is in, never past
+    /// the deadlines below; when somebody else holds it, and always in
+    /// process, it sleeps until the outcome is handed over.
+    fn wait(&self, timeout: Duration, carrier: Option<&CarrierReader>) -> CallOutcome {
         let until = Instant::now() + timeout;
+        // Taken before the slot is looked at: from here on no reply reaches
+        // the slot except through the read half this caller holds or behind
+        // a notification it will get.
+        let mut turn = carrier.map(CarrierReader::enter);
         let mut state = self.lock();
         loop {
             if let Some(outcome) = state.outcome.take() {
+                if let (Some(Turn::Reading(reading)), Ok(_)) = (&mut turn, &outcome) {
+                    reading.found_own_reply();
+                }
                 return outcome;
             }
             let now = Instant::now();
@@ -262,11 +305,28 @@ impl CallSlot {
             let limit = state
                 .give_up_at
                 .map_or(until, |deadline| deadline.min(until));
-            state = self
-                .changed
-                .wait_timeout(state, limit - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+            state = match &mut turn {
+                Some(Turn::Reading(reading)) => {
+                    drop(state);
+                    if !reading.route_next(limit.min(now + SLOT_RECHECK)) {
+                        // The carrier died under us and failed every call
+                        // on it; a slot it somehow missed waits out its
+                        // deadline like any other.
+                        turn = None;
+                    }
+                    self.lock()
+                }
+                _ => {
+                    state.asleep = true;
+                    let mut state = self
+                        .changed
+                        .wait_timeout(state, limit - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
+                    state.asleep = false;
+                    state
+                }
+            };
         }
     }
 }
@@ -331,7 +391,8 @@ struct Shared {
     dedup_hits: AtomicU64,
     late_replies: AtomicU64,
     bad_frames: AtomicU64,
-    gc: Mutex<Option<GcHooks>>,
+    /// Written once, by [`Endpoint::attach_gc`]; read on every frame.
+    gc: OnceLock<GcHooks>,
     metrics: RpcMetrics,
 }
 
@@ -342,10 +403,7 @@ impl Shared {
 
     /// The lease epoch to stamp on outgoing frames, when GC is attached.
     fn lease_stamp(&self) -> Option<u64> {
-        self.gc
-            .lock()
-            .as_ref()
-            .map(|h| h.imports.advertised_epoch())
+        self.gc.get().map(|h| h.imports.advertised_epoch())
     }
 
     /// Registers a caller for `seq`.
@@ -358,6 +416,7 @@ impl Shared {
             state: std::sync::Mutex::new(SlotState {
                 outcome: None,
                 give_up_at: pending.drain_until,
+                asleep: false,
             }),
             changed: Condvar::new(),
         });
@@ -411,19 +470,19 @@ impl Shared {
 }
 
 impl FrameSink for Shared {
-    fn deliver(&self, frame: Frame) {
+    fn deliver(&self, frame: Frame) -> bool {
         let Ok((header, message)) = Message::decode_framed(&frame) else {
             // Malformed frame (truncated, corrupted, wrong version): count
             // and drop it; retries recover the request.
             self.bad_frames.fetch_add(1, Ordering::Relaxed);
             self.metrics.bad_frames.inc();
-            return;
+            return false;
         };
         if let Some(epoch) = header.lease_epoch {
             // The peer's lease stamp rides every frame: renewing here,
             // before dispatch, is what makes ordinary traffic keep this
             // side's exports alive with no dedicated GC messages.
-            if let Some(hooks) = self.gc.lock().as_ref() {
+            if let Some(hooks) = self.gc.get() {
                 hooks.exports.renew(epoch);
             }
         }
@@ -451,7 +510,9 @@ impl FrameSink for Shared {
                 };
                 if let Some(slot) = slot {
                     slot.complete(Ok(result));
-                } else if self.late_expected.lock().remove(&seq) {
+                    return true;
+                }
+                if self.late_expected.lock().remove(&seq) {
                     // The caller already gave up on this sequence number:
                     // account for the straggler instead of losing it
                     // silently. (Replies to retried calls never land here
@@ -461,6 +522,7 @@ impl FrameSink for Shared {
                 }
             }
         }
+        false
     }
 
     fn closed(&self) {
@@ -516,7 +578,7 @@ impl Endpoint {
             dedup_hits: AtomicU64::new(0),
             late_replies: AtomicU64::new(0),
             bad_frames: AtomicU64::new(0),
-            gc: Mutex::new(None),
+            gc: OnceLock::new(),
             metrics: RpcMetrics::resolve(session.backend()),
         });
         let responder = Arc::new(Responder::new(DEDUP_CAPACITY));
@@ -583,9 +645,11 @@ impl Endpoint {
     /// After this call every outgoing frame (request or reply) is stamped
     /// with `imports`' advertised lease epoch, and every stamped incoming
     /// frame renews `exports`' current-epoch leases — so steady-state RPC
-    /// traffic keeps cross-VM references alive with no extra messages.
+    /// traffic keeps cross-VM references alive with no extra messages. An
+    /// endpoint is wired to one pair of tables for life: a second call
+    /// changes nothing.
     pub fn attach_gc(&self, exports: Arc<ExportTable>, imports: Arc<ImportTable>) {
-        *self.shared.gc.lock() = Some(GcHooks { exports, imports });
+        let _ = self.shared.gc.set(GcHooks { exports, imports });
     }
 
     /// Number of requests this endpoint has served for its peer.
@@ -767,7 +831,7 @@ impl Endpoint {
             let wait = policy
                 .attempt_timeout
                 .min(deadline.saturating_duration_since(Instant::now()));
-            match slot.wait(wait) {
+            match slot.wait(wait, self.session.carrier_reader()) {
                 Ok(r) => {
                     attempt_outcome("ok");
                     break Ok(r);
@@ -896,7 +960,9 @@ impl Endpoint {
             body: Request::Ping,
         };
         let started = std::time::Instant::now();
-        let outcome = self.send_request(&ping).and_then(|()| slot.wait(timeout));
+        let outcome = self
+            .send_request(&ping)
+            .and_then(|()| slot.wait(timeout, self.session.carrier_reader()));
         self.shared.forget(seq);
         outcome?.map_err(RpcError::Remote)?;
         let rtt = started.elapsed();

@@ -7,6 +7,12 @@
 //! [`Link`] keeps the shared [`NetClock`] that accumulates *simulated*
 //! communication seconds according to [`CommParams`] — the paper's
 //! 11 Mbps / 2.4 ms RTT WaveLAN model, charged per call by the endpoint.
+//!
+//! A session riding a byte-stream carrier shares the carrier's write half
+//! (`CarrierWriter`: whoever sends, writes) and, on the end that dialled
+//! the connection, a handle on its read half (`CarrierReader`: a caller
+//! blocked on the session's reply may do the reading). Either way a frame
+//! reaches the session through its `Inbox`, on the thread that read it.
 
 use std::collections::VecDeque;
 use std::io::Write;
@@ -17,7 +23,7 @@ use std::time::Instant;
 use aide_graph::CommParams;
 use parking_lot::Mutex;
 
-use crate::mux::{mux_head, KIND_CLOSE, KIND_DATA};
+use crate::mux::{mux_head, CarrierReader, KIND_CLOSE, KIND_DATA};
 use crate::transport::BackendKind;
 use crate::wire::{write_framed, Frame};
 
@@ -119,15 +125,20 @@ impl std::fmt::Display for LinkError {
 impl std::error::Error for LinkError {}
 
 /// Consumes a session's inbound frames **on the thread that produced
-/// them** — a carrier's reader, or the in-process peer's sending thread.
+/// them** — whoever holds the carrier's read half (its reader thread, or a
+/// caller reading its own reply), or the in-process peer's sending thread.
 ///
 /// The deadlock rule every implementation obeys: a sink never writes to a
 /// carrier and never blocks. It decodes, renews, completes a waiting call,
 /// enqueues for a worker, or forwards into another session's inbox —
-/// nothing else — so a carrier's reader blocks on nothing but its socket.
+/// nothing else — so whoever holds a carrier's read half blocks on nothing
+/// but its socket.
 pub(crate) trait FrameSink: Send + Sync {
-    /// One frame, in arrival order.
-    fn deliver(&self, frame: Frame);
+    /// One frame, in arrival order. `true` when it was the reply a caller
+    /// blocked on this very session was waiting for — what tells a
+    /// carrier's reader thread that a caller able to read for itself is
+    /// about to call again (see [`CarrierReader`]).
+    fn deliver(&self, frame: Frame) -> bool;
     /// No further frame will arrive: the peer hung up or the carrier died.
     fn closed(&self);
 }
@@ -181,12 +192,14 @@ impl Inbox {
     }
 
     /// Producer side: hands `frame` to the attached sink, or queues it.
+    /// `Ok` carries what [`FrameSink::deliver`] reported (`false` for a
+    /// queued frame).
     ///
     /// # Errors
     ///
     /// [`LinkError::Disconnected`] once the inbox is closed or every
     /// receiving handle is gone.
-    pub(crate) fn push(&self, frame: Frame) -> Result<(), LinkError> {
+    pub(crate) fn push(&self, frame: Frame) -> Result<bool, LinkError> {
         let mut state = self.lock();
         if state.closed || state.abandoned {
             return Err(LinkError::Disconnected);
@@ -194,14 +207,14 @@ impl Inbox {
         match &state.sink {
             Some(sink) => {
                 self.stats.note_received(frame.len());
-                sink.deliver(frame);
+                Ok(sink.deliver(frame))
             }
             None => {
                 state.queue.push_back(frame);
                 self.ready.notify_one();
+                Ok(false)
             }
         }
-        Ok(())
     }
 
     /// Producer side: no further frame will arrive. Queued frames stay
@@ -391,10 +404,12 @@ enum SessionSender {
     Direct(Arc<DirectTx>),
     /// A share of a byte-stream carrier's write half. `mux_id` tags the
     /// frames on a multiplexed connection; a single-session socket has
-    /// none.
+    /// none. `reader` is the carrier's read half on the end that initiated
+    /// the connection, where a caller may read its own reply.
     Carrier {
         writer: Arc<CarrierWriter>,
         mux_id: Option<u32>,
+        reader: Option<Arc<CarrierReader>>,
     },
 }
 
@@ -418,15 +433,31 @@ impl Session {
 
     /// Assembles a session riding a byte-stream carrier: outbound frames go
     /// through the shared `writer` (tagged with `mux_id` on a multiplexed
-    /// connection), inbound frames are pushed into `inbox` by the
-    /// carrier's reader.
+    /// connection), inbound frames are pushed into `inbox` by whoever
+    /// drives `reader`.
     pub(crate) fn on_carrier(
         writer: Arc<CarrierWriter>,
         mux_id: Option<u32>,
         inbox: Arc<Inbox>,
         backend: BackendKind,
+        reader: &Arc<CarrierReader>,
     ) -> Self {
-        Session::assemble(SessionSender::Carrier { writer, mux_id }, inbox, backend)
+        let reader = reader.callers_read().then(|| Arc::clone(reader));
+        let tx = SessionSender::Carrier {
+            writer,
+            mux_id,
+            reader,
+        };
+        Session::assemble(tx, inbox, backend)
+    }
+
+    /// The read half of this session's carrier, if a caller blocked on the
+    /// session may drive it: `None` in process and on an accepting end.
+    pub(crate) fn carrier_reader(&self) -> Option<&CarrierReader> {
+        match &self.tx {
+            SessionSender::Carrier { reader, .. } => reader.as_deref(),
+            SessionSender::Direct(_) => None,
+        }
     }
 
     /// The backend this session rides on.
@@ -448,14 +479,16 @@ impl Session {
         let frame = frame.into();
         self.stats().note_sent(frame.len());
         match &self.tx {
-            SessionSender::Direct(peer) => peer.0.push(frame),
+            SessionSender::Direct(peer) => peer.0.push(frame).map(drop),
             SessionSender::Carrier {
                 writer,
                 mux_id: Some(id),
+                ..
             } => writer.send(&mux_head(*id, KIND_DATA), &frame),
             SessionSender::Carrier {
                 writer,
                 mux_id: None,
+                ..
             } => writer.send(&[], &frame),
         }
     }
@@ -468,6 +501,7 @@ impl Session {
         if let SessionSender::Carrier {
             writer,
             mux_id: Some(id),
+            ..
         } = &self.tx
         {
             let _ = writer.send(&mux_head(*id, KIND_CLOSE), &[]);
@@ -633,8 +667,9 @@ mod tests {
     }
 
     impl FrameSink for Recorder {
-        fn deliver(&self, frame: Frame) {
+        fn deliver(&self, frame: Frame) -> bool {
             self.frames.lock().push(frame.to_vec());
+            false
         }
 
         fn closed(&self) {

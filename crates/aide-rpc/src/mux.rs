@@ -15,27 +15,37 @@
 //!
 //! There is no writer thread: a sender composes its frame and issues the
 //! one `write_all` itself, under the carrier's writer mutex
-//! (`CarrierWriter`). One reader thread, behind a 64 KiB `BufReader`,
-//! demultiplexes inbound frames and *runs each session's consumer itself*
-//! — the session's inbox queue until a sink is attached, the sink (decode,
-//! complete a call or enqueue a job) afterwards. The rule that keeps this
-//! deadlock-free: the reader never writes to a carrier and blocks on
-//! nothing but its socket, so a slow session never stalls its siblings.
+//! (`CarrierWriter`). The read half — a 16 KiB buffer, the session routes,
+//! the frame routing — is one object, [`CarrierReader`], that *whoever
+//! holds its lock* drives: it demultiplexes inbound frames and *runs each
+//! session's consumer itself* — the session's inbox queue until a sink is
+//! attached, the sink (decode, complete a call or enqueue a job)
+//! afterwards. On the end that initiated the connection a caller blocked on
+//! a reply takes the lock and reads its own reply (a call is then caller →
+//! peer reader → worker → caller: three hand-offs, not four); the carrier's
+//! reader thread is the reader of last resort there and the only reader on
+//! an accepting end. The rule that keeps this deadlock-free: whoever holds
+//! a carrier's read half never writes to a carrier and blocks on nothing
+//! but its socket, so a slow session never stalls its siblings.
 //!
-//! The module is generic over `Read`/`Write` carriers; the only TCP-aware
-//! code lives in `crate::tcp`, which wires a socket's two halves in here.
+//! The module is generic over byte-stream carriers (`DeadlineRead` /
+//! `Write`); the only TCP-aware code lives in `crate::tcp`, which wires a
+//! socket's two halves in here — as a multiplexed connection, or as the
+//! tag-less single-session carrier, which is the same reader with one
+//! route and no `[session][kind]` header.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Read, Write};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::io::Write;
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, PoisonError};
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::link::{CarrierWriter, Inbox, LinkError, Session};
 use crate::transport::{Acceptor, BackendKind, Transport};
-use crate::wire::{read_framed, Frame, READ_BUFFER};
+use crate::wire::{DeadlineRead, Frame, FrameHead, FrameReader};
 
 /// Application frame for an established session.
 pub(crate) const KIND_DATA: u8 = 0;
@@ -81,8 +91,6 @@ impl std::fmt::Debug for ConnKiller {
         f.write_str("ConnKiller")
     }
 }
-
-type Routes = Arc<Mutex<HashMap<u32, Arc<Inbox>>>>;
 
 /// One inbound event from a bus-routed carrier (see
 /// [`MuxConn::route_accepts_to`]). Events for all sessions of a carrier —
@@ -190,11 +198,9 @@ impl MuxSender {
 /// keeps the shared write half alive through its own handle.
 pub struct MuxConn {
     writer: Arc<CarrierWriter>,
+    reader: Arc<CarrierReader>,
     accepted_rx: Receiver<(u32, Arc<Inbox>)>,
-    routes: Routes,
-    sink: Arc<Mutex<PeerSink>>,
     next_id: AtomicU32,
-    parity: u32,
     backend: BackendKind,
     killer: ConnKiller,
     sessions_opened: Arc<aide_telemetry::Counter>,
@@ -203,7 +209,7 @@ pub struct MuxConn {
 impl std::fmt::Debug for MuxConn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MuxConn")
-            .field("initiator", &(self.parity == 1))
+            .field("initiator", &(self.reader.parity == 1))
             .field("backend", &self.backend)
             .finish_non_exhaustive()
     }
@@ -213,7 +219,13 @@ impl MuxConn {
     /// Our end of session `id`: the carrier's write half plus `inbox`.
     fn session(&self, id: u32, inbox: Arc<Inbox>) -> Session {
         self.sessions_opened.inc();
-        Session::on_carrier(Arc::clone(&self.writer), Some(id), inbox, self.backend)
+        Session::on_carrier(
+            Arc::clone(&self.writer),
+            Some(id),
+            inbox,
+            self.backend,
+            &self.reader,
+        )
     }
 
     /// A handle that severs the whole connection.
@@ -247,7 +259,7 @@ impl MuxConn {
     /// lock. Locally-initiated sessions ([`Transport::open_session`]) are
     /// unaffected and keep their dedicated inboxes.
     pub fn route_accepts_to(&self, conn: u64, sink: Arc<dyn BusSink>) -> MuxSender {
-        let mut current = self.sink.lock();
+        let mut current = self.reader.sink.lock();
         while let Ok((id, inbox)) = self.accepted_rx.try_recv() {
             sink.deliver(BusEvent::Opened { conn, session: id });
             for frame in inbox.take_queued() {
@@ -257,7 +269,7 @@ impl MuxConn {
                     frame,
                 });
             }
-            self.routes.lock().remove(&id);
+            self.reader.routes.lock().remove(&id);
         }
         *current = PeerSink::Bus { conn, sink };
         drop(current);
@@ -272,11 +284,11 @@ impl Transport for MuxConn {
 
     fn open_session(&self) -> Result<Session, LinkError> {
         let n = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let id = (n << 1) | self.parity;
+        let id = (n << 1) | self.reader.parity;
         let inbox = Inbox::new();
-        self.routes.lock().insert(id, Arc::clone(&inbox));
+        self.reader.routes.lock().insert(id, Arc::clone(&inbox));
         if self.writer.send(&mux_head(id, KIND_OPEN), &[]).is_err() {
-            self.routes.lock().remove(&id);
+            self.reader.routes.lock().remove(&id);
             return Err(LinkError::Disconnected);
         }
         Ok(self.session(id, inbox))
@@ -286,7 +298,7 @@ impl Transport for MuxConn {
 impl Acceptor for MuxConn {
     fn accept(&self) -> Result<Session, LinkError> {
         // The reader hands over only `(id, inbox)`; the session is
-        // assembled here so the reader thread never holds the write half
+        // assembled here so the read half never holds the write half
         // (which would keep it open after every handle dropped).
         let (id, inbox) = self
             .accepted_rx
@@ -296,22 +308,19 @@ impl Acceptor for MuxConn {
     }
 }
 
-/// Starts the reader thread for one multiplexed connection and returns the
-/// local handle. `initiator` decides session-id parity; `on_writer_drop`
-/// runs when the last handle on the write half goes away (e.g. to shut
-/// down a socket's write half so the peer sees EOF).
-pub(crate) fn spawn_mux<R, W>(
-    reader: R,
-    writer: W,
+/// Wires one multiplexed connection — its write half, its read half and
+/// the read half's thread — and returns the local handle. `initiator`
+/// decides session-id parity and whether callers read their own replies;
+/// `on_writer_drop` runs when the last handle on the write half goes away
+/// (e.g. to shut down a socket's write half so the peer sees EOF).
+pub(crate) fn spawn_mux(
+    reader: impl DeadlineRead + 'static,
+    writer: impl Write + Send + 'static,
     initiator: bool,
     killer: ConnKiller,
     backend: BackendKind,
     on_writer_drop: impl FnOnce() + Send + Sync + 'static,
-) -> MuxConn
-where
-    R: Read + Send + 'static,
-    W: Write + Send + 'static,
-{
+) -> MuxConn {
     let telemetry = aide_telemetry::global();
     let frames = telemetry.counter(aide_telemetry::names::MUX_FRAMES);
     let bytes = telemetry.counter(aide_telemetry::names::MUX_BYTES);
@@ -322,121 +331,455 @@ where
         Arc::clone(&bytes),
         on_writer_drop,
     );
-    let (accepted_tx, accepted_rx) = unbounded::<(u32, Arc<Inbox>)>();
-    let routes: Routes = Arc::new(Mutex::new(HashMap::new()));
-    let sink: Arc<Mutex<PeerSink>> = Arc::new(Mutex::new(PeerSink::Accept));
-    let parity = u32::from(initiator);
-
-    {
-        let routes = Arc::clone(&routes);
-        let sink = Arc::clone(&sink);
-        std::thread::Builder::new()
-            .name("rpc-mux-reader".into())
-            .spawn(move || {
-                let mut reader = BufReader::with_capacity(READ_BUFFER, reader);
-                while let Ok((head, frame)) = read_framed::<MUX_HEADER>(&mut reader) {
-                    let id = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
-                    let kind = head[4];
-                    frames.inc();
-                    bytes.add((4 + MUX_HEADER + frame.len()) as u64);
-                    if kind != KIND_OPEN && kind != KIND_CLOSE && kind != KIND_DATA {
-                        break;
-                    }
-                    let peer_initiated = (id & 1) != parity;
-                    // Held across the whole dispatch of a peer session's
-                    // frame: it serializes against route_accepts_to's
-                    // drain, which is what keeps per-session frame order
-                    // intact across the switch.
-                    let peer_sink = peer_initiated.then(|| sink.lock());
-                    if let Some(PeerSink::Bus { conn, sink }) = peer_sink.as_deref() {
-                        let (conn, session) = (*conn, id);
-                        sink.deliver(match kind {
-                            KIND_OPEN => BusEvent::Opened { conn, session },
-                            KIND_CLOSE => BusEvent::Closed { conn, session },
-                            _ => BusEvent::Data {
-                                conn,
-                                session,
-                                frame,
-                            },
-                        });
-                        continue;
-                    }
-                    match kind {
-                        KIND_OPEN => {
-                            open_route(&routes, &accepted_tx, id);
-                        }
-                        KIND_CLOSE => {
-                            if let Some(inbox) = routes.lock().remove(&id) {
-                                inbox.close();
-                            }
-                        }
-                        _ => {
-                            let mut inbox = routes.lock().get(&id).cloned();
-                            if inbox.is_none() && peer_initiated {
-                                // Data can race ahead of its OPEN only if the
-                                // peer speaks a newer dialect; treat it as an
-                                // implicit open so nothing is lost. (For a
-                                // session of ours it is a late frame after our
-                                // close: dropped.)
-                                inbox = open_route(&routes, &accepted_tx, id);
-                            }
-                            // Pushed outside the routes lock: the push runs
-                            // the session's sink, and `open_session` on
-                            // another thread must not wait for it.
-                            if let Some(inbox) = inbox {
-                                if inbox.push(frame).is_err() {
-                                    routes.lock().remove(&id);
-                                }
-                            }
-                        }
-                    }
-                }
-                // Carrier gone: every session sees Disconnected once its
-                // queue drains, the acceptor stops yielding sessions, and a
-                // bus consumer is told every session died at once.
-                let orphans: Vec<Arc<Inbox>> = routes.lock().drain().map(|(_, i)| i).collect();
-                for inbox in orphans {
-                    inbox.close();
-                }
-                if let PeerSink::Bus { conn, sink } = &*sink.lock() {
-                    sink.deliver(BusEvent::CarrierClosed { conn: *conn });
-                }
-            })
-            .expect("spawning the mux reader thread");
-    }
+    let (reader, accepted_rx) =
+        CarrierReader::spawn(reader, None, initiator, "rpc-mux-reader", frames, bytes);
 
     MuxConn {
         writer,
+        reader,
         accepted_rx,
-        routes,
-        sink,
         next_id: AtomicU32::new(1),
-        parity,
         backend,
         killer,
         sessions_opened: telemetry.counter(aide_telemetry::names::MUX_SESSIONS),
     }
 }
 
-/// Installs a route for a peer-opened session and hands its inbox to the
-/// acceptor. `None` for a duplicate OPEN or once nobody accepts any more.
-fn open_route(
-    routes: &Routes,
-    accepted_tx: &Sender<(u32, Arc<Inbox>)>,
-    id: u32,
-) -> Option<Arc<Inbox>> {
-    let mut map = routes.lock();
-    if map.contains_key(&id) {
-        return None;
+/// How long a carrier's read half may go without a caller driving it before
+/// its reader thread takes it back. Two orders of magnitude above the
+/// ~15 µs between the calls of a burst, so the thread does not barge in
+/// between two of them (each collision sends one call the long way round,
+/// through the thread); far below every timeout the protocol knows, and it
+/// bounds how long a frame nobody is blocked on — the peer's request to an
+/// idle end, a CLOSE, a late reply — sits in the socket; and no shorter
+/// than a timer tick, below which a timed wait is not honoured anyway. The
+/// price is one timer wake-up per millisecond while a burst lasts.
+const HANDOVER: Duration = Duration::from_millis(1);
+
+/// The route of a tag-less carrier's one session. Even, like the parity of
+/// such a carrier, so it never reads as opened by the peer.
+const SOLE_SESSION: u32 = 0;
+
+/// What drives a carrier's reads owns: the framed byte stream, and the
+/// sending side of the acceptor's queue (dropped with it, so `accept`
+/// reports the carrier's death).
+struct ReadHalf {
+    frames: FrameReader,
+    accepted_tx: Sender<(u32, Arc<Inbox>)>,
+}
+
+/// One turn of the read half.
+enum Step {
+    /// A frame was read and routed; `reply` as [`Inbox::push`] reports it.
+    Routed { reply: bool },
+    /// The deadline passed first.
+    TimedOut,
+    /// The carrier is gone (now, or since before the call).
+    Gone,
+}
+
+/// The read half of a byte-stream carrier: buffer, routes and frame
+/// routing, driven by **whoever holds the `half` lock**.
+///
+/// On an end that *accepted* its connection that is always the carrier's
+/// reader thread: what such an end mostly receives is requests, which no
+/// caller is blocked on, and only a thread that never steps aside serves
+/// them reader → worker without delay. On the end that *initiated* it
+/// (`callers_read`), a caller that has written its request takes the lock
+/// and reads and routes frames on its own thread until its reply is among
+/// them; frames for sibling sessions, the peer's call-back requests and
+/// CLOSEs met on the way are routed exactly as the thread routes them. The
+/// thread is the reader of last resort there: it reads whenever no caller
+/// has for [`HANDOVER`], steps aside once it has delivered a reply to a
+/// local caller (who is about to call again and can then read for itself),
+/// and is recalled at once by a caller that leaves while others still wait
+/// or while bytes it read are still unrouted.
+///
+/// Whoever holds the lock obeys the rule the reader thread always obeyed:
+/// it never writes to a carrier and blocks on nothing but its socket.
+pub(crate) struct CarrierReader {
+    /// `None` once the carrier is gone.
+    half: Mutex<Option<ReadHalf>>,
+    routes: Mutex<HashMap<u32, Arc<Inbox>>>,
+    sink: Mutex<PeerSink>,
+    /// Frames carry the mux's `[session][kind]` header; without it every
+    /// frame is data for [`SOLE_SESSION`].
+    tagged: bool,
+    /// Low bit of the session ids this end allocates.
+    parity: u32,
+    callers_read: bool,
+    /// Callers blocked on a reply while someone else holds `half`.
+    queued: AtomicUsize,
+    /// Times a caller took `half`: how the parked thread tells a burst in
+    /// progress from an idle carrier.
+    turns: AtomicU64,
+    /// Calls the parked thread back before [`HANDOVER`] is up.
+    recalled: std::sync::Mutex<bool>,
+    recall: Condvar,
+    frames: Arc<aide_telemetry::Counter>,
+    bytes: Arc<aide_telemetry::Counter>,
+    replies_caller_read: Arc<aide_telemetry::Counter>,
+    replies_handed_over: Arc<aide_telemetry::Counter>,
+}
+
+impl std::fmt::Debug for CarrierReader {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CarrierReader")
+            .field("tagged", &self.tagged)
+            .field("callers_read", &self.callers_read)
+            .finish_non_exhaustive()
     }
-    let inbox = Inbox::new();
-    map.insert(id, Arc::clone(&inbox));
-    drop(map);
-    if accepted_tx.send((id, Arc::clone(&inbox))).is_err() {
-        routes.lock().remove(&id);
-        return None;
+}
+
+impl CarrierReader {
+    /// Builds the read half of a carrier over `source` and starts its
+    /// thread, named `thread`. With `single` the carrier is tag-less and
+    /// every frame belongs to that inbox; without, it is multiplexed and
+    /// the returned queue yields the sessions the peer opens. `frames` and
+    /// `bytes` count what is read.
+    pub(crate) fn spawn(
+        source: impl DeadlineRead + 'static,
+        single: Option<Arc<Inbox>>,
+        initiator: bool,
+        thread: &str,
+        frames: Arc<aide_telemetry::Counter>,
+        bytes: Arc<aide_telemetry::Counter>,
+    ) -> (Arc<CarrierReader>, Receiver<(u32, Arc<Inbox>)>) {
+        let telemetry = aide_telemetry::global();
+        let tagged = single.is_none();
+        let (accepted_tx, accepted_rx) = unbounded();
+        let reader = Arc::new(CarrierReader {
+            half: Mutex::new(Some(ReadHalf {
+                frames: FrameReader::new(source, if tagged { MUX_HEADER } else { 0 }),
+                accepted_tx,
+            })),
+            routes: Mutex::new(
+                single
+                    .map(|inbox| (SOLE_SESSION, inbox))
+                    .into_iter()
+                    .collect(),
+            ),
+            sink: Mutex::new(PeerSink::Accept),
+            tagged,
+            parity: u32::from(tagged && initiator),
+            callers_read: initiator,
+            queued: AtomicUsize::new(0),
+            turns: AtomicU64::new(0),
+            recalled: std::sync::Mutex::new(false),
+            recall: Condvar::new(),
+            frames,
+            bytes,
+            replies_caller_read: telemetry.counter(aide_telemetry::names::RPC_REPLIES_CALLER_READ),
+            replies_handed_over: telemetry.counter(aide_telemetry::names::RPC_REPLIES_HANDED_OVER),
+        });
+        {
+            let reader = Arc::clone(&reader);
+            std::thread::Builder::new()
+                .name(thread.into())
+                .spawn(move || reader.run())
+                .expect("spawning the carrier reader thread");
+        }
+        (reader, accepted_rx)
     }
-    Some(inbox)
+
+    /// Whether callers blocked on this end's sessions read for themselves.
+    pub(crate) fn callers_read(&self) -> bool {
+        self.callers_read
+    }
+
+    /// A caller that has sent its request takes its place at the carrier:
+    /// the read half if nobody holds it, the queue behind whoever does.
+    pub(crate) fn enter(&self) -> Turn<'_> {
+        if let Some(reading) = self.try_read() {
+            return Turn::Reading(reading);
+        }
+        // Announced before looking again, and looked at by a leaving reader
+        // after letting go: one of the two sees the other, so a caller never
+        // queues behind nobody.
+        self.queued.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        if let Some(reading) = self.try_read() {
+            self.queued.fetch_sub(1, Ordering::SeqCst);
+            return Turn::Reading(reading);
+        }
+        Turn::Queued(Queued(self))
+    }
+
+    fn try_read(&self) -> Option<ReadTurn<'_>> {
+        let half = self.half.try_lock()?;
+        half.as_ref()?; // gone: there is nothing to read
+        self.turns.fetch_add(1, Ordering::Relaxed);
+        Some(ReadTurn {
+            carrier: self,
+            half: Some(half),
+            replies: 0,
+            own_reply: false,
+        })
+    }
+
+    /// Calls the parked reader thread back to the read half.
+    fn recall_thread(&self) {
+        *self.recalled.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.recall.notify_one();
+    }
+
+    /// The reader thread: reads whenever nobody else does.
+    fn run(&self) {
+        loop {
+            // A caller holding the half needs no help; it recalls us when it
+            // leaves work behind.
+            if let Some(mut half) = self.half.try_lock() {
+                loop {
+                    match self.step(&mut half, None) {
+                        Step::Gone => return,
+                        Step::TimedOut => {}
+                        Step::Routed { reply: false } => {}
+                        Step::Routed { reply: true } => {
+                            self.replies_handed_over.inc();
+                            let unread = half.as_ref().is_some_and(|h| h.frames.holds_unread());
+                            if self.callers_read && !unread {
+                                break; // that caller reads its next reply itself
+                            }
+                        }
+                    }
+                }
+            }
+            self.park();
+        }
+    }
+
+    /// Waits until recalled, or until no caller has taken the read half for
+    /// [`HANDOVER`].
+    fn park(&self) {
+        let mut seen = self.turns.load(Ordering::Relaxed);
+        let mut recalled = self.recalled.lock().unwrap_or_else(PoisonError::into_inner);
+        while !std::mem::take(&mut *recalled) {
+            let (guard, wait) = self
+                .recall
+                .wait_timeout(recalled, HANDOVER)
+                .unwrap_or_else(PoisonError::into_inner);
+            recalled = guard;
+            let turns = self.turns.load(Ordering::Relaxed);
+            if wait.timed_out() && turns == seen {
+                return;
+            }
+            seen = turns;
+        }
+    }
+
+    /// Reads one frame — giving up at `deadline` — and routes it. Any
+    /// failure of the stream ends the carrier, whoever was reading.
+    fn step(&self, half: &mut Option<ReadHalf>, deadline: Option<Instant>) -> Step {
+        let Some(reading) = half.as_mut() else {
+            return Step::Gone;
+        };
+        let routed = match reading.frames.next(deadline) {
+            Ok(Some((head, frame))) => {
+                self.frames.inc();
+                self.bytes
+                    .add((4 + usize::from(self.tagged) * MUX_HEADER + frame.len()) as u64);
+                self.route(&reading.accepted_tx, head, frame)
+            }
+            Ok(None) => return Step::TimedOut,
+            Err(_) => None, // EOF, a length out of range, an I/O error
+        };
+        match routed {
+            Some(reply) => Step::Routed { reply },
+            None => {
+                self.close(half);
+                Step::Gone
+            }
+        }
+    }
+
+    /// Hands one frame to its session. `None` when the carrier cannot go
+    /// on: a frame kind this dialect does not know, or a tag-less carrier
+    /// whose one session nobody receives on any more.
+    fn route(
+        &self,
+        accepted_tx: &Sender<(u32, Arc<Inbox>)>,
+        head: FrameHead,
+        frame: Frame,
+    ) -> Option<bool> {
+        let (id, kind) = if self.tagged {
+            (
+                u32::from_le_bytes([head[0], head[1], head[2], head[3]]),
+                head[4],
+            )
+        } else {
+            (SOLE_SESSION, KIND_DATA)
+        };
+        if kind != KIND_OPEN && kind != KIND_CLOSE && kind != KIND_DATA {
+            return None;
+        }
+        let peer_initiated = (id & 1) != self.parity;
+        // Held across the whole dispatch of a peer session's frame: it
+        // serializes against route_accepts_to's drain, which is what keeps
+        // per-session frame order intact across the switch.
+        let peer_sink = peer_initiated.then(|| self.sink.lock());
+        if let Some(PeerSink::Bus { conn, sink }) = peer_sink.as_deref() {
+            let (conn, session) = (*conn, id);
+            sink.deliver(match kind {
+                KIND_OPEN => BusEvent::Opened { conn, session },
+                KIND_CLOSE => BusEvent::Closed { conn, session },
+                _ => BusEvent::Data {
+                    conn,
+                    session,
+                    frame,
+                },
+            });
+            return Some(false);
+        }
+        match kind {
+            KIND_OPEN => {
+                self.open_route(accepted_tx, id);
+            }
+            KIND_CLOSE => {
+                if let Some(inbox) = self.routes.lock().remove(&id) {
+                    inbox.close();
+                }
+            }
+            _ => {
+                let mut inbox = self.routes.lock().get(&id).cloned();
+                if inbox.is_none() && peer_initiated {
+                    // Data can race ahead of its OPEN only if the peer
+                    // speaks a newer dialect; treat it as an implicit open
+                    // so nothing is lost. (For a session of ours it is a
+                    // late frame after our close: dropped.)
+                    inbox = self.open_route(accepted_tx, id);
+                }
+                // Pushed outside the routes lock: the push runs the
+                // session's sink, and `open_session` on another thread must
+                // not wait for it.
+                if let Some(inbox) = inbox {
+                    match inbox.push(frame) {
+                        Ok(reply) => return Some(reply),
+                        Err(_) => {
+                            self.routes.lock().remove(&id);
+                            if !self.tagged {
+                                return None;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Some(false)
+    }
+
+    /// Installs a route for a peer-opened session and hands its inbox to
+    /// the acceptor. `None` for a duplicate OPEN or once nobody accepts any
+    /// more.
+    fn open_route(&self, accepted_tx: &Sender<(u32, Arc<Inbox>)>, id: u32) -> Option<Arc<Inbox>> {
+        let mut map = self.routes.lock();
+        if map.contains_key(&id) {
+            return None;
+        }
+        let inbox = Inbox::new();
+        map.insert(id, Arc::clone(&inbox));
+        drop(map);
+        if accepted_tx.send((id, Arc::clone(&inbox))).is_err() {
+            self.routes.lock().remove(&id);
+            return None;
+        }
+        Some(inbox)
+    }
+
+    /// Carrier gone: the stream is let go of, every session sees
+    /// Disconnected once its queue drains, the acceptor stops yielding
+    /// sessions, a bus consumer is told every session died at once, and
+    /// the reader thread is called back to find all that and exit.
+    fn close(&self, half: &mut Option<ReadHalf>) {
+        *half = None;
+        let orphans: Vec<Arc<Inbox>> = self.routes.lock().drain().map(|(_, i)| i).collect();
+        for inbox in orphans {
+            inbox.close();
+        }
+        if let PeerSink::Bus { conn, sink } = &*self.sink.lock() {
+            sink.deliver(BusEvent::CarrierClosed { conn: *conn });
+        }
+        self.recall_thread();
+    }
+}
+
+/// A blocked caller's place at its carrier; see [`CarrierReader::enter`].
+pub(crate) enum Turn<'a> {
+    /// It holds the read half and reads for itself (and everybody else).
+    Reading(ReadTurn<'a>),
+    /// Somebody else holds the read half and will hand the reply over.
+    Queued(#[allow(dead_code)] Queued<'a>), // held for its drop
+}
+
+/// A caller's hold on the read half. Dropping it is leaving: the half is
+/// released, and the reader thread recalled if that leaves anyone waiting
+/// or anything read but unrouted.
+pub(crate) struct ReadTurn<'a> {
+    carrier: &'a CarrierReader,
+    /// `Some` until the drop.
+    half: Option<MutexGuard<'a, Option<ReadHalf>>>,
+    /// Replies routed to blocked callers during this turn.
+    replies: u64,
+    own_reply: bool,
+}
+
+impl ReadTurn<'_> {
+    /// Reads and routes one frame, or gives up at `deadline`. `false` once
+    /// the carrier is gone — every call outstanding on it has been failed
+    /// by then, the holder's included.
+    pub(crate) fn route_next(&mut self, deadline: Instant) -> bool {
+        let half = self.half.as_mut().expect("held until the drop");
+        match self.carrier.step(half, Some(deadline)) {
+            Step::Routed { reply } => {
+                self.replies += u64::from(reply);
+                true
+            }
+            Step::TimedOut => true,
+            Step::Gone => false,
+        }
+    }
+
+    /// The holder found the reply to its call in its slot. It read that
+    /// reply itself if it routed any this turn — the slot was empty when
+    /// the turn began, and nothing reaches a slot but through the read half
+    /// — and was handed it before the turn began otherwise.
+    pub(crate) fn found_own_reply(&mut self) {
+        self.own_reply = self.replies > 0;
+    }
+}
+
+impl Drop for ReadTurn<'_> {
+    fn drop(&mut self) {
+        let carrier = self.carrier;
+        let unread = self
+            .half
+            .take()
+            .is_some_and(|half| half.as_ref().is_some_and(|h| h.frames.holds_unread()));
+        if self.own_reply {
+            carrier.replies_caller_read.inc();
+        }
+        let for_others = self.replies - u64::from(self.own_reply);
+        if for_others > 0 {
+            carrier.replies_handed_over.add(for_others);
+        }
+        // Pairs with the fence in `enter`.
+        fence(Ordering::SeqCst);
+        if unread || carrier.queued.load(Ordering::SeqCst) > 0 {
+            carrier.recall_thread();
+        }
+    }
+}
+
+/// A caller's place in the queue behind the read half's holder. Dropping
+/// it is leaving; if others still wait, the reader thread is recalled for
+/// them (it may have stepped aside on delivering this caller's reply).
+pub(crate) struct Queued<'a>(&'a CarrierReader);
+
+impl Drop for Queued<'_> {
+    fn drop(&mut self) {
+        if self.0.queued.fetch_sub(1, Ordering::SeqCst) > 1 {
+            self.0.recall_thread();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -484,15 +827,23 @@ mod tests {
         pos: usize,
     }
 
-    impl Read for PipeReader {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+    impl DeadlineRead for PipeReader {
+        fn read_by(&mut self, buf: &mut [u8], deadline: Option<Instant>) -> std::io::Result<usize> {
+            use crossbeam::channel::RecvTimeoutError;
             while self.pos == self.pending.len() {
-                match self.rx.recv() {
+                let next = match deadline {
+                    Some(deadline) => self.rx.recv_deadline(deadline),
+                    None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                };
+                match next {
                     Ok(chunk) => {
                         self.pending = chunk;
                         self.pos = 0;
                     }
-                    Err(_) => return Ok(0), // EOF
+                    Err(RecvTimeoutError::Timeout) => {
+                        return Err(std::io::ErrorKind::TimedOut.into())
+                    }
+                    Err(RecvTimeoutError::Disconnected) => return Ok(0), // EOF
                 }
             }
             let n = (self.pending.len() - self.pos).min(buf.len());

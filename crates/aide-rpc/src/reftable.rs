@@ -545,6 +545,9 @@ struct ImportInner {
 #[derive(Debug)]
 pub struct ImportTable {
     inner: Mutex<ImportInner>,
+    /// `inner.epoch`, written under the table lock whenever that changes,
+    /// so that stamping a frame — twice per round trip — locks nothing.
+    advertised_epoch: AtomicU64,
     metrics: GcMetrics,
 }
 
@@ -552,6 +555,7 @@ impl Default for ImportTable {
     fn default() -> Self {
         ImportTable {
             inner: Mutex::new(ImportInner::default()),
+            advertised_epoch: AtomicU64::new(0),
             metrics: GcMetrics::resolve(),
         }
     }
@@ -646,12 +650,13 @@ impl ImportTable {
     pub fn begin_epoch(&self) -> u64 {
         let mut inner = self.inner.lock();
         inner.epoch += 1;
+        self.advertised_epoch.store(inner.epoch, Ordering::SeqCst);
         inner.epoch
     }
 
     /// The lease epoch this side currently advertises.
     pub fn advertised_epoch(&self) -> u64 {
-        self.inner.lock().epoch
+        self.advertised_epoch.load(Ordering::SeqCst)
     }
 
     /// Draws the next release-batch sequence number (first call returns 1).

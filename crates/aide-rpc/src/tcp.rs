@@ -12,21 +12,83 @@
 //!   surrogate daemon and registry use — probes, leases, and stats
 //!   scrapes to one surrogate share a single pooled connection.
 //!
+//! Both are the same write half (`CarrierWriter`) and the same read half
+//! (`CarrierReader`); the first merely has no session tag. On the end that
+//! dialled — [`TcpTransport`], the client half of [`tcp_pair`] — a caller
+//! reads its own reply off the socket, which is why reads here can carry a
+//! deadline (`SocketReads`).
+//!
 //! This module is the **only** place in the workspace allowed to touch
 //! `TcpStream` (CI greps for leaks). Simulated link *timing* is unchanged
 //! by the carrier choice — the WaveLAN model is applied by the endpoint.
 
-use std::io::BufReader;
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use aide_graph::CommParams;
 
 use crate::link::{CarrierWriter, Inbox, Link, Session};
-use crate::mux::{spawn_mux, ConnKiller, MuxConn};
+use crate::mux::{spawn_mux, CarrierReader, ConnKiller, MuxConn};
 use crate::transport::{BackendKind, Transport};
-use crate::wire::{read_framed, READ_BUFFER};
+use crate::wire::{timed_out, DeadlineRead};
+
+/// A socket's read half whose reads can carry a deadline.
+///
+/// The deadline reaches the kernel as the socket's receive timeout, which
+/// is set only when what is armed would overshoot the deadline or falls
+/// short of half the time left: callers with a steady timeout re-use one
+/// setting call after call, and a read that wakes early just goes round
+/// again. A socket nobody ever read with a deadline — every accepting end —
+/// never has the option touched.
+struct SocketReads {
+    stream: TcpStream,
+    armed: Option<Duration>,
+}
+
+impl SocketReads {
+    fn new(stream: TcpStream) -> SocketReads {
+        SocketReads {
+            stream,
+            armed: None,
+        }
+    }
+
+    fn arm(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.stream.set_read_timeout(timeout)?;
+        self.armed = timeout;
+        Ok(())
+    }
+}
+
+impl DeadlineRead for SocketReads {
+    fn read_by(&mut self, buf: &mut [u8], deadline: Option<Instant>) -> std::io::Result<usize> {
+        let Some(deadline) = deadline else {
+            loop {
+                match self.stream.read(buf) {
+                    // The carrier has been idle for as long as the last
+                    // caller's timeout: stop waking up for it.
+                    Err(e) if self.armed.is_some() && timed_out(&e) => self.arm(None)?,
+                    read => return read,
+                }
+            }
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        if !self
+            .armed
+            .is_some_and(|armed| armed <= left && armed >= left / 2)
+        {
+            // Armed short of the time left, so that the next caller with
+            // the same timeout — a moment less on its clock — fits too.
+            self.arm(Some(left - left / 4))?;
+        }
+        self.stream.read(buf)
+    }
+}
 
 /// Creates a connected pair of TCP-backed sessions over a fresh localhost
 /// socket.
@@ -45,8 +107,8 @@ pub fn tcp_pair(params: CommParams) -> std::io::Result<(Link, Session, Session)>
     client_stream.set_nodelay(true)?;
     surrogate_stream.set_nodelay(true)?;
 
-    let client = tcp_transport(client_stream)?;
-    let surrogate = tcp_transport(surrogate_stream)?;
+    let client = single_session(client_stream, true)?;
+    let surrogate = single_session(surrogate_stream, false)?;
     Ok((
         Link {
             params,
@@ -58,7 +120,8 @@ pub fn tcp_pair(params: CommParams) -> std::io::Result<(Link, Session, Session)>
 }
 
 /// Wraps one already-connected socket in a single [`Session`]: senders
-/// write their frames to the socket themselves, and one reader thread
+/// write their frames to the socket themselves, and the carrier's read half
+/// — driven by its reader thread, as on every end that did not dial —
 /// pushes what arrives into the session's inbox.
 ///
 /// Frames are length-prefixed with a little-endian `u32` (the shared
@@ -72,6 +135,13 @@ pub fn tcp_pair(params: CommParams) -> std::io::Result<(Link, Session, Session)>
 ///
 /// Returns any I/O error from cloning the stream for the writer half.
 pub fn tcp_transport(stream: TcpStream) -> std::io::Result<Session> {
+    single_session(stream, false)
+}
+
+/// The tag-less carrier: the mux's write half and read half with one route
+/// and no `[session][kind]` header. `initiator` is whether this end
+/// dialled, which is where callers read their own replies.
+fn single_session(stream: TcpStream, initiator: bool) -> std::io::Result<Session> {
     let telemetry = aide_telemetry::global();
     let write_half = stream.try_clone()?;
     let shutdown_half = stream.try_clone()?;
@@ -85,29 +155,21 @@ pub fn tcp_transport(stream: TcpStream) -> std::io::Result<Session> {
     );
 
     let inbox = Inbox::new();
-    let frames_received = telemetry.counter(aide_telemetry::names::TCP_FRAMES_RECEIVED);
-    let bytes_received = telemetry.counter(aide_telemetry::names::TCP_BYTES_RECEIVED);
-    {
-        let inbox = Arc::clone(&inbox);
-        std::thread::Builder::new()
-            .name("rpc-tcp-reader".into())
-            .spawn(move || {
-                let mut read_half = BufReader::with_capacity(READ_BUFFER, stream);
-                // EOF, an out-of-range prefix, an I/O error, or a receiver
-                // that went away all end the carrier.
-                while let Ok(([], frame)) = read_framed::<0>(&mut read_half) {
-                    frames_received.inc();
-                    bytes_received.add(4 + frame.len() as u64);
-                    if inbox.push(frame).is_err() {
-                        break;
-                    }
-                }
-                inbox.close();
-            })
-            .expect("spawn tcp reader");
-    }
-
-    Ok(Session::on_carrier(writer, None, inbox, BackendKind::Tcp))
+    let (reader, _no_acceptor) = CarrierReader::spawn(
+        SocketReads::new(stream),
+        Some(Arc::clone(&inbox)),
+        initiator,
+        "rpc-tcp-reader",
+        telemetry.counter(aide_telemetry::names::TCP_FRAMES_RECEIVED),
+        telemetry.counter(aide_telemetry::names::TCP_BYTES_RECEIVED),
+    );
+    Ok(Session::on_carrier(
+        writer,
+        None,
+        inbox,
+        BackendKind::Tcp,
+        &reader,
+    ))
 }
 
 /// Wires an already-connected socket into a multiplexed connection.
@@ -120,7 +182,7 @@ fn mux_over(stream: TcpStream, initiator: bool) -> std::io::Result<MuxConn> {
     });
     let shutdown_half = write_half.try_clone()?;
     Ok(spawn_mux(
-        read_half,
+        SocketReads::new(read_half),
         write_half,
         initiator,
         killer,

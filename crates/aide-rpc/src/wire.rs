@@ -36,10 +36,11 @@
 //! [`Message::decode`] are their shorthands for "no lease" and "drop the
 //! header".
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use bytes::{Buf, BufMut};
 use parking_lot::Mutex;
@@ -842,7 +843,7 @@ impl FramePool {
 /// socket and one wake-up for the peer's reader. `scratch` is the carrier's
 /// reused compose buffer. `head` is the carrier's own per-frame header (the
 /// mux's `[session][kind]`, nothing on a single-session socket) and counts
-/// toward `len`. This and [`read_framed`] are the only framing code: the mux
+/// toward `len`. This and [`FrameReader`] are the only framing code: the mux
 /// and the single-session TCP carrier both go through them.
 pub(crate) fn write_framed(
     w: &mut impl Write,
@@ -868,29 +869,173 @@ pub(crate) fn write_framed(
     written
 }
 
-/// Capacity of the `BufReader` a carrier's reader thread sits behind: a
-/// burst of small frames costs one `read`, not two per frame.
-pub(crate) const READ_BUFFER: usize = 64 << 10;
+/// Size of the buffer a carrier's read half fills: a burst of small frames
+/// costs one `read`, not two per frame. A payload that is not all in it is
+/// read straight into its frame, so bulk frames need no room here — and
+/// every byte of it is touched (it is zeroed up front), which is what a
+/// process with many carriers pays for it.
+pub(crate) const READ_BUFFER: usize = 16 << 10;
 
-/// Reads one `[len u32 LE][head; N][payload]` frame from a byte-stream
-/// carrier, the payload into a pooled buffer. A `len` shorter than the head
-/// or beyond [`MAX_FRAME`] is an error before anything is allocated for it.
-pub(crate) fn read_framed<const N: usize>(r: &mut impl Read) -> std::io::Result<([u8; N], Frame)> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf);
-    if (len as usize) < N || len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "frame length out of range",
-        ));
+/// Longest per-frame header a carrier puts inside the length-delimited
+/// frame (the mux's `[session u32][kind u8]`).
+pub(crate) const MAX_HEAD: usize = 5;
+
+/// A carrier's per-frame header as read: the first `head_len` bytes are the
+/// header, the rest zero.
+pub(crate) type FrameHead = [u8; MAX_HEAD];
+
+/// The receiving end of a byte stream whose reads can give up at a
+/// deadline, which is what lets a caller with a timeout read a carrier
+/// itself. The one socket-backed implementation lives in `crate::tcp`.
+pub(crate) trait DeadlineRead: Send {
+    /// Reads into `buf` like [`std::io::Read::read`], blocking no later than
+    /// `deadline` (for as long as it takes when `None`).
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorKind::WouldBlock`](std::io::ErrorKind::WouldBlock) or
+    /// [`ErrorKind::TimedOut`](std::io::ErrorKind::TimedOut) when the
+    /// deadline passed first; anything else is the stream's own failure.
+    fn read_by(&mut self, buf: &mut [u8], deadline: Option<Instant>) -> std::io::Result<usize>;
+}
+
+/// Whether `e` is how a [`DeadlineRead`] reports that its deadline passed.
+pub(crate) fn timed_out(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind;
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+/// A frame whose payload has not all arrived yet.
+struct PartialFrame {
+    head: FrameHead,
+    frame: Frame,
+    filled: usize,
+}
+
+/// Reads `[len u32 LE][head][payload]` frames off a byte-stream carrier,
+/// each payload into a pooled buffer. Everything read so far — buffered
+/// bytes, a half-arrived frame — lives in the reader, so a read that times
+/// out mid-frame loses nothing and the next call (from whichever thread
+/// then drives the carrier) carries on where it stopped.
+pub(crate) struct FrameReader {
+    source: Box<dyn DeadlineRead>,
+    head_len: usize,
+    buf: Box<[u8]>,
+    start: usize,
+    end: usize,
+    partial: Option<PartialFrame>,
+}
+
+impl FrameReader {
+    /// Frames of `source` carrying `head_len` (at most [`MAX_HEAD`]) bytes
+    /// of carrier header each.
+    pub(crate) fn new(source: impl DeadlineRead + 'static, head_len: usize) -> FrameReader {
+        assert!(head_len <= MAX_HEAD, "carrier header longer than MAX_HEAD");
+        FrameReader {
+            source: Box::new(source),
+            head_len,
+            buf: vec![0; READ_BUFFER].into_boxed_slice(),
+            start: 0,
+            end: 0,
+            partial: None,
+        }
     }
-    let mut head = [0u8; N];
-    r.read_exact(&mut head)?;
-    let mut frame = FramePool::global().acquire();
-    frame.vec_mut().resize(len as usize - N, 0);
-    r.read_exact(frame.vec_mut())?;
-    Ok((head, frame))
+
+    /// Whether bytes have been read off the carrier that no returned frame
+    /// accounts for yet.
+    pub(crate) fn holds_unread(&self) -> bool {
+        self.start != self.end || self.partial.is_some()
+    }
+
+    /// The next frame, or `None` if `deadline` passed before all of it
+    /// arrived.
+    ///
+    /// # Errors
+    ///
+    /// EOF (also mid-frame), a `len` shorter than the head or beyond
+    /// [`MAX_FRAME`] — before anything is allocated for it — and the
+    /// stream's own errors; none of them is recoverable.
+    pub(crate) fn next(
+        &mut self,
+        deadline: Option<Instant>,
+    ) -> std::io::Result<Option<(FrameHead, Frame)>> {
+        use std::io::ErrorKind;
+        loop {
+            if let Some(whole) = self.take_buffered()? {
+                return Ok(Some(whole));
+            }
+            // The buffer holds no whole frame. A payload under way takes
+            // what is left of it straight off the carrier (a bulk frame is
+            // not copied twice); otherwise the buffer is topped up.
+            let read = match &mut self.partial {
+                Some(partial) => {
+                    let rest = &mut partial.frame.vec_mut()[partial.filled..];
+                    let read = self.source.read_by(rest, deadline);
+                    if let Ok(n) = &read {
+                        partial.filled += n;
+                    }
+                    read
+                }
+                None => {
+                    // At most a partial header is left over: move it to the
+                    // front so the read has the whole buffer behind it.
+                    self.buf.copy_within(self.start..self.end, 0);
+                    self.end -= self.start;
+                    self.start = 0;
+                    let read = self.source.read_by(&mut self.buf[self.end..], deadline);
+                    if let Ok(n) = &read {
+                        self.end += n;
+                    }
+                    read
+                }
+            };
+            match read {
+                Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if timed_out(&e) => return Ok(None),
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Carves the next frame out of what is buffered, if all of it is
+    /// there; otherwise consumes what there is of it.
+    fn take_buffered(&mut self) -> std::io::Result<Option<(FrameHead, Frame)>> {
+        if self.partial.is_none() {
+            let prefix = 4 + self.head_len;
+            let Some(bytes) = self.buf[self.start..self.end].get(..prefix) else {
+                return Ok(None);
+            };
+            let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+            if (len as usize) < self.head_len || len > MAX_FRAME {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "frame length out of range",
+                ));
+            }
+            let mut head = FrameHead::default();
+            head[..self.head_len].copy_from_slice(&bytes[4..]);
+            self.start += prefix;
+            let mut frame = FramePool::global().acquire();
+            frame.vec_mut().resize(len as usize - self.head_len, 0);
+            self.partial = Some(PartialFrame {
+                head,
+                frame,
+                filled: 0,
+            });
+        }
+        let partial = self.partial.as_mut().expect("set above");
+        let take = (partial.frame.len() - partial.filled).min(self.end - self.start);
+        partial.frame[partial.filled..partial.filled + take]
+            .copy_from_slice(&self.buf[self.start..self.start + take]);
+        partial.filled += take;
+        self.start += take;
+        if partial.filled < partial.frame.len() {
+            return Ok(None);
+        }
+        Ok(self.partial.take().map(|whole| (whole.head, whole.frame)))
+    }
 }
 
 /// Writes a request as its tag byte and fields. Tags 7 and 8 are
@@ -1713,5 +1858,101 @@ mod tests {
         // The clone's buffer is its own: still valid after the original
         // returned to the pool.
         assert_eq!(Message::decode(&copy).expect("decode clone"), msg);
+    }
+
+    /// A byte stream that arrives in the given pieces; `None` is a read
+    /// that ran into its deadline, the end of the script is EOF.
+    struct Script(std::collections::VecDeque<Option<Vec<u8>>>);
+
+    impl DeadlineRead for Script {
+        fn read_by(&mut self, buf: &mut [u8], _: Option<Instant>) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(std::io::ErrorKind::WouldBlock.into()),
+                Some(Some(mut piece)) => {
+                    let n = piece.len().min(buf.len());
+                    buf[..n].copy_from_slice(&piece[..n]);
+                    if n < piece.len() {
+                        self.0.push_front(Some(piece.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    /// The frames `reader` yields until EOF, and how often it timed out.
+    fn drain(reader: &mut FrameReader) -> (Vec<(FrameHead, Vec<u8>)>, usize) {
+        let (mut frames, mut timeouts) = (Vec::new(), 0);
+        loop {
+            match reader.next(Some(Instant::now())) {
+                Ok(Some((head, frame))) => frames.push((head, frame.to_vec())),
+                Ok(None) => timeouts += 1,
+                Err(e) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);
+                    return (frames, timeouts);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_read_that_times_out_anywhere_in_a_frame_loses_nothing() {
+        // Three frames under a 5-byte head — empty, small, and larger than
+        // the read buffer — written the way a carrier writes them.
+        let payloads = [vec![], vec![7u8; 40], vec![9u8; READ_BUFFER + 1000]];
+        let (mut stream, mut scratch) = (Vec::new(), Vec::new());
+        for (i, payload) in payloads.iter().enumerate() {
+            write_framed(&mut stream, &mut scratch, &[i as u8; MAX_HEAD], payload).unwrap();
+        }
+        let expected: Vec<_> = payloads
+            .iter()
+            .enumerate()
+            .map(|(i, payload)| ([i as u8; MAX_HEAD], payload.clone()))
+            .collect();
+
+        // Cut the stream after every one of its first hundred bytes (inside
+        // each prefix, head and small payload), and once deep in the bulk
+        // payload, with a timed-out read at the cut.
+        for cut in (1..100).chain([READ_BUFFER / 2, stream.len() - 1]) {
+            let script = [
+                Some(stream[..cut].to_vec()),
+                None,
+                None,
+                Some(stream[cut..].to_vec()),
+            ];
+            let mut reader = FrameReader::new(Script(script.into()), MAX_HEAD);
+            let (frames, timeouts) = drain(&mut reader);
+            assert_eq!(frames, expected, "cut at {cut}");
+            assert_eq!(timeouts, 2, "cut at {cut}");
+            assert!(!reader.holds_unread());
+        }
+
+        // One byte per read, and no head at all: the tag-less carrier.
+        let mut stream = Vec::new();
+        write_framed(&mut stream, &mut scratch, &[], &[1, 2, 3]).unwrap();
+        write_framed(&mut stream, &mut scratch, &[], &[]).unwrap();
+        let script: Vec<_> = stream.iter().map(|byte| Some(vec![*byte])).collect();
+        let mut reader = FrameReader::new(Script(script.into()), 0);
+        let (frames, _) = drain(&mut reader);
+        assert_eq!(
+            frames,
+            [
+                (FrameHead::default(), vec![1, 2, 3]),
+                (FrameHead::default(), vec![])
+            ]
+        );
+    }
+
+    #[test]
+    fn a_frame_reader_refuses_lengths_out_of_range_before_allocating() {
+        for len in [MAX_FRAME + 1, 4] {
+            // Beyond the cap; shorter than the 5-byte head it must contain.
+            let mut stream = len.to_le_bytes().to_vec();
+            stream.extend_from_slice(&[0; 16]);
+            let mut reader = FrameReader::new(Script([Some(stream)].into()), MAX_HEAD);
+            let refused = reader.next(None).unwrap_err();
+            assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData, "len {len}");
+        }
     }
 }

@@ -1,0 +1,638 @@
+//! On the end of a byte-stream carrier that dialled, a blocked caller reads
+//! its own reply off the carrier; everywhere else, and whenever somebody
+//! else is already reading, the reply is handed over as before. Every
+//! scenario runs over both carriers: the multiplexed connection and the
+//! tag-less single-session socket.
+//!
+//! The reply counters are process-wide and the census counts every thread
+//! and descriptor of the process, so the tests take turns on `GATE`.
+
+use std::sync::mpsc;
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::time::{Duration, Instant};
+
+use aide_graph::CommParams;
+use aide_rpc::{
+    tcp_pair, Acceptor, ConnKiller, Dispatcher, Endpoint, EndpointConfig, Message, MuxConn,
+    NetClock, Reply, Request, RetryPolicy, RpcError, Session, TcpMuxListener, TcpTransport,
+    Transport,
+};
+use aide_vm::{ClassId, MethodId, NativeKind, ObjectId};
+
+static GATE: Mutex<()> = Mutex::new(());
+
+fn turn() -> MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `(read by their caller, handed over by another thread)`, lifetime totals.
+fn replies() -> (u64, u64) {
+    let telemetry = aide_telemetry::global();
+    (
+        telemetry
+            .counter(aide_telemetry::names::RPC_REPLIES_CALLER_READ)
+            .get(),
+        telemetry
+            .counter(aide_telemetry::names::RPC_REPLIES_HANDED_OVER)
+            .get(),
+    )
+}
+
+/// What `replies()` gained since `before`.
+fn replies_since(before: (u64, u64)) -> (u64, u64) {
+    let now = replies();
+    (now.0 - before.0, now.1 - before.1)
+}
+
+/// One kind of loopback carrier. A multiplexed connection yields all its
+/// session pairs from one socket; every single-session pair is a socket of
+/// its own.
+enum Wire {
+    Mux {
+        transport: TcpTransport,
+        conn: MuxConn,
+    },
+    Single,
+}
+
+impl Wire {
+    fn both() -> [(&'static str, Wire); 2] {
+        let listener = TcpMuxListener::bind(std::net::SocketAddr::from(([127, 0, 0, 1], 0)))
+            .expect("bind localhost listener");
+        let addr = listener.local_addr();
+        let accepted = std::thread::spawn(move || listener.accept());
+        let transport = TcpTransport::connect(addr, Duration::from_secs(2)).expect("connect");
+        let conn = accepted.join().expect("accept thread").expect("accept");
+        [
+            ("mux", Wire::Mux { transport, conn }),
+            ("single", Wire::Single),
+        ]
+    }
+
+    /// `(dialling end, accepting end)` of a fresh session.
+    fn pair(&self) -> (Session, Session) {
+        match self {
+            Wire::Mux { transport, conn } => {
+                let ours = transport.open_session().expect("open session");
+                (ours, conn.accept().expect("accept session"))
+            }
+            Wire::Single => {
+                let (_, ours, theirs) = tcp_pair(CommParams::WAVELAN).expect("loopback pair");
+                (ours, theirs)
+            }
+        }
+    }
+}
+
+fn read() -> Request {
+    Request::FieldAccess {
+        target: ObjectId::surrogate(1),
+        bytes: 64,
+        write: false,
+    }
+}
+
+/// A write whose reply the peer withholds until gate `gate` opens.
+fn withheld(gate: u32) -> Request {
+    Request::FieldAccess {
+        target: ObjectId::surrogate(1),
+        bytes: gate,
+        write: true,
+    }
+}
+
+struct Echo;
+
+impl Dispatcher for Echo {
+    fn dispatch(&self, _request: Request) -> Result<Reply, String> {
+        Ok(Reply::Unit)
+    }
+}
+
+/// Answers everything at once except writes: a write reports its arrival
+/// and sits on the gate its `bytes` names until the test opens it.
+struct Withhold {
+    gates: [(Mutex<bool>, Condvar); 2],
+    arrived: mpsc::Sender<u32>,
+}
+
+impl Withhold {
+    fn new() -> (Arc<Withhold>, mpsc::Receiver<u32>) {
+        let (arrived, arrivals) = mpsc::channel();
+        let gates = [
+            (Mutex::new(false), Condvar::new()),
+            (Mutex::new(false), Condvar::new()),
+        ];
+        (Arc::new(Withhold { gates, arrived }), arrivals)
+    }
+
+    fn open(&self, gate: u32) {
+        let (open, opened) = &self.gates[gate as usize];
+        *open.lock().unwrap() = true;
+        opened.notify_all();
+    }
+}
+
+impl Dispatcher for Withhold {
+    fn dispatch(&self, request: Request) -> Result<Reply, String> {
+        if let Request::FieldAccess {
+            write: true, bytes, ..
+        } = request
+        {
+            let _ = self.arrived.send(bytes);
+            let (open, opened) = &self.gates[bytes as usize];
+            let mut open = open.lock().unwrap();
+            while !*open {
+                open = opened.wait(open).unwrap();
+            }
+        }
+        Ok(Reply::Unit)
+    }
+}
+
+fn config() -> EndpointConfig {
+    EndpointConfig {
+        workers: 8,
+        drain_timeout: Duration::from_millis(200),
+        ..EndpointConfig::default()
+    }
+}
+
+fn start(
+    session: Session,
+    dispatcher: Arc<dyn Dispatcher>,
+    config: EndpointConfig,
+) -> Arc<Endpoint> {
+    Endpoint::start(
+        session,
+        CommParams::WAVELAN,
+        Arc::new(NetClock::new()),
+        dispatcher,
+        config,
+    )
+}
+
+/// The accepting end played by hand answers request `seq`.
+fn answer(theirs: &Session, seq: u64, reply: Reply) {
+    let reply = Message::Reply {
+        seq,
+        result: Ok(reply),
+    };
+    theirs.send(reply.encode()).expect("the carrier is up");
+}
+
+fn wind_down(endpoints: &[&Arc<Endpoint>]) {
+    for endpoint in endpoints {
+        endpoint.shutdown();
+    }
+    for endpoint in endpoints {
+        endpoint.join();
+    }
+}
+
+/// Polls `done` for up to five seconds.
+fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Back-to-back calls until the calling thread has read a reply itself:
+/// the reader thread has stepped aside then, and stays away for as long as
+/// calls follow each other within a millisecond.
+fn get_reading(client: &Endpoint, name: &str) {
+    for _ in 0..1_000 {
+        let before = replies();
+        assert_eq!(client.call(read()), Ok(Reply::Unit), "{name}");
+        if replies_since(before).0 == 1 {
+            return;
+        }
+    }
+    panic!("{name}: none of 1000 back-to-back replies read by their caller");
+}
+
+#[test]
+fn a_lone_caller_reads_its_own_replies_and_an_accepting_end_never_does() {
+    const CALLS: u64 = 10_000;
+    let _turn = turn();
+    for (name, wire) in Wire::both() {
+        let (cs, ss) = wire.pair();
+        let client = start(cs, Arc::new(Echo), config());
+        let server = start(ss, Arc::new(Echo), config());
+
+        let before = replies();
+        for _ in 0..CALLS {
+            assert_eq!(client.call(read()), Ok(Reply::Unit), "{name}");
+        }
+        // (A reader thread counts a reply once it has handed it over, which
+        // may be a moment after its caller has returned.)
+        eventually("every reply is one or the other", || {
+            let (own, handed) = replies_since(before);
+            own + handed == CALLS
+        });
+        // The first reply is handed over, and so is the next one whenever
+        // the caller was kept off the CPU for a millisecond and looked idle
+        // to the reader thread: a handful in 10 000 unless the machine is
+        // overloaded.
+        let (own, _) = replies_since(before);
+        assert!(
+            own * 100 >= CALLS * 99,
+            "{name}: {own} of {CALLS} replies read by their caller"
+        );
+
+        // The other way round the callers sit on the accepting end, whose
+        // reader never steps aside: serving stays reader -> worker.
+        let before = replies();
+        for _ in 0..CALLS / 10 {
+            assert_eq!(server.call(read()), Ok(Reply::Unit), "{name}");
+        }
+        eventually("every reply handed over", || {
+            replies_since(before).1 == CALLS / 10
+        });
+        assert_eq!(replies_since(before), (0, CALLS / 10), "{name}");
+        wind_down(&[&client, &server]);
+    }
+}
+
+#[test]
+fn concurrent_callers_complete_around_one_that_times_out() {
+    const CALLERS: usize = 4;
+    const CALLS: usize = 300;
+    let timeout = Duration::from_millis(20);
+    let _turn = turn();
+    for (name, wire) in Wire::both() {
+        // One attempt of 20 ms for `call_with_retry`; `call` keeps its 30 s.
+        let config = EndpointConfig {
+            retry: RetryPolicy {
+                max_attempts: 1,
+                attempt_timeout: timeout,
+                deadline: timeout,
+                ..RetryPolicy::default()
+            },
+            ..config()
+        };
+        let (dispatcher, arrivals) = Withhold::new();
+        let sessions = if matches!(wire, Wire::Mux { .. }) {
+            2
+        } else {
+            1
+        };
+        let pairs: Vec<_> = (0..sessions)
+            .map(|_| {
+                let (cs, ss) = wire.pair();
+                (
+                    start(cs, Arc::new(Echo), config),
+                    start(ss, dispatcher.clone(), config),
+                )
+            })
+            .collect();
+
+        // Every session's callers hammer away while one more call on the
+        // first session runs into its timeout.
+        let go = Barrier::new(sessions * CALLERS + 1);
+        let gave_up_after = std::thread::scope(|scope| {
+            for (client, _) in &pairs {
+                for _ in 0..CALLERS {
+                    scope.spawn(|| {
+                        go.wait();
+                        for i in 0..CALLS {
+                            assert_eq!(client.call(read()), Ok(Reply::Unit), "{name}: call {i}");
+                        }
+                    });
+                }
+            }
+            go.wait();
+            let started = Instant::now();
+            assert_eq!(
+                pairs[0].0.call_with_retry(withheld(0)),
+                Err(RpcError::Timeout),
+                "{name}"
+            );
+            started.elapsed()
+        });
+        assert!(
+            gave_up_after >= timeout && gave_up_after <= timeout + Duration::from_millis(15),
+            "{name}: a 20 ms call gave up after {gave_up_after:?}"
+        );
+        assert_eq!(arrivals.recv(), Ok(0), "{name}: the request did arrive");
+
+        // Who waits behind a reading caller is served when that caller
+        // leaves: the first session's caller reads, runs into its timeout
+        // with a second caller queued behind it, and goes.
+        let client = &pairs[0].0;
+        let (queued_done, released) = std::thread::scope(|scope| {
+            let reading = scope.spawn(|| {
+                get_reading(client, name);
+                client.call_with_retry(withheld(0))
+            });
+            assert_eq!(arrivals.recv(), Ok(0), "{name}");
+            let queued = scope.spawn(|| {
+                let outcome = client.call(withheld(1));
+                (outcome, Instant::now())
+            });
+            assert_eq!(arrivals.recv(), Ok(1), "{name}");
+            assert_eq!(reading.join().unwrap(), Err(RpcError::Timeout), "{name}");
+            let released = Instant::now();
+            dispatcher.open(1);
+            let (outcome, done) = queued.join().unwrap();
+            assert_eq!(outcome, Ok(Reply::Unit), "{name}");
+            (done, released)
+        });
+        let waited = queued_done.saturating_duration_since(released);
+        assert!(
+            waited < Duration::from_millis(50),
+            "{name}: a queued caller waited {waited:?} after the reading caller left"
+        );
+
+        // Both abandoned replies straggle in once the peer lets them go.
+        assert_eq!(client.late_replies(), 0, "{name}");
+        dispatcher.open(0);
+        eventually("two late replies counted", || client.late_replies() == 2);
+        for (client, server) in &pairs {
+            wind_down(&[client, server]);
+        }
+    }
+}
+
+#[test]
+fn a_retry_whose_first_attempt_the_peer_drops_executes_once() {
+    let attempt_timeout = Duration::from_millis(100);
+    let _turn = turn();
+    for (name, wire) in Wire::both() {
+        let (cs, theirs) = wire.pair();
+        let client = start(
+            cs,
+            Arc::new(Echo),
+            EndpointConfig {
+                retry: RetryPolicy {
+                    max_attempts: 4,
+                    attempt_timeout,
+                    base_backoff: Duration::from_millis(10),
+                    jitter: 0.0,
+                    deadline: Duration::from_secs(10),
+                    ..RetryPolicy::default()
+                },
+                ..config()
+            },
+        );
+        // The accepting end, played by hand: answers reads, loses the first
+        // copy of the write, answers the second.
+        let peer = std::thread::spawn(move || {
+            let mut copies = Vec::new();
+            loop {
+                let frame = theirs.recv().expect("a request");
+                let Ok(Message::Request { seq, client, body }) = Message::decode(&frame) else {
+                    panic!("not a request: {frame:?}");
+                };
+                if body != withheld(0) {
+                    answer(&theirs, seq, Reply::Unit);
+                    continue;
+                }
+                copies.push((client, seq, Instant::now()));
+                if copies.len() == 2 {
+                    answer(&theirs, seq, Reply::Class(ClassId(7)));
+                    return (copies, theirs);
+                }
+            }
+        });
+        get_reading(&client, name);
+        let started = Instant::now();
+        assert_eq!(
+            client.call_with_retry(withheld(0)),
+            Ok(Reply::Class(ClassId(7))),
+            "{name}"
+        );
+        let took = started.elapsed();
+        let (copies, _theirs) = peer.join().unwrap();
+        assert_eq!(client.retries(), 1, "{name}: one resend");
+        assert_eq!(
+            (copies[0].0, copies[0].1),
+            (copies[1].0, copies[1].1),
+            "{name}: the retry is the same (client, seq)"
+        );
+        // The first attempt waited out its whole timeout and no more: the
+        // copies are one attempt and one 10 ms backoff apart.
+        let apart = copies[1].2 - copies[0].2;
+        assert!(
+            apart >= attempt_timeout && apart < attempt_timeout + Duration::from_millis(60),
+            "{name}: copies {apart:?} apart"
+        );
+        assert!(took < attempt_timeout * 2, "{name}: took {took:?}");
+        assert_eq!(client.late_replies(), 0, "{name}");
+        wind_down(&[&client]);
+    }
+}
+
+/// `(carrier reader threads, open descriptors)` of this process.
+#[cfg(target_os = "linux")]
+fn census() -> (usize, usize) {
+    let readers = std::fs::read_dir("/proc/self/task")
+        .expect("thread list")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|name| name.starts_with("rpc-mux-reader") || name.starts_with("rpc-tcp-reader"))
+        .count();
+    let descriptors = std::fs::read_dir("/proc/self/fd")
+        .expect("descriptor list")
+        .count();
+    (readers, descriptors)
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_carrier_that_dies_under_a_reading_caller_fails_every_call_and_leaves_nothing_behind() {
+    const CALLERS: usize = 3;
+    let _turn = turn();
+    // An earlier test's carriers may still be winding down: a reader lets go
+    // of its socket and exits once it has seen its peer hang up.
+    eventually("earlier carriers gone", || census().0 == 0);
+    let baseline = census();
+    for kill in [true, false] {
+        for (name, wire) in Wire::both() {
+            let killer = match &wire {
+                Wire::Mux { transport, .. } => transport.killer(),
+                Wire::Single if kill => continue, // nothing to kill it with
+                Wire::Single => ConnKiller::noop(),
+            };
+            let (cs, theirs) = wire.pair();
+            let config = config();
+            let client = start(cs, Arc::new(Echo), config);
+            // The accepting end by hand: answers reads, sits on the writes
+            // and reports each, and comes back once every caller's is in.
+            let (arrived, arrivals) = mpsc::channel();
+            let peer = std::thread::spawn(move || {
+                for _ in 0..CALLERS {
+                    loop {
+                        let frame = theirs.recv().expect("a request");
+                        let Ok(Message::Request { seq, body, .. }) = Message::decode(&frame) else {
+                            panic!("not a request: {frame:?}");
+                        };
+                        if body == withheld(0) {
+                            break;
+                        }
+                        answer(&theirs, seq, Reply::Unit);
+                    }
+                    arrived.send(()).unwrap();
+                }
+                theirs
+            });
+            std::thread::scope(|scope| {
+                // One caller gets to read and blocks on its write; only then
+                // do the others queue up behind it.
+                let mut callers = vec![scope.spawn(|| {
+                    get_reading(&client, name);
+                    client.call(withheld(0))
+                })];
+                arrivals.recv().expect("the reading caller's write");
+                for _ in 1..CALLERS {
+                    callers.push(scope.spawn(|| client.call(withheld(0))));
+                }
+                let theirs = peer.join().unwrap();
+                let struck = Instant::now();
+                if kill {
+                    killer.kill();
+                } else {
+                    drop(theirs);
+                    drop(wire);
+                }
+                for caller in callers {
+                    assert_eq!(
+                        caller.join().unwrap(),
+                        Err(RpcError::Disconnected),
+                        "{name} kill={kill}"
+                    );
+                }
+                assert!(
+                    struck.elapsed() < Duration::from_secs(1),
+                    "{name} kill={kill}: calls failed after {:?}",
+                    struck.elapsed()
+                );
+            });
+            let started = Instant::now();
+            client.shutdown();
+            client.join();
+            assert!(
+                started.elapsed() < config.drain_timeout,
+                "{name} kill={kill}: join took {:?}",
+                started.elapsed()
+            );
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while census() != baseline && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(census(), baseline, "(reader threads, descriptors)");
+}
+
+/// Serves `Invoke` by calling back into the invoking side first.
+struct CallsBack {
+    own: OnceLock<Weak<Endpoint>>,
+}
+
+impl Dispatcher for CallsBack {
+    fn dispatch(&self, request: Request) -> Result<Reply, String> {
+        if matches!(request, Request::Invoke { .. }) {
+            let own = self.own.get().and_then(Weak::upgrade).expect("wired");
+            own.call(Request::Native {
+                caller: ClassId(1),
+                kind: NativeKind::Framebuffer,
+                work_micros: 0,
+                arg_bytes: 8,
+                ret_bytes: 0,
+            })
+            .map_err(|e| e.to_string())?;
+        }
+        Ok(Reply::Unit)
+    }
+}
+
+/// Remembers which threads served its natives.
+#[derive(Default)]
+struct ServedOn {
+    threads: Mutex<Vec<String>>,
+}
+
+impl Dispatcher for ServedOn {
+    fn dispatch(&self, request: Request) -> Result<Reply, String> {
+        if matches!(request, Request::Native { .. }) {
+            let thread = std::thread::current().name().unwrap_or("?").to_owned();
+            self.threads.lock().unwrap().push(thread);
+        }
+        Ok(Reply::Unit)
+    }
+}
+
+#[test]
+fn a_call_back_met_while_reading_is_served_by_a_worker() {
+    const NESTED: u64 = 20;
+    let _turn = turn();
+    for (name, wire) in Wire::both() {
+        let (cs, ss) = wire.pair();
+        let served_on = Arc::new(ServedOn::default());
+        let client = start(cs, served_on.clone(), config());
+        let calls_back = Arc::new(CallsBack {
+            own: OnceLock::new(),
+        });
+        let server = start(ss, calls_back.clone(), config());
+        calls_back.own.set(Arc::downgrade(&server)).unwrap();
+
+        get_reading(&client, name);
+        let before = replies();
+        for _ in 0..NESTED {
+            let invoke = Request::Invoke {
+                target: ObjectId::surrogate(1),
+                class: ClassId(1),
+                method: MethodId(0),
+                arg_bytes: 8,
+                ret_bytes: 8,
+                args: vec![ObjectId::client(2)],
+            };
+            assert_eq!(client.call(invoke), Ok(Reply::Unit), "{name}");
+        }
+        // The outer caller met each call-back request on its way to its own
+        // reply, handed it to a worker and read on.
+        let (own, _) = replies_since(before);
+        assert!(
+            own >= NESTED * 3 / 4,
+            "{name}: {own} of {NESTED} outer replies"
+        );
+        assert_eq!(client.requests_served(), NESTED, "{name}");
+        let threads = served_on.threads.lock().unwrap().clone();
+        assert_eq!(threads.len() as u64, NESTED, "{name}");
+        assert!(
+            threads
+                .iter()
+                .all(|thread| thread.starts_with("rpc-worker-")),
+            "{name}: natives served on {threads:?}"
+        );
+        wind_down(&[&client, &server]);
+    }
+}
+
+#[test]
+fn an_idle_dialling_end_still_serves_its_peer() {
+    let _turn = turn();
+    for (name, wire) in Wire::both() {
+        let (cs, ss) = wire.pair();
+        let client = start(cs, Arc::new(Echo), config());
+        let server = start(ss, Arc::new(Echo), config());
+        // Right after a burst nobody holds the read half (the reader thread
+        // stepped aside for the caller, who has gone quiet); 20 ms later the
+        // thread has long taken it back. Either way the peer is served.
+        for idle in [Duration::ZERO, Duration::from_millis(20)] {
+            get_reading(&client, name);
+            std::thread::sleep(idle);
+            let started = Instant::now();
+            assert_eq!(server.call(read()), Ok(Reply::Unit), "{name}");
+            assert!(
+                started.elapsed() < Duration::from_millis(50),
+                "{name}: served after {:?} (idle {idle:?})",
+                started.elapsed()
+            );
+        }
+        assert_eq!(client.requests_served(), 2, "{name}");
+        wind_down(&[&client, &server]);
+    }
+}

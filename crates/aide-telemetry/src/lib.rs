@@ -90,6 +90,13 @@ pub mod names {
     /// Incoming frames rejected by the wire codec (bad version, bad
     /// checksum, truncation, unknown tag).
     pub const RPC_BAD_FRAMES: &str = "aide_rpc_bad_frames_total";
+    /// Replies a blocked caller read off its carrier itself, holding the
+    /// carrier's read half (the initiating end of a byte-stream carrier).
+    pub const RPC_REPLIES_CALLER_READ: &str = "aide_rpc_replies_caller_read_total";
+    /// Replies handed to a blocked caller by another thread that held its
+    /// carrier's read half: the carrier's reader thread (every reply on an
+    /// accepting end), or a sibling caller reading at the time.
+    pub const RPC_REPLIES_HANDED_OVER: &str = "aide_rpc_replies_handed_over_total";
     /// Frames written to a TCP carrier.
     pub const TCP_FRAMES_SENT: &str = "aide_tcp_frames_sent_total";
     /// Frames read from a TCP carrier.
