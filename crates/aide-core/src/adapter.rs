@@ -15,9 +15,10 @@ use std::sync::Arc;
 
 use aide_rpc::{Dispatcher, Endpoint, ExportTable, GcClock, ImportTable, Reply, Request, RpcError};
 use aide_vm::{
-    ClassId, Machine, MethodId, NativeKind, ObjectId, ObjectRecord, RemoteAccess, VmError, VmResult,
+    ClassId, Machine, MethodId, NativeKind, ObjectId, ObjectRecord, RemoteAccess, Vm, VmError,
+    VmResult,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::failover::Surrogate;
 
@@ -55,20 +56,16 @@ impl RefTables {
         endpoint.attach_gc(self.exports.clone(), self.imports.clone());
     }
 
-    /// Pins `id` if it is an object of `machine` whose reference is about
-    /// to leave for the peer.
-    fn export_if_local(&self, machine: &Machine, id: ObjectId) {
-        let vm = machine.vm();
-        let mut vm = vm.lock();
+    /// Pins `id` if it is an object of `vm` whose reference is about to
+    /// leave for the peer.
+    fn export_if_local(&self, vm: &mut Vm, id: ObjectId) {
         if vm.heap().contains(id) && self.exports.export(id) {
             vm.external_root_inc(id);
         }
     }
 
     /// Notes receipt of every reference in `ids` that the peer owns.
-    fn import_if_remote(&self, machine: &Machine, ids: &[ObjectId]) {
-        let vm = machine.vm();
-        let vm = vm.lock();
+    fn import_if_remote(&self, vm: &Vm, ids: &[ObjectId]) {
         for &id in ids {
             if !vm.heap().contains(id) {
                 self.imports.import(id);
@@ -111,6 +108,11 @@ impl RemoteAdapter {
             tables,
         }
     }
+
+    /// Notes receipt of every reference in `ids` that the peer owns.
+    fn import_if_remote(&self, ids: &[ObjectId]) {
+        self.tables.import_if_remote(&self.machine.vm().lock(), ids);
+    }
 }
 
 /// Each method sends its request through `Surrogate::call`; `None` back
@@ -126,10 +128,13 @@ impl RemoteAccess for RemoteAdapter {
         ret_bytes: u32,
         args: &[ObjectId],
     ) -> VmResult<()> {
-        for &a in args {
-            self.tables.export_if_local(&self.machine, a);
+        {
+            let mut vm = self.machine.vm().lock();
+            for &a in args {
+                self.tables.export_if_local(&mut vm, a);
+            }
+            self.tables.import_if_remote(&vm, &[target]);
         }
-        self.tables.import_if_remote(&self.machine, &[target]);
         match self.surrogate.call(Request::Invoke {
             target,
             class,
@@ -144,7 +149,7 @@ impl RemoteAccess for RemoteAdapter {
     }
 
     fn field_access(&self, target: ObjectId, bytes: u32, write: bool) -> VmResult<()> {
-        self.tables.import_if_remote(&self.machine, &[target]);
+        self.import_if_remote(&[target]);
         match self.surrogate.call(Request::FieldAccess {
             target,
             bytes,
@@ -156,11 +161,11 @@ impl RemoteAccess for RemoteAdapter {
     }
 
     fn get_slot(&self, target: ObjectId, slot: u16) -> VmResult<Option<ObjectId>> {
-        self.tables.import_if_remote(&self.machine, &[target]);
+        self.import_if_remote(&[target]);
         match self.surrogate.call(Request::GetSlot { target, slot })? {
             Some(Reply::Slot(value)) => {
                 if let Some(v) = value {
-                    self.tables.import_if_remote(&self.machine, &[v]);
+                    self.import_if_remote(&[v]);
                 }
                 Ok(value)
             }
@@ -172,10 +177,13 @@ impl RemoteAccess for RemoteAdapter {
     }
 
     fn put_slot(&self, target: ObjectId, slot: u16, value: Option<ObjectId>) -> VmResult<()> {
-        if let Some(v) = value {
-            self.tables.export_if_local(&self.machine, v);
+        {
+            let mut vm = self.machine.vm().lock();
+            if let Some(v) = value {
+                self.tables.export_if_local(&mut vm, v);
+            }
+            self.tables.import_if_remote(&vm, &[target]);
         }
-        self.tables.import_if_remote(&self.machine, &[target]);
         match self.surrogate.call(Request::PutSlot {
             target,
             slot,
@@ -320,6 +328,76 @@ impl VmDispatcher {
         Ok(Reply::Unit)
     }
 
+    /// Serves `request` if it is one of the short ones — it touches one heap
+    /// record (or none) and never re-enters the interpreter — under the VM
+    /// guard `hold` yields, and hands it back if it is of another kind or
+    /// `hold` yields none. Both ways into the dispatcher serve the short
+    /// requests here: a worker waits for the VM, the reader of a carrier
+    /// takes it only if it is free.
+    fn serve_short<'a>(
+        &'a self,
+        request: Request,
+        hold: impl FnOnce(&'a Mutex<Vm>) -> Option<MutexGuard<'a, Vm>>,
+    ) -> Result<Result<Reply, String>, Request> {
+        match request {
+            // Null RPC: answer immediately so probes measure pure link +
+            // dispatch latency (the paper's 2.4 ms null-RPC figure).
+            Request::Ping => return Ok(Ok(Reply::Unit)),
+            Request::GcRenew { epoch } => {
+                self.tables.exports.renew(epoch);
+                return Ok(Ok(Reply::Unit));
+            }
+            Request::FieldAccess { .. }
+            | Request::GetSlot { .. }
+            | Request::PutSlot { .. }
+            | Request::StaticAccess { .. }
+            | Request::ClassOf { .. } => {}
+            other => return Err(other),
+        }
+        let Some(mut vm) = hold(self.machine.vm()) else {
+            return Err(request);
+        };
+        let served = match request {
+            Request::FieldAccess {
+                target,
+                bytes,
+                write,
+            } => vm
+                .field_access_on(target, bytes, write)
+                .map(|()| Reply::Unit),
+            Request::GetSlot { target, slot } => vm.get_slot_on(target, slot).map(|value| {
+                // The peer will hold whatever reference we hand out:
+                // pinned under the guard the slot was read under.
+                if let Some(v) = value {
+                    self.tables.export_if_local(&mut vm, v);
+                }
+                Reply::Slot(value)
+            }),
+            Request::PutSlot {
+                target,
+                slot,
+                value,
+            } => {
+                if let Some(v) = value {
+                    self.tables.import_if_remote(&vm, &[v]);
+                }
+                vm.put_slot_on(target, slot, value).map(|()| Reply::Unit)
+            }
+            Request::StaticAccess {
+                class,
+                bytes,
+                write,
+                ..
+            } => {
+                vm.static_access_on(class, bytes, write);
+                Ok(Reply::Unit)
+            }
+            Request::ClassOf { target } => vm.class_of_local(target).map(Reply::Class),
+            _ => unreachable!("the other kinds were handed back above"),
+        };
+        Ok(served.map_err(|e| e.to_string()))
+    }
+
     /// The dispatcher's reference tables (shared with the platform side).
     pub fn tables(&self) -> &Arc<RefTables> {
         &self.tables
@@ -346,6 +424,10 @@ impl VmDispatcher {
 
 impl Dispatcher for VmDispatcher {
     fn dispatch(&self, request: Request) -> Result<Reply, String> {
+        let request = match self.serve_short(request, |vm| Some(vm.lock())) {
+            Ok(served) => return served,
+            Err(request) => request,
+        };
         match request {
             Request::Invoke {
                 target,
@@ -354,42 +436,10 @@ impl Dispatcher for VmDispatcher {
                 args,
                 ..
             } => {
-                self.tables.import_if_remote(&self.machine, &args);
+                self.tables
+                    .import_if_remote(&self.machine.vm().lock(), &args);
                 self.machine
                     .call_on(target, class, method, &args)
-                    .map(|()| Reply::Unit)
-                    .map_err(|e| e.to_string())
-            }
-            Request::FieldAccess {
-                target,
-                bytes,
-                write,
-            } => self
-                .machine
-                .field_access_on(target, bytes, write)
-                .map(|()| Reply::Unit)
-                .map_err(|e| e.to_string()),
-            Request::GetSlot { target, slot } => {
-                let value = self
-                    .machine
-                    .get_slot_on(target, slot)
-                    .map_err(|e| e.to_string())?;
-                // The peer will hold whatever reference we hand out.
-                if let Some(v) = value {
-                    self.tables.export_if_local(&self.machine, v);
-                }
-                Ok(Reply::Slot(value))
-            }
-            Request::PutSlot {
-                target,
-                slot,
-                value,
-            } => {
-                if let Some(v) = value {
-                    self.tables.import_if_remote(&self.machine, &[v]);
-                }
-                self.machine
-                    .put_slot_on(target, slot, value)
                     .map(|()| Reply::Unit)
                     .map_err(|e| e.to_string())
             }
@@ -397,20 +447,6 @@ impl Dispatcher for VmDispatcher {
                 self.machine.native_on(work_micros);
                 Ok(Reply::Unit)
             }
-            Request::StaticAccess {
-                class,
-                bytes,
-                write,
-                ..
-            } => {
-                self.machine.static_access_on(class, bytes, write);
-                Ok(Reply::Unit)
-            }
-            Request::ClassOf { target } => self
-                .machine
-                .class_of_local(target)
-                .map(Reply::Class)
-                .map_err(|e| e.to_string()),
             Request::RelayDeliver { txn, objects, .. } => {
                 // Exactly-once per relay transaction: the relay retries
                 // delivery until acknowledged, and acknowledgements can be
@@ -454,10 +490,6 @@ impl Dispatcher for VmDispatcher {
                 self.staged.lock().remove(&txn);
                 Ok(Reply::Unit)
             }
-            Request::GcRenew { epoch } => {
-                self.tables.exports.renew(epoch);
-                Ok(Reply::Unit)
-            }
             Request::GcReleaseSeq {
                 epoch,
                 release_seq,
@@ -478,15 +510,25 @@ impl Dispatcher for VmDispatcher {
                 Ok(Reply::Unit)
             }
             Request::Shutdown => Ok(Reply::Unit),
-            // Null RPC: answer immediately so probes measure pure link +
-            // dispatch latency (the paper's 2.4 ms null-RPC figure).
-            Request::Ping => Ok(Reply::Unit),
             // Telemetry scrape: a Prometheus-style exposition of this
             // process's metrics registry.
             Request::Stats => Ok(Reply::Text(aide_telemetry::prometheus_text(
                 &aide_telemetry::global().snapshot(),
             ))),
+            Request::FieldAccess { .. }
+            | Request::GetSlot { .. }
+            | Request::PutSlot { .. }
+            | Request::StaticAccess { .. }
+            | Request::ClassOf { .. }
+            | Request::GcRenew { .. }
+            | Request::Ping => unreachable!("served above, the VM waited for"),
         }
+    }
+
+    /// The short requests, if the VM is free this instant: a burst running
+    /// on a worker holds it, and then the request is the worker pool's.
+    fn dispatch_now(&self, request: Request) -> Result<Result<Reply, String>, Request> {
+        self.serve_short(request, Mutex::try_lock)
     }
 }
 
@@ -674,6 +716,61 @@ mod tests {
         assert!(tables.exports.contains(arg_id));
         assert_eq!(client.vm().lock().external_root_count(), 1);
         assert!(tables.imports.contains(target));
+    }
+
+    #[test]
+    fn short_requests_are_served_at_once_unless_the_vm_is_held() {
+        let (_client, surrogate, _cep, _sep) = machine_pair();
+        let (holder, held) = (ObjectId::surrogate(20), ObjectId::surrogate(21));
+        {
+            let vm = surrogate.vm();
+            let mut vm = vm.lock();
+            let mut record = aide_vm::ObjectRecord::new(ClassId(1), 10, 1);
+            record.slots[0] = Some(held);
+            vm.heap_mut().insert(holder, record).unwrap();
+            vm.heap_mut()
+                .insert(held, aide_vm::ObjectRecord::new(ClassId(1), 10, 0))
+                .unwrap();
+        }
+        let tables = Arc::new(RefTables::new());
+        let dispatcher = VmDispatcher::new(surrogate.clone(), tables.clone());
+        let read = Request::GetSlot {
+            target: holder,
+            slot: 0,
+        };
+
+        // The VM is free: served, and what was handed out is pinned.
+        assert_eq!(
+            dispatcher.dispatch_now(read.clone()),
+            Ok(Ok(Reply::Slot(Some(held))))
+        );
+        assert!(tables.exports.contains(held));
+        assert_eq!(surrogate.vm().lock().external_root_count(), 1);
+        assert_eq!(
+            dispatcher.dispatch_now(Request::ClassOf {
+                target: ObjectId::surrogate(404)
+            }),
+            Ok(Err(VmError::DanglingReference(ObjectId::surrogate(404)).to_string())),
+            "an error is an answer too"
+        );
+
+        // A burst holds the VM: handed back untouched, except what needs no VM.
+        let burst = surrogate.vm().lock();
+        assert_eq!(dispatcher.dispatch_now(read.clone()), Err(read));
+        assert_eq!(dispatcher.dispatch_now(Request::Ping), Ok(Ok(Reply::Unit)));
+        drop(burst);
+
+        // What may re-enter the interpreter is never served here.
+        let invoke = Request::Invoke {
+            target: holder,
+            class: ClassId(1),
+            method: MethodId(0),
+            arg_bytes: 0,
+            ret_bytes: 0,
+            args: vec![],
+        };
+        assert_eq!(dispatcher.dispatch_now(invoke.clone()), Err(invoke));
+        assert_eq!(surrogate.vm().lock().cpu_seconds(), 0.0);
     }
 
     #[test]

@@ -620,9 +620,10 @@ impl Platform {
             Arc::new(VmDispatcher::new(side.machine.clone(), side.tables.clone())),
             EndpointConfig::default(),
         );
-        // The surrogate endpoint's workers inherit the track active at
-        // start time, so even this single-process prototype exports its
-        // serve spans on a "surrogate" lane.
+        // Whoever serves for the surrogate endpoint — its workers, the
+        // carrier's reader — records under the track active at start time,
+        // so even this single-process prototype exports its serve spans on
+        // a "surrogate" lane.
         aide_trace::set_thread_track("surrogate");
         let surrogate_ep = Endpoint::start(
             st,

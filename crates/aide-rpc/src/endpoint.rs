@@ -6,26 +6,36 @@
 //! the holder of the carrier's read half, or the in-process peer's sending
 //! thread — decodes it on the spot, renews leases, and either completes the
 //! blocked caller's one-shot slot (a reply, matched by sequence number) or
-//! queues the request to a pool of worker threads that execute it through
-//! the endpoint's [`Dispatcher`] — the paper's "pool of threads to perform
-//! RPCs on behalf of the other JVM". Workers can re-enter the interpreter,
-//! which may issue further nested remote calls, so the pool must be at
-//! least as deep as the maximum cross-VM call nesting.
+//! has the request served through the endpoint's [`Dispatcher`] by the
+//! nearest thread that may serve it.
+//!
+//! That is the producing thread itself when it is the reader of a carrier
+//! end that *accepted* its connection and the dispatcher can serve the
+//! request at once ([`Dispatcher::dispatch_now`]): the reply is written
+//! where the request was read, with no hand-off at all. Every other request
+//! — one the dispatcher hands back, and every request in process, behind a
+//! chaos shim or on a dialling end — goes to a pool of worker threads, the
+//! paper's "pool of threads to perform RPCs on behalf of the other JVM".
+//! Workers can re-enter the interpreter, which may issue further nested
+//! remote calls, so the pool must be able to grow as deep as the maximum
+//! cross-VM call nesting ([`EndpointConfig::workers`]); it exists only as
+//! far as it has been used — no thread is spawned before a request needs
+//! one, and a request goes to the worker that parked last, the one whose
+//! stack and caches are still warm.
 //!
 //! On a session of a carrier end that initiated its connection the blocked
-//! caller is itself that holder: having written its request it reads and
-//! routes the carrier's frames until its own reply is among them, and only
-//! waits to be handed the reply when somebody else is already reading (see
-//! `CallSlot::wait`, the one place a call waits).
+//! caller is itself the holder of the read half: having written its request
+//! it reads and routes the carrier's frames until its own reply is among
+//! them, and only waits to be handed the reply when somebody else is already
+//! reading (see `CallSlot::wait`, the one place a call waits).
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use aide_graph::CommParams;
 use aide_trace::{names as span_names, SpanContext};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::link::{FrameSink, LinkError, NetClock, Session};
@@ -54,6 +64,8 @@ struct RpcMetrics {
     retries: Arc<aide_telemetry::Counter>,
     late_replies: Arc<aide_telemetry::Counter>,
     bad_frames: Arc<aide_telemetry::Counter>,
+    served_where_read: Arc<aide_telemetry::Counter>,
+    workers_spawned: Arc<aide_telemetry::Counter>,
 }
 
 /// Name of the per-backend request counter for `backend`.
@@ -79,6 +91,8 @@ impl RpcMetrics {
             retries: t.counter(aide_telemetry::names::RPC_RETRIES),
             late_replies: t.counter(aide_telemetry::names::RPC_LATE_REPLIES),
             bad_frames: t.counter(aide_telemetry::names::RPC_BAD_FRAMES),
+            served_where_read: t.counter(aide_telemetry::names::RPC_SERVED_WHERE_READ),
+            workers_spawned: t.counter(aide_telemetry::names::RPC_WORKERS_SPAWNED),
         }
     }
 }
@@ -141,6 +155,22 @@ pub trait Dispatcher: Send + Sync {
     /// Executes `request`, returning a reply payload or an error string
     /// that will be transported back to the caller.
     fn dispatch(&self, request: Request) -> Result<Reply, String>;
+
+    /// Executes `request` as [`dispatch`](Dispatcher::dispatch) would, but
+    /// only if that takes no waiting: no lock somebody may hold for long
+    /// (try it, and decline if it is taken), no call to the peer, no
+    /// re-entry into an interpreter, and a reply of bounded size. A request
+    /// that does not qualify — by its kind, or because of what is going on
+    /// right now — is handed back **untouched** in `Err`, and is then served
+    /// through `dispatch` on a thread that may wait.
+    ///
+    /// This is what lets the reader of a carrier answer a short request
+    /// itself instead of waking a worker for it; the thread that calls this
+    /// holds the carrier's read half, so anything it waited for here would
+    /// stall every session of the carrier. The default declines everything.
+    fn dispatch_now(&self, request: Request) -> Result<Result<Reply, String>, Request> {
+        Err(request)
+    }
 }
 
 /// Retry discipline for [`Endpoint::call_with_retry`].
@@ -189,8 +219,11 @@ impl Default for RetryPolicy {
 /// Configuration of an [`Endpoint`].
 #[derive(Debug, Clone, Copy)]
 pub struct EndpointConfig {
-    /// Worker threads serving incoming requests. Must cover the deepest
-    /// cross-VM call nesting (each nested bounce occupies one worker).
+    /// Bound on the worker threads serving incoming requests. Must cover
+    /// the deepest cross-VM call nesting (each nested bounce occupies one
+    /// worker). It is a bound, not a size: an endpoint starts with no
+    /// worker and spawns one only when a request arrives that neither the
+    /// thread that read it may serve nor an idle worker is there to take.
     pub workers: usize,
     /// How long a caller waits for a reply before giving up.
     pub call_timeout: Duration,
@@ -371,9 +404,39 @@ fn xorshift_unit(state: &mut u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// The serving pool: one queue, and the workers that exist so far.
+#[derive(Default)]
+struct Pool {
+    /// Requests no worker has taken yet, oldest first.
+    queue: VecDeque<Job>,
+    /// Workers with nothing to do (or about to have: see
+    /// [`Shared::next_job`]), by number, most recently parked last — the
+    /// one a new job wakes, because it ran last and is still warm.
+    parked: Vec<usize>,
+    /// Every worker spawned so far; a worker's number is its index.
+    workers: Vec<std::thread::JoinHandle<()>>,
+    /// The endpoint closed: nothing more is queued, and a worker that
+    /// finds the queue empty exits.
+    closed: bool,
+}
+
+impl Pool {
+    /// The next queued job for worker `me`, or its place on the stack of
+    /// parked workers (while the pool is open: a closed one parks nobody).
+    fn take_or_park(&mut self, me: usize) -> Option<Job> {
+        let next = self.queue.pop_front();
+        if next.is_none() && !self.closed {
+            self.parked.push(me);
+        }
+        next
+    }
+}
+
 /// The part of an endpoint its session's sink and its workers share: the
 /// sink is this struct, run by whichever thread produced the frame.
 struct Shared {
+    /// For the workers this spawns, which share it.
+    me: Weak<Shared>,
     pending: std::sync::Mutex<Pending>,
     /// Notified when the drain begins and when the endpoint closes; what
     /// [`Endpoint::join`] sleeps on.
@@ -383,9 +446,25 @@ struct Shared {
     /// silently discarded — the observable symptom that a retry layer is
     /// needed.
     late_expected: Mutex<HashSet<u64>>,
-    /// The serving pool's queue; dropped on close, which is what stops the
-    /// workers once they have finished what is queued.
-    jobs: Mutex<Option<Sender<Job>>>,
+    pool: Mutex<Pool>,
+    /// [`EndpointConfig::workers`]: how many workers the pool may grow to.
+    max_workers: usize,
+    /// Where replies go. Let go of on close, which is what lets a session
+    /// nobody else holds hang up once its endpoint is done.
+    out: Mutex<Option<Session>>,
+    /// The session rides a carrier end that accepted its connection: the
+    /// thread that reads a request there may serve it and write the reply
+    /// (see [`FrameSink`] for why that end's reader, and no other, may).
+    /// Cleared on close: a closed endpoint serves nothing.
+    serves_where_read: AtomicBool,
+    dispatcher: Arc<dyn Dispatcher>,
+    responder: Responder,
+    /// The track label of whoever started the endpoint: every thread that
+    /// serves for it — its workers, a carrier's reader — records its spans
+    /// under this label, so an endpoint started by the surrogate daemon
+    /// exports its serve spans on the "surrogate" Perfetto lane even in a
+    /// single-process run.
+    track: String,
     drain_timeout: Duration,
     requests_served: AtomicU64,
     dedup_hits: AtomicU64,
@@ -456,7 +535,8 @@ impl Shared {
         }
     }
 
-    /// Fails every outstanding call fast and lets the workers run out.
+    /// Fails every outstanding call fast and lets the workers run out:
+    /// each finishes what is queued, then exits.
     fn close(&self, pending: &mut Pending) {
         if std::mem::replace(&mut pending.closed, true) {
             return;
@@ -464,8 +544,166 @@ impl Shared {
         for (_, slot) in pending.slots.drain() {
             slot.complete(Err(RpcError::Disconnected));
         }
-        *self.jobs.lock() = None;
+        {
+            let mut pool = self.pool.lock();
+            pool.closed = true;
+            pool.parked.clear();
+            for worker in &pool.workers {
+                worker.thread().unpark();
+            }
+        }
+        self.serves_where_read.store(false, Ordering::Relaxed);
+        *self.out.lock() = None;
         self.settled.notify_all();
+    }
+
+    /// Counts what the responder made of a request; the frame to send, if
+    /// any (the first copy's reply answers a duplicate still in flight).
+    fn account(&self, served: Served) -> Option<Frame> {
+        match served {
+            Served::Executed(frame) => {
+                self.requests_served.fetch_add(1, Ordering::Relaxed);
+                Some(frame)
+            }
+            Served::Replayed(frame) => {
+                self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                Some(frame)
+            }
+            Served::InFlight => {
+                self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    /// Serves `job` on the thread that read it, if this is a session whose
+    /// reader may reply and the dispatcher takes the request at once; hands
+    /// it back otherwise, with nothing about it remembered.
+    fn serve_where_read(&self, job: Job) -> Option<Job> {
+        if !self.serves_where_read.load(Ordering::Relaxed) {
+            return Some(job);
+        }
+        let (client, seq, body, trace) = job;
+        // A carrier's reader has no track of its own (and may read for
+        // endpoints of several); a no-op while it keeps serving this one.
+        aide_trace::set_thread_track(&self.track);
+        let dispatcher = self.dispatcher.as_ref();
+        let stamp = || self.lease_stamp();
+        let served = match self
+            .responder
+            .respond_now(dispatcher, trace, client, seq, body, stamp)
+        {
+            Ok(served) => served,
+            Err(body) => return Some((client, seq, body, trace)),
+        };
+        if matches!(served, Served::Executed(_)) {
+            self.metrics.served_where_read.inc();
+        }
+        if let Some(frame) = self.account(served) {
+            if let Some(out) = self.out.lock().as_ref() {
+                let _ = out.send(frame);
+            }
+        }
+        // This thread outlives the endpoint — it exits when the peer hangs
+        // up, not when `join` returns — so the span goes to the store now,
+        // not with a batch at thread exit.
+        aide_trace::flush_thread();
+        None
+    }
+
+    /// The one place a job reaches a worker: queued, then the worker that
+    /// parked last is woken for it; if none is parked one more is spawned,
+    /// up to the bound; at the bound the job waits for the next worker that
+    /// finishes.
+    ///
+    /// This runs on the thread that delivered the request, which may hold a
+    /// carrier's read half. The spawn is the one thing here that is not a
+    /// few instructions under a lock nobody holds for long: one `clone(2)`,
+    /// at most `max_workers` times in the endpoint's life, waiting on nobody.
+    fn submit(&self, job: Job) {
+        let mut pool = self.pool.lock();
+        if pool.closed {
+            return;
+        }
+        pool.queue.push_back(job);
+        if let Some(worker) = pool.parked.pop() {
+            let worker = pool.workers[worker].thread().clone();
+            drop(pool);
+            worker.unpark();
+        } else if pool.workers.len() < self.max_workers {
+            let number = pool.workers.len();
+            // Both are there while the pool is open: `close` marks it closed
+            // before it lets go of `out`, and this very call runs through
+            // the `Arc`.
+            let (Some(me), Some(out)) = (self.me.upgrade(), self.out.lock().clone()) else {
+                return;
+            };
+            let spawned = std::thread::Builder::new()
+                .name(format!("rpc-worker-{number}"))
+                .spawn(move || me.work(number, &out));
+            match spawned {
+                Ok(worker) => {
+                    pool.workers.push(worker);
+                    self.metrics.workers_spawned.inc();
+                }
+                // Somebody will get to it: the next worker that finishes.
+                Err(_) if number > 0 => {}
+                // Nobody ever will: this endpoint cannot serve.
+                Err(_) => {
+                    drop(pool);
+                    self.close(&mut self.pending());
+                }
+            }
+        }
+    }
+
+    /// Worker `me`: serves jobs until the endpoint closes and the queue has
+    /// run out.
+    fn work(&self, me: usize, out: &Session) {
+        aide_trace::set_thread_track(&self.track);
+        let mut in_hand = None;
+        while let Some((client, seq, request, ctx)) = in_hand.take().or_else(|| self.next_job(me)) {
+            let dispatcher = self.dispatcher.as_ref();
+            let served = self
+                .responder
+                .respond(dispatcher, ctx, client, seq, request, || self.lease_stamp());
+            let reply = self.account(served);
+            // Settled before the reply leaves, because the reply is what
+            // lets the peer send its next request: that one must find this
+            // worker parked (or already holding it), not find nobody and
+            // spawn another.
+            in_hand = self.pool.lock().take_or_park(me);
+            if let Some(frame) = reply {
+                // A dead link closes the endpoint, which is what ends this
+                // worker; until then there is nothing to do about it here.
+                let _ = out.send(frame);
+            }
+        }
+        aide_trace::flush_thread();
+    }
+
+    /// Parks worker `me` until there is a job for it; `None` once the
+    /// endpoint has closed and the queue has run out.
+    fn next_job(&self, me: usize) -> Option<Job> {
+        loop {
+            {
+                let mut pool = self.pool.lock();
+                // While it is still on the stack nobody has woken this
+                // worker for a job (it has not parked yet, or woke for no
+                // reason), and every queued job has somebody else coming
+                // for it. Off the stack it takes the job it was woken for —
+                // or parks again, if a worker that finished first took it.
+                if !pool.parked.contains(&me) {
+                    if let Some(job) = pool.take_or_park(me) {
+                        return Some(job);
+                    }
+                }
+                if pool.closed {
+                    return None;
+                }
+            }
+            std::thread::park();
+        }
     }
 }
 
@@ -495,8 +733,9 @@ impl FrameSink for Shared {
                 self.begin_drain();
             }
             Message::Request { seq, client, body } => {
-                if let Some(jobs) = self.jobs.lock().as_ref() {
-                    let _ = jobs.send((client, seq, body, header.trace));
+                // By the nearest thread that may: this one, or a worker.
+                if let Some(job) = self.serve_where_read((client, seq, body, header.trace)) {
+                    self.submit(job);
                 }
             }
             Message::Reply { seq, result } => {
@@ -538,7 +777,6 @@ pub struct Endpoint {
     next_seq: AtomicU64,
     client_id: u64,
     config: EndpointConfig,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     retries: AtomicU64,
     shared: Arc<Shared>,
 }
@@ -553,13 +791,15 @@ impl std::fmt::Debug for Endpoint {
 }
 
 impl Endpoint {
-    /// Starts an endpoint: spawns the worker pool and attaches the
-    /// endpoint to `session` as the consumer of its inbound frames. It
-    /// serves its peer until [`Endpoint::shutdown`] or until the peer hangs
-    /// up, whether or not the returned handle is kept.
+    /// Starts an endpoint: attaches it to `session` as the consumer of its
+    /// inbound frames. No thread is spawned here; workers appear as requests
+    /// need them (see [`EndpointConfig::workers`]). The endpoint serves its
+    /// peer until [`Endpoint::shutdown`] or until the peer hangs up, whether
+    /// or not the returned handle is kept.
     ///
     /// `dispatcher` serves the peer's requests; `clock` accumulates
-    /// simulated link time priced by `params`.
+    /// simulated link time priced by `params`. Whatever thread serves for
+    /// this endpoint records its spans under the caller's track label.
     pub fn start(
         session: Session,
         params: CommParams,
@@ -567,12 +807,18 @@ impl Endpoint {
         dispatcher: Arc<dyn Dispatcher>,
         config: EndpointConfig,
     ) -> Arc<Endpoint> {
-        let (job_tx, job_rx) = unbounded::<Job>();
-        let shared = Arc::new(Shared {
+        let shared = Arc::new_cyclic(|me| Shared {
+            me: me.clone(),
             pending: std::sync::Mutex::default(),
             settled: Condvar::new(),
             late_expected: Mutex::new(HashSet::new()),
-            jobs: Mutex::new(Some(job_tx)),
+            pool: Mutex::default(),
+            max_workers: config.workers,
+            out: Mutex::new(Some(session.clone())),
+            serves_where_read: AtomicBool::new(session.on_accepting_end()),
+            dispatcher,
+            responder: Responder::new(DEDUP_CAPACITY),
+            track: aide_trace::current_track(),
             drain_timeout: config.drain_timeout,
             requests_served: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
@@ -581,48 +827,6 @@ impl Endpoint {
             gc: OnceLock::new(),
             metrics: RpcMetrics::resolve(session.backend()),
         });
-        let responder = Arc::new(Responder::new(DEDUP_CAPACITY));
-
-        // Threads inherit the spawner's track label, so an endpoint started
-        // by the surrogate daemon exports its serve spans on the
-        // "surrogate" Perfetto lane even in a single-process run.
-        let track = aide_trace::current_track();
-
-        let mut handles = Vec::with_capacity(config.workers);
-        for i in 0..config.workers {
-            let rx: Receiver<Job> = job_rx.clone();
-            let disp = dispatcher.clone();
-            let out = session.clone();
-            let shared = shared.clone();
-            let responder = responder.clone();
-            let track = track.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("rpc-worker-{i}"))
-                    .spawn(move || {
-                        aide_trace::set_thread_track(&track);
-                        while let Ok((client, seq, request, ctx)) = rx.recv() {
-                            let served =
-                                responder.respond(disp.as_ref(), ctx, client, seq, request, || {
-                                    shared.lease_stamp()
-                                });
-                            if matches!(served, Served::Executed(_)) {
-                                shared.requests_served.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let (Served::Executed(frame) | Served::Replayed(frame)) = served else {
-                                continue; // the first copy's reply answers this one
-                            };
-                            if out.send(frame).is_err() {
-                                break;
-                            }
-                        }
-                        aide_trace::flush_thread();
-                    })
-                    .expect("spawn rpc worker"),
-            );
-        }
 
         // From here on every producer of `session`'s inbound frames runs
         // the endpoint itself; what queued before is delivered first.
@@ -634,7 +838,6 @@ impl Endpoint {
             next_seq: AtomicU64::new(0),
             client_id: NEXT_CLIENT_ID.fetch_add(1, Ordering::Relaxed),
             config,
-            threads: Mutex::new(handles),
             retries: AtomicU64::new(0),
             shared,
         })
@@ -1026,10 +1229,14 @@ impl Endpoint {
                 };
             }
         }
-        let handles = std::mem::take(&mut *self.threads.lock());
-        for h in handles {
-            let _ = h.join();
+        // Closed: nothing is spawned any more, so these are all there are.
+        let workers = std::mem::take(&mut self.shared.pool.lock().workers);
+        for worker in workers {
+            let _ = worker.join();
         }
+        // Waits out a frame being served on the thread that read it: once
+        // this returns, everything served for this endpoint is in the span
+        // store.
         self.session.detach_sink();
         // Tell a multiplexed carrier this logical session is finished so
         // the mux can free its route (no-op on direct channel sessions).

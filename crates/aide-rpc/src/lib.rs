@@ -21,14 +21,16 @@
 //! * [`Endpoint`] — request/reply correlation (one round-trip routine
 //!   behind [`Endpoint::call`] and [`Endpoint::call_with_retry`]) plus the
 //!   dispatcher worker pool that re-enters the interpreter to serve the
-//!   peer. It has no receiver thread: whoever produces an inbound frame (a
-//!   carrier's reader, the in-process peer's sending thread) decodes it and
-//!   completes the waiting call or queues the job, so a call over TCP is
-//!   four thread hand-offs and four syscalls.
+//!   peer, grown on demand. It has no receiver thread: whoever produces an
+//!   inbound frame (a carrier's reader, the in-process peer's sending
+//!   thread) decodes it and completes the waiting call, answers the request
+//!   itself (the reader of an accepting carrier end, for what
+//!   [`Dispatcher::dispatch_now`] serves) or queues the job, so a call over
+//!   TCP is two to four thread hand-offs and four syscalls.
 //! * [`Responder`] — the serving half of the protocol, once: at-most-once
 //!   execution with memoized replies, the serve span, the stamped reply
-//!   frame. The endpoint's workers and the surrogate daemon's shard
-//!   workers both run it.
+//!   frame. Whoever serves for an endpoint and the surrogate daemon's shard
+//!   workers all run it.
 //! * [`ExportTable`] / [`ImportTable`] — cross-VM reference bookkeeping for
 //!   the distributed garbage collection scheme, hardened with lease/epoch
 //!   reclamation (TTL deadlines on a manual [`GcClock`], watermarked

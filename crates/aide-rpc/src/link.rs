@@ -12,7 +12,9 @@
 //! (`CarrierWriter`: whoever sends, writes) and, on the end that dialled
 //! the connection, a handle on its read half (`CarrierReader`: a caller
 //! blocked on the session's reply may do the reading). Either way a frame
-//! reaches the session through its `Inbox`, on the thread that read it.
+//! reaches the session through its `Inbox`, on the thread that read it —
+//! which, on the end that accepted the connection, may answer a short
+//! request then and there ([`FrameSink`] says when, and why only there).
 
 use std::collections::VecDeque;
 use std::io::Write;
@@ -128,11 +130,21 @@ impl std::error::Error for LinkError {}
 /// them** — whoever holds the carrier's read half (its reader thread, or a
 /// caller reading its own reply), or the in-process peer's sending thread.
 ///
-/// The deadlock rule every implementation obeys: a sink never writes to a
-/// carrier and never blocks. It decodes, renews, completes a waiting call,
-/// enqueues for a worker, or forwards into another session's inbox —
-/// nothing else — so whoever holds a carrier's read half blocks on nothing
-/// but its socket.
+/// The deadlock rule every implementation obeys has two halves. *The holder
+/// of a **dialling** end's read half never writes to a carrier and blocks on
+/// nothing but its socket*: a sink run there decodes, renews, completes a
+/// waiting call, enqueues for a worker (spawning that worker, if need be:
+/// one `clone(2)` that waits on nobody), or forwards into another session's
+/// inbox — nothing else. *An **accepting** end's reader may, besides,
+/// write the one bounded reply of a request its dispatcher served without
+/// blocking* ([`Session::on_accepting_end`], `Dispatcher::dispatch_now`).
+/// That write can wait for the far side to drain its socket, and the far
+/// side is a dialling end, whose read half is always driven — by a caller or
+/// by its reader of last resort — by a thread that, under the first half of
+/// the rule, never waits for this end to read. Were both ends allowed to
+/// reply from their readers, each could sit in a write the other is not
+/// reading; so exactly one end may, and it is the one whose reader never
+/// steps aside.
 pub(crate) trait FrameSink: Send + Sync {
     /// One frame, in arrival order. `true` when it was the reply a caller
     /// blocked on this very session was waiting for — what tells a
@@ -458,6 +470,14 @@ impl Session {
             SessionSender::Carrier { reader, .. } => reader.as_deref(),
             SessionSender::Direct(_) => None,
         }
+    }
+
+    /// Whether this session rides the end of a byte-stream carrier that
+    /// accepted its connection — the end whose reader may write a reply
+    /// (see [`FrameSink`]). Never in process, and so never behind a chaos
+    /// shim either, whose application-side session is an in-process one.
+    pub(crate) fn on_accepting_end(&self) -> bool {
+        matches!(&self.tx, SessionSender::Carrier { reader: None, .. })
     }
 
     /// The backend this session rides on.

@@ -24,9 +24,17 @@
 //! a reply takes the lock and reads its own reply (a call is then caller →
 //! peer reader → worker → caller: three hand-offs, not four); the carrier's
 //! reader thread is the reader of last resort there and the only reader on
-//! an accepting end. The rule that keeps this deadlock-free: whoever holds
-//! a carrier's read half never writes to a carrier and blocks on nothing
-//! but its socket, so a slow session never stalls its siblings.
+//! an accepting end. The rule that keeps this deadlock-free: the holder of
+//! a **dialling** end's read half never writes to a carrier and blocks on
+//! nothing but its socket; an **accepting** end's reader may, besides, write
+//! the one bounded reply of a request its session's dispatcher served
+//! without blocking (a short request is then caller → peer reader → caller:
+//! two hand-offs). Only one end of a carrier may reply from its reader, or
+//! each could sit in a write the other is not reading; the far side of an
+//! accepting end's write is always drained — by a caller or by the reader of
+//! last resort, neither of which writes while it holds the half. Either way
+//! a slow session never stalls its siblings (`crate::link::FrameSink` has
+//! the argument in full).
 //!
 //! The module is generic over byte-stream carriers (`DeadlineRead` /
 //! `Write`); the only TCP-aware code lives in `crate::tcp`, which wires a
@@ -384,7 +392,8 @@ enum Step {
 /// On an end that *accepted* its connection that is always the carrier's
 /// reader thread: what such an end mostly receives is requests, which no
 /// caller is blocked on, and only a thread that never steps aside serves
-/// them reader → worker without delay. On the end that *initiated* it
+/// them — itself, or reader → worker — without delay. On the end that
+/// *initiated* it
 /// (`callers_read`), a caller that has written its request takes the lock
 /// and reads and routes frames on its own thread until its reply is among
 /// them; frames for sibling sessions, the peer's call-back requests and
@@ -395,8 +404,10 @@ enum Step {
 /// and is recalled at once by a caller that leaves while others still wait
 /// or while bytes it read are still unrouted.
 ///
-/// Whoever holds the lock obeys the rule the reader thread always obeyed:
-/// it never writes to a carrier and blocks on nothing but its socket.
+/// A caller that holds the lock obeys the rule a dialling end's reader
+/// thread obeys: it never writes to a carrier and blocks on nothing but its
+/// socket. An accepting end's reader thread may write a reply from a
+/// session's sink (see `crate::link::FrameSink`).
 pub(crate) struct CarrierReader {
     /// `None` once the carrier is gone.
     half: Mutex<Option<ReadHalf>>,

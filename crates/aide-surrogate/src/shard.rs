@@ -88,11 +88,15 @@ pub struct SessionParts {
 /// pulls.
 pub type SessionFactory = dyn Fn(aide_rpc::ConnKiller) -> SessionParts + Send + Sync;
 
-/// One live session owned by a shard worker: its machinery plus the
-/// responder holding its at-most-once cache.
+/// One live session owned by a shard worker: its machinery, the responder
+/// holding its at-most-once cache, and the way back to its client.
 struct ShardSession {
     parts: SessionParts,
     responder: Responder,
+    /// The carrier's outbound handle, looked up once at admission. `None`
+    /// if the carrier was already torn down by then: the session hears
+    /// nothing more and ends with the carrier's `CarrierClosed`.
+    sender: Option<MuxSender>,
 }
 
 /// State shared by the carriers' readers (which route into it), the shard
@@ -323,12 +327,14 @@ fn worker_loop(shared: &PoolShared, rx: &Receiver<Routed>) {
                          rejected: &mut HashSet<(u64, u32)>,
                          key: (u64, u32)| {
         rejected.remove(&key);
-        if sessions.remove(&key).is_some() {
+        let closed = sessions.remove(&key);
+        if closed.is_some() {
             shared.live.fetch_sub(1, Ordering::SeqCst);
             shared.gc_sessions.lock().remove(&key);
             active.add(-1);
             fleet_live.add(-1);
         }
+        closed
     };
 
     while let Ok(Routed {
@@ -361,29 +367,35 @@ fn worker_loop(shared: &PoolShared, rx: &Receiver<Routed>) {
                 frame,
             } => {
                 let key = (conn, session);
-                let Some(sender) = shared.carriers.lock().get(&conn).cloned() else {
-                    continue; // carrier already torn down: drop
-                };
-                if !sessions.contains_key(&key) && !rejected.contains(&key) {
-                    // Data racing ahead of its OPEN: implicit open.
-                    let slot_claimed = shared.claim_slot();
-                    admit(shared, &mut sessions, &mut rejected, key, slot_claimed);
-                    if sessions.contains_key(&key) {
-                        accepted.inc();
-                        active.add(1);
-                        fleet_live.add(1);
-                    } else {
-                        fleet_rejected.inc();
+                // A live session knows its way back; only a frame for one
+                // that is not (yet) live looks the carrier up.
+                if !sessions.contains_key(&key) {
+                    let Some(sender) = shared.carriers.lock().get(&conn).cloned() else {
+                        continue; // carrier already torn down: drop
+                    };
+                    if !rejected.contains(&key) {
+                        // Data racing ahead of its OPEN: implicit open.
+                        let slot_claimed = shared.claim_slot();
+                        admit(shared, &mut sessions, &mut rejected, key, slot_claimed);
+                        if sessions.contains_key(&key) {
+                            accepted.inc();
+                            active.add(1);
+                            fleet_live.add(1);
+                        } else {
+                            fleet_rejected.inc();
+                        }
+                    }
+                    if rejected.contains(&key) {
+                        reply_busy(&sender, session, &frame, shared.config.busy_retry_ms);
+                        continue;
                     }
                 }
-                if rejected.contains(&key) {
-                    reply_busy(&sender, session, &frame, shared.config.busy_retry_ms);
-                    continue;
-                }
-                let closed = serve(shared, &sender, &mut sessions, key, &frame);
+                let closed = serve(shared, &mut sessions, key, &frame);
                 if closed {
-                    close_session(&mut sessions, &mut rejected, key);
-                    sender.close(session);
+                    let closed = close_session(&mut sessions, &mut rejected, key);
+                    if let Some(sender) = closed.and_then(|s| s.sender) {
+                        sender.close(session);
+                    }
                 }
             }
             BusEvent::Closed { conn, session } => {
@@ -428,12 +440,10 @@ fn admit(
         rejected.insert(key);
         return;
     }
-    let killer = shared
-        .carriers
-        .lock()
-        .get(&key.0)
-        .map(|s| s.killer())
-        .unwrap_or_else(aide_rpc::ConnKiller::noop);
+    let sender = shared.carriers.lock().get(&key.0).cloned();
+    let killer = sender
+        .as_ref()
+        .map_or_else(aide_rpc::ConnKiller::noop, MuxSender::killer);
     let parts = (shared.factory)(killer);
     shared.gc_sessions.lock().insert(key, parts.gc.clone());
     shared.admitted.fetch_add(1, Ordering::SeqCst);
@@ -442,6 +452,7 @@ fn admit(
         ShardSession {
             parts,
             responder: Responder::new(shared.config.dedup_capacity),
+            sender,
         },
     );
 }
@@ -467,13 +478,15 @@ fn reply_busy(sender: &MuxSender, session: u32, frame: &Frame, retry_after_ms: u
 /// down.
 fn serve(
     shared: &PoolShared,
-    sender: &MuxSender,
     sessions: &mut HashMap<(u64, u32), ShardSession>,
     key: (u64, u32),
     frame: &Frame,
 ) -> bool {
     let Some(sess) = sessions.get_mut(&key) else {
         return false;
+    };
+    let Some(sender) = &sess.sender else {
+        return false; // its carrier was gone when it was admitted: drop
     };
     let Ok((header, message)) = Message::decode_framed(frame) else {
         return false; // corrupt frame: the client's retry will re-send

@@ -97,6 +97,14 @@ pub mod names {
     /// carrier's read half: the carrier's reader thread (every reply on an
     /// accepting end), or a sibling caller reading at the time.
     pub const RPC_REPLIES_HANDED_OVER: &str = "aide_rpc_replies_handed_over_total";
+    /// Requests an endpoint served on the thread that read them — the
+    /// reader of a carrier end that accepted its connection — because its
+    /// dispatcher could serve them without waiting; no worker was involved.
+    pub const RPC_SERVED_WHERE_READ: &str = "aide_rpc_requests_served_where_read_total";
+    /// Worker threads endpoints spawned: one each time a request arrived
+    /// that the thread that read it could not serve and no idle worker was
+    /// there to take.
+    pub const RPC_WORKERS_SPAWNED: &str = "aide_rpc_workers_spawned_total";
     /// Frames written to a TCP carrier.
     pub const TCP_FRAMES_SENT: &str = "aide_tcp_frames_sent_total";
     /// Frames read from a TCP carrier.

@@ -38,8 +38,16 @@ pub fn set_process_label(label: &str) {
 
 /// Overrides the track label for the calling thread. Threads a component
 /// spawns should inherit the spawner's track (see [`current_track`]).
+/// Setting the label a thread already carries changes and allocates
+/// nothing, so a thread that serves on behalf of several components may set
+/// it before every span.
 pub fn set_thread_track(track: &str) {
-    TRACK.with(|t| *t.borrow_mut() = Some(Arc::from(track)));
+    TRACK.with(|t| {
+        let mut current = t.borrow_mut();
+        if current.as_deref() != Some(track) {
+            *current = Some(Arc::from(track));
+        }
+    });
 }
 
 /// The calling thread's effective track label: its override if set,

@@ -478,6 +478,64 @@ impl Vm {
         self.hook_seconds += micros / 1e6 / self.config.speed_factor;
     }
 
+    /// Performs a field access on a local object on behalf of a peer. This
+    /// and the four methods after it are the peer-serving operations that
+    /// touch one heap record and never re-enter the interpreter, so whoever
+    /// serves one needs nothing but the VM lock (which the caller holds).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmError::DanglingReference`] if `target` is not local.
+    pub fn field_access_on(&mut self, target: ObjectId, _bytes: u32, _write: bool) -> VmResult<()> {
+        self.heap.get(target)?;
+        let cost = self.config.cost.field_access_micros;
+        self.charge_micros(cost);
+        Ok(())
+    }
+
+    /// Reads a reference slot of a local object on behalf of a peer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmError::DanglingReference`] or [`VmError::SlotOutOfRange`].
+    pub fn get_slot_on(&self, target: ObjectId, slot: u16) -> VmResult<Option<ObjectId>> {
+        let rec = self.heap.get(target)?;
+        Ok(*slot_ref(rec, target, slot)?)
+    }
+
+    /// Writes a reference slot of a local object on behalf of a peer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmError::DanglingReference`] or [`VmError::SlotOutOfRange`].
+    pub fn put_slot_on(
+        &mut self,
+        target: ObjectId,
+        slot: u16,
+        value: Option<ObjectId>,
+    ) -> VmResult<()> {
+        let rec = self.heap.get_mut(target)?;
+        let cell = slot_mut(rec, target, slot)?;
+        *cell = value;
+        Ok(())
+    }
+
+    /// Serves a static-data access on behalf of a peer.
+    pub fn static_access_on(&mut self, _class: ClassId, _bytes: u32, _write: bool) {
+        let cost = self.config.cost.static_access_micros;
+        self.charge_micros(cost);
+        self.statics_accesses += 1;
+    }
+
+    /// The class of a local object, for peers resolving references.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmError::DanglingReference`] if `target` is not local.
+    pub fn class_of_local(&self, target: ObjectId) -> VmResult<ClassId> {
+        Ok(self.heap.get(target)?.class)
+    }
+
     /// The program compiled to flat IR, compiling on first use.
     pub fn flat_program(&mut self) -> Arc<FlatProgram> {
         if let Some(f) = &self.flat {
@@ -888,17 +946,15 @@ impl Machine {
         }
     }
 
-    /// Performs a local field access on behalf of a peer.
+    /// Performs a local field access on behalf of a peer
+    /// ([`Vm::field_access_on`] under this machine's lock, as the other
+    /// `*_on` methods are their [`Vm`] namesakes).
     ///
     /// # Errors
     ///
     /// Returns [`VmError::DanglingReference`] if `target` is not local.
-    pub fn field_access_on(&self, target: ObjectId, _bytes: u32, _write: bool) -> VmResult<()> {
-        let mut vm = self.vm.lock();
-        vm.heap.get(target)?;
-        let cost = vm.config.cost.field_access_micros;
-        vm.charge_micros(cost);
-        Ok(())
+    pub fn field_access_on(&self, target: ObjectId, bytes: u32, write: bool) -> VmResult<()> {
+        self.vm.lock().field_access_on(target, bytes, write)
     }
 
     /// Reads a reference slot of a local object on behalf of a peer.
@@ -907,9 +963,7 @@ impl Machine {
     ///
     /// Returns [`VmError::DanglingReference`] or [`VmError::SlotOutOfRange`].
     pub fn get_slot_on(&self, target: ObjectId, slot: u16) -> VmResult<Option<ObjectId>> {
-        let vm = self.vm.lock();
-        let rec = vm.heap.get(target)?;
-        Ok(*slot_ref(rec, target, slot)?)
+        self.vm.lock().get_slot_on(target, slot)
     }
 
     /// Writes a reference slot of a local object on behalf of a peer.
@@ -923,11 +977,7 @@ impl Machine {
         slot: u16,
         value: Option<ObjectId>,
     ) -> VmResult<()> {
-        let mut vm = self.vm.lock();
-        let rec = vm.heap.get_mut(target)?;
-        let cell = slot_mut(rec, target, slot)?;
-        *cell = value;
-        Ok(())
+        self.vm.lock().put_slot_on(target, slot, value)
     }
 
     /// Executes a native locally on behalf of a peer (the client serving a
@@ -939,11 +989,8 @@ impl Machine {
     }
 
     /// Serves a static-data access on behalf of a peer.
-    pub fn static_access_on(&self, _class: ClassId, _bytes: u32, _write: bool) {
-        let mut vm = self.vm.lock();
-        let cost = vm.config.cost.static_access_micros;
-        vm.charge_micros(cost);
-        vm.statics_accesses += 1;
+    pub fn static_access_on(&self, class: ClassId, bytes: u32, write: bool) {
+        self.vm.lock().static_access_on(class, bytes, write);
     }
 
     /// The class of a local object, for peers resolving references.
@@ -952,8 +999,7 @@ impl Machine {
     ///
     /// Returns [`VmError::DanglingReference`] if `target` is not local.
     pub fn class_of_local(&self, target: ObjectId) -> VmResult<ClassId> {
-        let vm = self.vm.lock();
-        Ok(vm.heap.get(target)?.class)
+        self.vm.lock().class_of_local(target)
     }
 
     // ---- internal interpretation ------------------------------------------------
