@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use aide_bench::{header, row};
-use aide_rpc::{ExportTable, GcClock, Message, Request};
+use aide_rpc::{ExportTable, GcClock, LeaseStamp, Message, Request};
 use aide_vm::ObjectId;
 
 /// Exports per sweep point.
@@ -101,7 +101,10 @@ fn renewal_overhead_bytes() -> usize {
         body: Request::Ping,
     };
     let bare = msg.encode();
-    let stamped = msg.encode_stamped(Some(42));
+    let stamped = msg.encode_stamped(Some(LeaseStamp {
+        epoch: 42,
+        writes: 0,
+    }));
     stamped.len() - bare.len()
 }
 

@@ -9,6 +9,10 @@
 //! watermarked `GcReleaseSeq`) that it no longer holds it, or until its
 //! lease runs out unrenewed and [`VmDispatcher::sweep_expired_exports`]
 //! hands it back to the collector.
+//!
+//! The adapter is also the one place a remote read is remembered: a slot or
+//! a class of the peer's object crosses the cut once, and is answered from
+//! memory until the owner's frames say it wrote ([`Remembered`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,9 +55,12 @@ impl RefTables {
     }
 
     /// Wires these tables into `endpoint` so every outgoing frame carries
-    /// the import epoch and every incoming frame renews export leases.
-    pub fn attach_to(&self, endpoint: &Endpoint) {
-        endpoint.attach_gc(self.exports.clone(), self.imports.clone());
+    /// the import epoch and the slot-write count of `machine` — the local
+    /// one, whose objects these tables export — and every incoming frame
+    /// renews export leases.
+    pub fn attach_to(&self, endpoint: &Endpoint, machine: &Machine) {
+        let writes = machine.vm().lock().slot_writes().clone();
+        endpoint.attach_gc(self.exports.clone(), self.imports.clone(), writes);
     }
 
     /// Pins `id` if it is an object of `vm` whose reference is about to
@@ -81,13 +88,58 @@ pub(crate) fn rpc_to_vm_error(e: RpcError) -> VmError {
     }
 }
 
+/// What a remembered slot was read under. While none of the three has
+/// moved, the slot still holds what was read: the two VMs take turns
+/// (DESIGN §5.4), so the owner's slots change only by its own writes, which
+/// it counts on every frame it sends, or by its objects changing sides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Standing {
+    /// Slot writes the owner had made ([`Surrogate::peer_writes`]).
+    peer_writes: u64,
+    /// The local heap's locality epoch: any migration, in or out.
+    locality: u64,
+    /// This side's lease epoch: failover, rollback.
+    lease: u64,
+}
+
+/// What the adapter has read of the peer's objects and may answer again
+/// without asking.
+#[derive(Debug, Default)]
+struct Remembered {
+    /// What `slots` were read under; `None` while the peer says nothing
+    /// about its writes, and then nothing is remembered.
+    under: Option<Standing>,
+    slots: HashMap<(ObjectId, u16), Option<ObjectId>>,
+    /// Kept for good: ids are never reused and an object's class never
+    /// changes.
+    classes: HashMap<ObjectId, ClassId>,
+}
+
+impl Remembered {
+    /// Drops the slots unless they were read under `now`; whether slots
+    /// may be remembered at all.
+    fn settle(&mut self, now: Option<Standing>) -> bool {
+        if self.under != now {
+            self.slots.clear();
+            self.under = now;
+        }
+        now.is_some()
+    }
+}
+
 /// The interpreter's window onto the peer VM: every remote-object touch
-/// becomes an RPC to wherever the run's surrogate currently is, and is served
-/// by the local interpreter when the surrogate says there is none any more.
+/// becomes an RPC to wherever the run's surrogate currently is — unless it is
+/// a read the adapter has the answer to — and is served by the local
+/// interpreter when the surrogate says there is none any more.
 pub struct RemoteAdapter {
-    pub(crate) surrogate: Surrogate,
-    pub(crate) machine: Machine,
-    pub(crate) tables: Arc<RefTables>,
+    surrogate: Surrogate,
+    machine: Machine,
+    tables: Arc<RefTables>,
+    /// Locked after the VM, never across a call.
+    remembered: Mutex<Remembered>,
+    /// The process-wide counters of remote reads, resolved once.
+    reads_from_memory: Arc<aide_telemetry::Counter>,
+    reads_asked: Arc<aide_telemetry::Counter>,
 }
 
 impl std::fmt::Debug for RemoteAdapter {
@@ -102,10 +154,19 @@ impl RemoteAdapter {
     /// `machine` must be the *local* machine: the adapter uses it to decide
     /// which outgoing references are local (and must be export-pinned).
     pub fn new(endpoint: Arc<Endpoint>, machine: Machine, tables: Arc<RefTables>) -> Self {
+        Self::over(Surrogate::Fixed(endpoint), machine, tables)
+    }
+
+    /// An adapter sending to wherever `surrogate` currently is.
+    pub(crate) fn over(surrogate: Surrogate, machine: Machine, tables: Arc<RefTables>) -> Self {
+        let telemetry = aide_telemetry::global();
         RemoteAdapter {
-            surrogate: Surrogate::Fixed(endpoint),
+            surrogate,
             machine,
             tables,
+            remembered: Mutex::default(),
+            reads_from_memory: telemetry.counter(aide_telemetry::names::REMOTE_READS_FROM_MEMORY),
+            reads_asked: telemetry.counter(aide_telemetry::names::REMOTE_READS_ASKED),
         }
     }
 
@@ -113,9 +174,48 @@ impl RemoteAdapter {
     fn import_if_remote(&self, ids: &[ObjectId]) {
         self.tables.import_if_remote(&self.machine.vm().lock(), ids);
     }
+
+    /// What a slot read now is read under; `None` if the peer does not say
+    /// how often it wrote (or there is no peer).
+    fn standing(&self, vm: &Vm) -> Option<Standing> {
+        Some(Standing {
+            peer_writes: self.surrogate.peer_writes()?,
+            locality: vm.heap().locality_epoch(),
+            lease: self.tables.imports.advertised_epoch(),
+        })
+    }
+
+    /// [`Surrogate::call`]; when it says the surrogate is gone — its objects
+    /// are home again — nothing read of it stays remembered.
+    fn call(&self, request: Request) -> VmResult<Option<Reply>> {
+        let reply = self.surrogate.call(request)?;
+        if reply.is_none() {
+            *self.remembered.lock() = Remembered::default();
+        }
+        Ok(reply)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn remembers_nothing(&self) -> bool {
+        let remembered = self.remembered.lock();
+        remembered.under.is_none() && remembered.slots.is_empty() && remembered.classes.is_empty()
+    }
+
+    /// The slots [`get_slot`](RemoteAccess::get_slot) holds an answer to
+    /// right now, each with that answer — for tests and diagnostics.
+    pub fn remembered_slots(&self) -> Vec<(ObjectId, u16, Option<ObjectId>)> {
+        let now = self.standing(&self.machine.vm().lock());
+        let mut remembered = self.remembered.lock();
+        remembered.settle(now);
+        remembered
+            .slots
+            .iter()
+            .map(|(&(target, slot), &value)| (target, slot, value))
+            .collect()
+    }
 }
 
-/// Each method sends its request through `Surrogate::call`; `None` back
+/// Each method sends its request through [`RemoteAdapter::call`]; `None` back
 /// means the surrogate is gone and its objects are home again, so the
 /// touch is served by the local interpreter.
 impl RemoteAccess for RemoteAdapter {
@@ -135,7 +235,7 @@ impl RemoteAccess for RemoteAdapter {
             }
             self.tables.import_if_remote(&vm, &[target]);
         }
-        match self.surrogate.call(Request::Invoke {
+        match self.call(Request::Invoke {
             target,
             class,
             method,
@@ -150,7 +250,7 @@ impl RemoteAccess for RemoteAdapter {
 
     fn field_access(&self, target: ObjectId, bytes: u32, write: bool) -> VmResult<()> {
         self.import_if_remote(&[target]);
-        match self.surrogate.call(Request::FieldAccess {
+        match self.call(Request::FieldAccess {
             target,
             bytes,
             write,
@@ -161,11 +261,39 @@ impl RemoteAccess for RemoteAdapter {
     }
 
     fn get_slot(&self, target: ObjectId, slot: u16) -> VmResult<Option<ObjectId>> {
-        self.import_if_remote(&[target]);
-        match self.surrogate.call(Request::GetSlot { target, slot })? {
+        let before = {
+            let vm = self.machine.vm().lock();
+            self.tables.import_if_remote(&vm, &[target]);
+            let now = self.standing(&vm);
+            let mut remembered = self.remembered.lock();
+            remembered.settle(now);
+            if let Some(&value) = remembered.slots.get(&(target, slot)) {
+                // A reference is handed out only while this side still
+                // holds it: once released, the owner may have unpinned it,
+                // and asking again is what exports it again.
+                let held = |v| vm.heap().contains(v) || self.tables.imports.contains(v);
+                if value.is_none_or(held) {
+                    self.reads_from_memory.inc();
+                    return Ok(value);
+                }
+            }
+            now
+        };
+        self.reads_asked.inc();
+        match self.call(Request::GetSlot { target, slot })? {
             Some(Reply::Slot(value)) => {
+                let vm = self.machine.vm().lock();
                 if let Some(v) = value {
-                    self.import_if_remote(&[v]);
+                    self.tables.import_if_remote(&vm, &[v]);
+                }
+                // Remembered if nothing moved while the question was out
+                // (the reply's own count is in by now).
+                let now = self.standing(&vm);
+                if now == before {
+                    let mut remembered = self.remembered.lock();
+                    if remembered.settle(now) {
+                        remembered.slots.insert((target, slot), value);
+                    }
                 }
                 Ok(value)
             }
@@ -177,19 +305,38 @@ impl RemoteAccess for RemoteAdapter {
     }
 
     fn put_slot(&self, target: ObjectId, slot: u16, value: Option<ObjectId>) -> VmResult<()> {
-        {
+        let before = {
             let mut vm = self.machine.vm().lock();
             if let Some(v) = value {
                 self.tables.export_if_local(&mut vm, v);
             }
             self.tables.import_if_remote(&vm, &[target]);
-        }
-        match self.surrogate.call(Request::PutSlot {
+            self.standing(&vm)
+        };
+        match self.call(Request::PutSlot {
             target,
             slot,
             value,
         })? {
-            Some(_) => Ok(()),
+            Some(_) => {
+                // Write-through: if the owner's count is exactly the one
+                // write just made past what the slots were read under, they
+                // all still hold, this one with its new value. Otherwise
+                // the next read finds the count moved and drops them.
+                if let Some(before) = before {
+                    let after = Standing {
+                        peer_writes: before.peer_writes + 1,
+                        ..before
+                    };
+                    let now = self.standing(&self.machine.vm().lock());
+                    let mut remembered = self.remembered.lock();
+                    if remembered.under == Some(before) && now == Some(after) {
+                        remembered.under = now;
+                        remembered.slots.insert((target, slot), value);
+                    }
+                }
+                Ok(())
+            }
             None => self.machine.put_slot_on(target, slot, value),
         }
     }
@@ -203,7 +350,6 @@ impl RemoteAccess for RemoteAdapter {
         ret_bytes: u32,
     ) -> VmResult<()> {
         if self
-            .surrogate
             .call(Request::Native {
                 caller,
                 kind,
@@ -226,7 +372,6 @@ impl RemoteAccess for RemoteAdapter {
         write: bool,
     ) -> VmResult<()> {
         if self
-            .surrogate
             .call(Request::StaticAccess {
                 accessor,
                 class,
@@ -241,8 +386,18 @@ impl RemoteAccess for RemoteAdapter {
     }
 
     fn class_of(&self, target: ObjectId) -> VmResult<ClassId> {
-        match self.surrogate.call(Request::ClassOf { target })? {
-            Some(Reply::Class(c)) => Ok(c),
+        if let Some(&class) = self.remembered.lock().classes.get(&target) {
+            self.reads_from_memory.inc();
+            return Ok(class);
+        }
+        self.reads_asked.inc();
+        match self.call(Request::ClassOf { target })? {
+            Some(Reply::Class(class)) => {
+                if self.surrogate.peer_writes().is_some() {
+                    self.remembered.lock().classes.insert(target, class);
+                }
+                Ok(class)
+            }
             Some(other) => Err(VmError::RemoteFailure(format!(
                 "unexpected reply {other:?} to ClassOf"
             ))),
@@ -401,6 +556,11 @@ impl VmDispatcher {
     /// The dispatcher's reference tables (shared with the platform side).
     pub fn tables(&self) -> &Arc<RefTables> {
         &self.tables
+    }
+
+    /// The machine requests are served against.
+    pub fn machine(&self) -> &Machine {
+        &self.machine
     }
 
     /// Sweeps expired-lease and stale-epoch exports back to the collector,
@@ -579,8 +739,8 @@ mod tests {
 
         // Lease piggyback: every frame each side sends renews the peer's
         // view of this side's holds.
-        client_tables.attach_to(&client_ep);
-        surrogate_tables.attach_to(&surrogate_ep);
+        client_tables.attach_to(&client_ep, &client);
+        surrogate_tables.attach_to(&surrogate_ep, &surrogate);
 
         // Calls placed on an endpoint travel to the peer and are served by
         // the peer's dispatcher: the client's outbound path is client_ep.

@@ -381,7 +381,7 @@ impl FailoverCore {
                 let endpoint = lease.endpoint.clone();
                 // New session, fresh lease flow: stamp our imports epoch on
                 // outgoing frames and renew our exports on its traffic.
-                self.tables.attach_to(&endpoint);
+                self.tables.attach_to(&endpoint, &self.client);
                 self.surrogates_used.lock().push(lease.name.clone());
                 *active = Some(lease);
                 self.backoff.lock().note_success();
@@ -864,6 +864,16 @@ impl Surrogate {
         }
     }
 
+    /// Slot writes the VM behind the surrogate has made, as of the last
+    /// frame heard from it ([`Endpoint::peer_writes`]); `None` when there is
+    /// no surrogate, or it says nothing about its writes.
+    pub(crate) fn peer_writes(&self) -> Option<u64> {
+        match self {
+            Surrogate::Fixed(endpoint) => endpoint.peer_writes(),
+            Surrogate::Managed(core) => core.endpoint_for_call()?.peer_writes(),
+        }
+    }
+
     /// Sends `request` to the surrogate. `Ok(None)` means there is no
     /// surrogate any more — recovery has run and every offloaded object is
     /// back in the client heap — so the caller serves the touch locally.
@@ -1266,11 +1276,7 @@ mod tests {
             } else {
                 Surrogate::Fixed(client_ep.clone())
             };
-            let adapter = RemoteAdapter {
-                surrogate,
-                machine: client.clone(),
-                tables: tables.clone(),
-            };
+            let adapter = RemoteAdapter::over(surrogate, client.clone(), tables.clone());
 
             // A Doc on the surrogate, a Doc at home.
             let remote = ObjectId::surrogate(5);
@@ -1328,5 +1334,101 @@ mod tests {
             client_ep.shutdown();
             client_ep.join();
         }
+    }
+
+    /// A managed surrogate that dies takes what was read of it along: when
+    /// `call` answers `None`, the adapter remembers nothing — no slot, no
+    /// class — and the touch is served from the heap the objects came home to.
+    #[test]
+    fn managed_failover_leaves_nothing_remembered() {
+        use crate::adapter::{RemoteAdapter, VmDispatcher};
+
+        let client = test_machine();
+        let surrogate_machine = Machine::new(
+            client.vm().lock().program().clone(),
+            VmConfig::surrogate(1 << 20),
+        );
+        let (tables, surrogate_tables) = (Arc::new(RefTables::new()), Arc::new(RefTables::new()));
+        let (link, ct, st) = Link::pair(CommParams::WAVELAN);
+        let config = test_ctx(link.clock.clone()).endpoint_config;
+        let client_ep = Endpoint::start(
+            ct,
+            link.params,
+            link.clock.clone(),
+            Arc::new(VmDispatcher::new(client.clone(), tables.clone())),
+            config,
+        );
+        let surrogate_ep = Endpoint::start(
+            st,
+            link.params,
+            link.clock.clone(),
+            Arc::new(VmDispatcher::new(
+                surrogate_machine.clone(),
+                surrogate_tables.clone(),
+            )),
+            config,
+        );
+        tables.attach_to(&client_ep, &client);
+        surrogate_tables.attach_to(&surrogate_ep, &surrogate_machine);
+        let core = Arc::new(FailoverCore::new(
+            Arc::new(QueueProvider {
+                leases: Mutex::new(Vec::new()),
+                acquire_calls: AtomicU64::new(0),
+                failures: Mutex::new(Vec::new()),
+            }),
+            test_ctx(link.clock.clone()),
+            client.clone(),
+            tables.clone(),
+            &quick_config(),
+        ));
+        *core.active.lock() = Some(SurrogateLease {
+            name: "s1".into(),
+            endpoint: client_ep.clone(),
+        });
+        let adapter = RemoteAdapter::over(
+            Surrogate::Managed(core.clone()),
+            client.clone(),
+            tables.clone(),
+        );
+
+        // A Doc that was offloaded — the ledger holds its shadow — with a
+        // client Doc in its slot.
+        let (remote, local) = (ObjectId::client(5), ObjectId::client(6));
+        let mut record = ObjectRecord::new(ClassId(1), 100, 1);
+        record.slots[0] = Some(local);
+        surrogate_machine
+            .vm()
+            .lock()
+            .heap_mut()
+            .insert(remote, record.clone())
+            .unwrap();
+        client
+            .vm()
+            .lock()
+            .heap_mut()
+            .insert(local, ObjectRecord::new(ClassId(1), 100, 1))
+            .unwrap();
+        tables.imports.import(remote);
+        core.record_shipment(vec![(remote, record)], Vec::new());
+
+        // Read twice: the second answer needs no surrogate.
+        assert_eq!(adapter.class_of(remote).unwrap(), ClassId(1));
+        for _ in 0..2 {
+            assert_eq!(adapter.get_slot(remote, 0).unwrap(), Some(local));
+            assert_eq!(adapter.class_of(remote).unwrap(), ClassId(1));
+        }
+        assert_eq!(surrogate_ep.requests_served(), 2, "the class, the slot");
+        assert_eq!(adapter.remembered_slots(), vec![(remote, 0, Some(local))]);
+
+        // The surrogate goes away; the next call finds out, fails over, and
+        // the Doc is home.
+        surrogate_ep.shutdown();
+        surrogate_ep.join();
+        adapter.field_access(remote, 8, false).unwrap();
+        assert_eq!(core.report().failovers, 1);
+        assert!(client.vm().lock().heap().contains(remote));
+        assert!(adapter.remembers_nothing(), "no slot, no class");
+        client_ep.shutdown();
+        client_ep.join();
     }
 }

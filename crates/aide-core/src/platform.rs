@@ -638,10 +638,11 @@ impl Platform {
         aide_trace::set_thread_track("client");
 
         // Lease piggybacking: each endpoint stamps outgoing frames with its
-        // imports epoch and renews its own exports on stamped arrivals, so
-        // ordinary RPC traffic keeps cross-VM references alive.
-        side.tables.attach_to(&client_ep);
-        surrogate_tables.attach_to(&surrogate_ep);
+        // imports epoch and its VM's write count and renews its own exports
+        // on stamped arrivals, so ordinary RPC traffic keeps cross-VM
+        // references alive and tells each side how long its reads hold.
+        side.tables.attach_to(&client_ep, &side.machine);
+        surrogate_tables.attach_to(&surrogate_ep, &surrogate_machine);
         surrogate_tables.exports.set_recorder(side.recorder.clone());
 
         // The machines hold their adapters weakly (each adapter holds its
@@ -849,11 +850,11 @@ impl ClientSide {
     /// Points the client machine's remote touches and the controller's
     /// offloads at `surrogate`.
     fn bind(&mut self, surrogate: Surrogate) {
-        let remote: Arc<dyn RemoteAccess> = Arc::new(RemoteAdapter {
-            surrogate: surrogate.clone(),
-            machine: self.machine.clone(),
-            tables: self.tables.clone(),
-        });
+        let remote: Arc<dyn RemoteAccess> = Arc::new(RemoteAdapter::over(
+            surrogate.clone(),
+            self.machine.clone(),
+            self.tables.clone(),
+        ));
         self.machine.set_remote(&remote);
         self.remote = Some(remote);
         self.controller.bind(self.machine.clone(), surrogate);

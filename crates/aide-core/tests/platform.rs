@@ -157,6 +157,10 @@ fn pressure_config(heap: u64) -> PlatformConfig {
 const CHUNKS: u32 = 40;
 const CHUNK_BYTES: u32 = 20_000;
 const SMALL_HEAP: u64 = 512 * 1024;
+/// Remote reads of one such rescue, run alone: answered from what had been
+/// read before, and asked of the owner.
+const FROM_MEMORY: u64 = 266;
+const ASKED: u64 = 14;
 
 #[test]
 fn constrained_heap_without_offloading_fails_oom() {
@@ -255,6 +259,33 @@ fn offloading_works_over_a_real_tcp_socket() {
     assert!(report.outcome.is_ok(), "{:?}", report.outcome);
     assert!(report.offloaded());
     assert!(report.surrogate_requests_served > 0);
+}
+
+#[test]
+fn a_rescue_answers_most_remote_reads_from_memory() {
+    // After the offload the editor keeps reading the same few slots of the
+    // document it no longer holds; each crosses the link once per write of
+    // the owner, not once per read. The run is deterministic, so the split
+    // is too — but the counters are the process's, and the other tests of
+    // this file run rescues beside this one: they can only add.
+    let program = editor_program(CHUNKS, CHUNK_BYTES);
+    let report = Platform::new(program, pressure_config(SMALL_HEAP)).run();
+    assert!(report.outcome.is_ok(), "{:?}", report.outcome);
+    assert!(report.offloaded());
+    let from_memory = report
+        .telemetry
+        .counter(aide_telemetry::names::REMOTE_READS_FROM_MEMORY);
+    let asked = report
+        .telemetry
+        .counter(aide_telemetry::names::REMOTE_READS_ASKED);
+    assert!(
+        from_memory >= FROM_MEMORY && asked >= ASKED,
+        "{from_memory} remote reads from memory, {asked} asked; {} + {} calls",
+        report.surrogate_requests_served,
+        report.client_requests_served
+    );
+    // What was asked went over the wire, with everything else that did.
+    assert!(ASKED < report.surrogate_requests_served + report.client_requests_served);
 }
 
 #[test]

@@ -36,6 +36,7 @@ use std::time::{Duration, Instant};
 
 use aide_graph::CommParams;
 use aide_trace::{names as span_names, SpanContext};
+use aide_vm::SlotWrites;
 use parking_lot::Mutex;
 
 use crate::link::{FrameSink, LinkError, NetClock, Session};
@@ -43,7 +44,7 @@ use crate::mux::{CarrierReader, Turn};
 use crate::reftable::{ExportTable, ImportTable};
 use crate::responder::{Responder, Served};
 use crate::transport::BackendKind;
-use crate::wire::{Frame, Message, Reply, Request, WireError};
+use crate::wire::{Frame, LeaseStamp, Message, Reply, Request, WireError};
 
 /// A unit of work queued to the serving pool: the dedup key, the request,
 /// and the caller's wire trace context (the parent of the serve span).
@@ -386,11 +387,12 @@ const DEDUP_CAPACITY: usize = 1024;
 /// Reference-table handles wired into an endpoint by
 /// [`Endpoint::attach_gc`] so lease maintenance piggybacks on ordinary
 /// traffic: every outgoing frame is stamped with the import table's
-/// advertised lease epoch, and every stamped incoming frame renews the
-/// export table's current-epoch leases.
+/// advertised lease epoch and the local VM's slot-write count, and every
+/// stamped incoming frame renews the export table's current-epoch leases.
 struct GcHooks {
     exports: Arc<ExportTable>,
     imports: Arc<ImportTable>,
+    writes: Arc<SlotWrites>,
 }
 
 /// xorshift64 step returning a uniform f64 in [0, 1) — the same generator
@@ -472,6 +474,12 @@ struct Shared {
     bad_frames: AtomicU64,
     /// Written once, by [`Endpoint::attach_gc`]; read on every frame.
     gc: OnceLock<GcHooks>,
+    /// One more than the highest slot-write count a frame of the peer has
+    /// carried; 0 until one carries any. Kept here and not with the
+    /// reference tables because those outlive a session under failover: an
+    /// endpoint has one peer VM for life, so the count only ever rises, and
+    /// a straggler of a retired session cannot speak for its successor.
+    peer_writes: AtomicU64,
     metrics: RpcMetrics,
 }
 
@@ -480,9 +488,12 @@ impl Shared {
         self.pending.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The lease epoch to stamp on outgoing frames, when GC is attached.
-    fn lease_stamp(&self) -> Option<u64> {
-        self.gc.get().map(|h| h.imports.advertised_epoch())
+    /// The stamp for an outgoing frame, read now, when GC is attached.
+    fn lease_stamp(&self) -> Option<LeaseStamp> {
+        self.gc.get().map(|h| LeaseStamp {
+            epoch: h.imports.advertised_epoch(),
+            writes: h.writes.get(),
+        })
     }
 
     /// Registers a caller for `seq`.
@@ -716,12 +727,20 @@ impl FrameSink for Shared {
             self.metrics.bad_frames.inc();
             return false;
         };
-        if let Some(epoch) = header.lease_epoch {
+        if let Some(stamp) = header.lease {
             // The peer's lease stamp rides every frame: renewing here,
             // before dispatch, is what makes ordinary traffic keep this
             // side's exports alive with no dedicated GC messages.
             if let Some(hooks) = self.gc.get() {
-                hooks.exports.renew(epoch);
+                hooks.exports.renew(stamp.epoch);
+            }
+            // Likewise before the request is served or the caller sees its
+            // reply: whatever this side does next, it knows the peer wrote.
+            // Monotone, so a delayed duplicate or a replayed reply, whose
+            // count is an older one, changes nothing.
+            let seen = stamp.writes.saturating_add(1);
+            if self.peer_writes.load(Ordering::SeqCst) < seen {
+                self.peer_writes.fetch_max(seen, Ordering::SeqCst);
             }
         }
         match message {
@@ -825,6 +844,7 @@ impl Endpoint {
             late_replies: AtomicU64::new(0),
             bad_frames: AtomicU64::new(0),
             gc: OnceLock::new(),
+            peer_writes: AtomicU64::new(0),
             metrics: RpcMetrics::resolve(session.backend()),
         });
 
@@ -846,13 +866,34 @@ impl Endpoint {
     /// Wires this endpoint into distributed GC lease maintenance.
     ///
     /// After this call every outgoing frame (request or reply) is stamped
-    /// with `imports`' advertised lease epoch, and every stamped incoming
-    /// frame renews `exports`' current-epoch leases — so steady-state RPC
-    /// traffic keeps cross-VM references alive with no extra messages. An
-    /// endpoint is wired to one pair of tables for life: a second call
+    /// with `imports`' advertised lease epoch and with `writes`, the local
+    /// VM's slot-write count, and every stamped incoming frame renews
+    /// `exports`' current-epoch leases — so steady-state RPC traffic keeps
+    /// cross-VM references alive with no extra messages. An endpoint is
+    /// wired to one pair of tables and one VM for life: a second call
     /// changes nothing.
-    pub fn attach_gc(&self, exports: Arc<ExportTable>, imports: Arc<ImportTable>) {
-        let _ = self.shared.gc.set(GcHooks { exports, imports });
+    pub fn attach_gc(
+        &self,
+        exports: Arc<ExportTable>,
+        imports: Arc<ImportTable>,
+        writes: Arc<SlotWrites>,
+    ) {
+        let _ = self.shared.gc.set(GcHooks {
+            exports,
+            imports,
+            writes,
+        });
+    }
+
+    /// The highest slot-write count the peer has put on a frame so far;
+    /// `None` while it has sent none (it has no tables attached). Whatever
+    /// this side read of the peer's slots while the count stood where it
+    /// stands now is still what they hold.
+    pub fn peer_writes(&self) -> Option<u64> {
+        self.shared
+            .peer_writes
+            .load(Ordering::SeqCst)
+            .checked_sub(1)
     }
 
     /// Number of requests this endpoint has served for its peer.
@@ -1629,8 +1670,12 @@ mod tests {
         let s_exports = Arc::new(ExportTable::new());
         let s_imports = Arc::new(ImportTable::new());
         s_exports.set_ttl_ms(100);
-        surrogate.attach_gc(s_exports.clone(), s_imports);
-        client.attach_gc(Arc::new(ExportTable::new()), Arc::new(ImportTable::new()));
+        surrogate.attach_gc(s_exports.clone(), s_imports, Arc::default());
+        client.attach_gc(
+            Arc::new(ExportTable::new()),
+            Arc::new(ImportTable::new()),
+            Arc::default(),
+        );
 
         let id = ObjectId::surrogate(2);
         s_exports.export(id);
@@ -1652,6 +1697,57 @@ mod tests {
         // Silence past the TTL expires it.
         s_exports.clock().advance_ms(200);
         assert_eq!(s_exports.sweep_expired(), vec![id]);
+        client.shutdown();
+        surrogate.shutdown();
+    }
+
+    #[test]
+    fn the_peers_write_count_rides_every_frame_and_only_rises() {
+        use aide_vm::{MethodDef, ObjectRecord, ProgramBuilder, Vm, VmConfig};
+        let (client, surrogate) = pair();
+        // A surrogate VM that has written two slots.
+        let mut b = ProgramBuilder::new();
+        let main = b.add_class("Main");
+        b.add_method(main, MethodDef::new("main", vec![]));
+        let program = Arc::new(b.build(main, aide_vm::MethodId(0), 0, 0).unwrap());
+        let mut vm = Vm::new(program, VmConfig::surrogate(1 << 20));
+        let id = ObjectId::surrogate(2);
+        vm.heap_mut()
+            .insert(id, ObjectRecord::new(ClassId(0), 0, 1))
+            .unwrap();
+        vm.put_slot_on(id, 0, Some(id)).unwrap();
+        vm.put_slot_on(id, 0, None).unwrap();
+        surrogate.attach_gc(
+            Arc::new(ExportTable::new()),
+            Arc::new(ImportTable::new()),
+            vm.slot_writes().clone(),
+        );
+
+        assert_eq!(client.peer_writes(), None, "nothing heard yet");
+        let read = Request::GetSlot {
+            target: id,
+            slot: 0,
+        };
+        client.call(read.clone()).unwrap();
+        assert_eq!(client.peer_writes(), Some(2), "the reply carried it");
+        // The client attached nothing: its requests carry no count.
+        assert_eq!(surrogate.peer_writes(), None);
+
+        vm.put_slot_on(id, 0, Some(id)).unwrap();
+        client.call(read).unwrap();
+        assert_eq!(client.peer_writes(), Some(3));
+        // A straggler — a chaos duplicate, a replayed reply — with the
+        // older count: absorbed, and nothing moves.
+        let late = Message::Reply {
+            seq: u64::MAX,
+            result: Ok(Reply::Unit),
+        }
+        .encode_stamped(Some(LeaseStamp {
+            epoch: 0,
+            writes: 2,
+        }));
+        client.shared.deliver(late);
+        assert_eq!(client.peer_writes(), Some(3));
         client.shutdown();
         surrogate.shutdown();
     }

@@ -6,7 +6,7 @@
 //! JVM" (§3.2). This crate is that layer:
 //!
 //! * [`Message`] / [`Request`] / [`Reply`] — the RPC protocol: one frame
-//!   format (version 4, a [`FrameHeader`] then the message) behind one
+//!   format (version 5, a [`FrameHeader`] then the message) behind one
 //!   hand-rolled length-safe binary codec, [`Message::encode_stamped`] /
 //!   [`Message::decode_framed`], encoding in place into buffers leased
 //!   from the [`FramePool`].
@@ -94,5 +94,6 @@ pub use transport::{
     channel_transport, Acceptor, BackendKind, ChannelAcceptor, ChannelTransport, Transport,
 };
 pub use wire::{
-    crc32, Frame, FrameHeader, FramePool, Message, Reply, Request, WireError, PROTOCOL_VERSION,
+    crc32, Frame, FrameHeader, FramePool, LeaseStamp, Message, Reply, Request, WireError,
+    PROTOCOL_VERSION,
 };

@@ -13,7 +13,7 @@ use aide_trace::{names as span_names, SpanContext};
 use parking_lot::Mutex;
 
 use crate::endpoint::Dispatcher;
-use crate::wire::{Frame, Message, Request};
+use crate::wire::{Frame, LeaseStamp, Message, Request};
 
 /// At-most-once execution cache, keyed by `(client id, sequence number)`.
 ///
@@ -125,8 +125,9 @@ impl Responder {
 
     /// Serves request `body`, which `client` sent as its `seq`-th, through
     /// `dispatcher`. `trace` is the caller's wire context (the parent of
-    /// the serve span); `lease_stamp` is read once the dispatcher has run
-    /// and rides the reply frame's header.
+    /// the serve span); `lease_stamp` is read once the dispatcher has run —
+    /// so its write count covers what the request wrote — and rides the
+    /// reply frame's header.
     pub fn respond(
         &self,
         dispatcher: &dyn Dispatcher,
@@ -134,7 +135,7 @@ impl Responder {
         client: u64,
         seq: u64,
         body: Request,
-        lease_stamp: impl FnOnce() -> Option<u64>,
+        lease_stamp: impl FnOnce() -> Option<LeaseStamp>,
     ) -> Served {
         match self.serve(dispatcher, trace, (client, seq), body, lease_stamp, false) {
             Ok(served) => served,
@@ -154,7 +155,7 @@ impl Responder {
         client: u64,
         seq: u64,
         body: Request,
-        lease_stamp: impl FnOnce() -> Option<u64>,
+        lease_stamp: impl FnOnce() -> Option<LeaseStamp>,
     ) -> Result<Served, Request> {
         self.serve(dispatcher, trace, (client, seq), body, lease_stamp, true)
     }
@@ -175,7 +176,7 @@ impl Responder {
         trace: Option<SpanContext>,
         key: (u64, u64),
         body: Request,
-        lease_stamp: impl FnOnce() -> Option<u64>,
+        lease_stamp: impl FnOnce() -> Option<LeaseStamp>,
         now: bool,
     ) -> Result<Served, Request> {
         let kind = body.kind();
@@ -247,6 +248,10 @@ mod tests {
         fn dispatch(&self, _request: Request) -> Result<Reply, String> {
             let run = self.runs.fetch_add(1, Ordering::SeqCst) + 1;
             Ok(Reply::Text(format!("run {run}")))
+        }
+
+        fn dispatch_now(&self, request: Request) -> Result<Result<Reply, String>, Request> {
+            Ok(self.dispatch(request))
         }
     }
 
@@ -389,14 +394,35 @@ mod tests {
     fn the_reply_carries_the_lease_stamp_read_after_dispatch() {
         let responder = Responder::new(8);
         let dispatcher = Counting::default();
-        let stamped = executed(responder.respond(&dispatcher, None, 7, 1, write(0), || {
-            // The dispatcher has run by the time the stamp is read.
-            Some(dispatcher.runs.load(Ordering::SeqCst) + 40)
-        }));
+        // The dispatcher has run by the time the stamp is read: a write the
+        // request made is in the count its own reply carries.
+        let stamp = || {
+            let runs = dispatcher.runs.load(Ordering::SeqCst);
+            Some(LeaseStamp {
+                epoch: runs + 40,
+                writes: runs + 100,
+            })
+        };
+        let stamped = executed(responder.respond(&dispatcher, None, 7, 1, write(0), stamp));
         let (header, _) = Message::decode_framed(&stamped).unwrap();
-        assert_eq!(header.lease_epoch, Some(41));
-        let plain = executed(serve(&responder, &dispatcher, 2, write(0)));
+        let first = LeaseStamp {
+            epoch: 41,
+            writes: 101,
+        };
+        assert_eq!(header.lease, Some(first));
+        // Served where it was read: the same order.
+        let served = responder
+            .respond_now(&dispatcher, None, 7, 2, write(0), stamp)
+            .expect("taken");
+        let (header, _) = Message::decode_framed(&executed(served)).unwrap();
+        assert_eq!(header.lease.map(|stamp| stamp.writes), Some(102));
+        // A replay is the first reply byte for byte, old count included.
+        match responder.respond(&dispatcher, None, 7, 1, write(0), stamp) {
+            Served::Replayed(again) => assert_eq!(again, stamped),
+            other => panic!("expected a replay, got {other:?}"),
+        }
+        let plain = executed(serve(&responder, &dispatcher, 3, write(0)));
         let (header, _) = Message::decode_framed(&plain).unwrap();
-        assert_eq!(header.lease_epoch, None);
+        assert_eq!(header.lease, None);
     }
 }

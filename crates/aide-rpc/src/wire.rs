@@ -17,16 +17,18 @@
 //! [`WireError::BadChecksum`] — never to a panic or a wrong message — so
 //! the retry layer above can treat corruption exactly like loss.
 //!
-//! There is one frame format, version 4:
-//! `[version][crc32 LE][ctx flag][ctx?][lease flag][epoch?][body]`. The
-//! checksummed payload opens with the [`FrameHeader`]: a *trace context* —
-//! a presence flag plus, when the encoding thread has an active span, its
-//! `(trace_id, span_id)` — so every RPC carries its causal parent across
-//! the wire and the serving side can parent its service span under the
-//! caller's span; then a *lease stamp* — a presence flag plus, when the
-//! sender participates in distributed GC, its current lease epoch — so
-//! every ordinary frame doubles as a lease renewal for the receiver's
-//! export table. A frame announcing any other version is
+//! There is one frame format, version 5:
+//! `[version][crc32 LE][ctx flag][ctx?][lease flag][epoch, writes?][body]`.
+//! The checksummed payload opens with the [`FrameHeader`]: a *trace
+//! context* — a presence flag plus, when the encoding thread has an active
+//! span, its `(trace_id, span_id)` — so every RPC carries its causal parent
+//! across the wire and the serving side can parent its service span under
+//! the caller's span; then a *lease stamp* — a presence flag plus, when the
+//! sender participates in distributed GC, its [`LeaseStamp`]: its current
+//! lease epoch, so every ordinary frame doubles as a lease renewal for the
+//! receiver's export table, and how many slot writes its VM has made, so
+//! the receiver knows how long what it has read of the sender's objects
+//! stays true. A frame announcing any other version is
 //! [`WireError::BadVersion`].
 //!
 //! There is likewise one encoder and one decoder:
@@ -51,7 +53,7 @@ use aide_vm::{ClassId, MethodId, NativeKind, ObjectId, ObjectRecord};
 /// The protocol version, carried as the first byte of every frame. A
 /// frame announcing any other version is rejected with
 /// [`WireError::BadVersion`].
-pub const PROTOCOL_VERSION: u8 = 4;
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Bytes of framing overhead preceding the message payload: the version
 /// byte plus the little-endian CRC32.
@@ -316,9 +318,22 @@ pub struct FrameHeader {
     /// The span that was active on the encoding thread, so the serving
     /// side can parent its service span under the caller's.
     pub trace: Option<SpanContext>,
-    /// The sender's GC lease epoch, when it participates in distributed
-    /// GC: the receiver renews its export leases from it.
-    pub lease_epoch: Option<u64>,
+    /// The sender's lease stamp, when it participates in distributed GC.
+    pub lease: Option<LeaseStamp>,
+}
+
+/// What a side that participates in distributed GC says about itself on
+/// every frame it sends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LeaseStamp {
+    /// The sender's GC lease epoch: the receiver renews its export leases
+    /// from it.
+    pub epoch: u64,
+    /// Slot writes the sender's VM has made so far
+    /// ([`aide_vm::SlotWrites`]), read when the frame is encoded: the
+    /// receiver may answer reads of the sender's slots from memory until
+    /// this moves.
+    pub writes: u64,
 }
 
 /// A framed protocol message.
@@ -432,25 +447,25 @@ impl Message {
     /// buffer is leased from the process-wide [`FramePool`]: steady-state
     /// encoding performs no heap allocation, and the buffer returns to the
     /// pool when the frame drops. The header carries the encoding thread's
-    /// active span context, and `lease_epoch` — the sender's GC lease
-    /// epoch — when present, so the receiving side renews its export
-    /// leases as a side effect of ordinary traffic.
-    pub fn encode_stamped(&self, lease_epoch: Option<u64>) -> Frame {
+    /// active span context, and `lease` — the sender's [`LeaseStamp`] —
+    /// when present, so the receiving side renews its export leases as a
+    /// side effect of ordinary traffic.
+    pub fn encode_stamped(&self, lease: Option<LeaseStamp>) -> Frame {
         let mut frame = FramePool::global().acquire();
-        self.encode_into(frame.vec_mut(), lease_epoch);
+        self.encode_into(frame.vec_mut(), lease);
         frame
     }
 
     /// Encodes the frame in place into `buf`, replacing its contents and
     /// reusing its capacity; the checksum is patched in once the payload
     /// is written.
-    fn encode_into(&self, buf: &mut Vec<u8>, lease_epoch: Option<u64>) {
+    fn encode_into(&self, buf: &mut Vec<u8>, lease: Option<LeaseStamp>) {
         buf.clear();
         buf.reserve(FRAME_HEADER + 64);
         buf.put_u8(PROTOCOL_VERSION);
         buf.put_u32_le(0); // checksum placeholder, patched below
         encode_trace_context(buf);
-        encode_lease_stamp(buf, lease_epoch);
+        encode_lease_stamp(buf, lease);
         self.encode_body(buf);
         let crc = crc32(&buf[FRAME_HEADER..]);
         buf[1..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
@@ -516,7 +531,7 @@ impl Message {
         }
         let header = FrameHeader {
             trace: decode_trace_context(&mut payload)?,
-            lease_epoch: decode_lease_stamp(&mut payload)?,
+            lease: decode_lease_stamp(&mut payload)?,
         };
         Ok((header, Self::decode_payload(payload)?))
     }
@@ -576,24 +591,28 @@ fn decode_trace_context(buf: &mut &[u8]) -> Result<Option<SpanContext>, WireErro
     }
 }
 
-/// Writes the lease stamp that follows the trace context: a
-/// presence flag plus, when present, the sender's GC lease epoch. Covered
-/// by the frame CRC like everything else in the payload.
-fn encode_lease_stamp<B: BufMut>(buf: &mut B, lease_epoch: Option<u64>) {
-    match lease_epoch {
-        Some(epoch) => {
+/// Writes the lease stamp that follows the trace context: a presence flag
+/// plus, when present, the sender's GC lease epoch and slot-write count.
+/// Covered by the frame CRC like everything else in the payload.
+fn encode_lease_stamp<B: BufMut>(buf: &mut B, lease: Option<LeaseStamp>) {
+    match lease {
+        Some(LeaseStamp { epoch, writes }) => {
             buf.put_u8(1);
             buf.put_u64_le(epoch);
+            buf.put_u64_le(writes);
         }
         None => buf.put_u8(0),
     }
 }
 
 /// Reads the lease stamp, advancing `buf` past it.
-fn decode_lease_stamp(buf: &mut &[u8]) -> Result<Option<u64>, WireError> {
+fn decode_lease_stamp(buf: &mut &[u8]) -> Result<Option<LeaseStamp>, WireError> {
     match get_u8(buf)? {
         0 => Ok(None),
-        1 => Ok(Some(get_u64(buf)?)),
+        1 => Ok(Some(LeaseStamp {
+            epoch: get_u64(buf)?,
+            writes: get_u64(buf)?,
+        })),
         t => Err(WireError::BadTag(t)),
     }
 }
@@ -1590,7 +1609,7 @@ mod tests {
     }
 
     #[test]
-    fn only_version_4_frames_decode() {
+    fn only_version_5_frames_decode() {
         let msg = Message::Request {
             seq: 5,
             client: 2,
@@ -1601,19 +1620,22 @@ mod tests {
         let guard = aide_trace::span("wire.test", "test");
         let header = FrameHeader {
             trace: Some(guard.context()),
-            lease_epoch: Some(7),
+            lease: Some(LeaseStamp {
+                epoch: 7,
+                writes: 11_166,
+            }),
         };
-        let frame = msg.encode_stamped(header.lease_epoch);
+        let frame = msg.encode_stamped(header.lease);
         drop(guard);
-        assert_eq!(frame[0], 4);
+        assert_eq!(frame[0], 5);
         assert_eq!(
-            Message::decode_framed(&frame).expect("v4 decode"),
+            Message::decode_framed(&frame).expect("v5 decode"),
             (header, msg)
         );
-        // The same checksummed payload under any other version — the two
+        // The same checksummed payload under any other version — the three
         // retired ones, a future one, the extremes — is refused by version,
         // not misread.
-        for version in [2u8, 3, 5, 0, 255] {
+        for version in [2u8, 3, 4, 6, 0, 255] {
             let other = seal(version, &frame[FRAME_HEADER..]);
             assert_eq!(
                 Message::decode_framed(&other).unwrap_err(),
@@ -1629,16 +1651,20 @@ mod tests {
             client: 5,
             body: Request::Ping,
         };
-        let stamped = msg.encode_stamped(Some(7));
+        let stamp = LeaseStamp {
+            epoch: 7,
+            writes: 69,
+        };
+        let stamped = msg.encode_stamped(Some(stamp));
         let (header, decoded) = Message::decode_framed(&stamped).expect("decode stamped");
         assert_eq!(decoded, msg);
-        assert_eq!(header.lease_epoch, Some(7));
-        // Unstamped frames decode with no lease, and the stamp costs
-        // exactly the epoch bytes.
+        assert_eq!(header.lease, Some(stamp));
+        // Unstamped frames decode with no lease — no epoch, no count — and
+        // the stamp costs exactly the bytes of the two.
         let bare = msg.encode();
         let (header, _) = Message::decode_framed(&bare).expect("decode bare");
-        assert_eq!(header.lease_epoch, None);
-        assert_eq!(stamped.len(), bare.len() + 8);
+        assert_eq!(header.lease, None);
+        assert_eq!(stamped.len(), bare.len() + 16);
     }
 
     #[test]
@@ -1770,7 +1796,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_writes_the_v4_layout_byte_for_byte() {
+    fn encode_writes_the_v5_layout_byte_for_byte() {
         let target = ObjectId::surrogate(4);
         let msg = Message::Request {
             seq: 9,
@@ -1790,8 +1816,18 @@ mod tests {
         payload.extend_from_slice(&128u32.to_le_bytes());
         payload.push(0);
         let frame = msg.encode();
-        assert_eq!(frame, seal(4, &payload));
+        assert_eq!(frame, seal(5, &payload));
         assert_eq!(Message::decode(&frame).expect("decode"), msg);
+        // Stamped: the flag, then the epoch, then the write count.
+        let stamp = LeaseStamp {
+            epoch: 2,
+            writes: 72,
+        };
+        payload.splice(
+            1..2,
+            [&[1u8][..], &2u64.to_le_bytes(), &72u64.to_le_bytes()].concat(),
+        );
+        assert_eq!(msg.encode_stamped(Some(stamp)), seal(5, &payload));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! frame — decode it, renew leases from its stamp — and then serves the
 //! request through the same [`aide_rpc::Responder`] the endpoint's workers
 //! run (at-most-once dedup with memoized reply frames, the serve span,
-//! the reply stamped with the session's advertised import epoch), one
-//! responder per session.
+//! the reply stamped with the session's advertised import epoch and its
+//! VM's slot-write count), one responder per session.
 //!
 //! Admission control bounds the pool: once `max_sessions` sessions are
 //! live, new sessions are answered with [`Reply::Busy`] and closed instead
@@ -36,8 +36,10 @@ use std::thread::JoinHandle;
 
 use aide_core::{RefTables, VmDispatcher};
 use aide_rpc::{
-    BusEvent, BusSink, Dispatcher, Frame, Message, MuxSender, Reply, Request, Responder, Served,
+    BusEvent, BusSink, Dispatcher, Frame, LeaseStamp, Message, MuxSender, Reply, Request,
+    Responder, Served,
 };
+use aide_vm::SlotWrites;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 
@@ -92,6 +94,9 @@ pub type SessionFactory = dyn Fn(aide_rpc::ConnKiller) -> SessionParts + Send + 
 /// holding its at-most-once cache, and the way back to its client.
 struct ShardSession {
     parts: SessionParts,
+    /// The session VM's slot-write count, stamped on every reply beside
+    /// the lease epoch.
+    writes: Arc<SlotWrites>,
     responder: Responder,
     /// The carrier's outbound handle, looked up once at admission. `None`
     /// if the carrier was already torn down by then: the session hears
@@ -447,10 +452,12 @@ fn admit(
     let parts = (shared.factory)(killer);
     shared.gc_sessions.lock().insert(key, parts.gc.clone());
     shared.admitted.fetch_add(1, Ordering::SeqCst);
+    let writes = parts.gc.machine().vm().lock().slot_writes().clone();
     sessions.insert(
         key,
         ShardSession {
             parts,
+            writes,
             responder: Responder::new(shared.config.dedup_capacity),
             sender,
         },
@@ -491,10 +498,11 @@ fn serve(
     let Ok((header, message)) = Message::decode_framed(frame) else {
         return false; // corrupt frame: the client's retry will re-send
     };
-    if let Some(epoch) = header.lease_epoch {
+    if let Some(stamp) = header.lease {
         // Stamped traffic renews this session's export leases, exactly as
-        // the endpoint's sink does.
-        sess.parts.tables.exports.renew(epoch);
+        // the endpoint's sink does. (The client's write count goes unread:
+        // a session's VM makes no calls, so it remembers nothing.)
+        sess.parts.tables.exports.renew(stamp.epoch);
     }
     let Message::Request { seq, client, body } = message else {
         return false; // a stray reply has no business here
@@ -506,11 +514,14 @@ fn serve(
         session: sess.parts.dispatcher.as_ref(),
         shared,
     };
-    let imports = &sess.parts.tables.imports;
+    let (imports, writes) = (&sess.parts.tables.imports, &sess.writes);
     let served = sess
         .responder
         .respond(&dispatcher, header.trace, client, seq, body, || {
-            Some(imports.advertised_epoch())
+            Some(LeaseStamp {
+                epoch: imports.advertised_epoch(),
+                writes: writes.get(),
+            })
         });
     if matches!(served, Served::Executed(_)) {
         shared.served.fetch_add(1, Ordering::Relaxed);

@@ -211,6 +211,12 @@ pub mod names {
     /// Wall-clock duration of each failover, in microseconds.
     pub const FAILOVER_DURATION_MICROS: &str = "aide_failover_duration_micros";
 
+    /// Reads of a peer's object — a reference slot, an object's class —
+    /// the remote-access adapter answered from what it had read before.
+    pub const REMOTE_READS_FROM_MEMORY: &str = "aide_remote_reads_from_memory_total";
+    /// Reads of a peer's object the adapter had to ask the peer for.
+    pub const REMOTE_READS_ASKED: &str = "aide_remote_reads_asked_total";
+
     /// Sessions accepted by a surrogate daemon.
     pub const SURROGATE_SESSIONS: &str = "aide_surrogate_sessions_total";
     /// Surrogate sessions currently open.

@@ -73,7 +73,8 @@ pub use hooks::{
 };
 pub use ids::{ClassId, MethodId, ObjectId, Reg};
 pub use machine::{
-    CostModel, ExecMode, ExternalRootAudit, Machine, RemoteAccess, RunSummary, Vm, VmConfig, VmKind,
+    CostModel, ExecMode, ExternalRootAudit, Machine, RemoteAccess, RunSummary, SlotWrites, Vm,
+    VmConfig, VmKind,
 };
 pub use natives::{native_requires_client, NativeKind};
 pub use program::{ClassDef, EntryPoint, MethodDef, Op, Program, ProgramBuilder};

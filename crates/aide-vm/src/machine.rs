@@ -26,6 +26,7 @@
 //!   identical [`RunSummary`]s and hook event streams.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
@@ -343,6 +344,22 @@ fn vm_metrics() -> &'static (
     })
 }
 
+/// How many reference-slot writes a VM has made, over its lifetime. Only
+/// [`write_slot`] advances it, always under the VM lock, so the advance is a
+/// plain load and store; anyone may read it without the lock — a peer that
+/// remembers what it read of this VM's objects is told this number with
+/// every frame, and forgets when it has moved.
+#[derive(Debug, Default)]
+pub struct SlotWrites(AtomicU64);
+
+impl SlotWrites {
+    /// The count so far. Pairs with the `Release` store in [`write_slot`]:
+    /// whoever reads a count has the writes it counts behind it.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Acquire)
+    }
+}
+
 /// The mutable state of one virtual machine.
 #[derive(Debug)]
 pub struct Vm {
@@ -375,6 +392,7 @@ pub struct Vm {
     /// flat compiler inserts are not counted, so both interpreters agree.
     ops_executed: u64,
     statics_accesses: u64,
+    slot_writes: Arc<SlotWrites>,
 }
 
 impl Vm {
@@ -400,7 +418,14 @@ impl Vm {
             hook_seconds: 0.0,
             ops_executed: 0,
             statics_accesses: 0,
+            slot_writes: Arc::default(),
         }
+    }
+
+    /// This VM's count of slot writes, for whoever stamps it on the frames
+    /// the VM's side sends.
+    pub fn slot_writes(&self) -> &Arc<SlotWrites> {
+        &self.slot_writes
     }
 
     /// The VM's configuration.
@@ -515,9 +540,7 @@ impl Vm {
         value: Option<ObjectId>,
     ) -> VmResult<()> {
         let rec = self.heap.get_mut(target)?;
-        let cell = slot_mut(rec, target, slot)?;
-        *cell = value;
-        Ok(())
+        write_slot(&self.slot_writes, rec, target, slot, value)
     }
 
     /// Serves a static-data access on behalf of a peer.
@@ -1390,9 +1413,9 @@ impl Machine {
                     })?;
                     let value = self.read_reg(frame_id, *src)?;
                     if self.is_local(me) {
-                        let mut vm = self.vm.lock();
+                        let vm = &mut *self.vm.lock();
                         let rec = vm.heap.get_mut(me)?;
-                        *slot_mut(rec, me, *slot)? = value;
+                        write_slot(&vm.slot_writes, rec, me, *slot, value)?;
                     } else {
                         self.record_interaction(
                             class,
@@ -1439,9 +1462,9 @@ impl Machine {
                         let remote = self.remote().ok_or(VmError::DanglingReference(target))?;
                         remote.put_slot(target, *slot, value)?;
                     } else {
-                        let mut vm = self.vm.lock();
+                        let vm = &mut *self.vm.lock();
                         let rec = vm.heap.get_mut(target)?;
-                        *slot_mut(rec, target, *slot)? = value;
+                        write_slot(&vm.slot_writes, rec, target, *slot, value)?;
                     }
                     if callee != class || remote_access {
                         self.record_interaction(
@@ -1843,6 +1866,7 @@ fn flat_burst(
         hook_seconds,
         ops_executed,
         statics_accesses,
+        slot_writes,
         ..
     } = vm;
     let speed = config.speed_factor;
@@ -2151,7 +2175,7 @@ fn flat_burst(
                 let value = reg_get(&state.values, f.base, src)?;
                 match heap.get_mut(me) {
                     Ok(rec) => {
-                        *slot_mut(rec, me, slot)? = value;
+                        write_slot(slot_writes, rec, me, slot, value)?;
                         f.ip += 1;
                     }
                     Err(_) => {
@@ -2214,7 +2238,7 @@ fn flat_burst(
                     let value = reg_get(&state.values, f.base, src)?;
                     let rec = heap.get_mut(target).expect("contains() checked");
                     let callee = rec.class;
-                    *slot_mut(rec, target, slot)? = value;
+                    write_slot(slot_writes, rec, target, slot, value)?;
                     if callee != f.class {
                         pending.push(PendingEvent::Interaction(Interaction {
                             caller: f.class,
@@ -2358,13 +2382,26 @@ fn slot_ref(rec: &ObjectRecord, id: ObjectId, slot: u16) -> VmResult<&Option<Obj
     })
 }
 
-fn slot_mut(rec: &mut ObjectRecord, id: ObjectId, slot: u16) -> VmResult<&mut Option<ObjectId>> {
+/// Writes a reference slot: the one routine that does, for the mutator and
+/// for a peer alike, because it is also where `writes` advances. The caller
+/// holds the VM lock (it has `rec`), so nobody else is advancing it.
+#[inline]
+fn write_slot(
+    writes: &SlotWrites,
+    rec: &mut ObjectRecord,
+    id: ObjectId,
+    slot: u16,
+    value: Option<ObjectId>,
+) -> VmResult<()> {
     let slots = rec.slots.len() as u16;
-    rec.slots
+    *rec.slots
         .get_mut(slot as usize)
         .ok_or(VmError::SlotOutOfRange {
             object: id,
             slot,
             slots,
-        })
+        })? = value;
+    let so_far = writes.0.load(Ordering::Relaxed);
+    writes.0.store(so_far + 1, Ordering::Release);
+    Ok(())
 }

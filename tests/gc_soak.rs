@@ -87,7 +87,7 @@ fn run_seed(seed: u64) {
             dispatcher.clone(),
             soak_endpoint_config(),
         );
-        tables.attach_to(&endpoint);
+        tables.attach_to(&endpoint, &machine);
         Side {
             machine,
             tables,
