@@ -110,10 +110,14 @@ struct Remembered {
     /// about its writes, and then nothing is remembered.
     under: Option<Standing>,
     slots: HashMap<(ObjectId, u16), Option<ObjectId>>,
-    /// Kept for good: ids are never reused and an object's class never
-    /// changes.
+    /// Kept across slot flushes: ids are never reused and an object's class
+    /// never changes. Bounded by the imports held, not by the objects ever
+    /// asked about: see [`Remembered::remember_class`].
     classes: HashMap<ObjectId, ClassId>,
 }
+
+/// The class map is not pruned below this many entries.
+const CLASSES_FLOOR: usize = 64;
 
 impl Remembered {
     /// Drops the slots unless they were read under `now`; whether slots
@@ -125,6 +129,17 @@ impl Remembered {
         }
         now.is_some()
     }
+
+    /// Remembers `target`'s class. When that makes the map twice the size of
+    /// `imports`, the classes of ids no longer imported — released by the
+    /// collector, or home again — go: each prune leaves at most
+    /// `imports.len()` entries, so it is paid for by as many inserts.
+    fn remember_class(&mut self, target: ObjectId, class: ClassId, imports: &ImportTable) {
+        self.classes.insert(target, class);
+        if self.classes.len() >= (2 * imports.len()).max(CLASSES_FLOOR) {
+            self.classes.retain(|&id, _| imports.contains(id));
+        }
+    }
 }
 
 /// The interpreter's window onto the peer VM: every remote-object touch
@@ -135,7 +150,10 @@ pub struct RemoteAdapter {
     surrogate: Surrogate,
     machine: Machine,
     tables: Arc<RefTables>,
-    /// Locked after the VM, never across a call.
+    /// Lock order: the failover core's `active` lease, then the VM, then
+    /// this. Recovery holds `active` while it reinstates under the VM, so
+    /// nothing that may take `active` ([`Surrogate::peer_writes`],
+    /// [`Surrogate::call`]) runs under the VM guard or this one.
     remembered: Mutex<Remembered>,
     /// The process-wide counters of remote reads, resolved once.
     reads_from_memory: Arc<aide_telemetry::Counter>,
@@ -175,11 +193,12 @@ impl RemoteAdapter {
         self.tables.import_if_remote(&self.machine.vm().lock(), ids);
     }
 
-    /// What a slot read now is read under; `None` if the peer does not say
-    /// how often it wrote (or there is no peer).
-    fn standing(&self, vm: &Vm) -> Option<Standing> {
+    /// What a slot read now is read under, given the peer's count as
+    /// [`Surrogate::peer_writes`] gave it *before* `vm` was locked; `None`
+    /// if the peer does not say how often it wrote (or there is no peer).
+    fn standing(&self, peer_writes: Option<u64>, vm: &Vm) -> Option<Standing> {
         Some(Standing {
-            peer_writes: self.surrogate.peer_writes()?,
+            peer_writes: peer_writes?,
             locality: vm.heap().locality_epoch(),
             lease: self.tables.imports.advertised_epoch(),
         })
@@ -204,7 +223,8 @@ impl RemoteAdapter {
     /// The slots [`get_slot`](RemoteAccess::get_slot) holds an answer to
     /// right now, each with that answer — for tests and diagnostics.
     pub fn remembered_slots(&self) -> Vec<(ObjectId, u16, Option<ObjectId>)> {
-        let now = self.standing(&self.machine.vm().lock());
+        let peer_writes = self.surrogate.peer_writes();
+        let now = self.standing(peer_writes, &self.machine.vm().lock());
         let mut remembered = self.remembered.lock();
         remembered.settle(now);
         remembered
@@ -261,10 +281,11 @@ impl RemoteAccess for RemoteAdapter {
     }
 
     fn get_slot(&self, target: ObjectId, slot: u16) -> VmResult<Option<ObjectId>> {
+        let peer_writes = self.surrogate.peer_writes();
         let before = {
             let vm = self.machine.vm().lock();
             self.tables.import_if_remote(&vm, &[target]);
-            let now = self.standing(&vm);
+            let now = self.standing(peer_writes, &vm);
             let mut remembered = self.remembered.lock();
             remembered.settle(now);
             if let Some(&value) = remembered.slots.get(&(target, slot)) {
@@ -282,13 +303,14 @@ impl RemoteAccess for RemoteAdapter {
         self.reads_asked.inc();
         match self.call(Request::GetSlot { target, slot })? {
             Some(Reply::Slot(value)) => {
+                // The reply's own count is in by now.
+                let peer_writes = self.surrogate.peer_writes();
                 let vm = self.machine.vm().lock();
                 if let Some(v) = value {
                     self.tables.import_if_remote(&vm, &[v]);
                 }
-                // Remembered if nothing moved while the question was out
-                // (the reply's own count is in by now).
-                let now = self.standing(&vm);
+                // Remembered if nothing moved while the question was out.
+                let now = self.standing(peer_writes, &vm);
                 if now == before {
                     let mut remembered = self.remembered.lock();
                     if remembered.settle(now) {
@@ -305,13 +327,14 @@ impl RemoteAccess for RemoteAdapter {
     }
 
     fn put_slot(&self, target: ObjectId, slot: u16, value: Option<ObjectId>) -> VmResult<()> {
+        let peer_writes = self.surrogate.peer_writes();
         let before = {
             let mut vm = self.machine.vm().lock();
             if let Some(v) = value {
                 self.tables.export_if_local(&mut vm, v);
             }
             self.tables.import_if_remote(&vm, &[target]);
-            self.standing(&vm)
+            self.standing(peer_writes, &vm)
         };
         match self.call(Request::PutSlot {
             target,
@@ -328,7 +351,8 @@ impl RemoteAccess for RemoteAdapter {
                         peer_writes: before.peer_writes + 1,
                         ..before
                     };
-                    let now = self.standing(&self.machine.vm().lock());
+                    let peer_writes = self.surrogate.peer_writes();
+                    let now = self.standing(peer_writes, &self.machine.vm().lock());
                     let mut remembered = self.remembered.lock();
                     if remembered.under == Some(before) && now == Some(after) {
                         remembered.under = now;
@@ -394,7 +418,9 @@ impl RemoteAccess for RemoteAdapter {
         match self.call(Request::ClassOf { target })? {
             Some(Reply::Class(class)) => {
                 if self.surrogate.peer_writes().is_some() {
-                    self.remembered.lock().classes.insert(target, class);
+                    self.remembered
+                        .lock()
+                        .remember_class(target, class, &self.tables.imports);
                 }
                 Ok(class)
             }
@@ -846,6 +872,33 @@ mod tests {
             adapter.class_of(ObjectId::surrogate(404)).unwrap_err(),
             VmError::RemoteFailure(_)
         ));
+    }
+
+    #[test]
+    fn the_classes_remembered_are_bounded_by_the_imports_held() {
+        let imports = ImportTable::new();
+        let held: Vec<ObjectId> = (0..10).map(ObjectId::surrogate).collect();
+        let mut remembered = Remembered::default();
+        for &id in &held {
+            imports.import(id);
+            remembered.remember_class(id, ClassId(1), &imports);
+        }
+        // Objects asked about once and let go again, far more than are held.
+        for i in 1_000..11_000 {
+            let passing = ObjectId::surrogate(i);
+            imports.import(passing);
+            remembered.remember_class(passing, ClassId(1), &imports);
+            imports.remove(passing);
+            assert!(remembered.classes.len() < CLASSES_FLOOR.max(2 * imports.len()));
+        }
+        assert!(held.iter().all(|id| remembered.classes.contains_key(id)));
+        // What stays imported stays remembered, however much of it there is.
+        for i in 20_000..20_500 {
+            imports.import(ObjectId::surrogate(i));
+            remembered.remember_class(ObjectId::surrogate(i), ClassId(1), &imports);
+        }
+        assert!((20_000..20_500).all(|i| remembered.classes.contains_key(&ObjectId::surrogate(i))));
+        assert!(remembered.classes.len() < 2 * imports.len());
     }
 
     #[test]

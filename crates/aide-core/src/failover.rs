@@ -1336,11 +1336,21 @@ mod tests {
         }
     }
 
-    /// A managed surrogate that dies takes what was read of it along: when
-    /// `call` answers `None`, the adapter remembers nothing — no slot, no
-    /// class — and the touch is served from the heap the objects came home to.
-    #[test]
-    fn managed_failover_leaves_nothing_remembered() {
+    /// A client and a surrogate machine over real endpoints, the surrogate
+    /// the failover core's active lease, and on it one offloaded Doc
+    /// (`remote`, shadowed in the ledger) with a client Doc (`local`) in its
+    /// slot 0.
+    struct ManagedRig {
+        client: Machine,
+        core: Arc<FailoverCore>,
+        adapter: Arc<crate::adapter::RemoteAdapter>,
+        client_ep: Arc<Endpoint>,
+        surrogate_ep: Arc<Endpoint>,
+        remote: ObjectId,
+        local: ObjectId,
+    }
+
+    fn managed_rig() -> ManagedRig {
         use crate::adapter::{RemoteAdapter, VmDispatcher};
 
         let client = test_machine();
@@ -1385,14 +1395,12 @@ mod tests {
             name: "s1".into(),
             endpoint: client_ep.clone(),
         });
-        let adapter = RemoteAdapter::over(
+        let adapter = Arc::new(RemoteAdapter::over(
             Surrogate::Managed(core.clone()),
             client.clone(),
             tables.clone(),
-        );
+        ));
 
-        // A Doc that was offloaded — the ledger holds its shadow — with a
-        // client Doc in its slot.
         let (remote, local) = (ObjectId::client(5), ObjectId::client(6));
         let mut record = ObjectRecord::new(ClassId(1), 100, 1);
         record.slots[0] = Some(local);
@@ -1410,6 +1418,31 @@ mod tests {
             .unwrap();
         tables.imports.import(remote);
         core.record_shipment(vec![(remote, record)], Vec::new());
+        ManagedRig {
+            client,
+            core,
+            adapter,
+            client_ep,
+            surrogate_ep,
+            remote,
+            local,
+        }
+    }
+
+    /// A managed surrogate that dies takes what was read of it along: when
+    /// `call` answers `None`, the adapter remembers nothing — no slot, no
+    /// class — and the touch is served from the heap the objects came home to.
+    #[test]
+    fn managed_failover_leaves_nothing_remembered() {
+        let ManagedRig {
+            client,
+            core,
+            adapter,
+            client_ep,
+            surrogate_ep,
+            remote,
+            local,
+        } = managed_rig();
 
         // Read twice: the second answer needs no surrogate.
         assert_eq!(adapter.class_of(remote).unwrap(), ClassId(1));
@@ -1430,5 +1463,72 @@ mod tests {
         assert!(adapter.remembers_nothing(), "no slot, no class");
         client_ep.shutdown();
         client_ep.join();
+    }
+
+    /// The heartbeat retires a dead lease (`active`, then the client VM to
+    /// reinstate) while the mutator keeps reading a remembered slot (the
+    /// client VM): neither waits for the other for good, and the reader gets
+    /// the same answer before, during and after — from memory, then from the
+    /// heap the Doc came home to.
+    #[test]
+    fn a_failover_under_remembered_reads_does_not_stall_them() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc;
+
+        for round in 0..8 {
+            let ManagedRig {
+                client,
+                core,
+                adapter,
+                client_ep,
+                surrogate_ep,
+                remote,
+                local,
+            } = managed_rig();
+            // The first reply is what says the surrogate counts its writes.
+            assert_eq!(adapter.class_of(remote).unwrap(), ClassId(1));
+            assert_eq!(adapter.get_slot(remote, 0).unwrap(), Some(local));
+            assert_eq!(adapter.remembered_slots(), vec![(remote, 0, Some(local))]);
+
+            let failed_over = Arc::new(AtomicBool::new(false));
+            let (done, finished) = mpsc::channel();
+            let reader = {
+                let (adapter, failed_over, done) =
+                    (adapter.clone(), failed_over.clone(), done.clone());
+                std::thread::spawn(move || {
+                    let mut after = 0;
+                    while after < 100 {
+                        assert_eq!(adapter.get_slot(remote, 0).unwrap(), Some(local));
+                        assert_eq!(adapter.class_of(remote).unwrap(), ClassId(1));
+                        after += u32::from(failed_over.load(Ordering::SeqCst));
+                    }
+                    done.send(()).unwrap();
+                })
+            };
+            let heartbeat = {
+                let core = core.clone();
+                std::thread::spawn(move || {
+                    surrogate_ep.shutdown();
+                    surrogate_ep.join();
+                    core.heartbeat_tick();
+                    failed_over.store(true, Ordering::SeqCst);
+                    done.send(()).unwrap();
+                })
+            };
+            for _ in 0..2 {
+                finished
+                    .recv_timeout(Duration::from_secs(20))
+                    .unwrap_or_else(|_| {
+                        panic!("round {round}: the reader or the heartbeat never finished")
+                    });
+            }
+            reader.join().unwrap();
+            heartbeat.join().unwrap();
+            assert_eq!(core.report().failovers, 1);
+            assert!(client.vm().lock().heap().contains(remote));
+            assert!(adapter.remembered_slots().is_empty());
+            client_ep.shutdown();
+            client_ep.join();
+        }
     }
 }

@@ -738,10 +738,8 @@ impl FrameSink for Shared {
             // reply: whatever this side does next, it knows the peer wrote.
             // Monotone, so a delayed duplicate or a replayed reply, whose
             // count is an older one, changes nothing.
-            let seen = stamp.writes.saturating_add(1);
-            if self.peer_writes.load(Ordering::SeqCst) < seen {
-                self.peer_writes.fetch_max(seen, Ordering::SeqCst);
-            }
+            self.peer_writes
+                .fetch_max(stamp.writes.saturating_add(1), Ordering::SeqCst);
         }
         match message {
             Message::Request {
