@@ -112,9 +112,9 @@ pub struct PlatformConfig {
     pub cost: CostModel,
     /// Carrier for the RPC link.
     pub transport: TransportKind,
-    /// Incremental-partitioner tuning: candidate evaluation strategy and
-    /// the dirty-region churn threshold. The default (sequential, never
-    /// skip) reproduces the classic evaluate-every-trigger pipeline.
+    /// Incremental-partitioner tuning: the dirty-region churn threshold.
+    /// The default (never skip) reproduces the classic
+    /// evaluate-every-trigger pipeline.
     #[serde(default)]
     pub partitioner: PartitionerConfig,
     /// Optional fault injection on the client↔surrogate sessions: both
@@ -203,11 +203,17 @@ mod tests {
     fn configs_without_a_partitioner_section_still_parse() {
         let c = PlatformConfig::prototype(6 << 20);
         let json = serde_json::to_string(&c).unwrap();
-        // Strip the partitioner field to emulate a pre-existing config.
-        let mut value: serde_json::Value = serde_json::from_str(&json).unwrap();
-        value.as_object_mut().unwrap().remove("partitioner");
-        let back: PlatformConfig = serde_json::from_str(&value.to_string()).unwrap();
-        assert_eq!(back.partitioner, PartitionerConfig::default());
-        assert_eq!(back, c);
+        let value: serde_json::Value = serde_json::from_str(&json).unwrap();
+        // Two pre-existing shapes: a section with the `eval` key older
+        // writers put there (every `traces/` header has it), and no section.
+        let mut stale = value.clone();
+        stale["partitioner"]["eval"] = "Sequential".into();
+        let mut absent = value;
+        absent.as_object_mut().unwrap().remove("partitioner");
+        for old in [stale, absent] {
+            let back: PlatformConfig = serde_json::from_str(&old.to_string()).unwrap();
+            assert_eq!(back.partitioner, PartitionerConfig::default());
+            assert_eq!(back, c, "{old}");
+        }
     }
 }

@@ -55,7 +55,6 @@ mod offload;
 pub mod partitioner;
 mod platform;
 mod relay;
-mod selector;
 
 pub use adapter::{RefTables, RemoteAdapter, VmDispatcher};
 pub use config::{EvaluationMode, PlatformConfig, PolicyKind, TransportKind};
@@ -67,9 +66,8 @@ pub use monitor::{Monitor, MonitorMetrics, NodeKey, RemoteStats, TriggerConfig};
 pub use nondet::{LinkPhase, LiveSource, MigrationRecord, NondetMode, NondetSource, TriggerSample};
 pub use offload::{execute_offload_tracked, OffloadOutcome, TrackedOffload};
 pub use partitioner::{
-    decide, decide_with, EpochDecision, HeuristicKind, IncrementalPartitioner, PartitionDecision,
+    decide_with, EpochDecision, HeuristicKind, IncrementalPartitioner, PartitionDecision,
     PartitionerConfig,
 };
 pub use platform::{OffloadEvent, Platform, PlatformReport};
 pub use relay::{RelayShipment, RelaySink};
-pub use selector::{PolicyRecommendation, PolicySelector, WorkloadProfile};

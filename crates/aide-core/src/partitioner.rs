@@ -5,20 +5,20 @@
 //! the best feasible candidate, and time the whole decision (the paper
 //! reports ≈0.1 s for JavaNote's 138-class graph on a 600 MHz Pentium).
 //!
-//! [`IncrementalPartitioner`] is the scalable epoch-driven variant: it
-//! maintains the execution graph from [`GraphDelta`] batches (O(delta) per
-//! epoch instead of a from-scratch rebuild), runs the plan-based heuristic
-//! with cached per-node strengths, evaluates candidates with a configurable
-//! [`EvalStrategy`], and skips whole epochs when churn since the last
-//! decision stays below a threshold (the dirty-region shortcut). Decisions
-//! are bit-identical to the classic [`decide`] pipeline on the same graph.
+//! [`IncrementalPartitioner`] is the epoch-driven variant the platform
+//! runs: it maintains the execution graph from [`GraphDelta`] batches
+//! (O(delta) per epoch instead of a from-scratch rebuild), runs the
+//! plan-based heuristic with cached per-node strengths, and skips whole
+//! epochs when churn since the last decision stays below a threshold (the
+//! dirty-region shortcut). Decisions are bit-identical to the classic
+//! [`decide_with`] pipeline on the same graph.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aide_graph::{
     candidate_partitionings, density_candidates, plan_candidates_cached, ChurnSummary,
-    EvalStrategy, ExecutionGraph, GraphDelta, IncrementalGraph, PartitionPolicy, ResourceSnapshot,
+    ExecutionGraph, GraphDelta, IncrementalGraph, PartitionPolicy, ResourceSnapshot,
     SelectedPartition,
 };
 use serde::{Deserialize, Serialize};
@@ -56,17 +56,8 @@ impl PartitionDecision {
     }
 }
 
-/// Runs the full decision pipeline over a snapshot with the paper's
-/// modified-MINCUT heuristic.
-pub fn decide(
-    graph: ExecutionGraph,
-    snapshot: ResourceSnapshot,
-    policy: &dyn PartitionPolicy,
-) -> PartitionDecision {
-    decide_with(graph, snapshot, policy, HeuristicKind::ModifiedMincut)
-}
-
-/// Runs the full decision pipeline with an explicit candidate heuristic.
+/// Runs the full decision pipeline over a snapshot: candidates from
+/// `heuristic`, materialized, then the policy's selection.
 pub fn decide_with(
     graph: ExecutionGraph,
     snapshot: ResourceSnapshot,
@@ -96,9 +87,6 @@ pub struct PartitionerConfig {
     /// changed). `0` — the default — never skips, matching the classic
     /// evaluate-every-trigger behavior.
     pub churn_threshold: u64,
-    /// How candidates are evaluated. The winner is bit-identical across
-    /// strategies; parallel evaluation only changes wall-clock time.
-    pub eval: EvalStrategy,
 }
 
 /// The outcome of one [`IncrementalPartitioner::epoch`].
@@ -125,8 +113,9 @@ pub struct EpochDecision {
 /// [`apply_deltas`](IncrementalPartitioner::apply_deltas), then ask for a
 /// decision with [`epoch`](IncrementalPartitioner::epoch). Between epochs
 /// the graph and the heuristic's per-node strength cache stay warm, so an
-/// epoch costs O(delta + (V + E) log V) instead of the classic
-/// O(V·(V + E)) rebuild-and-materialize pipeline.
+/// epoch rebuilds nothing and materializes no candidate. Its sweep is still
+/// O(V·E): the heuristic and the policy each scan the whole edge map once
+/// per moved node ([`ExecutionGraph::neighbors`] has no adjacency index).
 pub struct IncrementalPartitioner {
     config: PartitionerConfig,
     inc: IncrementalGraph,
@@ -199,9 +188,9 @@ impl IncrementalPartitioner {
     /// threshold (and nothing structural changed), the epoch is skipped
     /// outright: the churn keeps accumulating so a later epoch sees the
     /// full backlog. Otherwise the plan-based heuristic runs with the warm
-    /// strength cache and the policy evaluates the sweep under the
-    /// configured [`EvalStrategy`] — producing exactly the selection the
-    /// classic [`decide`] pipeline would make on this graph.
+    /// strength cache and the policy sweeps the plan — producing exactly
+    /// the selection the classic [`decide_with`] pipeline would make on
+    /// this graph.
     pub fn epoch(
         &mut self,
         snapshot: ResourceSnapshot,
@@ -220,7 +209,7 @@ impl IncrementalPartitioner {
         }
         let start = Instant::now();
         let plan = plan_candidates_cached(self.inc.graph(), self.inc.strengths());
-        let selection = policy.select_plan(self.inc.graph(), snapshot, &plan, self.config.eval);
+        let selection = policy.select_plan(self.inc.graph(), snapshot, &plan);
         let elapsed = start.elapsed();
         self.inc.take_churn();
         self.evaluated_once = true;
@@ -253,10 +242,11 @@ mod tests {
 
     #[test]
     fn decide_selects_when_feasible() {
-        let d = decide(
+        let d = decide_with(
             graph(),
             ResourceSnapshot::new(6_000_000, 5_900_000),
             &MemoryPolicy::new(0.2),
+            HeuristicKind::ModifiedMincut,
         );
         assert!(d.should_offload());
         assert_eq!(d.candidates_evaluated, 1);
@@ -276,10 +266,11 @@ mod tests {
 
     #[test]
     fn decide_declines_when_infeasible() {
-        let d = decide(
+        let d = decide_with(
             graph(),
             ResourceSnapshot::new(100_000_000, 90_000_000),
             &MemoryPolicy::new(0.9),
+            HeuristicKind::ModifiedMincut,
         );
         assert!(!d.should_offload());
     }
@@ -319,7 +310,7 @@ mod tests {
         assert_eq!(part.graph(), &graph());
 
         let epoch = part.epoch(snapshot, &policy);
-        let classic = decide(graph(), snapshot, &policy);
+        let classic = decide_with(graph(), snapshot, &policy, HeuristicKind::ModifiedMincut);
         assert!(!epoch.skipped);
         assert_eq!(epoch.candidates_evaluated, classic.candidates_evaluated);
         assert_eq!(epoch.selection, classic.selection);
@@ -331,7 +322,6 @@ mod tests {
         let policy = MemoryPolicy::new(0.9);
         let config = PartitionerConfig {
             churn_threshold: 1_000,
-            eval: EvalStrategy::Sequential,
         };
         let mut part = IncrementalPartitioner::new(config);
         part.apply_deltas(&graph_deltas());
@@ -374,7 +364,6 @@ mod tests {
         let policy = MemoryPolicy::new(0.9);
         let config = PartitionerConfig {
             churn_threshold: u64::MAX,
-            eval: EvalStrategy::Sequential,
         };
         let mut part = IncrementalPartitioner::new(config);
         part.apply_deltas(&graph_deltas());
@@ -408,12 +397,11 @@ mod tests {
     fn partitioner_config_serde_round_trips() {
         let config = PartitionerConfig {
             churn_threshold: 4_096,
-            eval: EvalStrategy::Parallel { threads: 4 },
         };
         let json = serde_json::to_string(&config).unwrap();
         let back: PartitionerConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(config, back);
-        // Missing fields fall back to the never-skip sequential default.
+        // Missing fields fall back to the never-skip default.
         let empty: PartitionerConfig = serde_json::from_str("{}").unwrap();
         assert_eq!(empty, PartitionerConfig::default());
     }

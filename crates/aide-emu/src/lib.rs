@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 mod emulator;
-mod multi;
 mod record;
 mod sweep;
 mod trace;
@@ -48,10 +47,6 @@ mod trace;
 pub use emulator::{
     EmuChaos, EmuFailover, EmuRemoteStats, EmulatedOffload, Emulator, EmulatorConfig,
     EmulatorReport, FailureSchedule,
-};
-pub use multi::{
-    Handoff, HandoffStrategy, MultiReport, MultiSurrogateConfig, MultiSurrogateEmulator,
-    SurrogateSpec, SurrogateUse,
 };
 pub use record::{record_program, record_program_in_mode, Recorder};
 pub use sweep::{best_point, sweep_memory_policies, PolicyGrid, PolicyParams, SweepPoint};

@@ -19,7 +19,9 @@ use crate::partition::{Partitioning, Side};
 ///
 /// Candidates are emitted from least-offloaded (one node) to
 /// most-offloaded (every unpinned node), mirroring the greedy order in
-/// which nodes are chosen. Pinned nodes always stay on the client.
+/// which nodes are chosen. Pinned nodes always stay on the client. Every
+/// step rescans the neighbours of every remaining unpinned node (O(E)
+/// each, see [`ExecutionGraph::neighbors`]), so the sweep is O(V²·E).
 ///
 /// # Examples
 ///

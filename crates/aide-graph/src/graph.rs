@@ -330,7 +330,8 @@ impl ExecutionGraph {
     }
 
     /// Iterates over the neighbours of `id` together with the connecting
-    /// edge statistics.
+    /// edge statistics. Cost is O(E), not O(degree): there is no adjacency
+    /// index, the whole edge map is filtered.
     pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = (NodeId, EdgeInfo)> + '_ {
         self.edges.iter().filter_map(move |(&(a, b), &e)| {
             if a == id {

@@ -206,7 +206,10 @@ impl CandidatePlan {
 
 /// Plans the modified-MINCUT candidate sweep without materializing the
 /// candidates (see [`CandidatePlan`]). Equivalent to
-/// [`candidate_partitionings`] but O((V + E) log V) instead of O(V²).
+/// [`candidate_partitionings`] minus the O(V²) placements. The next node to
+/// move comes off a heap, but its neighbours come from
+/// [`ExecutionGraph::neighbors`], which filters the whole edge map, so the
+/// plan costs O(V·E + E log V).
 pub fn plan_candidates(graph: &ExecutionGraph) -> CandidatePlan {
     plan_with(graph, None)
 }

@@ -8,11 +8,14 @@
 //! derived structures warm between epochs:
 //!
 //! * the graph itself, always equal to what a from-scratch rebuild from
-//!   the same history would produce (the equivalence proptests in
+//!   the same history would produce (the equivalence properties in
 //!   `tests/incremental_equivalence.rs` pin this down), and
 //! * a per-node **strength** cache (total incident edge weight), which the
 //!   heuristic's seed selection reuses instead of re-deriving it with an
 //!   O(V·E) scan.
+//!
+//! What this removes is the rebuild; the heuristic and policy sweep of an
+//! epoch stay O(V·E) (see [`crate::plan_candidates`]).
 //!
 //! The struct also accounts **churn**: how much weight the deltas since
 //! the last evaluation moved. The partitioner's dirty-region shortcut

@@ -66,6 +66,5 @@ pub use incremental::{ChurnSummary, GraphDelta, IncrementalGraph};
 pub use mincut::{stoer_wagner, MinCut};
 pub use partition::{PartitionStats, Partitioning, Side};
 pub use policy::{
-    CombinedPolicy, CpuPolicy, EvalStrategy, MemoryPolicy, PartitionPolicy, ResourceSnapshot,
-    SelectedPartition,
+    CombinedPolicy, CpuPolicy, MemoryPolicy, PartitionPolicy, ResourceSnapshot, SelectedPartition,
 };

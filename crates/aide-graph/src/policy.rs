@@ -7,17 +7,9 @@
 //! function, and — crucially — only selects a partitioning when offloading
 //! is *beneficial* (paper §2, "Beneficial offloading").
 //!
-//! # Evaluation strategies and determinism
-//!
-//! Candidate evaluation can fan out across a scoped-thread pool
-//! ([`EvalStrategy::Parallel`]). The result is **bit-identical** to the
-//! sequential pass regardless of thread count: worker threads only *score*
-//! candidates (each score is a pure function of the graph, the candidate and
-//! its integer [`PartitionStats`]), and the winner is chosen by a single
-//! sequential fold over the per-candidate results in candidate order. The
-//! fold is not parallelised because `f64` comparison with possible NaN
-//! scores is not associative — reducing per-chunk winners could disagree
-//! with the sequential pass, while the index-ordered fold cannot.
+//! A selection is a single in-order fold over the candidates, so the winner
+//! is a pure function of (graph, snapshot, policy): the first candidate with
+//! the strictly lowest score wins, and a NaN score never displaces a winner.
 
 use std::fmt;
 
@@ -70,37 +62,6 @@ impl ResourceSnapshot {
     }
 }
 
-/// How a policy evaluates the candidate sweep.
-///
-/// The strategy affects wall-clock time only — every strategy produces a
-/// bit-identical [`SelectedPartition`] (see the module docs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum EvalStrategy {
-    /// Score candidates one after another on the calling thread.
-    #[default]
-    Sequential,
-    /// Score candidates on a scoped-thread pool, then pick the winner with a
-    /// deterministic sequential fold over the per-candidate scores.
-    Parallel {
-        /// Number of worker threads; `0` means "one per available core"
-        /// (`std::thread::available_parallelism`).
-        threads: usize,
-    },
-}
-
-impl EvalStrategy {
-    /// The number of worker threads this strategy resolves to (at least 1).
-    pub fn resolved_threads(self) -> usize {
-        match self {
-            EvalStrategy::Sequential => 1,
-            EvalStrategy::Parallel { threads: 0 } => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            EvalStrategy::Parallel { threads } => threads,
-        }
-    }
-}
-
 /// The partitioning a policy selected, with its statistics and score.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectedPartition {
@@ -117,16 +78,16 @@ pub struct SelectedPartition {
 /// Implementors provide [`score_candidate`](PartitionPolicy::score_candidate)
 /// (feasibility gate + cost) and optionally
 /// [`admit`](PartitionPolicy::admit) (a final beneficial-offloading gate on
-/// the winner); the provided `select*` methods drive the sweep with either
-/// evaluation strategy.
+/// the winner); the provided [`select`](PartitionPolicy::select) and
+/// [`select_plan`](PartitionPolicy::select_plan) drive the sweep.
 pub trait PartitionPolicy: Send + Sync {
     /// A short name for reports.
     fn name(&self) -> &str;
 
     /// Scores one candidate: `None` if the candidate is infeasible under
     /// this policy, otherwise its cost (lower is better). Must be a pure
-    /// function of its arguments — the parallel evaluation strategy calls it
-    /// from worker threads and relies on purity for determinism.
+    /// function of its arguments: `select` and `select_plan` have to agree,
+    /// and a replayed decision has to repeat the recorded one.
     fn score_candidate(
         &self,
         graph: &ExecutionGraph,
@@ -147,108 +108,72 @@ pub trait PartitionPolicy: Send + Sync {
         true
     }
 
-    /// Evaluates `candidates` and returns the best feasible, beneficial
-    /// partitioning, or `None` when the application should not be
-    /// partitioned (no feasible candidate, or offloading is not beneficial).
+    /// Evaluates a materialized candidate sequence and returns the best
+    /// feasible, beneficial partitioning, or `None` when the application
+    /// should not be partitioned (no feasible candidate, or offloading is
+    /// not beneficial). Every candidate's statistics are computed from
+    /// scratch (O(V + E) each), which makes this the reference
+    /// [`select_plan`](PartitionPolicy::select_plan) is tested against.
     fn select(
         &self,
         graph: &ExecutionGraph,
         snapshot: ResourceSnapshot,
         candidates: &CandidateSequence,
     ) -> Option<SelectedPartition> {
-        self.select_with(graph, snapshot, candidates, EvalStrategy::Sequential)
-    }
-
-    /// Like [`select`](PartitionPolicy::select), with an explicit evaluation
-    /// strategy. The winner is bit-identical across strategies.
-    fn select_with(
-        &self,
-        graph: &ExecutionGraph,
-        snapshot: ResourceSnapshot,
-        candidates: &CandidateSequence,
-        strategy: EvalStrategy,
-    ) -> Option<SelectedPartition> {
-        let score = |cand: &Partitioning, stats: &PartitionStats| {
+        let best = pick_from_sequence(graph, candidates, |cand, stats| {
             self.score_candidate(graph, snapshot, cand, stats)
-        };
-        let best = pick_from_sequence(graph, candidates, strategy, &score)?;
+        })?;
         self.admit(graph, snapshot, &best).then_some(best)
     }
 
-    /// Like [`select_with`](PartitionPolicy::select_with), but sweeps a
-    /// [`CandidatePlan`] directly: per-candidate statistics are updated
-    /// incrementally in O(degree) per move instead of O(V + E) per
-    /// candidate, and no O(V²) candidate sequence is materialized. Produces
-    /// exactly the selection `select` would make on
-    /// [`CandidatePlan::materialize`].
+    /// Like [`select`](PartitionPolicy::select), but sweeps a
+    /// [`CandidatePlan`] directly: no O(V²) candidate sequence is
+    /// materialized, and the statistics are carried from one candidate to
+    /// the next by toggling the moved node's incident edges. Finding those
+    /// edges is one [`ExecutionGraph::neighbors`] scan of the whole edge
+    /// map, so a move costs O(E) and the sweep O(V·E) — the same order as
+    /// `select`, with a smaller constant and O(V) memory. Produces exactly
+    /// the selection `select` would make on [`CandidatePlan::materialize`].
     fn select_plan(
         &self,
         graph: &ExecutionGraph,
         snapshot: ResourceSnapshot,
         plan: &CandidatePlan,
-        strategy: EvalStrategy,
     ) -> Option<SelectedPartition> {
-        let score = |cand: &Partitioning, stats: &PartitionStats| {
+        let best = pick_from_plan(graph, plan, |cand, stats| {
             self.score_candidate(graph, snapshot, cand, stats)
-        };
-        let best = pick_from_plan(graph, plan, strategy, &score)?;
+        })?;
         self.admit(graph, snapshot, &best).then_some(best)
     }
 }
 
-/// Shared shape of the per-candidate scoring callback.
-type ScoreFn<'a> = &'a (dyn Fn(&Partitioning, &PartitionStats) -> Option<f64> + Sync);
+/// The best candidate seen so far: its index in the sweep, its statistics
+/// and its score.
+type Best = Option<(usize, PartitionStats, f64)>;
 
-/// The deterministic reduction: a single in-order fold over per-candidate
-/// results, preserving the classic `score < best.score` strict-improvement
-/// rule (first of equal scores wins; NaN scores never displace a winner).
-fn fold_results(
-    results: Vec<Option<(f64, PartitionStats)>>,
-) -> Option<(usize, PartitionStats, f64)> {
-    let mut best: Option<(usize, PartitionStats, f64)> = None;
-    for (i, r) in results.into_iter().enumerate() {
-        if let Some((score, stats)) = r {
-            if best.as_ref().is_none_or(|&(_, _, b)| score < b) {
-                best = Some((i, stats, score));
-            }
+/// One step of the in-order fold: strict improvement only, so the first of
+/// equal scores wins and a NaN score never displaces a winner.
+fn keep_better(best: &mut Best, index: usize, stats: &PartitionStats, score: Option<f64>) {
+    if let Some(score) = score {
+        if best.as_ref().is_none_or(|&(_, _, b)| score < b) {
+            *best = Some((index, *stats, score));
         }
     }
-    best
 }
 
-/// Scores every candidate of a materialized sequence (optionally on a
-/// scoped-thread pool) and folds the results in candidate order.
+/// Scores every candidate of a materialized sequence, in candidate order.
 fn pick_from_sequence(
     graph: &ExecutionGraph,
     candidates: &CandidateSequence,
-    strategy: EvalStrategy,
-    score: ScoreFn<'_>,
+    score: impl Fn(&Partitioning, &PartitionStats) -> Option<f64>,
 ) -> Option<SelectedPartition> {
     let cands = candidates.candidates();
-    if cands.is_empty() {
-        return None;
+    let mut best = None;
+    for (i, cand) in cands.iter().enumerate() {
+        let stats = cand.stats(graph);
+        keep_better(&mut best, i, &stats, score(cand, &stats));
     }
-    let threads = strategy.resolved_threads().clamp(1, cands.len());
-    let mut results: Vec<Option<(f64, PartitionStats)>> = vec![None; cands.len()];
-    let fill = |start: usize, chunk: &mut [Option<(f64, PartitionStats)>]| {
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            let cand = &cands[start + off];
-            let stats = cand.stats(graph);
-            *slot = score(cand, &stats).map(|s| (s, stats));
-        }
-    };
-    if threads <= 1 {
-        fill(0, &mut results);
-    } else {
-        let chunk_size = cands.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (ci, chunk) in results.chunks_mut(chunk_size).enumerate() {
-                let fill = &fill;
-                scope.spawn(move || fill(ci * chunk_size, chunk));
-            }
-        });
-    }
-    fold_results(results).map(|(i, stats, score)| SelectedPartition {
+    best.map(|(i, stats, score)| SelectedPartition {
         partitioning: cands[i].clone(),
         stats,
         score,
@@ -256,49 +181,27 @@ fn pick_from_sequence(
 }
 
 /// Scores every candidate described by a [`CandidatePlan`] without
-/// materializing the sequence. Each worker reconstructs its chunk's starting
-/// placement (O(V + E)), then advances candidate-by-candidate with
-/// O(degree) incremental statistics updates. All statistics are integer
-/// sums, so the incremental values equal the from-scratch values exactly.
+/// materializing the sequence: one placement walks the plan's moves and its
+/// statistics are updated in place. All statistics are integer sums, so the
+/// carried values equal the from-scratch values exactly.
 fn pick_from_plan(
     graph: &ExecutionGraph,
     plan: &CandidatePlan,
-    strategy: EvalStrategy,
-    score: ScoreFn<'_>,
+    score: impl Fn(&Partitioning, &PartitionStats) -> Option<f64>,
 ) -> Option<SelectedPartition> {
-    let len = plan.len();
-    if len == 0 {
+    if plan.is_empty() {
         return None;
     }
-    let threads = strategy.resolved_threads().clamp(1, len);
-    let mut results: Vec<Option<(f64, PartitionStats)>> = vec![None; len];
-    let fill = |start: usize, chunk: &mut [Option<(f64, PartitionStats)>]| {
-        let mut current = plan.candidate(start);
-        let mut stats = current.stats(graph);
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            if off > 0 {
-                advance_candidate(
-                    graph,
-                    &mut current,
-                    &mut stats,
-                    plan.moves()[start + off - 1],
-                );
-            }
-            *slot = score(&current, &stats).map(|s| (s, stats));
+    let mut current = plan.candidate(0);
+    let mut stats = current.stats(graph);
+    let mut best = None;
+    for i in 0..plan.len() {
+        if i > 0 {
+            advance_candidate(graph, &mut current, &mut stats, plan.moves()[i - 1]);
         }
-    };
-    if threads <= 1 {
-        fill(0, &mut results);
-    } else {
-        let chunk_size = len.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (ci, chunk) in results.chunks_mut(chunk_size).enumerate() {
-                let fill = &fill;
-                scope.spawn(move || fill(ci * chunk_size, chunk));
-            }
-        });
+        keep_better(&mut best, i, &stats, score(&current, &stats));
     }
-    fold_results(results).map(|(i, stats, score)| SelectedPartition {
+    best.map(|(i, stats, score)| SelectedPartition {
         partitioning: plan.candidate(i),
         stats,
         score,
@@ -307,7 +210,7 @@ fn pick_from_plan(
 
 /// Pulls `v` from the surrogate back to the client, updating `stats` in
 /// place: node annotations switch columns and v's incident edges toggle
-/// their cut contribution.
+/// their cut contribution (one O(E) `neighbors` scan).
 fn advance_candidate(
     graph: &ExecutionGraph,
     current: &mut Partitioning,
@@ -540,19 +443,17 @@ impl PartitionPolicy for CombinedPolicy {
         Some(self.cpu.predictor().predicted_seconds(stats))
     }
 
-    fn select_with(
+    fn select(
         &self,
         graph: &ExecutionGraph,
         snapshot: ResourceSnapshot,
         candidates: &CandidateSequence,
-        strategy: EvalStrategy,
     ) -> Option<SelectedPartition> {
-        let score = |cand: &Partitioning, stats: &PartitionStats| {
-            self.score_candidate(graph, snapshot, cand, stats)
-        };
         // No memory-feasible candidate: fall back to a pure CPU decision.
-        pick_from_sequence(graph, candidates, strategy, &score)
-            .or_else(|| self.cpu.select_with(graph, snapshot, candidates, strategy))
+        pick_from_sequence(graph, candidates, |cand, stats| {
+            self.score_candidate(graph, snapshot, cand, stats)
+        })
+        .or_else(|| self.cpu.select(graph, snapshot, candidates))
     }
 
     fn select_plan(
@@ -560,13 +461,11 @@ impl PartitionPolicy for CombinedPolicy {
         graph: &ExecutionGraph,
         snapshot: ResourceSnapshot,
         plan: &CandidatePlan,
-        strategy: EvalStrategy,
     ) -> Option<SelectedPartition> {
-        let score = |cand: &Partitioning, stats: &PartitionStats| {
+        pick_from_plan(graph, plan, |cand, stats| {
             self.score_candidate(graph, snapshot, cand, stats)
-        };
-        pick_from_plan(graph, plan, strategy, &score)
-            .or_else(|| self.cpu.select_plan(graph, snapshot, plan, strategy))
+        })
+        .or_else(|| self.cpu.select_plan(graph, snapshot, plan))
     }
 }
 
@@ -763,7 +662,7 @@ mod tests {
         }
     }
 
-    /// Every (policy, snapshot) pair used by the strategy-equivalence tests.
+    /// Every (graph, policy, snapshot) case of the plan ≡ sequence test.
     fn equivalence_cases() -> Vec<(ExecutionGraph, Box<dyn PartitionPolicy>, ResourceSnapshot)> {
         let mut cases: Vec<(ExecutionGraph, Box<dyn PartitionPolicy>, ResourceSnapshot)> = vec![
             (
@@ -811,44 +710,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_selection_is_bit_identical_to_sequential() {
-        for (g, policy, snapshot) in equivalence_cases() {
-            let candidates = candidate_partitionings(&g);
-            let sequential =
-                policy.select_with(&g, snapshot, &candidates, EvalStrategy::Sequential);
-            for threads in [1, 2, 3, 8] {
-                let parallel = policy.select_with(
-                    &g,
-                    snapshot,
-                    &candidates,
-                    EvalStrategy::Parallel { threads },
-                );
-                assert_eq!(
-                    sequential,
-                    parallel,
-                    "policy {}, {threads} threads",
-                    policy.name()
-                );
-                if let (Some(s), Some(p)) = (&sequential, &parallel) {
-                    assert_eq!(s.score.to_bits(), p.score.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn plan_selection_matches_sequence_selection() {
         for (g, policy, snapshot) in equivalence_cases() {
             let plan = plan_candidates(&g);
             let candidates = plan.materialize();
             let classic = policy.select(&g, snapshot, &candidates);
-            for strategy in [
-                EvalStrategy::Sequential,
-                EvalStrategy::Parallel { threads: 2 },
-                EvalStrategy::Parallel { threads: 0 },
-            ] {
-                let planned = policy.select_plan(&g, snapshot, &plan, strategy);
-                assert_eq!(classic, planned, "policy {}, {strategy:?}", policy.name());
+            let planned = policy.select_plan(&g, snapshot, &plan);
+            assert_eq!(classic, planned, "policy {}", policy.name());
+            if let (Some(c), Some(p)) = (&classic, &planned) {
+                assert_eq!(c.score.to_bits(), p.score.to_bits());
             }
         }
     }
@@ -863,27 +733,6 @@ mod tests {
             advance_candidate(&g, &mut current, &mut stats, v);
             assert_eq!(current, plan.candidate(i + 1));
             assert_eq!(stats, current.stats(&g), "incremental stats after move {i}");
-        }
-    }
-
-    #[test]
-    fn eval_strategy_defaults_and_resolves() {
-        assert_eq!(EvalStrategy::default(), EvalStrategy::Sequential);
-        assert_eq!(EvalStrategy::Sequential.resolved_threads(), 1);
-        assert_eq!(EvalStrategy::Parallel { threads: 4 }.resolved_threads(), 4);
-        assert!(EvalStrategy::Parallel { threads: 0 }.resolved_threads() >= 1);
-    }
-
-    #[test]
-    fn eval_strategy_serde_round_trips() {
-        for strategy in [
-            EvalStrategy::Sequential,
-            EvalStrategy::Parallel { threads: 0 },
-            EvalStrategy::Parallel { threads: 8 },
-        ] {
-            let json = serde_json::to_string(&strategy).unwrap();
-            let back: EvalStrategy = serde_json::from_str(&json).unwrap();
-            assert_eq!(strategy, back);
         }
     }
 }

@@ -190,23 +190,18 @@ fn golden_fixtures_hold_on_the_plan_path() {
         let plan = aide_graph::plan_candidates(&g);
         let policy = MemoryPolicy::new(fixture.min_free_fraction);
         let snapshot = ResourceSnapshot::new(fixture.heap_capacity, fixture.heap_used);
-        for strategy in [
-            aide_graph::EvalStrategy::Sequential,
-            aide_graph::EvalStrategy::Parallel { threads: 2 },
-        ] {
-            let selection = policy
-                .select_plan(&g, snapshot, &plan, strategy)
-                .unwrap_or_else(|| panic!("fixture '{stem}' must select under {strategy:?}"));
-            assert_eq!(
-                selection.score.to_bits(),
-                fixture.expected.winner_score.to_bits(),
-                "fixture '{stem}' plan-path score under {strategy:?}"
-            );
-            assert_eq!(
-                selection.partitioning,
-                plan.candidate(fixture.expected.winner_index),
-                "fixture '{stem}' plan-path winner under {strategy:?}"
-            );
-        }
+        let selection = policy
+            .select_plan(&g, snapshot, &plan)
+            .unwrap_or_else(|| panic!("fixture '{stem}' must select"));
+        assert_eq!(
+            selection.score.to_bits(),
+            fixture.expected.winner_score.to_bits(),
+            "fixture '{stem}' plan-path score"
+        );
+        assert_eq!(
+            selection.partitioning,
+            plan.candidate(fixture.expected.winner_index),
+            "fixture '{stem}' plan-path winner"
+        );
     }
 }

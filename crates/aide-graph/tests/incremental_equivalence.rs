@@ -7,117 +7,60 @@
 //! cache; identical candidate sequences out of the heuristic; and the same
 //! policy winner. These tests are the contract that lets the platform adopt
 //! O(delta) maintenance without re-validating every decision downstream.
+//! Each runs on [`support::CASES`] seeded random delta streams.
+
+mod support;
 
 use aide_graph::{
     candidate_partitionings, plan_candidates_cached, EdgeInfo, ExecutionGraph, GraphDelta,
     IncrementalGraph, MemoryPolicy, NodeId, NodeInfo, PartitionPolicy, PinReason, ResourceSnapshot,
 };
-use proptest::prelude::*;
+use support::{for_each_case, Rng};
 
-/// An abstract graph operation before node ids are resolved. Raw indices
-/// are mapped into the live id range at materialization time, so any
-/// generated script is valid.
-#[derive(Debug, Clone)]
-enum RawOp {
-    Add {
-        pinned: bool,
-        mem: u64,
-        cpu: u64,
-        objs: u64,
-    },
-    Update {
-        node: usize,
-        mem: u64,
-        cpu: u64,
-        objs: u64,
-    },
-    Pin {
-        node: usize,
-        pinned: bool,
-    },
-    Interact {
-        a: usize,
-        b: usize,
-        interactions: u64,
-        bytes: u64,
-    },
-    Remove {
-        node: usize,
-    },
-}
-
-fn arb_op() -> impl Strategy<Value = RawOp> {
-    prop_oneof![
-        3 => (any::<bool>(), 0u64..1_000_000, 0u64..100_000, 0u64..100)
-            .prop_map(|(pinned, mem, cpu, objs)| RawOp::Add { pinned, mem, cpu, objs }),
-        3 => (0usize..64, 0u64..1_000_000, 0u64..100_000, 0u64..100)
-            .prop_map(|(node, mem, cpu, objs)| RawOp::Update { node, mem, cpu, objs }),
-        1 => (0usize..64, any::<bool>()).prop_map(|(node, pinned)| RawOp::Pin { node, pinned }),
-        6 => (0usize..64, 0usize..64, 0u64..1_000, 0u64..100_000)
-            .prop_map(|(a, b, interactions, bytes)| RawOp::Interact { a, b, interactions, bytes }),
-        1 => (0usize..64,).prop_map(|(node,)| RawOp::Remove { node }),
-    ]
-}
-
-/// Resolves a raw script into a valid delta stream: indices wrap into the
-/// node count as it evolves, and node-referencing ops before the first add
-/// are dropped.
-fn materialize(script: &[RawOp]) -> Vec<GraphDelta> {
-    let mut deltas = Vec::with_capacity(script.len());
-    let mut count = 0usize;
-    for op in script {
-        match *op {
-            RawOp::Add {
-                pinned,
-                mem,
-                cpu,
-                objs,
-            } => {
-                deltas.push(GraphDelta::AddNode {
-                    label: format!("C{count}"),
-                    pinned: pinned.then_some(PinReason::NativeMethods),
-                    memory_bytes: mem,
-                    cpu_micros: cpu,
-                    live_objects: objs,
-                });
-                count += 1;
-            }
-            RawOp::Update {
-                node,
-                mem,
-                cpu,
-                objs,
-            } if count > 0 => deltas.push(GraphDelta::UpdateNode {
-                node: NodeId((node % count) as u32),
-                memory_bytes: mem,
-                cpu_micros: cpu,
-                live_objects: objs,
-            }),
-            RawOp::Pin { node, pinned } if count > 0 => deltas.push(GraphDelta::SetPinned {
-                node: NodeId((node % count) as u32),
-                pinned: pinned.then_some(PinReason::Explicit),
-            }),
-            RawOp::Interact {
-                a,
-                b,
-                interactions,
-                bytes,
-            } if count > 0 => deltas.push(GraphDelta::Interaction {
-                a: NodeId((a % count) as u32),
-                b: NodeId((b % count) as u32),
-                delta: EdgeInfo::new(interactions, bytes),
-            }),
-            RawOp::Remove { node } if count > 0 => deltas.push(GraphDelta::RemoveNode {
-                node: NodeId((node % count) as u32),
-            }),
-            _ => {}
+/// A random delta stream of up to 80 operations. Node indices wrap into the
+/// node count as it evolves, so every stream is valid; node-referencing
+/// operations before the first add are dropped. Weights: add 3, update 3,
+/// pin 1, interact 6, remove 1.
+fn random_deltas(rng: &mut Rng) -> Vec<GraphDelta> {
+    let mut deltas = Vec::new();
+    let mut count = 0u64;
+    for _ in 0..rng.below(80) {
+        let op = rng.below(14);
+        if op < 3 {
+            deltas.push(GraphDelta::AddNode {
+                label: format!("C{count}"),
+                pinned: rng.flip().then_some(PinReason::NativeMethods),
+                memory_bytes: rng.below(1_000_000),
+                cpu_micros: rng.below(100_000),
+                live_objects: rng.below(100),
+            });
+            count += 1;
+            continue;
         }
+        if count == 0 {
+            continue;
+        }
+        let node = NodeId(rng.below(count) as u32);
+        deltas.push(match op {
+            3..=5 => GraphDelta::UpdateNode {
+                node,
+                memory_bytes: rng.below(1_000_000),
+                cpu_micros: rng.below(100_000),
+                live_objects: rng.below(100),
+            },
+            6 => GraphDelta::SetPinned {
+                node,
+                pinned: rng.flip().then_some(PinReason::Explicit),
+            },
+            7..=12 => GraphDelta::Interaction {
+                a: node,
+                b: NodeId(rng.below(count) as u32),
+                delta: EdgeInfo::new(rng.below(1_000), rng.below(100_000)),
+            },
+            _ => GraphDelta::RemoveNode { node },
+        });
     }
     deltas
-}
-
-fn arb_deltas() -> impl Strategy<Value = Vec<GraphDelta>> {
-    proptest::collection::vec(arb_op(), 0..80).prop_map(|script| materialize(&script))
 }
 
 /// The reference: replay the same history into an [`ExecutionGraph`]
@@ -167,25 +110,27 @@ fn rebuild_from_scratch(deltas: &[GraphDelta]) -> ExecutionGraph {
     g
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The incremental graph equals a from-scratch rebuild of the same
-    /// history, and its strength cache matches a fresh O(V+E) recount.
-    #[test]
-    fn incremental_graph_equals_from_scratch_rebuild(deltas in arb_deltas()) {
+/// The incremental graph equals a from-scratch rebuild of the same
+/// history, and its strength cache matches a fresh O(V+E) recount.
+#[test]
+fn incremental_graph_equals_from_scratch_rebuild() {
+    for_each_case(|rng| {
+        let deltas = random_deltas(rng);
         let mut inc = IncrementalGraph::new();
         inc.apply_all(&deltas);
         let reference = rebuild_from_scratch(&deltas);
-        prop_assert_eq!(inc.graph(), &reference);
-        prop_assert!(inc.strengths_consistent(), "stale strength cache");
-    }
+        assert_eq!(inc.graph(), &reference);
+        assert!(inc.strengths_consistent(), "stale strength cache");
+    });
+}
 
-    /// The heuristic fed the warm strength cache produces exactly the
-    /// candidate sequence (placements AND move order) of the classic
-    /// from-scratch pipeline.
-    #[test]
-    fn cached_plan_produces_identical_candidate_sequences(deltas in arb_deltas()) {
+/// The heuristic fed the warm strength cache produces exactly the
+/// candidate sequence (placements AND move order) of the classic
+/// from-scratch pipeline.
+#[test]
+fn cached_plan_produces_identical_candidate_sequences() {
+    for_each_case(|rng| {
+        let deltas = random_deltas(rng);
         let mut inc = IncrementalGraph::new();
         inc.apply_all(&deltas);
         let reference = rebuild_from_scratch(&deltas);
@@ -193,55 +138,52 @@ proptest! {
         let plan = plan_candidates_cached(inc.graph(), inc.strengths());
         let classic = candidate_partitionings(&reference);
 
-        prop_assert_eq!(plan.move_order(), classic.move_order());
-        let materialized = plan.materialize();
-        prop_assert_eq!(materialized.candidates(), classic.candidates());
-    }
+        assert_eq!(plan.move_order(), classic.move_order());
+        assert_eq!(plan.materialize().candidates(), classic.candidates());
+    });
+}
 
-    /// Random per-candidate reconstruction: `plan.candidate(i)` matches the
-    /// i-th materialized placement, so chunked parallel evaluation sees the
-    /// same candidates a sequential sweep does.
-    #[test]
-    fn plan_candidate_reconstruction_matches_materialization(
-        deltas in arb_deltas(),
-        pick in any::<u32>(),
-    ) {
-        let mut inc = IncrementalGraph::new();
-        inc.apply_all(&deltas);
-        let plan = plan_candidates_cached(inc.graph(), inc.strengths());
-        prop_assume!(!plan.is_empty());
-        let i = pick as usize % plan.len();
-        let materialized = plan.materialize();
-        prop_assert_eq!(&plan.candidate(i), &materialized.candidates()[i]);
-    }
+/// Random per-candidate reconstruction: `plan.candidate(i)` matches the
+/// i-th materialized placement, so the plan sweep's winner is the
+/// placement a sweep of the sequence would return.
+#[test]
+fn plan_candidate_reconstruction_matches_materialization() {
+    for_each_case(|rng| {
+        // Streams that leave nothing to offload are drawn again.
+        let plan = loop {
+            let mut inc = IncrementalGraph::new();
+            inc.apply_all(&random_deltas(rng));
+            let plan = plan_candidates_cached(inc.graph(), inc.strengths());
+            if !plan.is_empty() {
+                break plan;
+            }
+        };
+        let i = rng.index(plan.len());
+        assert_eq!(plan.candidate(i), plan.materialize().candidates()[i]);
+    });
+}
 
-    /// The policy winner over the incremental plan is the winner over the
-    /// classic sequence — same placement, same stats, bit-identical score.
-    #[test]
-    fn policy_winner_is_identical_on_both_pipelines(
-        deltas in arb_deltas(),
-        min_free in 1u32..60,
-        heap in 500_000u64..4_000_000,
-    ) {
+/// The policy winner over the incremental plan is the winner over the
+/// classic sequence — same placement, same stats, bit-identical score.
+#[test]
+fn policy_winner_is_identical_on_both_pipelines() {
+    for_each_case(|rng| {
+        let deltas = random_deltas(rng);
         let mut inc = IncrementalGraph::new();
         inc.apply_all(&deltas);
         let reference = rebuild_from_scratch(&deltas);
 
-        let policy = MemoryPolicy::new(f64::from(min_free) / 100.0);
+        let policy = MemoryPolicy::new(rng.range(1, 60) as f64 / 100.0);
+        let heap = rng.range(500_000, 4_000_000);
         let snapshot = ResourceSnapshot::new(heap, heap - heap / 20);
 
         let plan = plan_candidates_cached(inc.graph(), inc.strengths());
-        let from_plan = policy.select_plan(
-            inc.graph(),
-            snapshot,
-            &plan,
-            aide_graph::EvalStrategy::Sequential,
-        );
+        let from_plan = policy.select_plan(inc.graph(), snapshot, &plan);
         let classic = policy.select(&reference, snapshot, &candidate_partitionings(&reference));
 
-        prop_assert_eq!(&from_plan, &classic);
+        assert_eq!(from_plan, classic);
         if let (Some(a), Some(b)) = (&from_plan, &classic) {
-            prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
+            assert_eq!(a.score.to_bits(), b.score.to_bits());
         }
-    }
+    });
 }
