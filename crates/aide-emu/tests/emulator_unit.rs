@@ -284,8 +284,13 @@ fn wavelan_constants_are_the_papers() {
     assert_eq!(cpu.surrogate_speed, 3.5); // CPU experiments: Jornada vs PC
 }
 
+/// The heap the failover runs replay [`failover_trace`] under: its 600 KB
+/// store must leave less than the trigger's 5% free (here 3.2%), or no GC
+/// report counts as pressure and the surrogate dies holding nothing.
+const FAILOVER_HEAP: u64 = 620 << 10;
+
 /// A trace shaped for failover runs: a pinned UI and a Store that
-/// allocates 600 KB (pressuring a 640 KB heap into an offload at the
+/// allocates 600 KB (pressuring a [`FAILOVER_HEAP`] into an offload at the
 /// third GC), then 10 s of Store work for the virtual clock to cross the
 /// scheduled failure, then three more GCs (re-pressure after
 /// reinstatement) and a final 100 KB allocation that only fits if the
@@ -332,7 +337,7 @@ fn failover_trace() -> Trace {
 
 #[test]
 fn scheduled_failure_with_standby_reinstates_and_reoffloads() {
-    let mut cfg = EmulatorConfig::paper_memory(640 << 10);
+    let mut cfg = EmulatorConfig::paper_memory(FAILOVER_HEAP);
     cfg.failure = Some(aide_emu::FailureSchedule::at(1.0));
     let report = Emulator::new(cfg).replay(&failover_trace());
 
@@ -354,7 +359,7 @@ fn scheduled_failure_with_standby_reinstates_and_reoffloads() {
 
 #[test]
 fn scheduled_failure_without_standby_degrades_to_client_only_oom() {
-    let mut cfg = EmulatorConfig::paper_memory(640 << 10);
+    let mut cfg = EmulatorConfig::paper_memory(FAILOVER_HEAP);
     cfg.failure = Some(aide_emu::FailureSchedule {
         at_virtual_seconds: 1.0,
         standby: false,
@@ -372,7 +377,7 @@ fn scheduled_failure_without_standby_degrades_to_client_only_oom() {
 
 #[test]
 fn failure_before_any_offload_reinstates_nothing() {
-    let mut cfg = EmulatorConfig::paper_memory(640 << 10);
+    let mut cfg = EmulatorConfig::paper_memory(FAILOVER_HEAP);
     cfg.failure = Some(aide_emu::FailureSchedule::at(0.0));
     let report = Emulator::new(cfg).replay(&failover_trace());
 
@@ -420,7 +425,7 @@ fn link_chaos_charges_retransmissions_at_virtual_time() {
 
 #[test]
 fn reoffload_delay_defers_recovery_until_the_hard_wall() {
-    let mut cfg = EmulatorConfig::paper_memory(640 << 10);
+    let mut cfg = EmulatorConfig::paper_memory(FAILOVER_HEAP);
     cfg.failure = Some(aide_emu::FailureSchedule {
         at_virtual_seconds: 1.0,
         standby: true,

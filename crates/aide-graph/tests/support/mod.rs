@@ -1,6 +1,10 @@
-//! The seeded case generator of this crate's property suites: the in-tree
-//! xorshift (`flat_props`, `monitor_props`, `lease_model`), so a case
+//! The seeded case generator of the workspace's property suites (this
+//! crate's, and by `#[path]` aide-rpc's, aide-vm's and aide-replay's): the
+//! in-tree xorshift (`flat_props`, `monitor_props`, `lease_model`), so a case
 //! depends on its seed alone and a failure names the seed that reproduces it.
+
+// Each suite draws with its own subset of the generator.
+#![allow(dead_code)]
 
 /// Cases per property.
 pub const CASES: u64 = 256;
@@ -39,6 +43,40 @@ impl Rng {
 
     pub fn flip(&mut self) -> bool {
         self.next() & 1 == 1
+    }
+
+    /// Any 64 bits; one draw in eight is all zeros or all ones, the ends a
+    /// codec is likeliest to get wrong. Truncate for a narrower integer.
+    pub fn word(&mut self) -> u64 {
+        match self.below(16) {
+            0 => 0,
+            1 => u64::MAX,
+            _ => self.next(),
+        }
+    }
+
+    /// One of `items`.
+    pub fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+        items[self.index(items.len())]
+    }
+
+    /// `Some(item)` or `None`, evenly.
+    pub fn option<T>(&mut self, item: impl FnOnce(&mut Rng) -> T) -> Option<T> {
+        self.flip().then(|| item(self))
+    }
+
+    /// `lo..hi` items.
+    pub fn vec<T>(&mut self, lo: usize, hi: usize, mut item: impl FnMut(&mut Rng) -> T) -> Vec<T> {
+        let len = lo + self.index(hi - lo);
+        (0..len).map(|_| item(self)).collect()
+    }
+
+    /// `lo..=hi` characters of `alphabet` (ASCII).
+    pub fn text(&mut self, alphabet: &str, lo: usize, hi: usize) -> String {
+        let alphabet = alphabet.as_bytes();
+        self.vec(lo, hi + 1, |rng| char::from(rng.pick(alphabet)))
+            .into_iter()
+            .collect()
     }
 }
 

@@ -2,7 +2,7 @@
 //! binary container for density, and auto-detection on load.
 //!
 //! **JSON-lines** (`.jsonl`): one tagged record per line — `Header`
-//! first, then `Input`/`Baseline`/`Vm` records in section order. Every
+//! first, then `Input`/`Baseline` records in section order. Every
 //! line is independently parseable, so traces diff and grep well.
 //!
 //! **Binary** (`.trace`): the 4-byte magic `AIDR`, a format-version
@@ -29,7 +29,6 @@ pub const BINARY_MAGIC: &[u8; 4] = b"AIDR";
 const TAG_HEADER: u8 = 1;
 const TAG_INPUT: u8 = 2;
 const TAG_BASELINE: u8 = 3;
-const TAG_VM: u8 = 4;
 
 /// Largest frame a loader will accept (a corrupted length prefix must
 /// not trigger a giant allocation).
@@ -79,7 +78,6 @@ enum TraceLine {
     Header(TraceHeader),
     Input(crate::event::ReplayEvent),
     Baseline(aide_telemetry::TimedEvent),
-    Vm(aide_emu::Trace),
 }
 
 fn to_lines(trace: &ReplayTrace) -> Vec<TraceLine> {
@@ -91,9 +89,6 @@ fn to_lines(trace: &ReplayTrace) -> Vec<TraceLine> {
     for event in &trace.baseline {
         lines.push(TraceLine::Baseline(event.clone()));
     }
-    if let Some(vm) = &trace.vm {
-        lines.push(TraceLine::Vm(vm.clone()));
-    }
     lines
 }
 
@@ -104,7 +99,6 @@ where
     let mut header: Option<TraceHeader> = None;
     let mut inputs = Vec::new();
     let mut baseline = Vec::new();
-    let mut vm = None;
     for line in lines {
         match line? {
             TraceLine::Header(h) => {
@@ -125,7 +119,6 @@ where
                 match record {
                     TraceLine::Input(e) => inputs.push(e),
                     TraceLine::Baseline(e) => baseline.push(e),
-                    TraceLine::Vm(t) => vm = Some(t),
                     TraceLine::Header(_) => unreachable!("handled above"),
                 }
             }
@@ -136,7 +129,6 @@ where
         header,
         inputs,
         baseline,
-        vm,
     })
 }
 
@@ -182,7 +174,6 @@ pub fn to_binary(trace: &ReplayTrace) -> Vec<u8> {
             TraceLine::Header(h) => (TAG_HEADER, serde_json::to_vec(h)),
             TraceLine::Input(e) => (TAG_INPUT, serde_json::to_vec(e)),
             TraceLine::Baseline(e) => (TAG_BASELINE, serde_json::to_vec(e)),
-            TraceLine::Vm(t) => (TAG_VM, serde_json::to_vec(t)),
         };
         push_frame(&mut out, tag, &payload.expect("trace records serialize"));
     }
@@ -236,7 +227,6 @@ pub fn from_binary(mut bytes: &[u8]) -> Result<ReplayTrace, TraceError> {
             TAG_HEADER => serde_json::from_slice(payload).map(TraceLine::Header),
             TAG_INPUT => serde_json::from_slice(payload).map(TraceLine::Input),
             TAG_BASELINE => serde_json::from_slice(payload).map(TraceLine::Baseline),
-            TAG_VM => serde_json::from_slice(payload).map(TraceLine::Vm),
             other => return Err(TraceError::Corrupt(format!("unknown frame tag {other}"))),
         };
         lines.push(line.map_err(|e| TraceError::Parse(e.to_string())));
@@ -333,6 +323,21 @@ mod tests {
             from_binary(&bin),
             Err(TraceError::Corrupt(_)) | Err(TraceError::Parse(_)) | Err(TraceError::Truncated)
         ));
+    }
+
+    /// Binary tag 4 and a JSON `Vm` line — the embedded-VM section no
+    /// reader has any more — are errors like any other unknown record.
+    #[test]
+    fn unknown_records_error_cleanly() {
+        let mut bin = to_binary(&sample());
+        push_frame(&mut bin, 4, br#"{"app":"unit","events":[]}"#);
+        assert_eq!(
+            from_binary(&bin),
+            Err(TraceError::Corrupt("unknown frame tag 4".into()))
+        );
+        let mut json = to_json_lines(&sample());
+        json.push_str("{\"Vm\":{\"app\":\"unit\",\"events\":[]}}\n");
+        assert!(matches!(decode(json.as_bytes()), Err(TraceError::Parse(_))));
     }
 
     #[test]

@@ -12,9 +12,6 @@
 //! 3. the `baseline` decision timeline the recorded run produced (the
 //!    flight recorder's [`TimedEvent`]s), which replay treats as the
 //!    oracle: a replayed run must reproduce it bit-for-bit.
-//!
-//! An optional fourth section embeds a VM-level [`aide_emu::Trace`]
-//! (see [`crate::adapter`]) so the repo has one trace artifact, not two.
 
 use aide_core::{MigrationRecord, PlatformConfig, TriggerSample};
 use aide_telemetry::TimedEvent;
@@ -128,8 +125,7 @@ pub enum ReplayEvent {
     },
 }
 
-/// A complete recorded run: header, input stream, baseline timeline,
-/// and an optional embedded VM-level trace.
+/// A complete recorded run: header, input stream, baseline timeline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplayTrace {
     /// Version and run metadata.
@@ -140,9 +136,6 @@ pub struct ReplayTrace {
     /// The flight-recorder timeline the recorded run produced — the
     /// oracle replays must reproduce bit-for-bit.
     pub baseline: Vec<TimedEvent>,
-    /// Optional embedded VM-level interaction trace (see
-    /// [`crate::adapter`]).
-    pub vm: Option<aide_emu::Trace>,
 }
 
 impl ReplayTrace {
@@ -152,7 +145,6 @@ impl ReplayTrace {
             header: TraceHeader::new(app, config),
             inputs: Vec::new(),
             baseline: Vec::new(),
-            vm: None,
         }
     }
 

@@ -24,14 +24,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapter;
 pub mod codec;
 pub mod event;
 pub mod record;
 pub mod replay;
 pub mod sweep;
 
-pub use adapter::{embed_vm_trace, from_vm_trace, vm_trace_inputs};
 pub use codec::{
     decode, from_binary, from_json_lines, load, save, to_binary, to_json_lines, TraceError,
 };

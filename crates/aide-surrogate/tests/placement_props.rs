@@ -1,10 +1,9 @@
 //! Property suite for load-aware placement and relay expiry, run at the
 //! soak layer's three hostile seeds with ≥256 generated cases each.
 //!
-//! `proptest` is deliberately not used here: placement must be
-//! *bit-identical across thread counts* (the fleet soak compares daemon
-//! decisions made on different pools), so the generator itself is a
-//! hand-rolled deterministic xorshift whose case stream depends only on
+//! Placement must be *bit-identical across thread counts* (the fleet soak
+//! compares daemon decisions made on different pools), so the generator is
+//! a hand-rolled deterministic xorshift whose case stream depends only on
 //! the seed — never on scheduling, shrinking state, or a framework RNG.
 
 use std::sync::Arc;

@@ -1,4 +1,8 @@
-//! Property-based tests on the VM's heap, collector, and program builder.
+//! Properties of the VM's heap, collector, and program builder, each on
+//! [`support::CASES`] seeded random cases.
+
+#[path = "../../aide-graph/tests/support/mod.rs"]
+mod support;
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -7,49 +11,53 @@ use aide_vm::{
     ClassId, Collector, GcConfig, Heap, Machine, MethodDef, MethodId, ObjectId, ObjectRecord, Op,
     ProgramBuilder, Reg, VmConfig,
 };
-use proptest::prelude::*;
+use support::{for_each_case, Rng};
 
 /// An abstract heap operation for model-based testing.
 #[derive(Debug, Clone)]
 enum HeapOp {
     Insert { class: u32, bytes: u32, slots: u16 },
     Sweep(usize),
-    Link { from: usize, slot: u16, to: usize },
+    Link { from: usize, slot: usize, to: usize },
 }
 
-fn arb_heap_ops() -> impl Strategy<Value = Vec<HeapOp>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (0u32..8, 0u32..10_000, 0u16..4).prop_map(|(class, bytes, slots)| HeapOp::Insert {
-                class,
-                bytes,
-                slots
-            }),
-            (0usize..64).prop_map(HeapOp::Sweep),
-            (0usize..64, 0u16..4, 0usize..64).prop_map(|(from, slot, to)| HeapOp::Link {
-                from,
-                slot,
-                to
-            }),
-        ],
-        1..120,
-    )
+fn heap_op(rng: &mut Rng) -> HeapOp {
+    match rng.below(3) {
+        0 => HeapOp::Insert {
+            class: rng.below(8) as u32,
+            bytes: rng.below(10_000) as u32,
+            slots: rng.below(4) as u16,
+        },
+        1 => HeapOp::Sweep(rng.index(64)),
+        _ => HeapOp::Link {
+            from: rng.index(64),
+            slot: rng.index(4),
+            to: rng.index(64),
+        },
+    }
 }
 
-proptest! {
-    /// The heap's used-byte ledger always equals the sum of live object
-    /// footprints, and never exceeds capacity.
-    #[test]
-    fn heap_ledger_is_exact(ops in arb_heap_ops()) {
+/// The heap's used-byte ledger always equals the sum of live object
+/// footprints, and never exceeds capacity.
+#[test]
+fn heap_ledger_is_exact() {
+    for_each_case(|rng| {
         let mut heap = Heap::new(512 * 1024);
         let mut live: Vec<ObjectId> = Vec::new();
         let mut next = 0u64;
-        for op in ops {
+        for op in rng.vec(1, 120, heap_op) {
             match op {
-                HeapOp::Insert { class, bytes, slots } => {
+                HeapOp::Insert {
+                    class,
+                    bytes,
+                    slots,
+                } => {
                     let id = ObjectId::client(next);
                     next += 1;
-                    if heap.insert(id, ObjectRecord::new(ClassId(class), bytes, slots)).is_ok() {
+                    if heap
+                        .insert(id, ObjectRecord::new(ClassId(class), bytes, slots))
+                        .is_ok()
+                    {
                         live.push(id);
                     }
                 }
@@ -63,8 +71,8 @@ proptest! {
                     if !live.is_empty() {
                         let (a, b) = (live[from % live.len()], live[to % live.len()]);
                         if let Ok(rec) = heap.get_mut(a) {
-                            if (slot as usize) < rec.slots.len() {
-                                rec.slots[slot as usize] = Some(b);
+                            if slot < rec.slots.len() {
+                                rec.slots[slot] = Some(b);
                             }
                         }
                     }
@@ -74,24 +82,27 @@ proptest! {
                 .iter()
                 .map(|&id| heap.get(id).expect("tracked object is live").footprint())
                 .sum();
-            prop_assert_eq!(heap.stats().used_bytes, expected);
-            prop_assert!(heap.stats().used_bytes <= heap.capacity());
-            prop_assert_eq!(heap.stats().live_objects as usize, live.len());
+            assert_eq!(heap.stats().used_bytes, expected);
+            assert!(heap.stats().used_bytes <= heap.capacity());
+            assert_eq!(heap.stats().live_objects as usize, live.len());
         }
-    }
+    });
+}
 
-    /// After a collection: every root-reachable object survives, every
-    /// unreachable object is gone, and the reclaimed byte count matches.
-    #[test]
-    fn gc_preserves_exactly_the_reachable_set(
-        n in 2usize..40,
-        edges in proptest::collection::vec((0usize..40, 0usize..40), 0..80),
-        root_mask in any::<u64>(),
-    ) {
+/// After a collection: every root-reachable object survives, every
+/// unreachable object is gone, and the reclaimed byte count matches.
+#[test]
+fn gc_preserves_exactly_the_reachable_set() {
+    for_each_case(|rng| {
+        let n = rng.range(2, 40) as usize;
+        let edges = rng.vec(0, 80, |rng| (rng.index(40), rng.index(40)));
+        let root_mask = rng.word();
+
         let mut heap = Heap::new(4 << 20);
         let ids: Vec<ObjectId> = (0..n as u64).map(ObjectId::client).collect();
         for &id in &ids {
-            heap.insert(id, ObjectRecord::new(ClassId(0), 64, 4)).unwrap();
+            heap.insert(id, ObjectRecord::new(ClassId(0), 64, 4))
+                .unwrap();
         }
         for (i, &(from, to)) in edges.iter().enumerate() {
             let (a, b) = (ids[from % n], ids[to % n]);
@@ -122,22 +133,24 @@ proptest! {
         let report = gc.collect(&mut heap, roots, []);
 
         for &id in &ids {
-            prop_assert_eq!(heap.contains(id), reachable.contains(&id));
+            assert_eq!(heap.contains(id), reachable.contains(&id));
         }
-        prop_assert_eq!(report.freed_objects as usize, n - reachable.len());
-        prop_assert_eq!(used_before - report.freed_bytes, heap.stats().used_bytes);
+        assert_eq!(report.freed_objects as usize, n - reachable.len());
+        assert_eq!(used_before - report.freed_bytes, heap.stats().used_bytes);
         // Per-class free accounting sums to the report.
         let freed_from_classes: u64 = gc.last_freed_by_class().values().map(|v| v.1).sum();
-        prop_assert_eq!(freed_from_classes, report.freed_bytes);
-    }
+        assert_eq!(freed_from_classes, report.freed_bytes);
+    });
+}
 
-    /// Programs with random (valid) shapes always pass validation and run
-    /// to completion within an adequate heap.
-    #[test]
-    fn generated_linear_programs_run(
-        allocs in proptest::collection::vec((0u32..20_000, 0u16..4), 1..30),
-        work in proptest::collection::vec(1u32..500, 1..30),
-    ) {
+/// Programs with random (valid) shapes always pass validation and run
+/// to completion within an adequate heap.
+#[test]
+fn generated_linear_programs_run() {
+    for_each_case(|rng| {
+        let allocs = rng.vec(1, 30, |rng| (rng.below(20_000) as u32, rng.below(4) as u16));
+        let work = rng.vec(1, 30, |rng| rng.range(1, 500) as u32);
+
         let mut b = ProgramBuilder::new();
         let main = b.add_class("Main");
         let data = b.add_class("Data");
@@ -157,23 +170,24 @@ proptest! {
         let program = Arc::new(b.build(main, MethodId(0), 64, 4).expect("valid"));
         let machine = Machine::new(program, VmConfig::client(64 << 20));
         let summary = machine.run_entry().expect("runs");
-        prop_assert_eq!(summary.objects_allocated, allocs.len() as u64 + 1);
+        assert_eq!(summary.objects_allocated, allocs.len() as u64 + 1);
         let expected_work: u64 = work.iter().map(|&w| u64::from(w)).sum();
-        prop_assert!(summary.cpu_seconds >= expected_work as f64 / 1e6);
-    }
+        assert!(summary.cpu_seconds >= expected_work as f64 / 1e6);
+    });
+}
 
-    /// bytes_by_class matches a model computed from insertions.
-    #[test]
-    fn bytes_by_class_matches_model(
-        inserts in proptest::collection::vec((0u32..5, 1u32..5_000), 1..60),
-    ) {
+/// bytes_by_class matches a model computed from insertions.
+#[test]
+fn bytes_by_class_matches_model() {
+    for_each_case(|rng| {
         let mut heap = Heap::new(64 << 20);
         let mut model: HashMap<ClassId, u64> = HashMap::new();
-        for (i, &(class, bytes)) in inserts.iter().enumerate() {
-            let rec = ObjectRecord::new(ClassId(class), bytes, 0);
-            *model.entry(ClassId(class)).or_default() += rec.footprint();
-            heap.insert(ObjectId::client(i as u64), rec).unwrap();
+        for i in 0..rng.range(1, 60) {
+            let class = ClassId(rng.below(5) as u32);
+            let rec = ObjectRecord::new(class, rng.range(1, 5_000) as u32, 0);
+            *model.entry(class).or_default() += rec.footprint();
+            heap.insert(ObjectId::client(i), rec).unwrap();
         }
-        prop_assert_eq!(heap.bytes_by_class(), model);
-    }
+        assert_eq!(heap.bytes_by_class(), model);
+    });
 }

@@ -111,7 +111,13 @@ fn chaos_tcp_migration_yields_one_connected_cross_device_span_tree() {
     let mut cfg = PlatformConfig::prototype(TEST_HEAP);
     cfg.transport = TransportKind::Tcp;
     let mut chaos = ChaosSchedule::seeded(42);
-    chaos.drop = 0.05;
+    // Loss must stay rare: each lost copy costs the endpoint's 2 s attempt
+    // timeout in real time and this run makes ~2 400 calls, so 5% would be
+    // ~8 min of timeouts (and a call whose nested callbacks retry can spend
+    // its own four attempts meanwhile). One loss is certain all the same:
+    // seed 42's first draw is below any positive rate, so the client's first
+    // frame — the migration's PREPARE — is dropped and retried.
+    chaos.drop = 0.0005;
     chaos.delay = 0.10;
     chaos.max_delay = Duration::from_millis(3);
     chaos.duplicate = 0.05;
@@ -154,6 +160,12 @@ fn chaos_tcp_migration_yields_one_connected_cross_device_span_tree() {
     assert!(
         tree.iter().any(|s| s.track == "surrogate"),
         "surrogate-side spans in the same trace (wire context propagated)"
+    );
+
+    assert!(
+        tree.iter()
+            .any(|s| s.name == names::RPC_ATTEMPT && s.arg("attempt") == Some("2")),
+        "the lost PREPARE was sent again inside the migration trace"
     );
 
     // The surrogate's serve spans hang underneath the client's migration
