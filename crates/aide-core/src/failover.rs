@@ -39,7 +39,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::adapter::{rpc_to_vm_error, RefTables};
 use crate::monitor::NodeKey;
-use crate::nondet::{LinkPhase, NondetSource};
+use crate::nondet::NondetSource;
 use crate::offload::{gather_shipment, GatheredShipment};
 use crate::relay::{RelayShipment, RelaySink};
 
@@ -277,8 +277,8 @@ pub(crate) struct FailoverCore {
     failover_durations: Mutex<Vec<u64>>,
     /// Flight recorder for decision tracing, when the platform wired one.
     recorder: Mutex<Option<Arc<FlightRecorder>>>,
-    /// Nondeterminism seam, when the platform wired one: link deaths and
-    /// recoveries are nondeterministic inputs to the decision pipeline.
+    /// Nondeterminism seam, when the platform wired one: a link death is
+    /// a nondeterministic input to the decision pipeline.
     nondet: Mutex<Option<Arc<dyn NondetSource>>>,
     /// Requests served / frames exchanged, accumulated over retired leases.
     served_total: AtomicU64,
@@ -342,16 +342,10 @@ impl FailoverCore {
         *self.recorder.lock() = Some(recorder);
     }
 
-    /// Wires the platform's nondeterminism seam so link transitions are
+    /// Wires the platform's nondeterminism seam so link deaths are
     /// captured alongside the decisions they influence.
     pub(crate) fn set_nondet(&self, nondet: Arc<dyn NondetSource>) {
         *self.nondet.lock() = Some(nondet);
-    }
-
-    fn note_link(&self, surrogate: &str, phase: LinkPhase) {
-        if let Some(nondet) = self.nondet.lock().as_ref() {
-            nondet.link_transition(surrogate, phase);
-        }
     }
 
     fn record_event(&self, event: PlatformEvent) {
@@ -584,7 +578,9 @@ impl FailoverCore {
         self.record_event(PlatformEvent::LinkDied {
             surrogate: lease.name.clone(),
         });
-        self.note_link(&lease.name, LinkPhase::Died);
+        if let Some(nondet) = self.nondet.lock().as_ref() {
+            nondet.link_died(&lease.name);
+        }
         // Fail remaining in-flight calls fast and stop the session.
         lease.endpoint.shutdown();
         match saturation {
@@ -621,7 +617,6 @@ impl FailoverCore {
             objects_lost: self.objects_lost.load(Ordering::Relaxed) - lost_before,
             duration_micros,
         });
-        self.note_link(&lease.name, LinkPhase::Recovered);
         drop(active);
         // Joining is bounded by the endpoint's drain deadline; do it
         // outside the lock so other threads can proceed locally.

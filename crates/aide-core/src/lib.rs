@@ -63,7 +63,7 @@ pub use failover::{
     SurrogateProvider,
 };
 pub use monitor::{Monitor, MonitorMetrics, NodeKey, RemoteStats, TriggerConfig};
-pub use nondet::{LinkPhase, LiveSource, MigrationRecord, NondetMode, NondetSource, TriggerSample};
+pub use nondet::{LiveSource, MigrationRecord, NondetSource, TriggerSample};
 pub use offload::{execute_offload_tracked, OffloadOutcome, TrackedOffload};
 pub use partitioner::{
     decide_with, EpochDecision, HeuristicKind, IncrementalPartitioner, PartitionDecision,

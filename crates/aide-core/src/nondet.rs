@@ -2,12 +2,12 @@
 //!
 //! Everything the monitor → partitioner → migration pipeline consumes
 //! that is not a pure function of the program — GC reports, drained
-//! graph deltas, heap snapshots, migration outcomes, link deaths —
-//! flows through a [`NondetSource`]. The default [`LiveSource`] passes
-//! live values through untouched; the `aide-replay` crate provides a
-//! recording source (captures every value into a trace) and a replay
-//! driver (substitutes recorded values and verifies the pipeline
-//! reproduces the recorded decision timeline bit-for-bit).
+//! graph deltas, heap snapshots, migration outcomes, link deaths — is
+//! shown to a [`NondetSource`] as it happens. The default [`LiveSource`]
+//! ignores it all; the `aide-replay` crate's recording source captures
+//! every value into a trace, which its replay driver feeds through a
+//! `Monitor` and an `IncrementalPartitioner` of its own to verify they
+//! reproduce the recorded decision timeline bit-for-bit.
 //!
 //! The seam deliberately sits *outside* the partitioner: given the same
 //! deltas, snapshot, and policy, `IncrementalPartitioner::epoch` is
@@ -18,17 +18,6 @@ use aide_vm::GcReport;
 use serde::{Deserialize, Serialize};
 
 use crate::monitor::NodeKey;
-
-/// Which role a [`NondetSource`] plays in a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NondetMode {
-    /// Normal execution; values pass through unchanged.
-    Live,
-    /// Live execution, with every value captured into a trace.
-    Recording,
-    /// Values are substituted from a previously recorded trace.
-    Replaying,
-}
 
 /// The full nondeterministic input to one trigger evaluation: what the
 /// controller feeds the incremental partitioner when a trigger fires.
@@ -65,37 +54,21 @@ pub enum MigrationRecord {
     NoSurrogate,
 }
 
-/// A surrogate link transition observed by the failover layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LinkPhase {
-    /// The link was declared dead.
-    Died,
-    /// Failover onto a standby completed.
-    Recovered,
-}
-
-/// Source (and sink) for the decision pipeline's nondeterministic values.
+/// Sink for the decision pipeline's nondeterministic values.
 ///
-/// All methods default to live pass-through no-ops, so implementations
-/// override only the streams they care about. Methods take `&self`; the
-/// controller shares one source across the GC hook and worker threads.
+/// All methods default to no-ops, so implementations override only the
+/// streams they care about. Methods take `&self`; the controller shares
+/// one source across the GC hook and worker threads.
 pub trait NondetSource: Send + Sync {
-    /// Which role this source plays.
-    fn mode(&self) -> NondetMode {
-        NondetMode::Live
-    }
-
     /// A GC report reached the controller (after the monitor's trigger
     /// state machine consumed it).
     fn observe_gc(&self, report: &GcReport) {
         let _ = report;
     }
 
-    /// A trigger is about to be evaluated. The returned sample is what
-    /// the pipeline actually uses: live and recording sources return
-    /// `live` unchanged, a replaying source substitutes recorded values.
-    fn trigger(&self, live: TriggerSample) -> TriggerSample {
-        live
+    /// A trigger is about to be evaluated on `sample`.
+    fn trigger(&self, sample: &TriggerSample) {
+        let _ = sample;
     }
 
     /// A migration attempt finished (or was skipped for lack of a
@@ -104,13 +77,13 @@ pub trait NondetSource: Send + Sync {
         let _ = record;
     }
 
-    /// The failover layer observed a link transition on `surrogate`.
-    fn link_transition(&self, surrogate: &str, phase: LinkPhase) {
-        let _ = (surrogate, phase);
+    /// The failover layer declared the link to `surrogate` dead.
+    fn link_died(&self, surrogate: &str) {
+        let _ = surrogate;
     }
 }
 
-/// The identity source used by normal runs: no capture, no substitution.
+/// The source used by normal runs: captures nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LiveSource;
 
@@ -119,20 +92,6 @@ impl NondetSource for LiveSource {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn live_source_passes_samples_through() {
-        let sample = TriggerSample {
-            at_gc_cycle: 7,
-            reason: "memory-pressure".into(),
-            snapshot: ResourceSnapshot::new(100, 90),
-            deltas: vec![],
-            keys: vec![],
-        };
-        let src = LiveSource;
-        assert_eq!(src.mode(), NondetMode::Live);
-        assert_eq!(src.trigger(sample.clone()), sample);
-    }
 
     #[test]
     fn records_round_trip_through_serde() {

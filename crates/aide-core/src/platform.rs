@@ -159,8 +159,8 @@ struct Controller {
     events: Mutex<Vec<OffloadEvent>>,
     /// Flight recorder tracing every decision this controller takes.
     recorder: Arc<FlightRecorder>,
-    /// Nondeterminism seam: live pass-through, trace recorder, or replay
-    /// substitution (see [`crate::nondet`]).
+    /// Nondeterminism seam: the no-op [`LiveSource`] or a trace recorder
+    /// (see [`crate::nondet`]).
     nondet: Arc<dyn NondetSource>,
     /// Guards against re-entrant evaluation from nested GC cycles.
     evaluating: Mutex<()>,
@@ -217,21 +217,23 @@ impl Controller {
             let vm = client.vm().lock();
             ResourceSnapshot::new(vm.heap().capacity(), vm.heap().stats().used_bytes)
         };
-        // The nondeterminism seam sees (and may substitute) everything the
-        // pipeline consumes this epoch.
-        let TriggerSample {
-            at_gc_cycle,
-            reason,
-            snapshot,
-            deltas,
-            keys,
-        } = self.nondet.trigger(TriggerSample {
+        // The nondeterminism seam sees everything the pipeline consumes
+        // this epoch.
+        let sample = TriggerSample {
             at_gc_cycle,
             reason: reason.to_string(),
             snapshot: live_snapshot,
             deltas,
             keys,
-        });
+        };
+        self.nondet.trigger(&sample);
+        let TriggerSample {
+            reason,
+            snapshot,
+            deltas,
+            keys,
+            ..
+        } = sample;
         drop(sample_span);
         self.recorder.record(PlatformEvent::TriggerFired {
             at_gc_cycle,
@@ -541,8 +543,8 @@ impl Platform {
 
     /// Threads a [`NondetSource`] through the run's controller, monitor
     /// hook path, and failover core — the seam the `aide-replay` crate
-    /// uses to record (or substitute) every nondeterministic decision
-    /// input. Defaults to the pass-through [`LiveSource`].
+    /// uses to record every nondeterministic decision input. Defaults to
+    /// the no-op [`LiveSource`].
     pub fn with_nondet_source(mut self, source: Arc<dyn NondetSource>) -> Self {
         self.nondet = Some(source);
         self

@@ -66,56 +66,6 @@ pub struct EmulatorConfig {
     /// `None` (the default) replays without failures.
     #[serde(default)]
     pub failure: Option<FailureSchedule>,
-    /// Emulated link chaos: charge retransmissions for lost frames at
-    /// virtual time. `None` (the default) replays over a perfect link.
-    #[serde(default)]
-    pub chaos: Option<EmuChaos>,
-}
-
-/// Emulated link chaos for replays.
-///
-/// Each remote round trip is independently lost with probability
-/// [`loss`](EmuChaos::loss); every loss costs one extra round trip of
-/// virtual link time (the retransmission, as the live platform's retry
-/// layer would perform it), up to [`max_retries`](EmuChaos::max_retries)
-/// per interaction. The stream is seeded, so a replay is reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EmuChaos {
-    /// Probability in `[0, 1]` that a remote round trip must be retried.
-    pub loss: f64,
-    /// Retry bound per interaction (mirrors the live retry budget).
-    pub max_retries: u32,
-    /// Seed for the deterministic loss stream.
-    pub seed: u64,
-}
-
-impl EmuChaos {
-    /// A seeded schedule losing `loss` of round trips, with the live
-    /// platform's default retry budget.
-    pub fn lossy(loss: f64, seed: u64) -> Self {
-        EmuChaos {
-            loss,
-            max_retries: 3,
-            seed,
-        }
-    }
-}
-
-/// Extra round trips the chaos schedule charges for one remote
-/// interaction, and their virtual-time cost.
-fn chaos_penalty(params: &CommParams, chaos: &EmuChaos, state: &mut u64, bytes: u64) -> (u64, f64) {
-    let mut extra = 0u64;
-    while extra < u64::from(chaos.max_retries) {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        let unit = (*state >> 11) as f64 / (1u64 << 53) as f64;
-        if unit >= chaos.loss {
-            break;
-        }
-        extra += 1;
-    }
-    (extra, extra as f64 * params.interaction_seconds(bytes))
 }
 
 /// A scheduled surrogate failure (failover experiments).
@@ -187,7 +137,6 @@ impl EmulatorConfig {
             forced_surrogate: None,
             heuristic: HeuristicKind::default(),
             failure: None,
-            chaos: None,
         }
     }
 
@@ -209,7 +158,6 @@ impl EmulatorConfig {
             forced_surrogate: None,
             heuristic: HeuristicKind::default(),
             failure: None,
-            chaos: None,
         }
     }
 }
@@ -275,13 +223,6 @@ pub struct EmulatorReport {
     pub failovers: Vec<EmuFailover>,
     /// Remote-execution counters.
     pub remote: EmuRemoteStats,
-    /// Retransmissions charged by the configured [`EmuChaos`], if any.
-    #[serde(default)]
-    pub chaos_retries: u64,
-    /// Virtual link seconds spent on those retransmissions (already
-    /// included in [`comm_seconds`](EmulatorReport::comm_seconds)).
-    #[serde(default)]
-    pub chaos_comm_seconds: f64,
     /// Peak live bytes on the emulated client heap.
     pub peak_client_bytes: u64,
     /// Flight-recorder events stamped with *virtual* time, so emulated
@@ -328,13 +269,9 @@ const FLIGHT_RECORDER_EVENTS: usize = 1024;
 const EMULATED_SURROGATE: &str = "emulated-surrogate";
 
 /// Converts virtual seconds on the emulated serial clock to the
-/// microsecond timestamps the flight recorder expects. Every conversion
-/// is reported to the transport observer seam so a trace recorder can
-/// capture the emulator's virtual-time progression.
+/// microsecond timestamps the flight recorder expects.
 fn virtual_micros(seconds: f64) -> u64 {
-    let micros = (seconds.max(0.0) * 1e6) as u64;
-    aide_rpc::observe::virtual_tick(micros);
-    micros
+    (seconds.max(0.0) * 1e6) as u64
 }
 
 /// Process lane emulated spans land on in the exporter, so an emulated
@@ -482,9 +419,6 @@ impl Emulator {
         // Virtual time before which the standby surrogate cannot accept an
         // offload (discovery + session re-establishment after a failure).
         let mut reoffload_ready_at = 0.0f64;
-        let mut chaos_rng: u64 = cfg.chaos.map_or(1, |c| c.seed | 1);
-        let mut chaos_retries = 0u64;
-        let mut chaos_comm = 0.0f64;
         let mut emu_gc_cycle = 0u64;
         let mut freed_since_gc = 0u64;
         let mut work_since_eval = 0.0f64;
@@ -629,13 +563,6 @@ impl Emulator {
                     let is_remote = caller_side != callee_side;
                     if is_remote {
                         comm += cfg.comm.interaction_seconds(*bytes);
-                        if let Some(chaos) = &cfg.chaos {
-                            let (extra, penalty) =
-                                chaos_penalty(&cfg.comm, chaos, &mut chaos_rng, *bytes);
-                            chaos_retries += extra;
-                            chaos_comm += penalty;
-                            comm += penalty;
-                        }
                         remote.remote_interactions += 1;
                         if *invocation {
                             remote.remote_invocations += 1;
@@ -751,13 +678,6 @@ impl Emulator {
                     let is_remote = caller_side == Side::Surrogate && client_bound;
                     if is_remote {
                         comm += cfg.comm.interaction_seconds(*bytes);
-                        if let Some(chaos) = &cfg.chaos {
-                            let (extra, penalty) =
-                                chaos_penalty(&cfg.comm, chaos, &mut chaos_rng, *bytes);
-                            chaos_retries += extra;
-                            chaos_comm += penalty;
-                            comm += penalty;
-                        }
                         remote.remote_native_calls += 1;
                         remote.remote_invocations += 1;
                         remote.remote_interactions += 1;
@@ -779,13 +699,6 @@ impl Emulator {
                     let is_remote = placement.class(*accessor) == Side::Surrogate;
                     if is_remote {
                         comm += cfg.comm.interaction_seconds(*bytes);
-                        if let Some(chaos) = &cfg.chaos {
-                            let (extra, penalty) =
-                                chaos_penalty(&cfg.comm, chaos, &mut chaos_rng, *bytes);
-                            chaos_retries += extra;
-                            chaos_comm += penalty;
-                            comm += penalty;
-                        }
                         remote.remote_static_accesses += 1;
                         remote.remote_interactions += 1;
                     }
@@ -852,8 +765,6 @@ impl Emulator {
             offloads,
             failovers,
             remote,
-            chaos_retries,
-            chaos_comm_seconds: chaos_comm,
             peak_client_bytes: peak_client,
             events: recorder.events(),
         }

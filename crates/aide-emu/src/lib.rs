@@ -45,8 +45,8 @@ mod sweep;
 mod trace;
 
 pub use emulator::{
-    EmuChaos, EmuFailover, EmuRemoteStats, EmulatedOffload, Emulator, EmulatorConfig,
-    EmulatorReport, FailureSchedule,
+    EmuFailover, EmuRemoteStats, EmulatedOffload, Emulator, EmulatorConfig, EmulatorReport,
+    FailureSchedule,
 };
 pub use record::{record_program, record_program_in_mode, Recorder};
 pub use sweep::{best_point, sweep_memory_policies, PolicyGrid, PolicyParams, SweepPoint};

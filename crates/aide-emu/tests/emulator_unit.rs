@@ -391,39 +391,6 @@ fn failure_before_any_offload_reinstates_nothing() {
 }
 
 #[test]
-fn link_chaos_charges_retransmissions_at_virtual_time() {
-    let base = forced_config(&["Worker"]);
-    let trace = simple_trace(100);
-    let calm = Emulator::new(base.clone()).replay(&trace);
-
-    let mut chaotic_cfg = base.clone();
-    chaotic_cfg.chaos = Some(aide_emu::EmuChaos::lossy(0.5, 42));
-    let chaotic = Emulator::new(chaotic_cfg.clone()).replay(&trace);
-
-    assert!(
-        chaotic.chaos_retries > 0,
-        "half the round trips should need at least one retransmission"
-    );
-    // The penalty is exactly the extra comm time, nothing else moves.
-    assert!((chaotic.comm_seconds - calm.comm_seconds - chaotic.chaos_comm_seconds).abs() < 1e-9);
-    assert_eq!(chaotic.client_cpu_seconds, calm.client_cpu_seconds);
-    assert_eq!(chaotic.surrogate_cpu_seconds, calm.surrogate_cpu_seconds);
-    assert_eq!(chaotic.remote, calm.remote, "chaos never re-executes work");
-
-    // Seeded stream: the same configuration replays identically.
-    let again = Emulator::new(chaotic_cfg).replay(&trace);
-    assert_eq!(again.chaos_retries, chaotic.chaos_retries);
-    assert_eq!(again.comm_seconds, chaotic.comm_seconds);
-
-    // A lossless schedule charges nothing.
-    let mut lossless_cfg = base;
-    lossless_cfg.chaos = Some(aide_emu::EmuChaos::lossy(0.0, 42));
-    let lossless = Emulator::new(lossless_cfg).replay(&trace);
-    assert_eq!(lossless.chaos_retries, 0);
-    assert_eq!(lossless.comm_seconds, calm.comm_seconds);
-}
-
-#[test]
 fn reoffload_delay_defers_recovery_until_the_hard_wall() {
     let mut cfg = EmulatorConfig::paper_memory(FAILOVER_HEAP);
     cfg.failure = Some(aide_emu::FailureSchedule {

@@ -8,7 +8,8 @@
 //!    tuning, chaos schedule — everything a replay needs to rebuild the
 //!    pipeline);
 //! 2. the ordered stream of recorded [`ReplayEvent`] inputs — every
-//!    nondeterministic value the decision pipeline consumed;
+//!    nondeterministic value the decision pipeline consumed, and
+//!    nothing a replay does not read;
 //! 3. the `baseline` decision timeline the recorded run produced (the
 //!    flight recorder's [`TimedEvent`]s), which replay treats as the
 //!    oracle: a replayed run must reproduce it bit-for-bit.
@@ -19,7 +20,7 @@ use aide_vm::GcReport;
 use serde::{Deserialize, Serialize};
 
 /// Current trace format version. Bump on any breaking change to the
-/// header, event vocabulary, or binary framing; loaders reject other
+/// header or event vocabulary; loaders reject other
 /// versions with [`crate::TraceError::UnsupportedVersion`].
 pub const TRACE_VERSION: u32 = 1;
 
@@ -79,49 +80,6 @@ pub enum ReplayEvent {
         at_micros: u64,
         /// Name of the dead surrogate.
         surrogate: String,
-    },
-    /// Failover onto a standby surrogate completed.
-    LinkRecovered {
-        /// Microseconds since recording began.
-        at_micros: u64,
-        /// Name of the failed surrogate that was recovered from.
-        surrogate: String,
-    },
-    /// An RPC call completed (timing and retry outcome).
-    RpcCompletion {
-        /// Microseconds since recording began.
-        at_micros: u64,
-        /// RPC sequence number.
-        seq: u64,
-        /// Send attempts the call needed (1 = no retries).
-        attempts: u32,
-        /// Wall-clock call latency in microseconds.
-        elapsed_micros: u64,
-        /// Whether the call returned a reply.
-        ok: bool,
-    },
-    /// One xorshift64 draw from a chaos fault stream.
-    ChaosDraw {
-        /// The (zero-fixed) seed identifying the stream.
-        stream: u64,
-        /// Position of this draw within the stream, from 0.
-        index: u64,
-        /// The raw 64-bit draw.
-        value: u64,
-    },
-    /// A registry liveness probe measured a round-trip time.
-    ProbeRtt {
-        /// Microseconds since recording began.
-        at_micros: u64,
-        /// The probed surrogate.
-        surrogate: String,
-        /// Measured round-trip time in microseconds.
-        rtt_micros: u64,
-    },
-    /// The emulator's virtual clock was read.
-    VirtualTick {
-        /// The virtual timestamp, in microseconds.
-        at_micros: u64,
     },
 }
 

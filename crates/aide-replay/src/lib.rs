@@ -2,15 +2,14 @@
 //!
 //! The platform's offload decisions are a pure function of a small set
 //! of nondeterministic inputs: the GC report stream, the drained graph
-//! deltas and heap snapshot at each trigger, migration outcomes, chaos
-//! draws, RPC timings, probe RTTs, and the emulator's virtual clock.
-//! This crate captures all of them ([`RecordingSource`] behind the
-//! [`NondetSource`](aide_core::NondetSource) and
-//! [`RpcObserver`](aide_rpc::RpcObserver) seams) into a versioned
-//! [`ReplayTrace`] — saved as human-editable JSON lines or compact
-//! length-prefixed binary, auto-detected on load — and replays them
-//! through the *real* `Monitor` → `IncrementalPartitioner` → policy
-//! pipeline.
+//! deltas and heap snapshot at each trigger, migration outcomes and
+//! link deaths. This crate captures them ([`RecordingSource`] behind the
+//! [`NondetSource`](aide_core::NondetSource) seam) into a versioned
+//! [`ReplayTrace`] — saved as human-editable JSON lines — and replays
+//! them through the *real* `Monitor` → `IncrementalPartitioner` → policy
+//! pipeline. A trace holds exactly what replay reads: chaos draws, RPC
+//! timings and probe RTTs never reach that pipeline (a chaos schedule's
+//! seed, in the header's config, regenerates its fault stream).
 //!
 //! Replay is strict: the recorded flight-recorder timeline is the
 //! oracle, every recomputed event is compared against it, and the first
@@ -30,12 +29,10 @@ pub mod record;
 pub mod replay;
 pub mod sweep;
 
-pub use codec::{
-    decode, from_binary, from_json_lines, load, save, to_binary, to_json_lines, TraceError,
-};
+pub use codec::{decode, from_json_lines, load, save, to_json_lines, TraceError};
 pub use event::{ReplayEvent, ReplayTrace, TraceHeader, TRACE_VERSION};
-pub use record::{record_platform_run, recording_guard, RecordingSource};
-pub use replay::{bless, replay, replay_with, verify_chaos_draws, ReplayError, ReplayOutcome};
+pub use record::{record_platform_run, RecordingSource};
+pub use replay::{bless, replay, replay_with, ReplayError, ReplayOutcome};
 pub use sweep::{
     decision_outcomes, default_variants, sweep, BaselineSummary, EpochOutcome, SweepReport,
     SweepVariant, VariantOutcome,

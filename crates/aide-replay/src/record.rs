@@ -1,31 +1,22 @@
 //! Recording: capture every nondeterministic input of a live run.
 //!
-//! [`RecordingSource`] implements both capture seams — aide-core's
-//! [`NondetSource`] (GC reports, trigger samples, migration outcomes,
-//! link transitions) and aide-rpc's [`RpcObserver`] (chaos draws, RPC
-//! completions, probe RTTs, virtual-time ticks) — accumulating inputs
-//! in pipeline order. [`record_platform_run`] wires one source through
-//! a [`Platform`] and the process-wide RPC observer, runs the program,
-//! and returns the report together with the finished trace (whose
-//! baseline is the run's flight-recorder timeline).
-//!
-//! The RPC observer is process-global, so recordings must not overlap:
-//! callers that record concurrently (test harnesses) must serialize on
-//! [`recording_guard`].
+//! [`RecordingSource`] implements aide-core's [`NondetSource`] — GC
+//! reports, trigger samples, migration outcomes, link deaths —
+//! accumulating inputs in pipeline order. [`record_platform_run`] hands
+//! one source to a [`Platform`], runs the program, and returns the
+//! report together with the finished trace (whose baseline is the run's
+//! flight-recorder timeline). The source belongs to its run, so
+//! recordings may overlap.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use aide_core::{
-    LinkPhase, MigrationRecord, NondetMode, NondetSource, Platform, PlatformReport, TriggerSample,
-};
-use aide_rpc::RpcObserver;
+use aide_core::{MigrationRecord, NondetSource, Platform, PlatformReport, TriggerSample};
 use aide_vm::GcReport;
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::event::{ReplayEvent, ReplayTrace};
 
-/// Captures every nondeterministic input crossing the two seams.
+/// Captures every nondeterministic input crossing the seam.
 pub struct RecordingSource {
     origin: Instant,
     inputs: Mutex<Vec<ReplayEvent>>,
@@ -50,24 +41,19 @@ impl RecordingSource {
         u64::try_from(self.origin.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
+    fn inputs(&self) -> MutexGuard<'_, Vec<ReplayEvent>> {
+        self.inputs
+            .lock()
+            .expect("a thread panicked while recording an input")
+    }
+
     fn push(&self, event: ReplayEvent) {
-        self.inputs.lock().push(event);
-    }
-
-    /// Number of inputs captured so far.
-    pub fn len(&self) -> usize {
-        self.inputs.lock().len()
-    }
-
-    /// Whether nothing has been captured yet.
-    pub fn is_empty(&self) -> bool {
-        self.inputs.lock().is_empty()
+        self.inputs().push(event);
     }
 
     /// Drains the captured inputs into a trace for `app`, with
-    /// `baseline` as the oracle timeline (pass the recorded run's
-    /// `report.events`; pass an empty vec when no platform run was
-    /// involved, e.g. chaos-soak harness dumps).
+    /// `baseline` as the oracle timeline (the recorded run's
+    /// `report.events`).
     pub fn into_trace(
         &self,
         app: impl Into<String>,
@@ -75,17 +61,13 @@ impl RecordingSource {
         baseline: Vec<aide_telemetry::TimedEvent>,
     ) -> ReplayTrace {
         let mut trace = ReplayTrace::new(app, config);
-        trace.inputs = std::mem::take(&mut *self.inputs.lock());
+        trace.inputs = std::mem::take(&mut *self.inputs());
         trace.baseline = baseline;
         trace
     }
 }
 
 impl NondetSource for RecordingSource {
-    fn mode(&self) -> NondetMode {
-        NondetMode::Recording
-    }
-
     fn observe_gc(&self, report: &GcReport) {
         self.push(ReplayEvent::Gc {
             at_micros: self.now(),
@@ -93,12 +75,11 @@ impl NondetSource for RecordingSource {
         });
     }
 
-    fn trigger(&self, live: TriggerSample) -> TriggerSample {
+    fn trigger(&self, sample: &TriggerSample) {
         self.push(ReplayEvent::Trigger {
             at_micros: self.now(),
-            sample: live.clone(),
+            sample: sample.clone(),
         });
-        live
     }
 
     fn migration(&self, record: MigrationRecord) {
@@ -108,74 +89,21 @@ impl NondetSource for RecordingSource {
         });
     }
 
-    fn link_transition(&self, surrogate: &str, phase: LinkPhase) {
-        let at_micros = self.now();
-        self.push(match phase {
-            LinkPhase::Died => ReplayEvent::LinkDown {
-                at_micros,
-                surrogate: surrogate.to_string(),
-            },
-            LinkPhase::Recovered => ReplayEvent::LinkRecovered {
-                at_micros,
-                surrogate: surrogate.to_string(),
-            },
-        });
-    }
-}
-
-impl RpcObserver for RecordingSource {
-    fn chaos_draw(&self, stream: u64, index: u64, value: u64) {
-        self.push(ReplayEvent::ChaosDraw {
-            stream,
-            index,
-            value,
-        });
-    }
-
-    fn call_completed(&self, seq: u64, attempts: u32, elapsed_micros: u64, ok: bool) {
-        self.push(ReplayEvent::RpcCompletion {
-            at_micros: self.now(),
-            seq,
-            attempts,
-            elapsed_micros,
-            ok,
-        });
-    }
-
-    fn probe_rtt(&self, surrogate: &str, rtt_micros: u64) {
-        self.push(ReplayEvent::ProbeRtt {
+    fn link_died(&self, surrogate: &str) {
+        self.push(ReplayEvent::LinkDown {
             at_micros: self.now(),
             surrogate: surrogate.to_string(),
-            rtt_micros,
         });
     }
-
-    fn virtual_tick(&self, at_micros: u64) {
-        self.push(ReplayEvent::VirtualTick { at_micros });
-    }
 }
 
-static RECORDING: Mutex<()> = Mutex::new(());
-
-/// Serializes recordings: the RPC observer seam is process-global, so
-/// two concurrent recordings would interleave their capture streams.
-pub fn recording_guard() -> MutexGuard<'static, ()> {
-    RECORDING.lock()
-}
-
-/// Runs `platform` with recording wired through both seams and returns
-/// the run report plus the finished trace (baseline = the run's
-/// flight-recorder timeline).
-///
-/// Takes the process-wide [`recording_guard`] for the duration of the
-/// run.
+/// Runs `platform` with a fresh [`RecordingSource`] and returns the run
+/// report plus the finished trace (baseline = the run's flight-recorder
+/// timeline).
 pub fn record_platform_run(platform: Platform, app: &str) -> (PlatformReport, ReplayTrace) {
-    let _guard = recording_guard();
     let config = *platform.config();
     let source = Arc::new(RecordingSource::new());
-    aide_rpc::set_rpc_observer(Some(source.clone()));
     let report = platform.with_nondet_source(source.clone()).run();
-    aide_rpc::set_rpc_observer(None);
     let trace = source.into_trace(app, config, report.events.clone());
     (report, trace)
 }

@@ -19,7 +19,6 @@
 //! (when a flight recorder is attached) records a
 //! [`PlatformEvent::ReplayDiverged`] event.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use aide_core::{IncrementalPartitioner, PartitionerConfig};
@@ -43,18 +42,6 @@ pub enum ReplayError {
         /// Description of what the replay actually produced.
         actual: String,
     },
-    /// A recorded chaos draw does not match the regenerated xorshift64
-    /// stream — the trace's RNG section is internally inconsistent.
-    ChaosMismatch {
-        /// The (zero-fixed) stream seed.
-        stream: u64,
-        /// Position of the offending draw within the stream.
-        index: u64,
-        /// The value xorshift64 produces at that position.
-        expected: u64,
-        /// The value the trace recorded.
-        actual: u64,
-    },
 }
 
 impl std::fmt::Display for ReplayError {
@@ -68,15 +55,6 @@ impl std::fmt::Display for ReplayError {
                 f,
                 "replay diverged at timeline event {index}: expected {expected}, got {actual}"
             ),
-            ReplayError::ChaosMismatch {
-                stream,
-                index,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "chaos stream {stream:#x} draw {index}: expected {expected:#x}, recorded {actual:#x}"
-            ),
         }
     }
 }
@@ -89,7 +67,7 @@ pub struct ReplayOutcome {
     /// The reproduced decision timeline. For a strict replay this is
     /// bit-identical to the trace's baseline.
     pub timeline: Vec<TimedEvent>,
-    /// Recorded inputs consumed.
+    /// Recorded inputs consumed: every input on the trace.
     pub events_consumed: u64,
 }
 
@@ -206,25 +184,18 @@ impl<'a> Emitter<'a> {
         aide_telemetry::global()
             .counter(names::REPLAY_DIVERGENCES)
             .inc();
-        let err = ReplayError::Diverged {
-            index: self.cursor,
-            expected,
-            actual,
-        };
         if let Some(recorder) = self.recorder {
             recorder.record(PlatformEvent::ReplayDiverged {
                 at_index: self.cursor as u64,
-                expected: match &err {
-                    ReplayError::Diverged { expected, .. } => expected.clone(),
-                    _ => unreachable!(),
-                },
-                actual: match &err {
-                    ReplayError::Diverged { actual, .. } => actual.clone(),
-                    _ => unreachable!(),
-                },
+                expected: expected.clone(),
+                actual: actual.clone(),
             });
         }
-        err
+        ReplayError::Diverged {
+            index: self.cursor,
+            expected,
+            actual,
+        }
     }
 
     /// Emits `actual` at `at_micros`: in strict mode, verified against
@@ -317,10 +288,8 @@ fn run(
         recorder,
     };
     let consumed_counter = aide_telemetry::global().counter(names::REPLAY_EVENTS_CONSUMED);
-    let mut consumed: u64 = 0;
 
     for input in &trace.inputs {
-        consumed += 1;
         consumed_counter.inc();
         match input {
             ReplayEvent::Gc { report, .. } => monitor.on_gc(report),
@@ -455,21 +424,12 @@ fn run(
                     emitter.copy_effects();
                 }
             }
-            ReplayEvent::LinkRecovered { .. }
-            | ReplayEvent::RpcCompletion { .. }
-            | ReplayEvent::ChaosDraw { .. }
-            | ReplayEvent::ProbeRtt { .. }
-            | ReplayEvent::VirtualTick { .. } => {
-                // No direct pipeline action: recovery effects are copied
-                // from the baseline, transport timings are informational,
-                // chaos draws are verified by `verify_chaos_draws`.
-            }
         }
     }
     emitter.finish()?;
     Ok(ReplayOutcome {
         timeline: emitter.out,
-        events_consumed: consumed,
+        events_consumed: trace.inputs.len() as u64,
     })
 }
 
@@ -526,64 +486,4 @@ pub fn replay_with(
     partitioner_config: PartitionerConfig,
 ) -> Result<Vec<TimedEvent>, ReplayError> {
     run(trace, policy, partitioner_config, false, None).map(|o| o.timeline)
-}
-
-/// Verifies the trace's recorded chaos draws against freshly
-/// regenerated xorshift64 streams: per stream, draw `index` must equal
-/// the generator's `index`-th output. Returns the number of draws
-/// verified.
-///
-/// This is an independent bit-determinism check on the recorded fault
-/// schedule — a trace whose chaos section was hand-edited (or recorded
-/// by a different generator) fails here even if the decision timeline
-/// still replays.
-///
-/// # Errors
-///
-/// [`ReplayError::ChaosMismatch`] at the first inconsistent draw.
-pub fn verify_chaos_draws(trace: &ReplayTrace) -> Result<u64, ReplayError> {
-    struct Stream {
-        state: u64,
-        next_index: u64,
-    }
-    let mut streams: HashMap<u64, Stream> = HashMap::new();
-    let mut verified = 0;
-    for input in &trace.inputs {
-        let ReplayEvent::ChaosDraw {
-            stream,
-            index,
-            value,
-        } = input
-        else {
-            continue;
-        };
-        let entry = streams.entry(*stream).or_insert(Stream {
-            state: *stream | 1,
-            next_index: 0,
-        });
-        if *index != entry.next_index {
-            return Err(ReplayError::ChaosMismatch {
-                stream: *stream,
-                index: *index,
-                expected: entry.next_index,
-                actual: *index,
-            });
-        }
-        let mut x = entry.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        entry.state = x;
-        entry.next_index += 1;
-        if x != *value {
-            return Err(ReplayError::ChaosMismatch {
-                stream: *stream,
-                index: *index,
-                expected: x,
-                actual: *value,
-            });
-        }
-        verified += 1;
-    }
-    Ok(verified)
 }

@@ -158,26 +158,16 @@ impl ChaosStats {
 }
 
 /// Deterministic xorshift64 stream (the same generator the failover
-/// backoff jitter uses).
-///
-/// Every draw is reported to the process-wide [`crate::observe`] seam,
-/// keyed by the (zero-fixed) seed and a per-stream draw index, so a
-/// trace recorder can capture — and a replayer re-verify — the exact
-/// fault sequence a chaos schedule produced.
+/// backoff jitter uses): a schedule's seed regenerates its whole fault
+/// sequence, so the seed is all a recording keeps of it.
 struct ChaosRng {
     state: u64,
-    stream: u64,
-    draws: u64,
 }
 
 impl ChaosRng {
     fn new(seed: u64) -> Self {
         // xorshift64 has an absorbing zero state.
-        ChaosRng {
-            state: seed | 1,
-            stream: seed | 1,
-            draws: 0,
-        }
+        ChaosRng { state: seed | 1 }
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -186,9 +176,6 @@ impl ChaosRng {
         x ^= x >> 7;
         x ^= x << 17;
         self.state = x;
-        let index = self.draws;
-        self.draws += 1;
-        crate::observe::chaos_draw(self.stream, index, x);
         x
     }
 
@@ -417,6 +404,23 @@ mod tests {
             .unwrap()
             .is_none());
         assert_eq!(stats.dropped(), 50);
+    }
+
+    /// A recording keeps a schedule's seed and no draw, so what the seed
+    /// stands for is pinned here: xorshift64 (13, 7, 17) from `seed | 1`.
+    #[test]
+    fn the_fault_stream_is_xorshift64_from_the_seed() {
+        for seed in [0u64, 1, 0xDEAD] {
+            let mut rng = ChaosRng::new(seed);
+            let mut x = seed | 1;
+            for draw in 0..8 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                assert_eq!(rng.next_u64(), x, "seed {seed:#x} draw {draw}");
+            }
+        }
+        assert_eq!(ChaosRng::new(0).next_u64(), 0x4082_2041);
     }
 
     #[test]

@@ -1110,7 +1110,6 @@ impl Endpoint {
         self.shared.metrics.backend_requests.inc();
         let elapsed_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.shared.metrics.latency_micros.observe(elapsed_micros);
-        crate::observe::call_completed(seq, attempt, elapsed_micros, matches!(&outcome, Ok(Ok(_))));
         if retried {
             span.arg("attempts", attempt);
         }

@@ -72,7 +72,6 @@ mod chaos;
 mod endpoint;
 mod link;
 mod mux;
-pub mod observe;
 mod reftable;
 mod responder;
 mod tcp;
@@ -84,7 +83,6 @@ pub use chaos::{chaos_pair, chaos_wrap, ChaosPairStats, ChaosSchedule, ChaosStat
 pub use endpoint::{Dispatcher, Endpoint, EndpointConfig, RetryPolicy, RpcError};
 pub use link::{Link, LinkError, NetClock, Session, TrafficStats};
 pub use mux::{BusEvent, BusSink, ConnKiller, MuxConn, MuxSender};
-pub use observe::{set_rpc_observer, RpcObserver};
 pub use reftable::{
     live_remote_refs, ExportTable, GcClock, ImportTable, ReleaseOutcome, DEFAULT_LEASE_TTL_MS,
 };

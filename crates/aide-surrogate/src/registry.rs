@@ -277,7 +277,6 @@ impl SurrogateRegistry {
                 Some(rtt) => {
                     let rtt_micros = u64::try_from(rtt.as_micros()).unwrap_or(u64::MAX);
                     rtt_histogram.observe(rtt_micros);
-                    aide_rpc::observe::probe_rtt(&info.name, rtt_micros);
                     self.note_probe_success(&info.name);
                     if let Some(entry) =
                         self.entries.lock().iter_mut().find(|e| e.name == info.name)

@@ -189,45 +189,22 @@ fn workload_state_is_identical_under_seeded_chaos() {
         let mut schedule = ChaosSchedule::hostile(seed);
         schedule.max_delay = Duration::from_millis(5);
 
-        // Record every chaos draw and RPC completion: a failing seed
-        // leaves a replayable trace behind instead of just a backtrace.
-        let guard = aide::replay::recording_guard();
-        let source = Arc::new(aide::replay::RecordingSource::new());
-        aide::rpc::set_rpc_observer(Some(source.clone()));
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let (link, ct, st, _stats) = chaos_pair(CommParams::WAVELAN, schedule);
-            let h = start_endpoints(&link, ct, st);
-            let chaotic_calls = run_workload(&h);
-            assert_eq!(chaotic_calls, calls);
-            assert_eq!(
-                h.surrogate_ep.requests_served(),
-                calls,
-                "seed {seed}: every logical request executes exactly once \
-                 (at-most-once cache absorbed the rest)"
-            );
-            assert_eq!(
-                final_state(&h),
-                reference,
-                "seed {seed}: chaotic run must land in the fault-free state"
-            );
-            shut_down(h);
-        }));
-        aide::rpc::set_rpc_observer(None);
-        drop(guard);
-        if let Err(panic) = run {
-            let mut cfg = aide::core::PlatformConfig::prototype(3 << 20);
-            cfg.chaos = Some(schedule);
-            let trace = source.into_trace("chaos-soak", cfg, Vec::new());
-            let path = format!("target/replay/{seed}.trace");
-            match aide::replay::save(&trace, &path) {
-                Ok(()) => {
-                    eprintln!("chaos soak failed at seed {seed}; recorded inputs dumped to {path}");
-                    eprintln!("replay with: cargo run --release --example replay -- replay {path}");
-                }
-                Err(e) => eprintln!("chaos soak failed at seed {seed}; trace dump failed: {e}"),
-            }
-            std::panic::resume_unwind(panic);
-        }
+        let (link, ct, st, _stats) = chaos_pair(CommParams::WAVELAN, schedule);
+        let h = start_endpoints(&link, ct, st);
+        let chaotic_calls = run_workload(&h);
+        assert_eq!(chaotic_calls, calls);
+        assert_eq!(
+            h.surrogate_ep.requests_served(),
+            calls,
+            "seed {seed}: every logical request executes exactly once \
+             (at-most-once cache absorbed the rest)"
+        );
+        assert_eq!(
+            final_state(&h),
+            reference,
+            "seed {seed}: chaotic run must land in the fault-free state"
+        );
+        shut_down(h);
     }
 }
 

@@ -9,9 +9,9 @@
 //! must complete or fail over with zero lost objects, every relay queue
 //! must drain (delivered, or recalled at end of run — never expired,
 //! since nobody advances the relay clock), and no VM anywhere in the
-//! process may ever double-unpin. A failing seed dumps a replayable
-//! trace, the same diagnostic path the GC soak uses (the golden
-//! `traces/fleet.trace.jsonl` was distilled from such a run).
+//! process may ever double-unpin. Every assert names its seed, which is
+//! the reproduction (the golden `traces/fleet.trace.jsonl` was distilled
+//! from such a run).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -358,29 +358,7 @@ fn run_seed(seed: u64) {
 #[test]
 fn fleet_survives_saturation_crashes_and_lost_surrogates_at_every_seed() {
     for seed in [1u64, 7, 1234] {
-        // Record every nondeterministic input: a failing seed leaves a
-        // replayable trace, not just a backtrace.
-        let guard = aide::replay::recording_guard();
-        let source = Arc::new(aide::replay::RecordingSource::new());
-        aide::rpc::set_rpc_observer(Some(source.clone()));
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_seed(seed);
-        }));
-        aide::rpc::set_rpc_observer(None);
-        drop(guard);
-        if let Err(panic) = run {
-            let cfg = platform_config();
-            let trace = source.into_trace("fleet-soak", cfg, Vec::new());
-            let path = format!("target/replay/fleet-{seed}.trace");
-            match aide::replay::save(&trace, &path) {
-                Ok(()) => {
-                    eprintln!("fleet soak failed at seed {seed}; inputs dumped to {path}");
-                    eprintln!("replay with: cargo run --release --example replay -- replay {path}");
-                }
-                Err(e) => eprintln!("fleet soak failed at seed {seed}; trace dump failed: {e}"),
-            }
-            std::panic::resume_unwind(panic);
-        }
+        run_seed(seed);
     }
 
     // Process-wide accounting across all seeds: no VM anywhere ever

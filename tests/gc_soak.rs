@@ -261,31 +261,7 @@ fn run_seed(seed: u64) {
 #[test]
 fn reference_tables_return_to_baseline_after_every_hostile_seed() {
     for seed in [1u64, 7, 1234] {
-        // Record every chaos draw: a failing seed leaves a replayable
-        // trace behind instead of just a backtrace (the golden
-        // `traces/gc.trace.jsonl` was distilled from such a dump).
-        let guard = aide::replay::recording_guard();
-        let source = Arc::new(aide::replay::RecordingSource::new());
-        aide::rpc::set_rpc_observer(Some(source.clone()));
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_seed(seed);
-        }));
-        aide::rpc::set_rpc_observer(None);
-        drop(guard);
-        if let Err(panic) = run {
-            let mut cfg = aide::core::PlatformConfig::prototype(3 << 20);
-            cfg.chaos = Some(ChaosSchedule::hostile(seed));
-            let trace = source.into_trace("gc-soak", cfg, Vec::new());
-            let path = format!("target/replay/gc-{seed}.trace");
-            match aide::replay::save(&trace, &path) {
-                Ok(()) => {
-                    eprintln!("gc soak failed at seed {seed}; inputs dumped to {path}");
-                    eprintln!("replay with: cargo run --release --example replay -- replay {path}");
-                }
-                Err(e) => eprintln!("gc soak failed at seed {seed}; trace dump failed: {e}"),
-            }
-            std::panic::resume_unwind(panic);
-        }
+        run_seed(seed);
     }
 
     // The process-wide leak gauges must balance: every entry any table in
