@@ -310,28 +310,29 @@ pub fn javanote(scale: Scale) -> App {
 
     // ---- main --------------------------------------------------------
 
-    let mut body: Vec<Op> = Vec::new();
     // Startup: core objects + framework web.
-    body.push(Op::New {
-        class: editor,
-        scalar_bytes: 3_000,
-        ref_slots: 0,
-        dst: Reg(0),
-    });
-    body.push(Op::PutSlot {
-        slot: SLOT_EDITOR,
-        src: Reg(0),
-    });
-    body.push(Op::New {
-        class: textbuffer,
-        scalar_bytes: 2_000,
-        ref_slots: 0,
-        dst: Reg(0),
-    });
-    body.push(Op::PutSlot {
-        slot: SLOT_TEXTBUFFER,
-        src: Reg(0),
-    });
+    let mut body: Vec<Op> = vec![
+        Op::New {
+            class: editor,
+            scalar_bytes: 3_000,
+            ref_slots: 0,
+            dst: Reg(0),
+        },
+        Op::PutSlot {
+            slot: SLOT_EDITOR,
+            src: Reg(0),
+        },
+        Op::New {
+            class: textbuffer,
+            scalar_bytes: 2_000,
+            ref_slots: 0,
+            dst: Reg(0),
+        },
+        Op::PutSlot {
+            slot: SLOT_TEXTBUFFER,
+            src: Reg(0),
+        },
+    ];
     for (class, bytes) in [
         (document, 1_200u32),
         (clipboard, 600),
@@ -395,19 +396,17 @@ pub fn javanote(scale: Scale) -> App {
                 src: Reg(1),
             });
             // Style run: a small metadata object kept alive per paragraph.
-            for slot in [1u16] {
-                load_ops.push(Op::New {
-                    class: paragraph,
-                    scalar_bytes: 120,
-                    ref_slots: 0,
-                    dst: Reg(4),
-                });
-                load_ops.push(Op::PutSlotOf {
-                    obj: Reg(2),
-                    slot,
-                    src: Reg(4),
-                });
-            }
+            load_ops.push(Op::New {
+                class: paragraph,
+                scalar_bytes: 120,
+                ref_slots: 0,
+                dst: Reg(4),
+            });
+            load_ops.push(Op::PutSlotOf {
+                obj: Reg(2),
+                slot: 1,
+                src: Reg(4),
+            });
             load_ops.push(Op::PutSlot {
                 slot: SLOT_PARA_BASE + para_cursor,
                 src: Reg(2),

@@ -63,7 +63,7 @@ pub fn voxel(scale: Scale) -> App {
             read_bytes: 16,
             temp_bytes: 90,
             instance_bytes: (40, 300),
-            seed: 0x0u64 + 0x70_0e1,
+            seed: 0x70_0e1,
         },
     );
 

@@ -5,21 +5,25 @@
 //! the best feasible candidate, and time the whole decision (the paper
 //! reports ≈0.1 s for JavaNote's 138-class graph on a 600 MHz Pentium).
 //!
+//! Both the modified-MINCUT plan and its policy sweep visit each edge a
+//! bounded number of times, O((V + E) log V) per decision; the
+//! memory-density sweep is O(V² + E) and its materialized candidates are
+//! scored from scratch, O(V · (V + E)).
+//!
 //! [`IncrementalPartitioner`] is the epoch-driven variant the platform
 //! runs: it maintains the execution graph from [`GraphDelta`] batches
 //! (O(delta) per epoch instead of a from-scratch rebuild), runs the
-//! plan-based heuristic with cached per-node strengths, and skips whole
-//! epochs when churn since the last decision stays below a threshold (the
-//! dirty-region shortcut). Decisions are bit-identical to the classic
-//! [`decide_with`] pipeline on the same graph.
+//! plan-based heuristic, and skips whole epochs when churn since the last
+//! decision stays below a threshold (the dirty-region shortcut). Decisions
+//! are bit-identical to the classic [`decide_with`] pipeline on the same
+//! graph.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aide_graph::{
-    candidate_partitionings, density_candidates, plan_candidates_cached, ChurnSummary,
-    ExecutionGraph, GraphDelta, IncrementalGraph, PartitionPolicy, ResourceSnapshot,
-    SelectedPartition,
+    density_candidates, plan_candidates, ChurnSummary, ExecutionGraph, GraphDelta,
+    IncrementalGraph, PartitionPolicy, ResourceSnapshot, SelectedPartition,
 };
 use serde::{Deserialize, Serialize};
 
@@ -57,7 +61,10 @@ impl PartitionDecision {
 }
 
 /// Runs the full decision pipeline over a snapshot: candidates from
-/// `heuristic`, materialized, then the policy's selection.
+/// `heuristic`, then the policy's selection. The modified-MINCUT sweep is
+/// planned and swept without materializing its candidates
+/// ([`PartitionPolicy::select_plan`]); the density sweep's candidates are
+/// materialized and go through [`PartitionPolicy::select`].
 pub fn decide_with(
     graph: ExecutionGraph,
     snapshot: ResourceSnapshot,
@@ -65,14 +72,22 @@ pub fn decide_with(
     heuristic: HeuristicKind,
 ) -> PartitionDecision {
     let start = Instant::now();
-    let candidates = match heuristic {
-        HeuristicKind::ModifiedMincut => candidate_partitionings(&graph),
-        HeuristicKind::MemoryDensity => density_candidates(&graph),
+    let (selection, candidates_evaluated) = match heuristic {
+        HeuristicKind::ModifiedMincut => {
+            let plan = plan_candidates(&graph);
+            (policy.select_plan(&graph, snapshot, &plan), plan.len())
+        }
+        HeuristicKind::MemoryDensity => {
+            let candidates = density_candidates(&graph);
+            (
+                policy.select(&graph, snapshot, &candidates),
+                candidates.len(),
+            )
+        }
     };
-    let selection = policy.select(&graph, snapshot, &candidates);
     PartitionDecision {
         selection,
-        candidates_evaluated: candidates.len(),
+        candidates_evaluated,
         elapsed: start.elapsed(),
         graph,
     }
@@ -112,10 +127,9 @@ pub struct EpochDecision {
 /// Feed it the monitor's drained [`GraphDelta`] batches with
 /// [`apply_deltas`](IncrementalPartitioner::apply_deltas), then ask for a
 /// decision with [`epoch`](IncrementalPartitioner::epoch). Between epochs
-/// the graph and the heuristic's per-node strength cache stay warm, so an
-/// epoch rebuilds nothing and materializes no candidate. Its sweep is still
-/// O(V·E): the heuristic and the policy each scan the whole edge map once
-/// per moved node ([`ExecutionGraph::neighbors`] has no adjacency index).
+/// the graph stays warm, so an epoch rebuilds nothing and materializes no
+/// candidate: the heuristic and the policy each visit a moved node's own
+/// edges only, O((V + E) log V) for the epoch.
 pub struct IncrementalPartitioner {
     config: PartitionerConfig,
     inc: IncrementalGraph,
@@ -187,10 +201,9 @@ impl IncrementalPartitioner {
     /// When churn since the last evaluated epoch is below the configured
     /// threshold (and nothing structural changed), the epoch is skipped
     /// outright: the churn keeps accumulating so a later epoch sees the
-    /// full backlog. Otherwise the plan-based heuristic runs with the warm
-    /// strength cache and the policy sweeps the plan — producing exactly
-    /// the selection the classic [`decide_with`] pipeline would make on
-    /// this graph.
+    /// full backlog. Otherwise the plan-based heuristic runs and the policy
+    /// sweeps the plan — producing exactly the selection the classic
+    /// [`decide_with`] pipeline would make on this graph.
     pub fn epoch(
         &mut self,
         snapshot: ResourceSnapshot,
@@ -208,7 +221,7 @@ impl IncrementalPartitioner {
             };
         }
         let start = Instant::now();
-        let plan = plan_candidates_cached(self.inc.graph(), self.inc.strengths());
+        let plan = plan_candidates(self.inc.graph());
         let selection = policy.select_plan(self.inc.graph(), snapshot, &plan);
         let elapsed = start.elapsed();
         self.inc.take_churn();

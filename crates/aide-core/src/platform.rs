@@ -145,7 +145,7 @@ struct Controller {
     monitor: Arc<Monitor>,
     policy: Box<dyn PartitionPolicy>,
     /// The incremental decision engine: fed the monitor's drained deltas,
-    /// it keeps the execution graph and strength cache warm across epochs.
+    /// it keeps the execution graph warm across epochs.
     partitioner: Mutex<IncrementalPartitioner>,
     evaluation: EvaluationMode,
     /// Late-bound: the controller participates in the client's hook chain,

@@ -219,7 +219,6 @@ fn batched_delivery_is_indistinguishable_from_per_event_delivery() {
             let mut inc = IncrementalGraph::new();
             inc.apply_all(&batched.deltas);
             assert_eq!(inc.graph(), &batched.snapshot.0, "seed {seed}");
-            assert!(inc.strengths_consistent());
 
             // The stream exercised what it claims to.
             assert!(batched.metrics.interaction_events > 500);

@@ -19,9 +19,10 @@ use crate::partition::{Partitioning, Side};
 ///
 /// Candidates are emitted from least-offloaded (one node) to
 /// most-offloaded (every unpinned node), mirroring the greedy order in
-/// which nodes are chosen. Pinned nodes always stay on the client. Every
-/// step rescans the neighbours of every remaining unpinned node (O(E)
-/// each, see [`ExecutionGraph::neighbors`]), so the sweep is O(V²·E).
+/// which nodes are chosen. Pinned nodes always stay on the client. Each
+/// node's marginal cut is kept up to date as nodes move (O(degree) per
+/// move), and each step scans the remaining nodes once, so the sweep is
+/// O(V² + E).
 ///
 /// # Examples
 ///
@@ -58,23 +59,27 @@ pub fn density_candidates(graph: &ExecutionGraph) -> CandidateSequence {
     let mut current = Partitioning::all_client(graph);
     let mut candidates = Vec::with_capacity(unpinned.len());
     let mut move_order = Vec::with_capacity(unpinned.len());
+    // added[v]: the marginal cut change if `v` moves. Edges to client-side
+    // nodes join the cut and edges to offloaded nodes leave it, so it starts
+    // as v's total incident weight and loses 2·w whenever a neighbour across
+    // an edge of weight w moves. Integer sums: equal to a fresh recount.
+    let mut added: Vec<i128> = graph
+        .node_ids()
+        .map(|v| {
+            graph
+                .neighbors(v)
+                .map(|(_, e)| i128::from(e.weight()))
+                .sum()
+        })
+        .collect();
 
     for _ in 0..unpinned.len() {
-        // Marginal cut change if `v` moves: edges to client-side nodes are
-        // added to the cut, edges to already-offloaded nodes are removed.
         let best = unpinned
             .iter()
             .filter(|v| !offloaded[v.index()])
             .map(|&v| {
-                let mut added = 0i128;
-                for (nb, e) in graph.neighbors(v) {
-                    if offloaded[nb.index()] {
-                        added -= i128::from(e.weight());
-                    } else {
-                        added += i128::from(e.weight());
-                    }
-                }
-                let density = graph.node(v).memory_bytes as f64 / (added.max(0) as f64 + 1.0);
+                let density =
+                    graph.node(v).memory_bytes as f64 / (added[v.index()].max(0) as f64 + 1.0);
                 (v, density)
             })
             .max_by(|a, b| {
@@ -86,6 +91,9 @@ pub fn density_candidates(graph: &ExecutionGraph) -> CandidateSequence {
             .expect("unpinned node remains");
 
         offloaded[best.index()] = true;
+        for (nb, e) in graph.neighbors(best) {
+            added[nb.index()] -= 2 * i128::from(e.weight());
+        }
         current.set_side(best, Side::Surrogate);
         move_order.push(best);
         candidates.push(current.clone());

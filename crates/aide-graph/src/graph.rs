@@ -7,10 +7,9 @@
 //! number of interaction events (method invocations and data-field accesses)
 //! and the total number of bytes passed between objects of the two classes.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 /// Identifier of a node (class) in an [`ExecutionGraph`].
 ///
@@ -138,16 +137,6 @@ impl EdgeInfo {
     }
 }
 
-/// Canonical (smaller, larger) ordering of an edge's endpoints.
-#[inline]
-fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
 /// A weighted, undirected execution graph over application classes.
 ///
 /// # Examples
@@ -161,35 +150,83 @@ fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 /// g.record_interaction(editor, buffer, EdgeInfo::new(10, 4_096));
 /// assert_eq!(g.edge(editor, buffer).unwrap().bytes, 4_096);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionGraph {
     nodes: Vec<NodeInfo>,
-    #[serde(with = "edge_map_serde")]
-    edges: BTreeMap<(NodeId, NodeId), EdgeInfo>,
+    /// `adj[v]`: v's incident edges as `(neighbour, statistics)`, sorted by
+    /// neighbour id. Every edge is held at both of its ends.
+    adj: Vec<Vec<(NodeId, EdgeInfo)>>,
+    /// Number of distinct edges (each counted once, not once per end).
+    edge_count: usize,
 }
 
-/// Serializes the edge map as a sequence of `(a, b, info)` triples so the
-/// graph can round-trip through formats (like JSON) whose maps require
-/// string keys.
-mod edge_map_serde {
-    use super::{EdgeInfo, NodeId};
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::collections::BTreeMap;
+/// The serialized form: the nodes, then every edge once as an `(a, b, info)`
+/// triple with `a < b`, in ascending `(a, b)` order. A list rather than a
+/// map, because JSON maps require string keys.
+#[derive(Serialize, Deserialize)]
+struct GraphForm {
+    nodes: Vec<NodeInfo>,
+    edges: Vec<(NodeId, NodeId, EdgeInfo)>,
+}
 
-    pub fn serialize<S: Serializer>(
-        edges: &BTreeMap<(NodeId, NodeId), EdgeInfo>,
-        ser: S,
-    ) -> Result<S::Ok, S::Error> {
-        let triples: Vec<(NodeId, NodeId, EdgeInfo)> =
-            edges.iter().map(|(&(a, b), &e)| (a, b, e)).collect();
-        triples.serialize(ser)
+impl Serialize for ExecutionGraph {
+    fn serialize<S: Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
+        GraphForm {
+            nodes: self.nodes.clone(),
+            edges: self.edges().map(|((a, b), e)| (a, b, e)).collect(),
+        }
+        .serialize(ser)
     }
+}
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        de: D,
-    ) -> Result<BTreeMap<(NodeId, NodeId), EdgeInfo>, D::Error> {
-        let triples = Vec::<(NodeId, NodeId, EdgeInfo)>::deserialize(de)?;
-        Ok(triples.into_iter().map(|(a, b, e)| ((a, b), e)).collect())
+/// Refuses, with an error rather than a panic, any edge list the graph
+/// could not have written: an endpoint out of range, a self-edge, an
+/// unordered pair or a pair listed twice.
+impl<'de> Deserialize<'de> for ExecutionGraph {
+    fn deserialize<D: Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
+        use serde::de::Error;
+        let form = GraphForm::deserialize(de)?;
+        let n = form.nodes.len();
+        let mut graph = ExecutionGraph {
+            adj: vec![Vec::new(); n],
+            nodes: form.nodes,
+            edge_count: 0,
+        };
+        for (a, b, e) in form.edges {
+            let fault = if a.index() >= n || b.index() >= n {
+                Some("names a node out of range")
+            } else if a == b {
+                Some("is a self-edge")
+            } else if a > b {
+                Some("is not ordered smaller id first")
+            } else if graph.edge(a, b).is_some() {
+                Some("is listed twice")
+            } else {
+                None
+            };
+            if let Some(fault) = fault {
+                return Err(D::Error::custom(format_args!(
+                    "edge ({a}, {b}) {fault} in a graph of {n} nodes"
+                )));
+            }
+            graph.record_interaction(a, b, e);
+        }
+        Ok(graph)
+    }
+}
+
+/// Absorbs `obs` into `nb`'s entry of a sorted adjacency list, inserting the
+/// entry in neighbour order when there is none. Returns whether it inserted.
+fn absorb_into(list: &mut Vec<(NodeId, EdgeInfo)>, nb: NodeId, obs: EdgeInfo) -> bool {
+    match list.binary_search_by_key(&nb, |&(n, _)| n) {
+        Ok(i) => {
+            list[i].1.absorb(obs);
+            false
+        }
+        Err(i) => {
+            list.insert(i, (nb, obs));
+            true
+        }
     }
 }
 
@@ -207,6 +244,7 @@ impl ExecutionGraph {
     pub fn add_node(&mut self, info: NodeInfo) -> NodeId {
         let id = u32::try_from(self.nodes.len()).expect("graph node capacity exceeded");
         self.nodes.push(info);
+        self.adj.push(Vec::new());
         NodeId(id)
     }
 
@@ -219,7 +257,7 @@ impl ExecutionGraph {
     /// Number of distinct edges (class pairs with recorded interactions).
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.edge_count
     }
 
     /// Returns `true` if the graph has no nodes.
@@ -278,11 +316,14 @@ impl ExecutionGraph {
     ///
     /// The graph is undirected; `edge(a, b)` and `edge(b, a)` are equivalent.
     pub fn edge(&self, a: NodeId, b: NodeId) -> Option<EdgeInfo> {
-        self.edges.get(&ordered(a, b)).copied()
+        let list = self.adj.get(a.index())?;
+        let i = list.binary_search_by_key(&b, |&(n, _)| n).ok()?;
+        Some(list[i].1)
     }
 
     /// Records an interaction between two distinct classes, accumulating
-    /// onto any existing edge.
+    /// onto any existing edge: a binary search in each endpoint's list, plus
+    /// an O(degree) shift when the edge is new.
     ///
     /// Interactions of a class with itself are ignored: the paper's monitor
     /// only records inter-class interactions (§5.1, "Information is recorded
@@ -297,17 +338,21 @@ impl ExecutionGraph {
         if a == b {
             return;
         }
-        self.edges.entry(ordered(a, b)).or_default().absorb(obs);
+        absorb_into(&mut self.adj[b.index()], a, obs);
+        if absorb_into(&mut self.adj[a.index()], b, obs) {
+            self.edge_count += 1;
+        }
     }
 
     /// Removes a node from consideration without disturbing the dense id
     /// space: zeroes its annotations, clears its pin, and removes every
-    /// incident edge. Returns the removed incident edges.
+    /// incident edge. Returns the removed incident edges, in neighbour order.
     ///
     /// Node ids are dense insertion-order indices (see [`NodeId`]), so a
     /// true removal would invalidate every id held by monitors and
     /// partitionings; a tombstone keeps them stable. The label is kept for
-    /// reports. Cost is O(E) (the edge map is scanned once).
+    /// reports. Cost is one binary search and one removal in each
+    /// neighbour's list: O(deg · log deg) comparisons plus the shifts.
     ///
     /// # Panics
     ///
@@ -319,29 +364,36 @@ impl ExecutionGraph {
         info.cpu_micros = 0;
         info.live_objects = 0;
         info.pinned = None;
-        let removed: Vec<(NodeId, EdgeInfo)> = self.neighbors(id).collect();
-        self.edges.retain(|&(a, b), _| a != id && b != id);
+        let removed = std::mem::take(&mut self.adj[id.index()]);
+        for &(nb, _) in &removed {
+            let list = &mut self.adj[nb.index()];
+            let i = list
+                .binary_search_by_key(&id, |&(n, _)| n)
+                .expect("every edge is held at both ends");
+            list.remove(i);
+        }
+        self.edge_count -= removed.len();
         removed
     }
 
-    /// Iterates over `((NodeId, NodeId), EdgeInfo)` for every edge.
+    /// Iterates over `((a, b), EdgeInfo)` for every edge, once each, with
+    /// `a < b`, in ascending `(a, b)` order.
     pub fn edges(&self) -> impl Iterator<Item = ((NodeId, NodeId), EdgeInfo)> + '_ {
-        self.edges.iter().map(|(&k, &v)| (k, v))
+        self.adj.iter().enumerate().flat_map(|(a, list)| {
+            let a = NodeId(a as u32);
+            let above = list.partition_point(|&(b, _)| b < a);
+            list[above..].iter().map(move |&(b, e)| ((a, b), e))
+        })
     }
 
-    /// Iterates over the neighbours of `id` together with the connecting
-    /// edge statistics. Cost is O(E), not O(degree): there is no adjacency
-    /// index, the whole edge map is filtered.
+    /// Iterates over the neighbours of `id`, in id order, together with the
+    /// connecting edge statistics. Cost is O(degree).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this graph.
     pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = (NodeId, EdgeInfo)> + '_ {
-        self.edges.iter().filter_map(move |(&(a, b), &e)| {
-            if a == id {
-                Some((b, e))
-            } else if b == id {
-                Some((a, e))
-            } else {
-                None
-            }
-        })
+        self.adj[id.index()].iter().copied()
     }
 
     /// Total heap memory attributed to all nodes, in bytes.
@@ -356,12 +408,12 @@ impl ExecutionGraph {
 
     /// Total number of interaction events recorded on all edges.
     pub fn total_interactions(&self) -> u64 {
-        self.edges.values().map(|e| e.interactions).sum()
+        self.edges().map(|(_, e)| e.interactions).sum()
     }
 
     /// Total number of bytes recorded on all edges.
     pub fn total_edge_bytes(&self) -> u64 {
-        self.edges.values().map(|e| e.bytes).sum()
+        self.edges().map(|(_, e)| e.bytes).sum()
     }
 
     /// An estimate of the storage occupied by the graph itself, in bytes.
@@ -374,17 +426,16 @@ impl ExecutionGraph {
             .iter()
             .map(|n| std::mem::size_of::<NodeInfo>() + n.label.len())
             .sum::<usize>()
-            + self.edges.len()
-                * (std::mem::size_of::<(NodeId, NodeId)>() + std::mem::size_of::<EdgeInfo>())
+            // Each edge is held at both ends.
+            + 2 * self.edge_count * std::mem::size_of::<(NodeId, EdgeInfo)>()
     }
 
     /// Sums the weight (see [`EdgeInfo::weight`]) of every edge crossing the
     /// cut defined by `in_client`, a predicate that returns `true` for nodes
     /// on the client side.
     pub fn cut_weight<F: Fn(NodeId) -> bool>(&self, in_client: F) -> u64 {
-        self.edges
-            .iter()
-            .filter(|(&(a, b), _)| in_client(a) != in_client(b))
+        self.edges()
+            .filter(|&((a, b), _)| in_client(a) != in_client(b))
             .map(|(_, e)| e.weight())
             .sum()
     }
@@ -393,9 +444,9 @@ impl ExecutionGraph {
     /// `in_client`, returning aggregate [`EdgeInfo`] for the cut.
     pub fn cut_traffic<F: Fn(NodeId) -> bool>(&self, in_client: F) -> EdgeInfo {
         let mut total = EdgeInfo::default();
-        for (&(a, b), e) in &self.edges {
+        for ((a, b), e) in self.edges() {
             if in_client(a) != in_client(b) {
-                total.absorb(*e);
+                total.absorb(e);
             }
         }
         total
@@ -523,5 +574,64 @@ mod tests {
         let json = serde_json::to_string(&g).unwrap();
         let back: ExecutionGraph = serde_json::from_str(&json).unwrap();
         assert_eq!(g, back);
+    }
+
+    /// `three_node_graph()` as the edge map wrote it before the graph kept
+    /// adjacency lists.
+    const THREE_NODE_JSON: &str = concat!(
+        r#"{"nodes":[{"label":"A","memory_bytes":0,"cpu_micros":0,"live_objects":0,"pinned":null},"#,
+        r#"{"label":"B","memory_bytes":0,"cpu_micros":0,"live_objects":0,"pinned":null},"#,
+        r#"{"label":"C","memory_bytes":0,"cpu_micros":0,"live_objects":0,"pinned":"NativeMethods"}],"#,
+        r#""edges":[[0,1,{"interactions":3,"bytes":300}],[1,2,{"interactions":1,"bytes":10}]]}"#
+    );
+
+    #[test]
+    fn serialization_is_byte_identical_to_the_edge_map_form() {
+        let (g, _, _, _) = three_node_graph();
+        assert_eq!(serde_json::to_string(&g).unwrap(), THREE_NODE_JSON);
+    }
+
+    /// `THREE_NODE_JSON` with its edge list replaced by `edges`.
+    fn with_edges(edges: &str) -> Result<ExecutionGraph, serde_json::Error> {
+        let at = THREE_NODE_JSON.find(r#""edges""#).unwrap();
+        serde_json::from_str(&format!(r#"{}"edges":{edges}}}"#, &THREE_NODE_JSON[..at]))
+    }
+
+    fn refusal(edges: &str) -> String {
+        with_edges(edges).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn an_edge_list_in_another_order_still_loads() {
+        let g = with_edges(
+            r#"[[1,2,{"interactions":1,"bytes":10}],[0,1,{"interactions":3,"bytes":300}]]"#,
+        )
+        .unwrap();
+        assert_eq!(g, three_node_graph().0);
+    }
+
+    #[test]
+    fn deserializing_an_out_of_range_endpoint_is_an_error() {
+        let msg = refusal(r#"[[0,3,{"interactions":1,"bytes":1}]]"#);
+        assert!(msg.contains("out of range"), "{msg}");
+    }
+
+    #[test]
+    fn deserializing_a_self_edge_is_an_error() {
+        let msg = refusal(r#"[[1,1,{"interactions":1,"bytes":1}]]"#);
+        assert!(msg.contains("self-edge"), "{msg}");
+    }
+
+    #[test]
+    fn deserializing_an_unordered_edge_is_an_error() {
+        let msg = refusal(r#"[[2,1,{"interactions":1,"bytes":1}]]"#);
+        assert!(msg.contains("not ordered"), "{msg}");
+    }
+
+    #[test]
+    fn deserializing_a_duplicated_edge_is_an_error() {
+        let edge = r#"[0,1,{"interactions":3,"bytes":300}]"#;
+        let msg = refusal(&format!("[{edge},{edge}]"));
+        assert!(msg.contains("listed twice"), "{msg}");
     }
 }

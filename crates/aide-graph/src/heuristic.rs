@@ -207,33 +207,9 @@ impl CandidatePlan {
 /// Plans the modified-MINCUT candidate sweep without materializing the
 /// candidates (see [`CandidatePlan`]). Equivalent to
 /// [`candidate_partitionings`] minus the O(V²) placements. The next node to
-/// move comes off a heap, but its neighbours come from
-/// [`ExecutionGraph::neighbors`], which filters the whole edge map, so the
-/// plan costs O(V·E + E log V).
+/// move comes off a heap and only its own edges are visited, so the plan
+/// costs O((V + E) log V).
 pub fn plan_candidates(graph: &ExecutionGraph) -> CandidatePlan {
-    plan_with(graph, None)
-}
-
-/// Like [`plan_candidates`], but reuses externally cached per-node
-/// strengths (total incident edge weight, as maintained by
-/// [`crate::IncrementalGraph`]) for the no-pin seed selection instead of
-/// re-deriving them with an O(V·E) scan.
-///
-/// # Panics
-///
-/// Panics if `strengths.len() != graph.node_count()`.
-pub fn plan_candidates_cached(graph: &ExecutionGraph, strengths: &[u64]) -> CandidatePlan {
-    assert_eq!(
-        strengths.len(),
-        graph.node_count(),
-        "strength cache covers {} nodes but graph has {}",
-        strengths.len(),
-        graph.node_count()
-    );
-    plan_with(graph, Some(strengths))
-}
-
-fn plan_with(graph: &ExecutionGraph, cached_strengths: Option<&[u64]>) -> CandidatePlan {
     let n = graph.node_count();
     if n < 2 {
         return CandidatePlan::empty(n);
@@ -268,19 +244,13 @@ fn plan_with(graph: &ExecutionGraph, cached_strengths: Option<&[u64]>) -> Candid
     let mut move_order: Vec<NodeId> = Vec::with_capacity(unpinned);
     let mut seed_moves = 0usize;
     if graph.pinned_nodes().next().is_none() {
-        let seed = match cached_strengths {
-            Some(strengths) => graph
-                .node_ids()
-                .max_by_key(|&v| (strengths[v.index()], Reverse(v)))
-                .expect("graph is nonempty"),
-            None => graph
-                .node_ids()
-                .max_by_key(|&v| {
-                    let w: u64 = graph.neighbors(v).map(|(_, e)| e.weight()).sum();
-                    (w, Reverse(v))
-                })
-                .expect("graph is nonempty"),
-        };
+        let seed = graph
+            .node_ids()
+            .max_by_key(|&v| {
+                let w: u64 = graph.neighbors(v).map(|(_, e)| e.weight()).sum();
+                (w, Reverse(v))
+            })
+            .expect("graph is nonempty");
         pull_into_client(graph, seed, &mut in_client, &mut connectivity);
         move_order.push(seed);
         seed_moves = 1;
@@ -512,30 +482,20 @@ mod tests {
     }
 
     #[test]
-    fn cached_strengths_do_not_change_the_plan() {
+    fn without_pins_the_seed_is_the_node_with_the_most_incident_weight() {
         let mut g = ExecutionGraph::new();
         let ids: Vec<NodeId> = (0..5)
             .map(|i| g.add_node(NodeInfo::new(format!("N{i}"))))
             .collect();
+        // Incident weights: 10, 50, 45, 75, 70.
         g.record_interaction(ids[0], ids[1], bytes(10));
         g.record_interaction(ids[1], ids[2], bytes(40));
         g.record_interaction(ids[2], ids[3], bytes(5));
         g.record_interaction(ids[3], ids[4], bytes(70));
-        let mut strengths = vec![0u64; g.node_count()];
-        for ((a, b), e) in g.edges() {
-            strengths[a.index()] += e.weight();
-            strengths[b.index()] += e.weight();
-        }
-        assert_eq!(plan_candidates_cached(&g, &strengths), plan_candidates(&g));
-    }
-
-    #[test]
-    #[should_panic(expected = "strength cache covers")]
-    fn cached_strengths_must_match_node_count() {
-        let mut g = ExecutionGraph::new();
-        g.add_node(NodeInfo::new("A"));
-        g.add_node(NodeInfo::new("B"));
-        let _ = plan_candidates_cached(&g, &[0]);
+        let plan = plan_candidates(&g);
+        assert_eq!(plan.move_order()[0], ids[3]);
+        assert!(plan.base().is_client(ids[3]));
+        assert_eq!(plan.len(), 4);
     }
 
     #[test]

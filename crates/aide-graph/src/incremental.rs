@@ -2,20 +2,13 @@
 //!
 //! The paper's monitor rebuilds the execution graph at every decision
 //! epoch. That is fine at 138 classes but caps the platform at toy graph
-//! sizes: a from-scratch rebuild plus heuristic plus policy pass costs
-//! O(V·(V+E)) per epoch. This module lets the monitor publish
-//! [`GraphDelta`]s instead and applies them in O(delta) each, keeping two
-//! derived structures warm between epochs:
-//!
-//! * the graph itself, always equal to what a from-scratch rebuild from
-//!   the same history would produce (the equivalence properties in
-//!   `tests/incremental_equivalence.rs` pin this down), and
-//! * a per-node **strength** cache (total incident edge weight), which the
-//!   heuristic's seed selection reuses instead of re-deriving it with an
-//!   O(V·E) scan.
-//!
-//! What this removes is the rebuild; the heuristic and policy sweep of an
-//! epoch stay O(V·E) (see [`crate::plan_candidates`]).
+//! sizes. This module lets the monitor publish [`GraphDelta`]s instead and
+//! applies each in time proportional to the degree of the nodes it touches,
+//! keeping the graph warm between epochs and always equal to what a
+//! from-scratch rebuild from the same history would produce (the
+//! equivalence properties in `tests/incremental_equivalence.rs` pin this
+//! down). An epoch then costs only the heuristic and the policy sweep,
+//! O((V + E) log V) together (see [`crate::plan_candidates`]).
 //!
 //! The struct also accounts **churn**: how much weight the deltas since
 //! the last evaluation moved. The partitioner's dirty-region shortcut
@@ -29,8 +22,10 @@ use crate::graph::{EdgeInfo, ExecutionGraph, NodeId, NodeInfo, PinReason};
 ///
 /// Deltas are the wire/state format between the monitoring module and the
 /// incremental partitioner: the monitor drains a batch per decision epoch
-/// and the partitioner applies each in O(delta) (O(E) for
-/// [`GraphDelta::RemoveNode`], which is rare).
+/// and the partitioner applies each in time bounded by the degree of the
+/// nodes it names: O(log deg) for an interaction on an existing edge,
+/// O(deg) for a new one, O(deg · log deg) for [`GraphDelta::RemoveNode`]
+/// (see [`ExecutionGraph::clear_node`]), O(1) for the rest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum GraphDelta {
     /// A class (or object-granular array) appeared: append a node. The
@@ -117,7 +112,7 @@ impl ChurnSummary {
 }
 
 /// An [`ExecutionGraph`] maintained incrementally from [`GraphDelta`]s,
-/// with a warm per-node strength cache and churn accounting.
+/// with churn accounting.
 ///
 /// # Examples
 ///
@@ -140,13 +135,11 @@ impl ChurnSummary {
 ///     delta: EdgeInfo::new(3, 97),
 /// });
 /// assert_eq!(inc.graph().edge(NodeId(0), NodeId(1)).unwrap().bytes, 97);
-/// assert_eq!(inc.strengths(), &[100, 100]);
+/// assert_eq!(inc.churn().weight, 100);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IncrementalGraph {
     graph: ExecutionGraph,
-    /// strength[v] = sum of incident edge weights of v.
-    strength: Vec<u64>,
     churn: ChurnSummary,
     deltas_applied: u64,
 }
@@ -157,19 +150,11 @@ impl IncrementalGraph {
         IncrementalGraph::default()
     }
 
-    /// Wraps an existing graph, computing the strength cache in O(V + E).
+    /// Wraps an existing graph, with no churn and no deltas applied yet.
     pub fn from_graph(graph: ExecutionGraph) -> Self {
-        let mut strength = vec![0u64; graph.node_count()];
-        for ((a, b), e) in graph.edges() {
-            let w = e.weight();
-            strength[a.index()] += w;
-            strength[b.index()] += w;
-        }
         IncrementalGraph {
             graph,
-            strength,
-            churn: ChurnSummary::default(),
-            deltas_applied: 0,
+            ..IncrementalGraph::default()
         }
     }
 
@@ -182,13 +167,6 @@ impl IncrementalGraph {
     /// Consumes the wrapper, returning the graph.
     pub fn into_graph(self) -> ExecutionGraph {
         self.graph
-    }
-
-    /// The cached per-node strengths (total incident edge weight), indexed
-    /// by [`NodeId::index`].
-    #[inline]
-    pub fn strengths(&self) -> &[u64] {
-        &self.strength
     }
 
     /// Total number of deltas applied over the lifetime of this graph.
@@ -207,7 +185,7 @@ impl IncrementalGraph {
         std::mem::take(&mut self.churn)
     }
 
-    /// Applies one delta in O(delta) (O(E) for `RemoveNode`).
+    /// Applies one delta, at the costs listed on [`GraphDelta`].
     ///
     /// # Panics
     ///
@@ -231,7 +209,6 @@ impl IncrementalGraph {
                 info.cpu_micros = *cpu_micros;
                 info.live_objects = *live_objects;
                 self.graph.add_node(info);
-                self.strength.push(0);
                 self.churn.structural = true;
             }
             GraphDelta::UpdateNode {
@@ -262,16 +239,10 @@ impl IncrementalGraph {
                     return;
                 }
                 self.graph.record_interaction(*a, *b, *delta);
-                let w = delta.weight();
-                self.strength[a.index()] += w;
-                self.strength[b.index()] += w;
-                self.churn.weight = self.churn.weight.saturating_add(w);
+                self.churn.weight = self.churn.weight.saturating_add(delta.weight());
             }
             GraphDelta::RemoveNode { node } => {
-                for (nb, e) in self.graph.clear_node(*node) {
-                    self.strength[nb.index()] -= e.weight();
-                }
-                self.strength[node.index()] = 0;
+                self.graph.clear_node(*node);
                 self.churn.structural = true;
             }
         }
@@ -282,13 +253,6 @@ impl IncrementalGraph {
         for d in deltas {
             self.apply(d);
         }
-    }
-
-    /// Debug helper: recomputes strengths from scratch and checks them
-    /// against the cache. Used by the equivalence tests; O(V + E).
-    pub fn strengths_consistent(&self) -> bool {
-        let fresh = IncrementalGraph::from_graph(self.graph.clone());
-        fresh.strength == self.strength
     }
 }
 
@@ -314,6 +278,14 @@ mod tests {
         }
     }
 
+    /// Each node's total incident edge weight.
+    fn incident_weights(inc: &IncrementalGraph) -> Vec<u64> {
+        let g = inc.graph();
+        g.node_ids()
+            .map(|v| g.neighbors(v).map(|(_, e)| e.weight()).sum())
+            .collect()
+    }
+
     #[test]
     fn deltas_build_the_same_graph_as_direct_calls() {
         let mut inc = IncrementalGraph::new();
@@ -335,8 +307,7 @@ mod tests {
         direct.record_interaction(a, b, EdgeInfo::new(2, 50));
 
         assert_eq!(inc.graph(), &direct);
-        assert!(inc.strengths_consistent());
-        assert_eq!(inc.strengths(), &[355, 366, 11]);
+        assert_eq!(incident_weights(&inc), [355, 366, 11]);
     }
 
     #[test]
@@ -411,8 +382,7 @@ mod tests {
         inc.apply(&GraphDelta::RemoveNode { node: NodeId(1) });
         assert_eq!(inc.graph().node_count(), 3, "ids stay dense");
         assert_eq!(inc.graph().edge_count(), 1);
-        assert_eq!(inc.strengths(), &[7, 0, 7]);
-        assert!(inc.strengths_consistent());
+        assert_eq!(incident_weights(&inc), [7, 0, 7]);
     }
 
     #[test]
@@ -422,18 +392,22 @@ mod tests {
         inc.take_churn();
         inc.apply(&interact(0, 0, 5, 500));
         assert_eq!(inc.graph().edge_count(), 0);
-        assert_eq!(inc.strengths(), &[0]);
+        assert_eq!(incident_weights(&inc), [0]);
         assert_eq!(inc.churn().weight, 0);
     }
 
     #[test]
-    fn from_graph_seeds_the_strength_cache() {
+    fn from_graph_wraps_the_graph_with_no_churn() {
         let mut g = ExecutionGraph::new();
         let a = g.add_node(NodeInfo::new("A"));
         let b = g.add_node(NodeInfo::new("B"));
         g.record_interaction(a, b, EdgeInfo::new(2, 98));
-        let inc = IncrementalGraph::from_graph(g);
-        assert_eq!(inc.strengths(), &[100, 100]);
+        let mut inc = IncrementalGraph::from_graph(g.clone());
+        assert_eq!(inc.graph(), &g);
+        assert_eq!(inc.churn(), ChurnSummary::default());
+        assert_eq!(inc.deltas_applied(), 0);
+        inc.apply(&interact(1, 0, 1, 9));
+        assert_eq!(incident_weights(&inc), [110, 110]);
     }
 
     #[test]

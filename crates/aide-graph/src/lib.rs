@@ -58,10 +58,7 @@ pub use cost::{CommParams, CostFunction, CutBytes, CutInteractions, PredictedTim
 pub use density::density_candidates;
 pub use dot::{to_dot, to_dot_annotated};
 pub use graph::{EdgeInfo, ExecutionGraph, NodeId, NodeInfo, PinReason};
-pub use heuristic::{
-    candidate_partitionings, plan_candidates, plan_candidates_cached, CandidatePlan,
-    CandidateSequence,
-};
+pub use heuristic::{candidate_partitionings, plan_candidates, CandidatePlan, CandidateSequence};
 pub use incremental::{ChurnSummary, GraphDelta, IncrementalGraph};
 pub use mincut::{stoer_wagner, MinCut};
 pub use partition::{PartitionStats, Partitioning, Side};

@@ -129,11 +129,10 @@ pub trait PartitionPolicy: Send + Sync {
     /// Like [`select`](PartitionPolicy::select), but sweeps a
     /// [`CandidatePlan`] directly: no O(V²) candidate sequence is
     /// materialized, and the statistics are carried from one candidate to
-    /// the next by toggling the moved node's incident edges. Finding those
-    /// edges is one [`ExecutionGraph::neighbors`] scan of the whole edge
-    /// map, so a move costs O(E) and the sweep O(V·E) — the same order as
-    /// `select`, with a smaller constant and O(V) memory. Produces exactly
-    /// the selection `select` would make on [`CandidatePlan::materialize`].
+    /// the next by toggling the moved node's incident edges. A move costs
+    /// O(degree), so the sweep is O(V + E) in O(V) memory, against `select`'s
+    /// O(V·(V + E)). Produces exactly the selection `select` would make on
+    /// [`CandidatePlan::materialize`].
     fn select_plan(
         &self,
         graph: &ExecutionGraph,
@@ -210,7 +209,7 @@ fn pick_from_plan(
 
 /// Pulls `v` from the surrogate back to the client, updating `stats` in
 /// place: node annotations switch columns and v's incident edges toggle
-/// their cut contribution (one O(E) `neighbors` scan).
+/// their cut contribution, in O(degree).
 fn advance_candidate(
     graph: &ExecutionGraph,
     current: &mut Partitioning,

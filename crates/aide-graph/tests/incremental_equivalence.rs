@@ -3,16 +3,16 @@
 //!
 //! For arbitrary delta streams, the incrementally maintained graph must be
 //! *indistinguishable* from a graph rebuilt from scratch out of the same
-//! history: same nodes, edges, and annotations; a consistent strength
-//! cache; identical candidate sequences out of the heuristic; and the same
-//! policy winner. These tests are the contract that lets the platform adopt
-//! O(delta) maintenance without re-validating every decision downstream.
+//! history: same nodes, edges, and annotations; identical candidate
+//! sequences out of the heuristic; and the same policy winner. These tests
+//! are the contract that lets the platform adopt O(delta) maintenance
+//! without re-validating every decision downstream.
 //! Each runs on [`support::CASES`] seeded random delta streams.
 
 mod support;
 
 use aide_graph::{
-    candidate_partitionings, plan_candidates_cached, EdgeInfo, ExecutionGraph, GraphDelta,
+    candidate_partitionings, plan_candidates, EdgeInfo, ExecutionGraph, GraphDelta,
     IncrementalGraph, MemoryPolicy, NodeId, NodeInfo, PartitionPolicy, PinReason, ResourceSnapshot,
 };
 use support::{for_each_case, Rng};
@@ -110,8 +110,7 @@ fn rebuild_from_scratch(deltas: &[GraphDelta]) -> ExecutionGraph {
     g
 }
 
-/// The incremental graph equals a from-scratch rebuild of the same
-/// history, and its strength cache matches a fresh O(V+E) recount.
+/// The incremental graph equals a from-scratch rebuild of the same history.
 #[test]
 fn incremental_graph_equals_from_scratch_rebuild() {
     for_each_case(|rng| {
@@ -120,13 +119,12 @@ fn incremental_graph_equals_from_scratch_rebuild() {
         inc.apply_all(&deltas);
         let reference = rebuild_from_scratch(&deltas);
         assert_eq!(inc.graph(), &reference);
-        assert!(inc.strengths_consistent(), "stale strength cache");
     });
 }
 
-/// The heuristic fed the warm strength cache produces exactly the
-/// candidate sequence (placements AND move order) of the classic
-/// from-scratch pipeline.
+/// The plan over the warm incremental graph produces exactly the candidate
+/// sequence (placements AND move order) of the classic from-scratch
+/// pipeline.
 #[test]
 fn cached_plan_produces_identical_candidate_sequences() {
     for_each_case(|rng| {
@@ -135,7 +133,7 @@ fn cached_plan_produces_identical_candidate_sequences() {
         inc.apply_all(&deltas);
         let reference = rebuild_from_scratch(&deltas);
 
-        let plan = plan_candidates_cached(inc.graph(), inc.strengths());
+        let plan = plan_candidates(inc.graph());
         let classic = candidate_partitionings(&reference);
 
         assert_eq!(plan.move_order(), classic.move_order());
@@ -153,7 +151,7 @@ fn plan_candidate_reconstruction_matches_materialization() {
         let plan = loop {
             let mut inc = IncrementalGraph::new();
             inc.apply_all(&random_deltas(rng));
-            let plan = plan_candidates_cached(inc.graph(), inc.strengths());
+            let plan = plan_candidates(inc.graph());
             if !plan.is_empty() {
                 break plan;
             }
@@ -177,7 +175,7 @@ fn policy_winner_is_identical_on_both_pipelines() {
         let heap = rng.range(500_000, 4_000_000);
         let snapshot = ResourceSnapshot::new(heap, heap - heap / 20);
 
-        let plan = plan_candidates_cached(inc.graph(), inc.strengths());
+        let plan = plan_candidates(inc.graph());
         let from_plan = policy.select_plan(inc.graph(), snapshot, &plan);
         let classic = policy.select(&reference, snapshot, &candidate_partitionings(&reference));
 

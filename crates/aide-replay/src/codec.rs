@@ -50,14 +50,14 @@ impl std::error::Error for TraceError {}
 /// One tagged record in a serialized trace stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum TraceLine {
-    Header(TraceHeader),
+    Header(Box<TraceHeader>),
     Input(crate::event::ReplayEvent),
     Baseline(aide_telemetry::TimedEvent),
 }
 
 /// Encodes `trace` as JSON-lines (one tagged record per line).
 pub fn to_json_lines(trace: &ReplayTrace) -> String {
-    let header = std::iter::once(TraceLine::Header(trace.header.clone()));
+    let header = std::iter::once(TraceLine::Header(Box::new(trace.header.clone())));
     let inputs = trace.inputs.iter().cloned().map(TraceLine::Input);
     let baseline = trace.baseline.iter().cloned().map(TraceLine::Baseline);
     let mut out = String::new();
@@ -93,7 +93,7 @@ pub fn from_json_lines(text: &str) -> Result<ReplayTrace, TraceError> {
             TraceLine::Header(h) if h.version != TRACE_VERSION => {
                 return Err(TraceError::UnsupportedVersion(h.version));
             }
-            TraceLine::Header(h) => header = Some(h),
+            TraceLine::Header(h) => header = Some(*h),
             TraceLine::Input(e) => inputs.push(e),
             TraceLine::Baseline(e) => baseline.push(e),
         }

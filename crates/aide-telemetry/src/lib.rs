@@ -54,12 +54,13 @@ pub fn global() -> &'static Telemetry {
 /// active `(trace_id, span_id)`, if any. Registered by the tracing layer
 /// (`aide_trace::install_recorder_annotator`); a plain function pointer
 /// keeps this crate a leaf with no dependency on the span machinery.
-static TRACE_ANNOTATOR: OnceLock<fn() -> Option<(u64, u64)>> = OnceLock::new();
+type TraceAnnotator = fn() -> Option<(u64, u64)>;
+static TRACE_ANNOTATOR: OnceLock<TraceAnnotator> = OnceLock::new();
 
 /// Registers the span annotator consulted by [`FlightRecorder::record`]
 /// and [`FlightRecorder::record_at`]. First registration wins; later
 /// calls are no-ops (the annotator is process-global state).
-pub fn set_trace_annotator(annotator: fn() -> Option<(u64, u64)>) {
+pub fn set_trace_annotator(annotator: TraceAnnotator) {
     let _ = TRACE_ANNOTATOR.set(annotator);
 }
 
