@@ -48,6 +48,6 @@ pub use emulator::{
     EmuFailover, EmuRemoteStats, EmulatedOffload, Emulator, EmulatorConfig, EmulatorReport,
     FailureSchedule,
 };
-pub use record::{record_program, record_program_in_mode, Recorder};
+pub use record::{record_program, Recorder};
 pub use sweep::{best_point, sweep_memory_policies, PolicyGrid, PolicyParams, SweepPoint};
 pub use trace::{ClassMeta, Trace, TraceEvent};

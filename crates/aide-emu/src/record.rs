@@ -124,36 +124,12 @@ pub fn record_program(
     program: Arc<Program>,
     heap_capacity: u64,
 ) -> VmResult<Trace> {
-    record_program_in_mode(app_name, program, heap_capacity, None)
-}
-
-/// Like [`record_program`], but pinning which interpreter executes the run
-/// (`None` keeps the machine's environment-selected default).
-///
-/// Traces are interpreter-neutral by construction: the recorder sees only
-/// the hook event stream, and inline-cache state (hit/miss counters, cached
-/// localities) has no [`TraceEvent`] representation — so a trace recorded
-/// under the flat register VM is bit-identical to one recorded under the
-/// legacy tree-walker. The `mode_identical` test below holds that invariant.
-///
-/// # Errors
-///
-/// Propagates any [`aide_vm::VmError`] from the recording run.
-pub fn record_program_in_mode(
-    app_name: &str,
-    program: Arc<Program>,
-    heap_capacity: u64,
-    mode: Option<aide_vm::ExecMode>,
-) -> VmResult<Trace> {
     let recorder = Arc::new(Recorder::new());
-    let mut machine = Machine::with_hooks(
+    let machine = Machine::with_hooks(
         program.clone(),
         VmConfig::client(heap_capacity),
         recorder.clone(),
     );
-    if let Some(mode) = mode {
-        machine.set_exec_mode(mode);
-    }
     machine.run_entry()?;
     let events = {
         // The machine is done; we hold the only other Arc.
@@ -251,19 +227,5 @@ mod tests {
     fn recording_oom_propagates() {
         let result = record_program("toosmall", program(), 600);
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn traces_are_identical_across_interpreters() {
-        use aide_vm::ExecMode;
-        let flat =
-            record_program_in_mode("mini", program(), 8 << 20, Some(ExecMode::Flat)).unwrap();
-        let legacy =
-            record_program_in_mode("mini", program(), 8 << 20, Some(ExecMode::Legacy)).unwrap();
-        assert_eq!(
-            flat, legacy,
-            "inline-cache state must not leak into recorded traces"
-        );
-        assert_eq!(flat.to_json().unwrap(), legacy.to_json().unwrap());
     }
 }

@@ -368,9 +368,7 @@ fn warm_inline_caches_do_not_leak_into_replay() {
     // bit-identical to the checked-in golden.
     use std::sync::Arc;
 
-    use aide_vm::{
-        ExecMode, Machine, MethodDef, MethodId, NullHooks, Op, ProgramBuilder, Reg, VmConfig,
-    };
+    use aide_vm::{Machine, MethodDef, MethodId, NullHooks, Op, ProgramBuilder, Reg, VmConfig};
 
     let mut b = ProgramBuilder::new();
     let main = b.add_class("Main");
@@ -397,8 +395,7 @@ fn warm_inline_caches_do_not_leak_into_replay() {
         ),
     );
     let program = Arc::new(b.build(main, MethodId(0), 64, 0).unwrap());
-    let mut machine = Machine::with_hooks(program, VmConfig::client(1 << 20), Arc::new(NullHooks));
-    machine.set_exec_mode(ExecMode::Flat);
+    let machine = Machine::with_hooks(program, VmConfig::client(1 << 20), Arc::new(NullHooks));
     machine.run_entry().expect("warm-up run succeeds");
     let (hits, misses) = machine.vm().lock().ic_stats();
     assert!(

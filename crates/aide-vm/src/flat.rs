@@ -1,11 +1,10 @@
 //! Pre-decoded flat IR for the register VM.
 //!
-//! The seed interpreter tree-walks nested `Vec<Op>` method bodies on every
-//! pass: each `Op::Repeat { n, body }` re-traverses its body vector per
-//! iteration, every call re-resolves its callee through the class table,
-//! and every operand is re-decoded from the enum on each execution. This
-//! module lowers a [`Program`] **once** into a contiguous, pre-decoded
-//! instruction stream (the register-VM shape):
+//! A [`Program`]'s method bodies are nested `Vec<Op>` trees. This module
+//! lowers a program **once** into a contiguous, pre-decoded instruction
+//! stream (the register-VM shape), so that executing it re-traverses no
+//! body vector, re-resolves no callee through the class table and
+//! re-decodes no operand:
 //!
 //! * `Repeat` bodies are flattened into [`FlatOp::Loop`]/[`FlatOp::EndLoop`]
 //!   pairs with explicit backward jumps and a per-frame loop-counter stack —
@@ -45,7 +44,7 @@ pub struct Sym(pub u32);
 /// resolved at compile time. Unreachable for programs built through
 /// [`Program::new`] (validation guarantees every callee exists); possible
 /// only for deserialized programs that bypassed validation, in which case
-/// executing the site reproduces the tree-walker's lazy lookup error.
+/// executing the site returns the lookup error [`Program::method`] would.
 pub const UNRESOLVED: u32 = u32::MAX;
 
 /// Sentinel inline-cache site id for ops that carry no cache (static calls).

@@ -92,7 +92,7 @@ pub trait RuntimeHooks: Send + Sync {
     /// A garbage-collection cycle completed.
     fn on_gc(&self, report: &GcReport) {}
 
-    /// One flushed burst: the events the flat interpreter queued since its
+    /// One flushed burst: the events the interpreter queued since its
     /// previous flush, oldest first. The default hands them one by one to
     /// the `on_*` methods above; a sink that pays a fixed cost per delivery
     /// (a lock, a clock read) overrides this to pay it once per burst.
@@ -103,7 +103,7 @@ pub trait RuntimeHooks: Send + Sync {
     }
 
     /// Whether this sink must see each `on_work` before the op after it
-    /// runs. The flat interpreter asks once, when the [`Machine`] is built,
+    /// runs. The interpreter asks once, when the [`Machine`] is built,
     /// and ends its burst at every `Work` op only if the answer is `true`;
     /// a sink that merely accumulates answers `false` and gets the same
     /// events, in the same order, in longer bursts.
@@ -114,16 +114,15 @@ pub trait RuntimeHooks: Send + Sync {
     }
 }
 
-/// One deferred hook event, queued by the flat interpreter's burst loop.
+/// One deferred hook event, queued by the interpreter's burst loop.
 ///
-/// The tree-walking interpreter pays an `Arc<Mutex<Vm>>` unlock/relock plus
-/// a dynamic-dispatch hook call at every instrumented op. The flat
-/// interpreter instead executes a burst of ops under one lock, pushing
+/// The interpreter executes a burst of ops under one VM lock, pushing
 /// observable events onto a [`PendingEvents`] queue, and hands the queued
-/// slice to [`RuntimeHooks::on_events`] *outside* the lock — same events,
-/// same order, one dispatch per burst. Allocation, free, and GC events are
-/// not queued: they are delivered by the allocation/collection path itself,
-/// which already runs between bursts.
+/// slice to [`RuntimeHooks::on_events`] *outside* the lock: one dispatch per
+/// burst, and a hook sees every event in program order however the bursts
+/// are cut. Allocation, free, and GC events are not queued: they are
+/// delivered by the allocation/collection path itself, which already runs
+/// between bursts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PendingEvent {
     /// An inter-class interaction ([`RuntimeHooks::on_interaction`]).

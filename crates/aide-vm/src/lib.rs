@@ -17,9 +17,8 @@
 //!   event to [`RuntimeHooks`] (the monitoring interposition point) and
 //!   forwards operations on non-local objects through [`RemoteAccess`] (the
 //!   transparent remote-execution interposition point).
-//! * [`FlatProgram`] — the pre-decoded flat IR the default register-VM
-//!   interpreter executes (tests select the reference tree-walker with
-//!   [`Machine::set_exec_mode`]).
+//! * [`FlatProgram`] — the pre-decoded flat IR the register-VM interpreter
+//!   executes, compiled once per program.
 //! * [`NativeKind`] — native-method annotations, including the paper's
 //!   stateless-native enhancement.
 //!
@@ -73,8 +72,8 @@ pub use hooks::{
 };
 pub use ids::{ClassId, MethodId, ObjectId, Reg};
 pub use machine::{
-    CostModel, ExecMode, ExternalRootAudit, Machine, RemoteAccess, RunSummary, SlotWrites, Vm,
-    VmConfig, VmKind,
+    CostModel, ExternalRootAudit, Machine, RemoteAccess, RunSummary, SlotWrites, Vm, VmConfig,
+    VmKind,
 };
 pub use natives::{native_requires_client, NativeKind};
 pub use program::{ClassDef, EntryPoint, MethodDef, Op, Program, ProgramBuilder};
