@@ -963,7 +963,9 @@ mod tests {
             dispatcher.dispatch_now(Request::ClassOf {
                 target: ObjectId::surrogate(404)
             }),
-            Ok(Err(VmError::DanglingReference(ObjectId::surrogate(404)).to_string())),
+            Ok(Err(
+                VmError::DanglingReference(ObjectId::surrogate(404)).to_string()
+            )),
             "an error is an answer too"
         );
 
