@@ -22,7 +22,7 @@ use aide_vm::{
     ClassId, Machine, MethodId, NativeKind, ObjectId, ObjectRecord, RemoteAccess, Vm, VmError,
     VmResult,
 };
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use crate::failover::Surrogate;
 
@@ -510,16 +510,9 @@ impl VmDispatcher {
     }
 
     /// Serves `request` if it is one of the short ones — it touches one heap
-    /// record (or none) and never re-enters the interpreter — under the VM
-    /// guard `hold` yields, and hands it back if it is of another kind or
-    /// `hold` yields none. Both ways into the dispatcher serve the short
-    /// requests here: a worker waits for the VM, the reader of a carrier
-    /// takes it only if it is free.
-    fn serve_short<'a>(
-        &'a self,
-        request: Request,
-        hold: impl FnOnce(&'a Mutex<Vm>) -> Option<MutexGuard<'a, Vm>>,
-    ) -> Result<Result<Reply, String>, Request> {
+    /// record (or none) under the VM lock and never re-enters the
+    /// interpreter — and hands it back if it is of another kind.
+    fn serve_short(&self, request: Request) -> Result<Result<Reply, String>, Request> {
         match request {
             // Null RPC: answer immediately so probes measure pure link +
             // dispatch latency (the paper's 2.4 ms null-RPC figure).
@@ -535,9 +528,7 @@ impl VmDispatcher {
             | Request::ClassOf { .. } => {}
             other => return Err(other),
         }
-        let Some(mut vm) = hold(self.machine.vm()) else {
-            return Err(request);
-        };
+        let mut vm = self.machine.vm().lock();
         let served = match request {
             Request::FieldAccess {
                 target,
@@ -610,7 +601,7 @@ impl VmDispatcher {
 
 impl Dispatcher for VmDispatcher {
     fn dispatch(&self, request: Request) -> Result<Reply, String> {
-        let request = match self.serve_short(request, |vm| Some(vm.lock())) {
+        let request = match self.serve_short(request) {
             Ok(served) => return served,
             Err(request) => request,
         };
@@ -707,14 +698,8 @@ impl Dispatcher for VmDispatcher {
             | Request::StaticAccess { .. }
             | Request::ClassOf { .. }
             | Request::GcRenew { .. }
-            | Request::Ping => unreachable!("served above, the VM waited for"),
+            | Request::Ping => unreachable!("served above"),
         }
-    }
-
-    /// The short requests, if the VM is free this instant: a burst running
-    /// on a worker holds it, and then the request is the worker pool's.
-    fn dispatch_now(&self, request: Request) -> Result<Result<Reply, String>, Request> {
-        self.serve_short(request, Mutex::try_lock)
     }
 }
 
@@ -954,38 +939,35 @@ mod tests {
 
         // The VM is free: served, and what was handed out is pinned.
         assert_eq!(
-            dispatcher.dispatch_now(read.clone()),
-            Ok(Ok(Reply::Slot(Some(held))))
+            dispatcher.dispatch(read.clone()),
+            Ok(Reply::Slot(Some(held)))
         );
         assert!(tables.exports.contains(held));
         assert_eq!(surrogate.vm().lock().external_root_count(), 1);
         assert_eq!(
-            dispatcher.dispatch_now(Request::ClassOf {
+            dispatcher.dispatch(Request::ClassOf {
                 target: ObjectId::surrogate(404)
             }),
-            Ok(Err(
-                VmError::DanglingReference(ObjectId::surrogate(404)).to_string()
-            )),
+            Err(VmError::DanglingReference(ObjectId::surrogate(404)).to_string()),
             "an error is an answer too"
         );
 
-        // A burst holds the VM: handed back untouched, except what needs no VM.
+        // A burst holds the VM: a read waits for it, what needs no VM does not.
         let burst = surrogate.vm().lock();
-        assert_eq!(dispatcher.dispatch_now(read.clone()), Err(read));
-        assert_eq!(dispatcher.dispatch_now(Request::Ping), Ok(Ok(Reply::Unit)));
-        drop(burst);
-
-        // What may re-enter the interpreter is never served here.
-        let invoke = Request::Invoke {
-            target: holder,
-            class: ClassId(1),
-            method: MethodId(0),
-            arg_bytes: 0,
-            ret_bytes: 0,
-            args: vec![],
-        };
-        assert_eq!(dispatcher.dispatch_now(invoke.clone()), Err(invoke));
-        assert_eq!(surrogate.vm().lock().cpu_seconds(), 0.0);
+        std::thread::scope(|scope| {
+            let (done, finished) = std::sync::mpsc::channel();
+            let (dispatcher, read) = (&dispatcher, read.clone());
+            scope.spawn(move || done.send(dispatcher.dispatch(read)));
+            assert_eq!(dispatcher.dispatch(Request::Ping), Ok(Reply::Unit));
+            assert!(
+                finished
+                    .recv_timeout(std::time::Duration::from_millis(20))
+                    .is_err(),
+                "the read waits for the VM"
+            );
+            drop(burst);
+            assert_eq!(finished.recv(), Ok(Ok(Reply::Slot(Some(held)))));
+        });
     }
 
     #[test]

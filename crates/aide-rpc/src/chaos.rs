@@ -29,7 +29,7 @@ use std::time::Duration;
 use aide_graph::CommParams;
 use serde::{Deserialize, Serialize};
 
-use crate::link::{session_pair, FrameSink, Link, Session};
+use crate::link::{session_pair, Delivered, FrameSink, Link, Session};
 use crate::wire::Frame;
 
 /// A reproducible schedule of transport faults.
@@ -193,12 +193,12 @@ struct ForwardInbound {
 }
 
 impl FrameSink for ForwardInbound {
-    fn deliver(&self, frame: Frame) -> bool {
+    fn deliver(&self, frame: Frame) -> Delivered {
         // Refused only after a reset or once the application is gone.
         let _ = self.to_app.send(frame);
-        // Whoever waits behind the shim holds an in-process session and
-        // cannot read `inner`'s carrier itself.
-        false
+        // Whoever waits or serves behind the shim holds an in-process
+        // session and cannot read `inner`'s carrier itself.
+        Delivered::Kept
     }
 
     fn closed(&self) {

@@ -6,31 +6,31 @@
 //! the holder of the carrier's read half, or the in-process peer's sending
 //! thread — decodes it on the spot, renews leases, and either completes the
 //! blocked caller's one-shot slot (a reply, matched by sequence number) or
-//! has the request served through the endpoint's [`Dispatcher`] by the
-//! nearest thread that may serve it.
+//! hands the request to a worker, which serves it through the endpoint's
+//! [`Dispatcher`].
 //!
-//! That is the producing thread itself when it is the reader of a carrier
-//! end that *accepted* its connection and the dispatcher can serve the
-//! request at once ([`Dispatcher::dispatch_now`]): the reply is written
-//! where the request was read, with no hand-off at all. Every other request
-//! — one the dispatcher hands back, and every request in process, behind a
-//! chaos shim or on a dialling end — goes to a pool of worker threads, the
-//! paper's "pool of threads to perform RPCs on behalf of the other JVM".
-//! Workers can re-enter the interpreter, which may issue further nested
-//! remote calls, so the pool must be able to grow as deep as the maximum
-//! cross-VM call nesting ([`EndpointConfig::workers`]); it exists only as
-//! far as it has been used — no thread is spawned before a request needs
-//! one, and a request goes to the worker that parked last, the one whose
-//! stack and caches are still warm.
+//! The workers are the paper's "pool of threads to perform RPCs on behalf
+//! of the other JVM". Workers can re-enter the interpreter, which may issue
+//! further nested remote calls, so the pool must be able to grow as deep as
+//! the maximum cross-VM call nesting ([`EndpointConfig::workers`]); it
+//! exists only as far as it has been used — no thread is spawned before a
+//! request needs one, and a request goes to the worker that parked last,
+//! the one whose stack and caches are still warm.
 //!
-//! On a session of a carrier end that initiated its connection the blocked
-//! caller is itself the holder of the read half: having written its request
-//! it reads and routes the carrier's frames until its own reply is among
-//! them, and only waits to be handed the reply when somebody else is already
-//! reading (see `CallSlot::wait`, the one place a call waits).
+//! On a byte-stream carrier the pool is leader/followers: a worker that has
+//! sent its reply and has nothing queued takes the carrier's read half if
+//! nobody holds it, reads until a request of this endpoint is among the
+//! frames, lets go of the half and serves that request itself — the request
+//! reaches the thread that serves it with no hand-off at all. Likewise a
+//! blocked caller is itself the holder of the read half: having written its
+//! request it reads and routes the carrier's frames until its own reply is
+//! among them, and only waits to be handed the reply when somebody else is
+//! already reading (see `CallSlot::wait`, the one place a call waits). A
+//! request met by a reading caller or by the carrier's own thread goes to
+//! the pool, as does every request in process and behind a chaos shim.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
@@ -39,7 +39,7 @@ use aide_trace::{names as span_names, SpanContext};
 use aide_vm::SlotWrites;
 use parking_lot::Mutex;
 
-use crate::link::{FrameSink, LinkError, NetClock, Session};
+use crate::link::{Delivered, FrameSink, LinkError, NetClock, Session};
 use crate::mux::{CarrierReader, Turn};
 use crate::reftable::{ExportTable, ImportTable};
 use crate::responder::{Responder, Served};
@@ -154,24 +154,10 @@ impl From<WireError> for RpcError {
 /// ([`aide_vm::Machine::call_on`] and friends) on the serving VM.
 pub trait Dispatcher: Send + Sync {
     /// Executes `request`, returning a reply payload or an error string
-    /// that will be transported back to the caller.
+    /// that will be transported back to the caller. Runs on a worker that
+    /// holds no carrier's read half, so it may wait, call the peer and
+    /// re-enter an interpreter.
     fn dispatch(&self, request: Request) -> Result<Reply, String>;
-
-    /// Executes `request` as [`dispatch`](Dispatcher::dispatch) would, but
-    /// only if that takes no waiting: no lock somebody may hold for long
-    /// (try it, and decline if it is taken), no call to the peer, no
-    /// re-entry into an interpreter, and a reply of bounded size. A request
-    /// that does not qualify — by its kind, or because of what is going on
-    /// right now — is handed back **untouched** in `Err`, and is then served
-    /// through `dispatch` on a thread that may wait.
-    ///
-    /// This is what lets the reader of a carrier answer a short request
-    /// itself instead of waking a worker for it; the thread that calls this
-    /// holds the carrier's read half, so anything it waited for here would
-    /// stall every session of the carrier. The default declines everything.
-    fn dispatch_now(&self, request: Request) -> Result<Result<Reply, String>, Request> {
-        Err(request)
-    }
 }
 
 /// Retry discipline for [`Endpoint::call_with_retry`].
@@ -223,8 +209,8 @@ pub struct EndpointConfig {
     /// Bound on the worker threads serving incoming requests. Must cover
     /// the deepest cross-VM call nesting (each nested bounce occupies one
     /// worker). It is a bound, not a size: an endpoint starts with no
-    /// worker and spawns one only when a request arrives that neither the
-    /// thread that read it may serve nor an idle worker is there to take.
+    /// worker and spawns one only when a request arrives that no worker is
+    /// reading for and no idle worker is there to take.
     pub workers: usize,
     /// How long a caller waits for a reply before giving up.
     pub call_timeout: Duration,
@@ -310,8 +296,8 @@ impl CallSlot {
     /// [`RpcError::Timeout`] leaves the slot armed, so a retry can wait on
     /// it again and a late reply to an earlier attempt still lands.
     ///
-    /// With `carrier` (a session whose callers may drive their carrier's
-    /// read half) the caller takes the read half if it is free and reads
+    /// With `carrier` (a session riding a byte-stream carrier) the caller
+    /// takes the read half if it is free and reads
     /// and routes frames on this thread until the outcome is in, never past
     /// the deadlines below; when somebody else holds it, and always in
     /// process, it sleeps until the outcome is handed over.
@@ -415,6 +401,11 @@ struct Pool {
     /// [`Shared::next_job`]), by number, most recently parked last — the
     /// one a new job wakes, because it ran last and is still warm.
     parked: Vec<usize>,
+    /// A worker, off the stack, holds the carrier's read half and takes the
+    /// next request of this endpoint that it reads (see [`Shared::lead`]).
+    leading: bool,
+    /// The request it took.
+    claimed: Option<Job>,
     /// Every worker spawned so far; a worker's number is its index.
     workers: Vec<std::thread::JoinHandle<()>>,
     /// The endpoint closed: nothing more is queued, and a worker that
@@ -454,18 +445,12 @@ struct Shared {
     /// Where replies go. Let go of on close, which is what lets a session
     /// nobody else holds hang up once its endpoint is done.
     out: Mutex<Option<Session>>,
-    /// The session rides a carrier end that accepted its connection: the
-    /// thread that reads a request there may serve it and write the reply
-    /// (see [`FrameSink`] for why that end's reader, and no other, may).
-    /// Cleared on close: a closed endpoint serves nothing.
-    serves_where_read: AtomicBool,
     dispatcher: Arc<dyn Dispatcher>,
     responder: Responder,
-    /// The track label of whoever started the endpoint: every thread that
-    /// serves for it — its workers, a carrier's reader — records its spans
-    /// under this label, so an endpoint started by the surrogate daemon
-    /// exports its serve spans on the "surrogate" Perfetto lane even in a
-    /// single-process run.
+    /// The track label of whoever started the endpoint: its workers record
+    /// their spans under this label, so an endpoint started by the surrogate
+    /// daemon exports its serve spans on the "surrogate" Perfetto lane even
+    /// in a single-process run.
     track: String,
     drain_timeout: Duration,
     requests_served: AtomicU64,
@@ -563,7 +548,6 @@ impl Shared {
                 worker.thread().unpark();
             }
         }
-        self.serves_where_read.store(false, Ordering::Relaxed);
         *self.out.lock() = None;
         self.settled.notify_all();
     }
@@ -587,54 +571,25 @@ impl Shared {
         }
     }
 
-    /// Serves `job` on the thread that read it, if this is a session whose
-    /// reader may reply and the dispatcher takes the request at once; hands
-    /// it back otherwise, with nothing about it remembered.
-    fn serve_where_read(&self, job: Job) -> Option<Job> {
-        if !self.serves_where_read.load(Ordering::Relaxed) {
-            return Some(job);
-        }
-        let (client, seq, body, trace) = job;
-        // A carrier's reader has no track of its own (and may read for
-        // endpoints of several); a no-op while it keeps serving this one.
-        aide_trace::set_thread_track(&self.track);
-        let dispatcher = self.dispatcher.as_ref();
-        let stamp = || self.lease_stamp();
-        let served = match self
-            .responder
-            .respond_now(dispatcher, trace, client, seq, body, stamp)
-        {
-            Ok(served) => served,
-            Err(body) => return Some((client, seq, body, trace)),
-        };
-        if matches!(served, Served::Executed(_)) {
-            self.metrics.served_where_read.inc();
-        }
-        if let Some(frame) = self.account(served) {
-            if let Some(out) = self.out.lock().as_ref() {
-                let _ = out.send(frame);
-            }
-        }
-        // This thread outlives the endpoint — it exits when the peer hangs
-        // up, not when `join` returns — so the span goes to the store now,
-        // not with a batch at thread exit.
-        aide_trace::flush_thread();
-        None
-    }
-
-    /// The one place a job reaches a worker: queued, then the worker that
-    /// parked last is woken for it; if none is parked one more is spawned,
-    /// up to the bound; at the bound the job waits for the next worker that
-    /// finishes.
+    /// The one place a job reaches a worker. The worker leading takes it, if
+    /// there is one: it holds the carrier's read half, so it is the very
+    /// thread that delivers the request. Otherwise the job is queued and the
+    /// worker that parked last is woken for it; if none is parked one more
+    /// is spawned, up to the bound; at the bound the job waits for the next
+    /// worker that finishes.
     ///
     /// This runs on the thread that delivered the request, which may hold a
     /// carrier's read half. The spawn is the one thing here that is not a
     /// few instructions under a lock nobody holds for long: one `clone(2)`,
     /// at most `max_workers` times in the endpoint's life, waiting on nobody.
-    fn submit(&self, job: Job) {
+    fn submit(&self, job: Job) -> Delivered {
         let mut pool = self.pool.lock();
         if pool.closed {
-            return;
+            return Delivered::Kept;
+        }
+        if pool.leading && pool.claimed.is_none() {
+            pool.claimed = Some(job);
+            return Delivered::Claimed;
         }
         pool.queue.push_back(job);
         if let Some(worker) = pool.parked.pop() {
@@ -647,7 +602,7 @@ impl Shared {
             // before it lets go of `out`, and this very call runs through
             // the `Arc`.
             let (Some(me), Some(out)) = (self.me.upgrade(), self.out.lock().clone()) else {
-                return;
+                return Delivered::Kept;
             };
             let spawned = std::thread::Builder::new()
                 .name(format!("rpc-worker-{number}"))
@@ -663,17 +618,21 @@ impl Shared {
                 Err(_) => {
                     drop(pool);
                     self.close(&mut self.pending());
+                    return Delivered::Kept;
                 }
             }
         }
+        Delivered::Handed
     }
 
     /// Worker `me`: serves jobs until the endpoint closes and the queue has
-    /// run out.
+    /// run out. Between two jobs it leads when it can (see
+    /// [`Shared::lead`]).
     fn work(&self, me: usize, out: &Session) {
         aide_trace::set_thread_track(&self.track);
-        let mut in_hand = None;
-        while let Some((client, seq, request, ctx)) = in_hand.take().or_else(|| self.next_job(me)) {
+        let carrier = out.carrier_reader();
+        let mut next = self.next_job(me);
+        while let Some((client, seq, request, ctx)) = next {
             let dispatcher = self.dispatcher.as_ref();
             let served = self
                 .responder
@@ -683,14 +642,48 @@ impl Shared {
             // lets the peer send its next request: that one must find this
             // worker parked (or already holding it), not find nobody and
             // spawn another.
-            in_hand = self.pool.lock().take_or_park(me);
+            let queued = self.pool.lock().take_or_park(me);
             if let Some(frame) = reply {
                 // A dead link closes the endpoint, which is what ends this
                 // worker; until then there is nothing to do about it here.
                 let _ = out.send(frame);
             }
+            next = queued
+                .or_else(|| carrier.and_then(|carrier| self.lead(me, carrier)))
+                .or_else(|| self.next_job(me));
         }
         aide_trace::flush_thread();
+    }
+
+    /// Worker `me`, parked with its reply sent, leads if nobody holds
+    /// `carrier`'s read half: off the stack (nothing is queued for a worker
+    /// that reads for itself), it reads until a request of this endpoint is
+    /// among the frames and lets go of the half before it serves it —
+    /// nobody writes while holding a read half. Empty-handed after
+    /// [`ReadTurn::lead`]'s patience, it parks again before it lets go, so
+    /// that no request finds nobody and spawns a worker. `None` when it did
+    /// not lead (a job may have been queued for it meanwhile) or read no
+    /// request.
+    fn lead(&self, me: usize, carrier: &CarrierReader) -> Option<Job> {
+        let mut turn = carrier.try_read()?;
+        {
+            let mut pool = self.pool.lock();
+            let at = pool.parked.iter().rposition(|&worker| worker == me)?;
+            pool.parked.remove(at);
+            pool.leading = true;
+        }
+        turn.lead();
+        let mut pool = self.pool.lock();
+        pool.leading = false;
+        let claimed = pool.claimed.take();
+        if claimed.is_some() {
+            self.metrics.served_where_read.inc();
+        } else if !pool.closed {
+            pool.parked.push(me);
+        }
+        drop(pool);
+        drop(turn);
+        claimed
     }
 
     /// Parks worker `me` until there is a job for it; `None` once the
@@ -719,13 +712,13 @@ impl Shared {
 }
 
 impl FrameSink for Shared {
-    fn deliver(&self, frame: Frame) -> bool {
+    fn deliver(&self, frame: Frame) -> Delivered {
         let Ok((header, message)) = Message::decode_framed(&frame) else {
             // Malformed frame (truncated, corrupted, wrong version): count
             // and drop it; retries recover the request.
             self.bad_frames.fetch_add(1, Ordering::Relaxed);
             self.metrics.bad_frames.inc();
-            return false;
+            return Delivered::Kept;
         };
         if let Some(stamp) = header.lease {
             // The peer's lease stamp rides every frame: renewing here,
@@ -750,10 +743,7 @@ impl FrameSink for Shared {
                 self.begin_drain();
             }
             Message::Request { seq, client, body } => {
-                // By the nearest thread that may: this one, or a worker.
-                if let Some(job) = self.serve_where_read((client, seq, body, header.trace)) {
-                    self.submit(job);
-                }
+                return self.submit((client, seq, body, header.trace));
             }
             Message::Reply { seq, result } => {
                 let slot = {
@@ -766,7 +756,7 @@ impl FrameSink for Shared {
                 };
                 if let Some(slot) = slot {
                     slot.complete(Ok(result));
-                    return true;
+                    return Delivered::Reply;
                 }
                 if self.late_expected.lock().remove(&seq) {
                     // The caller already gave up on this sequence number:
@@ -778,7 +768,7 @@ impl FrameSink for Shared {
                 }
             }
         }
-        false
+        Delivered::Kept
     }
 
     fn closed(&self) {
@@ -832,7 +822,6 @@ impl Endpoint {
             pool: Mutex::default(),
             max_workers: config.workers,
             out: Mutex::new(Some(session.clone())),
-            serves_where_read: AtomicBool::new(session.on_accepting_end()),
             dispatcher,
             responder: Responder::new(DEDUP_CAPACITY),
             track: aide_trace::current_track(),
@@ -1267,14 +1256,13 @@ impl Endpoint {
                 };
             }
         }
-        // Closed: nothing is spawned any more, so these are all there are.
+        // Closed: nothing is spawned any more, so these are all there are;
+        // once they have exited, everything served for this endpoint is in
+        // the span store.
         let workers = std::mem::take(&mut self.shared.pool.lock().workers);
         for worker in workers {
             let _ = worker.join();
         }
-        // Waits out a frame being served on the thread that read it: once
-        // this returns, everything served for this endpoint is in the span
-        // store.
         self.session.detach_sink();
         // Tell a multiplexed carrier this logical session is finished so
         // the mux can free its route (no-op on direct channel sessions).

@@ -23,10 +23,10 @@
 //!   dispatcher worker pool that re-enters the interpreter to serve the
 //!   peer, grown on demand. It has no receiver thread: whoever produces an
 //!   inbound frame (a carrier's reader, the in-process peer's sending
-//!   thread) decodes it and completes the waiting call, answers the request
-//!   itself (the reader of an accepting carrier end, for what
-//!   [`Dispatcher::dispatch_now`] serves) or queues the job, so a call over
-//!   TCP is two to four thread hand-offs and four syscalls.
+//!   thread) decodes it and completes the waiting call or hands the request
+//!   to a worker — to the worker reading, when a worker reads its own next
+//!   request off the carrier — so a call over TCP is two thread hand-offs
+//!   (three when it meets the carrier's own thread) and four syscalls.
 //! * [`Responder`] — the serving half of the protocol, once: at-most-once
 //!   execution with memoized replies, the serve span, the stamped reply
 //!   frame. Whoever serves for an endpoint and the surrogate daemon's shard

@@ -9,12 +9,12 @@
 //! 11 Mbps / 2.4 ms RTT WaveLAN model, charged per call by the endpoint.
 //!
 //! A session riding a byte-stream carrier shares the carrier's write half
-//! (`CarrierWriter`: whoever sends, writes) and, on the end that dialled
-//! the connection, a handle on its read half (`CarrierReader`: a caller
-//! blocked on the session's reply may do the reading). Either way a frame
-//! reaches the session through its `Inbox`, on the thread that read it —
-//! which, on the end that accepted the connection, may answer a short
-//! request then and there ([`FrameSink`] says when, and why only there).
+//! (`CarrierWriter`: whoever sends, writes) and a handle on its read half
+//! (`CarrierReader`: a caller blocked on the session's reply, or a worker
+//! of its endpoint between two requests, may do the reading). Either way a
+//! frame reaches the session through its `Inbox`, on the thread that read
+//! it, which never writes while it holds the read half ([`FrameSink`] says
+//! why that is enough).
 
 use std::collections::VecDeque;
 use std::io::Write;
@@ -127,32 +127,44 @@ impl std::fmt::Display for LinkError {
 impl std::error::Error for LinkError {}
 
 /// Consumes a session's inbound frames **on the thread that produced
-/// them** — whoever holds the carrier's read half (its reader thread, or a
-/// caller reading its own reply), or the in-process peer's sending thread.
+/// them** — whoever holds the carrier's read half (its reader thread, a
+/// caller reading its own reply, a worker reading its next request), or the
+/// in-process peer's sending thread.
 ///
-/// The deadlock rule every implementation obeys has two halves. *The holder
-/// of a **dialling** end's read half never writes to a carrier and blocks on
-/// nothing but its socket*: a sink run there decodes, renews, completes a
-/// waiting call, enqueues for a worker (spawning that worker, if need be:
-/// one `clone(2)` that waits on nobody), or forwards into another session's
-/// inbox — nothing else. *An **accepting** end's reader may, besides,
-/// write the one bounded reply of a request its dispatcher served without
-/// blocking* ([`Session::on_accepting_end`], `Dispatcher::dispatch_now`).
-/// That write can wait for the far side to drain its socket, and the far
-/// side is a dialling end, whose read half is always driven — by a caller or
-/// by its reader of last resort — by a thread that, under the first half of
-/// the rule, never waits for this end to read. Were both ends allowed to
-/// reply from their readers, each could sit in a write the other is not
-/// reading; so exactly one end may, and it is the one whose reader never
-/// steps aside.
+/// The deadlock rule every implementation obeys: *nobody writes to a carrier
+/// while holding a read half*. A sink run there decodes, renews, completes
+/// a waiting call, hands a request to a worker (spawning that worker, if
+/// need be: one `clone(2)` that waits on nobody) or to the worker reading,
+/// or forwards into another session's inbox — nothing else; a worker that
+/// has been handed a request it read lets go of the half before it serves
+/// it. So every end of every carrier always has a reader that never waits on
+/// a write, and two peers whose socket buffers are both full still drain
+/// each other.
 pub(crate) trait FrameSink: Send + Sync {
-    /// One frame, in arrival order. `true` when it was the reply a caller
-    /// blocked on this very session was waiting for — what tells a
-    /// carrier's reader thread that a caller able to read for itself is
-    /// about to call again (see [`CarrierReader`]).
-    fn deliver(&self, frame: Frame) -> bool;
+    /// One frame, in arrival order; what became of it tells the thread that
+    /// read it whether somebody is about to come back and read (see
+    /// [`CarrierReader`]).
+    fn deliver(&self, frame: Frame) -> Delivered;
     /// No further frame will arrive: the peer hung up or the carrier died.
     fn closed(&self);
+}
+
+/// What a [`FrameSink`] made of a frame, as the thread that read it needs
+/// to know.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Delivered {
+    /// Nobody is coming back for it: the frame was queued, forwarded,
+    /// dropped, or began a drain.
+    Kept,
+    /// The reply a caller blocked on this very session was waiting for: the
+    /// caller is about to call again and can then read for itself.
+    Reply,
+    /// A request queued for a worker of the session's endpoint, which reads
+    /// for itself again once it has replied.
+    Handed,
+    /// A request taken by the worker of the session's endpoint that holds
+    /// the read half: it lets go of the half and serves the request.
+    Claimed,
 }
 
 #[derive(Default)]
@@ -204,14 +216,14 @@ impl Inbox {
     }
 
     /// Producer side: hands `frame` to the attached sink, or queues it.
-    /// `Ok` carries what [`FrameSink::deliver`] reported (`false` for a
-    /// queued frame).
+    /// `Ok` carries what [`FrameSink::deliver`] reported
+    /// ([`Delivered::Kept`] for a queued frame).
     ///
     /// # Errors
     ///
     /// [`LinkError::Disconnected`] once the inbox is closed or every
     /// receiving handle is gone.
-    pub(crate) fn push(&self, frame: Frame) -> Result<bool, LinkError> {
+    pub(crate) fn push(&self, frame: Frame) -> Result<Delivered, LinkError> {
         let mut state = self.lock();
         if state.closed || state.abandoned {
             return Err(LinkError::Disconnected);
@@ -224,7 +236,7 @@ impl Inbox {
             None => {
                 state.queue.push_back(frame);
                 self.ready.notify_one();
-                Ok(false)
+                Ok(Delivered::Kept)
             }
         }
     }
@@ -416,12 +428,12 @@ enum SessionSender {
     Direct(Arc<DirectTx>),
     /// A share of a byte-stream carrier's write half. `mux_id` tags the
     /// frames on a multiplexed connection; a single-session socket has
-    /// none. `reader` is the carrier's read half on the end that initiated
-    /// the connection, where a caller may read its own reply.
+    /// none. `reader` is the carrier's read half, which a caller may drive
+    /// for its own reply and a worker for its next request.
     Carrier {
         writer: Arc<CarrierWriter>,
         mux_id: Option<u32>,
-        reader: Option<Arc<CarrierReader>>,
+        reader: Arc<CarrierReader>,
     },
 }
 
@@ -454,30 +466,22 @@ impl Session {
         backend: BackendKind,
         reader: &Arc<CarrierReader>,
     ) -> Self {
-        let reader = reader.callers_read().then(|| Arc::clone(reader));
         let tx = SessionSender::Carrier {
             writer,
             mux_id,
-            reader,
+            reader: Arc::clone(reader),
         };
         Session::assemble(tx, inbox, backend)
     }
 
-    /// The read half of this session's carrier, if a caller blocked on the
-    /// session may drive it: `None` in process and on an accepting end.
+    /// The read half of this session's carrier: `None` in process, and so
+    /// behind a chaos shim too, whose application-side session is an
+    /// in-process one.
     pub(crate) fn carrier_reader(&self) -> Option<&CarrierReader> {
         match &self.tx {
-            SessionSender::Carrier { reader, .. } => reader.as_deref(),
+            SessionSender::Carrier { reader, .. } => Some(reader),
             SessionSender::Direct(_) => None,
         }
-    }
-
-    /// Whether this session rides the end of a byte-stream carrier that
-    /// accepted its connection — the end whose reader may write a reply
-    /// (see [`FrameSink`]). Never in process, and so never behind a chaos
-    /// shim either, whose application-side session is an in-process one.
-    pub(crate) fn on_accepting_end(&self) -> bool {
-        matches!(&self.tx, SessionSender::Carrier { reader: None, .. })
     }
 
     /// The backend this session rides on.
@@ -687,9 +691,9 @@ mod tests {
     }
 
     impl FrameSink for Recorder {
-        fn deliver(&self, frame: Frame) -> bool {
+        fn deliver(&self, frame: Frame) -> Delivered {
             self.frames.lock().push(frame.to_vec());
-            false
+            Delivered::Kept
         }
 
         fn closed(&self) {

@@ -19,22 +19,17 @@
 //! the frame routing — is one object, [`CarrierReader`], that *whoever
 //! holds its lock* drives: it demultiplexes inbound frames and *runs each
 //! session's consumer itself* — the session's inbox queue until a sink is
-//! attached, the sink (decode, complete a call or enqueue a job)
-//! afterwards. On the end that initiated the connection a caller blocked on
-//! a reply takes the lock and reads its own reply (a call is then caller →
-//! peer reader → worker → caller: three hand-offs, not four); the carrier's
-//! reader thread is the reader of last resort there and the only reader on
-//! an accepting end. The rule that keeps this deadlock-free: the holder of
-//! a **dialling** end's read half never writes to a carrier and blocks on
-//! nothing but its socket; an **accepting** end's reader may, besides, write
-//! the one bounded reply of a request its session's dispatcher served
-//! without blocking (a short request is then caller → peer reader → caller:
-//! two hand-offs). Only one end of a carrier may reply from its reader, or
-//! each could sit in a write the other is not reading; the far side of an
-//! accepting end's write is always drained — by a caller or by the reader of
-//! last resort, neither of which writes while it holds the half. Either way
-//! a slow session never stalls its siblings (`crate::link::FrameSink` has
-//! the argument in full).
+//! attached, the sink (decode, complete a call, hand a request to a worker)
+//! afterwards. Leader/followers, on both ends alike: a caller blocked on a
+//! reply takes the lock and reads its own reply, and a worker that has just
+//! sent a reply takes it and reads its endpoint's next request, lets go, and
+//! serves that request itself (a call is then caller → peer worker → caller:
+//! two hand-offs). The carrier's reader thread is the reader of last resort.
+//! The rule that keeps this deadlock-free: nobody writes to a carrier while
+//! holding a read half, so every end always has a reader that never waits
+//! on a write; and a reader hands on what it meets and moves on, so a slow
+//! session never stalls its siblings (`crate::link::FrameSink` has the
+//! argument in full).
 //!
 //! The module is generic over byte-stream carriers (`DeadlineRead` /
 //! `Write`); the only TCP-aware code lives in `crate::tcp`, which wires a
@@ -51,7 +46,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::link::{CarrierWriter, Inbox, LinkError, Session};
+use crate::link::{CarrierWriter, Delivered, Inbox, LinkError, Session};
 use crate::transport::{Acceptor, BackendKind, Transport};
 use crate::wire::{DeadlineRead, Frame, FrameHead, FrameReader};
 
@@ -318,8 +313,8 @@ impl Acceptor for MuxConn {
 
 /// Wires one multiplexed connection — its write half, its read half and
 /// the read half's thread — and returns the local handle. `initiator`
-/// decides session-id parity and whether callers read their own replies;
-/// `on_writer_drop` runs when the last handle on the write half goes away
+/// decides session-id parity; `on_writer_drop` runs when the last handle on
+/// the write half goes away
 /// (e.g. to shut down a socket's write half so the peer sees EOF).
 pub(crate) fn spawn_mux(
     reader: impl DeadlineRead + 'static,
@@ -353,15 +348,17 @@ pub(crate) fn spawn_mux(
     }
 }
 
-/// How long a carrier's read half may go without a caller driving it before
-/// its reader thread takes it back. Two orders of magnitude above the
-/// ~15 µs between the calls of a burst, so the thread does not barge in
-/// between two of them (each collision sends one call the long way round,
-/// through the thread); far below every timeout the protocol knows, and it
-/// bounds how long a frame nobody is blocked on — the peer's request to an
-/// idle end, a CLOSE, a late reply — sits in the socket; and no shorter
-/// than a timer tick, below which a timed wait is not honoured anyway. The
-/// price is one timer wake-up per millisecond while a burst lasts.
+/// How long a carrier's read half may go without a caller or a worker
+/// driving it before its reader thread takes it back, and how long a worker
+/// reads for a request before it leaves the carrier to the thread. Two
+/// orders of magnitude above the ~10 µs between the calls of a burst, so
+/// the thread does not barge in between two of them (each collision sends
+/// one call the long way round, through the thread); far below every
+/// timeout the protocol knows, and it bounds how long a frame nobody is
+/// blocked on — a request behind one a worker is busy with, a CLOSE, a late
+/// reply — sits in the socket; and no shorter than a timer tick, below
+/// which a timed wait is not honoured anyway. The price is one timer
+/// wake-up per millisecond while a burst lasts.
 const HANDOVER: Duration = Duration::from_millis(1);
 
 /// The route of a tag-less carrier's one session. Even, like the parity of
@@ -378,8 +375,8 @@ struct ReadHalf {
 
 /// One turn of the read half.
 enum Step {
-    /// A frame was read and routed; `reply` as [`Inbox::push`] reports it.
-    Routed { reply: bool },
+    /// A frame was read and routed, to what end [`Inbox::push`] reports.
+    Routed(Delivered),
     /// The deadline passed first.
     TimedOut,
     /// The carrier is gone (now, or since before the call).
@@ -387,27 +384,24 @@ enum Step {
 }
 
 /// The read half of a byte-stream carrier: buffer, routes and frame
-/// routing, driven by **whoever holds the `half` lock**.
+/// routing, driven by **whoever holds the `half` lock** — on either end of
+/// the carrier, whichever end dialled.
 ///
-/// On an end that *accepted* its connection that is always the carrier's
-/// reader thread: what such an end mostly receives is requests, which no
-/// caller is blocked on, and only a thread that never steps aside serves
-/// them — itself, or reader → worker — without delay. On the end that
-/// *initiated* it
-/// (`callers_read`), a caller that has written its request takes the lock
-/// and reads and routes frames on its own thread until its reply is among
-/// them; frames for sibling sessions, the peer's call-back requests and
-/// CLOSEs met on the way are routed exactly as the thread routes them. The
-/// thread is the reader of last resort there: it reads whenever no caller
+/// A caller that has written its request takes the lock and reads and
+/// routes frames on its own thread until its reply is among them. A worker
+/// that has just written a reply takes it, reads until a request of its own
+/// endpoint is among the frames, lets go and serves that request (see
+/// [`ReadTurn::lead`]). Frames for sibling sessions, requests for other
+/// workers and CLOSEs met on the way are routed exactly as the thread routes
+/// them. The thread is the reader of last resort: it reads whenever nobody
 /// has for [`HANDOVER`], steps aside once it has delivered a reply to a
-/// local caller (who is about to call again and can then read for itself),
-/// and is recalled at once by a caller that leaves while others still wait
-/// or while bytes it read are still unrouted.
+/// caller or handed a request to a worker (either is about to come back and
+/// read for itself), and is recalled at once by whoever leaves while callers
+/// still wait, while bytes it read are still unrouted, or with no request to
+/// serve.
 ///
-/// A caller that holds the lock obeys the rule a dialling end's reader
-/// thread obeys: it never writes to a carrier and blocks on nothing but its
-/// socket. An accepting end's reader thread may write a reply from a
-/// session's sink (see `crate::link::FrameSink`).
+/// Whoever holds the lock never writes to a carrier and blocks on nothing
+/// but its socket (see `crate::link::FrameSink`).
 pub(crate) struct CarrierReader {
     /// `None` once the carrier is gone.
     half: Mutex<Option<ReadHalf>>,
@@ -418,11 +412,10 @@ pub(crate) struct CarrierReader {
     tagged: bool,
     /// Low bit of the session ids this end allocates.
     parity: u32,
-    callers_read: bool,
     /// Callers blocked on a reply while someone else holds `half`.
     queued: AtomicUsize,
-    /// Times a caller took `half`: how the parked thread tells a burst in
-    /// progress from an idle carrier.
+    /// Times a caller or a worker took `half`: how the parked thread tells
+    /// a burst in progress from an idle carrier.
     turns: AtomicU64,
     /// Calls the parked thread back before [`HANDOVER`] is up.
     recalled: std::sync::Mutex<bool>,
@@ -437,7 +430,6 @@ impl std::fmt::Debug for CarrierReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CarrierReader")
             .field("tagged", &self.tagged)
-            .field("callers_read", &self.callers_read)
             .finish_non_exhaustive()
     }
 }
@@ -473,7 +465,6 @@ impl CarrierReader {
             sink: Mutex::new(PeerSink::Accept),
             tagged,
             parity: u32::from(tagged && initiator),
-            callers_read: initiator,
             queued: AtomicUsize::new(0),
             turns: AtomicU64::new(0),
             recalled: std::sync::Mutex::new(false),
@@ -491,11 +482,6 @@ impl CarrierReader {
                 .expect("spawning the carrier reader thread");
         }
         (reader, accepted_rx)
-    }
-
-    /// Whether callers blocked on this end's sessions read for themselves.
-    pub(crate) fn callers_read(&self) -> bool {
-        self.callers_read
     }
 
     /// A caller that has sent its request takes its place at the carrier:
@@ -516,7 +502,8 @@ impl CarrierReader {
         Turn::Queued(Queued(self))
     }
 
-    fn try_read(&self) -> Option<ReadTurn<'_>> {
+    /// The read half, if nobody holds it and the carrier is up.
+    pub(crate) fn try_read(&self) -> Option<ReadTurn<'_>> {
         let half = self.half.try_lock()?;
         half.as_ref()?; // gone: there is nothing to read
         self.turns.fetch_add(1, Ordering::Relaxed);
@@ -525,6 +512,7 @@ impl CarrierReader {
             half: Some(half),
             replies: 0,
             own_reply: false,
+            idle: false,
         })
     }
 
@@ -537,21 +525,23 @@ impl CarrierReader {
     /// The reader thread: reads whenever nobody else does.
     fn run(&self) {
         loop {
-            // A caller holding the half needs no help; it recalls us when it
+            // Whoever holds the half needs no help; it recalls us when it
             // leaves work behind.
             if let Some(mut half) = self.half.try_lock() {
                 loop {
-                    match self.step(&mut half, None) {
+                    let delivered = match self.step(&mut half, None) {
                         Step::Gone => return,
-                        Step::TimedOut => {}
-                        Step::Routed { reply: false } => {}
-                        Step::Routed { reply: true } => {
-                            self.replies_handed_over.inc();
-                            let unread = half.as_ref().is_some_and(|h| h.frames.holds_unread());
-                            if self.callers_read && !unread {
-                                break; // that caller reads its next reply itself
-                            }
-                        }
+                        Step::TimedOut => continue,
+                        Step::Routed(delivered) => delivered,
+                    };
+                    if delivered == Delivered::Reply {
+                        self.replies_handed_over.inc();
+                    }
+                    // That caller or worker reads the next frame itself.
+                    if matches!(delivered, Delivered::Reply | Delivered::Handed)
+                        && !half.as_ref().is_some_and(|h| h.frames.holds_unread())
+                    {
+                        break;
                     }
                 }
             }
@@ -595,7 +585,7 @@ impl CarrierReader {
             Err(_) => None, // EOF, a length out of range, an I/O error
         };
         match routed {
-            Some(reply) => Step::Routed { reply },
+            Some(delivered) => Step::Routed(delivered),
             None => {
                 self.close(half);
                 Step::Gone
@@ -611,7 +601,7 @@ impl CarrierReader {
         accepted_tx: &Sender<(u32, Arc<Inbox>)>,
         head: FrameHead,
         frame: Frame,
-    ) -> Option<bool> {
+    ) -> Option<Delivered> {
         let (id, kind) = if self.tagged {
             (
                 u32::from_le_bytes([head[0], head[1], head[2], head[3]]),
@@ -639,7 +629,7 @@ impl CarrierReader {
                     frame,
                 },
             });
-            return Some(false);
+            return Some(Delivered::Kept);
         }
         match kind {
             KIND_OPEN => {
@@ -664,7 +654,7 @@ impl CarrierReader {
                 // not wait for it.
                 if let Some(inbox) = inbox {
                     match inbox.push(frame) {
-                        Ok(reply) => return Some(reply),
+                        Ok(delivered) => return Some(delivered),
                         Err(_) => {
                             self.routes.lock().remove(&id);
                             if !self.tagged {
@@ -675,7 +665,7 @@ impl CarrierReader {
                 }
             }
         }
-        Some(false)
+        Some(Delivered::Kept)
     }
 
     /// Installs a route for a peer-opened session and hands its inbox to
@@ -721,9 +711,9 @@ pub(crate) enum Turn<'a> {
     Queued(#[allow(dead_code)] Queued<'a>), // held for its drop
 }
 
-/// A caller's hold on the read half. Dropping it is leaving: the half is
-/// released, and the reader thread recalled if that leaves anyone waiting
-/// or anything read but unrouted.
+/// A caller's or a worker's hold on the read half. Dropping it is leaving:
+/// the half is released, and the reader thread recalled if that leaves
+/// anyone waiting, anything read but unrouted, or the carrier idle.
 pub(crate) struct ReadTurn<'a> {
     carrier: &'a CarrierReader,
     /// `Some` until the drop.
@@ -731,6 +721,8 @@ pub(crate) struct ReadTurn<'a> {
     /// Replies routed to blocked callers during this turn.
     replies: u64,
     own_reply: bool,
+    /// A worker read for a request and none came.
+    idle: bool,
 }
 
 impl ReadTurn<'_> {
@@ -738,15 +730,39 @@ impl ReadTurn<'_> {
     /// the carrier is gone — every call outstanding on it has been failed
     /// by then, the holder's included.
     pub(crate) fn route_next(&mut self, deadline: Instant) -> bool {
-        let half = self.half.as_mut().expect("held until the drop");
-        match self.carrier.step(half, Some(deadline)) {
-            Step::Routed { reply } => {
-                self.replies += u64::from(reply);
-                true
-            }
-            Step::TimedOut => true,
+        match self.step(deadline) {
+            Step::Routed(_) | Step::TimedOut => true,
             Step::Gone => false,
         }
+    }
+
+    /// A worker that has just replied reads and routes frames until one is
+    /// a request its endpoint's sink hands to it ([`Delivered::Claimed`]).
+    /// It steps aside, as the thread does, once it has delivered a reply to
+    /// a blocked caller, who reads for itself when it calls again; and it
+    /// leaves the carrier to its thread after [`HANDOVER`] without either,
+    /// or when the carrier dies.
+    pub(crate) fn lead(&mut self) {
+        let deadline = Instant::now() + HANDOVER;
+        loop {
+            match self.step(deadline) {
+                Step::Routed(Delivered::Claimed | Delivered::Reply) => return,
+                Step::Routed(_) => {}
+                Step::TimedOut | Step::Gone => {
+                    self.idle = true;
+                    return;
+                }
+            }
+        }
+    }
+
+    fn step(&mut self, deadline: Instant) -> Step {
+        let half = self.half.as_mut().expect("held until the drop");
+        let step = self.carrier.step(half, Some(deadline));
+        if let Step::Routed(Delivered::Reply) = step {
+            self.replies += 1;
+        }
+        step
     }
 
     /// The holder found the reply to its call in its slot. It read that
@@ -774,7 +790,7 @@ impl Drop for ReadTurn<'_> {
         }
         // Pairs with the fence in `enter`.
         fence(Ordering::SeqCst);
-        if unread || carrier.queued.load(Ordering::SeqCst) > 0 {
+        if unread || self.idle || carrier.queued.load(Ordering::SeqCst) > 0 {
             carrier.recall_thread();
         }
     }

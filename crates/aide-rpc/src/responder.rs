@@ -1,10 +1,12 @@
 //! The serving half of the RPC protocol. Whoever owns the threads — an
-//! [`Endpoint`](crate::Endpoint)'s worker pool or the reader of the carrier
-//! end it accepted, a daemon's shard worker — decodes a frame, renews leases
-//! from its header, and hands the request to a [`Responder`], which decides
-//! whether it executes at all (at-most-once), runs it through the
-//! [`Dispatcher`] under an `rpc.serve` span parented on the caller's wire
-//! context, and encodes the stamped reply.
+//! [`Endpoint`](crate::Endpoint)'s workers, a daemon's shard worker —
+//! decodes a frame, renews leases from its header, and hands the request to
+//! a [`Responder`], which decides whether it executes at all
+//! (at-most-once), runs it through the [`Dispatcher`] under an `rpc.serve`
+//! span parented on the caller's wire context, and encodes the stamped
+//! reply. It runs on a thread that holds no carrier's read half — an
+//! endpoint's worker lets go of the half before it serves a request it read
+//! itself — so the dispatcher may wait.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -34,43 +36,40 @@ struct DedupInner {
     fifo: VecDeque<(u64, u64)>,
 }
 
-impl DedupInner {
-    /// What a duplicate of `key` gets instead of an execution; `None` on
-    /// first sight.
-    fn duplicate(&self, key: (u64, u64)) -> Option<Served> {
-        self.map.get(&key).map(|memo| match memo {
-            None => Served::InFlight,
-            Some(frame) => Served::Replayed(Frame::from(frame.clone())),
-        })
-    }
-
-    /// Remembers `key`, seen for the first time: in flight (`None`) or with
-    /// its reply.
-    fn remember(&mut self, capacity: usize, key: (u64, u64), memo: Option<Vec<u8>>) {
-        if self.fifo.len() >= capacity {
-            // Evict the oldest *completed* entry; in-flight markers rotate
-            // to the back so an executing request is never forgotten.
-            for _ in 0..self.fifo.len() {
-                let oldest = self.fifo.pop_front().expect("fifo non-empty");
-                if matches!(self.map.get(&oldest), Some(None)) {
-                    self.fifo.push_back(oldest);
-                } else {
-                    self.map.remove(&oldest);
-                    break;
-                }
-            }
-        }
-        self.map.insert(key, memo);
-        self.fifo.push_back(key);
-    }
-}
-
 impl DedupCache {
     fn new(capacity: usize) -> Self {
         DedupCache {
             capacity: capacity.max(1),
             entries: Mutex::new(DedupInner::default()),
         }
+    }
+
+    /// `None` on first sight of `key`, now marked in flight until
+    /// [`complete`](DedupCache::complete); otherwise what the duplicate
+    /// gets instead of an execution.
+    fn begin(&self, key: (u64, u64)) -> Option<Served> {
+        let mut inner = self.entries.lock();
+        match inner.map.get(&key) {
+            Some(None) => return Some(Served::InFlight),
+            Some(Some(frame)) => return Some(Served::Replayed(Frame::from(frame.clone()))),
+            None => {}
+        }
+        if inner.fifo.len() >= self.capacity {
+            // Evict the oldest *completed* entry; in-flight markers rotate
+            // to the back so an executing request is never forgotten.
+            for _ in 0..inner.fifo.len() {
+                let oldest = inner.fifo.pop_front().expect("fifo non-empty");
+                if matches!(inner.map.get(&oldest), Some(None)) {
+                    inner.fifo.push_back(oldest);
+                } else {
+                    inner.map.remove(&oldest);
+                    break;
+                }
+            }
+        }
+        inner.map.insert(key, None);
+        inner.fifo.push_back(key);
+        None
     }
 
     fn complete(&self, key: (u64, u64), reply_frame: Vec<u8>) {
@@ -137,96 +136,36 @@ impl Responder {
         body: Request,
         lease_stamp: impl FnOnce() -> Option<LeaseStamp>,
     ) -> Served {
-        match self.serve(dispatcher, trace, (client, seq), body, lease_stamp, false) {
-            Ok(served) => served,
-            Err(_) => unreachable!("only a request offered for serving now is handed back"),
-        }
-    }
-
-    /// [`respond`](Responder::respond) for a thread that must not wait —
-    /// the reader of a carrier: the request is served only if
-    /// [`Dispatcher::dispatch_now`] takes it, and is handed back otherwise
-    /// with nothing about it remembered, so that whoever serves it later
-    /// sees it for the first time.
-    pub(crate) fn respond_now(
-        &self,
-        dispatcher: &dyn Dispatcher,
-        trace: Option<SpanContext>,
-        client: u64,
-        seq: u64,
-        body: Request,
-        lease_stamp: impl FnOnce() -> Option<LeaseStamp>,
-    ) -> Result<Served, Request> {
-        self.serve(dispatcher, trace, (client, seq), body, lease_stamp, true)
-    }
-
-    /// The one routine that decides whether a request executes. With `now`
-    /// the dispatcher is asked to serve without waiting and may hand the
-    /// request back, which changes two things. The cache stays locked from
-    /// the look-up to the memo, so there is no in-flight marker to take
-    /// back when the dispatcher declines (and none a sibling copy on a
-    /// worker could slip past). And the serve span opens once the
-    /// dispatcher has taken the request: a request handed back leaves no
-    /// span behind, and what a dispatcher does without waiting — one record
-    /// touched under a lock it found free — is below the microsecond the
-    /// span clock resolves.
-    fn serve(
-        &self,
-        dispatcher: &dyn Dispatcher,
-        trace: Option<SpanContext>,
-        key: (u64, u64),
-        body: Request,
-        lease_stamp: impl FnOnce() -> Option<LeaseStamp>,
-        now: bool,
-    ) -> Result<Served, Request> {
         let kind = body.kind();
-        let seq = key.1;
+        let key = (client, seq);
         let dedupable = !is_idempotent(&body);
-        let mut cache = dedupable.then(|| self.dedup.entries.lock());
-        if let Some(duplicate) = cache.as_ref().and_then(|cache| cache.duplicate(key)) {
-            drop(cache);
-            // Absorbed: counted, and visible in the trace of the call
-            // that sent it.
-            self.dedup_hits.inc();
-            let mut span = aide_trace::child_of(trace, span_names::RPC_DEDUP, "rpc");
-            span.arg("kind", kind);
-            let action = match duplicate {
-                Served::InFlight => "drop_in_flight",
-                _ => "replay_reply",
-            };
-            span.arg("action", action);
-            return Ok(duplicate);
-        }
-        if !now {
-            // The dispatcher may take its time: the marker keeps
-            // duplicates out while everything else goes through the cache.
-            if let Some(mut cache) = cache.take() {
-                cache.remember(self.dedup.capacity, key, None);
+        if dedupable {
+            if let Some(duplicate) = self.dedup.begin(key) {
+                // Absorbed: counted, and visible in the trace of the call
+                // that sent it.
+                self.dedup_hits.inc();
+                let mut span = aide_trace::child_of(trace, span_names::RPC_DEDUP, "rpc");
+                span.arg("kind", kind);
+                let action = match duplicate {
+                    Served::InFlight => "drop_in_flight",
+                    _ => "replay_reply",
+                };
+                span.arg("action", action);
+                return duplicate;
             }
         }
         // The serve span adopts the caller's wire context, which is what
         // stitches client and surrogate into one connected trace tree.
-        let open_span = || {
-            let mut span = aide_trace::child_of(trace, span_names::RPC_SERVE, "rpc");
-            span.arg("kind", kind);
-            span.arg("seq", seq);
-            span
-        };
-        let (span, result) = if now {
-            let result = dispatcher.dispatch_now(body)?;
-            (open_span(), result)
-        } else {
-            (open_span(), dispatcher.dispatch(body))
-        };
+        let mut span = aide_trace::child_of(trace, span_names::RPC_SERVE, "rpc");
+        span.arg("kind", kind);
+        span.arg("seq", seq);
+        let result = dispatcher.dispatch(body);
         let frame = Message::Reply { seq, result }.encode_stamped(lease_stamp());
         drop(span);
         if dedupable {
-            match cache {
-                Some(mut cache) => cache.remember(self.dedup.capacity, key, Some(frame.to_vec())),
-                None => self.dedup.complete(key, frame.to_vec()),
-            }
+            self.dedup.complete(key, frame.to_vec());
         }
-        Ok(Served::Executed(frame))
+        Served::Executed(frame)
     }
 }
 
@@ -248,10 +187,6 @@ mod tests {
         fn dispatch(&self, _request: Request) -> Result<Reply, String> {
             let run = self.runs.fetch_add(1, Ordering::SeqCst) + 1;
             Ok(Reply::Text(format!("run {run}")))
-        }
-
-        fn dispatch_now(&self, request: Request) -> Result<Result<Reply, String>, Request> {
-            Ok(self.dispatch(request))
         }
     }
 
@@ -410,11 +345,8 @@ mod tests {
             writes: 101,
         };
         assert_eq!(header.lease, Some(first));
-        // Served where it was read: the same order.
-        let served = responder
-            .respond_now(&dispatcher, None, 7, 2, write(0), stamp)
-            .expect("taken");
-        let (header, _) = Message::decode_framed(&executed(served)).unwrap();
+        let second = executed(responder.respond(&dispatcher, None, 7, 2, write(0), stamp));
+        let (header, _) = Message::decode_framed(&second).unwrap();
         assert_eq!(header.lease.map(|stamp| stamp.writes), Some(102));
         // A replay is the first reply byte for byte, old count included.
         match responder.respond(&dispatcher, None, 7, 1, write(0), stamp) {

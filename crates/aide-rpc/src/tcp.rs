@@ -13,10 +13,10 @@
 //!   scrapes to one surrogate share a single pooled connection.
 //!
 //! Both are the same write half (`CarrierWriter`) and the same read half
-//! (`CarrierReader`); the first merely has no session tag. On the end that
-//! dialled — [`TcpTransport`], the client half of [`tcp_pair`] — a caller
-//! reads its own reply off the socket, which is why reads here can carry a
-//! deadline (`SocketReads`).
+//! (`CarrierReader`); the first merely has no session tag. A caller reads
+//! its own reply off the socket, and a worker reads its next request, each
+//! giving up in time, which is why reads here can carry a deadline
+//! (`SocketReads`).
 //!
 //! This module is the **only** place in the workspace allowed to touch
 //! `TcpStream` (CI greps for leaks). Simulated link *timing* is unchanged
@@ -40,8 +40,8 @@ use crate::wire::{timed_out, DeadlineRead};
 /// is set only when what is armed would overshoot the deadline or falls
 /// short of half the time left: callers with a steady timeout re-use one
 /// setting call after call, and a read that wakes early just goes round
-/// again. A socket nobody ever read with a deadline — every accepting end —
-/// never has the option touched.
+/// again. A socket nobody ever read with a deadline never has the option
+/// touched.
 struct SocketReads {
     stream: TcpStream,
     armed: Option<Duration>,
@@ -107,8 +107,8 @@ pub fn tcp_pair(params: CommParams) -> std::io::Result<(Link, Session, Session)>
     client_stream.set_nodelay(true)?;
     surrogate_stream.set_nodelay(true)?;
 
-    let client = single_session(client_stream, true)?;
-    let surrogate = single_session(surrogate_stream, false)?;
+    let client = single_session(client_stream)?;
+    let surrogate = single_session(surrogate_stream)?;
     Ok((
         Link {
             params,
@@ -121,8 +121,8 @@ pub fn tcp_pair(params: CommParams) -> std::io::Result<(Link, Session, Session)>
 
 /// Wraps one already-connected socket in a single [`Session`]: senders
 /// write their frames to the socket themselves, and the carrier's read half
-/// — driven by its reader thread, as on every end that did not dial —
-/// pushes what arrives into the session's inbox.
+/// — driven by its reader thread while nobody else drives it — pushes what
+/// arrives into the session's inbox.
 ///
 /// Frames are length-prefixed with a little-endian `u32` (the shared
 /// framing in `wire.rs`); a prefix larger than the 64 MiB `MAX_FRAME` cap
@@ -135,13 +135,12 @@ pub fn tcp_pair(params: CommParams) -> std::io::Result<(Link, Session, Session)>
 ///
 /// Returns any I/O error from cloning the stream for the writer half.
 pub fn tcp_transport(stream: TcpStream) -> std::io::Result<Session> {
-    single_session(stream, false)
+    single_session(stream)
 }
 
 /// The tag-less carrier: the mux's write half and read half with one route
-/// and no `[session][kind]` header. `initiator` is whether this end
-/// dialled, which is where callers read their own replies.
-fn single_session(stream: TcpStream, initiator: bool) -> std::io::Result<Session> {
+/// and no `[session][kind]` header. Both ends of it are alike.
+fn single_session(stream: TcpStream) -> std::io::Result<Session> {
     let telemetry = aide_telemetry::global();
     let write_half = stream.try_clone()?;
     let shutdown_half = stream.try_clone()?;
@@ -158,7 +157,7 @@ fn single_session(stream: TcpStream, initiator: bool) -> std::io::Result<Session
     let (reader, _no_acceptor) = CarrierReader::spawn(
         SocketReads::new(stream),
         Some(Arc::clone(&inbox)),
-        initiator,
+        false,
         "rpc-tcp-reader",
         telemetry.counter(aide_telemetry::names::TCP_FRAMES_RECEIVED),
         telemetry.counter(aide_telemetry::names::TCP_BYTES_RECEIVED),

@@ -1,8 +1,7 @@
-//! On the end of a byte-stream carrier that dialled, a blocked caller reads
-//! its own reply off the carrier; everywhere else, and whenever somebody
-//! else is already reading, the reply is handed over as before. Every
-//! scenario runs over both carriers: the multiplexed connection and the
-//! tag-less single-session socket.
+//! On either end of a byte-stream carrier, a blocked caller reads its own
+//! reply off the carrier; whenever somebody else is already reading, the
+//! reply is handed over. Every scenario runs over both carriers: the
+//! multiplexed connection and the tag-less single-session socket.
 //!
 //! The reply counters are process-wide and the census counts every thread
 //! and descriptor of the process, so the tests take turns on `GATE`.
@@ -213,45 +212,62 @@ fn get_reading(client: &Endpoint, name: &str) {
     panic!("{name}: none of 1000 back-to-back replies read by their caller");
 }
 
+/// Waits until `replies` replies since `before` are counted one way or the
+/// other (a thread that hands a reply over counts it after the hand-over,
+/// which may be a moment after its caller has returned), and checks that
+/// their callers read ≥ 99 % of them: a reply is handed over when the
+/// caller was kept off the CPU for a millisecond and its carrier looked
+/// idle to the carrier's thread — a handful in 10 000 unless the machine is
+/// overloaded.
+fn assert_callers_read(name: &str, before: (u64, u64), replies: u64) {
+    eventually("every reply is one or the other", || {
+        let (own, handed) = replies_since(before);
+        own + handed == replies
+    });
+    let (own, _) = replies_since(before);
+    assert!(
+        own * 100 >= replies * 99,
+        "{name}: {own} of {replies} replies read by their caller"
+    );
+}
+
 #[test]
-fn a_lone_caller_reads_its_own_replies_and_an_accepting_end_never_does() {
+fn callers_read_their_own_replies_on_the_dialling_end_and_in_call_backs_from_the_accepting_end() {
     const CALLS: u64 = 10_000;
+    const CALL_BACKS: u32 = 1_000;
     let _turn = turn();
     for (name, wire) in Wire::both() {
         let (cs, ss) = wire.pair();
         let client = start(cs, Arc::new(Echo), config());
-        let server = start(ss, Arc::new(Echo), config());
+        let calls_back = Arc::new(CallsBack {
+            own: OnceLock::new(),
+        });
+        let server = start(ss, calls_back.clone(), config());
+        calls_back.own.set(Arc::downgrade(&server)).unwrap();
 
+        // A lone caller on the dialling end.
         let before = replies();
         for _ in 0..CALLS {
             assert_eq!(client.call(read()), Ok(Reply::Unit), "{name}");
         }
-        // (A reader thread counts a reply once it has handed it over, which
-        // may be a moment after its caller has returned.)
-        eventually("every reply is one or the other", || {
-            let (own, handed) = replies_since(before);
-            own + handed == CALLS
-        });
-        // The first reply is handed over, and so is the next one whenever
-        // the caller was kept off the CPU for a millisecond and looked idle
-        // to the reader thread: a handful in 10 000 unless the machine is
-        // overloaded.
-        let (own, _) = replies_since(before);
-        assert!(
-            own * 100 >= CALLS * 99,
-            "{name}: {own} of {CALLS} replies read by their caller"
-        );
+        assert_callers_read(name, before, CALLS);
 
-        // The other way round the callers sit on the accepting end, whose
-        // reader never steps aside: serving stays reader -> worker.
+        // A dispatcher on the accepting end calling back to the dialling
+        // end while it serves: the worker serving it reads the replies to
+        // its call-backs itself, and the outer caller its own.
+        get_reading(&client, name);
         let before = replies();
-        for _ in 0..CALLS / 10 {
-            assert_eq!(server.call(read()), Ok(Reply::Unit), "{name}");
-        }
-        eventually("every reply handed over", || {
-            replies_since(before).1 == CALLS / 10
-        });
-        assert_eq!(replies_since(before), (0, CALLS / 10), "{name}");
+        let invoke = Request::Invoke {
+            target: ObjectId::surrogate(1),
+            class: ClassId(1),
+            method: MethodId(0),
+            arg_bytes: CALL_BACKS,
+            ret_bytes: 0,
+            args: Vec::new(),
+        };
+        assert_eq!(client.call(invoke), Ok(Reply::Unit), "{name}");
+        assert_eq!(client.requests_served(), u64::from(CALL_BACKS), "{name}");
+        assert_callers_read(name, before, u64::from(CALL_BACKS) + 1);
         wind_down(&[&client, &server]);
     }
 }
@@ -526,23 +542,26 @@ fn a_carrier_that_dies_under_a_reading_caller_fails_every_call_and_leaves_nothin
     assert_eq!(census(), baseline, "(reader threads, descriptors)");
 }
 
-/// Serves `Invoke` by calling back into the invoking side first.
+/// Serves `Invoke` by calling back into the invoking side first, as many
+/// times as its `arg_bytes` say.
 struct CallsBack {
     own: OnceLock<Weak<Endpoint>>,
 }
 
 impl Dispatcher for CallsBack {
     fn dispatch(&self, request: Request) -> Result<Reply, String> {
-        if matches!(request, Request::Invoke { .. }) {
+        if let Request::Invoke { arg_bytes, .. } = request {
             let own = self.own.get().and_then(Weak::upgrade).expect("wired");
-            own.call(Request::Native {
-                caller: ClassId(1),
-                kind: NativeKind::Framebuffer,
-                work_micros: 0,
-                arg_bytes: 8,
-                ret_bytes: 0,
-            })
-            .map_err(|e| e.to_string())?;
+            for _ in 0..arg_bytes {
+                own.call(Request::Native {
+                    caller: ClassId(1),
+                    kind: NativeKind::Framebuffer,
+                    work_micros: 0,
+                    arg_bytes: 8,
+                    ret_bytes: 0,
+                })
+                .map_err(|e| e.to_string())?;
+            }
         }
         Ok(Reply::Unit)
     }
@@ -585,7 +604,7 @@ fn a_call_back_met_while_reading_is_served_by_a_worker() {
                 target: ObjectId::surrogate(1),
                 class: ClassId(1),
                 method: MethodId(0),
-                arg_bytes: 8,
+                arg_bytes: 1,
                 ret_bytes: 8,
                 args: vec![ObjectId::client(2)],
             };

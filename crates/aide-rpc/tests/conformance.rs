@@ -597,9 +597,10 @@ fn thread_census() -> Vec<String> {
 #[cfg(target_os = "linux")]
 #[test]
 fn tcp_endpoint_pairs_run_no_relay_threads() {
-    // A call is caller -> peer reader -> worker -> own reader -> caller:
-    // per carrier end one reader, per endpoint its workers, and nothing
-    // that only forwards. Both TCP carriers are up while the census runs.
+    // A call is caller -> peer worker -> caller, with a carrier's reader
+    // thread in between whenever nobody else reads: per carrier end one
+    // reader, per endpoint its workers, and nothing that only forwards.
+    // Both TCP carriers are up while the census runs.
     let mux = fixtures().pop().expect("the tcp fixture is last");
     assert_eq!(mux.name, "tcp");
     let (cs, ss) = open_pair(&mux);

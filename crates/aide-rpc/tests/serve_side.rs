@@ -1,11 +1,13 @@
-//! The served side of a call. On the end of a byte-stream carrier that
-//! accepted its connection, a request the dispatcher can serve at once is
-//! answered on the thread that read it; every other request — one the
-//! dispatcher hands back, and every request in process or to a dialling end —
-//! is served by a worker pool that starts empty, grows by one thread each
-//! time a request finds no idle worker, and hands a job to the worker that
-//! parked last. The carrier scenarios run over both carriers: the
-//! multiplexed connection and the tag-less single-session socket.
+//! The served side of a call. Every request is served by a worker pool that
+//! starts empty, grows by one thread each time a request finds no idle
+//! worker, and hands a job to the worker that parked last. On a byte-stream
+//! carrier the pool is leader/followers: a worker that has sent its reply
+//! reads the next request off the carrier itself and serves it, so a
+//! request crosses no hand-off between the thread that reads it and the one
+//! that serves it; the carrier's own thread reads only when nobody else
+//! does, and hands what it reads to a worker. The carrier scenarios run over
+//! both carriers: the multiplexed connection and the tag-less single-session
+//! socket.
 //!
 //! The two counters are process-wide and the census counts every thread and
 //! descriptor of the process, so the tests take turns on `GATE`.
@@ -135,10 +137,9 @@ fn bulk() -> Request {
 /// One execution: the request's kind, and the thread that ran it.
 type Execution = (&'static str, ThreadId, String);
 
-/// A stand-in for a VM behind its lock. Field accesses are its short
-/// requests: served at once — replying with the number the execution was —
-/// when `vm` is free, handed back when it is held. Everything else waits
-/// for `vm`; an `Invoke` keeps it for `arg_bytes` milliseconds.
+/// A stand-in for a VM behind its lock: every request waits for `vm` and
+/// replies with the number its execution was; an `Invoke` keeps it for
+/// `arg_bytes` milliseconds.
 #[derive(Default)]
 struct Vmish {
     vm: Mutex<()>,
@@ -184,20 +185,6 @@ impl Dispatcher for Vmish {
         }
         self.execute(&request)
     }
-
-    fn dispatch_now(&self, request: Request) -> Result<Result<Reply, String>, Request> {
-        if !matches!(request, Request::FieldAccess { .. }) {
-            return Err(request);
-        }
-        match self.vm.try_lock() {
-            Ok(_vm) => Ok(self.execute(&request)),
-            Err(_) => Err(request),
-        }
-    }
-}
-
-fn on_a_reader(name: &str) -> bool {
-    name == "rpc-mux-reader" || name == "rpc-tcp-reader"
 }
 
 fn on_a_worker(name: &str) -> bool {
@@ -244,8 +231,54 @@ fn eventually(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
+/// What `calls` sequential requests to one endpoint left on the counters:
+/// one worker, and on a carrier ≥ 99 % of them served where they were read
+/// — the first is read by the carrier's thread, and so is the next one
+/// whenever the worker was kept off the CPU for a millisecond, a handful
+/// in 10 000 unless the machine is overloaded. In process the thread that
+/// delivers a request is its caller, and nothing is served where it is
+/// read.
+fn assert_one_worker_read_them(name: &str, carrier: bool, calls: u64, gained: (u64, u64)) {
+    let (where_read, spawned) = gained;
+    assert_eq!(spawned, 1, "{name}: workers spawned");
+    if carrier {
+        assert!(
+            where_read * 100 >= calls * 99 && where_read < calls,
+            "{name}: {where_read} of {calls} served where they were read"
+        );
+    } else {
+        assert_eq!(where_read, 0, "{name}");
+    }
+}
+
 #[test]
-fn short_requests_are_served_where_an_accepting_end_reads_them_and_nowhere_else() {
+fn sequential_invokes_are_served_by_the_one_worker_that_reads_them() {
+    const CALLS: u64 = 10_000;
+    let _turn = turn();
+    for (name, wire) in Wire::all() {
+        let carrier = !matches!(wire, Wire::InProcess);
+        let (cs, ss) = wire.pair();
+        let vmish = Arc::new(Vmish::default());
+        let client = start(cs, Arc::new(Vmish::default()), config());
+        let server = start(ss, vmish.clone(), config());
+        let before = counters();
+        for _ in 0..CALLS {
+            assert!(client.call(invoke(0)).is_ok(), "{name}");
+        }
+        assert_one_worker_read_them(name, carrier, CALLS, counters_since(before));
+        assert_eq!(server.requests_served(), CALLS, "{name}");
+        let (threads, distinct) = vmish.threads();
+        assert!(
+            threads.iter().all(|t| on_a_worker(t)),
+            "{name}: {threads:?}"
+        );
+        assert_eq!(distinct, 1, "{name}: {threads:?}");
+        wind_down(&[&client, &server]);
+    }
+}
+
+#[test]
+fn short_requests_are_served_where_they_are_read_on_either_end() {
     const CALLS: u64 = 10_000;
     let _turn = turn();
     for (name, wire) in Wire::all() {
@@ -255,7 +288,7 @@ fn short_requests_are_served_where_an_accepting_end_reads_them_and_nowhere_else(
         let client = start(cs, at_client.clone(), config());
         let server = start(ss, at_server.clone(), config());
 
-        // Towards the accepting end: no worker ever exists there.
+        // Towards the accepting end, each one answered in order.
         let before = counters();
         for i in 0..CALLS {
             let reply = client.call(access(64, i % 2 == 0));
@@ -265,47 +298,34 @@ fn short_requests_are_served_where_an_accepting_end_reads_them_and_nowhere_else(
                 "{name}"
             );
         }
+        assert_one_worker_read_them(name, carrier, CALLS, counters_since(before));
         assert_eq!(server.requests_served(), CALLS, "{name}");
-        let (threads, distinct) = at_server.threads();
-        if carrier {
-            assert_eq!(counters_since(before), (CALLS, 0), "{name}");
-            assert!(
-                threads.iter().all(|t| on_a_reader(t)),
-                "{name}: {threads:?}"
-            );
-        } else {
-            // In process the thread that delivers a request is its caller.
-            assert_eq!(counters_since(before), (0, 1), "{name}");
-            assert!(
-                threads.iter().all(|t| on_a_worker(t)),
-                "{name}: {threads:?}"
-            );
-        }
-        assert_eq!(distinct, 1, "{name}: {threads:?}");
 
-        // Towards the dialling end: whoever reads there may not write, so
-        // the same requests against the same dispatcher go to a worker.
+        // Towards the dialling end, by the same rule: its workers read too.
         let before = counters();
         for _ in 0..CALLS / 10 {
             assert!(server.call(access(64, false)).is_ok(), "{name}");
         }
-        assert_eq!(counters_since(before), (0, 1), "{name}");
+        assert_one_worker_read_them(name, carrier, CALLS / 10, counters_since(before));
         assert_eq!(client.requests_served(), CALLS / 10, "{name}");
-        let (threads, distinct) = at_client.threads();
-        assert!(
-            threads.iter().all(|t| on_a_worker(t)),
-            "{name}: {threads:?}"
-        );
-        assert_eq!(distinct, 1, "{name}: one worker, reused: {threads:?}");
+        for end in [&at_server, &at_client] {
+            let (threads, distinct) = end.threads();
+            assert!(
+                threads.iter().all(|t| on_a_worker(t)),
+                "{name}: {threads:?}"
+            );
+            assert_eq!(distinct, 1, "{name}: one worker, reused: {threads:?}");
+        }
         wind_down(&[&client, &server]);
     }
 }
 
 #[test]
-fn a_request_handed_back_is_served_by_a_worker_once_and_a_duplicate_gets_the_memo() {
+fn a_request_handed_to_a_worker_is_served_once_and_a_duplicate_gets_the_memo() {
     let _turn = turn();
     for (name, wire) in Wire::carriers() {
-        // The busy VM: the test holds it while the request arrives.
+        // The busy VM: the test holds it while the first request arrives,
+        // which no worker is there to read.
         let (cs, ss) = wire.pair();
         let vmish = Arc::new(Vmish::default());
         let client = start(cs, Arc::new(Vmish::default()), config());
@@ -314,7 +334,8 @@ fn a_request_handed_back_is_served_by_a_worker_once_and_a_duplicate_gets_the_mem
         let busy = vmish.vm.lock().unwrap();
         let reply = std::thread::scope(|scope| {
             let caller = scope.spawn(|| client.call(access(8, true)));
-            // Handed back by the reader, taken by a worker, which waits.
+            // Read by the carrier's thread, handed to a new worker, which
+            // waits for the VM.
             eventually("a worker took the request", || {
                 counters_since(before).1 == 1
             });
@@ -333,17 +354,23 @@ fn a_request_handed_back_is_served_by_a_worker_once_and_a_duplicate_gets_the_mem
             (1, 0),
             "{name}"
         );
-        // With the VM free again the next one is served where it is read.
-        assert_eq!(
-            client.call(access(8, true)),
-            Ok(Reply::Text("execution 2".into())),
-            "{name}"
+        // From the second request on the worker reads them itself.
+        for i in 2..12 {
+            assert_eq!(
+                client.call(access(8, true)),
+                Ok(Reply::Text(format!("execution {i}"))),
+                "{name}"
+            );
+        }
+        let (where_read, spawned) = counters_since(before);
+        assert!(
+            where_read >= 1 && spawned == 1,
+            "{name}: {where_read}, {spawned}"
         );
-        assert_eq!(counters_since(before), (1, 1), "{name}");
         wind_down(&[&client, &server]);
 
-        // A write served where it was read, then retried: the dialling end
-        // is played by hand and sends the same frame twice.
+        // A write served, then retried: the dialling end is played by hand
+        // and sends the same frame twice.
         let (ours, ss) = wire.pair();
         let vmish = Arc::new(Vmish::default());
         let server = start(ss, vmish.clone(), config());
@@ -369,27 +396,44 @@ fn a_request_handed_back_is_served_by_a_worker_once_and_a_duplicate_gets_the_mem
         );
         let executions = vmish.executions();
         assert_eq!(executions.len(), 1, "{name}: {executions:?}");
-        assert!(on_a_reader(&executions[0].2), "{name}: {executions:?}");
+        assert!(on_a_worker(&executions[0].2), "{name}: {executions:?}");
         assert_eq!(
             (server.requests_served(), server.dedup_hits()),
             (1, 1),
             "{name}"
         );
-        assert_eq!(
-            counters_since(before),
-            (1, 0),
-            "{name}: no worker for either"
-        );
+        assert_eq!(counters_since(before).1, 1, "{name}: one worker for both");
         wind_down(&[&server]);
     }
 }
 
 #[test]
 fn a_session_stuck_behind_its_vm_does_not_slow_a_sibling_on_the_same_carrier() {
-    const CALLS: usize = 1_000;
     let _turn = turn();
+    // Siblings share a carrier only on the mux.
     let wires = Wire::carriers();
-    let (name, wire) = &wires[0]; // siblings share a carrier only on the mux
+    let (name, wire) = &wires[0];
+    // Session A's long request is read by the carrier's thread and handed
+    // to a worker.
+    assert!(
+        !sibling_keeps_pace(name, wire, false),
+        "{name}: the carrier's thread read A's request"
+    );
+    // On fresh sessions, by the worker leading A's carrier, which serves it
+    // itself: the thread must take the carrier back within `HANDOVER` of
+    // that worker letting go. A leader kept off the CPU for a millisecond
+    // misses the request, so this case is tried until one did not.
+    assert!(
+        (0..5).any(|_| sibling_keeps_pace(name, wire, true)),
+        "{name}: no worker of A read A's request in five tries"
+    );
+}
+
+/// One round of the fairness case on fresh sessions of `wire`, A's long
+/// request sent right after a burst of A's when `warm`; whether a worker of
+/// A read that request itself.
+fn sibling_keeps_pace(name: &str, wire: &Wire, warm: bool) -> bool {
+    const CALLS: usize = 1_000;
     let (slow, quick) = (Arc::new(Vmish::default()), Arc::new(Vmish::default()));
     let pairs: Vec<_> = [&slow, &quick]
         .into_iter()
@@ -403,16 +447,29 @@ fn a_session_stuck_behind_its_vm_does_not_slow_a_sibling_on_the_same_carrier() {
         .collect();
     let (a, b) = (&pairs[0].0, &pairs[1].0);
 
-    std::thread::scope(|scope| {
+    let led = std::thread::scope(|scope| {
         // Session A: a worker sits in a 600 ms `Invoke` with A's VM held,
-        // and a short request sent meanwhile is handed back by the reader
-        // and waits for the VM on a second worker.
+        // and a short request sent meanwhile waits for the VM on a second
+        // worker.
+        let (ready, set) = std::sync::mpsc::channel();
+        let long = scope.spawn(move || {
+            if warm {
+                // Back to back, so that A's worker is reading for the next.
+                for _ in 0..20 {
+                    assert!(a.call(access(8, false)).is_ok());
+                }
+            }
+            ready.send(counters()).unwrap();
+            (a.call(invoke(600)), Instant::now())
+        });
+        let before = set.recv().unwrap();
         let started = Instant::now();
-        let long = scope.spawn(|| (a.call(invoke(600)), Instant::now()));
         eventually("the invoke holds A's VM", || slow.vm.try_lock().is_err());
+        // Counted as it is taken, before it is served; nothing else runs.
+        let led = counters_since(before).0 == 1;
         let behind = scope.spawn(|| (a.call(access(8, false)), Instant::now()));
 
-        // Session B, read by the same thread, never notices.
+        // Session B, on the same carrier, never notices.
         let mut micros: Vec<u128> = (0..CALLS)
             .map(|_| {
                 let sent = Instant::now();
@@ -423,7 +480,7 @@ fn a_session_stuck_behind_its_vm_does_not_slow_a_sibling_on_the_same_carrier() {
         let finished = Instant::now();
         micros.sort_unstable();
         let p99 = micros[CALLS * 99 / 100];
-        assert!(p99 < 5_000, "{name}: sibling p99 {p99} us");
+        assert!(p99 < 5_000, "{name}: sibling p99 {p99} us (led {led})");
 
         let (long_reply, long_done) = long.join().unwrap();
         let (behind_reply, behind_done) = behind.join().unwrap();
@@ -437,12 +494,14 @@ fn a_session_stuck_behind_its_vm_does_not_slow_a_sibling_on_the_same_carrier() {
             behind_done - started >= Duration::from_millis(600),
             "{name}: A's short request waited for A's VM"
         );
+        led
     });
-    let (threads, _) = quick.threads();
+    let (threads, distinct) = quick.threads();
     assert!(
-        threads.iter().all(|t| on_a_reader(t)),
+        threads.iter().all(|t| on_a_worker(t)),
         "{name}: {threads:?}"
     );
+    assert_eq!(distinct, 1, "{name}: {threads:?}");
     let (threads, distinct) = slow.threads();
     assert!(
         threads.iter().all(|t| on_a_worker(t)),
@@ -452,6 +511,7 @@ fn a_session_stuck_behind_its_vm_does_not_slow_a_sibling_on_the_same_carrier() {
     for (client, server) in &pairs {
         wind_down(&[client, server]);
     }
+    led
 }
 
 #[test]
@@ -484,10 +544,10 @@ fn replies_from_the_reader_one_way_and_bulk_the_other_way_never_wedge_the_carrie
         let go = Barrier::new(sessions * (CALLERS + 1));
         std::thread::scope(|scope| {
             for (client, server) in &pairs {
-                // Short requests towards the accepting end, answered by its
-                // reader; between bursts every caller goes quiet for 20 ms,
-                // so the dialling end's read half changes hands and is the
-                // reader thread's for a while.
+                // Short requests towards the accepting end, answered by the
+                // workers that read them; between bursts every caller goes
+                // quiet for 20 ms, so the read halves change hands and are
+                // the carrier threads' for a while.
                 for _ in 0..CALLERS {
                     scope.spawn(|| {
                         go.wait();
@@ -551,8 +611,8 @@ fn a_span_served_on_a_reader_carries_the_endpoints_track_and_is_stored_by_join()
             assert!(client.call(access(8, false)).is_ok(), "{name}");
         }
         drop(root);
-        // The accepting end winds down on its own; the carrier stays up, and
-        // so does the reader thread that served the calls.
+        // The accepting end winds down on its own, while the carrier stays
+        // up; the worker that read and served the calls has exited by then.
         wind_down(&[&server]);
         let serves: Vec<_> = aide_trace::snapshot()
             .into_iter()
@@ -636,8 +696,8 @@ fn the_pool_grows_by_what_nesting_needs_reuses_its_warmest_worker_and_leaves_not
                 );
             }
             assert_eq!(
-                counters_since(before),
-                (0, 2 * u64::from(depth)),
+                counters_since(before).1,
+                2 * u64::from(depth),
                 "{name}: depth {depth}, three times over"
             );
             for end in [&at_client, &at_server] {
@@ -645,20 +705,6 @@ fn the_pool_grows_by_what_nesting_needs_reuses_its_warmest_worker_and_leaves_not
             }
             wind_down(&[&client, &server]);
         }
-
-        // Sequential hand-offs all go to one worker: the one that parked last.
-        let (cs, ss) = wire.pair();
-        let vmish = Arc::new(Vmish::default());
-        let client = start(cs, Arc::new(Vmish::default()), config());
-        let server = start(ss, vmish.clone(), config());
-        let before = counters();
-        for _ in 0..10_000 {
-            assert!(client.call(invoke(0)).is_ok(), "{name}");
-        }
-        assert_eq!(counters_since(before), (0, 1), "{name}");
-        let (threads, distinct) = vmish.threads();
-        assert_eq!(distinct, 1, "{name}: {threads:?}");
-        wind_down(&[&client, &server]);
 
         // At the bound a request waits for the next worker that finishes.
         let (cs, ss) = wire.pair();
@@ -680,7 +726,7 @@ fn the_pool_grows_by_what_nesting_needs_reuses_its_warmest_worker_and_leaves_not
             took >= Duration::from_millis(300) && took < Duration::from_millis(450),
             "{name}: three 150 ms requests on two workers took {took:?}"
         );
-        assert_eq!(counters_since(before), (0, 2), "{name}");
+        assert_eq!(counters_since(before).1, 2, "{name}");
         wind_down(&[&client, &server]);
     }
     let deadline = Instant::now() + Duration::from_secs(5);

@@ -92,19 +92,18 @@ pub mod names {
     /// checksum, truncation, unknown tag).
     pub const RPC_BAD_FRAMES: &str = "aide_rpc_bad_frames_total";
     /// Replies a blocked caller read off its carrier itself, holding the
-    /// carrier's read half (the initiating end of a byte-stream carrier).
+    /// carrier's read half (on either end of a byte-stream carrier).
     pub const RPC_REPLIES_CALLER_READ: &str = "aide_rpc_replies_caller_read_total";
     /// Replies handed to a blocked caller by another thread that held its
-    /// carrier's read half: the carrier's reader thread (every reply on an
-    /// accepting end), or a sibling caller reading at the time.
+    /// carrier's read half: the carrier's reader thread, a worker reading
+    /// for its next request, or a sibling caller reading at the time.
     pub const RPC_REPLIES_HANDED_OVER: &str = "aide_rpc_replies_handed_over_total";
-    /// Requests an endpoint served on the thread that read them — the
-    /// reader of a carrier end that accepted its connection — because its
-    /// dispatcher could serve them without waiting; no worker was involved.
+    /// Requests an endpoint served on the thread that read them: a worker
+    /// that, having replied, read its next request off the carrier itself;
+    /// no other thread handed the request on.
     pub const RPC_SERVED_WHERE_READ: &str = "aide_rpc_requests_served_where_read_total";
-    /// Worker threads endpoints spawned: one each time a request arrived
-    /// that the thread that read it could not serve and no idle worker was
-    /// there to take.
+    /// Worker threads endpoints spawned: one each time a request was queued
+    /// for a worker and no idle one was there to take it.
     pub const RPC_WORKERS_SPAWNED: &str = "aide_rpc_workers_spawned_total";
     /// Frames written to a TCP carrier.
     pub const TCP_FRAMES_SENT: &str = "aide_tcp_frames_sent_total";
