@@ -81,7 +81,7 @@ mod wire;
 pub use aide_trace::SpanContext;
 pub use chaos::{chaos_pair, chaos_wrap, ChaosPairStats, ChaosSchedule, ChaosStats};
 pub use endpoint::{Dispatcher, Endpoint, EndpointConfig, RetryPolicy, RpcError};
-pub use link::{Link, LinkError, NetClock, Session, TrafficStats};
+pub use link::{Delivered, Link, LinkError, NetClock, Session, TrafficStats};
 pub use mux::{BusEvent, BusSink, ConnKiller, MuxConn, MuxSender};
 pub use reftable::{
     live_remote_refs, ExportTable, GcClock, ImportTable, ReleaseOutcome, DEFAULT_LEASE_TTL_MS,

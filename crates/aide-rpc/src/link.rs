@@ -149,21 +149,23 @@ pub(crate) trait FrameSink: Send + Sync {
     fn closed(&self);
 }
 
-/// What a [`FrameSink`] made of a frame, as the thread that read it needs
-/// to know.
+/// What a session's sink (or a carrier's [`BusSink`](crate::BusSink)) made
+/// of an inbound frame, as the thread that read it needs to know: whether
+/// somebody is about to come back and read the carrier for itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Delivered {
+pub enum Delivered {
     /// Nobody is coming back for it: the frame was queued, forwarded,
     /// dropped, or began a drain.
     Kept,
     /// The reply a caller blocked on this very session was waiting for: the
     /// caller is about to call again and can then read for itself.
     Reply,
-    /// A request queued for a worker of the session's endpoint, which reads
-    /// for itself again once it has replied.
+    /// A request queued for a worker (of the session's endpoint, or of the
+    /// shard it hashes to), which reads for itself again once it has
+    /// replied.
     Handed,
-    /// A request taken by the worker of the session's endpoint that holds
-    /// the read half: it lets go of the half and serves the request.
+    /// Taken by the worker that holds the read half: it lets go of the half
+    /// and serves what it took itself.
     Claimed,
 }
 

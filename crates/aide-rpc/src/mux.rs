@@ -22,7 +22,8 @@
 //! attached, the sink (decode, complete a call, hand a request to a worker)
 //! afterwards. Leader/followers, on both ends alike: a caller blocked on a
 //! reply takes the lock and reads its own reply, and a worker that has just
-//! sent a reply takes it and reads its endpoint's next request, lets go, and
+//! sent a reply takes it and reads its endpoint's next request — or, on a
+//! bus-routed carrier, its shard's ([`MuxSender::lead`]) — lets go, and
 //! serves that request itself (a call is then caller → peer worker → caller:
 //! two hand-offs). The carrier's reader thread is the reader of last resort.
 //! The rule that keeps this deadlock-free: nobody writes to a carrier while
@@ -136,15 +137,23 @@ pub enum BusEvent {
     },
 }
 
-/// Consumes the [`BusEvent`]s of bus-routed carriers **on each carrier's
-/// reader thread**. An implementation must not write to a carrier and must
-/// not block: it routes the event onto a queue some worker drains (the
-/// surrogate daemon's shard pool hashes `(conn, session)` onto a shard
-/// queue here, with no forwarding thread in between).
+/// Consumes the [`BusEvent`]s of bus-routed carriers **on whichever thread
+/// holds the carrier's read half**: its reader thread, or a worker leading
+/// it ([`MuxSender::lead`]). An implementation must not write to a carrier
+/// and must not block: it routes the event onto a queue some worker drains,
+/// or hands it to the worker leading (the surrogate daemon's shard pool
+/// hashes `(conn, session)` onto a shard here, with no forwarding thread in
+/// between).
 pub trait BusSink: Send + Sync {
     /// One event; events of one carrier arrive in carrier order, and
-    /// [`BusEvent::CarrierClosed`] is the last for its `conn`.
-    fn deliver(&self, event: BusEvent);
+    /// [`BusEvent::CarrierClosed`] is the last for its `conn`. The return
+    /// tells the reading thread who reads next: [`Delivered::Handed`] — a
+    /// request queued for a worker that comes back to this carrier once it
+    /// has replied (leads it, or recalls its thread) — lets the carrier's
+    /// thread step aside; [`Delivered::Claimed`] — taken by the worker
+    /// leading, which lets go and serves it — ends that worker's lead;
+    /// [`Delivered::Kept`] promises nothing.
+    fn deliver(&self, event: BusEvent) -> Delivered;
 }
 
 /// Where the reader routes peer-initiated sessions: a per-session inbox
@@ -157,13 +166,15 @@ enum PeerSink {
     Bus { conn: u64, sink: Arc<dyn BusSink> },
 }
 
-/// The outbound half of a bus-routed carrier: lets any worker thread reply
-/// on any of the carrier's sessions. Cloneable and cheap; every clone
-/// writes through the carrier's one writer mutex.
+/// A worker's handle on a bus-routed carrier: lets any worker thread reply
+/// on any of the carrier's sessions, and read the carrier for its next
+/// request. Cloneable and cheap; every clone writes through the carrier's
+/// one writer mutex.
 #[derive(Clone, Debug)]
 pub struct MuxSender {
     conn: u64,
     writer: Arc<CarrierWriter>,
+    reader: Arc<CarrierReader>,
     killer: ConnKiller,
 }
 
@@ -190,6 +201,44 @@ impl MuxSender {
     /// A handle that severs the whole carrier.
     pub fn killer(&self) -> ConnKiller {
         self.killer.clone()
+    }
+
+    /// A worker that has just replied on this carrier, with nothing else to
+    /// do, reads its next request itself (leader/followers): it takes the
+    /// carrier's read half if nobody holds it and `start` — run holding it —
+    /// agrees, then reads and routes frames until the bus sink claims one
+    /// for it ([`Delivered::Claimed`]), a blocked caller's reply is
+    /// delivered, `HANDOVER` (1 ms; on a socket, rounded up to the kernel's
+    /// timer tick) passes, or the carrier dies. `finish`
+    /// runs before the half is let go, so the sink's "leading" mark is
+    /// cleared before anybody else routes. `None` if it did not lead:
+    /// somebody else holds the half, and reads; or `start` declined, and
+    /// then the carrier's thread has been recalled in its place.
+    ///
+    /// `start` and `finish` run holding the read half: they may not write
+    /// to a carrier or block.
+    pub fn lead<T>(&self, start: impl FnOnce() -> bool, finish: impl FnOnce() -> T) -> Option<T> {
+        // Not recalled when the half is taken: its holder may be the thread
+        // itself, which would find the recall waiting when it next steps
+        // aside, and read on instead.
+        let mut turn = self.reader.try_read()?;
+        if !start() {
+            drop(turn);
+            self.recall();
+            return None;
+        }
+        turn.lead();
+        let finished = finish();
+        drop(turn);
+        Some(finished)
+    }
+
+    /// Calls the carrier's reader thread back to the read half at once: for
+    /// a worker that was handed a request off this carrier and will not
+    /// [`lead`](MuxSender::lead) it next, since the thread stepped aside
+    /// for it.
+    pub fn recall(&self) {
+        self.reader.recall_thread();
     }
 }
 
@@ -236,7 +285,7 @@ impl MuxConn {
         self.killer.clone()
     }
 
-    /// The outbound handle for this carrier under the consumer-assigned id
+    /// The workers' handle on this carrier under the consumer-assigned id
     /// `conn`, without switching routing modes. A serving pool registers
     /// the carrier with this *before* calling
     /// [`route_accepts_to`](MuxConn::route_accepts_to), so no bus event
@@ -245,15 +294,16 @@ impl MuxConn {
         MuxSender {
             conn,
             writer: Arc::clone(&self.writer),
+            reader: Arc::clone(&self.reader),
             killer: self.killer.clone(),
         }
     }
 
     /// Switches this carrier into *bus mode*: instead of materializing an
     /// inbox and an [`Acceptor::accept`] handoff per peer-opened session,
-    /// the reader hands every peer session's OPEN/DATA/CLOSE to `sink` as
-    /// [`BusEvent`]s tagged with `conn`. Returns the carrier's
-    /// [`MuxSender`], which any worker can use to reply on any session.
+    /// whoever reads the carrier hands every peer session's OPEN/DATA/CLOSE
+    /// to `sink` as [`BusEvent`]s tagged with `conn`; workers reply and lead
+    /// through the carrier's [`bus_sender`](MuxConn::bus_sender).
     ///
     /// Sessions the peer opened *before* the switch are drained into the
     /// sink (an `Opened` plus their queued frames), so nothing observed by
@@ -261,7 +311,7 @@ impl MuxConn {
     /// because the drain and the reader's dispatch serialize on the sink
     /// lock. Locally-initiated sessions ([`Transport::open_session`]) are
     /// unaffected and keep their dedicated inboxes.
-    pub fn route_accepts_to(&self, conn: u64, sink: Arc<dyn BusSink>) -> MuxSender {
+    pub fn route_accepts_to(&self, conn: u64, sink: Arc<dyn BusSink>) {
         let mut current = self.reader.sink.lock();
         while let Ok((id, inbox)) = self.accepted_rx.try_recv() {
             sink.deliver(BusEvent::Opened { conn, session: id });
@@ -275,8 +325,6 @@ impl MuxConn {
             self.reader.routes.lock().remove(&id);
         }
         *current = PeerSink::Bus { conn, sink };
-        drop(current);
-        self.bus_sender(conn)
     }
 }
 
@@ -390,8 +438,8 @@ enum Step {
 /// A caller that has written its request takes the lock and reads and
 /// routes frames on its own thread until its reply is among them. A worker
 /// that has just written a reply takes it, reads until a request of its own
-/// endpoint is among the frames, lets go and serves that request (see
-/// [`ReadTurn::lead`]). Frames for sibling sessions, requests for other
+/// endpoint (or shard) is among the frames, lets go and serves that request
+/// (see [`ReadTurn::lead`]). Frames for sibling sessions, requests for other
 /// workers and CLOSEs met on the way are routed exactly as the thread routes
 /// them. The thread is the reader of last resort: it reads whenever nobody
 /// has for [`HANDOVER`], steps aside once it has delivered a reply to a
@@ -620,7 +668,7 @@ impl CarrierReader {
         let peer_sink = peer_initiated.then(|| self.sink.lock());
         if let Some(PeerSink::Bus { conn, sink }) = peer_sink.as_deref() {
             let (conn, session) = (*conn, id);
-            sink.deliver(match kind {
+            return Some(sink.deliver(match kind {
                 KIND_OPEN => BusEvent::Opened { conn, session },
                 KIND_CLOSE => BusEvent::Closed { conn, session },
                 _ => BusEvent::Data {
@@ -628,8 +676,7 @@ impl CarrierReader {
                     session,
                     frame,
                 },
-            });
-            return Some(Delivered::Kept);
+            }));
         }
         match kind {
             KIND_OPEN => {
@@ -737,7 +784,8 @@ impl ReadTurn<'_> {
     }
 
     /// A worker that has just replied reads and routes frames until one is
-    /// a request its endpoint's sink hands to it ([`Delivered::Claimed`]).
+    /// a request its endpoint's sink, or its pool's bus sink, hands to it
+    /// ([`Delivered::Claimed`]).
     /// It steps aside, as the thread does, once it has delivered a reply to
     /// a blocked caller, who reads for itself when it calls again; and it
     /// leaves the carrier to its thread after [`HANDOVER`] without either,
@@ -815,8 +863,9 @@ mod tests {
 
     /// A bus that is just a queue, so a test can watch the events.
     impl BusSink for Sender<BusEvent> {
-        fn deliver(&self, event: BusEvent) {
+        fn deliver(&self, event: BusEvent) -> Delivered {
             let _ = self.send(event);
+            Delivered::Kept
         }
     }
 
@@ -970,7 +1019,8 @@ mod tests {
         // Give the reader time to route the pre-switch traffic.
         std::thread::sleep(std::time::Duration::from_millis(50));
         let (bus_tx, bus_rx) = unbounded();
-        let sender = b.route_accepts_to(7, Arc::new(bus_tx));
+        let sender = b.bus_sender(7);
+        b.route_accepts_to(7, Arc::new(bus_tx));
         early.send(vec![0xE, 2]).unwrap();
         let late = a.open_session().unwrap();
         late.send(vec![0x1A]).unwrap();

@@ -10,7 +10,7 @@
 //! dispatcher (the isolation the paper's per-client platform instances
 //! require); only the *threads* are shared.
 //!
-//! Each carrier's reader hashes `(carrier, session)` onto a shard and
+//! Whoever reads a carrier hashes `(carrier, session)` onto a shard and
 //! enqueues the event on that shard's queue itself — there is no router
 //! thread in between. Each shard is served by exactly one worker, so frames
 //! of one session are processed in arrival order without any per-session
@@ -20,6 +20,16 @@
 //! run (at-most-once dedup with memoized reply frames, the serve span,
 //! the reply stamped with the session's advertised import epoch and its
 //! VM's slot-write count), one responder per session.
+//!
+//! Who reads is the endpoint's rule, leader/followers: a worker that has
+//! replied on a carrier, with nothing queued for it, takes the carrier's
+//! read half if it is free ([`aide_rpc::MuxSender::lead`]), reads and
+//! routes frames until one is for its own shard, lets go and serves that
+//! one itself — a daemon request is then caller → shard worker → caller.
+//! The carrier's reader thread reads when nobody else does, and steps aside
+//! once it has queued a request for a shard, whose worker comes back to the
+//! carrier when it has replied: it leads it, or — its queue not empty, the
+//! session gone, or the half taken — recalls the thread at once.
 //!
 //! Admission control bounds the pool: once `max_sessions` sessions are
 //! live, new sessions are answered with [`Reply::Busy`] and closed instead
@@ -36,8 +46,8 @@ use std::thread::JoinHandle;
 
 use aide_core::{RefTables, VmDispatcher};
 use aide_rpc::{
-    BusEvent, BusSink, Dispatcher, Frame, LeaseStamp, Message, MuxSender, Reply, Request,
-    Responder, Served,
+    BusEvent, BusSink, Delivered, Dispatcher, Frame, LeaseStamp, Message, MuxSender, Reply,
+    Request, Responder, Served,
 };
 use aide_vm::SlotWrites;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -117,9 +127,13 @@ struct PoolShared {
     rejected: AtomicU64,
     /// Requests dispatched across all shards.
     served: AtomicU64,
-    /// Outbound handles by carrier id; registered before the carrier is
+    /// Requests served by the shard worker that read them off the carrier.
+    served_where_read: AtomicU64,
+    /// Workers' handles by carrier id; registered before the carrier is
     /// switched into bus mode, so no worker sees an unknown carrier.
     carriers: Mutex<HashMap<u64, MuxSender>>,
+    /// Per shard, the carrier its worker is leading, if any (see [`Lead`]).
+    leads: Vec<Mutex<Lead>>,
     /// GC dispatchers of every live session, for the daemon's sweeper and
     /// the per-session lease-age stats lines.
     gc_sessions: Mutex<HashMap<(u64, u32), Arc<VmDispatcher>>>,
@@ -139,6 +153,17 @@ struct Routed {
     slot_claimed: bool,
 }
 
+/// A shard worker's turn at a carrier's read half, as an endpoint keeps its
+/// `leading`/`claimed`: while `on` names the carrier, the next event for
+/// this shard routed off it is the worker's own. Only the worker holding
+/// that carrier's read half can be routing it then, so it is the worker
+/// that takes it.
+#[derive(Default)]
+struct Lead {
+    on: Option<u64>,
+    claimed: Option<Routed>,
+}
+
 impl PoolShared {
     /// Takes one of the `max_sessions` admission slots, if any is free.
     fn claim_slot(&self) -> bool {
@@ -151,29 +176,47 @@ impl PoolShared {
     }
 }
 
-/// Routing happens on the carrier's reader thread: hash, enqueue, return.
+/// Routing happens on whichever thread reads the carrier: hash, then hand
+/// the event to the shard's worker if it is leading this carrier, or
+/// enqueue it; return.
 impl BusSink for PoolShared {
-    fn deliver(&self, event: BusEvent) {
+    fn deliver(&self, event: BusEvent) -> Delivered {
         let shard_txs = self.shard_txs.read();
         if shard_txs.is_empty() {
-            return; // pool shut down
+            return Delivered::Kept; // pool shut down
         }
         match &event {
             BusEvent::Opened { conn, session }
             | BusEvent::Data { conn, session, .. }
             | BusEvent::Closed { conn, session } => {
-                let shard = shard_of(*conn, *session, shard_txs.len());
+                let conn = *conn;
+                let shard = shard_of(conn, *session, shard_txs.len());
+                let is_data = matches!(event, BusEvent::Data { .. });
                 let slot_claimed = matches!(event, BusEvent::Opened { .. }) && self.claim_slot();
-                let _ = shard_txs[shard].send(Routed {
+                let routed = Routed {
                     event,
                     slot_claimed,
-                });
+                };
+                {
+                    let mut lead = self.leads[shard].lock();
+                    if lead.on == Some(conn) && lead.claimed.is_none() {
+                        lead.claimed = Some(routed);
+                        return Delivered::Claimed;
+                    }
+                }
+                let _ = shard_txs[shard].send(routed);
+                if is_data {
+                    Delivered::Handed
+                } else {
+                    Delivered::Kept
+                }
             }
             BusEvent::CarrierClosed { conn } => {
                 // The carrier's sessions may live on any shard: everyone
-                // hears about the death. The event is the last the reader
-                // emits for this conn, and this is the reader's thread, so
-                // all its data is already on the shard queues ahead of it.
+                // hears about the death. The event is the last routed for
+                // this conn, on the thread that routed the rest, so all its
+                // data is already on the shard queues ahead of it (or with
+                // the worker that claimed it, which serves that first).
                 let conn = *conn;
                 self.carriers.lock().remove(&conn);
                 for tx in shard_txs.iter() {
@@ -182,6 +225,7 @@ impl BusSink for PoolShared {
                         slot_claimed: false,
                     });
                 }
+                Delivered::Kept
             }
         }
     }
@@ -225,7 +269,9 @@ impl ShardPool {
             admitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             served: AtomicU64::new(0),
+            served_where_read: AtomicU64::new(0),
             carriers: Mutex::new(HashMap::new()),
+            leads: (0..shards).map(|_| Mutex::default()).collect(),
             gc_sessions: Mutex::new(HashMap::new()),
             shard_txs: RwLock::new(shard_txs),
             factory,
@@ -239,7 +285,7 @@ impl ShardPool {
                     .name(format!("aide-shard-{name}-{i}"))
                     .spawn(move || {
                         aide_trace::set_thread_track("surrogate");
-                        worker_loop(&shared, &rx);
+                        worker_loop(&shared, i, &rx);
                         aide_trace::flush_thread();
                     })
                     .expect("spawn shard worker"),
@@ -285,6 +331,13 @@ impl ShardPool {
         self.shared.served.load(Ordering::SeqCst)
     }
 
+    /// Requests served by the shard worker that read them off their carrier
+    /// (leading it), counted as it takes them; the rest were read by the
+    /// carrier's thread and queued.
+    pub fn requests_served_where_read(&self) -> u64 {
+        self.shared.served_where_read.load(Ordering::SeqCst)
+    }
+
     /// GC dispatchers of every live session, for the lease sweeper.
     pub fn gc_handles(&self) -> Vec<Arc<VmDispatcher>> {
         self.shared.gc_sessions.lock().values().cloned().collect()
@@ -318,7 +371,7 @@ fn shard_of(conn: u64, session: u32, shards: usize) -> usize {
     (mixed >> 32) as usize % shards
 }
 
-fn worker_loop(shared: &PoolShared, rx: &Receiver<Routed>) {
+fn worker_loop(shared: &PoolShared, shard: usize, rx: &Receiver<Routed>) {
     let telemetry = aide_telemetry::global();
     let active = telemetry.gauge(aide_telemetry::names::SURROGATE_ACTIVE_SESSIONS);
     let fleet_live = telemetry.gauge(aide_telemetry::names::FLEET_LIVE_SESSIONS);
@@ -342,11 +395,24 @@ fn worker_loop(shared: &PoolShared, rx: &Receiver<Routed>) {
         closed
     };
 
-    while let Ok(Routed {
-        event,
-        slot_claimed,
-    }) = rx.recv()
+    // The carrier of the last request served, and whether leading is held
+    // off (see below).
+    let mut last_from = None;
+    let mut held_off = false;
+    // `read_here`: the worker read the event itself, leading its carrier.
+    let mut next = rx.recv().ok().map(|routed| (routed, false));
+    while let Some((
+        Routed {
+            event,
+            slot_claimed,
+        },
+        read_here,
+    )) = next
     {
+        // The session whose carrier the worker owes a read once this event
+        // is done: the carrier's thread stepped aside for a request it
+        // queued, and it left the carrier to a worker that read one itself.
+        let mut owed = None;
         match event {
             BusEvent::Opened { conn, session } => {
                 let key = (conn, session);
@@ -355,16 +421,17 @@ fn worker_loop(shared: &PoolShared, rx: &Receiver<Routed>) {
                     if slot_claimed {
                         shared.live.fetch_sub(1, Ordering::SeqCst);
                     }
-                    continue;
-                }
-                admit(shared, &mut sessions, &mut rejected, key, slot_claimed);
-                if sessions.contains_key(&key) {
-                    accepted.inc();
-                    active.add(1);
-                    fleet_live.add(1);
                 } else {
-                    fleet_rejected.inc();
+                    admit(shared, &mut sessions, &mut rejected, key, slot_claimed);
+                    if sessions.contains_key(&key) {
+                        accepted.inc();
+                        active.add(1);
+                        fleet_live.add(1);
+                    } else {
+                        fleet_rejected.inc();
+                    }
                 }
+                owed = read_here.then_some(key);
             }
             BusEvent::Data {
                 conn,
@@ -372,31 +439,35 @@ fn worker_loop(shared: &PoolShared, rx: &Receiver<Routed>) {
                 frame,
             } => {
                 let key = (conn, session);
+                owed = Some(key);
+                held_off &= last_from != Some(conn);
+                last_from = Some(conn);
+                if read_here {
+                    shared.served_where_read.fetch_add(1, Ordering::Relaxed);
+                }
                 // A live session knows its way back; only a frame for one
-                // that is not (yet) live looks the carrier up.
+                // that is not (yet) live looks the carrier up. With the
+                // carrier already torn down the frame is dropped.
                 if !sessions.contains_key(&key) {
-                    let Some(sender) = shared.carriers.lock().get(&conn).cloned() else {
-                        continue; // carrier already torn down: drop
-                    };
-                    if !rejected.contains(&key) {
-                        // Data racing ahead of its OPEN: implicit open.
-                        let slot_claimed = shared.claim_slot();
-                        admit(shared, &mut sessions, &mut rejected, key, slot_claimed);
-                        if sessions.contains_key(&key) {
-                            accepted.inc();
-                            active.add(1);
-                            fleet_live.add(1);
-                        } else {
-                            fleet_rejected.inc();
+                    if let Some(sender) = shared.carriers.lock().get(&conn).cloned() {
+                        if !rejected.contains(&key) {
+                            // Data racing ahead of its OPEN: implicit open.
+                            let slot_claimed = shared.claim_slot();
+                            admit(shared, &mut sessions, &mut rejected, key, slot_claimed);
+                            if sessions.contains_key(&key) {
+                                accepted.inc();
+                                active.add(1);
+                                fleet_live.add(1);
+                            } else {
+                                fleet_rejected.inc();
+                            }
+                        }
+                        if rejected.contains(&key) {
+                            reply_busy(&sender, session, &frame, shared.config.busy_retry_ms);
                         }
                     }
-                    if rejected.contains(&key) {
-                        reply_busy(&sender, session, &frame, shared.config.busy_retry_ms);
-                        continue;
-                    }
                 }
-                let closed = serve(shared, &mut sessions, key, &frame);
-                if closed {
+                if serve(shared, &mut sessions, key, &frame) {
                     let closed = close_session(&mut sessions, &mut rejected, key);
                     if let Some(sender) = closed.and_then(|s| s.sender) {
                         sender.close(session);
@@ -405,6 +476,7 @@ fn worker_loop(shared: &PoolShared, rx: &Receiver<Routed>) {
             }
             BusEvent::Closed { conn, session } => {
                 close_session(&mut sessions, &mut rejected, (conn, session));
+                owed = read_here.then_some((conn, session));
             }
             BusEvent::CarrierClosed { conn } => {
                 let keys: Vec<(u64, u32)> = sessions
@@ -418,6 +490,35 @@ fn worker_loop(shared: &PoolShared, rx: &Receiver<Routed>) {
                 }
             }
         }
+        // The worker leads the carrier of a session still open. A lead that
+        // read nothing while another carrier's work waited in the queue
+        // holds leading off until one carrier brings two requests in a row:
+        // a leader gives up a quiet socket only after `HANDOVER` rounded up
+        // to the kernel's timer tick (4–8 ms), and carriers taking turns on
+        // one shard would wait that long on every turn. Held off, or with
+        // the session turned away or gone (nothing more of it is coming),
+        // the worker recalls the carrier's thread instead.
+        let led = owed.and_then(|key| match sessions.get(&key) {
+            Some(live) => {
+                let sender = live.sender.as_ref()?;
+                if held_off {
+                    sender.recall();
+                    None
+                } else {
+                    lead(shared, shard, rx, sender, &mut held_off)
+                }
+            }
+            None => {
+                if let Some(sender) = shared.carriers.lock().get(&key.0) {
+                    sender.recall();
+                }
+                None
+            }
+        });
+        next = match led {
+            Some(routed) => Some((routed, true)),
+            None => rx.recv().ok().map(|routed| (routed, false)),
+        };
     }
 
     // Worker exit: whatever is still live leaves the gauges with it.
@@ -427,6 +528,40 @@ fn worker_loop(shared: &PoolShared, rx: &Receiver<Routed>) {
         fleet_live.add(-remaining);
     }
     shared.live.fetch_sub(sessions.len(), Ordering::SeqCst);
+}
+
+/// The worker of `shard`, its reply sent on `sender`'s carrier, reads that
+/// carrier for its next event itself if nothing is queued for it: marked
+/// as leading the carrier, it takes the first event for its shard it routes
+/// ([`BusSink::deliver`] returns `Claimed` for it), and that event comes
+/// back. `None` when it read none; it sets `held_off` if it read in vain
+/// while work of another carrier reached its queue.
+fn lead(
+    shared: &PoolShared,
+    shard: usize,
+    rx: &Receiver<Routed>,
+    sender: &MuxSender,
+    held_off: &mut bool,
+) -> Option<Routed> {
+    let lead = &shared.leads[shard];
+    let claimed = sender.lead(
+        || {
+            // Looked at holding the read half: whatever the carrier's
+            // thread queued before is in sight, and is served first.
+            let idle = rx.is_empty();
+            if idle {
+                lead.lock().on = Some(sender.conn());
+            }
+            idle
+        },
+        || {
+            let mut lead = lead.lock();
+            lead.on = None;
+            lead.claimed.take()
+        },
+    )?;
+    *held_off = claimed.is_none() && !rx.is_empty();
+    claimed
 }
 
 /// Admits `key` if it holds an admission slot (`slot_claimed`: the pool
@@ -594,6 +729,9 @@ fn fleet_snapshot(shared: &PoolShared) -> aide_telemetry::FleetSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aide_rpc::{Session, TcpMuxListener, TcpTransport, Transport};
+    use std::sync::OnceLock;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn shard_assignment_is_deterministic_and_in_range() {
@@ -618,6 +756,15 @@ mod tests {
 
     /// A pool whose sessions run an empty program.
     fn tiny_pool(name: &str, config: ShardConfig) -> ShardPool {
+        pool_serving(name, config, |vm| vm)
+    }
+
+    /// A pool whose sessions run an empty program, served through `wrap`.
+    fn pool_serving(
+        name: &str,
+        config: ShardConfig,
+        wrap: impl Fn(Arc<dyn Dispatcher>) -> Arc<dyn Dispatcher> + Send + Sync + 'static,
+    ) -> ShardPool {
         use aide_vm::{Machine, MethodDef, MethodId, ProgramBuilder, VmConfig};
         let mut b = ProgramBuilder::new();
         let main = b.add_native_class("Main");
@@ -630,12 +777,178 @@ mod tests {
                 let machine = Machine::new(program.clone(), VmConfig::surrogate(1 << 20));
                 let tables = Arc::new(RefTables::new());
                 SessionParts {
-                    dispatcher: Arc::new(VmDispatcher::new(machine.clone(), tables.clone())),
+                    dispatcher: wrap(Arc::new(VmDispatcher::new(machine.clone(), tables.clone()))),
                     gc: Arc::new(VmDispatcher::new(machine, tables.clone())),
                     tables,
                 }
             }),
         )
+    }
+
+    /// A client's carrier to `pool`, attached as `conn` the way the daemon
+    /// attaches each carrier it accepts.
+    fn carrier(pool: &ShardPool, conn: u64) -> TcpTransport {
+        let listener = TcpMuxListener::bind(([127, 0, 0, 1], 0).into()).unwrap();
+        let transport =
+            TcpTransport::connect(listener.local_addr(), Duration::from_secs(2)).unwrap();
+        let accepted = listener.accept().unwrap();
+        pool.attach_carrier(conn, accepted.bus_sender(conn));
+        accepted.route_accepts_to(conn, pool.sink());
+        transport
+    }
+
+    /// Sends `body` as request `seq` on `session` and waits for the reply.
+    fn round_trip(session: &Session, seq: u64, body: Request) -> Frame {
+        let request = Message::Request {
+            seq,
+            client: 9,
+            body,
+        };
+        session.send(request.encode()).unwrap();
+        let reply = session
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap()
+            .expect("the pool answers");
+        assert!(
+            matches!(Message::decode(&reply), Ok(Message::Reply { seq: s, .. }) if s == seq),
+            "the reply to {seq}"
+        );
+        reply
+    }
+
+    /// The first session a client opens on a carrier: the initiator's first
+    /// id, `(1 << 1) | 1`.
+    const FIRST_SESSION: u32 = 3;
+
+    /// The `p`th percentile of sorted round-trip times.
+    fn percentile(sorted: &[u128], p: usize) -> u128 {
+        sorted[sorted.len() * p / 100]
+    }
+
+    #[test]
+    fn sequential_requests_on_a_pool_session_are_served_by_the_shard_worker_that_reads_them() {
+        const CALLS: u64 = 10_000;
+        let pool = tiny_pool("lead", ShardConfig::default());
+        let transport = carrier(&pool, 1);
+        let session = transport.open_session().unwrap();
+        for seq in 0..CALLS {
+            round_trip(&session, seq, Request::Ping);
+        }
+        assert_eq!(pool.requests_served(), CALLS);
+        // The first is read by the carrier's thread, and so is the next one
+        // whenever the worker was kept off the CPU for a millisecond.
+        let where_read = pool.requests_served_where_read();
+        assert!(
+            where_read * 100 >= CALLS * 99 && where_read < CALLS,
+            "{where_read} of {CALLS} served where they were read"
+        );
+        pool.shutdown();
+    }
+
+    #[test]
+    fn sessions_of_one_shard_on_two_carriers_take_turns_without_stalling() {
+        const CALLS: usize = 1_000;
+        let shards = ShardConfig::default().shards;
+        let shard = shard_of(1, FIRST_SESSION, shards);
+        let other = (2..)
+            .find(|conn| shard_of(*conn, FIRST_SESSION, shards) == shard)
+            .unwrap();
+        let pool = tiny_pool("turns", ShardConfig::default());
+        let carriers = [carrier(&pool, 1), carrier(&pool, other)];
+        let sessions: Vec<_> = carriers.iter().map(|t| t.open_session().unwrap()).collect();
+
+        // Each call finds the worker leading the other carrier, which it
+        // leaves within `HANDOVER` (1 ms) of reading nothing there.
+        let mut micros: Vec<u128> = (0..CALLS)
+            .map(|i| {
+                let sent = Instant::now();
+                round_trip(&sessions[i % 2], i as u64, Request::Ping);
+                sent.elapsed().as_micros()
+            })
+            .collect();
+        micros.sort_unstable();
+        assert!(
+            pool.shared
+                .gc_sessions
+                .lock()
+                .keys()
+                .all(|&(conn, session)| shard_of(conn, session, shards) == shard),
+            "both sessions on one shard"
+        );
+        assert_eq!(pool.live_sessions(), 2);
+        assert_eq!(pool.requests_served(), CALLS as u64);
+        let p99 = percentile(&micros, 99);
+        assert!(p99 < 5_000, "p99 {p99} us");
+        pool.shutdown();
+    }
+
+    /// Serves like the session's VM, except that a `MigrateAbort` first puts
+    /// an event on the worker's own queue, as another carrier's traffic
+    /// arriving meanwhile would: the worker has something queued when it
+    /// replies, so it does not lead the carrier it replies on.
+    struct Crowding {
+        vm: Arc<dyn Dispatcher>,
+        sink: Arc<OnceLock<Arc<dyn BusSink>>>,
+        /// The `(conn, session)` of a CLOSE nobody opened.
+        crowd: (u64, u32),
+    }
+
+    impl Dispatcher for Crowding {
+        fn dispatch(&self, request: Request) -> Result<Reply, String> {
+            if matches!(request, Request::MigrateAbort { .. }) {
+                let (conn, session) = self.crowd;
+                let sink = self.sink.get().expect("set before any traffic");
+                sink.deliver(BusEvent::Closed { conn, session });
+            }
+            self.vm.dispatch(request)
+        }
+    }
+
+    #[test]
+    fn a_worker_that_will_not_read_its_carrier_next_calls_the_carriers_thread_back() {
+        const ROUNDS: usize = 200;
+        let shards = ShardConfig::default().shards;
+        let shard = shard_of(1, FIRST_SESSION, shards);
+        // A CLOSE for a session of a carrier the pool never saw, on the same
+        // shard: cheap to process, and owed no read.
+        let crowd = (1..).find(|s| shard_of(2, *s, shards) == shard).unwrap();
+        let sink = Arc::new(OnceLock::new());
+        let pool = pool_serving("recall", ShardConfig::default(), {
+            let sink = Arc::clone(&sink);
+            move |vm| {
+                Arc::new(Crowding {
+                    vm,
+                    sink: Arc::clone(&sink),
+                    crowd: (2, crowd),
+                })
+            }
+        });
+        assert!(sink.set(pool.sink()).is_ok());
+        let transport = carrier(&pool, 1);
+        let session = transport.open_session().unwrap();
+
+        // The worker reads each abort itself, leading the carrier, and
+        // replies to it with the crowd queued. The ping behind it is read by
+        // the carrier's thread: at once if the worker recalled it, and only
+        // once `HANDOVER` (1 ms) passes with nobody reading if it did not.
+        let mut micros: Vec<u128> = (0..ROUNDS as u64)
+            .map(|round| {
+                round_trip(
+                    &session,
+                    2 * round,
+                    Request::MigrateAbort { txn: round + 1 },
+                );
+                let sent = Instant::now();
+                round_trip(&session, 2 * round + 1, Request::Ping);
+                sent.elapsed().as_micros()
+            })
+            .collect();
+        micros.sort_unstable();
+        let (p50, p99) = (percentile(&micros, 50), percentile(&micros, 99));
+        assert!(p50 < 1_000, "p50 {p50} us: the carrier's thread waited");
+        assert!(p99 < 5_000, "p99 {p99} us");
+        assert_eq!(pool.requests_served(), 2 * ROUNDS as u64);
+        pool.shutdown();
     }
 
     #[test]
@@ -686,9 +999,8 @@ mod tests {
         };
         let pool = tiny_pool("census", ShardConfig::default());
         // A thread names itself as it starts: wait, bounded, for the last.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while census("aide-shard-cens") < ShardConfig::default().shards
-            && std::time::Instant::now() < deadline
+        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        while census("aide-shard-cens") < ShardConfig::default().shards && Instant::now() < deadline
         {
             std::thread::yield_now();
         }
@@ -698,8 +1010,8 @@ mod tests {
         // joined thread's task entry outlives the join by a moment: wait,
         // bounded, for the last to go.
         pool.shutdown();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while census("aide-shard-cens") > 0 && std::time::Instant::now() < deadline {
+        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        while census("aide-shard-cens") > 0 && Instant::now() < deadline {
             std::thread::yield_now();
         }
         assert_eq!(census("aide-shard-cens"), 0);
@@ -707,9 +1019,6 @@ mod tests {
 
     #[test]
     fn a_duplicate_request_on_a_pool_session_is_answered_from_its_memo() {
-        use aide_rpc::{TcpMuxListener, TcpTransport, Transport};
-        use std::time::Duration;
-
         let pool = tiny_pool(
             "dedup",
             ShardConfig {
@@ -717,12 +1026,7 @@ mod tests {
                 ..ShardConfig::default()
             },
         );
-        let listener = TcpMuxListener::bind(([127, 0, 0, 1], 0).into()).unwrap();
-        let transport =
-            TcpTransport::connect(listener.local_addr(), Duration::from_secs(2)).unwrap();
-        let conn = listener.accept().unwrap();
-        pool.attach_carrier(1, conn.bus_sender(1));
-        conn.route_accepts_to(1, pool.sink());
+        let transport = carrier(&pool, 1);
         let session = transport.open_session().unwrap();
 
         // A non-idempotent request, sent as the same frame each time.
