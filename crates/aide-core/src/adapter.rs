@@ -12,7 +12,10 @@
 //!
 //! The adapter is also the one place a remote read is remembered: a slot or
 //! a class of the peer's object crosses the cut once, and is answered from
-//! memory until the owner's frames say it wrote ([`Remembered`]).
+//! memory until the owner's frames say it wrote ([`Remembered`]). And a
+//! touch whose reply carries nothing — a field access, a slot write, a
+//! static access, a native — is not waited for: it rides the next frame to
+//! the peer ([`aide_rpc::Endpoint::defer`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,6 +25,41 @@ use aide_vm::{
     ClassId, Machine, MethodId, NativeKind, ObjectId, ObjectRecord, RemoteAccess, Vm, VmError,
     VmResult,
 };
+
+/// Serves `touch` — one whose reply carries nothing
+/// ([`Request::is_deferrable`]) — on `vm`, as the peer would have: for a
+/// touch deferred to a surrogate that is gone.
+pub(crate) fn serve_here(vm: &mut Vm, touch: Request) -> VmResult<()> {
+    match touch {
+        Request::FieldAccess {
+            target,
+            bytes,
+            write,
+        } => vm.field_access_on(target, bytes, write),
+        Request::PutSlot {
+            target,
+            slot,
+            value,
+        } => vm.put_slot_on(target, slot, value),
+        Request::StaticAccess {
+            class,
+            bytes,
+            write,
+            ..
+        } => {
+            vm.static_access_on(class, bytes, write);
+            Ok(())
+        }
+        Request::Native { work_micros, .. } => {
+            vm.native_on(work_micros);
+            Ok(())
+        }
+        other => Err(VmError::RemoteFailure(format!(
+            "{} is not a touch that can wait",
+            other.kind()
+        ))),
+    }
+}
 use parking_lot::Mutex;
 
 use crate::failover::Surrogate;
@@ -209,9 +247,24 @@ impl RemoteAdapter {
     fn call(&self, request: Request) -> VmResult<Option<Reply>> {
         let reply = self.surrogate.call(request)?;
         if reply.is_none() {
-            *self.remembered.lock() = Remembered::default();
+            self.forget_the_surrogate();
         }
         Ok(reply)
+    }
+
+    /// [`Surrogate::defer`]: `touch` goes with the next frame, or — the
+    /// surrogate being gone — has been served here, and then nothing read of
+    /// the surrogate stays remembered. Whether it went to the surrogate.
+    fn defer(&self, touch: Request) -> VmResult<bool> {
+        let deferred = self.surrogate.defer(touch)?;
+        if !deferred {
+            self.forget_the_surrogate();
+        }
+        Ok(deferred)
+    }
+
+    fn forget_the_surrogate(&self) {
+        *self.remembered.lock() = Remembered::default();
     }
 
     #[cfg(test)]
@@ -237,7 +290,9 @@ impl RemoteAdapter {
 
 /// Each method sends its request through [`RemoteAdapter::call`]; `None` back
 /// means the surrogate is gone and its objects are home again, so the
-/// touch is served by the local interpreter.
+/// touch is served by the local interpreter. A touch whose reply carries
+/// nothing goes through [`RemoteAdapter::defer`] instead, and is not waited
+/// for.
 impl RemoteAccess for RemoteAdapter {
     fn invoke(
         &self,
@@ -270,14 +325,12 @@ impl RemoteAccess for RemoteAdapter {
 
     fn field_access(&self, target: ObjectId, bytes: u32, write: bool) -> VmResult<()> {
         self.import_if_remote(&[target]);
-        match self.call(Request::FieldAccess {
+        self.defer(Request::FieldAccess {
             target,
             bytes,
             write,
-        })? {
-            Some(_) => Ok(()),
-            None => self.machine.field_access_on(target, bytes, write),
-        }
+        })
+        .map(drop)
     }
 
     fn get_slot(&self, target: ObjectId, slot: u16) -> VmResult<Option<ObjectId>> {
@@ -336,33 +389,30 @@ impl RemoteAccess for RemoteAdapter {
             self.tables.import_if_remote(&vm, &[target]);
             self.standing(peer_writes, &vm)
         };
-        match self.call(Request::PutSlot {
+        let deferred = self.defer(Request::PutSlot {
             target,
             slot,
             value,
-        })? {
-            Some(_) => {
-                // Write-through: if the owner's count is exactly the one
-                // write just made past what the slots were read under, they
-                // all still hold, this one with its new value. Otherwise
-                // the next read finds the count moved and drops them.
-                if let Some(before) = before {
-                    let after = Standing {
-                        peer_writes: before.peer_writes + 1,
-                        ..before
-                    };
-                    let peer_writes = self.surrogate.peer_writes();
-                    let now = self.standing(peer_writes, &self.machine.vm().lock());
-                    let mut remembered = self.remembered.lock();
-                    if remembered.under == Some(before) && now == Some(after) {
-                        remembered.under = now;
-                        remembered.slots.insert((target, slot), value);
-                    }
-                }
-                Ok(())
+        })?;
+        // Write-through: the owner's count counts this write from the moment
+        // it is deferred (it is served before anything asked after it). If
+        // the count is exactly one past what the slots were read under, they
+        // all still hold, this one with its new value. Otherwise the next
+        // read finds the count moved and drops them.
+        if let (true, Some(before)) = (deferred, before) {
+            let after = Standing {
+                peer_writes: before.peer_writes + 1,
+                ..before
+            };
+            let peer_writes = self.surrogate.peer_writes();
+            let now = self.standing(peer_writes, &self.machine.vm().lock());
+            let mut remembered = self.remembered.lock();
+            if remembered.under == Some(before) && now == Some(after) {
+                remembered.under = now;
+                remembered.slots.insert((target, slot), value);
             }
-            None => self.machine.put_slot_on(target, slot, value),
         }
+        Ok(())
     }
 
     fn native(
@@ -373,19 +423,14 @@ impl RemoteAccess for RemoteAdapter {
         arg_bytes: u32,
         ret_bytes: u32,
     ) -> VmResult<()> {
-        if self
-            .call(Request::Native {
-                caller,
-                kind,
-                work_micros,
-                arg_bytes,
-                ret_bytes,
-            })?
-            .is_none()
-        {
-            self.machine.native_on(work_micros);
-        }
-        Ok(())
+        self.defer(Request::Native {
+            caller,
+            kind,
+            work_micros,
+            arg_bytes,
+            ret_bytes,
+        })
+        .map(drop)
     }
 
     fn static_access(
@@ -395,18 +440,13 @@ impl RemoteAccess for RemoteAdapter {
         bytes: u32,
         write: bool,
     ) -> VmResult<()> {
-        if self
-            .call(Request::StaticAccess {
-                accessor,
-                class,
-                bytes,
-                write,
-            })?
-            .is_none()
-        {
-            self.machine.static_access_on(class, bytes, write);
-        }
-        Ok(())
+        self.defer(Request::StaticAccess {
+            accessor,
+            class,
+            bytes,
+            write,
+        })
+        .map(drop)
     }
 
     fn class_of(&self, target: ObjectId) -> VmResult<ClassId> {
@@ -429,6 +469,13 @@ impl RemoteAccess for RemoteAdapter {
             ))),
             None => self.machine.class_of_local(target),
         }
+    }
+
+    fn flush(&self) -> VmResult<()> {
+        if !self.surrogate.flush()? {
+            self.forget_the_surrogate();
+        }
+        Ok(())
     }
 }
 

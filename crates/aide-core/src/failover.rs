@@ -37,7 +37,7 @@ use aide_vm::{Machine, ObjectId, ObjectRecord, VmError, VmResult};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::adapter::{rpc_to_vm_error, RefTables};
+use crate::adapter::{rpc_to_vm_error, serve_here, RefTables};
 use crate::monitor::NodeKey;
 use crate::nondet::NondetSource;
 use crate::offload::{gather_shipment, GatheredShipment};
@@ -581,8 +581,11 @@ impl FailoverCore {
         if let Some(nondet) = self.nondet.lock().as_ref() {
             nondet.link_died(&lease.name);
         }
-        // Fail remaining in-flight calls fast and stop the session.
+        // Fail remaining in-flight calls fast and stop the session. The
+        // touches the client deferred and the surrogate never answered come
+        // home with the objects they touch.
         lease.endpoint.shutdown();
+        let unserved = lease.endpoint.take_deferred();
         match saturation {
             Some(retry_after_ms) => {
                 self.busy_rejections.fetch_add(1, Ordering::Relaxed);
@@ -598,7 +601,7 @@ impl FailoverCore {
         let objects_before = self.reinstated_objects.load(Ordering::Relaxed);
         let bytes_before = self.reinstated_bytes.load(Ordering::Relaxed);
         let lost_before = self.objects_lost.load(Ordering::Relaxed);
-        self.reinstate();
+        self.reinstate(unserved);
         self.backoff.lock().note_failure();
         let duration_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.failover_durations.lock().push(duration_micros);
@@ -646,8 +649,12 @@ impl FailoverCore {
     }
 
     /// Re-installs ledger objects the client still references into the
-    /// client heap, and releases the dead lease's back-reference pins.
-    fn reinstate(&self) {
+    /// client heap, serves `unserved` — touches deferred to the dead
+    /// surrogate — on them, and releases the dead lease's back-reference
+    /// pins. One hold of the VM lock: the mutator finds the objects home
+    /// with the touches already made. A touch of an object that did not come
+    /// home is dropped, like one the surrogate answered before it died.
+    fn reinstate(&self, unserved: Vec<Request>) {
         let ledger: Vec<(ObjectId, ObjectRecord)> = std::mem::take(&mut *self.ledger.lock());
         let pins: Vec<ObjectId> = std::mem::take(&mut *self.pins.lock());
         let vm = self.client.vm();
@@ -712,6 +719,9 @@ impl FailoverCore {
                 }
             }
         }
+        for touch in unserved {
+            let _ = serve_here(&mut vm, touch);
+        }
 
         for id in pins {
             if self.tables.exports.release(id) {
@@ -736,6 +746,44 @@ impl FailoverCore {
                 reason: "failover".into(),
             });
         }
+    }
+
+    /// Serves on the client `unserved` — touches deferred to a surrogate
+    /// that is gone — in the order they were made.
+    fn serve_unserved(&self, unserved: Vec<Request>) -> VmResult<()> {
+        if unserved.is_empty() {
+            return Ok(());
+        }
+        let mut vm = self.client.vm().lock();
+        unserved
+            .into_iter()
+            .try_for_each(|touch| serve_here(&mut vm, touch))
+    }
+
+    /// After `endpoint`, the active lease's, failed a call with `error`: a
+    /// failure the surrogate reported is the caller's; a surrogate dead or
+    /// saturated is recovered from — its objects come home, and so do the
+    /// touches deferred to it and not answered — and `Ok` says the touch
+    /// at hand is to be served here too.
+    fn recover(&self, endpoint: &Endpoint, error: RpcError) -> VmResult<()> {
+        match error {
+            RpcError::Remote(msg) => return Err(VmError::RemoteFailure(msg)),
+            RpcError::Protocol(msg) => {
+                return Err(VmError::RemoteFailure(format!("protocol: {msg}")))
+            }
+            RpcError::Disconnected | RpcError::Timeout => {
+                self.handle_failure();
+            }
+            // A saturated surrogate is unusable for steady-state touches
+            // just like a dead one — recover locally and let the next
+            // placement pick a peer with headroom. The provider layer is
+            // told this was saturation, not death, so the surrogate stays
+            // in the registry under a brief cooldown.
+            RpcError::Busy { retry_after_ms } => {
+                self.handle_saturation(retry_after_ms);
+            }
+        }
+        self.serve_unserved(endpoint.take_deferred())
     }
 
     fn note_retired(&self, endpoint: &Endpoint) {
@@ -900,21 +948,59 @@ impl Surrogate {
         // surrogate escalates to failover.
         match endpoint.call_with_retry(request) {
             Ok(reply) => Ok(Some(reply)),
-            Err(RpcError::Remote(msg)) => Err(VmError::RemoteFailure(msg)),
-            Err(RpcError::Protocol(msg)) => Err(VmError::RemoteFailure(format!("protocol: {msg}"))),
-            Err(RpcError::Disconnected | RpcError::Timeout) => {
-                core.handle_failure();
-                Ok(None)
+            Err(error) => core.recover(&endpoint, error).map(|()| None),
+        }
+    }
+
+    /// Sends `touch`, whose reply carries nothing, without waiting for it
+    /// ([`Endpoint::defer`]). `Ok(false)` means there is no surrogate any
+    /// more — recovery has run, and the touch has been served on the client
+    /// after those deferred before it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Surrogate::call`], and the failure of a touch deferred before.
+    pub(crate) fn defer(&self, touch: Request) -> VmResult<bool> {
+        let core = match self {
+            Surrogate::Fixed(endpoint) => {
+                return endpoint
+                    .defer(touch)
+                    .map(|()| true)
+                    .map_err(rpc_to_vm_error)
             }
-            // A saturated surrogate is unusable for steady-state touches
-            // just like a dead one — recover locally and let the next
-            // placement pick a peer with headroom. The provider layer is
-            // told this was saturation, not death, so the surrogate stays
-            // in the registry under a brief cooldown.
-            Err(RpcError::Busy { retry_after_ms }) => {
-                core.handle_saturation(retry_after_ms);
-                Ok(None)
+            Surrogate::Managed(core) => core,
+        };
+        let Some(endpoint) = core.endpoint_for_call() else {
+            core.recall_relay();
+            return core.serve_unserved(vec![touch]).map(|()| false);
+        };
+        match endpoint.defer(touch) {
+            Ok(()) => Ok(true),
+            // The touch is among the unanswered ones recovery serves.
+            Err(error) => core.recover(&endpoint, error).map(|()| false),
+        }
+    }
+
+    /// Waits until the surrogate has served every touch deferred to it
+    /// ([`Endpoint::flush`]). `Ok(false)` means there is no surrogate any
+    /// more, and they have been served on the client.
+    ///
+    /// # Errors
+    ///
+    /// As [`Surrogate::call`], and the failure of a deferred touch.
+    pub(crate) fn flush(&self) -> VmResult<bool> {
+        let core = match self {
+            Surrogate::Fixed(endpoint) => {
+                return endpoint.flush().map(|()| true).map_err(rpc_to_vm_error)
             }
+            Surrogate::Managed(core) => core,
+        };
+        let Some(endpoint) = core.endpoint_for_call() else {
+            return Ok(false);
+        };
+        match endpoint.flush() {
+            Ok(()) => Ok(true),
+            Err(error) => core.recover(&endpoint, error).map(|()| false),
         }
     }
 }
@@ -1448,16 +1534,56 @@ mod tests {
         assert_eq!(surrogate_ep.requests_served(), 2, "the class, the slot");
         assert_eq!(adapter.remembered_slots(), vec![(remote, 0, Some(local))]);
 
-        // The surrogate goes away; the next call finds out, fails over, and
-        // the Doc is home.
+        // The surrogate goes away; the next frame finds out, fails over,
+        // and the Doc is home with the touch served on it.
         surrogate_ep.shutdown();
         surrogate_ep.join();
         adapter.field_access(remote, 8, false).unwrap();
+        adapter.flush().unwrap();
         assert_eq!(core.report().failovers, 1);
         assert!(client.vm().lock().heap().contains(remote));
         assert!(adapter.remembers_nothing(), "no slot, no class");
         client_ep.shutdown();
         client_ep.join();
+    }
+
+    /// A write deferred to the surrogate that dies before any frame carries
+    /// it is not lost with it: whoever finds the surrogate gone — the
+    /// heartbeat, or the next frame — makes it on the Doc the ledger brings
+    /// home, whose shadow still holds `local` in slot 0.
+    #[test]
+    fn touches_deferred_to_a_dead_surrogate_come_home_with_the_objects() {
+        for heartbeat_finds_out in [true, false] {
+            let ManagedRig {
+                client,
+                core,
+                adapter,
+                client_ep,
+                surrogate_ep,
+                remote,
+                local,
+            } = managed_rig();
+            assert_eq!(adapter.get_slot(remote, 0).unwrap(), Some(local));
+            adapter.put_slot(remote, 0, None).unwrap();
+            adapter.field_access(remote, 8, true).unwrap();
+            assert_eq!(surrogate_ep.requests_served(), 1, "the read alone");
+            surrogate_ep.shutdown();
+            surrogate_ep.join();
+            if heartbeat_finds_out {
+                core.heartbeat_tick();
+            } else {
+                adapter.flush().unwrap();
+            }
+            assert_eq!(core.report().failovers, 1);
+            assert_eq!(client.get_slot_on(remote, 0).unwrap(), None);
+            assert!(client_ep.take_deferred().is_empty());
+            // From now on the Doc is touched at home, and read there.
+            adapter.put_slot(remote, 0, Some(local)).unwrap();
+            assert_eq!(adapter.get_slot(remote, 0).unwrap(), Some(local));
+            assert!(adapter.remembers_nothing());
+            client_ep.shutdown();
+            client_ep.join();
+        }
     }
 
     /// The heartbeat retires a dead lease (`active`, then the client VM to

@@ -288,13 +288,17 @@ impl World {
                     "class of {target:?} at {at}"
                 );
             }
-            // The importer writes (a served `PutSlot` on the owner).
+            // The importer writes (a `PutSlot` the owner serves once a frame
+            // carries it): read back before that, it is what was put.
             20..=21 => {
                 let (target, slot, value) = (rng.pick(&theirs), rng.slot(), self.value(rng));
-                self.sides[me]
-                    .adapter
-                    .put_slot(target, slot, value)
-                    .unwrap();
+                let adapter = &self.sides[me].adapter;
+                adapter.put_slot(target, slot, value).unwrap();
+                if rng.below(2) == 0 {
+                    let read = adapter.get_slot(target, slot).unwrap();
+                    assert_eq!(read, value, "{target:?}.{slot} read back at {at}");
+                }
+                adapter.flush().unwrap();
                 assert_eq!(
                     self.sides[peer].machine.get_slot_on(target, slot).unwrap(),
                     value,
@@ -520,8 +524,9 @@ fn the_callers_own_put_slot_writes_through() {
     let (sides, target, held) = reading_pair();
     assert_eq!(read(&sides, target, 0), (Some(held[0]), true));
     assert_eq!(read(&sides, target, 1), (Some(held[1]), true));
-    // One write, by the reader itself: the count is one past the one the
-    // slots were read under, so they all stand — this one with what was put.
+    // Writes by the reader itself wait for the next frame, and the owner
+    // runs nothing before it: the slots read stand, those written with
+    // what was put, and none is asked for.
     sides[0].adapter.put_slot(target, 0, Some(held[1])).unwrap();
     sides[0].adapter.put_slot(target, 3, None).unwrap();
     assert_eq!(read(&sides, target, 0), (Some(held[1]), false));
@@ -529,14 +534,33 @@ fn the_callers_own_put_slot_writes_through() {
     assert_eq!(read(&sides, target, 3), (None, false));
     assert_eq!(
         sides[1].machine.get_slot_on(target, 0).unwrap(),
+        Some(held[0]),
+        "nothing has gone yet"
+    );
+
+    // The next frame carries both. The owner's count moves by exactly the
+    // two, so they all still stand.
+    sides[0].adapter.flush().unwrap();
+    assert_eq!(
+        sides[1].machine.get_slot_on(target, 0).unwrap(),
         Some(held[1])
     );
+    assert_eq!(read(&sides, target, 0), (Some(held[1]), false));
 
     // Not so when the owner wrote as well in the meantime.
     sides[1].machine.put_slot_on(target, 1, None).unwrap();
     sides[0].adapter.put_slot(target, 0, None).unwrap();
+    sides[0].adapter.flush().unwrap();
     assert!(sides[0].adapter.remembered_slots().is_empty());
     assert_eq!(read(&sides, target, 1), (None, true));
+
+    // A write rides the next frame — here a read's — and is served first.
+    sides[0].adapter.put_slot(target, 3, Some(held[0])).unwrap();
+    assert_eq!(read(&sides, target, 2), (None, true));
+    assert_eq!(
+        sides[1].machine.get_slot_on(target, 3).unwrap(),
+        Some(held[0])
+    );
     stop(&sides);
 }
 

@@ -28,6 +28,13 @@
 //! already reading (see `CallSlot::wait`, the one place a call waits). A
 //! request met by a reading caller or by the carrier's own thread goes to
 //! the pool, as does every request in process and behind a chaos shim.
+//!
+//! A touch whose reply carries nothing ([`Request::is_deferrable`]) need
+//! not be waited for: [`Endpoint::defer`] queues it, and the next frame the
+//! endpoint sends to the peer — the next request, or the reply to the
+//! request being served — carries the queue in its header. The peer serves
+//! the touches before the frame's own message, so they land in the order
+//! they were made, in the same turn of the two VMs (DESIGN §5.4).
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,20 +42,26 @@ use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use aide_graph::CommParams;
-use aide_trace::{names as span_names, SpanContext};
+use aide_trace::names as span_names;
 use aide_vm::SlotWrites;
 use parking_lot::Mutex;
 
 use crate::link::{Delivered, FrameSink, LinkError, NetClock, Session};
 use crate::mux::{CarrierReader, Turn};
 use crate::reftable::{ExportTable, ImportTable};
-use crate::responder::{Responder, Served};
+use crate::responder::{is_idempotent, serve_deferred, Responder, Served};
 use crate::transport::BackendKind;
-use crate::wire::{Frame, LeaseStamp, Message, Reply, Request, WireError};
+use crate::wire::{Frame, FrameHeader, LeaseStamp, Message, Reply, Request, WireError};
 
 /// A unit of work queued to the serving pool: the dedup key, the request,
-/// and the caller's wire trace context (the parent of the serve span).
-type Job = (u64, u64, Request, Option<SpanContext>);
+/// and its frame's header (the caller's wire trace context, the parent of
+/// the serve span, and the touches the caller deferred onto the frame).
+type Job = (u64, u64, Request, FrameHeader);
+
+/// How many touches [`Endpoint::defer`] queues before it stops deferring:
+/// the touch that fills the queue goes out at once, the others riding its
+/// header, and is waited for.
+pub const DEFER_LIMIT: usize = 128;
 
 /// Process-wide source of endpoint (client) ids, carried in every request
 /// frame so the serving side can deduplicate retries per caller.
@@ -233,8 +246,9 @@ impl Default for EndpointConfig {
     }
 }
 
-/// What a blocked caller is handed: the peer's answer, or why none came.
-type CallOutcome = Result<Result<Reply, String>, RpcError>;
+/// What a blocked caller is handed: the peer's answer and the touches the
+/// peer deferred onto it, or why none came.
+type CallOutcome = Result<(Result<Reply, String>, Vec<Request>), RpcError>;
 
 struct SlotState {
     outcome: Option<CallOutcome>,
@@ -465,12 +479,84 @@ struct Shared {
     /// endpoint has one peer VM for life, so the count only ever rises, and
     /// a straggler of a retired session cannot speak for its successor.
     peer_writes: AtomicU64,
+    /// Slot writes deferred to the peer and not yet answered: queued, or on
+    /// a frame in flight. The peer's count will have moved by as many once
+    /// it has served them.
+    owed_writes: AtomicU64,
+    /// Touches deferred for the peer ([`Endpoint::defer`]), oldest first,
+    /// waiting for the next frame.
+    deferred: Mutex<Vec<Request>>,
+    /// Why deferring stopped, for good: a deferred touch failed (waited
+    /// for, it would have ended the run), a frame carrying touches got no
+    /// answer (whether the peer served them is unknown, so they must not be
+    /// sent again), or the touches were taken back. Every later call, touch
+    /// and flush fails with it.
+    stopped: OnceLock<RpcError>,
     metrics: RpcMetrics,
 }
 
 impl Shared {
     fn pending(&self) -> MutexGuard<'_, Pending> {
         self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The deferred touches, for the frame about to go out.
+    fn take_deferred(&self) -> Vec<Request> {
+        std::mem::take(&mut *self.deferred.lock())
+    }
+
+    /// `touches` left for the peer and need not be owed any more: they were
+    /// answered, put on a reply (the peer's next frame follows their
+    /// service), or taken back.
+    fn settle_owed(&self, touches: &[Request]) {
+        let writes = touches
+            .iter()
+            .filter(|touch| matches!(touch, Request::PutSlot { .. }))
+            .count() as u64;
+        if writes > 0 {
+            self.owed_writes.fetch_sub(writes, Ordering::SeqCst);
+        }
+    }
+
+    /// Puts `unserved` back at the front of the deferred touches: a frame
+    /// carried them and they were not served.
+    fn put_back(&self, unserved: Vec<Request>) {
+        if !unserved.is_empty() {
+            self.deferred.lock().splice(0..0, unserved);
+        }
+    }
+
+    /// `Ok` unless deferring has stopped; else why, as the failure of
+    /// whatever is asked of the endpoint now.
+    fn still_deferring(&self) -> Result<(), RpcError> {
+        match self.stopped.get() {
+            Some(error) => Err(error.clone()),
+            None => Ok(()),
+        }
+    }
+
+    /// Stops deferring for `error` (the first reason stands); the error to
+    /// hand to the caller that found out.
+    fn stop(&self, error: RpcError) -> RpcError {
+        let _ = self.stopped.set(error.clone());
+        error
+    }
+
+    /// Stops deferring because a touch failed with `error`.
+    fn touch_failed(&self, error: String) -> RpcError {
+        self.stop(RpcError::Remote(error))
+    }
+
+    /// Serves the touches the peer deferred onto a reply, on the caller's
+    /// thread, before the caller goes on with the reply.
+    fn serve_peers_touches(&self, touches: Vec<Request>) -> Result<(), RpcError> {
+        if touches.is_empty() {
+            return Ok(());
+        }
+        let served = touches.len() as u64;
+        serve_deferred(self.dispatcher.as_ref(), touches).map_err(|e| self.touch_failed(e))?;
+        self.requests_served.fetch_add(served, Ordering::Relaxed);
+        Ok(())
     }
 
     /// The stamp for an outgoing frame, read now, when GC is attached.
@@ -552,12 +638,14 @@ impl Shared {
         self.settled.notify_all();
     }
 
-    /// Counts what the responder made of a request; the frame to send, if
-    /// any (the first copy's reply answers a duplicate still in flight).
-    fn account(&self, served: Served) -> Option<Frame> {
+    /// Counts what the responder made of a request that arrived with
+    /// `touches` deferred touches; the frame to send, if any (the first
+    /// copy's reply answers a duplicate still in flight).
+    fn account(&self, served: Served, touches: u64) -> Option<Frame> {
         match served {
             Served::Executed(frame) => {
-                self.requests_served.fetch_add(1, Ordering::Relaxed);
+                self.requests_served
+                    .fetch_add(1 + touches, Ordering::Relaxed);
                 Some(frame)
             }
             Served::Replayed(frame) => {
@@ -632,12 +720,25 @@ impl Shared {
         aide_trace::set_thread_track(&self.track);
         let carrier = out.carrier_reader();
         let mut next = self.next_job(me);
-        while let Some((client, seq, request, ctx)) = next {
+        while let Some((client, seq, request, header)) = next {
             let dispatcher = self.dispatcher.as_ref();
+            let touches = header.deferred.len() as u64;
+            // An operational request (a probe, a scrape, a renewal) is
+            // served outside the two VMs' turns: what the turn's holder
+            // deferred waits for the turn's own next frame.
+            let in_turn = !is_idempotent(&request);
             let served = self
                 .responder
-                .respond(dispatcher, ctx, client, seq, request, || self.lease_stamp());
-            let reply = self.account(served);
+                .respond(dispatcher, header, client, seq, request, || {
+                    let deferred = if in_turn {
+                        self.take_deferred()
+                    } else {
+                        Vec::new()
+                    };
+                    self.settle_owed(&deferred);
+                    (self.lease_stamp(), deferred)
+                });
+            let reply = self.account(served, touches);
             // Settled before the reply leaves, because the reply is what
             // lets the peer send its next request: that one must find this
             // worker parked (or already holding it), not find nobody and
@@ -743,7 +844,7 @@ impl FrameSink for Shared {
                 self.begin_drain();
             }
             Message::Request { seq, client, body } => {
-                return self.submit((client, seq, body, header.trace));
+                return self.submit((client, seq, body, header));
             }
             Message::Reply { seq, result } => {
                 let slot = {
@@ -755,7 +856,7 @@ impl FrameSink for Shared {
                     slot
                 };
                 if let Some(slot) = slot {
-                    slot.complete(Ok(result));
+                    slot.complete(Ok((result, header.deferred)));
                     return Delivered::Reply;
                 }
                 if self.late_expected.lock().remove(&seq) {
@@ -832,6 +933,9 @@ impl Endpoint {
             bad_frames: AtomicU64::new(0),
             gc: OnceLock::new(),
             peer_writes: AtomicU64::new(0),
+            owed_writes: AtomicU64::new(0),
+            deferred: Mutex::default(),
+            stopped: OnceLock::new(),
             metrics: RpcMetrics::resolve(session.backend()),
         });
 
@@ -872,15 +976,19 @@ impl Endpoint {
         });
     }
 
-    /// The highest slot-write count the peer has put on a frame so far;
-    /// `None` while it has sent none (it has no tables attached). Whatever
-    /// this side read of the peer's slots while the count stood where it
-    /// stands now is still what they hold.
+    /// The highest slot-write count the peer has put on a frame so far,
+    /// plus the slot writes deferred to it and not yet answered — the count
+    /// as it will stand once the peer has served them; `None` while it has
+    /// sent none (it has no tables attached). Whatever this side read of the
+    /// peer's slots while the count stood where it stands now is still what
+    /// they hold, short of what this side wrote since.
     pub fn peer_writes(&self) -> Option<u64> {
-        self.shared
+        let heard = self
+            .shared
             .peer_writes
             .load(Ordering::SeqCst)
-            .checked_sub(1)
+            .checked_sub(1)?;
+        Some(heard + self.shared.owed_writes.load(Ordering::SeqCst))
     }
 
     /// Number of requests this endpoint has served for its peer.
@@ -940,12 +1048,15 @@ impl Endpoint {
     }
 
     /// Sends `request` to the peer and blocks until its reply arrives,
-    /// charging simulated link time for the round trip.
+    /// charging simulated link time for the round trip. Unless the request
+    /// is an operational one (a probe, a scrape, a renewal), the touches
+    /// deferred so far ride its frame.
     ///
     /// # Errors
     ///
-    /// [`RpcError::Remote`] if the peer reported an execution error,
-    /// [`RpcError::Disconnected`] / [`RpcError::Timeout`] on link failures.
+    /// [`RpcError::Remote`] if the peer reported an execution error or a
+    /// deferred touch failed (now or before), [`RpcError::Disconnected`] /
+    /// [`RpcError::Timeout`] on link failures.
     pub fn call(&self, request: Request) -> Result<Reply, RpcError> {
         let single_shot = RetryPolicy {
             max_attempts: 1,
@@ -953,7 +1064,7 @@ impl Endpoint {
             deadline: self.config.call_timeout,
             ..self.config.retry
         };
-        self.round_trip(request, single_shot, false)
+        self.round_trip(request, single_shot, false, false)
     }
 
     /// Like [`call`], but resends the request under the endpoint's
@@ -963,7 +1074,8 @@ impl Endpoint {
     /// Every attempt reuses the *same* sequence number and client id, so:
     ///
     /// * the serving side's at-most-once cache recognises duplicates and
-    ///   never executes a non-idempotent request twice;
+    ///   never executes a non-idempotent request twice — nor the touches
+    ///   riding it;
     /// * the caller stays registered for the sequence number across
     ///   attempts, so a late reply to attempt *n* satisfies attempt *n+1*
     ///   directly instead of being discarded.
@@ -975,23 +1087,114 @@ impl Endpoint {
     ///
     /// [`RpcError::Timeout`] once attempts or deadline are exhausted,
     /// [`RpcError::Disconnected`] if the link closes, [`RpcError::Remote`]
-    /// if the peer executed the request and reported an error.
+    /// if the peer executed the request and reported an error or a deferred
+    /// touch failed.
     ///
     /// [`call`]: Endpoint::call
     pub fn call_with_retry(&self, request: Request) -> Result<Reply, RpcError> {
-        self.round_trip(request, self.config.retry, true)
+        self.round_trip(request, self.config.retry, true, false)
+    }
+
+    /// Sends `touch`, whose reply carries nothing
+    /// ([`Request::is_deferrable`]), without waiting for it: it rides the
+    /// header of the next frame this endpoint sends the peer, and the peer
+    /// serves it before that frame's message. The link is charged for it
+    /// now, as for the round trip it stands for. The touch that fills the
+    /// queue to [`DEFER_LIMIT`] is [flushed](Endpoint::flush) with the rest.
+    ///
+    /// # Errors
+    ///
+    /// [`RpcError::Protocol`] for a request that is not such a touch. Once
+    /// deferring has stopped — a touch failed ([`RpcError::Remote`]), a
+    /// frame carrying touches got no answer, the touches were
+    /// [taken back](Endpoint::take_deferred) ([`RpcError::Disconnected`]) —
+    /// that error, the touch queued nonetheless for the next taker; what
+    /// the flush of a full queue returns.
+    pub fn defer(&self, touch: Request) -> Result<(), RpcError> {
+        if !touch.is_deferrable() {
+            let kind = touch.kind();
+            return Err(RpcError::Protocol(format!("{kind} cannot be deferred")));
+        }
+        self.shared.metrics.requests.inc();
+        self.shared.metrics.backend_requests.inc();
+        self.charge(
+            Message::simulated_bytes_of(&touch),
+            Message::simulated_reply_bytes(&touch),
+            false,
+        );
+        if matches!(touch, Request::PutSlot { .. }) {
+            self.shared.owed_writes.fetch_add(1, Ordering::SeqCst);
+        }
+        let full = {
+            let mut deferred = self.shared.deferred.lock();
+            deferred.push(touch);
+            deferred.len() >= DEFER_LIMIT
+        };
+        self.shared.still_deferring()?;
+        if full {
+            self.flush()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Sends the deferred touches now and waits until the peer has served
+    /// them: the last one as the request, the others riding its header.
+    ///
+    /// # Errors
+    ///
+    /// As [`call_with_retry`](Endpoint::call_with_retry); a failure the
+    /// peer reports is a failed touch, so later calls fail with it too —
+    /// and so does this once a touch has failed, with nothing left to send.
+    pub fn flush(&self) -> Result<(), RpcError> {
+        self.shared.still_deferring()?;
+        let Some(last) = self.shared.deferred.lock().pop() else {
+            return Ok(());
+        };
+        match self.round_trip(last, self.config.retry, true, true) {
+            Ok(_) => Ok(()),
+            Err(RpcError::Remote(error)) => Err(self.shared.touch_failed(error)),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Takes back the touches deferred and not yet served, oldest first:
+    /// those queued, and those a frame carried and got no answer for (put
+    /// back at the front, never sent again). For a peer that is gone:
+    /// whoever serves them elsewhere serves these before anything newer.
+    /// Deferring stops ([`RpcError::Disconnected`], unless it had stopped
+    /// already).
+    pub fn take_deferred(&self) -> Vec<Request> {
+        // Stopped first: a touch queued after the take sees it.
+        self.shared.stop(RpcError::Disconnected);
+        let taken = self.shared.take_deferred();
+        self.shared.settle_owed(&taken);
+        taken
     }
 
     /// The calling half of the protocol: one logical round trip spending
     /// the attempt budget of `policy`. The single-shot form (`retried`
     /// false) is one `rpc.call` span; the retried form is an `rpc.retry`
-    /// span whose attempts and backoffs are child spans.
+    /// span whose attempts and backoffs are child spans. A `flushing` round
+    /// trip sends a touch [`defer`](Endpoint::defer) has already charged.
     fn round_trip(
         &self,
         request: Request,
         policy: RetryPolicy,
         retried: bool,
+        flushing: bool,
     ) -> Result<Reply, RpcError> {
+        if let Err(e) = self.shared.still_deferring() {
+            if flushing {
+                self.shared.put_back(vec![request]);
+            }
+            return Err(e);
+        }
+        let touches = if is_idempotent(&request) {
+            Vec::new()
+        } else {
+            self.shared.take_deferred()
+        };
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let name = if retried {
             span_names::RPC_RETRY
@@ -1001,6 +1204,9 @@ impl Endpoint {
         let mut span = aide_trace::span(name, "rpc");
         span.arg("kind", request.kind());
         span.arg("seq", seq);
+        if !touches.is_empty() {
+            span.arg("deferred", touches.len());
+        }
         let reply_bytes = Message::simulated_reply_bytes(&request);
         let is_migrate = matches!(request, Request::MigratePrepare { .. });
         let msg = Message::Request {
@@ -1010,7 +1216,18 @@ impl Endpoint {
         };
         let req_bytes = msg.simulated_request_bytes();
 
+        // The touches the frame carried — and the request, if it was one —
+        // back at the front of the queue, unanswered.
+        let unanswered = || {
+            let mut unanswered = touches.clone();
+            if let (true, Message::Request { body, .. }) = (flushing, &msg) {
+                unanswered.push(body.clone());
+            }
+            self.shared.put_back(unanswered);
+        };
         // A round trip the transport failed: counted, and named in its span.
+        // Touches it carried may or may not have been served, so they are
+        // not sent again: deferring stops, and they wait to be taken back.
         let fail = |mut span: aide_trace::SpanGuard, e: RpcError| {
             self.shared.metrics.errors.inc();
             let outcome = match &e {
@@ -1018,6 +1235,10 @@ impl Endpoint {
                 _ => "disconnected",
             };
             span.arg("outcome", outcome);
+            if flushing || !touches.is_empty() {
+                self.shared.stop(e.clone());
+                unanswered();
+            }
             Err(e)
         };
         let slot = match self.shared.register(seq) {
@@ -1037,8 +1258,9 @@ impl Endpoint {
             // Each retried attempt is its own span and re-encodes the frame
             // under it, so the serving side parents its serve span on the
             // exact attempt that reached it — the payload bytes are
-            // identical across attempts (same seq, same client), only the
-            // trace context differs, so the at-most-once dedup still works.
+            // identical across attempts (same seq, same client, same
+            // touches), only the trace context differs, so the at-most-once
+            // dedup still works.
             let mut attempt_span = retried.then(|| {
                 let mut attempt_span = aide_trace::span(span_names::RPC_ATTEMPT, "rpc");
                 attempt_span.arg("attempt", attempt);
@@ -1049,7 +1271,7 @@ impl Endpoint {
                     attempt_span.arg("outcome", outcome);
                 }
             };
-            if self.send_request(&msg).is_err() {
+            if self.send_request(&msg, &touches).is_err() {
                 if !retried {
                     // Nothing left this endpoint, so nothing completed: the
                     // single-shot form reports the dead link and no call.
@@ -1102,8 +1324,8 @@ impl Endpoint {
         if retried {
             span.arg("attempts", attempt);
         }
-        let result = match outcome {
-            Ok(r) => r,
+        let (result, peers_touches) = match outcome {
+            Ok(answer) => answer,
             Err(e) => {
                 if e == RpcError::Timeout {
                     // Remember the abandoned sequence number so the sink
@@ -1113,12 +1335,27 @@ impl Endpoint {
                 return fail(span, e);
             }
         };
+        // Refused, the frame served nothing, and what it carried is still
+        // owed; otherwise none of it is owed any more.
+        if let Ok(Reply::Busy { .. }) = result {
+            unanswered();
+        } else {
+            self.shared.settle_owed(&touches);
+            if let (true, Message::Request { body, .. }) = (flushing, &msg) {
+                self.shared.settle_owed(std::slice::from_ref(body));
+            }
+        }
         // A Busy reply is an answer, not a loss: it never burns another
         // attempt (the loop already broke on the reply) and surfaces as
-        // its own error so placement can move the work elsewhere.
+        // its own error so placement can move the work elsewhere. A failed
+        // touch surfaces as a remote error, now and from every later call.
         let reply = match result {
             Ok(Reply::Busy { retry_after_ms }) => Err(RpcError::Busy { retry_after_ms }),
-            Ok(reply) => Ok(reply),
+            Ok(Reply::TouchFailed(error)) => Err(self.shared.touch_failed(error)),
+            Ok(reply) => self
+                .shared
+                .serve_peers_touches(peers_touches)
+                .map(|()| reply),
             Err(msg) => Err(RpcError::Remote(msg)),
         };
         let outcome = match &reply {
@@ -1130,14 +1367,21 @@ impl Endpoint {
         if reply.is_err() {
             self.shared.metrics.errors.inc();
         }
+        if !flushing {
+            self.charge(req_bytes, reply_bytes, is_migrate);
+        }
+        reply
+    }
+
+    /// Charges one logical round trip of `req_bytes` out and `reply_bytes`
+    /// back to the simulated link: bulk transfers (offloading) stream at
+    /// link bandwidth with half-RTT setup; everything else is a synchronous
+    /// round trip.
+    fn charge(&self, req_bytes: u64, reply_bytes: u64, is_migrate: bool) {
         self.shared
             .metrics
             .simulated_bytes
             .add(req_bytes + reply_bytes);
-
-        // Simulated link time, charged once per logical round trip: bulk
-        // transfers (offloading) stream at link bandwidth with half-RTT
-        // setup; everything else is a synchronous round trip.
         let seconds = if is_migrate {
             self.params.transfer_seconds(req_bytes)
         } else {
@@ -1146,14 +1390,13 @@ impl Endpoint {
         };
         self.clock.add(seconds);
         self.clock.note_round_trip();
-        reply
     }
 
     /// Encodes `msg` — under the ambient span, which the frame carries as
-    /// its wire trace context, and with this endpoint's lease stamp — and
-    /// sends it.
-    fn send_request(&self, msg: &Message) -> Result<(), RpcError> {
-        let frame = msg.encode_stamped(self.shared.lease_stamp());
+    /// its wire trace context, with this endpoint's lease stamp and with
+    /// `touches` — and sends it.
+    fn send_request(&self, msg: &Message, touches: &[Request]) -> Result<(), RpcError> {
+        let frame = msg.encode_deferring(self.shared.lease_stamp(), touches);
         Ok(self.session.send(frame)?)
     }
 
@@ -1191,10 +1434,10 @@ impl Endpoint {
         };
         let started = std::time::Instant::now();
         let outcome = self
-            .send_request(&ping)
+            .send_request(&ping, &[])
             .and_then(|()| slot.wait(timeout, self.session.carrier_reader()));
         self.shared.forget(seq);
-        outcome?.map_err(RpcError::Remote)?;
+        outcome?.0.map_err(RpcError::Remote)?;
         let rtt = started.elapsed();
         self.shared.metrics.requests.inc();
         self.shared.metrics.backend_requests.inc();
@@ -2023,5 +2266,277 @@ mod tests {
             "let go after {elapsed:?}"
         );
         client.join();
+    }
+
+    /// Records the kind of everything it serves and the thread it served
+    /// it on; fails a touch of surrogate object 404; and, serving an
+    /// `Invoke`, defers a `Native` back through `back` — the endpoint it
+    /// serves for, when set.
+    #[derive(Default)]
+    struct Recording {
+        served: Mutex<Vec<&'static str>>,
+        threads: Mutex<Vec<std::thread::ThreadId>>,
+        back: OnceLock<Weak<Endpoint>>,
+    }
+
+    impl Dispatcher for Recording {
+        fn dispatch(&self, request: Request) -> Result<Reply, String> {
+            self.served.lock().push(request.kind());
+            self.threads.lock().push(std::thread::current().id());
+            match request {
+                Request::FieldAccess { target, .. } if target == ObjectId::surrogate(404) => {
+                    Err(format!("dangling {target}"))
+                }
+                Request::Invoke { .. } => {
+                    if let Some(back) = self.back.get().and_then(Weak::upgrade) {
+                        back.defer(Request::Native {
+                            caller: ClassId(0),
+                            kind: aide_vm::NativeKind::Math,
+                            work_micros: 5,
+                            arg_bytes: 8,
+                            ret_bytes: 8,
+                        })
+                        .map_err(|e| e.to_string())?;
+                    }
+                    Ok(Reply::Unit)
+                }
+                _ => Ok(Reply::Unit),
+            }
+        }
+    }
+
+    /// A client and a surrogate endpoint in process, each serving through a
+    /// [`Recording`]: the client's, then the surrogate's.
+    fn recording_pair() -> (Arc<Endpoint>, Arc<Endpoint>, Arc<Recording>, Arc<Recording>) {
+        let (link, ct, st) = Link::pair(CommParams::WAVELAN);
+        let (at_client, at_surrogate) = (Arc::<Recording>::default(), Arc::<Recording>::default());
+        let config = EndpointConfig::default();
+        let client = Endpoint::start(
+            ct,
+            link.params,
+            link.clock.clone(),
+            at_client.clone(),
+            config,
+        );
+        let surrogate = Endpoint::start(st, link.params, link.clock, at_surrogate.clone(), config);
+        (client, surrogate, at_client, at_surrogate)
+    }
+
+    /// A field write to surrogate object `id`.
+    fn touch(id: u64) -> Request {
+        Request::FieldAccess {
+            target: ObjectId::surrogate(id),
+            bytes: 64,
+            write: true,
+        }
+    }
+
+    fn class_of(id: u64) -> Request {
+        Request::ClassOf {
+            target: ObjectId::surrogate(id),
+        }
+    }
+
+    #[test]
+    fn deferred_touches_ride_the_next_request_and_are_served_before_it() {
+        let (client, surrogate, _, at_surrogate) = recording_pair();
+        client.defer(touch(1)).unwrap();
+        let write = Request::PutSlot {
+            target: ObjectId::surrogate(1),
+            slot: 0,
+            value: None,
+        };
+        client.defer(write).unwrap();
+        // Nothing has gone, and the link is charged for two round trips.
+        assert_eq!(client.traffic().frames_sent(), 0);
+        assert_eq!(surrogate.requests_served(), 0);
+        assert_eq!(client.clock().round_trips(), 2);
+        // A probe is no turn of the VMs: the touches stay where they are.
+        client.call(Request::Ping).unwrap();
+        assert_eq!(*at_surrogate.served.lock(), ["Ping"]);
+        client.call(class_of(1)).unwrap();
+        assert_eq!(
+            *at_surrogate.served.lock(),
+            ["Ping", "FieldAccess", "PutSlot", "ClassOf"]
+        );
+        assert_eq!(surrogate.requests_served(), 4);
+        assert_eq!(client.traffic().frames_sent(), 2);
+        assert_eq!(client.clock().round_trips(), 4);
+        // A request that waits for its answer cannot be deferred.
+        assert!(matches!(
+            client.defer(class_of(1)),
+            Err(RpcError::Protocol(_))
+        ));
+        client.shutdown();
+        surrogate.shutdown();
+    }
+
+    #[test]
+    fn a_touch_deferred_while_serving_rides_the_reply_and_its_caller_serves_it() {
+        let (client, surrogate, at_client, at_surrogate) = recording_pair();
+        at_surrogate
+            .back
+            .set(Arc::downgrade(&surrogate))
+            .expect("set once");
+        let invoke = Request::Invoke {
+            target: ObjectId::surrogate(1),
+            class: ClassId(0),
+            method: aide_vm::MethodId(0),
+            arg_bytes: 0,
+            ret_bytes: 0,
+            args: Vec::new(),
+        };
+        client.call(invoke).unwrap();
+        // Served before the call returned, on the thread that made it.
+        assert_eq!(*at_client.served.lock(), ["Native"]);
+        assert_eq!(*at_client.threads.lock(), [std::thread::current().id()]);
+        assert_eq!(client.requests_served(), 1);
+        assert_eq!(
+            surrogate.traffic().frames_sent(),
+            1,
+            "the reply, and no call of the surrogate's own"
+        );
+        client.shutdown();
+        surrogate.shutdown();
+    }
+
+    #[test]
+    fn a_failed_touch_fails_the_frame_that_carried_it_and_every_call_after() {
+        let (client, surrogate, _, at_surrogate) = recording_pair();
+        client.defer(touch(404)).unwrap();
+        client.defer(touch(1)).unwrap();
+        let failed = client.call(class_of(1)).unwrap_err();
+        assert!(
+            matches!(&failed, RpcError::Remote(msg)
+                if msg.contains("deferred FieldAccess") && msg.contains("dangling")),
+            "{failed:?}"
+        );
+        // Nothing after the failed touch ran.
+        assert_eq!(*at_surrogate.served.lock(), ["FieldAccess"]);
+        // Waited for, the touch would have ended the run: so it ends
+        // whatever is asked next, and nothing more is sent.
+        assert_eq!(client.call(class_of(1)).unwrap_err(), failed);
+        assert_eq!(client.defer(touch(2)).unwrap_err(), failed);
+        assert_eq!(client.flush().unwrap_err(), failed);
+        assert_eq!(*at_surrogate.served.lock(), ["FieldAccess"]);
+        client.shutdown();
+        surrogate.shutdown();
+    }
+
+    #[test]
+    fn the_touch_that_fills_the_queue_goes_at_once_with_the_rest() {
+        let (client, surrogate, ..) = recording_pair();
+        for id in 1..DEFER_LIMIT as u64 {
+            client.defer(touch(id)).unwrap();
+        }
+        assert_eq!(surrogate.requests_served(), 0);
+        client.defer(touch(DEFER_LIMIT as u64)).unwrap();
+        assert_eq!(surrogate.requests_served(), DEFER_LIMIT as u64);
+        assert_eq!(client.traffic().frames_sent(), 1);
+        assert!(client.take_deferred().is_empty());
+        client.shutdown();
+        surrogate.shutdown();
+    }
+
+    #[test]
+    fn touches_nobody_answered_are_taken_back_in_order() {
+        let (client, surrogate, ..) = recording_pair();
+        client.defer(touch(1)).unwrap();
+        // The peer goes; the frame carrying the touch gets no answer, and
+        // the touch goes back to the front of the queue.
+        surrogate.shutdown();
+        surrogate.join();
+        assert_eq!(client.call(class_of(1)), Err(RpcError::Disconnected));
+        // Whether the peer served it is unknown, so it is not sent again:
+        // deferring has stopped, and a touch now waits with it.
+        assert_eq!(client.defer(touch(2)), Err(RpcError::Disconnected));
+        assert_eq!(client.flush(), Err(RpcError::Disconnected));
+        assert_eq!(client.take_deferred(), [touch(1), touch(2)]);
+        // Taken back for good: a touch now is refused, and kept for the
+        // next taker.
+        assert_eq!(client.defer(touch(3)), Err(RpcError::Disconnected));
+        assert_eq!(client.take_deferred(), [touch(3)]);
+        client.join();
+    }
+
+    /// Serves slot writes on a VM, which counts them; anything else is
+    /// answered at once.
+    struct SlotWriter {
+        vm: Mutex<aide_vm::Vm>,
+    }
+
+    impl Dispatcher for SlotWriter {
+        fn dispatch(&self, request: Request) -> Result<Reply, String> {
+            match request {
+                Request::PutSlot {
+                    target,
+                    slot,
+                    value,
+                } => self
+                    .vm
+                    .lock()
+                    .put_slot_on(target, slot, value)
+                    .map(|()| Reply::Unit)
+                    .map_err(|e| e.to_string()),
+                _ => Ok(Reply::Unit),
+            }
+        }
+    }
+
+    #[test]
+    fn a_deferred_slot_write_counts_in_the_peers_write_count_at_once() {
+        use aide_vm::{MethodDef, ObjectRecord, ProgramBuilder, Vm, VmConfig};
+        let mut b = ProgramBuilder::new();
+        let main = b.add_class("Main");
+        b.add_method(main, MethodDef::new("main", vec![]));
+        let program = Arc::new(b.build(main, aide_vm::MethodId(0), 0, 0).unwrap());
+        let mut vm = Vm::new(program, VmConfig::surrogate(1 << 20));
+        let id = ObjectId::surrogate(2);
+        vm.heap_mut()
+            .insert(id, ObjectRecord::new(ClassId(0), 0, 1))
+            .unwrap();
+        let writes = vm.slot_writes().clone();
+        let (link, ct, st) = Link::pair(CommParams::WAVELAN);
+        let config = EndpointConfig::default();
+        let client = Endpoint::start(
+            ct,
+            link.params,
+            link.clock.clone(),
+            Arc::new(Recording::default()),
+            config,
+        );
+        let surrogate = Endpoint::start(
+            st,
+            link.params,
+            link.clock,
+            Arc::new(SlotWriter { vm: Mutex::new(vm) }),
+            config,
+        );
+        surrogate.attach_gc(
+            Arc::new(ExportTable::new()),
+            Arc::new(ImportTable::new()),
+            writes,
+        );
+        client.call(class_of(2)).unwrap();
+        assert_eq!(client.peer_writes(), Some(0));
+        // Owed from the moment it is deferred: nothing the surrogate is
+        // asked after it is served before it.
+        let write = Request::PutSlot {
+            target: id,
+            slot: 0,
+            value: Some(id),
+        };
+        client.defer(write.clone()).unwrap();
+        client.defer(touch(2)).unwrap();
+        assert_eq!(client.peer_writes(), Some(1));
+        client.call(class_of(2)).unwrap();
+        assert_eq!(client.peer_writes(), Some(1), "heard, no longer owed");
+        // Taken back, a write is owed no more.
+        client.defer(write).unwrap();
+        assert_eq!(client.peer_writes(), Some(2));
+        client.take_deferred();
+        assert_eq!(client.peer_writes(), Some(1));
+        client.shutdown();
+        surrogate.shutdown();
     }
 }

@@ -26,7 +26,9 @@
 //!   thread) decodes it and completes the waiting call or hands the request
 //!   to a worker — to the worker reading, when a worker reads its own next
 //!   request off the carrier — so a call over TCP is two thread hand-offs
-//!   (three when it meets the carrier's own thread) and four syscalls.
+//!   (three when it meets the carrier's own thread) and four syscalls. A
+//!   touch whose reply carries nothing is not a call at all:
+//!   [`Endpoint::defer`] puts it on the next frame to the peer.
 //! * [`Responder`] — the serving half of the protocol, once: at-most-once
 //!   execution with memoized replies, the serve span, the stamped reply
 //!   frame. Whoever serves for an endpoint and the surrogate daemon's shard
@@ -80,7 +82,7 @@ mod wire;
 
 pub use aide_trace::SpanContext;
 pub use chaos::{chaos_pair, chaos_wrap, ChaosPairStats, ChaosSchedule, ChaosStats};
-pub use endpoint::{Dispatcher, Endpoint, EndpointConfig, RetryPolicy, RpcError};
+pub use endpoint::{Dispatcher, Endpoint, EndpointConfig, RetryPolicy, RpcError, DEFER_LIMIT};
 pub use link::{Delivered, Link, LinkError, NetClock, Session, TrafficStats};
 pub use mux::{BusEvent, BusSink, ConnKiller, MuxConn, MuxSender};
 pub use reftable::{

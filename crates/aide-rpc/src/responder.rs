@@ -2,20 +2,21 @@
 //! [`Endpoint`](crate::Endpoint)'s workers, a daemon's shard worker —
 //! decodes a frame, renews leases from its header, and hands the request to
 //! a [`Responder`], which decides whether it executes at all
-//! (at-most-once), runs it through the [`Dispatcher`] under an `rpc.serve`
-//! span parented on the caller's wire context, and encodes the stamped
-//! reply. It runs on a thread that holds no carrier's read half — an
-//! endpoint's worker lets go of the half before it serves a request it read
-//! itself — so the dispatcher may wait.
+//! (at-most-once), runs the touches the caller deferred onto the frame and
+//! then the request through the [`Dispatcher`] under an `rpc.serve` span
+//! parented on the caller's wire context, and encodes the stamped reply.
+//! It runs on a thread that holds no carrier's read half — an endpoint's
+//! worker lets go of the half before it serves a request it read itself —
+//! so the dispatcher may wait.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use aide_trace::{names as span_names, SpanContext};
+use aide_trace::names as span_names;
 use parking_lot::Mutex;
 
 use crate::endpoint::Dispatcher;
-use crate::wire::{Frame, LeaseStamp, Message, Request};
+use crate::wire::{Frame, FrameHeader, LeaseStamp, Message, Reply, Request};
 
 /// At-most-once execution cache, keyed by `(client id, sequence number)`.
 ///
@@ -82,8 +83,9 @@ impl DedupCache {
 
 /// Requests exempt from at-most-once bookkeeping: idempotent health and
 /// introspection traffic that would otherwise churn the cache. Lease
-/// renewals qualify — renewing twice is the same as renewing once.
-fn is_idempotent(request: &Request) -> bool {
+/// renewals qualify — renewing twice is the same as renewing once. They are
+/// also outside the two VMs' turns, so no deferred touch rides them.
+pub(crate) fn is_idempotent(request: &Request) -> bool {
     matches!(
         request,
         Request::Ping | Request::Stats | Request::GcRenew { .. }
@@ -104,6 +106,22 @@ pub enum Served {
     InFlight,
 }
 
+/// Serves `touches` — what a peer deferred onto a frame — through
+/// `dispatcher`, in order, stopping at the first that fails: the error
+/// names the touch's kind.
+pub(crate) fn serve_deferred(
+    dispatcher: &dyn Dispatcher,
+    touches: Vec<Request>,
+) -> Result<(), String> {
+    for touch in touches {
+        let kind = touch.kind();
+        dispatcher
+            .dispatch(touch)
+            .map_err(|e| format!("deferred {kind}: {e}"))?;
+    }
+    Ok(())
+}
+
 /// Serves decoded requests with at-most-once semantics. One per stream
 /// of client sequence numbers: an endpoint has one, a daemon has one per
 /// session.
@@ -122,20 +140,26 @@ impl Responder {
         }
     }
 
-    /// Serves request `body`, which `client` sent as its `seq`-th, through
-    /// `dispatcher`. `trace` is the caller's wire context (the parent of
-    /// the serve span); `lease_stamp` is read once the dispatcher has run —
-    /// so its write count covers what the request wrote — and rides the
-    /// reply frame's header.
+    /// Serves request `body`, which `client` sent as its `seq`-th with
+    /// `header`, through `dispatcher`: first the touches the header carries,
+    /// then — if none failed, else the reply is [`Reply::TouchFailed`] — the
+    /// request; a duplicate runs neither. The header's trace context is the
+    /// parent of the serve span. `outgoing` is read once the dispatcher has
+    /// run — so the write count it stamps covers what the request wrote, and
+    /// the touches it hands over are all the serving side deferred — and
+    /// rides the reply frame's header.
     pub fn respond(
         &self,
         dispatcher: &dyn Dispatcher,
-        trace: Option<SpanContext>,
+        header: FrameHeader,
         client: u64,
         seq: u64,
         body: Request,
-        lease_stamp: impl FnOnce() -> Option<LeaseStamp>,
+        outgoing: impl FnOnce() -> (Option<LeaseStamp>, Vec<Request>),
     ) -> Served {
+        let FrameHeader {
+            trace, deferred, ..
+        } = header;
         let kind = body.kind();
         let key = (client, seq);
         let dedupable = !is_idempotent(&body);
@@ -159,8 +183,15 @@ impl Responder {
         let mut span = aide_trace::child_of(trace, span_names::RPC_SERVE, "rpc");
         span.arg("kind", kind);
         span.arg("seq", seq);
-        let result = dispatcher.dispatch(body);
-        let frame = Message::Reply { seq, result }.encode_stamped(lease_stamp());
+        if !deferred.is_empty() {
+            span.arg("deferred", deferred.len());
+        }
+        let result = match serve_deferred(dispatcher, deferred) {
+            Ok(()) => dispatcher.dispatch(body),
+            Err(failure) => Ok(Reply::TouchFailed(failure)),
+        };
+        let (lease, touches) = outgoing();
+        let frame = Message::Reply { seq, result }.encode_deferring(lease, &touches);
         drop(span);
         if dedupable {
             self.dedup.complete(key, frame.to_vec());
@@ -205,7 +236,12 @@ mod tests {
         seq: u64,
         body: Request,
     ) -> Served {
-        responder.respond(dispatcher, None, 7, seq, body, || None)
+        responder.respond(dispatcher, FrameHeader::default(), 7, seq, body, unstamped)
+    }
+
+    /// Nothing on the reply's header: no stamp, no touches.
+    fn unstamped() -> (Option<LeaseStamp>, Vec<Request>) {
+        (None, Vec::new())
     }
 
     fn executed(served: Served) -> Frame {
@@ -233,7 +269,14 @@ mod tests {
         }
         assert_eq!(dispatcher.runs.load(Ordering::SeqCst), 1, "executed once");
         // Another client's seq 1 is another request.
-        executed(responder.respond(&dispatcher, None, 8, 1, write(4), || None));
+        executed(responder.respond(
+            &dispatcher,
+            FrameHeader::default(),
+            8,
+            1,
+            write(4),
+            unstamped,
+        ));
         assert_eq!(dispatcher.runs.load(Ordering::SeqCst), 2);
     }
 
@@ -325,6 +368,76 @@ mod tests {
         }
     }
 
+    /// Logs the kind of everything it runs; a slot write fails.
+    #[derive(Default)]
+    struct Logging {
+        ran: Mutex<Vec<&'static str>>,
+    }
+
+    impl Dispatcher for Logging {
+        fn dispatch(&self, request: Request) -> Result<Reply, String> {
+            self.ran.lock().push(request.kind());
+            match request {
+                Request::PutSlot { .. } => Err("read-only".into()),
+                _ => Ok(Reply::Unit),
+            }
+        }
+    }
+
+    #[test]
+    fn the_touches_on_a_frame_run_first_once_and_stop_at_a_failure() {
+        let responder = Responder::new(8);
+        let dispatcher = Logging::default();
+        let class_of = Request::ClassOf {
+            target: ObjectId::surrogate(1),
+        };
+        let respond = |seq, deferred: Vec<Request>, outgoing: Vec<Request>| {
+            let header = FrameHeader {
+                deferred,
+                ..FrameHeader::default()
+            };
+            let body = class_of.clone();
+            responder.respond(&dispatcher, header, 7, seq, body, || (None, outgoing))
+        };
+        let back = Request::Native {
+            caller: aide_vm::ClassId(0),
+            kind: aide_vm::NativeKind::Math,
+            work_micros: 1,
+            arg_bytes: 0,
+            ret_bytes: 0,
+        };
+        let reply = executed(respond(1, vec![write(4), write(8)], vec![back.clone()]));
+        assert_eq!(
+            *dispatcher.ran.lock(),
+            ["FieldAccess", "FieldAccess", "ClassOf"]
+        );
+        // What the serving side deferred meanwhile rides the reply.
+        let (header, _) = Message::decode_framed(&reply).unwrap();
+        assert_eq!(header.deferred, [back]);
+        // A duplicate of the frame runs none of it again.
+        match respond(1, vec![write(4), write(8)], Vec::new()) {
+            Served::Replayed(again) => assert_eq!(again, reply),
+            other => panic!("expected a replay, got {other:?}"),
+        }
+        assert_eq!(dispatcher.ran.lock().len(), 3);
+
+        // A failed touch stops the frame, and the reply says which failed.
+        let put = Request::PutSlot {
+            target: ObjectId::surrogate(1),
+            slot: 0,
+            value: None,
+        };
+        let failed = executed(respond(2, vec![put, write(4)], Vec::new()));
+        assert_eq!(dispatcher.ran.lock()[3..], ["PutSlot"]);
+        assert_eq!(
+            Message::decode(&failed).unwrap(),
+            Message::Reply {
+                seq: 2,
+                result: Ok(Reply::TouchFailed("deferred PutSlot: read-only".into())),
+            }
+        );
+    }
+
     #[test]
     fn the_reply_carries_the_lease_stamp_read_after_dispatch() {
         let responder = Responder::new(8);
@@ -333,23 +446,26 @@ mod tests {
         // request made is in the count its own reply carries.
         let stamp = || {
             let runs = dispatcher.runs.load(Ordering::SeqCst);
-            Some(LeaseStamp {
+            let stamp = LeaseStamp {
                 epoch: runs + 40,
                 writes: runs + 100,
-            })
+            };
+            (Some(stamp), Vec::new())
         };
-        let stamped = executed(responder.respond(&dispatcher, None, 7, 1, write(0), stamp));
+        let respond =
+            |seq| responder.respond(&dispatcher, FrameHeader::default(), 7, seq, write(0), stamp);
+        let stamped = executed(respond(1));
         let (header, _) = Message::decode_framed(&stamped).unwrap();
         let first = LeaseStamp {
             epoch: 41,
             writes: 101,
         };
         assert_eq!(header.lease, Some(first));
-        let second = executed(responder.respond(&dispatcher, None, 7, 2, write(0), stamp));
+        let second = executed(respond(2));
         let (header, _) = Message::decode_framed(&second).unwrap();
         assert_eq!(header.lease.map(|stamp| stamp.writes), Some(102));
         // A replay is the first reply byte for byte, old count included.
-        match responder.respond(&dispatcher, None, 7, 1, write(0), stamp) {
+        match respond(1) {
             Served::Replayed(again) => assert_eq!(again, stamped),
             other => panic!("expected a replay, got {other:?}"),
         }

@@ -28,8 +28,13 @@
 //! lease epoch, so every ordinary frame doubles as a lease renewal for the
 //! receiver's export table, and how many slot writes its VM has made, so
 //! the receiver knows how long what it has read of the sender's objects
-//! stays true. A frame announcing any other version is
-//! [`WireError::BadVersion`].
+//! stays true; then, when the sender has any, the *touches it deferred*
+//! ([`Request::is_deferrable`]), which the receiver serves, in order,
+//! before the message itself. The stamp and the touches share one flags
+//! byte, so a frame that carries no touches is laid out exactly as before
+//! they could ride (a decoder that predates them refuses the new flag as
+//! [`WireError::BadTag`] rather than misreading it). A frame announcing any
+//! other version is [`WireError::BadVersion`].
 //!
 //! There is likewise one encoder and one decoder:
 //! [`Message::encode_stamped`] writes the frame in place into a buffer
@@ -265,6 +270,21 @@ pub enum Request {
 }
 
 impl Request {
+    /// Whether this is a touch whose reply carries nothing — a field access
+    /// (the VM models no scalar values), a slot write, a static access or a
+    /// native, none of which runs code on the peer — so that its sender need
+    /// not wait for it: it may ride the next frame to the peer instead
+    /// ([`FrameHeader::deferred`]).
+    pub fn is_deferrable(&self) -> bool {
+        matches!(
+            self,
+            Request::FieldAccess { .. }
+                | Request::PutSlot { .. }
+                | Request::StaticAccess { .. }
+                | Request::Native { .. }
+        )
+    }
+
     /// The static name of this request variant, used to label serve
     /// spans and the critical-path attribution.
     pub fn kind(&self) -> &'static str {
@@ -309,17 +329,28 @@ pub enum Reply {
         /// Server's backoff hint, in milliseconds.
         retry_after_ms: u32,
     },
+    /// A touch deferred onto the request's frame failed on the serving VM
+    /// with this error, so the request itself did not run. Carried as a
+    /// reply, like [`Reply::Busy`], so that the caller can tell it from a
+    /// failure of the request it sent.
+    TouchFailed(String),
 }
 
 /// What every frame carries ahead of its message, covered by the frame
 /// CRC like the message itself.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrameHeader {
     /// The span that was active on the encoding thread, so the serving
     /// side can parent its service span under the caller's.
     pub trace: Option<SpanContext>,
     /// The sender's lease stamp, when it participates in distributed GC.
     pub lease: Option<LeaseStamp>,
+    /// Touches the sender deferred ([`Request::is_deferrable`]) since its
+    /// last frame to this peer, oldest first. The receiver serves them
+    /// before the message — on a request frame as part of the request,
+    /// under its at-most-once key; on a reply frame on the caller's thread,
+    /// before the caller goes on.
+    pub deferred: Vec<Request>,
 }
 
 /// What a side that participates in distributed GC says about itself on
@@ -365,48 +396,54 @@ impl Message {
     /// a fixed header plus declared payloads and 8 bytes per object
     /// reference. Used for link-time accounting.
     pub fn simulated_request_bytes(&self) -> u64 {
-        const HEADER: u64 = 32;
         match self {
-            Message::Request { body, .. } => {
-                HEADER
-                    + match body {
-                        Request::Invoke {
-                            arg_bytes, args, ..
-                        } => *arg_bytes as u64 + 8 * args.len() as u64,
-                        Request::FieldAccess { bytes, write, .. } => {
-                            if *write {
-                                *bytes as u64
-                            } else {
-                                0
-                            }
-                        }
-                        Request::GetSlot { .. } => 0,
-                        Request::PutSlot { .. } => 8,
-                        Request::Native { arg_bytes, .. } => *arg_bytes as u64,
-                        Request::StaticAccess { bytes, write, .. } => {
-                            if *write {
-                                *bytes as u64
-                            } else {
-                                0
-                            }
-                        }
-                        Request::ClassOf { .. } => 0,
-                        Request::MigratePrepare { objects, .. }
-                        | Request::RelayDeliver { objects, .. } => objects
-                            .iter()
-                            .map(|(_, rec)| rec.footprint() + 16)
-                            .sum::<u64>(),
-                        Request::GcRenew { .. } => 8,
-                        Request::GcReleaseSeq { objects, .. } => 16 + 8 * objects.len() as u64,
-                        Request::MigrateCommit { .. }
-                        | Request::MigrateAbort { .. }
-                        | Request::Shutdown
-                        | Request::Ping
-                        | Request::Stats => 0,
-                    }
-            }
-            Message::Reply { .. } => HEADER,
+            Message::Request { body, .. } => Self::simulated_bytes_of(body),
+            Message::Reply { .. } => 32,
         }
+    }
+
+    /// Simulated size of `request` on its way to the peer: what
+    /// [`simulated_request_bytes`](Message::simulated_request_bytes) says of
+    /// the message carrying it.
+    pub(crate) fn simulated_bytes_of(request: &Request) -> u64 {
+        const HEADER: u64 = 32;
+        HEADER
+            + match request {
+                Request::Invoke {
+                    arg_bytes, args, ..
+                } => *arg_bytes as u64 + 8 * args.len() as u64,
+                Request::FieldAccess { bytes, write, .. } => {
+                    if *write {
+                        *bytes as u64
+                    } else {
+                        0
+                    }
+                }
+                Request::GetSlot { .. } => 0,
+                Request::PutSlot { .. } => 8,
+                Request::Native { arg_bytes, .. } => *arg_bytes as u64,
+                Request::StaticAccess { bytes, write, .. } => {
+                    if *write {
+                        *bytes as u64
+                    } else {
+                        0
+                    }
+                }
+                Request::ClassOf { .. } => 0,
+                Request::MigratePrepare { objects, .. } | Request::RelayDeliver { objects, .. } => {
+                    objects
+                        .iter()
+                        .map(|(_, rec)| rec.footprint() + 16)
+                        .sum::<u64>()
+                }
+                Request::GcRenew { .. } => 8,
+                Request::GcReleaseSeq { objects, .. } => 16 + 8 * objects.len() as u64,
+                Request::MigrateCommit { .. }
+                | Request::MigrateAbort { .. }
+                | Request::Shutdown
+                | Request::Ping
+                | Request::Stats => 0,
+            }
     }
 
     /// Simulated size of the reply direction for a given request: header
@@ -451,21 +488,27 @@ impl Message {
     /// when present, so the receiving side renews its export leases as a
     /// side effect of ordinary traffic.
     pub fn encode_stamped(&self, lease: Option<LeaseStamp>) -> Frame {
+        self.encode_deferring(lease, &[])
+    }
+
+    /// [`encode_stamped`](Message::encode_stamped), with `deferred` — the
+    /// sender's deferred touches, oldest first — riding the header.
+    pub fn encode_deferring(&self, lease: Option<LeaseStamp>, deferred: &[Request]) -> Frame {
         let mut frame = FramePool::global().acquire();
-        self.encode_into(frame.vec_mut(), lease);
+        self.encode_into(frame.vec_mut(), lease, deferred);
         frame
     }
 
     /// Encodes the frame in place into `buf`, replacing its contents and
     /// reusing its capacity; the checksum is patched in once the payload
     /// is written.
-    fn encode_into(&self, buf: &mut Vec<u8>, lease: Option<LeaseStamp>) {
+    fn encode_into(&self, buf: &mut Vec<u8>, lease: Option<LeaseStamp>, deferred: &[Request]) {
         buf.clear();
         buf.reserve(FRAME_HEADER + 64);
         buf.put_u8(PROTOCOL_VERSION);
         buf.put_u32_le(0); // checksum placeholder, patched below
         encode_trace_context(buf);
-        encode_lease_stamp(buf, lease);
+        encode_stamp_and_touches(buf, lease, deferred);
         self.encode_body(buf);
         let crc = crc32(&buf[FRAME_HEADER..]);
         buf[1..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
@@ -529,9 +572,12 @@ impl Message {
         if crc32(payload) != declared {
             return Err(WireError::BadChecksum);
         }
+        let trace = decode_trace_context(&mut payload)?;
+        let (lease, deferred) = decode_stamp_and_touches(&mut payload)?;
         let header = FrameHeader {
-            trace: decode_trace_context(&mut payload)?,
-            lease: decode_lease_stamp(&mut payload)?,
+            trace,
+            lease,
+            deferred,
         };
         Ok((header, Self::decode_payload(payload)?))
     }
@@ -591,30 +637,65 @@ fn decode_trace_context(buf: &mut &[u8]) -> Result<Option<SpanContext>, WireErro
     }
 }
 
-/// Writes the lease stamp that follows the trace context: a presence flag
-/// plus, when present, the sender's GC lease epoch and slot-write count.
-/// Covered by the frame CRC like everything else in the payload.
-fn encode_lease_stamp<B: BufMut>(buf: &mut B, lease: Option<LeaseStamp>) {
-    match lease {
-        Some(LeaseStamp { epoch, writes }) => {
-            buf.put_u8(1);
-            buf.put_u64_le(epoch);
-            buf.put_u64_le(writes);
+/// Flag bits of the byte that follows the trace context.
+const STAMPED: u8 = 1;
+const DEFERRING: u8 = 2;
+
+/// Writes what follows the trace context: a flags byte, then the sender's
+/// GC lease epoch and slot-write count when it has a stamp, then the count
+/// and the touches when it deferred any. Covered by the frame CRC like
+/// everything else in the payload.
+fn encode_stamp_and_touches<B: BufMut>(
+    buf: &mut B,
+    lease: Option<LeaseStamp>,
+    deferred: &[Request],
+) {
+    let deferring = !deferred.is_empty();
+    buf.put_u8((u8::from(lease.is_some()) * STAMPED) | (u8::from(deferring) * DEFERRING));
+    if let Some(LeaseStamp { epoch, writes }) = lease {
+        buf.put_u64_le(epoch);
+        buf.put_u64_le(writes);
+    }
+    if deferring {
+        let count = u16::try_from(deferred.len()).expect("at most u16::MAX deferred touches");
+        buf.put_u16_le(count);
+        for touch in deferred {
+            encode_request(buf, touch);
         }
-        None => buf.put_u8(0),
     }
 }
 
-/// Reads the lease stamp, advancing `buf` past it.
-fn decode_lease_stamp(buf: &mut &[u8]) -> Result<Option<LeaseStamp>, WireError> {
-    match get_u8(buf)? {
-        0 => Ok(None),
-        1 => Ok(Some(LeaseStamp {
+/// Reads the lease stamp and the deferred touches, advancing `buf` past
+/// them. Anything but a deferrable touch in the list is a bad frame.
+fn decode_stamp_and_touches(
+    buf: &mut &[u8],
+) -> Result<(Option<LeaseStamp>, Vec<Request>), WireError> {
+    let flags = get_u8(buf)?;
+    if flags & !(STAMPED | DEFERRING) != 0 {
+        return Err(WireError::BadTag(flags));
+    }
+    let lease = if flags & STAMPED != 0 {
+        Some(LeaseStamp {
             epoch: get_u64(buf)?,
             writes: get_u64(buf)?,
-        })),
-        t => Err(WireError::BadTag(t)),
+        })
+    } else {
+        None
+    };
+    let mut deferred = Vec::new();
+    if flags & DEFERRING != 0 {
+        let count = get_u16(buf)?;
+        deferred.reserve(usize::from(count).min(buf.len()));
+        for _ in 0..count {
+            let tag = buf.first().copied();
+            let touch = decode_request(buf)?;
+            if !touch.is_deferrable() {
+                return Err(WireError::BadTag(tag.unwrap_or_default()));
+            }
+            deferred.push(touch);
+        }
     }
+    Ok((lease, deferred))
 }
 
 /// Hard cap on a single frame read from a byte-stream carrier. A peer
@@ -1318,6 +1399,10 @@ fn encode_reply<B: BufMut>(buf: &mut B, reply: &Reply) {
             buf.put_u8(4);
             buf.put_u32_le(*retry_after_ms);
         }
+        Reply::TouchFailed(error) => {
+            buf.put_u8(5);
+            put_str(buf, error);
+        }
     }
 }
 
@@ -1330,6 +1415,7 @@ fn decode_reply(buf: &mut &[u8]) -> Result<Reply, WireError> {
         4 => Reply::Busy {
             retry_after_ms: get_u32(buf)?,
         },
+        5 => Reply::TouchFailed(get_str(buf)?),
         t => return Err(WireError::BadTag(t)),
     })
 }
@@ -1552,6 +1638,78 @@ mod tests {
             seq: 6,
             result: Ok(Reply::Busy { retry_after_ms: 25 }),
         });
+        round_trip(Message::Reply {
+            seq: 7,
+            result: Ok(Reply::TouchFailed("deferred PutSlot: dangling".into())),
+        });
+    }
+
+    #[test]
+    fn deferred_touches_ride_the_header_and_nothing_else_may() {
+        let msg = Message::Request {
+            seq: 4,
+            client: 2,
+            body: Request::ClassOf {
+                target: ObjectId::surrogate(1),
+            },
+        };
+        let stamp = LeaseStamp {
+            epoch: 3,
+            writes: 9,
+        };
+        let touches = vec![
+            Request::FieldAccess {
+                target: ObjectId::surrogate(1),
+                bytes: 64,
+                write: false,
+            },
+            Request::PutSlot {
+                target: ObjectId::surrogate(1),
+                slot: 2,
+                value: Some(ObjectId::client(3)),
+            },
+            Request::StaticAccess {
+                accessor: ClassId(1),
+                class: ClassId(0),
+                bytes: 8,
+                write: true,
+            },
+            Request::Native {
+                caller: ClassId(1),
+                kind: NativeKind::Math,
+                work_micros: 5,
+                arg_bytes: 8,
+                ret_bytes: 8,
+            },
+        ];
+        assert!(touches.iter().all(Request::is_deferrable));
+        let frame = msg.encode_deferring(Some(stamp), &touches);
+        let (header, decoded) = Message::decode_framed(&frame).expect("decode");
+        assert_eq!(
+            (header.lease, header.deferred, decoded),
+            (Some(stamp), touches.clone(), msg.clone())
+        );
+        let (header, _) = Message::decode_framed(&msg.encode_deferring(None, &touches)).unwrap();
+        assert_eq!((header.lease, header.deferred), (None, touches));
+        // With none to carry, a frame is laid out as it always was.
+        assert_eq!(
+            msg.encode_deferring(Some(stamp), &[]),
+            msg.encode_stamped(Some(stamp))
+        );
+        // A request that waits for its answer cannot ride a header...
+        assert!(!Request::Ping.is_deferrable());
+        let waiting = msg.encode_deferring(None, &[Request::Ping]);
+        assert_eq!(
+            Message::decode(&waiting).unwrap_err(),
+            WireError::BadTag(10)
+        );
+        // ...and a flag nobody defined is refused, not skipped.
+        let mut payload = msg.encode()[FRAME_HEADER..].to_vec();
+        payload[1] = 4; // after the absent trace context: the flags byte
+        assert_eq!(
+            Message::decode(&seal(PROTOCOL_VERSION, &payload)).unwrap_err(),
+            WireError::BadTag(4)
+        );
     }
 
     #[test]
@@ -1624,6 +1782,7 @@ mod tests {
                 epoch: 7,
                 writes: 11_166,
             }),
+            deferred: Vec::new(),
         };
         let frame = msg.encode_stamped(header.lease);
         drop(guard);
@@ -1849,10 +2008,10 @@ mod tests {
             },
         };
         let mut buf = Vec::new();
-        big.encode_into(&mut buf, None);
+        big.encode_into(&mut buf, None, &[]);
         assert_eq!(buf, big.encode());
         let cap = buf.capacity();
-        small.encode_into(&mut buf, None);
+        small.encode_into(&mut buf, None, &[]);
         assert_eq!(buf, small.encode());
         assert_eq!(buf.capacity(), cap, "re-encode must not reallocate");
     }

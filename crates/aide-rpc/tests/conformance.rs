@@ -234,6 +234,104 @@ fn deterministic_duplicates_are_absorbed_on_every_backend() {
     }
 }
 
+/// Logs the target of every field access it serves; serving a read of slot
+/// `n`, it defers a field access of client object `n` back to the reader
+/// through `back`.
+#[derive(Default)]
+struct TouchLog {
+    touched: std::sync::Mutex<Vec<ObjectId>>,
+    back: std::sync::OnceLock<std::sync::Weak<Endpoint>>,
+}
+
+impl Dispatcher for TouchLog {
+    fn dispatch(&self, request: Request) -> Result<Reply, String> {
+        match request {
+            Request::FieldAccess { target, .. } => {
+                self.touched.lock().unwrap().push(target);
+                Ok(Reply::Unit)
+            }
+            Request::GetSlot { slot, .. } => {
+                if let Some(back) = self.back.get().and_then(std::sync::Weak::upgrade) {
+                    let touch = Request::FieldAccess {
+                        target: ObjectId::client(u64::from(slot)),
+                        bytes: 8,
+                        write: true,
+                    };
+                    back.defer(touch).map_err(|e| e.to_string())?;
+                }
+                Ok(Reply::Slot(None))
+            }
+            _ => Ok(Reply::Unit),
+        }
+    }
+}
+
+#[test]
+fn deferred_touches_are_served_once_and_in_order_on_every_backend() {
+    for fx in fixtures() {
+        let (cs, ss) = open_pair(&fx);
+        // Every client frame is sent twice: the touches riding one are
+        // served with it, once.
+        let (cs, _stats) = chaos_wrap(
+            cs,
+            ChaosSchedule {
+                duplicate: 1.0,
+                ..ChaosSchedule::seeded(43)
+            },
+        );
+        let clock = Arc::new(NetClock::new());
+        let (at_client, at_server) = (Arc::<TouchLog>::default(), Arc::<TouchLog>::default());
+        let client = Endpoint::start(
+            cs,
+            CommParams::WAVELAN,
+            clock.clone(),
+            at_client.clone(),
+            small_config(),
+        );
+        let server = Endpoint::start(
+            ss,
+            CommParams::WAVELAN,
+            clock,
+            at_server.clone(),
+            small_config(),
+        );
+        at_server.back.set(Arc::downgrade(&server)).unwrap();
+        let mut expected = Vec::new();
+        for round in 0..10u64 {
+            for i in 0..5 {
+                let target = ObjectId::surrogate(round * 5 + i);
+                client
+                    .defer(Request::FieldAccess {
+                        target,
+                        bytes: 16,
+                        write: true,
+                    })
+                    .unwrap();
+                expected.push(target);
+            }
+            let read = Request::GetSlot {
+                target: ObjectId::surrogate(0),
+                slot: round as u16,
+            };
+            client
+                .call(read)
+                .unwrap_or_else(|e| panic!("{}: {e}", fx.name));
+        }
+        assert_eq!(*at_server.touched.lock().unwrap(), expected, "{}", fx.name);
+        assert_eq!(server.requests_served(), 60, "{}", fx.name);
+        // What the server deferred rode its replies — a replayed reply
+        // carries the same — each served once, by the caller, before its
+        // call returned.
+        let back: Vec<ObjectId> = (0..10).map(ObjectId::client).collect();
+        assert_eq!(*at_client.touched.lock().unwrap(), back, "{}", fx.name);
+        assert_eq!(client.requests_served(), 10, "{}", fx.name);
+        client.shutdown();
+        server.shutdown();
+        client.join();
+        server.join();
+    }
+}
+
 #[test]
 fn retry_masks_seeded_loss_on_every_backend() {
     let config = EndpointConfig {

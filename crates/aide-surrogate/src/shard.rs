@@ -650,16 +650,18 @@ fn serve(
         shared,
     };
     let (imports, writes) = (&sess.parts.tables.imports, &sess.writes);
+    let touches = header.deferred.len() as u64;
     let served = sess
         .responder
-        .respond(&dispatcher, header.trace, client, seq, body, || {
-            Some(LeaseStamp {
+        .respond(&dispatcher, header, client, seq, body, || {
+            let stamp = LeaseStamp {
                 epoch: imports.advertised_epoch(),
                 writes: writes.get(),
-            })
+            };
+            (Some(stamp), Vec::new())
         });
     if matches!(served, Served::Executed(_)) {
-        shared.served.fetch_add(1, Ordering::Relaxed);
+        shared.served.fetch_add(1 + touches, Ordering::Relaxed);
     }
     if let Served::Executed(reply) | Served::Replayed(reply) = served {
         let _ = sender.send(key.1, reply);
@@ -1060,6 +1062,92 @@ mod tests {
         assert_eq!(pool.requests_served(), 3);
         exchange(1);
         assert_eq!(pool.requests_served(), 4, "the evicted memo is gone");
+        pool.shutdown();
+    }
+
+    /// Logs the kind of every request it is handed, then serves it.
+    struct KindLog {
+        served: Arc<dyn Dispatcher>,
+        log: Arc<parking_lot::Mutex<Vec<&'static str>>>,
+    }
+
+    impl Dispatcher for KindLog {
+        fn dispatch(&self, request: Request) -> Result<Reply, String> {
+            self.log.lock().push(request.kind());
+            self.served.dispatch(request)
+        }
+    }
+
+    #[test]
+    fn touches_on_a_pool_sessions_frame_are_served_first_and_once() {
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let pool = {
+            let log = log.clone();
+            pool_serving("touches", ShardConfig::default(), move |served| {
+                Arc::new(KindLog {
+                    served,
+                    log: log.clone(),
+                })
+            })
+        };
+        let transport = carrier(&pool, 1);
+        let session = transport.open_session().unwrap();
+        let exchange = |seq: u64, touches: &[Request]| {
+            let request = Message::Request {
+                seq,
+                client: 9,
+                body: Request::MigrateAbort { txn: seq },
+            };
+            session
+                .send(request.encode_deferring(None, touches))
+                .unwrap();
+            let reply = session
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap()
+                .expect("the pool answers every frame");
+            Message::decode(&reply).unwrap()
+        };
+        let touches = [
+            Request::StaticAccess {
+                accessor: aide_vm::ClassId(0),
+                class: aide_vm::ClassId(0),
+                bytes: 8,
+                write: true,
+            },
+            Request::Native {
+                caller: aide_vm::ClassId(0),
+                kind: aide_vm::NativeKind::Math,
+                work_micros: 5,
+                arg_bytes: 0,
+                ret_bytes: 0,
+            },
+        ];
+        let answered = Message::Reply {
+            seq: 1,
+            result: Ok(Reply::Unit),
+        };
+        assert_eq!(exchange(1, &touches), answered);
+        assert_eq!(*log.lock(), ["StaticAccess", "Native", "MigrateAbort"]);
+        assert_eq!(pool.requests_served(), 3);
+        // The same frame again is answered from the memo: nothing runs.
+        assert_eq!(exchange(1, &touches), answered);
+        assert_eq!(log.lock().len(), 3);
+
+        // A touch that fails stops its frame, and the reply says so.
+        let dangling = Request::FieldAccess {
+            target: aide_vm::ObjectId::surrogate(404),
+            bytes: 8,
+            write: true,
+        };
+        let Message::Reply {
+            result: Ok(Reply::TouchFailed(error)),
+            ..
+        } = exchange(2, &[dangling, touches[0].clone()])
+        else {
+            panic!("expected a failed touch");
+        };
+        assert!(error.starts_with("deferred FieldAccess"), "{error}");
+        assert_eq!(log.lock()[3..], ["FieldAccess"]);
         pool.shutdown();
     }
 }

@@ -489,7 +489,7 @@ impl Vm {
     }
 
     /// Performs a field access on a local object on behalf of a peer. This
-    /// and the four methods after it are the peer-serving operations that
+    /// and the five methods after it are the peer-serving operations that
     /// touch one heap record and never re-enter the interpreter, so whoever
     /// serves one needs nothing but the VM lock (which the caller holds).
     ///
@@ -526,6 +526,12 @@ impl Vm {
     ) -> VmResult<()> {
         let rec = self.heap.get_mut(target)?;
         write_slot(&self.slot_writes, rec, target, slot, value)
+    }
+
+    /// Runs a client-bound native on behalf of a peer: charges its work.
+    pub fn native_on(&mut self, work_micros: u32) {
+        let cost = self.config.cost.native_base_micros + f64::from(work_micros);
+        self.charge_micros(cost);
     }
 
     /// Serves a static-data access on behalf of a peer.
@@ -712,6 +718,19 @@ pub trait RemoteAccess: Send + Sync {
     ///
     /// Returns [`VmError::DanglingReference`] if the peer does not hold it.
     fn class_of(&self, target: ObjectId) -> VmResult<ClassId>;
+
+    /// Waits until every touch the peer has not answered yet — one whose
+    /// reply carries nothing may be sent without waiting for it — has been
+    /// served. A run is over only once this returns. The default has
+    /// nothing outstanding.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmError::RemoteFailure`] or the error of a touch that
+    /// failed.
+    fn flush(&self) -> VmResult<()> {
+        Ok(())
+    }
 }
 
 /// Summary of a completed program run.
@@ -857,7 +876,8 @@ impl Machine {
     ///
     /// Propagates any [`VmError`] raised during execution — notably
     /// [`VmError::OutOfMemory`] when the heap is exhausted and neither
-    /// collection nor offloading freed enough space.
+    /// collection nor offloading freed enough space — or by the last
+    /// [`RemoteAccess::flush`].
     pub fn run_entry(&self) -> VmResult<RunSummary> {
         let entry = self.vm.lock().program.entry();
         let entry_obj = self.alloc_object(
@@ -867,6 +887,9 @@ impl Machine {
             entry.ref_slots,
         )?;
         self.run_flat(Some(entry_obj), entry.class, entry.method, &[])?;
+        if let Some(remote) = self.remote() {
+            remote.flush()?;
+        }
         let vm = self.vm.lock();
         Ok(RunSummary {
             cpu_seconds: vm.cpu_seconds(),
@@ -934,9 +957,7 @@ impl Machine {
     /// Executes a native locally on behalf of a peer (the client serving a
     /// surrogate's client-bound native call).
     pub fn native_on(&self, work_micros: u32) {
-        let mut vm = self.vm.lock();
-        let cost = vm.config.cost.native_base_micros + work_micros as f64;
-        vm.charge_micros(cost);
+        self.vm.lock().native_on(work_micros);
     }
 
     /// Serves a static-data access on behalf of a peer.
