@@ -27,10 +27,7 @@ use aide_core::{
     BackoffConfig, FailoverConfig, Platform, PlatformConfig, RelayShipment, RelaySink,
 };
 use aide_graph::CommParams;
-use aide_rpc::{
-    Dispatcher, Endpoint, EndpointConfig, Message, NetClock, Reply, Request, TcpTransport,
-    Transport,
-};
+use aide_rpc::{Dispatcher, Endpoint, EndpointConfig, Message, MuxConn, NetClock, Reply, Request};
 use aide_surrogate::{
     DaemonConfig, RegistryConfig, RelayConfig, RelayQueue, ShardConfig, SurrogateDaemon,
     SurrogateRegistry,
@@ -127,7 +124,7 @@ fn session_scale() -> (usize, f64) {
                 // it. No Endpoint machinery: a session here is two buffers
                 // and a mux id, which is what makes 5k of them cheap.
                 let transport =
-                    TcpTransport::connect(addr, Duration::from_secs(5)).expect("connect carrier");
+                    MuxConn::connect(addr, Duration::from_secs(5)).expect("connect carrier");
                 let sessions: Vec<_> = (0..per_thread)
                     .map(|_| transport.open_session().expect("open mux session"))
                     .collect();
@@ -279,7 +276,7 @@ fn placement_spread() -> Vec<u64> {
             .iter()
             .position(|name| *name == pick.name)
             .expect("picked a known daemon");
-        let transport = TcpTransport::connect(pick.addr, Duration::from_secs(5)).expect("connect");
+        let transport = MuxConn::connect(pick.addr, Duration::from_secs(5)).expect("connect");
         let session = transport.open_session().expect("open session");
         session
             .send(
@@ -328,8 +325,7 @@ fn relay_drain() -> (u64, u64) {
             .expect("queue under max_depth");
     }
 
-    let transport =
-        TcpTransport::connect(daemon.local_addr(), Duration::from_secs(5)).expect("connect");
+    let transport = MuxConn::connect(daemon.local_addr(), Duration::from_secs(5)).expect("connect");
     let session = transport.open_session().expect("open session");
     let endpoint = Endpoint::start(
         session,

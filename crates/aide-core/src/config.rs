@@ -54,9 +54,9 @@ impl PolicyKind {
     }
 }
 
-/// Which carrier the prototype's RPC link uses. Both are reached
-/// through the same `aide_rpc::Transport` seam; platform code never sees
-/// the difference.
+/// Which carrier the prototype's RPC link uses. Each is built by its
+/// backend's pair constructor (`aide_rpc::Link::pair`, `aide_rpc::tcp_pair`);
+/// platform code sees only the two sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TransportKind {
     /// In-process channels (deterministic, no I/O) — the default.

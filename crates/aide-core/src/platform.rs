@@ -22,10 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aide_graph::{ExecutionGraph, PartitionPolicy, Partitioning, ResourceSnapshot};
-use aide_rpc::{
-    live_remote_refs, Acceptor, Endpoint, EndpointConfig, Link, NetClock, Request, Session,
-    Transport,
-};
+use aide_rpc::{live_remote_refs, Endpoint, EndpointConfig, Link, NetClock, Request, Session};
 use aide_telemetry::{FlightRecorder, PlatformEvent, TelemetrySnapshot, TimedEvent};
 use aide_vm::{
     ClassId, GcReport, HookChain, Machine, NullHooks, Program, RemoteAccess, RunSummary,
@@ -422,53 +419,14 @@ impl RuntimeHooks for Controller {
     }
 }
 
-/// Opens the client/surrogate session pair for the configured backend.
-///
-/// Every branch funnels through [`sessions_via`] and its `dyn Transport` /
-/// `dyn Acceptor` seam, so everything above this point — offload, failover,
-/// retry, chaos — is provably backend-agnostic.
+/// Opens the client/surrogate session pair for the configured backend, with
+/// that backend's one pair constructor. Everything above this point —
+/// offload, failover, retry, chaos — sees only the two sessions.
 fn build_sessions(cfg: &PlatformConfig) -> (Link, Session, Session) {
     match cfg.transport {
-        TransportKind::InProcess => {
-            let (t, a) = aide_rpc::channel_transport();
-            sessions_via(Box::new(t), Box::new(a), cfg.comm)
-        }
-        TransportKind::Tcp => {
-            let listener =
-                aide_rpc::TcpMuxListener::bind(std::net::SocketAddr::from(([127, 0, 0, 1], 0)))
-                    .expect("binding a localhost RPC listener");
-            let addr = listener.local_addr();
-            let accepted = std::thread::spawn(move || listener.accept());
-            let transport = aide_rpc::TcpTransport::connect(addr, Duration::from_secs(2))
-                .expect("connecting the RPC client");
-            let conn = accepted
-                .join()
-                .expect("accept thread panicked")
-                .expect("accepting the RPC connection");
-            sessions_via(Box::new(transport), Box::new(conn), cfg.comm)
-        }
+        TransportKind::InProcess => Link::pair(cfg.comm),
+        TransportKind::Tcp => aide_rpc::tcp_pair(cfg.comm).expect("a loopback RPC carrier"),
     }
-}
-
-/// Opens one session from the initiating side and accepts its peer end —
-/// the only way platform code obtains sessions, regardless of backend.
-fn sessions_via(
-    transport: Box<dyn Transport>,
-    acceptor: Box<dyn Acceptor>,
-    params: aide_graph::CommParams,
-) -> (Link, Session, Session) {
-    let ct = transport
-        .open_session()
-        .expect("opening the client session");
-    let st = acceptor.accept().expect("accepting the surrogate session");
-    (
-        Link {
-            params,
-            clock: Arc::new(NetClock::new()),
-        },
-        ct,
-        st,
-    )
 }
 
 /// The AIDE distributed platform for one application run.

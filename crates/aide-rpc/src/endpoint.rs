@@ -46,11 +46,10 @@ use aide_trace::names as span_names;
 use aide_vm::SlotWrites;
 use parking_lot::Mutex;
 
-use crate::link::{Delivered, FrameSink, LinkError, NetClock, Session};
+use crate::link::{BackendKind, Delivered, FrameSink, LinkError, NetClock, Session};
 use crate::mux::{CarrierReader, Turn};
 use crate::reftable::{ExportTable, ImportTable};
 use crate::responder::{is_idempotent, serve_deferred, Responder, Served};
-use crate::transport::BackendKind;
 use crate::wire::{Frame, FrameHeader, LeaseStamp, Message, Reply, Request, WireError};
 
 /// A unit of work queued to the serving pool: the dedup key, the request,

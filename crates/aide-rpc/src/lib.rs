@@ -10,10 +10,12 @@
 //!   hand-rolled length-safe binary codec, [`Message::encode_stamped`] /
 //!   [`Message::decode_framed`], encoding in place into buffers leased
 //!   from the [`FramePool`].
-//! * [`Transport`] / [`Acceptor`] / [`Session`] — the unified transport
-//!   seam. Two backends implement it: in-memory channels
-//!   ([`channel_transport`]) and real TCP with many sessions multiplexed
-//!   over one socket ([`TcpTransport`] / [`TcpMuxListener`]).
+//! * [`Session`] — one end of a duplex frame channel, whichever backend
+//!   carries it. Each backend has one pair constructor: in-memory inboxes
+//!   ([`Link::pair`]) and a loopback TCP carrier ([`tcp_pair`]). A TCP
+//!   carrier multiplexes many sessions over one socket; both of its ends
+//!   are a [`MuxConn`], one dialled ([`MuxConn::connect`]) and one that a
+//!   [`TcpMuxListener`] accepts.
 //! * [`Link`] — a duplex in-process frame link standing in for the WaveLAN
 //!   socket, with real traffic statistics and a shared [`NetClock`]
 //!   accumulating *simulated* link seconds priced by
@@ -77,22 +79,18 @@ mod mux;
 mod reftable;
 mod responder;
 mod tcp;
-mod transport;
 mod wire;
 
 pub use aide_trace::SpanContext;
 pub use chaos::{chaos_pair, chaos_wrap, ChaosPairStats, ChaosSchedule, ChaosStats};
 pub use endpoint::{Dispatcher, Endpoint, EndpointConfig, RetryPolicy, RpcError, DEFER_LIMIT};
-pub use link::{Delivered, Link, LinkError, NetClock, Session, TrafficStats};
+pub use link::{BackendKind, Delivered, Link, LinkError, NetClock, Session, TrafficStats};
 pub use mux::{BusEvent, BusSink, ConnKiller, MuxConn, MuxSender};
 pub use reftable::{
     live_remote_refs, ExportTable, GcClock, ImportTable, ReleaseOutcome, DEFAULT_LEASE_TTL_MS,
 };
 pub use responder::{Responder, Served};
-pub use tcp::{nudge, tcp_pair, tcp_transport, TcpMuxListener, TcpTransport};
-pub use transport::{
-    channel_transport, Acceptor, BackendKind, ChannelAcceptor, ChannelTransport, Transport,
-};
+pub use tcp::{nudge, tcp_pair, TcpMuxListener};
 pub use wire::{
     crc32, Frame, FrameHeader, FramePool, LeaseStamp, Message, Reply, Request, WireError,
     PROTOCOL_VERSION,

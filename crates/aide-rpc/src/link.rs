@@ -1,12 +1,13 @@
 //! Duplex RPC sessions and simulated link-time accounting.
 //!
 //! A [`Session`] is one end of a logical duplex frame channel between two
-//! VMs. Sessions are produced by both backends behind the unified
-//! [`Transport`](crate::transport::Transport) seam: in-process inbox pairs
-//! ([`Link::pair`]) and multiplexed TCP connections (`crate::tcp`). The
-//! [`Link`] keeps the shared [`NetClock`] that accumulates *simulated*
-//! communication seconds according to [`CommParams`] — the paper's
-//! 11 Mbps / 2.4 ms RTT WaveLAN model, charged per call by the endpoint.
+//! VMs. Each backend has one pair constructor: in-process inbox pairs
+//! ([`Link::pair`]) and a session of a multiplexed loopback TCP carrier
+//! ([`tcp_pair`](crate::tcp_pair)); further sessions of a TCP carrier come
+//! from its two ends (`crate::tcp`). The [`Link`] keeps the shared
+//! [`NetClock`] that accumulates *simulated* communication seconds
+//! according to [`CommParams`] — the paper's 11 Mbps / 2.4 ms RTT WaveLAN
+//! model, charged per call by the endpoint.
 //!
 //! A session riding a byte-stream carrier shares the carrier's write half
 //! (`CarrierWriter`: whoever sends, writes) and a handle on its read half
@@ -26,8 +27,17 @@ use aide_graph::CommParams;
 use parking_lot::Mutex;
 
 use crate::mux::{mux_head, CarrierReader, KIND_CLOSE, KIND_DATA};
-use crate::transport::BackendKind;
-use crate::wire::{write_framed, Frame};
+use crate::wire::{write_framed, Frame, MUX_HEADER};
+
+/// Which carrier a session rides on. Used to label telemetry per backend;
+/// the RPC layer is otherwise oblivious.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BackendKind {
+    /// Inbox pair inside one process.
+    InMemory,
+    /// A multiplexed TCP socket.
+    Tcp,
+}
 
 /// Accumulates simulated communication time for one client/surrogate pair.
 ///
@@ -399,7 +409,7 @@ impl CarrierWriter {
     ///
     /// [`LinkError::Disconnected`] if this or an earlier write failed: a
     /// carrier that lost part of a frame cannot be resynchronised.
-    pub(crate) fn send(&self, head: &[u8], payload: &[u8]) -> Result<(), LinkError> {
+    pub(crate) fn send(&self, head: &[u8; MUX_HEADER], payload: &[u8]) -> Result<(), LinkError> {
         let mut state = self.state.lock();
         let WriterState { out, scratch, dead } = &mut *state;
         if *dead {
@@ -428,19 +438,19 @@ impl Drop for CarrierWriter {
 enum SessionSender {
     /// In-process: the peer's inbox.
     Direct(Arc<DirectTx>),
-    /// A share of a byte-stream carrier's write half. `mux_id` tags the
-    /// frames on a multiplexed connection; a single-session socket has
-    /// none. `reader` is the carrier's read half, which a caller may drive
-    /// for its own reply and a worker for its next request.
+    /// A share of a multiplexed carrier's write half; `mux_id` tags the
+    /// session's frames. `reader` is the carrier's read half, which a
+    /// caller may drive for its own reply and a worker for its next
+    /// request.
     Carrier {
         writer: Arc<CarrierWriter>,
-        mux_id: Option<u32>,
+        mux_id: u32,
         reader: Arc<CarrierReader>,
     },
 }
 
 /// One end of a duplex logical frame channel — the single session
-/// abstraction every transport backend produces.
+/// abstraction every backend produces.
 #[derive(Debug, Clone)]
 pub struct Session {
     tx: SessionSender,
@@ -457,15 +467,13 @@ impl Session {
         }
     }
 
-    /// Assembles a session riding a byte-stream carrier: outbound frames go
-    /// through the shared `writer` (tagged with `mux_id` on a multiplexed
-    /// connection), inbound frames are pushed into `inbox` by whoever
-    /// drives `reader`.
+    /// Assembles session `mux_id` of a multiplexed carrier: outbound frames
+    /// go through the shared `writer`, inbound frames are pushed into
+    /// `inbox` by whoever drives `reader`.
     pub(crate) fn on_carrier(
         writer: Arc<CarrierWriter>,
-        mux_id: Option<u32>,
+        mux_id: u32,
         inbox: Arc<Inbox>,
-        backend: BackendKind,
         reader: &Arc<CarrierReader>,
     ) -> Self {
         let tx = SessionSender::Carrier {
@@ -473,7 +481,7 @@ impl Session {
             mux_id,
             reader: Arc::clone(reader),
         };
-        Session::assemble(tx, inbox, backend)
+        Session::assemble(tx, inbox, BackendKind::Tcp)
     }
 
     /// The read half of this session's carrier: `None` in process, and so
@@ -506,31 +514,18 @@ impl Session {
         self.stats().note_sent(frame.len());
         match &self.tx {
             SessionSender::Direct(peer) => peer.0.push(frame).map(drop),
-            SessionSender::Carrier {
-                writer,
-                mux_id: Some(id),
-                ..
-            } => writer.send(&mux_head(*id, KIND_DATA), &frame),
-            SessionSender::Carrier {
-                writer,
-                mux_id: None,
-                ..
-            } => writer.send(&[], &frame),
+            SessionSender::Carrier { writer, mux_id, .. } => {
+                writer.send(&mux_head(*mux_id, KIND_DATA), &frame)
+            }
         }
     }
 
-    /// Tells the peer this logical session is finished. A no-op for
-    /// dedicated carriers (dropping the session is enough); on a
-    /// multiplexed connection this releases the peer's per-session route
-    /// without touching its sibling sessions.
+    /// Tells the peer this logical session is finished. A no-op in process
+    /// (dropping the session is enough); on a carrier this releases the
+    /// peer's per-session route without touching its sibling sessions.
     pub fn close(&self) {
-        if let SessionSender::Carrier {
-            writer,
-            mux_id: Some(id),
-            ..
-        } = &self.tx
-        {
-            let _ = writer.send(&mux_head(*id, KIND_CLOSE), &[]);
+        if let SessionSender::Carrier { writer, mux_id, .. } = &self.tx {
+            let _ = writer.send(&mux_head(*mux_id, KIND_CLOSE), &[]);
         }
     }
 
@@ -606,20 +601,21 @@ pub struct Link {
 }
 
 impl Link {
+    /// A link model over `params` with a zeroed clock.
+    pub(crate) fn new(params: CommParams) -> Link {
+        Link {
+            params,
+            clock: Arc::new(NetClock::new()),
+        }
+    }
+
     /// Creates a connected in-memory session pair with the given link
     /// parameters.
     ///
     /// Returns `(link, client_session, surrogate_session)`.
     pub fn pair(params: CommParams) -> (Link, Session, Session) {
         let (a, b) = session_pair(BackendKind::InMemory);
-        (
-            Link {
-                params,
-                clock: Arc::new(NetClock::new()),
-            },
-            a,
-            b,
-        )
+        (Link::new(params), a, b)
     }
 }
 

@@ -34,9 +34,7 @@
 //!
 //! The module is generic over byte-stream carriers (`DeadlineRead` /
 //! `Write`); the only TCP-aware code lives in `crate::tcp`, which wires a
-//! socket's two halves in here — as a multiplexed connection, or as the
-//! tag-less single-session carrier, which is the same reader with one
-//! route and no `[session][kind]` header.
+//! socket's two halves in here.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -48,8 +46,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::link::{CarrierWriter, Delivered, Inbox, LinkError, Session};
-use crate::transport::{Acceptor, BackendKind, Transport};
-use crate::wire::{DeadlineRead, Frame, FrameHead, FrameReader};
+use crate::wire::{DeadlineRead, Frame, FrameHead, FrameReader, MUX_HEADER};
 
 /// Application frame for an established session.
 pub(crate) const KIND_DATA: u8 = 0;
@@ -57,9 +54,6 @@ pub(crate) const KIND_DATA: u8 = 0;
 pub(crate) const KIND_OPEN: u8 = 1;
 /// The peer finished the session with this id.
 pub(crate) const KIND_CLOSE: u8 = 2;
-
-/// Bytes of mux header inside the length-delimited frame.
-const MUX_HEADER: usize = 5;
 
 /// The mux's per-frame header: `[session u32 LE][kind u8]`.
 pub(crate) fn mux_head(session: u32, kind: u8) -> [u8; MUX_HEADER] {
@@ -157,10 +151,10 @@ pub trait BusSink: Send + Sync {
 }
 
 /// Where the reader routes peer-initiated sessions: a per-session inbox
-/// handed out by the acceptor (default) or a shared event sink.
+/// handed out by [`MuxConn::accept`] (default) or a shared event sink.
 enum PeerSink {
     /// Classic mode: each peer session gets its own inbox, handed to
-    /// [`Acceptor::accept`].
+    /// [`MuxConn::accept`].
     Accept,
     /// Bus mode: OPEN/DATA/CLOSE for peer sessions become [`BusEvent`]s.
     Bus { conn: u64, sink: Arc<dyn BusSink> },
@@ -242,9 +236,9 @@ impl MuxSender {
     }
 }
 
-/// One end of a multiplexed connection. Implements both [`Transport`]
-/// (open sessions toward the peer) and [`Acceptor`] (receive sessions the
-/// peer opened); either side may do both.
+/// One end of a multiplexed connection: it opens sessions toward the peer
+/// ([`open_session`](MuxConn::open_session)) and receives the sessions the
+/// peer opened ([`accept`](MuxConn::accept)); either side may do both.
 ///
 /// Dropping the `MuxConn` does not tear down live sessions: each session
 /// keeps the shared write half alive through its own handle.
@@ -253,7 +247,6 @@ pub struct MuxConn {
     reader: Arc<CarrierReader>,
     accepted_rx: Receiver<(u32, Arc<Inbox>)>,
     next_id: AtomicU32,
-    backend: BackendKind,
     killer: ConnKiller,
     sessions_opened: Arc<aide_telemetry::Counter>,
 }
@@ -262,7 +255,6 @@ impl std::fmt::Debug for MuxConn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MuxConn")
             .field("initiator", &(self.reader.parity == 1))
-            .field("backend", &self.backend)
             .finish_non_exhaustive()
     }
 }
@@ -271,13 +263,41 @@ impl MuxConn {
     /// Our end of session `id`: the carrier's write half plus `inbox`.
     fn session(&self, id: u32, inbox: Arc<Inbox>) -> Session {
         self.sessions_opened.inc();
-        Session::on_carrier(
-            Arc::clone(&self.writer),
-            Some(id),
-            inbox,
-            self.backend,
-            &self.reader,
-        )
+        Session::on_carrier(Arc::clone(&self.writer), id, inbox, &self.reader)
+    }
+
+    /// Opens a new session toward the peer.
+    ///
+    /// # Errors
+    ///
+    /// [`LinkError::Disconnected`] when the carrier is gone.
+    pub fn open_session(&self) -> Result<Session, LinkError> {
+        let n = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let id = (n << 1) | self.reader.parity;
+        let inbox = Inbox::new();
+        self.reader.routes.lock().insert(id, Arc::clone(&inbox));
+        if self.writer.send(&mux_head(id, KIND_OPEN), &[]).is_err() {
+            self.reader.routes.lock().remove(&id);
+            return Err(LinkError::Disconnected);
+        }
+        Ok(self.session(id, inbox))
+    }
+
+    /// Blocks until the peer opens the next session and returns our end.
+    ///
+    /// # Errors
+    ///
+    /// [`LinkError::Disconnected`] when the carrier is gone and no further
+    /// sessions can arrive.
+    pub fn accept(&self) -> Result<Session, LinkError> {
+        // The reader hands over only `(id, inbox)`; the session is
+        // assembled here so the read half never holds the write half
+        // (which would keep it open after every handle dropped).
+        let (id, inbox) = self
+            .accepted_rx
+            .recv()
+            .map_err(|_| LinkError::Disconnected)?;
+        Ok(self.session(id, inbox))
     }
 
     /// A handle that severs the whole connection.
@@ -300,7 +320,7 @@ impl MuxConn {
     }
 
     /// Switches this carrier into *bus mode*: instead of materializing an
-    /// inbox and an [`Acceptor::accept`] handoff per peer-opened session,
+    /// inbox and a [`MuxConn::accept`] handoff per peer-opened session,
     /// whoever reads the carrier hands every peer session's OPEN/DATA/CLOSE
     /// to `sink` as [`BusEvent`]s tagged with `conn`; workers reply and lead
     /// through the carrier's [`bus_sender`](MuxConn::bus_sender).
@@ -309,7 +329,7 @@ impl MuxConn {
     /// sink (an `Opened` plus their queued frames), so nothing observed by
     /// the reader is lost; in-order delivery per session is preserved
     /// because the drain and the reader's dispatch serialize on the sink
-    /// lock. Locally-initiated sessions ([`Transport::open_session`]) are
+    /// lock. Locally-initiated sessions ([`MuxConn::open_session`]) are
     /// unaffected and keep their dedicated inboxes.
     pub fn route_accepts_to(&self, conn: u64, sink: Arc<dyn BusSink>) {
         let mut current = self.reader.sink.lock();
@@ -328,37 +348,6 @@ impl MuxConn {
     }
 }
 
-impl Transport for MuxConn {
-    fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
-    fn open_session(&self) -> Result<Session, LinkError> {
-        let n = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let id = (n << 1) | self.reader.parity;
-        let inbox = Inbox::new();
-        self.reader.routes.lock().insert(id, Arc::clone(&inbox));
-        if self.writer.send(&mux_head(id, KIND_OPEN), &[]).is_err() {
-            self.reader.routes.lock().remove(&id);
-            return Err(LinkError::Disconnected);
-        }
-        Ok(self.session(id, inbox))
-    }
-}
-
-impl Acceptor for MuxConn {
-    fn accept(&self) -> Result<Session, LinkError> {
-        // The reader hands over only `(id, inbox)`; the session is
-        // assembled here so the read half never holds the write half
-        // (which would keep it open after every handle dropped).
-        let (id, inbox) = self
-            .accepted_rx
-            .recv()
-            .map_err(|_| LinkError::Disconnected)?;
-        Ok(self.session(id, inbox))
-    }
-}
-
 /// Wires one multiplexed connection — its write half, its read half and
 /// the read half's thread — and returns the local handle. `initiator`
 /// decides session-id parity; `on_writer_drop` runs when the last handle on
@@ -369,7 +358,6 @@ pub(crate) fn spawn_mux(
     writer: impl Write + Send + 'static,
     initiator: bool,
     killer: ConnKiller,
-    backend: BackendKind,
     on_writer_drop: impl FnOnce() + Send + Sync + 'static,
 ) -> MuxConn {
     let telemetry = aide_telemetry::global();
@@ -382,15 +370,13 @@ pub(crate) fn spawn_mux(
         Arc::clone(&bytes),
         on_writer_drop,
     );
-    let (reader, accepted_rx) =
-        CarrierReader::spawn(reader, None, initiator, "rpc-mux-reader", frames, bytes);
+    let (reader, accepted_rx) = CarrierReader::spawn(reader, initiator, frames, bytes);
 
     MuxConn {
         writer,
         reader,
         accepted_rx,
         next_id: AtomicU32::new(1),
-        backend,
         killer,
         sessions_opened: telemetry.counter(aide_telemetry::names::MUX_SESSIONS),
     }
@@ -408,10 +394,6 @@ pub(crate) fn spawn_mux(
 /// which a timed wait is not honoured anyway. The price is one timer
 /// wake-up per millisecond while a burst lasts.
 const HANDOVER: Duration = Duration::from_millis(1);
-
-/// The route of a tag-less carrier's one session. Even, like the parity of
-/// such a carrier, so it never reads as opened by the peer.
-const SOLE_SESSION: u32 = 0;
 
 /// What drives a carrier's reads owns: the framed byte stream, and the
 /// sending side of the acceptor's queue (dropped with it, so `accept`
@@ -455,9 +437,6 @@ pub(crate) struct CarrierReader {
     half: Mutex<Option<ReadHalf>>,
     routes: Mutex<HashMap<u32, Arc<Inbox>>>,
     sink: Mutex<PeerSink>,
-    /// Frames carry the mux's `[session][kind]` header; without it every
-    /// frame is data for [`SOLE_SESSION`].
-    tagged: bool,
     /// Low bit of the session ids this end allocates.
     parity: u32,
     /// Callers blocked on a reply while someone else holds `half`.
@@ -476,43 +455,30 @@ pub(crate) struct CarrierReader {
 
 impl std::fmt::Debug for CarrierReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CarrierReader")
-            .field("tagged", &self.tagged)
-            .finish_non_exhaustive()
+        f.debug_struct("CarrierReader").finish_non_exhaustive()
     }
 }
 
 impl CarrierReader {
     /// Builds the read half of a carrier over `source` and starts its
-    /// thread, named `thread`. With `single` the carrier is tag-less and
-    /// every frame belongs to that inbox; without, it is multiplexed and
-    /// the returned queue yields the sessions the peer opens. `frames` and
-    /// `bytes` count what is read.
+    /// thread. The returned queue yields the sessions the peer opens.
+    /// `frames` and `bytes` count what is read.
     pub(crate) fn spawn(
         source: impl DeadlineRead + 'static,
-        single: Option<Arc<Inbox>>,
         initiator: bool,
-        thread: &str,
         frames: Arc<aide_telemetry::Counter>,
         bytes: Arc<aide_telemetry::Counter>,
     ) -> (Arc<CarrierReader>, Receiver<(u32, Arc<Inbox>)>) {
         let telemetry = aide_telemetry::global();
-        let tagged = single.is_none();
         let (accepted_tx, accepted_rx) = unbounded();
         let reader = Arc::new(CarrierReader {
             half: Mutex::new(Some(ReadHalf {
-                frames: FrameReader::new(source, if tagged { MUX_HEADER } else { 0 }),
+                frames: FrameReader::new(source),
                 accepted_tx,
             })),
-            routes: Mutex::new(
-                single
-                    .map(|inbox| (SOLE_SESSION, inbox))
-                    .into_iter()
-                    .collect(),
-            ),
+            routes: Mutex::new(HashMap::new()),
             sink: Mutex::new(PeerSink::Accept),
-            tagged,
-            parity: u32::from(tagged && initiator),
+            parity: u32::from(initiator),
             queued: AtomicUsize::new(0),
             turns: AtomicU64::new(0),
             recalled: std::sync::Mutex::new(false),
@@ -525,7 +491,7 @@ impl CarrierReader {
         {
             let reader = Arc::clone(&reader);
             std::thread::Builder::new()
-                .name(thread.into())
+                .name("rpc-mux-reader".into())
                 .spawn(move || reader.run())
                 .expect("spawning the carrier reader thread");
         }
@@ -625,8 +591,7 @@ impl CarrierReader {
         let routed = match reading.frames.next(deadline) {
             Ok(Some((head, frame))) => {
                 self.frames.inc();
-                self.bytes
-                    .add((4 + usize::from(self.tagged) * MUX_HEADER + frame.len()) as u64);
+                self.bytes.add((4 + MUX_HEADER + frame.len()) as u64);
                 self.route(&reading.accepted_tx, head, frame)
             }
             Ok(None) => return Step::TimedOut,
@@ -642,22 +607,15 @@ impl CarrierReader {
     }
 
     /// Hands one frame to its session. `None` when the carrier cannot go
-    /// on: a frame kind this dialect does not know, or a tag-less carrier
-    /// whose one session nobody receives on any more.
+    /// on: a frame kind this dialect does not know.
     fn route(
         &self,
         accepted_tx: &Sender<(u32, Arc<Inbox>)>,
         head: FrameHead,
         frame: Frame,
     ) -> Option<Delivered> {
-        let (id, kind) = if self.tagged {
-            (
-                u32::from_le_bytes([head[0], head[1], head[2], head[3]]),
-                head[4],
-            )
-        } else {
-            (SOLE_SESSION, KIND_DATA)
-        };
+        let id = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
+        let kind = head[4];
         if kind != KIND_OPEN && kind != KIND_CLOSE && kind != KIND_DATA {
             return None;
         }
@@ -704,9 +662,6 @@ impl CarrierReader {
                         Ok(delivered) => return Some(delivered),
                         Err(_) => {
                             self.routes.lock().remove(&id);
-                            if !self.tagged {
-                                return None;
-                            }
                         }
                     }
                 }
@@ -932,22 +887,8 @@ mod tests {
     fn mux_pair() -> (MuxConn, MuxConn) {
         let (a_w, b_r) = pipe();
         let (b_w, a_r) = pipe();
-        let a = spawn_mux(
-            a_r,
-            a_w,
-            true,
-            ConnKiller::noop(),
-            BackendKind::InMemory,
-            || {},
-        );
-        let b = spawn_mux(
-            b_r,
-            b_w,
-            false,
-            ConnKiller::noop(),
-            BackendKind::InMemory,
-            || {},
-        );
+        let a = spawn_mux(a_r, a_w, true, ConnKiller::noop(), || {});
+        let b = spawn_mux(b_r, b_w, false, ConnKiller::noop(), || {});
         (a, b)
     }
 
@@ -1122,14 +1063,7 @@ mod tests {
         let out = RecordingWriter::default();
         // A peer that never speaks: only the write half is under test.
         let (_keep_open, silent) = pipe();
-        let conn = spawn_mux(
-            silent,
-            out.clone(),
-            true,
-            ConnKiller::noop(),
-            BackendKind::InMemory,
-            || {},
-        );
+        let conn = spawn_mux(silent, out.clone(), true, ConnKiller::noop(), || {});
         let session = conn.open_session().unwrap();
         session.send(vec![7u8; 40]).unwrap();
         session.close();
@@ -1198,19 +1132,12 @@ mod tests {
         let out = RecordingWriter::default();
         let hook_runs = Arc::new(AtomicU32::new(0));
         let (_keep_open, silent) = pipe();
-        let conn = spawn_mux(
-            silent,
-            out.clone(),
-            true,
-            ConnKiller::noop(),
-            BackendKind::InMemory,
-            {
-                let hook_runs = Arc::clone(&hook_runs);
-                move || {
-                    hook_runs.fetch_add(1, Ordering::SeqCst);
-                }
-            },
-        );
+        let conn = spawn_mux(silent, out.clone(), true, ConnKiller::noop(), {
+            let hook_runs = Arc::clone(&hook_runs);
+            move || {
+                hook_runs.fetch_add(1, Ordering::SeqCst);
+            }
+        });
         let session = conn.open_session().unwrap();
         let sender = conn.bus_sender(1);
 

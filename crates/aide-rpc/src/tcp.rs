@@ -1,22 +1,16 @@
-//! The TCP carrier: real localhost sockets behind the unified transport
-//! seam.
+//! The TCP carrier: one socket carrying many multiplexed sessions (see
+//! [`crate::mux`]), over the length-prefixed framing in [`crate::wire`].
 //!
-//! Two shapes are provided, both built on the shared length-prefixed
-//! framing in [`crate::wire`]:
+//! - [`MuxConn::connect`] dials a carrier and [`TcpMuxListener`] accepts
+//!   them; the surrogate daemon and registry use these, so probes, leases
+//!   and stats scrapes to one surrogate share a single pooled connection.
+//! - [`tcp_pair`] is the TCP counterpart of [`Link::pair`]: one session
+//!   pair over a loopback carrier of its own, for a two-VM platform run,
+//!   tests and benches.
 //!
-//! - [`tcp_pair`] / [`tcp_transport`]: one socket carrying exactly one
-//!   [`Session`] (the historical carrier, still used by loopback
-//!   experiments and benches as the connection-per-session baseline).
-//! - [`TcpTransport`] / [`TcpMuxListener`]: one socket carrying many
-//!   multiplexed sessions (see [`crate::mux`]), which is what the
-//!   surrogate daemon and registry use — probes, leases, and stats
-//!   scrapes to one surrogate share a single pooled connection.
-//!
-//! Both are the same write half (`CarrierWriter`) and the same read half
-//! (`CarrierReader`); the first merely has no session tag. A caller reads
-//! its own reply off the socket, and a worker reads its next request, each
-//! giving up in time, which is why reads here can carry a deadline
-//! (`SocketReads`).
+//! A caller reads its own reply off the socket, and a worker reads its next
+//! request, each giving up in time, which is why reads here can carry a
+//! deadline (`SocketReads`).
 //!
 //! This module is the **only** place in the workspace allowed to touch
 //! `TcpStream` (CI greps for leaks). Simulated link *timing* is unchanged
@@ -24,14 +18,12 @@
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aide_graph::CommParams;
 
-use crate::link::{CarrierWriter, Inbox, Link, Session};
-use crate::mux::{spawn_mux, CarrierReader, ConnKiller, MuxConn};
-use crate::transport::{BackendKind, Transport};
+use crate::link::{Link, LinkError, Session};
+use crate::mux::{spawn_mux, ConnKiller, MuxConn};
 use crate::wire::{timed_out, DeadlineRead};
 
 /// A socket's read half whose reads can carry a deadline.
@@ -90,85 +82,23 @@ impl DeadlineRead for SocketReads {
     }
 }
 
-/// Creates a connected pair of TCP-backed sessions over a fresh localhost
-/// socket.
+/// Creates a connected pair of sessions over a fresh localhost socket: a
+/// multiplexed carrier of their own, with one session opened on it.
 ///
 /// Returns `(link, client_session, surrogate_session)` exactly like
-/// [`Link::pair`][crate::Link::pair].
+/// [`Link::pair`].
 ///
 /// # Errors
 ///
 /// Returns any I/O error from binding, connecting, or accepting.
 pub fn tcp_pair(params: CommParams) -> std::io::Result<(Link, Session, Session)> {
-    let listener = TcpListener::bind(("127.0.0.1", 0))?;
-    let addr = listener.local_addr()?;
-    let client_stream = TcpStream::connect(addr)?;
-    let (surrogate_stream, _) = listener.accept()?;
-    client_stream.set_nodelay(true)?;
-    surrogate_stream.set_nodelay(true)?;
-
-    let client = single_session(client_stream)?;
-    let surrogate = single_session(surrogate_stream)?;
-    Ok((
-        Link {
-            params,
-            clock: Arc::new(crate::link::NetClock::new()),
-        },
-        client,
-        surrogate,
-    ))
-}
-
-/// Wraps one already-connected socket in a single [`Session`]: senders
-/// write their frames to the socket themselves, and the carrier's read half
-/// — driven by its reader thread while nobody else drives it — pushes what
-/// arrives into the session's inbox.
-///
-/// Frames are length-prefixed with a little-endian `u32` (the shared
-/// framing in `wire.rs`); a prefix larger than the 64 MiB `MAX_FRAME` cap
-/// or a mid-frame EOF tears the connection down, which callers observe as
-/// a disconnected session. Inbound frames land in pooled buffers. The
-/// socket's write half is shut down when the last clone of the session
-/// drops.
-///
-/// # Errors
-///
-/// Returns any I/O error from cloning the stream for the writer half.
-pub fn tcp_transport(stream: TcpStream) -> std::io::Result<Session> {
-    single_session(stream)
-}
-
-/// The tag-less carrier: the mux's write half and read half with one route
-/// and no `[session][kind]` header. Both ends of it are alike.
-fn single_session(stream: TcpStream) -> std::io::Result<Session> {
-    let telemetry = aide_telemetry::global();
-    let write_half = stream.try_clone()?;
-    let shutdown_half = stream.try_clone()?;
-    let writer = CarrierWriter::new(
-        write_half,
-        telemetry.counter(aide_telemetry::names::TCP_FRAMES_SENT),
-        telemetry.counter(aide_telemetry::names::TCP_BYTES_SENT),
-        move || {
-            let _ = shutdown_half.shutdown(std::net::Shutdown::Write);
-        },
-    );
-
-    let inbox = Inbox::new();
-    let (reader, _no_acceptor) = CarrierReader::spawn(
-        SocketReads::new(stream),
-        Some(Arc::clone(&inbox)),
-        false,
-        "rpc-tcp-reader",
-        telemetry.counter(aide_telemetry::names::TCP_FRAMES_RECEIVED),
-        telemetry.counter(aide_telemetry::names::TCP_BYTES_RECEIVED),
-    );
-    Ok(Session::on_carrier(
-        writer,
-        None,
-        inbox,
-        BackendKind::Tcp,
-        &reader,
-    ))
+    let listener = TcpMuxListener::bind(SocketAddr::from(([127, 0, 0, 1], 0)))?;
+    let dialled = MuxConn::connect(listener.local_addr(), Duration::from_secs(2))?;
+    let accepted = listener.accept()?;
+    let aborted = |e: LinkError| std::io::Error::new(std::io::ErrorKind::ConnectionAborted, e);
+    let client = dialled.open_session().map_err(aborted)?;
+    let surrogate = accepted.accept().map_err(aborted)?;
+    Ok((Link::new(params), client, surrogate))
 }
 
 /// Wires an already-connected socket into a multiplexed connection.
@@ -185,54 +115,22 @@ fn mux_over(stream: TcpStream, initiator: bool) -> std::io::Result<MuxConn> {
         write_half,
         initiator,
         killer,
-        BackendKind::Tcp,
         move || {
             let _ = shutdown_half.shutdown(std::net::Shutdown::Write);
         },
     ))
 }
 
-/// The initiating side of a multiplexed TCP connection: one socket, many
-/// logical sessions. This is the client-side [`Transport`] impl for the
-/// TCP backend.
-#[derive(Debug)]
-pub struct TcpTransport {
-    conn: MuxConn,
-    peer: SocketAddr,
-}
-
-impl TcpTransport {
-    /// Connects to `addr` and starts the mux reader thread.
+impl MuxConn {
+    /// Dials `addr` and starts the connection's reader thread: the dialling
+    /// end of a multiplexed TCP carrier ([`TcpMuxListener::accept`] yields
+    /// the other).
     ///
     /// # Errors
     ///
     /// Returns any I/O error from connecting or configuring the socket.
-    pub fn connect(addr: SocketAddr, timeout: Duration) -> std::io::Result<TcpTransport> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        Ok(TcpTransport {
-            conn: mux_over(stream, true)?,
-            peer: addr,
-        })
-    }
-
-    /// The address this transport is connected to.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.peer
-    }
-
-    /// A handle that severs the whole connection (every session on it).
-    pub fn killer(&self) -> ConnKiller {
-        self.conn.killer()
-    }
-}
-
-impl Transport for TcpTransport {
-    fn backend(&self) -> BackendKind {
-        BackendKind::Tcp
-    }
-
-    fn open_session(&self) -> Result<Session, crate::link::LinkError> {
-        self.conn.open_session()
+    pub fn connect(addr: SocketAddr, timeout: Duration) -> std::io::Result<MuxConn> {
+        mux_over(TcpStream::connect_timeout(&addr, timeout)?, true)
     }
 }
 
@@ -262,7 +160,7 @@ impl TcpMuxListener {
     }
 
     /// Blocks until the next client connects, returning the multiplexed
-    /// connection (its [`Acceptor`] impl yields the client's sessions).
+    /// connection ([`MuxConn::accept`] yields the client's sessions).
     ///
     /// # Errors
     ///
@@ -284,7 +182,8 @@ pub fn nudge(addr: SocketAddr) {
 mod tests {
     use super::*;
     use crate::endpoint::{Dispatcher, Endpoint, EndpointConfig};
-    use crate::transport::Acceptor;
+    use crate::link::BackendKind;
+    use crate::mux::{mux_head, KIND_DATA, KIND_OPEN};
     use crate::wire::{Reply, Request};
     use aide_vm::{ClassId, ObjectId};
 
@@ -345,24 +244,27 @@ mod tests {
         surrogate.shutdown();
     }
 
-    /// An accepted socket paired with a raw peer we can feed bytes through.
+    /// The session a raw peer we can feed bytes through opened on an
+    /// accepted carrier: session 1, whose frames are `[len][1][kind]…`.
     fn raw_pair() -> (TcpStream, Session) {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = TcpStream::connect(addr).unwrap();
-        let (accepted, _) = listener.accept().unwrap();
-        accepted.set_nodelay(true).unwrap();
+        use std::io::Write;
+        let listener = TcpMuxListener::bind(([127, 0, 0, 1], 0).into()).unwrap();
+        let mut raw = TcpStream::connect(listener.local_addr()).unwrap();
+        let conn = listener.accept().unwrap();
         raw.set_nodelay(true).unwrap();
-        (raw, tcp_transport(accepted).unwrap())
+        raw.write_all(&5u32.to_le_bytes()).unwrap();
+        raw.write_all(&mux_head(1, KIND_OPEN)).unwrap();
+        (raw, conn.accept().unwrap())
     }
 
     #[test]
-    fn tcp_transport_carries_well_formed_frames() {
+    fn well_formed_frames_from_a_raw_peer_arrive() {
         use std::io::Write;
-        let (mut raw, transport) = raw_pair();
-        raw.write_all(&3u32.to_le_bytes()).unwrap();
+        let (mut raw, session) = raw_pair();
+        raw.write_all(&8u32.to_le_bytes()).unwrap();
+        raw.write_all(&mux_head(1, KIND_DATA)).unwrap();
         raw.write_all(&[1, 2, 3]).unwrap();
-        assert_eq!(transport.recv().unwrap(), vec![1, 2, 3]);
+        assert_eq!(session.recv().unwrap(), vec![1, 2, 3]);
     }
 
     #[test]
@@ -422,15 +324,14 @@ mod tests {
     #[test]
     fn many_sessions_share_one_socket() {
         let listener = TcpMuxListener::bind(([127, 0, 0, 1], 0).into()).unwrap();
-        let transport =
-            TcpTransport::connect(listener.local_addr(), Duration::from_secs(1)).unwrap();
+        let transport = MuxConn::connect(listener.local_addr(), Duration::from_secs(1)).unwrap();
         let conn = listener.accept().unwrap();
-        assert_eq!(transport.backend(), BackendKind::Tcp);
 
         let mut pairs = Vec::new();
         for _ in 0..4 {
             let client = transport.open_session().unwrap();
             let server = conn.accept().unwrap();
+            assert_eq!(client.backend(), BackendKind::Tcp);
             pairs.push((client, server));
         }
         for (i, (client, server)) in pairs.iter().enumerate() {
@@ -444,8 +345,7 @@ mod tests {
     #[test]
     fn killing_the_connection_severs_every_session() {
         let listener = TcpMuxListener::bind(([127, 0, 0, 1], 0).into()).unwrap();
-        let transport =
-            TcpTransport::connect(listener.local_addr(), Duration::from_secs(1)).unwrap();
+        let transport = MuxConn::connect(listener.local_addr(), Duration::from_secs(1)).unwrap();
         let conn = listener.accept().unwrap();
         let c1 = transport.open_session().unwrap();
         let c2 = transport.open_session().unwrap();

@@ -941,14 +941,12 @@ impl FramePool {
 /// Writes one `[len u32 LE][head][payload]` frame to a byte-stream carrier
 /// with a single `write_all`, so a frame is one segment on a `TCP_NODELAY`
 /// socket and one wake-up for the peer's reader. `scratch` is the carrier's
-/// reused compose buffer. `head` is the carrier's own per-frame header (the
-/// mux's `[session][kind]`, nothing on a single-session socket) and counts
-/// toward `len`. This and [`FrameReader`] are the only framing code: the mux
-/// and the single-session TCP carrier both go through them.
+/// reused compose buffer. `head` is the mux's `[session][kind]` and counts
+/// toward `len`. This and [`FrameReader`] are the only framing code.
 pub(crate) fn write_framed(
     w: &mut impl Write,
     scratch: &mut Vec<u8>,
-    head: &[u8],
+    head: &[u8; MUX_HEADER],
     payload: &[u8],
 ) -> std::io::Result<()> {
     let len = u32::try_from(head.len() + payload.len())
@@ -976,13 +974,12 @@ pub(crate) fn write_framed(
 /// process with many carriers pays for it.
 pub(crate) const READ_BUFFER: usize = 16 << 10;
 
-/// Longest per-frame header a carrier puts inside the length-delimited
-/// frame (the mux's `[session u32][kind u8]`).
-pub(crate) const MAX_HEAD: usize = 5;
+/// Bytes of the per-frame header a carrier puts inside the length-delimited
+/// frame: the mux's `[session u32 LE][kind u8]`.
+pub(crate) const MUX_HEADER: usize = 5;
 
-/// A carrier's per-frame header as read: the first `head_len` bytes are the
-/// header, the rest zero.
-pub(crate) type FrameHead = [u8; MAX_HEAD];
+/// A carrier's per-frame header as read.
+pub(crate) type FrameHead = [u8; MUX_HEADER];
 
 /// The receiving end of a byte stream whose reads can give up at a
 /// deadline, which is what lets a caller with a timeout read a carrier
@@ -1019,7 +1016,6 @@ struct PartialFrame {
 /// then drives the carrier) carries on where it stopped.
 pub(crate) struct FrameReader {
     source: Box<dyn DeadlineRead>,
-    head_len: usize,
     buf: Box<[u8]>,
     start: usize,
     end: usize,
@@ -1027,13 +1023,10 @@ pub(crate) struct FrameReader {
 }
 
 impl FrameReader {
-    /// Frames of `source` carrying `head_len` (at most [`MAX_HEAD`]) bytes
-    /// of carrier header each.
-    pub(crate) fn new(source: impl DeadlineRead + 'static, head_len: usize) -> FrameReader {
-        assert!(head_len <= MAX_HEAD, "carrier header longer than MAX_HEAD");
+    /// The frames of `source`.
+    pub(crate) fn new(source: impl DeadlineRead + 'static) -> FrameReader {
         FrameReader {
             source: Box::new(source),
-            head_len,
             buf: vec![0; READ_BUFFER].into_boxed_slice(),
             start: 0,
             end: 0,
@@ -1103,22 +1096,22 @@ impl FrameReader {
     /// there; otherwise consumes what there is of it.
     fn take_buffered(&mut self) -> std::io::Result<Option<(FrameHead, Frame)>> {
         if self.partial.is_none() {
-            let prefix = 4 + self.head_len;
+            let prefix = 4 + MUX_HEADER;
             let Some(bytes) = self.buf[self.start..self.end].get(..prefix) else {
                 return Ok(None);
             };
             let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-            if (len as usize) < self.head_len || len > MAX_FRAME {
+            if (len as usize) < MUX_HEADER || len > MAX_FRAME {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     "frame length out of range",
                 ));
             }
             let mut head = FrameHead::default();
-            head[..self.head_len].copy_from_slice(&bytes[4..]);
+            head.copy_from_slice(&bytes[4..]);
             self.start += prefix;
             let mut frame = FramePool::global().acquire();
-            frame.vec_mut().resize(len as usize - self.head_len, 0);
+            frame.vec_mut().resize(len as usize - MUX_HEADER, 0);
             self.partial = Some(PartialFrame {
                 head,
                 frame,
@@ -2098,12 +2091,12 @@ mod tests {
         let payloads = [vec![], vec![7u8; 40], vec![9u8; READ_BUFFER + 1000]];
         let (mut stream, mut scratch) = (Vec::new(), Vec::new());
         for (i, payload) in payloads.iter().enumerate() {
-            write_framed(&mut stream, &mut scratch, &[i as u8; MAX_HEAD], payload).unwrap();
+            write_framed(&mut stream, &mut scratch, &[i as u8; MUX_HEADER], payload).unwrap();
         }
         let expected: Vec<_> = payloads
             .iter()
             .enumerate()
-            .map(|(i, payload)| ([i as u8; MAX_HEAD], payload.clone()))
+            .map(|(i, payload)| ([i as u8; MUX_HEADER], payload.clone()))
             .collect();
 
         // Cut the stream after every one of its first hundred bytes (inside
@@ -2116,27 +2109,18 @@ mod tests {
                 None,
                 Some(stream[cut..].to_vec()),
             ];
-            let mut reader = FrameReader::new(Script(script.into()), MAX_HEAD);
+            let mut reader = FrameReader::new(Script(script.into()));
             let (frames, timeouts) = drain(&mut reader);
             assert_eq!(frames, expected, "cut at {cut}");
             assert_eq!(timeouts, 2, "cut at {cut}");
             assert!(!reader.holds_unread());
         }
 
-        // One byte per read, and no head at all: the tag-less carrier.
-        let mut stream = Vec::new();
-        write_framed(&mut stream, &mut scratch, &[], &[1, 2, 3]).unwrap();
-        write_framed(&mut stream, &mut scratch, &[], &[]).unwrap();
+        // One byte per read.
         let script: Vec<_> = stream.iter().map(|byte| Some(vec![*byte])).collect();
-        let mut reader = FrameReader::new(Script(script.into()), 0);
+        let mut reader = FrameReader::new(Script(script.into()));
         let (frames, _) = drain(&mut reader);
-        assert_eq!(
-            frames,
-            [
-                (FrameHead::default(), vec![1, 2, 3]),
-                (FrameHead::default(), vec![])
-            ]
-        );
+        assert_eq!(frames, expected);
     }
 
     #[test]
@@ -2145,7 +2129,7 @@ mod tests {
             // Beyond the cap; shorter than the 5-byte head it must contain.
             let mut stream = len.to_le_bytes().to_vec();
             stream.extend_from_slice(&[0; 16]);
-            let mut reader = FrameReader::new(Script([Some(stream)].into()), MAX_HEAD);
+            let mut reader = FrameReader::new(Script([Some(stream)].into()));
             let refused = reader.next(None).unwrap_err();
             assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData, "len {len}");
         }

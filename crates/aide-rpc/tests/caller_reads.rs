@@ -1,7 +1,7 @@
 //! On either end of a byte-stream carrier, a blocked caller reads its own
 //! reply off the carrier; whenever somebody else is already reading, the
-//! reply is handed over. Every scenario runs over both carriers: the
-//! multiplexed connection and the tag-less single-session socket.
+//! reply is handed over. Every scenario runs over a carrier shared by its
+//! sessions and over a pair's carrier of its own (`tcp_pair`).
 //!
 //! The reply counters are process-wide and the census counts every thread
 //! and descriptor of the process, so the tests take turns on `GATE`.
@@ -12,9 +12,8 @@ use std::time::{Duration, Instant};
 
 use aide_graph::CommParams;
 use aide_rpc::{
-    tcp_pair, Acceptor, ConnKiller, Dispatcher, Endpoint, EndpointConfig, Message, MuxConn,
-    NetClock, Reply, Request, RetryPolicy, RpcError, Session, TcpMuxListener, TcpTransport,
-    Transport,
+    tcp_pair, ConnKiller, Dispatcher, Endpoint, EndpointConfig, Message, MuxConn, NetClock, Reply,
+    Request, RetryPolicy, RpcError, Session, TcpMuxListener,
 };
 use aide_vm::{ClassId, MethodId, NativeKind, ObjectId};
 
@@ -43,39 +42,34 @@ fn replies_since(before: (u64, u64)) -> (u64, u64) {
     (now.0 - before.0, now.1 - before.1)
 }
 
-/// One kind of loopback carrier. A multiplexed connection yields all its
-/// session pairs from one socket; every single-session pair is a socket of
-/// its own.
+/// One way of using a loopback carrier. A shared carrier yields all its
+/// session pairs from one socket; every `tcp_pair` is a socket of its own.
 enum Wire {
-    Mux {
-        transport: TcpTransport,
-        conn: MuxConn,
-    },
-    Single,
+    Mux { dialled: MuxConn, accepted: MuxConn },
+    Pair,
 }
 
 impl Wire {
     fn both() -> [(&'static str, Wire); 2] {
         let listener = TcpMuxListener::bind(std::net::SocketAddr::from(([127, 0, 0, 1], 0)))
             .expect("bind localhost listener");
-        let addr = listener.local_addr();
-        let accepted = std::thread::spawn(move || listener.accept());
-        let transport = TcpTransport::connect(addr, Duration::from_secs(2)).expect("connect");
-        let conn = accepted.join().expect("accept thread").expect("accept");
+        let dialled =
+            MuxConn::connect(listener.local_addr(), Duration::from_secs(2)).expect("connect");
+        let accepted = listener.accept().expect("accept");
         [
-            ("mux", Wire::Mux { transport, conn }),
-            ("single", Wire::Single),
+            ("mux", Wire::Mux { dialled, accepted }),
+            ("pair", Wire::Pair),
         ]
     }
 
     /// `(dialling end, accepting end)` of a fresh session.
     fn pair(&self) -> (Session, Session) {
         match self {
-            Wire::Mux { transport, conn } => {
-                let ours = transport.open_session().expect("open session");
-                (ours, conn.accept().expect("accept session"))
-            }
-            Wire::Single => {
+            Wire::Mux { dialled, accepted } => (
+                dialled.open_session().expect("open session"),
+                accepted.accept().expect("accept session"),
+            ),
+            Wire::Pair => {
                 let (_, ours, theirs) = tcp_pair(CommParams::WAVELAN).expect("loopback pair");
                 (ours, theirs)
             }
@@ -447,7 +441,7 @@ fn census() -> (usize, usize) {
     let readers = std::fs::read_dir("/proc/self/task")
         .expect("thread list")
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|name| name.starts_with("rpc-mux-reader") || name.starts_with("rpc-tcp-reader"))
+        .filter(|name| name.starts_with("rpc-mux-reader"))
         .count();
     let descriptors = std::fs::read_dir("/proc/self/fd")
         .expect("descriptor list")
@@ -467,9 +461,9 @@ fn a_carrier_that_dies_under_a_reading_caller_fails_every_call_and_leaves_nothin
     for kill in [true, false] {
         for (name, wire) in Wire::both() {
             let killer = match &wire {
-                Wire::Mux { transport, .. } => transport.killer(),
-                Wire::Single if kill => continue, // nothing to kill it with
-                Wire::Single => ConnKiller::noop(),
+                Wire::Mux { dialled, .. } => dialled.killer(),
+                Wire::Pair if kill => continue, // nothing to kill it with
+                Wire::Pair => ConnKiller::noop(),
             };
             let (cs, theirs) = wire.pair();
             let config = config();

@@ -1,57 +1,55 @@
 //! Backend conformance: the same session, multiplexing, chaos, and retry
-//! scenarios must behave identically over every `Transport` backend —
-//! in-memory channels and real multiplexed TCP. Each scenario iterates the
-//! full fixture set, so a backend that diverges from the shared seam fails
-//! by name.
+//! scenarios must behave identically over every backend — in-memory links
+//! and real multiplexed TCP. Each scenario iterates the full fixture set, so
+//! a backend that diverges fails by name.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aide_graph::CommParams;
 use aide_rpc::{
-    channel_transport, chaos_wrap, Acceptor, BackendKind, ChaosSchedule, Dispatcher, Endpoint,
-    EndpointConfig, NetClock, Reply, Request, RetryPolicy, RpcError, Session, TcpMuxListener,
-    TcpTransport, Transport,
+    chaos_wrap, BackendKind, ChaosSchedule, Dispatcher, Endpoint, EndpointConfig, Link, MuxConn,
+    NetClock, Reply, Request, RetryPolicy, RpcError, Session, TcpMuxListener,
 };
 use aide_vm::{ClassId, ObjectId, ObjectRecord};
 
-/// One backend under test: the initiating and accepting halves, boxed so
-/// every scenario runs against the same `dyn` seam the platform uses.
-struct Fixture {
-    name: &'static str,
-    transport: Box<dyn Transport>,
-    acceptor: Box<dyn Acceptor>,
+/// One backend under test. In process every pair is a link of its own; over
+/// TCP every pair is a session of one shared carrier, so the scenarios with
+/// sibling sessions share a socket.
+enum Fixture {
+    InMemory,
+    Tcp { dialled: MuxConn, accepted: MuxConn },
+}
+
+impl Fixture {
+    fn name(&self) -> &'static str {
+        match self {
+            Fixture::InMemory => "inmem",
+            Fixture::Tcp { .. } => "tcp",
+        }
+    }
+
+    /// `(dialling end, accepting end)` of a fresh session.
+    fn pair(&self) -> (Session, Session) {
+        match self {
+            Fixture::InMemory => {
+                let (_, ours, theirs) = Link::pair(CommParams::WAVELAN);
+                (ours, theirs)
+            }
+            Fixture::Tcp { dialled, accepted } => (
+                dialled.open_session().expect("open session"),
+                accepted.accept().expect("accept session"),
+            ),
+        }
+    }
 }
 
 fn fixtures() -> Vec<Fixture> {
-    let mut all = Vec::new();
-
-    let (t, a) = channel_transport();
-    all.push(Fixture {
-        name: "inmem",
-        transport: Box::new(t),
-        acceptor: Box::new(a),
-    });
-
     let listener = TcpMuxListener::bind(std::net::SocketAddr::from(([127, 0, 0, 1], 0)))
         .expect("bind localhost listener");
-    let addr = listener.local_addr();
-    let accepted = std::thread::spawn(move || listener.accept());
-    let t = TcpTransport::connect(addr, Duration::from_secs(2)).expect("connect");
-    let conn = accepted.join().expect("accept thread").expect("accept");
-    all.push(Fixture {
-        name: "tcp",
-        transport: Box::new(t),
-        acceptor: Box::new(conn),
-    });
-
-    all
-}
-
-fn open_pair(fx: &Fixture) -> (Session, Session) {
-    let ours = fx.transport.open_session().expect("open session");
-    let theirs = fx.acceptor.accept().expect("accept session");
-    (ours, theirs)
+    let dialled = MuxConn::connect(listener.local_addr(), Duration::from_secs(2)).expect("connect");
+    let accepted = listener.accept().expect("accept");
+    vec![Fixture::InMemory, Fixture::Tcp { dialled, accepted }]
 }
 
 /// Answers slot reads with a fixed object and executes everything else.
@@ -109,12 +107,12 @@ fn endpoint_pair(
 #[test]
 fn raw_frames_round_trip_on_every_backend() {
     for fx in fixtures() {
-        let (ours, theirs) = open_pair(&fx);
+        let (ours, theirs) = fx.pair();
         ours.send(vec![1, 2, 3]).unwrap();
-        assert_eq!(theirs.recv().unwrap(), vec![1, 2, 3], "{}", fx.name);
+        assert_eq!(theirs.recv().unwrap(), vec![1, 2, 3], "{}", fx.name());
         theirs.send(vec![9, 8]).unwrap();
-        assert_eq!(ours.recv().unwrap(), vec![9, 8], "{}", fx.name);
-        assert_eq!(ours.backend(), theirs.backend(), "{}", fx.name);
+        assert_eq!(ours.recv().unwrap(), vec![9, 8], "{}", fx.name());
+        assert_eq!(ours.backend(), theirs.backend(), "{}", fx.name());
     }
 }
 
@@ -122,17 +120,17 @@ fn raw_frames_round_trip_on_every_backend() {
 fn backends_report_their_kind() {
     let expected = [("inmem", BackendKind::InMemory), ("tcp", BackendKind::Tcp)];
     for (fx, (name, kind)) in fixtures().iter().zip(expected) {
-        assert_eq!(fx.name, name);
-        assert_eq!(fx.transport.backend(), kind);
-        let (ours, _theirs) = open_pair(fx);
+        assert_eq!(fx.name(), name);
+        let (ours, theirs) = fx.pair();
         assert_eq!(ours.backend(), kind);
+        assert_eq!(theirs.backend(), kind);
     }
 }
 
 #[test]
 fn endpoints_complete_calls_on_every_backend() {
     for fx in fixtures() {
-        let (cs, ss) = open_pair(&fx);
+        let (cs, ss) = fx.pair();
         let (client, server) = endpoint_pair(cs, ss, small_config());
         for _ in 0..10 {
             let reply = client
@@ -140,10 +138,10 @@ fn endpoints_complete_calls_on_every_backend() {
                     target: ObjectId::surrogate(7),
                     slot: 0,
                 })
-                .unwrap_or_else(|e| panic!("{}: {e}", fx.name));
+                .unwrap_or_else(|e| panic!("{}: {e}", fx.name()));
             assert_eq!(reply, Reply::Slot(Some(ObjectId::surrogate(7))));
         }
-        assert_eq!(server.requests_served(), 10, "{}", fx.name);
+        assert_eq!(server.requests_served(), 10, "{}", fx.name());
         client.shutdown();
         server.shutdown();
         client.join();
@@ -156,7 +154,7 @@ fn many_concurrent_sessions_stay_isolated_on_every_backend() {
     for fx in fixtures() {
         let mut pairs = Vec::new();
         for _ in 0..4 {
-            pairs.push(open_pair(&fx));
+            pairs.push(fx.pair());
         }
         // Echo servers, one thread per accepted session.
         let echoes: Vec<_> = pairs
@@ -180,7 +178,7 @@ fn many_concurrent_sessions_stay_isolated_on_every_backend() {
                 ours.recv().unwrap(),
                 vec![i as u8; 8],
                 "{} session {i}",
-                fx.name
+                fx.name()
             );
         }
         // On a multiplexed carrier dropping the handle is not enough: tell
@@ -198,7 +196,7 @@ fn many_concurrent_sessions_stay_isolated_on_every_backend() {
 #[test]
 fn deterministic_duplicates_are_absorbed_on_every_backend() {
     for fx in fixtures() {
-        let (cs, ss) = open_pair(&fx);
+        let (cs, ss) = fx.pair();
         // Every client frame is sent twice; the serving side's at-most-once
         // cache must absorb the copies identically on every backend.
         let (cs, _stats) = chaos_wrap(
@@ -216,9 +214,9 @@ fn deterministic_duplicates_are_absorbed_on_every_backend() {
                     bytes: 16,
                     write: true,
                 })
-                .unwrap_or_else(|e| panic!("{}: {e}", fx.name));
+                .unwrap_or_else(|e| panic!("{}: {e}", fx.name()));
         }
-        assert_eq!(server.requests_served(), 10, "{}", fx.name);
+        assert_eq!(server.requests_served(), 10, "{}", fx.name());
         // The tenth reply releases the caller as soon as one worker sends
         // it; another worker may still be holding the tenth duplicate, not
         // yet counted. The count is exact once it gets there.
@@ -226,7 +224,7 @@ fn deterministic_duplicates_are_absorbed_on_every_backend() {
         while server.dedup_hits() < 10 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(server.dedup_hits(), 10, "{}", fx.name);
+        assert_eq!(server.dedup_hits(), 10, "{}", fx.name());
         client.shutdown();
         server.shutdown();
         client.join();
@@ -269,7 +267,7 @@ impl Dispatcher for TouchLog {
 #[test]
 fn deferred_touches_are_served_once_and_in_order_on_every_backend() {
     for fx in fixtures() {
-        let (cs, ss) = open_pair(&fx);
+        let (cs, ss) = fx.pair();
         // Every client frame is sent twice: the touches riding one are
         // served with it, once.
         let (cs, _stats) = chaos_wrap(
@@ -315,16 +313,21 @@ fn deferred_touches_are_served_once_and_in_order_on_every_backend() {
             };
             client
                 .call(read)
-                .unwrap_or_else(|e| panic!("{}: {e}", fx.name));
+                .unwrap_or_else(|e| panic!("{}: {e}", fx.name()));
         }
-        assert_eq!(*at_server.touched.lock().unwrap(), expected, "{}", fx.name);
-        assert_eq!(server.requests_served(), 60, "{}", fx.name);
+        assert_eq!(
+            *at_server.touched.lock().unwrap(),
+            expected,
+            "{}",
+            fx.name()
+        );
+        assert_eq!(server.requests_served(), 60, "{}", fx.name());
         // What the server deferred rode its replies — a replayed reply
         // carries the same — each served once, by the caller, before its
         // call returned.
         let back: Vec<ObjectId> = (0..10).map(ObjectId::client).collect();
-        assert_eq!(*at_client.touched.lock().unwrap(), back, "{}", fx.name);
-        assert_eq!(client.requests_served(), 10, "{}", fx.name);
+        assert_eq!(*at_client.touched.lock().unwrap(), back, "{}", fx.name());
+        assert_eq!(client.requests_served(), 10, "{}", fx.name());
         client.shutdown();
         server.shutdown();
         client.join();
@@ -348,7 +351,7 @@ fn retry_masks_seeded_loss_on_every_backend() {
         },
     };
     for fx in fixtures() {
-        let (cs, ss) = open_pair(&fx);
+        let (cs, ss) = fx.pair();
         let (cs, _stats) = chaos_wrap(
             cs,
             ChaosSchedule {
@@ -364,10 +367,10 @@ fn retry_masks_seeded_loss_on_every_backend() {
                     bytes: 0,
                     write: true,
                 })
-                .unwrap_or_else(|e| panic!("{}: {e}", fx.name));
+                .unwrap_or_else(|e| panic!("{}: {e}", fx.name()));
         }
         // Exactly-once execution despite loss and retransmission.
-        assert_eq!(server.requests_served(), 20, "{}", fx.name);
+        assert_eq!(server.requests_served(), 20, "{}", fx.name());
         client.shutdown();
         server.shutdown();
         client.join();
@@ -382,8 +385,8 @@ fn a_slow_session_does_not_stall_its_siblings() {
     // a session whose server is asleep must not block service on its
     // siblings.
     for fx in fixtures() {
-        let (slow_ours, slow_theirs) = open_pair(&fx);
-        let (fast_ours, fast_theirs) = open_pair(&fx);
+        let (slow_ours, slow_theirs) = fx.pair();
+        let (fast_ours, fast_theirs) = fx.pair();
 
         let slow_server = std::thread::spawn(move || {
             let frame = slow_theirs.recv().unwrap();
@@ -402,16 +405,16 @@ fn a_slow_session_does_not_stall_its_siblings() {
         let started = Instant::now();
         for i in 0..50 {
             fast_ours.send(vec![i; 64]).unwrap();
-            assert_eq!(fast_ours.recv().unwrap(), vec![i; 64], "{}", fx.name);
+            assert_eq!(fast_ours.recv().unwrap(), vec![i; 64], "{}", fx.name());
         }
         let fast_elapsed = started.elapsed();
         assert!(
             fast_elapsed < Duration::from_millis(500),
             "{}: 50 fast round trips took {fast_elapsed:?} behind a sleeping sibling",
-            fx.name
+            fx.name()
         );
         // The slow session still completes.
-        assert_eq!(slow_ours.recv().unwrap(), vec![1; 32], "{}", fx.name);
+        assert_eq!(slow_ours.recv().unwrap(), vec![1; 32], "{}", fx.name());
         slow_server.join().unwrap();
         fast_ours.close();
         drop(fast_ours);
@@ -440,7 +443,7 @@ impl Dispatcher for SaturatedDispatcher {
 #[test]
 fn busy_replies_surface_once_and_never_burn_retries_on_every_backend() {
     for fx in fixtures() {
-        let (cs, ss) = open_pair(&fx);
+        let (cs, ss) = fx.pair();
         let clock = Arc::new(NetClock::new());
         let client = Endpoint::start(
             cs,
@@ -476,16 +479,16 @@ fn busy_replies_surface_once_and_never_burn_retries_on_every_backend() {
             };
             match result {
                 Err(RpcError::Busy { retry_after_ms }) => {
-                    assert_eq!(retry_after_ms, 25, "{}", fx.name)
+                    assert_eq!(retry_after_ms, 25, "{}", fx.name())
                 }
-                other => panic!("{}: expected Busy, got {other:?}", fx.name),
+                other => panic!("{}: expected Busy, got {other:?}", fx.name()),
             }
         }
         assert_eq!(
             served.asked.load(std::sync::atomic::Ordering::SeqCst),
             2,
             "{}: one server-side refusal per call, retries never amplify saturation",
-            fx.name
+            fx.name()
         );
         client.shutdown();
         server.shutdown();
@@ -520,7 +523,7 @@ impl Dispatcher for RelayTargetDispatcher {
 #[test]
 fn queued_relay_delivery_is_exactly_once_on_every_backend() {
     for fx in fixtures() {
-        let (cs, ss) = open_pair(&fx);
+        let (cs, ss) = fx.pair();
         // Chaos duplicates every frame: the endpoint's at-most-once cache
         // must absorb wire-level copies, and the dispatcher's txn set must
         // absorb application-level re-deliveries.
@@ -575,7 +578,7 @@ fn queued_relay_delivery_is_exactly_once_on_every_backend() {
                 .load(std::sync::atomic::Ordering::SeqCst),
             12,
             "{}: 4 unique txns x 3 objects, duplicates install nothing",
-            fx.name
+            fx.name()
         );
         client.shutdown();
         server.shutdown();
@@ -587,13 +590,13 @@ fn queued_relay_delivery_is_exactly_once_on_every_backend() {
 #[test]
 fn session_close_leaves_siblings_running_on_every_backend() {
     for fx in fixtures() {
-        let (a_ours, a_theirs) = open_pair(&fx);
-        let (b_ours, b_theirs) = open_pair(&fx);
+        let (a_ours, a_theirs) = fx.pair();
+        let (b_ours, b_theirs) = fx.pair();
         a_ours.close();
         drop(a_ours);
         drop(a_theirs);
         b_ours.send(vec![5]).unwrap();
-        assert_eq!(b_theirs.recv().unwrap(), vec![5], "{}", fx.name);
+        assert_eq!(b_theirs.recv().unwrap(), vec![5], "{}", fx.name());
     }
 }
 
@@ -615,8 +618,8 @@ fn a_slow_dispatcher_does_not_stall_a_sibling_sessions_calls() {
     // session's endpoint itself, so it must hand a request to the workers
     // and move on, never wait for the dispatcher.
     for fx in fixtures() {
-        let (slow_cs, slow_ss) = open_pair(&fx);
-        let (fast_cs, fast_ss) = open_pair(&fx);
+        let (slow_cs, slow_ss) = fx.pair();
+        let (fast_cs, fast_ss) = fx.pair();
         let clock = Arc::new(NetClock::new());
         let start = |session, dispatcher: Arc<dyn Dispatcher>| {
             Endpoint::start(
@@ -653,7 +656,7 @@ fn a_slow_dispatcher_does_not_stall_a_sibling_sessions_calls() {
             assert!(
                 Instant::now() < deadline,
                 "{}: slow call never arrived",
-                fx.name
+                fx.name()
             );
             std::thread::yield_now();
         }
@@ -663,16 +666,16 @@ fn a_slow_dispatcher_does_not_stall_a_sibling_sessions_calls() {
                 fast_client.call(access.clone()),
                 Ok(Reply::Unit),
                 "{}",
-                fx.name
+                fx.name()
             );
         }
         let fast_elapsed = started.elapsed();
         assert!(
             fast_elapsed < Duration::from_millis(500),
             "{}: 50 fast calls took {fast_elapsed:?} behind a sleeping dispatcher",
-            fx.name
+            fx.name()
         );
-        assert_eq!(slow_call.join().unwrap(), Ok(Reply::Unit), "{}", fx.name);
+        assert_eq!(slow_call.join().unwrap(), Ok(Reply::Unit), "{}", fx.name());
         for endpoint in [&slow_client, &slow_server, &fast_client, &fast_server] {
             endpoint.shutdown();
         }
@@ -698,14 +701,15 @@ fn tcp_endpoint_pairs_run_no_relay_threads() {
     // A call is caller -> peer worker -> caller, with a carrier's reader
     // thread in between whenever nobody else reads: per carrier end one
     // reader, per endpoint its workers, and nothing that only forwards.
-    // Both TCP carriers are up while the census runs.
+    // A shared carrier and a pair's own carrier are up while the census
+    // runs.
     let mux = fixtures().pop().expect("the tcp fixture is last");
-    assert_eq!(mux.name, "tcp");
-    let (cs, ss) = open_pair(&mux);
-    let muxed = endpoint_pair(cs, ss, small_config());
+    assert_eq!(mux.name(), "tcp");
+    let (cs, ss) = mux.pair();
+    let shared = endpoint_pair(cs, ss, small_config());
     let (_, cs, ss) = aide_rpc::tcp_pair(CommParams::WAVELAN).expect("loopback pair");
-    let single = endpoint_pair(cs, ss, small_config());
-    for (client, server) in [&muxed, &single] {
+    let own = endpoint_pair(cs, ss, small_config());
+    for (client, server) in [&shared, &own] {
         client.call(Request::Ping).unwrap();
         assert_eq!(server.requests_served(), 1);
     }
@@ -716,6 +720,7 @@ fn tcp_endpoint_pairs_run_no_relay_threads() {
         "rpc-recv",
         "rpc-mux-writer",
         "rpc-tcp-writer",
+        "rpc-tcp-reader",
         "aide-shard-rout",
     ] {
         assert!(
@@ -723,11 +728,11 @@ fn tcp_endpoint_pairs_run_no_relay_threads() {
             "{gone} is running: {census:?}"
         );
     }
-    for kept in ["rpc-mux-reader", "rpc-tcp-reader", "rpc-worker-0"] {
+    for kept in ["rpc-mux-reader", "rpc-worker-0"] {
         assert!(census.iter().any(|name| name == kept), "{kept}: {census:?}");
     }
 
-    for (client, server) in [muxed, single] {
+    for (client, server) in [shared, own] {
         client.shutdown();
         server.shutdown();
         client.join();

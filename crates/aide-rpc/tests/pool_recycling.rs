@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use aide_graph::CommParams;
 use aide_rpc::{
-    Acceptor, Dispatcher, Endpoint, EndpointConfig, FramePool, NetClock, Reply, Request,
-    TcpMuxListener, TcpTransport, Transport,
+    Dispatcher, Endpoint, EndpointConfig, FramePool, MuxConn, NetClock, Reply, Request,
+    TcpMuxListener,
 };
 use aide_vm::ObjectId;
 
@@ -58,10 +58,9 @@ fn drive(endpoints: &[(Arc<Endpoint>, Arc<Endpoint>)], calls: u64) {
 fn a_warm_carrier_takes_its_frame_buffers_off_the_shelf() {
     let listener = TcpMuxListener::bind(std::net::SocketAddr::from(([127, 0, 0, 1], 0)))
         .expect("bind localhost listener");
-    let addr = listener.local_addr();
-    let accepted = std::thread::spawn(move || listener.accept());
-    let transport = TcpTransport::connect(addr, Duration::from_secs(2)).expect("connect");
-    let conn = accepted.join().expect("accept thread").expect("accept");
+    let transport =
+        MuxConn::connect(listener.local_addr(), Duration::from_secs(2)).expect("connect");
+    let conn = listener.accept().expect("accept");
 
     let clock = Arc::new(NetClock::new());
     let config = EndpointConfig {

@@ -6,8 +6,8 @@
 //! request crosses no hand-off between the thread that reads it and the one
 //! that serves it; the carrier's own thread reads only when nobody else
 //! does, and hands what it reads to a worker. The carrier scenarios run over
-//! both carriers: the multiplexed connection and the tag-less single-session
-//! socket.
+//! a carrier shared by its sessions and over a pair's carrier of its own
+//! (`tcp_pair`).
 //!
 //! The two counters are process-wide and the census counts every thread and
 //! descriptor of the process, so the tests take turns on `GATE`.
@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 
 use aide_graph::CommParams;
 use aide_rpc::{
-    tcp_pair, Acceptor, Dispatcher, Endpoint, EndpointConfig, Link, Message, MuxConn, NetClock,
-    Reply, Request, Session, TcpMuxListener, TcpTransport, Transport,
+    tcp_pair, Dispatcher, Endpoint, EndpointConfig, Link, Message, MuxConn, NetClock, Reply,
+    Request, Session, TcpMuxListener,
 };
 use aide_vm::{ClassId, MethodId, ObjectId, ObjectRecord};
 
@@ -50,15 +50,12 @@ fn counters_since(before: (u64, u64)) -> (u64, u64) {
     (now.0 - before.0, now.1 - before.1)
 }
 
-/// One way for two endpoints to be connected. A multiplexed connection
-/// yields all its session pairs from one socket; every single-session pair
-/// is a socket of its own, every in-process pair a link of its own.
+/// One way for two endpoints to be connected. A shared carrier yields all
+/// its session pairs from one socket; every `tcp_pair` is a socket of its
+/// own, every in-process pair a link of its own.
 enum Wire {
-    Mux {
-        transport: TcpTransport,
-        conn: MuxConn,
-    },
-    Single,
+    Mux { dialled: MuxConn, accepted: MuxConn },
+    Pair,
     InProcess,
 }
 
@@ -66,13 +63,12 @@ impl Wire {
     fn carriers() -> Vec<(&'static str, Wire)> {
         let listener = TcpMuxListener::bind(std::net::SocketAddr::from(([127, 0, 0, 1], 0)))
             .expect("bind localhost listener");
-        let addr = listener.local_addr();
-        let accepted = std::thread::spawn(move || listener.accept());
-        let transport = TcpTransport::connect(addr, Duration::from_secs(2)).expect("connect");
-        let conn = accepted.join().expect("accept thread").expect("accept");
+        let dialled =
+            MuxConn::connect(listener.local_addr(), Duration::from_secs(2)).expect("connect");
+        let accepted = listener.accept().expect("accept");
         vec![
-            ("mux", Wire::Mux { transport, conn }),
-            ("single", Wire::Single),
+            ("mux", Wire::Mux { dialled, accepted }),
+            ("pair", Wire::Pair),
         ]
     }
 
@@ -86,11 +82,11 @@ impl Wire {
     /// two ends are alike).
     fn pair(&self) -> (Session, Session) {
         match self {
-            Wire::Mux { transport, conn } => {
-                let ours = transport.open_session().expect("open session");
-                (ours, conn.accept().expect("accept session"))
-            }
-            Wire::Single => {
+            Wire::Mux { dialled, accepted } => (
+                dialled.open_session().expect("open session"),
+                accepted.accept().expect("accept session"),
+            ),
+            Wire::Pair => {
                 let (_, ours, theirs) = tcp_pair(CommParams::WAVELAN).expect("loopback pair");
                 (ours, theirs)
             }

@@ -352,7 +352,7 @@ fn session_parts(config: &DaemonConfig, killer: ConnKiller) -> SessionParts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aide_rpc::{Message, TcpTransport, Transport};
+    use aide_rpc::{Message, MuxConn};
     use aide_vm::{MethodDef, MethodId, ProgramBuilder};
     use std::time::Instant;
 
@@ -364,7 +364,7 @@ mod tests {
         let program = Arc::new(b.build(main, MethodId(0), 0, 0).unwrap());
         let daemon = SurrogateDaemon::start(DaemonConfig::new("release", program)).unwrap();
 
-        let carrier = TcpTransport::connect(daemon.local_addr(), Duration::from_secs(2)).unwrap();
+        let carrier = MuxConn::connect(daemon.local_addr(), Duration::from_secs(2)).unwrap();
         let sessions: Vec<_> = (0..8)
             .map(|_| carrier.open_session().expect("open session"))
             .collect();

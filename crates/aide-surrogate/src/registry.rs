@@ -18,10 +18,7 @@ use std::time::{Duration, Instant};
 
 use aide_core::{ProviderContext, SurrogateLease, SurrogateProvider};
 use aide_graph::CommParams;
-use aide_rpc::{
-    Dispatcher, Endpoint, EndpointConfig, NetClock, Reply, Request, Session, TcpTransport,
-    Transport,
-};
+use aide_rpc::{Dispatcher, Endpoint, EndpointConfig, MuxConn, NetClock, Reply, Request, Session};
 use parking_lot::Mutex;
 
 /// EWMA smoothing factor for probe RTTs: each new sample contributes this
@@ -155,17 +152,10 @@ impl Dispatcher for ProbeDispatcher {
 /// a long-lived probe session on it. Health probes and stats scrapes reuse
 /// this instead of dialing a fresh connection each time; leases open
 /// further logical sessions over the same socket.
+#[derive(Debug)]
 struct CachedConn {
-    transport: TcpTransport,
+    conn: MuxConn,
     probe: Arc<Endpoint>,
-}
-
-impl std::fmt::Debug for CachedConn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CachedConn")
-            .field("peer", &self.transport.peer_addr())
-            .finish_non_exhaustive()
-    }
 }
 
 /// The client's surrogate directory: discovery, liveness, ranking, and the
@@ -371,21 +361,21 @@ impl SurrogateRegistry {
     fn open_pooled_session(&self, addr: SocketAddr) -> Option<Session> {
         let mut conns = self.conns.lock();
         if let Some(conn) = conns.get(&addr) {
-            if let Ok(session) = conn.transport.open_session() {
+            if let Ok(session) = conn.conn.open_session() {
                 return Some(session);
             }
             teardown_conn(conns.remove(&addr));
         }
         let conn = self.dial(addr)?;
-        let session = conn.transport.open_session().ok()?;
+        let session = conn.conn.open_session().ok()?;
         conns.insert(addr, conn);
         Some(session)
     }
 
     /// Dials a new multiplexed carrier and starts its probe session.
     fn dial(&self, addr: SocketAddr) -> Option<CachedConn> {
-        let transport = TcpTransport::connect(addr, self.config.connect_timeout).ok()?;
-        let session = transport.open_session().ok()?;
+        let conn = MuxConn::connect(addr, self.config.connect_timeout).ok()?;
+        let session = conn.open_session().ok()?;
         let probe = Endpoint::start(
             session,
             self.config.params,
@@ -393,7 +383,7 @@ impl SurrogateRegistry {
             Arc::new(ProbeDispatcher),
             EndpointConfig::default(),
         );
-        Some(CachedConn { transport, probe })
+        Some(CachedConn { conn, probe })
     }
 
     /// Evicts the pooled carrier to `addr`, severing the socket so every
@@ -507,7 +497,7 @@ fn teardown_conn(conn: Option<CachedConn>) {
     if let Some(conn) = conn {
         conn.probe.shutdown();
         conn.probe.join();
-        conn.transport.killer().kill();
+        conn.conn.killer().kill();
     }
 }
 

@@ -731,7 +731,7 @@ fn fleet_snapshot(shared: &PoolShared) -> aide_telemetry::FleetSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aide_rpc::{Session, TcpMuxListener, TcpTransport, Transport};
+    use aide_rpc::{MuxConn, Session, TcpMuxListener};
     use std::sync::OnceLock;
     use std::time::{Duration, Instant};
 
@@ -789,10 +789,9 @@ mod tests {
 
     /// A client's carrier to `pool`, attached as `conn` the way the daemon
     /// attaches each carrier it accepts.
-    fn carrier(pool: &ShardPool, conn: u64) -> TcpTransport {
+    fn carrier(pool: &ShardPool, conn: u64) -> MuxConn {
         let listener = TcpMuxListener::bind(([127, 0, 0, 1], 0).into()).unwrap();
-        let transport =
-            TcpTransport::connect(listener.local_addr(), Duration::from_secs(2)).unwrap();
+        let transport = MuxConn::connect(listener.local_addr(), Duration::from_secs(2)).unwrap();
         let accepted = listener.accept().unwrap();
         pool.attach_carrier(conn, accepted.bus_sender(conn));
         accepted.route_accepts_to(conn, pool.sink());

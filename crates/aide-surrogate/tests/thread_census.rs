@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aide_rpc::{Message, Request, TcpTransport, Transport};
+use aide_rpc::{Message, MuxConn, Request};
 use aide_surrogate::{DaemonConfig, ShardConfig, SurrogateDaemon};
 use aide_vm::{MethodDef, MethodId, ProgramBuilder};
 
@@ -31,7 +31,7 @@ fn a_daemon_is_its_accept_loop_its_sweeper_its_workers_and_one_reader_per_carrie
     let daemon = SurrogateDaemon::start(DaemonConfig::new("census", program)).unwrap();
 
     // One carrier with three sessions, each served at least once.
-    let carrier = TcpTransport::connect(daemon.local_addr(), Duration::from_secs(2)).unwrap();
+    let carrier = MuxConn::connect(daemon.local_addr(), Duration::from_secs(2)).unwrap();
     let sessions: Vec<_> = (0..3).map(|_| carrier.open_session().unwrap()).collect();
     for session in &sessions {
         let ping = Message::Request {

@@ -105,14 +105,6 @@ pub mod names {
     /// Worker threads endpoints spawned: one each time a request was queued
     /// for a worker and no idle one was there to take it.
     pub const RPC_WORKERS_SPAWNED: &str = "aide_rpc_workers_spawned_total";
-    /// Frames written to a TCP carrier.
-    pub const TCP_FRAMES_SENT: &str = "aide_tcp_frames_sent_total";
-    /// Frames read from a TCP carrier.
-    pub const TCP_FRAMES_RECEIVED: &str = "aide_tcp_frames_received_total";
-    /// Encoded frame bytes written to a TCP carrier.
-    pub const TCP_BYTES_SENT: &str = "aide_tcp_bytes_sent_total";
-    /// Encoded frame bytes read from a TCP carrier.
-    pub const TCP_BYTES_RECEIVED: &str = "aide_tcp_bytes_received_total";
     /// RPC requests issued over the in-memory channel backend.
     pub const RPC_BACKEND_INMEM_REQUESTS: &str = "aide_rpc_inmem_requests_total";
     /// RPC requests issued over the TCP backend.

@@ -20,8 +20,7 @@ use std::time::Duration;
 use aide::core::{BackoffConfig, FailoverConfig, Platform, PlatformConfig, PlatformReport};
 use aide::graph::CommParams;
 use aide::rpc::{
-    Dispatcher, Endpoint, EndpointConfig, NetClock, Reply, Request, RpcError, TcpTransport,
-    Transport,
+    Dispatcher, Endpoint, EndpointConfig, MuxConn, NetClock, Reply, Request, RpcError,
 };
 use aide::surrogate::{
     DaemonConfig, RegistryConfig, RelayConfig, RelayQueue, ShardConfig, SurrogateDaemon,
@@ -190,7 +189,7 @@ impl Dispatcher for NullDispatcher {
 /// with `max_sessions == 1`: the first session is admitted and served,
 /// the second is answered `Busy` carrying the daemon's configured hint.
 fn assert_admission_control(addr: std::net::SocketAddr, busy_retry_ms: u32) {
-    let transport = TcpTransport::connect(addr, Duration::from_secs(2)).expect("connect daemon");
+    let transport = MuxConn::connect(addr, Duration::from_secs(2)).expect("connect daemon");
     let clock = Arc::new(NetClock::new());
     let mut endpoints = Vec::new();
     for _ in 0..2 {
