@@ -41,6 +41,13 @@ use aide_vm::{
 const SESSIONS: usize = 5_000;
 /// Client threads (and TCP carriers) driving them.
 const THREADS: usize = 8;
+/// Shard workers of the scale phase's daemon.
+const SCALE_SHARDS: usize = 8;
+/// The most threads the process may run at the scale phase's live peak,
+/// since one `Endpoint` per session may not cost a thread: the daemon's
+/// accept loop and lease sweeper, its shard workers, one reader per carrier
+/// on each end, and this harness's main thread.
+const SCALE_THREAD_BOUND: usize = 2 + SCALE_SHARDS + 2 * THREADS + 1;
 /// Ping rounds per session in the scale phase.
 const ROUNDS: u64 = 2;
 /// Platform clients in the migration-latency phase.
@@ -102,14 +109,14 @@ impl Dispatcher for NullDispatcher {
 }
 
 /// Phase 1: raw mux sessions at scale. Returns (sessions held live at
-/// once on the daemon, ping throughput over all sessions).
-fn session_scale() -> (usize, f64) {
+/// once on the daemon, ping throughput over all sessions, the process's
+/// threads at that peak).
+fn session_scale() -> (usize, f64, usize) {
     let daemon = SurrogateDaemon::start(DaemonConfig::new("scale", tiny_program()).sharded(
         ShardConfig {
-            shards: 8,
+            shards: SCALE_SHARDS,
             max_sessions: 16_384,
             busy_retry_ms: 25,
-            dedup_capacity: 8,
         },
     ))
     .expect("start scale daemon");
@@ -164,6 +171,9 @@ fn session_scale() -> (usize, f64) {
     // Every session has been served at least once and none has closed:
     // the pool is holding the whole cohort live right now.
     let live_peak = daemon.live_sessions();
+    let threads_at_peak = std::fs::read_dir("/proc/self/task")
+        .expect("the process's thread list")
+        .count();
     let throughput = (SESSIONS as u64 * ROUNDS) as f64 / elapsed.as_secs_f64();
 
     for (transport, sessions) in carriers {
@@ -174,7 +184,7 @@ fn session_scale() -> (usize, f64) {
         transport.killer().kill();
     }
     daemon.shutdown();
-    (live_peak, throughput)
+    (live_peak, throughput, threads_at_peak)
 }
 
 /// Phase 2: platform clients offloading against a three-daemon fleet;
@@ -252,7 +262,6 @@ fn placement_spread() -> Vec<u64> {
                     shards: 2,
                     max_sessions: 64,
                     busy_retry_ms: 25,
-                    dedup_capacity: 8,
                 }),
             )
             .expect("start fairness daemon")
@@ -376,7 +385,7 @@ fn main() {
         "fleet hardening; not a paper figure — the paper ran one client against one surrogate",
     );
 
-    let (live_peak, sessions_per_sec) = session_scale();
+    let (live_peak, sessions_per_sec, threads_at_peak) = session_scale();
     row(
         "session scale",
         format!("{live_peak} sessions live at once on one sharded daemon, {sessions_per_sec:.0} pings/s"),
@@ -384,6 +393,14 @@ fn main() {
     assert!(
         live_peak >= SESSIONS,
         "the pool must hold the whole cohort: {live_peak} < {SESSIONS}"
+    );
+    row(
+        "threads at the peak",
+        format!("{threads_at_peak} (bound {SCALE_THREAD_BOUND})"),
+    );
+    assert!(
+        threads_at_peak <= SCALE_THREAD_BOUND,
+        "{live_peak} sessions cost threads: {threads_at_peak} > {SCALE_THREAD_BOUND}"
     );
 
     let mut latencies = migration_latencies();
@@ -413,6 +430,8 @@ fn main() {
             "kind": "summary",
             "experiment": "fleet_soak",
             "concurrent_sessions": live_peak,
+            "threads_at_peak": threads_at_peak,
+            "thread_bound": SCALE_THREAD_BOUND,
             "sessions_per_sec": sessions_per_sec,
             "migrations_measured": latencies.len(),
             "p99_migration_latency_micros": p99_migration,

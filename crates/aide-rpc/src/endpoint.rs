@@ -9,25 +9,22 @@
 //! hands the request to a worker, which serves it through the endpoint's
 //! [`Dispatcher`].
 //!
-//! The workers are the paper's "pool of threads to perform RPCs on behalf
-//! of the other JVM". Workers can re-enter the interpreter, which may issue
-//! further nested remote calls, so the pool must be able to grow as deep as
-//! the maximum cross-VM call nesting ([`EndpointConfig::workers`]); it
-//! exists only as far as it has been used — no thread is spawned before a
-//! request needs one, and a request goes to the worker that parked last,
-//! the one whose stack and caches are still warm.
+//! The requests are served by a [`WorkerPool`], the paper's "pool of threads
+//! to perform RPCs on behalf of the other JVM" (`crate::pool` has how it
+//! serves). Workers can re-enter the interpreter, which may issue further
+//! nested remote calls, so an endpoint that owns its pool
+//! ([`Endpoint::start`]) lets it grow as deep as the maximum cross-VM call
+//! nesting ([`EndpointConfig::workers`]); it exists only as far as it has
+//! been used. The surrogate daemon's sessions share a few fixed pools
+//! instead ([`Endpoint::start_on`]).
 //!
-//! On a byte-stream carrier the pool is leader/followers: a worker that has
-//! sent its reply and has nothing queued takes the carrier's read half if
-//! nobody holds it, reads until a request of this endpoint is among the
-//! frames, lets go of the half and serves that request itself — the request
-//! reaches the thread that serves it with no hand-off at all. Likewise a
-//! blocked caller is itself the holder of the read half: having written its
-//! request it reads and routes the carrier's frames until its own reply is
-//! among them, and only waits to be handed the reply when somebody else is
-//! already reading (see `CallSlot::wait`, the one place a call waits). A
-//! request met by a reading caller or by the carrier's own thread goes to
-//! the pool, as does every request in process and behind a chaos shim.
+//! A blocked caller is itself the holder of its carrier's read half: having
+//! written its request it reads and routes the carrier's frames until its
+//! own reply is among them, and only waits to be handed the reply when
+//! somebody else is already reading (see `CallSlot::wait`, the one place a
+//! call waits). A request met by a reading caller or by the carrier's own
+//! thread goes to the pool, as does every request in process and behind a
+//! chaos shim.
 //!
 //! A touch whose reply carries nothing ([`Request::is_deferrable`]) need
 //! not be waited for: [`Endpoint::defer`] queues it, and the next frame the
@@ -36,7 +33,7 @@
 //! the touches before the frame's own message, so they land in the order
 //! they were made, in the same turn of the two VMs (DESIGN §5.4).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
@@ -48,14 +45,10 @@ use parking_lot::Mutex;
 
 use crate::link::{BackendKind, Delivered, FrameSink, LinkError, NetClock, Session};
 use crate::mux::{CarrierReader, Turn};
+use crate::pool::{Job, Work, WorkerPool};
 use crate::reftable::{ExportTable, ImportTable};
 use crate::responder::{is_idempotent, serve_deferred, Responder, Served};
 use crate::wire::{Frame, FrameHeader, LeaseStamp, Message, Reply, Request, WireError};
-
-/// A unit of work queued to the serving pool: the dedup key, the request,
-/// and its frame's header (the caller's wire trace context, the parent of
-/// the serve span, and the touches the caller deferred onto the frame).
-type Job = (u64, u64, Request, FrameHeader);
 
 /// How many touches [`Endpoint::defer`] queues before it stops deferring:
 /// the touch that fills the queue goes out at once, the others riding its
@@ -77,8 +70,6 @@ struct RpcMetrics {
     retries: Arc<aide_telemetry::Counter>,
     late_replies: Arc<aide_telemetry::Counter>,
     bad_frames: Arc<aide_telemetry::Counter>,
-    served_where_read: Arc<aide_telemetry::Counter>,
-    workers_spawned: Arc<aide_telemetry::Counter>,
 }
 
 /// Name of the per-backend request counter for `backend`.
@@ -104,8 +95,6 @@ impl RpcMetrics {
             retries: t.counter(aide_telemetry::names::RPC_RETRIES),
             late_replies: t.counter(aide_telemetry::names::RPC_LATE_REPLIES),
             bad_frames: t.counter(aide_telemetry::names::RPC_BAD_FRAMES),
-            served_where_read: t.counter(aide_telemetry::names::RPC_SERVED_WHERE_READ),
-            workers_spawned: t.counter(aide_telemetry::names::RPC_WORKERS_SPAWNED),
         }
     }
 }
@@ -374,13 +363,16 @@ struct Pending {
     /// Nothing is awaited or served any more: the drain finished, the
     /// peer hung up, or the carrier died.
     closed: bool,
+    /// What runs on a worker once the endpoint has closed
+    /// ([`Endpoint::on_close`]).
+    on_close: Option<Box<dyn FnOnce() + Send>>,
 }
 
 /// Bound on remembered timed-out sequence numbers; replies that never
 /// arrive would otherwise grow the set forever.
 const LATE_SET_CAPACITY: usize = 4096;
 
-/// Replies the endpoint's at-most-once cache remembers.
+/// Replies an endpoint's at-most-once cache remembers.
 const DEDUP_CAPACITY: usize = 1024;
 
 /// Reference-table handles wired into an endpoint by
@@ -405,43 +397,11 @@ fn xorshift_unit(state: &mut u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// The serving pool: one queue, and the workers that exist so far.
-#[derive(Default)]
-struct Pool {
-    /// Requests no worker has taken yet, oldest first.
-    queue: VecDeque<Job>,
-    /// Workers with nothing to do (or about to have: see
-    /// [`Shared::next_job`]), by number, most recently parked last — the
-    /// one a new job wakes, because it ran last and is still warm.
-    parked: Vec<usize>,
-    /// A worker, off the stack, holds the carrier's read half and takes the
-    /// next request of this endpoint that it reads (see [`Shared::lead`]).
-    leading: bool,
-    /// The request it took.
-    claimed: Option<Job>,
-    /// Every worker spawned so far; a worker's number is its index.
-    workers: Vec<std::thread::JoinHandle<()>>,
-    /// The endpoint closed: nothing more is queued, and a worker that
-    /// finds the queue empty exits.
-    closed: bool,
-}
-
-impl Pool {
-    /// The next queued job for worker `me`, or its place on the stack of
-    /// parked workers (while the pool is open: a closed one parks nobody).
-    fn take_or_park(&mut self, me: usize) -> Option<Job> {
-        let next = self.queue.pop_front();
-        if next.is_none() && !self.closed {
-            self.parked.push(me);
-        }
-        next
-    }
-}
-
-/// The part of an endpoint its session's sink and its workers share: the
-/// sink is this struct, run by whichever thread produced the frame.
-struct Shared {
-    /// For the workers this spawns, which share it.
+/// The part of an endpoint its session's sink and the workers serving it
+/// share: the sink is this struct, run by whichever thread produced the
+/// frame.
+pub(crate) struct Shared {
+    /// For the jobs this queues, which carry it.
     me: Weak<Shared>,
     pending: std::sync::Mutex<Pending>,
     /// Notified when the drain begins and when the endpoint closes; what
@@ -452,19 +412,15 @@ struct Shared {
     /// silently discarded — the observable symptom that a retry layer is
     /// needed.
     late_expected: Mutex<HashSet<u64>>,
-    pool: Mutex<Pool>,
-    /// [`EndpointConfig::workers`]: how many workers the pool may grow to.
-    max_workers: usize,
+    /// Serves the peer's requests.
+    pool: Arc<WorkerPool>,
+    /// The pool is this endpoint's own, and closes with it.
+    owns_pool: bool,
     /// Where replies go. Let go of on close, which is what lets a session
     /// nobody else holds hang up once its endpoint is done.
     out: Mutex<Option<Session>>,
     dispatcher: Arc<dyn Dispatcher>,
     responder: Responder,
-    /// The track label of whoever started the endpoint: its workers record
-    /// their spans under this label, so an endpoint started by the surrogate
-    /// daemon exports its serve spans on the "surrogate" Perfetto lane even
-    /// in a single-process run.
-    track: String,
     drain_timeout: Duration,
     requests_served: AtomicU64,
     dedup_hits: AtomicU64,
@@ -616,7 +572,8 @@ impl Shared {
         }
     }
 
-    /// Fails every outstanding call fast and lets the workers run out:
+    /// Fails every outstanding call fast, hands [`Endpoint::on_close`]'s
+    /// task to a worker, and lets the workers of a pool of its own run out:
     /// each finishes what is queued, then exits.
     fn close(&self, pending: &mut Pending) {
         if std::mem::replace(&mut pending.closed, true) {
@@ -625,13 +582,11 @@ impl Shared {
         for (_, slot) in pending.slots.drain() {
             slot.complete(Err(RpcError::Disconnected));
         }
-        {
-            let mut pool = self.pool.lock();
-            pool.closed = true;
-            pool.parked.clear();
-            for worker in &pool.workers {
-                worker.thread().unpark();
-            }
+        if let Some(then) = pending.on_close.take() {
+            self.pool.run(None, then);
+        }
+        if self.owns_pool {
+            self.pool.close();
         }
         *self.out.lock() = None;
         self.settled.notify_all();
@@ -658,77 +613,23 @@ impl Shared {
         }
     }
 
-    /// The one place a job reaches a worker. The worker leading takes it, if
-    /// there is one: it holds the carrier's read half, so it is the very
-    /// thread that delivers the request. Otherwise the job is queued and the
-    /// worker that parked last is woken for it; if none is parked one more
-    /// is spawned, up to the bound; at the bound the job waits for the next
-    /// worker that finishes.
-    ///
-    /// This runs on the thread that delivered the request, which may hold a
-    /// carrier's read half. The spawn is the one thing here that is not a
-    /// few instructions under a lock nobody holds for long: one `clone(2)`,
-    /// at most `max_workers` times in the endpoint's life, waiting on nobody.
-    fn submit(&self, job: Job) -> Delivered {
-        let mut pool = self.pool.lock();
-        if pool.closed {
-            return Delivered::Kept;
-        }
-        if pool.leading && pool.claimed.is_none() {
-            pool.claimed = Some(job);
-            return Delivered::Claimed;
-        }
-        pool.queue.push_back(job);
-        if let Some(worker) = pool.parked.pop() {
-            let worker = pool.workers[worker].thread().clone();
-            drop(pool);
-            worker.unpark();
-        } else if pool.workers.len() < self.max_workers {
-            let number = pool.workers.len();
-            // Both are there while the pool is open: `close` marks it closed
-            // before it lets go of `out`, and this very call runs through
-            // the `Arc`.
-            let (Some(me), Some(out)) = (self.me.upgrade(), self.out.lock().clone()) else {
-                return Delivered::Kept;
-            };
-            let spawned = std::thread::Builder::new()
-                .name(format!("rpc-worker-{number}"))
-                .spawn(move || me.work(number, &out));
-            match spawned {
-                Ok(worker) => {
-                    pool.workers.push(worker);
-                    self.metrics.workers_spawned.inc();
-                }
-                // Somebody will get to it: the next worker that finishes.
-                Err(_) if number > 0 => {}
-                // Nobody ever will: this endpoint cannot serve.
-                Err(_) => {
-                    drop(pool);
-                    self.close(&mut self.pending());
-                    return Delivered::Kept;
-                }
-            }
-        }
-        Delivered::Handed
-    }
-
-    /// Worker `me`: serves jobs until the endpoint closes and the queue has
-    /// run out. Between two jobs it leads when it can (see
-    /// [`Shared::lead`]).
-    fn work(&self, me: usize, out: &Session) {
-        aide_trace::set_thread_track(&self.track);
-        let carrier = out.carrier_reader();
-        let mut next = self.next_job(me);
-        while let Some((client, seq, request, header)) = next {
-            let dispatcher = self.dispatcher.as_ref();
-            let touches = header.deferred.len() as u64;
-            // An operational request (a probe, a scrape, a renewal) is
-            // served outside the two VMs' turns: what the turn's holder
-            // deferred waits for the turn's own next frame.
-            let in_turn = !is_idempotent(&request);
-            let served = self
-                .responder
-                .respond(dispatcher, header, client, seq, request, || {
+    /// Serves request `body`, which `client` sent as its `seq`-th with
+    /// `header`, on a worker of the pool; the reply frame to send, if any.
+    pub(crate) fn serve(
+        &self,
+        client: u64,
+        seq: u64,
+        body: Request,
+        header: FrameHeader,
+    ) -> Option<Frame> {
+        let touches = header.deferred.len() as u64;
+        // An operational request (a probe, a scrape, a renewal) is served
+        // outside the two VMs' turns: what the turn's holder deferred waits
+        // for the turn's own next frame.
+        let in_turn = !is_idempotent(&body);
+        let served =
+            self.responder
+                .respond(self.dispatcher.as_ref(), header, client, seq, body, || {
                     let deferred = if in_turn {
                         self.take_deferred()
                     } else {
@@ -737,77 +638,7 @@ impl Shared {
                     self.settle_owed(&deferred);
                     (self.lease_stamp(), deferred)
                 });
-            let reply = self.account(served, touches);
-            // Settled before the reply leaves, because the reply is what
-            // lets the peer send its next request: that one must find this
-            // worker parked (or already holding it), not find nobody and
-            // spawn another.
-            let queued = self.pool.lock().take_or_park(me);
-            if let Some(frame) = reply {
-                // A dead link closes the endpoint, which is what ends this
-                // worker; until then there is nothing to do about it here.
-                let _ = out.send(frame);
-            }
-            next = queued
-                .or_else(|| carrier.and_then(|carrier| self.lead(me, carrier)))
-                .or_else(|| self.next_job(me));
-        }
-        aide_trace::flush_thread();
-    }
-
-    /// Worker `me`, parked with its reply sent, leads if nobody holds
-    /// `carrier`'s read half: off the stack (nothing is queued for a worker
-    /// that reads for itself), it reads until a request of this endpoint is
-    /// among the frames and lets go of the half before it serves it —
-    /// nobody writes while holding a read half. Empty-handed after
-    /// [`ReadTurn::lead`]'s patience, it parks again before it lets go, so
-    /// that no request finds nobody and spawns a worker. `None` when it did
-    /// not lead (a job may have been queued for it meanwhile) or read no
-    /// request.
-    fn lead(&self, me: usize, carrier: &CarrierReader) -> Option<Job> {
-        let mut turn = carrier.try_read()?;
-        {
-            let mut pool = self.pool.lock();
-            let at = pool.parked.iter().rposition(|&worker| worker == me)?;
-            pool.parked.remove(at);
-            pool.leading = true;
-        }
-        turn.lead();
-        let mut pool = self.pool.lock();
-        pool.leading = false;
-        let claimed = pool.claimed.take();
-        if claimed.is_some() {
-            self.metrics.served_where_read.inc();
-        } else if !pool.closed {
-            pool.parked.push(me);
-        }
-        drop(pool);
-        drop(turn);
-        claimed
-    }
-
-    /// Parks worker `me` until there is a job for it; `None` once the
-    /// endpoint has closed and the queue has run out.
-    fn next_job(&self, me: usize) -> Option<Job> {
-        loop {
-            {
-                let mut pool = self.pool.lock();
-                // While it is still on the stack nobody has woken this
-                // worker for a job (it has not parked yet, or woke for no
-                // reason), and every queued job has somebody else coming
-                // for it. Off the stack it takes the job it was woken for —
-                // or parks again, if a worker that finished first took it.
-                if !pool.parked.contains(&me) {
-                    if let Some(job) = pool.take_or_park(me) {
-                        return Some(job);
-                    }
-                }
-                if pool.closed {
-                    return None;
-                }
-            }
-            std::thread::park();
-        }
+        self.account(served, touches)
     }
 }
 
@@ -843,7 +674,20 @@ impl FrameSink for Shared {
                 self.begin_drain();
             }
             Message::Request { seq, client, body } => {
-                return self.submit((client, seq, body, header));
+                // Closed, the endpoint serves nothing more.
+                let (Some(endpoint), Some(out)) = (self.me.upgrade(), self.out.lock().clone())
+                else {
+                    return Delivered::Kept;
+                };
+                let job = Job {
+                    from: Some(out),
+                    work: Work::Serve(endpoint, client, seq, body, header),
+                };
+                return self.pool.submit(job).unwrap_or_else(|| {
+                    // Nobody ever will serve it: this endpoint cannot serve.
+                    self.close(&mut self.pending());
+                    Delivered::Kept
+                });
             }
             Message::Reply { seq, result } => {
                 let slot = {
@@ -899,10 +743,11 @@ impl std::fmt::Debug for Endpoint {
 
 impl Endpoint {
     /// Starts an endpoint: attaches it to `session` as the consumer of its
-    /// inbound frames. No thread is spawned here; workers appear as requests
-    /// need them (see [`EndpointConfig::workers`]). The endpoint serves its
-    /// peer until [`Endpoint::shutdown`] or until the peer hangs up, whether
-    /// or not the returned handle is kept.
+    /// inbound frames. No thread is spawned here; the endpoint's own pool
+    /// grows workers as requests need them (see
+    /// [`EndpointConfig::workers`]). The endpoint serves its peer until
+    /// [`Endpoint::shutdown`] or until the peer hangs up, whether or not the
+    /// returned handle is kept.
     ///
     /// `dispatcher` serves the peer's requests; `clock` accumulates
     /// simulated link time priced by `params`. Whatever thread serves for
@@ -914,17 +759,46 @@ impl Endpoint {
         dispatcher: Arc<dyn Dispatcher>,
         config: EndpointConfig,
     ) -> Arc<Endpoint> {
+        let track = aide_trace::current_track();
+        let pool = WorkerPool::new("rpc-worker", &track, config.workers);
+        Endpoint::serving(pool, true, session, params, clock, dispatcher, config)
+    }
+
+    /// Starts an endpoint as [`start`](Endpoint::start) does, served by
+    /// `pool`, which other endpoints may share (`config.workers` goes
+    /// unread). The pool's worker that replies on a carrier reads the
+    /// carrier's next request, whichever of the pool's endpoints it is for.
+    pub fn start_on(
+        pool: &Arc<WorkerPool>,
+        session: Session,
+        params: CommParams,
+        clock: Arc<NetClock>,
+        dispatcher: Arc<dyn Dispatcher>,
+        config: EndpointConfig,
+    ) -> Arc<Endpoint> {
+        let pool = Arc::clone(pool);
+        Endpoint::serving(pool, false, session, params, clock, dispatcher, config)
+    }
+
+    fn serving(
+        pool: Arc<WorkerPool>,
+        owns_pool: bool,
+        session: Session,
+        params: CommParams,
+        clock: Arc<NetClock>,
+        dispatcher: Arc<dyn Dispatcher>,
+        config: EndpointConfig,
+    ) -> Arc<Endpoint> {
         let shared = Arc::new_cyclic(|me| Shared {
             me: me.clone(),
             pending: std::sync::Mutex::default(),
             settled: Condvar::new(),
             late_expected: Mutex::new(HashSet::new()),
-            pool: Mutex::default(),
-            max_workers: config.workers,
+            pool,
+            owns_pool,
             out: Mutex::new(Some(session.clone())),
             dispatcher,
             responder: Responder::new(DEDUP_CAPACITY),
-            track: aide_trace::current_track(),
             drain_timeout: config.drain_timeout,
             requests_served: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
@@ -951,6 +825,21 @@ impl Endpoint {
             retries: AtomicU64::new(0),
             shared,
         })
+    }
+
+    /// Runs `then` on a worker of the endpoint's shared pool
+    /// ([`start_on`](Endpoint::start_on)) once the endpoint has closed — the
+    /// peer hung up or shut it down, its carrier died, or its own drain
+    /// ended — or at once, if it has. That worker holds no read half, so
+    /// `then` may write (a [`join`](Endpoint::join), say).
+    pub fn on_close(&self, then: impl FnOnce() + Send + 'static) {
+        let mut pending = self.shared.pending();
+        if pending.closed {
+            drop(pending);
+            self.shared.pool.run(None, then);
+        } else {
+            pending.on_close = Some(Box::new(then));
+        }
     }
 
     /// Wires this endpoint into distributed GC lease maintenance.
@@ -1467,7 +1356,8 @@ impl Endpoint {
 
     /// Waits for the endpoint to wind down: until the drain that
     /// [`shutdown`] (or the peer's `Shutdown` frame) began has finished or
-    /// the peer hung up, then for the workers. After [`shutdown`] this
+    /// the peer hung up, then for the workers of a pool of its own. After
+    /// [`shutdown`] this
     /// returns within roughly [`EndpointConfig::drain_timeout`] even if the
     /// peer is dead or never acknowledges — the drain has a deadline, not
     /// just an idle condition.
@@ -1498,12 +1388,11 @@ impl Endpoint {
                 };
             }
         }
-        // Closed: nothing is spawned any more, so these are all there are;
-        // once they have exited, everything served for this endpoint is in
-        // the span store.
-        let workers = std::mem::take(&mut self.shared.pool.lock().workers);
-        for worker in workers {
-            let _ = worker.join();
+        // Closed: a pool of its own spawns nothing any more, so these are
+        // all there are; once they have exited, everything served for this
+        // endpoint is in the span store.
+        if self.shared.owns_pool {
+            self.shared.pool.join();
         }
         self.session.detach_sink();
         // Tell a multiplexed carrier this logical session is finished so

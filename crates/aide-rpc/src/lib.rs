@@ -22,8 +22,9 @@
 //!   [`aide_graph::CommParams`].
 //! * [`Endpoint`] — request/reply correlation (one round-trip routine
 //!   behind [`Endpoint::call`] and [`Endpoint::call_with_retry`]) plus the
-//!   dispatcher worker pool that re-enters the interpreter to serve the
-//!   peer, grown on demand. It has no receiver thread: whoever produces an
+//!   serving [`WorkerPool`] that re-enters the interpreter to serve the
+//!   peer: an endpoint's own, grown on demand, or one that the surrogate
+//!   daemon's sessions share. It has no receiver thread: whoever produces an
 //!   inbound frame (a carrier's reader, the in-process peer's sending
 //!   thread) decodes it and completes the waiting call or hands the request
 //!   to a worker — to the worker reading, when a worker reads its own next
@@ -33,8 +34,7 @@
 //!   [`Endpoint::defer`] puts it on the next frame to the peer.
 //! * [`Responder`] — the serving half of the protocol, once: at-most-once
 //!   execution with memoized replies, the serve span, the stamped reply
-//!   frame. Whoever serves for an endpoint and the surrogate daemon's shard
-//!   workers all run it.
+//!   frame. Whoever serves for an endpoint runs it.
 //! * [`ExportTable`] / [`ImportTable`] — cross-VM reference bookkeeping for
 //!   the distributed garbage collection scheme, hardened with lease/epoch
 //!   reclamation (TTL deadlines on a manual [`GcClock`], watermarked
@@ -76,6 +76,7 @@ mod chaos;
 mod endpoint;
 mod link;
 mod mux;
+mod pool;
 mod reftable;
 mod responder;
 mod tcp;
@@ -85,7 +86,8 @@ pub use aide_trace::SpanContext;
 pub use chaos::{chaos_pair, chaos_wrap, ChaosPairStats, ChaosSchedule, ChaosStats};
 pub use endpoint::{Dispatcher, Endpoint, EndpointConfig, RetryPolicy, RpcError, DEFER_LIMIT};
 pub use link::{BackendKind, Delivered, Link, LinkError, NetClock, Session, TrafficStats};
-pub use mux::{BusEvent, BusSink, ConnKiller, MuxConn, MuxSender};
+pub use mux::{ConnKiller, MuxConn};
+pub use pool::WorkerPool;
 pub use reftable::{
     live_remote_refs, ExportTable, GcClock, ImportTable, ReleaseOutcome, DEFAULT_LEASE_TTL_MS,
 };

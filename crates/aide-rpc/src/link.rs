@@ -12,10 +12,10 @@
 //! A session riding a byte-stream carrier shares the carrier's write half
 //! (`CarrierWriter`: whoever sends, writes) and a handle on its read half
 //! (`CarrierReader`: a caller blocked on the session's reply, or a worker
-//! of its endpoint between two requests, may do the reading). Either way a
-//! frame reaches the session through its `Inbox`, on the thread that read
-//! it, which never writes while it holds the read half ([`FrameSink`] says
-//! why that is enough).
+//! of the pool serving it between two jobs, may do the reading). Either
+//! way a frame reaches the session through its `Inbox`, on the thread that
+//! read it, which never writes while it holds the read half ([`FrameSink`]
+//! says why that is enough).
 
 use std::collections::VecDeque;
 use std::io::Write;
@@ -159,9 +159,9 @@ pub(crate) trait FrameSink: Send + Sync {
     fn closed(&self);
 }
 
-/// What a session's sink (or a carrier's [`BusSink`](crate::BusSink)) made
-/// of an inbound frame, as the thread that read it needs to know: whether
-/// somebody is about to come back and read the carrier for itself.
+/// What a session's sink (or a carrier's accept hook, `MuxConn::accept_with`)
+/// made of an inbound frame, as the thread that read it needs to know:
+/// whether somebody is about to come back and read the carrier for itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Delivered {
     /// Nobody is coming back for it: the frame was queued, forwarded,
@@ -170,9 +170,9 @@ pub enum Delivered {
     /// The reply a caller blocked on this very session was waiting for: the
     /// caller is about to call again and can then read for itself.
     Reply,
-    /// A request queued for a worker (of the session's endpoint, or of the
-    /// shard it hashes to), which reads for itself again once it has
-    /// replied.
+    /// A job queued for a worker of a pool, which comes back to this
+    /// carrier once it is done: it reads for itself, or calls the carrier's
+    /// thread back.
     Handed,
     /// Taken by the worker that holds the read half: it lets go of the half
     /// and serves what it took itself.
@@ -291,12 +291,6 @@ impl Inbox {
         drop(sink); // outside the lock: it may own sessions of its own
     }
 
-    /// Takes whatever is queued, for a carrier that re-routes a session
-    /// nobody accepted onto its bus.
-    pub(crate) fn take_queued(&self) -> VecDeque<Frame> {
-        std::mem::take(&mut self.lock().queue)
-    }
-
     /// Pulls the next queued frame, waiting until `deadline` (forever when
     /// `None`); `Ok(None)` is a timeout.
     fn pop(&self, deadline: Option<Instant>) -> Result<Option<Frame>, LinkError> {
@@ -362,8 +356,8 @@ struct WriterState {
     dead: bool,
 }
 
-/// The write half of a byte-stream carrier, shared by every session (and
-/// every [`MuxSender`](crate::MuxSender)) riding it. There is no writer
+/// The write half of a byte-stream carrier, shared by every session riding
+/// it (and by its accept hook, while the carrier is up). There is no writer
 /// thread: whoever sends composes the frame into the reused buffer and
 /// issues the one `write_all` itself, under this mutex, so frames of
 /// concurrent senders never interleave. When the last handle drops, the

@@ -22,10 +22,13 @@
 //! attached, the sink (decode, complete a call, hand a request to a worker)
 //! afterwards. Leader/followers, on both ends alike: a caller blocked on a
 //! reply takes the lock and reads its own reply, and a worker that has just
-//! sent a reply takes it and reads its endpoint's next request — or, on a
-//! bus-routed carrier, its shard's ([`MuxSender::lead`]) — lets go, and
+//! sent a reply takes it and reads its pool's next request, lets go, and
 //! serves that request itself (a call is then caller → peer worker → caller:
 //! two hand-offs). The carrier's reader thread is the reader of last resort.
+//! The sessions the peer opens queue for [`MuxConn::accept`], or, once the
+//! carrier is handed a hook ([`MuxConn::accept_with`]), go to the hook on
+//! the thread that read the OPEN — which is how a surrogate daemon takes
+//! sessions in with no thread per carrier or per session.
 //! The rule that keeps this deadlock-free: nobody writes to a carrier while
 //! holding a read half, so every end always has a reader that never waits
 //! on a write; and a reader hands on what it meets and moves on, so a slow
@@ -39,7 +42,7 @@
 use std::collections::HashMap;
 use std::io::Write;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::{Arc, Condvar, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -90,150 +93,28 @@ impl std::fmt::Debug for ConnKiller {
     }
 }
 
-/// One inbound event from a bus-routed carrier (see
-/// [`MuxConn::route_accepts_to`]). Events for all sessions of a carrier —
-/// and, at the consumer's choice, of many carriers — go to one
-/// [`BusSink`], so a bounded pool of workers can serve every session
-/// without a thread or an acceptor handoff per session.
-///
-/// `Opened` may be delivered more than once for the same session (a
-/// duplicate OPEN, or data racing ahead of its OPEN): consumers must treat
-/// it as idempotent and `Data` for an unknown session as an implicit open.
-#[derive(Debug)]
-pub enum BusEvent {
-    /// The peer opened session `session` on carrier `conn`.
-    Opened {
-        /// Consumer-assigned carrier id.
-        conn: u64,
-        /// Mux session id within the carrier.
-        session: u32,
+/// What becomes of a session the peer opens on a carrier handed to
+/// [`MuxConn::accept_with`]: called with the session's id and our end of it
+/// on the thread that read the OPEN, which holds the carrier's read half, so
+/// it may neither write to a carrier nor block. Frames for the session queue
+/// in it until an endpoint takes it. It tells the reading thread who reads
+/// next, as a session's sink does (see [`Delivered`]).
+pub(crate) type AcceptHook = dyn Fn(u32, Session) -> Delivered + Send + Sync;
+
+/// Where the sessions the peer opens go.
+enum Accepts {
+    /// To [`MuxConn::accept`].
+    Queue(Sender<(u32, Arc<Inbox>)>),
+    /// To a hook, with what it takes to make our end of each session. The
+    /// hook holds the carrier's write half open for as long as the carrier
+    /// is up.
+    Hook {
+        writer: Arc<CarrierWriter>,
+        reader: Weak<CarrierReader>,
+        accept: Box<AcceptHook>,
     },
-    /// An application frame for `session` on carrier `conn`.
-    Data {
-        /// Consumer-assigned carrier id.
-        conn: u64,
-        /// Mux session id within the carrier.
-        session: u32,
-        /// The encoded RPC frame.
-        frame: Frame,
-    },
-    /// The peer finished session `session` on carrier `conn`.
-    Closed {
-        /// Consumer-assigned carrier id.
-        conn: u64,
-        /// Mux session id within the carrier.
-        session: u32,
-    },
-    /// Carrier `conn` died: every session on it is implicitly closed.
-    CarrierClosed {
-        /// Consumer-assigned carrier id.
-        conn: u64,
-    },
-}
-
-/// Consumes the [`BusEvent`]s of bus-routed carriers **on whichever thread
-/// holds the carrier's read half**: its reader thread, or a worker leading
-/// it ([`MuxSender::lead`]). An implementation must not write to a carrier
-/// and must not block: it routes the event onto a queue some worker drains,
-/// or hands it to the worker leading (the surrogate daemon's shard pool
-/// hashes `(conn, session)` onto a shard here, with no forwarding thread in
-/// between).
-pub trait BusSink: Send + Sync {
-    /// One event; events of one carrier arrive in carrier order, and
-    /// [`BusEvent::CarrierClosed`] is the last for its `conn`. The return
-    /// tells the reading thread who reads next: [`Delivered::Handed`] — a
-    /// request queued for a worker that comes back to this carrier once it
-    /// has replied (leads it, or recalls its thread) — lets the carrier's
-    /// thread step aside; [`Delivered::Claimed`] — taken by the worker
-    /// leading, which lets go and serves it — ends that worker's lead;
-    /// [`Delivered::Kept`] promises nothing.
-    fn deliver(&self, event: BusEvent) -> Delivered;
-}
-
-/// Where the reader routes peer-initiated sessions: a per-session inbox
-/// handed out by [`MuxConn::accept`] (default) or a shared event sink.
-enum PeerSink {
-    /// Classic mode: each peer session gets its own inbox, handed to
-    /// [`MuxConn::accept`].
-    Accept,
-    /// Bus mode: OPEN/DATA/CLOSE for peer sessions become [`BusEvent`]s.
-    Bus { conn: u64, sink: Arc<dyn BusSink> },
-}
-
-/// A worker's handle on a bus-routed carrier: lets any worker thread reply
-/// on any of the carrier's sessions, and read the carrier for its next
-/// request. Cloneable and cheap; every clone writes through the carrier's
-/// one writer mutex.
-#[derive(Clone, Debug)]
-pub struct MuxSender {
-    conn: u64,
-    writer: Arc<CarrierWriter>,
-    reader: Arc<CarrierReader>,
-    killer: ConnKiller,
-}
-
-impl MuxSender {
-    /// The consumer-assigned carrier id this sender writes to.
-    pub fn conn(&self) -> u64 {
-        self.conn
-    }
-
-    /// Writes an application frame for `session`.
-    ///
-    /// # Errors
-    ///
-    /// [`LinkError::Disconnected`] if the carrier is dead.
-    pub fn send(&self, session: u32, frame: Frame) -> Result<(), LinkError> {
-        self.writer.send(&mux_head(session, KIND_DATA), &frame)
-    }
-
-    /// Tells the peer `session` is finished (fire-and-forget).
-    pub fn close(&self, session: u32) {
-        let _ = self.writer.send(&mux_head(session, KIND_CLOSE), &[]);
-    }
-
-    /// A handle that severs the whole carrier.
-    pub fn killer(&self) -> ConnKiller {
-        self.killer.clone()
-    }
-
-    /// A worker that has just replied on this carrier, with nothing else to
-    /// do, reads its next request itself (leader/followers): it takes the
-    /// carrier's read half if nobody holds it and `start` — run holding it —
-    /// agrees, then reads and routes frames until the bus sink claims one
-    /// for it ([`Delivered::Claimed`]), a blocked caller's reply is
-    /// delivered, `HANDOVER` (1 ms; on a socket, rounded up to the kernel's
-    /// timer tick) passes, or the carrier dies. `finish`
-    /// runs before the half is let go, so the sink's "leading" mark is
-    /// cleared before anybody else routes. `None` if it did not lead:
-    /// somebody else holds the half, and reads; or `start` declined, and
-    /// then the carrier's thread has been recalled in its place.
-    ///
-    /// `start` and `finish` run holding the read half: they may not write
-    /// to a carrier or block.
-    pub fn lead<T>(&self, start: impl FnOnce() -> bool, finish: impl FnOnce() -> T) -> Option<T> {
-        // Not recalled when the half is taken: its holder may be the thread
-        // itself, which would find the recall waiting when it next steps
-        // aside, and read on instead.
-        let mut turn = self.reader.try_read()?;
-        if !start() {
-            drop(turn);
-            self.recall();
-            return None;
-        }
-        turn.lead();
-        let finished = finish();
-        drop(turn);
-        Some(finished)
-    }
-
-    /// Calls the carrier's reader thread back to the read half at once: for
-    /// a worker that was handed a request off this carrier and will not
-    /// [`lead`](MuxSender::lead) it next, since the thread stepped aside
-    /// for it.
-    pub fn recall(&self) {
-        self.reader.recall_thread();
-    }
+    /// Nowhere: the carrier is gone.
+    Closed,
 }
 
 /// One end of a multiplexed connection: it opens sessions toward the peer
@@ -248,7 +129,6 @@ pub struct MuxConn {
     accepted_rx: Receiver<(u32, Arc<Inbox>)>,
     next_id: AtomicU32,
     killer: ConnKiller,
-    sessions_opened: Arc<aide_telemetry::Counter>,
 }
 
 impl std::fmt::Debug for MuxConn {
@@ -262,8 +142,7 @@ impl std::fmt::Debug for MuxConn {
 impl MuxConn {
     /// Our end of session `id`: the carrier's write half plus `inbox`.
     fn session(&self, id: u32, inbox: Arc<Inbox>) -> Session {
-        self.sessions_opened.inc();
-        Session::on_carrier(Arc::clone(&self.writer), id, inbox, &self.reader)
+        self.reader.session(&self.writer, id, inbox, &self.reader)
     }
 
     /// Opens a new session toward the peer.
@@ -305,46 +184,26 @@ impl MuxConn {
         self.killer.clone()
     }
 
-    /// The workers' handle on this carrier under the consumer-assigned id
-    /// `conn`, without switching routing modes. A serving pool registers
-    /// the carrier with this *before* calling
-    /// [`route_accepts_to`](MuxConn::route_accepts_to), so no bus event
-    /// can reach a worker that has not yet seen the carrier's sender.
-    pub fn bus_sender(&self, conn: u64) -> MuxSender {
-        MuxSender {
-            conn,
-            writer: Arc::clone(&self.writer),
-            reader: Arc::clone(&self.reader),
-            killer: self.killer.clone(),
-        }
-    }
-
-    /// Switches this carrier into *bus mode*: instead of materializing an
-    /// inbox and a [`MuxConn::accept`] handoff per peer-opened session,
-    /// whoever reads the carrier hands every peer session's OPEN/DATA/CLOSE
-    /// to `sink` as [`BusEvent`]s tagged with `conn`; workers reply and lead
-    /// through the carrier's [`bus_sender`](MuxConn::bus_sender).
-    ///
-    /// Sessions the peer opened *before* the switch are drained into the
-    /// sink (an `Opened` plus their queued frames), so nothing observed by
-    /// the reader is lost; in-order delivery per session is preserved
-    /// because the drain and the reader's dispatch serialize on the sink
-    /// lock. Locally-initiated sessions ([`MuxConn::open_session`]) are
-    /// unaffected and keep their dedicated inboxes.
-    pub fn route_accepts_to(&self, conn: u64, sink: Arc<dyn BusSink>) {
-        let mut current = self.reader.sink.lock();
+    /// Hands every session the peer opens from now on to `accept`, on the
+    /// thread that reads its OPEN (see `AcceptHook`), instead of queueing
+    /// it for [`accept`](MuxConn::accept); sessions the peer opened before
+    /// go to it first, here, with whatever frames they already queued. The
+    /// carrier's write half stays open until the carrier dies, with or
+    /// without a session on it. Sessions this end opens are unaffected.
+    pub fn accept_with(self, accept: impl Fn(u32, Session) -> Delivered + Send + Sync + 'static) {
+        // Held across the hand-over: a session the peer opens meanwhile
+        // waits for the hook.
+        let mut accepts = self.reader.accepts.lock();
         while let Ok((id, inbox)) = self.accepted_rx.try_recv() {
-            sink.deliver(BusEvent::Opened { conn, session: id });
-            for frame in inbox.take_queued() {
-                sink.deliver(BusEvent::Data {
-                    conn,
-                    session: id,
-                    frame,
-                });
-            }
-            self.reader.routes.lock().remove(&id);
+            accept(id, self.session(id, inbox));
         }
-        *current = PeerSink::Bus { conn, sink };
+        if matches!(*accepts, Accepts::Queue(_)) {
+            *accepts = Accepts::Hook {
+                writer: Arc::clone(&self.writer),
+                reader: Arc::downgrade(&self.reader),
+                accept: Box::new(accept),
+            };
+        }
     }
 }
 
@@ -378,7 +237,6 @@ pub(crate) fn spawn_mux(
         accepted_rx,
         next_id: AtomicU32::new(1),
         killer,
-        sessions_opened: telemetry.counter(aide_telemetry::names::MUX_SESSIONS),
     }
 }
 
@@ -394,14 +252,6 @@ pub(crate) fn spawn_mux(
 /// which a timed wait is not honoured anyway. The price is one timer
 /// wake-up per millisecond while a burst lasts.
 const HANDOVER: Duration = Duration::from_millis(1);
-
-/// What drives a carrier's reads owns: the framed byte stream, and the
-/// sending side of the acceptor's queue (dropped with it, so `accept`
-/// reports the carrier's death).
-struct ReadHalf {
-    frames: FrameReader,
-    accepted_tx: Sender<(u32, Arc<Inbox>)>,
-}
 
 /// One turn of the read half.
 enum Step {
@@ -419,8 +269,8 @@ enum Step {
 ///
 /// A caller that has written its request takes the lock and reads and
 /// routes frames on its own thread until its reply is among them. A worker
-/// that has just written a reply takes it, reads until a request of its own
-/// endpoint (or shard) is among the frames, lets go and serves that request
+/// that has just written a reply takes it, reads until a request for its
+/// own pool is among the frames, lets go and serves that request
 /// (see [`ReadTurn::lead`]). Frames for sibling sessions, requests for other
 /// workers and CLOSEs met on the way are routed exactly as the thread routes
 /// them. The thread is the reader of last resort: it reads whenever nobody
@@ -433,10 +283,10 @@ enum Step {
 /// Whoever holds the lock never writes to a carrier and blocks on nothing
 /// but its socket (see `crate::link::FrameSink`).
 pub(crate) struct CarrierReader {
-    /// `None` once the carrier is gone.
-    half: Mutex<Option<ReadHalf>>,
+    /// The framed byte stream; `None` once the carrier is gone.
+    half: Mutex<Option<FrameReader>>,
     routes: Mutex<HashMap<u32, Arc<Inbox>>>,
-    sink: Mutex<PeerSink>,
+    accepts: Mutex<Accepts>,
     /// Low bit of the session ids this end allocates.
     parity: u32,
     /// Callers blocked on a reply while someone else holds `half`.
@@ -451,6 +301,7 @@ pub(crate) struct CarrierReader {
     bytes: Arc<aide_telemetry::Counter>,
     replies_caller_read: Arc<aide_telemetry::Counter>,
     replies_handed_over: Arc<aide_telemetry::Counter>,
+    sessions_opened: Arc<aide_telemetry::Counter>,
 }
 
 impl std::fmt::Debug for CarrierReader {
@@ -472,12 +323,9 @@ impl CarrierReader {
         let telemetry = aide_telemetry::global();
         let (accepted_tx, accepted_rx) = unbounded();
         let reader = Arc::new(CarrierReader {
-            half: Mutex::new(Some(ReadHalf {
-                frames: FrameReader::new(source),
-                accepted_tx,
-            })),
+            half: Mutex::new(Some(FrameReader::new(source))),
             routes: Mutex::new(HashMap::new()),
-            sink: Mutex::new(PeerSink::Accept),
+            accepts: Mutex::new(Accepts::Queue(accepted_tx)),
             parity: u32::from(initiator),
             queued: AtomicUsize::new(0),
             turns: AtomicU64::new(0),
@@ -487,6 +335,7 @@ impl CarrierReader {
             bytes,
             replies_caller_read: telemetry.counter(aide_telemetry::names::RPC_REPLIES_CALLER_READ),
             replies_handed_over: telemetry.counter(aide_telemetry::names::RPC_REPLIES_HANDED_OVER),
+            sessions_opened: telemetry.counter(aide_telemetry::names::MUX_SESSIONS),
         });
         {
             let reader = Arc::clone(&reader);
@@ -530,6 +379,28 @@ impl CarrierReader {
         })
     }
 
+    /// Our end of session `id`: `writer` plus `inbox`, read through `me`.
+    fn session(
+        &self,
+        writer: &Arc<CarrierWriter>,
+        id: u32,
+        inbox: Arc<Inbox>,
+        me: &Arc<CarrierReader>,
+    ) -> Session {
+        self.sessions_opened.inc();
+        Session::on_carrier(Arc::clone(writer), id, inbox, me)
+    }
+
+    /// Calls the carrier's thread back to the read half if nobody holds it:
+    /// for a worker that will not read its carrier next although the thread
+    /// stepped aside for it. (Held, its holder reads; a recall then would
+    /// only keep the thread reading once it steps aside.)
+    pub(crate) fn recall_if_free(&self) {
+        if let Some(turn) = self.try_read() {
+            turn.hand_back();
+        }
+    }
+
     /// Calls the parked reader thread back to the read half.
     fn recall_thread(&self) {
         *self.recalled.lock().unwrap_or_else(PoisonError::into_inner) = true;
@@ -553,7 +424,7 @@ impl CarrierReader {
                     }
                     // That caller or worker reads the next frame itself.
                     if matches!(delivered, Delivered::Reply | Delivered::Handed)
-                        && !half.as_ref().is_some_and(|h| h.frames.holds_unread())
+                        && !half.as_ref().is_some_and(FrameReader::holds_unread)
                     {
                         break;
                     }
@@ -584,15 +455,15 @@ impl CarrierReader {
 
     /// Reads one frame — giving up at `deadline` — and routes it. Any
     /// failure of the stream ends the carrier, whoever was reading.
-    fn step(&self, half: &mut Option<ReadHalf>, deadline: Option<Instant>) -> Step {
+    fn step(&self, half: &mut Option<FrameReader>, deadline: Option<Instant>) -> Step {
         let Some(reading) = half.as_mut() else {
             return Step::Gone;
         };
-        let routed = match reading.frames.next(deadline) {
+        let routed = match reading.next(deadline) {
             Ok(Some((head, frame))) => {
                 self.frames.inc();
                 self.bytes.add((4 + MUX_HEADER + frame.len()) as u64);
-                self.route(&reading.accepted_tx, head, frame)
+                self.route(head, frame)
             }
             Ok(None) => return Step::TimedOut,
             Err(_) => None, // EOF, a length out of range, an I/O error
@@ -608,38 +479,15 @@ impl CarrierReader {
 
     /// Hands one frame to its session. `None` when the carrier cannot go
     /// on: a frame kind this dialect does not know.
-    fn route(
-        &self,
-        accepted_tx: &Sender<(u32, Arc<Inbox>)>,
-        head: FrameHead,
-        frame: Frame,
-    ) -> Option<Delivered> {
+    fn route(&self, head: FrameHead, frame: Frame) -> Option<Delivered> {
         let id = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
         let kind = head[4];
         if kind != KIND_OPEN && kind != KIND_CLOSE && kind != KIND_DATA {
             return None;
         }
         let peer_initiated = (id & 1) != self.parity;
-        // Held across the whole dispatch of a peer session's frame: it
-        // serializes against route_accepts_to's drain, which is what keeps
-        // per-session frame order intact across the switch.
-        let peer_sink = peer_initiated.then(|| self.sink.lock());
-        if let Some(PeerSink::Bus { conn, sink }) = peer_sink.as_deref() {
-            let (conn, session) = (*conn, id);
-            return Some(sink.deliver(match kind {
-                KIND_OPEN => BusEvent::Opened { conn, session },
-                KIND_CLOSE => BusEvent::Closed { conn, session },
-                _ => BusEvent::Data {
-                    conn,
-                    session,
-                    frame,
-                },
-            }));
-        }
         match kind {
-            KIND_OPEN => {
-                self.open_route(accepted_tx, id);
-            }
+            KIND_OPEN => return Some(self.open_route(id).map_or(Delivered::Kept, |(_, d)| d)),
             KIND_CLOSE => {
                 if let Some(inbox) = self.routes.lock().remove(&id) {
                     inbox.close();
@@ -652,7 +500,7 @@ impl CarrierReader {
                     // speaks a newer dialect; treat it as an implicit open
                     // so nothing is lost. (For a session of ours it is a
                     // late frame after our close: dropped.)
-                    inbox = self.open_route(accepted_tx, id);
+                    inbox = self.open_route(id).map(|(inbox, _)| inbox);
                 }
                 // Pushed outside the routes lock: the push runs the
                 // session's sink, and `open_session` on another thread must
@@ -670,10 +518,11 @@ impl CarrierReader {
         Some(Delivered::Kept)
     }
 
-    /// Installs a route for a peer-opened session and hands its inbox to
-    /// the acceptor. `None` for a duplicate OPEN or once nobody accepts any
-    /// more.
-    fn open_route(&self, accepted_tx: &Sender<(u32, Arc<Inbox>)>, id: u32) -> Option<Arc<Inbox>> {
+    /// Installs a route for a peer-opened session and hands the session
+    /// over: its inbox to [`MuxConn::accept`]'s queue, or our end of it to
+    /// the accept hook, whose verdict comes back. `None` for a duplicate
+    /// OPEN, or once nobody takes sessions any more.
+    fn open_route(&self, id: u32) -> Option<(Arc<Inbox>, Delivered)> {
         let mut map = self.routes.lock();
         if map.contains_key(&id) {
             return None;
@@ -681,26 +530,42 @@ impl CarrierReader {
         let inbox = Inbox::new();
         map.insert(id, Arc::clone(&inbox));
         drop(map);
-        if accepted_tx.send((id, Arc::clone(&inbox))).is_err() {
-            self.routes.lock().remove(&id);
-            return None;
+        let delivered = match &*self.accepts.lock() {
+            Accepts::Queue(tx) => tx
+                .send((id, Arc::clone(&inbox)))
+                .ok()
+                .map(|()| Delivered::Kept),
+            Accepts::Hook {
+                writer,
+                reader,
+                accept,
+            } => reader
+                .upgrade()
+                .map(|me| accept(id, self.session(writer, id, Arc::clone(&inbox), &me))),
+            Accepts::Closed => None,
+        };
+        match delivered {
+            Some(delivered) => Some((inbox, delivered)),
+            None => {
+                self.routes.lock().remove(&id);
+                None
+            }
         }
-        Some(inbox)
     }
 
     /// Carrier gone: the stream is let go of, every session sees
-    /// Disconnected once its queue drains, the acceptor stops yielding
-    /// sessions, a bus consumer is told every session died at once, and
-    /// the reader thread is called back to find all that and exit.
-    fn close(&self, half: &mut Option<ReadHalf>) {
+    /// Disconnected once its queue drains, nobody is handed sessions any
+    /// more (which lets go of an accept hook and the write half it kept
+    /// open), and the reader thread is called back to find all that and
+    /// exit.
+    fn close(&self, half: &mut Option<FrameReader>) {
         *half = None;
         let orphans: Vec<Arc<Inbox>> = self.routes.lock().drain().map(|(_, i)| i).collect();
         for inbox in orphans {
             inbox.close();
         }
-        if let PeerSink::Bus { conn, sink } = &*self.sink.lock() {
-            sink.deliver(BusEvent::CarrierClosed { conn: *conn });
-        }
+        let accepts = std::mem::replace(&mut *self.accepts.lock(), Accepts::Closed);
+        drop(accepts);
         self.recall_thread();
     }
 }
@@ -719,11 +584,11 @@ pub(crate) enum Turn<'a> {
 pub(crate) struct ReadTurn<'a> {
     carrier: &'a CarrierReader,
     /// `Some` until the drop.
-    half: Option<MutexGuard<'a, Option<ReadHalf>>>,
+    half: Option<MutexGuard<'a, Option<FrameReader>>>,
     /// Replies routed to blocked callers during this turn.
     replies: u64,
     own_reply: bool,
-    /// A worker read for a request and none came.
+    /// A worker read for a request and none came, or handed the half back.
     idle: bool,
 }
 
@@ -739,8 +604,7 @@ impl ReadTurn<'_> {
     }
 
     /// A worker that has just replied reads and routes frames until one is
-    /// a request its endpoint's sink, or its pool's bus sink, hands to it
-    /// ([`Delivered::Claimed`]).
+    /// a job its pool hands to it ([`Delivered::Claimed`]).
     /// It steps aside, as the thread does, once it has delivered a reply to
     /// a blocked caller, who reads for itself when it calls again; and it
     /// leaves the carrier to its thread after [`HANDOVER`] without either,
@@ -757,6 +621,11 @@ impl ReadTurn<'_> {
                 }
             }
         }
+    }
+
+    /// Lets go of the read half and calls the carrier's thread back to it.
+    pub(crate) fn hand_back(mut self) {
+        self.idle = true;
     }
 
     fn step(&mut self, deadline: Instant) -> Step {
@@ -783,7 +652,7 @@ impl Drop for ReadTurn<'_> {
         let unread = self
             .half
             .take()
-            .is_some_and(|half| half.as_ref().is_some_and(|h| h.frames.holds_unread()));
+            .is_some_and(|half| half.as_ref().is_some_and(FrameReader::holds_unread));
         if self.own_reply {
             carrier.replies_caller_read.inc();
         }
@@ -815,14 +684,6 @@ impl Drop for Queued<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A bus that is just a queue, so a test can watch the events.
-    impl BusSink for Sender<BusEvent> {
-        fn deliver(&self, event: BusEvent) -> Delivered {
-            let _ = self.send(event);
-            Delivered::Kept
-        }
-    }
 
     /// In-memory byte pipe so mux logic is testable without sockets.
     fn pipe() -> (PipeWriter, PipeReader) {
@@ -951,75 +812,39 @@ mod tests {
     }
 
     #[test]
-    fn bus_mode_routes_peer_sessions_onto_one_queue() {
+    fn an_accept_hook_gets_every_peer_session_with_its_frames_in_order() {
         let (a, b) = mux_pair();
-        // One session opened before the switch, with a frame already sent:
-        // it must be drained into the bus, in order, not lost.
+        // One session opened before the hook, with a frame already sent:
+        // it reaches the hook with the frame queued, not lost.
         let early = a.open_session().unwrap();
         early.send(vec![0xE, 1]).unwrap();
-        // Give the reader time to route the pre-switch traffic.
+        // Give the reader time to route the early traffic.
         std::thread::sleep(std::time::Duration::from_millis(50));
-        let (bus_tx, bus_rx) = unbounded();
-        let sender = b.bus_sender(7);
-        b.route_accepts_to(7, Arc::new(bus_tx));
+        let (accepted_tx, accepted) = unbounded();
+        b.accept_with(move |id, session| {
+            let _ = accepted_tx.send((id, session));
+            Delivered::Kept
+        });
         early.send(vec![0xE, 2]).unwrap();
         let late = a.open_session().unwrap();
         late.send(vec![0x1A]).unwrap();
 
-        let mut opened = Vec::new();
-        let mut data = Vec::new();
-        for _ in 0..5 {
-            match bus_rx
-                .recv_timeout(std::time::Duration::from_secs(5))
-                .unwrap()
-            {
-                BusEvent::Opened { conn, session } => {
-                    assert_eq!(conn, 7);
-                    opened.push(session);
-                }
-                BusEvent::Data {
-                    conn,
-                    session,
-                    frame,
-                } => {
-                    assert_eq!(conn, 7);
-                    data.push((session, frame.to_vec()));
-                }
-                other => panic!("unexpected event {other:?}"),
-            }
-        }
-        assert_eq!(opened.len(), 2);
-        let early_id = opened[0];
-        assert_eq!(
-            data.iter()
-                .filter(|(s, _)| *s == early_id)
-                .map(|(_, f)| f.clone())
-                .collect::<Vec<_>>(),
-            vec![vec![0xE, 1], vec![0xE, 2]],
-            "pre- and post-switch frames stay in order"
-        );
-
-        // Workers reply through the MuxSender; the initiator's session
-        // receives on its private channel as always.
-        let (_, reply_to) = data.iter().find(|(s, _)| *s != early_id).unwrap().clone();
-        assert_eq!(reply_to, vec![0x1A]);
-        let late_id = opened[1];
-        sender
-            .send(late_id, Frame::from(vec![9u8].as_slice()))
-            .unwrap();
+        let timeout = std::time::Duration::from_secs(5);
+        let (early_id, early_end) = accepted.recv_timeout(timeout).unwrap();
+        let (late_id, late_end) = accepted.recv_timeout(timeout).unwrap();
+        assert!(early_id < late_id, "handed over in the order opened");
+        assert_eq!(early_end.recv().unwrap(), vec![0xE, 1]);
+        assert_eq!(early_end.recv().unwrap(), vec![0xE, 2]);
+        assert_eq!(late_end.recv().unwrap(), vec![0x1A]);
+        late_end.send(vec![9]).unwrap();
         assert_eq!(late.recv().unwrap(), vec![9]);
 
-        // Carrier death surfaces as one CarrierClosed event.
+        // The carrier's death reaches the sessions the hook holds.
         drop(early);
         drop(late);
         drop(a);
-        loop {
-            match bus_rx.recv_timeout(std::time::Duration::from_secs(5)) {
-                Ok(BusEvent::CarrierClosed { conn: 7 }) => break,
-                Ok(BusEvent::Closed { .. }) => continue,
-                other => panic!("expected CarrierClosed, got {other:?}"),
-            }
-        }
+        assert_eq!(early_end.recv().unwrap_err(), LinkError::Disconnected);
+        assert_eq!(late_end.recv().unwrap_err(), LinkError::Disconnected);
     }
 
     #[test]
@@ -1139,7 +964,7 @@ mod tests {
             }
         });
         let session = conn.open_session().unwrap();
-        let sender = conn.bus_sender(1);
+        let sibling = conn.open_session().unwrap();
 
         out.broken.store(true, Ordering::SeqCst);
         assert_eq!(session.send(vec![1]), Err(LinkError::Disconnected));
@@ -1147,10 +972,7 @@ mod tests {
         // if the socket would take bytes again.
         out.broken.store(false, Ordering::SeqCst);
         assert_eq!(session.send(vec![1]), Err(LinkError::Disconnected));
-        assert_eq!(
-            sender.send(3, Frame::from(vec![1])),
-            Err(LinkError::Disconnected)
-        );
+        assert_eq!(sibling.send(vec![1]), Err(LinkError::Disconnected));
         assert_eq!(conn.open_session().unwrap_err(), LinkError::Disconnected);
 
         drop(session);
@@ -1158,9 +980,9 @@ mod tests {
         assert_eq!(
             hook_runs.load(Ordering::SeqCst),
             0,
-            "a MuxSender still holds the write half"
+            "a sibling session still holds the write half"
         );
-        drop(sender);
+        drop(sibling);
         assert_eq!(hook_runs.load(Ordering::SeqCst), 1);
     }
 }

@@ -1,15 +1,16 @@
-//! The serving half of the RPC protocol. Whoever owns the threads — an
-//! [`Endpoint`](crate::Endpoint)'s workers, a daemon's shard worker —
-//! decodes a frame, renews leases from its header, and hands the request to
-//! a [`Responder`], which decides whether it executes at all
-//! (at-most-once), runs the touches the caller deferred onto the frame and
-//! then the request through the [`Dispatcher`] under an `rpc.serve` span
-//! parented on the caller's wire context, and encodes the stamped reply.
-//! It runs on a thread that holds no carrier's read half — an endpoint's
-//! worker lets go of the half before it serves a request it read itself —
-//! so the dispatcher may wait.
+//! The serving half of the RPC protocol. An [`Endpoint`](crate::Endpoint)
+//! decodes a frame, renews leases from its header, and a worker of its pool
+//! hands the request to the endpoint's [`Responder`], which decides whether
+//! it executes at all (at-most-once), runs the touches the caller deferred
+//! onto the frame and then the request through the [`Dispatcher`] under an
+//! `rpc.serve` span parented on the caller's wire context — a panic in
+//! there is the request's error reply — and encodes the stamped reply. It
+//! runs on a thread that holds no carrier's read half — a worker lets go of
+//! the half before it serves a request it read itself — so the dispatcher
+//! may wait.
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use aide_trace::names as span_names;
@@ -123,8 +124,7 @@ pub(crate) fn serve_deferred(
 }
 
 /// Serves decoded requests with at-most-once semantics. One per stream
-/// of client sequence numbers: an endpoint has one, a daemon has one per
-/// session.
+/// of client sequence numbers: every endpoint has one.
 pub struct Responder {
     dedup: DedupCache,
     dedup_hits: Arc<aide_telemetry::Counter>,
@@ -186,10 +186,15 @@ impl Responder {
         if !deferred.is_empty() {
             span.arg("deferred", deferred.len());
         }
-        let result = match serve_deferred(dispatcher, deferred) {
-            Ok(()) => dispatcher.dispatch(body),
-            Err(failure) => Ok(Reply::TouchFailed(failure)),
-        };
+        // A dispatcher that panics fails this request, not the worker, nor
+        // the other sessions the worker serves.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            match serve_deferred(dispatcher, deferred) {
+                Ok(()) => dispatcher.dispatch(body),
+                Err(failure) => Ok(Reply::TouchFailed(failure)),
+            }
+        }))
+        .unwrap_or_else(|_| Err(format!("{kind} panicked")));
         let (lease, touches) = outgoing();
         let frame = Message::Reply { seq, result }.encode_deferring(lease, &touches);
         drop(span);

@@ -8,11 +8,14 @@
 //! export/import tables, and dispatcher — sessions are fully isolated,
 //! exactly as the paper's surrogate hosts one platform instance per client
 //! application, but they share one socket instead of one socket each, and
-//! one bounded worker pool ([`ShardPool`]) instead of threads each: every
-//! carrier is switched onto the pool's bus, and the pool's admission
-//! control answers [`Reply::Busy`](aide_rpc::Reply::Busy) at its session
-//! limit. A session ends — and its VM is released — when the client closes
-//! it (or the carrier dies); the daemon itself runs until
+//! a few worker pools of one worker each ([`ShardPool`]) instead of threads
+//! each: a session is an [`Endpoint`](aide_rpc::Endpoint) served by the
+//! pool its `(carrier, session)` hashes to, and admission control answers
+//! [`Reply::Busy`](aide_rpc::Reply::Busy) at the session limit. The
+//! daemon's threads are its accept loop, its lease sweeper, the shard
+//! workers and one reader per carrier, however many sessions it holds. A
+//! session ends — and its VM is released — when the client closes it (or
+//! the carrier dies); the daemon itself runs until
 //! [`SurrogateDaemon::shutdown`].
 //!
 //! For failover testing the daemon can be configured to crash
@@ -136,20 +139,6 @@ impl Dispatcher for FaultInjector {
     }
 }
 
-/// Counts every request a session serves into the daemon's metrics
-/// registry, then forwards to the real dispatcher.
-struct CountingDispatcher {
-    inner: Arc<dyn Dispatcher>,
-    requests: Arc<aide_telemetry::Counter>,
-}
-
-impl Dispatcher for CountingDispatcher {
-    fn dispatch(&self, request: Request) -> Result<Reply, String> {
-        self.requests.inc();
-        self.inner.dispatch(request)
-    }
-}
-
 /// A running surrogate daemon; dropping the handle does *not* stop it —
 /// call [`shutdown`](SurrogateDaemon::shutdown).
 pub struct SurrogateDaemon {
@@ -190,14 +179,14 @@ impl SurrogateDaemon {
 
         let sweep_interval = config.lease_sweep_interval;
         let name = config.name.clone();
-        let pool = Arc::new(ShardPool::start(
+        let pool = ShardPool::start(
             &name,
             config.shard,
             Box::new(move |killer| session_parts(&config, killer)),
-        ));
+        );
 
-        // Each accepted carrier is switched into mux bus mode with the pool
-        // as its sink: no thread is spawned per carrier or per session.
+        // Each accepted carrier hands the sessions its peer opens to the
+        // pool: no thread is spawned per carrier or per session.
         let accept_thread = {
             let stop = stop.clone();
             let pool = pool.clone();
@@ -211,15 +200,8 @@ impl SurrogateDaemon {
                             Ok(conn) => conn,
                             Err(_) => continue, // a broken accept hurts no one else
                         };
-                        // Register the carrier's sender first, then switch
-                        // it onto the bus: no event can reach a shard worker
-                        // before the worker can reply.
-                        let conn_id = next_conn;
+                        pool.attach_carrier(next_conn, conn);
                         next_conn += 1;
-                        pool.attach_carrier(conn_id, conn.bus_sender(conn_id));
-                        conn.route_accepts_to(conn_id, pool.sink());
-                        // Dropping `conn` is safe: the pool's sender keeps
-                        // the carrier's write half open.
                     }
                 })
                 .expect("spawn surrogate accept loop")
@@ -329,7 +311,7 @@ fn session_parts(config: &DaemonConfig, killer: ConnKiller) -> SessionParts {
         tables.exports.set_ttl_ms(ttl);
     }
     let gc = Arc::new(VmDispatcher::new(machine.clone(), tables.clone()));
-    let inner = VmDispatcher::new(machine, tables.clone());
+    let inner = VmDispatcher::new(machine, tables);
     let dispatcher: Arc<dyn Dispatcher> = match config.fail_after_requests {
         Some(budget) => Arc::new(FaultInjector {
             inner,
@@ -338,15 +320,7 @@ fn session_parts(config: &DaemonConfig, killer: ConnKiller) -> SessionParts {
         }),
         None => Arc::new(inner),
     };
-    let dispatcher: Arc<dyn Dispatcher> = Arc::new(CountingDispatcher {
-        inner: dispatcher,
-        requests: aide_telemetry::global().counter(aide_telemetry::names::SURROGATE_REQUESTS),
-    });
-    SessionParts {
-        dispatcher,
-        tables,
-        gc,
-    }
+    SessionParts { dispatcher, gc }
 }
 
 #[cfg(test)]

@@ -6,10 +6,11 @@
 //! deployment shape:
 //!
 //! * [`SurrogateDaemon`] — a long-running TCP daemon serving any number of
-//!   concurrent client sessions, each with its own surrogate VM, reference
-//!   tables, and dispatcher, all served by one bounded [`ShardPool`] with
-//!   admission control (plus an optional fault injector that crashes a
-//!   session on demand, for failover testing).
+//!   concurrent client sessions, each an [`Endpoint`](aide_rpc::Endpoint)
+//!   with its own surrogate VM, reference tables, and dispatcher, served by
+//!   a few shared one-worker pools ([`ShardPool`]) under admission control
+//!   (plus an optional fault injector that crashes a session on demand, for
+//!   failover testing). Its threads do not grow with its sessions.
 //! * [`beacon`] — UDP announcements so surrogates are discovered rather
 //!   than configured; static registration remains the fallback.
 //! * [`SurrogateRegistry`] — the client-side directory: merges discovered

@@ -99,14 +99,19 @@ impl SurrogateInfo {
 
 /// Orders candidates for placement, deterministically: surrogates at
 /// their session limit partition strictly after everyone under it, then
-/// ascending [`placement_score`](SurrogateInfo::placement_score). The
-/// sort is stable, so equal scores (including all-unknown load) keep the
-/// caller's order — bit-identical results regardless of thread count or
-/// map iteration order upstream.
+/// ascending [`placement_score`](SurrogateInfo::placement_score), then
+/// ascending load, which is what tells apart links nobody has measured
+/// (their scores are all infinite). The sort is stable, so equal keys
+/// (including all-unknown load) keep the caller's order — bit-identical
+/// results regardless of thread count or map iteration order upstream.
 pub fn placement_order(mut candidates: Vec<SurrogateInfo>) -> Vec<SurrogateInfo> {
+    let key = |s: &SurrogateInfo| {
+        let load = s.load_factor().unwrap_or(0.0);
+        (u8::from(s.at_session_limit()), s.placement_score(), load)
+    };
     candidates.sort_by(|a, b| {
-        (u8::from(a.at_session_limit()), a.placement_score())
-            .partial_cmp(&(u8::from(b.at_session_limit()), b.placement_score()))
+        key(a)
+            .partial_cmp(&key(b))
             .unwrap_or(std::cmp::Ordering::Equal)
     });
     candidates

@@ -247,7 +247,6 @@ fn run_seed(seed: u64) {
         shards: 1 + (seed as usize % 3),
         max_sessions: 1,
         busy_retry_ms: 10,
-        dedup_capacity: 128,
     };
     let d0 = SurrogateDaemon::start(DaemonConfig::new("d0", program.clone()).sharded(shard))
         .expect("start d0");
