@@ -4,14 +4,16 @@
 //! that is not a pure function of the program — GC reports, drained
 //! graph deltas, heap snapshots, migration outcomes, link deaths — is
 //! shown to a [`NondetSource`] as it happens. The default [`LiveSource`]
-//! ignores it all; the `aide-replay` crate's recording source captures
-//! every value into a trace, which its replay driver feeds through a
+//! ignores it all; `aide-emu`'s `RecordingSource` captures every value
+//! into a replay trace, which its strict replayer feeds through a
 //! `Monitor` and an `IncrementalPartitioner` of its own to verify they
 //! reproduce the recorded decision timeline bit-for-bit.
 //!
 //! The seam deliberately sits *outside* the partitioner: given the same
-//! deltas, snapshot, and policy, `IncrementalPartitioner::epoch` is
-//! deterministic, so only its inputs need capturing.
+//! sample and policy, the decision epoch
+//! ([`IncrementalPartitioner::decide`](crate::IncrementalPartitioner::decide))
+//! is deterministic, and the platform, the emulator and the replayer all
+//! run it, so only its inputs need capturing.
 
 use aide_graph::{GraphDelta, ResourceSnapshot};
 use aide_vm::GcReport;

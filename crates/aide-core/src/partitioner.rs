@@ -16,7 +16,13 @@
 //! plan-based heuristic, and skips whole epochs when churn since the last
 //! decision stays below a threshold (the dirty-region shortcut). Decisions
 //! are bit-identical to the classic [`decide_with`] pipeline on the same
-//! graph.
+//! graph: both run one candidate step.
+//!
+//! [`IncrementalPartitioner::decide`] is the decision epoch itself, from a
+//! trigger's [`TriggerSample`] to its verdict, with the flight-recorder
+//! events that explain it. The live platform, the trace-driven emulator
+//! and the strict replayer all run it; migration, spans and timestamps stay
+//! with each of them.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,7 +31,10 @@ use aide_graph::{
     density_candidates, plan_candidates, ChurnSummary, ExecutionGraph, GraphDelta,
     IncrementalGraph, PartitionPolicy, ResourceSnapshot, SelectedPartition,
 };
+use aide_telemetry::PlatformEvent;
 use serde::{Deserialize, Serialize};
+
+use crate::nondet::TriggerSample;
 
 /// Which candidate-generation heuristic the partitioning module runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,10 +70,7 @@ impl PartitionDecision {
 }
 
 /// Runs the full decision pipeline over a snapshot: candidates from
-/// `heuristic`, then the policy's selection. The modified-MINCUT sweep is
-/// planned and swept without materializing its candidates
-/// ([`PartitionPolicy::select_plan`]); the density sweep's candidates are
-/// materialized and go through [`PartitionPolicy::select`].
+/// `heuristic`, then the policy's selection.
 pub fn decide_with(
     graph: ExecutionGraph,
     snapshot: ResourceSnapshot,
@@ -72,24 +78,38 @@ pub fn decide_with(
     heuristic: HeuristicKind,
 ) -> PartitionDecision {
     let start = Instant::now();
-    let (selection, candidates_evaluated) = match heuristic {
-        HeuristicKind::ModifiedMincut => {
-            let plan = plan_candidates(&graph);
-            (policy.select_plan(&graph, snapshot, &plan), plan.len())
-        }
-        HeuristicKind::MemoryDensity => {
-            let candidates = density_candidates(&graph);
-            (
-                policy.select(&graph, snapshot, &candidates),
-                candidates.len(),
-            )
-        }
-    };
+    let (selection, candidates_evaluated) = select(&graph, snapshot, policy, heuristic);
     PartitionDecision {
         selection,
         candidates_evaluated,
         elapsed: start.elapsed(),
         graph,
+    }
+}
+
+/// The candidate step of every decision: candidates from `heuristic`, then
+/// the policy's selection, and how many candidates there were. The
+/// modified-MINCUT sweep is planned and swept without materializing its
+/// candidates ([`PartitionPolicy::select_plan`]); the density sweep's
+/// candidates are materialized and go through [`PartitionPolicy::select`].
+fn select(
+    graph: &ExecutionGraph,
+    snapshot: ResourceSnapshot,
+    policy: &dyn PartitionPolicy,
+    heuristic: HeuristicKind,
+) -> (Option<SelectedPartition>, usize) {
+    match heuristic {
+        HeuristicKind::ModifiedMincut => {
+            let plan = plan_candidates(graph);
+            (policy.select_plan(graph, snapshot, &plan), plan.len())
+        }
+        HeuristicKind::MemoryDensity => {
+            let candidates = density_candidates(graph);
+            (
+                policy.select(graph, snapshot, &candidates),
+                candidates.len(),
+            )
+        }
     }
 }
 
@@ -196,7 +216,7 @@ impl IncrementalPartitioner {
         self.deltas_applied.add(deltas.len() as u64);
     }
 
-    /// Runs one decision epoch.
+    /// Runs one decision epoch with the modified-MINCUT heuristic.
     ///
     /// When churn since the last evaluated epoch is below the configured
     /// threshold (and nothing structural changed), the epoch is skipped
@@ -208,6 +228,59 @@ impl IncrementalPartitioner {
         &mut self,
         snapshot: ResourceSnapshot,
         policy: &dyn PartitionPolicy,
+    ) -> EpochDecision {
+        self.evaluate(snapshot, policy, HeuristicKind::ModifiedMincut)
+    }
+
+    /// The decision epoch of a fired trigger: applies the sample's deltas,
+    /// decides under `heuristic`, and hands `record` the events that explain
+    /// the verdict — `TriggerFired`, then `EpochSkipped`, or
+    /// `CandidatesEvaluated` followed by `OffloadDeclined` or
+    /// `WinnerChosen`. The caller stamps the events, acts on the verdict
+    /// and resets its trigger.
+    pub fn decide(
+        &mut self,
+        sample: &TriggerSample,
+        policy: &dyn PartitionPolicy,
+        heuristic: HeuristicKind,
+        record: &mut dyn FnMut(PlatformEvent),
+    ) -> EpochDecision {
+        record(PlatformEvent::TriggerFired {
+            at_gc_cycle: sample.at_gc_cycle,
+            heap_used: sample.snapshot.heap_used,
+            heap_capacity: sample.snapshot.heap_capacity,
+            reason: sample.reason.clone(),
+        });
+        self.apply_deltas(&sample.deltas);
+        let decision = self.evaluate(sample.snapshot, policy, heuristic);
+        if decision.skipped {
+            record(PlatformEvent::EpochSkipped {
+                churn_weight: decision.churn.weight,
+                threshold: self.config.churn_threshold,
+            });
+            return decision;
+        }
+        let candidates = decision.candidates_evaluated;
+        record(PlatformEvent::CandidatesEvaluated {
+            candidates,
+            elapsed_micros: u64::try_from(decision.elapsed.as_micros()).unwrap_or(u64::MAX),
+        });
+        record(match &decision.selection {
+            None => PlatformEvent::OffloadDeclined { candidates },
+            Some(selection) => PlatformEvent::WinnerChosen {
+                policy_score: selection.score,
+                offload_bytes: selection.stats.offloaded_memory_bytes,
+                cut_interactions: selection.stats.cut.interactions,
+            },
+        });
+        decision
+    }
+
+    fn evaluate(
+        &mut self,
+        snapshot: ResourceSnapshot,
+        policy: &dyn PartitionPolicy,
+        heuristic: HeuristicKind,
     ) -> EpochDecision {
         let churn = self.inc.churn();
         if self.evaluated_once && !churn.structural && churn.weight < self.config.churn_threshold {
@@ -221,8 +294,8 @@ impl IncrementalPartitioner {
             };
         }
         let start = Instant::now();
-        let plan = plan_candidates(self.inc.graph());
-        let selection = policy.select_plan(self.inc.graph(), snapshot, &plan);
+        let (selection, candidates_evaluated) =
+            select(self.inc.graph(), snapshot, policy, heuristic);
         let elapsed = start.elapsed();
         self.inc.take_churn();
         self.evaluated_once = true;
@@ -232,7 +305,7 @@ impl IncrementalPartitioner {
         EpochDecision {
             selection,
             skipped: false,
-            candidates_evaluated: plan.len(),
+            candidates_evaluated,
             elapsed,
             churn,
         }
@@ -327,6 +400,53 @@ mod tests {
         assert!(!epoch.skipped);
         assert_eq!(epoch.candidates_evaluated, classic.candidates_evaluated);
         assert_eq!(epoch.selection, classic.selection);
+    }
+
+    /// `decide` runs the heuristic it is asked for, on a graph where the
+    /// two sweeps choose differently, and reports the epoch as the
+    /// platform records it.
+    #[test]
+    fn decide_runs_the_requested_heuristic_and_reports_the_epoch() {
+        let mut g = ExecutionGraph::new();
+        let ui = g.add_node(NodeInfo::pinned("Ui", PinReason::NativeMethods));
+        let [a, b, c] = [("A", 4), ("B", 3), ("C", 1)].map(|(label, mb)| {
+            let id = g.add_node(NodeInfo::new(label));
+            g.node_mut(id).memory_bytes = mb * 1_000_000;
+            id
+        });
+        for (x, bytes) in [(ui, 100), (a, 100), (b, 300)] {
+            g.record_interaction(x, c, EdgeInfo::new(bytes / 10, bytes));
+        }
+        let sample = TriggerSample {
+            at_gc_cycle: 3,
+            reason: "memory-pressure".into(),
+            snapshot: ResourceSnapshot::new(6_000_000, 5_900_000),
+            deltas: Vec::new(),
+            keys: Vec::new(),
+        };
+        let policy = MemoryPolicy::new(0.2);
+        let offloaded = [HeuristicKind::ModifiedMincut, HeuristicKind::MemoryDensity].map(|h| {
+            let inc = IncrementalGraph::from_graph(g.clone());
+            let mut part = IncrementalPartitioner::with_graph(PartitionerConfig::default(), inc);
+            let mut events = Vec::new();
+            let epoch = part.decide(&sample, &policy, h, &mut |event| events.push(event));
+            let classic = decide_with(g.clone(), sample.snapshot, &policy, h);
+            assert_eq!(epoch.selection, classic.selection, "{h:?}");
+            assert!(
+                matches!(
+                    events.as_slice(),
+                    [
+                        PlatformEvent::TriggerFired { at_gc_cycle: 3, .. },
+                        PlatformEvent::CandidatesEvaluated { candidates: 3, .. },
+                        PlatformEvent::WinnerChosen { .. },
+                    ]
+                ),
+                "{h:?}: {events:?}"
+            );
+            let winner = classic.selection.expect("a feasible cut");
+            winner.stats.offloaded_memory_bytes
+        });
+        assert_eq!(offloaded, [8_000_000, 4_000_000]);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::failover::{
 use crate::monitor::{Monitor, MonitorMetrics, RemoteStats};
 use crate::nondet::{LiveSource, MigrationRecord, NondetSource, TriggerSample};
 use crate::offload::{execute_offload_tracked, OffloadOutcome, TrackedOffload};
-use crate::partitioner::IncrementalPartitioner;
+use crate::partitioner::{HeuristicKind, IncrementalPartitioner};
 use crate::relay::RelaySink;
 
 /// Flight-recorder capacity per run: ample for every decision of a run
@@ -224,24 +224,15 @@ impl Controller {
             keys,
         };
         self.nondet.trigger(&sample);
-        let TriggerSample {
-            reason,
-            snapshot,
-            deltas,
-            keys,
-            ..
-        } = sample;
         drop(sample_span);
-        self.recorder.record(PlatformEvent::TriggerFired {
-            at_gc_cycle,
-            heap_used: snapshot.heap_used,
-            heap_capacity: snapshot.heap_capacity,
-            reason: reason.clone(),
-        });
         let mut epoch_span = aide_trace::span(aide_trace::names::PARTITION_EPOCH, "core");
         let mut partitioner = self.partitioner.lock();
-        partitioner.apply_deltas(&deltas);
-        let decision = partitioner.epoch(snapshot, self.policy.as_ref());
+        let decision = partitioner.decide(
+            &sample,
+            self.policy.as_ref(),
+            HeuristicKind::ModifiedMincut,
+            &mut |event| self.recorder.record(event),
+        );
         epoch_span.arg("candidates", decision.candidates_evaluated);
         epoch_span.arg("skipped", decision.skipped);
         drop(epoch_span);
@@ -249,38 +240,23 @@ impl Controller {
             // Dirty-region shortcut: churn since the last evaluation stayed
             // below the configured threshold, so the previous decision
             // stands without re-running the heuristic.
-            self.recorder.record(PlatformEvent::EpochSkipped {
-                churn_weight: decision.churn.weight,
-                threshold: partitioner.config().churn_threshold,
-            });
             decision_span.arg("outcome", "epoch_skipped");
             self.monitor.reset_memory_trigger();
             return;
         }
-        self.recorder.record(PlatformEvent::CandidatesEvaluated {
-            candidates: decision.candidates_evaluated,
-            elapsed_micros: u64::try_from(decision.elapsed.as_micros()).unwrap_or(u64::MAX),
-        });
         let Some(selection) = decision.selection else {
             // Not beneficial / not feasible: leave the trigger armed only if
             // pressure persists (the monitor will re-fire).
-            self.recorder.record(PlatformEvent::OffloadDeclined {
-                candidates: decision.candidates_evaluated,
-            });
             decision_span.arg("outcome", "declined");
             self.monitor.reset_memory_trigger();
             return;
         };
+        let keys = sample.keys;
 
         let stats = &selection.stats;
         let offloaded_memory_fraction = stats.offloaded_memory_fraction();
         let cut = stats.cut;
         let policy_score = selection.score;
-        self.recorder.record(PlatformEvent::WinnerChosen {
-            policy_score,
-            offload_bytes: stats.offloaded_memory_bytes,
-            cut_interactions: cut.interactions,
-        });
         // Resolve the surrogate endpoint: provider-backed runs acquire one
         // lazily (and may have none reachable right now); fixed-link runs
         // use the endpoint bound at startup.
@@ -500,9 +476,9 @@ impl Platform {
     }
 
     /// Threads a [`NondetSource`] through the run's controller, monitor
-    /// hook path, and failover core — the seam the `aide-replay` crate
-    /// uses to record every nondeterministic decision input. Defaults to
-    /// the no-op [`LiveSource`].
+    /// hook path, and failover core — the seam `aide-emu`'s
+    /// `RecordingSource` uses to record every nondeterministic decision
+    /// input. Defaults to the no-op [`LiveSource`].
     pub fn with_nondet_source(mut self, source: Arc<dyn NondetSource>) -> Self {
         self.nondet = Some(source);
         self

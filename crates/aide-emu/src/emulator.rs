@@ -20,9 +20,10 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use aide_core::{
-    decide_with, EvaluationMode, HeuristicKind, Monitor, NodeKey, PolicyKind, TriggerConfig,
+    EvaluationMode, HeuristicKind, IncrementalPartitioner, Monitor, NodeKey, PartitionerConfig,
+    PolicyKind, TriggerConfig, TriggerSample,
 };
-use aide_graph::{CommParams, ResourceSnapshot, Side};
+use aide_graph::{CommParams, PartitionPolicy, Partitioning, ResourceSnapshot, Side};
 use aide_telemetry::{FlightRecorder, PlatformEvent, TimedEvent};
 use aide_trace::SpanContext;
 use aide_vm::{
@@ -304,21 +305,18 @@ fn stamp_span(
     });
 }
 
-/// Context threaded into [`Emulator::try_partition`] so decision events
-/// land in the flight recorder with the right virtual timestamp and
-/// trigger reason.
-struct EmuTrace<'a> {
-    recorder: &'a FlightRecorder,
-    at_micros: u64,
-    at_gc_cycle: u64,
-    reason: &'a str,
-}
-
-/// Side assignment state during a replay.
+/// Side assignment and the per-side byte ledgers during a replay.
 #[derive(Debug, Default)]
 struct Placement {
     class_side: HashMap<ClassId, Side>,
     object_side: HashMap<ObjectId, Side>,
+    /// Live bytes of each class, per side.
+    class_bytes: HashMap<ClassId, ClassBytes>,
+    /// Footprint and class of each object of an object-granular class.
+    object_bytes: HashMap<ObjectId, u64>,
+    object_class: HashMap<ObjectId, ClassId>,
+    /// Classes placed per object (the Array enhancement).
+    array_classes: HashSet<ClassId>,
 }
 
 impl Placement {
@@ -334,6 +332,77 @@ impl Placement {
         }
         self.class(class)
     }
+
+    /// Moves every node to the side `partitioning` gives it and returns the
+    /// live bytes moved off the client, the bytes moved back, and the
+    /// nodes placed on the surrogate.
+    fn apply(&mut self, partitioning: &Partitioning, keys: &[NodeKey]) -> (u64, u64, usize) {
+        let mut bytes_moved = 0u64;
+        let mut nodes_offloaded = 0usize;
+        for node in partitioning.nodes_on(Side::Surrogate) {
+            nodes_offloaded += 1;
+            match keys[node.index()] {
+                NodeKey::Class(c) => {
+                    if self.array_classes.contains(&c) {
+                        continue; // array classes handled per object
+                    }
+                    let entry = self.class_bytes.entry(c).or_default();
+                    bytes_moved += entry.client;
+                    entry.surrogate += entry.client;
+                    entry.client = 0;
+                    self.class_side.insert(c, Side::Surrogate);
+                }
+                NodeKey::Object(o) => {
+                    if self.object_side.get(&o) == Some(&Side::Surrogate) {
+                        continue;
+                    }
+                    let b = self.object_bytes.get(&o).copied().unwrap_or(0);
+                    if let Some(c) = self.object_class.get(&o) {
+                        let entry = self.class_bytes.entry(*c).or_default();
+                        let moved = b.min(entry.client);
+                        entry.client -= moved;
+                        entry.surrogate += moved;
+                        bytes_moved += moved;
+                    }
+                    self.object_side.insert(o, Side::Surrogate);
+                }
+            }
+        }
+        // Global placement (paper §8 "enhance the prototype"): repartitioning
+        // may also bring previously offloaded components home. Bytes moved
+        // back are charged like any other transfer and re-occupy the client
+        // heap.
+        let mut bytes_returned = 0u64;
+        for node in partitioning.nodes_on(Side::Client) {
+            match keys[node.index()] {
+                NodeKey::Class(c) => {
+                    if self.class_side.get(&c) == Some(&Side::Surrogate)
+                        && !self.array_classes.contains(&c)
+                    {
+                        let entry = self.class_bytes.entry(c).or_default();
+                        bytes_returned += entry.surrogate;
+                        entry.client += entry.surrogate;
+                        entry.surrogate = 0;
+                    }
+                    self.class_side.insert(c, Side::Client);
+                }
+                NodeKey::Object(o) => {
+                    if self.object_side.get(&o) == Some(&Side::Surrogate) {
+                        let b = self.object_bytes.get(&o).copied().unwrap_or(0);
+                        if let Some(c) = self.object_class.get(&o) {
+                            let entry = self.class_bytes.entry(*c).or_default();
+                            let moved = b.min(entry.surrogate);
+                            entry.surrogate -= moved;
+                            entry.client += moved;
+                            bytes_returned += moved;
+                        }
+                        self.object_side.insert(o, Side::Client);
+                    }
+                }
+            }
+        }
+        (bytes_moved, bytes_returned, nodes_offloaded)
+    }
 }
 
 /// Per-side live-byte ledger for one class.
@@ -341,6 +410,133 @@ impl Placement {
 struct ClassBytes {
     client: u64,
     surrogate: u64,
+}
+
+/// One replay in progress: the prototype's modules, driven at virtual
+/// time, and the emulated client's clock and heap.
+struct Run<'a> {
+    cfg: &'a EmulatorConfig,
+    monitor: Monitor,
+    partitioner: IncrementalPartitioner,
+    policy: Box<dyn PartitionPolicy>,
+    recorder: FlightRecorder,
+    placement: Placement,
+    client_live: u64,
+    peak_client: u64,
+    client_cpu: f64,
+    surrogate_cpu: f64,
+    comm: f64,
+    transfer: f64,
+    offloads: Vec<EmulatedOffload>,
+}
+
+impl Run<'_> {
+    /// Seconds on the emulated serial clock.
+    fn now(&self) -> f64 {
+        self.client_cpu + self.surrogate_cpu + self.comm + self.transfer
+    }
+
+    /// A fired trigger: runs the decision epoch on the monitor's drained
+    /// deltas and, on a beneficial selection, applies the placement and
+    /// charges the migration.
+    fn partition(&mut self, at_event: usize, at_gc_cycle: u64, reason: &str) {
+        let cfg = self.cfg;
+        let at_micros = virtual_micros(self.now());
+        let decision_ctx = SpanContext::fresh();
+        let (deltas, keys) = self.monitor.drain_deltas();
+        let sample = TriggerSample {
+            at_gc_cycle,
+            reason: reason.to_string(),
+            snapshot: ResourceSnapshot::new(cfg.client_heap, self.client_live.min(cfg.client_heap)),
+            deltas,
+            keys,
+        };
+        stamp_span(
+            decision_ctx.child(),
+            Some(decision_ctx.span_id),
+            aide_trace::names::TRIGGER_SAMPLE,
+            at_micros,
+            0,
+            vec![("reason".to_string(), reason.to_string())],
+        );
+        let recorder = &self.recorder;
+        let decision =
+            self.partitioner
+                .decide(&sample, self.policy.as_ref(), cfg.heuristic, &mut |event| {
+                    recorder.record_at(at_micros, event);
+                });
+        let eval_micros = u64::try_from(decision.elapsed.as_micros()).unwrap_or(u64::MAX);
+        stamp_span(
+            decision_ctx.child(),
+            Some(decision_ctx.span_id),
+            aide_trace::names::PARTITION_EPOCH,
+            at_micros,
+            eval_micros,
+            vec![(
+                "candidates".to_string(),
+                decision.candidates_evaluated.to_string(),
+            )],
+        );
+        let Some(selection) = decision.selection else {
+            stamp_span(
+                decision_ctx,
+                None,
+                aide_trace::names::DECISION,
+                at_micros,
+                eval_micros,
+                vec![("outcome".to_string(), "declined".to_string())],
+            );
+            return;
+        };
+
+        let (bytes_moved, bytes_returned, nodes_offloaded) =
+            self.placement.apply(&selection.partitioning, &sample.keys);
+        let transfer_seconds = cfg.comm.transfer_seconds(bytes_moved + bytes_returned);
+        let transfer_micros = virtual_micros(transfer_seconds);
+        self.recorder.record_at(
+            at_micros,
+            PlatformEvent::ClassMigrated {
+                objects: nodes_offloaded as u64,
+                bytes: bytes_moved + bytes_returned,
+                duration_micros: transfer_micros,
+            },
+        );
+        stamp_span(
+            decision_ctx.child(),
+            Some(decision_ctx.span_id),
+            aide_trace::names::MIGRATION,
+            at_micros + eval_micros,
+            transfer_micros,
+            vec![
+                (
+                    "bytes".to_string(),
+                    (bytes_moved + bytes_returned).to_string(),
+                ),
+                ("objects".to_string(), nodes_offloaded.to_string()),
+                ("outcome".to_string(), "committed".to_string()),
+            ],
+        );
+        stamp_span(
+            decision_ctx,
+            None,
+            aide_trace::names::DECISION,
+            at_micros,
+            eval_micros + transfer_micros,
+            vec![("outcome".to_string(), "offloaded".to_string())],
+        );
+        self.client_live = self.client_live + bytes_returned - bytes_moved;
+        self.transfer += transfer_seconds;
+        self.offloads.push(EmulatedOffload {
+            at_event,
+            bytes_moved,
+            bytes_returned,
+            nodes_offloaded,
+            transfer_seconds,
+            offloaded_memory_fraction: selection.stats.offloaded_memory_fraction(),
+            cut_bytes: selection.stats.cut.bytes,
+            score: selection.score,
+        });
+    }
 }
 
 /// The trace-driven emulator.
@@ -371,24 +567,17 @@ impl Emulator {
         let cfg = &self.config;
         let program = Arc::new(trace.skeleton_program().expect("valid trace metadata"));
 
+        let mut placement = Placement::default();
         // Object-granular classes under the Array enhancement.
-        let array_classes: HashSet<ClassId> = if cfg.array_object_granularity {
-            trace
+        if cfg.array_object_granularity {
+            placement.array_classes = trace
                 .classes
                 .iter()
                 .enumerate()
                 .filter(|(_, c)| c.is_primitive_array)
                 .map(|(i, _)| ClassId(i as u32))
-                .collect()
-        } else {
-            HashSet::new()
-        };
-
-        // The same monitoring module the prototype uses.
-        let monitor = Monitor::new(program, cfg.trigger, array_classes.clone());
-        let policy = cfg.policy.build(cfg.comm, cfg.surrogate_speed);
-
-        let mut placement = Placement::default();
+                .collect();
+        }
         // Manual partitioning: apply the forced placement before replay.
         if let Some(names) = &cfg.forced_surrogate {
             for (i, meta) in trace.classes.iter().enumerate() {
@@ -399,19 +588,25 @@ impl Emulator {
                 }
             }
         }
-        let mut class_bytes: HashMap<ClassId, ClassBytes> = HashMap::new();
-        let mut object_bytes: HashMap<ObjectId, u64> = HashMap::new();
-        let mut object_class: HashMap<ObjectId, ClassId> = HashMap::new();
-
-        let mut client_live: u64 = 0;
-        let mut peak_client: u64 = 0;
-        let mut client_cpu = 0.0f64;
-        let mut surrogate_cpu = 0.0f64;
-        let mut comm = 0.0f64;
-        let mut transfer = 0.0f64;
+        let mut run = Run {
+            cfg,
+            // The same monitoring and partitioning modules the prototype
+            // uses: each trigger drains the monitor's deltas into the
+            // partitioner.
+            monitor: Monitor::new(program, cfg.trigger, placement.array_classes.clone()),
+            partitioner: IncrementalPartitioner::new(PartitionerConfig::default()),
+            policy: cfg.policy.build(cfg.comm, cfg.surrogate_speed),
+            recorder: FlightRecorder::new(FLIGHT_RECORDER_EVENTS),
+            placement,
+            client_live: 0,
+            peak_client: 0,
+            client_cpu: 0.0,
+            surrogate_cpu: 0.0,
+            comm: 0.0,
+            transfer: 0.0,
+            offloads: Vec::new(),
+        };
         let mut remote = EmuRemoteStats::default();
-        let recorder = FlightRecorder::new(FLIGHT_RECORDER_EVENTS);
-        let mut offloads: Vec<EmulatedOffload> = Vec::new();
         let mut failovers: Vec<EmuFailover> = Vec::new();
         // Set when the failure schedule fires with no standby: offloading
         // is over for good, the client continues degraded.
@@ -425,13 +620,6 @@ impl Emulator {
         let mut completed = true;
         let mut oom_at_event = None;
 
-        let speed_of = |side: Side| -> f64 {
-            match side {
-                Side::Client => 1.0,
-                Side::Surrogate => cfg.surrogate_speed,
-            }
-        };
-
         'replay: for (idx, event) in trace.events.iter().enumerate() {
             // Scheduled surrogate death: once the virtual clock passes the
             // configured instant, reinstate everything the surrogate hosted
@@ -439,35 +627,35 @@ impl Emulator {
             // client heap; if they no longer fit, the next allocation hits
             // the hard wall exactly as a real degraded client would.
             if let Some(failure) = cfg.failure {
-                let now = client_cpu + surrogate_cpu + comm + transfer;
+                let now = run.now();
                 if failovers.is_empty() && now >= failure.at_virtual_seconds {
                     let mut reinstated = 0u64;
-                    for entry in class_bytes.values_mut() {
+                    for entry in run.placement.class_bytes.values_mut() {
                         reinstated += entry.surrogate;
                         entry.client += entry.surrogate;
                         entry.surrogate = 0;
                     }
-                    client_live += reinstated;
-                    peak_client = peak_client.max(client_live);
-                    for side in placement.class_side.values_mut() {
+                    run.client_live += reinstated;
+                    run.peak_client = run.peak_client.max(run.client_live);
+                    for side in run.placement.class_side.values_mut() {
                         *side = Side::Client;
                     }
-                    for side in placement.object_side.values_mut() {
+                    for side in run.placement.object_side.values_mut() {
                         *side = Side::Client;
                     }
                     failovers.push(EmuFailover {
                         at_event: idx,
                         at_seconds: now,
                         reinstated_bytes: reinstated,
-                        had_offloaded: !offloads.is_empty(),
+                        had_offloaded: !run.offloads.is_empty(),
                     });
-                    recorder.record_at(
+                    run.recorder.record_at(
                         virtual_micros(now),
                         PlatformEvent::LinkDied {
                             surrogate: EMULATED_SURROGATE.to_string(),
                         },
                     );
-                    recorder.record_at(
+                    run.recorder.record_at(
                         virtual_micros(now),
                         PlatformEvent::FailoverCompleted {
                             surrogate: EMULATED_SURROGATE.to_string(),
@@ -508,46 +696,23 @@ impl Emulator {
             // Each failure extends the offload budget by one: recovering
             // onto the standby surrogate must not consume the original
             // allowance.
-            let offload_budget = cfg.max_offloads as usize + failovers.len();
+            let may_offload =
+                !fleet_dead && run.offloads.len() < cfg.max_offloads as usize + failovers.len();
             match event {
                 TraceEvent::Work { class, micros } => {
-                    let side = placement.class(*class);
-                    match side {
-                        Side::Client => client_cpu += micros / 1e6,
-                        Side::Surrogate => surrogate_cpu += micros / 1e6 / speed_of(side),
+                    match run.placement.class(*class) {
+                        Side::Client => run.client_cpu += micros / 1e6,
+                        Side::Surrogate => run.surrogate_cpu += micros / 1e6 / cfg.surrogate_speed,
                     }
-                    monitor.on_work(*class, *micros);
+                    run.monitor.on_work(*class, *micros);
                     work_since_eval += micros;
                     if let EvaluationMode::Periodic { every_micros } = cfg.evaluation {
                         if work_since_eval >= every_micros
-                            && !fleet_dead
-                            && offloads.len() < offload_budget
-                            && client_cpu + surrogate_cpu + comm + transfer >= reoffload_ready_at
+                            && may_offload
+                            && run.now() >= reoffload_ready_at
                         {
                             work_since_eval = 0.0;
-                            if let Some(o) = self.try_partition(
-                                &monitor,
-                                policy.as_ref(),
-                                idx,
-                                client_live,
-                                &mut placement,
-                                &mut class_bytes,
-                                &object_bytes,
-                                &object_class,
-                                &array_classes,
-                                &EmuTrace {
-                                    recorder: &recorder,
-                                    at_micros: virtual_micros(
-                                        client_cpu + surrogate_cpu + comm + transfer,
-                                    ),
-                                    at_gc_cycle: emu_gc_cycle,
-                                    reason: "periodic",
-                                },
-                            ) {
-                                client_live = client_live + o.bytes_returned - o.bytes_moved;
-                                transfer += o.transfer_seconds;
-                                offloads.push(o);
-                            }
+                            run.partition(idx, emu_gc_cycle, "periodic");
                         }
                     }
                 }
@@ -558,17 +723,17 @@ impl Emulator {
                     invocation,
                     bytes,
                 } => {
-                    let caller_side = placement.class(*caller);
-                    let callee_side = placement.target(*callee, *target);
+                    let caller_side = run.placement.class(*caller);
+                    let callee_side = run.placement.target(*callee, *target);
                     let is_remote = caller_side != callee_side;
                     if is_remote {
-                        comm += cfg.comm.interaction_seconds(*bytes);
+                        run.comm += cfg.comm.interaction_seconds(*bytes);
                         remote.remote_interactions += 1;
                         if *invocation {
                             remote.remote_invocations += 1;
                         }
                     }
-                    monitor.on_interaction(Interaction {
+                    run.monitor.on_interaction(Interaction {
                         caller: *caller,
                         callee: *callee,
                         target: *target,
@@ -588,58 +753,37 @@ impl Emulator {
                 } => {
                     // New objects are created on the VM performing the
                     // creation — approximated by the class's placement.
+                    let placement = &mut run.placement;
                     let side = placement.class(*class);
-                    let entry = class_bytes.entry(*class).or_default();
+                    let entry = placement.class_bytes.entry(*class).or_default();
                     match side {
                         Side::Client => {
                             entry.client += bytes;
-                            client_live += bytes;
+                            run.client_live += bytes;
                         }
                         Side::Surrogate => entry.surrogate += bytes,
                     }
-                    if array_classes.contains(class) {
-                        object_bytes.insert(*object, *bytes);
-                        object_class.insert(*object, *class);
+                    if placement.array_classes.contains(class) {
+                        placement.object_bytes.insert(*object, *bytes);
+                        placement.object_class.insert(*object, *class);
                         if side == Side::Surrogate {
                             placement.object_side.insert(*object, Side::Surrogate);
                         }
                     }
-                    monitor.on_alloc(*class, *object, *bytes);
-                    peak_client = peak_client.max(client_live);
+                    run.monitor.on_alloc(*class, *object, *bytes);
+                    run.peak_client = run.peak_client.max(run.client_live);
 
                     // Hard memory wall: live client data exceeds capacity.
-                    if client_live > cfg.client_heap {
+                    if run.client_live > cfg.client_heap {
                         // Last-ditch evaluation (the prototype's hard-OOM
                         // path also forces GC reports + offload attempts).
                         // The reoffload delay is ignored here: facing OOM,
                         // the client waits out session re-establishment
                         // rather than dying.
-                        if !fleet_dead && offloads.len() < offload_budget {
-                            if let Some(o) = self.try_partition(
-                                &monitor,
-                                policy.as_ref(),
-                                idx,
-                                client_live.min(cfg.client_heap),
-                                &mut placement,
-                                &mut class_bytes,
-                                &object_bytes,
-                                &object_class,
-                                &array_classes,
-                                &EmuTrace {
-                                    recorder: &recorder,
-                                    at_micros: virtual_micros(
-                                        client_cpu + surrogate_cpu + comm + transfer,
-                                    ),
-                                    at_gc_cycle: emu_gc_cycle,
-                                    reason: "allocation-failure",
-                                },
-                            ) {
-                                client_live = client_live + o.bytes_returned - o.bytes_moved;
-                                transfer += o.transfer_seconds;
-                                offloads.push(o);
-                            }
+                        if may_offload {
+                            run.partition(idx, emu_gc_cycle, "allocation-failure");
                         }
-                        if client_live > cfg.client_heap {
+                        if run.client_live > cfg.client_heap {
                             completed = false;
                             oom_at_event = Some(idx);
                             break 'replay;
@@ -651,16 +795,16 @@ impl Emulator {
                     objects,
                     bytes,
                 } => {
-                    let entry = class_bytes.entry(*class).or_default();
+                    let entry = run.placement.class_bytes.entry(*class).or_default();
                     // Reclaim from the client share first: garbage is
                     // dominated by recently created (client-side) objects.
                     let from_client = (*bytes).min(entry.client);
                     entry.client -= from_client;
-                    client_live -= from_client.min(client_live);
+                    run.client_live -= from_client.min(run.client_live);
                     let rest = bytes - from_client;
                     entry.surrogate -= rest.min(entry.surrogate);
                     freed_since_gc += bytes;
-                    monitor.on_free(*class, *objects, *bytes);
+                    run.monitor.on_free(*class, *objects, *bytes);
                 }
                 TraceEvent::Native {
                     caller,
@@ -668,7 +812,7 @@ impl Emulator {
                     work_micros,
                     bytes,
                 } => {
-                    let caller_side = placement.class(*caller);
+                    let caller_side = run.placement.class(*caller);
                     let client_bound = native_requires_client(*kind, cfg.stateless_natives_local);
                     let exec_side = if client_bound {
                         Side::Client
@@ -677,37 +821,39 @@ impl Emulator {
                     };
                     let is_remote = caller_side == Side::Surrogate && client_bound;
                     if is_remote {
-                        comm += cfg.comm.interaction_seconds(*bytes);
+                        run.comm += cfg.comm.interaction_seconds(*bytes);
                         remote.remote_native_calls += 1;
                         remote.remote_invocations += 1;
                         remote.remote_interactions += 1;
                     }
                     match exec_side {
-                        Side::Client => client_cpu += f64::from(*work_micros) / 1e6,
+                        Side::Client => run.client_cpu += f64::from(*work_micros) / 1e6,
                         Side::Surrogate => {
-                            surrogate_cpu +=
-                                f64::from(*work_micros) / 1e6 / speed_of(Side::Surrogate);
+                            run.surrogate_cpu +=
+                                f64::from(*work_micros) / 1e6 / cfg.surrogate_speed;
                         }
                     }
-                    monitor.on_native(*caller, *kind, *work_micros, *bytes, is_remote);
+                    run.monitor
+                        .on_native(*caller, *kind, *work_micros, *bytes, is_remote);
                 }
                 TraceEvent::StaticAccess {
                     accessor,
                     class,
                     bytes,
                 } => {
-                    let is_remote = placement.class(*accessor) == Side::Surrogate;
+                    let is_remote = run.placement.class(*accessor) == Side::Surrogate;
                     if is_remote {
-                        comm += cfg.comm.interaction_seconds(*bytes);
+                        run.comm += cfg.comm.interaction_seconds(*bytes);
                         remote.remote_static_accesses += 1;
                         remote.remote_interactions += 1;
                     }
-                    monitor.on_static_access(*accessor, *class, *bytes, is_remote);
+                    run.monitor
+                        .on_static_access(*accessor, *class, *bytes, is_remote);
                 }
                 TraceEvent::Gc { report } => {
                     // Recompute the report for the emulated heap.
                     emu_gc_cycle += 1;
-                    let used = client_live.min(cfg.client_heap);
+                    let used = run.client_live.min(cfg.client_heap);
                     let emu_report = GcReport {
                         cycle: emu_gc_cycle,
                         capacity: cfg.client_heap,
@@ -718,37 +864,14 @@ impl Emulator {
                         duration_micros: report.duration_micros,
                     };
                     freed_since_gc = 0;
-                    monitor.on_gc(&emu_report);
+                    run.monitor.on_gc(&emu_report);
                     if matches!(cfg.evaluation, EvaluationMode::OnMemoryPressure)
-                        && monitor.memory_triggered()
-                        && !fleet_dead
-                        && offloads.len() < offload_budget
-                        && client_cpu + surrogate_cpu + comm + transfer >= reoffload_ready_at
+                        && run.monitor.memory_triggered()
+                        && may_offload
+                        && run.now() >= reoffload_ready_at
                     {
-                        if let Some(o) = self.try_partition(
-                            &monitor,
-                            policy.as_ref(),
-                            idx,
-                            used,
-                            &mut placement,
-                            &mut class_bytes,
-                            &object_bytes,
-                            &object_class,
-                            &array_classes,
-                            &EmuTrace {
-                                recorder: &recorder,
-                                at_micros: virtual_micros(
-                                    client_cpu + surrogate_cpu + comm + transfer,
-                                ),
-                                at_gc_cycle: emu_gc_cycle,
-                                reason: "memory-pressure",
-                            },
-                        ) {
-                            client_live = client_live + o.bytes_returned - o.bytes_moved;
-                            transfer += o.transfer_seconds;
-                            offloads.push(o);
-                        }
-                        monitor.reset_memory_trigger();
+                        run.partition(idx, emu_gc_cycle, "memory-pressure");
+                        run.monitor.reset_memory_trigger();
                     }
                 }
             }
@@ -757,214 +880,16 @@ impl Emulator {
         EmulatorReport {
             completed,
             oom_at_event,
-            client_cpu_seconds: client_cpu,
-            surrogate_cpu_seconds: surrogate_cpu,
-            comm_seconds: comm,
-            offload_transfer_seconds: transfer,
+            client_cpu_seconds: run.client_cpu,
+            surrogate_cpu_seconds: run.surrogate_cpu,
+            comm_seconds: run.comm,
+            offload_transfer_seconds: run.transfer,
             baseline_seconds: trace.total_work_seconds(),
-            offloads,
+            offloads: run.offloads,
             failovers,
             remote,
-            peak_client_bytes: peak_client,
-            events: recorder.events(),
+            peak_client_bytes: run.peak_client,
+            events: run.recorder.events(),
         }
-    }
-
-    /// Runs the partitioning module; on a beneficial selection, applies the
-    /// placement and returns the migration summary.
-    #[allow(clippy::too_many_arguments)]
-    fn try_partition(
-        &self,
-        monitor: &Monitor,
-        policy: &dyn aide_graph::PartitionPolicy,
-        at_event: usize,
-        client_used: u64,
-        placement: &mut Placement,
-        class_bytes: &mut HashMap<ClassId, ClassBytes>,
-        object_bytes: &HashMap<ObjectId, u64>,
-        object_class: &HashMap<ObjectId, ClassId>,
-        array_classes: &HashSet<ClassId>,
-        trace: &EmuTrace<'_>,
-    ) -> Option<EmulatedOffload> {
-        let decision_ctx = SpanContext::fresh();
-        let (graph, keys) = monitor.snapshot();
-        let snapshot = ResourceSnapshot::new(
-            self.config.client_heap,
-            client_used.min(self.config.client_heap),
-        );
-        trace.recorder.record_at(
-            trace.at_micros,
-            PlatformEvent::TriggerFired {
-                at_gc_cycle: trace.at_gc_cycle,
-                heap_used: client_used.min(self.config.client_heap),
-                heap_capacity: self.config.client_heap,
-                reason: trace.reason.to_string(),
-            },
-        );
-        stamp_span(
-            decision_ctx.child(),
-            Some(decision_ctx.span_id),
-            aide_trace::names::TRIGGER_SAMPLE,
-            trace.at_micros,
-            0,
-            vec![("reason".to_string(), trace.reason.to_string())],
-        );
-        let decision = decide_with(graph, snapshot, policy, self.config.heuristic);
-        let eval_micros = u64::try_from(decision.elapsed.as_micros()).unwrap_or(u64::MAX);
-        trace.recorder.record_at(
-            trace.at_micros,
-            PlatformEvent::CandidatesEvaluated {
-                candidates: decision.candidates_evaluated,
-                elapsed_micros: eval_micros,
-            },
-        );
-        stamp_span(
-            decision_ctx.child(),
-            Some(decision_ctx.span_id),
-            aide_trace::names::PARTITION_EPOCH,
-            trace.at_micros,
-            eval_micros,
-            vec![(
-                "candidates".to_string(),
-                decision.candidates_evaluated.to_string(),
-            )],
-        );
-        let Some(selection) = decision.selection else {
-            trace.recorder.record_at(
-                trace.at_micros,
-                PlatformEvent::OffloadDeclined {
-                    candidates: decision.candidates_evaluated,
-                },
-            );
-            stamp_span(
-                decision_ctx,
-                None,
-                aide_trace::names::DECISION,
-                trace.at_micros,
-                eval_micros,
-                vec![("outcome".to_string(), "declined".to_string())],
-            );
-            return None;
-        };
-
-        let mut bytes_moved = 0u64;
-        let mut nodes_offloaded = 0usize;
-        for node in selection.partitioning.nodes_on(Side::Surrogate) {
-            nodes_offloaded += 1;
-            match keys[node.index()] {
-                NodeKey::Class(c) => {
-                    if array_classes.contains(&c) {
-                        continue; // array classes handled per object
-                    }
-                    let entry = class_bytes.entry(c).or_default();
-                    bytes_moved += entry.client;
-                    entry.surrogate += entry.client;
-                    entry.client = 0;
-                    placement.class_side.insert(c, Side::Surrogate);
-                }
-                NodeKey::Object(o) => {
-                    if placement.object_side.get(&o) == Some(&Side::Surrogate) {
-                        continue;
-                    }
-                    let b = object_bytes.get(&o).copied().unwrap_or(0);
-                    if let Some(c) = object_class.get(&o) {
-                        let entry = class_bytes.entry(*c).or_default();
-                        let moved = b.min(entry.client);
-                        entry.client -= moved;
-                        entry.surrogate += moved;
-                        bytes_moved += moved;
-                    }
-                    placement.object_side.insert(o, Side::Surrogate);
-                }
-            }
-        }
-        // Global placement (paper §8 "enhance the prototype"): repartitioning
-        // may also bring previously offloaded components home. Bytes moved
-        // back are charged like any other transfer and re-occupy the client
-        // heap.
-        let mut bytes_returned = 0u64;
-        for node in selection.partitioning.nodes_on(Side::Client) {
-            match keys[node.index()] {
-                NodeKey::Class(c) => {
-                    if placement.class_side.get(&c) == Some(&Side::Surrogate)
-                        && !array_classes.contains(&c)
-                    {
-                        let entry = class_bytes.entry(c).or_default();
-                        bytes_returned += entry.surrogate;
-                        entry.client += entry.surrogate;
-                        entry.surrogate = 0;
-                    }
-                    placement.class_side.insert(c, Side::Client);
-                }
-                NodeKey::Object(o) => {
-                    if placement.object_side.get(&o) == Some(&Side::Surrogate) {
-                        let b = object_bytes.get(&o).copied().unwrap_or(0);
-                        if let Some(c) = object_class.get(&o) {
-                            let entry = class_bytes.entry(*c).or_default();
-                            let moved = b.min(entry.surrogate);
-                            entry.surrogate -= moved;
-                            entry.client += moved;
-                            bytes_returned += moved;
-                        }
-                        placement.object_side.insert(o, Side::Client);
-                    }
-                }
-            }
-        }
-
-        let transfer_seconds = self
-            .config
-            .comm
-            .transfer_seconds(bytes_moved + bytes_returned);
-        trace.recorder.record_at(
-            trace.at_micros,
-            PlatformEvent::WinnerChosen {
-                policy_score: selection.score,
-                offload_bytes: selection.stats.offloaded_memory_bytes,
-                cut_interactions: selection.stats.cut.interactions,
-            },
-        );
-        let transfer_micros = virtual_micros(transfer_seconds);
-        trace.recorder.record_at(
-            trace.at_micros,
-            PlatformEvent::ClassMigrated {
-                objects: nodes_offloaded as u64,
-                bytes: bytes_moved + bytes_returned,
-                duration_micros: transfer_micros,
-            },
-        );
-        stamp_span(
-            decision_ctx.child(),
-            Some(decision_ctx.span_id),
-            aide_trace::names::MIGRATION,
-            trace.at_micros + eval_micros,
-            transfer_micros,
-            vec![
-                (
-                    "bytes".to_string(),
-                    (bytes_moved + bytes_returned).to_string(),
-                ),
-                ("objects".to_string(), nodes_offloaded.to_string()),
-                ("outcome".to_string(), "committed".to_string()),
-            ],
-        );
-        stamp_span(
-            decision_ctx,
-            None,
-            aide_trace::names::DECISION,
-            trace.at_micros,
-            eval_micros + transfer_micros,
-            vec![("outcome".to_string(), "offloaded".to_string())],
-        );
-        Some(EmulatedOffload {
-            at_event,
-            bytes_moved,
-            bytes_returned,
-            nodes_offloaded,
-            transfer_seconds,
-            offloaded_memory_fraction: selection.stats.offloaded_memory_fraction(),
-            cut_bytes: selection.stats.cut.bytes,
-            score: selection.score,
-        })
     }
 }

@@ -11,10 +11,32 @@
 //!   an unconstrained single-VM run.
 //! * [`Emulator`] — replays a trace under configurable constraints (heap
 //!   size, WaveLAN link, 3.5× surrogate, policies, enhancements), driving
-//!   the *same* [`aide_core::Monitor`] and partitioning modules as the
-//!   prototype and stretching simulated time for remote interactions.
+//!   the *same* [`aide_core::Monitor`] and decision epoch
+//!   ([`aide_core::IncrementalPartitioner::decide`]) as the prototype and
+//!   stretching simulated time for remote interactions.
 //! * [`sweep_memory_policies`] — the Figure 7 grid search over triggering
 //!   thresholds, tolerances, and minimum-memory-freed fractions.
+//!
+//! It also replays the prototype's own decisions. A live platform's offload
+//! decisions are a pure function of a small set of nondeterministic inputs:
+//! the GC report stream, the drained graph deltas and heap snapshot at each
+//! trigger, migration outcomes and link deaths.
+//!
+//! * [`RecordingSource`] / [`record_platform_run`] — capture them behind the
+//!   [`NondetSource`](aide_core::NondetSource) seam into a versioned
+//!   [`ReplayTrace`], saved as human-editable JSON lines ([`save`],
+//!   [`load`]). A replay trace holds exactly what replay reads: chaos draws,
+//!   RPC timings and probe RTTs never reach the pipeline (a chaos
+//!   schedule's seed, in the header's config, regenerates its fault
+//!   stream), and no VM event stream rides along.
+//! * [`replay()`] — strict replay through the same decision epoch: the
+//!   recorded flight-recorder timeline is the oracle, and the first mismatch
+//!   stops the run with a located [`ReplayError::Diverged`] ("expected
+//!   `TriggerFired` at epoch 12, got `EpochSkipped`"). A divergence-free
+//!   replay reproduces the timeline bit-for-bit.
+//! * [`sweep()`] — re-decides one recorded run under many policy variants on
+//!   the same sweep driver as Figure 7: what-if analysis with recorded-run
+//!   fidelity.
 //!
 //! # Examples
 //!
@@ -39,15 +61,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod codec;
 mod emulator;
+mod event;
 mod record;
+mod replay;
 mod sweep;
 mod trace;
 
+pub use codec::{decode, from_json_lines, load, save, to_json_lines, TraceError};
 pub use emulator::{
     EmuFailover, EmuRemoteStats, EmulatedOffload, Emulator, EmulatorConfig, EmulatorReport,
     FailureSchedule,
 };
-pub use record::{record_program, Recorder};
-pub use sweep::{best_point, sweep_memory_policies, PolicyGrid, PolicyParams, SweepPoint};
+pub use event::{ReplayEvent, ReplayTrace, TraceHeader, TRACE_VERSION};
+pub use record::{record_platform_run, record_program, Recorder, RecordingSource};
+pub use replay::{bless, replay, replay_with, ReplayError, ReplayOutcome};
+pub use sweep::{
+    best_point, decision_outcomes, default_variants, sweep, sweep_memory_policies, BaselineSummary,
+    EpochOutcome, PolicyGrid, PolicyParams, SweepPoint, SweepReport, SweepVariant, VariantOutcome,
+};
 pub use trace::{ClassMeta, Trace, TraceEvent};

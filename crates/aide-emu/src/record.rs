@@ -1,16 +1,32 @@
-//! The trace recorder: a [`RuntimeHooks`] implementation that captures the
-//! full event stream of a run, plus a convenience driver that records an
+//! Recording, at the two seams the emulator replays from.
+//!
+//! [`Recorder`] is a [`RuntimeHooks`] implementation that captures the full
+//! VM event stream of a run into a [`Trace`]; [`record_program`] records an
 //! application "running to completion on a single PC" (paper §4).
+//!
+//! [`RecordingSource`] implements aide-core's [`NondetSource`] — GC
+//! reports, trigger samples, migration outcomes, link deaths — accumulating
+//! a live platform run's decision inputs in pipeline order.
+//! [`record_platform_run`] hands one source to a [`Platform`], runs the
+//! program, and returns the report together with the finished
+//! [`ReplayTrace`] (whose baseline is the run's flight-recorder timeline).
+//! The source belongs to its run, so recordings may overlap.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use aide_core::{
+    MigrationRecord, NondetSource, Platform, PlatformConfig, PlatformReport, TriggerSample,
+};
+use aide_telemetry::TimedEvent;
 use aide_vm::{
     ClassId, GcReport, Interaction, InteractionKind, Machine, NativeKind, ObjectId, Program,
     RuntimeHooks, VmConfig, VmResult,
 };
 
+use crate::event::{ReplayEvent, ReplayTrace};
 use crate::trace::{Trace, TraceEvent};
 
 /// Records every VM event into an in-memory trace.
@@ -141,6 +157,86 @@ pub fn record_program(
     let mut trace = Trace::new(app_name, heap_capacity, Trace::class_meta_of(&program));
     trace.events = events;
     Ok(trace)
+}
+
+/// Captures every nondeterministic input crossing the seam.
+pub struct RecordingSource {
+    origin: Instant,
+    inputs: Mutex<Vec<ReplayEvent>>,
+}
+
+impl Default for RecordingSource {
+    fn default() -> Self {
+        RecordingSource::new()
+    }
+}
+
+impl RecordingSource {
+    /// A fresh recorder; timestamps count from now.
+    pub fn new() -> Self {
+        RecordingSource {
+            origin: Instant::now(),
+            inputs: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn push(&self, input: impl FnOnce(u64) -> ReplayEvent) {
+        let at_micros = u64::try_from(self.origin.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.inputs.lock().push(input(at_micros));
+    }
+
+    /// Drains the captured inputs into a trace for `app`, with
+    /// `baseline` as the oracle timeline (the recorded run's
+    /// `report.events`).
+    pub fn into_trace(
+        &self,
+        app: impl Into<String>,
+        config: PlatformConfig,
+        baseline: Vec<TimedEvent>,
+    ) -> ReplayTrace {
+        let mut trace = ReplayTrace::new(app, config);
+        trace.inputs = std::mem::take(&mut *self.inputs.lock());
+        trace.baseline = baseline;
+        trace
+    }
+}
+
+impl NondetSource for RecordingSource {
+    fn observe_gc(&self, report: &GcReport) {
+        self.push(|at_micros| ReplayEvent::Gc {
+            at_micros,
+            report: *report,
+        });
+    }
+
+    fn trigger(&self, sample: &TriggerSample) {
+        self.push(|at_micros| ReplayEvent::Trigger {
+            at_micros,
+            sample: sample.clone(),
+        });
+    }
+
+    fn migration(&self, record: MigrationRecord) {
+        self.push(|at_micros| ReplayEvent::Migration { at_micros, record });
+    }
+
+    fn link_died(&self, surrogate: &str) {
+        self.push(|at_micros| ReplayEvent::LinkDown {
+            at_micros,
+            surrogate: surrogate.to_string(),
+        });
+    }
+}
+
+/// Runs `platform` with a fresh [`RecordingSource`] and returns the run
+/// report plus the finished trace (baseline = the run's flight-recorder
+/// timeline).
+pub fn record_platform_run(platform: Platform, app: &str) -> (PlatformReport, ReplayTrace) {
+    let config = *platform.config();
+    let source = Arc::new(RecordingSource::new());
+    let report = platform.with_nondet_source(source.clone()).run();
+    let trace = source.into_trace(app, config, report.events.clone());
+    (report, trace)
 }
 
 #[cfg(test)]

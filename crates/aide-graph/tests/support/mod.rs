@@ -1,5 +1,5 @@
 //! The seeded case generator of the workspace's property suites (this
-//! crate's, and by `#[path]` aide-rpc's, aide-vm's and aide-replay's): the
+//! crate's, and by `#[path]` aide-rpc's, aide-vm's and aide-emu's): the
 //! in-tree xorshift (`flat_props`, `monitor_props`, `lease_model`), so a case
 //! depends on its seed alone and a failure names the seed that reproduces it.
 

@@ -174,8 +174,8 @@ pub enum PlatformEvent {
         retry_after_ms: u32,
     },
     /// A trace replay produced an event that differs from the recorded
-    /// baseline timeline at the same position (`aide-replay`'s strict
-    /// divergence check).
+    /// baseline timeline at the same position (`aide-emu`'s strict
+    /// replay divergence check).
     ReplayDiverged {
         /// Index into the baseline timeline where the mismatch occurred.
         at_index: u64,

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use aide::apps::{biomer, dia, javanote, tracer, voxel, Scale};
 use aide::core::{Platform, PlatformConfig};
-use aide::replay::{default_variants, load, record_platform_run, replay, save, sweep, ReplayEvent};
+use aide::emu::{default_variants, load, record_platform_run, replay, save, sweep, ReplayEvent};
 use aide::rpc::ChaosSchedule;
 use aide::telemetry::render_timeline;
 

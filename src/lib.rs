@@ -11,16 +11,16 @@
 //!   endpoints, distributed GC tables).
 //! * [`core`] — the AIDE platform: monitoring, partitioning, offloading,
 //!   and the two-VM prototype driver.
-//! * [`emu`] — the trace-driven emulator and policy sweeps.
+//! * [`emu`] — the trace-driven emulator, deterministic record/replay of
+//!   the decision pipeline (versioned traces of every nondeterministic
+//!   input, bit-identical timeline replay with strict divergence
+//!   detection), and the parallel sweep driver behind Figure 7 and
+//!   what-if policy sweeps.
 //! * [`apps`] — models of the paper's five evaluation applications.
 //! * [`surrogate`] — the surrogate daemon, UDP-beacon discovery, the
 //!   RTT-ranked registry, and failover onto standby surrogates.
 //! * [`telemetry`] — platform-wide metrics, the decision flight recorder,
 //!   and the JSON-lines / Prometheus-style exporters.
-//! * [`replay`] — deterministic record/replay of the decision pipeline:
-//!   versioned traces of every nondeterministic input, bit-identical
-//!   timeline replay with strict divergence detection, and parallel
-//!   what-if policy sweeps.
 //! * [`trace`] — causal distributed tracing: span contexts propagated
 //!   across the RPC wire, Chrome/Perfetto trace export, and per-migration
 //!   critical-path latency attribution.
@@ -47,7 +47,6 @@ pub use aide_apps as apps;
 pub use aide_core as core;
 pub use aide_emu as emu;
 pub use aide_graph as graph;
-pub use aide_replay as replay;
 pub use aide_rpc as rpc;
 pub use aide_surrogate as surrogate;
 pub use aide_telemetry as telemetry;

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use aide::apps::{javanote, Scale};
 use aide::core::{Platform, PlatformConfig};
-use aide::replay::{decode, record_platform_run, replay, to_json_lines, ReplayTrace};
+use aide::emu::{decode, record_platform_run, replay, to_json_lines, ReplayTrace};
 use aide::rpc::ChaosSchedule;
 use aide::telemetry::{render_timeline, PlatformEvent};
 
