@@ -556,11 +556,11 @@ impl Platform {
             Arc::new(VmDispatcher::new(side.machine.clone(), side.tables.clone())),
             EndpointConfig::default(),
         );
-        // Whoever serves for the surrogate endpoint — its workers, the
-        // carrier's reader — records under the track active at start time,
-        // so even this single-process prototype exports its serve spans on
-        // a "surrogate" lane.
-        aide_trace::set_thread_track("surrogate");
+        // The surrogate endpoint's workers record on the lane active at
+        // its start, so even this single-process prototype exports its
+        // serve spans on a "surrogate" track.
+        let client_lane = aide_trace::current_lane();
+        aide_trace::set_thread_lane(&client_lane.with_track("surrogate"));
         let surrogate_ep = Endpoint::start(
             st,
             cfg.comm,
@@ -571,7 +571,7 @@ impl Platform {
             )),
             EndpointConfig::default(),
         );
-        aide_trace::set_thread_track("client");
+        aide_trace::set_thread_lane(&client_lane);
 
         // Lease piggybacking: each endpoint stamps outgoing frames with its
         // imports epoch and its VM's write count and renews its own exports
@@ -656,9 +656,11 @@ impl Platform {
         let heartbeat = {
             let core = core.clone();
             let interval = failover_cfg.heartbeat_interval;
+            let lane = aide_trace::current_lane();
             std::thread::Builder::new()
                 .name("aide-heartbeat".into())
                 .spawn(move || {
+                    aide_trace::set_thread_lane(&lane);
                     while let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
                         stopped.recv_timeout(interval)
                     {
@@ -725,10 +727,9 @@ impl Platform {
         let telemetry_before = aide_telemetry::global().snapshot();
         let recorder = Arc::new(FlightRecorder::new(FLIGHT_RECORDER_EVENTS));
 
-        // Tracing: flight-recorder events link to the active span, and
-        // this thread's spans go to the "client" lane.
-        aide_trace::install_recorder_annotator();
-        aide_trace::set_process_label("client");
+        // Tracing: this thread's spans, and those of the threads it hands
+        // its lane to, go on the "client" track.
+        aide_trace::set_thread_lane(&aide_trace::current_lane().with_track("client"));
 
         // Controller first (late-bound), so the client machine's hook chain
         // can include it from the start.

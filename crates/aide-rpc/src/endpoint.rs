@@ -751,7 +751,7 @@ impl Endpoint {
     ///
     /// `dispatcher` serves the peer's requests; `clock` accumulates
     /// simulated link time priced by `params`. Whatever thread serves for
-    /// this endpoint records its spans under the caller's track label.
+    /// this endpoint records its spans on the caller's lane.
     pub fn start(
         session: Session,
         params: CommParams,
@@ -759,8 +759,7 @@ impl Endpoint {
         dispatcher: Arc<dyn Dispatcher>,
         config: EndpointConfig,
     ) -> Arc<Endpoint> {
-        let track = aide_trace::current_track();
-        let pool = WorkerPool::new("rpc-worker", &track, config.workers);
+        let pool = WorkerPool::new("rpc-worker", aide_trace::current_lane(), config.workers);
         Endpoint::serving(pool, true, session, params, clock, dispatcher, config)
     }
 
@@ -1870,6 +1869,8 @@ mod tests {
 
     #[test]
     fn serve_spans_adopt_the_callers_wire_context() {
+        // Opened first: the endpoints' workers record on this thread's lane.
+        let store = aide_trace::SpanStore::open();
         let (client, surrogate) = pair();
         let root = aide_trace::span("endpoint.test.root", "test");
         let root_ctx = root.context();
@@ -1880,14 +1881,12 @@ mod tests {
             })
             .unwrap();
         drop(root);
-        // Joining the endpoints exits their worker threads, which flushes
-        // their thread-local span buffers.
+        // Joined, the endpoints' workers have closed every span they opened.
         client.shutdown();
         surrogate.shutdown();
         client.join();
         surrogate.join();
-        aide_trace::flush_thread();
-        let spans = aide_trace::snapshot();
+        let spans = store.drain();
         let serve = spans
             .iter()
             .find(|s| s.trace_id == root_ctx.trace_id && s.name == span_names::RPC_SERVE)
@@ -1903,6 +1902,7 @@ mod tests {
 
     #[test]
     fn retry_attempts_get_their_own_spans_with_backoff() {
+        let store = aide_trace::SpanStore::open();
         let (link, ct, st) = Link::pair(CommParams::WAVELAN);
         let clock = link.clock.clone();
         let client = Endpoint::start(
@@ -1946,8 +1946,7 @@ mod tests {
         surrogate.shutdown();
         client.join();
         surrogate.join();
-        aide_trace::flush_thread();
-        let spans = aide_trace::snapshot();
+        let spans = store.drain();
         let ours: Vec<_> = spans
             .iter()
             .filter(|s| s.trace_id == root_ctx.trace_id)

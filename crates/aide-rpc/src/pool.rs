@@ -86,8 +86,8 @@ pub struct WorkerPool {
     max_workers: usize,
     /// Workers are named `{name}-{number}`.
     name: String,
-    /// The trace track the workers record their spans under.
-    track: String,
+    /// The trace lane the workers record their spans on.
+    lane: aide_trace::Lane,
     served_where_read: AtomicU64,
     served_where_read_total: Arc<aide_telemetry::Counter>,
     workers_spawned: Arc<aide_telemetry::Counter>,
@@ -95,15 +95,15 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// A pool that spawns no worker before a job needs one, and at most
-    /// `max_workers`, recording their spans on `track`.
-    pub(crate) fn new(name: &str, track: &str, max_workers: usize) -> Arc<WorkerPool> {
+    /// `max_workers`, recording their spans on `lane`.
+    pub(crate) fn new(name: &str, lane: aide_trace::Lane, max_workers: usize) -> Arc<WorkerPool> {
         let telemetry = aide_telemetry::global();
         Arc::new_cyclic(|me| WorkerPool {
             me: me.clone(),
             state: Mutex::default(),
             max_workers,
             name: name.to_string(),
-            track: track.to_string(),
+            lane,
             served_where_read: AtomicU64::new(0),
             served_where_read_total: telemetry
                 .counter(aide_telemetry::names::RPC_SERVED_WHERE_READ),
@@ -112,9 +112,9 @@ impl WorkerPool {
     }
 
     /// A pool of `workers` workers, all spawned now, recording their spans
-    /// on `track`. It serves until [`shutdown`](WorkerPool::shutdown).
-    pub fn start(name: &str, track: &str, workers: usize) -> Arc<WorkerPool> {
-        let pool = WorkerPool::new(name, track, workers);
+    /// on `lane`. It serves until [`shutdown`](WorkerPool::shutdown).
+    pub fn start(name: &str, lane: aide_trace::Lane, workers: usize) -> Arc<WorkerPool> {
+        let pool = WorkerPool::new(name, lane, workers);
         {
             let mut state = pool.state.lock();
             for _ in 0..workers {
@@ -229,7 +229,7 @@ impl WorkerPool {
     /// out. Between two jobs it leads the carrier of the last one when it
     /// can (see [`WorkerPool::lead`]).
     fn work(&self, me: usize) {
-        aide_trace::set_thread_track(&self.track);
+        aide_trace::set_thread_lane(&self.lane);
         // The carrier of the last request served, and whether leading is
         // held off (see `lead`).
         let mut last_from = None;
@@ -270,7 +270,6 @@ impl WorkerPool {
             }
             .or_else(|| self.next_job(me));
         }
-        aide_trace::flush_thread();
     }
 
     /// Worker `me`, parked with its reply sent on `carrier`, leads it if

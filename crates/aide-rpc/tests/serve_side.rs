@@ -591,14 +591,16 @@ fn replies_from_the_reader_one_way_and_bulk_the_other_way_never_wedge_the_carrie
 
 #[test]
 fn a_span_served_on_a_reader_carries_the_endpoints_track_and_is_stored_by_join() {
-    const CALLS: usize = 3; // far from filling a thread's batch of 32
+    const CALLS: usize = 3;
     let _turn = turn();
     for (name, wire) in Wire::carriers() {
+        let store = aide_trace::SpanStore::open();
         let (cs, ss) = wire.pair();
-        // Whoever starts an endpoint names the track of all it serves.
-        aide_trace::set_thread_track("serving-side");
+        // Whoever starts an endpoint names the lane of all it serves.
+        let lane = aide_trace::current_lane();
+        aide_trace::set_thread_lane(&lane.with_track("serving-side"));
         let server = start(ss, Arc::new(Vmish::default()), config());
-        aide_trace::set_thread_track("calling-side");
+        aide_trace::set_thread_lane(&lane.with_track("calling-side"));
         let client = start(cs, Arc::new(Vmish::default()), config());
 
         let root = aide_trace::span("serve_side.root", "test");
@@ -610,7 +612,8 @@ fn a_span_served_on_a_reader_carries_the_endpoints_track_and_is_stored_by_join()
         // The accepting end winds down on its own, while the carrier stays
         // up; the worker that read and served the calls has exited by then.
         wind_down(&[&server]);
-        let serves: Vec<_> = aide_trace::snapshot()
+        let serves: Vec<_> = store
+            .drain()
             .into_iter()
             .filter(|s| s.trace_id == trace_id && s.name == aide_trace::names::RPC_SERVE)
             .collect();

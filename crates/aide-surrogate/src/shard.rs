@@ -235,11 +235,14 @@ impl Drop for Accepting {
 }
 
 impl ShardPool {
-    /// Spawns the shard workers. `name` labels the per-daemon stats lines;
-    /// `factory` builds each admitted session's VM and dispatcher chain.
+    /// Spawns the shard workers, which record their spans on the calling
+    /// thread's lane under the "surrogate" track. `name` labels the
+    /// per-daemon stats lines; `factory` builds each admitted session's VM
+    /// and dispatcher chain.
     pub fn start(name: &str, config: ShardConfig, factory: Box<SessionFactory>) -> Arc<ShardPool> {
+        let lane = aide_trace::current_lane().with_track("surrogate");
         let shards = (0..config.shards.max(1))
-            .map(|i| WorkerPool::start(&format!("aide-shard-{name}-{i}"), "surrogate", 1))
+            .map(|i| WorkerPool::start(&format!("aide-shard-{name}-{i}"), lane.clone(), 1))
             .collect();
         Arc::new(ShardPool {
             name: name.to_string(),

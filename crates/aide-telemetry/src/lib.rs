@@ -13,13 +13,13 @@
 //!   decision (trigger, candidate scores, winner, migrations, failures)
 //!   after the fact.
 //! - **exporters**: a Prometheus-style text exposition of a snapshot
-//!   (served by `aide-surrogate` on its RPC port via a `STATS` request),
-//!   JSON lines of recorder events, and human-readable timeline
-//!   rendering.
+//!   (served by `aide-surrogate` on its RPC port via a `STATS` request)
+//!   and human-readable timeline rendering.
 //!
-//! The crate is a leaf: it depends only on `serde`/`serde_json`/
-//! `parking_lot`, so every other crate in the workspace can record into
-//! it without dependency cycles.
+//! Besides `serde`/`serde_json`/`parking_lot` it depends only on
+//! `aide-trace`, a leaf, whose context stack the recorder reads to link
+//! each event to the span active on the recording thread. Every other
+//! crate in the workspace can record into it without dependency cycles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,9 +32,7 @@ mod recorder;
 pub use export::prometheus_text;
 pub use fleet::{FleetSnapshot, SessionLease};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Telemetry, TelemetrySnapshot};
-pub use recorder::{
-    events_json_lines, render_timeline, FlightRecorder, PlatformEvent, SpanRef, TimedEvent,
-};
+pub use recorder::{render_timeline, FlightRecorder, PlatformEvent, SpanRef, TimedEvent};
 
 use std::sync::OnceLock;
 
@@ -48,24 +46,6 @@ static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
 /// [`TelemetrySnapshot::delta_since`].
 pub fn global() -> &'static Telemetry {
     GLOBAL.get_or_init(Telemetry::new)
-}
-
-/// The flight recorder's trace annotator: returns the recording thread's
-/// active `(trace_id, span_id)`, if any. Registered by the tracing layer
-/// (`aide_trace::install_recorder_annotator`); a plain function pointer
-/// keeps this crate a leaf with no dependency on the span machinery.
-type TraceAnnotator = fn() -> Option<(u64, u64)>;
-static TRACE_ANNOTATOR: OnceLock<TraceAnnotator> = OnceLock::new();
-
-/// Registers the span annotator consulted by [`FlightRecorder::record`]
-/// and [`FlightRecorder::record_at`]. First registration wins; later
-/// calls are no-ops (the annotator is process-global state).
-pub fn set_trace_annotator(annotator: TraceAnnotator) {
-    let _ = TRACE_ANNOTATOR.set(annotator);
-}
-
-pub(crate) fn annotate_with_trace() -> Option<(u64, u64)> {
-    TRACE_ANNOTATOR.get().and_then(|f| f())
 }
 
 /// Canonical metric names, shared by all instrumented crates.
@@ -253,13 +233,6 @@ pub mod names {
     pub const REPLAY_DIVERGENCES: &str = "aide_replay_divergences_total";
     /// Recorded trace inputs consumed by replays.
     pub const REPLAY_EVENTS_CONSUMED: &str = "aide_replay_events_consumed_total";
-
-    /// Spans accepted into the causal-tracing collector.
-    pub const TRACE_SPANS_RECORDED: &str = "aide_trace_spans_recorded_total";
-    /// Spans dropped because the collector was at capacity.
-    pub const TRACE_SPANS_DROPPED: &str = "aide_trace_spans_dropped_total";
-    /// Spans currently buffered in the collector awaiting export.
-    pub const TRACE_BUFFER_SPANS: &str = "aide_trace_buffer_spans";
 }
 
 /// Bucket presets (upper bounds) for the fixed-bucket histograms.
@@ -272,18 +245,5 @@ pub mod buckets {
     /// (migrations, failovers, GC pauses): 100 µs … 10 s.
     pub const DURATION_MICROS: &[u64] = &[
         100, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000, 5_000_000, 10_000_000,
-    ];
-    /// Payload-size buckets in bytes: 64 B … 16 MiB.
-    pub const BYTES: &[u64] = &[
-        64,
-        256,
-        1_024,
-        4_096,
-        16_384,
-        65_536,
-        262_144,
-        1 << 20,
-        4 << 20,
-        16 << 20,
     ];
 }

@@ -304,10 +304,10 @@ pub struct TimedEvent {
     pub at_micros: u64,
     /// The event.
     pub event: PlatformEvent,
-    /// The tracing span active on the recording thread, when a trace
-    /// annotator is registered (see [`crate::set_trace_annotator`]).
-    /// Absent from serialized form when `None`, so traces recorded
-    /// before the tracing layer existed still load.
+    /// The tracing span active on the recording thread
+    /// ([`aide_trace::current_context`]), if any. Absent from serialized
+    /// form when `None`, so traces recorded before the tracing layer
+    /// existed still load.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub span: Option<SpanRef>,
 }
@@ -354,8 +354,10 @@ impl FlightRecorder {
     /// emulator runs).
     pub fn record_at(&self, at_micros: u64, event: PlatformEvent) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let span =
-            crate::annotate_with_trace().map(|(trace_id, span_id)| SpanRef { trace_id, span_id });
+        let span = aide_trace::current_context().map(|ctx| SpanRef {
+            trace_id: ctx.trace_id,
+            span_id: ctx.span_id,
+        });
         let mut events = self.events.lock();
         if events.len() == self.capacity {
             events.pop_front();
@@ -399,16 +401,6 @@ pub fn render_timeline(events: &[TimedEvent]) -> String {
             e.at_micros as f64 / 1e6,
             e.event.describe()
         ));
-    }
-    out
-}
-
-/// Serializes events as JSON lines (one event object per line).
-pub fn events_json_lines(events: &[TimedEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        out.push_str(&serde_json::to_string(e).expect("events serialize"));
-        out.push('\n');
     }
     out
 }
@@ -472,47 +464,39 @@ mod tests {
             },
         );
         let events = r.events();
-        let lines = events_json_lines(&events);
-        let back: Vec<TimedEvent> = lines
-            .lines()
-            .map(|l| serde_json::from_str(l).expect("line parses"))
+        let back: Vec<TimedEvent> = events
+            .iter()
+            .map(|e| serde_json::to_string(e).expect("events serialize"))
+            .map(|line| serde_json::from_str(&line).expect("line parses"))
             .collect();
         assert_eq!(events, back);
     }
 
-    thread_local! {
-        static TEST_SPAN: std::cell::Cell<Option<(u64, u64)>> =
-            const { std::cell::Cell::new(None) };
-    }
-
-    fn test_annotator() -> Option<(u64, u64)> {
-        TEST_SPAN.with(|c| c.get())
-    }
-
     #[test]
     fn events_carry_the_active_span_when_annotated() {
-        crate::set_trace_annotator(test_annotator);
-        TEST_SPAN.with(|c| c.set(Some((0xAB, 0xCD))));
         let r = FlightRecorder::new(4);
+        let span = aide_trace::span("recorder.test", "test");
+        let ctx = span.context();
         r.record(PlatformEvent::OffloadDeclined { candidates: 1 });
-        TEST_SPAN.with(|c| c.set(None));
+        drop(span);
         r.record(PlatformEvent::OffloadDeclined { candidates: 2 });
         let events = r.events();
         assert_eq!(
             events[0].span,
             Some(SpanRef {
-                trace_id: 0xAB,
-                span_id: 0xCD
+                trace_id: ctx.trace_id,
+                span_id: ctx.span_id
             })
         );
         assert_eq!(events[1].span, None);
-        // JSON-lines export surfaces the link, and omits it when absent
-        // so pre-tracing traces still parse byte-compatibly.
-        let lines = events_json_lines(&events);
-        assert!(lines.lines().next().unwrap().contains("\"span\""));
-        assert!(!lines.lines().nth(1).unwrap().contains("\"span\""));
+        // Serialized events surface the link, and omit it when absent so
+        // pre-tracing traces still parse byte-compatibly.
+        let json = |e: &TimedEvent| serde_json::to_string(e).expect("events serialize");
+        assert!(json(&events[0]).contains("\"span\""));
+        assert!(!json(&events[1]).contains("\"span\""));
         let text = render_timeline(&events);
-        assert!(text.contains("trace=0xab span=0xcd"), "got: {text}");
+        let link = format!("trace={:#x} span={:#x}", ctx.trace_id, ctx.span_id);
+        assert!(text.contains(&link), "got: {text}");
     }
 
     #[test]

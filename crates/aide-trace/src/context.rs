@@ -1,96 +1,114 @@
-//! Per-thread span context: the ambient stack, RAII guards, and track
-//! labels.
+//! Per-thread span context: the ambient stack, RAII guards, and the
+//! lane a thread records on.
 
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Weak};
 
-use crate::span::{next_span_id, next_trace_id, now_micros, ArgValue, LiveSpan, SpanContext};
+use crate::span::{next_span_id, next_trace_id, ArgValue, LiveSpan, SpanContext};
+use crate::store::Store;
+
+/// Where a thread's spans go: the track label the exporter files them
+/// under ("client", "surrogate", ...) and the store of the trace that was
+/// opened, if one was. A component hands the lane of the thread that
+/// starts it to every thread it spawns (see [`current_lane`]).
+///
+/// The lane holds its store weakly: once whoever opened the store drops
+/// it, the lane records nothing.
+#[derive(Clone)]
+pub struct Lane {
+    /// Shared, so a span takes its label by bumping a reference count.
+    track: Arc<str>,
+    store: Weak<Store>,
+}
+
+impl Lane {
+    /// This lane's store, with its spans labelled `track`.
+    pub fn with_track(&self, track: &str) -> Lane {
+        Lane {
+            track: Arc::from(track),
+            store: self.store.clone(),
+        }
+    }
+
+    fn same_as(&self, other: &Lane) -> bool {
+        Arc::ptr_eq(&self.track, &other.track) && Weak::ptr_eq(&self.store, &other.store)
+    }
+}
 
 thread_local! {
     /// The ambient span stack: the top is the parent of any span (or
     /// recorder event) created on this thread.
     static STACK: RefCell<Vec<SpanContext>> = const { RefCell::new(Vec::new()) };
-    /// This thread's track label override, when set. Shared, so a span
-    /// takes its label by bumping a reference count.
-    static TRACK: RefCell<Option<Arc<str>>> = const { RefCell::new(None) };
-    /// A small per-thread serial for the exporter's `tid` lane.
-    static THREAD_LANE: u64 = next_thread_lane();
+    /// This thread's lane: no store until one is opened or handed over.
+    static LANE: RefCell<Lane> = RefCell::new(Lane {
+        track: Arc::from("aide"),
+        store: Weak::new(),
+    });
+    /// A small per-thread serial: the exporter's `tid` within a track.
+    static THREAD_SERIAL: u64 = next_thread_serial();
 }
 
-fn next_thread_lane() -> u64 {
+fn next_thread_serial() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-fn process_label_cell() -> &'static Mutex<Arc<str>> {
-    static LABEL: OnceLock<Mutex<Arc<str>>> = OnceLock::new();
-    LABEL.get_or_init(|| Mutex::new(Arc::from("aide")))
+/// The calling thread's lane, to hand to the threads a component spawns.
+pub fn current_lane() -> Lane {
+    LANE.with(|lane| lane.borrow().clone())
 }
 
-/// Sets the default track label for every thread of this process that
-/// has no per-thread override ("client", "surrogate", ...).
-pub fn set_process_label(label: &str) {
-    *process_label_cell()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner()) = Arc::from(label);
-}
-
-/// Overrides the track label for the calling thread. Threads a component
-/// spawns should inherit the spawner's track (see [`current_track`]).
-/// Setting the label a thread already carries changes and allocates
-/// nothing, so a thread that serves on behalf of several components may set
-/// it before every span.
-pub fn set_thread_track(track: &str) {
-    TRACK.with(|t| {
-        let mut current = t.borrow_mut();
-        if current.as_deref() != Some(track) {
-            *current = Some(Arc::from(track));
+/// Puts the calling thread on `lane`. Setting the lane a thread is already
+/// on changes and allocates nothing, so a thread that serves on behalf of
+/// several components may set it before every span.
+pub fn set_thread_lane(lane: &Lane) {
+    LANE.with(|current| {
+        let mut current = current.borrow_mut();
+        if !current.same_as(lane) {
+            *current = lane.clone();
         }
     });
 }
 
-/// The calling thread's effective track label: its override if set,
-/// otherwise the process label.
-pub fn current_track() -> String {
-    track_label().to_string()
+/// Puts the calling thread's lane, under its track label, on `store`.
+pub(crate) fn enter_store(store: &Arc<Store>) {
+    LANE.with(|lane| lane.borrow_mut().store = Arc::downgrade(store));
 }
 
-fn track_label() -> Arc<str> {
-    TRACK.with(|t| t.borrow().clone()).unwrap_or_else(|| {
-        process_label_cell()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    })
+/// The store the calling thread's lane records into, if it is open.
+pub(crate) fn lane_store() -> Option<Arc<Store>> {
+    LANE.with(|lane| lane.borrow().store.upgrade())
 }
 
-/// The calling thread's innermost active span context, if any. This is
-/// what aide-rpc stamps into outgoing frames and what the recorder
-/// annotator attaches to flight-recorder events.
+/// The calling thread's innermost active span context, if any, whether or
+/// not its lane has a store. This is what aide-rpc stamps into outgoing
+/// frames and what the flight recorder attaches to its events.
 pub fn current_context() -> Option<SpanContext> {
     STACK.with(|s| s.borrow().last().copied())
 }
 
-/// An active span. Created by [`span`] or [`child_of`]; the span is
-/// completed and handed to the collector when the guard drops. While the
-/// guard lives, its context is the thread's ambient parent.
+/// An active span. Created by [`span`] or [`child_of`]. While the guard
+/// lives, its context is the thread's ambient parent; when it drops, the
+/// span is stored if the thread's lane had an open store when it opened.
 ///
-/// Opening, annotating and closing a span costs two clock reads and one
-/// push into the thread's batch: names and keys are `&'static`, values
-/// stay [`ArgValue`]s, and nothing is formatted or allocated until the
-/// collector is read.
+/// On a lane with a store, opening, annotating and closing a span costs
+/// two clock reads and one push into the store: names and keys are
+/// `&'static`, values stay [`ArgValue`]s, and nothing is formatted or
+/// allocated until the store is drained. On a lane without one, the span
+/// pushes and pops its context and does nothing else.
 #[must_use = "a span measures the scope of its guard; dropping it immediately records an empty span"]
 pub struct SpanGuard {
     ctx: SpanContext,
-    /// `Some` until `drop` moves the record into the collector.
-    record: Option<LiveSpan>,
+    /// The span and the store it goes to, if one was open; `None` once
+    /// `drop` has stored it.
+    record: Option<(LiveSpan, Arc<Store>)>,
 }
 
 impl std::fmt::Debug for SpanGuard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpanGuard")
-            .field("name", &self.record.as_ref().map(|r| r.name))
+            .field("name", &self.record.as_ref().map(|(r, _)| r.name))
             .field("trace_id", &self.ctx.trace_id)
             .field("span_id", &self.ctx.span_id)
             .finish()
@@ -105,7 +123,7 @@ impl SpanGuard {
 
     /// Attaches a key/value annotation to the span.
     pub fn arg(&mut self, key: &'static str, value: impl Into<ArgValue>) {
-        if let Some(record) = self.record.as_mut() {
+        if let Some((record, _)) = self.record.as_mut() {
             record.push_arg(key, value.into());
         }
     }
@@ -122,9 +140,9 @@ impl Drop for SpanGuard {
                 }
             }
         });
-        if let Some(mut record) = self.record.take() {
-            record.duration_micros = now_micros().saturating_sub(record.start_micros);
-            crate::buffer::collect(record);
+        if let Some((mut record, store)) = self.record.take() {
+            record.duration_micros = store.now_micros().saturating_sub(record.start_micros);
+            store.keep(record);
         }
     }
 }
@@ -139,18 +157,21 @@ fn start(name: &'static str, cat: &'static str, parent: Option<SpanContext>) -> 
         span_id: next_span_id(),
     };
     STACK.with(|s| s.borrow_mut().push(ctx));
-    SpanGuard {
-        ctx,
-        record: Some(LiveSpan::open(
+    let record = LANE.with(|lane| {
+        let lane = lane.borrow();
+        let store = lane.store.upgrade()?;
+        let span = LiveSpan::open(
             ctx,
             parent_id,
             name,
             cat,
-            now_micros(),
-            track_label(),
-            THREAD_LANE.with(|l| *l),
-        )),
-    }
+            store.now_micros(),
+            lane.track.clone(),
+            THREAD_SERIAL.with(|l| *l),
+        );
+        Some((span, store))
+    });
+    SpanGuard { ctx, record }
 }
 
 /// Opens a span parented to the thread's ambient span (a new trace root

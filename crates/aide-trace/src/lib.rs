@@ -12,18 +12,20 @@
 //!   caller's span even across processes.
 //! * [`span`] / [`child_of`] — RAII span guards over a per-thread context
 //!   stack. Guards nest: a migration span opened in the offload engine
-//!   automatically parents the RPC call spans the engine performs. A live
-//!   span is a fixed-size plain record — `&'static` name, category and
+//!   automatically parents the RPC call spans the engine performs. The
+//!   stack is kept whether or not anybody stores spans, so wire
+//!   propagation and the flight recorder's span links never depend on it.
+//! * [`SpanStore`] — a trace somebody opened. A thread records on its
+//!   [`Lane`]: a track label and, once a store is opened on it or the lane
+//!   is handed over from a thread that has one, that store. Only then is a
+//!   span kept: a fixed-size plain record — `&'static` name, category and
 //!   annotation keys, a shared track label, annotation values kept as
 //!   [`ArgValue`]s — so opening, annotating and closing one is two clock
-//!   reads and one push: no allocation, no formatting, no system call.
-//!   Every remote call opens three.
-//! * a bounded, lock-cheap collector ([`drain`] / [`snapshot`]): spans
-//!   buffer per-thread and flush to a process-global store in batches;
-//!   overflow drops (never blocks) and is accounted in
-//!   `aide_trace_spans_dropped_total`. Spans are rendered into
+//!   reads and one push, with no allocation, no formatting and no system
+//!   call. Without a store a span reads no clock and stores nothing. A
+//!   store is bounded and counts what it drops; spans are rendered into
 //!   [`SpanRecord`]s — owned strings, what the exporter and the analyzer
-//!   below read — only when the collector is read.
+//!   below read — only by [`SpanStore::drain`].
 //! * [`chrome_trace`] — a Chrome trace-event JSON exporter; the output
 //!   loads directly in Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
 //! * [`critical_path`] — a per-migration latency attribution pass over a
@@ -31,20 +33,21 @@
 //!   remote instantiate / commit (printed by the `trace_migration`
 //!   example).
 //!
-//! The crate is std-only (atomics, thread-locals, hand-rolled JSON); its
-//! single dependency is aide-telemetry, so span-buffer accounting shows
-//! up in the same Prometheus/STATS scrape as every other platform metric.
+//! The crate is std-only (atomics, thread-locals, hand-rolled JSON) and
+//! depends on no other crate. Its only process-wide state is each
+//! thread's context stack and lane, the thread serial and the id springs.
 //!
 //! # Examples
 //!
 //! ```
+//! let store = aide_trace::SpanStore::open();
 //! let parent = {
 //!     let mut guard = aide_trace::span(aide_trace::names::MIGRATION, "core");
 //!     guard.arg("bytes", 4096);
 //!     let _child = aide_trace::span(aide_trace::names::RPC_CALL, "rpc");
 //!     guard.context()
 //! };
-//! let spans = aide_trace::snapshot();
+//! let spans = store.drain();
 //! let call = spans.iter().find(|s| s.name == "rpc.call").unwrap();
 //! assert_eq!(call.trace_id, parent.trace_id);
 //! assert_eq!(call.parent_id, Some(parent.span_id));
@@ -53,21 +56,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffer;
 mod context;
 mod critical;
 mod export;
 mod span;
+mod store;
 
-pub use buffer::{
-    clear, drain, dropped_total, flush_thread, record_raw, recorded_total, set_capacity, snapshot,
-};
 pub use context::{
-    child_of, current_context, current_track, set_process_label, set_thread_track, span, SpanGuard,
+    child_of, current_context, current_lane, set_thread_lane, span, Lane, SpanGuard,
 };
 pub use critical::{critical_path, MigrationBreakdown};
 pub use export::chrome_trace;
 pub use span::{ArgValue, SpanContext, SpanRecord};
+pub use store::{record_raw, SpanStore, CAPACITY};
 
 /// Well-known span names, shared by the instrumentation sites and the
 /// critical-path analyzer so attribution never drifts out of sync with
@@ -111,29 +112,13 @@ pub mod names {
     pub const FAILOVER: &str = "failover";
 }
 
-/// Wires the flight recorder to this crate: recorder events get stamped
-/// with the recording thread's active `(trace_id, span_id)`, so
-/// `PlatformReport::timeline()` rows link back to spans. Idempotent;
-/// call once per process (the platform does this on construction).
-pub fn install_recorder_annotator() {
-    aide_telemetry::set_trace_annotator(annotate);
-}
-
-fn annotate() -> Option<(u64, u64)> {
-    current_context().map(|ctx| (ctx.trace_id, ctx.span_id))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The collector is process-global; tests that drain or count must
-    /// not interleave. Serialize them on one mutex.
-    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn spans_nest_on_the_thread_stack() {
-        let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let store = SpanStore::open();
         let (root_ctx, child_ctx) = {
             let root = span("outer", "test");
             let root_ctx = root.context();
@@ -143,7 +128,7 @@ mod tests {
         };
         assert_eq!(root_ctx.trace_id, child_ctx.trace_id);
         assert_ne!(root_ctx.span_id, child_ctx.span_id);
-        let spans = snapshot();
+        let spans = store.drain();
         let inner = spans.iter().find(|s| s.name == "inner").expect("inner");
         assert_eq!(inner.parent_id, Some(root_ctx.span_id));
         let outer = spans.iter().find(|s| s.name == "outer").expect("outer");
@@ -152,7 +137,7 @@ mod tests {
 
     #[test]
     fn child_of_adopts_a_remote_parent() {
-        let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let store = SpanStore::open();
         let remote = SpanContext {
             trace_id: 0xABCD,
             span_id: 0x1234,
@@ -162,7 +147,7 @@ mod tests {
             serve.context()
         };
         assert_eq!(ctx.trace_id, 0xABCD);
-        let spans = snapshot();
+        let spans = store.drain();
         let serve = spans
             .iter()
             .find(|s| s.span_id == ctx.span_id)
@@ -173,29 +158,27 @@ mod tests {
 
     #[test]
     fn overflow_drops_and_accounts() {
-        let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-        drain(); // start from an empty store
-        set_capacity(4);
-        let dropped_before = dropped_total();
-        for i in 0..16 {
+        let store = SpanStore::open();
+        for i in 0..CAPACITY + 16 {
             let mut g = span("burst", "test");
             g.arg("i", i);
         }
-        flush_thread();
-        assert!(snapshot().len() <= 4);
-        assert!(dropped_total() > dropped_before, "overflow was counted");
-        set_capacity(1 << 16);
-        drain();
+        assert_eq!(store.drain().len(), CAPACITY);
+        assert_eq!(store.dropped(), 16, "overflow was counted");
+        {
+            let _g = span("room again", "test");
+        }
+        assert_eq!(store.drain().len(), 1, "a drained store has room");
     }
 
     #[test]
     fn chrome_export_is_loadable_json_shape() {
-        let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let store = SpanStore::open();
         {
             let mut g = span("export \"quoted\"", "test");
             g.arg("k", "v\\w");
         }
-        let spans = snapshot();
+        let spans = store.drain();
         let json = chrome_trace(&spans);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));
@@ -204,13 +187,26 @@ mod tests {
     }
 
     #[test]
-    fn recorded_counter_reaches_the_telemetry_registry() {
-        let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    fn a_lane_records_into_its_store_only_while_the_store_is_open() {
+        let first = SpanStore::open();
+        let lane = current_lane().with_track("worker");
+        let handed = std::thread::spawn(move || {
+            set_thread_lane(&lane);
+            let _g = span("handed over", "test");
+        });
+        handed.join().unwrap();
+        let second = SpanStore::open();
         {
-            let _g = span("counted", "test");
+            let _g = span("after reopening", "test");
         }
-        flush_thread();
-        let snap = aide_telemetry::global().snapshot();
-        assert!(snap.counter("aide_trace_spans_recorded_total") >= 1);
+        let first_spans = first.drain();
+        assert_eq!(first_spans.len(), 1, "{first_spans:?}");
+        assert_eq!(first_spans[0].track, "worker");
+        assert_eq!(second.drain()[0].name, "after reopening");
+        drop(second);
+        {
+            let _g = span("closed", "test");
+        }
+        assert!(first.drain().is_empty(), "the lane left the first store");
     }
 }

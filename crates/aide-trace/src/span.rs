@@ -3,7 +3,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// The portable part of a span: enough to parent a child span in another
 /// process. This is what aide-rpc carries in every frame's header
@@ -16,8 +15,8 @@ pub struct SpanContext {
     pub span_id: u64,
 }
 
-/// A completed span as [`crate::snapshot`] and [`crate::drain`] return it
-/// (and as [`crate::record_raw`] accepts one built by hand).
+/// A completed span as [`crate::SpanStore::drain`] returns it (and as
+/// [`crate::record_raw`] accepts one built by hand).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanRecord {
     /// The trace this span belongs to.
@@ -30,8 +29,8 @@ pub struct SpanRecord {
     pub name: String,
     /// Coarse category, used as the Chrome `cat` field.
     pub cat: &'static str,
-    /// Start timestamp in microseconds — wall clock since process trace
-    /// origin for live spans, virtual time for emulator-stamped spans.
+    /// Start timestamp in microseconds — wall clock since the store was
+    /// opened for live spans, virtual time for emulator-stamped spans.
     pub start_micros: u64,
     /// Span duration in microseconds.
     pub duration_micros: u64,
@@ -39,7 +38,7 @@ pub struct SpanRecord {
     /// from different platform roles land in different Perfetto tracks
     /// even when they share one OS process.
     pub track: String,
-    /// Thread lane within the track.
+    /// The recording thread's serial (the exporter's `tid`).
     pub thread: u64,
     /// Free-form key/value annotations.
     pub args: Vec<(String, String)>,
@@ -137,12 +136,12 @@ const INLINE_ARGS: usize = 4;
 
 const NO_ARG: (&str, ArgValue) = ("", ArgValue::Bool(false));
 
-/// A span as its guard, the per-thread batch and the global store hold it:
-/// a fixed-size plain record whose strings are `&'static`, whose track
-/// label is a shared `Arc<str>` and whose first [`INLINE_ARGS`] annotations
-/// sit in the record itself — opening, annotating and collecting a span
-/// allocates nothing. [`LiveSpan::render`] turns it into a [`SpanRecord`]
-/// when somebody reads the collector.
+/// A span as its guard and its store hold it: a fixed-size plain record
+/// whose strings are `&'static`, whose track label is a shared `Arc<str>`
+/// and whose first [`INLINE_ARGS`] annotations sit in the record itself —
+/// opening, annotating and storing a span allocates nothing.
+/// [`LiveSpan::render`] turns it into a [`SpanRecord`] when somebody drains
+/// the store.
 pub(crate) struct LiveSpan {
     trace_id: u64,
     span_id: u64,
@@ -258,13 +257,4 @@ pub(crate) fn next_trace_id() -> u64 {
 /// Mints a fresh span id.
 pub(crate) fn next_span_id() -> u64 {
     salt() | NEXT_SPAN.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Wall-clock microseconds since the process's trace origin. All live
-/// spans in one process share this origin, so Chrome renders them on one
-/// coherent timeline.
-pub(crate) fn now_micros() -> u64 {
-    static ORIGIN: OnceLock<Instant> = OnceLock::new();
-    let origin = ORIGIN.get_or_init(Instant::now);
-    u64::try_from(origin.elapsed().as_micros()).unwrap_or(u64::MAX)
 }

@@ -1,18 +1,17 @@
 //! A span is two clock reads and one push: opening, annotating and
-//! collecting one allocates nothing, whether or not the store has room for
-//! it, and what the collector hands back reads exactly as it did when
-//! every span carried its own strings.
+//! storing one allocates nothing, whether or not the store has room for
+//! it; without a store it is a push and a pop of its context; and what a
+//! store hands back reads exactly as it did when every span carried its
+//! own strings.
 //!
-//! The allocator below counts per thread, so the tests of this file do not
-//! see each other's allocations; the span store is process-wide, so they
-//! take turns on [`GATE`].
+//! The allocator below counts per thread, and each test opens its own
+//! store, so the tests of this file do not see each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
 use std::time::Duration;
 
-use aide_trace::{child_of, chrome_trace, span, ArgValue, SpanContext, SpanRecord};
+use aide_trace::{child_of, chrome_trace, span, ArgValue, SpanContext, SpanRecord, SpanStore};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -52,10 +51,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// The span store is process-global; tests that fill or drain it must not
-/// interleave.
-static GATE: Mutex<()> = Mutex::new(());
-
 fn allocations_during(work: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     work();
@@ -75,15 +70,15 @@ fn burst(n: u64) {
 
 #[test]
 fn spans_do_not_allocate_with_room_in_the_store_or_without() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    aide_trace::clear();
-    // Warm-up: the thread's batch, its context stack and its lane exist.
+    let store = SpanStore::open();
+    // Warm-up: the thread's context stack and its lane exist.
     burst(64);
+    store.drain();
 
-    let recorded_before = aide_trace::recorded_total();
     let with_room = allocations_during(|| burst(10_000));
-    assert!(
-        aide_trace::recorded_total() - recorded_before >= 10_000 - 32,
+    assert_eq!(
+        store.drain().len(),
+        10_000,
         "the store had room: the spans were kept"
     );
     assert!(
@@ -91,27 +86,50 @@ fn spans_do_not_allocate_with_room_in_the_store_or_without() {
         "{with_room} allocations for 10 000 spans (only the store may grow)"
     );
 
-    // Fill the store; from here on every span is collected, then dropped.
-    let dropped_before = aide_trace::dropped_total();
-    while aide_trace::dropped_total() == dropped_before {
-        burst(1_000);
-    }
-    let dropped_before = aide_trace::dropped_total();
+    // Fill the store; from here on every span is stored, then dropped.
+    burst(aide_trace::CAPACITY as u64);
     let when_full = allocations_during(|| burst(10_000));
-    assert!(
-        aide_trace::dropped_total() - dropped_before >= 10_000 - 32,
+    assert_eq!(
+        store.dropped(),
+        10_000,
         "the store was full: the spans were dropped, and counted"
     );
     assert!(
         when_full < 100,
         "{when_full} allocations for 10 000 spans the store had no room for"
     );
-    aide_trace::clear();
+}
+
+#[test]
+fn spans_on_a_lane_without_a_store_allocate_and_keep_nothing_yet_nest() {
+    // Warm-up: the thread's context stack and its lane exist. No store was
+    // ever opened on this thread.
+    burst(64);
+
+    let nested = allocations_during(|| {
+        for i in 0..10_000u64 {
+            let mut outer = span("alloc.outer", "test");
+            outer.arg("seq", i);
+            let outer_ctx = outer.context();
+            let inner = span("alloc.inner", "test");
+            assert_eq!(inner.context().trace_id, outer_ctx.trace_id);
+            assert_eq!(aide_trace::current_context(), Some(inner.context()));
+            drop(inner);
+            assert_eq!(aide_trace::current_context(), Some(outer_ctx));
+        }
+    });
+    assert_eq!(nested, 0, "{nested} allocations for 10 000 unstored spans");
+    assert_eq!(aide_trace::current_context(), None);
+
+    // Nothing was kept for whoever opens a store afterwards.
+    let store = SpanStore::open();
+    assert!(store.drain().is_empty());
+    assert_eq!(store.dropped(), 0);
 }
 
 #[test]
 fn every_argument_renders_as_its_display_did() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let store = SpanStore::open();
     let backoff = Duration::from_micros(1_234_567).as_micros();
     let built = format!("surrogate-{}", 7);
     // More annotations than a span keeps inline: order must hold across
@@ -131,7 +149,7 @@ fn every_argument_renders_as_its_display_did() {
         guard.arg("wide", u128::MAX);
         guard.context()
     };
-    let spans = aide_trace::snapshot();
+    let spans = store.drain();
     let rendered = spans
         .iter()
         .find(|s| s.span_id == ctx.span_id)
@@ -167,9 +185,8 @@ fn every_argument_renders_as_its_display_did() {
 
 #[test]
 fn a_span_forest_exports_the_same_from_compact_and_from_rendered_records() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    aide_trace::set_thread_track("client");
-    aide_trace::clear();
+    aide_trace::set_thread_lane(&aide_trace::current_lane().with_track("client"));
+    let store = SpanStore::open();
 
     // Two trees: a root with a nested child, and a serve span adopted from
     // a context that arrived over the wire.
@@ -194,7 +211,7 @@ fn a_span_forest_exports_the_same_from_compact_and_from_rendered_records() {
         };
         (root.context(), child_ctx, adopted_ctx)
     };
-    let compact = aide_trace::drain();
+    let compact = store.drain();
     assert_eq!(compact.len(), 3, "{compact:?}");
 
     // The same forest as records that own their strings — what a guard
@@ -253,11 +270,11 @@ fn a_span_forest_exports_the_same_from_compact_and_from_rendered_records() {
     assert_eq!(compact, rendered);
     assert_eq!(chrome_trace(&compact), chrome_trace(&rendered));
 
-    // Records built by hand go through the collector untouched.
+    // Records built by hand go through the store untouched.
     for record in &rendered {
         aide_trace::record_raw(record.clone());
     }
-    let passed_through = aide_trace::drain();
+    let passed_through = store.drain();
     assert_eq!(passed_through, rendered);
     assert_eq!(chrome_trace(&passed_through), chrome_trace(&rendered));
 }

@@ -15,13 +15,16 @@
 //! `target/trace/migration.trace.json` — the client and surrogate appear
 //! as separate process lanes, with the surrogate's `rpc.serve` slices
 //! nested (causally) under the client's migration span.
+//!
+//! It exits non-zero unless the run left at least one span and at least
+//! one migration breakdown behind.
 
 use std::time::Duration;
 
 use aide::apps::{javanote, Scale};
 use aide::core::{Platform, PlatformConfig, TransportKind};
 use aide::rpc::ChaosSchedule;
-use aide::trace::{chrome_trace, critical_path, names};
+use aide::trace::{chrome_trace, critical_path, names, SpanStore};
 
 fn main() {
     // A scaled-down JavaNote in a heap too small for its document: the
@@ -34,13 +37,16 @@ fn main() {
     chaos.max_delay = Duration::from_millis(3);
     cfg.chaos = Some(chaos);
 
-    aide::trace::drain(); // start from an empty span store
+    // Opened before the run, so the platform hands its lane to every
+    // thread that serves for it.
+    let store = SpanStore::open();
     let report = Platform::new(javanote(Scale(0.05)).program, cfg).run();
     report.outcome.as_ref().expect("the rescue completes");
     assert!(report.offloaded(), "the rescue must migrate");
 
-    let spans = aide::trace::drain();
+    let spans = store.drain();
     println!("spans recorded: {}", spans.len());
+    assert!(!spans.is_empty(), "the run recorded no span");
     let serves = spans.iter().filter(|s| s.name == names::RPC_SERVE).count();
     let retries = spans
         .iter()
@@ -50,7 +56,9 @@ fn main() {
     println!("  backoff sleeps (chaos-induced): {retries}");
 
     println!("\ncritical path per committed migration (microseconds):");
-    for b in critical_path(&spans) {
+    let breakdowns = critical_path(&spans);
+    assert!(!breakdowns.is_empty(), "no migration breakdown");
+    for b in breakdowns {
         println!("  migration {:#x}", b.trace_id);
         println!("    total         {:>8}", b.total_micros);
         println!("    serialize     {:>8}", b.serialize_micros);

@@ -4,20 +4,17 @@
 //! surrogate-side serve spans via the wire context — and the tree's
 //! shape must be the same whatever transport carried the frames.
 //!
-//! The span collector is process-global, so these tests serialize on a
-//! mutex and `drain()` the store at each boundary.
+//! Each run records into a span store its own thread opened, so the tests
+//! run side by side, and so do two platforms in one test.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use aide::apps::{javanote, Scale};
 use aide::core::{Platform, PlatformConfig, TransportKind};
 use aide::emu::{record_program, Emulator, EmulatorConfig};
 use aide::rpc::ChaosSchedule;
-use aide::trace::{names, SpanRecord};
-
-static GATE: Mutex<()> = Mutex::new(());
+use aide::trace::{names, SpanRecord, SpanStore};
 
 const TEST_SCALE: Scale = Scale(0.05);
 const TEST_HEAP: u64 = 320 << 10;
@@ -105,9 +102,7 @@ fn has_ancestor(span: &SpanRecord, ancestor: u64, by_id: &HashMap<u64, &SpanReco
 /// multiplexer produces one connected span tree spanning both devices.
 #[test]
 fn chaos_tcp_migration_yields_one_connected_cross_device_span_tree() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    aide::trace::drain();
-
+    let store = SpanStore::open();
     let mut cfg = PlatformConfig::prototype(TEST_HEAP);
     cfg.transport = TransportKind::Tcp;
     let mut chaos = ChaosSchedule::seeded(42);
@@ -126,7 +121,7 @@ fn chaos_tcp_migration_yields_one_connected_cross_device_span_tree() {
     assert!(report.outcome.is_ok(), "{:?}", report.outcome);
     assert!(report.offloaded(), "the scaled JavaNote must offload");
 
-    let spans = aide::trace::drain();
+    let spans = store.drain();
     let migration = committed_migration(&spans).clone();
     let tree: Vec<&SpanRecord> = spans
         .iter()
@@ -185,12 +180,11 @@ fn chaos_tcp_migration_yields_one_connected_cross_device_span_tree() {
 /// emulator stamps an isomorphic (coarser) tree at virtual time.
 #[test]
 fn span_trees_are_isomorphic_across_backends() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let program = javanote(TEST_SCALE).program;
 
     let mut shapes: Vec<(TransportKind, String, String)> = Vec::new();
     for transport in [TransportKind::InProcess, TransportKind::Tcp] {
-        aide::trace::drain();
+        let store = SpanStore::open();
         let mut cfg = PlatformConfig::prototype(TEST_HEAP);
         cfg.transport = transport;
         let report = Platform::new(program.clone(), cfg).run();
@@ -200,7 +194,7 @@ fn span_trees_are_isomorphic_across_backends() {
             report.outcome
         );
         assert!(report.offloaded(), "{transport:?}: must offload");
-        let spans = aide::trace::drain();
+        let spans = store.drain();
 
         // Every live backend crosses the seam: serve spans join the
         // migration trace regardless of what carried the frames.
@@ -230,14 +224,90 @@ fn span_trees_are_isomorphic_across_backends() {
     // The emulator replays the same recorded program and stamps the same
     // (coarse) decision tree at virtual time.
     let trace = record_program("javanote", program, 64 << 20).expect("recording succeeds");
-    aide::trace::drain();
+    let store = SpanStore::open();
     let report = Emulator::new(EmulatorConfig::paper_memory(TEST_HEAP)).replay(&trace);
     assert!(report.completed, "emulated rescue completes");
     assert!(report.offloaded(), "emulated run offloads");
-    let spans = aide::trace::drain();
+    let spans = store.drain();
     assert_eq!(
         offload_shape(&spans, EMU_SHAPE),
         coarse_reference,
         "emulator-stamped tree is isomorphic to the live decision tree"
     );
+}
+
+/// Two platforms run at once, one on each of two threads, each under a
+/// store its own thread opened: each store holds its own run's spans and
+/// nothing of the other's.
+#[test]
+fn two_platforms_at_once_are_observed_apart() {
+    let program = javanote(TEST_SCALE).program;
+    let runs: Vec<(TransportKind, Vec<SpanRecord>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = [TransportKind::InProcess, TransportKind::Tcp]
+            .into_iter()
+            .map(|transport| {
+                let program = program.clone();
+                scope.spawn(move || {
+                    let store = SpanStore::open();
+                    let mut cfg = PlatformConfig::prototype(TEST_HEAP);
+                    cfg.transport = transport;
+                    let report = Platform::new(program, cfg).run();
+                    assert!(
+                        report.outcome.is_ok(),
+                        "{transport:?}: {:?}",
+                        report.outcome
+                    );
+                    assert!(report.offloaded(), "{transport:?}: must offload");
+                    (transport, store.drain())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let traces: Vec<HashSet<u64>> = runs
+        .iter()
+        .map(|(_, spans)| spans.iter().map(|s| s.trace_id).collect())
+        .collect();
+    assert!(
+        traces[0].is_disjoint(&traces[1]),
+        "no trace id is in both stores"
+    );
+    let threads: Vec<HashSet<u64>> = runs
+        .iter()
+        .map(|(_, spans)| spans.iter().map(|s| s.thread).collect())
+        .collect();
+    assert!(
+        threads[0].is_disjoint(&threads[1]),
+        "no thread recorded into both stores"
+    );
+    for (transport, spans) in &runs {
+        // Each store holds a whole run: its migration tree crosses the seam.
+        let migration = committed_migration(spans);
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.trace_id == migration.trace_id && s.name == names::RPC_SERVE),
+            "{transport:?}: the run's serve spans are in its store"
+        );
+        assert_eq!(
+            offload_shape(spans, LIVE_SHAPE),
+            offload_shape(&runs[0].1, LIVE_SHAPE),
+            "{transport:?}: one decision tree per store"
+        );
+        // ...and only that run: one committed migration, on its own tracks.
+        let migrations = spans
+            .iter()
+            .filter(|s| s.name == names::MIGRATION && s.arg("outcome") == Some("committed"))
+            .count();
+        assert_eq!(migrations, 1, "{transport:?}: one run's migration");
+        for span in spans {
+            assert!(
+                span.track == "client" || span.track == "surrogate",
+                "{transport:?}: {} on track {}",
+                span.name,
+                span.track
+            );
+        }
+    }
 }
