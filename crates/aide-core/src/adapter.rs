@@ -15,7 +15,9 @@
 //! memory until the owner's frames say it wrote ([`Remembered`]). And a
 //! touch whose reply carries nothing — a field access, a slot write, a
 //! static access, a native — is not waited for: it rides the next frame to
-//! the peer ([`aide_rpc::Endpoint::defer`]).
+//! the peer ([`aide_rpc::Endpoint::defer`]). Neither is an invocation whose
+//! callee cannot call back ([`RemoteAdapter::admits`]): one rule, read off
+//! the program and the local heap alone, for both directions.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,8 +29,10 @@ use aide_vm::{
 };
 
 /// Serves `touch` — one whose reply carries nothing
-/// ([`Request::is_deferrable`]) — on `vm`, as the peer would have: for a
-/// touch deferred to a surrogate that is gone.
+/// ([`Request::is_deferrable`]) and that runs no code — on `vm`, as the
+/// peer would have: for a touch deferred to a surrogate that is gone. An
+/// `Invoke` is the interpreter's ([`Machine::call_on`]), which takes the VM
+/// itself.
 pub(crate) fn serve_here(vm: &mut Vm, touch: Request) -> VmResult<()> {
     match touch {
         Request::FieldAccess {
@@ -55,7 +59,7 @@ pub(crate) fn serve_here(vm: &mut Vm, touch: Request) -> VmResult<()> {
             Ok(())
         }
         other => Err(VmError::RemoteFailure(format!(
-            "{} is not a touch that can wait",
+            "{} is not a touch served under the VM guard",
             other.kind()
         ))),
     }
@@ -193,9 +197,13 @@ pub struct RemoteAdapter {
     /// nothing that may take `active` ([`Surrogate::peer_writes`],
     /// [`Surrogate::call`]) runs under the VM guard or this one.
     remembered: Mutex<Remembered>,
-    /// The process-wide counters of remote reads, resolved once.
+    /// The process-wide counters of remote reads and invocations, resolved
+    /// once.
     reads_from_memory: Arc<aide_telemetry::Counter>,
     reads_asked: Arc<aide_telemetry::Counter>,
+    invokes_deferred: Arc<aide_telemetry::Counter>,
+    invokes_waited: Arc<aide_telemetry::Counter>,
+    deferred_callbacks: Arc<aide_telemetry::Counter>,
 }
 
 impl std::fmt::Debug for RemoteAdapter {
@@ -223,6 +231,9 @@ impl RemoteAdapter {
             remembered: Mutex::default(),
             reads_from_memory: telemetry.counter(aide_telemetry::names::REMOTE_READS_FROM_MEMORY),
             reads_asked: telemetry.counter(aide_telemetry::names::REMOTE_READS_ASKED),
+            invokes_deferred: telemetry.counter(aide_telemetry::names::REMOTE_INVOKES_DEFERRED),
+            invokes_waited: telemetry.counter(aide_telemetry::names::REMOTE_INVOKES_WAITED),
+            deferred_callbacks: telemetry.counter(aide_telemetry::names::REMOTE_DEFERRED_CALLBACKS),
         }
     }
 
@@ -242,9 +253,44 @@ impl RemoteAdapter {
         })
     }
 
+    /// Whether an `Invoke` of `method` of `class` may go without being waited
+    /// for, as `vm` — the caller's — stands: iff no method its callee may
+    /// run touches a slot other than reading its receiver's
+    /// ([`CallClosure::touches_slots`](aide_vm::CallClosure)), and the
+    /// caller holds no object of a class it calls. Then every object the
+    /// callee runs on is the peer's: it cannot call back, and what it sends
+    /// back — field and static accesses, natives, the monitor's `ClassOf` —
+    /// commutes with the caller's later work. It writes no slot, so what the
+    /// caller remembers of the peer's slots stays true.
+    fn admits(vm: &Vm, class: ClassId, method: MethodId) -> bool {
+        vm.program()
+            .call_closure(class, method)
+            .is_some_and(|closure| {
+                !closure.touches_slots
+                    && closure
+                        .called
+                        .iter()
+                        .all(|&called| vm.heap().instances_of(called) == 0)
+            })
+    }
+
     /// [`Surrogate::call`]; when it says the surrogate is gone — its objects
-    /// are home again — nothing read of it stays remembered.
+    /// are home again — nothing read of it stays remembered. A call back
+    /// made while serving a deferred `Invoke` is one its admission ruled
+    /// out: it is counted, and refused in this crate's tests. (The
+    /// monitor's `ClassOf` asks what never changes, and is not one.)
     fn call(&self, request: Request) -> VmResult<Option<Reply>> {
+        let calls_back = !matches!(request, Request::ClassOf { .. });
+        if let (true, Some((class, method))) = (calls_back, aide_rpc::deferred_invoke_in_service())
+        {
+            self.deferred_callbacks.inc();
+            if cfg!(test) {
+                return Err(VmError::RemoteFailure(format!(
+                    "{} sent while serving a deferred Invoke of {class}::{method}",
+                    request.kind()
+                )));
+            }
+        }
         let reply = self.surrogate.call(request)?;
         if reply.is_none() {
             self.forget_the_surrogate();
@@ -291,8 +337,8 @@ impl RemoteAdapter {
 /// Each method sends its request through [`RemoteAdapter::call`]; `None` back
 /// means the surrogate is gone and its objects are home again, so the
 /// touch is served by the local interpreter. A touch whose reply carries
-/// nothing goes through [`RemoteAdapter::defer`] instead, and is not waited
-/// for.
+/// nothing — an invocation too, when [`RemoteAdapter::admits`] it — goes
+/// through [`RemoteAdapter::defer`] instead, and is not waited for.
 impl RemoteAccess for RemoteAdapter {
     fn invoke(
         &self,
@@ -303,21 +349,28 @@ impl RemoteAccess for RemoteAdapter {
         ret_bytes: u32,
         args: &[ObjectId],
     ) -> VmResult<()> {
-        {
+        let admitted = {
             let mut vm = self.machine.vm().lock();
             for &a in args {
                 self.tables.export_if_local(&mut vm, a);
             }
             self.tables.import_if_remote(&vm, &[target]);
-        }
-        match self.call(Request::Invoke {
+            Self::admits(&vm, class, method)
+        };
+        let invoke = Request::Invoke {
             target,
             class,
             method,
             arg_bytes,
             ret_bytes,
             args: args.to_vec(),
-        })? {
+        };
+        if admitted {
+            self.invokes_deferred.inc();
+            return self.defer(invoke).map(drop);
+        }
+        self.invokes_waited.inc();
+        match self.call(invoke)? {
             Some(_) => Ok(()),
             None => self.machine.call_on(target, class, method, args),
         }
@@ -755,17 +808,75 @@ mod tests {
     use super::*;
     use aide_graph::CommParams;
     use aide_rpc::{EndpointConfig, Link};
-    use aide_vm::{MethodDef, Op, ProgramBuilder, VmConfig};
+    use aide_vm::{MethodDef, Op, ProgramBuilder, Reg, VmConfig};
+
+    const WORKER: ClassId = ClassId(1);
+    const HELPER: ClassId = ClassId(2);
+    /// `Worker::step`: works.
+    const STEP: MethodId = MethodId(0);
+    /// `Worker::set(v)`: `self.0 = v`.
+    const SET: MethodId = MethodId(1);
+    /// `Worker::relay(h)`: `h.noop()`.
+    const RELAY: MethodId = MethodId(2);
+    /// `Worker::grow(h)`: allocates more than any heap here holds, then
+    /// `h.noop()`.
+    const GROW: MethodId = MethodId(3);
+    /// `Worker::poke(w)`: `w.set(w)`.
+    const POKE: MethodId = MethodId(4);
 
     /// Builds a connected client/surrogate machine pair over real RPC.
     fn machine_pair() -> (Machine, Machine, Arc<Endpoint>, Arc<Endpoint>) {
         let mut b = ProgramBuilder::new();
         let main = b.add_class("Main");
         let worker = b.add_class("Worker");
-        b.add_method(
-            worker,
+        let helper = b.add_class("Helper");
+        let noop = b.add_method(helper, MethodDef::new("noop", vec![Op::Work { micros: 1 }]));
+        let call_noop = Op::Call {
+            obj: Reg(0),
+            class: helper,
+            method: noop,
+            arg_bytes: 0,
+            ret_bytes: 0,
+            args: vec![],
+        };
+        let methods = [
             MethodDef::new("step", vec![Op::Work { micros: 10 }]),
-        );
+            MethodDef::new(
+                "set",
+                vec![Op::PutSlot {
+                    slot: 0,
+                    src: Reg(0),
+                }],
+            ),
+            MethodDef::new("relay", vec![call_noop.clone()]),
+            MethodDef::new(
+                "grow",
+                vec![
+                    Op::New {
+                        class: worker,
+                        scalar_bytes: 64 << 20,
+                        ref_slots: 0,
+                        dst: Reg(1),
+                    },
+                    call_noop,
+                ],
+            ),
+            MethodDef::new(
+                "poke",
+                vec![Op::Call {
+                    obj: Reg(0),
+                    class: worker,
+                    method: SET,
+                    arg_bytes: 8,
+                    ret_bytes: 0,
+                    args: vec![Reg(0)],
+                }],
+            ),
+        ];
+        for (method, def) in [STEP, SET, RELAY, GROW, POKE].into_iter().zip(methods) {
+            assert_eq!(b.add_method(worker, def), method);
+        }
+        assert_eq!((worker, helper), (WORKER, HELPER));
         b.add_method(main, MethodDef::new("main", vec![]));
         let program = Arc::new(b.build(main, MethodId(0), 64, 4).unwrap());
 
@@ -880,10 +991,149 @@ mod tests {
         adapter
             .invoke(worker_id, ClassId(1), MethodId(0), 16, 8, &[])
             .unwrap();
+        // `Worker::step` only works: it rides the next frame, and the link
+        // time of its round trip is charged already.
+        assert_eq!(sep.requests_served(), 0);
+        assert!(cep.clock().seconds() > 0.0);
+        adapter.flush().unwrap();
         assert_eq!(sep.requests_served(), 1);
         assert!(surrogate.vm().lock().cpu_seconds() > 0.0);
-        // Link time was charged.
-        assert!(cep.clock().seconds() > 0.0);
+    }
+
+    #[test]
+    fn an_invoke_waits_unless_its_callee_cannot_call_back() {
+        let (client, surrogate, cep, sep) = machine_pair();
+        let (worker, helper) = (ObjectId::surrogate(5), ObjectId::surrogate(6));
+        {
+            let mut vm = surrogate.vm().lock();
+            let heap = vm.heap_mut();
+            heap.insert(worker, ObjectRecord::new(WORKER, 100, 1))
+                .unwrap();
+            heap.insert(helper, ObjectRecord::new(HELPER, 10, 0))
+                .unwrap();
+        }
+        let admits = |method| RemoteAdapter::admits(&client.vm().lock(), WORKER, method);
+        assert!(admits(STEP), "it only works");
+        assert!(!admits(SET), "it writes a slot");
+        assert!(
+            admits(RELAY),
+            "it calls a Helper, and every Helper is the peer's"
+        );
+        let ours = ObjectId::client(7);
+        client
+            .vm()
+            .lock()
+            .heap_mut()
+            .insert(ours, ObjectRecord::new(HELPER, 10, 0))
+            .unwrap();
+        assert!(!admits(RELAY), "this Helper it could call back");
+        client.vm().lock().heap_mut().migrate_out(ours).unwrap();
+        assert!(admits(RELAY), "gone again");
+
+        let adapter = RemoteAdapter::new(cep, client.clone(), Arc::new(RefTables::new()));
+        adapter
+            .invoke(worker, WORKER, RELAY, 0, 0, &[helper])
+            .unwrap();
+        assert_eq!(sep.requests_served(), 0, "rides the next frame");
+        adapter
+            .invoke(worker, WORKER, SET, 8, 0, &[helper])
+            .unwrap();
+        assert_eq!(sep.requests_served(), 2, "carried it, and was waited for");
+        assert_eq!(surrogate.get_slot_on(worker, 0).unwrap(), Some(helper));
+    }
+
+    /// An invocation deferred past the adapter's rule whose callee calls
+    /// back: the call is counted, and refused with where it came from.
+    #[test]
+    fn a_call_back_from_a_deferred_invoke_is_counted_and_refused_here() {
+        let (client, surrogate, cep, _sep) = machine_pair();
+        let (worker, ours) = (ObjectId::surrogate(5), ObjectId::client(7));
+        surrogate
+            .vm()
+            .lock()
+            .heap_mut()
+            .insert(worker, ObjectRecord::new(WORKER, 100, 1))
+            .unwrap();
+        client
+            .vm()
+            .lock()
+            .heap_mut()
+            .insert(ours, ObjectRecord::new(WORKER, 100, 1))
+            .unwrap();
+        let callbacks =
+            aide_telemetry::global().counter(aide_telemetry::names::REMOTE_DEFERRED_CALLBACKS);
+        let before = callbacks.get();
+        // `ours.set(ours)` writes a slot: the surrogate waits for it.
+        cep.defer(Request::Invoke {
+            target: worker,
+            class: WORKER,
+            method: POKE,
+            arg_bytes: 8,
+            ret_bytes: 0,
+            args: vec![ours],
+        })
+        .unwrap();
+        let failed = cep.call(Request::ClassOf { target: worker }).unwrap_err();
+        assert_eq!(
+            failed,
+            RpcError::Remote(format!(
+                "deferred Invoke: remote operation failed: Invoke sent while serving a \
+                 deferred Invoke of {WORKER}::{POKE}"
+            ))
+        );
+        assert_eq!(callbacks.get() - before, 1);
+    }
+
+    /// A deferred invocation that fails — its target gone, or the surrogate
+    /// out of memory — fails the frame that carries it and every call after
+    /// it, with the error the invocation would have had, waited for.
+    #[test]
+    fn a_deferred_invoke_that_fails_fails_what_follows_as_waiting_would() {
+        for target_exists in [false, true] {
+            let [waited, deferred] = [true, false].map(|wait| {
+                let (client, surrogate, cep, _sep) = machine_pair();
+                let target = ObjectId::surrogate(5);
+                if target_exists {
+                    surrogate
+                        .vm()
+                        .lock()
+                        .heap_mut()
+                        .insert(target, ObjectRecord::new(WORKER, 100, 1))
+                        .unwrap();
+                }
+                if wait {
+                    // A Helper here is one `grow` could call back.
+                    client
+                        .vm()
+                        .lock()
+                        .heap_mut()
+                        .insert(ObjectId::client(7), ObjectRecord::new(HELPER, 10, 0))
+                        .unwrap();
+                }
+                let adapter = RemoteAdapter::new(cep, client, Arc::new(RefTables::new()));
+                let invoked = adapter.invoke(target, WORKER, GROW, 0, 0, &[]);
+                if wait {
+                    return invoked.unwrap_err();
+                }
+                invoked.unwrap();
+                let failed = adapter.class_of(target).unwrap_err();
+                assert_eq!(adapter.flush().unwrap_err(), failed, "and what follows");
+                assert_eq!(adapter.class_of(target).unwrap_err(), failed);
+                failed
+            });
+            let (VmError::RemoteFailure(waited), VmError::RemoteFailure(deferred)) =
+                (&waited, &deferred)
+            else {
+                panic!("remote failures both: {waited:?}, {deferred:?}");
+            };
+            assert_eq!(*deferred, format!("deferred Invoke: {waited}"));
+            let cause = if target_exists {
+                "out of memory"
+            } else {
+                "dangling"
+            };
+            assert!(waited.contains(cause), "{waited}");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use aide_graph::{CommParams, SelectedPartition};
@@ -291,6 +291,9 @@ pub(crate) struct FailoverCore {
     relay_expired: AtomicU64,
     relay_recalled: AtomicU64,
     busy_rejections: AtomicU64,
+    /// The first failure of a touch deferred to a dead surrogate and served
+    /// at home ([`FailoverCore::serve_unserved`]).
+    failed_at_home: OnceLock<VmError>,
 }
 
 impl FailoverCore {
@@ -328,6 +331,7 @@ impl FailoverCore {
             relay_expired: AtomicU64::new(0),
             relay_recalled: AtomicU64::new(0),
             busy_rejections: AtomicU64::new(0),
+            failed_at_home: OnceLock::new(),
         }
     }
 
@@ -553,25 +557,40 @@ impl FailoverCore {
     /// Full recovery: retire the active lease, reinstate the ledger, open
     /// the backoff gate's next window. Returns `true` if this call
     /// performed the recovery, `false` if there was nothing to recover
-    /// (another thread already did, or no surrogate was active).
+    /// (another thread already did, or no surrogate was active) or if the
+    /// recovery is left to the next touch (see
+    /// [`retire_active`](FailoverCore::retire_active)).
     pub(crate) fn handle_failure(&self) -> bool {
-        self.retire_active(None)
+        let handed_back = self.retire_active(None, false);
+        debug_assert!(handed_back.as_ref().is_none_or(Vec::is_empty));
+        handed_back.is_some()
     }
 
-    /// Like [`handle_failure`](FailoverCore::handle_failure), but for a
-    /// surrogate that answered `Busy`: the lease is retired and the ledger
-    /// reinstated the same way, but the provider is told the surrogate is
-    /// *saturated* (skip it briefly) rather than dead (probe it back to
-    /// health).
-    pub(crate) fn handle_saturation(&self, retry_after_ms: u32) -> bool {
-        self.retire_active(Some(retry_after_ms))
-    }
-
-    fn retire_active(&self, saturation: Option<u32>) -> bool {
+    /// Retires the active lease — `saturation` says it answered `Busy`
+    /// rather than died — and reinstates the ledger. Returns `None` if there
+    /// was nothing to retire, or else the touches reinstatement handed back:
+    /// an invocation deferred to the dead surrogate and every touch after
+    /// it, for the caller to serve in order
+    /// ([`serve_unserved`](FailoverCore::serve_unserved)).
+    ///
+    /// Such an invocation runs the interpreter, so it is served at home by
+    /// a thread whose own touch found the surrogate gone (`by_touch`): the
+    /// mutator, which then goes on only once it has run. Any other finder —
+    /// the heartbeat — only shuts the session and stops deferring, and
+    /// leaves the lease for that touch to retire.
+    fn retire_active(&self, saturation: Option<u32>, by_touch: bool) -> Option<Vec<Request>> {
         let mut active = self.active.lock();
-        let Some(lease) = active.take() else {
-            return false;
+        let endpoint = active.as_ref()?.endpoint.clone();
+        // Fail remaining in-flight calls fast and stop the session. The
+        // touches the client deferred and the surrogate never answered come
+        // home with the objects they touch.
+        endpoint.shutdown();
+        let unserved = if by_touch {
+            endpoint.take_deferred()
+        } else {
+            endpoint.take_deferred_unless(|touch| matches!(touch, Request::Invoke { .. }))?
         };
+        let lease = active.take().expect("an active lease, checked above");
         let started = Instant::now();
         let mut span = aide_trace::span(aide_trace::names::FAILOVER, "core");
         span.arg("surrogate", &lease.name);
@@ -581,11 +600,6 @@ impl FailoverCore {
         if let Some(nondet) = self.nondet.lock().as_ref() {
             nondet.link_died(&lease.name);
         }
-        // Fail remaining in-flight calls fast and stop the session. The
-        // touches the client deferred and the surrogate never answered come
-        // home with the objects they touch.
-        lease.endpoint.shutdown();
-        let unserved = lease.endpoint.take_deferred();
         match saturation {
             Some(retry_after_ms) => {
                 self.busy_rejections.fetch_add(1, Ordering::Relaxed);
@@ -601,7 +615,7 @@ impl FailoverCore {
         let objects_before = self.reinstated_objects.load(Ordering::Relaxed);
         let bytes_before = self.reinstated_bytes.load(Ordering::Relaxed);
         let lost_before = self.objects_lost.load(Ordering::Relaxed);
-        self.reinstate(unserved);
+        let handed_back = self.reinstate(unserved);
         self.backoff.lock().note_failure();
         let duration_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.failover_durations.lock().push(duration_micros);
@@ -625,7 +639,7 @@ impl FailoverCore {
         // outside the lock so other threads can proceed locally.
         lease.endpoint.join();
         self.note_retired(&lease.endpoint);
-        true
+        Some(handed_back)
     }
 
     /// Probes the active surrogate; on probe failure runs full recovery.
@@ -654,7 +668,11 @@ impl FailoverCore {
     /// pins. One hold of the VM lock: the mutator finds the objects home
     /// with the touches already made. A touch of an object that did not come
     /// home is dropped, like one the surrogate answered before it died.
-    fn reinstate(&self, unserved: Vec<Request>) {
+    /// Only the touches before the first `Invoke` are made here — it runs
+    /// the interpreter, which takes the VM itself —: it and those after it
+    /// are handed back, for the mutator to serve in order once the guards
+    /// are gone and before it goes on.
+    fn reinstate(&self, mut unserved: Vec<Request>) -> Vec<Request> {
         let ledger: Vec<(ObjectId, ObjectRecord)> = std::mem::take(&mut *self.ledger.lock());
         let pins: Vec<ObjectId> = std::mem::take(&mut *self.pins.lock());
         let vm = self.client.vm();
@@ -719,6 +737,11 @@ impl FailoverCore {
                 }
             }
         }
+        let invoked = unserved
+            .iter()
+            .position(|touch| matches!(touch, Request::Invoke { .. }))
+            .unwrap_or(unserved.len());
+        let after = unserved.split_off(invoked);
         for touch in unserved {
             let _ = serve_here(&mut vm, touch);
         }
@@ -746,43 +769,67 @@ impl FailoverCore {
                 reason: "failover".into(),
             });
         }
+        after
     }
 
     /// Serves on the client `unserved` — touches deferred to a surrogate
-    /// that is gone — in the order they were made.
+    /// that is gone — in the order they were made, stopping at the first
+    /// that fails. Its error is the run's: kept, every later touch through
+    /// the core fails with it too ([`failed_at_home`](FailoverCore::failed_at_home)).
     fn serve_unserved(&self, unserved: Vec<Request>) -> VmResult<()> {
-        if unserved.is_empty() {
-            return Ok(());
-        }
-        let mut vm = self.client.vm().lock();
         unserved
             .into_iter()
-            .try_for_each(|touch| serve_here(&mut vm, touch))
+            .try_for_each(|touch| self.serve_at_home(touch))
+            .map_err(|error| self.failed_at_home.get_or_init(|| error).clone())
+    }
+
+    /// Serves on the client `touch`, deferred to a surrogate that is gone:
+    /// an `Invoke` through the interpreter, anything else under the VM.
+    fn serve_at_home(&self, touch: Request) -> VmResult<()> {
+        match touch {
+            Request::Invoke {
+                target,
+                class,
+                method,
+                args,
+                ..
+            } => self.client.call_on(target, class, method, &args),
+            touch => serve_here(&mut self.client.vm().lock(), touch),
+        }
+    }
+
+    /// `Err` once a touch deferred to a surrogate that is gone failed at
+    /// home: the first such failure, which a caller that does not wait for
+    /// what it flushes (the controller before its trigger sample) would
+    /// otherwise not hear of.
+    fn failed_at_home(&self) -> VmResult<()> {
+        match self.failed_at_home.get() {
+            Some(error) => Err(error.clone()),
+            None => Ok(()),
+        }
     }
 
     /// After `endpoint`, the active lease's, failed a call with `error`: a
     /// failure the surrogate reported is the caller's; a surrogate dead or
     /// saturated is recovered from — its objects come home, and so do the
-    /// touches deferred to it and not answered — and `Ok` says the touch
-    /// at hand is to be served here too.
+    /// touches deferred to it and not answered, which are served here
+    /// first — and `Ok` says the touch at hand is to be served here too.
     fn recover(&self, endpoint: &Endpoint, error: RpcError) -> VmResult<()> {
-        match error {
+        let saturation = match error {
             RpcError::Remote(msg) => return Err(VmError::RemoteFailure(msg)),
             RpcError::Protocol(msg) => {
                 return Err(VmError::RemoteFailure(format!("protocol: {msg}")))
             }
-            RpcError::Disconnected | RpcError::Timeout => {
-                self.handle_failure();
-            }
+            RpcError::Disconnected | RpcError::Timeout => None,
             // A saturated surrogate is unusable for steady-state touches
             // just like a dead one — recover locally and let the next
             // placement pick a peer with headroom. The provider layer is
             // told this was saturation, not death, so the surrogate stays
             // in the registry under a brief cooldown.
-            RpcError::Busy { retry_after_ms } => {
-                self.handle_saturation(retry_after_ms);
-            }
-        }
+            RpcError::Busy { retry_after_ms } => Some(retry_after_ms),
+        };
+        let handed_back = self.retire_active(saturation, true).unwrap_or_default();
+        self.serve_unserved(handed_back)?;
         self.serve_unserved(endpoint.take_deferred())
     }
 
@@ -924,7 +971,8 @@ impl Surrogate {
     /// # Errors
     ///
     /// [`VmError::RemoteFailure`] when the surrogate executed the request
-    /// and reported an error, or — `Fixed` only — when the link failed.
+    /// and reported an error, or — `Fixed` only — when the link failed; once
+    /// a touch deferred to a dead surrogate failed at home, its error.
     pub(crate) fn call(&self, request: Request) -> VmResult<Option<Reply>> {
         let core = match self {
             Surrogate::Fixed(endpoint) => {
@@ -935,6 +983,7 @@ impl Surrogate {
             }
             Surrogate::Managed(core) => core,
         };
+        core.failed_at_home()?;
         let Some(endpoint) = core.endpoint_for_call() else {
             // About to serve locally with no surrogate attached: any
             // shipment still parked in the relay queue must come home
@@ -959,7 +1008,8 @@ impl Surrogate {
     ///
     /// # Errors
     ///
-    /// As [`Surrogate::call`], and the failure of a touch deferred before.
+    /// As [`Surrogate::call`], and the failure of a touch deferred before —
+    /// here or at home.
     pub(crate) fn defer(&self, touch: Request) -> VmResult<bool> {
         let core = match self {
             Surrogate::Fixed(endpoint) => {
@@ -970,6 +1020,7 @@ impl Surrogate {
             }
             Surrogate::Managed(core) => core,
         };
+        core.failed_at_home()?;
         let Some(endpoint) = core.endpoint_for_call() else {
             core.recall_relay();
             return core.serve_unserved(vec![touch]).map(|()| false);
@@ -995,6 +1046,7 @@ impl Surrogate {
             }
             Surrogate::Managed(core) => core,
         };
+        core.failed_at_home()?;
         let Some(endpoint) = core.endpoint_for_call() else {
             return Ok(false);
         };
@@ -1019,8 +1071,31 @@ mod tests {
         let doc = b.add_class("Doc");
         b.add_method(main, MethodDef::new("main", vec![]));
         b.add_method(doc, MethodDef::new("touch", vec![]));
+        b.add_method(doc, MethodDef::new("peek", peek()));
         let program = Arc::new(b.build(main, MethodId(0), 64, 4).unwrap());
         Machine::new(program, VmConfig::client(1 << 20))
+    }
+
+    /// `Doc::peek`: reads a field of the Doc in its slot 0 — an error if the
+    /// slot is empty — then works for `PEEK_MICROS`.
+    const PEEK: MethodId = MethodId(1);
+    const PEEK_MICROS: u32 = 500;
+
+    fn peek() -> Vec<aide_vm::Op> {
+        use aide_vm::{Op, Reg};
+        vec![
+            Op::GetSlot {
+                slot: 0,
+                dst: Reg(1),
+            },
+            Op::Read {
+                obj: Reg(1),
+                bytes: 8,
+            },
+            Op::Work {
+                micros: PEEK_MICROS,
+            },
+        ]
     }
 
     struct NullDispatcher;
@@ -1429,6 +1504,8 @@ mod tests {
         surrogate_ep: Arc<Endpoint>,
         remote: ObjectId,
         local: ObjectId,
+        /// The surrogate's window back onto the client, kept alive here.
+        _surrogate_adapter: Arc<crate::adapter::RemoteAdapter>,
     }
 
     fn managed_rig() -> ManagedRig {
@@ -1461,6 +1538,13 @@ mod tests {
         );
         tables.attach_to(&client_ep, &client);
         surrogate_tables.attach_to(&surrogate_ep, &surrogate_machine);
+        let surrogate_adapter = Arc::new(RemoteAdapter::new(
+            surrogate_ep.clone(),
+            surrogate_machine.clone(),
+            surrogate_tables.clone(),
+        ));
+        let back: Arc<dyn aide_vm::RemoteAccess> = surrogate_adapter.clone();
+        surrogate_machine.set_remote(&back);
         let core = Arc::new(FailoverCore::new(
             Arc::new(QueueProvider {
                 leases: Mutex::new(Vec::new()),
@@ -1507,6 +1591,7 @@ mod tests {
             surrogate_ep,
             remote,
             local,
+            _surrogate_adapter: surrogate_adapter,
         }
     }
 
@@ -1523,6 +1608,7 @@ mod tests {
             surrogate_ep,
             remote,
             local,
+            _surrogate_adapter,
         } = managed_rig();
 
         // Read twice: the second answer needs no surrogate.
@@ -1548,9 +1634,12 @@ mod tests {
     }
 
     /// A write deferred to the surrogate that dies before any frame carries
-    /// it is not lost with it: whoever finds the surrogate gone — the
-    /// heartbeat, or the next frame — makes it on the Doc the ledger brings
-    /// home, whose shadow still holds `local` in slot 0.
+    /// it is not lost with it: the next touch finds the surrogate gone,
+    /// fails over, and makes it on the Doc the ledger brings home, whose
+    /// shadow still holds `local` in slot 0. An invocation deferred before
+    /// the write runs at home too, before it: it finds `local` in the slot,
+    /// and works. The heartbeat, finding out first, leaves all that to the
+    /// touch — the invocation is the mutator's to run.
     #[test]
     fn touches_deferred_to_a_dead_surrogate_come_home_with_the_objects() {
         for heartbeat_finds_out in [true, false] {
@@ -1562,25 +1651,128 @@ mod tests {
                 surrogate_ep,
                 remote,
                 local,
+                _surrogate_adapter,
             } = managed_rig();
             assert_eq!(adapter.get_slot(remote, 0).unwrap(), Some(local));
+            adapter.invoke(remote, ClassId(1), PEEK, 0, 0, &[]).unwrap();
             adapter.put_slot(remote, 0, None).unwrap();
             adapter.field_access(remote, 8, true).unwrap();
             assert_eq!(surrogate_ep.requests_served(), 1, "the read alone");
             surrogate_ep.shutdown();
             surrogate_ep.join();
+            let worked = client.vm().lock().cpu_seconds();
             if heartbeat_finds_out {
                 core.heartbeat_tick();
-            } else {
-                adapter.flush().unwrap();
+                assert_eq!(core.report().failovers, 0, "left to the next touch");
+                assert!(!client.vm().lock().heap().contains(remote));
+                assert_eq!(client.vm().lock().cpu_seconds(), worked);
             }
+            adapter.flush().unwrap();
             assert_eq!(core.report().failovers, 1);
+            let worked = client.vm().lock().cpu_seconds() - worked;
+            assert!(
+                worked >= f64::from(PEEK_MICROS) * 1e-6,
+                "the peek ran at home, before the write: {worked} s"
+            );
             assert_eq!(client.get_slot_on(remote, 0).unwrap(), None);
             assert!(client_ep.take_deferred().is_empty());
             // From now on the Doc is touched at home, and read there.
             adapter.put_slot(remote, 0, Some(local)).unwrap();
             assert_eq!(adapter.get_slot(remote, 0).unwrap(), Some(local));
             assert!(adapter.remembers_nothing());
+            client_ep.shutdown();
+            client_ep.join();
+        }
+    }
+
+    /// An invocation deferred to a surrogate that dies, and that fails
+    /// where it is run instead — at home, after the write that emptied the
+    /// slot it reads — fails as it would have had it been waited for, and
+    /// so does every touch after it: also when the first caller to hear of
+    /// it drops the error, as the controller does with its flush.
+    #[test]
+    fn a_deferred_invoke_that_fails_at_home_fails_every_later_touch() {
+        let ManagedRig {
+            client,
+            core,
+            adapter,
+            client_ep,
+            surrogate_ep,
+            remote,
+            local,
+            _surrogate_adapter,
+        } = managed_rig();
+        assert_eq!(adapter.get_slot(remote, 0).unwrap(), Some(local));
+        adapter.put_slot(remote, 0, None).unwrap();
+        adapter.invoke(remote, ClassId(1), PEEK, 0, 0, &[]).unwrap();
+        adapter.field_access(remote, 8, true).unwrap();
+        surrogate_ep.shutdown();
+        surrogate_ep.join();
+        core.heartbeat_tick();
+        let failed = adapter.flush().unwrap_err();
+        assert_eq!(core.report().failovers, 1);
+        // What the synchronous run would have got, on the Doc now home.
+        assert_eq!(
+            client.call_on(remote, ClassId(1), PEEK, &[]).unwrap_err(),
+            failed
+        );
+        assert_eq!(adapter.field_access(remote, 8, false), Err(failed.clone()));
+        assert_eq!(adapter.get_slot(remote, 0), Err(failed.clone()));
+        assert_eq!(adapter.flush(), Err(failed));
+        client_ep.shutdown();
+        client_ep.join();
+    }
+
+    /// The heartbeat ticks on a thread of its own while the mutator keeps
+    /// writing the Doc's slot around deferred invocations that read it — the
+    /// Doc itself, so that they touch nothing on the other side — and the
+    /// surrogate dies under them. Whoever finds out, the mutator goes on
+    /// only once what was deferred has been made, in order: no invocation
+    /// runs on an emptied slot, and the Doc, once home, holds the last write.
+    #[test]
+    fn a_heartbeat_on_its_own_thread_leaves_the_mutators_touches_in_order() {
+        use std::sync::atomic::AtomicBool;
+
+        for round in 0..8 {
+            let ManagedRig {
+                client,
+                core,
+                adapter,
+                client_ep,
+                surrogate_ep,
+                remote,
+                local: _,
+                _surrogate_adapter,
+            } = managed_rig();
+            let stop = Arc::new(AtomicBool::new(false));
+            let heartbeat = {
+                let (core, stop) = (core.clone(), stop.clone());
+                std::thread::spawn(move || {
+                    std::thread::sleep(Duration::from_millis(2 * round));
+                    surrogate_ep.shutdown();
+                    surrogate_ep.join();
+                    while !stop.load(Ordering::SeqCst) {
+                        core.heartbeat_tick();
+                        std::thread::yield_now();
+                    }
+                })
+            };
+            let mut after = 0;
+            while after < 200 {
+                adapter.put_slot(remote, 0, Some(remote)).unwrap();
+                adapter.invoke(remote, ClassId(1), PEEK, 0, 0, &[]).unwrap();
+                adapter.put_slot(remote, 0, None).unwrap();
+                adapter.field_access(remote, 8, false).unwrap();
+                if core.report().failovers > 0 {
+                    assert_eq!(client.get_slot_on(remote, 0), Ok(None), "round {round}");
+                    after += 1;
+                } else {
+                    adapter.flush().unwrap();
+                }
+            }
+            stop.store(true, Ordering::SeqCst);
+            heartbeat.join().unwrap();
+            assert_eq!(core.report().failovers, 1);
             client_ep.shutdown();
             client_ep.join();
         }
@@ -1605,6 +1797,7 @@ mod tests {
                 surrogate_ep,
                 remote,
                 local,
+                _surrogate_adapter,
             } = managed_rig();
             // The first reply is what says the surrogate counts its writes.
             assert_eq!(adapter.class_of(remote).unwrap(), ClassId(1));

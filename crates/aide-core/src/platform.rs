@@ -209,6 +209,10 @@ impl Controller {
         decision_span.arg("gc_cycle", at_gc_cycle);
 
         let sample_span = aide_trace::span(aide_trace::names::TRIGGER_SAMPLE, "core");
+        // Sampled and migrated once the peer has run what was deferred to
+        // it, as it would have before the trigger; a touch that failed
+        // fails the run's next call.
+        let _ = client.flush_remote();
         let (deltas, keys) = self.monitor.drain_deltas();
         let live_snapshot = {
             let vm = client.vm().lock();

@@ -40,6 +40,13 @@ const SET0: MethodId = MethodId(0);
 /// `Node::bounce(a, v)`: `a.set0(v); self.1 = v` — when `a` lives with the
 /// caller, a call-back nested in the served invocation.
 const BOUNCE: MethodId = MethodId(1);
+/// `Node::look`: reads its own slot 0 and works — a callee that cannot call
+/// back, so its invocation is not waited for.
+const LOOK: MethodId = MethodId(2);
+/// `Node::visit`: makes a `Leaf` and calls it — not waited for unless the
+/// caller holds a `Leaf` it could call back.
+const VISIT: MethodId = MethodId(3);
+const LEAF: ClassId = ClassId(2);
 
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -51,7 +58,9 @@ fn program() -> Arc<Program> {
     let mut b = ProgramBuilder::new();
     let main = b.add_class("Main");
     let node = b.add_class("Node");
-    assert_eq!(node, NODE);
+    let leaf = b.add_class("Leaf");
+    assert_eq!((node, leaf), (NODE, LEAF));
+    let tick = b.add_method(leaf, MethodDef::new("tick", vec![Op::Work { micros: 2 }]));
     b.add_method(main, MethodDef::new("main", vec![]));
     let set0 = b.add_method(
         node,
@@ -83,7 +92,42 @@ fn program() -> Arc<Program> {
             ],
         ),
     );
-    assert_eq!((set0, bounce), (SET0, BOUNCE));
+    let look = b.add_method(
+        node,
+        MethodDef::new(
+            "look",
+            vec![
+                Op::GetSlot {
+                    slot: 0,
+                    dst: Reg(1),
+                },
+                Op::Work { micros: 3 },
+            ],
+        ),
+    );
+    let visit = b.add_method(
+        node,
+        MethodDef::new(
+            "visit",
+            vec![
+                Op::New {
+                    class: leaf,
+                    scalar_bytes: 8,
+                    ref_slots: 0,
+                    dst: Reg(1),
+                },
+                Op::Call {
+                    obj: Reg(1),
+                    class: leaf,
+                    method: tick,
+                    arg_bytes: 0,
+                    ret_bytes: 0,
+                    args: vec![],
+                },
+            ],
+        ),
+    );
+    assert_eq!((set0, bounce, look, visit), (SET0, BOUNCE, LOOK, VISIT));
     Arc::new(b.build(main, MethodId(0), 64, 0).unwrap())
 }
 
@@ -262,12 +306,12 @@ impl World {
         let (me, peer) = (self.turn, 1 - self.turn);
         let mine = self.owned[me].clone();
         let theirs = self.owned[peer].clone();
-        match rng.below(32) {
+        let served = self.sides[peer].endpoint.requests_served();
+        match rng.below(35) {
             // The importer reads a slot: whatever the adapter says is what
             // the owner's heap holds, and what `GetSlot` on the wire says.
             0..=17 => {
                 let (target, slot) = (rng.pick(&theirs), rng.slot());
-                let served = self.sides[peer].endpoint.requests_served();
                 let read = self.sides[me].adapter.get_slot(target, slot).unwrap();
                 if self.sides[peer].endpoint.requests_served() == served {
                     self.from_memory += 1;
@@ -315,13 +359,20 @@ impl World {
                     .unwrap();
                 self.peer_behind = true;
             }
-            // The owner writes inside a served `Invoke`.
+            // The owner writes inside a served `Invoke`, which is waited
+            // for: the next read sees the write.
             24..=25 => {
                 let (target, value) = (rng.pick(&theirs), rng.pick(&[mine, theirs].concat()));
                 self.sides[me]
                     .adapter
                     .invoke(target, NODE, SET0, 8, 0, &[value])
                     .unwrap();
+                assert!(
+                    self.sides[peer].endpoint.requests_served() > served,
+                    "set0 waited for at {at}"
+                );
+                let read = self.sides[me].adapter.get_slot(target, 0).unwrap();
+                assert_eq!(read, Some(value), "{target:?}.0 after set0 at {at}");
                 self.peer_behind = false;
             }
             // … and the caller inside a call-back nested in it.
@@ -366,8 +417,27 @@ impl World {
             29 => {
                 self.sides[me].tables.imports.begin_epoch();
             }
-            // Control passes, as it always does, with a frame.
+            // An invocation whose callee writes no slot and cannot call
+            // back rides the next frame; `visit` is waited for when the
+            // caller holds a `Leaf` it could call back.
+            30..=32 => {
+                let (target, method) = (rng.pick(&theirs), rng.pick(&[LOOK, VISIT]));
+                let side = &self.sides[me];
+                let holds_a_leaf = side.machine.vm().lock().heap().instances_of(LEAF) > 0;
+                side.adapter
+                    .invoke(target, NODE, method, 8, 0, &[])
+                    .unwrap();
+                let waited = method == VISIT && holds_a_leaf;
+                assert_eq!(
+                    self.sides[peer].endpoint.requests_served() > served,
+                    waited,
+                    "{method:?} waited for at {at}"
+                );
+            }
+            // Control passes, as it always does, with a frame: one that
+            // carries what the side deferred.
             _ => {
+                self.sides[me].adapter.flush().unwrap();
                 self.sides[me].endpoint.call(Request::Ping).unwrap();
                 self.turn = peer;
                 self.peer_behind = false;
@@ -384,6 +454,7 @@ impl World {
     /// phases.
     fn migrate(&mut self, from: usize, id: ObjectId) {
         let side = &self.sides[from];
+        side.adapter.flush().unwrap();
         let record = {
             let vm = side.machine.vm();
             let mut vm = vm.lock();

@@ -31,7 +31,12 @@
 //! endpoint sends to the peer — the next request, or the reply to the
 //! request being served — carries the queue in its header. The peer serves
 //! the touches before the frame's own message, so they land in the order
-//! they were made, in the same turn of the two VMs (DESIGN §5.4).
+//! they were made, in the same turn of the two VMs (DESIGN §5.4). An
+//! `Invoke` returns nothing either, and is deferred when its sender knows
+//! the callee can neither call back nor reorder against the sender's later
+//! work; the endpoint serves it like any other touch, and
+//! [`deferred_invoke_in_service`](crate::deferred_invoke_in_service) tells
+//! the callee's thread that it is one.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1057,6 +1062,23 @@ impl Endpoint {
         let taken = self.shared.take_deferred();
         self.shared.settle_owed(&taken);
         taken
+    }
+
+    /// [`take_deferred`](Endpoint::take_deferred), unless one of the
+    /// touches queued is one `stays` holds for: then `None`, and they all
+    /// stay queued, for a taker whose own call or defer finds deferring
+    /// stopped ([`RpcError::Disconnected`]) all the same.
+    pub fn take_deferred_unless(&self, stays: impl Fn(&Request) -> bool) -> Option<Vec<Request>> {
+        self.shared.stop(RpcError::Disconnected);
+        let taken = {
+            let mut deferred = self.shared.deferred.lock();
+            if deferred.iter().any(stays) {
+                return None;
+            }
+            std::mem::take(&mut *deferred)
+        };
+        self.shared.settle_owed(&taken);
+        Some(taken)
     }
 
     /// The calling half of the protocol: one logical round trip spending
@@ -2288,6 +2310,45 @@ mod tests {
     }
 
     #[test]
+    fn an_invoke_served_off_a_header_knows_it_was_deferred() {
+        /// Notes, for each `Invoke` it serves, which deferred one its thread
+        /// says it is serving.
+        #[derive(Default)]
+        struct Noting(Mutex<Vec<Option<(ClassId, aide_vm::MethodId)>>>);
+        impl Dispatcher for Noting {
+            fn dispatch(&self, request: Request) -> Result<Reply, String> {
+                if let Request::Invoke { .. } = request {
+                    self.0.lock().push(crate::deferred_invoke_in_service());
+                }
+                Ok(Reply::Unit)
+            }
+        }
+        let (link, ct, st) = Link::pair(CommParams::WAVELAN);
+        let noting = Arc::<Noting>::default();
+        let config = EndpointConfig::default();
+        let client = Endpoint::start(ct, link.params, link.clock.clone(), noting.clone(), config);
+        let surrogate = Endpoint::start(st, link.params, link.clock, noting.clone(), config);
+        let invoke = |method| Request::Invoke {
+            target: ObjectId::surrogate(1),
+            class: ClassId(3),
+            method: aide_vm::MethodId(method),
+            arg_bytes: 0,
+            ret_bytes: 0,
+            args: Vec::new(),
+        };
+        client.defer(invoke(1)).unwrap();
+        client.call(invoke(2)).unwrap();
+        assert_eq!(
+            *noting.0.lock(),
+            [Some((ClassId(3), aide_vm::MethodId(1))), None],
+            "the deferred one, then the one waited for"
+        );
+        assert_eq!(crate::deferred_invoke_in_service(), None);
+        client.shutdown();
+        surrogate.shutdown();
+    }
+
+    #[test]
     fn a_failed_touch_fails_the_frame_that_carried_it_and_every_call_after() {
         let (client, surrogate, _, at_surrogate) = recording_pair();
         client.defer(touch(404)).unwrap();
@@ -2344,6 +2405,26 @@ mod tests {
         assert_eq!(client.defer(touch(3)), Err(RpcError::Disconnected));
         assert_eq!(client.take_deferred(), [touch(3)]);
         client.join();
+    }
+
+    #[test]
+    fn touches_one_of_which_must_stay_are_left_queued_and_deferring_stops() {
+        let (client, surrogate, ..) = recording_pair();
+        client.defer(touch(1)).unwrap();
+        client.defer(touch(2)).unwrap();
+        let is_touch_2 = |request: &Request| *request == touch(2);
+        assert_eq!(client.take_deferred_unless(is_touch_2), None);
+        assert_eq!(client.defer(touch(3)), Err(RpcError::Disconnected));
+        assert_eq!(client.flush(), Err(RpcError::Disconnected));
+        assert_eq!(client.take_deferred(), [touch(1), touch(2), touch(3)]);
+        client.defer(touch(4)).unwrap_err();
+        assert_eq!(
+            client.take_deferred_unless(is_touch_2),
+            Some(vec![touch(4)])
+        );
+        assert_eq!(client.take_deferred_unless(is_touch_2), Some(Vec::new()));
+        client.shutdown();
+        surrogate.shutdown();
     }
 
     /// Serves slot writes on a VM, which counts them; anything else is

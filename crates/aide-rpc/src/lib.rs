@@ -91,7 +91,7 @@ pub use pool::WorkerPool;
 pub use reftable::{
     live_remote_refs, ExportTable, GcClock, ImportTable, ReleaseOutcome, DEFAULT_LEASE_TTL_MS,
 };
-pub use responder::{Responder, Served};
+pub use responder::{deferred_invoke_in_service, Responder, Served};
 pub use tcp::{nudge, tcp_pair, TcpMuxListener};
 pub use wire::{
     crc32, Frame, FrameHeader, FramePool, LeaseStamp, Message, Reply, Request, WireError,

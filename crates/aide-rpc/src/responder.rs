@@ -9,11 +9,13 @@
 //! the half before it serves a request it read itself — so the dispatcher
 //! may wait.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use aide_trace::names as span_names;
+use aide_vm::{ClassId, MethodId};
 use parking_lot::Mutex;
 
 use crate::endpoint::Dispatcher;
@@ -107,6 +109,36 @@ pub enum Served {
     InFlight,
 }
 
+thread_local! {
+    /// The class and method of the deferred `Invoke` this thread is
+    /// serving, if it is serving one.
+    static DEFERRED_INVOKE: Cell<Option<(ClassId, MethodId)>> = const { Cell::new(None) };
+}
+
+/// The `(class, method)` of the deferred [`Request::Invoke`] this thread is
+/// serving right now, if any: its callee was admitted because it cannot
+/// call back, so a synchronous call made now is one it was not supposed to
+/// make.
+pub fn deferred_invoke_in_service() -> Option<(ClassId, MethodId)> {
+    DEFERRED_INVOKE.with(Cell::get)
+}
+
+/// While alive, the thread serves a deferred `Invoke`; then what it served
+/// before, even if the dispatcher panicked.
+struct ServingInvoke(Option<(ClassId, MethodId)>);
+
+impl ServingInvoke {
+    fn begin(invoked: (ClassId, MethodId)) -> ServingInvoke {
+        ServingInvoke(DEFERRED_INVOKE.with(|serving| serving.replace(Some(invoked))))
+    }
+}
+
+impl Drop for ServingInvoke {
+    fn drop(&mut self) {
+        DEFERRED_INVOKE.with(|serving| serving.set(self.0));
+    }
+}
+
 /// Serves `touches` — what a peer deferred onto a frame — through
 /// `dispatcher`, in order, stopping at the first that fails: the error
 /// names the touch's kind.
@@ -116,6 +148,10 @@ pub(crate) fn serve_deferred(
 ) -> Result<(), String> {
     for touch in touches {
         let kind = touch.kind();
+        let _serving = match touch {
+            Request::Invoke { class, method, .. } => Some(ServingInvoke::begin((class, method))),
+            _ => None,
+        };
         dispatcher
             .dispatch(touch)
             .map_err(|e| format!("deferred {kind}: {e}"))?;

@@ -271,14 +271,17 @@ pub enum Request {
 
 impl Request {
     /// Whether this is a touch whose reply carries nothing — a field access
-    /// (the VM models no scalar values), a slot write, a static access or a
-    /// native, none of which runs code on the peer — so that its sender need
-    /// not wait for it: it may ride the next frame to the peer instead
-    /// ([`FrameHeader::deferred`]).
+    /// (the VM models no scalar values), a slot write, a static access, a
+    /// native or an invocation (it returns nothing either) — so that its
+    /// sender need not wait for it: it may ride the next frame to the peer
+    /// instead ([`FrameHeader::deferred`]). Whether an `Invoke` may wait is
+    /// the sender's to decide: its callee runs code on the peer, which must
+    /// neither call back nor reorder against what the sender does next.
     pub fn is_deferrable(&self) -> bool {
         matches!(
             self,
-            Request::FieldAccess { .. }
+            Request::Invoke { .. }
+                | Request::FieldAccess { .. }
                 | Request::PutSlot { .. }
                 | Request::StaticAccess { .. }
                 | Request::Native { .. }
@@ -1673,6 +1676,14 @@ mod tests {
                 work_micros: 5,
                 arg_bytes: 8,
                 ret_bytes: 8,
+            },
+            Request::Invoke {
+                target: ObjectId::surrogate(1),
+                class: ClassId(1),
+                method: MethodId(2),
+                arg_bytes: 16,
+                ret_bytes: 0,
+                args: vec![ObjectId::client(3)],
             },
         ];
         assert!(touches.iter().all(Request::is_deferrable));

@@ -232,8 +232,30 @@ fn deterministic_duplicates_are_absorbed_on_every_backend() {
     }
 }
 
-/// Logs the target of every field access it serves; serving a read of slot
-/// `n`, it defers a field access of client object `n` back to the reader
+/// A deferrable touch of `target`: an `Invoke` when `invoke`, else a field
+/// write.
+fn touch_of(target: ObjectId, invoke: bool) -> Request {
+    if invoke {
+        Request::Invoke {
+            target,
+            class: ClassId(1),
+            method: aide_vm::MethodId(0),
+            arg_bytes: 8,
+            ret_bytes: 0,
+            args: Vec::new(),
+        }
+    } else {
+        Request::FieldAccess {
+            target,
+            bytes: 16,
+            write: true,
+        }
+    }
+}
+
+/// Logs the target of every field access and invocation it serves;
+/// serving a read of slot `n`, it defers a field access of client object
+/// `n` and an invocation of client object `100 + n` back to the reader
 /// through `back`.
 #[derive(Default)]
 struct TouchLog {
@@ -244,18 +266,19 @@ struct TouchLog {
 impl Dispatcher for TouchLog {
     fn dispatch(&self, request: Request) -> Result<Reply, String> {
         match request {
-            Request::FieldAccess { target, .. } => {
+            Request::FieldAccess { target, .. } | Request::Invoke { target, .. } => {
                 self.touched.lock().unwrap().push(target);
                 Ok(Reply::Unit)
             }
             Request::GetSlot { slot, .. } => {
                 if let Some(back) = self.back.get().and_then(std::sync::Weak::upgrade) {
-                    let touch = Request::FieldAccess {
-                        target: ObjectId::client(u64::from(slot)),
-                        bytes: 8,
-                        write: true,
-                    };
-                    back.defer(touch).map_err(|e| e.to_string())?;
+                    let slot = u64::from(slot);
+                    for touch in [
+                        touch_of(ObjectId::client(slot), false),
+                        touch_of(ObjectId::client(100 + slot), true),
+                    ] {
+                        back.defer(touch).map_err(|e| e.to_string())?;
+                    }
                 }
                 Ok(Reply::Slot(None))
             }
@@ -296,15 +319,10 @@ fn deferred_touches_are_served_once_and_in_order_on_every_backend() {
         at_server.back.set(Arc::downgrade(&server)).unwrap();
         let mut expected = Vec::new();
         for round in 0..10u64 {
+            // Field writes and invocations, interleaved.
             for i in 0..5 {
                 let target = ObjectId::surrogate(round * 5 + i);
-                client
-                    .defer(Request::FieldAccess {
-                        target,
-                        bytes: 16,
-                        write: true,
-                    })
-                    .unwrap();
+                client.defer(touch_of(target, i % 2 == 1)).unwrap();
                 expected.push(target);
             }
             let read = Request::GetSlot {
@@ -325,9 +343,11 @@ fn deferred_touches_are_served_once_and_in_order_on_every_backend() {
         // What the server deferred rode its replies — a replayed reply
         // carries the same — each served once, by the caller, before its
         // call returned.
-        let back: Vec<ObjectId> = (0..10).map(ObjectId::client).collect();
+        let back: Vec<ObjectId> = (0..10)
+            .flat_map(|n| [ObjectId::client(n), ObjectId::client(100 + n)])
+            .collect();
         assert_eq!(*at_client.touched.lock().unwrap(), back, "{}", fx.name());
-        assert_eq!(client.requests_served(), 10, "{}", fx.name());
+        assert_eq!(client.requests_served(), 20, "{}", fx.name());
         client.shutdown();
         server.shutdown();
         client.join();

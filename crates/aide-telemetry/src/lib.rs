@@ -188,6 +188,15 @@ pub mod names {
     pub const REMOTE_READS_FROM_MEMORY: &str = "aide_remote_reads_from_memory_total";
     /// Reads of a peer's object the adapter had to ask the peer for.
     pub const REMOTE_READS_ASKED: &str = "aide_remote_reads_asked_total";
+    /// Invocations of a peer's object the remote-access adapter sent
+    /// without waiting for them: their callees cannot call back.
+    pub const REMOTE_INVOKES_DEFERRED: &str = "aide_remote_invokes_deferred_total";
+    /// Invocations of a peer's object the adapter waited for.
+    pub const REMOTE_INVOKES_WAITED: &str = "aide_remote_invokes_waited_total";
+    /// Calls back to the peer, waited for, made while serving a deferred
+    /// invocation — calls its admission said it could not make (a class
+    /// lookup, which asks what never changes, is not one); 0 is right.
+    pub const REMOTE_DEFERRED_CALLBACKS: &str = "aide_remote_deferred_invoke_callbacks_total";
 
     /// Sessions accepted by a surrogate daemon.
     pub const SURROGATE_SESSIONS: &str = "aide_surrogate_sessions_total";

@@ -84,7 +84,7 @@ pub struct HeapStats {
 /// assert_eq!(heap.stats().live_objects, 1);
 /// # Ok::<(), aide_vm::VmError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Heap {
     capacity: u64,
     objects: HashMap<ObjectId, ObjectRecord>,
@@ -95,8 +95,10 @@ pub struct Heap {
     /// a migrated object must never be served from a stale cache entry.
     /// Allocation and GC do *not* bump it: fresh ids have never been
     /// cached, freed ids are unreachable, and ids are never reused.
-    #[serde(default)]
     locality_epoch: u64,
+    /// Objects in the heap per class, by class index: kept by every insert
+    /// and removal (an object's class never changes).
+    instances: Vec<u64>,
 }
 
 impl Heap {
@@ -107,6 +109,26 @@ impl Heap {
             objects: HashMap::new(),
             stats: HeapStats::default(),
             locality_epoch: 0,
+            instances: Vec::new(),
+        }
+    }
+
+    /// How many objects of `class` the heap holds, live or not yet swept.
+    #[inline]
+    pub fn instances_of(&self, class: ClassId) -> u64 {
+        self.instances.get(class.index()).copied().unwrap_or(0)
+    }
+
+    /// Notes that an object of `class` came (`true`) or went.
+    fn count(&mut self, class: ClassId, came: bool) {
+        let i = class.index();
+        if came {
+            if self.instances.len() <= i {
+                self.instances.resize(i + 1, 0);
+            }
+            self.instances[i] += 1;
+        } else {
+            self.instances[i] -= 1;
         }
     }
 
@@ -179,6 +201,7 @@ impl Heap {
         self.stats.live_objects += 1;
         self.stats.total_allocated += 1;
         self.stats.total_allocated_bytes += footprint;
+        self.count(record.class, true);
         let prev = self.objects.insert(id, record);
         assert!(prev.is_none(), "object id {id} reused");
         Ok(())
@@ -193,7 +216,7 @@ impl Heap {
         self.objects.get(&id).ok_or(VmError::DanglingReference(id))
     }
 
-    /// Mutable access to an object.
+    /// Mutable access to an object, whose class must stay what it is.
     ///
     /// # Errors
     ///
@@ -217,6 +240,7 @@ impl Heap {
         self.stats.used_bytes -= record.footprint();
         self.stats.live_objects -= 1;
         self.stats.total_freed += 1;
+        self.count(record.class, false);
         Ok(record)
     }
 
@@ -234,6 +258,7 @@ impl Heap {
         self.stats.live_objects -= 1;
         self.stats.migrated_out += 1;
         self.locality_epoch += 1;
+        self.count(record.class, false);
         Ok(record)
     }
 
@@ -255,6 +280,7 @@ impl Heap {
         self.stats.live_objects += 1;
         self.stats.migrated_in += 1;
         self.locality_epoch += 1;
+        self.count(record.class, true);
         let prev = self.objects.insert(id, record);
         assert!(prev.is_none(), "object id {id} reused");
         Ok(())
@@ -303,6 +329,31 @@ mod tests {
         assert_eq!(h.stats().used_bytes, 100);
         assert_eq!(h.free_bytes(), 9_900);
         assert!((h.free_fraction() - 0.99).abs() < 1e-12);
+    }
+
+    #[test]
+    fn instances_are_counted_per_class_through_every_way_in_and_out() {
+        let mut h = Heap::new(10_000);
+        let (a, b, c) = (
+            ObjectId::client(0),
+            ObjectId::client(1),
+            ObjectId::client(2),
+        );
+        h.insert(a, obj(2, 10, 0)).unwrap();
+        h.insert(b, obj(2, 10, 0)).unwrap();
+        h.insert(c, obj(0, 10, 0)).unwrap();
+        assert_eq!(
+            [0, 1, 2, 3].map(|class| h.instances_of(ClassId(class))),
+            [1, 0, 2, 0]
+        );
+        let gone = h.migrate_out(a).unwrap();
+        h.sweep(b).unwrap();
+        assert_eq!(h.instances_of(ClassId(2)), 0);
+        h.migrate_in(a, gone).unwrap();
+        assert_eq!(h.instances_of(ClassId(2)), 1);
+        // Refused for space, nothing is counted.
+        assert!(h.insert(ObjectId::client(3), obj(2, 20_000, 0)).is_err());
+        assert_eq!(h.instances_of(ClassId(2)), 1);
     }
 
     #[test]

@@ -76,4 +76,4 @@ pub use machine::{
     VmKind,
 };
 pub use natives::{native_requires_client, NativeKind};
-pub use program::{ClassDef, EntryPoint, MethodDef, Op, Program, ProgramBuilder};
+pub use program::{CallClosure, ClassDef, EntryPoint, MethodDef, Op, Program, ProgramBuilder};

@@ -887,9 +887,7 @@ impl Machine {
             entry.ref_slots,
         )?;
         self.run_flat(Some(entry_obj), entry.class, entry.method, &[])?;
-        if let Some(remote) = self.remote() {
-            remote.flush()?;
-        }
+        self.flush_remote()?;
         let vm = self.vm.lock();
         Ok(RunSummary {
             cpu_seconds: vm.cpu_seconds(),
@@ -901,6 +899,19 @@ impl Machine {
             hook_seconds: vm.hook_seconds,
             ops_executed: vm.ops_executed,
         })
+    }
+
+    /// Waits until the peer has served everything deferred to it
+    /// ([`RemoteAccess::flush`]); nothing to wait for without a peer.
+    ///
+    /// # Errors
+    ///
+    /// The failure of the flush or of a touch it sent.
+    pub fn flush_remote(&self) -> VmResult<()> {
+        match self.remote() {
+            Some(remote) => remote.flush(),
+            None => Ok(()),
+        }
     }
 
     /// Executes `method` of `class` on the local object `target` (used by

@@ -7,6 +7,8 @@
 //! the property plain Rust code cannot offer, because statically compiled
 //! field accesses cannot be intercepted or redirected at run time.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::{VmError, VmResult};
@@ -261,12 +263,37 @@ pub struct EntryPoint {
     pub ref_slots: u16,
 }
 
+/// What running a method may do, over the closure of the methods its
+/// `Call`s and `CallStatic`s reach — read off the code, not off a run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CallClosure {
+    /// Some method in the closure writes a reference slot or reads one of
+    /// an object other than its receiver (`PutSlot`, `PutSlotOf`,
+    /// `GetSlotOf`), or calls a method that does not exist.
+    pub touches_slots: bool,
+    /// The classes the closure `Call`s an instance method of, ascending.
+    pub called: Vec<ClassId>,
+}
+
 /// A complete program: a class table plus an entry point.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Program {
     classes: Vec<ClassDef>,
     entry: EntryPoint,
+    /// [`Program::call_closure`]'s answers, per class and method, worked out
+    /// once, on first use.
+    #[serde(skip)]
+    closures: OnceLock<Vec<Vec<CallClosure>>>,
 }
+
+/// The closures follow from the classes.
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        self.classes == other.classes && self.entry == other.entry
+    }
+}
+
+impl Eq for Program {}
 
 impl Program {
     /// Assembles and validates a program.
@@ -277,7 +304,11 @@ impl Program {
     /// instruction references a class, method, or register that does not
     /// exist.
     pub fn new(classes: Vec<ClassDef>, entry: EntryPoint) -> VmResult<Self> {
-        let p = Program { classes, entry };
+        let p = Program {
+            classes,
+            entry,
+            closures: OnceLock::new(),
+        };
         p.validate()?;
         Ok(p)
     }
@@ -326,6 +357,15 @@ impl Program {
             .iter()
             .position(|c| c.name == name)
             .map(|i| ClassId(i as u32))
+    }
+
+    /// What running `method` of `class` may do ([`CallClosure`]); `None`
+    /// for a method that does not exist.
+    pub fn call_closure(&self, class: ClassId, method: MethodId) -> Option<&CallClosure> {
+        self.closures
+            .get_or_init(|| call_closures(&self.classes))
+            .get(class.index())?
+            .get(method.index())
     }
 
     fn validate(&self) -> VmResult<()> {
@@ -448,6 +488,78 @@ impl Program {
         }
         Ok(())
     }
+}
+
+/// Every method's [`CallClosure`], per class: each method's own ops first,
+/// then a walk over the methods they call.
+fn call_closures(classes: &[ClassDef]) -> Vec<Vec<CallClosure>> {
+    /// One method's own ops: whether they touch a slot, the classes they
+    /// `Call`, the methods they call.
+    #[derive(Default)]
+    struct Own {
+        touches_slots: bool,
+        called: Vec<ClassId>,
+        callees: Vec<(ClassId, MethodId)>,
+    }
+    fn scan(ops: &[Op], own: &mut Own) {
+        for op in ops {
+            match op {
+                Op::PutSlot { .. } | Op::PutSlotOf { .. } | Op::GetSlotOf { .. } => {
+                    own.touches_slots = true;
+                }
+                Op::Call { class, method, .. } => {
+                    own.called.push(*class);
+                    own.callees.push((*class, *method));
+                }
+                Op::CallStatic { class, method, .. } => own.callees.push((*class, *method)),
+                Op::Repeat { body, .. } => scan(body, own),
+                _ => {}
+            }
+        }
+    }
+    let own: Vec<Vec<Own>> = classes
+        .iter()
+        .map(|class| {
+            class
+                .methods
+                .iter()
+                .map(|m| {
+                    let mut own = Own::default();
+                    scan(&m.body, &mut own);
+                    own
+                })
+                .collect()
+        })
+        .collect();
+    let closure_of = |root: (ClassId, MethodId)| {
+        let mut touches_slots = false;
+        let mut called = std::collections::BTreeSet::new();
+        let mut seen = std::collections::HashSet::from([root]);
+        let mut stack = vec![root];
+        while let Some((class, method)) = stack.pop() {
+            let Some(own) = own
+                .get(class.index())
+                .and_then(|methods| methods.get(method.index()))
+            else {
+                touches_slots = true;
+                continue;
+            };
+            touches_slots |= own.touches_slots;
+            called.extend(&own.called);
+            stack.extend(own.callees.iter().filter(|&&callee| seen.insert(callee)));
+        }
+        CallClosure {
+            touches_slots,
+            called: called.into_iter().collect(),
+        }
+    };
+    (0..classes.len())
+        .map(|ci| {
+            (0..classes[ci].methods.len())
+                .map(|mi| closure_of((ClassId(ci as u32), MethodId(mi as u16))))
+                .collect()
+        })
+        .collect()
 }
 
 /// Incremental builder for [`Program`]s.
@@ -751,6 +863,72 @@ mod tests {
             Err(VmError::UnknownMethod(ClassId(0), MethodId(5)))
         ));
         assert!(p.method(ClassId(1), MethodId(0)).is_ok());
+    }
+
+    #[test]
+    fn a_call_closure_follows_calls_static_calls_and_cycles() {
+        let mut b = ProgramBuilder::new();
+        let main = b.add_class("Main");
+        let (a, c, d) = (b.add_class("A"), b.add_class("C"), b.add_class("D"));
+        let call = |class, method| Op::Call {
+            obj: Reg(0),
+            class,
+            method,
+            arg_bytes: 0,
+            ret_bytes: 0,
+            args: vec![],
+        };
+        // A::ping calls C::pong inside a loop; C::pong calls A::ping back
+        // and D's static helper, which reads a slot of another object.
+        let ping = b.add_method(
+            a,
+            MethodDef::new(
+                "ping",
+                vec![Op::Repeat {
+                    n: 2,
+                    body: vec![call(c, MethodId(0))],
+                }],
+            ),
+        );
+        let pong = b.add_method(c, MethodDef::new("pong", vec![call(a, ping)]));
+        let helper = b.add_method(
+            d,
+            MethodDef::new_static(
+                "helper",
+                vec![Op::GetSlotOf {
+                    obj: Reg(0),
+                    slot: 0,
+                    dst: Reg(1),
+                }],
+            ),
+        );
+        let quiet = b.add_method(d, MethodDef::new("quiet", vec![Op::Work { micros: 1 }]));
+        let loud = b.add_method(
+            d,
+            MethodDef::new(
+                "loud",
+                vec![Op::CallStatic {
+                    class: d,
+                    method: helper,
+                    arg_bytes: 0,
+                    ret_bytes: 0,
+                    args: vec![],
+                }],
+            ),
+        );
+        b.add_method(main, MethodDef::new("main", vec![]));
+        let p = b.build(main, MethodId(0), 0, 0).unwrap();
+
+        let closure = p.call_closure(a, ping).unwrap();
+        assert!(!closure.touches_slots);
+        assert_eq!(closure.called, [a, c], "the cycle, once each");
+        assert_eq!(p.call_closure(c, pong), Some(closure));
+        assert_eq!(p.call_closure(d, quiet), Some(&CallClosure::default()));
+        // A static call names no class an instance of which it runs on.
+        let loud = p.call_closure(d, loud).unwrap();
+        assert!(loud.touches_slots);
+        assert!(loud.called.is_empty());
+        assert_eq!(p.call_closure(d, MethodId(9)), None);
     }
 
     #[test]
