@@ -30,7 +30,6 @@ use aide_graph::CommParams;
 use serde::{Deserialize, Serialize};
 
 use crate::link::{session_pair, Delivered, FrameSink, Link, Session};
-use crate::wire::Frame;
 
 /// A reproducible schedule of transport faults.
 ///
@@ -193,7 +192,7 @@ struct ForwardInbound {
 }
 
 impl FrameSink for ForwardInbound {
-    fn deliver(&self, frame: Frame) -> Delivered {
+    fn deliver(&self, frame: Vec<u8>) -> Delivered {
         // Refused only after a reset or once the application is gone.
         let _ = self.to_app.send(frame);
         // Whoever waits or serves behind the shim holds an in-process
@@ -239,7 +238,7 @@ pub fn chaos_wrap(inner: Session, schedule: ChaosSchedule) -> (Session, Arc<Chao
             .spawn(move || {
                 let mut rng = ChaosRng::new(schedule.seed);
                 let mut seen = 0u64;
-                let mut held: Option<Frame> = None;
+                let mut held: Option<Vec<u8>> = None;
                 let mut reset = false;
                 loop {
                     // A held frame waits for its successor only so long: a

@@ -53,7 +53,7 @@ use crate::mux::{CarrierReader, Turn};
 use crate::pool::{Job, Work, WorkerPool};
 use crate::reftable::{ExportTable, ImportTable};
 use crate::responder::{is_idempotent, serve_deferred, Responder, Served};
-use crate::wire::{Frame, FrameHeader, LeaseStamp, Message, Reply, Request, WireError};
+use crate::wire::{FrameHeader, LeaseStamp, Message, Reply, Request, WireError};
 
 /// How many touches [`Endpoint::defer`] queues before it stops deferring:
 /// the touch that fills the queue goes out at once, the others riding its
@@ -600,7 +600,7 @@ impl Shared {
     /// Counts what the responder made of a request that arrived with
     /// `touches` deferred touches; the frame to send, if any (the first
     /// copy's reply answers a duplicate still in flight).
-    fn account(&self, served: Served, touches: u64) -> Option<Frame> {
+    fn account(&self, served: Served, touches: u64) -> Option<Vec<u8>> {
         match served {
             Served::Executed(frame) => {
                 self.requests_served
@@ -626,7 +626,7 @@ impl Shared {
         seq: u64,
         body: Request,
         header: FrameHeader,
-    ) -> Option<Frame> {
+    ) -> Option<Vec<u8>> {
         let touches = header.deferred.len() as u64;
         // An operational request (a probe, a scrape, a renewal) is served
         // outside the two VMs' turns: what the turn's holder deferred waits
@@ -648,7 +648,7 @@ impl Shared {
 }
 
 impl FrameSink for Shared {
-    fn deliver(&self, frame: Frame) -> Delivered {
+    fn deliver(&self, frame: Vec<u8>) -> Delivered {
         let Ok((header, message)) = Message::decode_framed(&frame) else {
             // Malformed frame (truncated, corrupted, wrong version): count
             // and drop it; retries recover the request.

@@ -8,8 +8,8 @@
 //! * [`Message`] / [`Request`] / [`Reply`] — the RPC protocol: one frame
 //!   format (version 5, a [`FrameHeader`] then the message) behind one
 //!   hand-rolled length-safe binary codec, [`Message::encode_stamped`] /
-//!   [`Message::decode_framed`], encoding in place into buffers leased
-//!   from the [`FramePool`].
+//!   [`Message::decode_framed`]. A frame is a `Vec<u8>`: each encode and
+//!   each carrier read fills one of its own.
 //! * [`Session`] — one end of a duplex frame channel, whichever backend
 //!   carries it. Each backend has one pair constructor: in-memory inboxes
 //!   ([`Link::pair`]) and a loopback TCP carrier ([`tcp_pair`]). A TCP
@@ -94,6 +94,5 @@ pub use reftable::{
 pub use responder::{deferred_invoke_in_service, Responder, Served};
 pub use tcp::{nudge, tcp_pair, TcpMuxListener};
 pub use wire::{
-    crc32, Frame, FrameHeader, FramePool, LeaseStamp, Message, Reply, Request, WireError,
-    PROTOCOL_VERSION,
+    crc32, FrameHeader, LeaseStamp, Message, Reply, Request, WireError, PROTOCOL_VERSION,
 };

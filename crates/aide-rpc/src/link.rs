@@ -27,7 +27,7 @@ use aide_graph::CommParams;
 use parking_lot::Mutex;
 
 use crate::mux::{mux_head, CarrierReader, KIND_CLOSE, KIND_DATA};
-use crate::wire::{write_framed, Frame, MUX_HEADER};
+use crate::wire::{write_framed, MUX_HEADER};
 
 /// Which carrier a session rides on. Used to label telemetry per backend;
 /// the RPC layer is otherwise oblivious.
@@ -154,7 +154,7 @@ pub(crate) trait FrameSink: Send + Sync {
     /// One frame, in arrival order; what became of it tells the thread that
     /// read it whether somebody is about to come back and read (see
     /// [`CarrierReader`]).
-    fn deliver(&self, frame: Frame) -> Delivered;
+    fn deliver(&self, frame: Vec<u8>) -> Delivered;
     /// No further frame will arrive: the peer hung up or the carrier died.
     fn closed(&self);
 }
@@ -181,7 +181,7 @@ pub enum Delivered {
 
 #[derive(Default)]
 struct InboxState {
-    queue: VecDeque<Frame>,
+    queue: VecDeque<Vec<u8>>,
     sink: Option<Arc<dyn FrameSink>>,
     /// No further frame will arrive (peer hung up, CLOSE, carrier death).
     closed: bool,
@@ -235,7 +235,7 @@ impl Inbox {
     ///
     /// [`LinkError::Disconnected`] once the inbox is closed or every
     /// receiving handle is gone.
-    pub(crate) fn push(&self, frame: Frame) -> Result<Delivered, LinkError> {
+    pub(crate) fn push(&self, frame: Vec<u8>) -> Result<Delivered, LinkError> {
         let mut state = self.lock();
         if state.closed || state.abandoned {
             return Err(LinkError::Disconnected);
@@ -293,7 +293,7 @@ impl Inbox {
 
     /// Pulls the next queued frame, waiting until `deadline` (forever when
     /// `None`); `Ok(None)` is a timeout.
-    fn pop(&self, deadline: Option<Instant>) -> Result<Option<Frame>, LinkError> {
+    fn pop(&self, deadline: Option<Instant>) -> Result<Option<Vec<u8>>, LinkError> {
         let mut state = self.lock();
         loop {
             if let Some(frame) = state.queue.pop_front() {
@@ -493,8 +493,7 @@ impl Session {
         self.backend
     }
 
-    /// Sends one encoded frame to the peer. Accepts anything convertible
-    /// into a [`Frame`] (plain `Vec<u8>` or a pooled frame).
+    /// Sends one encoded frame to the peer.
     ///
     /// In process the frame lands in the peer's inbox (and runs its sink)
     /// on this thread; on a carrier this thread does the socket write.
@@ -503,8 +502,7 @@ impl Session {
     ///
     /// Returns [`LinkError::Disconnected`] if the peer's receiver or the
     /// carrier is gone.
-    pub fn send(&self, frame: impl Into<Frame>) -> Result<(), LinkError> {
-        let frame = frame.into();
+    pub fn send(&self, frame: Vec<u8>) -> Result<(), LinkError> {
         self.stats().note_sent(frame.len());
         match &self.tx {
             SessionSender::Direct(peer) => peer.0.push(frame).map(drop),
@@ -539,7 +537,7 @@ impl Session {
     ///
     /// Returns [`LinkError::Disconnected`] when the peer hung up and the
     /// queue is drained.
-    pub fn recv(&self) -> Result<Frame, LinkError> {
+    pub fn recv(&self) -> Result<Vec<u8>, LinkError> {
         self.rx
             .0
             .pop(None)
@@ -551,7 +549,7 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`LinkError::Disconnected`] when the peer hung up.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Option<Frame>, LinkError> {
+    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Option<Vec<u8>>, LinkError> {
         self.rx.0.pop(Some(Instant::now() + timeout))
     }
 
@@ -683,8 +681,8 @@ mod tests {
     }
 
     impl FrameSink for Recorder {
-        fn deliver(&self, frame: Frame) -> Delivered {
-            self.frames.lock().push(frame.to_vec());
+        fn deliver(&self, frame: Vec<u8>) -> Delivered {
+            self.frames.lock().push(frame);
             Delivered::Kept
         }
 

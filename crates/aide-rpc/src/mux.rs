@@ -49,7 +49,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::link::{CarrierWriter, Delivered, Inbox, LinkError, Session};
-use crate::wire::{DeadlineRead, Frame, FrameHead, FrameReader, MUX_HEADER};
+use crate::wire::{DeadlineRead, FrameHead, FrameReader, MUX_HEADER};
 
 /// Application frame for an established session.
 pub(crate) const KIND_DATA: u8 = 0;
@@ -479,7 +479,7 @@ impl CarrierReader {
 
     /// Hands one frame to its session. `None` when the carrier cannot go
     /// on: a frame kind this dialect does not know.
-    fn route(&self, head: FrameHead, frame: Frame) -> Option<Delivered> {
+    fn route(&self, head: FrameHead, frame: Vec<u8>) -> Option<Delivered> {
         let id = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
         let kind = head[4];
         if kind != KIND_OPEN && kind != KIND_CLOSE && kind != KIND_DATA {

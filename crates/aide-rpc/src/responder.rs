@@ -19,7 +19,7 @@ use aide_vm::{ClassId, MethodId};
 use parking_lot::Mutex;
 
 use crate::endpoint::Dispatcher;
-use crate::wire::{Frame, FrameHeader, LeaseStamp, Message, Reply, Request};
+use crate::wire::{FrameHeader, LeaseStamp, Message, Reply, Request};
 
 /// At-most-once execution cache, keyed by `(client id, sequence number)`.
 ///
@@ -55,7 +55,7 @@ impl DedupCache {
         let mut inner = self.entries.lock();
         match inner.map.get(&key) {
             Some(None) => return Some(Served::InFlight),
-            Some(Some(frame)) => return Some(Served::Replayed(Frame::from(frame.clone()))),
+            Some(Some(frame)) => return Some(Served::Replayed(frame.clone())),
             None => {}
         }
         if inner.fifo.len() >= self.capacity {
@@ -100,10 +100,10 @@ pub(crate) fn is_idempotent(request: &Request) -> bool {
 pub enum Served {
     /// First sight of the request: the dispatcher ran, and this is its
     /// reply frame.
-    Executed(Frame),
+    Executed(Vec<u8>),
     /// A duplicate of a request that already completed: the dispatcher
     /// did not run, and this is the memoized reply, byte for byte.
-    Replayed(Frame),
+    Replayed(Vec<u8>),
     /// A duplicate of a request still executing: nothing to send, the
     /// reply to the first copy answers this one too.
     InFlight,
@@ -235,7 +235,7 @@ impl Responder {
         let frame = Message::Reply { seq, result }.encode_deferring(lease, &touches);
         drop(span);
         if dedupable {
-            self.dedup.complete(key, frame.to_vec());
+            self.dedup.complete(key, frame.clone());
         }
         Served::Executed(frame)
     }
@@ -285,7 +285,7 @@ mod tests {
         (None, Vec::new())
     }
 
-    fn executed(served: Served) -> Frame {
+    fn executed(served: Served) -> Vec<u8> {
         match served {
             Served::Executed(frame) => frame,
             other => panic!("expected an execution, got {other:?}"),

@@ -37,20 +37,15 @@
 //! other version is [`WireError::BadVersion`].
 //!
 //! There is likewise one encoder and one decoder:
-//! [`Message::encode_stamped`] writes the frame in place into a buffer
-//! leased from the [`FramePool`], and [`Message::decode_framed`] returns
-//! the header with the message. [`Message::encode`] and
-//! [`Message::decode`] are their shorthands for "no lease" and "drop the
-//! header".
+//! [`Message::encode_stamped`] returns the frame as a `Vec<u8>` of its own,
+//! and [`Message::decode_framed`] returns the header with the message.
+//! [`Message::encode`] and [`Message::decode`] are their shorthands for "no
+//! lease" and "drop the header".
 
 use std::io::Write;
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use bytes::{Buf, BufMut};
-use parking_lot::Mutex;
 
 use aide_trace::SpanContext;
 use aide_vm::{ClassId, MethodId, NativeKind, ObjectId, ObjectRecord};
@@ -478,43 +473,31 @@ impl Message {
 
     /// Encodes the message into a frame with no lease stamp; shorthand for
     /// [`encode_stamped(None)`](Message::encode_stamped).
-    pub fn encode(&self) -> Frame {
+    pub fn encode(&self) -> Vec<u8> {
         self.encode_stamped(None)
     }
 
     /// Encodes the message into a frame
-    /// (`[version][crc32 LE][trace ctx][lease stamp][body]`) whose backing
-    /// buffer is leased from the process-wide [`FramePool`]: steady-state
-    /// encoding performs no heap allocation, and the buffer returns to the
-    /// pool when the frame drops. The header carries the encoding thread's
-    /// active span context, and `lease` — the sender's [`LeaseStamp`] —
-    /// when present, so the receiving side renews its export leases as a
-    /// side effect of ordinary traffic.
-    pub fn encode_stamped(&self, lease: Option<LeaseStamp>) -> Frame {
+    /// (`[version][crc32 LE][trace ctx][lease stamp][body]`). The header
+    /// carries the encoding thread's active span context, and `lease` — the
+    /// sender's [`LeaseStamp`] — when present, so the receiving side renews
+    /// its export leases as a side effect of ordinary traffic.
+    pub fn encode_stamped(&self, lease: Option<LeaseStamp>) -> Vec<u8> {
         self.encode_deferring(lease, &[])
     }
 
     /// [`encode_stamped`](Message::encode_stamped), with `deferred` — the
     /// sender's deferred touches, oldest first — riding the header.
-    pub fn encode_deferring(&self, lease: Option<LeaseStamp>, deferred: &[Request]) -> Frame {
-        let mut frame = FramePool::global().acquire();
-        self.encode_into(frame.vec_mut(), lease, deferred);
-        frame
-    }
-
-    /// Encodes the frame in place into `buf`, replacing its contents and
-    /// reusing its capacity; the checksum is patched in once the payload
-    /// is written.
-    fn encode_into(&self, buf: &mut Vec<u8>, lease: Option<LeaseStamp>, deferred: &[Request]) {
-        buf.clear();
-        buf.reserve(FRAME_HEADER + 64);
+    pub fn encode_deferring(&self, lease: Option<LeaseStamp>, deferred: &[Request]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(FRAME_HEADER + 64);
         buf.put_u8(PROTOCOL_VERSION);
         buf.put_u32_le(0); // checksum placeholder, patched below
-        encode_trace_context(buf);
-        encode_stamp_and_touches(buf, lease, deferred);
-        self.encode_body(buf);
+        encode_trace_context(&mut buf);
+        encode_stamp_and_touches(&mut buf, lease, deferred);
+        self.encode_body(&mut buf);
         let crc = crc32(&buf[FRAME_HEADER..]);
         buf[1..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        buf
     }
 
     /// Writes the tagged payload bytes of this message into `buf`.
@@ -688,7 +671,7 @@ fn decode_stamp_and_touches(
     let mut deferred = Vec::new();
     if flags & DEFERRING != 0 {
         let count = get_u16(buf)?;
-        deferred.reserve(usize::from(count).min(buf.len()));
+        deferred.reserve(announced(usize::from(count), buf, SHORTEST_TOUCH));
         for _ in 0..count {
             let tag = buf.first().copied();
             let touch = decode_request(buf)?;
@@ -705,241 +688,9 @@ fn decode_stamp_and_touches(
 /// announcing a larger frame is treated as corrupt and disconnected.
 pub(crate) const MAX_FRAME: u32 = 64 << 20;
 
-/// Where a [`Frame`]'s backing buffer came from, which determines both
-/// where it goes on drop and which pool statistic its capacity feeds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FrameOrigin {
-    /// A plain `Vec<u8>` handed in by the caller; dropped normally.
-    Raw,
-    /// Leased from the pool shelf (a reuse); returns to the shelf.
-    PoolHit,
-    /// Freshly allocated because the shelf was empty; still returns to
-    /// the shelf so it can be a hit next time.
-    PoolMiss,
-}
-
-/// An owned encoded frame whose backing buffer may be leased from the
-/// process-wide [`FramePool`].
-///
-/// `Frame` dereferences to `[u8]`, so everything that consumed `Vec<u8>`
-/// frames (decoders, chaos mutation, byte accounting) works unchanged.
-/// Dropping a pool-originated frame returns its buffer to the pool instead
-/// of freeing it, which is what removes per-frame allocations from the
-/// encode/decode hot path.
-pub struct Frame {
-    buf: Vec<u8>,
-    origin: FrameOrigin,
-}
-
-impl Frame {
-    /// An empty frame that is not associated with the pool.
-    pub fn empty() -> Frame {
-        Frame {
-            buf: Vec::new(),
-            origin: FrameOrigin::Raw,
-        }
-    }
-
-    /// Shortens the frame to `len` bytes (used by chaos truncation).
-    pub fn truncate(&mut self, len: usize) {
-        self.buf.truncate(len);
-    }
-
-    /// Mutable access to the backing buffer, for encode-in-place and
-    /// carrier reads. Crate-internal: callers outside the transport layer
-    /// only ever see frames as immutable byte slices.
-    pub(crate) fn vec_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.buf
-    }
-}
-
-impl Deref for Frame {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl DerefMut for Frame {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
-    }
-}
-
-impl Drop for Frame {
-    fn drop(&mut self) {
-        if self.origin != FrameOrigin::Raw {
-            FramePool::global().release(std::mem::take(&mut self.buf), self.origin);
-        }
-    }
-}
-
-impl Clone for Frame {
-    fn clone(&self) -> Frame {
-        if self.origin == FrameOrigin::Raw {
-            Frame {
-                buf: self.buf.clone(),
-                origin: FrameOrigin::Raw,
-            }
-        } else {
-            let mut copy = FramePool::global().acquire();
-            copy.buf.extend_from_slice(&self.buf);
-            copy
-        }
-    }
-}
-
-impl std::fmt::Debug for Frame {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Frame({:?})", self.buf)
-    }
-}
-
-impl PartialEq for Frame {
-    fn eq(&self, other: &Frame) -> bool {
-        self.buf == other.buf
-    }
-}
-
-impl Eq for Frame {}
-
-impl PartialEq<Vec<u8>> for Frame {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.buf == *other
-    }
-}
-
-impl PartialEq<Frame> for Vec<u8> {
-    fn eq(&self, other: &Frame) -> bool {
-        *self == other.buf
-    }
-}
-
-impl PartialEq<&[u8]> for Frame {
-    fn eq(&self, other: &&[u8]) -> bool {
-        self.buf == *other
-    }
-}
-
-impl From<Vec<u8>> for Frame {
-    fn from(buf: Vec<u8>) -> Frame {
-        Frame {
-            buf,
-            origin: FrameOrigin::Raw,
-        }
-    }
-}
-
-impl From<&[u8]> for Frame {
-    fn from(bytes: &[u8]) -> Frame {
-        Frame {
-            buf: bytes.to_vec(),
-            origin: FrameOrigin::Raw,
-        }
-    }
-}
-
-/// Most buffers the shelf will retain at once.
-const POOL_SHELF_CAPACITY: usize = 256;
-
-/// Largest buffer capacity the shelf retains; bigger one-off buffers
-/// (bulk migrations) are freed rather than kept hot forever.
-const POOL_MAX_RETAIN: usize = 1 << 20;
-
-/// Process-wide shelf of reusable frame buffers.
-///
-/// [`Message::encode_stamped`] and the byte-stream carriers lease buffers
-/// from here; dropping the resulting [`Frame`] returns the buffer. The
-/// pool keeps logical allocation accounting (independent of wall clock, so
-/// it is stable in CI): every buffer capacity released by a miss-origin
-/// frame counts as freshly allocated bytes, every capacity released by a
-/// hit-origin frame counts as recycled bytes.
-pub struct FramePool {
-    shelf: Mutex<Vec<Vec<u8>>>,
-    allocated_bytes: AtomicU64,
-    recycled_bytes: AtomicU64,
-    tele_hits: Arc<aide_telemetry::Counter>,
-    tele_misses: Arc<aide_telemetry::Counter>,
-    tele_allocated: Arc<aide_telemetry::Counter>,
-    tele_recycled: Arc<aide_telemetry::Counter>,
-    tele_buffers: Arc<aide_telemetry::Gauge>,
-}
-
-impl FramePool {
-    fn new() -> FramePool {
-        let t = aide_telemetry::global();
-        FramePool {
-            shelf: Mutex::new(Vec::new()),
-            allocated_bytes: AtomicU64::new(0),
-            recycled_bytes: AtomicU64::new(0),
-            tele_hits: t.counter(aide_telemetry::names::RPC_POOL_HITS),
-            tele_misses: t.counter(aide_telemetry::names::RPC_POOL_MISSES),
-            tele_allocated: t.counter(aide_telemetry::names::RPC_POOL_ALLOCATED_BYTES),
-            tele_recycled: t.counter(aide_telemetry::names::RPC_POOL_RECYCLED_BYTES),
-            tele_buffers: t.gauge(aide_telemetry::names::RPC_POOL_BUFFERS),
-        }
-    }
-
-    /// The process-wide pool instance.
-    pub fn global() -> &'static FramePool {
-        static POOL: OnceLock<FramePool> = OnceLock::new();
-        POOL.get_or_init(FramePool::new)
-    }
-
-    /// Leases an empty buffer, reusing a shelved one when possible.
-    pub fn acquire(&self) -> Frame {
-        if let Some(mut buf) = self.shelf.lock().pop() {
-            buf.clear();
-            self.tele_hits.inc();
-            self.tele_buffers.add(-1);
-            return Frame {
-                buf,
-                origin: FrameOrigin::PoolHit,
-            };
-        }
-        self.tele_misses.inc();
-        Frame {
-            buf: Vec::new(),
-            origin: FrameOrigin::PoolMiss,
-        }
-    }
-
-    /// Accepts a buffer back from a dropped pool-originated [`Frame`].
-    fn release(&self, buf: Vec<u8>, origin: FrameOrigin) {
-        let cap = buf.capacity() as u64;
-        match origin {
-            FrameOrigin::PoolHit => {
-                self.recycled_bytes.fetch_add(cap, Ordering::Relaxed);
-                self.tele_recycled.add(cap);
-            }
-            FrameOrigin::PoolMiss => {
-                self.allocated_bytes.fetch_add(cap, Ordering::Relaxed);
-                self.tele_allocated.add(cap);
-            }
-            FrameOrigin::Raw => return,
-        }
-        if cap == 0 || cap as usize > POOL_MAX_RETAIN {
-            return;
-        }
-        let mut shelf = self.shelf.lock();
-        if shelf.len() < POOL_SHELF_CAPACITY {
-            shelf.push(buf);
-            self.tele_buffers.add(1);
-        }
-    }
-
-    /// Total capacity (bytes) of freshly allocated frame buffers released
-    /// so far — the numerator of bytes-allocated-per-call.
-    pub fn allocated_bytes(&self) -> u64 {
-        self.allocated_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Total capacity (bytes) of reused frame buffers released so far.
-    pub fn recycled_bytes(&self) -> u64 {
-        self.recycled_bytes.load(Ordering::Relaxed)
-    }
-}
+/// Largest capacity a carrier's compose buffer keeps between frames; the
+/// buffer a bulk migration grew it to is freed rather than kept hot.
+const SCRATCH_MAX_RETAIN: usize = 1 << 20;
 
 /// Writes one `[len u32 LE][head][payload]` frame to a byte-stream carrier
 /// with a single `write_all`, so a frame is one segment on a `TCP_NODELAY`
@@ -963,7 +714,7 @@ pub(crate) fn write_framed(
     scratch.extend_from_slice(head);
     scratch.extend_from_slice(payload);
     let written = w.write_all(scratch);
-    if scratch.capacity() > POOL_MAX_RETAIN {
+    if scratch.capacity() > SCRATCH_MAX_RETAIN {
         // A bulk migration passed through: do not keep its buffer hot.
         *scratch = Vec::new();
     }
@@ -1008,15 +759,15 @@ pub(crate) fn timed_out(e: &std::io::Error) -> bool {
 /// A frame whose payload has not all arrived yet.
 struct PartialFrame {
     head: FrameHead,
-    frame: Frame,
+    frame: Vec<u8>,
     filled: usize,
 }
 
 /// Reads `[len u32 LE][head][payload]` frames off a byte-stream carrier,
-/// each payload into a pooled buffer. Everything read so far — buffered
-/// bytes, a half-arrived frame — lives in the reader, so a read that times
-/// out mid-frame loses nothing and the next call (from whichever thread
-/// then drives the carrier) carries on where it stopped.
+/// each payload into a fresh `vec![0; len]`. Everything read so far —
+/// buffered bytes, a half-arrived frame — lives in the reader, so a read
+/// that times out mid-frame loses nothing and the next call (from whichever
+/// thread then drives the carrier) carries on where it stopped.
 pub(crate) struct FrameReader {
     source: Box<dyn DeadlineRead>,
     buf: Box<[u8]>,
@@ -1054,7 +805,7 @@ impl FrameReader {
     pub(crate) fn next(
         &mut self,
         deadline: Option<Instant>,
-    ) -> std::io::Result<Option<(FrameHead, Frame)>> {
+    ) -> std::io::Result<Option<(FrameHead, Vec<u8>)>> {
         use std::io::ErrorKind;
         loop {
             if let Some(whole) = self.take_buffered()? {
@@ -1065,7 +816,7 @@ impl FrameReader {
             // not copied twice); otherwise the buffer is topped up.
             let read = match &mut self.partial {
                 Some(partial) => {
-                    let rest = &mut partial.frame.vec_mut()[partial.filled..];
+                    let rest = &mut partial.frame[partial.filled..];
                     let read = self.source.read_by(rest, deadline);
                     if let Ok(n) = &read {
                         partial.filled += n;
@@ -1097,7 +848,7 @@ impl FrameReader {
 
     /// Carves the next frame out of what is buffered, if all of it is
     /// there; otherwise consumes what there is of it.
-    fn take_buffered(&mut self) -> std::io::Result<Option<(FrameHead, Frame)>> {
+    fn take_buffered(&mut self) -> std::io::Result<Option<(FrameHead, Vec<u8>)>> {
         if self.partial.is_none() {
             let prefix = 4 + MUX_HEADER;
             let Some(bytes) = self.buf[self.start..self.end].get(..prefix) else {
@@ -1113,11 +864,9 @@ impl FrameReader {
             let mut head = FrameHead::default();
             head.copy_from_slice(&bytes[4..]);
             self.start += prefix;
-            let mut frame = FramePool::global().acquire();
-            frame.vec_mut().resize(len as usize - MUX_HEADER, 0);
             self.partial = Some(PartialFrame {
                 head,
-                frame,
+                frame: vec![0; len as usize - MUX_HEADER],
                 filled: 0,
             });
         }
@@ -1272,14 +1021,31 @@ fn put_object_records<B: BufMut>(buf: &mut B, objects: &[(ObjectId, ObjectRecord
     }
 }
 
+/// Bytes of the shortest deferrable touch: a `PutSlot` of `None`.
+const SHORTEST_TOUCH: usize = 1 + 8 + 2 + 1;
+
+/// Bytes of the shortest object record: one with no slots.
+const SHORTEST_RECORD: usize = 8 + 4 + 4 + 2;
+
+/// How many of `n` announced elements, each at least `shortest` bytes, the
+/// rest of the frame can hold — what a decoder reserves room for, so a
+/// count the frame cannot back costs no more than the frame could carry.
+fn announced(n: usize, buf: &[u8], shortest: usize) -> usize {
+    n.min(buf.len() / shortest)
+}
+
 fn get_object_records(buf: &mut &[u8]) -> Result<Vec<(ObjectId, ObjectRecord)>, WireError> {
     let n = get_u32(buf)? as usize;
-    let mut objects = Vec::with_capacity(n.min(1 << 16));
+    let mut objects = Vec::with_capacity(announced(n, buf, SHORTEST_RECORD));
     for _ in 0..n {
         let id = ObjectId(get_u64(buf)?);
         let class = ClassId(get_u32(buf)?);
         let scalar_bytes = get_u32(buf)?;
         let slots_n = get_u16(buf)? as usize;
+        if buf.len() < slots_n {
+            // Each slot takes at least its presence byte.
+            return Err(WireError::Truncated);
+        }
         let mut rec = ObjectRecord::new(class, scalar_bytes, slots_n as u16);
         for i in 0..slots_n {
             rec.slots[i] = get_opt_oid(buf)?;
@@ -1298,7 +1064,7 @@ fn decode_request(buf: &mut &[u8]) -> Result<Request, WireError> {
             let arg_bytes = get_u32(buf)?;
             let ret_bytes = get_u32(buf)?;
             let n = get_u16(buf)? as usize;
-            let mut args = Vec::with_capacity(n);
+            let mut args = Vec::with_capacity(announced(n, buf, 8));
             for _ in 0..n {
                 args.push(ObjectId(get_u64(buf)?));
             }
@@ -1357,7 +1123,7 @@ fn decode_request(buf: &mut &[u8]) -> Result<Request, WireError> {
             let epoch = get_u64(buf)?;
             let release_seq = get_u64(buf)?;
             let n = get_u32(buf)? as usize;
-            let mut objects = Vec::with_capacity(n.min(1 << 16));
+            let mut objects = Vec::with_capacity(announced(n, buf, 8));
             for _ in 0..n {
                 objects.push(ObjectId(get_u64(buf)?));
             }
@@ -1991,72 +1757,6 @@ mod tests {
             [&[1u8][..], &2u64.to_le_bytes(), &72u64.to_le_bytes()].concat(),
         );
         assert_eq!(msg.encode_stamped(Some(stamp)), seal(5, &payload));
-    }
-
-    #[test]
-    fn encode_into_reuses_capacity_and_matches_encode() {
-        let small = Message::Reply {
-            seq: 1,
-            result: Ok(Reply::Unit),
-        };
-        let big = Message::Request {
-            seq: 2,
-            client: 0,
-            body: Request::Invoke {
-                target: ObjectId::surrogate(1),
-                class: ClassId(1),
-                method: MethodId(1),
-                arg_bytes: 4_096,
-                ret_bytes: 64,
-                args: vec![ObjectId::client(5); 32],
-            },
-        };
-        let mut buf = Vec::new();
-        big.encode_into(&mut buf, None, &[]);
-        assert_eq!(buf, big.encode());
-        let cap = buf.capacity();
-        small.encode_into(&mut buf, None, &[]);
-        assert_eq!(buf, small.encode());
-        assert_eq!(buf.capacity(), cap, "re-encode must not reallocate");
-    }
-
-    #[test]
-    fn dropped_pool_frames_are_accounted_by_origin() {
-        // Counters are global and monotonic, so assert deltas with >=:
-        // concurrent tests may add their own traffic in between.
-        let pool = FramePool::global();
-        let msg = Message::Reply {
-            seq: 7,
-            result: Ok(Reply::Unit),
-        };
-        let frame = msg.encode();
-        // Capacity is at least the frame length, so the length is a safe
-        // lower bound on the accounted bytes.
-        let len = frame.len() as u64;
-        let before = pool.allocated_bytes() + pool.recycled_bytes();
-        drop(frame);
-        let after = pool.allocated_bytes() + pool.recycled_bytes();
-        assert!(
-            after >= before + len,
-            "dropping a pooled frame must account its capacity"
-        );
-    }
-
-    #[test]
-    fn cloned_frames_compare_equal_and_pool_independently() {
-        let msg = Message::Reply {
-            seq: 11,
-            result: Err("nope".into()),
-        };
-        let pooled = msg.encode();
-        let copy = pooled.clone();
-        assert_eq!(pooled, copy);
-        let raw: Frame = pooled.to_vec().into();
-        assert_eq!(raw, copy);
-        drop(pooled);
-        // The clone's buffer is its own: still valid after the original
-        // returned to the pool.
-        assert_eq!(Message::decode(&copy).expect("decode clone"), msg);
     }
 
     /// A byte stream that arrives in the given pieces; `None` is a read

@@ -421,7 +421,7 @@ fn fleet_snapshot(shared: &ShardPool) -> aide_telemetry::FleetSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aide_rpc::{Frame, Message, TcpMuxListener};
+    use aide_rpc::{Message, TcpMuxListener};
     use std::collections::HashSet;
     use std::sync::OnceLock;
     use std::time::{Duration, Instant};
@@ -495,7 +495,7 @@ mod tests {
     }
 
     /// Sends `body` as request `seq` on `session` and waits for the reply.
-    fn round_trip(session: &Session, seq: u64, body: Request) -> Frame {
+    fn round_trip(session: &Session, seq: u64, body: Request) -> Vec<u8> {
         let request = Message::Request {
             seq,
             client: 9,

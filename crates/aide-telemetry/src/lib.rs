@@ -89,16 +89,6 @@ pub mod names {
     pub const RPC_BACKEND_INMEM_REQUESTS: &str = "aide_rpc_inmem_requests_total";
     /// RPC requests issued over the TCP backend.
     pub const RPC_BACKEND_TCP_REQUESTS: &str = "aide_rpc_tcp_requests_total";
-    /// Frame-buffer pool acquires served by reusing a shelved buffer.
-    pub const RPC_POOL_HITS: &str = "aide_rpc_pool_hits_total";
-    /// Frame-buffer pool acquires that started from an empty buffer.
-    pub const RPC_POOL_MISSES: &str = "aide_rpc_pool_misses_total";
-    /// Capacity (bytes) of freshly allocated frame buffers retired so far.
-    pub const RPC_POOL_ALLOCATED_BYTES: &str = "aide_rpc_pool_allocated_bytes_total";
-    /// Capacity (bytes) of reused frame buffers retired so far.
-    pub const RPC_POOL_RECYCLED_BYTES: &str = "aide_rpc_pool_recycled_bytes_total";
-    /// Frame buffers currently resting on the pool shelf.
-    pub const RPC_POOL_BUFFERS: &str = "aide_rpc_pool_buffers";
     /// Logical RPC sessions opened over multiplexed connections.
     pub const MUX_SESSIONS: &str = "aide_mux_sessions_total";
     /// Frames carried over multiplexed connections (both directions).
