@@ -580,8 +580,9 @@ impl VmDispatcher {
     fn install_objects(&self, objects: Vec<(ObjectId, ObjectRecord)>) -> Result<Reply, String> {
         let vm = self.machine.vm();
         let mut vm = vm.lock();
-        // All-or-nothing: verify capacity before installing anything,
-        // so a failed migration never leaves objects half-resident.
+        // All-or-nothing: verify capacity and every id before installing
+        // anything, so a refused batch never leaves objects half-resident
+        // and the heap, its counts and the export table are untouched.
         let total: u64 = objects.iter().map(|(_, r)| r.footprint()).sum();
         if total > vm.heap().free_bytes() {
             return Err(format!(
@@ -589,6 +590,9 @@ impl VmDispatcher {
                 vm.heap().free_bytes()
             ));
         }
+        vm.heap()
+            .check_batch(objects.iter().map(|(id, _)| *id))
+            .map_err(|e| e.to_string())?;
         for (id, record) in objects {
             // Cross-VM slot references: note remote ones as imports.
             for slot in record.slots.iter().flatten() {
@@ -1405,6 +1409,144 @@ mod tests {
         dispatcher
             .dispatch(Request::MigrateAbort { txn: 2 })
             .unwrap();
+    }
+
+    /// What a refused batch must leave as it was.
+    fn ledger(
+        machine: &Machine,
+        tables: &RefTables,
+    ) -> (aide_vm::HeapStats, u64, u64, usize, usize, usize) {
+        let vm = machine.vm();
+        let vm = vm.lock();
+        (
+            vm.heap().stats(),
+            vm.heap().locality_epoch(),
+            vm.heap().instances_of(WORKER),
+            vm.external_root_count(),
+            tables.exports.len(),
+            tables.imports.len(),
+        )
+    }
+
+    #[test]
+    fn a_batch_that_repeats_an_id_is_refused_whole() {
+        let (_client, surrogate, _cep, _sep) = machine_pair();
+        let tables = Arc::new(RefTables::new());
+        let dispatcher = VmDispatcher::new(surrogate.clone(), tables.clone());
+        let before = ledger(&surrogate, &tables);
+        let (a, b) = (ObjectId::client(800), ObjectId::client(801));
+        dispatcher
+            .dispatch(Request::MigratePrepare {
+                txn: 6,
+                objects: vec![
+                    (a, aide_vm::ObjectRecord::new(WORKER, 10, 0)),
+                    (b, aide_vm::ObjectRecord::new(WORKER, 10, 0)),
+                    (a, aide_vm::ObjectRecord::new(WORKER, 90, 1)),
+                ],
+            })
+            .unwrap();
+        let err = dispatcher
+            .dispatch(Request::MigrateCommit { txn: 6 })
+            .unwrap_err();
+        assert!(err.contains("already in use"), "got: {err}");
+        assert_eq!(ledger(&surrogate, &tables), before);
+        let vm = surrogate.vm();
+        let vm = vm.lock();
+        assert!(!vm.heap().contains(a) && !vm.heap().contains(b));
+    }
+
+    #[test]
+    fn a_batch_naming_a_live_id_is_refused_whole() {
+        let (_client, surrogate, _cep, _sep) = machine_pair();
+        let tables = Arc::new(RefTables::new());
+        let dispatcher = VmDispatcher::new(surrogate.clone(), tables.clone());
+        let (x, y) = (ObjectId::client(810), ObjectId::client(811));
+        let original = aide_vm::ObjectRecord::new(WORKER, 10, 0);
+        for (txn, objects) in [
+            (7, vec![(x, original.clone())]),
+            (
+                8,
+                vec![
+                    (y, aide_vm::ObjectRecord::new(WORKER, 10, 0)),
+                    (x, aide_vm::ObjectRecord::new(HELPER, 500, 2)),
+                ],
+            ),
+        ] {
+            dispatcher
+                .dispatch(Request::MigratePrepare { txn, objects })
+                .unwrap();
+        }
+        dispatcher
+            .dispatch(Request::MigrateCommit { txn: 7 })
+            .unwrap();
+        let before = ledger(&surrogate, &tables);
+        let err = dispatcher
+            .dispatch(Request::MigrateCommit { txn: 8 })
+            .unwrap_err();
+        assert!(err.contains("already in use"), "got: {err}");
+        assert_eq!(ledger(&surrogate, &tables), before);
+        let vm = surrogate.vm();
+        let vm = vm.lock();
+        assert!(!vm.heap().contains(y));
+        assert_eq!(vm.heap().get(x).unwrap(), &original);
+        assert_eq!(vm.heap().instances_of(HELPER), 0);
+    }
+
+    #[test]
+    fn a_relay_delivery_of_a_live_id_is_refused_and_stays_retryable() {
+        let (_client, surrogate, _cep, _sep) = machine_pair();
+        let tables = Arc::new(RefTables::new());
+        let dispatcher = VmDispatcher::new(surrogate.clone(), tables.clone());
+        let live = ObjectId::client(820);
+        let deliver = |txn, objects| Request::RelayDeliver {
+            txn,
+            queued_for_ms: 0,
+            objects,
+        };
+        dispatcher
+            .dispatch(deliver(
+                1,
+                vec![(live, aide_vm::ObjectRecord::new(WORKER, 10, 0))],
+            ))
+            .unwrap();
+        let before = ledger(&surrogate, &tables);
+        let fresh = ObjectId::client(821);
+        let record = aide_vm::ObjectRecord::new(WORKER, 40, 0);
+        let err = dispatcher
+            .dispatch(deliver(
+                2,
+                vec![(fresh, record.clone()), (live, record.clone())],
+            ))
+            .unwrap_err();
+        assert!(err.contains("already in use"), "got: {err}");
+        assert_eq!(ledger(&surrogate, &tables), before);
+        // The refused transaction was not marked delivered: a corrected
+        // redelivery installs.
+        dispatcher
+            .dispatch(deliver(2, vec![(fresh, record)]))
+            .unwrap();
+        assert!(surrogate.vm().lock().heap().contains(fresh));
+    }
+
+    #[test]
+    fn a_peer_id_far_beyond_the_heaps_ids_is_refused() {
+        let (_client, surrogate, _cep, _sep) = machine_pair();
+        let tables = Arc::new(RefTables::new());
+        let dispatcher = VmDispatcher::new(surrogate.clone(), tables.clone());
+        let before = ledger(&surrogate, &tables);
+        let far = ObjectId::client(1 << 62);
+        dispatcher
+            .dispatch(Request::MigratePrepare {
+                txn: 9,
+                objects: vec![(far, aide_vm::ObjectRecord::new(WORKER, 10, 0))],
+            })
+            .unwrap();
+        let err = dispatcher
+            .dispatch(Request::MigrateCommit { txn: 9 })
+            .unwrap_err();
+        assert!(err.contains("beyond"), "got: {err}");
+        assert_eq!(ledger(&surrogate, &tables), before);
+        assert!(!surrogate.vm().lock().heap().contains(far));
     }
 
     #[test]

@@ -28,6 +28,12 @@ pub enum VmError {
     UnknownMethod(ClassId, MethodId),
     /// An object id did not resolve to a live object on either VM.
     DanglingReference(ObjectId),
+    /// An object arriving from a peer named an id already live here, or
+    /// one its batch named twice.
+    IdInUse(ObjectId),
+    /// An object arriving from a peer named an id too far beyond every id
+    /// the heap has held (see [`crate::Heap::migrate_in`]).
+    IdOutOfRange(ObjectId),
     /// An instruction read a register that holds no reference.
     NullRegister(Reg),
     /// A register index was outside the frame's register file.
@@ -70,6 +76,8 @@ impl fmt::Display for VmError {
             VmError::UnknownClass(c) => write!(f, "unknown class {c}"),
             VmError::UnknownMethod(c, m) => write!(f, "unknown method {m} on {c}"),
             VmError::DanglingReference(o) => write!(f, "dangling object reference {o}"),
+            VmError::IdInUse(o) => write!(f, "object id {o} is already in use"),
+            VmError::IdOutOfRange(o) => write!(f, "object id {o} is beyond this heap's reach"),
             VmError::NullRegister(r) => write!(f, "register {r} holds no reference"),
             VmError::InvalidRegister(r) => write!(f, "register {r} is out of range"),
             VmError::SlotOutOfRange {
@@ -107,6 +115,8 @@ mod tests {
             VmError::UnknownClass(ClassId(9)),
             VmError::UnknownMethod(ClassId(1), MethodId(2)),
             VmError::DanglingReference(ObjectId::client(4)),
+            VmError::IdInUse(ObjectId::client(5)),
+            VmError::IdOutOfRange(ObjectId::client(1 << 62)),
             VmError::NullRegister(Reg(3)),
             VmError::InvalidRegister(Reg(200)),
             VmError::SlotOutOfRange {

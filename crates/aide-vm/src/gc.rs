@@ -12,7 +12,7 @@
 //! garbage collection scheme: exported objects are pinned via an external
 //! root table until the peer releases them.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -150,40 +150,30 @@ impl Collector {
         let mut gc_span = aide_trace::span(aide_trace::names::VM_GC, "vm");
         gc_span.arg("cycle", self.cycle);
 
-        // Mark.
-        let mut marked: HashMap<ObjectId, ()> = HashMap::new();
-        let mut worklist: Vec<ObjectId> = Vec::new();
-        for id in roots.into_iter().chain(external_roots) {
-            if heap.contains(id) && marked.insert(id, ()).is_none() {
-                worklist.push(id);
-            }
-        }
+        // Mark: the heap keeps the mark bits, one word per chunk of ids.
+        let mut worklist: Vec<ObjectId> = roots.into_iter().chain(external_roots).collect();
         let mut examined: u64 = 0;
         while let Some(id) = worklist.pop() {
-            examined += 1;
-            let record = heap.get(id).expect("marked object is live");
-            for slot in record.slots.iter().flatten() {
-                if heap.contains(*slot) && marked.insert(*slot, ()).is_none() {
-                    worklist.push(*slot);
-                }
+            if let Some(record) = heap.mark(id) {
+                examined += 1;
+                worklist.extend(record.slots.iter().flatten());
             }
         }
 
-        // Sweep.
-        let dead: Vec<ObjectId> = heap.ids().filter(|id| !marked.contains_key(id)).collect();
-        examined += dead.len() as u64;
+        // Sweep: every unmarked live record, in id order.
         let mut freed_objects = 0u64;
         let mut freed_bytes = 0u64;
         self.last_freed_by_class.clear();
-        for id in dead {
-            let record = heap.sweep(id).expect("dead object was live");
+        let freed_by_class = &mut self.last_freed_by_class;
+        heap.sweep_unmarked(|record| {
             let footprint = record.footprint();
             freed_objects += 1;
             freed_bytes += footprint;
-            let entry = self.last_freed_by_class.entry(record.class).or_default();
+            let entry = freed_by_class.entry(record.class).or_default();
             entry.0 += 1;
             entry.1 += footprint;
-        }
+        });
+        examined += freed_objects;
 
         let report = GcReport {
             cycle: self.cycle,

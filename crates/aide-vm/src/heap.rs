@@ -8,6 +8,16 @@
 //! The heap also supports *removal* and *insertion* of whole objects, which
 //! is how the offloading machinery migrates objects between the client and
 //! surrogate VMs.
+//!
+//! Records live in two dense tables, one per minting side
+//! ([`ObjectId::minted_by_surrogate`]), each indexed by the id's counter:
+//! ids are minted by a per-side counter and never reused, so a lookup is two
+//! array indexings and nothing is hashed. A table is a directory of
+//! [`CHUNK`]-record chunks. A chunk is allocated when its first record
+//! arrives and freed when its last one leaves, so a long-lived heap's dead
+//! prefix costs one empty directory entry per chunk; the directory itself
+//! never shrinks. Each chunk carries the collector's mark bits for its
+//! records.
 
 use std::collections::HashMap;
 
@@ -15,6 +25,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{VmError, VmResult};
 use crate::ids::{ClassId, ObjectId};
+
+/// Records per chunk: one `u64` of live bits and one of mark bits cover it.
+const CHUNK: usize = 64;
+
+/// One side's directory may take at most `capacity / DIRECTORY_SHARE` bytes
+/// to place an id a peer chose (see [`Heap::migrate_in`]).
+const DIRECTORY_SHARE: u64 = 64;
 
 /// A heap object.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -70,6 +87,91 @@ pub struct HeapStats {
     pub migrated_in: u64,
 }
 
+/// [`CHUNK`] consecutive ids of one side.
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// Bit `i` is set iff `records[i]` holds a record.
+    live: u64,
+    /// Bit `i` is set once the collection under way reached `records[i]`;
+    /// all clear between collections.
+    marks: u64,
+    records: [Option<ObjectRecord>; CHUNK],
+}
+
+/// One minting side's records: chunk `c` holds counters `c * CHUNK ..`.
+#[derive(Debug, Clone, Default)]
+struct Table {
+    chunks: Vec<Option<Box<Chunk>>>,
+}
+
+/// Where `id` lives: its side's table, the chunk, the record within it.
+/// `None` only for a counter no directory on this target could index.
+#[inline]
+fn locate(id: ObjectId) -> Option<(usize, usize, usize)> {
+    let n = id.counter();
+    let chunk = usize::try_from(n / CHUNK as u64).ok()?;
+    Some((
+        usize::from(id.minted_by_surrogate()),
+        chunk,
+        (n % CHUNK as u64) as usize,
+    ))
+}
+
+impl Table {
+    fn chunk(&self, c: usize) -> Option<&Chunk> {
+        self.chunks.get(c)?.as_deref()
+    }
+
+    fn chunk_mut(&mut self, c: usize) -> Option<&mut Chunk> {
+        self.chunks.get_mut(c)?.as_deref_mut()
+    }
+
+    /// Stores `record` at `(c, i)`, which must be empty, allocating the
+    /// chunk (and growing the directory) as needed.
+    fn put(&mut self, c: usize, i: usize, record: ObjectRecord) {
+        if self.chunks.len() <= c {
+            self.chunks.resize_with(c + 1, || None);
+        }
+        let chunk = self.chunks[c].get_or_insert_with(|| {
+            Box::new(Chunk {
+                live: 0,
+                marks: 0,
+                records: std::array::from_fn(|_| None),
+            })
+        });
+        chunk.live |= 1 << i;
+        chunk.records[i] = Some(record);
+    }
+
+    /// Removes the record at `(c, i)`, freeing its chunk if it was the last.
+    fn take(&mut self, c: usize, i: usize) -> Option<ObjectRecord> {
+        let entry = self.chunks.get_mut(c)?;
+        let chunk = entry.as_deref_mut()?;
+        let record = chunk.records[i].take()?;
+        chunk.live &= !(1 << i);
+        chunk.marks &= !(1 << i);
+        if chunk.live == 0 {
+            *entry = None;
+        }
+        Some(record)
+    }
+
+    /// Live records in id order, with their counters.
+    fn iter(&self) -> impl Iterator<Item = (u64, &ObjectRecord)> {
+        self.chunks
+            .iter()
+            .enumerate()
+            .filter_map(|(c, chunk)| Some((c, chunk.as_deref()?)))
+            .flat_map(|(c, chunk)| {
+                chunk
+                    .records
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(i, r)| Some(((c * CHUNK + i) as u64, r.as_ref()?)))
+            })
+    }
+}
+
 /// A bounded heap of traced objects.
 ///
 /// # Examples
@@ -87,7 +189,9 @@ pub struct HeapStats {
 #[derive(Debug, Clone)]
 pub struct Heap {
     capacity: u64,
-    objects: HashMap<ObjectId, ObjectRecord>,
+    /// Live records by minting side, client-minted first, each table
+    /// indexed by the id's counter (see the module docs).
+    tables: [Table; 2],
     stats: HeapStats,
     /// Bumped on every migration in or out. The interpreter's inline
     /// caches stamp cached locality decisions with this epoch, so one bump
@@ -101,12 +205,25 @@ pub struct Heap {
     instances: Vec<u64>,
 }
 
+/// Notes in `instances` that an object of `class` came (`true`) or went.
+fn count(instances: &mut Vec<u64>, class: ClassId, came: bool) {
+    let i = class.index();
+    if came {
+        if instances.len() <= i {
+            instances.resize(i + 1, 0);
+        }
+        instances[i] += 1;
+    } else {
+        instances[i] -= 1;
+    }
+}
+
 impl Heap {
     /// Creates a heap with `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
         Heap {
             capacity,
-            objects: HashMap::new(),
+            tables: Default::default(),
             stats: HeapStats::default(),
             locality_epoch: 0,
             instances: Vec::new(),
@@ -117,19 +234,6 @@ impl Heap {
     #[inline]
     pub fn instances_of(&self, class: ClassId) -> u64 {
         self.instances.get(class.index()).copied().unwrap_or(0)
-    }
-
-    /// Notes that an object of `class` came (`true`) or went.
-    fn count(&mut self, class: ClassId, came: bool) {
-        let i = class.index();
-        if came {
-            if self.instances.len() <= i {
-                self.instances.resize(i + 1, 0);
-            }
-            self.instances[i] += 1;
-        } else {
-            self.instances[i] -= 1;
-        }
     }
 
     /// The current locality epoch (see the field docs: bumped only by
@@ -166,10 +270,16 @@ impl Heap {
         self.stats
     }
 
+    #[inline]
+    fn record(&self, id: ObjectId) -> Option<&ObjectRecord> {
+        let (side, c, i) = locate(id)?;
+        self.tables[side].chunk(c)?.records[i].as_ref()
+    }
+
     /// Returns `true` if `id` is live in this heap.
     #[inline]
     pub fn contains(&self, id: ObjectId) -> bool {
-        self.objects.contains_key(&id)
+        self.record(id).is_some()
     }
 
     /// Returns `true` if an object of the given shape would fit right now.
@@ -177,7 +287,43 @@ impl Heap {
         ObjectRecord::footprint_of(scalar_bytes, ref_slots) <= self.free_bytes()
     }
 
+    /// Refuses a record that does not fit, before anything is counted.
+    fn check_fits(&self, record: &ObjectRecord) -> VmResult<u64> {
+        let footprint = record.footprint();
+        if footprint > self.free_bytes() {
+            return Err(VmError::OutOfMemory {
+                class: record.class,
+                requested: footprint,
+                free: self.free_bytes(),
+            });
+        }
+        Ok(footprint)
+    }
+
+    /// Stores a record whose id is known free, counting it as live.
+    fn place(&mut self, id: ObjectId, record: ObjectRecord, footprint: u64) {
+        let (side, c, i) = locate(id).expect("an id this heap can index");
+        self.stats.used_bytes += footprint;
+        self.stats.live_objects += 1;
+        count(&mut self.instances, record.class, true);
+        self.tables[side].put(c, i, record);
+    }
+
+    /// Removes a record, uncounting it as live.
+    fn remove(&mut self, id: ObjectId) -> VmResult<ObjectRecord> {
+        let record = locate(id)
+            .and_then(|(side, c, i)| self.tables[side].take(c, i))
+            .ok_or(VmError::DanglingReference(id))?;
+        self.stats.used_bytes -= record.footprint();
+        self.stats.live_objects -= 1;
+        count(&mut self.instances, record.class, false);
+        Ok(record)
+    }
+
     /// Inserts a newly created (or migrated-in) object.
+    ///
+    /// Any id this VM minted is accepted, however far its counter has run:
+    /// the directory grows to reach it.
     ///
     /// # Errors
     ///
@@ -189,21 +335,11 @@ impl Heap {
     ///
     /// Panics if `id` is already live in this heap (ids are never reused).
     pub fn insert(&mut self, id: ObjectId, record: ObjectRecord) -> VmResult<()> {
-        let footprint = record.footprint();
-        if footprint > self.free_bytes() {
-            return Err(VmError::OutOfMemory {
-                class: record.class,
-                requested: footprint,
-                free: self.free_bytes(),
-            });
-        }
-        self.stats.used_bytes += footprint;
-        self.stats.live_objects += 1;
+        let footprint = self.check_fits(&record)?;
+        assert!(!self.contains(id), "object id {id} reused");
         self.stats.total_allocated += 1;
         self.stats.total_allocated_bytes += footprint;
-        self.count(record.class, true);
-        let prev = self.objects.insert(id, record);
-        assert!(prev.is_none(), "object id {id} reused");
+        self.place(id, record, footprint);
         Ok(())
     }
 
@@ -212,8 +348,9 @@ impl Heap {
     /// # Errors
     ///
     /// Returns [`VmError::DanglingReference`] if `id` is not live here.
+    #[inline]
     pub fn get(&self, id: ObjectId) -> VmResult<&ObjectRecord> {
-        self.objects.get(&id).ok_or(VmError::DanglingReference(id))
+        self.record(id).ok_or(VmError::DanglingReference(id))
     }
 
     /// Mutable access to an object, whose class must stay what it is.
@@ -221,9 +358,10 @@ impl Heap {
     /// # Errors
     ///
     /// Returns [`VmError::DanglingReference`] if `id` is not live here.
+    #[inline]
     pub fn get_mut(&mut self, id: ObjectId) -> VmResult<&mut ObjectRecord> {
-        self.objects
-            .get_mut(&id)
+        locate(id)
+            .and_then(|(side, c, i)| self.tables[side].chunk_mut(c)?.records[i].as_mut())
             .ok_or(VmError::DanglingReference(id))
     }
 
@@ -233,14 +371,8 @@ impl Heap {
     ///
     /// Returns [`VmError::DanglingReference`] if `id` is not live here.
     pub fn sweep(&mut self, id: ObjectId) -> VmResult<ObjectRecord> {
-        let record = self
-            .objects
-            .remove(&id)
-            .ok_or(VmError::DanglingReference(id))?;
-        self.stats.used_bytes -= record.footprint();
-        self.stats.live_objects -= 1;
+        let record = self.remove(id)?;
         self.stats.total_freed += 1;
-        self.count(record.class, false);
         Ok(record)
     }
 
@@ -250,58 +382,148 @@ impl Heap {
     ///
     /// Returns [`VmError::DanglingReference`] if `id` is not live here.
     pub fn migrate_out(&mut self, id: ObjectId) -> VmResult<ObjectRecord> {
-        let record = self
-            .objects
-            .remove(&id)
-            .ok_or(VmError::DanglingReference(id))?;
-        self.stats.used_bytes -= record.footprint();
-        self.stats.live_objects -= 1;
+        let record = self.remove(id)?;
         self.stats.migrated_out += 1;
         self.locality_epoch += 1;
-        self.count(record.class, false);
         Ok(record)
+    }
+
+    /// Refuses an id `migrate_in` must not place: one already live, or one
+    /// beyond its side's directory whose placement would grow the directory
+    /// past `1 / DIRECTORY_SHARE` (1/64) of the heap's capacity in bytes. An
+    /// id inside the directory — any id this heap ever held — always passes
+    /// the second test.
+    fn check_incoming(&self, id: ObjectId) -> VmResult<()> {
+        if self.contains(id) {
+            return Err(VmError::IdInUse(id));
+        }
+        let in_reach = locate(id).is_some_and(|(side, c, _)| {
+            c < self.tables[side].chunks.len()
+                || (c as u64 + 1).saturating_mul(std::mem::size_of::<Option<Box<Chunk>>>() as u64)
+                    <= self.capacity / DIRECTORY_SHARE
+        });
+        if in_reach {
+            Ok(())
+        } else {
+            Err(VmError::IdOutOfRange(id))
+        }
+    }
+
+    /// Checks a whole batch of incoming objects before any of it is
+    /// installed: every id passes [`Heap::migrate_in`]'s id checks, and no
+    /// id appears twice. Capacity is the caller's to check.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmError::IdInUse`] for an id live here or repeated in the
+    /// batch, and [`VmError::IdOutOfRange`] for an id beyond the bound.
+    pub fn check_batch(&self, ids: impl IntoIterator<Item = ObjectId>) -> VmResult<()> {
+        let mut ids: Vec<ObjectId> = ids.into_iter().collect();
+        ids.sort_unstable();
+        for (k, &id) in ids.iter().enumerate() {
+            if k > 0 && ids[k - 1] == id {
+                return Err(VmError::IdInUse(id));
+            }
+            self.check_incoming(id)?;
+        }
+        Ok(())
     }
 
     /// Inserts an object migrated in from a peer VM.
     ///
+    /// A refused object leaves the heap, its statistics, its per-class
+    /// counts and its locality epoch as they were.
+    ///
     /// # Errors
     ///
-    /// Returns [`VmError::OutOfMemory`] if the object does not fit.
+    /// Returns [`VmError::OutOfMemory`] if the object does not fit,
+    /// [`VmError::IdInUse`] if `id` is already live here, and
+    /// [`VmError::IdOutOfRange`] if `id` lies beyond its side's directory
+    /// and placing it would grow the directory past 1/64 of the heap's
+    /// capacity in bytes (eight bytes an entry, one entry per 64 ids). Ids
+    /// this heap has held are always inside the directory, so bringing an
+    /// object home never meets the bound; a peer naming `client(1 << 62)`
+    /// does.
     pub fn migrate_in(&mut self, id: ObjectId, record: ObjectRecord) -> VmResult<()> {
-        let footprint = record.footprint();
-        if footprint > self.free_bytes() {
-            return Err(VmError::OutOfMemory {
-                class: record.class,
-                requested: footprint,
-                free: self.free_bytes(),
-            });
-        }
-        self.stats.used_bytes += footprint;
-        self.stats.live_objects += 1;
+        let footprint = self.check_fits(&record)?;
+        self.check_incoming(id)?;
         self.stats.migrated_in += 1;
         self.locality_epoch += 1;
-        self.count(record.class, true);
-        let prev = self.objects.insert(id, record);
-        assert!(prev.is_none(), "object id {id} reused");
+        self.place(id, record, footprint);
         Ok(())
     }
 
-    /// Iterates over `(ObjectId, &ObjectRecord)` for all live objects, in
-    /// unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &ObjectRecord)> {
-        self.objects.iter().map(|(&id, rec)| (id, rec))
+    /// Marks `id` for the collection under way, returning its record if it
+    /// is live here and was not marked yet.
+    #[inline]
+    pub(crate) fn mark(&mut self, id: ObjectId) -> Option<&ObjectRecord> {
+        let (side, c, i) = locate(id)?;
+        let chunk = self.tables[side].chunk_mut(c)?;
+        let bit = 1u64 << i;
+        if chunk.live & !chunk.marks & bit == 0 {
+            return None;
+        }
+        chunk.marks |= bit;
+        chunk.records[i].as_ref()
     }
 
-    /// All live object ids, in unspecified order.
+    /// Ends a collection: removes every live record it did not mark, in id
+    /// order, handing each to `freed`, and clears every mark.
+    pub(crate) fn sweep_unmarked(&mut self, mut freed: impl FnMut(&ObjectRecord)) {
+        let Heap {
+            tables,
+            stats,
+            instances,
+            ..
+        } = self;
+        for table in tables {
+            for entry in &mut table.chunks {
+                let Some(chunk) = entry.as_deref_mut() else {
+                    continue;
+                };
+                let mut dead = chunk.live & !chunk.marks;
+                while dead != 0 {
+                    let i = dead.trailing_zeros() as usize;
+                    dead &= dead - 1;
+                    let record = chunk.records[i].take().expect("live bit set");
+                    let footprint = record.footprint();
+                    stats.used_bytes -= footprint;
+                    stats.live_objects -= 1;
+                    stats.total_freed += 1;
+                    count(instances, record.class, false);
+                    freed(&record);
+                }
+                chunk.live &= chunk.marks;
+                chunk.marks = 0;
+                if chunk.live == 0 {
+                    *entry = None;
+                }
+            }
+        }
+    }
+
+    /// Iterates over `(ObjectId, &ObjectRecord)` for all live objects in id
+    /// order: client-minted ids ascending, then surrogate-minted ids
+    /// ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &ObjectRecord)> {
+        let [client, surrogate] = &self.tables;
+        client
+            .iter()
+            .map(|(n, r)| (ObjectId::client(n), r))
+            .chain(surrogate.iter().map(|(n, r)| (ObjectId::surrogate(n), r)))
+    }
+
+    /// All live object ids in id order: client-minted ids ascending, then
+    /// surrogate-minted ids ascending.
     pub fn ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.objects.keys().copied()
+        self.iter().map(|(id, _)| id)
     }
 
     /// Bytes of live objects per class (used to annotate graph nodes and to
     /// pick offload victims).
     pub fn bytes_by_class(&self) -> HashMap<ClassId, u64> {
         let mut out: HashMap<ClassId, u64> = HashMap::new();
-        for rec in self.objects.values() {
+        for (_, rec) in self.iter() {
             *out.entry(rec.class).or_default() += rec.footprint();
         }
         out
@@ -420,6 +642,100 @@ mod tests {
         let mut h = Heap::new(10);
         let err = h.migrate_in(ObjectId::surrogate(0), obj(0, 100, 0));
         assert!(matches!(err, Err(VmError::OutOfMemory { .. })));
+    }
+
+    #[test]
+    fn migrate_in_refuses_a_live_id_and_counts_nothing() {
+        let mut h = Heap::new(10_000);
+        let id = ObjectId::client(3);
+        h.insert(id, obj(1, 10, 0)).unwrap();
+        let (stats, epoch) = (h.stats(), h.locality_epoch());
+        let err = h.migrate_in(id, obj(2, 50, 1)).unwrap_err();
+        assert_eq!(err, VmError::IdInUse(id));
+        assert_eq!((h.stats(), h.locality_epoch()), (stats, epoch));
+        assert_eq!(h.get(id).unwrap(), &obj(1, 10, 0));
+        assert_eq!(h.instances_of(ClassId(2)), 0);
+    }
+
+    #[test]
+    fn a_peer_id_far_beyond_the_directory_is_refused_but_a_known_one_is_not() {
+        // 64 KiB of capacity: a directory of up to 1 KiB, 128 chunks.
+        let mut h = Heap::new(64 * 1024);
+        let far = ObjectId::client(1 << 62);
+        assert_eq!(
+            h.migrate_in(far, obj(0, 0, 0)),
+            Err(VmError::IdOutOfRange(far))
+        );
+        assert_eq!(h.stats(), HeapStats::default());
+        assert_eq!(h.locality_epoch(), 0);
+        assert!(h.tables[0].chunks.is_empty());
+        let last = ObjectId::surrogate(128 * 64 - 1);
+        h.migrate_in(last, obj(0, 0, 0)).unwrap();
+        let next = ObjectId::surrogate(128 * 64);
+        assert_eq!(
+            h.migrate_in(next, obj(0, 0, 0)),
+            Err(VmError::IdOutOfRange(next))
+        );
+        // Ids this heap minted are never refused, and once held, an id
+        // comes back whatever the bound says.
+        let minted = ObjectId::client(999_999);
+        h.insert(minted, obj(0, 0, 0)).unwrap();
+        let rec = h.migrate_out(minted).unwrap();
+        h.migrate_in(minted, rec).unwrap();
+    }
+
+    #[test]
+    fn check_batch_refuses_repeats_live_ids_and_far_ids() {
+        let mut h = Heap::new(64 * 1024);
+        h.insert(ObjectId::client(1), obj(0, 0, 0)).unwrap();
+        let (a, b) = (ObjectId::client(2), ObjectId::surrogate(2));
+        assert_eq!(h.check_batch([a, b]), Ok(()));
+        assert_eq!(h.check_batch([a, b, a]), Err(VmError::IdInUse(a)));
+        let live = ObjectId::client(1);
+        assert_eq!(h.check_batch([b, live]), Err(VmError::IdInUse(live)));
+        let far = ObjectId::surrogate(1 << 40);
+        assert_eq!(h.check_batch([a, far]), Err(VmError::IdOutOfRange(far)));
+    }
+
+    #[test]
+    fn a_chunk_is_freed_by_its_last_record_and_the_directory_stays() {
+        let mut h = Heap::new(1 << 20);
+        for n in 0..130 {
+            h.insert(ObjectId::client(n), obj(0, 0, 0)).unwrap();
+        }
+        assert_eq!(h.tables[0].chunks.len(), 3);
+        for n in 0..63 {
+            h.sweep(ObjectId::client(n)).unwrap();
+        }
+        assert!(h.tables[0].chunks[0].is_some());
+        h.migrate_out(ObjectId::client(63)).unwrap();
+        assert!(h.tables[0].chunks[0].is_none());
+        assert_eq!(h.tables[0].chunks.len(), 3);
+        assert_eq!(h.ids().next(), Some(ObjectId::client(64)));
+    }
+
+    #[test]
+    fn iteration_is_in_id_order_client_side_first() {
+        let mut h = Heap::new(1 << 20);
+        for id in [
+            ObjectId::surrogate(70),
+            ObjectId::client(200),
+            ObjectId::surrogate(1),
+            ObjectId::client(5),
+        ] {
+            h.insert(id, obj(0, 0, 0)).unwrap();
+        }
+        let ids: Vec<ObjectId> = h.ids().collect();
+        assert_eq!(
+            ids,
+            [
+                ObjectId::client(5),
+                ObjectId::client(200),
+                ObjectId::surrogate(1),
+                ObjectId::surrogate(70),
+            ]
+        );
+        assert!(h.iter().map(|(id, _)| id).eq(ids));
     }
 
     #[test]

@@ -47,6 +47,11 @@ impl fmt::Display for MethodId {
 /// paper: "new objects are always created on the VM that performs the
 /// creation operation"), giving the two VMs of a distributed platform
 /// disjoint id spaces.
+///
+/// A heap indexes its records by the id's counter, so an id a peer chose
+/// is refused by [`crate::Heap::migrate_in`] when it lies so far beyond
+/// every id the heap has held that placing it would grow the heap's index
+/// past 1/64 of its capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ObjectId(pub u64);
 
@@ -70,6 +75,12 @@ impl ObjectId {
     #[inline]
     pub fn minted_by_surrogate(self) -> bool {
         self.0 & Self::SURROGATE_BIT != 0
+    }
+
+    /// The `n` this id was built from, whichever side minted it.
+    #[inline]
+    pub(crate) fn counter(self) -> u64 {
+        self.0 & !Self::SURROGATE_BIT
     }
 }
 

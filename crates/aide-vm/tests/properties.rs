@@ -4,87 +4,208 @@
 #[path = "../../aide-graph/tests/support/mod.rs"]
 mod support;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use aide_vm::{
-    ClassId, Collector, GcConfig, Heap, Machine, MethodDef, MethodId, ObjectId, ObjectRecord, Op,
-    ProgramBuilder, Reg, VmConfig,
+    ClassId, Collector, GcConfig, Heap, HeapStats, Machine, MethodDef, MethodId, ObjectId,
+    ObjectRecord, Op, ProgramBuilder, Reg, VmConfig, VmError,
 };
 use support::{for_each_case, Rng};
 
 /// An abstract heap operation for model-based testing.
 #[derive(Debug, Clone)]
 enum HeapOp {
-    Insert { class: u32, bytes: u32, slots: u16 },
+    /// Allocates the next id of one side, after skipping `skip` of them,
+    /// so a case's ids spread over several chunks of 64.
+    Insert {
+        surrogate: bool,
+        skip: u64,
+        class: u32,
+        bytes: u32,
+        slots: u16,
+    },
     Sweep(usize),
-    Link { from: usize, slot: usize, to: usize },
+    Link {
+        from: usize,
+        slot: usize,
+        to: usize,
+    },
+    MigrateOut(usize),
+    /// Brings back an object that migrated out — or, when `n` lands on a
+    /// live one, tries to bring in a copy of it, which must be refused.
+    MigrateIn(usize),
+    /// Collects with the live objects whose index bit is set as roots.
+    Collect(u64),
 }
 
 fn heap_op(rng: &mut Rng) -> HeapOp {
-    match rng.below(3) {
-        0 => HeapOp::Insert {
+    match rng.below(10) {
+        0..=3 => HeapOp::Insert {
+            surrogate: rng.below(3) == 0,
+            skip: if rng.below(6) == 0 { rng.below(150) } else { 0 },
             class: rng.below(8) as u32,
             bytes: rng.below(10_000) as u32,
             slots: rng.below(4) as u16,
         },
-        1 => HeapOp::Sweep(rng.index(64)),
-        _ => HeapOp::Link {
+        4 => HeapOp::Sweep(rng.index(64)),
+        5 | 6 => HeapOp::Link {
             from: rng.index(64),
             slot: rng.index(4),
             to: rng.index(64),
         },
+        7 => HeapOp::MigrateOut(rng.index(64)),
+        8 => HeapOp::MigrateIn(rng.index(64)),
+        _ => HeapOp::Collect(rng.word()),
     }
 }
 
-/// The heap's used-byte ledger always equals the sum of live object
-/// footprints, and never exceeds capacity.
+/// The heap against a `BTreeMap` model under inserts, sweeps, links,
+/// migrations out and in, and collections: after every operation it holds
+/// exactly the model's records, yields them in the model's (id) order,
+/// and its statistics, per-class counts and locality epoch are the
+/// model's. The used-byte ledger never exceeds capacity.
 #[test]
 fn heap_ledger_is_exact() {
     for_each_case(|rng| {
         let mut heap = Heap::new(512 * 1024);
-        let mut live: Vec<ObjectId> = Vec::new();
-        let mut next = 0u64;
-        for op in rng.vec(1, 120, heap_op) {
+        let mut gc = Collector::new(GcConfig::default());
+        let mut model: BTreeMap<ObjectId, ObjectRecord> = BTreeMap::new();
+        let mut away: Vec<(ObjectId, ObjectRecord)> = Vec::new();
+        let mut stats = HeapStats::default();
+        let mut epoch = 0u64;
+        let mut next = [0u64; 2];
+        let mut seen: Vec<ObjectId> = Vec::new();
+        for op in rng.vec(1, 160, heap_op) {
+            let live: Vec<ObjectId> = model.keys().copied().collect();
             match op {
                 HeapOp::Insert {
+                    surrogate,
+                    skip,
                     class,
                     bytes,
                     slots,
                 } => {
-                    let id = ObjectId::client(next);
-                    next += 1;
-                    if heap
-                        .insert(id, ObjectRecord::new(ClassId(class), bytes, slots))
-                        .is_ok()
-                    {
-                        live.push(id);
+                    let n = &mut next[usize::from(surrogate)];
+                    *n += skip;
+                    let id = if surrogate {
+                        ObjectId::surrogate(*n)
+                    } else {
+                        ObjectId::client(*n)
+                    };
+                    *n += 1;
+                    seen.push(id);
+                    let rec = ObjectRecord::new(ClassId(class), bytes, slots);
+                    let fits = rec.footprint() <= heap.free_bytes();
+                    assert_eq!(heap.insert(id, rec.clone()).is_ok(), fits);
+                    if fits {
+                        stats.used_bytes += rec.footprint();
+                        stats.live_objects += 1;
+                        stats.total_allocated += 1;
+                        stats.total_allocated_bytes += rec.footprint();
+                        model.insert(id, rec);
                     }
                 }
                 HeapOp::Sweep(i) => {
                     if !live.is_empty() {
-                        let id = live.remove(i % live.len());
-                        heap.sweep(id).expect("live object sweeps");
+                        let id = live[i % live.len()];
+                        let rec = model.remove(&id).unwrap();
+                        assert_eq!(heap.sweep(id).expect("live object sweeps"), rec);
+                        stats.used_bytes -= rec.footprint();
+                        stats.live_objects -= 1;
+                        stats.total_freed += 1;
                     }
                 }
                 HeapOp::Link { from, slot, to } => {
-                    if !live.is_empty() {
-                        let (a, b) = (live[from % live.len()], live[to % live.len()]);
-                        if let Ok(rec) = heap.get_mut(a) {
-                            if slot < rec.slots.len() {
-                                rec.slots[slot] = Some(b);
-                            }
+                    if !live.is_empty() && !seen.is_empty() {
+                        // The target may have migrated out or died: the
+                        // heap holds cross-VM and dangling references too.
+                        let (a, b) = (live[from % live.len()], seen[to % seen.len()]);
+                        let rec = heap.get_mut(a).unwrap();
+                        if slot < rec.slots.len() {
+                            rec.slots[slot] = Some(b);
+                            model.get_mut(&a).unwrap().slots[slot] = Some(b);
                         }
                     }
                 }
+                HeapOp::MigrateOut(i) => {
+                    if !live.is_empty() {
+                        let id = live[i % live.len()];
+                        let rec = model.remove(&id).unwrap();
+                        assert_eq!(heap.migrate_out(id).unwrap(), rec);
+                        stats.used_bytes -= rec.footprint();
+                        stats.live_objects -= 1;
+                        stats.migrated_out += 1;
+                        epoch += 1;
+                        away.push((id, rec));
+                    }
+                }
+                HeapOp::MigrateIn(i) => {
+                    if i % 4 == 0 && !live.is_empty() {
+                        let id = live[i % live.len()];
+                        let copy = ObjectRecord::new(ClassId(0), 1, 0);
+                        assert_eq!(heap.migrate_in(id, copy), Err(VmError::IdInUse(id)));
+                    } else if !away.is_empty() {
+                        let (id, rec) = away.swap_remove(i % away.len());
+                        if rec.footprint() <= heap.free_bytes() {
+                            heap.migrate_in(id, rec.clone()).unwrap();
+                            stats.used_bytes += rec.footprint();
+                            stats.live_objects += 1;
+                            stats.migrated_in += 1;
+                            epoch += 1;
+                            model.insert(id, rec);
+                        } else {
+                            let err = heap.migrate_in(id, rec.clone());
+                            assert!(matches!(err, Err(VmError::OutOfMemory { .. })));
+                            away.push((id, rec));
+                        }
+                    }
+                }
+                HeapOp::Collect(mask) => {
+                    let roots: Vec<ObjectId> = live
+                        .iter()
+                        .enumerate()
+                        .filter(|(k, _)| mask & (1 << (k % 64)) != 0)
+                        .map(|(_, &id)| id)
+                        .collect();
+                    let mut reached: BTreeSet<ObjectId> = BTreeSet::new();
+                    let mut stack = roots.clone();
+                    while let Some(id) = stack.pop() {
+                        if let Some(rec) = model.get(&id) {
+                            if reached.insert(id) {
+                                stack.extend(rec.slots.iter().flatten());
+                            }
+                        }
+                    }
+                    let dead: Vec<ObjectId> = live
+                        .iter()
+                        .copied()
+                        .filter(|id| !reached.contains(id))
+                        .collect();
+                    let dead_bytes: u64 = dead.iter().map(|id| model[id].footprint()).sum();
+                    let report = gc.collect(&mut heap, roots, []);
+                    assert_eq!(report.freed_objects, dead.len() as u64);
+                    assert_eq!(report.freed_bytes, dead_bytes);
+                    for id in &dead {
+                        model.remove(id);
+                    }
+                    stats.used_bytes -= dead_bytes;
+                    stats.live_objects -= dead.len() as u64;
+                    stats.total_freed += dead.len() as u64;
+                }
             }
-            let expected: u64 = live
-                .iter()
-                .map(|&id| heap.get(id).expect("tracked object is live").footprint())
-                .sum();
-            assert_eq!(heap.stats().used_bytes, expected);
+            assert_eq!(heap.stats(), stats);
             assert!(heap.stats().used_bytes <= heap.capacity());
-            assert_eq!(heap.stats().live_objects as usize, live.len());
+            assert_eq!(heap.locality_epoch(), epoch);
+            assert!(heap.iter().eq(model.iter().map(|(&id, rec)| (id, rec))));
+            for &id in &seen {
+                assert_eq!(heap.contains(id), model.contains_key(&id));
+                assert_eq!(heap.get(id).ok(), model.get(&id));
+            }
+            for class in 0..8 {
+                let in_model = model.values().filter(|r| r.class == ClassId(class)).count();
+                assert_eq!(heap.instances_of(ClassId(class)), in_model as u64);
+            }
         }
     });
 }
