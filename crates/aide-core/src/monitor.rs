@@ -19,7 +19,6 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -31,7 +30,7 @@ use aide_vm::{
 };
 
 /// What a graph node stands for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum NodeKey {
     /// A whole class (the paper's default component granularity).
     Class(ClassId),
@@ -113,9 +112,10 @@ pub struct RemoteStats {
     pub remote_bytes: u64,
 }
 
-/// Hashes the packed `(lo, hi)` node-index pair of an edge. The keys are
-/// dense indices this module mints itself, so SipHash's resistance to
-/// crafted keys buys nothing here; one multiply and a fold do.
+/// Hashes the packed `(lo, hi)` node-index pair of an edge to an
+/// object-granular node. The keys are dense indices this module mints
+/// itself, so SipHash's resistance to crafted keys buys nothing here; one
+/// multiply and a fold do.
 #[derive(Debug, Default, Clone, Copy)]
 struct EdgeKeyHasher(u64);
 
@@ -148,6 +148,13 @@ struct EdgeTally {
 /// "No node yet" in [`MonitorState::class_nodes`].
 const NO_NODE: u32 = u32::MAX;
 
+/// "Not seen yet" in [`MonitorState::class_pairs`].
+const PAIR_UNSEEN: u32 = u32::MAX;
+
+/// "Same node, no edge" in [`MonitorState::class_pairs`]: a class talking
+/// to itself.
+const PAIR_SAME_NODE: u32 = u32::MAX - 1;
+
 /// Everything the hooks mutate, behind the monitor's one lock.
 #[derive(Debug, Default)]
 struct MonitorState {
@@ -160,8 +167,15 @@ struct MonitorState {
     memory: Vec<i64>,
     cpu_micros: Vec<f64>,
     live_objects: Vec<i64>,
-    /// Keyed by `lo << 32 | hi` over node indices, `lo < hi`.
-    edges: HashMap<u64, EdgeTally, std::hash::BuildHasherDefault<EdgeKeyHasher>>,
+    /// Every edge in first-seen order, keyed by `lo << 32 | hi` over node
+    /// indices, `lo < hi`.
+    edges: Vec<(u64, EdgeTally)>,
+    /// `classes × classes` cells, indexed by `caller * classes + callee`:
+    /// the index into `edges` of a class-granular interaction's edge,
+    /// [`PAIR_SAME_NODE`] or [`PAIR_UNSEEN`].
+    class_pairs: Vec<u32>,
+    /// Edge key -> index into `edges`, for edges to object-granular nodes.
+    object_edges: HashMap<u64, u32, std::hash::BuildHasherDefault<EdgeKeyHasher>>,
     /// Object -> class, for object-granular classes.
     object_class: HashMap<ObjectId, ClassId>,
     /// Node indices already announced to delta consumers via `AddNode`
@@ -178,7 +192,9 @@ struct MonitorState {
     samples: u64,
     class_live_sum: u64,
     class_live_max: u64,
-    classes_seen: HashSet<ClassId>,
+    /// Indexed by [`ClassId`]: an object of the class was allocated.
+    classes_seen: Vec<bool>,
+    classes_seen_count: u64,
     obj_live: i64,
     obj_live_sum: u64,
     obj_live_max: u64,
@@ -212,6 +228,32 @@ impl MonitorState {
         let i = self.add_node(NodeKey::Object(object), format!("obj:{object}"), None);
         self.object_nodes.insert(object, i);
         i as usize
+    }
+
+    /// Appends the edge `key` with nothing counted yet; returns its index.
+    fn add_edge(&mut self, key: u64) -> u32 {
+        let i = self.edges.len() as u32;
+        debug_assert!(i < PAIR_SAME_NODE, "edge indices stay below the sentinels");
+        self.edges.push((key, EdgeTally::default()));
+        i
+    }
+
+    /// The edge between object-granular node `object` and class node
+    /// `class`, created on first sight.
+    fn object_edge(&mut self, class: usize, object: usize) -> u32 {
+        let key = edge_key(class, object);
+        if let Some(&e) = self.object_edges.get(&key) {
+            return e;
+        }
+        let e = self.add_edge(key);
+        self.object_edges.insert(key, e);
+        e
+    }
+
+    fn count_on_edge(&mut self, edge: u32, increment: EdgeInfo) {
+        let tally = &mut self.edges[edge as usize].1;
+        tally.total.absorb(increment);
+        tally.undrained.absorb(increment);
     }
 
     fn remote_native(&mut self, bytes: u64) {
@@ -259,9 +301,6 @@ pub struct Monitor {
     state: Mutex<MonitorState>,
     low_memory_streak: AtomicU64,
     memory_triggered: AtomicBool,
-    gc_reports: Mutex<Vec<GcReport>>,
-    hook_events: Arc<aide_telemetry::Counter>,
-    hook_nanos: Arc<aide_telemetry::Counter>,
 }
 
 impl std::fmt::Debug for Monitor {
@@ -281,7 +320,8 @@ impl Monitor {
     ///
     /// `object_granular` lists primitive-array classes to monitor at
     /// object granularity (empty = pure class granularity, the paper's
-    /// default).
+    /// default). The class-pair table takes 4 bytes per ordered pair of
+    /// classes (76 KB for JavaNote's 138).
     pub fn new(
         program: Arc<Program>,
         trigger: TriggerConfig,
@@ -294,24 +334,15 @@ impl Monitor {
                 .collect(),
             state: Mutex::new(MonitorState {
                 class_nodes: vec![NO_NODE; classes],
+                class_pairs: vec![PAIR_UNSEEN; classes * classes],
+                classes_seen: vec![false; classes],
                 ..MonitorState::default()
             }),
             program,
             trigger,
             low_memory_streak: AtomicU64::new(0),
             memory_triggered: AtomicBool::new(false),
-            gc_reports: Mutex::new(Vec::new()),
-            hook_events: aide_telemetry::global()
-                .counter(aide_telemetry::names::MONITOR_HOOK_EVENTS),
-            hook_nanos: aide_telemetry::global().counter(aide_telemetry::names::MONITOR_HOOK_NANOS),
         }
-    }
-
-    /// Accounts one completed delivery of `events` instrumented events.
-    fn note_hooks(&self, started: Instant, events: u64) {
-        self.hook_events.add(events);
-        self.hook_nanos
-            .add(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// The trigger configuration.
@@ -342,11 +373,6 @@ impl Monitor {
         std::mem::replace(&mut self.state.lock().work_since_eval_micros, 0.0)
     }
 
-    /// All garbage-collection reports observed so far.
-    pub fn gc_reports(&self) -> Vec<GcReport> {
-        self.gc_reports.lock().clone()
-    }
-
     /// Remote-execution counters (Figure 8).
     pub fn remote_stats(&self) -> RemoteStats {
         self.state.lock().remote
@@ -366,7 +392,7 @@ impl Monitor {
             samples: s.samples,
             classes_avg: div(s.class_live_sum, s.samples),
             classes_max: s.class_live_max,
-            classes_total: s.classes_seen.len() as u64,
+            classes_total: s.classes_seen_count,
             objects_avg: div(s.obj_live_sum, s.samples),
             objects_max: s.obj_live_max,
             objects_total: s.obj_total,
@@ -398,14 +424,14 @@ impl Monitor {
             debug_assert_eq!(id.index(), i);
             keys.push(*key);
         }
-        // In key order, not the map's: the graph keeps its edges in a
-        // B-tree whose node layout follows insertion order, and everything
-        // downstream walks that tree. One order for one state — and
-        // ascending builds the layout `decide_with` walks fastest.
+        // In key order, not first-seen order: the graph keeps its edges in
+        // a B-tree whose node layout follows insertion order, and
+        // everything downstream walks that tree. Ascending builds the
+        // layout `decide_with` walks fastest.
         let mut edges: Vec<(u64, EdgeInfo)> = s
             .edges
             .iter()
-            .map(|(&key, tally)| (key, tally.total))
+            .map(|&(key, tally)| (key, tally.total))
             .collect();
         edges.sort_unstable_by_key(|&(key, _)| key);
         for (key, total) in edges {
@@ -463,7 +489,7 @@ impl Monitor {
             .edges
             .iter_mut()
             .filter(|(_, tally)| tally.undrained.interactions > 0)
-            .map(|(&key, tally)| (key, std::mem::take(&mut tally.undrained)))
+            .map(|(key, tally)| (*key, std::mem::take(&mut tally.undrained)))
             .collect();
         // `lo << 32 | hi` orders exactly as `(lo, hi)` does.
         edges.sort_unstable_by_key(|&(key, _)| key);
@@ -504,24 +530,45 @@ impl Monitor {
         i as usize
     }
 
-    /// The node an access to `target` of `class` lands on: the object's own
-    /// node for an object-granular class, the class node otherwise.
-    fn target_node(&self, s: &mut MonitorState, class: ClassId, target: Option<ObjectId>) -> usize {
-        match target {
-            Some(object) if self.is_object_granular(class) => s.object_node(object),
-            _ => self.class_node(s, class),
-        }
+    /// First sight of `(caller, callee)` between class nodes: mints the two
+    /// nodes in the order the event names them, then fills the pair's cell
+    /// and its mirror's, which lands on the same edge.
+    fn class_pair(&self, s: &mut MonitorState, caller: ClassId, callee: ClassId) -> u32 {
+        let a = self.class_node(s, caller);
+        let b = self.class_node(s, callee);
+        let edge = if a == b {
+            PAIR_SAME_NODE
+        } else {
+            s.add_edge(edge_key(a, b))
+        };
+        let classes = self.object_granular.len();
+        s.class_pairs[caller.index() * classes + callee.index()] = edge;
+        s.class_pairs[callee.index() * classes + caller.index()] = edge;
+        edge
     }
 
     fn interaction(&self, s: &mut MonitorState, event: Interaction) {
-        let a = self.class_node(s, event.caller);
-        let b = self.target_node(s, event.callee, event.target);
-        if a != b {
-            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-            let increment = EdgeInfo::new(1, event.bytes);
-            let tally = s.edges.entry((lo as u64) << 32 | hi as u64).or_default();
-            tally.total.absorb(increment);
-            tally.undrained.absorb(increment);
+        let increment = EdgeInfo::new(1, event.bytes);
+        // Indexing, not `is_object_granular`: an unknown class must not
+        // alias another pair's cell below.
+        let granular = self.object_granular[event.callee.index()];
+        match event.target {
+            Some(object) if granular => {
+                let a = self.class_node(s, event.caller);
+                let b = s.object_node(object);
+                let edge = s.object_edge(a, b);
+                s.count_on_edge(edge, increment);
+            }
+            _ => {
+                let cell = event.caller.index() * self.object_granular.len() + event.callee.index();
+                let edge = match s.class_pairs[cell] {
+                    PAIR_UNSEEN => self.class_pair(s, event.caller, event.callee),
+                    edge => edge,
+                };
+                if edge != PAIR_SAME_NODE {
+                    s.count_on_edge(edge, increment);
+                }
+            }
         }
         match event.kind {
             InteractionKind::Invocation => s.invocations += 1,
@@ -544,6 +591,12 @@ impl Monitor {
     }
 }
 
+/// The key of the edge between nodes `a` and `b`: `lo << 32 | hi`.
+fn edge_key(a: usize, b: usize) -> u64 {
+    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+    (lo as u64) << 32 | hi as u64
+}
+
 /// The two node ids packed into an edge key.
 fn edge_ends(key: u64) -> (NodeId, NodeId) {
     (NodeId((key >> 32) as u32), NodeId(key as u32))
@@ -551,13 +604,10 @@ fn edge_ends(key: u64) -> (NodeId, NodeId) {
 
 impl RuntimeHooks for Monitor {
     fn on_interaction(&self, event: Interaction) {
-        let hook_started = Instant::now();
         self.interaction(&mut self.state.lock(), event);
-        self.note_hooks(hook_started, 1);
     }
 
     fn on_alloc(&self, class: ClassId, object: ObjectId, bytes: u64) {
-        let hook_started = Instant::now();
         let mut guard = self.state.lock();
         let s = &mut *guard;
         let i = if self.is_object_granular(class) {
@@ -569,15 +619,14 @@ impl RuntimeHooks for Monitor {
         s.memory[i] += bytes as i64;
         s.live_objects[i] += 1;
         s.mark_dirty(i);
-        s.classes_seen.insert(class);
+        if !std::mem::replace(&mut s.classes_seen[class.index()], true) {
+            s.classes_seen_count += 1;
+        }
         s.obj_live += 1;
         s.obj_total += 1;
-        drop(guard);
-        self.note_hooks(hook_started, 1);
     }
 
     fn on_free(&self, class: ClassId, objects: u64, bytes: u64) {
-        let hook_started = Instant::now();
         let mut s = self.state.lock();
         // Frees arrive aggregated per class. Object-granular classes are
         // skipped: dead object nodes are detected lazily (their memory
@@ -591,14 +640,10 @@ impl RuntimeHooks for Monitor {
             }
         }
         s.obj_live -= objects as i64;
-        drop(s);
-        self.note_hooks(hook_started, 1);
     }
 
     fn on_work(&self, class: ClassId, micros: f64) {
-        let hook_started = Instant::now();
         self.work(&mut self.state.lock(), class, micros);
-        self.note_hooks(hook_started, 1);
     }
 
     fn on_native(
@@ -609,25 +654,18 @@ impl RuntimeHooks for Monitor {
         bytes: u64,
         remote: bool,
     ) {
-        let hook_started = Instant::now();
         if remote {
             self.state.lock().remote_native(bytes);
         }
-        self.note_hooks(hook_started, 1);
     }
 
     fn on_static_access(&self, _accessor: ClassId, _class: ClassId, bytes: u64, remote: bool) {
-        let hook_started = Instant::now();
         if remote {
             self.state.lock().remote_static_access(bytes);
         }
-        self.note_hooks(hook_started, 1);
     }
 
     fn on_gc(&self, report: &GcReport) {
-        let hook_started = Instant::now();
-        self.gc_reports.lock().push(*report);
-
         // Sample Table 2 metrics.
         {
             let mut guard = self.state.lock();
@@ -663,16 +701,12 @@ impl RuntimeHooks for Monitor {
         } else {
             self.low_memory_streak.store(0, Ordering::SeqCst);
         }
-        self.note_hooks(hook_started, 1);
     }
 
-    /// One clock read, one lock and one counter update for the whole burst.
+    /// One lock for the whole burst.
     fn on_events(&self, events: &[PendingEvent]) {
-        let hook_started = Instant::now();
         let mut guard = self.state.lock();
         let s = &mut *guard;
-        // `on_method_exit` is not instrumented, so it is not counted either.
-        let mut instrumented = events.len() as u64;
         for event in events {
             match *event {
                 PendingEvent::Interaction(i) => self.interaction(s, i),
@@ -687,11 +721,9 @@ impl RuntimeHooks for Monitor {
                         s.remote_static_access(bytes);
                     }
                 }
-                PendingEvent::MethodExit { .. } => instrumented -= 1,
+                PendingEvent::MethodExit { .. } => {}
             }
         }
-        drop(guard);
-        self.note_hooks(hook_started, instrumented);
     }
 
     /// The monitor only accumulates work; nothing in it reacts to a `Work`
@@ -825,6 +857,46 @@ mod tests {
         // The interaction edge attaches to a1's node, not a class node.
         let a1_node = keys.iter().position(|k| *k == NodeKey::Object(a1)).unwrap();
         assert!(graph.neighbors(NodeId(a1_node as u32)).next().is_some());
+    }
+
+    #[test]
+    fn node_ids_follow_first_sight() {
+        let m = monitor(true);
+        let a1 = ObjectId::client(10);
+        let to_array = |target| Interaction {
+            caller: ClassId(0),
+            callee: ClassId(2),
+            target,
+            kind: InteractionKind::FieldAccess,
+            bytes: 4,
+            remote: false,
+        };
+        // A class talking to itself mints its node and no edge.
+        m.on_interaction(interaction(3, 3, 8, false));
+        // Caller first, then callee.
+        m.on_interaction(interaction(1, 0, 8, false));
+        // An object-granular target: the caller's node exists, the
+        // object's is new.
+        m.on_interaction(to_array(Some(a1)));
+        // The mirrored pair lands on the first pair's edge, minting nothing.
+        m.on_interaction(interaction(0, 1, 8, false));
+        // A static call to an object-granular class lands on its class node.
+        m.on_interaction(to_array(None));
+        let (graph, keys) = m.snapshot();
+        assert_eq!(
+            keys,
+            [
+                NodeKey::Class(ClassId(3)),
+                NodeKey::Class(ClassId(1)),
+                NodeKey::Class(ClassId(0)),
+                NodeKey::Object(a1),
+                NodeKey::Class(ClassId(2)),
+            ]
+        );
+        assert_eq!(graph.edge_count(), 3);
+        assert_eq!(graph.edge(NodeId(1), NodeId(2)), Some(EdgeInfo::new(2, 16)));
+        assert_eq!(graph.edge(NodeId(2), NodeId(3)), Some(EdgeInfo::new(1, 4)));
+        assert_eq!(graph.edge(NodeId(2), NodeId(4)), Some(EdgeInfo::new(1, 4)));
     }
 
     fn report(free_after: u64, freed: u64) -> GcReport {

@@ -25,8 +25,8 @@ use aide_graph::{ExecutionGraph, PartitionPolicy, Partitioning, ResourceSnapshot
 use aide_rpc::{live_remote_refs, Endpoint, EndpointConfig, Link, NetClock, Request, Session};
 use aide_telemetry::{FlightRecorder, PlatformEvent, TelemetrySnapshot, TimedEvent};
 use aide_vm::{
-    ClassId, GcReport, HookChain, Machine, NullHooks, Program, RemoteAccess, RunSummary,
-    RuntimeHooks, Vm, VmConfig, VmError, VmKind,
+    ClassId, GcReport, HookChain, Machine, NullHooks, PendingEvent, Program, RemoteAccess,
+    RunSummary, RuntimeHooks, Vm, VmConfig, VmError, VmKind,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -388,6 +388,16 @@ impl RuntimeHooks for Controller {
             if self.monitor.work_since_eval() >= every_micros {
                 self.monitor.take_work_since_eval();
                 self.maybe_offload(0, "periodic");
+            }
+        }
+    }
+
+    /// Only the periodic evaluator acts on a queued event (`on_work`);
+    /// every other mode has nothing to walk.
+    fn on_events(&self, events: &[PendingEvent]) {
+        if self.needs_work_boundary() {
+            for &event in events {
+                event.deliver(self);
             }
         }
     }

@@ -2,13 +2,14 @@
 //! event stream through `on_events` slices of arbitrary sizes must end up
 //! exactly where a `Monitor` fed the same stream one `on_*` call at a time
 //! does — graph, drained deltas, Table 2 metrics, Figure 8 counters and
-//! trigger state.
+//! trigger state. Both sides of that share one edge table, so the edges are
+//! also checked against a model that never builds a `Monitor`.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use aide_core::{Monitor, TriggerConfig};
-use aide_graph::IncrementalGraph;
+use aide_core::{Monitor, NodeKey, TriggerConfig};
+use aide_graph::{EdgeInfo, GraphDelta, IncrementalGraph};
 use aide_vm::{
     ClassId, GcReport, Interaction, InteractionKind, MethodDef, MethodId, NativeKind, ObjectId,
     PendingEvent, Program, ProgramBuilder, RuntimeHooks,
@@ -144,18 +145,16 @@ struct Outcome {
     remote: aide_core::RemoteStats,
     triggered: bool,
     work_since_eval: f64,
-    gc_reports: Vec<GcReport>,
 }
 
 /// Feeds `events` to a fresh monitor. `batch` picks how many queued events
 /// may pile up before a flush (1 = per-event delivery through `on_*`).
 fn feed(events: &[Event], granular: bool, mut batch: impl FnMut() -> usize) -> Outcome {
-    let granular: HashSet<ClassId> = if granular {
-        GRANULAR.into_iter().map(ClassId).collect()
-    } else {
-        HashSet::new()
-    };
-    let monitor = Monitor::new(program(), TriggerConfig::default(), granular);
+    let monitor = Monitor::new(
+        program(),
+        TriggerConfig::default(),
+        granular_classes(granular),
+    );
     let mut deltas = Vec::new();
     let mut pending: Vec<PendingEvent> = Vec::new();
     let mut limit = batch();
@@ -201,8 +200,68 @@ fn feed(events: &[Event], granular: bool, mut batch: impl FnMut() -> usize) -> O
         remote: monitor.remote_stats(),
         triggered: monitor.memory_triggered(),
         work_since_eval: monitor.work_since_eval(),
-        gc_reports: monitor.gc_reports(),
     }
+}
+
+fn granular_classes(granular: bool) -> HashSet<ClassId> {
+    if granular {
+        GRANULAR.into_iter().map(ClassId).collect()
+    } else {
+        HashSet::new()
+    }
+}
+
+/// An edge's two ends, in key order: the pair names the edge whatever ids
+/// the monitor gave its nodes.
+fn ends(a: NodeKey, b: NodeKey) -> (NodeKey, NodeKey) {
+    (a.min(b), a.max(b))
+}
+
+/// What each kind of interaction the model saw, so a test can check the
+/// stream covered it.
+#[derive(Debug, Default)]
+struct Coverage {
+    self_interactions: u64,
+    static_calls: u64,
+    object_targets: u64,
+}
+
+/// The edges `events` should leave behind, folded straight from the stream:
+/// a caller's class talks to its target's object node when the callee is
+/// object-granular and the call names an object, to the callee's class
+/// node otherwise, and a node talking to itself makes no edge.
+fn model_edges(
+    events: &[Event],
+    granular: bool,
+) -> (BTreeMap<(NodeKey, NodeKey), EdgeInfo>, Coverage) {
+    let granular = granular_classes(granular);
+    let mut edges = BTreeMap::new();
+    let mut coverage = Coverage::default();
+    for event in events {
+        let Event::Queued(PendingEvent::Interaction(i)) = *event else {
+            continue;
+        };
+        let a = NodeKey::Class(i.caller);
+        let b = match i.target {
+            Some(object) if granular.contains(&i.callee) => {
+                coverage.object_targets += 1;
+                NodeKey::Object(object)
+            }
+            target => {
+                coverage.static_calls += u64::from(target.is_none());
+                NodeKey::Class(i.callee)
+            }
+        };
+        if a == b {
+            coverage.self_interactions += 1;
+            continue;
+        }
+        edges
+            .entry(ends(a, b))
+            .or_insert_with(EdgeInfo::default)
+            .absorb(EdgeInfo::new(1, i.bytes));
+    }
+    (edges, coverage)
 }
 
 #[test]
@@ -231,6 +290,46 @@ fn batched_delivery_is_indistinguishable_from_per_event_delivery() {
                 .filter(|k| matches!(k, aide_core::NodeKey::Object(_)))
                 .count();
             assert_eq!(object_nodes > 0, granular);
+        }
+    }
+}
+
+#[test]
+fn the_edges_match_a_model_folded_from_the_stream() {
+    for seed in 1..=48u64 {
+        let mut rng = XorShift(seed.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1);
+        let events = stream(&mut rng, 2_000);
+        for granular in [false, true] {
+            let (model, coverage) = model_edges(&events, granular);
+            assert!(coverage.self_interactions > 0, "seed {seed}");
+            assert!(coverage.static_calls > 0, "seed {seed}");
+            assert_eq!(coverage.object_targets > 0, granular, "seed {seed}");
+            assert!(
+                events.iter().any(|e| matches!(e, Event::Drain)),
+                "seed {seed}: no mid-run drain"
+            );
+
+            let outcome = feed(&events, granular, || 1 + rng.below(40) as usize);
+            let (graph, keys) = &outcome.snapshot;
+            let snapshot: BTreeMap<_, _> = graph
+                .edges()
+                .map(|((a, b), info)| (ends(keys[a.index()], keys[b.index()]), info))
+                .collect();
+            assert_eq!(
+                snapshot, model,
+                "seed {seed}, granular {granular}: snapshot"
+            );
+
+            let mut drained = BTreeMap::new();
+            for delta in &outcome.deltas {
+                if let GraphDelta::Interaction { a, b, delta } = *delta {
+                    drained
+                        .entry(ends(keys[a.index()], keys[b.index()]))
+                        .or_insert_with(EdgeInfo::default)
+                        .absorb(delta);
+                }
+            }
+            assert_eq!(drained, model, "seed {seed}, granular {granular}: deltas");
         }
     }
 }

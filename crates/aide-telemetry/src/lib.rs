@@ -142,11 +142,6 @@ pub mod names {
     /// interpreter; flat control ops are excluded).
     pub const VM_DISPATCH_OPS: &str = "aide_vm_dispatch_ops_total";
 
-    /// Monitor hook invocations (allocs, frees, interactions, work...).
-    pub const MONITOR_HOOK_EVENTS: &str = "aide_monitor_hook_events_total";
-    /// Wall-clock nanoseconds spent inside monitor hooks.
-    pub const MONITOR_HOOK_NANOS: &str = "aide_monitor_hook_nanos_total";
-
     /// Partitioning epochs the incremental partitioner evaluated.
     pub const PARTITION_EPOCHS: &str = "aide_partition_epochs_total";
     /// Partitioning epochs skipped by the dirty-region shortcut (churn
