@@ -547,8 +547,9 @@ impl Monitor {
         edge
     }
 
-    fn interaction(&self, s: &mut MonitorState, event: Interaction) {
-        let increment = EdgeInfo::new(1, event.bytes);
+    /// Folds `count` occurrences of `event`.
+    fn interaction(&self, s: &mut MonitorState, event: Interaction, count: u64) {
+        let increment = EdgeInfo::new(count, count * event.bytes);
         // Indexing, not `is_object_granular`: an unknown class must not
         // alias another pair's cell below.
         let granular = self.object_granular[event.callee.index()];
@@ -571,15 +572,15 @@ impl Monitor {
             }
         }
         match event.kind {
-            InteractionKind::Invocation => s.invocations += 1,
-            InteractionKind::FieldAccess => s.accesses += 1,
+            InteractionKind::Invocation => s.invocations += count,
+            InteractionKind::FieldAccess => s.accesses += count,
         }
         if event.remote {
-            s.remote.remote_interactions += 1;
+            s.remote.remote_interactions += count;
             if event.kind == InteractionKind::Invocation {
-                s.remote.remote_invocations += 1;
+                s.remote.remote_invocations += count;
             }
-            s.remote.remote_bytes += event.bytes;
+            s.remote.remote_bytes += count * event.bytes;
         }
     }
 
@@ -604,7 +605,7 @@ fn edge_ends(key: u64) -> (NodeId, NodeId) {
 
 impl RuntimeHooks for Monitor {
     fn on_interaction(&self, event: Interaction) {
-        self.interaction(&mut self.state.lock(), event);
+        self.interaction(&mut self.state.lock(), event, 1);
     }
 
     fn on_alloc(&self, class: ClassId, object: ObjectId, bytes: u64) {
@@ -709,7 +710,10 @@ impl RuntimeHooks for Monitor {
         let s = &mut *guard;
         for event in events {
             match *event {
-                PendingEvent::Interaction(i) => self.interaction(s, i),
+                PendingEvent::Interaction(i) => self.interaction(s, i, 1),
+                PendingEvent::Counted { interaction, count } => {
+                    self.interaction(s, interaction, u64::from(count));
+                }
                 PendingEvent::Work { class, micros } => self.work(s, class, micros),
                 PendingEvent::Native { bytes, remote, .. } => {
                     if remote {
@@ -730,6 +734,12 @@ impl RuntimeHooks for Monitor {
     /// op before the next op runs.
     fn needs_work_boundary(&self) -> bool {
         false
+    }
+
+    /// Its state is sums but for node minting, and every first sight still
+    /// arrives in order: counts and summed `Work` fold to the same state.
+    fn accumulates(&self) -> bool {
+        true
     }
 }
 

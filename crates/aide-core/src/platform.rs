@@ -340,6 +340,11 @@ impl Controller {
         let Some((client, surrogate)) = self.bound() else {
             return;
         };
+        // Nothing imported, nothing to release or renew (`GcRenew` also
+        // wants imports): skip the walk of the whole live heap.
+        if self.tables.imports.is_empty() {
+            return;
+        }
         // With no surrogate attached (a provider-backed run between
         // leases), still sweep the import table: nobody to notify, but the
         // table must reflect what the client actually references.
@@ -396,8 +401,10 @@ impl RuntimeHooks for Controller {
     /// every other mode has nothing to walk.
     fn on_events(&self, events: &[PendingEvent]) {
         if self.needs_work_boundary() {
-            for &event in events {
-                event.deliver(self);
+            for event in events {
+                if let PendingEvent::Work { class, micros } = *event {
+                    self.on_work(class, micros);
+                }
             }
         }
     }
@@ -406,6 +413,12 @@ impl RuntimeHooks for Controller {
     /// before the next op runs.
     fn needs_work_boundary(&self) -> bool {
         matches!(self.evaluation, EvaluationMode::Periodic { .. })
+    }
+
+    /// It reads the monitor, which is told what it is owed before any
+    /// collection and at every `Work` boundary; it sums nothing itself.
+    fn accumulates(&self) -> bool {
+        true
     }
 }
 
@@ -432,6 +445,9 @@ pub struct Platform {
     /// Store-and-forward relay queue for offloads decided while no
     /// surrogate is reachable. Only meaningful on provider-backed runs.
     relay: Option<Arc<dyn RelaySink>>,
+    /// A sink chained after the monitor (and the controller) on every
+    /// machine this process runs.
+    observer: Option<Arc<dyn RuntimeHooks>>,
 }
 
 impl std::fmt::Debug for Platform {
@@ -451,6 +467,7 @@ impl Platform {
             surrogates: None,
             nondet: None,
             relay: None,
+            observer: None,
         }
     }
 
@@ -475,6 +492,7 @@ impl Platform {
             surrogates: Some((provider, FailoverConfig::default())),
             nondet: None,
             relay: None,
+            observer: None,
         }
     }
 
@@ -496,6 +514,30 @@ impl Platform {
     pub fn with_nondet_source(mut self, source: Arc<dyn NondetSource>) -> Self {
         self.nondet = Some(source);
         self
+    }
+
+    /// Chains `observer` after the monitor and the controller on the
+    /// client machine, and after the monitor on an in-process surrogate's:
+    /// it sees every hook event they see, in the same slices. An observer
+    /// that does not [accumulate](RuntimeHooks::accumulates) makes the
+    /// whole chain take the per-event stream.
+    pub fn with_observer(mut self, observer: Arc<dyn RuntimeHooks>) -> Self {
+        self.observer = Some(observer);
+        self
+    }
+
+    /// The hook sink of a machine: `sinks` (the monitoring ones, when
+    /// monitoring is on), then the observer.
+    fn hooks(&self, mut sinks: Vec<Arc<dyn RuntimeHooks>>) -> Arc<dyn RuntimeHooks> {
+        if !self.config.monitoring {
+            sinks.clear();
+        }
+        sinks.extend(self.observer.clone());
+        match sinks.len() {
+            0 => Arc::new(NullHooks),
+            1 => sinks.remove(0),
+            _ => Arc::new(HookChain::new(sinks)),
+        }
     }
 
     /// Overrides the failover tuning (heartbeat cadence, probe timeout,
@@ -555,11 +597,7 @@ impl Platform {
         // from the surrogate are monitored too); the surrogate machine
         // reports to the same monitor.
         let mut side = self.client_side();
-        let surrogate_hooks: Arc<dyn RuntimeHooks> = if cfg.monitoring {
-            side.monitor.clone()
-        } else {
-            Arc::new(NullHooks)
-        };
+        let surrogate_hooks = self.hooks(vec![side.monitor.clone()]);
         let surrogate_machine = Machine::with_parts(surrogate_vm.clone(), surrogate_hooks, None);
 
         // Endpoints: calls placed on an endpoint are served by the peer.
@@ -763,11 +801,7 @@ impl Platform {
             nondet: nondet.clone(),
             evaluating: Mutex::new(()),
         });
-        let hooks: Arc<dyn RuntimeHooks> = if cfg.monitoring {
-            Arc::new(HookChain::new(vec![monitor.clone(), controller.clone()]))
-        } else {
-            Arc::new(NullHooks)
-        };
+        let hooks = self.hooks(vec![monitor.clone(), controller.clone()]);
         let machine = Machine::with_parts(vm, hooks, None);
         tables.exports.set_recorder(recorder.clone());
         ClientSide {

@@ -2,10 +2,13 @@
 //! event stream through `on_events` slices of arbitrary sizes must end up
 //! exactly where a `Monitor` fed the same stream one `on_*` call at a time
 //! does — graph, drained deltas, Table 2 metrics, Figure 8 counters and
-//! trigger state. Both sides of that share one edge table, so the edges are
+//! trigger state. So is counted delivery: told a stream as an accumulating
+//! sink is told it (repeats as counts, later `Work` as sums, settled before
+//! every collection and drain), it must end where the per-event stream
+//! leaves it. Both sides of that share one edge table, so the edges are
 //! also checked against a model that never builds a `Monitor`.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use aide_core::{Monitor, NodeKey, TriggerConfig};
@@ -61,9 +64,13 @@ enum Event {
     Drain,
 }
 
-fn stream(rng: &mut XorShift, len: usize) -> Vec<Event> {
+/// A random stream in program order. Its `Work` microseconds are whole
+/// when `whole_work`, as the interpreter's are, and fractions otherwise,
+/// so that summation order would show.
+fn stream(rng: &mut XorShift, len: usize, whole_work: bool) -> Vec<Event> {
     let mut next_object = 0u64;
     let mut cycle = 0u64;
+    let mut recent: Vec<Interaction> = Vec::new();
     (0..len)
         .map(|_| {
             let class = ClassId(rng.below(CLASSES as u64) as u32);
@@ -71,26 +78,41 @@ fn stream(rng: &mut XorShift, len: usize) -> Vec<Event> {
             let remote = rng.below(4) == 0;
             let bytes = rng.below(512);
             match rng.below(100) {
-                0..=54 => Event::Queued(PendingEvent::Interaction(Interaction {
-                    caller: class,
-                    callee: other,
-                    // Known objects, unknown objects and static calls.
-                    target: match rng.below(3) {
-                        0 => None,
-                        _ => Some(ObjectId::client(rng.below(next_object + 2))),
-                    },
-                    kind: if rng.below(2) == 0 {
-                        InteractionKind::Invocation
-                    } else {
-                        InteractionKind::FieldAccess
-                    },
-                    bytes,
-                    remote,
-                })),
+                // A loop body: one of the last few interactions again.
+                0..=19 if !recent.is_empty() => {
+                    let i = recent[rng.below(recent.len() as u64) as usize];
+                    Event::Queued(PendingEvent::Interaction(i))
+                }
+                0..=54 => {
+                    let i = Interaction {
+                        caller: class,
+                        callee: other,
+                        // Known objects, unknown objects and static calls.
+                        target: match rng.below(3) {
+                            0 => None,
+                            _ => Some(ObjectId::client(rng.below(next_object + 2))),
+                        },
+                        kind: if rng.below(2) == 0 {
+                            InteractionKind::Invocation
+                        } else {
+                            InteractionKind::FieldAccess
+                        },
+                        bytes,
+                        remote,
+                    };
+                    if recent.len() == 6 {
+                        recent.remove(0);
+                    }
+                    recent.push(i);
+                    Event::Queued(PendingEvent::Interaction(i))
+                }
                 55..=69 => Event::Queued(PendingEvent::Work {
                     class,
-                    // Fractions, so summation order would show.
-                    micros: rng.below(10_000) as f64 / 7.0,
+                    micros: if whole_work {
+                        rng.below(10_000) as f64
+                    } else {
+                        rng.below(10_000) as f64 / 7.0
+                    },
                 }),
                 70..=74 => Event::Queued(PendingEvent::Native {
                     caller: class,
@@ -134,6 +156,86 @@ fn stream(rng: &mut XorShift, len: usize) -> Vec<Event> {
             }
         })
         .collect()
+}
+
+/// What an accumulating sink is told of `events`, a stream in program
+/// order, as the interpreter tells it: a local interaction on an object
+/// that was told before is counted, and a class's `Work` after its first
+/// summed; both are settled before every collection (its frees first) and
+/// every drain, and also wherever `rng` says (the interpreter settles at
+/// every run's end and touch of the peer). Method exits and local natives
+/// and static accesses are not told.
+fn accumulated(events: &[Event], rng: &mut XorShift) -> Vec<Event> {
+    let mut told = Vec::new();
+    let mut seen_interactions = HashSet::new();
+    let mut seen_work = HashSet::new();
+    let mut owed = Owed::default();
+    for &event in events {
+        let reads = matches!(event, Event::Free(..) | Event::Gc(_) | Event::Drain);
+        if reads || rng.below(50) == 0 {
+            owed.settle(&mut told);
+        }
+        // A guard that inserts is false on first sight: that is told.
+        match event {
+            Event::Queued(PendingEvent::Interaction(i))
+                if !i.remote
+                    && i.target.is_some()
+                    && !seen_interactions.insert(format!("{i:?}")) =>
+            {
+                owed.count(i);
+            }
+            Event::Queued(PendingEvent::Work { class, micros }) if !seen_work.insert(class) => {
+                owed.add_work(class, micros);
+            }
+            Event::Queued(
+                PendingEvent::MethodExit { .. }
+                | PendingEvent::Native { remote: false, .. }
+                | PendingEvent::StaticAccess { remote: false, .. },
+            ) => {}
+            _ => told.push(event),
+        }
+    }
+    owed.settle(&mut told);
+    told
+}
+
+/// Counts and sums not told yet, in first-pending order.
+#[derive(Default)]
+struct Owed {
+    counts: Vec<(Interaction, u32)>,
+    /// Index into `counts` by the interaction's rendering.
+    count_of: HashMap<String, usize>,
+    sums: Vec<(ClassId, f64)>,
+}
+
+impl Owed {
+    fn count(&mut self, i: Interaction) {
+        let key = format!("{i:?}");
+        match self.count_of.get(&key) {
+            Some(&at) => self.counts[at].1 += 1,
+            None => {
+                self.count_of.insert(key, self.counts.len());
+                self.counts.push((i, 1));
+            }
+        }
+    }
+
+    fn add_work(&mut self, class: ClassId, micros: f64) {
+        match self.sums.iter_mut().find(|(c, _)| *c == class) {
+            Some((_, sum)) => *sum += micros,
+            None => self.sums.push((class, micros)),
+        }
+    }
+
+    fn settle(&mut self, told: &mut Vec<Event>) {
+        for (interaction, count) in self.counts.drain(..) {
+            told.push(Event::Queued(PendingEvent::Counted { interaction, count }));
+        }
+        self.count_of.clear();
+        for (class, micros) in self.sums.drain(..) {
+            told.push(Event::Queued(PendingEvent::Work { class, micros }));
+        }
+    }
 }
 
 /// What a run leaves behind, in comparable form.
@@ -238,8 +340,12 @@ fn model_edges(
     let mut edges = BTreeMap::new();
     let mut coverage = Coverage::default();
     for event in events {
-        let Event::Queued(PendingEvent::Interaction(i)) = *event else {
-            continue;
+        let (i, count) = match *event {
+            Event::Queued(PendingEvent::Interaction(i)) => (i, 1),
+            Event::Queued(PendingEvent::Counted { interaction, count }) => {
+                (interaction, u64::from(count))
+            }
+            _ => continue,
         };
         let a = NodeKey::Class(i.caller);
         let b = match i.target {
@@ -259,7 +365,7 @@ fn model_edges(
         edges
             .entry(ends(a, b))
             .or_insert_with(EdgeInfo::default)
-            .absorb(EdgeInfo::new(1, i.bytes));
+            .absorb(EdgeInfo::new(count, count * i.bytes));
     }
     (edges, coverage)
 }
@@ -268,7 +374,7 @@ fn model_edges(
 fn batched_delivery_is_indistinguishable_from_per_event_delivery() {
     for seed in 1..=48u64 {
         let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-        let events = stream(&mut rng, 2_000);
+        let events = stream(&mut rng, 2_000, false);
         for granular in [false, true] {
             let per_event = feed(&events, granular, || 1);
             let batched = feed(&events, granular, || 1 + rng.below(40) as usize);
@@ -298,7 +404,7 @@ fn batched_delivery_is_indistinguishable_from_per_event_delivery() {
 fn the_edges_match_a_model_folded_from_the_stream() {
     for seed in 1..=48u64 {
         let mut rng = XorShift(seed.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1);
-        let events = stream(&mut rng, 2_000);
+        let events = stream(&mut rng, 2_000, false);
         for granular in [false, true] {
             let (model, coverage) = model_edges(&events, granular);
             assert!(coverage.self_interactions > 0, "seed {seed}");
@@ -330,6 +436,39 @@ fn the_edges_match_a_model_folded_from_the_stream() {
                 }
             }
             assert_eq!(drained, model, "seed {seed}, granular {granular}: deltas");
+        }
+    }
+}
+
+#[test]
+fn counted_delivery_is_indistinguishable_from_the_per_event_stream() {
+    for seed in 1..=48u64 {
+        let mut rng = XorShift(seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1);
+        let events = stream(&mut rng, 2_000, true);
+        let told = accumulated(&events, &mut rng);
+        let counted = told
+            .iter()
+            .filter(
+                |e| matches!(e, Event::Queued(PendingEvent::Counted { count, .. }) if *count > 1),
+            )
+            .count();
+        assert!(counted > 10, "seed {seed}: {counted} counts above one");
+        assert!(told.len() < events.len(), "seed {seed}: nothing folded");
+        for granular in [false, true] {
+            let per_event = feed(&events, granular, || 1);
+            let folded = feed(&told, granular, || 1 + rng.below(40) as usize);
+            assert_eq!(folded, per_event, "seed {seed}, granular {granular}");
+
+            // The model counts a count's `n`: folded from either stream,
+            // it is the same, and it is the monitor's.
+            let (model, _) = model_edges(&told, granular);
+            assert_eq!(model, model_edges(&events, granular).0, "seed {seed}");
+            let (graph, keys) = &folded.snapshot;
+            let snapshot: BTreeMap<_, _> = graph
+                .edges()
+                .map(|((a, b), info)| (ends(keys[a.index()], keys[b.index()]), info))
+                .collect();
+            assert_eq!(snapshot, model, "seed {seed}, granular {granular}");
         }
     }
 }

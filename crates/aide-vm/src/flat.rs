@@ -21,6 +21,12 @@
 //!   `(object, class, locality-epoch)` — a monomorphic site's check becomes
 //!   a single compare-and-branch.
 //!
+//! A site's interaction is fixed but for its target: code is compiled per
+//! `(class, method)`, so the caller class, the kind and the payload bytes
+//! are known here ([`FlatProgram::site_interaction`]). That is what lets
+//! the interpreter tell an accumulating sink "`n` more of the same" at a
+//! cache hit instead of queueing each one.
+//!
 //! `GetSlot`/`GetSlotOf`-family ops carry no cache site: reading a slot
 //! needs the object record anyway, so the flat interpreter's single heap
 //! lookup already subsumes the locality check.
@@ -32,7 +38,8 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::error::VmError;
-use crate::ids::{ClassId, MethodId, Reg};
+use crate::hooks::{Interaction, InteractionKind};
+use crate::ids::{ClassId, MethodId, ObjectId, Reg};
 use crate::natives::NativeKind;
 use crate::program::{Op, Program};
 
@@ -226,6 +233,14 @@ pub struct FlatMethod {
     pub code_end: u32,
 }
 
+/// Where an inline-cache site is: the op that performs its interaction,
+/// which has the kind and the bytes, and the class whose method holds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Site {
+    caller: ClassId,
+    ip: u32,
+}
+
 #[derive(Debug, Default)]
 struct Interner {
     map: HashMap<String, Sym>,
@@ -250,13 +265,20 @@ struct Lowerer<'p> {
     code: Vec<FlatOp>,
     calls: Vec<CallSite>,
     call_args: Vec<u8>,
-    sites: u32,
+    /// The class whose method is being lowered.
+    class: ClassId,
+    /// Indexed by site id.
+    sites: Vec<Site>,
 }
 
 impl Lowerer<'_> {
+    /// A site for the op pushed next.
     fn next_site(&mut self) -> u32 {
-        let s = self.sites;
-        self.sites += 1;
+        let s = self.sites.len() as u32;
+        self.sites.push(Site {
+            caller: self.class,
+            ip: self.code.len() as u32,
+        });
         s
     }
 
@@ -423,7 +445,8 @@ pub struct FlatProgram {
     call_args: Vec<u8>,
     strings: Vec<Box<str>>,
     class_names: Vec<Sym>,
-    sites: u32,
+    /// Per inline-cache site, where it is.
+    sites: Box<[Site]>,
 }
 
 impl FlatProgram {
@@ -450,10 +473,12 @@ impl FlatProgram {
             code: Vec::new(),
             calls: Vec::new(),
             call_args: Vec::new(),
-            sites: 0,
+            class: ClassId(0),
+            sites: Vec::new(),
         };
         let mut methods = Vec::with_capacity(total as usize);
         for (ci, c) in classes.iter().enumerate() {
+            lo.class = ClassId(ci as u32);
             for (mi, m) in c.methods.iter().enumerate() {
                 let code_start = lo.code.len() as u32;
                 lo.lower_ops(&m.body);
@@ -476,7 +501,7 @@ impl FlatProgram {
             call_args: lo.call_args,
             strings: interner.strings,
             class_names,
-            sites: lo.sites,
+            sites: lo.sites.into_boxed_slice(),
         }
     }
 
@@ -553,7 +578,38 @@ impl FlatProgram {
 
     /// Number of inline-cache sites the interpreter must provision.
     pub fn site_count(&self) -> u32 {
-        self.sites
+        self.sites.len() as u32
+    }
+
+    /// The local interaction site `site` performs on `target`, an object
+    /// of `callee`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `site` is out of range (ids come from op operands).
+    pub fn site_interaction(&self, site: u32, target: ObjectId, callee: ClassId) -> Interaction {
+        let s = self.sites[site as usize];
+        let (kind, bytes) = match self.code[s.ip as usize] {
+            FlatOp::Call { call } => {
+                let cs = &self.calls[call as usize];
+                (
+                    InteractionKind::Invocation,
+                    u64::from(cs.arg_bytes) + u64::from(cs.ret_bytes),
+                )
+            }
+            FlatOp::Read { bytes, .. } | FlatOp::Write { bytes, .. } => {
+                (InteractionKind::FieldAccess, u64::from(bytes))
+            }
+            op => unreachable!("site {site} is at {op:?}"),
+        };
+        Interaction {
+            caller: s.caller,
+            callee,
+            target: Some(target),
+            kind,
+            bytes,
+            remote: false,
+        }
     }
 
     /// Resolves an interned symbol back to its string.
@@ -690,6 +746,22 @@ mod tests {
         assert_eq!(flat.site_count(), 2);
         let cs = flat.call(0);
         assert_ne!(cs.ic, NO_SITE);
+    }
+
+    #[test]
+    fn a_site_knows_its_interaction_but_for_the_target() {
+        let flat = FlatProgram::compile(&nested_repeat_program());
+        let target = ObjectId::client(7);
+        // Main::main's Read is site 0, its Call site 1.
+        let read = flat.site_interaction(0, target, ClassId(1));
+        assert_eq!(
+            (read.caller, read.callee, read.target),
+            (ClassId(0), ClassId(1), Some(target))
+        );
+        assert_eq!((read.kind, read.bytes), (InteractionKind::FieldAccess, 8));
+        let call = flat.site_interaction(flat.call(0).ic, target, ClassId(1));
+        assert_eq!((call.kind, call.bytes), (InteractionKind::Invocation, 8));
+        assert!(!call.remote);
     }
 
     #[test]

@@ -112,6 +112,29 @@ pub trait RuntimeHooks: Send + Sync {
     fn needs_work_boundary(&self) -> bool {
         true
     }
+
+    /// Whether this sink only sums what it is told, so that it may be told
+    /// sums. The interpreter asks once, when the [`Machine`] is built. A
+    /// sink that answers `true` gets, instead of the per-event stream:
+    ///
+    /// * a local interaction at an inline-cache hit as part of a
+    ///   [`PendingEvent::Counted`], delivered later but before anything
+    ///   can read the sink (a collection's `on_free`/`on_gc`, the `Work`
+    ///   boundary, a run's end or failure, a touch of the peer);
+    /// * after a class's first `Work` on the VM, its later `Work`s as one
+    ///   summed [`PendingEvent::Work`] at those same points (not under
+    ///   [`needs_work_boundary`](RuntimeHooks::needs_work_boundary));
+    /// * no `on_method_exit`, and no local `on_native` or
+    ///   `on_static_access`.
+    ///
+    /// Every first sight — a fill of an inline cache, a class's first
+    /// `Work` — still arrives in program order. The default is `false`:
+    /// every event, one by one, in program order.
+    ///
+    /// [`Machine`]: crate::Machine
+    fn accumulates(&self) -> bool {
+        false
+    }
 }
 
 /// One deferred hook event, queued by the interpreter's burst loop.
@@ -165,6 +188,15 @@ pub enum PendingEvent {
         /// The method that returned.
         method: MethodId,
     },
+    /// `count` occurrences of one local interaction, queued only for a sink
+    /// that [accumulates](RuntimeHooks::accumulates); delivered one by one
+    /// it is `count` calls of [`RuntimeHooks::on_interaction`].
+    Counted {
+        /// The interaction that occurred.
+        interaction: Interaction,
+        /// How many times.
+        count: u32,
+    },
 }
 
 impl PendingEvent {
@@ -188,6 +220,11 @@ impl PendingEvent {
                 remote,
             } => hooks.on_static_access(accessor, class, bytes, remote),
             PendingEvent::MethodExit { class, method } => hooks.on_method_exit(class, method),
+            PendingEvent::Counted { interaction, count } => {
+                for _ in 0..count {
+                    hooks.on_interaction(interaction);
+                }
+            }
         }
     }
 }
@@ -243,6 +280,10 @@ impl RuntimeHooks for NullHooks {
 
     fn needs_work_boundary(&self) -> bool {
         false
+    }
+
+    fn accumulates(&self) -> bool {
+        true
     }
 }
 
@@ -353,6 +394,12 @@ impl RuntimeHooks for HookChain {
 
     fn needs_work_boundary(&self) -> bool {
         self.hooks.iter().any(|h| h.needs_work_boundary())
+    }
+
+    /// Every member must: one that does not gets the per-event stream, and
+    /// so does the rest of the chain.
+    fn accumulates(&self) -> bool {
+        self.hooks.iter().all(|h| h.accumulates())
     }
 }
 

@@ -20,8 +20,11 @@
 //! [`PendingEvents`] for delivery between bursts. Where a burst is cut
 //! changes nothing observable: the hooks see every event in program order,
 //! each before anything the op after it does outside the burst, and the
-//! clock is charged op by op in program order. The VM's tests hold the
-//! event stream and [`RunSummary`] of a fixed set of programs to committed
+//! clock is charged op by op in program order. A sink that
+//! [accumulates](RuntimeHooks::accumulates) is told sums instead: hits are
+//! counted in the inline-cache entries and `Work` per class, and queued
+//! only where something could read the sink. The VM's tests hold the event
+//! stream and [`RunSummary`] of a fixed set of programs to committed
 //! verdicts (`tests/fixtures/verdicts/`).
 
 use std::collections::{BTreeMap, HashMap};
@@ -179,6 +182,11 @@ struct ExecState {
 struct IcEntry {
     target: ObjectId,
     class: ClassId,
+    /// Hits on `target` an accumulating sink is owed, in the low 31 bits;
+    /// [`LISTED`] while the site is on [`Tallies::sites`]. Zero when the
+    /// sink does not accumulate. It survives an epoch bump: the next fill
+    /// queues it before it replaces `target`.
+    hits: u32,
     epoch: u64,
 }
 
@@ -188,8 +196,95 @@ impl IcEntry {
     const INVALID: IcEntry = IcEntry {
         target: ObjectId(0),
         class: ClassId(0),
+        hits: 0,
         epoch: u64::MAX,
     };
+
+    /// The hits counted since the entry last queued them.
+    #[inline]
+    fn owed(self) -> u32 {
+        self.hits & !LISTED
+    }
+}
+
+/// [`IcEntry::hits`]'s flag: the site is on [`Tallies::sites`].
+const LISTED: u32 = 1 << 31;
+
+/// One class's `Work` as an accumulating sink is told it.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClassWork {
+    /// A `Work` of the class was queued on this VM: the sink has seen it.
+    seen: bool,
+    /// The class is on [`Tallies::classes`] (`micros` may still be zero).
+    owed: bool,
+    /// Microseconds since the class's `Work` was last queued. Every `Work`
+    /// op carries a `u32`, so the sum is an integer and so is its `f64`.
+    micros: u64,
+}
+
+/// What the interpreter owes a sink that accumulates
+/// ([`RuntimeHooks::accumulates`]) and has not queued yet: the hits counted
+/// in the inline-cache entries of `sites`, and the `Work` of `classes`.
+/// Wherever something could read the sink, `Machine::settle` delivers it
+/// all, [`Tallies::settle`] queueing a bounded part at a time and walking
+/// only what is owed.
+#[derive(Debug, Default)]
+struct Tallies {
+    /// Sites whose entry carries [`LISTED`], each once.
+    sites: Vec<u32>,
+    /// Indexed by [`ClassId`].
+    work: Vec<ClassWork>,
+    /// Classes whose [`ClassWork::owed`] is set, each once.
+    classes: Vec<u32>,
+}
+
+impl Tallies {
+    /// Queues what [`SETTLE_SITES`] of the owed sites owe, as one
+    /// [`PendingEvent::Counted`] per site with hits, and once no site is
+    /// left, one summed [`PendingEvent::Work`] per class. Returns whether
+    /// anything is still owed.
+    fn settle(
+        &mut self,
+        ic: &mut [IcEntry],
+        flat: &FlatProgram,
+        pending: &mut PendingEvents,
+    ) -> bool {
+        let from = self.sites.len().saturating_sub(SETTLE_SITES);
+        for site in self.sites.drain(from..) {
+            let entry = &mut ic[site as usize];
+            if entry.owed() > 0 {
+                pending.push(counted(flat, site, *entry));
+            }
+            entry.hits = 0;
+        }
+        if !self.sites.is_empty() {
+            return true;
+        }
+        for class in self.classes.drain(..) {
+            let work = &mut self.work[class as usize];
+            pending.push(PendingEvent::Work {
+                class: ClassId(class),
+                micros: work.micros as f64,
+            });
+            work.micros = 0;
+            work.owed = false;
+        }
+        false
+    }
+}
+
+/// Sites one settle queues at most. JavaNote owes ~1 900 at a collection;
+/// one queue of them all (48 B an event) cost ~2 % of `local_mutator`'s
+/// peak resident memory.
+const SETTLE_SITES: usize = 256;
+
+/// The hits `entry` owes at `site`, as one event.
+#[inline]
+fn counted(flat: &FlatProgram, site: u32, entry: IcEntry) -> PendingEvent {
+    PendingEvent::Counted {
+        interaction: flat.site_interaction(site, entry.target, entry.class),
+        count: entry.owed(),
+    }
 }
 
 /// Ops executed per VM-lock acquisition by the flat interpreter. Large
@@ -367,6 +462,8 @@ pub struct Vm {
     free_states: Vec<usize>,
     /// Inline-cache table, one entry per flat-IR cache site.
     ic: Vec<IcEntry>,
+    /// Events an accumulating sink is owed but not yet queued.
+    tallies: Tallies,
     ic_hits: u64,
     ic_misses: u64,
     external_roots: HashMap<ObjectId, u32>,
@@ -396,6 +493,7 @@ impl Vm {
             exec_states: Vec::new(),
             free_states: Vec::new(),
             ic: Vec::new(),
+            tallies: Tallies::default(),
             ic_hits: 0,
             ic_misses: 0,
             external_roots: HashMap::new(),
@@ -642,6 +740,16 @@ impl Vm {
     pub fn last_freed_by_class(&self) -> BTreeMap<ClassId, (u64, u64)> {
         self.gc.last_freed_by_class().clone()
     }
+
+    /// Queues onto `pending` part of what an accumulating sink is owed
+    /// ([`Tallies::settle`]), returning whether more is owed; nothing when
+    /// no run has compiled the program.
+    fn settle_tallies(&mut self, pending: &mut PendingEvents) -> bool {
+        match &self.flat {
+            Some(flat) => self.tallies.settle(&mut self.ic, flat, pending),
+            None => false,
+        }
+    }
 }
 
 /// Access to the peer VM, implemented by the distributed platform's RPC
@@ -774,6 +882,8 @@ pub struct Machine {
     max_depth: usize,
     /// [`RuntimeHooks::needs_work_boundary`] of `hooks`, asked once here.
     yield_on_work: bool,
+    /// [`RuntimeHooks::accumulates`] of `hooks`, asked once here.
+    tally: bool,
 }
 
 impl std::fmt::Debug for Machine {
@@ -818,6 +928,7 @@ impl Machine {
         let machine = Machine {
             vm,
             yield_on_work: hooks.needs_work_boundary(),
+            tally: hooks.accumulates(),
             hooks,
             remote: Arc::new(OnceLock::new()),
             max_depth: Self::DEFAULT_MAX_DEPTH,
@@ -1063,7 +1174,10 @@ impl Machine {
     }
 
     fn emit_gc(&self, report: &GcReport) {
-        // Report per-class frees to the monitor first so node weights shrink.
+        // What an accumulating sink is owed reaches it first: whoever reacts
+        // to the collection may read it. Then per-class frees, so node
+        // weights shrink.
+        self.settle(&mut PendingEvents::new());
         let freed = {
             let vm = self.vm.lock();
             vm.last_freed_by_class()
@@ -1078,6 +1192,18 @@ impl Machine {
         }
         self.hooks.on_gc(report);
         self.charge_monitor_event();
+    }
+
+    /// Delivers everything an accumulating sink is owed through `pending`,
+    /// a bounded part at a time.
+    fn settle(&self, pending: &mut PendingEvents) {
+        loop {
+            let more = self.vm.lock().settle_tallies(pending);
+            pending.flush(self.hooks.as_ref());
+            if !more {
+                return;
+            }
+        }
     }
 
     fn charge_monitor_event(&self) {
@@ -1143,6 +1269,10 @@ impl Machine {
             if vm.ic.len() < sites {
                 vm.ic.resize(sites, IcEntry::INVALID);
             }
+            let classes = vm.program.classes().len();
+            if vm.tallies.work.len() < classes {
+                vm.tallies.work.resize(classes, ClassWork::default());
+            }
             if let Some(obj) = self_obj {
                 let found = vm.heap.get(obj)?.class;
                 if found != class {
@@ -1185,12 +1315,14 @@ impl Machine {
             let state = &mut vm.exec_states[sid];
             if result.is_err() {
                 // Every unwound frame reports `on_method_exit`, innermost
-                // first, even on error.
-                for fr in state.frames.iter().rev() {
-                    pending.push(PendingEvent::MethodExit {
-                        class: fr.class,
-                        method: fr.method,
-                    });
+                // first, even on error — to a sink that wants exits.
+                if !self.tally {
+                    for fr in state.frames.iter().rev() {
+                        pending.push(PendingEvent::MethodExit {
+                            class: fr.class,
+                            method: fr.method,
+                        });
+                    }
                 }
             } else {
                 // Every burst was flushed, so the queue goes back empty; a
@@ -1208,6 +1340,9 @@ impl Machine {
             )
         };
         pending.flush(self.hooks.as_ref());
+        if result.is_err() {
+            self.settle(&mut pending);
+        }
         let metrics = vm_metrics();
         metrics.0.add(run_stats.0);
         metrics.1.add(run_stats.1);
@@ -1226,20 +1361,35 @@ impl Machine {
         pending: &mut PendingEvents,
     ) -> VmResult<()> {
         loop {
-            let exit = {
+            let (exit, owing) = {
                 let mut vm = self.vm.lock();
-                flat_burst(
+                let exit = flat_burst(
                     &mut vm,
                     sid,
                     flat,
                     pending,
                     self.max_depth,
                     self.yield_on_work,
-                )
+                    self.tally,
+                );
+                // Settled wherever control goes somewhere that may read an
+                // accumulating sink: the `Work` boundary, the run's end, a
+                // touch of the peer (which may run code that collects).
+                // An allocation settles only if it collects (`emit_gc`),
+                // an error in `run_flat`.
+                let settles = match exit {
+                    Ok(Exit::Yield) => self.yield_on_work,
+                    Ok(Exit::Alloc { .. }) | Err(_) => false,
+                    Ok(_) => true,
+                };
+                (exit, settles && vm.settle_tallies(pending))
             };
             // Deliver events queued up to the exit (or error) point before
             // acting on it, so the hooks see them in program order.
             pending.flush(self.hooks.as_ref());
+            if owing {
+                self.settle(pending);
+            }
             match exit? {
                 Exit::Done => return Ok(()),
                 Exit::Yield => {}
@@ -1411,8 +1561,11 @@ fn reg_set(
 /// charged to the hook clock immediately); anything that needs the
 /// allocator, the GC, or the peer returns an [`Exit`] for the unlocked
 /// driver. Mutator charges are added op by op in program order, so where
-/// a burst is cut never changes the virtual clock.
-#[allow(clippy::too_many_lines)]
+/// a burst is cut never changes the virtual clock. With `tally` the sink
+/// accumulates: cache hits and repeated `Work` go to the VM's [`Tallies`]
+/// instead, and method exits and local natives and static accesses are
+/// not queued (they are still charged).
+#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn flat_burst(
     vm: &mut Vm,
     sid: usize,
@@ -1420,12 +1573,14 @@ fn flat_burst(
     pending: &mut PendingEvents,
     max_depth: usize,
     yield_on_work: bool,
+    tally: bool,
 ) -> VmResult<Exit> {
     let Vm {
         config,
         heap,
         exec_states,
         ic,
+        tallies,
         ic_hits,
         ic_misses,
         mutator_seconds,
@@ -1462,6 +1617,49 @@ fn flat_burst(
             }
         };
     }
+    // The inline-cache check of `$target` at `$site`: `Some((class, hit))`
+    // when the object is local. A fill first queues the hits the entry
+    // counted for its previous target.
+    macro_rules! ic_check {
+        ($site:expr, $target:expr) => {{
+            let epoch = heap.locality_epoch();
+            let entry = &mut ic[$site as usize];
+            if entry.target == $target && entry.epoch == epoch {
+                *ic_hits += 1;
+                Some((entry.class, true))
+            } else if let Ok(rec) = heap.get($target) {
+                *ic_misses += 1;
+                if entry.owed() > 0 {
+                    pending.push(counted(flat, $site, *entry));
+                }
+                *entry = IcEntry {
+                    target: $target,
+                    class: rec.class,
+                    hits: entry.hits & LISTED,
+                    epoch,
+                };
+                Some((rec.class, false))
+            } else {
+                *ic_misses += 1;
+                None
+            }
+        }};
+    }
+    // One more hit on the cached target of `$site`, for the tallies.
+    macro_rules! count_hit {
+        ($site:expr) => {{
+            let entry = &mut ic[$site as usize];
+            if entry.hits == 0 {
+                tallies.sites.push($site);
+                entry.hits = LISTED;
+            }
+            entry.hits += 1;
+            if entry.hits == u32::MAX {
+                pending.push(counted(flat, $site, *entry));
+                entry.hits = LISTED;
+            }
+        }};
+    }
 
     loop {
         if budget == 0 {
@@ -1474,12 +1672,26 @@ fn flat_burst(
             FlatOp::Work { micros } => {
                 *ops_executed += 1;
                 *mutator_seconds += micros as f64 / 1e6 / speed;
-                pending.push(PendingEvent::Work {
-                    class: f.class,
-                    micros: micros as f64,
-                });
                 hook_charge!();
                 f.ip += 1;
+                // A class's first `Work` is queued: it may be a first sight.
+                let folded = tally && !yield_on_work && {
+                    let work = &mut tallies.work[f.class.index()];
+                    if work.seen {
+                        if !work.owed {
+                            work.owed = true;
+                            tallies.classes.push(f.class.0);
+                        }
+                        work.micros += u64::from(micros);
+                    }
+                    std::mem::replace(&mut work.seen, true)
+                };
+                if !folded {
+                    pending.push(PendingEvent::Work {
+                        class: f.class,
+                        micros: micros as f64,
+                    });
+                }
                 if yield_on_work {
                     // Exit so the queued `on_work` reaches the hooks (and
                     // through them the periodic offload evaluator) before
@@ -1525,33 +1737,22 @@ fn flat_burst(
                 if let Some(t) = target {
                     // Local-vs-remote check through the inline cache: a
                     // monomorphic site hits on one compare of (id, epoch).
-                    let epoch = heap.locality_epoch();
-                    let entry = &mut ic[cs.ic as usize];
-                    let local_class = if entry.target == t && entry.epoch == epoch {
-                        *ic_hits += 1;
-                        Some(entry.class)
-                    } else if let Ok(rec) = heap.get(t) {
-                        *ic_misses += 1;
-                        *entry = IcEntry {
-                            target: t,
-                            class: rec.class,
-                            epoch,
-                        };
-                        Some(rec.class)
-                    } else {
-                        *ic_misses += 1;
-                        None
-                    };
-                    match local_class {
-                        Some(found) => {
-                            pending.push(PendingEvent::Interaction(Interaction {
-                                caller: f.class,
-                                callee: cs.class,
-                                target: Some(t),
-                                kind: InteractionKind::Invocation,
-                                bytes,
-                                remote: false,
-                            }));
+                    match ic_check!(cs.ic, t) {
+                        Some((found, hit)) => {
+                            // A hit names the fill's class; a mismatched
+                            // one fails below, so it is queued whole.
+                            if tally && hit && found == cs.class {
+                                count_hit!(cs.ic);
+                            } else {
+                                pending.push(PendingEvent::Interaction(Interaction {
+                                    caller: f.class,
+                                    callee: cs.class,
+                                    target: Some(t),
+                                    kind: InteractionKind::Invocation,
+                                    bytes,
+                                    remote: false,
+                                }));
+                            }
                             hook_charge!();
                             if state.frames.len() >= max_depth {
                                 return Err(VmError::CallDepthExceeded(max_depth));
@@ -1655,35 +1856,22 @@ fn flat_burst(
                 *ops_executed += 1;
                 let write = matches!(op, FlatOp::Write { .. });
                 let target = reg_obj(&state.values, f.base, obj)?;
-                let epoch = heap.locality_epoch();
-                let entry = &mut ic[site as usize];
-                let local_class = if entry.target == target && entry.epoch == epoch {
-                    *ic_hits += 1;
-                    Some(entry.class)
-                } else if let Ok(rec) = heap.get(target) {
-                    *ic_misses += 1;
-                    *entry = IcEntry {
-                        target,
-                        class: rec.class,
-                        epoch,
-                    };
-                    Some(rec.class)
-                } else {
-                    *ic_misses += 1;
-                    None
-                };
-                match local_class {
-                    Some(callee) => {
+                match ic_check!(site, target) {
+                    Some((callee, hit)) => {
                         *mutator_seconds += cost.field_access_micros / 1e6 / speed;
                         if callee != f.class {
-                            pending.push(PendingEvent::Interaction(Interaction {
-                                caller: f.class,
-                                callee,
-                                target: Some(target),
-                                kind: InteractionKind::FieldAccess,
-                                bytes: bytes as u64,
-                                remote: false,
-                            }));
+                            if tally && hit {
+                                count_hit!(site);
+                            } else {
+                                pending.push(PendingEvent::Interaction(Interaction {
+                                    caller: f.class,
+                                    callee,
+                                    target: Some(target),
+                                    kind: InteractionKind::FieldAccess,
+                                    bytes: bytes as u64,
+                                    remote: false,
+                                }));
+                            }
                             hook_charge!();
                         }
                         f.ip += 1;
@@ -1858,13 +2046,15 @@ fn flat_burst(
                     });
                 }
                 *mutator_seconds += (cost.native_base_micros + work_micros as f64) / 1e6 / speed;
-                pending.push(PendingEvent::Native {
-                    caller: f.class,
-                    kind,
-                    work_micros,
-                    bytes,
-                    remote: false,
-                });
+                if !tally {
+                    pending.push(PendingEvent::Native {
+                        caller: f.class,
+                        kind,
+                        work_micros,
+                        bytes,
+                        remote: false,
+                    });
+                }
                 hook_charge!();
                 f.ip += 1;
             }
@@ -1890,12 +2080,14 @@ fn flat_burst(
                 }
                 *mutator_seconds += cost.static_access_micros / 1e6 / speed;
                 *statics_accesses += 1;
-                pending.push(PendingEvent::StaticAccess {
-                    accessor: f.class,
-                    class,
-                    bytes: bytes as u64,
-                    remote: false,
-                });
+                if !tally {
+                    pending.push(PendingEvent::StaticAccess {
+                        accessor: f.class,
+                        class,
+                        bytes: bytes as u64,
+                        remote: false,
+                    });
+                }
                 hook_charge!();
                 f.ip += 1;
             }
@@ -1923,10 +2115,12 @@ fn flat_burst(
                 }
             }
             FlatOp::Return => {
-                pending.push(PendingEvent::MethodExit {
-                    class: f.class,
-                    method: f.method,
-                });
+                if !tally {
+                    pending.push(PendingEvent::MethodExit {
+                        class: f.class,
+                        method: f.method,
+                    });
+                }
                 state.frames.pop();
                 state.values.truncate(f.base as usize);
                 state.loops.truncate(f.loop_base as usize);
