@@ -253,7 +253,7 @@ pub fn dia(scale: Scale) -> App {
     let load_passes = (layers * 6 / 10).max(1);
     let tiles_per_pass = layers * layer_tiles / load_passes;
     for (li, group) in groups.iter().enumerate().take(layers as usize) {
-        // The filter pass materializes a history layer of new tiles.
+        // The filter pass allocates a history layer of new tiles.
         body.push(Op::New {
             class: layer,
             scalar_bytes: 400,

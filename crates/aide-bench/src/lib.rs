@@ -93,7 +93,7 @@ impl Workloads {
         })
     }
 
-    /// [`rescue`](Workloads::rescue)'s report, if a section ran it.
+    /// The report of §5.1's JavaNote rescue, if a section ran it.
     pub fn rescue_if_run(&self) -> Option<&PlatformReport> {
         self.rescue.get()
     }
@@ -162,12 +162,13 @@ pub(crate) fn write_row(
     writeln!(out, "  {label:<44} {value}")
 }
 
-/// [`write_header`] to stdout, for the host-time binaries.
+/// A section's rules-style header, written to stdout, for the host-time
+/// binaries.
 pub fn header(title: &str, paper_ref: &str) {
     write_header(&mut io::stdout(), title, paper_ref).expect("stdout");
 }
 
-/// [`write_row`] to stdout, for the host-time binaries.
+/// A two-column aligned row, written to stdout, for the host-time binaries.
 pub fn row(label: &str, value: impl std::fmt::Display) {
     write_row(&mut io::stdout(), label, value).expect("stdout");
 }

@@ -10,7 +10,7 @@ use aide_emu::{
     PolicyGrid, Trace, TraceEvent,
 };
 use aide_graph::{
-    candidate_partitionings, density_candidates, stoer_wagner, MemoryPolicy, PartitionPolicy,
+    density_candidates, plan_candidates, stoer_wagner, MemoryPolicy, PartitionPolicy,
     ResourceSnapshot,
 };
 use aide_vm::{
@@ -499,19 +499,19 @@ pub fn ablate_mincut(w: &Workloads, out: &mut dyn Write) -> io::Result<()> {
     // Candidate-sweep heuristics + the paper's memory policy.
     let policy = MemoryPolicy::new(0.20);
     let snapshot = ResourceSnapshot::new(PAPER_HEAP, PAPER_HEAP - PAPER_HEAP / 50);
-    for (label, candidates) in [
-        ("modified-MINCUT (paper)", candidate_partitionings(&graph)),
+    for (label, plan) in [
+        ("modified-MINCUT (paper)", plan_candidates(&graph)),
         (
             "memory-density (ours, paper §8)",
             density_candidates(&graph),
         ),
     ] {
         let stats = policy
-            .select(&graph, snapshot, &candidates)
+            .select(&graph, snapshot, &plan)
             .expect("a feasible candidate")
             .stats;
         writeln!(out)?;
-        row(out, &format!("{label}: candidates"), candidates.len())?;
+        row(out, &format!("{label}: candidates"), plan.len())?;
         row(
             out,
             "  selected partitioning frees",

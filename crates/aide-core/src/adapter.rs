@@ -334,11 +334,11 @@ impl RemoteAdapter {
     }
 }
 
-/// Each method sends its request through [`RemoteAdapter::call`]; `None` back
+/// Each method sends its request through the adapter's `call`; `None` back
 /// means the surrogate is gone and its objects are home again, so the
 /// touch is served by the local interpreter. A touch whose reply carries
-/// nothing — an invocation too, when [`RemoteAdapter::admits`] it — goes
-/// through [`RemoteAdapter::defer`] instead, and is not waited for.
+/// nothing — an invocation too, when the adapter's `admits` rule lets it —
+/// goes through its `defer` instead, and is not waited for.
 impl RemoteAccess for RemoteAdapter {
     fn invoke(
         &self,

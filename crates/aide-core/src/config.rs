@@ -8,7 +8,6 @@ use aide_vm::{CostModel, GcConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::monitor::TriggerConfig;
-use crate::partitioner::PartitionerConfig;
 
 /// Which partitioning policy the platform applies.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -112,11 +111,6 @@ pub struct PlatformConfig {
     pub cost: CostModel,
     /// Carrier for the RPC link.
     pub transport: TransportKind,
-    /// Incremental-partitioner tuning: the dirty-region churn threshold.
-    /// The default (never skip) reproduces the classic
-    /// evaluate-every-trigger pipeline.
-    #[serde(default)]
-    pub partitioner: PartitionerConfig,
     /// Optional fault injection on the client↔surrogate sessions: both
     /// directions are wrapped in a seeded chaos shim (hostile soak runs,
     /// record/replay tests). `None` leaves the carrier untouched.
@@ -147,7 +141,6 @@ impl PlatformConfig {
             gc: GcConfig::default(),
             cost: CostModel::default(),
             transport: TransportKind::InProcess,
-            partitioner: PartitionerConfig::default(),
             chaos: None,
         }
     }
@@ -203,17 +196,17 @@ mod tests {
     fn configs_without_a_partitioner_section_still_parse() {
         let c = PlatformConfig::prototype(6 << 20);
         let json = serde_json::to_string(&c).unwrap();
-        let value: serde_json::Value = serde_json::from_str(&json).unwrap();
-        // Two pre-existing shapes: a section with the `eval` key older
-        // writers put there (every `traces/` header has it), and no section.
-        let mut stale = value.clone();
-        stale["partitioner"]["eval"] = "Sequential".into();
-        let mut absent = value;
-        absent.as_object_mut().unwrap().remove("partitioner");
-        for old in [stale, absent] {
-            let back: PlatformConfig = serde_json::from_str(&old.to_string()).unwrap();
-            assert_eq!(back.partitioner, PartitionerConfig::default());
-            assert_eq!(back, c, "{old}");
-        }
+        let mut value: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert!(value.get("partitioner").is_none());
+        // The section older writers put there, as a `traces/` header
+        // carries it, is ignored.
+        let trace = include_str!("../../../traces/editor.trace.jsonl");
+        let header: serde_json::Value =
+            serde_json::from_str(trace.lines().next().unwrap()).unwrap();
+        let old = header["Header"]["config"]["partitioner"].clone();
+        assert!(old.is_object(), "{header}");
+        value["partitioner"] = old;
+        let back: PlatformConfig = serde_json::from_str(&value.to_string()).unwrap();
+        assert_eq!(back, c);
     }
 }

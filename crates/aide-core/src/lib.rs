@@ -66,8 +66,7 @@ pub use monitor::{Monitor, MonitorMetrics, NodeKey, RemoteStats, TriggerConfig};
 pub use nondet::{LiveSource, MigrationRecord, NondetSource, TriggerSample};
 pub use offload::{execute_offload_tracked, OffloadOutcome, TrackedOffload};
 pub use partitioner::{
-    decide_with, EpochDecision, HeuristicKind, IncrementalPartitioner, PartitionDecision,
-    PartitionerConfig,
+    decide_with, HeuristicKind, IncrementalPartitioner, PartitionDecision, PartitionerConfig,
 };
 pub use platform::{OffloadEvent, Platform, PlatformReport};
 pub use relay::{RelayShipment, RelaySink};

@@ -444,8 +444,8 @@ impl Monitor {
     /// Drains the changes observed since the previous drain as a batch of
     /// [`GraphDelta`]s, plus the current [`NodeKey`] of every node.
     ///
-    /// Applying every drained batch, in order, to an
-    /// [`aide_graph::IncrementalGraph`] yields exactly the graph
+    /// Applying every drained batch, in order, with
+    /// [`ExecutionGraph::apply_all`] yields exactly the graph
     /// [`snapshot`](Monitor::snapshot) would return at the same moment —
     /// the snapshot's clamping (negative memory balances floor at zero,
     /// fractional CPU microseconds round) is performed here, once, on the
@@ -1013,11 +1013,11 @@ mod tests {
         m.on_interaction(interaction(0, 1, 100, false));
         m.on_work(ClassId(1), 30.4);
 
-        let mut inc = aide_graph::IncrementalGraph::new();
+        let mut applied = ExecutionGraph::new();
         let (deltas, keys) = m.drain_deltas();
-        inc.apply_all(&deltas);
+        applied.apply_all(&deltas);
         let (snap, snap_keys) = m.snapshot();
-        assert_eq!(inc.graph(), &snap);
+        assert_eq!(applied, snap);
         assert_eq!(keys, snap_keys);
 
         // More activity: the next batch carries only the changes.
@@ -1026,9 +1026,9 @@ mod tests {
         m.on_alloc(ClassId(1), ObjectId::client(1), 500);
         let (deltas, _) = m.drain_deltas();
         assert_eq!(deltas.len(), 3, "two updates + one edge: {deltas:?}");
-        inc.apply_all(&deltas);
+        applied.apply_all(&deltas);
         let (snap, _) = m.snapshot();
-        assert_eq!(inc.graph(), &snap);
+        assert_eq!(applied, snap);
 
         // Quiescent: the next drain is empty.
         let (deltas, _) = m.drain_deltas();
@@ -1048,11 +1048,11 @@ mod tests {
             bytes: 64,
             remote: false,
         });
-        let mut inc = aide_graph::IncrementalGraph::new();
+        let mut applied = ExecutionGraph::new();
         let (deltas, keys) = m.drain_deltas();
-        inc.apply_all(&deltas);
+        applied.apply_all(&deltas);
         let (snap, snap_keys) = m.snapshot();
-        assert_eq!(inc.graph(), &snap);
+        assert_eq!(applied, snap);
         assert_eq!(keys, snap_keys);
         assert!(keys.contains(&NodeKey::Object(a1)));
     }

@@ -349,7 +349,7 @@ pub fn execute_offload_tracked(
 mod tests {
     use super::*;
     use aide_graph::{
-        candidate_partitionings, EdgeInfo, ExecutionGraph, MemoryPolicy, NodeInfo, PartitionPolicy,
+        plan_candidates, EdgeInfo, ExecutionGraph, MemoryPolicy, NodeInfo, PartitionPolicy,
         PinReason, ResourceSnapshot,
     };
     use aide_rpc::{EndpointConfig, Link};
@@ -397,7 +397,7 @@ mod tests {
         let doc = g.add_node(NodeInfo::new("Document"));
         g.node_mut(doc).memory_bytes = doc_bytes;
         g.record_interaction(main, doc, EdgeInfo::new(5, 100));
-        let cands = candidate_partitionings(&g);
+        let cands = plan_candidates(&g);
         let sel = MemoryPolicy::new(1e-6)
             .select(&g, ResourceSnapshot::new(1 << 20, 1 << 19), &cands)
             .expect("feasible");
@@ -509,7 +509,7 @@ mod tests {
         g.node_mut(a1).memory_bytes = 10_000;
         g.record_interaction(main, a0, EdgeInfo::new(100, 10_000));
         g.record_interaction(main, a1, EdgeInfo::new(1, 10));
-        let cands = candidate_partitionings(&g);
+        let cands = plan_candidates(&g);
         // Free at least ~1% of a 1 MiB heap => one 10 KB object suffices.
         let sel = MemoryPolicy::new(0.009)
             .select(&g, ResourceSnapshot::new(1 << 20, 1 << 19), &cands)
@@ -535,7 +535,7 @@ mod tests {
 mod failure_tests {
     use super::*;
     use aide_graph::{
-        candidate_partitionings, EdgeInfo, ExecutionGraph, MemoryPolicy, NodeInfo, PartitionPolicy,
+        plan_candidates, EdgeInfo, ExecutionGraph, MemoryPolicy, NodeInfo, PartitionPolicy,
         PinReason, ResourceSnapshot,
     };
     use aide_rpc::{EndpointConfig, Link};
@@ -598,7 +598,7 @@ mod failure_tests {
         let d = g.add_node(NodeInfo::new("Document"));
         g.node_mut(d).memory_bytes = 3_000_000;
         g.record_interaction(m, d, EdgeInfo::new(5, 100));
-        let cands = candidate_partitionings(&g);
+        let cands = plan_candidates(&g);
         let sel = MemoryPolicy::new(0.1)
             .select(&g, ResourceSnapshot::new(4 << 20, 3 << 20), &cands)
             .expect("feasible on paper");

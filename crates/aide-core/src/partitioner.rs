@@ -1,22 +1,20 @@
 //! The partitioning module: candidate generation plus policy selection.
 //!
-//! Thin orchestration over [`aide_graph`]: snapshot the monitor's execution
-//! graph, run the modified-MINCUT heuristic, let the configured policy pick
-//! the best feasible candidate, and time the whole decision (the paper
-//! reports ≈0.1 s for JavaNote's 138-class graph on a 600 MHz Pentium).
+//! Thin orchestration over [`aide_graph`]: a heuristic plans its candidate
+//! sweep as a [`CandidatePlan`](aide_graph::CandidatePlan), the configured
+//! policy folds over it once and keeps the best feasible candidate, and the
+//! whole decision is timed (the paper reports ≈0.1 s for JavaNote's
+//! 138-class graph on a 600 MHz Pentium).
 //!
-//! Both the modified-MINCUT plan and its policy sweep visit each edge a
-//! bounded number of times, O((V + E) log V) per decision; the
-//! memory-density sweep is O(V² + E) and its materialized candidates are
-//! scored from scratch, O(V · (V + E)).
+//! The modified-MINCUT plan is O((V + E) log V) and the memory-density plan
+//! O(V² + E); the fold over either visits each edge a bounded number of
+//! times, O(V + E).
 //!
 //! [`IncrementalPartitioner`] is the epoch-driven variant the platform
 //! runs: it maintains the execution graph from [`GraphDelta`] batches
-//! (O(delta) per epoch instead of a from-scratch rebuild), runs the
-//! plan-based heuristic, and skips whole epochs when churn since the last
-//! decision stays below a threshold (the dirty-region shortcut). Decisions
-//! are bit-identical to the classic [`decide_with`] pipeline on the same
-//! graph: both run one candidate step.
+//! (O(delta) per epoch instead of a from-scratch rebuild) and evaluates
+//! every trigger. Its decisions are bit-identical to [`decide_with`] on the
+//! same graph: both run one candidate step.
 //!
 //! [`IncrementalPartitioner::decide`] is the decision epoch itself, from a
 //! trigger's [`TriggerSample`] to its verdict, with the flight-recorder
@@ -28,8 +26,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aide_graph::{
-    density_candidates, plan_candidates, ChurnSummary, ExecutionGraph, GraphDelta,
-    IncrementalGraph, PartitionPolicy, ResourceSnapshot, SelectedPartition,
+    density_candidates, plan_candidates, ExecutionGraph, GraphDelta, PartitionPolicy,
+    ResourceSnapshot, SelectedPartition,
 };
 use aide_telemetry::PlatformEvent;
 use serde::{Deserialize, Serialize};
@@ -58,8 +56,6 @@ pub struct PartitionDecision {
     pub candidates_evaluated: usize,
     /// Wall-clock time the decision took.
     pub elapsed: Duration,
-    /// The graph the decision was computed over.
-    pub graph: ExecutionGraph,
 }
 
 impl PartitionDecision {
@@ -77,87 +73,44 @@ pub fn decide_with(
     policy: &dyn PartitionPolicy,
     heuristic: HeuristicKind,
 ) -> PartitionDecision {
-    let start = Instant::now();
-    let (selection, candidates_evaluated) = select(&graph, snapshot, policy, heuristic);
-    PartitionDecision {
-        selection,
-        candidates_evaluated,
-        elapsed: start.elapsed(),
-        graph,
-    }
+    select(&graph, snapshot, policy, heuristic)
 }
 
-/// The candidate step of every decision: candidates from `heuristic`, then
-/// the policy's selection, and how many candidates there were. The
-/// modified-MINCUT sweep is planned and swept without materializing its
-/// candidates ([`PartitionPolicy::select_plan`]); the density sweep's
-/// candidates are materialized and go through [`PartitionPolicy::select`].
+/// The candidate step of every decision: the plan by `heuristic`, then the
+/// policy's one fold over it, timed.
 fn select(
     graph: &ExecutionGraph,
     snapshot: ResourceSnapshot,
     policy: &dyn PartitionPolicy,
     heuristic: HeuristicKind,
-) -> (Option<SelectedPartition>, usize) {
-    match heuristic {
-        HeuristicKind::ModifiedMincut => {
-            let plan = plan_candidates(graph);
-            (policy.select_plan(graph, snapshot, &plan), plan.len())
-        }
-        HeuristicKind::MemoryDensity => {
-            let candidates = density_candidates(graph);
-            (
-                policy.select(graph, snapshot, &candidates),
-                candidates.len(),
-            )
-        }
+) -> PartitionDecision {
+    let start = Instant::now();
+    let plan = match heuristic {
+        HeuristicKind::ModifiedMincut => plan_candidates(graph),
+        HeuristicKind::MemoryDensity => density_candidates(graph),
+    };
+    PartitionDecision {
+        selection: policy.select(graph, snapshot, &plan),
+        candidates_evaluated: plan.len(),
+        elapsed: start.elapsed(),
     }
 }
 
-/// Tuning for the [`IncrementalPartitioner`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(default)]
-pub struct PartitionerConfig {
-    /// Skip an evaluation epoch when the weight-equivalent churn since the
-    /// last evaluated epoch is below this threshold (and nothing structural
-    /// changed). `0` — the default — never skips, matching the classic
-    /// evaluate-every-trigger behavior.
-    pub churn_threshold: u64,
-}
-
-/// The outcome of one [`IncrementalPartitioner::epoch`].
-#[derive(Debug)]
-pub struct EpochDecision {
-    /// The selected partitioning, or `None` when the epoch was skipped or
-    /// the policy judged no candidate feasible and beneficial.
-    pub selection: Option<SelectedPartition>,
-    /// Whether the dirty-region shortcut skipped evaluation entirely.
-    pub skipped: bool,
-    /// Number of candidate partitionings the heuristic produced (0 when
-    /// skipped).
-    pub candidates_evaluated: usize,
-    /// Wall-clock time the evaluation took (zero when skipped).
-    pub elapsed: Duration,
-    /// Churn accumulated since the last evaluated epoch, as seen by this
-    /// epoch's skip decision.
-    pub churn: ChurnSummary,
-}
+/// Tuning for the [`IncrementalPartitioner`]. It has no knobs: every
+/// trigger is evaluated.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PartitionerConfig;
 
 /// Epoch-driven partitioning over an incrementally maintained graph.
 ///
 /// Feed it the monitor's drained [`GraphDelta`] batches with
 /// [`apply_deltas`](IncrementalPartitioner::apply_deltas), then ask for a
 /// decision with [`epoch`](IncrementalPartitioner::epoch). Between epochs
-/// the graph stays warm, so an epoch rebuilds nothing and materializes no
-/// candidate: the heuristic and the policy each visit a moved node's own
-/// edges only, O((V + E) log V) for the epoch.
+/// the graph stays warm, so an epoch rebuilds nothing: the heuristic and
+/// the policy each visit a moved node's own edges only.
 pub struct IncrementalPartitioner {
-    config: PartitionerConfig,
-    inc: IncrementalGraph,
-    /// Whether at least one epoch has actually been evaluated (the shortcut
-    /// never skips the first evaluation).
-    evaluated_once: bool,
+    graph: ExecutionGraph,
     epochs: Arc<aide_telemetry::Counter>,
-    epochs_skipped: Arc<aide_telemetry::Counter>,
     deltas_applied: Arc<aide_telemetry::Counter>,
     eval_micros: Arc<aide_telemetry::Histogram>,
 }
@@ -165,28 +118,18 @@ pub struct IncrementalPartitioner {
 impl std::fmt::Debug for IncrementalPartitioner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IncrementalPartitioner")
-            .field("config", &self.config)
-            .field("nodes", &self.inc.graph().node_count())
-            .field("evaluated_once", &self.evaluated_once)
+            .field("nodes", &self.graph.node_count())
             .finish()
     }
 }
 
 impl IncrementalPartitioner {
     /// Creates an empty incremental partitioner.
-    pub fn new(config: PartitionerConfig) -> Self {
-        IncrementalPartitioner::with_graph(config, IncrementalGraph::new())
-    }
-
-    /// Creates a partitioner over an existing incremental graph.
-    pub fn with_graph(config: PartitionerConfig, inc: IncrementalGraph) -> Self {
+    pub fn new(_config: PartitionerConfig) -> Self {
         let telemetry = aide_telemetry::global();
         IncrementalPartitioner {
-            config,
-            inc,
-            evaluated_once: false,
+            graph: ExecutionGraph::new(),
             epochs: telemetry.counter(aide_telemetry::names::PARTITION_EPOCHS),
-            epochs_skipped: telemetry.counter(aide_telemetry::names::PARTITION_EPOCHS_SKIPPED),
             deltas_applied: telemetry.counter(aide_telemetry::names::GRAPH_DELTAS_APPLIED),
             eval_micros: telemetry.histogram(
                 aide_telemetry::names::PARTITION_EVAL_MICROS,
@@ -195,56 +138,39 @@ impl IncrementalPartitioner {
         }
     }
 
-    /// The active tuning.
-    pub fn config(&self) -> PartitionerConfig {
-        self.config
-    }
-
     /// The maintained execution graph.
     pub fn graph(&self) -> &ExecutionGraph {
-        self.inc.graph()
-    }
-
-    /// Churn accumulated since the last evaluated epoch.
-    pub fn pending_churn(&self) -> ChurnSummary {
-        self.inc.churn()
+        &self.graph
     }
 
     /// Applies a batch of monitor deltas in O(delta).
     pub fn apply_deltas(&mut self, deltas: &[GraphDelta]) {
-        self.inc.apply_all(deltas);
+        self.graph.apply_all(deltas);
         self.deltas_applied.add(deltas.len() as u64);
     }
 
-    /// Runs one decision epoch with the modified-MINCUT heuristic.
-    ///
-    /// When churn since the last evaluated epoch is below the configured
-    /// threshold (and nothing structural changed), the epoch is skipped
-    /// outright: the churn keeps accumulating so a later epoch sees the
-    /// full backlog. Otherwise the plan-based heuristic runs and the policy
-    /// sweeps the plan — producing exactly the selection the classic
-    /// [`decide_with`] pipeline would make on this graph.
+    /// Runs one decision epoch with the modified-MINCUT heuristic:
+    /// exactly the selection [`decide_with`] makes on this graph.
     pub fn epoch(
         &mut self,
         snapshot: ResourceSnapshot,
         policy: &dyn PartitionPolicy,
-    ) -> EpochDecision {
+    ) -> PartitionDecision {
         self.evaluate(snapshot, policy, HeuristicKind::ModifiedMincut)
     }
 
     /// The decision epoch of a fired trigger: applies the sample's deltas,
     /// decides under `heuristic`, and hands `record` the events that explain
-    /// the verdict — `TriggerFired`, then `EpochSkipped`, or
-    /// `CandidatesEvaluated` followed by `OffloadDeclined` or
-    /// `WinnerChosen`. The caller stamps the events, acts on the verdict
-    /// and resets its trigger.
+    /// the verdict — `TriggerFired`, `CandidatesEvaluated`, then
+    /// `OffloadDeclined` or `WinnerChosen`. The caller stamps the events,
+    /// acts on the verdict and resets its trigger.
     pub fn decide(
         &mut self,
         sample: &TriggerSample,
         policy: &dyn PartitionPolicy,
         heuristic: HeuristicKind,
         record: &mut dyn FnMut(PlatformEvent),
-    ) -> EpochDecision {
+    ) -> PartitionDecision {
         record(PlatformEvent::TriggerFired {
             at_gc_cycle: sample.at_gc_cycle,
             heap_used: sample.snapshot.heap_used,
@@ -253,13 +179,6 @@ impl IncrementalPartitioner {
         });
         self.apply_deltas(&sample.deltas);
         let decision = self.evaluate(sample.snapshot, policy, heuristic);
-        if decision.skipped {
-            record(PlatformEvent::EpochSkipped {
-                churn_weight: decision.churn.weight,
-                threshold: self.config.churn_threshold,
-            });
-            return decision;
-        }
         let candidates = decision.candidates_evaluated;
         record(PlatformEvent::CandidatesEvaluated {
             candidates,
@@ -281,34 +200,12 @@ impl IncrementalPartitioner {
         snapshot: ResourceSnapshot,
         policy: &dyn PartitionPolicy,
         heuristic: HeuristicKind,
-    ) -> EpochDecision {
-        let churn = self.inc.churn();
-        if self.evaluated_once && !churn.structural && churn.weight < self.config.churn_threshold {
-            self.epochs_skipped.inc();
-            return EpochDecision {
-                selection: None,
-                skipped: true,
-                candidates_evaluated: 0,
-                elapsed: Duration::ZERO,
-                churn,
-            };
-        }
-        let start = Instant::now();
-        let (selection, candidates_evaluated) =
-            select(self.inc.graph(), snapshot, policy, heuristic);
-        let elapsed = start.elapsed();
-        self.inc.take_churn();
-        self.evaluated_once = true;
+    ) -> PartitionDecision {
+        let decision = select(&self.graph, snapshot, policy, heuristic);
         self.epochs.inc();
         self.eval_micros
-            .observe(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
-        EpochDecision {
-            selection,
-            skipped: false,
-            candidates_evaluated,
-            elapsed,
-            churn,
-        }
+            .observe(u64::try_from(decision.elapsed.as_micros()).unwrap_or(u64::MAX));
+        decision
     }
 }
 
@@ -391,15 +288,17 @@ mod tests {
         let snapshot = ResourceSnapshot::new(6_000_000, 5_900_000);
         let policy = MemoryPolicy::new(0.2);
 
-        let mut part = IncrementalPartitioner::new(PartitionerConfig::default());
+        let mut part = IncrementalPartitioner::new(PartitionerConfig);
         part.apply_deltas(&graph_deltas());
         assert_eq!(part.graph(), &graph());
 
-        let epoch = part.epoch(snapshot, &policy);
         let classic = decide_with(graph(), snapshot, &policy, HeuristicKind::ModifiedMincut);
-        assert!(!epoch.skipped);
-        assert_eq!(epoch.candidates_evaluated, classic.candidates_evaluated);
-        assert_eq!(epoch.selection, classic.selection);
+        // Every epoch evaluates, also one that saw no deltas since the last.
+        for _ in 0..2 {
+            let epoch = part.epoch(snapshot, &policy);
+            assert_eq!(epoch.candidates_evaluated, classic.candidates_evaluated);
+            assert_eq!(epoch.selection, classic.selection);
+        }
     }
 
     /// `decide` runs the heuristic it is asked for, on a graph where the
@@ -407,27 +306,35 @@ mod tests {
     /// platform records it.
     #[test]
     fn decide_runs_the_requested_heuristic_and_reports_the_epoch() {
-        let mut g = ExecutionGraph::new();
-        let ui = g.add_node(NodeInfo::pinned("Ui", PinReason::NativeMethods));
-        let [a, b, c] = [("A", 4), ("B", 3), ("C", 1)].map(|(label, mb)| {
-            let id = g.add_node(NodeInfo::new(label));
-            g.node_mut(id).memory_bytes = mb * 1_000_000;
-            id
-        });
-        for (x, bytes) in [(ui, 100), (a, 100), (b, 300)] {
-            g.record_interaction(x, c, EdgeInfo::new(bytes / 10, bytes));
+        let mut deltas: Vec<GraphDelta> = [("Ui", 0), ("A", 4), ("B", 3), ("C", 1)]
+            .into_iter()
+            .map(|(label, mb)| GraphDelta::AddNode {
+                label: label.into(),
+                pinned: (label == "Ui").then_some(PinReason::NativeMethods),
+                memory_bytes: mb * 1_000_000,
+                cpu_micros: 0,
+                live_objects: 0,
+            })
+            .collect();
+        for (x, bytes) in [(0, 100), (1, 100), (2, 300)] {
+            deltas.push(GraphDelta::Interaction {
+                a: aide_graph::NodeId(x),
+                b: aide_graph::NodeId(3),
+                delta: EdgeInfo::new(bytes / 10, bytes),
+            });
         }
+        let mut g = ExecutionGraph::new();
+        g.apply_all(&deltas);
         let sample = TriggerSample {
             at_gc_cycle: 3,
             reason: "memory-pressure".into(),
             snapshot: ResourceSnapshot::new(6_000_000, 5_900_000),
-            deltas: Vec::new(),
+            deltas,
             keys: Vec::new(),
         };
         let policy = MemoryPolicy::new(0.2);
         let offloaded = [HeuristicKind::ModifiedMincut, HeuristicKind::MemoryDensity].map(|h| {
-            let inc = IncrementalGraph::from_graph(g.clone());
-            let mut part = IncrementalPartitioner::with_graph(PartitionerConfig::default(), inc);
+            let mut part = IncrementalPartitioner::new(PartitionerConfig);
             let mut events = Vec::new();
             let epoch = part.decide(&sample, &policy, h, &mut |event| events.push(event));
             let classic = decide_with(g.clone(), sample.snapshot, &policy, h);
@@ -447,95 +354,5 @@ mod tests {
             winner.stats.offloaded_memory_bytes
         });
         assert_eq!(offloaded, [8_000_000, 4_000_000]);
-    }
-
-    #[test]
-    fn churn_threshold_skips_quiet_epochs() {
-        let snapshot = ResourceSnapshot::new(100_000_000, 90_000_000);
-        let policy = MemoryPolicy::new(0.9);
-        let config = PartitionerConfig {
-            churn_threshold: 1_000,
-        };
-        let mut part = IncrementalPartitioner::new(config);
-        part.apply_deltas(&graph_deltas());
-
-        // The first epoch always evaluates, even though AddNode churn is
-        // structural anyway.
-        let first = part.epoch(snapshot, &policy);
-        assert!(!first.skipped);
-
-        // Tiny churn below the threshold: skip.
-        part.apply_deltas(&[GraphDelta::Interaction {
-            a: aide_graph::NodeId(0),
-            b: aide_graph::NodeId(1),
-            delta: EdgeInfo::new(1, 50),
-        }]);
-        let quiet = part.epoch(snapshot, &policy);
-        assert!(quiet.skipped);
-        assert!(quiet.selection.is_none());
-        assert_eq!(quiet.candidates_evaluated, 0);
-        assert_eq!(quiet.churn.weight, 51);
-
-        // Churn accumulates across skipped epochs; once the running total
-        // crosses the threshold the backlog forces an evaluation.
-        part.apply_deltas(&[GraphDelta::Interaction {
-            a: aide_graph::NodeId(0),
-            b: aide_graph::NodeId(1),
-            delta: EdgeInfo::new(9, 991),
-        }]);
-        let loud = part.epoch(snapshot, &policy);
-        assert!(!loud.skipped);
-        assert_eq!(loud.churn.weight, 51 + 1_000);
-
-        // Evaluation resets the backlog.
-        assert_eq!(part.pending_churn(), ChurnSummary::default());
-    }
-
-    #[test]
-    fn structural_churn_always_forces_evaluation() {
-        let snapshot = ResourceSnapshot::new(100_000_000, 90_000_000);
-        let policy = MemoryPolicy::new(0.9);
-        let config = PartitionerConfig {
-            churn_threshold: u64::MAX,
-        };
-        let mut part = IncrementalPartitioner::new(config);
-        part.apply_deltas(&graph_deltas());
-        part.epoch(snapshot, &policy);
-
-        part.apply_deltas(&[GraphDelta::AddNode {
-            label: "New".into(),
-            pinned: None,
-            memory_bytes: 10,
-            cpu_micros: 0,
-            live_objects: 1,
-        }]);
-        let epoch = part.epoch(snapshot, &policy);
-        assert!(!epoch.skipped, "node addition must invalidate the shortcut");
-        assert!(epoch.churn.structural);
-    }
-
-    #[test]
-    fn zero_threshold_never_skips() {
-        let snapshot = ResourceSnapshot::new(100_000_000, 90_000_000);
-        let policy = MemoryPolicy::new(0.9);
-        let mut part = IncrementalPartitioner::new(PartitionerConfig::default());
-        part.apply_deltas(&graph_deltas());
-        part.epoch(snapshot, &policy);
-        // No deltas at all — churn weight 0 is still not < threshold 0.
-        let epoch = part.epoch(snapshot, &policy);
-        assert!(!epoch.skipped);
-    }
-
-    #[test]
-    fn partitioner_config_serde_round_trips() {
-        let config = PartitionerConfig {
-            churn_threshold: 4_096,
-        };
-        let json = serde_json::to_string(&config).unwrap();
-        let back: PartitionerConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(config, back);
-        // Missing fields fall back to the never-skip default.
-        let empty: PartitionerConfig = serde_json::from_str("{}").unwrap();
-        assert_eq!(empty, PartitionerConfig::default());
     }
 }

@@ -39,7 +39,7 @@ use crate::failover::{
 use crate::monitor::{Monitor, MonitorMetrics, RemoteStats};
 use crate::nondet::{LiveSource, MigrationRecord, NondetSource, TriggerSample};
 use crate::offload::{execute_offload_tracked, OffloadOutcome, TrackedOffload};
-use crate::partitioner::{HeuristicKind, IncrementalPartitioner};
+use crate::partitioner::{HeuristicKind, IncrementalPartitioner, PartitionerConfig};
 use crate::relay::RelaySink;
 
 /// Flight-recorder capacity per run: ample for every decision of a run
@@ -238,16 +238,7 @@ impl Controller {
             &mut |event| self.recorder.record(event),
         );
         epoch_span.arg("candidates", decision.candidates_evaluated);
-        epoch_span.arg("skipped", decision.skipped);
         drop(epoch_span);
-        if decision.skipped {
-            // Dirty-region shortcut: churn since the last evaluation stayed
-            // below the configured threshold, so the previous decision
-            // stands without re-running the heuristic.
-            decision_span.arg("outcome", "epoch_skipped");
-            self.monitor.reset_memory_trigger();
-            return;
-        }
         let Some(selection) = decision.selection else {
             // Not beneficial / not feasible: leave the trigger armed only if
             // pressure persists (the monitor will re-fire).
@@ -790,7 +781,7 @@ impl Platform {
         let controller = Arc::new(Controller {
             monitor: monitor.clone(),
             policy: cfg.policy.build(cfg.comm, cfg.surrogate_speed),
-            partitioner: Mutex::new(IncrementalPartitioner::new(cfg.partitioner)),
+            partitioner: Mutex::new(IncrementalPartitioner::new(PartitionerConfig)),
             evaluation: cfg.evaluation,
             bound: Mutex::new(None),
             tables: tables.clone(),

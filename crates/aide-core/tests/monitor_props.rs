@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use aide_core::{Monitor, NodeKey, TriggerConfig};
-use aide_graph::{EdgeInfo, GraphDelta, IncrementalGraph};
+use aide_graph::{EdgeInfo, ExecutionGraph, GraphDelta};
 use aide_vm::{
     ClassId, GcReport, Interaction, InteractionKind, MethodDef, MethodId, NativeKind, ObjectId,
     PendingEvent, Program, ProgramBuilder, RuntimeHooks,
@@ -381,9 +381,9 @@ fn batched_delivery_is_indistinguishable_from_per_event_delivery() {
             assert_eq!(per_event, batched, "seed {seed}, granular {granular}");
 
             // The drained batches, applied in order, rebuild the snapshot.
-            let mut inc = IncrementalGraph::new();
-            inc.apply_all(&batched.deltas);
-            assert_eq!(inc.graph(), &batched.snapshot.0, "seed {seed}");
+            let mut applied = ExecutionGraph::new();
+            applied.apply_all(&batched.deltas);
+            assert_eq!(applied, batched.snapshot.0, "seed {seed}");
 
             // The stream exercised what it claims to.
             assert!(batched.metrics.interaction_events > 500);

@@ -4,14 +4,15 @@
 //! `Baseline` records in section order. Every line is independently
 //! parseable, so traces diff and grep well. Anything else — bytes that
 //! are not UTF-8, a line that is not one of the three records, an input
-//! kind this version does not replay — is a [`TraceError`], never a
-//! panic.
+//! kind this version does not replay, a graph delta naming a node no
+//! earlier delta added — is a [`TraceError`], never a panic.
 
 use std::path::Path;
 
+use aide_graph::GraphDelta;
 use serde::{Deserialize, Serialize};
 
-use crate::event::{ReplayTrace, TraceHeader, TRACE_VERSION};
+use crate::event::{ReplayEvent, ReplayTrace, TraceHeader, TRACE_VERSION};
 
 /// Why a trace could not be encoded, decoded, or loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,11 +74,13 @@ pub fn to_json_lines(trace: &ReplayTrace) -> String {
 /// # Errors
 ///
 /// [`TraceError::Parse`] on any malformed line, [`TraceError::Empty`] /
-/// [`TraceError::Corrupt`] on section violations,
-/// [`TraceError::UnsupportedVersion`] on a version mismatch.
+/// [`TraceError::Corrupt`] on section violations or a node id no earlier
+/// `AddNode` minted, [`TraceError::UnsupportedVersion`] on a version
+/// mismatch.
 pub fn from_json_lines(text: &str) -> Result<ReplayTrace, TraceError> {
     let mut header: Option<TraceHeader> = None;
     let mut inputs = Vec::new();
+    let mut nodes_added = 0;
     let mut baseline = Vec::new();
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         let record = serde_json::from_str(line).map_err(|e| TraceError::Parse(e.to_string()))?;
@@ -99,7 +102,10 @@ pub fn from_json_lines(text: &str) -> Result<ReplayTrace, TraceError> {
                     "input record follows a baseline record".into(),
                 ));
             }
-            TraceLine::Input(e) => inputs.push(e),
+            TraceLine::Input(e) => {
+                check_node_ids(&e, &mut nodes_added)?;
+                inputs.push(e);
+            }
             TraceLine::Baseline(e) => baseline.push(e),
         }
     }
@@ -109,6 +115,33 @@ pub fn from_json_lines(text: &str) -> Result<ReplayTrace, TraceError> {
         inputs,
         baseline,
     })
+}
+
+/// Walks a trigger's deltas in order, counting the nodes they add: a delta
+/// that names a node at or above that count would panic the replayer's
+/// graph, so it is corrupt.
+fn check_node_ids(input: &ReplayEvent, nodes_added: &mut usize) -> Result<(), TraceError> {
+    let ReplayEvent::Trigger { sample, .. } = input else {
+        return Ok(());
+    };
+    for delta in &sample.deltas {
+        let named = match delta {
+            GraphDelta::AddNode { .. } => {
+                *nodes_added += 1;
+                continue;
+            }
+            GraphDelta::UpdateNode { node, .. }
+            | GraphDelta::SetPinned { node, .. }
+            | GraphDelta::RemoveNode { node } => *node,
+            GraphDelta::Interaction { a, b, .. } => (*a).max(*b),
+        };
+        if named.index() >= *nodes_added {
+            return Err(TraceError::Corrupt(format!(
+                "a delta names node {named}, but only {nodes_added} were added before it"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Decodes a trace from raw bytes.

@@ -594,7 +594,7 @@ impl Emulator {
             // uses: each trigger drains the monitor's deltas into the
             // partitioner.
             monitor: Monitor::new(program, cfg.trigger, placement.array_classes.clone()),
-            partitioner: IncrementalPartitioner::new(PartitionerConfig::default()),
+            partitioner: IncrementalPartitioner::new(PartitionerConfig),
             policy: cfg.policy.build(cfg.comm, cfg.surrogate_speed),
             recorder: FlightRecorder::new(FLIGHT_RECORDER_EVENTS),
             placement,

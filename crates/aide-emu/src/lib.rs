@@ -32,7 +32,7 @@
 //! * [`replay()`] — strict replay through the same decision epoch: the
 //!   recorded flight-recorder timeline is the oracle, and the first mismatch
 //!   stops the run with a located [`ReplayError::Diverged`] ("expected
-//!   `TriggerFired` at epoch 12, got `EpochSkipped`"). A divergence-free
+//!   `WinnerChosen` at epoch 12, got `OffloadDeclined`"). A divergence-free
 //!   replay reproduces the timeline bit-for-bit.
 //! * [`sweep()`] — re-decides one recorded run under many policy variants on
 //!   the same sweep driver as Figure 7: what-if analysis with recorded-run

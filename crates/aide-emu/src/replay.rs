@@ -3,16 +3,15 @@
 //!
 //! The driver rebuilds the pipeline exactly as the platform does — a
 //! real [`Monitor`] (trigger state machine), a real
-//! [`IncrementalPartitioner`] under the recorded tuning, the recorded
-//! policy — then feeds it the trace's input stream, each trigger through
-//! the platform's own decision epoch
-//! ([`IncrementalPartitioner::decide`]). Derived values
-//! (trigger attribution, candidate counts, churn weights, policy
-//! scores, offload sizes) are **recomputed** and compared against the
-//! baseline; genuinely nondeterministic fields (wall-clock timestamps,
-//! elapsed/duration microseconds, abort reason strings) are copied from
-//! the baseline once the surrounding event matches, so a divergence-free
-//! replay yields a timeline that is bit-identical to the recording.
+//! [`IncrementalPartitioner`], the recorded policy — then feeds it the
+//! trace's input stream, each trigger through the platform's own decision
+//! epoch ([`IncrementalPartitioner::decide`]). Derived values (trigger
+//! attribution, candidate counts, policy scores, offload sizes) are
+//! **recomputed** and compared against the baseline; genuinely
+//! nondeterministic fields (wall-clock timestamps, elapsed/duration
+//! microseconds, abort reason strings) are copied from the baseline once
+//! the surrounding event matches, so a divergence-free replay yields a
+//! timeline that is bit-identical to the recording.
 //!
 //! Divergence handling is strict, in the `wasm-rr` style: the first
 //! produced event that does not match the baseline at the cursor stops
@@ -235,7 +234,6 @@ impl<'a> Emitter<'a> {
 fn run(
     trace: &ReplayTrace,
     policy: &dyn PartitionPolicy,
-    partitioner_config: PartitionerConfig,
     strict: bool,
     recorder: Option<&FlightRecorder>,
 ) -> Result<ReplayOutcome, ReplayError> {
@@ -255,7 +253,7 @@ fn run(
         trace.header.config.trigger,
         Default::default(),
     );
-    let mut partitioner = IncrementalPartitioner::new(partitioner_config);
+    let mut partitioner = IncrementalPartitioner::new(PartitionerConfig);
     let mut emitter = Emitter {
         baseline: if strict {
             Some(trace.baseline.as_slice())
@@ -363,7 +361,7 @@ pub fn replay(
 ) -> Result<ReplayOutcome, ReplayError> {
     let config = &trace.header.config;
     let policy = config.policy.build(config.comm, config.surrogate_speed);
-    run(trace, policy.as_ref(), config.partitioner, true, recorder)
+    run(trace, policy.as_ref(), true, recorder)
 }
 
 /// Re-runs `trace`'s inputs without a baseline, synthesizing the
@@ -372,15 +370,13 @@ pub fn replay(
 pub fn bless(trace: &ReplayTrace) -> Result<Vec<TimedEvent>, ReplayError> {
     let config = &trace.header.config;
     let policy = config.policy.build(config.comm, config.surrogate_speed);
-    replay_with(trace, policy.as_ref(), config.partitioner)
+    replay_with(trace, policy.as_ref())
 }
 
-/// Like [`bless`], but under an overridden policy and partitioner
-/// tuning — the sweep entry point.
+/// Like [`bless`], but under an overridden policy — the sweep entry point.
 pub fn replay_with(
     trace: &ReplayTrace,
     policy: &dyn PartitionPolicy,
-    partitioner_config: PartitionerConfig,
 ) -> Result<Vec<TimedEvent>, ReplayError> {
-    run(trace, policy, partitioner_config, false, None).map(|o| o.timeline)
+    run(trace, policy, false, None).map(|o| o.timeline)
 }

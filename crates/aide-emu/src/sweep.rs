@@ -13,17 +13,16 @@
 //!   grid search over [`EmulatorConfig`] variants.
 //! * [`sweep`] — what-if analysis of a live run. Because a [`ReplayTrace`]
 //!   carries *every* nondeterministic input, the decision pipeline can be
-//!   re-run under a different [`PolicyKind`] or [`PartitionerConfig`] and
-//!   the alternative history is exactly as trustworthy as the recorded one
-//!   — same GC stream, same graph deltas, same heap snapshots, only the
-//!   decision logic swapped.
+//!   re-run under a different [`PolicyKind`] and the alternative history
+//!   is exactly as trustworthy as the recorded one — same GC stream, same
+//!   graph deltas, same heap snapshots, only the decision logic swapped.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
-use aide_core::{PartitionerConfig, PolicyKind, TriggerConfig};
+use aide_core::{PolicyKind, TriggerConfig};
 use aide_telemetry::{PlatformEvent, TimedEvent};
 
 use crate::emulator::{Emulator, EmulatorConfig, EmulatorReport};
@@ -181,15 +180,13 @@ pub fn best_point(points: &[SweepPoint]) -> Option<&SweepPoint> {
         })
 }
 
-/// One policy/tuning combination to evaluate against a trace.
+/// One policy to evaluate against a trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepVariant {
     /// Display name ("memory-0.3", "recorded", ...).
     pub name: String,
     /// The policy this variant decides with.
     pub policy: PolicyKind,
-    /// The partitioner tuning this variant runs under.
-    pub partitioner: PartitionerConfig,
 }
 
 /// How one trigger epoch resolved.
@@ -202,8 +199,6 @@ pub enum EpochOutcome {
     },
     /// Candidates were scored but none accepted.
     Decline,
-    /// The dirty-region shortcut skipped evaluation.
-    Skip,
 }
 
 impl EpochOutcome {
@@ -216,7 +211,7 @@ impl EpochOutcome {
 }
 
 /// Per-epoch decisions extracted from a timeline: each `TriggerFired`
-/// resolves to the first winner/decline/skip event that follows it.
+/// resolves to the first winner/decline event that follows it.
 pub fn decision_outcomes(timeline: &[TimedEvent]) -> Vec<EpochOutcome> {
     let mut outcomes = Vec::new();
     let mut open = false;
@@ -230,7 +225,6 @@ pub fn decision_outcomes(timeline: &[TimedEvent]) -> Vec<EpochOutcome> {
                 bytes: offload_bytes,
             },
             PlatformEvent::OffloadDeclined { .. } => EpochOutcome::Decline,
-            PlatformEvent::EpochSkipped { .. } => EpochOutcome::Skip,
             _ => continue,
         };
         if std::mem::take(&mut open) {
@@ -250,14 +244,12 @@ pub struct VariantOutcome {
     pub offloads: usize,
     /// Epochs where this variant declined to offload.
     pub declines: usize,
-    /// Epochs the dirty-region shortcut skipped.
-    pub skips: usize,
     /// Total bytes this variant would have moved to the surrogate.
     pub offloaded_bytes: u64,
     /// Per-epoch decisions, aligned with the baseline's trigger stream.
     pub decisions: Vec<EpochOutcome>,
     /// Fraction of baseline epochs where the variant made the same kind
-    /// of decision (offload/decline/skip).
+    /// of decision (offload/decline).
     pub agreement_with_baseline: f64,
     /// Fraction of baseline epochs where the variant offloaded at least
     /// as many bytes as the recorded run.
@@ -302,10 +294,6 @@ fn compare(name: &str, decisions: Vec<EpochOutcome>, baseline: &[EpochOutcome]) 
         .iter()
         .filter(|o| matches!(o, EpochOutcome::Decline))
         .count();
-    let skips = decisions
-        .iter()
-        .filter(|o| matches!(o, EpochOutcome::Skip))
-        .count();
     let offloaded_bytes = decisions.iter().map(|o| o.bytes()).sum();
     let epochs = baseline.len();
     let mut agreed = 0usize;
@@ -333,7 +321,6 @@ fn compare(name: &str, decisions: Vec<EpochOutcome>, baseline: &[EpochOutcome]) 
         name: name.to_string(),
         offloads,
         declines,
-        skips,
         offloaded_bytes,
         decisions,
         agreement_with_baseline: frac(agreed),
@@ -353,21 +340,18 @@ pub fn default_variants(trace: &ReplayTrace) -> Vec<SweepVariant> {
         SweepVariant {
             name: "recorded".into(),
             policy: cfg.policy,
-            partitioner: cfg.partitioner,
         },
         SweepVariant {
             name: "memory-lenient-0.1".into(),
             policy: PolicyKind::Memory {
                 min_free_fraction: 0.1,
             },
-            partitioner: cfg.partitioner,
         },
         SweepVariant {
             name: "memory-greedy-0.5".into(),
             policy: PolicyKind::Memory {
                 min_free_fraction: 0.5,
             },
-            partitioner: cfg.partitioner,
         },
         SweepVariant {
             name: "combined-0.2-m0.1".into(),
@@ -375,7 +359,6 @@ pub fn default_variants(trace: &ReplayTrace) -> Vec<SweepVariant> {
                 min_free_fraction: 0.2,
                 margin: 0.1,
             },
-            partitioner: cfg.partitioner,
         },
     ]
 }
@@ -399,7 +382,7 @@ pub fn sweep(trace: &ReplayTrace, variants: &[SweepVariant]) -> Result<SweepRepo
             trace.header.config.comm,
             trace.header.config.surrogate_speed,
         );
-        replay_with(trace, policy.as_ref(), variant.partitioner)
+        replay_with(trace, policy.as_ref())
     });
     let mut outcomes = Vec::with_capacity(variants.len());
     for (variant, timeline) in variants.iter().zip(timelines) {

@@ -1,14 +1,16 @@
 //! Properties of the trace codec, each on [`support::CASES`] seeded random
 //! traces: arbitrary event streams survive the encoding bit-identically,
 //! and corrupt bytes or records of a removed kind produce errors — never
-//! panics.
+//! panics. So does a graph delta that names a node no earlier delta added.
 
 #[path = "../../aide-graph/tests/support/mod.rs"]
 mod support;
 
 use aide_core::{MigrationRecord, NodeKey, PlatformConfig, TriggerSample};
-use aide_emu::{decode, from_json_lines, to_json_lines, ReplayEvent, ReplayTrace};
-use aide_graph::{GraphDelta, NodeId, PinReason, ResourceSnapshot};
+use aide_emu::{
+    decode, from_json_lines, load, to_json_lines, ReplayEvent, ReplayTrace, TraceError,
+};
+use aide_graph::{EdgeInfo, GraphDelta, NodeId, PinReason, ResourceSnapshot};
 use aide_telemetry::{PlatformEvent, TimedEvent};
 use aide_vm::{ClassId, GcReport};
 use support::{for_each_case, Rng};
@@ -29,8 +31,10 @@ fn report(rng: &mut Rng) -> GcReport {
     }
 }
 
-fn delta(rng: &mut Rng) -> GraphDelta {
-    if rng.flip() {
+/// A node addition, or an update of one of the `added` nodes so far.
+fn delta(rng: &mut Rng, added: &mut u64) -> GraphDelta {
+    if *added == 0 || rng.flip() {
+        *added += 1;
         GraphDelta::AddNode {
             label: rng.text(LETTERS, 1, 12),
             pinned: rng.option(|_| PinReason::NativeMethods),
@@ -40,7 +44,7 @@ fn delta(rng: &mut Rng) -> GraphDelta {
         }
     } else {
         GraphDelta::UpdateNode {
-            node: NodeId(rng.word() as u32),
+            node: NodeId(rng.below(*added) as u32),
             memory_bytes: rng.word(),
             cpu_micros: rng.word(),
             live_objects: rng.word(),
@@ -48,7 +52,7 @@ fn delta(rng: &mut Rng) -> GraphDelta {
     }
 }
 
-fn sample(rng: &mut Rng) -> TriggerSample {
+fn sample(rng: &mut Rng, added: &mut u64) -> TriggerSample {
     TriggerSample {
         at_gc_cycle: rng.word(),
         reason: rng.text(REASON, 1, 20),
@@ -56,12 +60,12 @@ fn sample(rng: &mut Rng) -> TriggerSample {
             heap_capacity: rng.word(),
             heap_used: rng.word(),
         },
-        deltas: rng.vec(0, 4, delta),
+        deltas: rng.vec(0, 4, |rng| delta(rng, added)),
         keys: rng.vec(0, 4, |rng| NodeKey::Class(ClassId(rng.word() as u32))),
     }
 }
 
-fn input(rng: &mut Rng) -> ReplayEvent {
+fn input(rng: &mut Rng, added: &mut u64) -> ReplayEvent {
     let at_micros = rng.word();
     match rng.below(4) {
         0 => ReplayEvent::Gc {
@@ -70,7 +74,7 @@ fn input(rng: &mut Rng) -> ReplayEvent {
         },
         1 => ReplayEvent::Trigger {
             at_micros,
-            sample: sample(rng),
+            sample: sample(rng, added),
         },
         2 => ReplayEvent::Migration {
             at_micros,
@@ -107,16 +111,17 @@ fn baseline_event(rng: &mut Rng) -> PlatformEvent {
         2 => PlatformEvent::OffloadDeclined {
             candidates: rng.index(1 << 16),
         },
-        _ => PlatformEvent::EpochSkipped {
-            churn_weight: rng.word(),
-            threshold: rng.word(),
+        _ => PlatformEvent::CandidatesEvaluated {
+            candidates: rng.index(1 << 16),
+            elapsed_micros: rng.word(),
         },
     }
 }
 
 fn trace(rng: &mut Rng) -> ReplayTrace {
     let mut trace = ReplayTrace::new("seeded", PlatformConfig::prototype(3 << 20));
-    trace.inputs = rng.vec(0, 24, input);
+    let mut added = 0;
+    trace.inputs = rng.vec(0, 24, |rng| input(rng, &mut added));
     trace.baseline = (0..rng.below(12))
         .map(|seq| TimedEvent {
             seq,
@@ -171,4 +176,54 @@ fn corrupted_json_never_panics() {
         );
         assert!(decode(removed.as_bytes()).is_err());
     });
+}
+
+/// A delta that names a node no earlier `AddNode` minted — one case per
+/// delta kind that names a node, pushed into the first trigger of the
+/// editor trace — is a corrupt trace, not a replay that panics on it.
+#[test]
+fn a_delta_naming_an_unadded_node_is_corrupt() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../traces");
+    let good = load(dir.join("editor.trace.jsonl")).expect("the editor trace loads");
+    let (known, unknown) = (NodeId(0), NodeId(9_999));
+    let cases = [
+        GraphDelta::UpdateNode {
+            node: unknown,
+            memory_bytes: 1,
+            cpu_micros: 1,
+            live_objects: 1,
+        },
+        GraphDelta::SetPinned {
+            node: unknown,
+            pinned: Some(PinReason::Explicit),
+        },
+        GraphDelta::Interaction {
+            a: known,
+            b: unknown,
+            delta: EdgeInfo::new(1, 1),
+        },
+        GraphDelta::Interaction {
+            a: unknown,
+            b: known,
+            delta: EdgeInfo::new(1, 1),
+        },
+        GraphDelta::RemoveNode { node: unknown },
+    ];
+    for bad in cases {
+        let mut trace = good.clone();
+        let sample = trace
+            .inputs
+            .iter_mut()
+            .find_map(|input| match input {
+                ReplayEvent::Trigger { sample, .. } => Some(sample),
+                _ => None,
+            })
+            .expect("the editor trace has a trigger");
+        sample.deltas.push(bad.clone());
+        let decoded = decode(to_json_lines(&trace).as_bytes());
+        assert!(
+            matches!(decoded, Err(TraceError::Corrupt(_))),
+            "{bad:?}: {decoded:?}"
+        );
+    }
 }

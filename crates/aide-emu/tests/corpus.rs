@@ -432,8 +432,7 @@ fn what_if_sweep_keeps_its_control_and_the_sequential_decisions() {
         let config = &trace.header.config;
         for (variant, outcome) in variants.iter().zip(&report.variants) {
             let policy = variant.policy.build(config.comm, config.surrogate_speed);
-            let timeline =
-                replay_with(&trace, policy.as_ref(), variant.partitioner).expect("replays");
+            let timeline = replay_with(&trace, policy.as_ref()).expect("replays");
             assert_eq!(
                 outcome.decisions,
                 decision_outcomes(&timeline),

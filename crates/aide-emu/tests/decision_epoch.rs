@@ -157,7 +157,7 @@ fn drained_epochs_decide_as_snapshots_do_at_every_trigger() {
             let policy = config.policy.build(config.comm, config.surrogate_speed);
             let program = Arc::new(trace.skeleton_program().expect("recorded metadata"));
             let monitor = Monitor::new(program, config.trigger, HashSet::new());
-            let mut partitioner = IncrementalPartitioner::new(PartitionerConfig::default());
+            let mut partitioner = IncrementalPartitioner::new(PartitionerConfig);
             let mut observed = 0;
             for (n, trigger) in fired.iter().enumerate() {
                 let at = format!("{} {:?} {heuristic:?} trigger {n}", app.name, config.policy);

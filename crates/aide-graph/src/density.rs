@@ -12,17 +12,17 @@
 //! `ablate_mincut` compares the two on JavaNote's graph.
 
 use crate::graph::{ExecutionGraph, NodeId};
-use crate::heuristic::CandidateSequence;
+use crate::heuristic::CandidatePlan;
 use crate::partition::{Partitioning, Side};
 
 /// Runs the memory-density heuristic over `graph`.
 ///
-/// Candidates are emitted from least-offloaded (one node) to
-/// most-offloaded (every unpinned node), mirroring the greedy order in
-/// which nodes are chosen. Pinned nodes always stay on the client. Each
-/// node's marginal cut is kept up to date as nodes move (O(degree) per
-/// move), and each step scans the remaining nodes once, so the sweep is
-/// O(V² + E).
+/// The plan's candidates run from least-offloaded (one node) to
+/// most-offloaded (every unpinned node), in the greedy order in which
+/// nodes are chosen: the base offloads the first pick and each move pushes
+/// the next one out. Pinned nodes always stay on the client. Each node's
+/// marginal cut is kept up to date as nodes move (O(degree) per move), and
+/// each step scans the remaining nodes once, so the sweep is O(V² + E).
 ///
 /// # Examples
 ///
@@ -38,13 +38,13 @@ use crate::partition::{Partitioning, Side};
 /// g.record_interaction(ui, hot, EdgeInfo::new(10_000, 1_000_000));
 /// g.record_interaction(hot, big, EdgeInfo::new(10, 100));
 ///
-/// let seq = density_candidates(&g);
+/// let plan = density_candidates(&g);
 /// // The first (single-node) candidate offloads the dense cold buffer.
-/// let first = &seq.candidates()[0];
+/// let first = plan.base();
 /// assert!(!first.is_client(big));
 /// assert!(first.is_client(hot));
 /// ```
-pub fn density_candidates(graph: &ExecutionGraph) -> CandidateSequence {
+pub fn density_candidates(graph: &ExecutionGraph) -> CandidatePlan {
     let n = graph.node_count();
     let unpinned: Vec<NodeId> = graph
         .iter()
@@ -52,12 +52,10 @@ pub fn density_candidates(graph: &ExecutionGraph) -> CandidateSequence {
         .map(|(id, _)| id)
         .collect();
     if n < 2 || unpinned.is_empty() {
-        return CandidateSequence::empty();
+        return CandidatePlan::empty(n);
     }
 
     let mut offloaded = vec![false; n];
-    let mut current = Partitioning::all_client(graph);
-    let mut candidates = Vec::with_capacity(unpinned.len());
     let mut move_order = Vec::with_capacity(unpinned.len());
     // added[v]: the marginal cut change if `v` moves. Edges to client-side
     // nodes join the cut and edges to offloaded nodes leave it, so it starts
@@ -94,12 +92,12 @@ pub fn density_candidates(graph: &ExecutionGraph) -> CandidateSequence {
         for (nb, e) in graph.neighbors(best) {
             added[nb.index()] -= 2 * i128::from(e.weight());
         }
-        current.set_side(best, Side::Surrogate);
         move_order.push(best);
-        candidates.push(current.clone());
     }
 
-    CandidateSequence::from_parts(candidates, move_order)
+    let mut base = Partitioning::all_client(graph);
+    base.set_side(move_order[0], Side::Surrogate);
+    CandidatePlan::new(base, move_order, 1)
 }
 
 #[cfg(test)]
@@ -109,6 +107,12 @@ mod tests {
 
     fn bytes(b: u64) -> EdgeInfo {
         EdgeInfo::new(0, b)
+    }
+
+    /// Every candidate of the density plan over `g`, in order.
+    fn candidates(g: &ExecutionGraph) -> Vec<Partitioning> {
+        let plan = density_candidates(g);
+        (0..plan.len()).map(|i| plan.candidate(i)).collect()
     }
 
     #[test]
@@ -133,9 +137,9 @@ mod tests {
         g.node_mut(hot).memory_bytes = 400_000;
         g.record_interaction(ui, hot, bytes(1_000_000)); // hot is expensive to move
         g.record_interaction(ui, cold, bytes(10));
-        let seq = density_candidates(&g);
-        assert_eq!(seq.move_order()[0], cold);
-        assert_eq!(seq.move_order()[1], hot);
+        let plan = density_candidates(&g);
+        assert_eq!(plan.move_order()[0], cold);
+        assert_eq!(plan.move_order()[1], hot);
     }
 
     #[test]
@@ -147,9 +151,9 @@ mod tests {
             g.node_mut(n).memory_bytes = 100 * (i + 1);
             g.record_interaction(p, n, bytes(i + 1));
         }
-        let seq = density_candidates(&g);
+        let seq = candidates(&g);
         assert_eq!(seq.len(), 6);
-        for cand in seq.iter() {
+        for cand in &seq {
             assert!(cand.is_client(p));
         }
         // Offloaded counts grow one at a time.
@@ -172,11 +176,11 @@ mod tests {
         g.record_interaction(a, b, bytes(800_000));
         g.record_interaction(ui, b, bytes(50));
         g.record_interaction(ui, lone, bytes(40));
-        let seq = density_candidates(&g);
+        let plan = density_candidates(&g);
         // The lone node is densest (tiny cut). Then A (its huge edge makes
         // it expensive, but it carries the most memory) — and once A has
         // moved, B's marginal cut is *negative* (moving it removes the A-B
         // edge), so B follows its cluster immediately.
-        assert_eq!(seq.move_order(), &[lone, a, b]);
+        assert_eq!(plan.move_order(), &[lone, a, b]);
     }
 }

@@ -6,7 +6,7 @@
 //! partitionings: it seeds the client partition with every node that cannot
 //! be offloaded (classes with native methods, host-specific static state),
 //! then repeatedly moves the unpinned node with the greatest connectivity to
-//! the client partition, recording every intermediate partitioning. The
+//! the client partition; every intermediate partitioning is a candidate. The
 //! partitioning policy evaluates all candidates and keeps the best feasible
 //! one — which need not be the minimum-interaction cut.
 
@@ -16,115 +16,24 @@ use std::collections::BinaryHeap;
 use crate::graph::{ExecutionGraph, NodeId};
 use crate::partition::{Partitioning, Side};
 
-/// An ordered sequence of candidate partitionings produced by
-/// [`candidate_partitionings`].
+/// A heuristic's candidate sweep: a base placement plus the ordered node
+/// moves that derive each subsequent candidate.
 ///
-/// The first candidate offloads every unpinned node; each subsequent
-/// candidate moves one more node back to the client; the final candidate
-/// leaves exactly one node offloaded. The number of candidates is therefore
-/// equal to the number of unpinned nodes, which the paper notes is "smaller
-/// than the number of components" evaluated by exhaustive search.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CandidateSequence {
-    candidates: Vec<Partitioning>,
-    move_order: Vec<NodeId>,
-}
-
-impl CandidateSequence {
-    /// An empty sequence (no unpinned nodes, or a graph too small to cut).
-    pub fn empty() -> Self {
-        CandidateSequence {
-            candidates: Vec::new(),
-            move_order: Vec::new(),
-        }
-    }
-
-    /// Assembles a sequence from explicit parts — used by alternative
-    /// heuristics (see [`crate::density_candidates`]) that produce their
-    /// own candidate orderings.
-    pub fn from_parts(candidates: Vec<Partitioning>, move_order: Vec<NodeId>) -> Self {
-        CandidateSequence {
-            candidates,
-            move_order,
-        }
-    }
-
-    /// The candidate partitionings, from most-offloaded to least-offloaded.
-    pub fn candidates(&self) -> &[Partitioning] {
-        &self.candidates
-    }
-
-    /// The order in which unpinned nodes were pulled into the client
-    /// partition (greatest connectivity first).
-    pub fn move_order(&self) -> &[NodeId] {
-        &self.move_order
-    }
-
-    /// Number of candidate partitionings.
-    pub fn len(&self) -> usize {
-        self.candidates.len()
-    }
-
-    /// Returns `true` if the heuristic produced no candidates (every node
-    /// pinned, or fewer than two nodes).
-    pub fn is_empty(&self) -> bool {
-        self.candidates.is_empty()
-    }
-
-    /// Iterates over the candidates.
-    pub fn iter(&self) -> impl Iterator<Item = &Partitioning> {
-        self.candidates.iter()
-    }
-}
-
-/// Runs the modified-MINCUT heuristic over `graph`.
+/// Candidate `i` is the base with the first `i` moves applied, each move
+/// flipping its node to the other side. The plan is O(V) storage whatever
+/// the candidate count, and [`PartitionPolicy::select`] scores it in
+/// O(V + E) by carrying statistics from one candidate to the next.
 ///
-/// Pinned nodes (see [`crate::NodeInfo::pinned`]) always remain on the
-/// client in every candidate. If no node is pinned, the unpinned node with
-/// the greatest total incident weight seeds the client partition (mirroring
-/// Stoer–Wagner's arbitrary start vertex, but deterministic).
+/// [`plan_candidates`] pulls nodes home (the base offloads every unpinned
+/// node); [`crate::density_candidates`] pushes them out (the base offloads
+/// one).
 ///
-/// Candidates never offload zero nodes (that is the trivial "do not offload"
-/// decision, which the policy layer takes by rejecting all candidates) and
-/// never offload pinned nodes.
-///
-/// # Examples
-///
-/// ```
-/// use aide_graph::{ExecutionGraph, NodeInfo, EdgeInfo, PinReason};
-/// use aide_graph::candidate_partitionings;
-///
-/// let mut g = ExecutionGraph::new();
-/// let ui = g.add_node(NodeInfo::pinned("Ui", PinReason::NativeMethods));
-/// let doc = g.add_node(NodeInfo::new("Document"));
-/// let idx = g.add_node(NodeInfo::new("Index"));
-/// g.record_interaction(ui, doc, EdgeInfo::new(10, 100));
-/// g.record_interaction(doc, idx, EdgeInfo::new(50, 5_000));
-///
-/// let seq = candidate_partitionings(&g);
-/// // Two unpinned nodes -> two candidates.
-/// assert_eq!(seq.len(), 2);
-/// // Every candidate keeps the pinned UI class on the client.
-/// assert!(seq.iter().all(|p| p.is_client(ui)));
-/// ```
-pub fn candidate_partitionings(graph: &ExecutionGraph) -> CandidateSequence {
-    plan_candidates(graph).materialize()
-}
-
-/// A compact description of the heuristic's candidate sequence: the base
-/// (most-offloaded) placement plus the ordered node moves that derive each
-/// subsequent candidate.
-///
-/// Candidate `i` is the base with the first `i` moves applied. The plan is
-/// O(V) storage regardless of candidate count, so the incremental
-/// partitioner can evaluate a 10k-class sweep without materializing the
-/// O(V²) [`CandidateSequence`]; [`materialize`](CandidatePlan::materialize)
-/// reproduces the classic sequence bit-for-bit when callers want it.
+/// [`PartitionPolicy::select`]: crate::PartitionPolicy::select
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CandidatePlan {
     base: Partitioning,
-    /// Every node pulled into the client, greatest connectivity first —
-    /// including the seed pull (already reflected in `base`).
+    /// Every node the heuristic picked, in pick order — including the
+    /// seed picks already reflected in `base`.
     move_order: Vec<NodeId>,
     /// Leading entries of `move_order` already applied to `base` (0 or 1).
     seed_moves: usize,
@@ -133,7 +42,20 @@ pub struct CandidatePlan {
 }
 
 impl CandidatePlan {
-    fn empty(node_count: usize) -> Self {
+    /// The base plus one candidate per move after the first `seed_moves`
+    /// of `move_order`, which `base` already reflects.
+    pub(crate) fn new(base: Partitioning, move_order: Vec<NodeId>, seed_moves: usize) -> Self {
+        let len = move_order.len() - seed_moves + 1;
+        CandidatePlan {
+            base,
+            move_order,
+            seed_moves,
+            len,
+        }
+    }
+
+    /// No candidate: every node stays on the client.
+    pub(crate) fn empty(node_count: usize) -> Self {
         CandidatePlan {
             base: Partitioning::from_sides(vec![Side::Client; node_count]),
             move_order: Vec::new(),
@@ -142,20 +64,19 @@ impl CandidatePlan {
         }
     }
 
-    /// The most-offloaded candidate (candidate 0).
+    /// Candidate 0.
     pub fn base(&self) -> &Partitioning {
         &self.base
     }
 
-    /// The order in which nodes were pulled into the client partition,
-    /// including the no-pin seed pull (compare
-    /// [`CandidateSequence::move_order`]).
+    /// Every node the heuristic picked, in pick order, including a seed
+    /// pick already reflected in the base.
     pub fn move_order(&self) -> &[NodeId] {
         &self.move_order
     }
 
     /// The moves applied *after* the base placement: candidate `i` is the
-    /// base with `moves()[..i]` applied.
+    /// base with `moves()[..i]` flipped.
     pub fn moves(&self) -> &[NodeId] {
         &self.move_order[self.seed_moves..]
     }
@@ -170,7 +91,7 @@ impl CandidatePlan {
         self.len == 0
     }
 
-    /// Materializes candidate `index` (O(V + index)).
+    /// Builds candidate `index` (O(V + index)).
     ///
     /// # Panics
     ///
@@ -179,36 +100,46 @@ impl CandidatePlan {
         assert!(index < self.len, "candidate {index} out of range");
         let mut p = self.base.clone();
         for &v in &self.moves()[..index] {
-            p.set_side(v, Side::Client);
+            p.set_side(v, p.side(v).other());
         }
         p
     }
-
-    /// Materializes the full [`CandidateSequence`], identical to what
-    /// [`candidate_partitionings`] has always produced.
-    pub fn materialize(&self) -> CandidateSequence {
-        if self.len == 0 {
-            return CandidateSequence::empty();
-        }
-        let mut candidates = Vec::with_capacity(self.len);
-        candidates.push(self.base.clone());
-        let mut current = self.base.clone();
-        for &v in self.moves() {
-            current.set_side(v, Side::Client);
-            candidates.push(current.clone());
-        }
-        CandidateSequence {
-            candidates,
-            move_order: self.move_order.clone(),
-        }
-    }
 }
 
-/// Plans the modified-MINCUT candidate sweep without materializing the
-/// candidates (see [`CandidatePlan`]). Equivalent to
-/// [`candidate_partitionings`] minus the O(V²) placements. The next node to
-/// move comes off a heap and only its own edges are visited, so the plan
-/// costs O((V + E) log V).
+/// Runs the modified-MINCUT heuristic over `graph`.
+///
+/// Pinned nodes (see [`crate::NodeInfo::pinned`]) always remain on the
+/// client in every candidate. If no node is pinned, the unpinned node with
+/// the greatest total incident weight seeds the client partition (mirroring
+/// Stoer–Wagner's arbitrary start vertex, but deterministic). Candidate 0
+/// offloads every other node; each later one pulls one more node home, and
+/// the last leaves exactly one offloaded, so there is one candidate per
+/// unpinned node ("smaller than the number of components" evaluated by
+/// exhaustive search, as the paper notes).
+///
+/// Candidates never offload zero nodes (that is the trivial "do not offload"
+/// decision, which the policy layer takes by rejecting all candidates) and
+/// never offload pinned nodes. The next node to move comes off a heap and
+/// only its own edges are visited, so the plan costs O((V + E) log V).
+///
+/// # Examples
+///
+/// ```
+/// use aide_graph::{plan_candidates, EdgeInfo, ExecutionGraph, NodeInfo, PinReason};
+///
+/// let mut g = ExecutionGraph::new();
+/// let ui = g.add_node(NodeInfo::pinned("Ui", PinReason::NativeMethods));
+/// let doc = g.add_node(NodeInfo::new("Document"));
+/// let idx = g.add_node(NodeInfo::new("Index"));
+/// g.record_interaction(ui, doc, EdgeInfo::new(10, 100));
+/// g.record_interaction(doc, idx, EdgeInfo::new(50, 5_000));
+///
+/// let plan = plan_candidates(&g);
+/// // Two unpinned nodes -> two candidates.
+/// assert_eq!(plan.len(), 2);
+/// // Every candidate keeps the pinned UI class on the client.
+/// assert!((0..plan.len()).all(|i| plan.candidate(i).is_client(ui)));
+/// ```
 pub fn plan_candidates(graph: &ExecutionGraph) -> CandidatePlan {
     let n = graph.node_count();
     if n < 2 {
@@ -276,7 +207,6 @@ pub fn plan_candidates(graph: &ExecutionGraph) -> CandidatePlan {
         .collect();
 
     let mut offloaded = base.offloaded_count();
-    let total_candidates = if offloaded == 0 { 0 } else { offloaded };
     // Move nodes one at a time until exactly one node remains offloaded.
     while offloaded > 1 {
         let next = loop {
@@ -296,12 +226,7 @@ pub fn plan_candidates(graph: &ExecutionGraph) -> CandidatePlan {
         offloaded -= 1;
     }
 
-    CandidatePlan {
-        base,
-        move_order,
-        seed_moves,
-        len: total_candidates,
-    }
+    CandidatePlan::new(base, move_order, seed_moves)
 }
 
 /// Moves `v` into the client partition, updating neighbour connectivity.
@@ -330,10 +255,16 @@ mod tests {
         EdgeInfo::new(0, b)
     }
 
+    /// Every candidate of the modified-MINCUT plan over `g`, in order.
+    fn candidates(g: &ExecutionGraph) -> Vec<Partitioning> {
+        let plan = plan_candidates(g);
+        (0..plan.len()).map(|i| plan.candidate(i)).collect()
+    }
+
     #[test]
     fn empty_graph_yields_no_candidates() {
         let g = ExecutionGraph::new();
-        assert!(candidate_partitionings(&g).is_empty());
+        assert!(plan_candidates(&g).is_empty());
     }
 
     #[test]
@@ -342,7 +273,7 @@ mod tests {
         let a = g.add_node(NodeInfo::pinned("A", PinReason::NativeMethods));
         let b = g.add_node(NodeInfo::pinned("B", PinReason::StaticState));
         g.record_interaction(a, b, bytes(5));
-        assert!(candidate_partitionings(&g).is_empty());
+        assert!(plan_candidates(&g).is_empty());
     }
 
     #[test]
@@ -355,11 +286,11 @@ mod tests {
         for &id in &ids {
             g.record_interaction(p, id, bytes(1));
         }
-        let seq = candidate_partitionings(&g);
+        let seq = candidates(&g);
         // Candidates: 5 offloaded, 4, 3, 2, 1 -> five candidates.
         assert_eq!(seq.len(), 5);
-        assert_eq!(seq.candidates()[0].offloaded_count(), 5);
-        assert_eq!(seq.candidates().last().unwrap().offloaded_count(), 1);
+        assert_eq!(seq[0].offloaded_count(), 5);
+        assert_eq!(seq.last().unwrap().offloaded_count(), 1);
     }
 
     #[test]
@@ -371,7 +302,7 @@ mod tests {
         g.record_interaction(ids[0], ids[1], bytes(10));
         g.record_interaction(ids[1], ids[2], bytes(10));
         g.record_interaction(ids[2], ids[3], bytes(10));
-        let seq = candidate_partitionings(&g);
+        let seq = candidates(&g);
         // Seed takes one node to the client: candidates offload 3, 2, 1.
         assert_eq!(seq.len(), 3);
         assert!(seq.iter().all(|c| c.offloaded_count() >= 1));
@@ -389,8 +320,7 @@ mod tests {
             g.record_interaction(native, id, bytes(i as u64 + 1));
             g.record_interaction(stat, id, bytes(1));
         }
-        let seq = candidate_partitionings(&g);
-        for cand in seq.iter() {
+        for cand in candidates(&g) {
             assert!(cand.is_client(native));
             assert!(cand.is_client(stat));
         }
@@ -406,10 +336,10 @@ mod tests {
         g.record_interaction(p, hot, bytes(1_000));
         g.record_interaction(p, warm, bytes(100));
         g.record_interaction(p, cold, bytes(1));
-        let seq = candidate_partitionings(&g);
-        assert_eq!(seq.move_order(), &[hot, warm]);
+        assert_eq!(plan_candidates(&g).move_order(), &[hot, warm]);
         // Final candidate leaves only the coldest node offloaded.
-        let last = seq.candidates().last().unwrap();
+        let seq = candidates(&g);
+        let last = seq.last().unwrap();
         assert_eq!(last.offloaded_count(), 1);
         assert!(!last.is_client(cold));
     }
@@ -426,8 +356,7 @@ mod tests {
         g.record_interaction(p, a, bytes(600));
         g.record_interaction(a, b, bytes(1_000));
         g.record_interaction(p, c, bytes(500));
-        let seq = candidate_partitionings(&g);
-        assert_eq!(seq.move_order(), &[a, b]);
+        assert_eq!(plan_candidates(&g).move_order(), &[a, b]);
     }
 
     #[test]
@@ -443,42 +372,12 @@ mod tests {
             prev = next;
         }
         let exact = stoer_wagner(&g).unwrap().weight;
-        let seq = candidate_partitionings(&g);
-        let best = seq
+        let best = candidates(&g)
             .iter()
             .map(|c| g.cut_weight(|v| c.is_client(v)))
             .min()
             .unwrap();
         assert_eq!(best, exact);
-    }
-
-    #[test]
-    fn plan_materializes_to_the_classic_sequence() {
-        for pinned in [true, false] {
-            let mut g = ExecutionGraph::new();
-            let first = if pinned {
-                g.add_node(NodeInfo::pinned("P", PinReason::Explicit))
-            } else {
-                g.add_node(NodeInfo::new("P"))
-            };
-            let ids: Vec<NodeId> = (0..6)
-                .map(|i| g.add_node(NodeInfo::new(format!("N{i}"))))
-                .collect();
-            for (i, &id) in ids.iter().enumerate() {
-                g.record_interaction(first, id, bytes((i as u64 * 13) % 7 + 1));
-                if i > 0 {
-                    g.record_interaction(ids[i - 1], id, bytes(i as u64 * 3));
-                }
-            }
-            let plan = plan_candidates(&g);
-            let seq = candidate_partitionings(&g);
-            assert_eq!(plan.materialize(), seq);
-            assert_eq!(plan.len(), seq.len());
-            assert_eq!(plan.move_order(), seq.move_order());
-            for (i, cand) in seq.iter().enumerate() {
-                assert_eq!(&plan.candidate(i), cand, "candidate {i} (pinned={pinned})");
-            }
-        }
     }
 
     #[test]
@@ -524,8 +423,8 @@ mod tests {
                 g.record_interaction(ids[i - 1], id, bytes(i as u64));
             }
         }
-        let seq = candidate_partitionings(&g);
-        for cand in seq.iter() {
+        let seq = candidates(&g);
+        for cand in &seq {
             assert_eq!(cand.len(), g.node_count());
             let offloaded = cand.offloaded_count();
             let client = cand.nodes_on(Side::Client).count();

@@ -9,10 +9,6 @@
 //! equivalence properties in `tests/incremental_equivalence.rs` pin this
 //! down). An epoch then costs only the heuristic and the policy sweep,
 //! O((V + E) log V) together (see [`crate::plan_candidates`]).
-//!
-//! The struct also accounts **churn**: how much weight the deltas since
-//! the last evaluation moved. The partitioner's dirty-region shortcut
-//! skips whole epochs when churn stays below a configured threshold.
 
 use serde::{Deserialize, Serialize};
 
@@ -84,115 +80,36 @@ pub enum GraphDelta {
     },
 }
 
-/// Churn accumulated by [`IncrementalGraph::apply`] since the last
-/// [`IncrementalGraph::take_churn`].
-///
-/// `weight` is measured in edge-weight-equivalent units: interaction
-/// deltas contribute their [`EdgeInfo::weight`], annotation updates the
-/// absolute change in bytes and microseconds. `structural` flags changes
-/// (node add/remove, pin flips) that invalidate any cached decision
-/// outright, regardless of weight.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChurnSummary {
-    /// Weight-equivalent magnitude of the applied deltas.
-    pub weight: u64,
-    /// Number of deltas applied.
-    pub deltas: u64,
-    /// Whether any delta changed the graph's structure or pin set.
-    pub structural: bool,
-}
-
-impl ChurnSummary {
-    /// Folds another summary into this one.
-    pub fn absorb(&mut self, other: ChurnSummary) {
-        self.weight = self.weight.saturating_add(other.weight);
-        self.deltas += other.deltas;
-        self.structural |= other.structural;
-    }
-}
-
-/// An [`ExecutionGraph`] maintained incrementally from [`GraphDelta`]s,
-/// with churn accounting.
-///
-/// # Examples
-///
-/// ```
-/// use aide_graph::{EdgeInfo, GraphDelta, IncrementalGraph, NodeId};
-///
-/// let mut inc = IncrementalGraph::new();
-/// for label in ["Editor", "Buffer"] {
-///     inc.apply(&GraphDelta::AddNode {
-///         label: label.into(),
-///         pinned: None,
-///         memory_bytes: 0,
-///         cpu_micros: 0,
-///         live_objects: 0,
-///     });
-/// }
-/// inc.apply(&GraphDelta::Interaction {
-///     a: NodeId(0),
-///     b: NodeId(1),
-///     delta: EdgeInfo::new(3, 97),
-/// });
-/// assert_eq!(inc.graph().edge(NodeId(0), NodeId(1)).unwrap().bytes, 97);
-/// assert_eq!(inc.churn().weight, 100);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct IncrementalGraph {
-    graph: ExecutionGraph,
-    churn: ChurnSummary,
-    deltas_applied: u64,
-}
-
-impl IncrementalGraph {
-    /// Creates an empty incremental graph.
-    pub fn new() -> Self {
-        IncrementalGraph::default()
-    }
-
-    /// Wraps an existing graph, with no churn and no deltas applied yet.
-    pub fn from_graph(graph: ExecutionGraph) -> Self {
-        IncrementalGraph {
-            graph,
-            ..IncrementalGraph::default()
-        }
-    }
-
-    /// The maintained graph.
-    #[inline]
-    pub fn graph(&self) -> &ExecutionGraph {
-        &self.graph
-    }
-
-    /// Consumes the wrapper, returning the graph.
-    pub fn into_graph(self) -> ExecutionGraph {
-        self.graph
-    }
-
-    /// Total number of deltas applied over the lifetime of this graph.
-    pub fn deltas_applied(&self) -> u64 {
-        self.deltas_applied
-    }
-
-    /// Churn accumulated since the last [`take_churn`](Self::take_churn)
-    /// (non-destructive peek).
-    pub fn churn(&self) -> ChurnSummary {
-        self.churn
-    }
-
-    /// Returns and resets the accumulated churn.
-    pub fn take_churn(&mut self) -> ChurnSummary {
-        std::mem::take(&mut self.churn)
-    }
-
+impl ExecutionGraph {
     /// Applies one delta, at the costs listed on [`GraphDelta`].
     ///
     /// # Panics
     ///
     /// Panics if the delta references a node id out of range.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use aide_graph::{EdgeInfo, ExecutionGraph, GraphDelta, NodeId};
+    ///
+    /// let mut g = ExecutionGraph::new();
+    /// for label in ["Editor", "Buffer"] {
+    ///     g.apply(&GraphDelta::AddNode {
+    ///         label: label.into(),
+    ///         pinned: None,
+    ///         memory_bytes: 0,
+    ///         cpu_micros: 0,
+    ///         live_objects: 0,
+    ///     });
+    /// }
+    /// g.apply(&GraphDelta::Interaction {
+    ///     a: NodeId(0),
+    ///     b: NodeId(1),
+    ///     delta: EdgeInfo::new(3, 97),
+    /// });
+    /// assert_eq!(g.edge(NodeId(0), NodeId(1)).unwrap().bytes, 97);
+    /// ```
     pub fn apply(&mut self, delta: &GraphDelta) {
-        self.deltas_applied += 1;
-        self.churn.deltas += 1;
         match delta {
             GraphDelta::AddNode {
                 label,
@@ -208,8 +125,7 @@ impl IncrementalGraph {
                 info.memory_bytes = *memory_bytes;
                 info.cpu_micros = *cpu_micros;
                 info.live_objects = *live_objects;
-                self.graph.add_node(info);
-                self.churn.structural = true;
+                self.add_node(info);
             }
             GraphDelta::UpdateNode {
                 node,
@@ -217,33 +133,15 @@ impl IncrementalGraph {
                 cpu_micros,
                 live_objects,
             } => {
-                let info = self.graph.node_mut(*node);
-                self.churn.weight = self
-                    .churn
-                    .weight
-                    .saturating_add(info.memory_bytes.abs_diff(*memory_bytes))
-                    .saturating_add(info.cpu_micros.abs_diff(*cpu_micros));
+                let info = self.node_mut(*node);
                 info.memory_bytes = *memory_bytes;
                 info.cpu_micros = *cpu_micros;
                 info.live_objects = *live_objects;
             }
-            GraphDelta::SetPinned { node, pinned } => {
-                let info = self.graph.node_mut(*node);
-                if info.pinned != *pinned {
-                    info.pinned = *pinned;
-                    self.churn.structural = true;
-                }
-            }
-            GraphDelta::Interaction { a, b, delta } => {
-                if a == b {
-                    return;
-                }
-                self.graph.record_interaction(*a, *b, *delta);
-                self.churn.weight = self.churn.weight.saturating_add(delta.weight());
-            }
+            GraphDelta::SetPinned { node, pinned } => self.node_mut(*node).pinned = *pinned,
+            GraphDelta::Interaction { a, b, delta } => self.record_interaction(*a, *b, *delta),
             GraphDelta::RemoveNode { node } => {
-                self.graph.clear_node(*node);
-                self.churn.structural = true;
+                self.clear_node(*node);
             }
         }
     }
@@ -279,8 +177,7 @@ mod tests {
     }
 
     /// Each node's total incident edge weight.
-    fn incident_weights(inc: &IncrementalGraph) -> Vec<u64> {
-        let g = inc.graph();
+    fn incident_weights(g: &ExecutionGraph) -> Vec<u64> {
         g.node_ids()
             .map(|v| g.neighbors(v).map(|(_, e)| e.weight()).sum())
             .collect()
@@ -288,8 +185,8 @@ mod tests {
 
     #[test]
     fn deltas_build_the_same_graph_as_direct_calls() {
-        let mut inc = IncrementalGraph::new();
-        inc.apply_all(&[
+        let mut g = ExecutionGraph::new();
+        g.apply_all(&[
             add("A"),
             add("B"),
             add("C"),
@@ -306,72 +203,53 @@ mod tests {
         direct.record_interaction(b, c, EdgeInfo::new(1, 10));
         direct.record_interaction(a, b, EdgeInfo::new(2, 50));
 
-        assert_eq!(inc.graph(), &direct);
-        assert_eq!(incident_weights(&inc), [355, 366, 11]);
+        assert_eq!(g, direct);
+        assert_eq!(incident_weights(&g), [355, 366, 11]);
     }
 
     #[test]
-    fn update_node_is_absolute_and_counts_churn() {
-        let mut inc = IncrementalGraph::new();
-        inc.apply(&add("A"));
-        inc.apply(&GraphDelta::UpdateNode {
+    fn update_node_is_absolute() {
+        let mut g = ExecutionGraph::new();
+        g.apply(&add("A"));
+        g.apply(&GraphDelta::UpdateNode {
             node: NodeId(0),
             memory_bytes: 1_000,
             cpu_micros: 50,
             live_objects: 2,
         });
-        inc.apply(&GraphDelta::UpdateNode {
+        g.apply(&GraphDelta::UpdateNode {
             node: NodeId(0),
             memory_bytes: 400,
             cpu_micros: 70,
             live_objects: 1,
         });
-        let n = inc.graph().node(NodeId(0));
+        let n = g.node(NodeId(0));
         assert_eq!(n.memory_bytes, 400);
         assert_eq!(n.cpu_micros, 70);
         assert_eq!(n.live_objects, 1);
-        // churn: (1000 + 50) + (600 + 20)
-        assert_eq!(inc.churn().weight, 1_670);
-    }
-
-    #[test]
-    fn take_churn_resets_and_structural_flags_propagate() {
-        let mut inc = IncrementalGraph::new();
-        inc.apply(&add("A"));
-        inc.apply(&add("B"));
-        let c = inc.take_churn();
-        assert!(c.structural);
-        assert_eq!(c.deltas, 2);
-        assert_eq!(inc.churn(), ChurnSummary::default());
-
-        inc.apply(&interact(0, 1, 1, 99));
-        let c = inc.take_churn();
-        assert!(!c.structural);
-        assert_eq!(c.weight, 100);
     }
 
     #[test]
     fn set_pinned_is_structural_only_when_it_changes() {
-        let mut inc = IncrementalGraph::new();
-        inc.apply(&add("A"));
-        inc.take_churn();
-        inc.apply(&GraphDelta::SetPinned {
+        let mut g = ExecutionGraph::new();
+        g.apply(&add("A"));
+        let before = g.clone();
+        g.apply(&GraphDelta::SetPinned {
             node: NodeId(0),
             pinned: None,
         });
-        assert!(!inc.churn().structural, "no-op pin change is not churn");
-        inc.apply(&GraphDelta::SetPinned {
+        assert_eq!(g, before, "a no-op pin change leaves the graph as it was");
+        g.apply(&GraphDelta::SetPinned {
             node: NodeId(0),
             pinned: Some(PinReason::Explicit),
         });
-        assert!(inc.churn().structural);
-        assert!(inc.graph().node(NodeId(0)).is_pinned());
+        assert!(g.node(NodeId(0)).is_pinned());
     }
 
     #[test]
     fn remove_node_tombstones_and_fixes_strengths() {
-        let mut inc = IncrementalGraph::new();
-        inc.apply_all(&[
+        let mut g = ExecutionGraph::new();
+        g.apply_all(&[
             add("A"),
             add("B"),
             add("C"),
@@ -379,35 +257,19 @@ mod tests {
             interact(1, 2, 0, 40),
             interact(0, 2, 0, 7),
         ]);
-        inc.apply(&GraphDelta::RemoveNode { node: NodeId(1) });
-        assert_eq!(inc.graph().node_count(), 3, "ids stay dense");
-        assert_eq!(inc.graph().edge_count(), 1);
-        assert_eq!(incident_weights(&inc), [7, 0, 7]);
+        g.apply(&GraphDelta::RemoveNode { node: NodeId(1) });
+        assert_eq!(g.node_count(), 3, "ids stay dense");
+        assert_eq!(g.edge_count(), 1);
+        assert_eq!(incident_weights(&g), [7, 0, 7]);
     }
 
     #[test]
     fn self_interactions_are_ignored() {
-        let mut inc = IncrementalGraph::new();
-        inc.apply(&add("A"));
-        inc.take_churn();
-        inc.apply(&interact(0, 0, 5, 500));
-        assert_eq!(inc.graph().edge_count(), 0);
-        assert_eq!(incident_weights(&inc), [0]);
-        assert_eq!(inc.churn().weight, 0);
-    }
-
-    #[test]
-    fn from_graph_wraps_the_graph_with_no_churn() {
         let mut g = ExecutionGraph::new();
-        let a = g.add_node(NodeInfo::new("A"));
-        let b = g.add_node(NodeInfo::new("B"));
-        g.record_interaction(a, b, EdgeInfo::new(2, 98));
-        let mut inc = IncrementalGraph::from_graph(g.clone());
-        assert_eq!(inc.graph(), &g);
-        assert_eq!(inc.churn(), ChurnSummary::default());
-        assert_eq!(inc.deltas_applied(), 0);
-        inc.apply(&interact(1, 0, 1, 9));
-        assert_eq!(incident_weights(&inc), [110, 110]);
+        g.apply(&add("A"));
+        g.apply(&interact(0, 0, 5, 500));
+        assert_eq!(g.edge_count(), 0);
+        assert_eq!(incident_weights(&g), [0]);
     }
 
     #[test]

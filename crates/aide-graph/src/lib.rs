@@ -10,9 +10,10 @@
 //!   interaction counts and bytes transferred (paper §3.4).
 //! * [`stoer_wagner`] — the exact global minimum cut, used as a baseline and
 //!   test oracle.
-//! * [`candidate_partitionings`] — the paper's modified-MINCUT heuristic,
-//!   which pins unoffloadable classes to the client and emits every
-//!   intermediate partitioning for policy evaluation (paper §3.3).
+//! * [`plan_candidates`] — the paper's modified-MINCUT heuristic, which
+//!   pins unoffloadable classes to the client and plans every intermediate
+//!   partitioning as a [`CandidatePlan`] for policy evaluation (paper §3.3);
+//!   [`density_candidates`] plans the memory-density sweep (§8).
 //! * [`PartitionPolicy`] implementations — [`MemoryPolicy`] ("free at least
 //!   X% of the heap, minimize cut traffic"), [`CpuPolicy`] (predicted
 //!   completion time with a beneficial-offloading gate), and
@@ -24,8 +25,8 @@
 //!
 //! ```
 //! use aide_graph::{
-//!     candidate_partitionings, EdgeInfo, ExecutionGraph, MemoryPolicy, NodeInfo,
-//!     PartitionPolicy, PinReason, ResourceSnapshot,
+//!     plan_candidates, EdgeInfo, ExecutionGraph, MemoryPolicy, NodeInfo, PartitionPolicy,
+//!     PinReason, ResourceSnapshot,
 //! };
 //!
 //! let mut graph = ExecutionGraph::new();
@@ -34,10 +35,10 @@
 //! graph.node_mut(doc).memory_bytes = 4_000_000;
 //! graph.record_interaction(gui, doc, EdgeInfo::new(120, 24_000));
 //!
-//! let candidates = candidate_partitionings(&graph);
+//! let plan = plan_candidates(&graph);
 //! let policy = MemoryPolicy::new(0.20);
 //! let snapshot = ResourceSnapshot::new(6_000_000, 5_800_000);
-//! let decision = policy.select(&graph, snapshot, &candidates);
+//! let decision = policy.select(&graph, snapshot, &plan);
 //! assert!(decision.is_some(), "offloading the document frees the heap");
 //! ```
 
@@ -58,8 +59,8 @@ pub use cost::{CommParams, CostFunction, CutBytes, CutInteractions, PredictedTim
 pub use density::density_candidates;
 pub use dot::{to_dot, to_dot_annotated};
 pub use graph::{EdgeInfo, ExecutionGraph, NodeId, NodeInfo, PinReason};
-pub use heuristic::{candidate_partitionings, plan_candidates, CandidatePlan, CandidateSequence};
-pub use incremental::{ChurnSummary, GraphDelta, IncrementalGraph};
+pub use heuristic::{plan_candidates, CandidatePlan};
+pub use incremental::GraphDelta;
 pub use mincut::{stoer_wagner, MinCut};
 pub use partition::{PartitionStats, Partitioning, Side};
 pub use policy::{

@@ -1,11 +1,11 @@
 //! Partitioning policies: which candidate partitioning (if any) to apply.
 //!
 //! A policy receives the execution graph, a snapshot of the client's
-//! resources, and the candidate sequence produced by the modified-MINCUT
-//! heuristic. It filters the candidates for *feasibility* (e.g. "frees at
-//! least 20% of the Java heap"), scores the feasible ones with a cost
-//! function, and — crucially — only selects a partitioning when offloading
-//! is *beneficial* (paper §2, "Beneficial offloading").
+//! resources, and the [`CandidatePlan`] a heuristic produced. It filters
+//! the candidates for *feasibility* (e.g. "frees at least 20% of the Java
+//! heap"), scores the feasible ones with a cost function, and — crucially —
+//! only selects a partitioning when offloading is *beneficial* (paper §2,
+//! "Beneficial offloading").
 //!
 //! A selection is a single in-order fold over the candidates, so the winner
 //! is a pure function of (graph, snapshot, policy): the first candidate with
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cost::{CostFunction, CutBytes, PredictedTime};
 use crate::graph::{ExecutionGraph, NodeId};
-use crate::heuristic::{CandidatePlan, CandidateSequence};
+use crate::heuristic::CandidatePlan;
 use crate::partition::{PartitionStats, Partitioning, Side};
 
 /// A snapshot of the client device's resources at policy-evaluation time.
@@ -78,16 +78,16 @@ pub struct SelectedPartition {
 /// Implementors provide [`score_candidate`](PartitionPolicy::score_candidate)
 /// (feasibility gate + cost) and optionally
 /// [`admit`](PartitionPolicy::admit) (a final beneficial-offloading gate on
-/// the winner); the provided [`select`](PartitionPolicy::select) and
-/// [`select_plan`](PartitionPolicy::select_plan) drive the sweep.
+/// the winner); the provided [`select`](PartitionPolicy::select) drives the
+/// sweep.
 pub trait PartitionPolicy: Send + Sync {
     /// A short name for reports.
     fn name(&self) -> &str;
 
     /// Scores one candidate: `None` if the candidate is infeasible under
     /// this policy, otherwise its cost (lower is better). Must be a pure
-    /// function of its arguments: `select` and `select_plan` have to agree,
-    /// and a replayed decision has to repeat the recorded one.
+    /// function of its arguments: a replayed decision has to repeat the
+    /// recorded one.
     fn score_candidate(
         &self,
         graph: &ExecutionGraph,
@@ -108,82 +108,31 @@ pub trait PartitionPolicy: Send + Sync {
         true
     }
 
-    /// Evaluates a materialized candidate sequence and returns the best
-    /// feasible, beneficial partitioning, or `None` when the application
-    /// should not be partitioned (no feasible candidate, or offloading is
-    /// not beneficial). Every candidate's statistics are computed from
-    /// scratch (O(V + E) each), which makes this the reference
-    /// [`select_plan`](PartitionPolicy::select_plan) is tested against.
+    /// Sweeps `plan` and returns the best feasible, beneficial
+    /// partitioning, or `None` when the application should not be
+    /// partitioned (no feasible candidate, or offloading is not
+    /// beneficial). One placement walks the plan's moves and its
+    /// statistics are carried from one candidate to the next by toggling
+    /// the moved node's incident edges, so the sweep is O(V + E) in O(V)
+    /// memory.
     fn select(
-        &self,
-        graph: &ExecutionGraph,
-        snapshot: ResourceSnapshot,
-        candidates: &CandidateSequence,
-    ) -> Option<SelectedPartition> {
-        let best = pick_from_sequence(graph, candidates, |cand, stats| {
-            self.score_candidate(graph, snapshot, cand, stats)
-        })?;
-        self.admit(graph, snapshot, &best).then_some(best)
-    }
-
-    /// Like [`select`](PartitionPolicy::select), but sweeps a
-    /// [`CandidatePlan`] directly: no O(V²) candidate sequence is
-    /// materialized, and the statistics are carried from one candidate to
-    /// the next by toggling the moved node's incident edges. A move costs
-    /// O(degree), so the sweep is O(V + E) in O(V) memory, against `select`'s
-    /// O(V·(V + E)). Produces exactly the selection `select` would make on
-    /// [`CandidatePlan::materialize`].
-    fn select_plan(
         &self,
         graph: &ExecutionGraph,
         snapshot: ResourceSnapshot,
         plan: &CandidatePlan,
     ) -> Option<SelectedPartition> {
-        let best = pick_from_plan(graph, plan, |cand, stats| {
+        let best = pick(graph, plan, |cand, stats| {
             self.score_candidate(graph, snapshot, cand, stats)
         })?;
         self.admit(graph, snapshot, &best).then_some(best)
     }
 }
 
-/// The best candidate seen so far: its index in the sweep, its statistics
-/// and its score.
-type Best = Option<(usize, PartitionStats, f64)>;
-
-/// One step of the in-order fold: strict improvement only, so the first of
-/// equal scores wins and a NaN score never displaces a winner.
-fn keep_better(best: &mut Best, index: usize, stats: &PartitionStats, score: Option<f64>) {
-    if let Some(score) = score {
-        if best.as_ref().is_none_or(|&(_, _, b)| score < b) {
-            *best = Some((index, *stats, score));
-        }
-    }
-}
-
-/// Scores every candidate of a materialized sequence, in candidate order.
-fn pick_from_sequence(
-    graph: &ExecutionGraph,
-    candidates: &CandidateSequence,
-    score: impl Fn(&Partitioning, &PartitionStats) -> Option<f64>,
-) -> Option<SelectedPartition> {
-    let cands = candidates.candidates();
-    let mut best = None;
-    for (i, cand) in cands.iter().enumerate() {
-        let stats = cand.stats(graph);
-        keep_better(&mut best, i, &stats, score(cand, &stats));
-    }
-    best.map(|(i, stats, score)| SelectedPartition {
-        partitioning: cands[i].clone(),
-        stats,
-        score,
-    })
-}
-
-/// Scores every candidate described by a [`CandidatePlan`] without
-/// materializing the sequence: one placement walks the plan's moves and its
-/// statistics are updated in place. All statistics are integer sums, so the
-/// carried values equal the from-scratch values exactly.
-fn pick_from_plan(
+/// The in-order fold over a plan's candidates: strict improvement only, so
+/// the first of equal scores wins and a NaN score never displaces a winner.
+/// All statistics are integer sums, so the carried values equal the
+/// from-scratch values exactly.
+fn pick(
     graph: &ExecutionGraph,
     plan: &CandidatePlan,
     score: impl Fn(&Partitioning, &PartitionStats) -> Option<f64>,
@@ -193,12 +142,16 @@ fn pick_from_plan(
     }
     let mut current = plan.candidate(0);
     let mut stats = current.stats(graph);
-    let mut best = None;
+    let mut best: Option<(usize, PartitionStats, f64)> = None;
     for i in 0..plan.len() {
         if i > 0 {
             advance_candidate(graph, &mut current, &mut stats, plan.moves()[i - 1]);
         }
-        keep_better(&mut best, i, &stats, score(&current, &stats));
+        if let Some(score) = score(&current, &stats) {
+            if best.as_ref().is_none_or(|&(_, _, b)| score < b) {
+                best = Some((i, stats, score));
+            }
+        }
     }
     best.map(|(i, stats, score)| SelectedPartition {
         partitioning: plan.candidate(i),
@@ -207,30 +160,38 @@ fn pick_from_plan(
     })
 }
 
-/// Pulls `v` from the surrogate back to the client, updating `stats` in
-/// place: node annotations switch columns and v's incident edges toggle
-/// their cut contribution, in O(degree).
+/// Flips `v` to the other side, updating `stats` in place: node
+/// annotations switch columns and v's incident edges toggle their cut
+/// contribution, in O(degree).
 fn advance_candidate(
     graph: &ExecutionGraph,
     current: &mut Partitioning,
     stats: &mut PartitionStats,
     v: NodeId,
 ) {
-    debug_assert!(!current.is_client(v), "move target already on client");
-    current.set_side(v, Side::Client);
+    let to = current.side(v).other();
+    current.set_side(v, to);
     let node = graph.node(v);
-    stats.offloaded_memory_bytes -= node.memory_bytes;
-    stats.client_memory_bytes += node.memory_bytes;
-    stats.offloaded_cpu_micros -= node.cpu_micros;
-    stats.client_cpu_micros += node.cpu_micros;
-    stats.offloaded_nodes -= 1;
+    if to == Side::Client {
+        stats.offloaded_memory_bytes -= node.memory_bytes;
+        stats.client_memory_bytes += node.memory_bytes;
+        stats.offloaded_cpu_micros -= node.cpu_micros;
+        stats.client_cpu_micros += node.cpu_micros;
+        stats.offloaded_nodes -= 1;
+    } else {
+        stats.client_memory_bytes -= node.memory_bytes;
+        stats.offloaded_memory_bytes += node.memory_bytes;
+        stats.client_cpu_micros -= node.cpu_micros;
+        stats.offloaded_cpu_micros += node.cpu_micros;
+        stats.offloaded_nodes += 1;
+    }
     for (nb, e) in graph.neighbors(v) {
-        if current.is_client(nb) {
-            // v–nb used to cross the cut; both ends are on the client now.
+        if current.side(nb) == to {
+            // v–nb used to cross the cut; both ends are on one side now.
             stats.cut.interactions -= e.interactions;
             stats.cut.bytes -= e.bytes;
         } else {
-            // v–nb stayed within the surrogate before; it crosses now.
+            // v–nb stayed within one side before; it crosses now.
             stats.cut.interactions += e.interactions;
             stats.cut.bytes += e.bytes;
         }
@@ -246,7 +207,7 @@ fn advance_candidate(
 /// ```
 /// use aide_graph::{MemoryPolicy, PartitionPolicy, ResourceSnapshot};
 /// use aide_graph::{ExecutionGraph, NodeInfo, EdgeInfo, PinReason};
-/// use aide_graph::candidate_partitionings;
+/// use aide_graph::plan_candidates;
 ///
 /// let mut g = ExecutionGraph::new();
 /// let ui = g.add_node(NodeInfo::pinned("Ui", PinReason::NativeMethods));
@@ -256,8 +217,8 @@ fn advance_candidate(
 ///
 /// let policy = MemoryPolicy::new(0.20);
 /// let snapshot = ResourceSnapshot::new(6_000_000, 5_900_000);
-/// let candidates = candidate_partitionings(&g);
-/// let chosen = policy.select(&g, snapshot, &candidates).expect("feasible");
+/// let plan = plan_candidates(&g);
+/// let chosen = policy.select(&g, snapshot, &plan).expect("feasible");
 /// assert!(chosen.stats.offloaded_memory_bytes >= 1_200_000);
 /// ```
 pub struct MemoryPolicy {
@@ -446,33 +407,22 @@ impl PartitionPolicy for CombinedPolicy {
         &self,
         graph: &ExecutionGraph,
         snapshot: ResourceSnapshot,
-        candidates: &CandidateSequence,
-    ) -> Option<SelectedPartition> {
-        // No memory-feasible candidate: fall back to a pure CPU decision.
-        pick_from_sequence(graph, candidates, |cand, stats| {
-            self.score_candidate(graph, snapshot, cand, stats)
-        })
-        .or_else(|| self.cpu.select(graph, snapshot, candidates))
-    }
-
-    fn select_plan(
-        &self,
-        graph: &ExecutionGraph,
-        snapshot: ResourceSnapshot,
         plan: &CandidatePlan,
     ) -> Option<SelectedPartition> {
-        pick_from_plan(graph, plan, |cand, stats| {
+        // No memory-feasible candidate: fall back to a pure CPU decision.
+        pick(graph, plan, |cand, stats| {
             self.score_candidate(graph, snapshot, cand, stats)
         })
-        .or_else(|| self.cpu.select_plan(graph, snapshot, plan))
+        .or_else(|| self.cpu.select(graph, snapshot, plan))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::density::density_candidates;
     use crate::graph::{EdgeInfo, NodeInfo, PinReason};
-    use crate::heuristic::{candidate_partitionings, plan_candidates};
+    use crate::heuristic::plan_candidates;
 
     /// A pinned UI class plus a chain of memory-bearing classes.
     fn memory_graph() -> ExecutionGraph {
@@ -511,7 +461,7 @@ mod tests {
     #[test]
     fn memory_policy_frees_required_amount() {
         let g = memory_graph();
-        let candidates = candidate_partitionings(&g);
+        let candidates = plan_candidates(&g);
         let policy = MemoryPolicy::new(0.20);
         let snapshot = ResourceSnapshot::new(6_000_000, 5_900_000);
         let chosen = policy.select(&g, snapshot, &candidates).expect("feasible");
@@ -521,15 +471,14 @@ mod tests {
     #[test]
     fn memory_policy_minimizes_cut_bytes_among_feasible() {
         let g = memory_graph();
-        let candidates = candidate_partitionings(&g);
+        let candidates = plan_candidates(&g);
         let policy = MemoryPolicy::new(0.20);
         let snapshot = ResourceSnapshot::new(6_000_000, 5_900_000);
         let chosen = policy.select(&g, snapshot, &candidates).unwrap();
         // Verify optimality against brute-force over the candidates.
         let required = 1_200_000;
-        let best_cost = candidates
-            .iter()
-            .map(|c| c.stats(&g))
+        let best_cost = (0..candidates.len())
+            .map(|i| candidates.candidate(i).stats(&g))
             .filter(|s| s.offloaded_memory_bytes >= required)
             .map(|s| s.cut.bytes)
             .min()
@@ -540,7 +489,7 @@ mod tests {
     #[test]
     fn memory_policy_returns_none_when_nothing_frees_enough() {
         let g = memory_graph();
-        let candidates = candidate_partitionings(&g);
+        let candidates = plan_candidates(&g);
         // Demand that 100% of a huge heap be freed: impossible.
         let policy = MemoryPolicy::new(1.0);
         let snapshot = ResourceSnapshot::new(1_000_000_000, 900_000_000);
@@ -582,7 +531,7 @@ mod tests {
     #[test]
     fn cpu_policy_offloads_compute_heavy_low_comm_apps() {
         let g = cpu_graph(false);
-        let candidates = candidate_partitionings(&g);
+        let candidates = plan_candidates(&g);
         let policy = CpuPolicy::default();
         let snapshot = ResourceSnapshot::new(8_000_000, 1_000_000);
         let chosen = policy
@@ -597,7 +546,7 @@ mod tests {
     #[test]
     fn cpu_policy_refuses_non_beneficial_offload() {
         let g = cpu_graph(true);
-        let candidates = candidate_partitionings(&g);
+        let candidates = plan_candidates(&g);
         let policy = CpuPolicy::default();
         let snapshot = ResourceSnapshot::new(8_000_000, 1_000_000);
         // Chatty edges make every candidate slower than local execution.
@@ -607,7 +556,7 @@ mod tests {
     #[test]
     fn cpu_policy_margin_tightens_the_gate() {
         let g = cpu_graph(false);
-        let candidates = candidate_partitionings(&g);
+        let candidates = plan_candidates(&g);
         let snapshot = ResourceSnapshot::new(8_000_000, 1_000_000);
         let loose = CpuPolicy::default();
         let tight = CpuPolicy::default().with_margin(0.99);
@@ -628,7 +577,7 @@ mod tests {
         for id in g.node_ids().collect::<Vec<_>>() {
             g.node_mut(id).cpu_micros = 10_000_000;
         }
-        let candidates = candidate_partitionings(&g);
+        let candidates = plan_candidates(&g);
         let policy = CombinedPolicy::new(MemoryPolicy::new(0.20), CpuPolicy::default());
         let snapshot = ResourceSnapshot::new(6_000_000, 5_900_000);
         let chosen = policy.select(&g, snapshot, &candidates).expect("feasible");
@@ -638,7 +587,7 @@ mod tests {
     #[test]
     fn combined_policy_falls_back_to_cpu_when_memory_infeasible() {
         let g = cpu_graph(false);
-        let candidates = candidate_partitionings(&g);
+        let candidates = plan_candidates(&g);
         // Memory requirement impossible (no memory annotations at all).
         let policy = CombinedPolicy::new(MemoryPolicy::new(0.5), CpuPolicy::default());
         let snapshot = ResourceSnapshot::new(8_000_000, 7_000_000);
@@ -708,16 +657,49 @@ mod tests {
         cases
     }
 
+    /// The reference fold: every candidate's statistics from scratch, the
+    /// first strict improvement kept, then the policy's gate.
+    fn select_from_scratch(
+        policy: &dyn PartitionPolicy,
+        g: &ExecutionGraph,
+        snapshot: ResourceSnapshot,
+        plan: &CandidatePlan,
+    ) -> Option<SelectedPartition> {
+        let mut best: Option<SelectedPartition> = None;
+        for i in 0..plan.len() {
+            let partitioning = plan.candidate(i);
+            let stats = partitioning.stats(g);
+            if let Some(score) = policy.score_candidate(g, snapshot, &partitioning, &stats) {
+                if best.as_ref().is_none_or(|b| score < b.score) {
+                    best = Some(SelectedPartition {
+                        partitioning,
+                        stats,
+                        score,
+                    });
+                }
+            }
+        }
+        best.filter(|b| policy.admit(g, snapshot, b))
+    }
+
     #[test]
     fn plan_selection_matches_sequence_selection() {
         for (g, policy, snapshot) in equivalence_cases() {
-            let plan = plan_candidates(&g);
-            let candidates = plan.materialize();
-            let classic = policy.select(&g, snapshot, &candidates);
-            let planned = policy.select_plan(&g, snapshot, &plan);
-            assert_eq!(classic, planned, "policy {}", policy.name());
-            if let (Some(c), Some(p)) = (&classic, &planned) {
-                assert_eq!(c.score.to_bits(), p.score.to_bits());
+            for plan in [plan_candidates(&g), density_candidates(&g)] {
+                let planned = policy.select(&g, snapshot, &plan);
+                // The combined policy falls back to the CPU policy when no
+                // candidate is memory-feasible.
+                let classic = match policy.name() {
+                    "combined" => select_from_scratch(policy.as_ref(), &g, snapshot, &plan)
+                        .or_else(|| {
+                            select_from_scratch(&CpuPolicy::default(), &g, snapshot, &plan)
+                        }),
+                    _ => select_from_scratch(policy.as_ref(), &g, snapshot, &plan),
+                };
+                assert_eq!(classic, planned, "policy {}", policy.name());
+                if let (Some(c), Some(p)) = (&classic, &planned) {
+                    assert_eq!(c.score.to_bits(), p.score.to_bits());
+                }
             }
         }
     }
@@ -725,13 +707,14 @@ mod tests {
     #[test]
     fn plan_sweep_stats_match_from_scratch_stats() {
         let g = memory_graph();
-        let plan = plan_candidates(&g);
-        let mut current = plan.candidate(0);
-        let mut stats = current.stats(&g);
-        for (i, &v) in plan.moves().iter().enumerate() {
-            advance_candidate(&g, &mut current, &mut stats, v);
-            assert_eq!(current, plan.candidate(i + 1));
-            assert_eq!(stats, current.stats(&g), "incremental stats after move {i}");
+        for plan in [plan_candidates(&g), density_candidates(&g)] {
+            let mut current = plan.candidate(0);
+            let mut stats = current.stats(&g);
+            for (i, &v) in plan.moves().iter().enumerate() {
+                advance_candidate(&g, &mut current, &mut stats, v);
+                assert_eq!(current, plan.candidate(i + 1));
+                assert_eq!(stats, current.stats(&g), "incremental stats after move {i}");
+            }
         }
     }
 }

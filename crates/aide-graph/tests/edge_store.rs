@@ -7,10 +7,9 @@ mod support;
 use std::collections::BTreeMap;
 
 use aide_graph::{
-    density_candidates, CandidateSequence, EdgeInfo, ExecutionGraph, NodeId, NodeInfo,
-    Partitioning, PinReason, Side,
+    density_candidates, EdgeInfo, ExecutionGraph, NodeId, NodeInfo, Partitioning, PinReason, Side,
 };
-use support::{for_each_case, Rng};
+use support::{candidates, for_each_case, Rng};
 
 type Model = BTreeMap<(NodeId, NodeId), EdgeInfo>;
 
@@ -89,7 +88,8 @@ fn the_edge_store_matches_an_edge_map_model() {
 
 /// The memory-density sweep as it was before it kept each node's marginal
 /// cut: every step rescans every remaining node's neighbours. O(V²·E).
-fn density_rescan(graph: &ExecutionGraph) -> CandidateSequence {
+/// Returns every candidate placement and the move order.
+fn density_rescan(graph: &ExecutionGraph) -> (Vec<Partitioning>, Vec<NodeId>) {
     let n = graph.node_count();
     let unpinned: Vec<NodeId> = graph
         .iter()
@@ -97,7 +97,7 @@ fn density_rescan(graph: &ExecutionGraph) -> CandidateSequence {
         .map(|(id, _)| id)
         .collect();
     if n < 2 || unpinned.is_empty() {
-        return CandidateSequence::empty();
+        return (Vec::new(), Vec::new());
     }
 
     let mut offloaded = vec![false; n];
@@ -137,7 +137,7 @@ fn density_rescan(graph: &ExecutionGraph) -> CandidateSequence {
         candidates.push(current.clone());
     }
 
-    CandidateSequence::from_parts(candidates, move_order)
+    (candidates, move_order)
 }
 
 /// A graph of 0..16 nodes whose densities tie often: memory and edge
@@ -176,6 +176,9 @@ fn tie_prone_graph(rng: &mut Rng) -> ExecutionGraph {
 fn density_candidates_equal_the_full_rescan() {
     for_each_case(|rng| {
         let g = tie_prone_graph(rng);
-        assert_eq!(density_candidates(&g), density_rescan(&g));
+        let plan = density_candidates(&g);
+        let (rescanned, move_order) = density_rescan(&g);
+        assert_eq!(plan.move_order(), move_order);
+        assert_eq!(candidates(&plan), rescanned);
     });
 }

@@ -3,21 +3,24 @@
 //! Each fixture in `tests/fixtures/*.json` describes a small hand-traced
 //! graph plus the exact heuristic and policy outcome it must produce:
 //! move order, candidate shape, winner index, score, and cut statistics.
-//! Unlike the property tests (which compare two implementations against
-//! each other), these pin the *absolute* behavior, so a bug that changes
-//! both pipelines in lockstep still trips a fixture.
+//! Unlike the property tests (which compare the selection fold against the
+//! from-scratch reference), these pin the *absolute* behavior, so a bug
+//! that changes both in lockstep still trips a fixture.
 //!
 //! On mismatch the failure lists every diverging field side by side. To
 //! re-bless after an intentional behavior change, run with `AIDE_BLESS=1`
 //! and review the fixture diff in version control.
 
+mod support;
+
 use std::path::PathBuf;
 
 use aide_graph::{
-    candidate_partitionings, EdgeInfo, ExecutionGraph, MemoryPolicy, NodeId, NodeInfo,
-    PartitionPolicy, PinReason, ResourceSnapshot,
+    plan_candidates, EdgeInfo, ExecutionGraph, MemoryPolicy, NodeId, NodeInfo, PartitionPolicy,
+    PinReason, ResourceSnapshot,
 };
 use serde::{Deserialize, Serialize};
+use support::{candidates, select_from_scratch};
 
 #[derive(Debug, Deserialize)]
 struct FixtureNode {
@@ -82,21 +85,22 @@ fn build_graph(fixture: &Fixture) -> ExecutionGraph {
     g
 }
 
-/// Runs the pipeline and captures the outcome in the fixture's terms.
+/// Runs the from-scratch reference pipeline and captures the outcome in the
+/// fixture's terms.
 fn run_pipeline(fixture: &Fixture) -> Expected {
     let g = build_graph(fixture);
-    let candidates = candidate_partitionings(&g);
+    let plan = plan_candidates(&g);
+    let candidates = candidates(&plan);
     let policy = MemoryPolicy::new(fixture.min_free_fraction);
     let snapshot = ResourceSnapshot::new(fixture.heap_capacity, fixture.heap_used);
-    let selection = policy
-        .select(&g, snapshot, &candidates)
+    let selection = select_from_scratch(&policy, &g, snapshot, &plan)
         .unwrap_or_else(|| panic!("fixture '{}' must select a winner", fixture.name));
     let winner_index = candidates
         .iter()
         .position(|c| *c == selection.partitioning)
         .expect("winner is one of the candidates");
     Expected {
-        move_order: candidates.move_order().iter().map(|n| n.0).collect(),
+        move_order: plan.move_order().iter().map(|n| n.0).collect(),
         candidate_offloaded_counts: candidates.iter().map(|c| c.offloaded_count()).collect(),
         winner_index,
         winner_score: selection.score,
@@ -180,18 +184,18 @@ fn golden_mesh_pipeline() {
     check("mesh");
 }
 
-/// The plan-based sweep reproduces every golden outcome too — the golden
-/// values pin both pipelines, not just the classic one.
+/// The selection fold reproduces every golden outcome too — the golden
+/// values pin the policies' own sweep, not just the reference.
 #[test]
 fn golden_fixtures_hold_on_the_plan_path() {
     for stem in ["editor", "chain", "mesh"] {
         let fixture = load(stem);
         let g = build_graph(&fixture);
-        let plan = aide_graph::plan_candidates(&g);
+        let plan = plan_candidates(&g);
         let policy = MemoryPolicy::new(fixture.min_free_fraction);
         let snapshot = ResourceSnapshot::new(fixture.heap_capacity, fixture.heap_used);
         let selection = policy
-            .select_plan(&g, snapshot, &plan)
+            .select(&g, snapshot, &plan)
             .unwrap_or_else(|| panic!("fixture '{stem}' must select"));
         assert_eq!(
             selection.score.to_bits(),

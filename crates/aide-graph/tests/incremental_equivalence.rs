@@ -1,10 +1,11 @@
-//! Equivalence properties locking the incremental execution graph to the
-//! classic from-scratch pipeline.
+//! Equivalence properties locking the delta-maintained execution graph to
+//! the classic from-scratch pipeline.
 //!
-//! For arbitrary delta streams, the incrementally maintained graph must be
-//! *indistinguishable* from a graph rebuilt from scratch out of the same
-//! history: same nodes, edges, and annotations; identical candidate
-//! sequences out of the heuristic; and the same policy winner. These tests
+//! For arbitrary delta streams, the graph maintained by
+//! [`ExecutionGraph::apply`] must be *indistinguishable* from a graph
+//! rebuilt from scratch out of the same history: same nodes, edges, and
+//! annotations; identical candidate plans out of both heuristics; and the
+//! same policy winner as the from-scratch reference fold. These tests
 //! are the contract that lets the platform adopt O(delta) maintenance
 //! without re-validating every decision downstream.
 //! Each runs on [`support::CASES`] seeded random delta streams.
@@ -12,10 +13,11 @@
 mod support;
 
 use aide_graph::{
-    candidate_partitionings, plan_candidates, EdgeInfo, ExecutionGraph, GraphDelta,
-    IncrementalGraph, MemoryPolicy, NodeId, NodeInfo, PartitionPolicy, PinReason, ResourceSnapshot,
+    density_candidates, plan_candidates, CandidatePlan, CombinedPolicy, CommParams, CpuPolicy,
+    EdgeInfo, ExecutionGraph, GraphDelta, MemoryPolicy, NodeId, NodeInfo, PartitionPolicy,
+    PinReason, PredictedTime, ResourceSnapshot, Side,
 };
-use support::{for_each_case, Rng};
+use support::{candidates, for_each_case, select_from_scratch, Rng};
 
 /// A random delta stream of up to 80 operations. Node indices wrap into the
 /// node count as it evolves, so every stream is valid; node-referencing
@@ -64,7 +66,7 @@ fn random_deltas(rng: &mut Rng) -> Vec<GraphDelta> {
 }
 
 /// The reference: replay the same history into an [`ExecutionGraph`]
-/// through its direct mutation API, with no incremental bookkeeping.
+/// through its direct mutation API.
 fn rebuild_from_scratch(deltas: &[GraphDelta]) -> ExecutionGraph {
     let mut g = ExecutionGraph::new();
     for d in deltas {
@@ -110,78 +112,110 @@ fn rebuild_from_scratch(deltas: &[GraphDelta]) -> ExecutionGraph {
     g
 }
 
-/// The incremental graph equals a from-scratch rebuild of the same history.
+/// Both heuristics' plans over `g`.
+fn plans(g: &ExecutionGraph) -> [CandidatePlan; 2] {
+    [plan_candidates(g), density_candidates(g)]
+}
+
+/// The delta-maintained graph equals a from-scratch rebuild of the same
+/// history.
 #[test]
 fn incremental_graph_equals_from_scratch_rebuild() {
     for_each_case(|rng| {
         let deltas = random_deltas(rng);
-        let mut inc = IncrementalGraph::new();
-        inc.apply_all(&deltas);
-        let reference = rebuild_from_scratch(&deltas);
-        assert_eq!(inc.graph(), &reference);
+        let mut g = ExecutionGraph::new();
+        g.apply_all(&deltas);
+        assert_eq!(g, rebuild_from_scratch(&deltas));
     });
 }
 
-/// The plan over the warm incremental graph produces exactly the candidate
-/// sequence (placements AND move order) of the classic from-scratch
-/// pipeline.
+/// Both heuristics' plans over the warm graph produce exactly the candidates
+/// (placements AND move order) of the plans over the from-scratch rebuild.
 #[test]
 fn cached_plan_produces_identical_candidate_sequences() {
     for_each_case(|rng| {
         let deltas = random_deltas(rng);
-        let mut inc = IncrementalGraph::new();
-        inc.apply_all(&deltas);
+        let mut g = ExecutionGraph::new();
+        g.apply_all(&deltas);
         let reference = rebuild_from_scratch(&deltas);
 
-        let plan = plan_candidates(inc.graph());
-        let classic = candidate_partitionings(&reference);
-
-        assert_eq!(plan.move_order(), classic.move_order());
-        assert_eq!(plan.materialize().candidates(), classic.candidates());
+        for (plan, classic) in plans(&g).iter().zip(&plans(&reference)) {
+            assert_eq!(plan.move_order(), classic.move_order());
+            assert_eq!(candidates(plan), candidates(classic));
+        }
     });
 }
 
-/// Random per-candidate reconstruction: `plan.candidate(i)` matches the
-/// i-th materialized placement, so the plan sweep's winner is the
-/// placement a sweep of the sequence would return.
+/// Random per-candidate reconstruction: `plan.candidate(i)` is the
+/// placement the move order describes. Under modified MINCUT a node is on
+/// the client iff it is pinned or among the first `seed + i` moves; under
+/// memory density it is offloaded iff it is among the first `1 + i` picks.
 #[test]
 fn plan_candidate_reconstruction_matches_materialization() {
     for_each_case(|rng| {
         // Streams that leave nothing to offload are drawn again.
-        let plan = loop {
-            let mut inc = IncrementalGraph::new();
-            inc.apply_all(&random_deltas(rng));
-            let plan = plan_candidates(inc.graph());
-            if !plan.is_empty() {
-                break plan;
+        let (g, [mincut, density]) = loop {
+            let mut g = ExecutionGraph::new();
+            g.apply_all(&random_deltas(rng));
+            let plans = plans(&g);
+            if !plans[0].is_empty() {
+                break (g, plans);
             }
         };
-        let i = rng.index(plan.len());
-        assert_eq!(plan.candidate(i), plan.materialize().candidates()[i]);
+        let seed = mincut.move_order().len() - mincut.moves().len();
+        let i = rng.index(mincut.len());
+        let pulled = &mincut.move_order()[..seed + i];
+        for v in g.node_ids() {
+            let home = g.node(v).is_pinned() || pulled.contains(&v);
+            assert_eq!(mincut.candidate(i).is_client(v), home, "mincut {v}");
+        }
+        let i = rng.index(density.len());
+        let pushed = &density.move_order()[..1 + i];
+        for v in g.node_ids() {
+            let side = density.candidate(i).side(v);
+            assert_eq!(side == Side::Surrogate, pushed.contains(&v), "density {v}");
+        }
     });
 }
 
-/// The policy winner over the incremental plan is the winner over the
-/// classic sequence — same placement, same stats, bit-identical score.
+/// The policy winner over the warm graph is the from-scratch reference's
+/// winner over the rebuilt graph — same placement, same stats,
+/// bit-identical score — for both heuristics and all three policies.
 #[test]
 fn policy_winner_is_identical_on_both_pipelines() {
+    let cpu = CpuPolicy::new(PredictedTime::new(CommParams::WAVELAN, 3.5));
     for_each_case(|rng| {
         let deltas = random_deltas(rng);
-        let mut inc = IncrementalGraph::new();
-        inc.apply_all(&deltas);
+        let mut g = ExecutionGraph::new();
+        g.apply_all(&deltas);
         let reference = rebuild_from_scratch(&deltas);
 
-        let policy = MemoryPolicy::new(rng.range(1, 60) as f64 / 100.0);
+        let min_free = rng.range(1, 60) as f64 / 100.0;
+        let policies: [Box<dyn PartitionPolicy>; 3] = [
+            Box::new(MemoryPolicy::new(min_free)),
+            Box::new(cpu.clone()),
+            Box::new(CombinedPolicy::new(
+                MemoryPolicy::new(min_free),
+                cpu.clone(),
+            )),
+        ];
         let heap = rng.range(500_000, 4_000_000);
         let snapshot = ResourceSnapshot::new(heap, heap - heap / 20);
 
-        let plan = plan_candidates(inc.graph());
-        let from_plan = policy.select_plan(inc.graph(), snapshot, &plan);
-        let classic = policy.select(&reference, snapshot, &candidate_partitionings(&reference));
-
-        assert_eq!(from_plan, classic);
-        if let (Some(a), Some(b)) = (&from_plan, &classic) {
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
+        for (plan, classic_plan) in plans(&g).iter().zip(&plans(&reference)) {
+            for policy in &policies {
+                let folded = policy.select(&g, snapshot, plan);
+                let mut classic =
+                    select_from_scratch(policy.as_ref(), &reference, snapshot, classic_plan);
+                if policy.name() == "combined" {
+                    classic = classic
+                        .or_else(|| select_from_scratch(&cpu, &reference, snapshot, classic_plan));
+                }
+                assert_eq!(folded, classic, "policy {}", policy.name());
+                if let (Some(a), Some(b)) = (&folded, &classic) {
+                    assert_eq!(a.score.to_bits(), b.score.to_bits());
+                }
+            }
         }
     });
 }

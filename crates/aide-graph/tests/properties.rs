@@ -7,11 +7,11 @@ mod support;
 use std::collections::HashSet;
 
 use aide_graph::{
-    candidate_partitionings, density_candidates, plan_candidates, stoer_wagner, CombinedPolicy,
-    CommParams, CpuPolicy, EdgeInfo, ExecutionGraph, MemoryPolicy, NodeId, NodeInfo,
-    PartitionPolicy, Partitioning, PinReason, PredictedTime, ResourceSnapshot, Side,
+    density_candidates, plan_candidates, stoer_wagner, CombinedPolicy, CommParams, CpuPolicy,
+    EdgeInfo, ExecutionGraph, MemoryPolicy, NodeId, NodeInfo, PartitionPolicy, Partitioning,
+    PinReason, PredictedTime, ResourceSnapshot, Side,
 };
-use support::{for_each_case, Rng};
+use support::{candidates, for_each_case, select_from_scratch, Rng};
 
 /// `n` nodes, node 0 never pinned (so at least one candidate exists), the
 /// others pinned at random when `pin_some`.
@@ -148,9 +148,8 @@ fn stoer_wagner_is_permutation_invariant() {
 fn candidates_are_valid_partitionings() {
     for_each_case(|rng| {
         let (g, _) = random_graph(rng, 14, true);
-        let seq = candidate_partitionings(&g);
         let pinned: Vec<NodeId> = g.pinned_nodes().collect();
-        for cand in seq.iter() {
+        for cand in candidates(&plan_candidates(&g)) {
             assert_eq!(cand.len(), g.node_count());
             assert!(cand.offloaded_count() >= 1);
             for &p in &pinned {
@@ -165,7 +164,7 @@ fn candidates_are_valid_partitionings() {
 fn candidate_sequence_shrinks_monotonically() {
     for_each_case(|rng| {
         let (g, _) = random_graph(rng, 14, true);
-        let seq = candidate_partitionings(&g);
+        let seq = candidates(&plan_candidates(&g));
         let counts: Vec<usize> = seq.iter().map(|c| c.offloaded_count()).collect();
         for w in counts.windows(2) {
             assert_eq!(w[0], w[1] + 1);
@@ -180,11 +179,11 @@ fn candidate_sequence_shrinks_monotonically() {
 fn move_order_is_a_permutation_prefix() {
     for_each_case(|rng| {
         let (g, _) = random_graph(rng, 12, true);
-        let seq = candidate_partitionings(&g);
-        assert!(!seq.is_empty());
-        let moved: HashSet<NodeId> = seq.move_order().iter().copied().collect();
-        assert_eq!(moved.len(), seq.move_order().len(), "duplicate move");
-        for &m in seq.move_order() {
+        let plan = plan_candidates(&g);
+        assert!(!plan.is_empty());
+        let moved: HashSet<NodeId> = plan.move_order().iter().copied().collect();
+        assert_eq!(moved.len(), plan.move_order().len(), "duplicate move");
+        for &m in plan.move_order() {
             assert!(!g.node(m).is_pinned(), "pinned node moved");
         }
     });
@@ -197,7 +196,7 @@ fn heuristic_never_beats_exact_mincut() {
     for_each_case(|rng| {
         let (g, _) = random_graph(rng, 10, false);
         let exact = stoer_wagner(&g).unwrap().weight;
-        let best = candidate_partitionings(&g)
+        let best = candidates(&plan_candidates(&g))
             .iter()
             .map(|c| g.cut_weight(|v| c.is_client(v)))
             .min()
@@ -214,7 +213,7 @@ fn partition_stats_conserve_memory() {
         let (mut g, _) = random_graph(rng, 12, true);
         annotate(rng, &mut g, 1_000_000, |node, v| node.memory_bytes = v);
         let total = g.total_memory();
-        for cand in candidate_partitionings(&g).iter() {
+        for cand in candidates(&plan_candidates(&g)) {
             let s = cand.stats(&g);
             assert_eq!(s.client_memory_bytes + s.offloaded_memory_bytes, total);
         }
@@ -265,16 +264,16 @@ fn memory_policy_selects_the_optimal_feasible_candidate() {
         let (mut g, _) = random_graph(rng, 12, true);
         annotate(rng, &mut g, 500_000, |node, v| node.memory_bytes = v);
         let min_free = rng.range(1, 60);
-        let candidates = candidate_partitionings(&g);
-        assert!(!candidates.is_empty());
+        let plan = plan_candidates(&g);
+        assert!(!plan.is_empty());
         let heap = 1_000_000u64;
         let policy = MemoryPolicy::new(min_free as f64 / 100.0);
         let snapshot = ResourceSnapshot::new(heap, heap - heap / 100);
         let required = (heap as f64 * (min_free as f64 / 100.0)).ceil() as u64;
-        match policy.select(&g, snapshot, &candidates) {
+        match policy.select(&g, snapshot, &plan) {
             Some(sel) => {
                 assert!(sel.stats.offloaded_memory_bytes >= required);
-                for cand in candidates.iter() {
+                for cand in candidates(&plan) {
                     let stats = cand.stats(&g);
                     if stats.offloaded_memory_bytes >= required {
                         assert!(sel.stats.cut.bytes <= stats.cut.bytes);
@@ -282,7 +281,7 @@ fn memory_policy_selects_the_optimal_feasible_candidate() {
                 }
             }
             None => {
-                for cand in candidates.iter() {
+                for cand in candidates(&plan) {
                     assert!(cand.stats(&g).offloaded_memory_bytes < required);
                 }
             }
@@ -297,11 +296,11 @@ fn cpu_policy_gate_is_sound() {
     for_each_case(|rng| {
         let (mut g, _) = random_graph(rng, 12, true);
         annotate(rng, &mut g, 50_000_000, |node, v| node.cpu_micros = v);
-        let candidates = candidate_partitionings(&g);
-        assert!(!candidates.is_empty());
+        let plan = plan_candidates(&g);
+        assert!(!plan.is_empty());
         let policy = CpuPolicy::default();
         let snapshot = ResourceSnapshot::new(1 << 20, 1 << 19);
-        if let Some(sel) = policy.select(&g, snapshot, &candidates) {
+        if let Some(sel) = policy.select(&g, snapshot, &plan) {
             let baseline = policy.predictor().unpartitioned_seconds(&g);
             assert!(
                 sel.score < baseline,
@@ -319,10 +318,9 @@ fn cpu_policy_gate_is_sound() {
 fn density_candidates_are_valid() {
     for_each_case(|rng| {
         let (g, _) = random_graph(rng, 14, true);
-        let seq = density_candidates(&g);
         let pinned: Vec<NodeId> = g.pinned_nodes().collect();
         let mut prev = 0usize;
-        for cand in seq.iter() {
+        for cand in candidates(&density_candidates(&g)) {
             assert_eq!(cand.len(), g.node_count());
             for &p in &pinned {
                 assert!(cand.is_client(p));
@@ -333,22 +331,20 @@ fn density_candidates_are_valid() {
     });
 }
 
-/// The plan sweep (statistics carried from candidate to candidate) picks
-/// the winner of the materialized sequence (statistics from scratch) —
-/// same placement, same stats, bit-identical score — for every policy
-/// family the platform can run.
+/// The one selection fold (statistics carried from candidate to candidate)
+/// picks the winner of the from-scratch reference (statistics recomputed
+/// for every candidate) — same placement, same stats, bit-identical score —
+/// for both heuristics and every policy family the platform can run.
 #[test]
 fn plan_winner_matches_sequence_winner_for_every_policy() {
     let predictor = PredictedTime::new(CommParams::WAVELAN, 3.5);
+    let cpu = CpuPolicy::new(predictor);
     let policies: [(&str, Box<dyn PartitionPolicy>); 3] = [
         ("memory", Box::new(MemoryPolicy::new(0.2))),
-        ("cpu", Box::new(CpuPolicy::new(predictor))),
+        ("cpu", Box::new(cpu.clone())),
         (
             "combined",
-            Box::new(CombinedPolicy::new(
-                MemoryPolicy::new(0.2),
-                CpuPolicy::new(predictor),
-            )),
+            Box::new(CombinedPolicy::new(MemoryPolicy::new(0.2), cpu.clone())),
         ),
     ];
     for_each_case(|rng| {
@@ -363,15 +359,20 @@ fn plan_winner_matches_sequence_winner_for_every_policy() {
             g.record_interaction(ids[a], ids[b], e);
         }
 
-        let plan = plan_candidates(&g);
-        let candidates = candidate_partitionings(&g);
         let snapshot = ResourceSnapshot::new(4_000_000, 3_800_000);
-        for (name, policy) in &policies {
-            let from_sequence = policy.select(&g, snapshot, &candidates);
-            let from_plan = policy.select_plan(&g, snapshot, &plan);
-            assert_eq!(from_plan, from_sequence, "policy {name}");
-            if let (Some(a), Some(b)) = (&from_plan, &from_sequence) {
-                assert_eq!(a.score.to_bits(), b.score.to_bits(), "policy {name}");
+        for plan in [plan_candidates(&g), density_candidates(&g)] {
+            for (name, policy) in &policies {
+                let folded = policy.select(&g, snapshot, &plan);
+                let mut reference = select_from_scratch(policy.as_ref(), &g, snapshot, &plan);
+                if *name == "combined" {
+                    // No memory-feasible candidate: the CPU half decides.
+                    reference =
+                        reference.or_else(|| select_from_scratch(&cpu, &g, snapshot, &plan));
+                }
+                assert_eq!(folded, reference, "policy {name}");
+                if let (Some(a), Some(b)) = (&folded, &reference) {
+                    assert_eq!(a.score.to_bits(), b.score.to_bits(), "policy {name}");
+                }
             }
         }
     });

@@ -2,9 +2,16 @@
 //! crate's, and by `#[path]` aide-rpc's, aide-vm's and aide-emu's): the
 //! in-tree xorshift (`flat_props`, `monitor_props`, `lease_model`), so a case
 //! depends on its seed alone and a failure names the seed that reproduces it.
+//! Beside it, [`select_from_scratch`], the reference the policies' one
+//! selection fold is checked against.
 
 // Each suite draws with its own subset of the generator.
 #![allow(dead_code)]
+
+use aide_graph::{
+    CandidatePlan, ExecutionGraph, PartitionPolicy, Partitioning, ResourceSnapshot,
+    SelectedPartition,
+};
 
 /// Cases per property.
 pub const CASES: u64 = 256;
@@ -98,4 +105,38 @@ pub fn for_each_case(property: impl Fn(&mut Rng)) {
         property(&mut Rng::new(seed));
     }
     println!("{CASES} cases");
+}
+
+/// The reference for [`PartitionPolicy::select`]: every candidate of `plan`
+/// is built and its statistics computed from scratch, the first
+/// strict improvement is kept (so a NaN never displaces a winner), and the
+/// winner must pass the policy's `admit`. `CombinedPolicy` falls back to its
+/// CPU half when nothing is memory-feasible; callers chain that fallback
+/// themselves.
+pub fn select_from_scratch(
+    policy: &dyn PartitionPolicy,
+    g: &ExecutionGraph,
+    snapshot: ResourceSnapshot,
+    plan: &CandidatePlan,
+) -> Option<SelectedPartition> {
+    let mut best: Option<SelectedPartition> = None;
+    for i in 0..plan.len() {
+        let partitioning = plan.candidate(i);
+        let stats = partitioning.stats(g);
+        if let Some(score) = policy.score_candidate(g, snapshot, &partitioning, &stats) {
+            if best.as_ref().is_none_or(|b| score < b.score) {
+                best = Some(SelectedPartition {
+                    partitioning,
+                    stats,
+                    score,
+                });
+            }
+        }
+    }
+    best.filter(|b| policy.admit(g, snapshot, b))
+}
+
+/// Every candidate of `plan`, built one by one, in sweep order.
+pub fn candidates(plan: &CandidatePlan) -> Vec<Partitioning> {
+    (0..plan.len()).map(|i| plan.candidate(i)).collect()
 }

@@ -6,7 +6,7 @@
 //! codec is exercised by round-trip property tests.
 //!
 //! Payload *sizes* (method parameters, field data) are declared, not
-//! materialized: a `FieldAccess { bytes: 4096 }` frame does not carry 4 KiB
+//! carried: a `FieldAccess { bytes: 4096 }` frame does not carry 4 KiB
 //! of zeros. Link timing is computed from the declared sizes (see
 //! [`Message::simulated_request_bytes`]), which is exactly how the paper's
 //! emulator stretched simulated execution time for remote interactions.

@@ -52,7 +52,7 @@ impl Default for ShardConfig {
     }
 }
 
-/// The per-session machinery a [`SessionFactory`] builds: the session's
+/// The per-session machinery a session factory builds: the session's
 /// serving dispatcher (fault injectors and counters already layered in),
 /// and a GC-side dispatcher sharing the same VM and reference tables, which
 /// lease renewal, reply stamping and the daemon's lease sweeper use.

@@ -144,9 +144,6 @@ pub mod names {
 
     /// Partitioning epochs the incremental partitioner evaluated.
     pub const PARTITION_EPOCHS: &str = "aide_partition_epochs_total";
-    /// Partitioning epochs skipped by the dirty-region shortcut (churn
-    /// since the last evaluation stayed below the threshold).
-    pub const PARTITION_EPOCHS_SKIPPED: &str = "aide_partition_epochs_skipped_total";
     /// Graph deltas applied to the incremental execution graph.
     pub const GRAPH_DELTAS_APPLIED: &str = "aide_graph_deltas_applied_total";
     /// Wall-clock duration of candidate evaluation per epoch, in

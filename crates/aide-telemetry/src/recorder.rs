@@ -49,16 +49,6 @@ pub enum PlatformEvent {
         /// Number of candidate partitionings scored.
         candidates: usize,
     },
-    /// The incremental partitioner skipped an evaluation epoch outright:
-    /// graph churn since the last decision stayed below the configured
-    /// threshold (dirty-region shortcut), so the previous "do not
-    /// offload" outcome still stands.
-    EpochSkipped {
-        /// Weight-equivalent churn accumulated since the last evaluation.
-        churn_weight: u64,
-        /// The configured churn threshold.
-        threshold: u64,
-    },
     /// Objects of the winning partition migrated to a surrogate.
     ClassMigrated {
         /// Objects shipped.
@@ -212,10 +202,6 @@ impl PlatformEvent {
             PlatformEvent::OffloadDeclined { candidates } => {
                 format!("offload declined after scoring {candidates} candidates")
             }
-            PlatformEvent::EpochSkipped {
-                churn_weight,
-                threshold,
-            } => format!("epoch skipped: churn {churn_weight} below threshold {threshold}"),
             PlatformEvent::ClassMigrated {
                 objects,
                 bytes,

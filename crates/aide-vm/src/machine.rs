@@ -430,15 +430,15 @@ fn vm_metrics() -> &'static (
 }
 
 /// How many reference-slot writes a VM has made, over its lifetime. Only
-/// [`write_slot`] advances it, always under the VM lock, so the advance is a
-/// plain load and store; anyone may read it without the lock — a peer that
-/// remembers what it read of this VM's objects is told this number with
-/// every frame, and forgets when it has moved.
+/// the machine's `write_slot` advances it, always under the VM lock, so the
+/// advance is a plain load and store; anyone may read it without the lock —
+/// a peer that remembers what it read of this VM's objects is told this
+/// number with every frame, and forgets when it has moved.
 #[derive(Debug, Default)]
 pub struct SlotWrites(AtomicU64);
 
 impl SlotWrites {
-    /// The count so far. Pairs with the `Release` store in [`write_slot`]:
+    /// The count so far. Pairs with the `Release` store in `write_slot`:
     /// whoever reads a count has the writes it counts behind it.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Acquire)

@@ -158,11 +158,10 @@ fn sweep_cmd(path: &str, args: &[String]) {
     );
     for v in &report.variants {
         println!(
-            "  {:<20} offloads {:>2}  declines {:>2}  skips {:>2}  {:>9} B  agree {:>5.1}%  win {:>5.1}%  regret {} B",
+            "  {:<20} offloads {:>2}  declines {:>2}  {:>9} B  agree {:>5.1}%  win {:>5.1}%  regret {} B",
             v.name,
             v.offloads,
             v.declines,
-            v.skips,
             v.offloaded_bytes,
             v.agreement_with_baseline * 100.0,
             v.win_fraction * 100.0,

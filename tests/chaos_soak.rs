@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use aide::core::{execute_offload_tracked, NodeKey, RefTables, VmDispatcher};
 use aide::graph::{
-    candidate_partitionings, CommParams, EdgeInfo, ExecutionGraph, MemoryPolicy, NodeInfo,
-    PartitionPolicy, PinReason, ResourceSnapshot,
+    plan_candidates, CommParams, EdgeInfo, ExecutionGraph, MemoryPolicy, NodeInfo, PartitionPolicy,
+    PinReason, ResourceSnapshot,
 };
 use aide::rpc::{
     chaos_pair, chaos_wrap, ChaosSchedule, Dispatcher, Endpoint, EndpointConfig, Link, Reply,
@@ -242,7 +242,7 @@ fn doc_selection(doc_bytes: u64) -> (aide::graph::SelectedPartition, Vec<NodeKey
     let doc = g.add_node(NodeInfo::new("Doc"));
     g.node_mut(doc).memory_bytes = doc_bytes;
     g.record_interaction(main, doc, EdgeInfo::new(5, 100));
-    let cands = candidate_partitionings(&g);
+    let cands = plan_candidates(&g);
     let sel = MemoryPolicy::new(1e-6)
         .select(&g, ResourceSnapshot::new(1 << 20, 1 << 19), &cands)
         .expect("feasible");
