@@ -20,6 +20,7 @@
 //! the program and the local heap alone, for both directions.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use aide_rpc::{Dispatcher, Endpoint, ExportTable, GcClock, ImportTable, Reply, Request, RpcError};
@@ -27,6 +28,7 @@ use aide_vm::{
     ClassId, Machine, MethodId, NativeKind, ObjectId, ObjectRecord, RemoteAccess, Vm, VmError,
     VmResult,
 };
+use serde::{Deserialize, Serialize};
 
 /// Serves `touch` — one whose reply carries nothing
 /// ([`Request::is_deferrable`]) and that runs no code — on `vm`, as the
@@ -197,13 +199,46 @@ pub struct RemoteAdapter {
     /// nothing that may take `active` ([`Surrogate::peer_writes`],
     /// [`Surrogate::call`]) runs under the VM guard or this one.
     remembered: Mutex<Remembered>,
-    /// The process-wide counters of remote reads and invocations, resolved
-    /// once.
-    reads_from_memory: Arc<aide_telemetry::Counter>,
-    reads_asked: Arc<aide_telemetry::Counter>,
-    invokes_deferred: Arc<aide_telemetry::Counter>,
-    invokes_waited: Arc<aide_telemetry::Counter>,
-    deferred_callbacks: Arc<aide_telemetry::Counter>,
+    /// What [`RemoteAdapter::stats`] reports, field by field.
+    reads_from_memory: AtomicU64,
+    reads_asked: AtomicU64,
+    invokes_deferred: AtomicU64,
+    invokes_waited: AtomicU64,
+    deferred_callbacks: AtomicU64,
+}
+
+/// How a [`RemoteAdapter`] answered the touches of the peer's objects it was
+/// asked for, over its lifetime.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct AdapterStats {
+    /// Reads of a peer's object — a reference slot, an object's class —
+    /// answered from what the adapter had read before.
+    pub reads_from_memory: u64,
+    /// Reads of a peer's object the adapter had to ask the peer for.
+    pub reads_asked: u64,
+    /// Invocations sent without being waited for: their callees cannot
+    /// call back.
+    pub invokes_deferred: u64,
+    /// Invocations the adapter waited for.
+    pub invokes_waited: u64,
+    /// Calls back to the peer, waited for, made while serving a deferred
+    /// invocation — calls its admission said it could not make (a class
+    /// lookup, which asks what never changes, is not one); 0 is right.
+    pub deferred_callbacks: u64,
+}
+
+impl std::ops::Add for AdapterStats {
+    type Output = AdapterStats;
+
+    fn add(self, other: AdapterStats) -> AdapterStats {
+        AdapterStats {
+            reads_from_memory: self.reads_from_memory + other.reads_from_memory,
+            reads_asked: self.reads_asked + other.reads_asked,
+            invokes_deferred: self.invokes_deferred + other.invokes_deferred,
+            invokes_waited: self.invokes_waited + other.invokes_waited,
+            deferred_callbacks: self.deferred_callbacks + other.deferred_callbacks,
+        }
+    }
 }
 
 impl std::fmt::Debug for RemoteAdapter {
@@ -223,17 +258,28 @@ impl RemoteAdapter {
 
     /// An adapter sending to wherever `surrogate` currently is.
     pub(crate) fn over(surrogate: Surrogate, machine: Machine, tables: Arc<RefTables>) -> Self {
-        let telemetry = aide_telemetry::global();
         RemoteAdapter {
             surrogate,
             machine,
             tables,
             remembered: Mutex::default(),
-            reads_from_memory: telemetry.counter(aide_telemetry::names::REMOTE_READS_FROM_MEMORY),
-            reads_asked: telemetry.counter(aide_telemetry::names::REMOTE_READS_ASKED),
-            invokes_deferred: telemetry.counter(aide_telemetry::names::REMOTE_INVOKES_DEFERRED),
-            invokes_waited: telemetry.counter(aide_telemetry::names::REMOTE_INVOKES_WAITED),
-            deferred_callbacks: telemetry.counter(aide_telemetry::names::REMOTE_DEFERRED_CALLBACKS),
+            reads_from_memory: AtomicU64::new(0),
+            reads_asked: AtomicU64::new(0),
+            invokes_deferred: AtomicU64::new(0),
+            invokes_waited: AtomicU64::new(0),
+            deferred_callbacks: AtomicU64::new(0),
+        }
+    }
+
+    /// How this adapter has answered its touches so far.
+    pub fn stats(&self) -> AdapterStats {
+        let read = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        AdapterStats {
+            reads_from_memory: read(&self.reads_from_memory),
+            reads_asked: read(&self.reads_asked),
+            invokes_deferred: read(&self.invokes_deferred),
+            invokes_waited: read(&self.invokes_waited),
+            deferred_callbacks: read(&self.deferred_callbacks),
         }
     }
 
@@ -283,7 +329,7 @@ impl RemoteAdapter {
         let calls_back = !matches!(request, Request::ClassOf { .. });
         if let (true, Some((class, method))) = (calls_back, aide_rpc::deferred_invoke_in_service())
         {
-            self.deferred_callbacks.inc();
+            self.deferred_callbacks.fetch_add(1, Ordering::Relaxed);
             if cfg!(test) {
                 return Err(VmError::RemoteFailure(format!(
                     "{} sent while serving a deferred Invoke of {class}::{method}",
@@ -366,10 +412,10 @@ impl RemoteAccess for RemoteAdapter {
             args: args.to_vec(),
         };
         if admitted {
-            self.invokes_deferred.inc();
+            self.invokes_deferred.fetch_add(1, Ordering::Relaxed);
             return self.defer(invoke).map(drop);
         }
-        self.invokes_waited.inc();
+        self.invokes_waited.fetch_add(1, Ordering::Relaxed);
         match self.call(invoke)? {
             Some(_) => Ok(()),
             None => self.machine.call_on(target, class, method, args),
@@ -400,13 +446,13 @@ impl RemoteAccess for RemoteAdapter {
                 // and asking again is what exports it again.
                 let held = |v| vm.heap().contains(v) || self.tables.imports.contains(v);
                 if value.is_none_or(held) {
-                    self.reads_from_memory.inc();
+                    self.reads_from_memory.fetch_add(1, Ordering::Relaxed);
                     return Ok(value);
                 }
             }
             now
         };
-        self.reads_asked.inc();
+        self.reads_asked.fetch_add(1, Ordering::Relaxed);
         match self.call(Request::GetSlot { target, slot })? {
             Some(Reply::Slot(value)) => {
                 // The reply's own count is in by now.
@@ -504,10 +550,10 @@ impl RemoteAccess for RemoteAdapter {
 
     fn class_of(&self, target: ObjectId) -> VmResult<ClassId> {
         if let Some(&class) = self.remembered.lock().classes.get(&target) {
-            self.reads_from_memory.inc();
+            self.reads_from_memory.fetch_add(1, Ordering::Relaxed);
             return Ok(class);
         }
-        self.reads_asked.inc();
+        self.reads_asked.fetch_add(1, Ordering::Relaxed);
         match self.call(Request::ClassOf { target })? {
             Some(Reply::Class(class)) => {
                 if self.surrogate.peer_writes().is_some() {
@@ -830,6 +876,21 @@ mod tests {
 
     /// Builds a connected client/surrogate machine pair over real RPC.
     fn machine_pair() -> (Machine, Machine, Arc<Endpoint>, Arc<Endpoint>) {
+        let (client, surrogate, cep, sep, adapters) = adapter_pair();
+        // The machines hold their adapters weakly and these tests hand the
+        // pair around as plain machines: the adapters stay for the process.
+        std::mem::forget(adapters);
+        (client, surrogate, cep, sep)
+    }
+
+    /// [`machine_pair`], and the client's and the surrogate's adapter.
+    fn adapter_pair() -> (
+        Machine,
+        Machine,
+        Arc<Endpoint>,
+        Arc<Endpoint>,
+        [Arc<RemoteAdapter>; 2],
+    ) {
         let mut b = ProgramBuilder::new();
         let main = b.add_class("Main");
         let worker = b.add_class("Worker");
@@ -917,7 +978,7 @@ mod tests {
 
         // Calls placed on an endpoint travel to the peer and are served by
         // the peer's dispatcher: the client's outbound path is client_ep.
-        let adapters: [Arc<dyn RemoteAccess>; 2] = [
+        let adapters = [
             Arc::new(RemoteAdapter::new(
                 client_ep.clone(),
                 client.clone(),
@@ -929,12 +990,11 @@ mod tests {
                 surrogate_tables,
             )),
         ];
-        client.set_remote(&adapters[0]);
-        surrogate.set_remote(&adapters[1]);
-        // The machines hold their adapters weakly and these tests hand the
-        // pair around as plain machines: the adapters stay for the process.
-        std::mem::forget(adapters);
-        (client, surrogate, client_ep, surrogate_ep)
+        for (machine, adapter) in [&client, &surrogate].into_iter().zip(&adapters) {
+            let remote: Arc<dyn RemoteAccess> = adapter.clone();
+            machine.set_remote(&remote);
+        }
+        (client, surrogate, client_ep, surrogate_ep, adapters)
     }
 
     #[test]
@@ -1050,7 +1110,7 @@ mod tests {
     /// back: the call is counted, and refused with where it came from.
     #[test]
     fn a_call_back_from_a_deferred_invoke_is_counted_and_refused_here() {
-        let (client, surrogate, cep, _sep) = machine_pair();
+        let (client, surrogate, cep, _sep, adapters) = adapter_pair();
         let (worker, ours) = (ObjectId::surrogate(5), ObjectId::client(7));
         surrogate
             .vm()
@@ -1064,9 +1124,6 @@ mod tests {
             .heap_mut()
             .insert(ours, ObjectRecord::new(WORKER, 100, 1))
             .unwrap();
-        let callbacks =
-            aide_telemetry::global().counter(aide_telemetry::names::REMOTE_DEFERRED_CALLBACKS);
-        let before = callbacks.get();
         // `ours.set(ours)` writes a slot: the surrogate waits for it.
         cep.defer(Request::Invoke {
             target: worker,
@@ -1085,7 +1142,9 @@ mod tests {
                  deferred Invoke of {WORKER}::{POKE}"
             ))
         );
-        assert_eq!(callbacks.get() - before, 1);
+        // The surrogate's adapter made the call back, once.
+        assert_eq!(adapters[1].stats().deferred_callbacks, 1);
+        assert_eq!(adapters[0].stats().deferred_callbacks, 0);
     }
 
     /// A deferred invocation that fails — its target gone, or the surrogate

@@ -619,14 +619,6 @@ impl FailoverCore {
         self.backoff.lock().note_failure();
         let duration_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.failover_durations.lock().push(duration_micros);
-        let telemetry = aide_telemetry::global();
-        telemetry.counter(aide_telemetry::names::FAILOVERS).inc();
-        telemetry
-            .histogram(
-                aide_telemetry::names::FAILOVER_DURATION_MICROS,
-                aide_telemetry::buckets::DURATION_MICROS,
-            )
-            .observe(duration_micros);
         self.record_event(PlatformEvent::FailoverCompleted {
             surrogate: lease.name.clone(),
             reinstated_objects: self.reinstated_objects.load(Ordering::Relaxed) - objects_before,

@@ -56,7 +56,7 @@ pub mod partitioner;
 mod platform;
 mod relay;
 
-pub use adapter::{RefTables, RemoteAdapter, VmDispatcher};
+pub use adapter::{AdapterStats, RefTables, RemoteAdapter, VmDispatcher};
 pub use config::{EvaluationMode, PlatformConfig, PolicyKind, TransportKind};
 pub use failover::{
     BackoffConfig, FailoverConfig, FailoverReport, ProviderContext, SurrogateLease,

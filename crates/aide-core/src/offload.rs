@@ -296,13 +296,6 @@ pub fn execute_offload_tracked(
         // retry, a replayed release); a fresh import epoch fences them off
         // so the surrogate counts them as stale instead of honoring them.
         tables.imports.begin_epoch();
-        let telemetry = aide_telemetry::global();
-        telemetry
-            .counter(aide_telemetry::names::MIGRATIONS_ABORTED)
-            .inc();
-        telemetry
-            .counter(aide_telemetry::names::MIGRATION_ROLLBACK_OBJECTS)
-            .add(objects_moved);
         if let Some(rec) = recorder {
             rec.record(PlatformEvent::MigrationAborted {
                 reason: reason.clone(),
@@ -318,18 +311,6 @@ pub fn execute_offload_tracked(
     migration_span.arg("outcome", "committed");
     let client_used_after = client.vm().lock().heap().stats().used_bytes;
     let duration_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-
-    let telemetry = aide_telemetry::global();
-    telemetry.counter(aide_telemetry::names::OFFLOADS).inc();
-    telemetry
-        .counter(aide_telemetry::names::OFFLOAD_BYTES)
-        .add(bytes_moved);
-    telemetry
-        .histogram(
-            aide_telemetry::names::OFFLOAD_DURATION_MICROS,
-            aide_telemetry::buckets::DURATION_MICROS,
-        )
-        .observe(duration_micros);
 
     Ok(TrackedOffload {
         outcome: OffloadOutcome {

@@ -22,7 +22,6 @@
 //! and the strict replayer all run it; migration, spans and timestamps stay
 //! with each of them.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aide_graph::{
@@ -110,9 +109,6 @@ pub struct PartitionerConfig;
 /// the policy each visit a moved node's own edges only.
 pub struct IncrementalPartitioner {
     graph: ExecutionGraph,
-    epochs: Arc<aide_telemetry::Counter>,
-    deltas_applied: Arc<aide_telemetry::Counter>,
-    eval_micros: Arc<aide_telemetry::Histogram>,
 }
 
 impl std::fmt::Debug for IncrementalPartitioner {
@@ -126,15 +122,8 @@ impl std::fmt::Debug for IncrementalPartitioner {
 impl IncrementalPartitioner {
     /// Creates an empty incremental partitioner.
     pub fn new(_config: PartitionerConfig) -> Self {
-        let telemetry = aide_telemetry::global();
         IncrementalPartitioner {
             graph: ExecutionGraph::new(),
-            epochs: telemetry.counter(aide_telemetry::names::PARTITION_EPOCHS),
-            deltas_applied: telemetry.counter(aide_telemetry::names::GRAPH_DELTAS_APPLIED),
-            eval_micros: telemetry.histogram(
-                aide_telemetry::names::PARTITION_EVAL_MICROS,
-                aide_telemetry::buckets::LATENCY_MICROS,
-            ),
         }
     }
 
@@ -146,7 +135,6 @@ impl IncrementalPartitioner {
     /// Applies a batch of monitor deltas in O(delta).
     pub fn apply_deltas(&mut self, deltas: &[GraphDelta]) {
         self.graph.apply_all(deltas);
-        self.deltas_applied.add(deltas.len() as u64);
     }
 
     /// Runs one decision epoch with the modified-MINCUT heuristic:
@@ -156,7 +144,7 @@ impl IncrementalPartitioner {
         snapshot: ResourceSnapshot,
         policy: &dyn PartitionPolicy,
     ) -> PartitionDecision {
-        self.evaluate(snapshot, policy, HeuristicKind::ModifiedMincut)
+        select(&self.graph, snapshot, policy, HeuristicKind::ModifiedMincut)
     }
 
     /// The decision epoch of a fired trigger: applies the sample's deltas,
@@ -178,7 +166,7 @@ impl IncrementalPartitioner {
             reason: sample.reason.clone(),
         });
         self.apply_deltas(&sample.deltas);
-        let decision = self.evaluate(sample.snapshot, policy, heuristic);
+        let decision = select(&self.graph, sample.snapshot, policy, heuristic);
         let candidates = decision.candidates_evaluated;
         record(PlatformEvent::CandidatesEvaluated {
             candidates,
@@ -192,19 +180,6 @@ impl IncrementalPartitioner {
                 cut_interactions: selection.stats.cut.interactions,
             },
         });
-        decision
-    }
-
-    fn evaluate(
-        &mut self,
-        snapshot: ResourceSnapshot,
-        policy: &dyn PartitionPolicy,
-        heuristic: HeuristicKind,
-    ) -> PartitionDecision {
-        let decision = select(&self.graph, snapshot, policy, heuristic);
-        self.epochs.inc();
-        self.eval_micros
-            .observe(u64::try_from(decision.elapsed.as_micros()).unwrap_or(u64::MAX));
         decision
     }
 }

@@ -31,7 +31,7 @@ use aide_vm::{
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::adapter::{RefTables, RemoteAdapter, VmDispatcher};
+use crate::adapter::{AdapterStats, RefTables, RemoteAdapter, VmDispatcher};
 use crate::config::{EvaluationMode, PlatformConfig, TransportKind};
 use crate::failover::{
     FailoverConfig, FailoverCore, FailoverReport, ProviderContext, Surrogate, SurrogateProvider,
@@ -99,6 +99,10 @@ pub struct PlatformReport {
     pub metrics: MonitorMetrics,
     /// Figure 8-style remote-interaction counters.
     pub remote_stats: RemoteStats,
+    /// How the run's remote-access adapters answered their touches, summed
+    /// over the adapters of both VMs this process ran.
+    #[serde(default)]
+    pub remote_access: AdapterStats,
     /// RPC requests the surrogate served for the client.
     pub surrogate_requests_served: u64,
     /// RPC requests the client served for the surrogate.
@@ -626,12 +630,12 @@ impl Platform {
 
         // The machines hold their adapters weakly (each adapter holds its
         // machine); the run owns them, so they go when it returns.
-        let surrogate_remote: Arc<dyn RemoteAccess> = Arc::new(RemoteAdapter::new(
+        let surrogate_remote = Arc::new(RemoteAdapter::new(
             surrogate_ep.clone(),
             surrogate_machine.clone(),
             surrogate_tables,
         ));
-        surrogate_machine.set_remote(&surrogate_remote);
+        surrogate_machine.set_remote(&(surrogate_remote.clone() as Arc<dyn RemoteAccess>));
         side.bind(Surrogate::Fixed(client_ep.clone()));
 
         // Run the application on the client.
@@ -644,14 +648,16 @@ impl Platform {
         surrogate_ep.join();
 
         let surrogate_vm = surrogate_vm.lock();
+        let report = side.report(outcome, net_clock.seconds());
         PlatformReport {
+            remote_access: report.remote_access + surrogate_remote.stats(),
             surrogate_cpu_seconds: surrogate_vm.cpu_seconds(),
             surrogate_hook_seconds: surrogate_vm.hook_seconds(),
             surrogate_requests_served: surrogate_ep.requests_served(),
             client_requests_served: client_ep.requests_served(),
             frames_exchanged: client_ep.traffic().frames_sent()
                 + surrogate_ep.traffic().frames_sent(),
-            ..side.report(outcome, net_clock.seconds())
+            ..report
         }
     }
 
@@ -815,7 +821,7 @@ struct ClientSide {
     machine: Machine,
     /// The adapter `machine` reaches the surrogate through, once bound.
     /// The machine holds it weakly; this is what keeps it for the run.
-    remote: Option<Arc<dyn RemoteAccess>>,
+    remote: Option<Arc<RemoteAdapter>>,
     tables: Arc<RefTables>,
     recorder: Arc<FlightRecorder>,
     nondet: Arc<dyn NondetSource>,
@@ -826,12 +832,13 @@ impl ClientSide {
     /// Points the client machine's remote touches and the controller's
     /// offloads at `surrogate`.
     fn bind(&mut self, surrogate: Surrogate) {
-        let remote: Arc<dyn RemoteAccess> = Arc::new(RemoteAdapter::over(
+        let remote = Arc::new(RemoteAdapter::over(
             surrogate.clone(),
             self.machine.clone(),
             self.tables.clone(),
         ));
-        self.machine.set_remote(&remote);
+        self.machine
+            .set_remote(&(remote.clone() as Arc<dyn RemoteAccess>));
         self.remote = Some(remote);
         self.controller.bind(self.machine.clone(), surrogate);
     }
@@ -859,6 +866,11 @@ impl ClientSide {
             final_graph,
             metrics: self.monitor.metrics(),
             remote_stats: self.monitor.remote_stats(),
+            remote_access: self
+                .remote
+                .as_ref()
+                .map(|remote| remote.stats())
+                .unwrap_or_default(),
             surrogate_requests_served: 0,
             client_requests_served: 0,
             frames_exchanged: 0,

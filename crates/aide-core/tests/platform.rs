@@ -283,18 +283,11 @@ fn a_rescue_answers_most_remote_reads_from_memory() {
         SERVED,
         "(by the surrogate, by the client)"
     );
-    // The counters are the process's, over the time of this run, and the
-    // other tests of this file run rescues beside it: they can only add to
-    // this run's share.
-    let from_memory = report
-        .telemetry
-        .counter(aide_telemetry::names::REMOTE_READS_FROM_MEMORY);
-    let asked = report
-        .telemetry
-        .counter(aide_telemetry::names::REMOTE_READS_ASKED);
-    assert!(
-        from_memory >= FROM_MEMORY && asked >= ASKED,
-        "{from_memory} remote reads from memory, {asked} asked"
+    let access = report.remote_access;
+    assert_eq!(
+        (access.reads_from_memory, access.reads_asked),
+        (FROM_MEMORY, ASKED),
+        "(remote reads from memory, asked)"
     );
 }
 

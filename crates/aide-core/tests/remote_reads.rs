@@ -12,13 +12,12 @@
 //! The two VMs take turns (DESIGN §5.4), so the schedule does too: one side
 //! acts, and control passes to the other only with a frame. The generator is
 //! the in-tree seeded xorshift (`lease_model`), so a failure names the seed
-//! and the step that reproduce it. The tests share two process-wide counters
-//! and take turns on `GATE`. (The failover case — `Surrogate::Managed`
+//! and the step that reproduce it. (The failover case — `Surrogate::Managed`
 //! answers `None` and nothing stays remembered — lives in `failover.rs`'s
 //! unit tests: the managed surrogate is private to the crate.)
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use aide_core::{RefTables, RemoteAdapter, VmDispatcher};
 use aide_graph::CommParams;
@@ -47,12 +46,6 @@ const LOOK: MethodId = MethodId(2);
 /// caller holds a `Leaf` it could call back.
 const VISIT: MethodId = MethodId(3);
 const LEAF: ClassId = ClassId(2);
-
-static GATE: Mutex<()> = Mutex::new(());
-
-fn gate() -> MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn program() -> Arc<Program> {
     let mut b = ProgramBuilder::new();
@@ -483,7 +476,6 @@ impl World {
 
 #[test]
 fn remembered_reads_match_the_owners_heap_under_a_random_schedule() {
-    let _gate = gate();
     let mut from_memory = 0;
     for seed in 1..=SEEDS {
         let mut rng = Rng::new(seed);
@@ -531,12 +523,6 @@ fn stop(sides: &[Side; 2]) {
 
 #[test]
 fn a_slot_crosses_the_cut_once_and_both_counters_say_so() {
-    let _gate = gate();
-    let telemetry = aide_telemetry::global();
-    let from_memory = telemetry.counter(aide_telemetry::names::REMOTE_READS_FROM_MEMORY);
-    let asked = telemetry.counter(aide_telemetry::names::REMOTE_READS_ASKED);
-    let before = (from_memory.get(), asked.get());
-
     let (sides, target, held) = reading_pair();
     assert_eq!(read(&sides, target, 0), (Some(held[0]), true));
     for _ in 0..5 {
@@ -555,8 +541,9 @@ fn a_slot_crosses_the_cut_once_and_both_counters_say_so() {
     }
     assert_eq!(sides[1].endpoint.requests_served(), served + 1);
 
+    let access = sides[0].adapter.stats() + sides[1].adapter.stats();
     assert_eq!(
-        (from_memory.get() - before.0, asked.get() - before.1),
+        (access.reads_from_memory, access.reads_asked),
         (5 + 1 + 1 + 2, 3 + 1),
         "(answered from memory, asked)"
     );
@@ -565,7 +552,6 @@ fn a_slot_crosses_the_cut_once_and_both_counters_say_so() {
 
 #[test]
 fn remembered_slots_are_dropped_when_the_owners_write_count_moves() {
-    let _gate = gate();
     let (sides, target, held) = reading_pair();
     assert_eq!(read(&sides, target, 0), (Some(held[0]), true));
     assert_eq!(read(&sides, target, 1), (Some(held[1]), true));
@@ -591,7 +577,6 @@ fn remembered_slots_are_dropped_when_the_owners_write_count_moves() {
 
 #[test]
 fn the_callers_own_put_slot_writes_through() {
-    let _gate = gate();
     let (sides, target, held) = reading_pair();
     assert_eq!(read(&sides, target, 0), (Some(held[0]), true));
     assert_eq!(read(&sides, target, 1), (Some(held[1]), true));
@@ -637,7 +622,6 @@ fn the_callers_own_put_slot_writes_through() {
 
 #[test]
 fn remembered_slots_are_dropped_by_a_migration_either_way() {
-    let _gate = gate();
     let mut world = World::start();
     let target = world.owned[1][0];
     world.sides[0].endpoint.call(Request::Ping).unwrap();
@@ -661,7 +645,6 @@ fn remembered_slots_are_dropped_by_a_migration_either_way() {
 
 #[test]
 fn remembered_slots_are_dropped_when_the_lease_epoch_changes() {
-    let _gate = gate();
     let (sides, target, held) = reading_pair();
     assert_eq!(read(&sides, target, 0), (Some(held[0]), true));
     assert_eq!(read(&sides, target, 0), (Some(held[0]), false));
@@ -674,7 +657,6 @@ fn remembered_slots_are_dropped_when_the_lease_epoch_changes() {
 
 #[test]
 fn a_released_import_is_asked_for_again_not_served_from_memory() {
-    let _gate = gate();
     let (sides, target, held) = reading_pair();
     let [client, surrogate] = &sides;
     assert_eq!(read(&sides, target, 0), (Some(held[0]), true));
@@ -709,7 +691,6 @@ fn a_released_import_is_asked_for_again_not_served_from_memory() {
 
 #[test]
 fn only_classes_are_kept_across_a_flush() {
-    let _gate = gate();
     let (sides, target, held) = reading_pair();
     assert_eq!(sides[0].adapter.class_of(target).unwrap(), NODE);
     assert_eq!(read(&sides, target, 0), (Some(held[0]), true));
@@ -737,7 +718,6 @@ fn only_classes_are_kept_across_a_flush() {
 
 #[test]
 fn a_peer_with_no_tables_attached_is_never_memoised() {
-    let _gate = gate();
     let (sides, owned) = pair(false);
     let target = owned[1][0];
     assert_eq!(sides[0].endpoint.peer_writes(), None);
@@ -760,7 +740,6 @@ fn a_peer_with_no_tables_attached_is_never_memoised() {
 
 #[test]
 fn a_duplicate_frame_with_an_older_count_changes_nothing() {
-    let _gate = gate();
     // A surrogate played by hand: one slot, one count, every reply stamped.
     let (link, ct, st) = Link::pair(CommParams::WAVELAN);
     let client = Side::start(

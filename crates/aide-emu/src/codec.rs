@@ -5,7 +5,8 @@
 //! parseable, so traces diff and grep well. Anything else — bytes that
 //! are not UTF-8, a line that is not one of the three records, an input
 //! kind this version does not replay, a graph delta naming a node no
-//! earlier delta added — is a [`TraceError`], never a panic.
+//! earlier delta added, interaction deltas whose sum the graph cannot hold
+//! — is a [`TraceError`], never a panic.
 
 use std::path::Path;
 
@@ -74,13 +75,15 @@ pub fn to_json_lines(trace: &ReplayTrace) -> String {
 /// # Errors
 ///
 /// [`TraceError::Parse`] on any malformed line, [`TraceError::Empty`] /
-/// [`TraceError::Corrupt`] on section violations or a node id no earlier
-/// `AddNode` minted, [`TraceError::UnsupportedVersion`] on a version
+/// [`TraceError::Corrupt`] on section violations, a node id no earlier
+/// `AddNode` minted or interaction deltas whose interactions and bytes sum
+/// past `u64::MAX`, [`TraceError::UnsupportedVersion`] on a version
 /// mismatch.
 pub fn from_json_lines(text: &str) -> Result<ReplayTrace, TraceError> {
     let mut header: Option<TraceHeader> = None;
     let mut inputs = Vec::new();
     let mut nodes_added = 0;
+    let mut traffic = 0;
     let mut baseline = Vec::new();
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         let record = serde_json::from_str(line).map_err(|e| TraceError::Parse(e.to_string()))?;
@@ -103,7 +106,7 @@ pub fn from_json_lines(text: &str) -> Result<ReplayTrace, TraceError> {
                 ));
             }
             TraceLine::Input(e) => {
-                check_node_ids(&e, &mut nodes_added)?;
+                check_deltas(&e, &mut nodes_added, &mut traffic)?;
                 inputs.push(e);
             }
             TraceLine::Baseline(e) => baseline.push(e),
@@ -117,10 +120,23 @@ pub fn from_json_lines(text: &str) -> Result<ReplayTrace, TraceError> {
     })
 }
 
-/// Walks a trigger's deltas in order, counting the nodes they add: a delta
-/// that names a node at or above that count would panic the replayer's
-/// graph, so it is corrupt.
-fn check_node_ids(input: &ReplayEvent, nodes_added: &mut usize) -> Result<(), TraceError> {
+/// Walks a trigger's deltas in order, counting the nodes they add and
+/// summing, into `traffic`, every `Interaction`'s interactions and bytes
+/// since the trace began. Either would make the replayer's graph panic, so
+/// the trace is corrupt if a delta names a node at or above that count, or
+/// if the sum passes `u64::MAX`.
+///
+/// That bound suffices: an edge's statistics are the sum of the deltas
+/// absorbed into it, and every number the graph adds up in `u64` — an edge's
+/// weight (bytes plus interactions), a node's incident weight, a cut's
+/// interactions, bytes or weight, a contracted min-cut edge, and each
+/// partial sum on the way to them — covers each edge at most once. So none
+/// exceeds this sum, and the graph's own arithmetic stays unchecked.
+fn check_deltas(
+    input: &ReplayEvent,
+    nodes_added: &mut usize,
+    traffic: &mut u64,
+) -> Result<(), TraceError> {
     let ReplayEvent::Trigger { sample, .. } = input else {
         return Ok(());
     };
@@ -133,7 +149,17 @@ fn check_node_ids(input: &ReplayEvent, nodes_added: &mut usize) -> Result<(), Tr
             GraphDelta::UpdateNode { node, .. }
             | GraphDelta::SetPinned { node, .. }
             | GraphDelta::RemoveNode { node } => *node,
-            GraphDelta::Interaction { a, b, .. } => (*a).max(*b),
+            GraphDelta::Interaction { a, b, delta } => {
+                *traffic = traffic
+                    .checked_add(delta.interactions)
+                    .and_then(|t| t.checked_add(delta.bytes))
+                    .ok_or_else(|| {
+                        TraceError::Corrupt(
+                            "interaction deltas sum past u64::MAX interactions and bytes".into(),
+                        )
+                    })?;
+                (*a).max(*b)
+            }
         };
         if named.index() >= *nodes_added {
             return Err(TraceError::Corrupt(format!(

@@ -16,8 +16,7 @@
 //! Divergence handling is strict, in the `wasm-rr` style: the first
 //! produced event that does not match the baseline at the cursor stops
 //! the replay with a located [`ReplayError::Diverged`] naming expected
-//! vs. actual, bumps the `aide_replay_divergences_total` counter, and
-//! (when a flight recorder is attached) records a
+//! vs. actual and (when a flight recorder is attached) records a
 //! [`PlatformEvent::ReplayDiverged`] event.
 
 use std::sync::Arc;
@@ -26,7 +25,7 @@ use aide_core::{
     HeuristicKind, IncrementalPartitioner, MigrationRecord, Monitor, PartitionerConfig,
 };
 use aide_graph::PartitionPolicy;
-use aide_telemetry::{names, FlightRecorder, PlatformEvent, TimedEvent};
+use aide_telemetry::{FlightRecorder, PlatformEvent, TimedEvent};
 use aide_vm::RuntimeHooks;
 
 use crate::event::{ReplayEvent, ReplayTrace};
@@ -143,9 +142,6 @@ impl<'a> Emitter<'a> {
     }
 
     fn diverge(&mut self, expected: String, actual: String) -> ReplayError {
-        aide_telemetry::global()
-            .counter(names::REPLAY_DIVERGENCES)
-            .inc();
         if let Some(recorder) = self.recorder {
             recorder.record(PlatformEvent::ReplayDiverged {
                 at_index: self.cursor as u64,
@@ -264,10 +260,8 @@ fn run(
         out: Vec::new(),
         recorder,
     };
-    let consumed_counter = aide_telemetry::global().counter(names::REPLAY_EVENTS_CONSUMED);
 
     for input in &trace.inputs {
-        consumed_counter.inc();
         match input {
             ReplayEvent::Gc { report, .. } => monitor.on_gc(report),
             ReplayEvent::Trigger { at_micros, sample } => {

@@ -227,3 +227,88 @@ fn a_delta_naming_an_unadded_node_is_corrupt() {
         );
     }
 }
+
+/// The editor trace, with `extra` pushed onto its first trigger's deltas.
+fn editor_with(extra: &[GraphDelta]) -> ReplayTrace {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../traces");
+    let mut trace = load(dir.join("editor.trace.jsonl")).expect("the editor trace loads");
+    first_trigger_deltas(&mut trace).extend_from_slice(extra);
+    trace
+}
+
+fn first_trigger_deltas(trace: &mut ReplayTrace) -> &mut Vec<GraphDelta> {
+    trace
+        .inputs
+        .iter_mut()
+        .find_map(|input| match input {
+            ReplayEvent::Trigger { sample, .. } => Some(&mut sample.deltas),
+            _ => None,
+        })
+        .expect("the editor trace has a trigger")
+}
+
+/// Every `Interaction`'s interactions plus bytes, over the whole trace.
+fn traffic(trace: &ReplayTrace) -> u128 {
+    trace
+        .inputs
+        .iter()
+        .filter_map(|input| match input {
+            ReplayEvent::Trigger { sample, .. } => Some(&sample.deltas),
+            _ => None,
+        })
+        .flatten()
+        .map(|delta| match delta {
+            GraphDelta::Interaction { delta, .. } => {
+                u128::from(delta.interactions) + u128::from(delta.bytes)
+            }
+            _ => 0,
+        })
+        .sum()
+}
+
+fn interaction(interactions: u64, bytes: u64) -> GraphDelta {
+    GraphDelta::Interaction {
+        a: NodeId(0),
+        b: NodeId(1),
+        delta: EdgeInfo::new(interactions, bytes),
+    }
+}
+
+/// Interaction deltas whose interactions and bytes sum past `u64::MAX` —
+/// which the graph's edge weights and cut sums would overflow on — are a
+/// corrupt trace: one delta of `u64::MAX` bytes, or two that pass it only
+/// together. A trace whose sum is exactly `u64::MAX` decodes and replays.
+#[test]
+fn interaction_deltas_past_what_the_graph_can_sum_are_corrupt() {
+    let mut probe = editor_with(&[]);
+    let first = first_trigger_deltas(&mut probe)
+        .iter_mut()
+        .find_map(|delta| match delta {
+            GraphDelta::Interaction { delta, .. } => Some(delta),
+            _ => None,
+        })
+        .expect("the editor trace's first trigger has an interaction");
+    first.bytes = u64::MAX;
+    let decoded = decode(to_json_lines(&probe).as_bytes());
+    assert!(
+        matches!(decoded, Err(TraceError::Corrupt(_))),
+        "{decoded:?}"
+    );
+
+    let half = interaction(1, u64::MAX / 2);
+    let alone = editor_with(std::slice::from_ref(&half));
+    decode(to_json_lines(&alone).as_bytes()).expect("either delta alone decodes");
+    let together = editor_with(&[half.clone(), half]);
+    let decoded = decode(to_json_lines(&together).as_bytes());
+    assert!(
+        matches!(decoded, Err(TraceError::Corrupt(_))),
+        "{decoded:?}"
+    );
+
+    let base = editor_with(&[]);
+    let room = u64::try_from(u128::from(u64::MAX) - traffic(&base)).expect("room left");
+    let at_bound = editor_with(&[interaction(0, room)]);
+    assert_eq!(traffic(&at_bound), u128::from(u64::MAX));
+    let decoded = decode(to_json_lines(&at_bound).as_bytes()).expect("at the bound decodes");
+    aide_emu::bless(&decoded).expect("at the bound replays");
+}

@@ -222,13 +222,6 @@ pub fn chaos_wrap(inner: Session, schedule: ChaosSchedule) -> (Session, Arc<Chao
         to_app: shim.clone(),
     }));
 
-    let telemetry = aide_telemetry::global();
-    let tele_dropped = telemetry.counter(aide_telemetry::names::CHAOS_DROPPED);
-    let tele_duplicated = telemetry.counter(aide_telemetry::names::CHAOS_DUPLICATED);
-    let tele_corrupted = telemetry.counter(aide_telemetry::names::CHAOS_CORRUPTED);
-    let tele_delayed = telemetry.counter(aide_telemetry::names::CHAOS_DELAYED);
-    let tele_resets = telemetry.counter(aide_telemetry::names::CHAOS_RESETS);
-
     // Outbound shim: pull application frames, roll the dice, forward.
     // Dropping `inner` when it ends releases the inbound forwarder too.
     {
@@ -264,7 +257,6 @@ pub fn chaos_wrap(inner: Session, schedule: ChaosSchedule) -> (Session, Arc<Chao
                     if let Some(limit) = schedule.reset_after_frames {
                         if seen > limit {
                             stats.resets.fetch_add(1, Ordering::Relaxed);
-                            tele_resets.inc();
                             // Both directions die: the application's
                             // receive side now, its send side when `shim`
                             // drops with this thread.
@@ -275,7 +267,6 @@ pub fn chaos_wrap(inner: Session, schedule: ChaosSchedule) -> (Session, Arc<Chao
                     }
                     if rng.unit() < schedule.drop {
                         stats.dropped.fetch_add(1, Ordering::Relaxed);
-                        tele_dropped.inc();
                         continue;
                     }
                     if rng.unit() < schedule.corrupt && !frame.is_empty() {
@@ -283,19 +274,16 @@ pub fn chaos_wrap(inner: Session, schedule: ChaosSchedule) -> (Session, Arc<Chao
                         let flip = (rng.next_u64() as u8) | 1; // never a no-op
                         frame[pos] ^= flip;
                         stats.corrupted.fetch_add(1, Ordering::Relaxed);
-                        tele_corrupted.inc();
                     }
                     if rng.unit() < schedule.truncate && !frame.is_empty() {
                         let keep = (rng.next_u64() as usize) % frame.len();
                         frame.truncate(keep);
                         stats.corrupted.fetch_add(1, Ordering::Relaxed);
-                        tele_corrupted.inc();
                     }
                     if rng.unit() < schedule.delay {
                         let span = schedule.max_delay.as_nanos() as f64;
                         std::thread::sleep(Duration::from_nanos((rng.unit() * span) as u64));
                         stats.delayed.fetch_add(1, Ordering::Relaxed);
-                        tele_delayed.inc();
                     }
                     let duplicate = rng.unit() < schedule.duplicate;
                     if rng.unit() < schedule.reorder && held.is_none() {
@@ -303,7 +291,6 @@ pub fn chaos_wrap(inner: Session, schedule: ChaosSchedule) -> (Session, Arc<Chao
                         // successor (or goes alone after `max_delay`, or
                         // on shutdown, if none comes).
                         stats.delayed.fetch_add(1, Ordering::Relaxed);
-                        tele_delayed.inc();
                         held = Some(frame);
                         continue;
                     }
@@ -313,7 +300,6 @@ pub fn chaos_wrap(inner: Session, schedule: ChaosSchedule) -> (Session, Arc<Chao
                     }
                     if duplicate {
                         stats.duplicated.fetch_add(1, Ordering::Relaxed);
-                        tele_duplicated.inc();
                         stats.forwarded.fetch_add(1, Ordering::Relaxed);
                         if inner.send(frame).is_err() {
                             break;

@@ -68,38 +68,22 @@ static NEXT_CLIENT_ID: AtomicU64 = AtomicU64::new(1);
 /// with plain atomic ops (no registry lookups).
 struct RpcMetrics {
     requests: Arc<aide_telemetry::Counter>,
-    backend_requests: Arc<aide_telemetry::Counter>,
     errors: Arc<aide_telemetry::Counter>,
     latency_micros: Arc<aide_telemetry::Histogram>,
     simulated_bytes: Arc<aide_telemetry::Counter>,
-    retries: Arc<aide_telemetry::Counter>,
-    late_replies: Arc<aide_telemetry::Counter>,
-    bad_frames: Arc<aide_telemetry::Counter>,
-}
-
-/// Name of the per-backend request counter for `backend`.
-fn backend_requests_name(backend: BackendKind) -> &'static str {
-    match backend {
-        BackendKind::InMemory => aide_telemetry::names::RPC_BACKEND_INMEM_REQUESTS,
-        BackendKind::Tcp => aide_telemetry::names::RPC_BACKEND_TCP_REQUESTS,
-    }
 }
 
 impl RpcMetrics {
-    fn resolve(backend: BackendKind) -> Self {
+    fn resolve() -> Self {
         let t = aide_telemetry::global();
         RpcMetrics {
             requests: t.counter(aide_telemetry::names::RPC_REQUESTS),
-            backend_requests: t.counter(backend_requests_name(backend)),
             errors: t.counter(aide_telemetry::names::RPC_ERRORS),
             latency_micros: t.histogram(
                 aide_telemetry::names::RPC_LATENCY_MICROS,
                 aide_telemetry::buckets::LATENCY_MICROS,
             ),
             simulated_bytes: t.counter(aide_telemetry::names::RPC_SIMULATED_BYTES),
-            retries: t.counter(aide_telemetry::names::RPC_RETRIES),
-            late_replies: t.counter(aide_telemetry::names::RPC_LATE_REPLIES),
-            bad_frames: t.counter(aide_telemetry::names::RPC_BAD_FRAMES),
         }
     }
 }
@@ -653,7 +637,6 @@ impl FrameSink for Shared {
             // Malformed frame (truncated, corrupted, wrong version): count
             // and drop it; retries recover the request.
             self.bad_frames.fetch_add(1, Ordering::Relaxed);
-            self.metrics.bad_frames.inc();
             return Delivered::Kept;
         };
         if let Some(stamp) = header.lease {
@@ -713,7 +696,6 @@ impl FrameSink for Shared {
                     // silently. (Replies to retried calls never land here
                     // — retries keep their slot registered.)
                     self.late_replies.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.late_replies.inc();
                 }
             }
         }
@@ -813,7 +795,7 @@ impl Endpoint {
             owed_writes: AtomicU64::new(0),
             deferred: Mutex::default(),
             stopped: OnceLock::new(),
-            metrics: RpcMetrics::resolve(session.backend()),
+            metrics: RpcMetrics::resolve(),
         });
 
         // From here on every producer of `session`'s inbound frames runs
@@ -1008,7 +990,6 @@ impl Endpoint {
             return Err(RpcError::Protocol(format!("{kind} cannot be deferred")));
         }
         self.shared.metrics.requests.inc();
-        self.shared.metrics.backend_requests.inc();
         self.charge(
             Message::simulated_bytes_of(&touch),
             Message::simulated_reply_bytes(&touch),
@@ -1162,7 +1143,6 @@ impl Endpoint {
             attempt += 1;
             if attempt > 1 {
                 self.retries.fetch_add(1, Ordering::Relaxed);
-                self.shared.metrics.retries.inc();
             }
             // Each retried attempt is its own span and re-encodes the frame
             // under it, so the serving side parents its serve span on the
@@ -1227,7 +1207,6 @@ impl Endpoint {
         };
         self.shared.forget(seq);
         self.shared.metrics.requests.inc();
-        self.shared.metrics.backend_requests.inc();
         let elapsed_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.shared.metrics.latency_micros.observe(elapsed_micros);
         if retried {
@@ -1349,7 +1328,6 @@ impl Endpoint {
         outcome?.0.map_err(RpcError::Remote)?;
         let rtt = started.elapsed();
         self.shared.metrics.requests.inc();
-        self.shared.metrics.backend_requests.inc();
         self.shared
             .metrics
             .latency_micros

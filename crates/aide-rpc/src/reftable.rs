@@ -157,12 +157,9 @@ impl ExportInner {
 
 /// Telemetry handles resolved once per table.
 struct GcMetrics {
-    renewed: Arc<aide_telemetry::Counter>,
-    expired: Arc<aide_telemetry::Counter>,
     duplicate: Arc<aide_telemetry::Counter>,
     stale: Arc<aide_telemetry::Counter>,
     unknown: Arc<aide_telemetry::Counter>,
-    reclaimed: Arc<aide_telemetry::Counter>,
     export_entries: Arc<aide_telemetry::Gauge>,
     import_entries: Arc<aide_telemetry::Gauge>,
 }
@@ -171,12 +168,9 @@ impl GcMetrics {
     fn resolve() -> Self {
         let t = aide_telemetry::global();
         GcMetrics {
-            renewed: t.counter(aide_telemetry::names::GC_LEASES_RENEWED),
-            expired: t.counter(aide_telemetry::names::GC_LEASES_EXPIRED),
             duplicate: t.counter(aide_telemetry::names::GC_RELEASE_DUPLICATE),
             stale: t.counter(aide_telemetry::names::GC_RELEASE_STALE),
             unknown: t.counter(aide_telemetry::names::GC_RELEASE_UNKNOWN),
-            reclaimed: t.counter(aide_telemetry::names::GC_EXPORTS_RECLAIMED),
             export_entries: t.gauge(aide_telemetry::names::GC_EXPORT_ENTRIES),
             import_entries: t.gauge(aide_telemetry::names::GC_IMPORT_ENTRIES),
         }
@@ -387,10 +381,7 @@ impl ExportTable {
         inner.peer_epoch = peer_epoch;
         inner.renewals += 1;
         inner.renewed_deadline_ms = now + ttl;
-        let n = inner.current_entries;
-        drop(inner);
-        self.metrics.renewed.add(n as u64);
-        n
+        inner.current_entries
     }
 
     /// Starts a new export epoch (failover, session teardown). Entries
@@ -437,7 +428,6 @@ impl ExportTable {
                 });
             }
         }
-        self.metrics.expired.add(expired.len() as u64);
         self.metrics
             .export_entries
             .add(-i64::try_from(expired.len()).unwrap_or(i64::MAX));
@@ -461,7 +451,6 @@ impl ExportTable {
             inner.remove(id);
         }
         drop(inner);
-        self.metrics.reclaimed.add(stale.len() as u64);
         self.metrics
             .export_entries
             .add(-i64::try_from(stale.len()).unwrap_or(i64::MAX));

@@ -12,7 +12,6 @@
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 use aide_trace::names as span_names;
 use aide_vm::{ClassId, MethodId};
@@ -163,7 +162,6 @@ pub(crate) fn serve_deferred(
 /// of client sequence numbers: every endpoint has one.
 pub struct Responder {
     dedup: DedupCache,
-    dedup_hits: Arc<aide_telemetry::Counter>,
 }
 
 impl Responder {
@@ -172,7 +170,6 @@ impl Responder {
     pub fn new(dedup_capacity: usize) -> Self {
         Responder {
             dedup: DedupCache::new(dedup_capacity),
-            dedup_hits: aide_telemetry::global().counter(aide_telemetry::names::RPC_DEDUP_HITS),
         }
     }
 
@@ -201,9 +198,8 @@ impl Responder {
         let dedupable = !is_idempotent(&body);
         if dedupable {
             if let Some(duplicate) = self.dedup.begin(key) {
-                // Absorbed: counted, and visible in the trace of the call
-                // that sent it.
-                self.dedup_hits.inc();
+                // Absorbed: the endpoint counts it from what this returns,
+                // and it is visible in the trace of the call that sent it.
                 let mut span = aide_trace::child_of(trace, span_names::RPC_DEDUP, "rpc");
                 span.arg("kind", kind);
                 let action = match duplicate {

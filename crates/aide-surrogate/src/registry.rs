@@ -469,9 +469,6 @@ impl SurrogateRegistry {
         self.saturated
             .lock()
             .insert(name.to_string(), Instant::now() + cooldown);
-        aide_telemetry::global()
-            .counter(aide_telemetry::names::FLEET_SESSIONS_REJECTED)
-            .inc();
     }
 
     /// Whether `name` is currently under a saturation cooldown; expired

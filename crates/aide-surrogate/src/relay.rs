@@ -137,9 +137,6 @@ impl RelaySink for RelayQueue {
         });
         drop(inner);
         self.queued_total.fetch_add(1, Ordering::Relaxed);
-        aide_telemetry::global()
-            .counter(aide_telemetry::names::FLEET_RELAY_QUEUED)
-            .inc();
         RelayQueue::depth_gauge(1);
         Ok(txn)
     }
@@ -164,9 +161,6 @@ impl RelaySink for RelayQueue {
                     shipment.queued_for_ms = self.clock.now_ms().saturating_sub(entry.queued_at_ms);
                     delivered.push(shipment);
                     self.relayed_total.fetch_add(1, Ordering::Relaxed);
-                    aide_telemetry::global()
-                        .counter(aide_telemetry::names::FLEET_RELAY_RELAYED)
-                        .inc();
                     RelayQueue::depth_gauge(-1);
                 }
                 Err(_) => {

@@ -77,14 +77,6 @@ struct Served {
     gc: Option<Arc<VmDispatcher>>,
 }
 
-/// `n` admitted sessions came (positive) or went (negative): the
-/// process-wide gauges follow.
-fn count_live(n: i64) {
-    let telemetry = aide_telemetry::global();
-    telemetry.gauge(names::SURROGATE_ACTIVE_SESSIONS).add(n);
-    telemetry.gauge(names::FLEET_LIVE_SESSIONS).add(n);
-}
-
 /// A running sharded serving pool; create with [`ShardPool::start`], feed
 /// with [`attach_carrier`](ShardPool::attach_carrier), stop with
 /// [`shutdown`](ShardPool::shutdown).
@@ -97,9 +89,8 @@ pub struct ShardPool {
     admitted: AtomicU64,
     /// Sessions refused admission.
     rejected: AtomicU64,
-    /// Requests dispatched across all sessions, and across all daemons.
+    /// Requests dispatched across all sessions.
     served: AtomicU64,
-    requests: Arc<aide_telemetry::Counter>,
     /// Each live carrier's killer, by carrier id, for the shutdown.
     carriers: Mutex<HashMap<u64, ConnKiller>>,
     /// Every session served, turned away ones too, by `(carrier, session)`.
@@ -144,7 +135,6 @@ impl ShardPool {
             aide_telemetry::global()
                 .counter(names::SURROGATE_SESSIONS)
                 .inc();
-            count_live(1);
             let dispatcher = WithFleetStats {
                 session: Arc::clone(&parts.dispatcher),
                 pool: Arc::downgrade(self),
@@ -152,9 +142,6 @@ impl ShardPool {
             (Arc::new(dispatcher), Some(parts))
         } else {
             self.rejected.fetch_add(1, Ordering::SeqCst);
-            aide_telemetry::global()
-                .counter(names::FLEET_SESSIONS_REJECTED)
-                .inc();
             let refuse = Refuse {
                 retry_after_ms: self.config.busy_retry_ms,
                 session: session.clone(),
@@ -200,7 +187,6 @@ impl ShardPool {
     fn release(&self, served: &Served) {
         if served.gc.is_some() {
             self.live.fetch_sub(1, Ordering::SeqCst);
-            count_live(-1);
         }
     }
 }
@@ -251,7 +237,6 @@ impl ShardPool {
             admitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             served: AtomicU64::new(0),
-            requests: aide_telemetry::global().counter(names::SURROGATE_REQUESTS),
             carriers: Mutex::new(HashMap::new()),
             sessions: Mutex::new(HashMap::new()),
             shards,
@@ -359,13 +344,11 @@ impl Dispatcher for Refuse {
 }
 
 /// A session's dispatcher as the pool serves it: every request counts in
-/// the pool's `requests_served` and the process's
-/// `aide_surrogate_requests_total`, and `STATS` answers get the pool's
+/// the pool's `requests_served`, and `STATS` answers get the pool's
 /// per-daemon Prometheus lines appended — live-session and queue-depth
 /// gauges, the admission limit, rejected sessions, each live session's
-/// oldest lease age — so one scrape shows fleet load even with many daemons
-/// in one process. Labelled by daemon name because the process-global
-/// registry cannot tell co-hosted daemons apart.
+/// oldest lease age. The pool is the one record of its sessions; the lines
+/// are labelled by daemon name so one scrape tells co-hosted daemons apart.
 struct WithFleetStats {
     session: Arc<dyn Dispatcher>,
     pool: Weak<ShardPool>,
@@ -376,7 +359,6 @@ impl Dispatcher for WithFleetStats {
         let shared = self.pool.upgrade();
         if let Some(shared) = &shared {
             shared.served.fetch_add(1, Ordering::Relaxed);
-            shared.requests.inc();
         }
         let is_stats = matches!(request, Request::Stats);
         let mut result = self.session.dispatch(request);

@@ -40,7 +40,7 @@ mod tests {
     fn sample() -> TelemetrySnapshot {
         let t = Telemetry::new();
         t.counter("aide_rpc_requests_total").add(3);
-        t.gauge("aide_heap_used_bytes").set(1024);
+        t.gauge("aide_gc_export_table_entries").set(1024);
         let h = t.histogram("aide_rpc_request_latency_micros", &[10, 100]);
         h.observe(5);
         h.observe(50);
@@ -53,7 +53,7 @@ mod tests {
         let text = prometheus_text(&sample());
         assert!(text.contains("# TYPE aide_rpc_requests_total counter"));
         assert!(text.contains("aide_rpc_requests_total 3"));
-        assert!(text.contains("aide_heap_used_bytes 1024"));
+        assert!(text.contains("aide_gc_export_table_entries 1024"));
         assert!(text.contains("aide_rpc_request_latency_micros_bucket{le=\"10\"} 1"));
         assert!(text.contains("aide_rpc_request_latency_micros_bucket{le=\"100\"} 2"));
         assert!(text.contains("aide_rpc_request_latency_micros_bucket{le=\"+Inf\"} 3"));

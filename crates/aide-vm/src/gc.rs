@@ -185,26 +185,6 @@ impl Collector {
             duration_micros: examined as f64 * self.config.cost_micros_per_object,
         };
 
-        // Telemetry is resolved per cycle rather than cached: collections
-        // are rare relative to allocations, and the collector must remain
-        // serializable.
-        let telemetry = aide_telemetry::global();
-        telemetry.counter(aide_telemetry::names::GC_CYCLES).inc();
-        telemetry
-            .counter(aide_telemetry::names::GC_FREED_BYTES)
-            .add(report.freed_bytes);
-        telemetry
-            .histogram(
-                aide_telemetry::names::GC_PAUSE_MICROS,
-                aide_telemetry::buckets::DURATION_MICROS,
-            )
-            .observe(report.duration_micros as u64);
-        telemetry
-            .gauge(aide_telemetry::names::HEAP_USED_BYTES)
-            .set(report.used_after as i64);
-        telemetry
-            .gauge(aide_telemetry::names::HEAP_FREE_BYTES)
-            .set(report.free_after as i64);
         gc_span.arg("freed_bytes", report.freed_bytes);
         gc_span.arg("freed_objects", report.freed_objects);
 

@@ -383,49 +383,13 @@ pub struct ExternalRootAudit {
     pub unbalanced_unpins: u64,
 }
 
-/// Process-wide audit counters mirrored into the telemetry registry, so
-/// the double-unpin signal is scrapeable alongside the GC lease metrics.
-fn audit_metrics() -> &'static (
-    Arc<aide_telemetry::Counter>,
-    Arc<aide_telemetry::Counter>,
-    Arc<aide_telemetry::Counter>,
-) {
-    static METRICS: std::sync::OnceLock<(
-        Arc<aide_telemetry::Counter>,
-        Arc<aide_telemetry::Counter>,
-        Arc<aide_telemetry::Counter>,
-    )> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let t = aide_telemetry::global();
-        (
-            t.counter(aide_telemetry::names::VM_EXTERNAL_PINS),
-            t.counter(aide_telemetry::names::VM_EXTERNAL_UNPINS),
-            t.counter(aide_telemetry::names::VM_UNPIN_UNBALANCED),
-        )
-    })
-}
-
-/// Process-wide flat-interpreter counters mirrored into the telemetry
-/// registry: inline-cache hits, misses, and dispatched ops. Best-effort
-/// under concurrent runs (per-run deltas are sampled outside the lock);
-/// the authoritative per-run numbers come from [`Vm::ic_stats`].
-fn vm_metrics() -> &'static (
-    Arc<aide_telemetry::Counter>,
-    Arc<aide_telemetry::Counter>,
-    Arc<aide_telemetry::Counter>,
-) {
-    static METRICS: std::sync::OnceLock<(
-        Arc<aide_telemetry::Counter>,
-        Arc<aide_telemetry::Counter>,
-        Arc<aide_telemetry::Counter>,
-    )> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let t = aide_telemetry::global();
-        (
-            t.counter(aide_telemetry::names::VM_IC_HITS),
-            t.counter(aide_telemetry::names::VM_IC_MISSES),
-            t.counter(aide_telemetry::names::VM_DISPATCH_OPS),
-        )
+/// The process-wide count of unbalanced unpins: the double-release signal
+/// summed over every VM, for a run that cannot hold each VM it ran.
+fn audit_metrics() -> &'static Arc<aide_telemetry::Counter> {
+    static UNBALANCED: std::sync::OnceLock<Arc<aide_telemetry::Counter>> =
+        std::sync::OnceLock::new();
+    UNBALANCED.get_or_init(|| {
+        aide_telemetry::global().counter(aide_telemetry::names::VM_UNPIN_UNBALANCED)
     })
 }
 
@@ -673,7 +637,6 @@ impl Vm {
     pub fn external_root_inc(&mut self, id: ObjectId) {
         *self.external_roots.entry(id).or_insert(0) += 1;
         self.root_audit.pins += 1;
-        audit_metrics().0.inc();
     }
 
     /// Releases one external-root reference to `id`. An unpin of an id
@@ -687,10 +650,9 @@ impl Vm {
                 self.external_roots.remove(&id);
             }
             self.root_audit.unpins += 1;
-            audit_metrics().1.inc();
         } else {
             self.root_audit.unbalanced_unpins += 1;
-            audit_metrics().2.inc();
+            audit_metrics().inc();
         }
     }
 
@@ -1262,7 +1224,7 @@ impl Machine {
         if self.max_depth == 0 {
             return Err(VmError::CallDepthExceeded(0));
         }
-        let (flat, sid, mut pending, base_stats) = {
+        let (flat, sid, mut pending) = {
             let mut vm = self.vm.lock();
             let flat = vm.flat_program();
             let sites = flat.site_count() as usize;
@@ -1304,13 +1266,12 @@ impl Machine {
                 loop_base: 0,
             });
             let pending = std::mem::take(&mut state.pending);
-            let base_stats = (vm.ic_hits, vm.ic_misses, vm.ops_executed);
-            (flat, sid, pending, base_stats)
+            (flat, sid, pending)
         };
 
         let result = self.flat_drive(sid, &flat, &mut pending);
 
-        let run_stats = {
+        {
             let mut vm = self.vm.lock();
             let state = &mut vm.exec_states[sid];
             if result.is_err() {
@@ -1333,20 +1294,11 @@ impl Machine {
             state.frames.clear();
             state.loops.clear();
             vm.free_states.push(sid);
-            (
-                vm.ic_hits - base_stats.0,
-                vm.ic_misses - base_stats.1,
-                vm.ops_executed - base_stats.2,
-            )
-        };
+        }
         pending.flush(self.hooks.as_ref());
         if result.is_err() {
             self.settle(&mut pending);
         }
-        let metrics = vm_metrics();
-        metrics.0.add(run_stats.0);
-        metrics.1.add(run_stats.1);
-        metrics.2.add(run_stats.2);
         result
     }
 

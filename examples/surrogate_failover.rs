@@ -147,6 +147,7 @@ fn main() {
         Ok(_) => println!("application completed despite the crash"),
         Err(e) => println!("application failed: {e}"),
     }
+    println!("offloads:            {}", report.offloads.len());
     for (i, event) in report.offloads.iter().enumerate() {
         println!(
             "offload #{}: {} objects, {} bytes moved",
@@ -182,18 +183,16 @@ fn main() {
 
     // Scrape the surviving daemon's Prometheus-style STATS exposition over
     // its RPC port — the same scrape an external observer would perform.
+    // Its unlabelled lines are this whole process's, client included; the
+    // `aide_daemon_*` lines labelled with its name are the daemon's own.
     let stats = registry
         .scrape_stats("hallway-server")
         .expect("survivor answers STATS");
-    println!("\nSTATS scrape of hallway-server (excerpt):");
-    for line in stats.lines().filter(|l| {
-        l.starts_with("aide_rpc_requests_total")
-            || l.starts_with("aide_rpc_request_latency_micros_count")
-            || l.starts_with("aide_rpc_request_latency_micros_sum")
-            || l.starts_with("aide_surrogate_sessions_total")
-            || l.starts_with("aide_failovers_total")
-            || l.starts_with("aide_offloads_total")
-    }) {
+    println!("\nSTATS scrape of hallway-server (its own lines):");
+    for line in stats
+        .lines()
+        .filter(|l| l.starts_with("aide_daemon_") && l.contains("daemon=\"hallway-server\""))
+    {
         println!("  {line}");
     }
 
