@@ -31,7 +31,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use aide_graph::{CommParams, SelectedPartition};
-use aide_rpc::{Dispatcher, Endpoint, EndpointConfig, NetClock, Reply, Request, RpcError};
+use aide_rpc::{
+    Dispatcher, Endpoint, EndpointConfig, NetClock, Reply, Request, RpcError, Xorshift64,
+};
 use aide_telemetry::{FlightRecorder, PlatformEvent};
 use aide_vm::{Machine, ObjectId, ObjectRecord, VmError, VmResult};
 use parking_lot::Mutex;
@@ -141,7 +143,7 @@ pub(crate) struct Backoff {
     config: BackoffConfig,
     consecutive_failures: u32,
     not_before: Option<Instant>,
-    rng: u64,
+    rng: Xorshift64,
 }
 
 impl Backoff {
@@ -150,7 +152,7 @@ impl Backoff {
             config,
             consecutive_failures: 0,
             // xorshift must not start at 0; the default seed never is.
-            rng: config.seed.max(1),
+            rng: Xorshift64::from_state(config.seed.max(1)),
             not_before: None,
         }
     }
@@ -168,12 +170,7 @@ impl Backoff {
                 .factor
                 .powi(self.consecutive_failures.min(32) as i32);
         let capped = exp.min(self.config.max.as_secs_f64());
-        // xorshift64: deterministic jitter without a rand dependency.
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 7;
-        self.rng ^= self.rng << 17;
-        let unit = (self.rng >> 11) as f64 / (1u64 << 53) as f64;
-        let scale = 1.0 + self.config.jitter * (2.0 * unit - 1.0);
+        let scale = 1.0 + self.config.jitter * (2.0 * self.rng.unit() - 1.0);
         Duration::from_secs_f64((capped * scale).max(0.0))
     }
 

@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use aide_core::{Monitor, NodeKey, TriggerConfig};
 use aide_graph::{EdgeInfo, ExecutionGraph, GraphDelta};
+use aide_rpc::Xorshift64;
 use aide_vm::{
     ClassId, GcReport, Interaction, InteractionKind, MethodDef, MethodId, NativeKind, ObjectId,
     PendingEvent, Program, ProgramBuilder, RuntimeHooks,
@@ -22,18 +23,12 @@ const CLASSES: u32 = 12;
 /// Classes monitored per object when the array enhancement is on.
 const GRANULAR: [u32; 2] = [3, 7];
 
-struct XorShift(u64);
+/// The workspace's xorshift64.
+struct XorShift(Xorshift64);
 
 impl XorShift {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
     fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
+        self.0.next_u64() % n
     }
 }
 
@@ -373,7 +368,7 @@ fn model_edges(
 #[test]
 fn batched_delivery_is_indistinguishable_from_per_event_delivery() {
     for seed in 1..=48u64 {
-        let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let mut rng = XorShift(Xorshift64::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
         let events = stream(&mut rng, 2_000, false);
         for granular in [false, true] {
             let per_event = feed(&events, granular, || 1);
@@ -403,7 +398,7 @@ fn batched_delivery_is_indistinguishable_from_per_event_delivery() {
 #[test]
 fn the_edges_match_a_model_folded_from_the_stream() {
     for seed in 1..=48u64 {
-        let mut rng = XorShift(seed.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1);
+        let mut rng = XorShift(Xorshift64::new(seed.wrapping_mul(0xD1B5_4A32_D192_ED03)));
         let events = stream(&mut rng, 2_000, false);
         for granular in [false, true] {
             let (model, coverage) = model_edges(&events, granular);
@@ -443,7 +438,7 @@ fn the_edges_match_a_model_folded_from_the_stream() {
 #[test]
 fn counted_delivery_is_indistinguishable_from_the_per_event_stream() {
     for seed in 1..=48u64 {
-        let mut rng = XorShift(seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1);
+        let mut rng = XorShift(Xorshift64::new(seed.wrapping_mul(0x2545_F491_4F6C_DD1D)));
         let events = stream(&mut rng, 2_000, true);
         let told = accumulated(&events, &mut rng);
         let counted = told

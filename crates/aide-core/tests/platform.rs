@@ -566,5 +566,5 @@ fn cpu_policy_platform_offloads_compute_heavy_work() {
         first.graph.edge(main_node, engine_node).unwrap(),
         aide_graph::EdgeInfo::new(10, 160)
     );
-    assert_eq!(report.total_seconds(), 2.574_027_493_506_492_6);
+    assert_eq!(report.total_seconds(), 2.560_436_220_779_221_7);
 }

@@ -23,6 +23,7 @@ use aide_core::{RefTables, RemoteAdapter, VmDispatcher};
 use aide_graph::CommParams;
 use aide_rpc::{
     live_remote_refs, Endpoint, EndpointConfig, LeaseStamp, Link, Message, Reply, Request, Session,
+    Xorshift64,
 };
 use aide_vm::{
     ClassId, Machine, MethodDef, MethodId, ObjectId, ObjectRecord, Op, Program, ProgramBuilder,
@@ -216,21 +217,18 @@ fn pair(attach_surrogate: bool) -> ([Side; 2], [Vec<ObjectId>; 2]) {
     ([client, surrogate], objects)
 }
 
-/// xorshift64: tiny, seedable, and identical everywhere.
-struct Rng(u64);
+/// The workspace's xorshift64, from the seed's golden-ratio multiple.
+struct Rng(Xorshift64);
 
 impl Rng {
     fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1))
+        Rng(Xorshift64::from_state(
+            seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1),
+        ))
     }
 
     fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
+        self.0.next_u64()
     }
 
     fn below(&mut self, n: u64) -> u64 {

@@ -23,7 +23,7 @@ use aide_core::{
     EvaluationMode, HeuristicKind, IncrementalPartitioner, Monitor, NodeKey, PartitionerConfig,
     PolicyKind, TriggerConfig, TriggerSample,
 };
-use aide_graph::{CommParams, PartitionPolicy, Partitioning, ResourceSnapshot, Side};
+use aide_graph::{CommParams, Crossing, PartitionPolicy, Partitioning, ResourceSnapshot, Side};
 use aide_telemetry::{FlightRecorder, PlatformEvent, TimedEvent};
 use aide_trace::SpanContext;
 use aide_vm::{
@@ -491,7 +491,9 @@ impl Run<'_> {
 
         let (bytes_moved, bytes_returned, nodes_offloaded) =
             self.placement.apply(&selection.partitioning, &sample.keys);
-        let transfer_seconds = cfg.comm.transfer_seconds(bytes_moved + bytes_returned);
+        let transfer_seconds = cfg.comm.charge(Crossing::Stream {
+            bytes: bytes_moved + bytes_returned,
+        });
         let transfer_micros = virtual_micros(transfer_seconds);
         self.recorder.record_at(
             at_micros,
@@ -619,6 +621,8 @@ impl Emulator {
         let mut work_since_eval = 0.0f64;
         let mut completed = true;
         let mut oom_at_event = None;
+        // A remote interaction is one call carrying the monitor's bytes.
+        let interaction = |bytes: u64| cfg.comm.charge(Crossing::Calls { count: 1, bytes });
 
         'replay: for (idx, event) in trace.events.iter().enumerate() {
             // Scheduled surrogate death: once the virtual clock passes the
@@ -727,7 +731,7 @@ impl Emulator {
                     let callee_side = run.placement.target(*callee, *target);
                     let is_remote = caller_side != callee_side;
                     if is_remote {
-                        run.comm += cfg.comm.interaction_seconds(*bytes);
+                        run.comm += interaction(*bytes);
                         remote.remote_interactions += 1;
                         if *invocation {
                             remote.remote_invocations += 1;
@@ -821,7 +825,7 @@ impl Emulator {
                     };
                     let is_remote = caller_side == Side::Surrogate && client_bound;
                     if is_remote {
-                        run.comm += cfg.comm.interaction_seconds(*bytes);
+                        run.comm += interaction(*bytes);
                         remote.remote_native_calls += 1;
                         remote.remote_invocations += 1;
                         remote.remote_interactions += 1;
@@ -843,7 +847,7 @@ impl Emulator {
                 } => {
                     let is_remote = run.placement.class(*accessor) == Side::Surrogate;
                     if is_remote {
-                        run.comm += cfg.comm.interaction_seconds(*bytes);
+                        run.comm += interaction(*bytes);
                         remote.remote_static_accesses += 1;
                         remote.remote_interactions += 1;
                     }

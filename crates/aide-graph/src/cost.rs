@@ -52,20 +52,38 @@ impl CommParams {
         }
     }
 
-    /// Time to complete one synchronous remote interaction carrying
-    /// `payload_bytes`, in seconds: one round trip plus serialization of the
-    /// payload onto the link.
+    /// Link seconds of `crossing`: the one price of traffic between the
+    /// client and the surrogate, whoever asks (the endpoint charging a
+    /// call, the emulator replaying one, the predictor scoring a cut).
     #[inline]
-    pub fn interaction_seconds(&self, payload_bytes: u64) -> f64 {
-        self.rtt_seconds + (payload_bytes as f64 * 8.0) / self.bandwidth_bps
+    pub fn charge(&self, crossing: Crossing) -> f64 {
+        let (setup, bytes) = match crossing {
+            Crossing::Calls { count, bytes } => (count as f64 * self.rtt_seconds, bytes),
+            Crossing::Stream { bytes } => (self.rtt_seconds / 2.0, bytes),
+        };
+        setup + (bytes as f64 * 8.0) / self.bandwidth_bps
     }
+}
 
-    /// Time to bulk-transfer `bytes` (e.g. when offloading objects), in
-    /// seconds: half a round trip of setup plus streaming of the data.
-    #[inline]
-    pub fn transfer_seconds(&self, bytes: u64) -> f64 {
-        self.rtt_seconds / 2.0 + (bytes as f64 * 8.0) / self.bandwidth_bps
-    }
+/// Traffic that crosses the link, as [`CommParams::charge`] prices it.
+/// `bytes` is payload only: what the monitor records for the same
+/// interaction, never a header (the null-message RTT pays for those).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Crossing {
+    /// `count` synchronous interactions carrying `bytes` between them: each
+    /// waits one round trip, and the bytes stream onto the link.
+    Calls {
+        /// Interactions, each one round trip.
+        count: u64,
+        /// Payload bytes of all of them together.
+        bytes: u64,
+    },
+    /// A bulk transfer (a migration): half a round trip of setup, then
+    /// `bytes` stream onto the link.
+    Stream {
+        /// Payload bytes.
+        bytes: u64,
+    },
 }
 
 impl Default for CommParams {
@@ -159,8 +177,10 @@ impl PredictedTime {
     pub fn predicted_seconds(&self, stats: &PartitionStats) -> f64 {
         let client = stats.client_cpu_micros as f64 / 1e6;
         let remote = stats.offloaded_cpu_micros as f64 / 1e6 / self.surrogate_speedup;
-        let comm = stats.cut.interactions as f64 * self.comm.rtt_seconds
-            + (stats.cut.bytes as f64 * 8.0) / self.comm.bandwidth_bps;
+        let comm = self.comm.charge(Crossing::Calls {
+            count: stats.cut.interactions,
+            bytes: stats.cut.bytes,
+        });
         client + remote + comm
     }
 }
@@ -195,23 +215,33 @@ mod tests {
     }
 
     #[test]
-    fn null_interaction_costs_one_rtt() {
+    fn a_null_call_costs_one_rtt() {
         let c = CommParams::WAVELAN;
-        assert!((c.interaction_seconds(0) - 2.4e-3).abs() < 1e-12);
+        assert_eq!(c.charge(Crossing::Calls { count: 1, bytes: 0 }), 2.4e-3);
     }
 
     #[test]
-    fn interaction_cost_scales_with_payload() {
+    fn calls_wait_one_rtt_each_and_stream_their_bytes() {
         let c = CommParams::new(8.0e6, 1.0e-3); // 1 MB/s
                                                 // 1000 bytes = 8000 bits = 1 ms on the link, plus 1 ms RTT.
-        assert!((c.interaction_seconds(1_000) - 2.0e-3).abs() < 1e-9);
+        let one = c.charge(Crossing::Calls {
+            count: 1,
+            bytes: 1_000,
+        });
+        assert!((one - 2.0e-3).abs() < 1e-9);
+        let three = c.charge(Crossing::Calls {
+            count: 3,
+            bytes: 1_000,
+        });
+        assert!((three - 4.0e-3).abs() < 1e-9);
     }
 
     #[test]
-    fn transfer_uses_half_rtt_setup() {
+    fn a_stream_pays_half_an_rtt_of_setup() {
         let c = CommParams::new(8.0e6, 2.0e-3);
-        assert!((c.transfer_seconds(0) - 1.0e-3).abs() < 1e-12);
-        assert!((c.transfer_seconds(1_000_000) - (1.0e-3 + 1.0)).abs() < 1e-9);
+        assert_eq!(c.charge(Crossing::Stream { bytes: 0 }), 1.0e-3);
+        let mb = c.charge(Crossing::Stream { bytes: 1_000_000 });
+        assert!((mb - (1.0e-3 + 1.0)).abs() < 1e-9);
     }
 
     #[test]

@@ -55,7 +55,7 @@ mod mincut;
 mod partition;
 mod policy;
 
-pub use cost::{CommParams, CostFunction, CutBytes, CutInteractions, PredictedTime};
+pub use cost::{CommParams, CostFunction, Crossing, CutBytes, CutInteractions, PredictedTime};
 pub use density::density_candidates;
 pub use dot::{to_dot, to_dot_annotated};
 pub use graph::{EdgeInfo, ExecutionGraph, NodeId, NodeInfo, PinReason};

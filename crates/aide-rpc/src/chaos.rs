@@ -30,6 +30,7 @@ use aide_graph::CommParams;
 use serde::{Deserialize, Serialize};
 
 use crate::link::{session_pair, Delivered, FrameSink, Link, Session};
+use crate::rng::Xorshift64;
 
 /// A reproducible schedule of transport faults.
 ///
@@ -156,33 +157,10 @@ impl ChaosStats {
     }
 }
 
-/// Deterministic xorshift64 stream (the same generator the failover
-/// backoff jitter uses): a schedule's seed regenerates its whole fault
-/// sequence, so the seed is all a recording keeps of it.
-struct ChaosRng {
-    state: u64,
-}
-
-impl ChaosRng {
-    fn new(seed: u64) -> Self {
-        // xorshift64 has an absorbing zero state.
-        ChaosRng { state: seed | 1 }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
+/// A schedule's fault stream: `ChaosRng::new(seed)` is [`Xorshift64`] from
+/// `seed | 1`, so the seed regenerates the whole fault sequence and is all
+/// a recording keeps of it.
+type ChaosRng = Xorshift64;
 
 /// The inbound half of a chaos wrap: whoever produces `inner`'s frames
 /// (a carrier's reader, the in-process peer's sending thread) forwards

@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
-use aide_graph::CommParams;
+use aide_graph::{CommParams, Crossing};
 use aide_trace::names as span_names;
 use aide_vm::SlotWrites;
 use parking_lot::Mutex;
@@ -53,6 +53,7 @@ use crate::mux::{CarrierReader, Turn};
 use crate::pool::{Job, Work, WorkerPool};
 use crate::reftable::{ExportTable, ImportTable};
 use crate::responder::{is_idempotent, serve_deferred, Responder, Served};
+use crate::rng::Xorshift64;
 use crate::wire::{FrameHeader, LeaseStamp, Message, Reply, Request, WireError};
 
 /// How many touches [`Endpoint::defer`] queues before it stops deferring:
@@ -373,17 +374,6 @@ struct GcHooks {
     exports: Arc<ExportTable>,
     imports: Arc<ImportTable>,
     writes: Arc<SlotWrites>,
-}
-
-/// xorshift64 step returning a uniform f64 in [0, 1) — the same generator
-/// the chaos schedule and failover backoff use, so jitter is reproducible.
-fn xorshift_unit(state: &mut u64) -> f64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// The part of an endpoint its session's sink and the workers serving it
@@ -990,11 +980,7 @@ impl Endpoint {
             return Err(RpcError::Protocol(format!("{kind} cannot be deferred")));
         }
         self.shared.metrics.requests.inc();
-        self.charge(
-            Message::simulated_bytes_of(&touch),
-            Message::simulated_reply_bytes(&touch),
-            false,
-        );
+        self.charge(touch.crossing());
         if matches!(touch, Request::PutSlot { .. }) {
             self.shared.owed_writes.fetch_add(1, Ordering::SeqCst);
         }
@@ -1097,14 +1083,12 @@ impl Endpoint {
         if !touches.is_empty() {
             span.arg("deferred", touches.len());
         }
-        let reply_bytes = Message::simulated_reply_bytes(&request);
-        let is_migrate = matches!(request, Request::MigratePrepare { .. });
+        let crossing = request.crossing();
         let msg = Message::Request {
             seq,
             client: self.client_id,
             body: request,
         };
-        let req_bytes = msg.simulated_request_bytes();
 
         // The touches the frame carried — and the request, if it was one —
         // back at the front of the queue, unanswered.
@@ -1136,7 +1120,7 @@ impl Endpoint {
             Err(e) => return fail(span, e),
         };
         let deadline = Instant::now() + policy.deadline;
-        let mut jitter_state = (policy.seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
+        let mut jitter = Xorshift64::new(policy.seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let started = Instant::now();
         let mut attempt: u32 = 0;
         let outcome = loop {
@@ -1191,8 +1175,7 @@ impl Endpoint {
                     let exp = policy.base_backoff.as_secs_f64()
                         * policy.backoff_factor.powi(attempt as i32 - 1);
                     let capped = exp.min(policy.max_backoff.as_secs_f64());
-                    let scale =
-                        1.0 + policy.jitter * (2.0 * xorshift_unit(&mut jitter_state) - 1.0);
+                    let scale = 1.0 + policy.jitter * (2.0 * jitter.unit() - 1.0);
                     let sleep = Duration::from_secs_f64((capped * scale).max(0.0))
                         .min(deadline.saturating_duration_since(now));
                     let mut backoff_span = aide_trace::span(span_names::RPC_BACKOFF, "rpc");
@@ -1256,27 +1239,18 @@ impl Endpoint {
             self.shared.metrics.errors.inc();
         }
         if !flushing {
-            self.charge(req_bytes, reply_bytes, is_migrate);
+            self.charge(crossing);
         }
         reply
     }
 
-    /// Charges one logical round trip of `req_bytes` out and `reply_bytes`
-    /// back to the simulated link: bulk transfers (offloading) stream at
-    /// link bandwidth with half-RTT setup; everything else is a synchronous
-    /// round trip.
-    fn charge(&self, req_bytes: u64, reply_bytes: u64, is_migrate: bool) {
-        self.shared
-            .metrics
-            .simulated_bytes
-            .add(req_bytes + reply_bytes);
-        let seconds = if is_migrate {
-            self.params.transfer_seconds(req_bytes)
-        } else {
-            self.params.rtt_seconds
-                + ((req_bytes + reply_bytes) as f64 * 8.0) / self.params.bandwidth_bps
-        };
-        self.clock.add(seconds);
+    /// Charges one logical round trip that put `crossing` on the link
+    /// ([`Request::crossing`]) to the simulated link, at the price the
+    /// emulator and the predictor pay for the same traffic.
+    fn charge(&self, crossing: Crossing) {
+        let (Crossing::Calls { bytes, .. } | Crossing::Stream { bytes }) = crossing;
+        self.shared.metrics.simulated_bytes.add(bytes);
+        self.clock.add(self.params.charge(crossing));
         self.clock.note_round_trip();
     }
 
@@ -1404,7 +1378,7 @@ impl Endpoint {
 mod tests {
     use super::*;
     use crate::link::Link;
-    use aide_vm::{ClassId, ObjectId};
+    use aide_vm::{ClassId, MethodId, NativeKind, ObjectId, ObjectRecord};
 
     /// A dispatcher that answers ClassOf with a fixed class and echoes slot
     /// reads, failing on unknown objects.
@@ -1495,22 +1469,103 @@ mod tests {
         }
     }
 
+    /// A call charges the link what the emulator charges a remote
+    /// interaction carrying the bytes the monitor records for it —
+    /// `CommParams::charge(Crossing::Calls { count: 1, bytes })` — and a
+    /// `MigratePrepare` streams the footprints the offload reports as
+    /// `bytes_moved`. No header is charged.
     #[test]
-    fn link_time_is_charged_per_round_trip() {
+    fn a_call_is_charged_what_the_emulator_charges_its_interaction() {
+        let target = ObjectId::surrogate(2);
+        let access = |bytes, write| Request::FieldAccess {
+            target,
+            bytes,
+            write,
+        };
+        let statics = |bytes, write| Request::StaticAccess {
+            accessor: ClassId(1),
+            class: ClassId(2),
+            bytes,
+            write,
+        };
+        // Each request beside the payload the VM's monitor records for the
+        // same interaction (`Interaction::bytes`, `on_native`,
+        // `on_static_access`); a null read is one round trip and nothing
+        // more.
+        let interactions = [
+            (access(0, false), 0),
+            (access(4_096, false), 4_096),
+            (access(512, true), 512),
+            (
+                Request::Invoke {
+                    target,
+                    class: ClassId(1),
+                    method: MethodId(0),
+                    arg_bytes: 1_000,
+                    ret_bytes: 500,
+                    args: vec![ObjectId::client(1), ObjectId::client(2)],
+                },
+                1_500,
+            ),
+            (Request::GetSlot { target, slot: 0 }, 8),
+            (
+                Request::PutSlot {
+                    target,
+                    slot: 0,
+                    value: Some(ObjectId::client(1)),
+                },
+                8,
+            ),
+            (
+                Request::Native {
+                    caller: ClassId(1),
+                    kind: NativeKind::FileIo,
+                    work_micros: 10,
+                    arg_bytes: 64,
+                    ret_bytes: 256,
+                },
+                320,
+            ),
+            (statics(128, false), 128),
+            (statics(128, true), 128),
+            (Request::ClassOf { target }, 0),
+        ];
         let (client, _surrogate) = pair();
+        let params = CommParams::WAVELAN;
+        for (request, bytes) in interactions {
+            let kind = request.kind();
+            let emulated = params.charge(Crossing::Calls { count: 1, bytes });
+            let (before, trips) = (client.clock().seconds(), client.clock().round_trips());
+            client.call(request.clone()).unwrap();
+            assert_eq!(
+                client.clock().seconds(),
+                before + emulated,
+                "{kind} of {bytes} B"
+            );
+            assert_eq!(client.clock().round_trips(), trips + 1, "{kind}");
+            // A touch not waited for is charged the same, when deferred.
+            if request.is_deferrable() {
+                let before = client.clock().seconds();
+                client.defer(request).unwrap();
+                assert_eq!(
+                    client.clock().seconds(),
+                    before + emulated,
+                    "deferred {kind}"
+                );
+            }
+        }
+        client.flush().unwrap();
+
+        let rec = ObjectRecord::new(ClassId(1), 984, 0); // footprint 1 000
+        let objects: Vec<_> = (0..3).map(|i| (ObjectId::client(i), rec.clone())).collect();
+        let bytes_moved: u64 = objects.iter().map(|(_, rec)| rec.footprint()).sum();
         let before = client.clock().seconds();
         client
-            .call(Request::FieldAccess {
-                target: ObjectId::surrogate(2),
-                bytes: 0,
-                write: false,
-            })
+            .call(Request::MigratePrepare { txn: 1, objects })
             .unwrap();
-        let delta = client.clock().seconds() - before;
-        // One WaveLAN round trip (2.4 ms) plus two 32-byte headers.
-        let expected = 2.4e-3 + (64.0 * 8.0) / 11.0e6;
-        assert!((delta - expected).abs() < 1e-9, "delta {delta}");
-        assert_eq!(client.clock().round_trips(), 1);
+        let streamed = params.charge(Crossing::Stream { bytes: bytes_moved });
+        assert_eq!(client.clock().seconds(), before + streamed);
+        assert_eq!(streamed, 1.2e-3 + (3_000.0 * 8.0) / 11.0e6);
     }
 
     #[test]

@@ -79,6 +79,7 @@ mod mux;
 mod pool;
 mod reftable;
 mod responder;
+mod rng;
 mod tcp;
 mod wire;
 
@@ -92,6 +93,7 @@ pub use reftable::{
     live_remote_refs, ExportTable, GcClock, ImportTable, ReleaseOutcome, DEFAULT_LEASE_TTL_MS,
 };
 pub use responder::{deferred_invoke_in_service, Responder, Served};
+pub use rng::Xorshift64;
 pub use tcp::{nudge, tcp_pair, TcpMuxListener};
 pub use wire::{
     crc32, FrameHeader, LeaseStamp, Message, Reply, Request, WireError, PROTOCOL_VERSION,

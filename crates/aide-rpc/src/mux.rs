@@ -184,13 +184,21 @@ impl MuxConn {
         self.killer.clone()
     }
 
+    /// Times this carrier's thread, having stepped aside for a caller or a
+    /// worker to read next, took the read half back because nobody had for
+    /// a handover: what reached the socket meanwhile waited. (An idle
+    /// carrier counts too.)
+    pub fn handovers_waited_out(&self) -> u64 {
+        self.reader.handovers_waited_out.load(Ordering::Relaxed)
+    }
+
     /// Hands every session the peer opens from now on to `accept`, on the
     /// thread that reads its OPEN (see `AcceptHook`), instead of queueing
     /// it for [`accept`](MuxConn::accept); sessions the peer opened before
     /// go to it first, here, with whatever frames they already queued. The
     /// carrier's write half stays open until the carrier dies, with or
     /// without a session on it. Sessions this end opens are unaffected.
-    pub fn accept_with(self, accept: impl Fn(u32, Session) -> Delivered + Send + Sync + 'static) {
+    pub fn accept_with(&self, accept: impl Fn(u32, Session) -> Delivered + Send + Sync + 'static) {
         // Held across the hand-over: a session the peer opens meanwhile
         // waits for the hook.
         let mut accepts = self.reader.accepts.lock();
@@ -297,6 +305,8 @@ pub(crate) struct CarrierReader {
     /// Calls the parked thread back before [`HANDOVER`] is up.
     recalled: std::sync::Mutex<bool>,
     recall: Condvar,
+    /// See [`MuxConn::handovers_waited_out`].
+    handovers_waited_out: AtomicU64,
     frames: Arc<aide_telemetry::Counter>,
     bytes: Arc<aide_telemetry::Counter>,
     replies_caller_read: Arc<aide_telemetry::Counter>,
@@ -331,6 +341,7 @@ impl CarrierReader {
             turns: AtomicU64::new(0),
             recalled: std::sync::Mutex::new(false),
             recall: Condvar::new(),
+            handovers_waited_out: AtomicU64::new(0),
             frames,
             bytes,
             replies_caller_read: telemetry.counter(aide_telemetry::names::RPC_REPLIES_CALLER_READ),
@@ -447,6 +458,7 @@ impl CarrierReader {
             recalled = guard;
             let turns = self.turns.load(Ordering::Relaxed);
             if wait.timed_out() && turns == seen {
+                self.handovers_waited_out.fetch_add(1, Ordering::Relaxed);
                 return;
             }
             seen = turns;

@@ -89,6 +89,7 @@ pub struct WorkerPool {
     /// The trace lane the workers record their spans on.
     lane: aide_trace::Lane,
     served_where_read: AtomicU64,
+    stalled_leads: AtomicU64,
     served_where_read_total: Arc<aide_telemetry::Counter>,
     workers_spawned: Arc<aide_telemetry::Counter>,
 }
@@ -105,6 +106,7 @@ impl WorkerPool {
             name: name.to_string(),
             lane,
             served_where_read: AtomicU64::new(0),
+            stalled_leads: AtomicU64::new(0),
             served_where_read_total: telemetry
                 .counter(aide_telemetry::names::RPC_SERVED_WHERE_READ),
             workers_spawned: telemetry.counter(aide_telemetry::names::RPC_WORKERS_SPAWNED),
@@ -146,6 +148,13 @@ impl WorkerPool {
     /// somebody else and queued.
     pub fn requests_served_where_read(&self) -> u64 {
         self.served_where_read.load(Ordering::Relaxed)
+    }
+
+    /// Leads that read nothing for a handover while a job of another
+    /// carrier waited in the queue, which waited out the lead. The first
+    /// such lead holds leading off while carriers take turns.
+    pub fn stalled_leads(&self) -> u64 {
+        self.stalled_leads.load(Ordering::Relaxed)
     }
 
     /// Stops the pool: each worker finishes what is queued, then exits, and
@@ -319,6 +328,9 @@ impl WorkerPool {
                     .queue
                     .iter()
                     .any(|job| carrier_of(job.from.as_ref()) != Some(key));
+                if *held_off {
+                    self.stalled_leads.fetch_add(1, Ordering::Relaxed);
+                }
                 state.take_or_park(me)
             }
         };

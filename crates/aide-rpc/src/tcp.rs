@@ -238,8 +238,9 @@ mod tests {
             assert_eq!(reply, Reply::Class(ClassId(9)));
         }
         assert_eq!(surrogate.requests_served(), 50);
-        // Simulated WaveLAN time accrues regardless of the carrier.
-        assert!(client.clock().seconds() >= 50.0 * 2.4e-3);
+        // Simulated WaveLAN time accrues regardless of the carrier: a
+        // `ClassOf` carries no payload, so each is one round trip.
+        assert!((client.clock().seconds() - 50.0 * 2.4e-3).abs() < 1e-12);
         client.shutdown();
         surrogate.shutdown();
     }

@@ -8,8 +8,8 @@
 //! Payload *sizes* (method parameters, field data) are declared, not
 //! carried: a `FieldAccess { bytes: 4096 }` frame does not carry 4 KiB
 //! of zeros. Link timing is computed from the declared sizes (see
-//! [`Message::simulated_request_bytes`]), which is exactly how the paper's
-//! emulator stretched simulated execution time for remote interactions.
+//! [`Request::crossing`]), which is exactly how the paper's emulator
+//! stretched simulated execution time for remote interactions.
 //!
 //! Every frame is integrity-protected: the encoded message payload is
 //! prefixed with a one-byte protocol version and a CRC32 (IEEE) of the
@@ -47,6 +47,7 @@ use std::time::Instant;
 
 use bytes::{Buf, BufMut};
 
+use aide_graph::Crossing;
 use aide_trace::SpanContext;
 use aide_vm::{ClassId, MethodId, NativeKind, ObjectId, ObjectRecord};
 
@@ -283,6 +284,49 @@ impl Request {
         )
     }
 
+    /// What this request puts on the link, for
+    /// [`CommParams::charge`](aide_graph::CommParams::charge): the payload
+    /// the monitor records for the same interaction, never a frame header
+    /// (the null-message RTT pays for one). A `MigratePrepare` streams its
+    /// objects' footprints (the offload's `bytes_moved`), a `RelayDeliver`
+    /// sends them in one call; requests the monitor never sees carry their
+    /// ids.
+    pub fn crossing(&self) -> Crossing {
+        let footprints = |objects: &[(ObjectId, ObjectRecord)]| -> u64 {
+            objects.iter().map(|(_, rec)| rec.footprint()).sum()
+        };
+        let bytes = match self {
+            Request::Invoke {
+                arg_bytes,
+                ret_bytes,
+                ..
+            }
+            | Request::Native {
+                arg_bytes,
+                ret_bytes,
+                ..
+            } => u64::from(*arg_bytes) + u64::from(*ret_bytes),
+            Request::FieldAccess { bytes, .. } | Request::StaticAccess { bytes, .. } => {
+                u64::from(*bytes)
+            }
+            Request::GetSlot { .. } | Request::PutSlot { .. } | Request::GcRenew { .. } => 8,
+            Request::MigratePrepare { objects, .. } => {
+                return Crossing::Stream {
+                    bytes: footprints(objects),
+                }
+            }
+            Request::RelayDeliver { objects, .. } => footprints(objects),
+            Request::GcReleaseSeq { objects, .. } => 16 + 8 * objects.len() as u64,
+            Request::ClassOf { .. }
+            | Request::MigrateCommit { .. }
+            | Request::MigrateAbort { .. }
+            | Request::Shutdown
+            | Request::Ping
+            | Request::Stats => 0,
+        };
+        Crossing::Calls { count: 1, bytes }
+    }
+
     /// The static name of this request variant, used to label serve
     /// spans and the critical-path attribution.
     pub fn kind(&self) -> &'static str {
@@ -390,87 +434,6 @@ pub enum Message {
 }
 
 impl Message {
-    /// Simulated size of the request direction of this message, in bytes:
-    /// a fixed header plus declared payloads and 8 bytes per object
-    /// reference. Used for link-time accounting.
-    pub fn simulated_request_bytes(&self) -> u64 {
-        match self {
-            Message::Request { body, .. } => Self::simulated_bytes_of(body),
-            Message::Reply { .. } => 32,
-        }
-    }
-
-    /// Simulated size of `request` on its way to the peer: what
-    /// [`simulated_request_bytes`](Message::simulated_request_bytes) says of
-    /// the message carrying it.
-    pub(crate) fn simulated_bytes_of(request: &Request) -> u64 {
-        const HEADER: u64 = 32;
-        HEADER
-            + match request {
-                Request::Invoke {
-                    arg_bytes, args, ..
-                } => *arg_bytes as u64 + 8 * args.len() as u64,
-                Request::FieldAccess { bytes, write, .. } => {
-                    if *write {
-                        *bytes as u64
-                    } else {
-                        0
-                    }
-                }
-                Request::GetSlot { .. } => 0,
-                Request::PutSlot { .. } => 8,
-                Request::Native { arg_bytes, .. } => *arg_bytes as u64,
-                Request::StaticAccess { bytes, write, .. } => {
-                    if *write {
-                        *bytes as u64
-                    } else {
-                        0
-                    }
-                }
-                Request::ClassOf { .. } => 0,
-                Request::MigratePrepare { objects, .. } | Request::RelayDeliver { objects, .. } => {
-                    objects
-                        .iter()
-                        .map(|(_, rec)| rec.footprint() + 16)
-                        .sum::<u64>()
-                }
-                Request::GcRenew { .. } => 8,
-                Request::GcReleaseSeq { objects, .. } => 16 + 8 * objects.len() as u64,
-                Request::MigrateCommit { .. }
-                | Request::MigrateAbort { .. }
-                | Request::Shutdown
-                | Request::Ping
-                | Request::Stats => 0,
-            }
-    }
-
-    /// Simulated size of the reply direction for a given request: header
-    /// plus declared return payload.
-    pub fn simulated_reply_bytes(request: &Request) -> u64 {
-        const HEADER: u64 = 32;
-        HEADER
-            + match request {
-                Request::Invoke { ret_bytes, .. } => *ret_bytes as u64,
-                Request::FieldAccess { bytes, write, .. } => {
-                    if *write {
-                        0
-                    } else {
-                        *bytes as u64
-                    }
-                }
-                Request::GetSlot { .. } => 8,
-                Request::Native { ret_bytes, .. } => *ret_bytes as u64,
-                Request::StaticAccess { bytes, write, .. } => {
-                    if *write {
-                        0
-                    } else {
-                        *bytes as u64
-                    }
-                }
-                _ => 0,
-            }
-    }
-
     /// Encodes the message into a frame with no lease stamp; shorthand for
     /// [`encode_stamped(None)`](Message::encode_stamped).
     pub fn encode(&self) -> Vec<u8> {
@@ -1597,23 +1560,21 @@ mod tests {
     }
 
     #[test]
-    fn gc_request_sizes_are_compact() {
-        let renew = Message::Request {
-            seq: 0,
-            client: 0,
-            body: Request::GcRenew { epoch: 1 },
+    fn gc_requests_carry_their_ids() {
+        let renew = Request::GcRenew { epoch: 1 };
+        assert_eq!(renew.crossing(), Crossing::Calls { count: 1, bytes: 8 });
+        let release = Request::GcReleaseSeq {
+            epoch: 1,
+            release_seq: 2,
+            objects: vec![ObjectId::surrogate(1); 3],
         };
-        assert_eq!(renew.simulated_request_bytes(), 32 + 8);
-        let release = Message::Request {
-            seq: 0,
-            client: 0,
-            body: Request::GcReleaseSeq {
-                epoch: 1,
-                release_seq: 2,
-                objects: vec![ObjectId::surrogate(1); 3],
-            },
-        };
-        assert_eq!(release.simulated_request_bytes(), 32 + 16 + 24);
+        assert_eq!(
+            release.crossing(),
+            Crossing::Calls {
+                count: 1,
+                bytes: 16 + 24
+            }
+        );
     }
 
     #[test]
@@ -1664,64 +1625,50 @@ mod tests {
     }
 
     #[test]
-    fn simulated_sizes_reflect_declared_payloads() {
-        let invoke = Message::Request {
-            seq: 0,
-            client: 0,
-            body: Request::Invoke {
-                target: ObjectId::client(0),
-                class: ClassId(0),
-                method: MethodId(0),
-                arg_bytes: 1_000,
-                ret_bytes: 500,
-                args: vec![ObjectId::client(1)],
-            },
-        };
-        assert_eq!(invoke.simulated_request_bytes(), 32 + 1_000 + 8);
-        if let Message::Request { body, .. } = &invoke {
-            assert_eq!(Message::simulated_reply_bytes(body), 32 + 500);
-        }
-
-        let read = Request::FieldAccess {
+    fn a_request_carries_the_payload_the_monitor_records() {
+        let call = |bytes| Crossing::Calls { count: 1, bytes };
+        // Parameters and result, in one crossing; the reference arguments
+        // and the headers are not charged.
+        let invoke = Request::Invoke {
             target: ObjectId::client(0),
-            bytes: 4_096,
-            write: false,
+            class: ClassId(0),
+            method: MethodId(0),
+            arg_bytes: 1_000,
+            ret_bytes: 500,
+            args: vec![ObjectId::client(1)],
         };
-        let msg = Message::Request {
-            seq: 0,
-            client: 0,
-            body: read.clone(),
+        assert_eq!(invoke.crossing(), call(1_500));
+        // A read carries its data back, a write carries it out.
+        for write in [false, true] {
+            let access = Request::FieldAccess {
+                target: ObjectId::client(0),
+                bytes: 4_096,
+                write,
+            };
+            assert_eq!(access.crossing(), call(4_096));
+        }
+        let put = Request::PutSlot {
+            target: ObjectId::client(0),
+            slot: 1,
+            value: None,
         };
-        // A read sends no payload out; the data comes back in the reply.
-        assert_eq!(msg.simulated_request_bytes(), 32);
-        assert_eq!(Message::simulated_reply_bytes(&read), 32 + 4_096);
+        assert_eq!(put.crossing(), call(8));
+        assert_eq!(Request::Ping.crossing(), call(0));
     }
 
     #[test]
-    fn migration_size_counts_object_footprints_in_prepare_only() {
-        // PREPARE carries the objects, each priced at its footprint plus a
-        // 16-byte envelope; COMMIT and ABORT are control messages priced as
-        // bare headers.
+    fn a_prepare_streams_its_object_footprints_and_commit_carries_nothing() {
         let rec = ObjectRecord::new(ClassId(0), 984, 0); // footprint 1000
-        let prepare = Message::Request {
-            seq: 0,
-            client: 0,
-            body: Request::MigratePrepare {
-                txn: 1,
-                objects: vec![(ObjectId::client(0), rec)],
-            },
+        let prepare = Request::MigratePrepare {
+            txn: 1,
+            objects: vec![
+                (ObjectId::client(0), rec.clone()),
+                (ObjectId::client(1), rec),
+            ],
         };
-        assert_eq!(prepare.simulated_request_bytes(), 32 + 1_000 + 16);
-        let commit = Message::Request {
-            seq: 1,
-            client: 0,
-            body: Request::MigrateCommit { txn: 1 },
-        };
-        assert_eq!(commit.simulated_request_bytes(), 32);
-        assert_eq!(
-            Message::simulated_reply_bytes(&Request::MigrateCommit { txn: 1 }),
-            32
-        );
+        assert_eq!(prepare.crossing(), Crossing::Stream { bytes: 2_000 });
+        let commit = Request::MigrateCommit { txn: 1 };
+        assert_eq!(commit.crossing(), Crossing::Calls { count: 1, bytes: 0 });
     }
 
     #[test]

@@ -7,35 +7,32 @@
 //! random operation must give the same answer on both: same return value,
 //! same swept set, same multiset of lease ages.
 //!
-//! The generator is the in-tree seeded xorshift (`placement_props`,
+//! The generator is the workspace's seeded xorshift (`placement_props`,
 //! `flat_props`), so a failure names the seed and the step that reproduce
 //! it. One test, because it reads a process-wide counter.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use aide_rpc::{ExportTable, GcClock};
+use aide_rpc::{ExportTable, GcClock, Xorshift64};
 use aide_vm::ObjectId;
 
 const SEEDS: u64 = 256;
 const OPS: usize = 300;
 const IDS: u64 = 24;
 
-/// xorshift64: tiny, seedable, and identical everywhere.
-struct Rng(u64);
+/// The workspace's xorshift64, from the seed's golden-ratio multiple.
+struct Rng(Xorshift64);
 
 impl Rng {
     fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1))
+        Rng(Xorshift64::from_state(
+            seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1),
+        ))
     }
 
     fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
+        self.0.next_u64()
     }
 
     fn below(&mut self, n: u64) -> u64 {

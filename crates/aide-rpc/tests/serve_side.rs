@@ -465,18 +465,19 @@ fn sibling_keeps_pace(name: &str, wire: &Wire, warm: bool) -> bool {
         let led = counters_since(before).0 == 1;
         let behind = scope.spawn(|| (a.call(access(8, false)), Instant::now()));
 
-        // Session B, on the same carrier, never notices.
-        let mut micros: Vec<u128> = (0..CALLS)
-            .map(|_| {
-                let sent = Instant::now();
-                assert!(b.call(access(8, false)).is_ok(), "{name}");
-                sent.elapsed().as_micros()
-            })
-            .collect();
+        // Session B, on the same carrier, never notices: after its first
+        // request, B's worker reads each next one off the carrier itself
+        // and serves it, as if A were not there.
+        let read_before = counters();
+        for _ in 0..CALLS {
+            assert!(b.call(access(8, false)).is_ok(), "{name}");
+        }
         let finished = Instant::now();
-        micros.sort_unstable();
-        let p99 = micros[CALLS * 99 / 100];
-        assert!(p99 < 5_000, "{name}: sibling p99 {p99} us (led {led})");
+        let where_read = counters_since(read_before).0;
+        assert!(
+            where_read * 100 >= CALLS as u64 * 99,
+            "{name}: {where_read} of {CALLS} sibling requests served where read (led {led})"
+        );
 
         let (long_reply, long_done) = long.join().unwrap();
         let (behind_reply, behind_done) = behind.join().unwrap();

@@ -200,7 +200,7 @@ impl SurrogateDaemon {
                             Ok(conn) => conn,
                             Err(_) => continue, // a broken accept hurts no one else
                         };
-                        pool.attach_carrier(next_conn, conn);
+                        pool.attach_carrier(next_conn, &conn);
                         next_conn += 1;
                     }
                 })

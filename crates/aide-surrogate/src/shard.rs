@@ -246,7 +246,7 @@ impl ShardPool {
 
     /// Serves the sessions the peer opens on `carrier`, which the daemon
     /// calls `conn`, from now on (and those it opened before).
-    pub fn attach_carrier(self: &Arc<Self>, conn: u64, carrier: MuxConn) {
+    pub fn attach_carrier(self: &Arc<Self>, conn: u64, carrier: &MuxConn) {
         let killer = carrier.killer();
         self.carriers.lock().insert(conn, killer.clone());
         let accepting = Accepting {
@@ -462,10 +462,16 @@ mod tests {
     /// A client's carrier to `pool`, attached as `conn` the way the daemon
     /// attaches each carrier it accepts.
     fn carrier(pool: &Arc<ShardPool>, conn: u64) -> MuxConn {
+        carrier_ends(pool, conn).0
+    }
+
+    /// [`carrier`], and the end of it that `pool` serves.
+    fn carrier_ends(pool: &Arc<ShardPool>, conn: u64) -> (MuxConn, MuxConn) {
         let listener = TcpMuxListener::bind(([127, 0, 0, 1], 0).into()).unwrap();
         let transport = MuxConn::connect(listener.local_addr(), Duration::from_secs(2)).unwrap();
-        pool.attach_carrier(conn, listener.accept().unwrap());
-        transport
+        let served = listener.accept().unwrap();
+        pool.attach_carrier(conn, &served);
+        (transport, served)
     }
 
     /// Waits, bounded, until `done` holds.
@@ -498,11 +504,6 @@ mod tests {
     /// The first session a client opens on a carrier: the initiator's first
     /// id, `(1 << 1) | 1`.
     const FIRST_SESSION: u32 = 3;
-
-    /// The `p`th percentile of sorted round-trip times.
-    fn percentile(sorted: &[u128], p: usize) -> u128 {
-        sorted[sorted.len() * p / 100]
-    }
 
     #[test]
     fn sequential_requests_on_a_pool_session_are_served_by_the_shard_worker_that_reads_them() {
@@ -537,16 +538,13 @@ mod tests {
         let carriers = [carrier(&pool, 1), carrier(&pool, other)];
         let sessions: Vec<_> = carriers.iter().map(|t| t.open_session().unwrap()).collect();
 
-        // Each call finds the worker leading the other carrier, which it
-        // leaves within `HANDOVER` (1 ms) of reading nothing there.
-        let mut micros: Vec<u128> = (0..CALLS)
-            .map(|i| {
-                let sent = Instant::now();
-                round_trip(&sessions[i % 2], i as u64, Request::Ping);
-                sent.elapsed().as_micros()
-            })
-            .collect();
-        micros.sort_unstable();
+        // A worker that replied on one carrier leads it, reading nothing
+        // there while the other carrier's call waits in the queue — once:
+        // that lead holds leading off while the carriers take turns, so no
+        // later call waits out a lead of the other carrier.
+        for i in 0..CALLS {
+            round_trip(&sessions[i % 2], i as u64, Request::Ping);
+        }
         assert!(
             pool.sessions
                 .lock()
@@ -556,8 +554,8 @@ mod tests {
         );
         assert_eq!(pool.live_sessions(), 2);
         assert_eq!(pool.requests_served(), CALLS as u64);
-        let p99 = percentile(&micros, 99);
-        assert!(p99 < 5_000, "p99 {p99} us");
+        let stalled = pool.shards[shard].stalled_leads();
+        assert!(stalled <= 1, "{stalled} of {CALLS} calls waited out a lead");
         pool.shutdown();
     }
 
@@ -605,7 +603,7 @@ mod tests {
                 })
             }
         });
-        let transport = carrier(&pool, 1);
+        let (transport, served) = carrier_ends(&pool, 1);
         let session = transport.open_session().unwrap();
         // The crowd: sessions of a second carrier that hash to the same
         // shard, each admitted before the rounds begin.
@@ -634,25 +632,25 @@ mod tests {
 
         // The worker reads each abort itself, leading the carrier, and
         // replies to it with a crowd session's end queued. The ping behind
-        // it is read by the carrier's thread: at once if the worker recalled
-        // it, and only once `HANDOVER` (1 ms) passes with nobody reading if
-        // it did not.
-        let mut micros: Vec<u128> = (0..ROUNDS as u64)
-            .map(|round| {
-                round_trip(
-                    &session,
-                    2 * round,
-                    Request::MigrateAbort { txn: round + 1 },
-                );
-                let sent = Instant::now();
-                round_trip(&session, 2 * round + 1, Request::Ping);
-                sent.elapsed().as_micros()
-            })
-            .collect();
-        micros.sort_unstable();
-        let (p50, p99) = (percentile(&micros, 50), percentile(&micros, 99));
-        assert!(p50 < 1_000, "p50 {p50} us: the carrier's thread waited");
-        assert!(p99 < 5_000, "p99 {p99} us");
+        // it is read by the carrier's thread: at once if the worker called
+        // it back, and only once it waits out a handover with nobody
+        // reading if it did not. (A handover also runs out, harmlessly,
+        // while an abort takes longer than one to serve: rarely, more
+        // often on a loaded host, but not in most rounds.)
+        let before = served.handovers_waited_out();
+        for round in 0..ROUNDS as u64 {
+            round_trip(
+                &session,
+                2 * round,
+                Request::MigrateAbort { txn: round + 1 },
+            );
+            round_trip(&session, 2 * round + 1, Request::Ping);
+        }
+        let waited = served.handovers_waited_out() - before;
+        assert!(
+            waited * 2 < ROUNDS as u64,
+            "the carrier's thread waited out a handover in {waited} of {ROUNDS} rounds"
+        );
         assert_eq!(pool.requests_served(), 2 * ROUNDS as u64);
         pool.shutdown();
     }
@@ -681,7 +679,7 @@ mod tests {
             // A raw peer, writing OPEN frames: `[len][session][kind 1]`.
             let listener = TcpMuxListener::bind(([127, 0, 0, 1], 0).into()).unwrap();
             let mut peer = std::net::TcpStream::connect(listener.local_addr()).unwrap();
-            pool.attach_carrier(1, listener.accept().unwrap());
+            pool.attach_carrier(1, &listener.accept().unwrap());
             for session in [first, second, first] {
                 // The repeated OPEN is idempotent: no second slot, no leak.
                 peer.write_all(&5u32.to_le_bytes()).unwrap();

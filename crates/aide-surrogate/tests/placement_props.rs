@@ -10,26 +10,24 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aide_core::{RelayShipment, RelaySink};
+use aide_rpc::Xorshift64;
 use aide_surrogate::{placement_order, RelayConfig, RelayQueue, SurrogateInfo};
 
 const SEEDS: [u64; 3] = [1, 7, 1234];
 const CASES: usize = 300;
 
-/// xorshift64: tiny, seedable, and identical everywhere.
-struct Rng(u64);
+/// The workspace's xorshift64, from the seed's golden-ratio multiple.
+struct Rng(Xorshift64);
 
 impl Rng {
     fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1))
+        Rng(Xorshift64::from_state(
+            seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1),
+        ))
     }
 
     fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
+        self.0.next_u64()
     }
 
     fn below(&mut self, n: u64) -> u64 {

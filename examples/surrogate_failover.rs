@@ -10,6 +10,8 @@
 //! ```sh
 //! cargo run --release --example surrogate_failover
 //! ```
+//!
+//! It exits non-zero unless the run completes after at least one failover.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -98,24 +100,21 @@ fn main() {
     println!("surrogate hallway-server  listening on {}", d2.local_addr());
 
     // The client's registry. Daemons would normally be found over the UDP
-    // beacon; static registration is the test-friendly fallback.
+    // beacon; static registration is the test-friendly fallback. Nothing is
+    // probed before the run: unprobed surrogates rank in registration order
+    // (loopback RTTs are near-identical noise that would pick one at
+    // random), so the rigged porch-pc is acquired first and the crash
+    // narrative is deterministic.
     let registry = Arc::new(SurrogateRegistry::new(RegistryConfig::default()));
     registry.add_static("porch-pc", d1.local_addr(), 64 << 20);
     registry.add_static("hallway-server", d2.local_addr(), 64 << 20);
-    registry.probe_all();
     for info in registry.ranked() {
         println!(
-            "probed {:<16} rtt {:?} capacity {} MiB",
+            "registered {:<16} capacity {} MiB",
             info.name,
-            info.rtt.expect("reachable"),
             info.capacity_bytes >> 20
         );
     }
-    // Loopback RTTs are near-identical noise; re-register to pin the
-    // acquisition order (porch-pc first) so the crash narrative is
-    // deterministic.
-    registry.add_static("porch-pc", d1.local_addr(), 64 << 20);
-    registry.add_static("hallway-server", d2.local_addr(), 64 << 20);
 
     let mut cfg = PlatformConfig::prototype(HEAP);
     cfg.gc = GcConfig {
@@ -198,4 +197,15 @@ fn main() {
 
     d1.shutdown();
     d2.shutdown();
+
+    // The example exists to show a failover: without one, or with a run
+    // that did not complete, it fails.
+    let failovers = report.failover.as_ref().map_or(0, |f| f.failovers);
+    if report.outcome.is_err() || failovers == 0 {
+        eprintln!(
+            "expected a completed run with at least one failover: completed {}, failovers {failovers}",
+            report.outcome.is_ok()
+        );
+        std::process::exit(1);
+    }
 }
