@@ -215,13 +215,13 @@ mod tests {
     }
 
     #[test]
-    fn a_null_call_costs_one_rtt() {
+    fn null_interaction_costs_one_rtt() {
         let c = CommParams::WAVELAN;
         assert_eq!(c.charge(Crossing::Calls { count: 1, bytes: 0 }), 2.4e-3);
     }
 
     #[test]
-    fn calls_wait_one_rtt_each_and_stream_their_bytes() {
+    fn interaction_cost_scales_with_payload() {
         let c = CommParams::new(8.0e6, 1.0e-3); // 1 MB/s
                                                 // 1000 bytes = 8000 bits = 1 ms on the link, plus 1 ms RTT.
         let one = c.charge(Crossing::Calls {
@@ -237,7 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn a_stream_pays_half_an_rtt_of_setup() {
+    fn transfer_uses_half_rtt_setup() {
         let c = CommParams::new(8.0e6, 2.0e-3);
         assert_eq!(c.charge(Crossing::Stream { bytes: 0 }), 1.0e-3);
         let mb = c.charge(Crossing::Stream { bytes: 1_000_000 });

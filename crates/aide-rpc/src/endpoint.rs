@@ -1475,7 +1475,7 @@ mod tests {
     /// `MigratePrepare` streams the footprints the offload reports as
     /// `bytes_moved`. No header is charged.
     #[test]
-    fn a_call_is_charged_what_the_emulator_charges_its_interaction() {
+    fn link_time_is_charged_per_round_trip() {
         let target = ObjectId::surrogate(2);
         let access = |bytes, write| Request::FieldAccess {
             target,

@@ -1560,7 +1560,7 @@ mod tests {
     }
 
     #[test]
-    fn gc_requests_carry_their_ids() {
+    fn gc_request_sizes_are_compact() {
         let renew = Request::GcRenew { epoch: 1 };
         assert_eq!(renew.crossing(), Crossing::Calls { count: 1, bytes: 8 });
         let release = Request::GcReleaseSeq {
@@ -1625,7 +1625,7 @@ mod tests {
     }
 
     #[test]
-    fn a_request_carries_the_payload_the_monitor_records() {
+    fn simulated_sizes_reflect_declared_payloads() {
         let call = |bytes| Crossing::Calls { count: 1, bytes };
         // Parameters and result, in one crossing; the reference arguments
         // and the headers are not charged.
@@ -1657,7 +1657,7 @@ mod tests {
     }
 
     #[test]
-    fn a_prepare_streams_its_object_footprints_and_commit_carries_nothing() {
+    fn migration_size_counts_object_footprints_in_prepare_only() {
         let rec = ObjectRecord::new(ClassId(0), 984, 0); // footprint 1000
         let prepare = Request::MigratePrepare {
             txn: 1,
