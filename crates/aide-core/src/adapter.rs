@@ -838,10 +838,15 @@ impl Dispatcher for VmDispatcher {
             }
             Request::Shutdown => Ok(Reply::Unit),
             // Telemetry scrape: a Prometheus-style exposition of this
-            // process's metrics registry.
-            Request::Stats => Ok(Reply::Text(aide_telemetry::prometheus_text(
-                &aide_telemetry::global().snapshot(),
-            ))),
+            // process's metrics registry, whose one detector is listed
+            // even while it reads 0.
+            Request::Stats => {
+                let registry = aide_telemetry::global();
+                registry.counter(aide_telemetry::names::VM_UNPIN_UNBALANCED);
+                Ok(Reply::Text(aide_telemetry::prometheus_text(
+                    &registry.snapshot(),
+                )))
+            }
             Request::FieldAccess { .. }
             | Request::GetSlot { .. }
             | Request::PutSlot { .. }

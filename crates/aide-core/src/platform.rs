@@ -112,8 +112,10 @@ pub struct PlatformReport {
     /// What the failover machinery did, when the run was provider-backed
     /// (see [`Platform::with_surrogates`]); `None` for fixed-link runs.
     pub failover: Option<FailoverReport>,
-    /// Metric activity attributable to this run (delta of the process-wide
-    /// registry between run start and run end).
+    /// The process-wide registry's delta over the run's interval: what
+    /// every thread of the process counted between the run's start and its
+    /// end — this run's share, plus whatever ran beside it (another
+    /// `Platform::run`, a parallel test).
     pub telemetry: TelemetrySnapshot,
     /// Flight-recorder trace of the run's platform decisions, in order.
     pub events: Vec<TimedEvent>,
@@ -724,7 +726,7 @@ impl Platform {
         drop(stop_heartbeat);
         let _ = heartbeat.join();
         // Shipments still parked at end-of-run come home: the report (and
-        // the process-wide export/pin gauges) must reflect a consistent
+        // the export tables and pins) must reflect a consistent
         // heap, not objects stranded in a queue nobody will flush.
         core.recall_relay();
         core.shutdown();

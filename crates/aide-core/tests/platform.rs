@@ -446,12 +446,18 @@ fn platform_report_serde_round_trip() {
         !report.events.is_empty(),
         "the flight recorder should have captured the offload decision"
     );
+    // The run's activity is counted by its owners, not the registry.
     assert!(
-        !report.telemetry.counters.is_empty(),
-        "the run should have recorded metric activity"
+        report.surrogate_requests_served > 0,
+        "the run should have recorded RPC activity"
     );
-    // Provider-backed runs attach a failover summary; graft one on so the
-    // round trip exercises that field too.
+    // The registry's delta holds its one detector only once some VM of the
+    // process has registered it, and provider-backed runs attach a failover
+    // summary; graft both on so the round trip exercises those fields too.
+    report
+        .telemetry
+        .counters
+        .insert(aide_telemetry::names::VM_UNPIN_UNBALANCED.to_string(), 0);
     report.failover = Some(FailoverReport {
         failovers: 1,
         reinstated_objects: 7,

@@ -44,6 +44,7 @@ use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use aide_graph::{CommParams, Crossing};
+use aide_telemetry::{buckets, Histogram};
 use aide_trace::names as span_names;
 use aide_vm::SlotWrites;
 use parking_lot::Mutex;
@@ -64,30 +65,6 @@ pub const DEFER_LIMIT: usize = 128;
 /// Process-wide source of endpoint (client) ids, carried in every request
 /// frame so the serving side can deduplicate retries per caller.
 static NEXT_CLIENT_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Metric handles resolved once per endpoint so the call path records
-/// with plain atomic ops (no registry lookups).
-struct RpcMetrics {
-    requests: Arc<aide_telemetry::Counter>,
-    errors: Arc<aide_telemetry::Counter>,
-    latency_micros: Arc<aide_telemetry::Histogram>,
-    simulated_bytes: Arc<aide_telemetry::Counter>,
-}
-
-impl RpcMetrics {
-    fn resolve() -> Self {
-        let t = aide_telemetry::global();
-        RpcMetrics {
-            requests: t.counter(aide_telemetry::names::RPC_REQUESTS),
-            errors: t.counter(aide_telemetry::names::RPC_ERRORS),
-            latency_micros: t.histogram(
-                aide_telemetry::names::RPC_LATENCY_MICROS,
-                aide_telemetry::buckets::LATENCY_MICROS,
-            ),
-            simulated_bytes: t.counter(aide_telemetry::names::RPC_SIMULATED_BYTES),
-        }
-    }
-}
 
 /// Errors surfaced to RPC callers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -426,7 +403,6 @@ pub(crate) struct Shared {
     /// sent again), or the touches were taken back. Every later call, touch
     /// and flush fails with it.
     stopped: OnceLock<RpcError>,
-    metrics: RpcMetrics,
 }
 
 impl Shared {
@@ -706,6 +682,14 @@ pub struct Endpoint {
     client_id: u64,
     config: EndpointConfig,
     retries: AtomicU64,
+    /// See [`Endpoint::requests`].
+    requests: AtomicU64,
+    /// See [`Endpoint::errors`].
+    errors: AtomicU64,
+    /// See [`Endpoint::simulated_bytes`].
+    simulated_bytes: AtomicU64,
+    /// See [`Endpoint::latency_micros`].
+    latency_micros: Histogram,
     shared: Arc<Shared>,
 }
 
@@ -785,7 +769,6 @@ impl Endpoint {
             owed_writes: AtomicU64::new(0),
             deferred: Mutex::default(),
             stopped: OnceLock::new(),
-            metrics: RpcMetrics::resolve(),
         });
 
         // From here on every producer of `session`'s inbound frames runs
@@ -799,6 +782,10 @@ impl Endpoint {
             client_id: NEXT_CLIENT_ID.fetch_add(1, Ordering::Relaxed),
             config,
             retries: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+            simulated_bytes: AtomicU64::new(0),
+            latency_micros: Histogram::new(buckets::LATENCY_MICROS),
             shared,
         })
     }
@@ -863,6 +850,12 @@ impl Endpoint {
         self.shared.requests_served.load(Ordering::Relaxed)
     }
 
+    /// The pool that serves this endpoint's peer: the endpoint's own, or the
+    /// one it was started on ([`start_on`](Endpoint::start_on)).
+    pub fn pool(&self) -> &Arc<WorkerPool> {
+        &self.shared.pool
+    }
+
     /// Process-unique id stamped into every request this endpoint sends;
     /// the serving side keys its at-most-once cache by `(client_id, seq)`.
     pub fn client_id(&self) -> u64 {
@@ -873,6 +866,31 @@ impl Endpoint {
     /// [`call_with_retry`](Endpoint::call_with_retry).
     pub fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
+    }
+
+    /// Requests this endpoint sent and saw through: each call once, however
+    /// many attempts it took and whether or not it failed; each deferred
+    /// touch as it is queued; each answered probe.
+    pub fn requests(&self) -> u64 {
+        self.requests.load(Ordering::Relaxed)
+    }
+
+    /// Calls that failed: the transport lost them, or the peer answered
+    /// with an error.
+    pub fn errors(&self) -> u64 {
+        self.errors.load(Ordering::Relaxed)
+    }
+
+    /// Request and reply payload bytes charged to the simulated link
+    /// ([`Request::crossing`]).
+    pub fn simulated_bytes(&self) -> u64 {
+        self.simulated_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Real round-trip time of each call, flush and answered probe, in
+    /// microseconds.
+    pub fn latency_micros(&self) -> &Histogram {
+        &self.latency_micros
     }
 
     /// Number of duplicate requests absorbed by the at-most-once cache
@@ -979,7 +997,7 @@ impl Endpoint {
             let kind = touch.kind();
             return Err(RpcError::Protocol(format!("{kind} cannot be deferred")));
         }
-        self.shared.metrics.requests.inc();
+        self.requests.fetch_add(1, Ordering::Relaxed);
         self.charge(touch.crossing());
         if matches!(touch, Request::PutSlot { .. }) {
             self.shared.owed_writes.fetch_add(1, Ordering::SeqCst);
@@ -1103,7 +1121,7 @@ impl Endpoint {
         // Touches it carried may or may not have been served, so they are
         // not sent again: deferring stops, and they wait to be taken back.
         let fail = |mut span: aide_trace::SpanGuard, e: RpcError| {
-            self.shared.metrics.errors.inc();
+            self.errors.fetch_add(1, Ordering::Relaxed);
             let outcome = match &e {
                 RpcError::Timeout => "timeout",
                 _ => "disconnected",
@@ -1189,9 +1207,12 @@ impl Endpoint {
             }
         };
         self.shared.forget(seq);
-        self.shared.metrics.requests.inc();
+        // A flush sends a touch counted when it was deferred.
+        if !flushing {
+            self.requests.fetch_add(1, Ordering::Relaxed);
+        }
         let elapsed_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.shared.metrics.latency_micros.observe(elapsed_micros);
+        self.latency_micros.observe(elapsed_micros);
         if retried {
             span.arg("attempts", attempt);
         }
@@ -1236,7 +1257,7 @@ impl Endpoint {
         };
         span.arg("outcome", outcome);
         if reply.is_err() {
-            self.shared.metrics.errors.inc();
+            self.errors.fetch_add(1, Ordering::Relaxed);
         }
         if !flushing {
             self.charge(crossing);
@@ -1249,7 +1270,7 @@ impl Endpoint {
     /// emulator and the predictor pay for the same traffic.
     fn charge(&self, crossing: Crossing) {
         let (Crossing::Calls { bytes, .. } | Crossing::Stream { bytes }) = crossing;
-        self.shared.metrics.simulated_bytes.add(bytes);
+        self.simulated_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.clock.add(self.params.charge(crossing));
         self.clock.note_round_trip();
     }
@@ -1301,10 +1322,8 @@ impl Endpoint {
         self.shared.forget(seq);
         outcome?.0.map_err(RpcError::Remote)?;
         let rtt = started.elapsed();
-        self.shared.metrics.requests.inc();
-        self.shared
-            .metrics
-            .latency_micros
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.latency_micros
             .observe(u64::try_from(rtt.as_micros()).unwrap_or(u64::MAX));
         Ok(rtt)
     }
@@ -1566,6 +1585,39 @@ mod tests {
         let streamed = params.charge(Crossing::Stream { bytes: bytes_moved });
         assert_eq!(client.clock().seconds(), before + streamed);
         assert_eq!(streamed, 1.2e-3 + (3_000.0 * 8.0) / 11.0e6);
+    }
+
+    #[test]
+    fn an_endpoint_counts_its_own_requests_errors_bytes_and_round_trips() {
+        let (ours, _peer) = pair();
+        let (other, _its_peer) = pair();
+        let access = Request::FieldAccess {
+            target: ObjectId::surrogate(2),
+            bytes: 100,
+            write: false,
+        };
+        ours.call(access.clone()).unwrap();
+        ours.defer(access.clone()).unwrap();
+        ours.defer(access).unwrap();
+        ours.flush().unwrap();
+        let dangling = Request::ClassOf {
+            target: ObjectId::surrogate(9),
+        };
+        assert!(matches!(ours.call(dangling), Err(RpcError::Remote(_))));
+        // Three accesses of 100 B, the last deferred one riding the flush,
+        // and a failed call of no payload: four requests, three round trips.
+        assert_eq!(
+            (ours.requests(), ours.errors(), ours.simulated_bytes()),
+            (4, 1, 300)
+        );
+        assert_eq!(ours.latency_micros().count(), 3);
+        assert_eq!(ours.latency_micros().counts().iter().sum::<u64>(), 3);
+        // An endpoint beside it in the process counted none of that.
+        assert_eq!(
+            (other.requests(), other.errors(), other.simulated_bytes()),
+            (0, 0, 0)
+        );
+        assert_eq!(other.latency_micros().count(), 0);
     }
 
     #[test]

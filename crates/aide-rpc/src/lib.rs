@@ -87,14 +87,15 @@ pub use aide_trace::SpanContext;
 pub use chaos::{chaos_pair, chaos_wrap, ChaosPairStats, ChaosSchedule, ChaosStats};
 pub use endpoint::{Dispatcher, Endpoint, EndpointConfig, RetryPolicy, RpcError, DEFER_LIMIT};
 pub use link::{BackendKind, Delivered, Link, LinkError, NetClock, Session, TrafficStats};
-pub use mux::{ConnKiller, MuxConn};
+pub use mux::{ConnKiller, MuxConn, MuxStats};
 pub use pool::WorkerPool;
 pub use reftable::{
-    live_remote_refs, ExportTable, GcClock, ImportTable, ReleaseOutcome, DEFAULT_LEASE_TTL_MS,
+    live_remote_refs, ExportTable, GcClock, ImportTable, ReleaseOutcome, ReleaseStats,
+    DEFAULT_LEASE_TTL_MS,
 };
 pub use responder::{deferred_invoke_in_service, Responder, Served};
 pub use rng::Xorshift64;
-pub use tcp::{nudge, tcp_pair, TcpMuxListener};
+pub use tcp::{dial_raw, nudge, tcp_pair, TcpMuxListener};
 pub use wire::{
     crc32, FrameHeader, LeaseStamp, Message, Reply, Request, WireError, PROTOCOL_VERSION,
 };

@@ -365,8 +365,9 @@ struct WriterState {
 /// reads EOF).
 pub(crate) struct CarrierWriter {
     state: Mutex<WriterState>,
-    frames: Arc<aide_telemetry::Counter>,
-    bytes: Arc<aide_telemetry::Counter>,
+    /// Frames written, and their bytes on the wire.
+    frames: AtomicU64,
+    bytes: AtomicU64,
     on_last_drop: Option<Box<dyn FnOnce() + Send + Sync>>,
 }
 
@@ -377,12 +378,10 @@ impl std::fmt::Debug for CarrierWriter {
 }
 
 impl CarrierWriter {
-    /// Wraps `out`; `frames`/`bytes` count what is written, `on_last_drop`
-    /// runs once when the last handle goes away.
+    /// Wraps `out`; `on_last_drop` runs once when the last handle goes
+    /// away.
     pub(crate) fn new(
         out: impl Write + Send + 'static,
-        frames: Arc<aide_telemetry::Counter>,
-        bytes: Arc<aide_telemetry::Counter>,
         on_last_drop: impl FnOnce() + Send + Sync + 'static,
     ) -> Arc<CarrierWriter> {
         Arc::new(CarrierWriter {
@@ -391,8 +390,8 @@ impl CarrierWriter {
                 scratch: Vec::new(),
                 dead: false,
             }),
-            frames,
-            bytes,
+            frames: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
             on_last_drop: Some(Box::new(on_last_drop)),
         })
     }
@@ -413,9 +412,18 @@ impl CarrierWriter {
             *dead = true;
             return Err(LinkError::Disconnected);
         }
-        self.frames.inc();
-        self.bytes.add((4 + head.len() + payload.len()) as u64);
+        self.frames.fetch_add(1, Ordering::Relaxed);
+        self.bytes
+            .fetch_add((4 + head.len() + payload.len()) as u64, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// `(frames, bytes)` written so far.
+    pub(crate) fn written(&self) -> (u64, u64) {
+        (
+            self.frames.load(Ordering::Relaxed),
+            self.bytes.load(Ordering::Relaxed),
+        )
     }
 }
 

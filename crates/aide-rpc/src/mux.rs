@@ -117,6 +117,25 @@ enum Accepts {
     Closed,
 }
 
+/// What one end of a carrier has counted ([`MuxConn::stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MuxStats {
+    /// Sessions on this end: opened here or accepted from the peer.
+    pub sessions: u64,
+    /// Frames carried, both directions.
+    pub frames: u64,
+    /// Encoded bytes carried, both directions: `4 + MUX_HEADER + payload`
+    /// a frame.
+    pub bytes: u64,
+    /// Replies a blocked caller read off the carrier itself, holding its
+    /// read half.
+    pub replies_caller_read: u64,
+    /// Replies handed to a blocked caller by another thread that held the
+    /// read half: the carrier's reader thread, a worker reading for its
+    /// next request, or a sibling caller reading at the time.
+    pub replies_handed_over: u64,
+}
+
 /// One end of a multiplexed connection: it opens sessions toward the peer
 /// ([`open_session`](MuxConn::open_session)) and receives the sessions the
 /// peer opened ([`accept`](MuxConn::accept)); either side may do both.
@@ -192,6 +211,19 @@ impl MuxConn {
         self.reader.handovers_waited_out.load(Ordering::Relaxed)
     }
 
+    /// This end's counts so far.
+    pub fn stats(&self) -> MuxStats {
+        let reader = &self.reader;
+        let (frames, bytes) = self.writer.written();
+        MuxStats {
+            sessions: reader.sessions.load(Ordering::Relaxed),
+            frames: frames + reader.frames.load(Ordering::Relaxed),
+            bytes: bytes + reader.bytes.load(Ordering::Relaxed),
+            replies_caller_read: reader.replies_caller_read.load(Ordering::Relaxed),
+            replies_handed_over: reader.replies_handed_over.load(Ordering::Relaxed),
+        }
+    }
+
     /// Hands every session the peer opens from now on to `accept`, on the
     /// thread that reads its OPEN (see `AcceptHook`), instead of queueing
     /// it for [`accept`](MuxConn::accept); sessions the peer opened before
@@ -227,17 +259,8 @@ pub(crate) fn spawn_mux(
     killer: ConnKiller,
     on_writer_drop: impl FnOnce() + Send + Sync + 'static,
 ) -> MuxConn {
-    let telemetry = aide_telemetry::global();
-    let frames = telemetry.counter(aide_telemetry::names::MUX_FRAMES);
-    let bytes = telemetry.counter(aide_telemetry::names::MUX_BYTES);
-
-    let writer = CarrierWriter::new(
-        writer,
-        Arc::clone(&frames),
-        Arc::clone(&bytes),
-        on_writer_drop,
-    );
-    let (reader, accepted_rx) = CarrierReader::spawn(reader, initiator, frames, bytes);
+    let writer = CarrierWriter::new(writer, on_writer_drop);
+    let (reader, accepted_rx) = CarrierReader::spawn(reader, initiator);
 
     MuxConn {
         writer,
@@ -307,11 +330,13 @@ pub(crate) struct CarrierReader {
     recall: Condvar,
     /// See [`MuxConn::handovers_waited_out`].
     handovers_waited_out: AtomicU64,
-    frames: Arc<aide_telemetry::Counter>,
-    bytes: Arc<aide_telemetry::Counter>,
-    replies_caller_read: Arc<aide_telemetry::Counter>,
-    replies_handed_over: Arc<aide_telemetry::Counter>,
-    sessions_opened: Arc<aide_telemetry::Counter>,
+    /// Frames read, and their bytes on the wire.
+    frames: AtomicU64,
+    bytes: AtomicU64,
+    /// See [`MuxStats`].
+    replies_caller_read: AtomicU64,
+    replies_handed_over: AtomicU64,
+    sessions: AtomicU64,
 }
 
 impl std::fmt::Debug for CarrierReader {
@@ -323,14 +348,10 @@ impl std::fmt::Debug for CarrierReader {
 impl CarrierReader {
     /// Builds the read half of a carrier over `source` and starts its
     /// thread. The returned queue yields the sessions the peer opens.
-    /// `frames` and `bytes` count what is read.
     pub(crate) fn spawn(
         source: impl DeadlineRead + 'static,
         initiator: bool,
-        frames: Arc<aide_telemetry::Counter>,
-        bytes: Arc<aide_telemetry::Counter>,
     ) -> (Arc<CarrierReader>, Receiver<(u32, Arc<Inbox>)>) {
-        let telemetry = aide_telemetry::global();
         let (accepted_tx, accepted_rx) = unbounded();
         let reader = Arc::new(CarrierReader {
             half: Mutex::new(Some(FrameReader::new(source))),
@@ -342,11 +363,11 @@ impl CarrierReader {
             recalled: std::sync::Mutex::new(false),
             recall: Condvar::new(),
             handovers_waited_out: AtomicU64::new(0),
-            frames,
-            bytes,
-            replies_caller_read: telemetry.counter(aide_telemetry::names::RPC_REPLIES_CALLER_READ),
-            replies_handed_over: telemetry.counter(aide_telemetry::names::RPC_REPLIES_HANDED_OVER),
-            sessions_opened: telemetry.counter(aide_telemetry::names::MUX_SESSIONS),
+            frames: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+            replies_caller_read: AtomicU64::new(0),
+            replies_handed_over: AtomicU64::new(0),
+            sessions: AtomicU64::new(0),
         });
         {
             let reader = Arc::clone(&reader);
@@ -398,7 +419,7 @@ impl CarrierReader {
         inbox: Arc<Inbox>,
         me: &Arc<CarrierReader>,
     ) -> Session {
-        self.sessions_opened.inc();
+        self.sessions.fetch_add(1, Ordering::Relaxed);
         Session::on_carrier(Arc::clone(writer), id, inbox, me)
     }
 
@@ -431,7 +452,7 @@ impl CarrierReader {
                         Step::Routed(delivered) => delivered,
                     };
                     if delivered == Delivered::Reply {
-                        self.replies_handed_over.inc();
+                        self.replies_handed_over.fetch_add(1, Ordering::Relaxed);
                     }
                     // That caller or worker reads the next frame itself.
                     if matches!(delivered, Delivered::Reply | Delivered::Handed)
@@ -473,8 +494,9 @@ impl CarrierReader {
         };
         let routed = match reading.next(deadline) {
             Ok(Some((head, frame))) => {
-                self.frames.inc();
-                self.bytes.add((4 + MUX_HEADER + frame.len()) as u64);
+                self.frames.fetch_add(1, Ordering::Relaxed);
+                self.bytes
+                    .fetch_add((4 + MUX_HEADER + frame.len()) as u64, Ordering::Relaxed);
                 self.route(head, frame)
             }
             Ok(None) => return Step::TimedOut,
@@ -666,11 +688,13 @@ impl Drop for ReadTurn<'_> {
             .take()
             .is_some_and(|half| half.as_ref().is_some_and(FrameReader::holds_unread));
         if self.own_reply {
-            carrier.replies_caller_read.inc();
+            carrier.replies_caller_read.fetch_add(1, Ordering::Relaxed);
         }
         let for_others = self.replies - u64::from(self.own_reply);
         if for_others > 0 {
-            carrier.replies_handed_over.add(for_others);
+            carrier
+                .replies_handed_over
+                .fetch_add(for_others, Ordering::Relaxed);
         }
         // Pairs with the fence in `enter`.
         fence(Ordering::SeqCst);
@@ -774,6 +798,38 @@ mod tests {
         assert_eq!(server.recv().unwrap(), vec![1, 2, 3]);
         server.send(vec![9]).unwrap();
         assert_eq!(client.recv().unwrap(), vec![9]);
+    }
+
+    #[test]
+    fn each_carrier_end_counts_only_its_own_sessions_frames_and_bytes() {
+        let frame = |payload: usize| (4 + MUX_HEADER + payload) as u64;
+        let (a1, b1) = mux_pair();
+        let (a2, b2) = mux_pair();
+        let (ours, theirs) = (a1.open_session().unwrap(), b1.accept().unwrap());
+        ours.send(vec![1, 2, 3]).unwrap();
+        assert_eq!(theirs.recv().unwrap(), vec![1, 2, 3]);
+        theirs.send(vec![9]).unwrap();
+        assert_eq!(ours.recv().unwrap(), vec![9]);
+        let (ours, theirs) = (a2.open_session().unwrap(), b2.accept().unwrap());
+        ours.send(vec![7; 40]).unwrap();
+        assert_eq!(theirs.recv().unwrap(), vec![7; 40]);
+
+        // Each end saw OPEN and DATA one way, and on the first carrier one
+        // DATA back; nobody called, so no reply was read or handed over.
+        let first = MuxStats {
+            sessions: 1,
+            frames: 3,
+            bytes: frame(0) + frame(3) + frame(1),
+            ..MuxStats::default()
+        };
+        let second = MuxStats {
+            sessions: 1,
+            frames: 2,
+            bytes: frame(0) + frame(40),
+            ..MuxStats::default()
+        };
+        assert_eq!((a1.stats(), b1.stats()), (first, first));
+        assert_eq!((a2.stats(), b2.stats()), (second, second));
     }
 
     #[test]

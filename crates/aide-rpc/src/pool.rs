@@ -90,15 +90,13 @@ pub struct WorkerPool {
     lane: aide_trace::Lane,
     served_where_read: AtomicU64,
     stalled_leads: AtomicU64,
-    served_where_read_total: Arc<aide_telemetry::Counter>,
-    workers_spawned: Arc<aide_telemetry::Counter>,
+    workers_spawned: AtomicU64,
 }
 
 impl WorkerPool {
     /// A pool that spawns no worker before a job needs one, and at most
     /// `max_workers`, recording their spans on `lane`.
     pub(crate) fn new(name: &str, lane: aide_trace::Lane, max_workers: usize) -> Arc<WorkerPool> {
-        let telemetry = aide_telemetry::global();
         Arc::new_cyclic(|me| WorkerPool {
             me: me.clone(),
             state: Mutex::default(),
@@ -107,9 +105,7 @@ impl WorkerPool {
             lane,
             served_where_read: AtomicU64::new(0),
             stalled_leads: AtomicU64::new(0),
-            served_where_read_total: telemetry
-                .counter(aide_telemetry::names::RPC_SERVED_WHERE_READ),
-            workers_spawned: telemetry.counter(aide_telemetry::names::RPC_WORKERS_SPAWNED),
+            workers_spawned: AtomicU64::new(0),
         })
     }
 
@@ -148,6 +144,13 @@ impl WorkerPool {
     /// somebody else and queued.
     pub fn requests_served_where_read(&self) -> u64 {
         self.served_where_read.load(Ordering::Relaxed)
+    }
+
+    /// Workers spawned so far: one each time a job was queued with no idle
+    /// worker to take it and the pool under its bound, or at
+    /// [`start`](WorkerPool::start).
+    pub fn workers_spawned(&self) -> u64 {
+        self.workers_spawned.load(Ordering::Relaxed)
     }
 
     /// Leads that read nothing for a handover while a job of another
@@ -230,7 +233,7 @@ impl WorkerPool {
             .name(format!("{}-{number}", self.name))
             .spawn(move || me.work(number))?;
         state.workers.push(worker);
-        self.workers_spawned.inc();
+        self.workers_spawned.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -319,7 +322,6 @@ impl WorkerPool {
             Some(claimed) => {
                 if matches!(claimed.work, Work::Serve(..)) {
                     self.served_where_read.fetch_add(1, Ordering::Relaxed);
-                    self.served_where_read_total.inc();
                 }
                 Some(claimed)
             }

@@ -155,32 +155,18 @@ impl ExportInner {
     }
 }
 
-/// Telemetry handles resolved once per table.
-struct GcMetrics {
-    duplicate: Arc<aide_telemetry::Counter>,
-    stale: Arc<aide_telemetry::Counter>,
-    unknown: Arc<aide_telemetry::Counter>,
-    export_entries: Arc<aide_telemetry::Gauge>,
-    import_entries: Arc<aide_telemetry::Gauge>,
-}
-
-impl GcMetrics {
-    fn resolve() -> Self {
-        let t = aide_telemetry::global();
-        GcMetrics {
-            duplicate: t.counter(aide_telemetry::names::GC_RELEASE_DUPLICATE),
-            stale: t.counter(aide_telemetry::names::GC_RELEASE_STALE),
-            unknown: t.counter(aide_telemetry::names::GC_RELEASE_UNKNOWN),
-            export_entries: t.gauge(aide_telemetry::names::GC_EXPORT_ENTRIES),
-            import_entries: t.gauge(aide_telemetry::names::GC_IMPORT_ENTRIES),
-        }
-    }
-}
-
-impl std::fmt::Debug for GcMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GcMetrics").finish()
-    }
+/// Releases an [`ExportTable`] refused or could not match, by kind: each
+/// a counted no-op.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReleaseStats {
+    /// Batches dropped because their release sequence number was at or
+    /// below the session watermark (a retried or replayed batch).
+    pub duplicate: u64,
+    /// Batches dropped because they carried an epoch older than the peer's
+    /// current lease epoch (a zombie from before a failover).
+    pub stale: u64,
+    /// Releases naming an object that is not in the table.
+    pub unknown: u64,
 }
 
 /// Tracks local objects whose references were exported to the peer.
@@ -194,7 +180,9 @@ pub struct ExportTable {
     clock: Arc<GcClock>,
     ttl_ms: AtomicU64,
     recorder: Mutex<Option<Arc<aide_telemetry::FlightRecorder>>>,
-    metrics: GcMetrics,
+    duplicate_releases: AtomicU64,
+    stale_releases: AtomicU64,
+    unknown_releases: AtomicU64,
 }
 
 impl Default for ExportTable {
@@ -218,7 +206,9 @@ impl ExportTable {
             clock,
             ttl_ms: AtomicU64::new(DEFAULT_LEASE_TTL_MS),
             recorder: Mutex::new(None),
-            metrics: GcMetrics::resolve(),
+            duplicate_releases: AtomicU64::new(0),
+            stale_releases: AtomicU64::new(0),
+            unknown_releases: AtomicU64::new(0),
         }
     }
 
@@ -243,8 +233,17 @@ impl ExportTable {
         *self.recorder.lock() = Some(recorder);
     }
 
+    /// The releases this table refused or could not match, so far.
+    pub fn release_stats(&self) -> ReleaseStats {
+        ReleaseStats {
+            duplicate: self.duplicate_releases.load(Ordering::Relaxed),
+            stale: self.stale_releases.load(Ordering::Relaxed),
+            unknown: self.unknown_releases.load(Ordering::Relaxed),
+        }
+    }
+
     fn warn_unknown(&self, id: ObjectId) {
-        self.metrics.unknown.inc();
+        self.unknown_releases.fetch_add(1, Ordering::Relaxed);
         if let Some(r) = self.recorder.lock().as_ref() {
             r.record(aide_telemetry::PlatformEvent::GcReleaseUnknown { object: id.0 });
         }
@@ -282,7 +281,6 @@ impl ExportTable {
                     },
                 );
                 inner.current_entries += 1;
-                self.metrics.export_entries.add(1);
                 true
             }
         }
@@ -296,8 +294,6 @@ impl ExportTable {
                 e.count -= 1;
                 if e.count == 0 {
                     inner.remove(&id);
-                    drop(inner);
-                    self.metrics.export_entries.add(-1);
                     ReleaseOutcome::Unpinned
                 } else {
                     ReleaseOutcome::StillHeld
@@ -336,13 +332,13 @@ impl ExportTable {
         let mut inner = self.inner.lock();
         if epoch < inner.peer_epoch {
             drop(inner);
-            self.metrics.stale.inc();
+            self.stale_releases.fetch_add(1, Ordering::Relaxed);
             return Vec::new();
         }
         inner.peer_epoch = epoch;
         if release_seq <= inner.watermark {
             drop(inner);
-            self.metrics.duplicate.inc();
+            self.duplicate_releases.fetch_add(1, Ordering::Relaxed);
             return Vec::new();
         }
         inner.watermark = release_seq;
@@ -356,9 +352,6 @@ impl ExportTable {
             }
         }
         drop(inner);
-        self.metrics
-            .export_entries
-            .add(-i64::try_from(unpinned.len()).unwrap_or(i64::MAX));
         for id in unknown {
             self.warn_unknown(id);
         }
@@ -428,9 +421,6 @@ impl ExportTable {
                 });
             }
         }
-        self.metrics
-            .export_entries
-            .add(-i64::try_from(expired.len()).unwrap_or(i64::MAX));
         expired
     }
 
@@ -450,10 +440,6 @@ impl ExportTable {
         for id in &stale {
             inner.remove(id);
         }
-        drop(inner);
-        self.metrics
-            .export_entries
-            .add(-i64::try_from(stale.len()).unwrap_or(i64::MAX));
         stale
     }
 
@@ -537,7 +523,6 @@ pub struct ImportTable {
     /// `inner.epoch`, written under the table lock whenever that changes,
     /// so that stamping a frame — twice per round trip — locks nothing.
     advertised_epoch: AtomicU64,
-    metrics: GcMetrics,
 }
 
 impl Default for ImportTable {
@@ -545,7 +530,6 @@ impl Default for ImportTable {
         ImportTable {
             inner: Mutex::new(ImportInner::default()),
             advertised_epoch: AtomicU64::new(0),
-            metrics: GcMetrics::resolve(),
         }
     }
 }
@@ -567,8 +551,6 @@ impl ImportTable {
             }
             None => {
                 inner.held.insert(id, ImportEntry { count: 1, epoch });
-                drop(inner);
-                self.metrics.import_entries.add(1);
             }
         }
     }
@@ -603,8 +585,6 @@ impl ImportTable {
                 e.count -= 1;
                 if e.count == 0 {
                     inner.held.remove(&id);
-                    drop(inner);
-                    self.metrics.import_entries.add(-1);
                 }
                 true
             }
@@ -627,10 +607,6 @@ impl ImportTable {
         for id in &dropped {
             inner.held.remove(id);
         }
-        drop(inner);
-        self.metrics
-            .import_entries
-            .add(-i64::try_from(dropped.len()).unwrap_or(i64::MAX));
         dropped
     }
 
@@ -702,6 +678,13 @@ mod tests {
         let t = ExportTable::new();
         assert!(!t.release(ObjectId::client(9)));
         assert_eq!(t.release_one(ObjectId::client(9)), ReleaseOutcome::Unknown);
+        assert_eq!(
+            t.release_stats(),
+            ReleaseStats {
+                unknown: 2,
+                ..ReleaseStats::default()
+            }
+        );
     }
 
     #[test]

@@ -171,6 +171,20 @@ impl TcpMuxListener {
     }
 }
 
+/// Dials `addr` and returns the bare socket, with no carrier on it: a peer
+/// that writes the mux framing by hand — hand-built OPENs, hostile or
+/// broken frames — at a [`TcpMuxListener`]. Nagle is off, so each write
+/// leaves at once.
+///
+/// # Errors
+///
+/// Returns any I/O error from connecting or configuring the socket.
+pub fn dial_raw(addr: SocketAddr) -> std::io::Result<impl Read + std::io::Write + Send> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 /// Pokes `addr` with a throwaway connection so a thread blocked in
 /// [`TcpMuxListener::accept`] wakes up and can observe a stop flag (used
 /// by the surrogate daemon's shutdown path).
@@ -247,12 +261,11 @@ mod tests {
 
     /// The session a raw peer we can feed bytes through opened on an
     /// accepted carrier: session 1, whose frames are `[len][1][kind]…`.
-    fn raw_pair() -> (TcpStream, Session) {
+    fn raw_pair() -> (impl std::io::Write, Session) {
         use std::io::Write;
         let listener = TcpMuxListener::bind(([127, 0, 0, 1], 0).into()).unwrap();
-        let mut raw = TcpStream::connect(listener.local_addr()).unwrap();
+        let mut raw = dial_raw(listener.local_addr()).unwrap();
         let conn = listener.accept().unwrap();
-        raw.set_nodelay(true).unwrap();
         raw.write_all(&5u32.to_le_bytes()).unwrap();
         raw.write_all(&mux_head(1, KIND_OPEN)).unwrap();
         (raw, conn.accept().unwrap())

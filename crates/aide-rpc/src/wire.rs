@@ -222,7 +222,8 @@ pub enum Request {
     /// deliberately bypass simulated link-time accounting.
     Ping,
     /// Telemetry scrape: the serving VM replies with a Prometheus-style
-    /// text exposition of its metrics registry ([`Reply::Text`]). Like
+    /// text exposition of its process's metrics registry, and a daemon
+    /// adds its pool's load lines ([`Reply::Text`]). Like
     /// [`Request::Ping`], this is an operational request, not application
     /// communication.
     Stats,

@@ -1,106 +1,23 @@
 //! On either end of a byte-stream carrier, a blocked caller reads its own
 //! reply off the carrier; whenever somebody else is already reading, the
 //! reply is handed over. Every scenario runs over a carrier shared by its
-//! sessions and over a pair's carrier of its own (`tcp_pair`).
+//! sessions and over a pair's carrier of its own.
 //!
-//! The reply counters are process-wide and the census counts every thread
-//! and descriptor of the process, so the tests take turns on `GATE`.
+//! Each test reads the reply split off the carriers it dialled
+//! (`MuxConn::stats`), so the tests do not take turns. The census of the
+//! process's reader threads and descriptors is `carrier_census.rs`.
+
+mod wires;
 
 use std::sync::mpsc;
-use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use aide_graph::CommParams;
 use aide_rpc::{
-    tcp_pair, ConnKiller, Dispatcher, Endpoint, EndpointConfig, Message, MuxConn, NetClock, Reply,
-    Request, RetryPolicy, RpcError, Session, TcpMuxListener,
+    Dispatcher, Endpoint, EndpointConfig, Message, Reply, Request, RetryPolicy, RpcError,
 };
 use aide_vm::{ClassId, MethodId, NativeKind, ObjectId};
-
-static GATE: Mutex<()> = Mutex::new(());
-
-fn turn() -> MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// `(read by their caller, handed over by another thread)`, lifetime totals.
-fn replies() -> (u64, u64) {
-    let telemetry = aide_telemetry::global();
-    (
-        telemetry
-            .counter(aide_telemetry::names::RPC_REPLIES_CALLER_READ)
-            .get(),
-        telemetry
-            .counter(aide_telemetry::names::RPC_REPLIES_HANDED_OVER)
-            .get(),
-    )
-}
-
-/// What `replies()` gained since `before`.
-fn replies_since(before: (u64, u64)) -> (u64, u64) {
-    let now = replies();
-    (now.0 - before.0, now.1 - before.1)
-}
-
-/// One way of using a loopback carrier. A shared carrier yields all its
-/// session pairs from one socket; every `tcp_pair` is a socket of its own.
-enum Wire {
-    Mux { dialled: MuxConn, accepted: MuxConn },
-    Pair,
-}
-
-impl Wire {
-    fn both() -> [(&'static str, Wire); 2] {
-        let listener = TcpMuxListener::bind(std::net::SocketAddr::from(([127, 0, 0, 1], 0)))
-            .expect("bind localhost listener");
-        let dialled =
-            MuxConn::connect(listener.local_addr(), Duration::from_secs(2)).expect("connect");
-        let accepted = listener.accept().expect("accept");
-        [
-            ("mux", Wire::Mux { dialled, accepted }),
-            ("pair", Wire::Pair),
-        ]
-    }
-
-    /// `(dialling end, accepting end)` of a fresh session.
-    fn pair(&self) -> (Session, Session) {
-        match self {
-            Wire::Mux { dialled, accepted } => (
-                dialled.open_session().expect("open session"),
-                accepted.accept().expect("accept session"),
-            ),
-            Wire::Pair => {
-                let (_, ours, theirs) = tcp_pair(CommParams::WAVELAN).expect("loopback pair");
-                (ours, theirs)
-            }
-        }
-    }
-}
-
-fn read() -> Request {
-    Request::FieldAccess {
-        target: ObjectId::surrogate(1),
-        bytes: 64,
-        write: false,
-    }
-}
-
-/// A write whose reply the peer withholds until gate `gate` opens.
-fn withheld(gate: u32) -> Request {
-    Request::FieldAccess {
-        target: ObjectId::surrogate(1),
-        bytes: gate,
-        write: true,
-    }
-}
-
-struct Echo;
-
-impl Dispatcher for Echo {
-    fn dispatch(&self, _request: Request) -> Result<Reply, String> {
-        Ok(Reply::Unit)
-    }
-}
+use wires::{answer, eventually, get_reading, read, start, wind_down, withheld, Echo, Wire};
 
 /// Answers everything at once except writes: a write reports its arrival
 /// and sits on the gate its `bytes` names until the test opens it.
@@ -151,61 +68,6 @@ fn config() -> EndpointConfig {
     }
 }
 
-fn start(
-    session: Session,
-    dispatcher: Arc<dyn Dispatcher>,
-    config: EndpointConfig,
-) -> Arc<Endpoint> {
-    Endpoint::start(
-        session,
-        CommParams::WAVELAN,
-        Arc::new(NetClock::new()),
-        dispatcher,
-        config,
-    )
-}
-
-/// The accepting end played by hand answers request `seq`.
-fn answer(theirs: &Session, seq: u64, reply: Reply) {
-    let reply = Message::Reply {
-        seq,
-        result: Ok(reply),
-    };
-    theirs.send(reply.encode()).expect("the carrier is up");
-}
-
-fn wind_down(endpoints: &[&Arc<Endpoint>]) {
-    for endpoint in endpoints {
-        endpoint.shutdown();
-    }
-    for endpoint in endpoints {
-        endpoint.join();
-    }
-}
-
-/// Polls `done` for up to five seconds.
-fn eventually(what: &str, mut done: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while !done() {
-        assert!(Instant::now() < deadline, "{what}");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// Back-to-back calls until the calling thread has read a reply itself:
-/// the reader thread has stepped aside then, and stays away for as long as
-/// calls follow each other within a millisecond.
-fn get_reading(client: &Endpoint, name: &str) {
-    for _ in 0..1_000 {
-        let before = replies();
-        assert_eq!(client.call(read()), Ok(Reply::Unit), "{name}");
-        if replies_since(before).0 == 1 {
-            return;
-        }
-    }
-    panic!("{name}: none of 1000 back-to-back replies read by their caller");
-}
-
 /// Waits until `replies` replies since `before` are counted one way or the
 /// other (a thread that hands a reply over counts it after the hand-over,
 /// which may be a moment after its caller has returned), and checks that
@@ -213,12 +75,12 @@ fn get_reading(client: &Endpoint, name: &str) {
 /// caller was kept off the CPU for a millisecond and its carrier looked
 /// idle to the carrier's thread — a handful in 10 000 unless the machine is
 /// overloaded.
-fn assert_callers_read(name: &str, before: (u64, u64), replies: u64) {
+fn assert_callers_read(wire: &Wire, name: &str, before: (u64, u64), replies: u64) {
     eventually("every reply is one or the other", || {
-        let (own, handed) = replies_since(before);
+        let (own, handed) = wire.replies_since(before);
         own + handed == replies
     });
-    let (own, _) = replies_since(before);
+    let (own, _) = wire.replies_since(before);
     assert!(
         own * 100 >= replies * 99,
         "{name}: {own} of {replies} replies read by their caller"
@@ -229,8 +91,7 @@ fn assert_callers_read(name: &str, before: (u64, u64), replies: u64) {
 fn callers_read_their_own_replies_on_the_dialling_end_and_in_call_backs_from_the_accepting_end() {
     const CALLS: u64 = 10_000;
     const CALL_BACKS: u32 = 1_000;
-    let _turn = turn();
-    for (name, wire) in Wire::both() {
+    for (name, wire) in Wire::carriers() {
         let (cs, ss) = wire.pair();
         let client = start(cs, Arc::new(Echo), config());
         let calls_back = Arc::new(CallsBack {
@@ -240,17 +101,17 @@ fn callers_read_their_own_replies_on_the_dialling_end_and_in_call_backs_from_the
         calls_back.own.set(Arc::downgrade(&server)).unwrap();
 
         // A lone caller on the dialling end.
-        let before = replies();
+        let before = wire.replies();
         for _ in 0..CALLS {
             assert_eq!(client.call(read()), Ok(Reply::Unit), "{name}");
         }
-        assert_callers_read(name, before, CALLS);
+        assert_callers_read(&wire, name, before, CALLS);
 
         // A dispatcher on the accepting end calling back to the dialling
         // end while it serves: the worker serving it reads the replies to
         // its call-backs itself, and the outer caller its own.
-        get_reading(&client, name);
-        let before = replies();
+        get_reading(&wire, &client, name);
+        let before = wire.replies();
         let invoke = Request::Invoke {
             target: ObjectId::surrogate(1),
             class: ClassId(1),
@@ -261,7 +122,7 @@ fn callers_read_their_own_replies_on_the_dialling_end_and_in_call_backs_from_the
         };
         assert_eq!(client.call(invoke), Ok(Reply::Unit), "{name}");
         assert_eq!(client.requests_served(), u64::from(CALL_BACKS), "{name}");
-        assert_callers_read(name, before, u64::from(CALL_BACKS) + 1);
+        assert_callers_read(&wire, name, before, u64::from(CALL_BACKS) + 1);
         wind_down(&[&client, &server]);
     }
 }
@@ -271,8 +132,7 @@ fn concurrent_callers_complete_around_one_that_times_out() {
     const CALLERS: usize = 4;
     const CALLS: usize = 300;
     let timeout = Duration::from_millis(20);
-    let _turn = turn();
-    for (name, wire) in Wire::both() {
+    for (name, wire) in Wire::carriers() {
         // One attempt of 20 ms for `call_with_retry`; `call` keeps its 30 s.
         let config = EndpointConfig {
             retry: RetryPolicy {
@@ -334,7 +194,7 @@ fn concurrent_callers_complete_around_one_that_times_out() {
         let client = &pairs[0].0;
         let (queued_done, released) = std::thread::scope(|scope| {
             let reading = scope.spawn(|| {
-                get_reading(client, name);
+                get_reading(&wire, client, name);
                 client.call_with_retry(withheld(0))
             });
             assert_eq!(arrivals.recv(), Ok(0), "{name}");
@@ -369,8 +229,7 @@ fn concurrent_callers_complete_around_one_that_times_out() {
 #[test]
 fn a_retry_whose_first_attempt_the_peer_drops_executes_once() {
     let attempt_timeout = Duration::from_millis(100);
-    let _turn = turn();
-    for (name, wire) in Wire::both() {
+    for (name, wire) in Wire::carriers() {
         let (cs, theirs) = wire.pair();
         let client = start(
             cs,
@@ -407,7 +266,7 @@ fn a_retry_whose_first_attempt_the_peer_drops_executes_once() {
                 }
             }
         });
-        get_reading(&client, name);
+        get_reading(&wire, &client, name);
         let started = Instant::now();
         assert_eq!(
             client.call_with_retry(withheld(0)),
@@ -433,107 +292,6 @@ fn a_retry_whose_first_attempt_the_peer_drops_executes_once() {
         assert_eq!(client.late_replies(), 0, "{name}");
         wind_down(&[&client]);
     }
-}
-
-/// `(carrier reader threads, open descriptors)` of this process.
-#[cfg(target_os = "linux")]
-fn census() -> (usize, usize) {
-    let readers = std::fs::read_dir("/proc/self/task")
-        .expect("thread list")
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|name| name.starts_with("rpc-mux-reader"))
-        .count();
-    let descriptors = std::fs::read_dir("/proc/self/fd")
-        .expect("descriptor list")
-        .count();
-    (readers, descriptors)
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn a_carrier_that_dies_under_a_reading_caller_fails_every_call_and_leaves_nothing_behind() {
-    const CALLERS: usize = 3;
-    let _turn = turn();
-    // An earlier test's carriers may still be winding down: a reader lets go
-    // of its socket and exits once it has seen its peer hang up.
-    eventually("earlier carriers gone", || census().0 == 0);
-    let baseline = census();
-    for kill in [true, false] {
-        for (name, wire) in Wire::both() {
-            let killer = match &wire {
-                Wire::Mux { dialled, .. } => dialled.killer(),
-                Wire::Pair if kill => continue, // nothing to kill it with
-                Wire::Pair => ConnKiller::noop(),
-            };
-            let (cs, theirs) = wire.pair();
-            let config = config();
-            let client = start(cs, Arc::new(Echo), config);
-            // The accepting end by hand: answers reads, sits on the writes
-            // and reports each, and comes back once every caller's is in.
-            let (arrived, arrivals) = mpsc::channel();
-            let peer = std::thread::spawn(move || {
-                for _ in 0..CALLERS {
-                    loop {
-                        let frame = theirs.recv().expect("a request");
-                        let Ok(Message::Request { seq, body, .. }) = Message::decode(&frame) else {
-                            panic!("not a request: {frame:?}");
-                        };
-                        if body == withheld(0) {
-                            break;
-                        }
-                        answer(&theirs, seq, Reply::Unit);
-                    }
-                    arrived.send(()).unwrap();
-                }
-                theirs
-            });
-            std::thread::scope(|scope| {
-                // One caller gets to read and blocks on its write; only then
-                // do the others queue up behind it.
-                let mut callers = vec![scope.spawn(|| {
-                    get_reading(&client, name);
-                    client.call(withheld(0))
-                })];
-                arrivals.recv().expect("the reading caller's write");
-                for _ in 1..CALLERS {
-                    callers.push(scope.spawn(|| client.call(withheld(0))));
-                }
-                let theirs = peer.join().unwrap();
-                let struck = Instant::now();
-                if kill {
-                    killer.kill();
-                } else {
-                    drop(theirs);
-                    drop(wire);
-                }
-                for caller in callers {
-                    assert_eq!(
-                        caller.join().unwrap(),
-                        Err(RpcError::Disconnected),
-                        "{name} kill={kill}"
-                    );
-                }
-                assert!(
-                    struck.elapsed() < Duration::from_secs(1),
-                    "{name} kill={kill}: calls failed after {:?}",
-                    struck.elapsed()
-                );
-            });
-            let started = Instant::now();
-            client.shutdown();
-            client.join();
-            assert!(
-                started.elapsed() < config.drain_timeout,
-                "{name} kill={kill}: join took {:?}",
-                started.elapsed()
-            );
-        }
-    }
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while census() != baseline && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    assert_eq!(census(), baseline, "(reader threads, descriptors)");
 }
 
 /// Serves `Invoke` by calling back into the invoking side first, as many
@@ -580,8 +338,7 @@ impl Dispatcher for ServedOn {
 #[test]
 fn a_call_back_met_while_reading_is_served_by_a_worker() {
     const NESTED: u64 = 20;
-    let _turn = turn();
-    for (name, wire) in Wire::both() {
+    for (name, wire) in Wire::carriers() {
         let (cs, ss) = wire.pair();
         let served_on = Arc::new(ServedOn::default());
         let client = start(cs, served_on.clone(), config());
@@ -591,8 +348,8 @@ fn a_call_back_met_while_reading_is_served_by_a_worker() {
         let server = start(ss, calls_back.clone(), config());
         calls_back.own.set(Arc::downgrade(&server)).unwrap();
 
-        get_reading(&client, name);
-        let before = replies();
+        get_reading(&wire, &client, name);
+        let before = wire.replies();
         for _ in 0..NESTED {
             let invoke = Request::Invoke {
                 target: ObjectId::surrogate(1),
@@ -606,7 +363,7 @@ fn a_call_back_met_while_reading_is_served_by_a_worker() {
         }
         // The outer caller met each call-back request on its way to its own
         // reply, handed it to a worker and read on.
-        let (own, _) = replies_since(before);
+        let (own, _) = wire.replies_since(before);
         assert!(
             own >= NESTED * 3 / 4,
             "{name}: {own} of {NESTED} outer replies"
@@ -626,8 +383,7 @@ fn a_call_back_met_while_reading_is_served_by_a_worker() {
 
 #[test]
 fn an_idle_dialling_end_still_serves_its_peer() {
-    let _turn = turn();
-    for (name, wire) in Wire::both() {
+    for (name, wire) in Wire::carriers() {
         let (cs, ss) = wire.pair();
         let client = start(cs, Arc::new(Echo), config());
         let server = start(ss, Arc::new(Echo), config());
@@ -635,7 +391,7 @@ fn an_idle_dialling_end_still_serves_its_peer() {
         // stepped aside for the caller, who has gone quiet); 20 ms later the
         // thread has long taken it back. Either way the peer is served.
         for idle in [Duration::ZERO, Duration::from_millis(20)] {
-            get_reading(&client, name);
+            get_reading(&wire, &client, name);
             std::thread::sleep(idle);
             let started = Instant::now();
             assert_eq!(server.call(read()), Ok(Reply::Unit), "{name}");

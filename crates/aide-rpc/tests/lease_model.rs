@@ -5,16 +5,17 @@
 //! entries. The model below is the loop that used to run — each entry owns
 //! its deadline and a renewal overwrites them one by one — and every
 //! random operation must give the same answer on both: same return value,
-//! same swept set, same multiset of lease ages.
+//! same swept set, same multiset of lease ages, and the same count of each
+//! kind of refused release — per table, exactly.
 //!
 //! The generator is the workspace's seeded xorshift (`placement_props`,
 //! `flat_props`), so a failure names the seed and the step that reproduce
-//! it. One test, because it reads a process-wide counter.
+//! it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use aide_rpc::{ExportTable, GcClock, Xorshift64};
+use aide_rpc::{ExportTable, GcClock, ReleaseStats, Xorshift64};
 use aide_vm::ObjectId;
 
 const SEEDS: u64 = 256;
@@ -61,6 +62,8 @@ struct Model {
     watermark: u64,
     now_ms: u64,
     ttl_ms: u64,
+    /// The releases it was sent that the table must refuse or not match.
+    refused: ReleaseStats,
 }
 
 impl Model {
@@ -89,6 +92,7 @@ impl Model {
 
     fn release(&mut self, id: ObjectId) -> bool {
         let Some(e) = self.entries.get_mut(&id) else {
+            self.refused.unknown += 1;
             return false;
         };
         e.count -= 1;
@@ -101,17 +105,22 @@ impl Model {
 
     fn release_batch(&mut self, epoch: u64, seq: u64, ids: &[ObjectId]) -> Vec<ObjectId> {
         if epoch < self.peer_epoch {
+            self.refused.stale += 1;
             return Vec::new();
         }
         self.peer_epoch = epoch;
         if seq <= self.watermark {
+            self.refused.duplicate += 1;
             return Vec::new();
         }
         self.watermark = seq;
-        ids.iter()
+        let released: Vec<ObjectId> = ids
+            .iter()
             .copied()
             .filter(|id| self.entries.remove(id).is_some())
-            .collect()
+            .collect();
+        self.refused.unknown += (ids.len() - released.len()) as u64;
+        released
     }
 
     fn renew(&mut self, peer_epoch: u64) -> usize {
@@ -250,6 +259,11 @@ fn constant_time_renewal_matches_the_per_entry_loop() {
                 "peer epoch after {at}"
             );
             assert_eq!(table.watermark(), model.watermark, "watermark after {at}");
+            assert_eq!(
+                table.release_stats(),
+                model.refused,
+                "refused releases after {at}"
+            );
         }
         for (id, e) in &model.entries {
             assert_eq!(

@@ -13,12 +13,14 @@
 
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aide_core::{ProviderContext, SurrogateLease, SurrogateProvider};
 use aide_graph::CommParams;
 use aide_rpc::{Dispatcher, Endpoint, EndpointConfig, MuxConn, NetClock, Reply, Request, Session};
+use aide_telemetry::{buckets, Histogram};
 use parking_lot::Mutex;
 
 /// EWMA smoothing factor for probe RTTs: each new sample contributes this
@@ -178,6 +180,10 @@ pub struct SurrogateRegistry {
     saturated: Mutex<HashMap<String, Instant>>,
     /// Pooled carriers keyed by surrogate address.
     conns: Mutex<HashMap<SocketAddr, CachedConn>>,
+    /// See [`SurrogateRegistry::probe_rtt_micros`].
+    probe_rtt_micros: Histogram,
+    /// See [`SurrogateRegistry::evictions`].
+    evictions: AtomicU64,
 }
 
 impl SurrogateRegistry {
@@ -190,7 +196,19 @@ impl SurrogateRegistry {
             probe_failures: Mutex::new(HashMap::new()),
             saturated: Mutex::new(HashMap::new()),
             conns: Mutex::new(HashMap::new()),
+            probe_rtt_micros: Histogram::new(buckets::LATENCY_MICROS),
+            evictions: AtomicU64::new(0),
         }
+    }
+
+    /// Round-trip time of every answered probe, in microseconds.
+    pub fn probe_rtt_micros(&self) -> &Histogram {
+        &self.probe_rtt_micros
+    }
+
+    /// Surrogates evicted (marked dead) after consecutive probe failures.
+    pub fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
     }
 
     /// Statically registers a surrogate — the fallback for segments the
@@ -256,22 +274,18 @@ impl SurrogateRegistry {
     }
 
     /// Probes every non-dead surrogate with a null RPC. Each measured RTT
-    /// feeds the process-wide probe-latency histogram and the entry's EWMA
+    /// feeds the registry's probe-latency histogram and the entry's EWMA
     /// estimate (the ranking input). A surrogate is evicted (marked dead)
     /// only after [`RegistryConfig::probe_eviction_threshold`] *consecutive*
     /// failed probes — any success resets its failure count — so transient
     /// loss on a chaotic link does not discard a healthy surrogate.
     pub fn probe_all(&self) {
-        let rtt_histogram = aide_telemetry::global().histogram(
-            aide_telemetry::names::REGISTRY_PROBE_RTT_MICROS,
-            aide_telemetry::buckets::LATENCY_MICROS,
-        );
         let snapshot = self.ranked();
         for info in snapshot {
             match self.probe_one(info.addr) {
                 Some(rtt) => {
                     let rtt_micros = u64::try_from(rtt.as_micros()).unwrap_or(u64::MAX);
-                    rtt_histogram.observe(rtt_micros);
+                    self.probe_rtt_micros.observe(rtt_micros);
                     self.note_probe_success(&info.name);
                     if let Some(entry) =
                         self.entries.lock().iter_mut().find(|e| e.name == info.name)
@@ -305,9 +319,7 @@ impl SurrogateRegistry {
         }
         self.probe_failures.lock().remove(name);
         self.dead.lock().insert(name.to_string());
-        aide_telemetry::global()
-            .counter(aide_telemetry::names::REGISTRY_EVICTIONS)
-            .inc();
+        self.evictions.fetch_add(1, Ordering::Relaxed);
         true
     }
 
@@ -706,6 +718,7 @@ mod tests {
         assert!(registry.note_probe_failure("flaky"));
         assert!(registry.ranked().is_empty());
         assert_eq!(registry.dead_names(), ["flaky"]);
+        assert_eq!(registry.evictions(), 1);
         // Hearing from the surrogate again revives it with a clean slate.
         registry.upsert(info("flaky", 1, Some(2_400)));
         assert!(!registry.note_probe_failure("flaky"));

@@ -111,12 +111,6 @@ impl RelayQueue {
             depth: self.inner.lock().len(),
         }
     }
-
-    fn depth_gauge(delta: i64) {
-        aide_telemetry::global()
-            .gauge(aide_telemetry::names::FLEET_RELAY_QUEUE_DEPTH)
-            .add(delta);
-    }
 }
 
 impl RelaySink for RelayQueue {
@@ -137,7 +131,6 @@ impl RelaySink for RelayQueue {
         });
         drop(inner);
         self.queued_total.fetch_add(1, Ordering::Relaxed);
-        RelayQueue::depth_gauge(1);
         Ok(txn)
     }
 
@@ -161,7 +154,6 @@ impl RelaySink for RelayQueue {
                     shipment.queued_for_ms = self.clock.now_ms().saturating_sub(entry.queued_at_ms);
                     delivered.push(shipment);
                     self.relayed_total.fetch_add(1, Ordering::Relaxed);
-                    RelayQueue::depth_gauge(-1);
                 }
                 Err(_) => {
                     // The new surrogate is already unreachable (or its
@@ -193,28 +185,17 @@ impl RelaySink for RelayQueue {
             expired.push(shipment);
         }
         drop(inner);
-        let n = expired.len() as u64;
-        if n > 0 {
-            self.expired_total.fetch_add(n, Ordering::Relaxed);
-            aide_telemetry::global()
-                .counter(aide_telemetry::names::FLEET_RELAY_EXPIRED)
-                .add(n);
-            RelayQueue::depth_gauge(-(n as i64));
-        }
+        self.expired_total
+            .fetch_add(expired.len() as u64, Ordering::Relaxed);
         expired
     }
 
     fn take_all(&self) -> Vec<RelayShipment> {
-        let drained: Vec<RelayShipment> = self
-            .inner
+        self.inner
             .lock()
             .drain(..)
             .map(|entry| entry.shipment)
-            .collect();
-        if !drained.is_empty() {
-            RelayQueue::depth_gauge(-(drained.len() as i64));
-        }
-        drained
+            .collect()
     }
 
     fn depth(&self) -> usize {

@@ -26,7 +26,6 @@ use aide_rpc::{
     ConnKiller, Delivered, Dispatcher, Endpoint, EndpointConfig, MuxConn, NetClock, Reply, Request,
     Session, WorkerPool,
 };
-use aide_telemetry::names;
 use parking_lot::Mutex;
 
 /// Tuning for a [`ShardPool`].
@@ -132,9 +131,6 @@ impl ShardPool {
         let (dispatcher, parts): (Arc<dyn Dispatcher>, _) = if admitted {
             let parts = (self.factory)(killer);
             self.admitted.fetch_add(1, Ordering::SeqCst);
-            aide_telemetry::global()
-                .counter(names::SURROGATE_SESSIONS)
-                .inc();
             let dispatcher = WithFleetStats {
                 session: Arc::clone(&parts.dispatcher),
                 pool: Arc::downgrade(self),
@@ -346,8 +342,8 @@ impl Dispatcher for Refuse {
 /// A session's dispatcher as the pool serves it: every request counts in
 /// the pool's `requests_served`, and `STATS` answers get the pool's
 /// per-daemon Prometheus lines appended — live-session and queue-depth
-/// gauges, the admission limit, rejected sessions, each live session's
-/// oldest lease age. The pool is the one record of its sessions; the lines
+/// gauges, the admission limit, admitted and rejected sessions, each live
+/// session's oldest lease age. The pool is the one record of its sessions; the lines
 /// are labelled by daemon name so one scrape tells co-hosted daemons apart.
 struct WithFleetStats {
     session: Arc<dyn Dispatcher>,
@@ -395,6 +391,7 @@ fn fleet_snapshot(shared: &ShardPool) -> aide_telemetry::FleetSnapshot {
             .iter()
             .map(|pool| pool.queued())
             .sum::<usize>() as u64,
+        sessions_admitted_total: shared.admitted.load(Ordering::SeqCst),
         sessions_rejected_total: shared.rejected.load(Ordering::SeqCst),
         leases,
     }
@@ -678,7 +675,7 @@ mod tests {
             );
             // A raw peer, writing OPEN frames: `[len][session][kind 1]`.
             let listener = TcpMuxListener::bind(([127, 0, 0, 1], 0).into()).unwrap();
-            let mut peer = std::net::TcpStream::connect(listener.local_addr()).unwrap();
+            let mut peer = aide_rpc::dial_raw(listener.local_addr()).unwrap();
             pool.attach_carrier(1, &listener.accept().unwrap());
             for session in [first, second, first] {
                 // The repeated OPEN is idempotent: no second slot, no leak.

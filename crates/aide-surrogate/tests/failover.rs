@@ -153,27 +153,34 @@ fn daemon_answers_stats_with_latency_histogram_data() {
     let registry = SurrogateRegistry::new(RegistryConfig::default());
     registry.add_static("observable", daemon.local_addr(), 64 << 20);
 
-    // A probe records at least one real RPC round trip into the registry.
+    // A probe records at least one real RPC round trip into the registry
+    // that made it.
     registry.probe_all();
     assert_eq!(registry.ranked()[0].name, "observable");
+    let probes = registry.probe_rtt_micros();
+    assert!(probes.count() > 0, "at least one probe latency sample");
+    assert_eq!(probes.counts().iter().sum::<u64>(), probes.count());
 
+    // The daemon answers with its own numbers: its pool's load lines and
+    // the process-wide detector, not the caller's latencies.
     let stats = registry
         .scrape_stats("observable")
         .expect("daemon answers STATS");
-    assert!(
-        stats.contains("# TYPE aide_rpc_request_latency_micros histogram"),
-        "exposition lists the RPC latency histogram:\n{stats}"
+    let fleet = aide_telemetry::FleetSnapshot::parse(&stats, "observable")
+        .expect("the scrape carries the daemon's load lines");
+    assert_eq!(
+        fleet.sessions_admitted_total,
+        daemon.sessions_accepted(),
+        "the admitted-sessions line is the daemon's count:\n{stats}"
     );
-    // The histogram has non-zero data: its _count line is present and > 0.
-    let count = stats
-        .lines()
-        .find_map(|l| l.strip_prefix("aide_rpc_request_latency_micros_count "))
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .expect("exposition has a latency count line");
-    assert!(count > 0, "at least one RPC latency sample:\n{stats}");
+    assert!(fleet.sessions_admitted_total > 0, "{stats}");
     assert!(
-        stats.contains("aide_surrogate_sessions_total"),
-        "daemon session counters are exported:\n{stats}"
+        stats.contains("# TYPE aide_vm_external_unpin_unbalanced_total counter"),
+        "the detector is listed:\n{stats}"
+    );
+    assert!(
+        !stats.contains("latency"),
+        "a daemon reports no caller's latencies:\n{stats}"
     );
 
     daemon.shutdown();
@@ -199,6 +206,7 @@ fn repeated_probe_failures_evict_an_unreachable_address() {
     registry.probe_all();
     assert!(registry.ranked().is_empty());
     assert_eq!(registry.dead_names(), ["ghost"]);
+    assert_eq!(registry.evictions(), 1);
 }
 
 #[test]

@@ -34,6 +34,8 @@ pub struct FleetSnapshot {
     pub session_limit: u64,
     /// Frames queued across the shard inboxes (backpressure signal).
     pub queue_depth: u64,
+    /// Sessions admitted since startup.
+    pub sessions_admitted_total: u64,
     /// Sessions rejected by admission control since startup.
     pub sessions_rejected_total: u64,
     /// Oldest-lease age per live session, sorted by `(conn, session)` so
@@ -65,6 +67,11 @@ impl FleetSnapshot {
         );
         let _ = writeln!(
             text,
+            "aide_daemon_sessions_admitted_total{{daemon=\"{name}\"}} {}",
+            self.sessions_admitted_total
+        );
+        let _ = writeln!(
+            text,
             "aide_daemon_sessions_rejected_total{{daemon=\"{name}\"}} {}",
             self.sessions_rejected_total
         );
@@ -93,6 +100,7 @@ impl FleetSnapshot {
             live_sessions: 0,
             session_limit: 0,
             queue_depth: 0,
+            sessions_admitted_total: 0,
             sessions_rejected_total: 0,
             leases: Vec::new(),
         };
@@ -124,6 +132,7 @@ impl FleetSnapshot {
                 }
                 "aide_daemon_session_limit" => snapshot.session_limit = value,
                 "aide_daemon_queue_depth" => snapshot.queue_depth = value,
+                "aide_daemon_sessions_admitted_total" => snapshot.sessions_admitted_total = value,
                 "aide_daemon_sessions_rejected_total" => snapshot.sessions_rejected_total = value,
                 _ => {}
             }
@@ -174,6 +183,7 @@ mod tests {
             live_sessions: 3,
             session_limit: 16,
             queue_depth: 2,
+            sessions_admitted_total: 8,
             sessions_rejected_total: 5,
             leases: vec![
                 SessionLease {

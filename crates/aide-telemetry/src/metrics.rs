@@ -1,8 +1,8 @@
-//! Atomic counters, gauges, fixed-bucket histograms, and the registry
-//! that names them.
+//! Atomic counters, fixed-bucket histograms, and the registry that names
+//! the counters.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -31,40 +31,18 @@ impl Counter {
     }
 }
 
-/// A gauge: a signed value that can move in both directions.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// Sets the gauge to `v`.
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
 /// A fixed-bucket histogram over `u64` observations (latencies in
-/// microseconds, sizes in bytes, ...).
+/// microseconds, sizes in bytes, ...), kept by the object that observes
+/// them.
 ///
 /// Bucket bounds are inclusive upper bounds; observations above the
 /// last bound land in an implicit overflow (`+Inf`) bucket. Recording
 /// is a binary search plus two relaxed atomic adds — no locks.
 #[derive(Debug)]
 pub struct Histogram {
-    bounds: Vec<u64>,
+    bounds: &'static [u64],
     /// One slot per bound plus the overflow bucket.
-    counts: Vec<AtomicU64>,
+    counts: Box<[AtomicU64]>,
     count: AtomicU64,
     sum: AtomicU64,
 }
@@ -72,10 +50,10 @@ pub struct Histogram {
 impl Histogram {
     /// Creates a histogram with the given inclusive upper bounds.
     /// Bounds must be strictly increasing.
-    pub fn new(bounds: &[u64]) -> Self {
+    pub fn new(bounds: &'static [u64]) -> Self {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
         Histogram {
-            bounds: bounds.to_vec(),
+            bounds,
             counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
@@ -110,65 +88,17 @@ impl Histogram {
         }
     }
 
-    /// Point-in-time copy of the histogram state.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: self
-                .counts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count(),
-            sum: self.sum(),
-        }
+    /// Per-bucket (non-cumulative) counts, one per bound plus the overflow
+    /// bucket.
+    pub fn counts(&self) -> Vec<u64> {
+        self.counts
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect()
     }
 }
 
-/// Serializable point-in-time state of a [`Histogram`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
-    /// Inclusive upper bounds, strictly increasing.
-    pub bounds: Vec<u64>,
-    /// Per-bucket (non-cumulative) counts; one extra overflow slot.
-    pub counts: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: u64,
-}
-
-impl HistogramSnapshot {
-    /// Mean observation, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Observations recorded since `before` (per-bucket saturating
-    /// subtraction; mismatched bounds fall back to `self`).
-    pub fn delta_since(&self, before: &HistogramSnapshot) -> HistogramSnapshot {
-        if before.bounds != self.bounds || before.counts.len() != self.counts.len() {
-            return self.clone();
-        }
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: self
-                .counts
-                .iter()
-                .zip(&before.counts)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-            count: self.count.saturating_sub(before.count),
-            sum: self.sum.saturating_sub(before.sum),
-        }
-    }
-}
-
-/// The metrics registry: a name → handle map.
+/// The metrics registry: a name → counter map.
 ///
 /// Registration takes a write lock; the returned `Arc` handles are then
 /// lock-free to record into. Instrumented code caches handles at setup
@@ -176,8 +106,6 @@ impl HistogramSnapshot {
 #[derive(Debug, Default)]
 pub struct Telemetry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
-    gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
-    histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
 }
 
 impl Telemetry {
@@ -198,33 +126,7 @@ impl Telemetry {
             .clone()
     }
 
-    /// Returns (registering on first use) the gauge named `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(g) = self.gauges.read().get(name) {
-            return g.clone();
-        }
-        self.gauges
-            .write()
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    /// Returns (registering on first use) the histogram named `name`.
-    /// The bounds apply only on first registration; later callers get
-    /// the existing histogram regardless of the bounds they pass.
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
-        if let Some(h) = self.histograms.read().get(name) {
-            return h.clone();
-        }
-        self.histograms
-            .write()
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::new(bounds)))
-            .clone()
-    }
-
-    /// Point-in-time snapshot of every registered metric.
+    /// Point-in-time snapshot of every registered counter.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
             counters: self
@@ -232,18 +134,6 @@ impl Telemetry {
                 .read()
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: self
-                .gauges
-                .read()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: self
-                .histograms
-                .read()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
         }
     }
@@ -254,16 +144,11 @@ impl Telemetry {
 pub struct TelemetrySnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, i64>,
-    /// Histogram states by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl TelemetrySnapshot {
-    /// Activity since `before`: counters and histograms are subtracted
-    /// (metrics absent from `before` keep their full value); gauges are
-    /// instantaneous, so the `self` value is kept as-is.
+    /// Activity since `before`: each counter less its value there
+    /// (counters absent from `before` keep their full value).
     pub fn delta_since(&self, before: &TelemetrySnapshot) -> TelemetrySnapshot {
         TelemetrySnapshot {
             counters: self
@@ -276,34 +161,12 @@ impl TelemetrySnapshot {
                     )
                 })
                 .collect(),
-            gauges: self.gauges.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, v)| {
-                    let d = match before.histograms.get(k) {
-                        Some(b) => v.delta_since(b),
-                        None => v.clone(),
-                    };
-                    (k.clone(), d)
-                })
-                .collect(),
         }
     }
 
     /// Counter value by name, 0 when absent.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Gauge value by name, 0 when absent.
-    pub fn gauge(&self, name: &str) -> i64 {
-        self.gauges.get(name).copied().unwrap_or(0)
-    }
-
-    /// Histogram state by name, if registered.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.get(name)
     }
 }
 
@@ -312,7 +175,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_record() {
+    fn counters_record() {
         let t = Telemetry::new();
         let c = t.counter("c");
         c.inc();
@@ -320,11 +183,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         // Same name, same handle.
         assert_eq!(t.counter("c").get(), 5);
-
-        let g = t.gauge("g");
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.get(), 7);
     }
 
     #[test]
@@ -333,10 +191,9 @@ mod tests {
         for v in [1, 10, 11, 100, 5000] {
             h.observe(v);
         }
-        let s = h.snapshot();
-        assert_eq!(s.counts, vec![2, 2, 0, 1]);
-        assert_eq!(s.count, 5);
-        assert_eq!(s.sum, 5122);
+        assert_eq!(h.counts(), vec![2, 2, 0, 1]);
+        assert_eq!(h.count(), 5);
+        assert_eq!(h.sum(), 5122);
         assert!((h.mean() - 1024.4).abs() < 1e-9);
     }
 
@@ -344,30 +201,20 @@ mod tests {
     fn snapshot_delta_reports_per_run_activity() {
         let t = Telemetry::new();
         let c = t.counter("requests");
-        let h = t.histogram("latency", &[10, 100]);
         c.add(3);
-        h.observe(5);
         let before = t.snapshot();
         c.add(2);
-        h.observe(50);
-        h.observe(500);
-        t.gauge("heap").set(42);
-        let after = t.snapshot();
-        let d = after.delta_since(&before);
+        t.counter("late").inc();
+        let d = t.snapshot().delta_since(&before);
         assert_eq!(d.counter("requests"), 2);
-        assert_eq!(d.gauge("heap"), 42);
-        let hd = d.histogram("latency").expect("registered");
-        assert_eq!(hd.count, 2);
-        assert_eq!(hd.sum, 550);
-        assert_eq!(hd.counts, vec![0, 1, 1]);
+        assert_eq!(d.counter("late"), 1);
+        assert_eq!(d.counter("absent"), 0);
     }
 
     #[test]
     fn snapshot_round_trips_through_serde() {
         let t = Telemetry::new();
         t.counter("c").add(7);
-        t.gauge("g").set(-2);
-        t.histogram("h", &[1, 2]).observe(3);
         let snap = t.snapshot();
         let json = serde_json::to_string(&snap).expect("serialize");
         let back: TelemetrySnapshot = serde_json::from_str(&json).expect("deserialize");

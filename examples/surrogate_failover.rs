@@ -182,7 +182,8 @@ fn main() {
 
     // Scrape the surviving daemon's Prometheus-style STATS exposition over
     // its RPC port — the same scrape an external observer would perform.
-    // Its unlabelled lines are this whole process's, client included; the
+    // Its one unlabelled line is the process-wide unpin detector, which
+    // counts every VM of this process, client included; the
     // `aide_daemon_*` lines labelled with its name are the daemon's own.
     let stats = registry
         .scrape_stats("hallway-server")

@@ -360,22 +360,12 @@ fn fleet_survives_saturation_crashes_and_lost_surrogates_at_every_seed() {
     }
 
     // Process-wide accounting across all seeds: no VM anywhere ever
-    // double-unpinned, no relay entry expired (nobody advanced a relay
-    // clock), and the fleet queue-depth gauge balanced back to zero.
+    // double-unpinned. Each seed's relay queue drained with nothing
+    // expired (its own `stats()`, above).
     let snapshot = aide::telemetry::global().snapshot();
     assert_eq!(
         snapshot.counter(aide::telemetry::names::VM_UNPIN_UNBALANCED),
         0,
         "no VM in this process double-unpinned"
-    );
-    assert_eq!(
-        snapshot.counter(aide::telemetry::names::FLEET_RELAY_EXPIRED),
-        0,
-        "no relay entry may expire in this soak"
-    );
-    assert_eq!(
-        snapshot.gauge(aide::telemetry::names::FLEET_RELAY_QUEUE_DEPTH),
-        0,
-        "every relay queue drained"
     );
 }

