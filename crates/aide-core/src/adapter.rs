@@ -12,7 +12,9 @@
 //!
 //! The adapter is also the one place a remote read is remembered: a slot or
 //! a class of the peer's object crosses the cut once, and is answered from
-//! memory until the owner's frames say it wrote ([`Remembered`]). And a
+//! memory until the owner's frames say it wrote ([`Remembered`]); a class
+//! never changes, and the class of an object this side shipped does not
+//! cross at all ([`RefTables`] holds what the offload recorded). And a
 //! touch whose reply carries nothing — a field access, a slot write, a
 //! static access, a native — is not waited for: it rides the next frame to
 //! the peer ([`aide_rpc::Endpoint::defer`]). Neither is an invocation whose
@@ -81,7 +83,16 @@ pub struct RefTables {
     pub exports: Arc<ExportTable>,
     /// Remote objects this side holds references to.
     pub imports: Arc<ImportTable>,
+    /// The classes of the peer's objects this side knows: each learned once,
+    /// by shipping the object (`gather_shipment`) or by asking (the
+    /// adapter's `class_of`). Kept across slot flushes: ids are never reused
+    /// and an object's class never changes. Bounded by the imports held, not
+    /// by the objects ever known: see `remember_classes`.
+    classes: Mutex<HashMap<ObjectId, ClassId>>,
 }
+
+/// The class map is not pruned below this many entries.
+const CLASSES_FLOOR: usize = 64;
 
 impl RefTables {
     /// Creates empty tables.
@@ -94,8 +105,33 @@ impl RefTables {
     pub fn with_clock(clock: Arc<GcClock>) -> Self {
         RefTables {
             exports: Arc::new(ExportTable::with_clock(clock)),
-            imports: Arc::new(ImportTable::new()),
+            ..RefTables::default()
         }
+    }
+
+    /// The class of the peer's object `id`, if this side knows it.
+    pub(crate) fn known_class(&self, id: ObjectId) -> Option<ClassId> {
+        self.classes.lock().get(&id).copied()
+    }
+
+    /// Remembers the class of each of the peer's objects in `known`; each
+    /// must be imported already. When that makes the map twice the size of
+    /// `imports`, the classes of ids no longer imported — released by the
+    /// collector, or home again — go: each prune leaves at most
+    /// `imports.len()` entries, so it is paid for by as many inserts.
+    pub(crate) fn remember_classes(&self, known: impl IntoIterator<Item = (ObjectId, ClassId)>) {
+        let mut classes = self.classes.lock();
+        for (id, class) in known {
+            classes.insert(id, class);
+            if classes.len() >= (2 * self.imports.len()).max(CLASSES_FLOOR) {
+                classes.retain(|&id, _| self.imports.contains(id));
+            }
+        }
+    }
+
+    /// Forgets every class: the peer is gone and its objects are home.
+    fn forget_classes(&self) {
+        self.classes.lock().clear();
     }
 
     /// Wires these tables into `endpoint` so every outgoing frame carries
@@ -154,14 +190,7 @@ struct Remembered {
     /// about its writes, and then nothing is remembered.
     under: Option<Standing>,
     slots: HashMap<(ObjectId, u16), Option<ObjectId>>,
-    /// Kept across slot flushes: ids are never reused and an object's class
-    /// never changes. Bounded by the imports held, not by the objects ever
-    /// asked about: see [`Remembered::remember_class`].
-    classes: HashMap<ObjectId, ClassId>,
 }
-
-/// The class map is not pruned below this many entries.
-const CLASSES_FLOOR: usize = 64;
 
 impl Remembered {
     /// Drops the slots unless they were read under `now`; whether slots
@@ -172,17 +201,6 @@ impl Remembered {
             self.under = now;
         }
         now.is_some()
-    }
-
-    /// Remembers `target`'s class. When that makes the map twice the size of
-    /// `imports`, the classes of ids no longer imported — released by the
-    /// collector, or home again — go: each prune leaves at most
-    /// `imports.len()` entries, so it is paid for by as many inserts.
-    fn remember_class(&mut self, target: ObjectId, class: ClassId, imports: &ImportTable) {
-        self.classes.insert(target, class);
-        if self.classes.len() >= (2 * imports.len()).max(CLASSES_FLOOR) {
-            self.classes.retain(|&id, _| imports.contains(id));
-        }
     }
 }
 
@@ -357,12 +375,15 @@ impl RemoteAdapter {
 
     fn forget_the_surrogate(&self) {
         *self.remembered.lock() = Remembered::default();
+        self.tables.forget_classes();
     }
 
     #[cfg(test)]
     pub(crate) fn remembers_nothing(&self) -> bool {
         let remembered = self.remembered.lock();
-        remembered.under.is_none() && remembered.slots.is_empty() && remembered.classes.is_empty()
+        remembered.under.is_none()
+            && remembered.slots.is_empty()
+            && self.tables.classes.lock().is_empty()
     }
 
     /// The slots [`get_slot`](RemoteAccess::get_slot) holds an answer to
@@ -549,7 +570,7 @@ impl RemoteAccess for RemoteAdapter {
     }
 
     fn class_of(&self, target: ObjectId) -> VmResult<ClassId> {
-        if let Some(&class) = self.remembered.lock().classes.get(&target) {
+        if let Some(class) = self.tables.known_class(target) {
             self.reads_from_memory.fetch_add(1, Ordering::Relaxed);
             return Ok(class);
         }
@@ -557,9 +578,7 @@ impl RemoteAccess for RemoteAdapter {
         match self.call(Request::ClassOf { target })? {
             Some(Reply::Class(class)) => {
                 if self.surrogate.peer_writes().is_some() {
-                    self.remembered
-                        .lock()
-                        .remember_class(target, class, &self.tables.imports);
+                    self.tables.remember_classes([(target, class)]);
                 }
                 Ok(class)
             }
@@ -1226,29 +1245,31 @@ mod tests {
 
     #[test]
     fn the_classes_remembered_are_bounded_by_the_imports_held() {
-        let imports = ImportTable::new();
+        let tables = RefTables::new();
+        let imports = &tables.imports;
+        let known = |id| tables.known_class(id).is_some();
         let held: Vec<ObjectId> = (0..10).map(ObjectId::surrogate).collect();
-        let mut remembered = Remembered::default();
         for &id in &held {
             imports.import(id);
-            remembered.remember_class(id, ClassId(1), &imports);
+            tables.remember_classes([(id, ClassId(1))]);
         }
         // Objects asked about once and let go again, far more than are held.
         for i in 1_000..11_000 {
             let passing = ObjectId::surrogate(i);
             imports.import(passing);
-            remembered.remember_class(passing, ClassId(1), &imports);
+            tables.remember_classes([(passing, ClassId(1))]);
             imports.remove(passing);
-            assert!(remembered.classes.len() < CLASSES_FLOOR.max(2 * imports.len()));
+            assert!(tables.classes.lock().len() < CLASSES_FLOOR.max(2 * imports.len()));
         }
-        assert!(held.iter().all(|id| remembered.classes.contains_key(id)));
-        // What stays imported stays remembered, however much of it there is.
+        assert!(held.iter().all(|&id| known(id)));
+        // What stays imported stays remembered, however much of it there is:
+        // one batch, as a shipment records it.
         for i in 20_000..20_500 {
             imports.import(ObjectId::surrogate(i));
-            remembered.remember_class(ObjectId::surrogate(i), ClassId(1), &imports);
         }
-        assert!((20_000..20_500).all(|i| remembered.classes.contains_key(&ObjectId::surrogate(i))));
-        assert!(remembered.classes.len() < 2 * imports.len());
+        tables.remember_classes((20_000..20_500).map(|i| (ObjectId::surrogate(i), ClassId(1))));
+        assert!((20_000..20_500).all(|i| known(ObjectId::surrogate(i))));
+        assert!(tables.classes.lock().len() < 2 * imports.len());
     }
 
     #[test]

@@ -509,7 +509,8 @@ impl FailoverCore {
 
     /// Puts one gathered-but-undelivered shipment back: reinstall the
     /// objects, drop their import stubs, release the back-reference pins.
-    /// The exact inverse of [`gather_shipment`].
+    /// The inverse of [`gather_shipment`], but for the classes it recorded:
+    /// those go with the next prune against the imports.
     fn reinstate_shipment(&self, shipment: RelayShipment) {
         let vm = self.client.vm();
         let mut vm = vm.lock();

@@ -158,10 +158,12 @@ pub(crate) fn gather_shipment(
     }
 
     // The client keeps referencing every migrated object (frames,
-    // remaining slots): record them as imports for distributed GC.
+    // remaining slots): record them as imports for distributed GC, and
+    // their classes, which the monitor would otherwise ask the peer for.
     for (id, _) in &objects {
         tables.imports.import(*id);
     }
+    tables.remember_classes(objects.iter().map(|(id, record)| (*id, record.class)));
 
     let bytes: u64 = objects.iter().map(|(_, r)| r.footprint()).sum();
     drop(vm);
@@ -334,9 +336,9 @@ mod tests {
         PinReason, ResourceSnapshot,
     };
     use aide_rpc::{EndpointConfig, Link};
-    use aide_vm::{MethodDef, MethodId, ProgramBuilder, VmConfig};
+    use aide_vm::{MethodDef, MethodId, ProgramBuilder, RemoteAccess, VmConfig};
 
-    use crate::adapter::VmDispatcher;
+    use crate::adapter::{RemoteAdapter, VmDispatcher};
 
     fn setup() -> (Machine, Machine, Arc<Endpoint>, Arc<RefTables>) {
         let mut b = ProgramBuilder::new();
@@ -445,6 +447,40 @@ mod tests {
         assert_eq!(client.vm().lock().external_root_count(), 1);
         assert!(tables.exports.contains(ObjectId::client(10)));
         assert!(tables.imports.contains(ObjectId::client(0)));
+    }
+
+    /// The shipping side knows the class of what it shipped: the adapter
+    /// answers it without a request, and still asks the class of an object
+    /// it did not ship.
+    #[test]
+    fn the_class_of_a_shipped_object_is_known_without_asking() {
+        let (client, surrogate, cep, tables) = setup();
+        let shipped = ObjectId::client(0);
+        let theirs = ObjectId::surrogate(5);
+        let record = |class| ObjectRecord::new(class, 1_000, 0);
+        client
+            .vm()
+            .lock()
+            .heap_mut()
+            .insert(shipped, record(ClassId(1)))
+            .unwrap();
+        surrogate
+            .vm()
+            .lock()
+            .heap_mut()
+            .insert(theirs, record(ClassId(0)))
+            .unwrap();
+        let (sel, keys) = doc_selection(1_000);
+        execute_offload_tracked(&sel, &keys, &client, &cep, &tables, None).unwrap();
+
+        let adapter = RemoteAdapter::new(cep.clone(), client, tables);
+        let sent = cep.requests();
+        assert_eq!(adapter.class_of(shipped).unwrap(), ClassId(1));
+        assert_eq!(cep.requests(), sent, "shipped: known");
+        assert_eq!(adapter.class_of(theirs).unwrap(), ClassId(0));
+        assert_eq!(cep.requests(), sent + 1, "the surrogate's own: asked");
+        let stats = adapter.stats();
+        assert_eq!((stats.reads_from_memory, stats.reads_asked), (1, 1));
     }
 
     #[test]

@@ -26,7 +26,10 @@ fn tiny_program() -> Arc<Program> {
 
 /// The document-store workload from the platform failover tests: fill past
 /// the heap (offload), drop half (GC release), read survivors (hits the
-/// dead surrogate), fill again (re-offload), read everything.
+/// dead surrogate), fill again (re-offload), read everything. A read takes
+/// the document's one (empty) reference slot as well as its data: the slot
+/// read is waited for, so the first read of a shipped document is a
+/// request the surrogate must answer there and then.
 fn doc_store_program() -> Arc<Program> {
     let mut b = ProgramBuilder::new();
     let main = b.add_native_class("Main");
@@ -37,7 +40,7 @@ fn doc_store_program() -> Arc<Program> {
         ops.push(Op::New {
             class: doc,
             scalar_bytes: DOC_BYTES,
-            ref_slots: 0,
+            ref_slots: 1,
             dst: Reg(1),
         });
         ops.push(Op::PutSlot { slot, src: Reg(1) });
@@ -45,6 +48,11 @@ fn doc_store_program() -> Arc<Program> {
     };
     let read_doc = |ops: &mut Vec<Op>, slot: u16| {
         ops.push(Op::GetSlot { slot, dst: Reg(2) });
+        ops.push(Op::GetSlotOf {
+            obj: Reg(2),
+            slot: 0,
+            dst: Reg(3),
+        });
         ops.push(Op::Read {
             obj: Reg(2),
             bytes: 64,

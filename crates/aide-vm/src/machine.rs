@@ -416,6 +416,10 @@ pub struct Vm {
     program: Arc<Program>,
     /// Lazily compiled flat IR, shared by every flat run over this VM.
     flat: Option<Arc<FlatProgram>>,
+    /// The virtual CPU seconds each op of `flat`'s code charges on this
+    /// VM when its charge is fixed by the op alone — a `Work`'s, a local
+    /// `Native`'s — and 0 for any other op. Computed with `flat`.
+    op_seconds: Vec<f64>,
     heap: Heap,
     gc: Collector,
     next_object: u64,
@@ -453,6 +457,7 @@ impl Vm {
             config,
             program,
             flat: None,
+            op_seconds: Vec::new(),
             next_object: 0,
             exec_states: Vec::new(),
             free_states: Vec::new(),
@@ -618,6 +623,19 @@ impl Vm {
             return f.clone();
         }
         let f = Arc::new(FlatProgram::compile(&self.program));
+        let speed = self.config.speed_factor;
+        let native_base = self.config.cost.native_base_micros;
+        self.op_seconds = f
+            .code()
+            .iter()
+            .map(|op| match *op {
+                FlatOp::Work { micros } => micros as f64 / 1e6 / speed,
+                FlatOp::Native { work_micros, .. } => {
+                    (native_base + work_micros as f64) / 1e6 / speed
+                }
+                _ => 0.0,
+            })
+            .collect();
         self.flat = Some(f.clone());
         f
     }
@@ -1540,11 +1558,13 @@ fn flat_burst(
         ops_executed,
         statics_accesses,
         slot_writes,
+        op_seconds,
         ..
     } = vm;
     let speed = config.speed_factor;
     let cost = config.cost;
     let monitor = cost.monitor_event_micros;
+    let hook_seconds_per_event = monitor / 1e6 / speed;
     let my_kind = config.kind;
     let stateless_local = config.stateless_natives_local;
     let code = flat.code();
@@ -1565,7 +1585,7 @@ fn flat_burst(
     macro_rules! hook_charge {
         () => {
             if monitor > 0.0 {
-                *hook_seconds += monitor / 1e6 / speed;
+                *hook_seconds += hook_seconds_per_event;
             }
         };
     }
@@ -1623,7 +1643,7 @@ fn flat_burst(
         match op {
             FlatOp::Work { micros } => {
                 *ops_executed += 1;
-                *mutator_seconds += micros as f64 / 1e6 / speed;
+                *mutator_seconds += op_seconds[f.ip as usize];
                 hook_charge!();
                 f.ip += 1;
                 // A class's first `Work` is queued: it may be a first sight.
@@ -1997,7 +2017,7 @@ fn flat_burst(
                         ret_bytes,
                     });
                 }
-                *mutator_seconds += (cost.native_base_micros + work_micros as f64) / 1e6 / speed;
+                *mutator_seconds += op_seconds[f.ip as usize];
                 if !tally {
                     pending.push(PendingEvent::Native {
                         caller: f.class,

@@ -11,7 +11,8 @@
 //! cargo run --release --example surrogate_failover
 //! ```
 //!
-//! It exits non-zero unless the run completes after at least one failover.
+//! It exits non-zero unless the run completes after at least one failover
+//! and a re-offload.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -26,7 +27,9 @@ const HEAP: u64 = 256 * 1024;
 /// A document store that loads 70 ~4 KB documents (overflowing a 256 KB
 /// client heap), drops the first 50, re-reads the survivors, then loads 40
 /// more — enough churn to offload, survive a surrogate crash, and offload
-/// again.
+/// again. A read takes the document's one (empty) reference slot as well as
+/// its data: the slot read is waited for, so the first read of a shipped
+/// document is a request the surrogate must answer there and then.
 fn doc_store() -> Arc<Program> {
     let mut b = ProgramBuilder::new();
     let main = b.add_native_class("Main");
@@ -37,7 +40,7 @@ fn doc_store() -> Arc<Program> {
         ops.push(Op::New {
             class: doc,
             scalar_bytes: DOC_BYTES,
-            ref_slots: 0,
+            ref_slots: 1,
             dst: Reg(1),
         });
         ops.push(Op::PutSlot { slot, src: Reg(1) });
@@ -45,6 +48,11 @@ fn doc_store() -> Arc<Program> {
     };
     let read_doc = |ops: &mut Vec<Op>, slot: u16| {
         ops.push(Op::GetSlot { slot, dst: Reg(2) });
+        ops.push(Op::GetSlotOf {
+            obj: Reg(2),
+            slot: 0,
+            dst: Reg(3),
+        });
         ops.push(Op::Read {
             obj: Reg(2),
             bytes: 64,
@@ -85,9 +93,9 @@ fn main() {
     let program = doc_store();
 
     // Two surrogate daemons on localhost. The first is rigged to crash
-    // after serving the initial offload and one GC exchange: its worker
-    // pool's fault injector severs the client's carrier, so the client
-    // sees a dead link, not an error reply.
+    // after serving the initial offload's PREPARE and COMMIT, on the first
+    // read of a survivor: its worker pool's fault injector severs the
+    // client's carrier, so the client sees a dead link, not an error reply.
     let mut doomed = DaemonConfig::new("porch-pc", program.clone());
     doomed.fail_after_requests = Some(2);
     let d1 = SurrogateDaemon::start(doomed).expect("start porch-pc");
@@ -199,12 +207,16 @@ fn main() {
     d1.shutdown();
     d2.shutdown();
 
-    // The example exists to show a failover: without one, or with a run
-    // that did not complete, it fails.
-    let failovers = report.failover.as_ref().map_or(0, |f| f.failovers);
-    if report.outcome.is_err() || failovers == 0 {
+    // The example exists to show a failover and the re-offload after it:
+    // without both, or with a run that did not complete, it fails.
+    let (failovers, reoffloads) = report
+        .failover
+        .as_ref()
+        .map_or((0, 0), |f| (f.failovers, f.reoffloads));
+    if report.outcome.is_err() || failovers == 0 || reoffloads == 0 {
         eprintln!(
-            "expected a completed run with at least one failover: completed {}, failovers {failovers}",
+            "expected a completed run with a failover and a re-offload: completed {}, \
+             failovers {failovers}, re-offloads {reoffloads}",
             report.outcome.is_ok()
         );
         std::process::exit(1);
