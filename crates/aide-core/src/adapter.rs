@@ -25,10 +25,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use aide_rpc::{Dispatcher, Endpoint, ExportTable, GcClock, ImportTable, Reply, Request, RpcError};
+use aide_rpc::{
+    dispatch_deferred, Dispatcher, Endpoint, ExportTable, GcClock, ImportTable, Reply, Request,
+    RpcError, TouchFailure, Touches,
+};
 use aide_vm::{
-    ClassId, Machine, MethodId, NativeKind, ObjectId, ObjectRecord, RemoteAccess, Vm, VmError,
-    VmResult,
+    BuildIdHasher, ClassId, Machine, MethodId, NativeKind, ObjectId, ObjectRecord, RemoteAccess,
+    Vm, VmError, VmResult,
 };
 use serde::{Deserialize, Serialize};
 
@@ -88,7 +91,7 @@ pub struct RefTables {
     /// adapter's `class_of`). Kept across slot flushes: ids are never reused
     /// and an object's class never changes. Bounded by the imports held, not
     /// by the objects ever known: see `remember_classes`.
-    classes: Mutex<HashMap<ObjectId, ClassId>>,
+    classes: Mutex<HashMap<ObjectId, ClassId, BuildIdHasher>>,
 }
 
 /// The class map is not pruned below this many entries.
@@ -678,27 +681,29 @@ impl VmDispatcher {
         Ok(Reply::Unit)
     }
 
-    /// Serves `request` if it is one of the short ones — it touches one heap
-    /// record (or none) under the VM lock and never re-enters the
-    /// interpreter — and hands it back if it is of another kind.
+    /// Serves `request` if it is a probe, a renewal or a short one
+    /// ([`is_short`]), and hands it back if it is of another kind.
     fn serve_short(&self, request: Request) -> Result<Result<Reply, String>, Request> {
         match request {
             // Null RPC: answer immediately so probes measure pure link +
             // dispatch latency (the paper's 2.4 ms null-RPC figure).
-            Request::Ping => return Ok(Ok(Reply::Unit)),
+            Request::Ping => Ok(Ok(Reply::Unit)),
             Request::GcRenew { epoch } => {
                 self.tables.exports.renew(epoch);
-                return Ok(Ok(Reply::Unit));
+                Ok(Ok(Reply::Unit))
             }
-            Request::FieldAccess { .. }
-            | Request::GetSlot { .. }
-            | Request::PutSlot { .. }
-            | Request::StaticAccess { .. }
-            | Request::ClassOf { .. } => {}
-            other => return Err(other),
+            request if is_short(&request) => {
+                let served = self.serve_locked(&mut self.machine.vm().lock(), request);
+                Ok(served.map_err(|e| e.to_string()))
+            }
+            other => Err(other),
         }
-        let mut vm = self.machine.vm().lock();
-        let served = match request {
+    }
+
+    /// Serves a short request ([`is_short`]) on `vm`, which the caller has
+    /// locked.
+    fn serve_locked(&self, vm: &mut Vm, request: Request) -> VmResult<Reply> {
+        match request {
             Request::FieldAccess {
                 target,
                 bytes,
@@ -710,7 +715,7 @@ impl VmDispatcher {
                 // The peer will hold whatever reference we hand out:
                 // pinned under the guard the slot was read under.
                 if let Some(v) = value {
-                    self.tables.export_if_local(&mut vm, v);
+                    self.tables.export_if_local(vm, v);
                 }
                 Reply::Slot(value)
             }),
@@ -720,7 +725,7 @@ impl VmDispatcher {
                 value,
             } => {
                 if let Some(v) = value {
-                    self.tables.import_if_remote(&vm, &[v]);
+                    self.tables.import_if_remote(vm, &[v]);
                 }
                 vm.put_slot_on(target, slot, value).map(|()| Reply::Unit)
             }
@@ -733,10 +738,13 @@ impl VmDispatcher {
                 vm.static_access_on(class, bytes, write);
                 Ok(Reply::Unit)
             }
+            Request::Native { work_micros, .. } => {
+                vm.native_on(work_micros);
+                Ok(Reply::Unit)
+            }
             Request::ClassOf { target } => vm.class_of_local(target).map(Reply::Class),
-            _ => unreachable!("the other kinds were handed back above"),
-        };
-        Ok(served.map_err(|e| e.to_string()))
+            other => unreachable!("{} is not a short request", other.kind()),
+        }
     }
 
     /// The dispatcher's reference tables (shared with the platform side).
@@ -768,7 +776,47 @@ impl VmDispatcher {
     }
 }
 
+/// Whether `request` is one [`VmDispatcher`] serves under the VM lock alone:
+/// it touches one heap record (or none) and never re-enters the
+/// interpreter.
+fn is_short(request: &Request) -> bool {
+    matches!(
+        request,
+        Request::FieldAccess { .. }
+            | Request::GetSlot { .. }
+            | Request::PutSlot { .. }
+            | Request::StaticAccess { .. }
+            | Request::Native { .. }
+            | Request::ClassOf { .. }
+    )
+}
+
 impl Dispatcher for VmDispatcher {
+    /// Each run of short touches (`is_short`) is served under one VM lock,
+    /// in order, as [`dispatch`](Dispatcher::dispatch) serves each; every
+    /// other touch — an `Invoke` — as a deferred one.
+    fn dispatch_touches(&self, touches: &Touches) -> Result<(), TouchFailure> {
+        let mut touches = touches.iter().enumerate().peekable();
+        while let Some((at, touch)) = touches.next() {
+            if !is_short(&touch) {
+                let kind = touch.kind();
+                dispatch_deferred(self, touch).map_err(|e| TouchFailure::new(at, kind, e))?;
+                continue;
+            }
+            let mut vm = self.machine.vm().lock();
+            let mut first = Some((at, touch));
+            while let Some((at, touch)) = first
+                .take()
+                .or_else(|| touches.next_if(|(_, t)| is_short(t)))
+            {
+                let kind = touch.kind();
+                self.serve_locked(&mut vm, touch)
+                    .map_err(|e| TouchFailure::new(at, kind, e))?;
+            }
+        }
+        Ok(())
+    }
+
     fn dispatch(&self, request: Request) -> Result<Reply, String> {
         let request = match self.serve_short(request) {
             Ok(served) => return served,
@@ -788,10 +836,6 @@ impl Dispatcher for VmDispatcher {
                     .call_on(target, class, method, &args)
                     .map(|()| Reply::Unit)
                     .map_err(|e| e.to_string())
-            }
-            Request::Native { work_micros, .. } => {
-                self.machine.native_on(work_micros);
-                Ok(Reply::Unit)
             }
             Request::RelayDeliver { txn, objects, .. } => {
                 // Exactly-once per relay transaction: the relay retries
@@ -870,6 +914,7 @@ impl Dispatcher for VmDispatcher {
             | Request::GetSlot { .. }
             | Request::PutSlot { .. }
             | Request::StaticAccess { .. }
+            | Request::Native { .. }
             | Request::ClassOf { .. }
             | Request::GcRenew { .. }
             | Request::Ping => unreachable!("served above"),

@@ -25,8 +25,8 @@ use serde::{Deserialize, Serialize};
 
 use aide_graph::{EdgeInfo, ExecutionGraph, GraphDelta, NodeId, NodeInfo, PinReason};
 use aide_vm::{
-    ClassId, GcReport, Interaction, InteractionKind, NativeKind, ObjectId, PendingEvent, Program,
-    RuntimeHooks,
+    BuildIdHasher, ClassId, GcReport, Interaction, InteractionKind, NativeKind, ObjectId,
+    PendingEvent, Program, RuntimeHooks,
 };
 
 /// What a graph node stands for.
@@ -112,31 +112,6 @@ pub struct RemoteStats {
     pub remote_bytes: u64,
 }
 
-/// Hashes the packed `(lo, hi)` node-index pair of an edge to an
-/// object-granular node. The keys are dense indices this module mints
-/// itself, so SipHash's resistance to crafted keys buys nothing here; one
-/// multiply and a fold do.
-#[derive(Debug, Default, Clone, Copy)]
-struct EdgeKeyHasher(u64);
-
-impl std::hash::Hasher for EdgeKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("edge keys hash through write_u64")
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        // The map takes its bucket from the low bits and its tag from the
-        // high ones; the product's high half is the well-mixed one, so fold
-        // it down.
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
 /// An edge's statistics: since the monitor started, and since the last
 /// [`Monitor::drain_deltas`].
 #[derive(Debug, Default, Clone, Copy)]
@@ -175,7 +150,8 @@ struct MonitorState {
     /// [`PAIR_SAME_NODE`] or [`PAIR_UNSEEN`].
     class_pairs: Vec<u32>,
     /// Edge key -> index into `edges`, for edges to object-granular nodes.
-    object_edges: HashMap<u64, u32, std::hash::BuildHasherDefault<EdgeKeyHasher>>,
+    /// The keys are dense node indices this module mints itself.
+    object_edges: HashMap<u64, u32, BuildIdHasher>,
     /// Object -> class, for object-granular classes.
     object_class: HashMap<ObjectId, ClassId>,
     /// Node indices already announced to delta consumers via `AddNode`

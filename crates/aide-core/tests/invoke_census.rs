@@ -42,7 +42,7 @@ fn deferred_and_waited_invokes_per_application() {
         );
         if name == "Dia" {
             assert!(
-                report.frames_exchanged < 1_000,
+                report.frames_exchanged < 400,
                 "Dia's rescue exchanged {} frames",
                 report.frames_exchanged
             );

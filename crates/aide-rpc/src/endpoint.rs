@@ -53,14 +53,20 @@ use crate::link::{BackendKind, Delivered, FrameSink, LinkError, NetClock, Sessio
 use crate::mux::{CarrierReader, Turn};
 use crate::pool::{Job, Work, WorkerPool};
 use crate::reftable::{ExportTable, ImportTable};
-use crate::responder::{is_idempotent, serve_deferred, Responder, Served};
+use crate::responder::{dispatch_deferred, is_idempotent, Responder, Served, TouchFailure};
 use crate::rng::Xorshift64;
-use crate::wire::{FrameHeader, LeaseStamp, Message, Reply, Request, WireError};
+use crate::wire::{FrameHeader, LeaseStamp, Message, Reply, Request, Touches, WireError};
 
 /// How many touches [`Endpoint::defer`] queues before it stops deferring:
 /// the touch that fills the queue goes out at once, the others riding its
 /// header, and is waited for.
-pub const DEFER_LIMIT: usize = 128;
+///
+/// The bound caps memory and the size of one frame, nothing else: a touch
+/// is charged to the link when it is deferred, so where a queue is flushed
+/// moves no virtual second. 4 096 field accesses are ~57 KB of header; the
+/// worst case, 4 096 `Invoke`s of 8 arguments, ~364 KB, far below the
+/// 64 MiB a frame may be. A smaller bound only adds waited round trips.
+pub const DEFER_LIMIT: usize = 4_096;
 
 /// Process-wide source of endpoint (client) ids, carried in every request
 /// frame so the serving side can deduplicate retries per caller.
@@ -126,6 +132,25 @@ pub trait Dispatcher: Send + Sync {
     /// holds no carrier's read half, so it may wait, call the peer and
     /// re-enter an interpreter.
     fn dispatch(&self, request: Request) -> Result<Reply, String>;
+
+    /// Serves `touches` — what the peer deferred onto one frame — in order,
+    /// stopping at the first that fails. By default each is
+    /// [dispatched](Dispatcher::dispatch) on its own, an `Invoke` as a
+    /// deferred one ([`dispatch_deferred`](crate::dispatch_deferred)); a
+    /// dispatcher that can serve a run of touches more cheaply at once
+    /// overrides this, and must serve them to the same effect.
+    ///
+    /// # Errors
+    ///
+    /// The first touch that failed: how many were dispatched before it, and
+    /// its error prefixed `deferred {kind}: `.
+    fn dispatch_touches(&self, touches: &Touches) -> Result<(), TouchFailure> {
+        for (at, touch) in touches.iter().enumerate() {
+            let kind = touch.kind();
+            dispatch_deferred(self, touch).map_err(|e| TouchFailure::new(at, kind, e))?;
+        }
+        Ok(())
+    }
 }
 
 /// Retry discipline for [`Endpoint::call_with_retry`].
@@ -203,7 +228,7 @@ impl Default for EndpointConfig {
 
 /// What a blocked caller is handed: the peer's answer and the touches the
 /// peer deferred onto it, or why none came.
-type CallOutcome = Result<(Result<Reply, String>, Vec<Request>), RpcError>;
+type CallOutcome = Result<(Result<Reply, String>, Touches), RpcError>;
 
 struct SlotState {
     outcome: Option<CallOutcome>,
@@ -396,7 +421,7 @@ pub(crate) struct Shared {
     owed_writes: AtomicU64,
     /// Touches deferred for the peer ([`Endpoint::defer`]), oldest first,
     /// waiting for the next frame.
-    deferred: Mutex<Vec<Request>>,
+    deferred: Mutex<Touches>,
     /// Why deferring stopped, for good: a deferred touch failed (waited
     /// for, it would have ended the run), a frame carrying touches got no
     /// answer (whether the peer served them is unknown, so they must not be
@@ -411,18 +436,14 @@ impl Shared {
     }
 
     /// The deferred touches, for the frame about to go out.
-    fn take_deferred(&self) -> Vec<Request> {
+    fn take_deferred(&self) -> Touches {
         std::mem::take(&mut *self.deferred.lock())
     }
 
-    /// `touches` left for the peer and need not be owed any more: they were
-    /// answered, put on a reply (the peer's next frame follows their
-    /// service), or taken back.
-    fn settle_owed(&self, touches: &[Request]) {
-        let writes = touches
-            .iter()
-            .filter(|touch| matches!(touch, Request::PutSlot { .. }))
-            .count() as u64;
+    /// `writes` slot writes left for the peer and need not be owed any
+    /// more: they were answered, put on a reply (the peer's next frame
+    /// follows their service), or taken back.
+    fn settle_owed(&self, writes: u64) {
         if writes > 0 {
             self.owed_writes.fetch_sub(writes, Ordering::SeqCst);
         }
@@ -430,9 +451,9 @@ impl Shared {
 
     /// Puts `unserved` back at the front of the deferred touches: a frame
     /// carried them and they were not served.
-    fn put_back(&self, unserved: Vec<Request>) {
+    fn put_back(&self, unserved: Touches) {
         if !unserved.is_empty() {
-            self.deferred.lock().splice(0..0, unserved);
+            self.deferred.lock().prepend(unserved);
         }
     }
 
@@ -459,12 +480,14 @@ impl Shared {
 
     /// Serves the touches the peer deferred onto a reply, on the caller's
     /// thread, before the caller goes on with the reply.
-    fn serve_peers_touches(&self, touches: Vec<Request>) -> Result<(), RpcError> {
+    fn serve_peers_touches(&self, touches: &Touches) -> Result<(), RpcError> {
         if touches.is_empty() {
             return Ok(());
         }
         let served = touches.len() as u64;
-        serve_deferred(self.dispatcher.as_ref(), touches).map_err(|e| self.touch_failed(e))?;
+        self.dispatcher
+            .dispatch_touches(touches)
+            .map_err(|failure| self.touch_failed(failure.message))?;
         self.requests_served.fetch_add(served, Ordering::Relaxed);
         Ok(())
     }
@@ -588,9 +611,9 @@ impl Shared {
                     let deferred = if in_turn {
                         self.take_deferred()
                     } else {
-                        Vec::new()
+                        Touches::default()
                     };
-                    self.settle_owed(&deferred);
+                    self.settle_owed(deferred.slot_writes());
                     (self.lease_stamp(), deferred)
                 });
         self.account(served, touches)
@@ -1004,7 +1027,7 @@ impl Endpoint {
         }
         let full = {
             let mut deferred = self.shared.deferred.lock();
-            deferred.push(touch);
+            deferred.push(&touch);
             deferred.len() >= DEFER_LIMIT
         };
         self.shared.still_deferring()?;
@@ -1045,8 +1068,8 @@ impl Endpoint {
         // Stopped first: a touch queued after the take sees it.
         self.shared.stop(RpcError::Disconnected);
         let taken = self.shared.take_deferred();
-        self.shared.settle_owed(&taken);
-        taken
+        self.shared.settle_owed(taken.slot_writes());
+        taken.to_vec()
     }
 
     /// [`take_deferred`](Endpoint::take_deferred), unless one of the
@@ -1055,14 +1078,15 @@ impl Endpoint {
     /// stopped ([`RpcError::Disconnected`]) all the same.
     pub fn take_deferred_unless(&self, stays: impl Fn(&Request) -> bool) -> Option<Vec<Request>> {
         self.shared.stop(RpcError::Disconnected);
-        let taken = {
+        let (queued, taken) = {
             let mut deferred = self.shared.deferred.lock();
-            if deferred.iter().any(stays) {
+            let taken = deferred.to_vec();
+            if taken.iter().any(stays) {
                 return None;
             }
-            std::mem::take(&mut *deferred)
+            (std::mem::take(&mut *deferred), taken)
         };
-        self.shared.settle_owed(&taken);
+        self.shared.settle_owed(queued.slot_writes());
         Some(taken)
     }
 
@@ -1080,12 +1104,12 @@ impl Endpoint {
     ) -> Result<Reply, RpcError> {
         if let Err(e) = self.shared.still_deferring() {
             if flushing {
-                self.shared.put_back(vec![request]);
+                self.shared.put_back([&request].into_iter().collect());
             }
             return Err(e);
         }
         let touches = if is_idempotent(&request) {
-            Vec::new()
+            Touches::default()
         } else {
             self.shared.take_deferred()
         };
@@ -1113,7 +1137,7 @@ impl Endpoint {
         let unanswered = || {
             let mut unanswered = touches.clone();
             if let (true, Message::Request { body, .. }) = (flushing, &msg) {
-                unanswered.push(body.clone());
+                unanswered.push(body);
             }
             self.shared.put_back(unanswered);
         };
@@ -1232,9 +1256,10 @@ impl Endpoint {
         if let Ok(Reply::Busy { .. }) = result {
             unanswered();
         } else {
-            self.shared.settle_owed(&touches);
+            self.shared.settle_owed(touches.slot_writes());
             if let (true, Message::Request { body, .. }) = (flushing, &msg) {
-                self.shared.settle_owed(std::slice::from_ref(body));
+                let write = matches!(body, Request::PutSlot { .. });
+                self.shared.settle_owed(u64::from(write));
             }
         }
         // A Busy reply is an answer, not a loss: it never burns another
@@ -1246,7 +1271,7 @@ impl Endpoint {
             Ok(Reply::TouchFailed(error)) => Err(self.shared.touch_failed(error)),
             Ok(reply) => self
                 .shared
-                .serve_peers_touches(peers_touches)
+                .serve_peers_touches(&peers_touches)
                 .map(|()| reply),
             Err(msg) => Err(RpcError::Remote(msg)),
         };
@@ -1271,15 +1296,14 @@ impl Endpoint {
     fn charge(&self, crossing: Crossing) {
         let (Crossing::Calls { bytes, .. } | Crossing::Stream { bytes }) = crossing;
         self.simulated_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.clock.add(self.params.charge(crossing));
-        self.clock.note_round_trip();
+        self.clock.add_round_trip(self.params.charge(crossing));
     }
 
     /// Encodes `msg` — under the ambient span, which the frame carries as
     /// its wire trace context, with this endpoint's lease stamp and with
     /// `touches` — and sends it.
-    fn send_request(&self, msg: &Message, touches: &[Request]) -> Result<(), RpcError> {
-        let frame = msg.encode_deferring(self.shared.lease_stamp(), touches);
+    fn send_request(&self, msg: &Message, touches: &Touches) -> Result<(), RpcError> {
+        let frame = msg.encode_queued(self.shared.lease_stamp(), touches);
         Ok(self.session.send(frame)?)
     }
 
@@ -1317,7 +1341,7 @@ impl Endpoint {
         };
         let started = std::time::Instant::now();
         let outcome = self
-            .send_request(&ping, &[])
+            .send_request(&ping, &Touches::default())
             .and_then(|()| slot.wait(timeout, self.session.carrier_reader()));
         self.shared.forget(seq);
         outcome?.0.map_err(RpcError::Remote)?;
@@ -2458,14 +2482,22 @@ mod tests {
 
     #[test]
     fn the_touch_that_fills_the_queue_goes_at_once_with_the_rest() {
-        let (client, surrogate, ..) = recording_pair();
-        for id in 1..DEFER_LIMIT as u64 {
+        let (client, surrogate, _, at_surrogate) = recording_pair();
+        // Objects past 404, the one whose touch fails.
+        let last = 1_000 + DEFER_LIMIT as u64;
+        for id in 1_001..last {
             client.defer(touch(id)).unwrap();
         }
         assert_eq!(surrogate.requests_served(), 0);
-        client.defer(touch(DEFER_LIMIT as u64)).unwrap();
+        assert_eq!(client.traffic().frames_sent(), 0);
+        let charged = client.clock().round_trips();
+        client.defer(touch(last)).unwrap();
         assert_eq!(surrogate.requests_served(), DEFER_LIMIT as u64);
+        assert_eq!(at_surrogate.served.lock().len(), DEFER_LIMIT);
+        // One frame carried them all, and the flush charged nothing more
+        // than the touch that filled the queue.
         assert_eq!(client.traffic().frames_sent(), 1);
+        assert_eq!(client.clock().round_trips(), charged + 1);
         assert!(client.take_deferred().is_empty());
         client.shutdown();
         surrogate.shutdown();

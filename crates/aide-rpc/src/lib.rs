@@ -93,9 +93,11 @@ pub use reftable::{
     live_remote_refs, ExportTable, GcClock, ImportTable, ReleaseOutcome, ReleaseStats,
     DEFAULT_LEASE_TTL_MS,
 };
-pub use responder::{deferred_invoke_in_service, Responder, Served};
+pub use responder::{
+    deferred_invoke_in_service, dispatch_deferred, Responder, Served, TouchFailure,
+};
 pub use rng::Xorshift64;
 pub use tcp::{dial_raw, nudge, tcp_pair, TcpMuxListener};
 pub use wire::{
-    crc32, FrameHeader, LeaseStamp, Message, Reply, Request, WireError, PROTOCOL_VERSION,
+    crc32, FrameHeader, LeaseStamp, Message, Reply, Request, Touches, WireError, PROTOCOL_VERSION,
 };

@@ -46,8 +46,8 @@ pub enum BackendKind {
 /// application's completion time.
 #[derive(Debug, Default)]
 pub struct NetClock {
-    seconds: Mutex<f64>,
-    round_trips: Mutex<u64>,
+    /// Seconds and round trips, under one lock: every charge moves both.
+    tally: Mutex<(f64, u64)>,
 }
 
 impl NetClock {
@@ -56,24 +56,22 @@ impl NetClock {
         NetClock::default()
     }
 
-    /// Adds `seconds` of simulated link time.
-    pub fn add(&self, seconds: f64) {
-        *self.seconds.lock() += seconds;
-    }
-
-    /// Notes one completed round trip.
-    pub fn note_round_trip(&self) {
-        *self.round_trips.lock() += 1;
+    /// Notes one logical round trip that took `seconds` of simulated link
+    /// time.
+    pub fn add_round_trip(&self, seconds: f64) {
+        let mut tally = self.tally.lock();
+        tally.0 += seconds;
+        tally.1 += 1;
     }
 
     /// Total simulated communication seconds so far.
     pub fn seconds(&self) -> f64 {
-        *self.seconds.lock()
+        self.tally.lock().0
     }
 
     /// Total round trips so far.
     pub fn round_trips(&self) -> u64 {
-        *self.round_trips.lock()
+        self.tally.lock().1
     }
 }
 
@@ -674,11 +672,10 @@ mod tests {
     #[test]
     fn net_clock_accumulates() {
         let clock = NetClock::new();
-        clock.add(0.5);
-        clock.add(0.25);
-        clock.note_round_trip();
+        clock.add_round_trip(0.5);
+        clock.add_round_trip(0.25);
         assert!((clock.seconds() - 0.75).abs() < 1e-12);
-        assert_eq!(clock.round_trips(), 1);
+        assert_eq!(clock.round_trips(), 2);
     }
 
     /// Remembers what it was handed.

@@ -52,7 +52,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use aide_vm::{ObjectId, Vm};
+use aide_vm::{BuildIdHasher, ObjectId, Vm};
 
 /// Default lease TTL for exported references, in [`GcClock`] milliseconds.
 pub const DEFAULT_LEASE_TTL_MS: u64 = 30_000;
@@ -111,7 +111,7 @@ struct ExportEntry {
 
 #[derive(Debug, Default)]
 struct ExportInner {
-    entries: HashMap<ObjectId, ExportEntry>,
+    entries: HashMap<ObjectId, ExportEntry, BuildIdHasher>,
     /// Current local export epoch; bumped by failover so survivors of the
     /// old session become sweepable.
     epoch: u64,
@@ -503,7 +503,7 @@ struct ImportEntry {
 
 #[derive(Debug, Default)]
 struct ImportInner {
-    held: HashMap<ObjectId, ImportEntry>,
+    held: HashMap<ObjectId, ImportEntry, BuildIdHasher>,
     /// The lease epoch this side advertises on outgoing frames; bumped on
     /// failover and rollback so the old session's releases read as stale.
     epoch: u64,

@@ -2,7 +2,8 @@
 //! decodes a frame, renews leases from its header, and a worker of its pool
 //! hands the request to the endpoint's [`Responder`], which decides whether
 //! it executes at all (at-most-once), runs the touches the caller deferred
-//! onto the frame and then the request through the [`Dispatcher`] under an
+//! onto the frame ([`Dispatcher::dispatch_touches`], all in one go) and then
+//! the request through the [`Dispatcher`] under an
 //! `rpc.serve` span parented on the caller's wire context — a panic in
 //! there is the request's error reply — and encodes the stamped reply. It
 //! runs on a thread that holds no carrier's read half — a worker lets go of
@@ -18,7 +19,7 @@ use aide_vm::{ClassId, MethodId};
 use parking_lot::Mutex;
 
 use crate::endpoint::Dispatcher;
-use crate::wire::{FrameHeader, LeaseStamp, Message, Reply, Request};
+use crate::wire::{FrameHeader, LeaseStamp, Message, Reply, Request, Touches};
 
 /// At-most-once execution cache, keyed by `(client id, sequence number)`.
 ///
@@ -138,24 +139,39 @@ impl Drop for ServingInvoke {
     }
 }
 
-/// Serves `touches` — what a peer deferred onto a frame — through
-/// `dispatcher`, in order, stopping at the first that fails: the error
-/// names the touch's kind.
-pub(crate) fn serve_deferred(
-    dispatcher: &dyn Dispatcher,
-    touches: Vec<Request>,
-) -> Result<(), String> {
-    for touch in touches {
-        let kind = touch.kind();
-        let _serving = match touch {
-            Request::Invoke { class, method, .. } => Some(ServingInvoke::begin((class, method))),
-            _ => None,
-        };
-        dispatcher
-            .dispatch(touch)
-            .map_err(|e| format!("deferred {kind}: {e}"))?;
+/// Dispatches `touch` — one a peer deferred onto a frame — through
+/// `dispatcher`; an `Invoke` is served as one
+/// ([`deferred_invoke_in_service`] names it meanwhile).
+pub fn dispatch_deferred<D: Dispatcher + ?Sized>(
+    dispatcher: &D,
+    touch: Request,
+) -> Result<Reply, String> {
+    let _serving = match touch {
+        Request::Invoke { class, method, .. } => Some(ServingInvoke::begin((class, method))),
+        _ => None,
+    };
+    dispatcher.dispatch(touch)
+}
+
+/// The touch of a frame that failed: its place among the frame's touches
+/// and the error the frame's sender gets, which names the touch's kind.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TouchFailure {
+    /// How many of the frame's touches were dispatched before this one.
+    pub at: usize,
+    /// `deferred {kind}: {error}`.
+    pub message: String,
+}
+
+impl TouchFailure {
+    /// The failure of the frame's `at`-th touch, of kind `kind`, with
+    /// `error`.
+    pub fn new(at: usize, kind: &str, error: impl std::fmt::Display) -> TouchFailure {
+        TouchFailure {
+            at,
+            message: format!("deferred {kind}: {error}"),
+        }
     }
-    Ok(())
 }
 
 /// Serves decoded requests with at-most-once semantics. One per stream
@@ -188,7 +204,7 @@ impl Responder {
         client: u64,
         seq: u64,
         body: Request,
-        outgoing: impl FnOnce() -> (Option<LeaseStamp>, Vec<Request>),
+        outgoing: impl FnOnce() -> (Option<LeaseStamp>, Touches),
     ) -> Served {
         let FrameHeader {
             trace, deferred, ..
@@ -221,14 +237,14 @@ impl Responder {
         // A dispatcher that panics fails this request, not the worker, nor
         // the other sessions the worker serves.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            match serve_deferred(dispatcher, deferred) {
+            match dispatcher.dispatch_touches(&deferred) {
                 Ok(()) => dispatcher.dispatch(body),
-                Err(failure) => Ok(Reply::TouchFailed(failure)),
+                Err(failure) => Ok(Reply::TouchFailed(failure.message)),
             }
         }))
         .unwrap_or_else(|_| Err(format!("{kind} panicked")));
         let (lease, touches) = outgoing();
-        let frame = Message::Reply { seq, result }.encode_deferring(lease, &touches);
+        let frame = Message::Reply { seq, result }.encode_queued(lease, &touches);
         drop(span);
         if dedupable {
             self.dedup.complete(key, frame.clone());
@@ -277,8 +293,8 @@ mod tests {
     }
 
     /// Nothing on the reply's header: no stamp, no touches.
-    fn unstamped() -> (Option<LeaseStamp>, Vec<Request>) {
-        (None, Vec::new())
+    fn unstamped() -> (Option<LeaseStamp>, Touches) {
+        (None, Touches::default())
     }
 
     fn executed(served: Served) -> Vec<u8> {
@@ -430,10 +446,11 @@ mod tests {
         };
         let respond = |seq, deferred: Vec<Request>, outgoing: Vec<Request>| {
             let header = FrameHeader {
-                deferred,
+                deferred: deferred.iter().collect(),
                 ..FrameHeader::default()
             };
             let body = class_of.clone();
+            let outgoing = outgoing.iter().collect();
             responder.respond(&dispatcher, header, 7, seq, body, || (None, outgoing))
         };
         let back = Request::Native {
@@ -450,7 +467,7 @@ mod tests {
         );
         // What the serving side deferred meanwhile rides the reply.
         let (header, _) = Message::decode_framed(&reply).unwrap();
-        assert_eq!(header.deferred, [back]);
+        assert_eq!(header.deferred.to_vec(), [back]);
         // A duplicate of the frame runs none of it again.
         match respond(1, vec![write(4), write(8)], Vec::new()) {
             Served::Replayed(again) => assert_eq!(again, reply),
@@ -487,7 +504,7 @@ mod tests {
                 epoch: runs + 40,
                 writes: runs + 100,
             };
-            (Some(stamp), Vec::new())
+            (Some(stamp), Touches::default())
         };
         let respond =
             |seq| responder.respond(&dispatcher, FrameHeader::default(), 7, seq, write(0), stamp);

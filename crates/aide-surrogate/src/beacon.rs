@@ -10,9 +10,10 @@
 //! the fallback when no beacon is reachable at all.
 
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use crate::daemon::Stop;
 
 /// Protocol magic leading every announcement datagram; bump on any wire
 /// change.
@@ -75,7 +76,8 @@ pub fn decode_announcement(payload: &[u8]) -> Option<Announcement> {
 }
 
 /// Spawns the daemon-side announcer thread: sends `announcement` to
-/// `config.target` every `config.interval` until `stop` is set.
+/// `config.target` every `config.interval` until `stop` is set, which wakes
+/// it.
 ///
 /// Send errors are ignored — a beacon is best-effort by design; the
 /// static-registration path covers segments where UDP never arrives.
@@ -86,16 +88,16 @@ pub fn decode_announcement(payload: &[u8]) -> Option<Announcement> {
 pub(crate) fn spawn_announcer(
     announcement: Announcement,
     config: BeaconConfig,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
 ) -> std::io::Result<std::thread::JoinHandle<()>> {
     let socket = UdpSocket::bind(("0.0.0.0", 0))?;
     let payload = encode_announcement(&announcement);
     std::thread::Builder::new()
         .name("aide-beacon".into())
         .spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
+            while !stop.is_stopped() {
                 let _ = socket.send_to(&payload, config.target);
-                std::thread::sleep(config.interval);
+                stop.sleep(config.interval);
             }
         })
 }
@@ -167,7 +169,7 @@ mod tests {
         let target = probe.local_addr().unwrap();
         drop(probe);
 
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Stop::default());
         let announcement = Announcement {
             name: "s1".to_string(),
             port: 4242,
@@ -184,7 +186,7 @@ mod tests {
         .unwrap();
 
         let heard = listen_for_announcements(target, Duration::from_millis(400)).unwrap();
-        stop.store(true, Ordering::SeqCst);
+        stop.stop();
         handle.join().unwrap();
 
         assert!(

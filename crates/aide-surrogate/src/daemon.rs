@@ -27,8 +27,8 @@
 //! the client's session in [`aide_rpc::chaos_wrap`] for those.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -139,11 +139,45 @@ impl Dispatcher for FaultInjector {
     }
 }
 
+/// The daemon's stop flag, which its periodic threads sleep on: setting it
+/// wakes them at once, so a shutdown never waits out their interval.
+#[derive(Debug, Default)]
+pub(crate) struct Stop {
+    stopped: std::sync::Mutex<bool>,
+    wake: Condvar,
+}
+
+impl Stop {
+    /// Sets the flag and wakes every sleeper; whether it was set already.
+    pub(crate) fn stop(&self) -> bool {
+        let mut stopped = self.stopped.lock().unwrap_or_else(PoisonError::into_inner);
+        let already = std::mem::replace(&mut *stopped, true);
+        self.wake.notify_all();
+        already
+    }
+
+    /// Whether the flag is set.
+    pub(crate) fn is_stopped(&self) -> bool {
+        *self.stopped.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Sleeps for `interval`, or less if the flag is set meanwhile; whether
+    /// it is set.
+    pub(crate) fn sleep(&self, interval: Duration) -> bool {
+        let stopped = self.stopped.lock().unwrap_or_else(PoisonError::into_inner);
+        let (stopped, _) = self
+            .wake
+            .wait_timeout_while(stopped, interval, |stopped| !*stopped)
+            .unwrap_or_else(PoisonError::into_inner);
+        *stopped
+    }
+}
+
 /// A running surrogate daemon; dropping the handle does *not* stop it —
 /// call [`shutdown`](SurrogateDaemon::shutdown).
 pub struct SurrogateDaemon {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
     beacon_thread: Mutex<Option<JoinHandle<()>>>,
     sweep_thread: Mutex<Option<JoinHandle<()>>>,
@@ -162,7 +196,7 @@ impl SurrogateDaemon {
     pub fn start(config: DaemonConfig) -> std::io::Result<SurrogateDaemon> {
         let listener = TcpMuxListener::bind(config.addr)?;
         let addr = listener.local_addr();
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Stop::default());
 
         let beacon_thread = match &config.beacon {
             Some(beacon) => Some(spawn_announcer(
@@ -196,7 +230,7 @@ impl SurrogateDaemon {
                     let mut next_conn: u64 = 1;
                     loop {
                         let conn = match listener.accept() {
-                            _ if stop.load(Ordering::SeqCst) => break,
+                            _ if stop.is_stopped() => break,
                             Ok(conn) => conn,
                             Err(_) => continue, // a broken accept hurts no one else
                         };
@@ -218,8 +252,7 @@ impl SurrogateDaemon {
                 .name("aide-surrogate-gc".into())
                 .spawn(move || {
                     let mut last = std::time::Instant::now();
-                    while !stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(sweep_interval);
+                    while !stop.sleep(sweep_interval) {
                         let elapsed = u64::try_from(last.elapsed().as_millis()).unwrap_or(u64::MAX);
                         last = std::time::Instant::now();
                         for gc in pool.gc_handles() {
@@ -280,7 +313,7 @@ impl SurrogateDaemon {
     /// Stops accepting, tears down every live session, and joins the
     /// daemon's threads.
     pub fn shutdown(&self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
+        if self.stop.stop() {
             return;
         }
         // Unblock the accept loop with a throwaway connection.
@@ -330,13 +363,39 @@ mod tests {
     use aide_vm::{MethodDef, MethodId, ProgramBuilder};
     use std::time::Instant;
 
-    #[test]
-    fn a_finished_session_releases_its_vm_before_shutdown() {
+    fn empty_program() -> Arc<Program> {
         let mut b = ProgramBuilder::new();
         let main = b.add_native_class("Main");
         b.add_method(main, MethodDef::new("main", Vec::new()));
-        let program = Arc::new(b.build(main, MethodId(0), 0, 0).unwrap());
-        let daemon = SurrogateDaemon::start(DaemonConfig::new("release", program)).unwrap();
+        Arc::new(b.build(main, MethodId(0), 0, 0).unwrap())
+    }
+
+    #[test]
+    fn shutdown_wakes_the_sweeper_and_the_beacon_instead_of_waiting_them_out() {
+        let hour = Duration::from_secs(3600);
+        let mut config = DaemonConfig::new("prompt", empty_program());
+        config.lease_sweep_interval = hour;
+        let listener = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        config.beacon = Some(BeaconConfig {
+            target: listener.local_addr().unwrap(),
+            interval: hour,
+        });
+        let daemon = SurrogateDaemon::start(config).unwrap();
+        // Both threads are asleep in their first interval by now.
+        std::thread::sleep(Duration::from_millis(50));
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            daemon.shutdown();
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("shutdown waited out an hour-long interval");
+    }
+
+    #[test]
+    fn a_finished_session_releases_its_vm_before_shutdown() {
+        let daemon = SurrogateDaemon::start(DaemonConfig::new("release", empty_program())).unwrap();
 
         let carrier = MuxConn::connect(daemon.local_addr(), Duration::from_secs(2)).unwrap();
         let sessions: Vec<_> = (0..8)

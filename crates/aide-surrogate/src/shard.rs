@@ -24,7 +24,7 @@ use aide_core::VmDispatcher;
 use aide_graph::CommParams;
 use aide_rpc::{
     ConnKiller, Delivered, Dispatcher, Endpoint, EndpointConfig, MuxConn, NetClock, Reply, Request,
-    Session, WorkerPool,
+    Session, TouchFailure, Touches, WorkerPool,
 };
 use parking_lot::Mutex;
 
@@ -351,6 +351,23 @@ struct WithFleetStats {
 }
 
 impl Dispatcher for WithFleetStats {
+    /// The session's own batch, counted once: every touch it dispatched,
+    /// the one that failed included.
+    fn dispatch_touches(&self, touches: &Touches) -> Result<(), TouchFailure> {
+        let shared = self.pool.upgrade();
+        let served = self.session.dispatch_touches(touches);
+        if let Some(shared) = &shared {
+            let dispatched = match &served {
+                Ok(()) => touches.len(),
+                Err(failure) => failure.at + 1,
+            };
+            shared
+                .served
+                .fetch_add(dispatched as u64, Ordering::Relaxed);
+        }
+        served
+    }
+
     fn dispatch(&self, request: Request) -> Result<Reply, String> {
         let shared = self.pool.upgrade();
         if let Some(shared) = &shared {
@@ -887,6 +904,8 @@ mod tests {
         };
         assert!(error.starts_with("deferred FieldAccess"), "{error}");
         assert_eq!(log.lock()[3..], ["FieldAccess"]);
+        // The pool counts the touch that failed, and nothing after it.
+        assert_eq!(pool.requests_served(), 4);
         pool.shutdown();
     }
 }

@@ -40,6 +40,37 @@ impl fmt::Display for MethodId {
     }
 }
 
+/// Hashes a map key that is one `u64` — an [`ObjectId`], or an index the
+/// map's owner mints itself — with one multiply and a fold. Such keys are
+/// minted by the two VMs of a run, densely (a heap refuses a peer's id far
+/// beyond the ids it has held), so SipHash's resistance to crafted keys
+/// buys nothing on them. Maps take it as [`BuildIdHasher`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("id keys hash through write_u64")
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        // The map takes its bucket from the low bits and its tag from the
+        // high ones; the product's high half is the well-mixed one, so fold
+        // it down.
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// The [`std::hash::BuildHasher`] of maps keyed by ids: [`IdHasher`].
+pub type BuildIdHasher = std::hash::BuildHasherDefault<IdHasher>;
+
 /// A heap object identity, unique for the lifetime of a machine.
 ///
 /// Object ids are never reused, so a dangling id can be detected rather than

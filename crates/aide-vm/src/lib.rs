@@ -70,7 +70,7 @@ pub use hooks::{
     CountingHooks, HookChain, Interaction, InteractionKind, NullHooks, PendingEvent, PendingEvents,
     RuntimeHooks,
 };
-pub use ids::{ClassId, MethodId, ObjectId, Reg};
+pub use ids::{BuildIdHasher, ClassId, IdHasher, MethodId, ObjectId, Reg};
 pub use machine::{
     CostModel, ExternalRootAudit, Machine, RemoteAccess, RunSummary, SlotWrites, Vm, VmConfig,
     VmKind,

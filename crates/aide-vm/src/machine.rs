@@ -617,12 +617,14 @@ impl Vm {
         Ok(self.heap.get(target)?.class)
     }
 
-    /// The program compiled to flat IR, compiling on first use.
+    /// The program compiled to flat IR — shared with the other VMs running
+    /// the same [`Program`] — with this VM's cost of each op worked out on
+    /// first use.
     pub fn flat_program(&mut self) -> Arc<FlatProgram> {
         if let Some(f) = &self.flat {
             return f.clone();
         }
-        let f = Arc::new(FlatProgram::compile(&self.program));
+        let f = self.program.flat();
         let speed = self.config.speed_factor;
         let native_base = self.config.cost.native_base_micros;
         self.op_seconds = f
@@ -956,11 +958,6 @@ impl Machine {
         self.max_depth = depth;
     }
 
-    /// Whether monitoring cost should be charged for hook events.
-    fn monitor_cost(&self) -> f64 {
-        self.vm.lock().config.cost.monitor_event_micros
-    }
-
     /// Runs the program's entry method to completion on this VM.
     ///
     /// # Errors
@@ -1054,17 +1051,6 @@ impl Machine {
         value: Option<ObjectId>,
     ) -> VmResult<()> {
         self.vm.lock().put_slot_on(target, slot, value)
-    }
-
-    /// Executes a native locally on behalf of a peer (the client serving a
-    /// surrogate's client-bound native call).
-    pub fn native_on(&self, work_micros: u32) {
-        self.vm.lock().native_on(work_micros);
-    }
-
-    /// Serves a static-data access on behalf of a peer.
-    pub fn static_access_on(&self, class: ClassId, bytes: u32, write: bool) {
-        self.vm.lock().static_access_on(class, bytes, write);
     }
 
     /// The class of a local object, for peers resolving references.
@@ -1187,24 +1173,26 @@ impl Machine {
     }
 
     fn charge_monitor_event(&self) {
-        let cost = self.monitor_cost();
+        let mut vm = self.vm.lock();
+        let cost = vm.config.cost.monitor_event_micros;
         if cost > 0.0 {
-            let mut vm = self.vm.lock();
             vm.charge_hook_micros(cost);
         }
     }
 
     fn class_of(&self, id: ObjectId) -> VmResult<ClassId> {
-        {
-            let vm = self.vm.lock();
-            if let Ok(rec) = vm.heap.get(id) {
-                return Ok(rec.class);
-            }
+        match self.local_class_of(id) {
+            Some(class) => Ok(class),
+            None => match self.remote() {
+                Some(r) => r.class_of(id),
+                None => Err(VmError::DanglingReference(id)),
+            },
         }
-        match self.remote() {
-            Some(r) => r.class_of(id),
-            None => Err(VmError::DanglingReference(id)),
-        }
+    }
+
+    /// The class of `id` if it lives in this VM's heap.
+    fn local_class_of(&self, id: ObjectId) -> Option<ClassId> {
+        self.vm.lock().heap.get(id).ok().map(|rec| rec.class)
     }
 
     fn record_interaction(
@@ -1396,7 +1384,11 @@ impl Machine {
                     bytes,
                     write,
                 } => {
-                    let callee = self.class_of(target)?;
+                    let remote = self.remote().ok_or(VmError::DanglingReference(target))?;
+                    let callee = match self.local_class_of(target) {
+                        Some(class) => class,
+                        None => remote.class_of(target)?,
+                    };
                     self.record_interaction(
                         caller,
                         callee,
@@ -1405,7 +1397,6 @@ impl Machine {
                         bytes as u64,
                         true,
                     );
-                    let remote = self.remote().ok_or(VmError::DanglingReference(target))?;
                     remote.field_access(target, bytes, write)?;
                 }
                 Exit::SlotGet { target, slot, dst } => {

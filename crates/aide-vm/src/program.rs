@@ -7,11 +7,14 @@
 //! the property plain Rust code cannot offer, because statically compiled
 //! field accesses cannot be intercepted or redirected at run time.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock, Weak};
+
+use parking_lot::Mutex;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::{VmError, VmResult};
+use crate::flat::FlatProgram;
 use crate::ids::{ClassId, MethodId, Reg};
 use crate::natives::NativeKind;
 
@@ -284,9 +287,26 @@ pub struct Program {
     /// once, on first use.
     #[serde(skip)]
     closures: OnceLock<Vec<Vec<CallClosure>>>,
+    /// The program compiled to flat IR, shared by the VMs that run it.
+    #[serde(skip)]
+    flat: FlatCache,
 }
 
-/// The closures follow from the classes.
+/// The flat IR of a [`Program`] while some VM holds it: compiled once for
+/// every VM that runs the program at the same time, and freed with the
+/// last of them, so a process holding many programs keeps only the IR of
+/// those running (kept for good, the IR of five applications run one after
+/// another raised a run's peak RSS 6 %).
+#[derive(Debug, Default)]
+struct FlatCache(Mutex<Weak<FlatProgram>>);
+
+impl Clone for FlatCache {
+    fn clone(&self) -> Self {
+        FlatCache(Mutex::new(self.0.lock().clone()))
+    }
+}
+
+/// The closures and the flat IR follow from the classes.
 impl PartialEq for Program {
     fn eq(&self, other: &Self) -> bool {
         self.classes == other.classes && self.entry == other.entry
@@ -308,6 +328,7 @@ impl Program {
             classes,
             entry,
             closures: OnceLock::new(),
+            flat: FlatCache::default(),
         };
         p.validate()?;
         Ok(p)
@@ -357,6 +378,18 @@ impl Program {
             .iter()
             .position(|c| c.name == name)
             .map(|i| ClassId(i as u32))
+    }
+
+    /// The program compiled to flat IR: the IR a VM running it holds, or
+    /// compiled now.
+    pub(crate) fn flat(&self) -> Arc<FlatProgram> {
+        let mut cached = self.flat.0.lock();
+        if let Some(flat) = cached.upgrade() {
+            return flat;
+        }
+        let flat = Arc::new(FlatProgram::compile(self));
+        *cached = Arc::downgrade(&flat);
+        flat
     }
 
     /// What running `method` of `class` may do ([`CallClosure`]); `None`

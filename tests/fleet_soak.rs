@@ -320,10 +320,25 @@ fn run_seed(seed: u64) {
     done.store(true, Ordering::SeqCst);
     watcher.join().unwrap();
 
+    let mut on_d1 = 0;
     for (client, handle) in handles.into_iter().enumerate() {
         let report = handle.join().expect("client thread");
         assert_session_ok(&format!("client {client}"), seed, &report);
+        // d1's crash is a count of requests served: a client that used d1
+        // must have seen it, or the rig no longer crashes where it meant to.
+        let failover = report.failover.as_ref().expect("provider-backed run");
+        if failover.surrogates_used.iter().any(|name| name == "d1") {
+            on_d1 += 1;
+            assert!(
+                failover.failovers >= 1,
+                "seed {seed}: client {client} used d1 and never failed over: {failover:?}"
+            );
+        }
     }
+    assert!(
+        on_d1 >= 1,
+        "seed {seed}: no client used d1, so its crash went untested"
+    );
     assert_session_ok("relay client", seed, &relay_report);
 
     // Relay accounting: at least one migration parked (the registry was
