@@ -640,18 +640,25 @@ impl ReadTurn<'_> {
     /// A worker that has just replied reads and routes frames until one is
     /// a job its pool hands to it ([`Delivered::Claimed`]).
     /// It steps aside, as the thread does, once it has delivered a reply to
-    /// a blocked caller, who reads for itself when it calls again; and it
-    /// leaves the carrier to its thread after [`HANDOVER`] without either,
-    /// or when the carrier dies.
-    pub(crate) fn lead(&mut self) {
+    /// a blocked caller, who reads for itself when it calls again; it
+    /// leaves the carrier to its thread once a frame it routed finds it
+    /// `done` (its pool closed: the frame was the peer's `Shutdown` or
+    /// `CLOSE` that ended its endpoint, or came after its endpoint's own
+    /// drain), after [`HANDOVER`] without any of these, or when the carrier
+    /// dies. `true` when it waited out [`HANDOVER`].
+    pub(crate) fn lead(&mut self, done: impl Fn() -> bool) -> bool {
         let deadline = Instant::now() + HANDOVER;
         loop {
             match self.step(deadline) {
-                Step::Routed(Delivered::Claimed | Delivered::Reply) => return,
-                Step::Routed(_) => {}
-                Step::TimedOut | Step::Gone => {
+                Step::Routed(Delivered::Claimed | Delivered::Reply) => return false,
+                Step::Routed(_) if !done() => {}
+                Step::Routed(_) | Step::Gone => {
                     self.idle = true;
-                    return;
+                    return false;
+                }
+                Step::TimedOut => {
+                    self.idle = true;
+                    return true;
                 }
             }
         }

@@ -90,6 +90,7 @@ pub struct WorkerPool {
     lane: aide_trace::Lane,
     served_where_read: AtomicU64,
     stalled_leads: AtomicU64,
+    closed_leads_waited_out: AtomicU64,
     workers_spawned: AtomicU64,
 }
 
@@ -105,6 +106,7 @@ impl WorkerPool {
             lane,
             served_where_read: AtomicU64::new(0),
             stalled_leads: AtomicU64::new(0),
+            closed_leads_waited_out: AtomicU64::new(0),
             workers_spawned: AtomicU64::new(0),
         })
     }
@@ -158,6 +160,16 @@ impl WorkerPool {
     /// such lead holds leading off while carriers take turns.
     pub fn stalled_leads(&self) -> u64 {
         self.stalled_leads.load(Ordering::Relaxed)
+    }
+
+    /// Leads that read on after the pool closed until their handover ran
+    /// out, each keeping a `join` waiting for its socket's receive timeout.
+    /// A lead ends at the first frame it routes once the pool has closed
+    /// (the peer's `Shutdown` or `CLOSE` that closed it, or any frame after
+    /// the endpoint's own drain), so this counts only pools closed while
+    /// a lead read and no frame came.
+    pub fn closed_leads_waited_out(&self) -> u64 {
+        self.closed_leads_waited_out.load(Ordering::Relaxed)
     }
 
     /// Stops the pool: each worker finishes what is queued, then exits, and
@@ -315,8 +327,11 @@ impl WorkerPool {
         state.parked.remove(at);
         state.leading = Some(key);
         drop(state);
-        turn.lead();
+        let waited_out = turn.lead(|| self.state.lock().closed);
         let mut state = self.state.lock();
+        if waited_out && state.closed {
+            self.closed_leads_waited_out.fetch_add(1, Ordering::Relaxed);
+        }
         state.leading = None;
         let next = match state.claimed.take() {
             Some(claimed) => {

@@ -512,3 +512,25 @@ fn a_span_served_on_a_reader_carries_the_endpoints_track_and_is_stored_by_join()
         wind_down(&[&client]);
     }
 }
+
+/// A pair's teardown does not wait out a lead. The worker that served the
+/// last call leads its carrier until a job comes; the caller's `Shutdown`
+/// is the next frame it routes, and that frame closes its endpoint and its
+/// pool, so it leaves the carrier to its thread instead of reading on until
+/// the socket's receive timeout — a timer tick, which the endpoint's `join`
+/// would wait out. Counted, not timed.
+#[test]
+fn a_lead_ends_at_the_frame_that_closes_its_pool() {
+    const RUNS: u64 = 20;
+    let mut waited_out = 0;
+    for _ in 0..RUNS {
+        let wire = Wire::Pair(Mutex::default());
+        let (cs, ss) = wire.pair();
+        let server = start(ss, Arc::new(Vmish::default()), config());
+        let client = start(cs, Arc::new(Vmish::default()), config());
+        assert!(client.call(access(8, false)).is_ok());
+        wind_down(&[&client, &server]);
+        waited_out += server.pool().closed_leads_waited_out();
+    }
+    assert_eq!(waited_out, 0, "teardowns that waited out a lead");
+}

@@ -14,12 +14,15 @@
 //! * call sites are pre-resolved to dense flat-method indices (a
 //!   [`CallSite`] side table) and their argument registers live in one
 //!   shared arena;
+//! * a dynamic call that passes no argument registers to a method compiled
+//!   as `[Work, Return]` is lowered to [`FlatOp::CallLeaf`], which carries
+//!   the callee's `Work`, so the interpreter runs the callee in place;
 //! * class and method names are interned into a [`Sym`] string table;
 //! * each op that performs the local-vs-remote reference check
-//!   ([`FlatOp::Call`], [`FlatOp::Read`], [`FlatOp::Write`]) is assigned a
-//!   dense *inline-cache site id* indexing the VM's per-site cache of
-//!   `(object, class, locality-epoch)` — a monomorphic site's check becomes
-//!   a single compare-and-branch.
+//!   ([`FlatOp::Call`], [`FlatOp::CallLeaf`], [`FlatOp::Read`],
+//!   [`FlatOp::Write`]) is assigned a dense *inline-cache site id*
+//!   indexing the VM's per-site cache of `(object, class, locality-epoch)`
+//!   — a monomorphic site's check becomes a single compare-and-branch.
 //!
 //! A site's interaction is fixed but for its target: code is compiled per
 //! `(class, method)`, so the caller class, the kind and the payload bytes
@@ -84,6 +87,15 @@ pub enum FlatOp {
     Call {
         /// Index into the call-site table.
         call: u32,
+    },
+    /// A [`FlatOp::Call`] whose callee's whole body is one `Work { micros }`
+    /// and which passes no argument registers: the interpreter runs the
+    /// callee in place, without a frame (see [`FlatProgram::compile`]).
+    CallLeaf {
+        /// Index into the call-site table.
+        call: u32,
+        /// The callee's `Work`, in microseconds of client-speed CPU time.
+        micros: u32,
     },
     /// Invoke a static method through [`CallSite`] `call`.
     CallStatic {
@@ -211,8 +223,6 @@ pub struct CallSite {
     pub ret_bytes: u32,
     /// Register holding the receiver (unused for static calls).
     pub obj: u8,
-    /// `true` for `CallStatic` sites (no receiver, no locality check).
-    pub is_static: bool,
 }
 
 /// One compiled method: a contiguous `[code_start, code_end)` range of the
@@ -320,7 +330,6 @@ impl Lowerer<'_> {
             arg_bytes,
             ret_bytes,
             obj: obj.map_or(0, |r| r.0),
-            is_static: obj.is_none(),
         });
         idx
     }
@@ -454,6 +463,13 @@ impl FlatProgram {
     /// whose callee cannot be resolved (possible only for programs that
     /// bypassed validation) compile to [`UNRESOLVED`] targets that
     /// reproduce the lazy lookup error when executed.
+    ///
+    /// Once every method is compiled, each dynamic [`FlatOp::Call`] that
+    /// passes no argument registers to a method compiled as exactly
+    /// `[Work, Return]` becomes a [`FlatOp::CallLeaf`]; a call with
+    /// arguments, a static call, an unresolved one and a call to any other
+    /// body stay as they are. The callee keeps its code: a run that must
+    /// stop at every `Work` enters it through a frame.
     pub fn compile(program: &Program) -> FlatProgram {
         let classes = program.classes();
         let mut interner = Interner::default();
@@ -491,6 +507,21 @@ impl FlatProgram {
                     code_start,
                     code_end: lo.code.len() as u32,
                 });
+            }
+        }
+        for ip in 0..lo.code.len() {
+            let FlatOp::Call { call } = lo.code[ip] else {
+                continue;
+            };
+            let cs = &lo.calls[call as usize];
+            if cs.args_len != 0 || cs.target == UNRESOLVED {
+                continue;
+            }
+            let m = &methods[cs.target as usize];
+            if let [FlatOp::Work { micros }, FlatOp::Return] =
+                lo.code[m.code_start as usize..m.code_end as usize]
+            {
+                lo.code[ip] = FlatOp::CallLeaf { call, micros };
             }
         }
         FlatProgram {
@@ -538,7 +569,7 @@ impl FlatProgram {
     /// # Panics
     ///
     /// Panics if `call` is out of range (indices come from
-    /// [`FlatOp::Call`]/[`FlatOp::CallStatic`] operands).
+    /// [`FlatOp::Call`]/[`FlatOp::CallLeaf`]/[`FlatOp::CallStatic`] operands).
     #[inline]
     pub fn call(&self, call: u32) -> &CallSite {
         &self.calls[call as usize]
@@ -590,7 +621,7 @@ impl FlatProgram {
     pub fn site_interaction(&self, site: u32, target: ObjectId, callee: ClassId) -> Interaction {
         let s = self.sites[site as usize];
         let (kind, bytes) = match self.code[s.ip as usize] {
-            FlatOp::Call { call } => {
+            FlatOp::Call { call } | FlatOp::CallLeaf { call, .. } => {
                 let cs = &self.calls[call as usize];
                 (
                     InteractionKind::Invocation,
@@ -735,7 +766,6 @@ mod tests {
         assert_ne!(cs.target, UNRESOLVED);
         assert_eq!(cs.arg_bytes, 4);
         assert_eq!(cs.ret_bytes, 4);
-        assert!(!cs.is_static);
         assert_eq!(flat.call_args(0), &[0]);
     }
 
@@ -845,6 +875,8 @@ mod tests {
         let hacked: Program = serde_json::from_value(json).unwrap();
         let flat = FlatProgram::compile(&hacked);
         assert_eq!(flat.call(0).target, UNRESOLVED);
+        // Not a leaf call, although it takes no argument.
+        assert_eq!(flat.code()[0], FlatOp::Call { call: 0 });
     }
 
     #[test]
@@ -856,5 +888,124 @@ mod tests {
         // One line per op plus one header per method.
         let lines = dis.lines().count();
         assert_eq!(lines, flat.op_count() + flat.method_count());
+    }
+
+    /// `Main::main` calls each method of `Leaf` from one register: a
+    /// one-`Work` method (without and with arguments), a two-op body, an
+    /// empty body, a static one-`Work` method, and last in the code stream
+    /// an empty and a one-`Work` method.
+    fn leaf_program() -> Program {
+        let mut b = ProgramBuilder::new();
+        let main = b.add_class("Main");
+        let leaf = b.add_class("Leaf");
+        let work = |micros| Op::Work { micros };
+        let bodies = [
+            ("leaf", vec![work(5)], false),
+            ("two", vec![work(5), work(6)], false),
+            ("empty", vec![], false),
+            ("fixed", vec![work(7)], true),
+            ("last_empty", vec![], false),
+            ("last", vec![work(9)], false),
+        ];
+        let mut body = vec![Op::New {
+            class: leaf,
+            scalar_bytes: 8,
+            ref_slots: 0,
+            dst: Reg(0),
+        }];
+        for (name, ops, is_static) in bodies {
+            let def = if is_static {
+                MethodDef::new_static(name, ops)
+            } else {
+                MethodDef::new(name, ops)
+            };
+            let method = b.add_method(leaf, def);
+            let call = |args: Vec<Reg>| {
+                if is_static {
+                    Op::CallStatic {
+                        class: leaf,
+                        method,
+                        arg_bytes: 0,
+                        ret_bytes: 0,
+                        args,
+                    }
+                } else {
+                    Op::Call {
+                        obj: Reg(0),
+                        class: leaf,
+                        method,
+                        arg_bytes: 2,
+                        ret_bytes: 3,
+                        args,
+                    }
+                }
+            };
+            body.push(call(vec![]));
+            if name == "leaf" {
+                body.push(call(vec![Reg(0)]));
+            }
+        }
+        b.add_method(main, MethodDef::new("main", body));
+        b.build(main, MethodId(0), 64, 0).unwrap()
+    }
+
+    /// The call ops of `Main::main`, in order.
+    fn main_calls(flat: &FlatProgram) -> Vec<FlatOp> {
+        let main = flat.method(flat.method_entry(ClassId(0), MethodId(0)).unwrap());
+        flat.code()[main.code_start as usize + 1..main.code_end as usize - 1].to_vec()
+    }
+
+    #[test]
+    fn a_call_without_arguments_to_a_one_work_method_runs_in_place() {
+        let flat = FlatProgram::compile(&leaf_program());
+        let calls = main_calls(&flat);
+        assert_eq!(calls.len(), 7, "{calls:?}");
+        // leaf(), leaf(r0), two(), empty(), fixed(), last_empty(), last()
+        assert_eq!(calls[0], FlatOp::CallLeaf { call: 0, micros: 5 });
+        assert_eq!(calls[1], FlatOp::Call { call: 1 });
+        assert_eq!(calls[2], FlatOp::Call { call: 2 });
+        assert_eq!(calls[3], FlatOp::Call { call: 3 });
+        assert_eq!(calls[4], FlatOp::CallStatic { call: 4 });
+        assert_eq!(calls[5], FlatOp::Call { call: 5 });
+        assert_eq!(calls[6], FlatOp::CallLeaf { call: 6, micros: 9 });
+        // The callees keep their code, for a run that enters them framed.
+        let leaf = flat.method(flat.call(0).target);
+        assert_eq!(
+            flat.code()[leaf.code_start as usize..leaf.code_end as usize],
+            [FlatOp::Work { micros: 5 }, FlatOp::Return]
+        );
+        // The last method in the stream is the leaf the last call names.
+        let last = flat.method(flat.call(6).target);
+        assert_eq!(last.code_end as usize, flat.op_count());
+        let empty = flat.method(flat.call(5).target);
+        assert_eq!(empty.code_end - empty.code_start, 1);
+    }
+
+    #[test]
+    fn a_leaf_call_site_knows_its_interaction() {
+        let flat = FlatProgram::compile(&leaf_program());
+        let target = ObjectId::client(3);
+        let site = flat.call(0).ic;
+        let call = flat.site_interaction(site, target, ClassId(1));
+        assert_eq!(
+            (call.caller, call.callee, call.target),
+            (ClassId(0), ClassId(1), Some(target))
+        );
+        assert_eq!((call.kind, call.bytes), (InteractionKind::Invocation, 5));
+        assert!(!call.remote);
+    }
+
+    #[test]
+    fn the_disassembly_names_a_leaf_call() {
+        let flat = FlatProgram::compile(&leaf_program());
+        let dis = flat.disassemble();
+        assert!(dis.contains("CallLeaf { call: 0, micros: 5 }"), "{dis}");
+        assert!(dis.contains("CallLeaf { call: 6, micros: 9 }"), "{dis}");
+    }
+
+    #[test]
+    fn a_leaf_call_does_not_widen_the_op() {
+        // Two `u32`s, like `Read`'s; `Native`'s three `u32`s set the width.
+        assert_eq!(std::mem::size_of::<FlatOp>(), 16);
     }
 }

@@ -303,7 +303,6 @@ enum Exit {
     /// An `Op::New` needs the allocation/GC path (which takes its own
     /// locks and emits its own hooks).
     Alloc {
-        creating: ClassId,
         class: ClassId,
         scalar_bytes: u32,
         ref_slots: u16,
@@ -418,7 +417,8 @@ pub struct Vm {
     flat: Option<Arc<FlatProgram>>,
     /// The virtual CPU seconds each op of `flat`'s code charges on this
     /// VM when its charge is fixed by the op alone — a `Work`'s, a local
-    /// `Native`'s — and 0 for any other op. Computed with `flat`.
+    /// `Native`'s, a `CallLeaf`'s callee `Work` (beside its invoke charge)
+    /// — and 0 for any other op. Computed with `flat`.
     op_seconds: Vec<f64>,
     heap: Heap,
     gc: Collector,
@@ -631,7 +631,9 @@ impl Vm {
             .code()
             .iter()
             .map(|op| match *op {
-                FlatOp::Work { micros } => micros as f64 / 1e6 / speed,
+                FlatOp::Work { micros } | FlatOp::CallLeaf { micros, .. } => {
+                    micros as f64 / 1e6 / speed
+                }
                 FlatOp::Native { work_micros, .. } => {
                     (native_base + work_micros as f64) / 1e6 / speed
                 }
@@ -968,12 +970,7 @@ impl Machine {
     /// [`RemoteAccess::flush`].
     pub fn run_entry(&self) -> VmResult<RunSummary> {
         let entry = self.vm.lock().program.entry();
-        let entry_obj = self.alloc_object(
-            entry.class,
-            entry.class,
-            entry.scalar_bytes,
-            entry.ref_slots,
-        )?;
+        let entry_obj = self.alloc_object(entry.class, entry.scalar_bytes, entry.ref_slots)?;
         self.run_flat(Some(entry_obj), entry.class, entry.method, &[])?;
         self.flush_remote()?;
         let vm = self.vm.lock();
@@ -1067,7 +1064,6 @@ impl Machine {
     /// Allocates an object, collecting (and reporting) as needed.
     fn alloc_object(
         &self,
-        creating_class: ClassId,
         class: ClassId,
         scalar_bytes: u32,
         ref_slots: u16,
@@ -1121,7 +1117,6 @@ impl Machine {
                 Ok((id, footprint)) => {
                     self.hooks.on_alloc(class, id, footprint);
                     self.charge_monitor_event();
-                    let _ = creating_class;
                     return Ok(id);
                 }
                 Err(Some(report)) => {
@@ -1352,13 +1347,12 @@ impl Machine {
                 Exit::Done => return Ok(()),
                 Exit::Yield => {}
                 Exit::Alloc {
-                    creating,
                     class,
                     scalar_bytes,
                     ref_slots,
                     dst,
                 } => {
-                    let id = self.alloc_object(creating, class, scalar_bytes, ref_slots)?;
+                    let id = self.alloc_object(class, scalar_bytes, ref_slots)?;
                     self.flat_write_reg(sid, dst, Some(id))?;
                 }
                 Exit::Invoke {
@@ -1501,6 +1495,22 @@ fn reg_obj(values: &[Option<ObjectId>], base: u32, reg: u8) -> VmResult<ObjectId
     reg_get(values, base, reg)?.ok_or(VmError::NullRegister(Reg(reg)))
 }
 
+/// The objects in call site `call`'s argument registers.
+#[inline]
+fn call_args(
+    flat: &FlatProgram,
+    call: u32,
+    values: &[Option<ObjectId>],
+    base: u32,
+) -> VmResult<([ObjectId; Reg::COUNT], usize)> {
+    let regs = flat.call_args(call);
+    let mut args = [ObjectId(0); Reg::COUNT];
+    for (i, &r) in regs.iter().enumerate() {
+        args[i] = reg_obj(values, base, r)?;
+    }
+    Ok((args, regs.len()))
+}
+
 #[inline]
 fn reg_set(
     values: &mut [Option<ObjectId>],
@@ -1624,6 +1634,119 @@ fn flat_burst(
         }};
     }
 
+    // One `Work` of `$micros` by a method of `$class`, charged the
+    // precomputed `$seconds`. A class's first `Work` is queued: it may be a
+    // first sight.
+    macro_rules! work {
+        ($class:expr, $micros:expr, $seconds:expr) => {{
+            let class: ClassId = $class;
+            *ops_executed += 1;
+            *mutator_seconds += $seconds;
+            hook_charge!();
+            let folded = tally && !yield_on_work && {
+                let work = &mut tallies.work[class.index()];
+                if work.seen {
+                    if !work.owed {
+                        work.owed = true;
+                        tallies.classes.push(class.0);
+                    }
+                    work.micros += u64::from($micros);
+                }
+                std::mem::replace(&mut work.seen, true)
+            };
+            if !folded {
+                pending.push(PendingEvent::Work {
+                    class,
+                    micros: $micros as f64,
+                });
+            }
+        }};
+    }
+    // A dynamic call through `$cs` once its receiver `$t` is read: the
+    // invoke charge, the local-vs-remote check through the inline cache (a
+    // monomorphic site hits on one compare of (id, epoch)) with its tally
+    // or `Interaction` and hook charge, then the depth and class checks. A
+    // receiver that is not local leaves through `Exit::Invoke`.
+    macro_rules! invoke {
+        ($call:expr, $cs:expr, $t:expr, $args:expr, $n_args:expr) => {{
+            let bytes = $cs.arg_bytes as u64 + $cs.ret_bytes as u64;
+            *mutator_seconds += cost.invoke_micros / 1e6 / speed;
+            match ic_check!($cs.ic, $t) {
+                Some((found, hit)) => {
+                    // A hit names the fill's class; a mismatched one fails
+                    // below, so it is queued whole.
+                    if tally && hit && found == $cs.class {
+                        count_hit!($cs.ic);
+                    } else {
+                        pending.push(PendingEvent::Interaction(Interaction {
+                            caller: f.class,
+                            callee: $cs.class,
+                            target: Some($t),
+                            kind: InteractionKind::Invocation,
+                            bytes,
+                            remote: false,
+                        }));
+                    }
+                    hook_charge!();
+                    if state.frames.len() >= max_depth {
+                        return Err(VmError::CallDepthExceeded(max_depth));
+                    }
+                    if found != $cs.class {
+                        return Err(VmError::ClassMismatch {
+                            expected: $cs.class,
+                            found,
+                        });
+                    }
+                }
+                None => {
+                    pending.push(PendingEvent::Interaction(Interaction {
+                        caller: f.class,
+                        callee: $cs.class,
+                        target: Some($t),
+                        kind: InteractionKind::Invocation,
+                        bytes,
+                        remote: true,
+                    }));
+                    hook_charge!();
+                    f.ip += 1;
+                    save!();
+                    return Ok(Exit::Invoke {
+                        call: $call,
+                        target: $t,
+                        args: $args,
+                        n_args: $n_args as u8,
+                    });
+                }
+            }
+        }};
+    }
+    // Enters the callee of `$cs` in a new frame whose first registers are
+    // `$args`; the caller resumes after the call.
+    macro_rules! enter {
+        ($cs:expr, $self_obj:expr, $args:expr) => {{
+            if $cs.target == UNRESOLVED {
+                return Err(flat.resolution_error($cs.class, $cs.method));
+            }
+            let callee = flat.method($cs.target);
+            f.ip += 1;
+            save!();
+            let base = state.values.len() as u32;
+            state.values.resize(state.values.len() + Reg::COUNT, None);
+            for (i, &a) in $args.iter().enumerate() {
+                state.values[base as usize + i] = Some(a);
+            }
+            f = Frame {
+                base,
+                ip: callee.code_start,
+                class: $cs.class,
+                method: $cs.method,
+                self_obj: $self_obj,
+                loop_base: state.loops.len() as u32,
+            };
+            state.frames.push(f);
+        }};
+    }
+
     loop {
         if budget == 0 {
             save!();
@@ -1633,28 +1756,8 @@ fn flat_burst(
         let op = code[f.ip as usize];
         match op {
             FlatOp::Work { micros } => {
-                *ops_executed += 1;
-                *mutator_seconds += op_seconds[f.ip as usize];
-                hook_charge!();
+                work!(f.class, micros, op_seconds[f.ip as usize]);
                 f.ip += 1;
-                // A class's first `Work` is queued: it may be a first sight.
-                let folded = tally && !yield_on_work && {
-                    let work = &mut tallies.work[f.class.index()];
-                    if work.seen {
-                        if !work.owed {
-                            work.owed = true;
-                            tallies.classes.push(f.class.0);
-                        }
-                        work.micros += u64::from(micros);
-                    }
-                    std::mem::replace(&mut work.seen, true)
-                };
-                if !folded {
-                    pending.push(PendingEvent::Work {
-                        class: f.class,
-                        micros: micros as f64,
-                    });
-                }
                 if yield_on_work {
                     // Exit so the queued `on_work` reaches the hooks (and
                     // through them the periodic offload evaluator) before
@@ -1673,138 +1776,64 @@ fn flat_burst(
                 f.ip += 1;
                 save!();
                 return Ok(Exit::Alloc {
-                    creating: f.class,
                     class,
                     scalar_bytes,
                     ref_slots,
                     dst,
                 });
             }
-            FlatOp::Call { call } | FlatOp::CallStatic { call } => {
+            FlatOp::Call { call } => {
                 *ops_executed += 1;
                 let cs = *flat.call(call);
-                let target = if cs.is_static {
-                    None
+                let t = reg_obj(&state.values, f.base, cs.obj)?;
+                let (args, n_args) = call_args(flat, call, &state.values, f.base)?;
+                invoke!(call, cs, t, args, n_args);
+                enter!(cs, Some(t), args[..n_args]);
+            }
+            FlatOp::CallLeaf { call, micros } => {
+                *ops_executed += 1;
+                let cs = *flat.call(call);
+                let t = reg_obj(&state.values, f.base, cs.obj)?;
+                invoke!(call, cs, t, [ObjectId(0); Reg::COUNT], 0);
+                if yield_on_work {
+                    // The callee's `Work` must end a burst inside it.
+                    enter!(cs, Some(t), [ObjectId(0); 0]);
                 } else {
-                    Some(reg_obj(&state.values, f.base, cs.obj)?)
-                };
-                let arg_regs = flat.call_args(call);
-                let mut args = [ObjectId(0); Reg::COUNT];
-                let n_args = arg_regs.len();
-                for (i, &r) in arg_regs.iter().enumerate() {
-                    args[i] = reg_obj(&state.values, f.base, r)?;
-                }
-                let bytes = cs.arg_bytes as u64 + cs.ret_bytes as u64;
-                *mutator_seconds += cost.invoke_micros / 1e6 / speed;
-
-                if let Some(t) = target {
-                    // Local-vs-remote check through the inline cache: a
-                    // monomorphic site hits on one compare of (id, epoch).
-                    match ic_check!(cs.ic, t) {
-                        Some((found, hit)) => {
-                            // A hit names the fill's class; a mismatched
-                            // one fails below, so it is queued whole.
-                            if tally && hit && found == cs.class {
-                                count_hit!(cs.ic);
-                            } else {
-                                pending.push(PendingEvent::Interaction(Interaction {
-                                    caller: f.class,
-                                    callee: cs.class,
-                                    target: Some(t),
-                                    kind: InteractionKind::Invocation,
-                                    bytes,
-                                    remote: false,
-                                }));
-                            }
-                            hook_charge!();
-                            if state.frames.len() >= max_depth {
-                                return Err(VmError::CallDepthExceeded(max_depth));
-                            }
-                            if found != cs.class {
-                                return Err(VmError::ClassMismatch {
-                                    expected: cs.class,
-                                    found,
-                                });
-                            }
-                            if cs.target == UNRESOLVED {
-                                return Err(flat.resolution_error(cs.class, cs.method));
-                            }
-                            let callee = flat.method(cs.target);
-                            f.ip += 1;
-                            save!();
-                            let base = state.values.len() as u32;
-                            state.values.resize(state.values.len() + Reg::COUNT, None);
-                            for (i, a) in args[..n_args].iter().enumerate() {
-                                state.values[base as usize + i] = Some(*a);
-                            }
-                            f = Frame {
-                                base,
-                                ip: callee.code_start,
-                                class: cs.class,
-                                method: cs.method,
-                                self_obj: Some(t),
-                                loop_base: state.loops.len() as u32,
-                            };
-                            state.frames.push(f);
-                        }
-                        None => {
-                            pending.push(PendingEvent::Interaction(Interaction {
-                                caller: f.class,
-                                callee: cs.class,
-                                target: Some(t),
-                                kind: InteractionKind::Invocation,
-                                bytes,
-                                remote: true,
-                            }));
-                            hook_charge!();
-                            f.ip += 1;
-                            save!();
-                            return Ok(Exit::Invoke {
-                                call,
-                                target: t,
-                                args,
-                                n_args: n_args as u8,
-                            });
-                        }
+                    // The callee's `[Work, Return]`, in place: its charge
+                    // is a second addition, its seconds precomputed at
+                    // this op.
+                    work!(cs.class, micros, op_seconds[f.ip as usize]);
+                    if !tally {
+                        pending.push(PendingEvent::MethodExit {
+                            class: cs.class,
+                            method: cs.method,
+                        });
                     }
-                } else {
-                    // Static: runs locally on whichever VM invokes it;
-                    // interaction recorded only across classes.
-                    if cs.class != f.class {
-                        pending.push(PendingEvent::Interaction(Interaction {
-                            caller: f.class,
-                            callee: cs.class,
-                            target: None,
-                            kind: InteractionKind::Invocation,
-                            bytes,
-                            remote: false,
-                        }));
-                        hook_charge!();
-                    }
-                    if state.frames.len() >= max_depth {
-                        return Err(VmError::CallDepthExceeded(max_depth));
-                    }
-                    if cs.target == UNRESOLVED {
-                        return Err(flat.resolution_error(cs.class, cs.method));
-                    }
-                    let callee = flat.method(cs.target);
                     f.ip += 1;
-                    save!();
-                    let base = state.values.len() as u32;
-                    state.values.resize(state.values.len() + Reg::COUNT, None);
-                    for (i, a) in args[..n_args].iter().enumerate() {
-                        state.values[base as usize + i] = Some(*a);
-                    }
-                    f = Frame {
-                        base,
-                        ip: callee.code_start,
-                        class: cs.class,
-                        method: cs.method,
-                        self_obj: None,
-                        loop_base: state.loops.len() as u32,
-                    };
-                    state.frames.push(f);
                 }
+            }
+            FlatOp::CallStatic { call } => {
+                *ops_executed += 1;
+                let cs = *flat.call(call);
+                let (args, n_args) = call_args(flat, call, &state.values, f.base)?;
+                *mutator_seconds += cost.invoke_micros / 1e6 / speed;
+                // Runs locally on whichever VM invokes it; interaction
+                // recorded only across classes.
+                if cs.class != f.class {
+                    pending.push(PendingEvent::Interaction(Interaction {
+                        caller: f.class,
+                        callee: cs.class,
+                        target: None,
+                        kind: InteractionKind::Invocation,
+                        bytes: cs.arg_bytes as u64 + cs.ret_bytes as u64,
+                        remote: false,
+                    }));
+                    hook_charge!();
+                }
+                if state.frames.len() >= max_depth {
+                    return Err(VmError::CallDepthExceeded(max_depth));
+                }
+                enter!(cs, None, args[..n_args]);
             }
             FlatOp::Read {
                 obj,

@@ -83,31 +83,28 @@ impl RuntimeHooks for Log {
 
 /// Garbage allocation under a tight heap (collections and frees mid-run)
 /// around a long allocation-free stretch of calls, work, field accesses,
-/// natives and static accesses (bursts that run to their op budget).
-fn program() -> Arc<Program> {
+/// natives and static accesses (bursts that run to their op budget). With
+/// `leaf` the callee is one `Work` and takes no argument: a call the
+/// interpreter runs in place unless a sink needs the work boundary.
+fn program(leaf: bool) -> Arc<Program> {
     let mut b = ProgramBuilder::new();
     let main = b.add_class("Main");
     let helper = b.add_class("Helper");
-    let help = b.add_method(
-        helper,
-        MethodDef::new(
-            "help",
-            vec![
-                Op::Work { micros: 10 },
-                Op::Read {
-                    obj: Reg(0),
-                    bytes: 8,
-                },
-            ],
-        ),
-    );
+    let mut body = vec![Op::Work { micros: 10 }];
+    if !leaf {
+        body.push(Op::Read {
+            obj: Reg(0),
+            bytes: 8,
+        });
+    }
+    let help = b.add_method(helper, MethodDef::new("help", body));
     let call = Op::Call {
         obj: Reg(1),
         class: helper,
         method: help,
         arg_bytes: 8,
         ret_bytes: 0,
-        args: vec![Reg(2)],
+        args: if leaf { vec![] } else { vec![Reg(2)] },
     };
     let entry = b.add_method(
         main,
@@ -158,7 +155,11 @@ fn program() -> Arc<Program> {
 }
 
 fn run(hooks: Arc<dyn RuntimeHooks>) -> VmResult<RunSummary> {
-    Machine::with_hooks(program(), VmConfig::client(2_048), hooks).run_entry()
+    run_program(program(false), hooks)
+}
+
+fn run_program(program: Arc<Program>, hooks: Arc<dyn RuntimeHooks>) -> VmResult<RunSummary> {
+    Machine::with_hooks(program, VmConfig::client(2_048), hooks).run_entry()
 }
 
 fn works(batch: &[PendingEvent]) -> usize {
@@ -208,4 +209,54 @@ fn every_chain_member_sees_the_tree_walkers_stream() {
             n => panic!("{n} Work events in one slice: {batch:?}"),
         }
     }
+}
+
+#[test]
+fn a_sink_that_needs_the_work_boundary_sees_a_leafs_work_inside_it() {
+    let leaf = || program(true);
+    let reference = Log::new(false);
+    let outcome = run_program(leaf(), reference.clone());
+    let expected = reference.events();
+    support::check_verdicts(
+        "batch_delivery.leaf.txt",
+        &[support::verdict(
+            "tight heap, leaf callee",
+            &outcome,
+            &expected,
+        )],
+    );
+
+    // Nobody needs the boundary: the leaf runs in place, same stream.
+    let (a, b) = (Log::new(true), Log::new(true));
+    run_program(leaf(), Arc::new(HookChain::new(vec![a.clone(), b.clone()])))
+        .expect("run succeeds");
+    assert_eq!(a.events(), expected);
+    assert_eq!(b.events(), expected);
+
+    // One member needs it: the leaf is entered, its `Work` ends a slice,
+    // and its exit opens the next one.
+    let (batched, per_event) = (Log::new(true), Log::new(false));
+    let chain = HookChain::new(vec![batched.clone(), per_event.clone()]);
+    run_program(leaf(), Arc::new(chain)).expect("run succeeds");
+    assert_eq!(batched.events(), expected);
+    assert_eq!(per_event.events(), expected);
+    let batches = batched.batches.lock();
+    let mut inside = 0;
+    for (batch, next) in batches.iter().zip(batches.iter().skip(1)) {
+        match works(batch) {
+            0 => {}
+            1 => assert!(matches!(batch.last(), Some(PendingEvent::Work { .. }))),
+            n => panic!("{n} Work events in one slice: {batch:?}"),
+        }
+        if let Some(PendingEvent::Work { class, .. }) = batch.last() {
+            if class.0 == 1 {
+                inside += 1;
+                assert!(
+                    matches!(next.first(), Some(PendingEvent::MethodExit { class, .. }) if class.0 == 1),
+                    "the leaf's exit should open the slice after its Work: {next:?}"
+                );
+            }
+        }
+    }
+    assert_eq!(inside, 40 * 30, "one slice per leaf call");
 }

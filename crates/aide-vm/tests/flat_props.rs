@@ -7,7 +7,10 @@
 //! Programs are generated from a deterministic xorshift stream (same
 //! generator family as the placement property tests), biased toward valid
 //! programs so runs go deep, but invalid constructions are kept: the
-//! property covers error paths too.
+//! property covers error paths too. A second family draws one-`Work`
+//! methods and calls without arguments to them, which the interpreter runs
+//! in place unless its sink needs the work boundary; both ways must match
+//! verdicts blessed before there was an in-place path.
 
 mod support;
 
@@ -15,7 +18,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use aide_vm::{
-    ClassId, MethodDef, MethodId, NativeKind, Op, Program, ProgramBuilder, Reg, VmConfig,
+    ClassId, FlatOp, FlatProgram, MethodDef, MethodId, NativeKind, Op, Program, ProgramBuilder,
+    Reg, VmConfig, VmError,
 };
 
 /// Deterministic xorshift64 stream.
@@ -68,6 +72,8 @@ struct Spec {
     class: ClassId,
     is_static: bool,
     params: u8,
+    /// The body is one `Work` (dynamic, no parameters).
+    leaf: bool,
 }
 
 fn gen_body(
@@ -79,7 +85,11 @@ fn gen_body(
     len: u64,
 ) -> Vec<Op> {
     let mut body = Vec::new();
+    let leaves = specs.iter().any(|s| s.leaf);
     for _ in 0..len {
+        if leaves && rng.below(3) == 0 && gen_leaf_call(rng, specs, my_index, state, &mut body) {
+            continue;
+        }
         let pick = rng.below(12);
         let op = match pick {
             0 | 1 => Op::Work {
@@ -251,6 +261,57 @@ fn gen_call(rng: &mut Rng, specs: &[Spec], my_index: usize, state: &[RegState; 8
     })
 }
 
+/// A call without arguments to a later one-`Work` method, pushed onto
+/// `body`: mostly on a receiver of its class (allocated first when no
+/// register holds one), now and then on any register (it may hold null) or
+/// on one that holds another class or an unknown one. `false` when the
+/// program has no such method.
+fn gen_leaf_call(
+    rng: &mut Rng,
+    specs: &[Spec],
+    my_index: usize,
+    state: &mut [RegState; 8],
+    body: &mut Vec<Op>,
+) -> bool {
+    let leaves: Vec<usize> = (my_index + 1..specs.len())
+        .filter(|&j| specs[j].leaf)
+        .collect();
+    if leaves.is_empty() {
+        return false;
+    }
+    let j = leaves[rng.below(leaves.len() as u64) as usize];
+    let class = specs[j].class;
+    let mut regs: Vec<u8> = match rng.below(16) {
+        0 => (0..8).collect(),
+        1 | 2 => (0..8u8)
+            .filter(|&r| state[r as usize].filled() && state[r as usize] != RegState::Known(class))
+            .collect(),
+        _ => (0..8u8)
+            .filter(|&r| state[r as usize] == RegState::Known(class))
+            .collect(),
+    };
+    if regs.is_empty() {
+        let dst = rng.below(8) as u8;
+        state[dst as usize] = RegState::Known(class);
+        body.push(Op::New {
+            class,
+            scalar_bytes: 16 + rng.below(256) as u32,
+            ref_slots: REF_SLOTS,
+            dst: Reg(dst),
+        });
+        regs.push(dst);
+    }
+    body.push(Op::Call {
+        obj: Reg(regs[rng.below(regs.len() as u64) as usize]),
+        class,
+        method: method_id_within_class(specs, j),
+        arg_bytes: rng.below(16) as u32,
+        ret_bytes: rng.below(16) as u32,
+        args: vec![],
+    });
+    true
+}
+
 /// Method ids are per-class indices in builder insertion order; methods are
 /// added to the builder in spec order, so the id of spec `j` is the number
 /// of earlier specs in the same class.
@@ -262,7 +323,10 @@ fn method_id_within_class(specs: &[Spec], j: usize) -> MethodId {
     MethodId(n as u16)
 }
 
-fn gen_program(seed: u64) -> Arc<Program> {
+/// With `leaves`, about half the methods but the entry are one-`Work`
+/// methods, and bodies often call them; without, no method is, and the
+/// stream draws exactly what it drew before there were any.
+fn gen_program(seed: u64, leaves: bool) -> Arc<Program> {
     let mut rng = Rng::new(seed);
     let n_methods = 4 + rng.below(3) as usize;
     let mut specs = Vec::with_capacity(n_methods);
@@ -271,12 +335,25 @@ fn gen_program(seed: u64) -> Arc<Program> {
         class: ClassId(0),
         is_static: false,
         params: 0,
+        leaf: false,
     });
     for _ in 1..n_methods {
-        specs.push(Spec {
-            class: ClassId(rng.below(CLASSES as u64) as u32),
-            is_static: rng.below(4) == 0,
-            params: rng.below(3) as u8,
+        let leaf = leaves && rng.below(2) == 0;
+        let class = ClassId(rng.below(CLASSES as u64) as u32);
+        specs.push(if leaf {
+            Spec {
+                class,
+                is_static: false,
+                params: 0,
+                leaf,
+            }
+        } else {
+            Spec {
+                class,
+                is_static: rng.below(4) == 0,
+                params: rng.below(3) as u8,
+                leaf,
+            }
         });
     }
 
@@ -289,8 +366,14 @@ fn gen_program(seed: u64) -> Arc<Program> {
         for p in 0..spec.params {
             state[p as usize] = RegState::Filled;
         }
-        let len = 2 + rng.below(7);
-        let body = gen_body(&mut rng, &specs, i, &mut state, 0, len);
+        let body = if spec.leaf {
+            vec![Op::Work {
+                micros: 1 + rng.below(200) as u32,
+            }]
+        } else {
+            let len = 2 + rng.below(7);
+            gen_body(&mut rng, &specs, i, &mut state, 0, len)
+        };
         let name = format!("m{i}");
         let def = if spec.is_static {
             MethodDef::new_static(name, body)
@@ -308,7 +391,7 @@ fn gen_program(seed: u64) -> Arc<Program> {
 fn check_seeds(seeds: Range<u64>, config: VmConfig, file: &str) {
     let mut verdicts = Vec::new();
     for seed in seeds {
-        let (outcome, events) = support::run(&gen_program(seed), config);
+        let (outcome, events) = support::run(&gen_program(seed, false), config);
         verdicts.push(support::verdict(&format!("seed {seed}"), &outcome, &events));
     }
     support::check_verdicts(file, &verdicts);
@@ -338,4 +421,45 @@ fn flat_ir_matches_tree_walk_on_surrogate_config() {
         ..VmConfig::client(1 << 22)
     };
     check_seeds(200..216, config, "flat_props.surrogate_speed.txt");
+}
+
+#[test]
+fn leaf_calls_run_in_place_as_they_ran_framed() {
+    let mut config = VmConfig::client(1 << 22);
+    config.cost.monitor_event_micros = 1.0;
+    let mut verdicts = Vec::new();
+    let (mut leaf_ops, mut null, mut mismatch, mut deep) = (0, 0, 0, 0);
+    for seed in 300..348 {
+        let program = gen_program(seed, true);
+        leaf_ops += FlatProgram::compile(&program)
+            .code()
+            .iter()
+            .filter(|op| matches!(op, FlatOp::CallLeaf { .. }))
+            .count();
+        // The entry runs at depth 1: a limit of 1 fails its first call.
+        for depth in [None, Some(1), Some(2), Some(3)] {
+            let name = format!("seed {seed} depth {depth:?}");
+            let (outcome, events) = support::run_with(&program, config, depth, false);
+            let line = support::verdict(&name, &outcome, &events);
+            let (in_place, in_place_events) = support::run_with(&program, config, depth, true);
+            assert_eq!(
+                support::verdict(&name, &in_place, &in_place_events),
+                line,
+                "{name}: a sink without the work boundary saw another run"
+            );
+            match outcome {
+                Err(VmError::NullRegister(_)) => null += 1,
+                Err(VmError::ClassMismatch { .. }) => mismatch += 1,
+                Err(VmError::CallDepthExceeded(_)) => deep += 1,
+                _ => {}
+            }
+            verdicts.push(line);
+        }
+    }
+    support::check_verdicts("flat_props.leaf_calls.txt", &verdicts);
+    assert!(leaf_ops >= 150, "only {leaf_ops} leaf calls drawn");
+    assert!(
+        null > 0 && mismatch > 0 && deep > 0,
+        "null receivers {null}, class mismatches {mismatch}, depth limits {deep}"
+    );
 }

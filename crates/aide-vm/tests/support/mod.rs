@@ -68,9 +68,12 @@ pub enum Ev {
     },
 }
 
-/// Records every hook event verbatim.
+/// Records every hook event verbatim. It asks for the work boundary unless
+/// `free_running`, in which case bursts run past a `Work` as they do for a
+/// sink that takes slices; the stream must be the same either way.
 #[derive(Default)]
 pub struct Recorder {
+    free_running: bool,
     events: Mutex<Vec<Ev>>,
 }
 
@@ -139,12 +142,32 @@ impl RuntimeHooks for Recorder {
             freed_bytes: report.freed_bytes,
         });
     }
+    fn needs_work_boundary(&self) -> bool {
+        !self.free_running
+    }
 }
 
 /// Runs `program`'s entry on a fresh machine, recording every event.
 pub fn run(program: &Arc<Program>, config: VmConfig) -> (VmResult<RunSummary>, Vec<Ev>) {
-    let rec = Arc::new(Recorder::default());
-    let machine = Machine::with_hooks(program.clone(), config, rec.clone());
+    run_with(program, config, None, false)
+}
+
+/// As [`run`], with the call depth limited to `max_depth` (the machine's
+/// default when `None`) and a [`Recorder`] that is `free_running` or not.
+pub fn run_with(
+    program: &Arc<Program>,
+    config: VmConfig,
+    max_depth: Option<usize>,
+    free_running: bool,
+) -> (VmResult<RunSummary>, Vec<Ev>) {
+    let rec = Arc::new(Recorder {
+        free_running,
+        ..Recorder::default()
+    });
+    let mut machine = Machine::with_hooks(program.clone(), config, rec.clone());
+    if let Some(depth) = max_depth {
+        machine.set_max_depth(depth);
+    }
     let result = machine.run_entry();
     (result, rec.events())
 }
