@@ -4,7 +4,6 @@
 //! ```text
 //! aide-surrogate [--addr 127.0.0.1:9500] [--name NAME] [--app javanote]
 //!                [--scale 0.05] [--heap-mb 64] [--beacon HOST:PORT]
-//!                [--fail-after N]
 //! ```
 //!
 //! Client and surrogate must agree on the program, so `--app`/`--scale`
@@ -26,13 +25,12 @@ struct Options {
     scale: f64,
     heap_mb: u64,
     beacon: Option<SocketAddr>,
-    fail_after: Option<u64>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: aide-surrogate [--addr HOST:PORT] [--name NAME] [--app APP] \
-         [--scale F] [--heap-mb N] [--beacon HOST:PORT] [--fail-after N]"
+         [--scale F] [--heap-mb N] [--beacon HOST:PORT]"
     );
     eprintln!("  APP is one of: javanote, dia, biomer, voxel, tracer");
     exit(2);
@@ -46,7 +44,6 @@ fn parse_options() -> Options {
         scale: 0.05,
         heap_mb: 64,
         beacon: None,
-        fail_after: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -58,9 +55,6 @@ fn parse_options() -> Options {
             "--scale" => options.scale = value().parse().unwrap_or_else(|_| usage()),
             "--heap-mb" => options.heap_mb = value().parse().unwrap_or_else(|_| usage()),
             "--beacon" => options.beacon = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--fail-after" => {
-                options.fail_after = Some(value().parse().unwrap_or_else(|_| usage()));
-            }
             _ => usage(),
         }
     }
@@ -84,7 +78,6 @@ fn main() {
     let mut config = DaemonConfig::new(&options.name, program);
     config.addr = options.addr;
     config.capacity_bytes = options.heap_mb << 20;
-    config.fail_after_requests = options.fail_after;
     config.beacon = options.beacon.map(|target| BeaconConfig {
         target,
         interval: Duration::from_millis(500),

@@ -284,7 +284,7 @@ fn mid_migration_reset_rolls_back_the_client_heap() {
             },
         },
     );
-    let _surrogate_ep = Endpoint::start(
+    let surrogate_ep = Endpoint::start(
         st,
         link.params,
         link.clock.clone(),
@@ -321,6 +321,11 @@ fn mid_migration_reset_rolls_back_the_client_heap() {
         "a reset mid-migration must fail the offload"
     );
     assert_eq!(cstats.resets(), 1, "the schedule injected its reset");
+    assert_eq!(
+        surrogate_ep.requests_served(),
+        1,
+        "the reset fell on the COMMIT: only the PREPARE was served"
+    );
 
     // Rollback restored the pre-offload placement exactly.
     {
