@@ -18,7 +18,8 @@ use std::time::{Duration, Instant};
 use aide_bench::{header, row, s};
 use aide_graph::CommParams;
 use aide_rpc::{
-    chaos_pair, ChaosSchedule, Dispatcher, Endpoint, EndpointConfig, Reply, Request, RetryPolicy,
+    chaos_pair, BackoffConfig, ChaosSchedule, Dispatcher, Endpoint, EndpointConfig, Reply, Request,
+    RetryPolicy,
 };
 use aide_vm::ObjectId;
 
@@ -41,12 +42,14 @@ fn sweep_retry() -> RetryPolicy {
     RetryPolicy {
         max_attempts: 10,
         attempt_timeout: Duration::from_millis(25),
-        base_backoff: Duration::from_millis(1),
-        backoff_factor: 2.0,
-        max_backoff: Duration::from_millis(20),
-        jitter: 0.25,
+        backoff: BackoffConfig {
+            base: Duration::from_millis(1),
+            factor: 2.0,
+            max: Duration::from_millis(20),
+            jitter: 0.25,
+            seed: SEED,
+        },
         deadline: Duration::from_secs(20),
-        seed: SEED,
     }
 }
 

@@ -32,7 +32,8 @@ use std::time::{Duration, Instant};
 
 use aide_graph::{CommParams, SelectedPartition};
 use aide_rpc::{
-    Dispatcher, Endpoint, EndpointConfig, NetClock, Reply, Request, RpcError, Xorshift64,
+    BackoffConfig, Dispatcher, Endpoint, EndpointConfig, NetClock, Reply, Request, RpcError,
+    Xorshift64,
 };
 use aide_telemetry::{FlightRecorder, PlatformEvent};
 use aide_vm::{Machine, ObjectId, ObjectRecord, VmError, VmResult};
@@ -108,35 +109,6 @@ pub trait SurrogateProvider: Send + Sync {
     }
 }
 
-/// Exponential backoff with deterministic jitter, gating re-acquisition
-/// after surrogate failures.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackoffConfig {
-    /// Delay after the first failure.
-    pub base: Duration,
-    /// Multiplier applied per successive failure.
-    pub factor: f64,
-    /// Upper bound on the delay.
-    pub max: Duration,
-    /// Jitter amplitude: each delay is scaled by a factor drawn from
-    /// `[1 - jitter, 1 + jitter]` (deterministic xorshift stream).
-    pub jitter: f64,
-    /// Seed for the jitter stream (fixed default keeps runs reproducible).
-    pub seed: u64,
-}
-
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        BackoffConfig {
-            base: Duration::from_millis(250),
-            factor: 2.0,
-            max: Duration::from_secs(30),
-            jitter: 0.25,
-            seed: 0x5DEECE66D,
-        }
-    }
-}
-
 /// Runtime state for one backoff sequence.
 #[derive(Debug)]
 pub(crate) struct Backoff {
@@ -164,14 +136,7 @@ impl Backoff {
 
     /// The delay that would gate the next attempt after one more failure.
     fn next_delay(&mut self) -> Duration {
-        let exp = self.config.base.as_secs_f64()
-            * self
-                .config
-                .factor
-                .powi(self.consecutive_failures.min(32) as i32);
-        let capped = exp.min(self.config.max.as_secs_f64());
-        let scale = 1.0 + self.config.jitter * (2.0 * self.rng.unit() - 1.0);
-        Duration::from_secs_f64((capped * scale).max(0.0))
+        self.config.delay(self.consecutive_failures, &mut self.rng)
     }
 
     /// Records a failure, pushing the next attempt out.
@@ -195,7 +160,8 @@ pub struct FailoverConfig {
     pub heartbeat_interval: Duration,
     /// How long a probe may take before the surrogate is declared dead.
     pub probe_timeout: Duration,
-    /// Backoff between re-acquisition attempts after failures.
+    /// Backoff between re-acquisition attempts after failures: it grows
+    /// with each consecutive failure and resets on a success.
     pub backoff: BackoffConfig,
 }
 
@@ -204,7 +170,13 @@ impl Default for FailoverConfig {
         FailoverConfig {
             heartbeat_interval: Duration::from_millis(250),
             probe_timeout: Duration::from_secs(1),
-            backoff: BackoffConfig::default(),
+            backoff: BackoffConfig {
+                base: Duration::from_millis(250),
+                factor: 2.0,
+                max: Duration::from_secs(30),
+                jitter: 0.25,
+                seed: 0x5DEECE66D,
+            },
         }
     }
 }
@@ -590,7 +562,7 @@ impl FailoverCore {
         };
         let lease = active.take().expect("an active lease, checked above");
         let started = Instant::now();
-        let mut span = aide_trace::span(aide_trace::names::FAILOVER, "core");
+        let mut span = aide_telemetry::span(aide_telemetry::span_names::FAILOVER, "core");
         span.arg("surrogate", &lease.name);
         self.record_event(PlatformEvent::LinkDied {
             surrogate: lease.name.clone(),
@@ -1218,12 +1190,37 @@ mod tests {
 
     #[test]
     fn backoff_jitter_is_deterministic_per_seed() {
-        let config = BackoffConfig::default();
+        let config = FailoverConfig::default().backoff;
         let mut a = Backoff::new(config);
         let mut b = Backoff::new(config);
         for _ in 0..5 {
             assert_eq!(a.next_delay(), b.next_delay());
         }
+        // The default gate's first eight delays, one per consecutive
+        // failure, in nanoseconds. The RPC retry loop shares
+        // `BackoffConfig::delay`; pinned, neither caller's delays can move
+        // when the other's needs change it.
+        let mut gate = Backoff::new(config);
+        let delays: Vec<u128> = (0..8)
+            .map(|_| {
+                let delay = gate.next_delay().as_nanos();
+                gate.consecutive_failures += 1;
+                delay
+            })
+            .collect();
+        assert_eq!(
+            delays,
+            [
+                244_810_819,
+                579_157_663,
+                920_126_350,
+                1_967_608_591,
+                3_662_007_529,
+                6_399_731_630,
+                13_678_026_418,
+                23_976_749_496,
+            ]
+        );
     }
 
     #[test]

@@ -58,9 +58,11 @@ mod relay;
 
 pub use adapter::{AdapterStats, RefTables, RemoteAdapter, VmDispatcher};
 pub use config::{EvaluationMode, PlatformConfig, PolicyKind, TransportKind};
+// `BackoffConfig` is `FailoverConfig::backoff`'s type, defined beside the
+// RPC retry loop that shares its delay.
+pub use aide_rpc::BackoffConfig;
 pub use failover::{
-    BackoffConfig, FailoverConfig, FailoverReport, ProviderContext, SurrogateLease,
-    SurrogateProvider,
+    FailoverConfig, FailoverReport, ProviderContext, SurrogateLease, SurrogateProvider,
 };
 pub use monitor::{Monitor, MonitorMetrics, NodeKey, RemoteStats, TriggerConfig};
 pub use nondet::{LiveSource, MigrationRecord, NondetSource, TriggerSample};

@@ -14,7 +14,6 @@
 //! charged to the shared communication clock — this is the "offloading
 //! time" component of the paper's remote-execution overhead.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use aide_graph::{SelectedPartition, Side};
@@ -28,9 +27,6 @@ use crate::monitor::NodeKey;
 
 /// Objects migrated per `MigratePrepare` request.
 const MIGRATE_BATCH: usize = 256;
-
-/// Process-wide migration transaction ids.
-static NEXT_TXN: AtomicU64 = AtomicU64::new(1);
 
 /// Summary of one executed offload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -112,7 +108,8 @@ pub(crate) fn gather_shipment(
         }
     }
 
-    let serialize_span = aide_trace::span(aide_trace::names::MIGRATE_SERIALIZE, "core");
+    let serialize_span =
+        aide_telemetry::span(aide_telemetry::span_names::MIGRATE_SERIALIZE, "core");
     let vm = client.vm();
     let mut vm = vm.lock();
     let used_before = vm.heap().stats().used_bytes;
@@ -195,7 +192,8 @@ pub struct TrackedOffload {
 /// objects to the surrogate through `endpoint`. `keys[i]` names what graph
 /// node `i` stands for (class or single object).
 ///
-/// The migration itself runs as a two-phase transaction: every batch is
+/// The migration itself runs as two-phase transaction `txn`, which the
+/// caller numbers and must not reuse toward the same peer: every batch is
 /// staged with `MigratePrepare` (retried under the endpoint's
 /// [`aide_rpc::RetryPolicy`]), then a single `MigrateCommit` installs the
 /// whole shipment atomically. If any phase fails, the shipment is aborted
@@ -215,6 +213,7 @@ pub fn execute_offload_tracked(
     client: &Machine,
     endpoint: &Arc<Endpoint>,
     tables: &Arc<RefTables>,
+    txn: u64,
     recorder: Option<&FlightRecorder>,
 ) -> VmResult<TrackedOffload> {
     let started = std::time::Instant::now();
@@ -222,7 +221,7 @@ pub fn execute_offload_tracked(
     // child below — and the RPC spans nested under them, including the
     // surrogate's serve spans adopted over the wire — hangs off this one
     // node, which is what the critical-path analyzer attributes.
-    let mut migration_span = aide_trace::span(aide_trace::names::MIGRATION, "core");
+    let mut migration_span = aide_telemetry::span(aide_telemetry::span_names::MIGRATION, "core");
 
     let gathered = gather_shipment(selection, keys, client, tables)?;
     let GatheredShipment {
@@ -244,13 +243,13 @@ pub fn execute_offload_tracked(
     // the rollback is purely local: reinstate the shadow copies (they only
     // just left the heap, so capacity is guaranteed) and tell the
     // surrogate to discard its staging buffer.
-    let txn = NEXT_TXN.fetch_add(1, Ordering::Relaxed);
     migration_span.arg("txn", txn);
     migration_span.arg("objects", objects_moved);
     migration_span.arg("bytes", bytes_moved);
     let mut ship_error: Option<String> = None;
     {
-        let mut prepare_span = aide_trace::span(aide_trace::names::MIGRATE_PREPARE, "core");
+        let mut prepare_span =
+            aide_telemetry::span(aide_telemetry::span_names::MIGRATE_PREPARE, "core");
         prepare_span.arg("txn", txn);
         let mut iter = batch.into_iter().peekable();
         while iter.peek().is_some() {
@@ -265,14 +264,16 @@ pub fn execute_offload_tracked(
         }
     }
     if ship_error.is_none() {
-        let mut commit_span = aide_trace::span(aide_trace::names::MIGRATE_COMMIT, "core");
+        let mut commit_span =
+            aide_telemetry::span(aide_telemetry::span_names::MIGRATE_COMMIT, "core");
         commit_span.arg("txn", txn);
         if let Err(e) = endpoint.call_with_retry(Request::MigrateCommit { txn }) {
             ship_error = Some(format!("migration COMMIT failed: {e}"));
         }
     }
     if let Some(reason) = ship_error {
-        let mut rollback_span = aide_trace::span(aide_trace::names::MIGRATE_ROLLBACK, "core");
+        let mut rollback_span =
+            aide_telemetry::span(aide_telemetry::span_names::MIGRATE_ROLLBACK, "core");
         rollback_span.arg("reason", &reason);
         migration_span.arg("outcome", "aborted");
         // Best effort: a dead link cannot abort, but then the surrogate's
@@ -410,7 +411,7 @@ mod tests {
                 .unwrap();
         }
         let (sel, keys) = doc_selection(300_000);
-        let outcome = execute_offload_tracked(&sel, &keys, &client, &cep, &tables, None)
+        let outcome = execute_offload_tracked(&sel, &keys, &client, &cep, &tables, 1, None)
             .unwrap()
             .outcome;
         assert_eq!(outcome.objects_moved, 3);
@@ -440,7 +441,7 @@ mod tests {
                 .unwrap();
         }
         let (sel, keys) = doc_selection(1_000);
-        let outcome = execute_offload_tracked(&sel, &keys, &client, &cep, &tables, None)
+        let outcome = execute_offload_tracked(&sel, &keys, &client, &cep, &tables, 1, None)
             .unwrap()
             .outcome;
         assert_eq!(outcome.back_references_pinned, 1);
@@ -471,7 +472,7 @@ mod tests {
             .insert(theirs, record(ClassId(0)))
             .unwrap();
         let (sel, keys) = doc_selection(1_000);
-        execute_offload_tracked(&sel, &keys, &client, &cep, &tables, None).unwrap();
+        execute_offload_tracked(&sel, &keys, &client, &cep, &tables, 1, None).unwrap();
 
         let adapter = RemoteAdapter::new(cep.clone(), client, tables);
         let sent = cep.requests();
@@ -497,7 +498,7 @@ mod tests {
                 .unwrap();
         }
         let (sel, keys) = doc_selection(550_000);
-        execute_offload_tracked(&sel, &keys, &client, &cep, &tables, None).unwrap();
+        execute_offload_tracked(&sel, &keys, &client, &cep, &tables, 1, None).unwrap();
         // 550 KB at 11 Mbps ≈ 0.4 s of simulated link time.
         assert!(cep.clock().seconds() > 0.35);
     }
@@ -536,7 +537,7 @@ mod tests {
             NodeKey::Object(ObjectId::client(0)),
             NodeKey::Object(ObjectId::client(1)),
         ];
-        let outcome = execute_offload_tracked(&sel, &keys, &client, &cep, &tables, None)
+        let outcome = execute_offload_tracked(&sel, &keys, &client, &cep, &tables, 1, None)
             .unwrap()
             .outcome;
         // The cheapest candidate offloads only the cold array (obj1).
@@ -622,7 +623,7 @@ mod failure_tests {
         let keys = vec![NodeKey::Class(ClassId(0)), NodeKey::Class(ClassId(1))];
 
         let recorder = FlightRecorder::new(16);
-        let err = execute_offload_tracked(&sel, &keys, &client, &cep, &ctab, Some(&recorder))
+        let err = execute_offload_tracked(&sel, &keys, &client, &cep, &ctab, 1, Some(&recorder))
             .unwrap_err();
         assert!(matches!(err, VmError::RemoteFailure(_)), "{err:?}");
 

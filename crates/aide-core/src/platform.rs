@@ -17,7 +17,7 @@
 //! 5. After every client collection, dropped cross-VM references are
 //!    released to the peer (distributed GC).
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -159,6 +159,10 @@ struct Controller {
     tables: Arc<RefTables>,
     max_offloads: u32,
     offloads_done: AtomicU32,
+    /// Migrations begun, successful or not: the next one's transaction id
+    /// is one more, so a retry after an aborted migration never reuses the
+    /// aborted one's id.
+    migrations_begun: AtomicU64,
     events: Mutex<Vec<OffloadEvent>>,
     /// Flight recorder tracing every decision this controller takes.
     recorder: Arc<FlightRecorder>,
@@ -210,11 +214,11 @@ impl Controller {
 
         // The decision span roots this epoch's pipeline: sampling,
         // partitioning, and (when selected) the migration hang under it.
-        let mut decision_span = aide_trace::span(aide_trace::names::DECISION, "core");
+        let mut decision_span = aide_telemetry::span(aide_telemetry::span_names::DECISION, "core");
         decision_span.arg("reason", reason);
         decision_span.arg("gc_cycle", at_gc_cycle);
 
-        let sample_span = aide_trace::span(aide_trace::names::TRIGGER_SAMPLE, "core");
+        let sample_span = aide_telemetry::span(aide_telemetry::span_names::TRIGGER_SAMPLE, "core");
         // Sampled and migrated once the peer has run what was deferred to
         // it, as it would have before the trigger; a touch that failed
         // fails the run's next call.
@@ -235,7 +239,8 @@ impl Controller {
         };
         self.nondet.trigger(&sample);
         drop(sample_span);
-        let mut epoch_span = aide_trace::span(aide_trace::names::PARTITION_EPOCH, "core");
+        let mut epoch_span =
+            aide_telemetry::span(aide_telemetry::span_names::PARTITION_EPOCH, "core");
         let mut partitioner = self.partitioner.lock();
         let decision = partitioner.decide(
             &sample,
@@ -276,12 +281,14 @@ impl Controller {
             self.monitor.reset_memory_trigger();
             return;
         };
+        let txn = self.migrations_begun.fetch_add(1, Ordering::SeqCst) + 1;
         match execute_offload_tracked(
             &selection,
             &keys,
             &client,
             &endpoint,
             &self.tables,
+            txn,
             Some(self.recorder.as_ref()),
         ) {
             Ok(TrackedOffload {
@@ -608,8 +615,8 @@ impl Platform {
         // The surrogate endpoint's workers record on the lane active at
         // its start, so even this single-process prototype exports its
         // serve spans on a "surrogate" track.
-        let client_lane = aide_trace::current_lane();
-        aide_trace::set_thread_lane(&client_lane.with_track("surrogate"));
+        let client_lane = aide_telemetry::current_lane();
+        aide_telemetry::set_thread_lane(&client_lane.with_track("surrogate"));
         let surrogate_ep = Endpoint::start(
             st,
             cfg.comm,
@@ -620,7 +627,7 @@ impl Platform {
             )),
             EndpointConfig::default(),
         );
-        aide_trace::set_thread_lane(&client_lane);
+        aide_telemetry::set_thread_lane(&client_lane);
 
         // Lease piggybacking: each endpoint stamps outgoing frames with its
         // imports epoch and its VM's write count and renews its own exports
@@ -707,11 +714,11 @@ impl Platform {
         let heartbeat = {
             let core = core.clone();
             let interval = failover_cfg.heartbeat_interval;
-            let lane = aide_trace::current_lane();
+            let lane = aide_telemetry::current_lane();
             std::thread::Builder::new()
                 .name("aide-heartbeat".into())
                 .spawn(move || {
-                    aide_trace::set_thread_lane(&lane);
+                    aide_telemetry::set_thread_lane(&lane);
                     while let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
                         stopped.recv_timeout(interval)
                     {
@@ -780,7 +787,7 @@ impl Platform {
 
         // Tracing: this thread's spans, and those of the threads it hands
         // its lane to, go on the "client" track.
-        aide_trace::set_thread_lane(&aide_trace::current_lane().with_track("client"));
+        aide_telemetry::set_thread_lane(&aide_telemetry::current_lane().with_track("client"));
 
         // Controller first (late-bound), so the client machine's hook chain
         // can include it from the start.
@@ -795,6 +802,7 @@ impl Platform {
             tables: tables.clone(),
             max_offloads: cfg.max_offloads,
             offloads_done: AtomicU32::new(0),
+            migrations_begun: AtomicU64::new(0),
             events: Mutex::new(Vec::new()),
             recorder: recorder.clone(),
             nondet: nondet.clone(),

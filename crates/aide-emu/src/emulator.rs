@@ -24,8 +24,8 @@ use aide_core::{
     PolicyKind, TriggerConfig, TriggerSample,
 };
 use aide_graph::{CommParams, Crossing, PartitionPolicy, Partitioning, ResourceSnapshot, Side};
+use aide_telemetry::SpanContext;
 use aide_telemetry::{FlightRecorder, PlatformEvent, TimedEvent};
-use aide_trace::SpanContext;
 use aide_vm::{
     native_requires_client, ClassId, GcReport, Interaction, InteractionKind, ObjectId, RuntimeHooks,
 };
@@ -291,7 +291,7 @@ fn stamp_span(
     duration_micros: u64,
     args: Vec<(String, String)>,
 ) {
-    aide_trace::record_raw(aide_trace::SpanRecord {
+    aide_telemetry::record_raw(aide_telemetry::SpanRecord {
         trace_id: ctx.trace_id,
         span_id: ctx.span_id,
         parent_id: parent,
@@ -454,7 +454,7 @@ impl Run<'_> {
         stamp_span(
             decision_ctx.child(),
             Some(decision_ctx.span_id),
-            aide_trace::names::TRIGGER_SAMPLE,
+            aide_telemetry::span_names::TRIGGER_SAMPLE,
             at_micros,
             0,
             vec![("reason".to_string(), reason.to_string())],
@@ -469,7 +469,7 @@ impl Run<'_> {
         stamp_span(
             decision_ctx.child(),
             Some(decision_ctx.span_id),
-            aide_trace::names::PARTITION_EPOCH,
+            aide_telemetry::span_names::PARTITION_EPOCH,
             at_micros,
             eval_micros,
             vec![(
@@ -481,7 +481,7 @@ impl Run<'_> {
             stamp_span(
                 decision_ctx,
                 None,
-                aide_trace::names::DECISION,
+                aide_telemetry::span_names::DECISION,
                 at_micros,
                 eval_micros,
                 vec![("outcome".to_string(), "declined".to_string())],
@@ -506,7 +506,7 @@ impl Run<'_> {
         stamp_span(
             decision_ctx.child(),
             Some(decision_ctx.span_id),
-            aide_trace::names::MIGRATION,
+            aide_telemetry::span_names::MIGRATION,
             at_micros + eval_micros,
             transfer_micros,
             vec![
@@ -521,7 +521,7 @@ impl Run<'_> {
         stamp_span(
             decision_ctx,
             None,
-            aide_trace::names::DECISION,
+            aide_telemetry::span_names::DECISION,
             at_micros,
             eval_micros + transfer_micros,
             vec![("outcome".to_string(), "offloaded".to_string())],
@@ -678,7 +678,7 @@ impl Emulator {
                     stamp_span(
                         SpanContext::fresh(),
                         None,
-                        aide_trace::names::FAILOVER,
+                        aide_telemetry::span_names::FAILOVER,
                         virtual_micros(now),
                         if failure.standby {
                             virtual_micros(failure.reoffload_delay_seconds)

@@ -44,8 +44,7 @@ use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use aide_graph::{CommParams, Crossing};
-use aide_telemetry::{buckets, Histogram};
-use aide_trace::names as span_names;
+use aide_telemetry::span_names;
 use aide_vm::SlotWrites;
 use parking_lot::Mutex;
 
@@ -153,6 +152,36 @@ pub trait Dispatcher: Send + Sync {
     }
 }
 
+/// Capped exponential backoff with deterministic jitter: the sleep between
+/// two attempts of a retried call ([`RetryPolicy::backoff`]), and the gate
+/// on re-acquiring a surrogate after failures (`aide-core`'s failover).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BackoffConfig {
+    /// Delay before the first retry.
+    pub base: Duration,
+    /// Multiplier applied per successive retry.
+    pub factor: f64,
+    /// Upper bound on the delay before jitter.
+    pub max: Duration,
+    /// Jitter amplitude: each delay is scaled by a factor drawn uniformly
+    /// from `[1 - jitter, 1 + jitter]`. 0 disables jitter.
+    pub jitter: f64,
+    /// Seed for the jitter stream (a fixed seed keeps runs reproducible).
+    pub seed: u64,
+}
+
+impl BackoffConfig {
+    /// The delay before retry `retry` (0 for the first): `base` scaled by
+    /// `factor` once per earlier retry (32 times at most), capped at `max`,
+    /// then scaled by one jitter draw from `rng`.
+    pub fn delay(&self, retry: u32, rng: &mut Xorshift64) -> Duration {
+        let exp = self.base.as_secs_f64() * self.factor.powi(retry.min(32) as i32);
+        let capped = exp.min(self.max.as_secs_f64());
+        let scale = 1.0 + self.jitter * (2.0 * rng.unit() - 1.0);
+        Duration::from_secs_f64((capped * scale).max(0.0))
+    }
+}
+
 /// Retry discipline for [`Endpoint::call_with_retry`].
 ///
 /// Retries resend the *same* frame — same sequence number, same client id —
@@ -164,21 +193,12 @@ pub struct RetryPolicy {
     pub max_attempts: u32,
     /// How long each attempt waits for a reply before resending.
     pub attempt_timeout: Duration,
-    /// Backoff before the first retry; later retries scale by
-    /// [`backoff_factor`](RetryPolicy::backoff_factor).
-    pub base_backoff: Duration,
-    /// Multiplier applied to the backoff after every retry.
-    pub backoff_factor: f64,
-    /// Upper bound on a single backoff sleep.
-    pub max_backoff: Duration,
-    /// Jitter fraction: each sleep is scaled by a factor drawn uniformly
-    /// from `[1 - jitter, 1 + jitter]`. 0 disables jitter.
-    pub jitter: f64,
+    /// The sleep between a timed-out attempt and the next. Its jitter
+    /// stream is mixed with the request's sequence number, so concurrent
+    /// calls do not march in lockstep.
+    pub backoff: BackoffConfig,
     /// Overall deadline across all attempts and backoffs.
     pub deadline: Duration,
-    /// Seed for the deterministic jitter stream (mixed with the request's
-    /// sequence number so concurrent calls do not march in lockstep).
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -186,13 +206,22 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 4,
             attempt_timeout: Duration::from_secs(2),
-            base_backoff: Duration::from_millis(25),
-            backoff_factor: 2.0,
-            max_backoff: Duration::from_secs(1),
-            jitter: 0.25,
+            backoff: BackoffConfig {
+                base: Duration::from_millis(25),
+                factor: 2.0,
+                max: Duration::from_secs(1),
+                jitter: 0.25,
+                seed: 0x9E37_79B9_7F4A_7C15,
+            },
             deadline: Duration::from_secs(30),
-            seed: 0x9E37_79B9_7F4A_7C15,
         }
+    }
+}
+
+impl RetryPolicy {
+    /// The jitter stream of the call numbered `seq`.
+    fn jitter(&self, seq: u64) -> Xorshift64 {
+        Xorshift64::new(self.backoff.seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 }
 
@@ -707,12 +736,6 @@ pub struct Endpoint {
     retries: AtomicU64,
     /// See [`Endpoint::requests`].
     requests: AtomicU64,
-    /// See [`Endpoint::errors`].
-    errors: AtomicU64,
-    /// See [`Endpoint::simulated_bytes`].
-    simulated_bytes: AtomicU64,
-    /// See [`Endpoint::latency_micros`].
-    latency_micros: Histogram,
     shared: Arc<Shared>,
 }
 
@@ -743,7 +766,7 @@ impl Endpoint {
         dispatcher: Arc<dyn Dispatcher>,
         config: EndpointConfig,
     ) -> Arc<Endpoint> {
-        let pool = WorkerPool::new("rpc-worker", aide_trace::current_lane(), config.workers);
+        let pool = WorkerPool::new("rpc-worker", aide_telemetry::current_lane(), config.workers);
         Endpoint::serving(pool, true, session, params, clock, dispatcher, config)
     }
 
@@ -806,9 +829,6 @@ impl Endpoint {
             config,
             retries: AtomicU64::new(0),
             requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            simulated_bytes: AtomicU64::new(0),
-            latency_micros: Histogram::new(buckets::LATENCY_MICROS),
             shared,
         })
     }
@@ -896,24 +916,6 @@ impl Endpoint {
     /// touch as it is queued; each answered probe.
     pub fn requests(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Calls that failed: the transport lost them, or the peer answered
-    /// with an error.
-    pub fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-
-    /// Request and reply payload bytes charged to the simulated link
-    /// ([`Request::crossing`]).
-    pub fn simulated_bytes(&self) -> u64 {
-        self.simulated_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Real round-trip time of each call, flush and answered probe, in
-    /// microseconds.
-    pub fn latency_micros(&self) -> &Histogram {
-        &self.latency_micros
     }
 
     /// Number of duplicate requests absorbed by the at-most-once cache
@@ -1119,7 +1121,7 @@ impl Endpoint {
         } else {
             span_names::RPC_CALL
         };
-        let mut span = aide_trace::span(name, "rpc");
+        let mut span = aide_telemetry::span(name, "rpc");
         span.arg("kind", request.kind());
         span.arg("seq", seq);
         if !touches.is_empty() {
@@ -1141,11 +1143,10 @@ impl Endpoint {
             }
             self.shared.put_back(unanswered);
         };
-        // A round trip the transport failed: counted, and named in its span.
-        // Touches it carried may or may not have been served, so they are
-        // not sent again: deferring stops, and they wait to be taken back.
-        let fail = |mut span: aide_trace::SpanGuard, e: RpcError| {
-            self.errors.fetch_add(1, Ordering::Relaxed);
+        // A round trip the transport failed, named in its span. Touches it
+        // carried may or may not have been served, so they are not sent
+        // again: deferring stops, and they wait to be taken back.
+        let fail = |mut span: aide_telemetry::SpanGuard, e: RpcError| {
             let outcome = match &e {
                 RpcError::Timeout => "timeout",
                 _ => "disconnected",
@@ -1162,8 +1163,7 @@ impl Endpoint {
             Err(e) => return fail(span, e),
         };
         let deadline = Instant::now() + policy.deadline;
-        let mut jitter = Xorshift64::new(policy.seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let started = Instant::now();
+        let mut jitter = policy.jitter(seq);
         let mut attempt: u32 = 0;
         let outcome = loop {
             attempt += 1;
@@ -1177,7 +1177,7 @@ impl Endpoint {
             // touches), only the trace context differs, so the at-most-once
             // dedup still works.
             let mut attempt_span = retried.then(|| {
-                let mut attempt_span = aide_trace::span(span_names::RPC_ATTEMPT, "rpc");
+                let mut attempt_span = aide_telemetry::span(span_names::RPC_ATTEMPT, "rpc");
                 attempt_span.arg("attempt", attempt);
                 attempt_span
             });
@@ -1214,13 +1214,11 @@ impl Endpoint {
                     if attempt >= policy.max_attempts || now >= deadline {
                         break Err(RpcError::Timeout);
                     }
-                    let exp = policy.base_backoff.as_secs_f64()
-                        * policy.backoff_factor.powi(attempt as i32 - 1);
-                    let capped = exp.min(policy.max_backoff.as_secs_f64());
-                    let scale = 1.0 + policy.jitter * (2.0 * jitter.unit() - 1.0);
-                    let sleep = Duration::from_secs_f64((capped * scale).max(0.0))
+                    let sleep = policy
+                        .backoff
+                        .delay(attempt - 1, &mut jitter)
                         .min(deadline.saturating_duration_since(now));
-                    let mut backoff_span = aide_trace::span(span_names::RPC_BACKOFF, "rpc");
+                    let mut backoff_span = aide_telemetry::span(span_names::RPC_BACKOFF, "rpc");
                     backoff_span.arg("micros", sleep.as_micros());
                     std::thread::sleep(sleep);
                 }
@@ -1235,8 +1233,6 @@ impl Endpoint {
         if !flushing {
             self.requests.fetch_add(1, Ordering::Relaxed);
         }
-        let elapsed_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.latency_micros.observe(elapsed_micros);
         if retried {
             span.arg("attempts", attempt);
         }
@@ -1281,9 +1277,6 @@ impl Endpoint {
             Err(_) => "remote_error",
         };
         span.arg("outcome", outcome);
-        if reply.is_err() {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-        }
         if !flushing {
             self.charge(crossing);
         }
@@ -1294,8 +1287,6 @@ impl Endpoint {
     /// ([`Request::crossing`]) to the simulated link, at the price the
     /// emulator and the predictor pay for the same traffic.
     fn charge(&self, crossing: Crossing) {
-        let (Crossing::Calls { bytes, .. } | Crossing::Stream { bytes }) = crossing;
-        self.simulated_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.clock.add_round_trip(self.params.charge(crossing));
     }
 
@@ -1347,8 +1338,6 @@ impl Endpoint {
         outcome?.0.map_err(RpcError::Remote)?;
         let rtt = started.elapsed();
         self.requests.fetch_add(1, Ordering::Relaxed);
-        self.latency_micros
-            .observe(u64::try_from(rtt.as_micros()).unwrap_or(u64::MAX));
         Ok(rtt)
     }
 
@@ -1612,7 +1601,7 @@ mod tests {
     }
 
     #[test]
-    fn an_endpoint_counts_its_own_requests_errors_bytes_and_round_trips() {
+    fn an_endpoint_counts_its_own_requests() {
         let (ours, _peer) = pair();
         let (other, _its_peer) = pair();
         let access = Request::FieldAccess {
@@ -1628,20 +1617,11 @@ mod tests {
             target: ObjectId::surrogate(9),
         };
         assert!(matches!(ours.call(dangling), Err(RpcError::Remote(_))));
-        // Three accesses of 100 B, the last deferred one riding the flush,
-        // and a failed call of no payload: four requests, three round trips.
-        assert_eq!(
-            (ours.requests(), ours.errors(), ours.simulated_bytes()),
-            (4, 1, 300)
-        );
-        assert_eq!(ours.latency_micros().count(), 3);
-        assert_eq!(ours.latency_micros().counts().iter().sum::<u64>(), 3);
+        // Three accesses, the last deferred one riding the flush, and a
+        // failed call: four requests.
+        assert_eq!(ours.requests(), 4);
         // An endpoint beside it in the process counted none of that.
-        assert_eq!(
-            (other.requests(), other.errors(), other.simulated_bytes()),
-            (0, 0, 0)
-        );
-        assert_eq!(other.latency_micros().count(), 0);
+        assert_eq!(other.requests(), 0);
     }
 
     #[test]
@@ -1802,6 +1782,32 @@ mod tests {
     }
 
     #[test]
+    fn a_retried_call_backs_off_as_the_default_policy_always_has() {
+        // The first eight backoffs of an endpoint's first call (sequence
+        // number 0) under the default policy, in nanoseconds. The failover
+        // gate shares `BackoffConfig::delay`; pinned, neither caller's
+        // sleeps can move when the other's needs change it.
+        let policy = RetryPolicy::default();
+        let mut jitter = policy.jitter(0);
+        let delays: Vec<u128> = (0..8)
+            .map(|retry| policy.backoff.delay(retry, &mut jitter).as_nanos())
+            .collect();
+        assert_eq!(
+            delays,
+            [
+                29_497_427,
+                47_357_533,
+                99_029_394,
+                168_894_989,
+                335_092_436,
+                836_035_867,
+                1_052_390_136,
+                1_175_128_734,
+            ]
+        );
+    }
+
+    #[test]
     fn retry_reuses_the_sequence_number_and_executes_once() {
         // The surrogate is slower than one attempt timeout, so the first
         // attempt gives up and resends. Because the retry keeps the same
@@ -1821,9 +1827,11 @@ mod tests {
                 retry: RetryPolicy {
                     max_attempts: 8,
                     attempt_timeout: Duration::from_millis(100),
-                    base_backoff: Duration::from_millis(1),
+                    backoff: BackoffConfig {
+                        base: Duration::from_millis(1),
+                        ..RetryPolicy::default().backoff
+                    },
                     deadline: Duration::from_secs(10),
-                    ..RetryPolicy::default()
                 },
                 ..EndpointConfig::default()
             },
@@ -2001,9 +2009,9 @@ mod tests {
     #[test]
     fn serve_spans_adopt_the_callers_wire_context() {
         // Opened first: the endpoints' workers record on this thread's lane.
-        let store = aide_trace::SpanStore::open();
+        let store = aide_telemetry::SpanStore::open();
         let (client, surrogate) = pair();
-        let root = aide_trace::span("endpoint.test.root", "test");
+        let root = aide_telemetry::span("endpoint.test.root", "test");
         let root_ctx = root.context();
         client
             .call(Request::GetSlot {
@@ -2033,7 +2041,7 @@ mod tests {
 
     #[test]
     fn retry_attempts_get_their_own_spans_with_backoff() {
-        let store = aide_trace::SpanStore::open();
+        let store = aide_telemetry::SpanStore::open();
         let (link, ct, st) = Link::pair(CommParams::WAVELAN);
         let clock = link.clock.clone();
         let client = Endpoint::start(
@@ -2047,9 +2055,11 @@ mod tests {
                 retry: RetryPolicy {
                     max_attempts: 8,
                     attempt_timeout: Duration::from_millis(80),
-                    base_backoff: Duration::from_millis(5),
+                    backoff: BackoffConfig {
+                        base: Duration::from_millis(5),
+                        ..RetryPolicy::default().backoff
+                    },
                     deadline: Duration::from_secs(10),
-                    ..RetryPolicy::default()
                 },
                 ..EndpointConfig::default()
             },
@@ -2063,7 +2073,7 @@ mod tests {
             }),
             EndpointConfig::default(),
         );
-        let root = aide_trace::span("endpoint.test.retry", "test");
+        let root = aide_telemetry::span("endpoint.test.retry", "test");
         let root_ctx = root.context();
         client
             .call_with_retry(Request::FieldAccess {

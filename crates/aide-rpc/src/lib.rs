@@ -83,9 +83,11 @@ mod rng;
 mod tcp;
 mod wire;
 
-pub use aide_trace::SpanContext;
+pub use aide_telemetry::SpanContext;
 pub use chaos::{chaos_pair, chaos_wrap, ChaosPairStats, ChaosSchedule, ChaosStats};
-pub use endpoint::{Dispatcher, Endpoint, EndpointConfig, RetryPolicy, RpcError, DEFER_LIMIT};
+pub use endpoint::{
+    BackoffConfig, Dispatcher, Endpoint, EndpointConfig, RetryPolicy, RpcError, DEFER_LIMIT,
+};
 pub use link::{BackendKind, Delivered, Link, LinkError, NetClock, Session, TrafficStats};
 pub use mux::{ConnKiller, MuxConn, MuxStats};
 pub use pool::WorkerPool;

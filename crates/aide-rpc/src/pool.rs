@@ -87,7 +87,7 @@ pub struct WorkerPool {
     /// Workers are named `{name}-{number}`.
     name: String,
     /// The trace lane the workers record their spans on.
-    lane: aide_trace::Lane,
+    lane: aide_telemetry::Lane,
     served_where_read: AtomicU64,
     stalled_leads: AtomicU64,
     closed_leads_waited_out: AtomicU64,
@@ -97,7 +97,11 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// A pool that spawns no worker before a job needs one, and at most
     /// `max_workers`, recording their spans on `lane`.
-    pub(crate) fn new(name: &str, lane: aide_trace::Lane, max_workers: usize) -> Arc<WorkerPool> {
+    pub(crate) fn new(
+        name: &str,
+        lane: aide_telemetry::Lane,
+        max_workers: usize,
+    ) -> Arc<WorkerPool> {
         Arc::new_cyclic(|me| WorkerPool {
             me: me.clone(),
             state: Mutex::default(),
@@ -113,7 +117,7 @@ impl WorkerPool {
 
     /// A pool of `workers` workers, all spawned now, recording their spans
     /// on `lane`. It serves until [`shutdown`](WorkerPool::shutdown).
-    pub fn start(name: &str, lane: aide_trace::Lane, workers: usize) -> Arc<WorkerPool> {
+    pub fn start(name: &str, lane: aide_telemetry::Lane, workers: usize) -> Arc<WorkerPool> {
         let pool = WorkerPool::new(name, lane, workers);
         {
             let mut state = pool.state.lock();
@@ -253,7 +257,7 @@ impl WorkerPool {
     /// out. Between two jobs it leads the carrier of the last one when it
     /// can (see [`WorkerPool::lead`]).
     fn work(&self, me: usize) {
-        aide_trace::set_thread_lane(&self.lane);
+        aide_telemetry::set_thread_lane(&self.lane);
         // The carrier of the last request served, and whether leading is
         // held off (see `lead`).
         let mut last_from = None;

@@ -14,7 +14,7 @@ use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use aide_trace::names as span_names;
+use aide_telemetry::span_names;
 use aide_vm::{ClassId, MethodId};
 use parking_lot::Mutex;
 
@@ -216,7 +216,7 @@ impl Responder {
             if let Some(duplicate) = self.dedup.begin(key) {
                 // Absorbed: the endpoint counts it from what this returns,
                 // and it is visible in the trace of the call that sent it.
-                let mut span = aide_trace::child_of(trace, span_names::RPC_DEDUP, "rpc");
+                let mut span = aide_telemetry::child_of(trace, span_names::RPC_DEDUP, "rpc");
                 span.arg("kind", kind);
                 let action = match duplicate {
                     Served::InFlight => "drop_in_flight",
@@ -228,7 +228,7 @@ impl Responder {
         }
         // The serve span adopts the caller's wire context, which is what
         // stitches client and surrogate into one connected trace tree.
-        let mut span = aide_trace::child_of(trace, span_names::RPC_SERVE, "rpc");
+        let mut span = aide_telemetry::child_of(trace, span_names::RPC_SERVE, "rpc");
         span.arg("kind", kind);
         span.arg("seq", seq);
         if !deferred.is_empty() {

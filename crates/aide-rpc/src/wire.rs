@@ -48,7 +48,7 @@ use std::time::Instant;
 use bytes::{Buf, BufMut};
 
 use aide_graph::Crossing;
-use aide_trace::SpanContext;
+use aide_telemetry::SpanContext;
 use aide_vm::{ClassId, MethodId, NativeKind, ObjectId, ObjectRecord};
 
 /// The protocol version, carried as the first byte of every frame. A
@@ -593,7 +593,7 @@ impl Message {
 /// flag, then the encoding thread's active `(trace_id, span_id)` when it
 /// has one. The prefix is covered by the frame CRC.
 fn encode_trace_context<B: BufMut>(buf: &mut B) {
-    match aide_trace::current_context() {
+    match aide_telemetry::current_context() {
         Some(ctx) => {
             buf.put_u8(1);
             buf.put_u64_le(ctx.trace_id);
@@ -1653,7 +1653,7 @@ mod tests {
                 target: ObjectId::surrogate(4),
             },
         };
-        let guard = aide_trace::span("wire.test", "test");
+        let guard = aide_telemetry::span("wire.test", "test");
         let header = FrameHeader {
             trace: Some(guard.context()),
             lease: Some(LeaseStamp {
@@ -1729,7 +1729,7 @@ mod tests {
             client: 4,
             body: Request::MigrateCommit { txn: 9 },
         };
-        let guard = aide_trace::span("wire.test", "test");
+        let guard = aide_telemetry::span("wire.test", "test");
         let parent = guard.context();
         let frame = msg.encode();
         drop(guard); // the context is captured at encode time

@@ -14,7 +14,8 @@ use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use aide_rpc::{
-    Dispatcher, Endpoint, EndpointConfig, Message, Reply, Request, RetryPolicy, RpcError,
+    BackoffConfig, Dispatcher, Endpoint, EndpointConfig, Message, Reply, Request, RetryPolicy,
+    RpcError,
 };
 use aide_vm::{ClassId, MethodId, NativeKind, ObjectId};
 use wires::{answer, eventually, get_reading, read, start, wind_down, withheld, Echo, Wire};
@@ -238,10 +239,12 @@ fn a_retry_whose_first_attempt_the_peer_drops_executes_once() {
                 retry: RetryPolicy {
                     max_attempts: 4,
                     attempt_timeout,
-                    base_backoff: Duration::from_millis(10),
-                    jitter: 0.0,
+                    backoff: BackoffConfig {
+                        base: Duration::from_millis(10),
+                        jitter: 0.0,
+                        ..RetryPolicy::default().backoff
+                    },
                     deadline: Duration::from_secs(10),
-                    ..RetryPolicy::default()
                 },
                 ..config()
             },

@@ -8,8 +8,8 @@ use std::time::{Duration, Instant};
 
 use aide_graph::CommParams;
 use aide_rpc::{
-    chaos_wrap, BackendKind, ChaosSchedule, Dispatcher, Endpoint, EndpointConfig, Link, MuxConn,
-    NetClock, Reply, Request, RetryPolicy, RpcError, Session, TcpMuxListener,
+    chaos_wrap, BackendKind, BackoffConfig, ChaosSchedule, Dispatcher, Endpoint, EndpointConfig,
+    Link, MuxConn, NetClock, Reply, Request, RetryPolicy, RpcError, Session, TcpMuxListener,
 };
 use aide_vm::{ClassId, ObjectId, ObjectRecord};
 
@@ -364,10 +364,12 @@ fn retry_masks_seeded_loss_on_every_backend() {
         retry: RetryPolicy {
             max_attempts: 12,
             attempt_timeout: Duration::from_millis(100),
-            base_backoff: Duration::from_millis(2),
-            max_backoff: Duration::from_millis(50),
+            backoff: BackoffConfig {
+                base: Duration::from_millis(2),
+                max: Duration::from_millis(50),
+                ..RetryPolicy::default().backoff
+            },
             deadline: Duration::from_secs(20),
-            ..RetryPolicy::default()
         },
     };
     for fx in fixtures() {

@@ -477,16 +477,16 @@ fn replies_from_the_reader_one_way_and_bulk_the_other_way_never_wedge_the_carrie
 fn a_span_served_on_a_reader_carries_the_endpoints_track_and_is_stored_by_join() {
     const CALLS: usize = 3;
     for (name, wire) in Wire::carriers() {
-        let store = aide_trace::SpanStore::open();
+        let store = aide_telemetry::SpanStore::open();
         let (cs, ss) = wire.pair();
         // Whoever starts an endpoint names the lane of all it serves.
-        let lane = aide_trace::current_lane();
-        aide_trace::set_thread_lane(&lane.with_track("serving-side"));
+        let lane = aide_telemetry::current_lane();
+        aide_telemetry::set_thread_lane(&lane.with_track("serving-side"));
         let server = start(ss, Arc::new(Vmish::default()), config());
-        aide_trace::set_thread_lane(&lane.with_track("calling-side"));
+        aide_telemetry::set_thread_lane(&lane.with_track("calling-side"));
         let client = start(cs, Arc::new(Vmish::default()), config());
 
-        let root = aide_trace::span("serve_side.root", "test");
+        let root = aide_telemetry::span("serve_side.root", "test");
         let trace_id = root.context().trace_id;
         for _ in 0..CALLS {
             assert!(client.call(access(8, false)).is_ok(), "{name}");
@@ -498,7 +498,7 @@ fn a_span_served_on_a_reader_carries_the_endpoints_track_and_is_stored_by_join()
         let serves: Vec<_> = store
             .drain()
             .into_iter()
-            .filter(|s| s.trace_id == trace_id && s.name == aide_trace::names::RPC_SERVE)
+            .filter(|s| s.trace_id == trace_id && s.name == aide_telemetry::span_names::RPC_SERVE)
             .collect();
         assert_eq!(
             serves.len(),

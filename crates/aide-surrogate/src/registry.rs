@@ -20,7 +20,6 @@ use std::time::{Duration, Instant};
 use aide_core::{ProviderContext, SurrogateLease, SurrogateProvider};
 use aide_graph::CommParams;
 use aide_rpc::{Dispatcher, Endpoint, EndpointConfig, MuxConn, NetClock, Reply, Request, Session};
-use aide_telemetry::{buckets, Histogram};
 use parking_lot::Mutex;
 
 /// EWMA smoothing factor for probe RTTs: each new sample contributes this
@@ -180,8 +179,6 @@ pub struct SurrogateRegistry {
     saturated: Mutex<HashMap<String, Instant>>,
     /// Pooled carriers keyed by surrogate address.
     conns: Mutex<HashMap<SocketAddr, CachedConn>>,
-    /// See [`SurrogateRegistry::probe_rtt_micros`].
-    probe_rtt_micros: Histogram,
     /// See [`SurrogateRegistry::evictions`].
     evictions: AtomicU64,
 }
@@ -196,14 +193,8 @@ impl SurrogateRegistry {
             probe_failures: Mutex::new(HashMap::new()),
             saturated: Mutex::new(HashMap::new()),
             conns: Mutex::new(HashMap::new()),
-            probe_rtt_micros: Histogram::new(buckets::LATENCY_MICROS),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// Round-trip time of every answered probe, in microseconds.
-    pub fn probe_rtt_micros(&self) -> &Histogram {
-        &self.probe_rtt_micros
     }
 
     /// Surrogates evicted (marked dead) after consecutive probe failures.
@@ -274,8 +265,7 @@ impl SurrogateRegistry {
     }
 
     /// Probes every non-dead surrogate with a null RPC. Each measured RTT
-    /// feeds the registry's probe-latency histogram and the entry's EWMA
-    /// estimate (the ranking input). A surrogate is evicted (marked dead)
+    /// feeds the entry's EWMA estimate (the ranking input). A surrogate is evicted (marked dead)
     /// only after [`RegistryConfig::probe_eviction_threshold`] *consecutive*
     /// failed probes — any success resets its failure count — so transient
     /// loss on a chaotic link does not discard a healthy surrogate.
@@ -284,8 +274,6 @@ impl SurrogateRegistry {
         for info in snapshot {
             match self.probe_one(info.addr) {
                 Some(rtt) => {
-                    let rtt_micros = u64::try_from(rtt.as_micros()).unwrap_or(u64::MAX);
-                    self.probe_rtt_micros.observe(rtt_micros);
                     self.note_probe_success(&info.name);
                     if let Some(entry) =
                         self.entries.lock().iter_mut().find(|e| e.name == info.name)

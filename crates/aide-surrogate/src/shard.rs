@@ -221,7 +221,7 @@ impl ShardPool {
     /// per-daemon stats lines; `factory` builds each admitted session's VM
     /// and dispatcher chain.
     pub fn start(name: &str, config: ShardConfig, factory: Box<SessionFactory>) -> Arc<ShardPool> {
-        let lane = aide_trace::current_lane().with_track("surrogate");
+        let lane = aide_telemetry::current_lane().with_track("surrogate");
         let shards = (0..config.shards.max(1))
             .map(|i| WorkerPool::start(&format!("aide-shard-{name}-{i}"), lane.clone(), 1))
             .collect();

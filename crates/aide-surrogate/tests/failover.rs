@@ -156,18 +156,12 @@ fn daemon_serves_isolated_sessions_and_answers_probes() {
 }
 
 #[test]
-fn daemon_answers_stats_with_latency_histogram_data() {
+fn daemon_answers_stats_with_its_own_numbers() {
     let daemon = SurrogateDaemon::start(DaemonConfig::new("observable", tiny_program())).unwrap();
     let registry = SurrogateRegistry::new(RegistryConfig::default());
     registry.add_static("observable", daemon.local_addr(), 64 << 20);
-
-    // A probe records at least one real RPC round trip into the registry
-    // that made it.
     registry.probe_all();
     assert_eq!(registry.ranked()[0].name, "observable");
-    let probes = registry.probe_rtt_micros();
-    assert!(probes.count() > 0, "at least one probe latency sample");
-    assert_eq!(probes.counts().iter().sum::<u64>(), probes.count());
 
     // The daemon answers with its own numbers: its pool's load lines and
     // the process-wide detector, not the caller's latencies.

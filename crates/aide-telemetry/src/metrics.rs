@@ -1,5 +1,4 @@
-//! Atomic counters, fixed-bucket histograms, and the registry that names
-//! the counters.
+//! Atomic counters and the registry that names them.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,73 +27,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A fixed-bucket histogram over `u64` observations (latencies in
-/// microseconds, sizes in bytes, ...), kept by the object that observes
-/// them.
-///
-/// Bucket bounds are inclusive upper bounds; observations above the
-/// last bound land in an implicit overflow (`+Inf`) bucket. Recording
-/// is a binary search plus two relaxed atomic adds — no locks.
-#[derive(Debug)]
-pub struct Histogram {
-    bounds: &'static [u64],
-    /// One slot per bound plus the overflow bucket.
-    counts: Box<[AtomicU64]>,
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Histogram {
-    /// Creates a histogram with the given inclusive upper bounds.
-    /// Bounds must be strictly increasing.
-    pub fn new(bounds: &'static [u64]) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        Histogram {
-            bounds,
-            counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&self, v: u64) {
-        let idx = self.bounds.partition_point(|&b| b < v);
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Mean observation, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// Per-bucket (non-cumulative) counts, one per bound plus the overflow
-    /// bucket.
-    pub fn counts(&self) -> Vec<u64> {
-        self.counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
     }
 }
 
@@ -183,18 +115,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         // Same name, same handle.
         assert_eq!(t.counter("c").get(), 5);
-    }
-
-    #[test]
-    fn histogram_buckets_observations() {
-        let h = Histogram::new(&[10, 100, 1000]);
-        for v in [1, 10, 11, 100, 5000] {
-            h.observe(v);
-        }
-        assert_eq!(h.counts(), vec![2, 2, 0, 1]);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 5122);
-        assert!((h.mean() - 1024.4).abs() < 1e-9);
     }
 
     #[test]

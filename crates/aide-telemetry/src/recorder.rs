@@ -8,6 +8,8 @@ use std::time::Instant;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
+use crate::span::SpanContext;
+
 /// A structured event in the life of the platform.
 ///
 /// The taxonomy follows the paper's decision pipeline: the memory
@@ -270,16 +272,6 @@ impl PlatformEvent {
     }
 }
 
-/// A reference to the causal-tracing span that was active when an event
-/// was recorded, linking timeline rows to exported span trees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SpanRef {
-    /// The trace the active span belonged to.
-    pub trace_id: u64,
-    /// The active span itself.
-    pub span_id: u64,
-}
-
 /// A [`PlatformEvent`] stamped with a sequence number and a timestamp.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimedEvent {
@@ -291,11 +283,11 @@ pub struct TimedEvent {
     /// The event.
     pub event: PlatformEvent,
     /// The tracing span active on the recording thread
-    /// ([`aide_trace::current_context`]), if any. Absent from serialized
-    /// form when `None`, so traces recorded before the tracing layer
-    /// existed still load.
+    /// ([`crate::current_context`]), if any, linking the timeline row to
+    /// the exported span tree. Absent from serialized form when `None`,
+    /// so traces recorded before the tracing layer existed still load.
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub span: Option<SpanRef>,
+    pub span: Option<SpanContext>,
 }
 
 /// A bounded ring buffer of [`TimedEvent`]s.
@@ -340,10 +332,7 @@ impl FlightRecorder {
     /// emulator runs).
     pub fn record_at(&self, at_micros: u64, event: PlatformEvent) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let span = aide_trace::current_context().map(|ctx| SpanRef {
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-        });
+        let span = crate::current_context();
         let mut events = self.events.lock();
         if events.len() == self.capacity {
             events.pop_front();
@@ -461,19 +450,13 @@ mod tests {
     #[test]
     fn events_carry_the_active_span_when_annotated() {
         let r = FlightRecorder::new(4);
-        let span = aide_trace::span("recorder.test", "test");
+        let span = crate::span("recorder.test", "test");
         let ctx = span.context();
         r.record(PlatformEvent::OffloadDeclined { candidates: 1 });
         drop(span);
         r.record(PlatformEvent::OffloadDeclined { candidates: 2 });
         let events = r.events();
-        assert_eq!(
-            events[0].span,
-            Some(SpanRef {
-                trace_id: ctx.trace_id,
-                span_id: ctx.span_id
-            })
-        );
+        assert_eq!(events[0].span, Some(ctx));
         assert_eq!(events[1].span, None);
         // Serialized events surface the link, and omit it when absent so
         // pre-tracing traces still parse byte-compatibly.
@@ -483,6 +466,36 @@ mod tests {
         let text = render_timeline(&events);
         let link = format!("trace={:#x} span={:#x}", ctx.trace_id, ctx.span_id);
         assert!(text.contains(&link), "got: {text}");
+    }
+
+    #[test]
+    fn an_event_serializes_with_and_without_its_span_link_exactly() {
+        let linked = TimedEvent {
+            seq: 3,
+            at_micros: 42,
+            event: PlatformEvent::OffloadDeclined { candidates: 2 },
+            span: Some(SpanContext {
+                trace_id: 0x1_0000_0007,
+                span_id: 9,
+            }),
+        };
+        let unlinked = TimedEvent {
+            span: None,
+            ..linked.clone()
+        };
+        let json = |e: &TimedEvent| serde_json::to_string(e).expect("events serialize");
+        assert_eq!(
+            json(&linked),
+            r#"{"seq":3,"at_micros":42,"event":{"OffloadDeclined":{"candidates":2}},"span":{"trace_id":4294967303,"span_id":9}}"#
+        );
+        assert_eq!(
+            json(&unlinked),
+            r#"{"seq":3,"at_micros":42,"event":{"OffloadDeclined":{"candidates":2}}}"#
+        );
+        for event in [linked, unlinked] {
+            let back: TimedEvent = serde_json::from_str(&json(&event)).expect("line parses");
+            assert_eq!(back, event);
+        }
     }
 
     #[test]

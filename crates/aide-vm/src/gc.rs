@@ -147,7 +147,7 @@ impl Collector {
         self.cycle += 1;
         self.allocs_since = 0;
         self.bytes_since = 0;
-        let mut gc_span = aide_trace::span(aide_trace::names::VM_GC, "vm");
+        let mut gc_span = aide_telemetry::span(aide_telemetry::span_names::VM_GC, "vm");
         gc_span.arg("cycle", self.cycle);
 
         // Mark: the heap keeps the mark bits, one word per chunk of ids.

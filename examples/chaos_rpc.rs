@@ -13,7 +13,8 @@ use std::time::Duration;
 
 use aide::graph::CommParams;
 use aide::rpc::{
-    chaos_pair, ChaosSchedule, Dispatcher, Endpoint, EndpointConfig, Reply, Request, RetryPolicy,
+    chaos_pair, BackoffConfig, ChaosSchedule, Dispatcher, Endpoint, EndpointConfig, Reply, Request,
+    RetryPolicy,
 };
 use aide::vm::ObjectId;
 
@@ -67,7 +68,10 @@ fn main() {
         retry: RetryPolicy {
             max_attempts: 10,
             attempt_timeout: Duration::from_millis(50),
-            base_backoff: Duration::from_millis(2),
+            backoff: BackoffConfig {
+                base: Duration::from_millis(2),
+                ..RetryPolicy::default().backoff
+            },
             ..RetryPolicy::default()
         },
     };

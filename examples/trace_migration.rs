@@ -24,7 +24,7 @@ use std::time::Duration;
 use aide::apps::{javanote, Scale};
 use aide::core::{Platform, PlatformConfig, TransportKind};
 use aide::rpc::ChaosSchedule;
-use aide::trace::{chrome_trace, critical_path, names, SpanStore};
+use aide::telemetry::{chrome_trace, critical_path, span_names, SpanStore};
 
 fn main() {
     // A scaled-down JavaNote in a heap too small for its document: the
@@ -47,10 +47,13 @@ fn main() {
     let spans = store.drain();
     println!("spans recorded: {}", spans.len());
     assert!(!spans.is_empty(), "the run recorded no span");
-    let serves = spans.iter().filter(|s| s.name == names::RPC_SERVE).count();
+    let serves = spans
+        .iter()
+        .filter(|s| s.name == span_names::RPC_SERVE)
+        .count();
     let retries = spans
         .iter()
-        .filter(|s| s.name == names::RPC_BACKOFF)
+        .filter(|s| s.name == span_names::RPC_BACKOFF)
         .count();
     println!("  surrogate serve spans: {serves}");
     println!("  backoff sleeps (chaos-induced): {retries}");

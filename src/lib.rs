@@ -19,11 +19,10 @@
 //! * [`apps`] — models of the paper's five evaluation applications.
 //! * [`surrogate`] — the surrogate daemon, UDP-beacon discovery, the
 //!   RTT-ranked registry, and failover onto standby surrogates.
-//! * [`telemetry`] — platform-wide metrics, the decision flight recorder,
-//!   and the JSON-lines / Prometheus-style exporters.
-//! * [`trace`] — causal distributed tracing: span contexts propagated
-//!   across the RPC wire, Chrome/Perfetto trace export, and per-migration
-//!   critical-path latency attribution.
+//! * [`telemetry`] — platform-wide observability: causal spans propagated
+//!   across the RPC wire with Chrome/Perfetto export and per-migration
+//!   critical-path attribution, the decision flight recorder, and the
+//!   process-wide counter with its Prometheus-style exporter.
 //!
 //! See the `examples/` directory for runnable walkthroughs and
 //! `EXPERIMENTS.md` for the paper-versus-measured results.
@@ -50,5 +49,4 @@ pub use aide_graph as graph;
 pub use aide_rpc as rpc;
 pub use aide_surrogate as surrogate;
 pub use aide_telemetry as telemetry;
-pub use aide_trace as trace;
 pub use aide_vm as vm;

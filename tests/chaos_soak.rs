@@ -18,8 +18,8 @@ use aide::graph::{
     PinReason, ResourceSnapshot,
 };
 use aide::rpc::{
-    chaos_pair, chaos_wrap, ChaosSchedule, Dispatcher, Endpoint, EndpointConfig, Link, Reply,
-    Request, RetryPolicy, Session,
+    chaos_pair, chaos_wrap, BackoffConfig, ChaosSchedule, Dispatcher, Endpoint, EndpointConfig,
+    Link, Reply, Request, RetryPolicy, Session,
 };
 use aide::telemetry::{FlightRecorder, PlatformEvent};
 use aide::vm::{
@@ -51,12 +51,14 @@ fn soak_retry() -> RetryPolicy {
     RetryPolicy {
         max_attempts: 12,
         attempt_timeout: Duration::from_millis(100),
-        base_backoff: Duration::from_millis(2),
-        backoff_factor: 2.0,
-        max_backoff: Duration::from_millis(50),
-        jitter: 0.25,
+        backoff: BackoffConfig {
+            base: Duration::from_millis(2),
+            factor: 2.0,
+            max: Duration::from_millis(50),
+            jitter: 0.25,
+            seed: 0xC0FFEE,
+        },
         deadline: Duration::from_secs(30),
-        seed: 0xC0FFEE,
     }
 }
 
@@ -314,8 +316,15 @@ fn mid_migration_reset_rolls_back_the_client_heap() {
 
     let (sel, keys) = doc_selection(300_000);
     let recorder = FlightRecorder::new(32);
-    let result =
-        execute_offload_tracked(&sel, &keys, &client, &client_ep, &tables, Some(&recorder));
+    let result = execute_offload_tracked(
+        &sel,
+        &keys,
+        &client,
+        &client_ep,
+        &tables,
+        1,
+        Some(&recorder),
+    );
     assert!(
         result.is_err(),
         "a reset mid-migration must fail the offload"

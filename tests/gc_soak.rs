@@ -18,7 +18,8 @@ use std::time::Duration;
 use aide::core::{RefTables, VmDispatcher};
 use aide::graph::CommParams;
 use aide::rpc::{
-    chaos_pair, ChaosSchedule, Endpoint, EndpointConfig, GcClock, Request, RetryPolicy,
+    chaos_pair, BackoffConfig, ChaosSchedule, Endpoint, EndpointConfig, GcClock, Request,
+    RetryPolicy,
 };
 use aide::vm::{
     ClassId, Machine, MethodDef, MethodId, ObjectId, ObjectRecord, Program, ProgramBuilder,
@@ -40,12 +41,14 @@ fn soak_retry() -> RetryPolicy {
     RetryPolicy {
         max_attempts: 12,
         attempt_timeout: Duration::from_millis(100),
-        base_backoff: Duration::from_millis(2),
-        backoff_factor: 2.0,
-        max_backoff: Duration::from_millis(50),
-        jitter: 0.25,
+        backoff: BackoffConfig {
+            base: Duration::from_millis(2),
+            factor: 2.0,
+            max: Duration::from_millis(50),
+            jitter: 0.25,
+            seed: 0xC0FFEE,
+        },
         deadline: Duration::from_secs(30),
-        seed: 0xC0FFEE,
     }
 }
 

@@ -14,7 +14,7 @@ use aide::apps::{javanote, Scale};
 use aide::core::{Platform, PlatformConfig, TransportKind};
 use aide::emu::{record_program, Emulator, EmulatorConfig};
 use aide::rpc::ChaosSchedule;
-use aide::trace::{names, SpanRecord, SpanStore};
+use aide::telemetry::{span_names, SpanRecord, SpanStore};
 
 const TEST_SCALE: Scale = Scale(0.05);
 const TEST_HEAP: u64 = 320 << 10;
@@ -22,29 +22,29 @@ const TEST_HEAP: u64 = 320 << 10;
 /// Span names that describe the decision/migration pipeline itself
 /// (transport- and timing-independent, unlike the RPC retry spans).
 const LIVE_SHAPE: &[&str] = &[
-    names::DECISION,
-    names::TRIGGER_SAMPLE,
-    names::PARTITION_EPOCH,
-    names::MIGRATION,
-    names::MIGRATE_SERIALIZE,
-    names::MIGRATE_PREPARE,
-    names::MIGRATE_COMMIT,
+    span_names::DECISION,
+    span_names::TRIGGER_SAMPLE,
+    span_names::PARTITION_EPOCH,
+    span_names::MIGRATION,
+    span_names::MIGRATE_SERIALIZE,
+    span_names::MIGRATE_PREPARE,
+    span_names::MIGRATE_COMMIT,
 ];
 
 /// The coarser shape the trace-driven emulator stamps at virtual time
 /// (it models the transfer as one block, not per-batch RPCs).
 const EMU_SHAPE: &[&str] = &[
-    names::DECISION,
-    names::TRIGGER_SAMPLE,
-    names::PARTITION_EPOCH,
-    names::MIGRATION,
+    span_names::DECISION,
+    span_names::TRIGGER_SAMPLE,
+    span_names::PARTITION_EPOCH,
+    span_names::MIGRATION,
 ];
 
 /// The committed-migration span, or a panic listing what was recorded.
 fn committed_migration(spans: &[SpanRecord]) -> &SpanRecord {
     spans
         .iter()
-        .find(|s| s.name == names::MIGRATION && s.arg("outcome") == Some("committed"))
+        .find(|s| s.name == span_names::MIGRATION && s.arg("outcome") == Some("committed"))
         .unwrap_or_else(|| {
             let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
             panic!("no committed migration span; recorded: {names:?}")
@@ -76,7 +76,7 @@ fn offload_shape(spans: &[SpanRecord], filter: &[&str]) -> String {
     }
     let root = tree
         .iter()
-        .find(|s| s.name == names::DECISION)
+        .find(|s| s.name == span_names::DECISION)
         .expect("the migration trace contains its decision span");
     render(root, &children)
 }
@@ -159,13 +159,16 @@ fn chaos_tcp_migration_yields_one_connected_cross_device_span_tree() {
 
     assert!(
         tree.iter()
-            .any(|s| s.name == names::RPC_ATTEMPT && s.arg("attempt") == Some("2")),
+            .any(|s| s.name == span_names::RPC_ATTEMPT && s.arg("attempt") == Some("2")),
         "the lost PREPARE was sent again inside the migration trace"
     );
 
     // The surrogate's serve spans hang underneath the client's migration
     // span — the causal chain survives retries and chaos.
-    let serves: Vec<&&SpanRecord> = tree.iter().filter(|s| s.name == names::RPC_SERVE).collect();
+    let serves: Vec<&&SpanRecord> = tree
+        .iter()
+        .filter(|s| s.name == span_names::RPC_SERVE)
+        .collect();
     assert!(!serves.is_empty(), "the migration performed remote calls");
     assert!(
         serves
@@ -202,7 +205,7 @@ fn span_trees_are_isomorphic_across_backends() {
         assert!(
             spans
                 .iter()
-                .any(|s| s.trace_id == migration.trace_id && s.name == names::RPC_SERVE),
+                .any(|s| s.trace_id == migration.trace_id && s.name == span_names::RPC_SERVE),
             "{transport:?}: serve spans share the migration trace"
         );
 
@@ -287,7 +290,7 @@ fn two_platforms_at_once_are_observed_apart() {
         assert!(
             spans
                 .iter()
-                .any(|s| s.trace_id == migration.trace_id && s.name == names::RPC_SERVE),
+                .any(|s| s.trace_id == migration.trace_id && s.name == span_names::RPC_SERVE),
             "{transport:?}: the run's serve spans are in its store"
         );
         assert_eq!(
@@ -298,7 +301,7 @@ fn two_platforms_at_once_are_observed_apart() {
         // ...and only that run: one committed migration, on its own tracks.
         let migrations = spans
             .iter()
-            .filter(|s| s.name == names::MIGRATION && s.arg("outcome") == Some("committed"))
+            .filter(|s| s.name == span_names::MIGRATION && s.arg("outcome") == Some("committed"))
             .count();
         assert_eq!(migrations, 1, "{transport:?}: one run's migration");
         for span in spans {
