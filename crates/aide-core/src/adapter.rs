@@ -71,7 +71,7 @@ pub(crate) fn serve_here(vm: &mut Vm, touch: Request) -> VmResult<()> {
         ))),
     }
 }
-use parking_lot::Mutex;
+use aide_telemetry::sync::Mutex;
 
 use crate::failover::Surrogate;
 

@@ -35,9 +35,9 @@ use aide_rpc::{
     BackoffConfig, Dispatcher, Endpoint, EndpointConfig, NetClock, Reply, Request, RpcError,
     Xorshift64,
 };
+use aide_telemetry::sync::Mutex;
 use aide_telemetry::{FlightRecorder, PlatformEvent};
 use aide_vm::{Machine, ObjectId, ObjectRecord, VmError, VmResult};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::adapter::{rpc_to_vm_error, serve_here, RefTables};

@@ -20,7 +20,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use aide_telemetry::sync::Mutex;
 use serde::{Deserialize, Serialize};
 
 use aide_graph::{EdgeInfo, ExecutionGraph, GraphDelta, NodeId, NodeInfo, PinReason};

@@ -23,12 +23,12 @@ use std::time::Duration;
 
 use aide_graph::{ExecutionGraph, PartitionPolicy, Partitioning, ResourceSnapshot};
 use aide_rpc::{live_remote_refs, Endpoint, EndpointConfig, Link, NetClock, Request, Session};
+use aide_telemetry::sync::Mutex;
 use aide_telemetry::{FlightRecorder, PlatformEvent, TelemetrySnapshot, TimedEvent};
 use aide_vm::{
     ClassId, GcReport, HookChain, Machine, NullHooks, PendingEvent, Program, RemoteAccess,
     RunSummary, RuntimeHooks, Vm, VmConfig, VmError, VmKind,
 };
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::adapter::{AdapterStats, RefTables, RemoteAdapter, VmDispatcher};

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use aide_telemetry::sync::Mutex;
 
 use aide_core::{
     MigrationRecord, NondetSource, Platform, PlatformConfig, PlatformReport, TriggerSample,

@@ -40,13 +40,13 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use aide_graph::{CommParams, Crossing};
 use aide_telemetry::span_names;
+use aide_telemetry::sync::{Condvar, Mutex, MutexGuard};
 use aide_vm::SlotWrites;
-use parking_lot::Mutex;
 
 use crate::link::{BackendKind, Delivered, FrameSink, LinkError, NetClock, Session};
 use crate::mux::{CarrierReader, Turn};
@@ -219,9 +219,17 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The jitter stream of the call numbered `seq`.
-    fn jitter(&self, seq: u64) -> Xorshift64 {
-        Xorshift64::new(self.backoff.seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    /// The jitter stream of the call numbered `seq` on the endpoint whose
+    /// client id is `client`. Each half of the key is spread over all 64
+    /// bits before it meets the seed, so no small `(client, seq)` cancels
+    /// the seed down to a near-empty state, and calls of one `seq` on two
+    /// endpoints draw apart.
+    fn jitter(&self, client: u64, seq: u64) -> Xorshift64 {
+        Xorshift64::new(
+            self.backoff.seed
+                ^ client.wrapping_mul(0xD1B5_4A32_D192_ED03)
+                ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(32),
+        )
     }
 }
 
@@ -280,18 +288,14 @@ const SLOT_RECHECK: Duration = Duration::from_millis(50);
 /// its reply (the holder of the carrier's read half — possibly the caller
 /// itself — or the in-process peer's worker).
 struct CallSlot {
-    state: std::sync::Mutex<SlotState>,
+    state: Mutex<SlotState>,
     changed: Condvar,
 }
 
 impl CallSlot {
-    fn lock(&self) -> MutexGuard<'_, SlotState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The first outcome wins; a duplicate reply is ignored.
     fn complete(&self, outcome: CallOutcome) {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         if state.outcome.is_none() {
             state.outcome = Some(outcome);
             self.wake(state);
@@ -299,7 +303,7 @@ impl CallSlot {
     }
 
     fn give_up_at(&self, deadline: Instant) {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         state.give_up_at = Some(deadline);
         self.wake(state);
     }
@@ -330,7 +334,7 @@ impl CallSlot {
         // the slot except through the read half this caller holds or behind
         // a notification it will get.
         let mut turn = carrier.map(CarrierReader::enter);
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         loop {
             if let Some(outcome) = state.outcome.take() {
                 if let (Some(Turn::Reading(reading)), Ok(_)) = (&mut turn, &outcome) {
@@ -357,15 +361,11 @@ impl CallSlot {
                         // deadline like any other.
                         turn = None;
                     }
-                    self.lock()
+                    self.state.lock()
                 }
                 _ => {
                     state.asleep = true;
-                    let mut state = self
-                        .changed
-                        .wait_timeout(state, limit - now)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
+                    let mut state = self.changed.wait_timeout(state, limit - now).0;
                     state.asleep = false;
                     state
                 }
@@ -413,7 +413,7 @@ struct GcHooks {
 pub(crate) struct Shared {
     /// For the jobs this queues, which carry it.
     me: Weak<Shared>,
-    pending: std::sync::Mutex<Pending>,
+    pending: Mutex<Pending>,
     /// Notified when the drain begins and when the endpoint closes; what
     /// [`Endpoint::join`] sleeps on.
     settled: Condvar,
@@ -460,10 +460,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn pending(&self) -> MutexGuard<'_, Pending> {
-        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The deferred touches, for the frame about to go out.
     fn take_deferred(&self) -> Touches {
         std::mem::take(&mut *self.deferred.lock())
@@ -531,12 +527,12 @@ impl Shared {
 
     /// Registers a caller for `seq`.
     fn register(&self, seq: u64) -> Result<Arc<CallSlot>, RpcError> {
-        let mut pending = self.pending();
+        let mut pending = self.pending.lock();
         if pending.closed {
             return Err(RpcError::Disconnected);
         }
         let slot = Arc::new(CallSlot {
-            state: std::sync::Mutex::new(SlotState {
+            state: Mutex::new(SlotState {
                 outcome: None,
                 give_up_at: pending.drain_until,
                 asleep: false,
@@ -549,7 +545,7 @@ impl Shared {
 
     /// The caller of `seq` is done waiting, answered or not.
     fn forget(&self, seq: u64) {
-        let mut pending = self.pending();
+        let mut pending = self.pending.lock();
         pending.slots.remove(&seq);
         self.close_if_drained(&mut pending);
     }
@@ -559,7 +555,7 @@ impl Shared {
     /// thread has to watch the clock — and the endpoint closes as soon as
     /// none is left. `false` if the endpoint was already draining or closed.
     fn begin_drain(&self) -> bool {
-        let mut pending = self.pending();
+        let mut pending = self.pending.lock();
         if pending.closed || pending.drain_until.is_some() {
             return false;
         }
@@ -691,13 +687,13 @@ impl FrameSink for Shared {
                 };
                 return self.pool.submit(job).unwrap_or_else(|| {
                     // Nobody ever will serve it: this endpoint cannot serve.
-                    self.close(&mut self.pending());
+                    self.close(&mut self.pending.lock());
                     Delivered::Kept
                 });
             }
             Message::Reply { seq, result } => {
                 let slot = {
-                    let mut pending = self.pending();
+                    let mut pending = self.pending.lock();
                     let slot = pending.slots.remove(&seq);
                     if slot.is_some() {
                         self.close_if_drained(&mut pending);
@@ -721,7 +717,7 @@ impl FrameSink for Shared {
     }
 
     fn closed(&self) {
-        self.close(&mut self.pending());
+        self.close(&mut self.pending.lock());
     }
 }
 
@@ -743,7 +739,7 @@ impl std::fmt::Debug for Endpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Endpoint")
             .field("workers", &self.config.workers)
-            .field("closing", &self.shared.pending().drain_until.is_some())
+            .field("closing", &self.shared.pending.lock().drain_until.is_some())
             .finish()
     }
 }
@@ -797,7 +793,7 @@ impl Endpoint {
     ) -> Arc<Endpoint> {
         let shared = Arc::new_cyclic(|me| Shared {
             me: me.clone(),
-            pending: std::sync::Mutex::default(),
+            pending: Mutex::default(),
             settled: Condvar::new(),
             late_expected: Mutex::new(HashSet::new()),
             pool,
@@ -839,7 +835,7 @@ impl Endpoint {
     /// ended — or at once, if it has. That worker holds no read half, so
     /// `then` may write (a [`join`](Endpoint::join), say).
     pub fn on_close(&self, then: impl FnOnce() + Send + 'static) {
-        let mut pending = self.shared.pending();
+        let mut pending = self.shared.pending.lock();
         if pending.closed {
             drop(pending);
             self.shared.pool.run(None, then);
@@ -1163,7 +1159,7 @@ impl Endpoint {
             Err(e) => return fail(span, e),
         };
         let deadline = Instant::now() + policy.deadline;
-        let mut jitter = policy.jitter(seq);
+        let mut jitter = policy.jitter(self.client_id, seq);
         let mut attempt: u32 = 0;
         let outcome = loop {
             attempt += 1;
@@ -1370,25 +1366,17 @@ impl Endpoint {
     /// [`shutdown`]: Endpoint::shutdown
     pub fn join(&self) {
         {
-            let mut pending = self.shared.pending();
+            let mut pending = self.shared.pending.lock();
             while !pending.closed {
                 pending = match pending.drain_until {
-                    None => self
-                        .shared
-                        .settled
-                        .wait(pending)
-                        .unwrap_or_else(PoisonError::into_inner),
+                    None => self.shared.settled.wait(pending),
                     Some(deadline) => {
                         let now = Instant::now();
                         if now >= deadline {
                             self.shared.close(&mut pending);
                             break;
                         }
-                        self.shared
-                            .settled
-                            .wait_timeout(pending, deadline - now)
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .0
+                        self.shared.settled.wait_timeout(pending, deadline - now).0
                     }
                 };
             }
@@ -1783,28 +1771,54 @@ mod tests {
 
     #[test]
     fn a_retried_call_backs_off_as_the_default_policy_always_has() {
-        // The first eight backoffs of an endpoint's first call (sequence
-        // number 0) under the default policy, in nanoseconds. The failover
+        // The first eight backoffs of the first call (sequence number 0) of
+        // a process's first endpoint (client id 1) under the default
+        // policy, in nanoseconds. The failover
         // gate shares `BackoffConfig::delay`; pinned, neither caller's
         // sleeps can move when the other's needs change it.
         let policy = RetryPolicy::default();
-        let mut jitter = policy.jitter(0);
+        let mut jitter = policy.jitter(1, 0);
         let delays: Vec<u128> = (0..8)
             .map(|retry| policy.backoff.delay(retry, &mut jitter).as_nanos())
             .collect();
         assert_eq!(
             delays,
             [
-                29_497_427,
-                47_357_533,
-                99_029_394,
-                168_894_989,
-                335_092_436,
-                836_035_867,
-                1_052_390_136,
-                1_175_128_734,
+                22_282_526,
+                41_246_670,
+                80_660_943,
+                210_888_623,
+                439_830_674,
+                791_875_380,
+                1_092_378_163,
+                1_211_221_778,
             ]
         );
+    }
+
+    #[test]
+    fn calls_of_one_seq_on_two_endpoints_back_off_apart() {
+        // A stream keyed on the sequence number alone, against the default
+        // seed, starts every endpoint's call 1 at xorshift state 1 (a first
+        // backoff of exactly 0.75 × base), and equal-numbered calls on two
+        // endpoints sleep alike.
+        let policy = RetryPolicy::default();
+        let first = |client, seq| policy.backoff.delay(0, &mut policy.jitter(client, seq));
+        let state_one = Xorshift64::new(1).next_u64();
+        for seq in 0..64 {
+            for client in 1..8 {
+                assert_ne!(
+                    first(client, seq),
+                    first(client + 1, seq),
+                    "seq {seq}, client {client}"
+                );
+                assert_ne!(
+                    policy.jitter(client, seq).next_u64(),
+                    state_one,
+                    "seq {seq}, client {client}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,11 +20,11 @@
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 use aide_graph::CommParams;
-use parking_lot::Mutex;
+use aide_telemetry::sync::{Condvar, Mutex};
 
 use crate::mux::{mux_head, CarrierReader, KIND_CLOSE, KIND_DATA};
 use crate::wire::{write_framed, MUX_HEADER};
@@ -193,14 +193,14 @@ struct InboxState {
 /// sink, and delivery all happen under one lock, which is what keeps
 /// per-session frame order across the switch.
 pub(crate) struct Inbox {
-    state: std::sync::Mutex<InboxState>,
+    state: Mutex<InboxState>,
     ready: Condvar,
     stats: Arc<TrafficStats>,
 }
 
 impl std::fmt::Debug for Inbox {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.lock();
+        let state = self.state.lock();
         f.debug_struct("Inbox")
             .field("queued", &state.queue.len())
             .field("sink", &state.sink.is_some())
@@ -212,17 +212,10 @@ impl std::fmt::Debug for Inbox {
 impl Inbox {
     pub(crate) fn new() -> Arc<Inbox> {
         Arc::new(Inbox {
-            state: std::sync::Mutex::default(),
+            state: Mutex::default(),
             ready: Condvar::new(),
             stats: Arc::new(TrafficStats::default()),
         })
-    }
-
-    /// Every update leaves the state valid, so a panicking sink poisons
-    /// nothing worth refusing (parking_lot semantics, on a std mutex
-    /// because the queue needs a condvar).
-    fn lock(&self) -> std::sync::MutexGuard<'_, InboxState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Producer side: hands `frame` to the attached sink, or queues it.
@@ -234,7 +227,7 @@ impl Inbox {
     /// [`LinkError::Disconnected`] once the inbox is closed or every
     /// receiving handle is gone.
     pub(crate) fn push(&self, frame: Vec<u8>) -> Result<Delivered, LinkError> {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         if state.closed || state.abandoned {
             return Err(LinkError::Disconnected);
         }
@@ -255,7 +248,7 @@ impl Inbox {
     /// deliverable; an attached sink is told and released.
     pub(crate) fn close(&self) {
         let sink = {
-            let mut state = self.lock();
+            let mut state = self.state.lock();
             if std::mem::replace(&mut state.closed, true) {
                 return;
             }
@@ -272,7 +265,7 @@ impl Inbox {
     /// Hands everything queued to `sink`, in order, then routes every later
     /// frame to it directly.
     fn attach(&self, sink: Arc<dyn FrameSink>) {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         while let Some(frame) = state.queue.pop_front() {
             self.stats.note_received(frame.len());
             sink.deliver(frame);
@@ -285,14 +278,14 @@ impl Inbox {
     }
 
     fn detach(&self) {
-        let sink = self.lock().sink.take();
+        let sink = self.state.lock().sink.take();
         drop(sink); // outside the lock: it may own sessions of its own
     }
 
     /// Pulls the next queued frame, waiting until `deadline` (forever when
     /// `None`); `Ok(None)` is a timeout.
     fn pop(&self, deadline: Option<Instant>) -> Result<Option<Vec<u8>>, LinkError> {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         loop {
             if let Some(frame) = state.queue.pop_front() {
                 self.stats.note_received(frame.len());
@@ -302,19 +295,13 @@ impl Inbox {
                 return Err(LinkError::Disconnected);
             }
             state = match deadline {
-                None => self
-                    .ready
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner),
+                None => self.ready.wait(state),
                 Some(deadline) => {
                     let now = Instant::now();
                     if now >= deadline {
                         return Ok(None);
                     }
-                    self.ready
-                        .wait_timeout(state, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0
+                    self.ready.wait_timeout(state, deadline - now).0
                 }
             };
         }
@@ -329,7 +316,7 @@ struct Receiving(Arc<Inbox>);
 impl Drop for Receiving {
     fn drop(&mut self) {
         let orphaned = {
-            let mut state = self.0.lock();
+            let mut state = self.0.state.lock();
             state.abandoned = true;
             (std::mem::take(&mut state.queue), state.sink.take())
         };

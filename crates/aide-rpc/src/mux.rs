@@ -42,11 +42,11 @@
 use std::collections::HashMap;
 use std::io::Write;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, PoisonError, Weak};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, MutexGuard};
+use aide_telemetry::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::link::{CarrierWriter, Delivered, Inbox, LinkError, Session};
 use crate::wire::{DeadlineRead, FrameHead, FrameReader, MUX_HEADER};
@@ -145,7 +145,11 @@ pub struct MuxStats {
 pub struct MuxConn {
     writer: Arc<CarrierWriter>,
     reader: Arc<CarrierReader>,
-    accepted_rx: Receiver<(u32, Arc<Inbox>)>,
+    /// Behind a lock because a receiver is not `Sync`; [`accept`] is the
+    /// only blocking taker, and nothing calls it concurrently.
+    ///
+    /// [`accept`]: MuxConn::accept
+    accepted_rx: Mutex<Receiver<(u32, Arc<Inbox>)>>,
     next_id: AtomicU32,
     killer: ConnKiller,
 }
@@ -193,6 +197,7 @@ impl MuxConn {
         // (which would keep it open after every handle dropped).
         let (id, inbox) = self
             .accepted_rx
+            .lock()
             .recv()
             .map_err(|_| LinkError::Disconnected)?;
         Ok(self.session(id, inbox))
@@ -234,7 +239,8 @@ impl MuxConn {
         // Held across the hand-over: a session the peer opens meanwhile
         // waits for the hook.
         let mut accepts = self.reader.accepts.lock();
-        while let Ok((id, inbox)) = self.accepted_rx.try_recv() {
+        let accepted = self.accepted_rx.lock();
+        while let Ok((id, inbox)) = accepted.try_recv() {
             accept(id, self.session(id, inbox));
         }
         if matches!(*accepts, Accepts::Queue(_)) {
@@ -265,7 +271,7 @@ pub(crate) fn spawn_mux(
     MuxConn {
         writer,
         reader,
-        accepted_rx,
+        accepted_rx: Mutex::new(accepted_rx),
         next_id: AtomicU32::new(1),
         killer,
     }
@@ -326,7 +332,7 @@ pub(crate) struct CarrierReader {
     /// a burst in progress from an idle carrier.
     turns: AtomicU64,
     /// Calls the parked thread back before [`HANDOVER`] is up.
-    recalled: std::sync::Mutex<bool>,
+    recalled: Mutex<bool>,
     recall: Condvar,
     /// See [`MuxConn::handovers_waited_out`].
     handovers_waited_out: AtomicU64,
@@ -352,7 +358,7 @@ impl CarrierReader {
         source: impl DeadlineRead + 'static,
         initiator: bool,
     ) -> (Arc<CarrierReader>, Receiver<(u32, Arc<Inbox>)>) {
-        let (accepted_tx, accepted_rx) = unbounded();
+        let (accepted_tx, accepted_rx) = mpsc::channel();
         let reader = Arc::new(CarrierReader {
             half: Mutex::new(Some(FrameReader::new(source))),
             routes: Mutex::new(HashMap::new()),
@@ -360,7 +366,7 @@ impl CarrierReader {
             parity: u32::from(initiator),
             queued: AtomicUsize::new(0),
             turns: AtomicU64::new(0),
-            recalled: std::sync::Mutex::new(false),
+            recalled: Mutex::new(false),
             recall: Condvar::new(),
             handovers_waited_out: AtomicU64::new(0),
             frames: AtomicU64::new(0),
@@ -435,7 +441,7 @@ impl CarrierReader {
 
     /// Calls the parked reader thread back to the read half.
     fn recall_thread(&self) {
-        *self.recalled.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        *self.recalled.lock() = true;
         self.recall.notify_one();
     }
 
@@ -470,12 +476,9 @@ impl CarrierReader {
     /// [`HANDOVER`].
     fn park(&self) {
         let mut seen = self.turns.load(Ordering::Relaxed);
-        let mut recalled = self.recalled.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut recalled = self.recalled.lock();
         while !std::mem::take(&mut *recalled) {
-            let (guard, wait) = self
-                .recall
-                .wait_timeout(recalled, HANDOVER)
-                .unwrap_or_else(PoisonError::into_inner);
+            let (guard, wait) = self.recall.wait_timeout(recalled, HANDOVER);
             recalled = guard;
             let turns = self.turns.load(Ordering::Relaxed);
             if wait.timed_out() && turns == seen {
@@ -730,7 +733,7 @@ mod tests {
 
     /// In-memory byte pipe so mux logic is testable without sockets.
     fn pipe() -> (PipeWriter, PipeReader) {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         (
             PipeWriter(tx),
             PipeReader {
@@ -764,10 +767,12 @@ mod tests {
 
     impl DeadlineRead for PipeReader {
         fn read_by(&mut self, buf: &mut [u8], deadline: Option<Instant>) -> std::io::Result<usize> {
-            use crossbeam::channel::RecvTimeoutError;
+            use std::sync::mpsc::RecvTimeoutError;
             while self.pos == self.pending.len() {
                 let next = match deadline {
-                    Some(deadline) => self.rx.recv_deadline(deadline),
+                    Some(deadline) => self
+                        .rx
+                        .recv_timeout(deadline.saturating_duration_since(Instant::now())),
                     None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
                 };
                 match next {
@@ -895,7 +900,7 @@ mod tests {
         early.send(vec![0xE, 1]).unwrap();
         // Give the reader time to route the early traffic.
         std::thread::sleep(std::time::Duration::from_millis(50));
-        let (accepted_tx, accepted) = unbounded();
+        let (accepted_tx, accepted) = mpsc::channel();
         b.accept_with(move |id, session| {
             let _ = accepted_tx.send((id, session));
             Delivered::Kept

@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex;
+use aide_telemetry::sync::Mutex;
 
 use crate::endpoint::Shared;
 use crate::link::{Delivered, Session};

@@ -50,7 +50,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use aide_telemetry::sync::Mutex;
 
 use aide_vm::{BuildIdHasher, ObjectId, Vm};
 

@@ -15,8 +15,8 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use aide_telemetry::span_names;
+use aide_telemetry::sync::Mutex;
 use aide_vm::{ClassId, MethodId};
-use parking_lot::Mutex;
 
 use crate::endpoint::Dispatcher;
 use crate::wire::{FrameHeader, LeaseStamp, Message, Reply, Request, Touches};

@@ -45,8 +45,6 @@
 use std::io::Write;
 use std::time::Instant;
 
-use bytes::{Buf, BufMut};
-
 use aide_graph::Crossing;
 use aide_telemetry::SpanContext;
 use aide_vm::{ClassId, MethodId, NativeKind, ObjectId, ObjectRecord};
@@ -483,8 +481,8 @@ impl Message {
     /// already encoded: their bytes are copied.
     pub(crate) fn encode_queued(&self, lease: Option<LeaseStamp>, deferred: &Touches) -> Vec<u8> {
         let mut buf = Vec::with_capacity(FRAME_HEADER + 64 + deferred.bytes.len());
-        buf.put_u8(PROTOCOL_VERSION);
-        buf.put_u32_le(0); // checksum placeholder, patched below
+        buf.push(PROTOCOL_VERSION);
+        buf.extend_from_slice(&0u32.to_le_bytes()); // checksum placeholder, patched below
         encode_trace_context(&mut buf);
         encode_stamp_and_touches(&mut buf, lease, deferred);
         self.encode_body(&mut buf);
@@ -494,24 +492,24 @@ impl Message {
     }
 
     /// Writes the tagged payload bytes of this message into `buf`.
-    fn encode_body<B: BufMut>(&self, buf: &mut B) {
+    fn encode_body(&self, buf: &mut Vec<u8>) {
         match self {
             Message::Request { seq, client, body } => {
-                buf.put_u8(0);
-                buf.put_u64_le(*seq);
-                buf.put_u64_le(*client);
+                buf.push(0);
+                buf.extend_from_slice(&seq.to_le_bytes());
+                buf.extend_from_slice(&client.to_le_bytes());
                 encode_request(buf, body);
             }
             Message::Reply { seq, result } => {
-                buf.put_u8(1);
-                buf.put_u64_le(*seq);
+                buf.push(1);
+                buf.extend_from_slice(&seq.to_le_bytes());
                 match result {
                     Ok(reply) => {
-                        buf.put_u8(0);
+                        buf.push(0);
                         encode_reply(buf, reply);
                     }
                     Err(msg) => {
-                        buf.put_u8(1);
+                        buf.push(1);
                         put_str(buf, msg);
                     }
                 }
@@ -592,14 +590,14 @@ impl Message {
 /// Writes the trace-context prefix that opens every payload: a presence
 /// flag, then the encoding thread's active `(trace_id, span_id)` when it
 /// has one. The prefix is covered by the frame CRC.
-fn encode_trace_context<B: BufMut>(buf: &mut B) {
+fn encode_trace_context(buf: &mut Vec<u8>) {
     match aide_telemetry::current_context() {
         Some(ctx) => {
-            buf.put_u8(1);
-            buf.put_u64_le(ctx.trace_id);
-            buf.put_u64_le(ctx.span_id);
+            buf.push(1);
+            buf.extend_from_slice(&ctx.trace_id.to_le_bytes());
+            buf.extend_from_slice(&ctx.span_id.to_le_bytes());
         }
-        None => buf.put_u8(0),
+        None => buf.push(0),
     }
 }
 
@@ -624,17 +622,17 @@ const DEFERRING: u8 = 2;
 /// GC lease epoch and slot-write count when it has a stamp, then the count
 /// and the touches when it deferred any. Covered by the frame CRC like
 /// everything else in the payload.
-fn encode_stamp_and_touches<B: BufMut>(buf: &mut B, lease: Option<LeaseStamp>, deferred: &Touches) {
+fn encode_stamp_and_touches(buf: &mut Vec<u8>, lease: Option<LeaseStamp>, deferred: &Touches) {
     let deferring = !deferred.is_empty();
-    buf.put_u8((u8::from(lease.is_some()) * STAMPED) | (u8::from(deferring) * DEFERRING));
+    buf.push((u8::from(lease.is_some()) * STAMPED) | (u8::from(deferring) * DEFERRING));
     if let Some(LeaseStamp { epoch, writes }) = lease {
-        buf.put_u64_le(epoch);
-        buf.put_u64_le(writes);
+        buf.extend_from_slice(&epoch.to_le_bytes());
+        buf.extend_from_slice(&writes.to_le_bytes());
     }
     if deferring {
         let count = u16::try_from(deferred.len()).expect("at most u16::MAX deferred touches");
-        buf.put_u16_le(count);
-        buf.put_slice(&deferred.bytes);
+        buf.extend_from_slice(&count.to_le_bytes());
+        buf.extend_from_slice(&deferred.bytes);
     }
 }
 
@@ -956,7 +954,7 @@ impl FrameReader {
 /// Writes a request as its tag byte and fields. Tags 7 and 8 are
 /// unassigned: nothing encodes them and they decode to
 /// [`WireError::BadTag`].
-fn encode_request<B: BufMut>(buf: &mut B, body: &Request) {
+fn encode_request(buf: &mut Vec<u8>, body: &Request) {
     match body {
         Request::Invoke {
             target,
@@ -966,15 +964,15 @@ fn encode_request<B: BufMut>(buf: &mut B, body: &Request) {
             ret_bytes,
             args,
         } => {
-            buf.put_u8(0);
-            buf.put_u64_le(target.0);
-            buf.put_u32_le(class.0);
-            buf.put_u16_le(method.0);
-            buf.put_u32_le(*arg_bytes);
-            buf.put_u32_le(*ret_bytes);
-            buf.put_u16_le(args.len() as u16);
+            buf.push(0);
+            buf.extend_from_slice(&target.0.to_le_bytes());
+            buf.extend_from_slice(&class.0.to_le_bytes());
+            buf.extend_from_slice(&method.0.to_le_bytes());
+            buf.extend_from_slice(&arg_bytes.to_le_bytes());
+            buf.extend_from_slice(&ret_bytes.to_le_bytes());
+            buf.extend_from_slice(&(args.len() as u16).to_le_bytes());
             for a in args {
-                buf.put_u64_le(a.0);
+                buf.extend_from_slice(&a.0.to_le_bytes());
             }
         }
         Request::FieldAccess {
@@ -982,24 +980,24 @@ fn encode_request<B: BufMut>(buf: &mut B, body: &Request) {
             bytes,
             write,
         } => {
-            buf.put_u8(1);
-            buf.put_u64_le(target.0);
-            buf.put_u32_le(*bytes);
-            buf.put_u8(u8::from(*write));
+            buf.push(1);
+            buf.extend_from_slice(&target.0.to_le_bytes());
+            buf.extend_from_slice(&bytes.to_le_bytes());
+            buf.push(u8::from(*write));
         }
         Request::GetSlot { target, slot } => {
-            buf.put_u8(2);
-            buf.put_u64_le(target.0);
-            buf.put_u16_le(*slot);
+            buf.push(2);
+            buf.extend_from_slice(&target.0.to_le_bytes());
+            buf.extend_from_slice(&slot.to_le_bytes());
         }
         Request::PutSlot {
             target,
             slot,
             value,
         } => {
-            buf.put_u8(3);
-            buf.put_u64_le(target.0);
-            buf.put_u16_le(*slot);
+            buf.push(3);
+            buf.extend_from_slice(&target.0.to_le_bytes());
+            buf.extend_from_slice(&slot.to_le_bytes());
             put_opt_oid(buf, *value);
         }
         Request::Native {
@@ -1009,12 +1007,12 @@ fn encode_request<B: BufMut>(buf: &mut B, body: &Request) {
             arg_bytes,
             ret_bytes,
         } => {
-            buf.put_u8(4);
-            buf.put_u32_le(caller.0);
-            buf.put_u8(native_tag(*kind));
-            buf.put_u32_le(*work_micros);
-            buf.put_u32_le(*arg_bytes);
-            buf.put_u32_le(*ret_bytes);
+            buf.push(4);
+            buf.extend_from_slice(&caller.0.to_le_bytes());
+            buf.push(native_tag(*kind));
+            buf.extend_from_slice(&work_micros.to_le_bytes());
+            buf.extend_from_slice(&arg_bytes.to_le_bytes());
+            buf.extend_from_slice(&ret_bytes.to_le_bytes());
         }
         Request::StaticAccess {
             accessor,
@@ -1022,47 +1020,47 @@ fn encode_request<B: BufMut>(buf: &mut B, body: &Request) {
             bytes,
             write,
         } => {
-            buf.put_u8(5);
-            buf.put_u32_le(accessor.0);
-            buf.put_u32_le(class.0);
-            buf.put_u32_le(*bytes);
-            buf.put_u8(u8::from(*write));
+            buf.push(5);
+            buf.extend_from_slice(&accessor.0.to_le_bytes());
+            buf.extend_from_slice(&class.0.to_le_bytes());
+            buf.extend_from_slice(&bytes.to_le_bytes());
+            buf.push(u8::from(*write));
         }
         Request::ClassOf { target } => {
-            buf.put_u8(6);
-            buf.put_u64_le(target.0);
+            buf.push(6);
+            buf.extend_from_slice(&target.0.to_le_bytes());
         }
-        Request::Shutdown => buf.put_u8(9),
-        Request::Ping => buf.put_u8(10),
-        Request::Stats => buf.put_u8(11),
+        Request::Shutdown => buf.push(9),
+        Request::Ping => buf.push(10),
+        Request::Stats => buf.push(11),
         Request::MigratePrepare { txn, objects } => {
-            buf.put_u8(12);
-            buf.put_u64_le(*txn);
+            buf.push(12);
+            buf.extend_from_slice(&txn.to_le_bytes());
             put_object_records(buf, objects);
         }
         Request::MigrateCommit { txn } => {
-            buf.put_u8(13);
-            buf.put_u64_le(*txn);
+            buf.push(13);
+            buf.extend_from_slice(&txn.to_le_bytes());
         }
         Request::MigrateAbort { txn } => {
-            buf.put_u8(14);
-            buf.put_u64_le(*txn);
+            buf.push(14);
+            buf.extend_from_slice(&txn.to_le_bytes());
         }
         Request::GcRenew { epoch } => {
-            buf.put_u8(15);
-            buf.put_u64_le(*epoch);
+            buf.push(15);
+            buf.extend_from_slice(&epoch.to_le_bytes());
         }
         Request::GcReleaseSeq {
             epoch,
             release_seq,
             objects,
         } => {
-            buf.put_u8(16);
-            buf.put_u64_le(*epoch);
-            buf.put_u64_le(*release_seq);
-            buf.put_u32_le(objects.len() as u32);
+            buf.push(16);
+            buf.extend_from_slice(&epoch.to_le_bytes());
+            buf.extend_from_slice(&release_seq.to_le_bytes());
+            buf.extend_from_slice(&(objects.len() as u32).to_le_bytes());
             for id in objects {
-                buf.put_u64_le(id.0);
+                buf.extend_from_slice(&id.0.to_le_bytes());
             }
         }
         Request::RelayDeliver {
@@ -1070,21 +1068,21 @@ fn encode_request<B: BufMut>(buf: &mut B, body: &Request) {
             queued_for_ms,
             objects,
         } => {
-            buf.put_u8(17);
-            buf.put_u64_le(*txn);
-            buf.put_u64_le(*queued_for_ms);
+            buf.push(17);
+            buf.extend_from_slice(&txn.to_le_bytes());
+            buf.extend_from_slice(&queued_for_ms.to_le_bytes());
             put_object_records(buf, objects);
         }
     }
 }
 
-fn put_object_records<B: BufMut>(buf: &mut B, objects: &[(ObjectId, ObjectRecord)]) {
-    buf.put_u32_le(objects.len() as u32);
+fn put_object_records(buf: &mut Vec<u8>, objects: &[(ObjectId, ObjectRecord)]) {
+    buf.extend_from_slice(&(objects.len() as u32).to_le_bytes());
     for (id, rec) in objects {
-        buf.put_u64_le(id.0);
-        buf.put_u32_le(rec.class.0);
-        buf.put_u32_le(rec.scalar_bytes);
-        buf.put_u16_le(rec.slots.len() as u16);
+        buf.extend_from_slice(&id.0.to_le_bytes());
+        buf.extend_from_slice(&rec.class.0.to_le_bytes());
+        buf.extend_from_slice(&rec.scalar_bytes.to_le_bytes());
+        buf.extend_from_slice(&(rec.slots.len() as u16).to_le_bytes());
         for slot in &rec.slots {
             put_opt_oid(buf, *slot);
         }
@@ -1212,27 +1210,27 @@ fn decode_request(buf: &mut &[u8]) -> Result<Request, WireError> {
     })
 }
 
-fn encode_reply<B: BufMut>(buf: &mut B, reply: &Reply) {
+fn encode_reply(buf: &mut Vec<u8>, reply: &Reply) {
     match reply {
-        Reply::Unit => buf.put_u8(0),
+        Reply::Unit => buf.push(0),
         Reply::Slot(v) => {
-            buf.put_u8(1);
+            buf.push(1);
             put_opt_oid(buf, *v);
         }
         Reply::Class(c) => {
-            buf.put_u8(2);
-            buf.put_u32_le(c.0);
+            buf.push(2);
+            buf.extend_from_slice(&c.0.to_le_bytes());
         }
         Reply::Text(s) => {
-            buf.put_u8(3);
+            buf.push(3);
             put_str(buf, s);
         }
         Reply::Busy { retry_after_ms } => {
-            buf.put_u8(4);
-            buf.put_u32_le(*retry_after_ms);
+            buf.push(4);
+            buf.extend_from_slice(&retry_after_ms.to_le_bytes());
         }
         Reply::TouchFailed(error) => {
-            buf.put_u8(5);
+            buf.push(5);
             put_str(buf, error);
         }
     }
@@ -1276,13 +1274,13 @@ fn native_from_tag(tag: u8) -> Result<NativeKind, WireError> {
     })
 }
 
-fn put_opt_oid<B: BufMut>(buf: &mut B, v: Option<ObjectId>) {
+fn put_opt_oid(buf: &mut Vec<u8>, v: Option<ObjectId>) {
     match v {
         Some(id) => {
-            buf.put_u8(1);
-            buf.put_u64_le(id.0);
+            buf.push(1);
+            buf.extend_from_slice(&id.0.to_le_bytes());
         }
-        None => buf.put_u8(0),
+        None => buf.push(0),
     }
 }
 
@@ -1294,47 +1292,43 @@ fn get_opt_oid(buf: &mut &[u8]) -> Result<Option<ObjectId>, WireError> {
     }
 }
 
-fn put_str<B: BufMut>(buf: &mut B, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 fn get_str(buf: &mut &[u8]) -> Result<String, WireError> {
     let n = get_u32(buf)? as usize;
-    if buf.remaining() < n {
+    if buf.len() < n {
         return Err(WireError::Truncated);
     }
-    let s = String::from_utf8_lossy(&buf[..n]).into_owned();
-    buf.advance(n);
+    let (s, rest) = buf.split_at(n);
+    let s = String::from_utf8_lossy(s).into_owned();
+    *buf = rest;
     Ok(s)
 }
 
+/// The next `N` bytes of `buf`, consumed.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], WireError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(WireError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
+}
+
 fn get_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
-    if buf.remaining() < 1 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u8())
+    Ok(u8::from_le_bytes(take(buf)?))
 }
 
 fn get_u16(buf: &mut &[u8]) -> Result<u16, WireError> {
-    if buf.remaining() < 2 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u16_le())
+    Ok(u16::from_le_bytes(take(buf)?))
 }
 
 fn get_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u32_le())
+    Ok(u32::from_le_bytes(take(buf)?))
 }
 
 fn get_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u64_le())
+    Ok(u64::from_le_bytes(take(buf)?))
 }
 
 #[cfg(test)]

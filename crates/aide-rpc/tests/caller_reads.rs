@@ -10,7 +10,9 @@
 mod wires;
 
 use std::sync::mpsc;
-use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Barrier, OnceLock, Weak};
+
+use aide_telemetry::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use aide_rpc::{
@@ -39,7 +41,7 @@ impl Withhold {
 
     fn open(&self, gate: u32) {
         let (open, opened) = &self.gates[gate as usize];
-        *open.lock().unwrap() = true;
+        *open.lock() = true;
         opened.notify_all();
     }
 }
@@ -52,9 +54,9 @@ impl Dispatcher for Withhold {
         {
             let _ = self.arrived.send(bytes);
             let (open, opened) = &self.gates[bytes as usize];
-            let mut open = open.lock().unwrap();
+            let mut open = open.lock();
             while !*open {
-                open = opened.wait(open).unwrap();
+                open = opened.wait(open);
             }
         }
         Ok(Reply::Unit)
@@ -332,7 +334,7 @@ impl Dispatcher for ServedOn {
     fn dispatch(&self, request: Request) -> Result<Reply, String> {
         if matches!(request, Request::Native { .. }) {
             let thread = std::thread::current().name().unwrap_or("?").to_owned();
-            self.threads.lock().unwrap().push(thread);
+            self.threads.lock().push(thread);
         }
         Ok(Reply::Unit)
     }
@@ -372,7 +374,7 @@ fn a_call_back_met_while_reading_is_served_by_a_worker() {
             "{name}: {own} of {NESTED} outer replies"
         );
         assert_eq!(client.requests_served(), NESTED, "{name}");
-        let threads = served_on.threads.lock().unwrap().clone();
+        let threads = served_on.threads.lock().clone();
         assert_eq!(threads.len() as u64, NESTED, "{name}");
         assert!(
             threads

@@ -8,7 +8,9 @@ mod wires;
 
 use std::collections::HashSet;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, OnceLock, Weak};
+
+use aide_telemetry::sync::{Mutex, MutexGuard};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
@@ -22,7 +24,7 @@ use wires::{
 static GATE: Mutex<()> = Mutex::new(());
 
 fn turn() -> MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+    GATE.lock()
 }
 
 fn config(drain_timeout_ms: u64) -> EndpointConfig {
@@ -151,10 +153,7 @@ struct Nests {
 
 impl Dispatcher for Nests {
     fn dispatch(&self, request: Request) -> Result<Reply, String> {
-        self.threads
-            .lock()
-            .unwrap()
-            .insert(std::thread::current().id());
+        self.threads.lock().insert(std::thread::current().id());
         if let Request::Invoke { arg_bytes, .. } = request {
             if arg_bytes > 0 {
                 let own = self.own.get().and_then(Weak::upgrade).expect("wired");
@@ -211,7 +210,7 @@ fn the_pool_grows_by_what_nesting_needs_reuses_its_warmest_worker_and_leaves_not
                 "{name}: depth {depth}, three times over"
             );
             for end in [&at_client, &at_server] {
-                assert_eq!(end.threads.lock().unwrap().len(), depth as usize, "{name}");
+                assert_eq!(end.threads.lock().len(), depth as usize, "{name}");
             }
             wind_down(&[&client, &server]);
         }

@@ -11,6 +11,7 @@ use aide_rpc::{
     chaos_wrap, BackendKind, BackoffConfig, ChaosSchedule, Dispatcher, Endpoint, EndpointConfig,
     Link, MuxConn, NetClock, Reply, Request, RetryPolicy, RpcError, Session, TcpMuxListener,
 };
+use aide_telemetry::sync::Mutex;
 use aide_vm::{ClassId, ObjectId, ObjectRecord};
 
 /// One backend under test. In process every pair is a link of its own; over
@@ -149,6 +150,67 @@ fn endpoints_complete_calls_on_every_backend() {
     }
 }
 
+/// Stands in for a VM: every request takes its lock, and a read of slot 13
+/// panics while holding it.
+#[derive(Default)]
+struct PanicsUnderItsLock {
+    served: Mutex<Vec<u16>>,
+}
+
+impl Dispatcher for PanicsUnderItsLock {
+    fn dispatch(&self, request: Request) -> Result<Reply, String> {
+        let mut served = self.served.lock();
+        if let Request::GetSlot { slot, .. } = request {
+            served.push(slot);
+            assert_ne!(slot, 13, "the dispatcher panics holding its lock");
+        }
+        Ok(Reply::Slot(Some(ObjectId::surrogate(served.len() as u64))))
+    }
+}
+
+#[test]
+fn a_dispatcher_that_panicked_under_its_lock_serves_the_next_request_on_every_backend() {
+    for fx in fixtures() {
+        let (cs, ss) = fx.pair();
+        let clock = Arc::new(NetClock::new());
+        let vm = Arc::new(PanicsUnderItsLock::default());
+        let client = Endpoint::start(
+            cs,
+            CommParams::WAVELAN,
+            clock.clone(),
+            Arc::new(NullDispatcher),
+            small_config(),
+        );
+        let server = Endpoint::start(ss, CommParams::WAVELAN, clock, vm.clone(), small_config());
+        let get = |slot| {
+            client.call(Request::GetSlot {
+                target: ObjectId::surrogate(7),
+                slot,
+            })
+        };
+        match get(13) {
+            Err(RpcError::Remote(msg)) => assert!(msg.contains("panicked"), "{}: {msg}", fx.name()),
+            other => panic!(
+                "{}: expected the panic as an error, got {other:?}",
+                fx.name()
+            ),
+        }
+        // The same session's next request takes the lock the panic left.
+        let reply = get(1).unwrap_or_else(|e| panic!("{}: {e}", fx.name()));
+        assert_eq!(
+            reply,
+            Reply::Slot(Some(ObjectId::surrogate(2))),
+            "{}",
+            fx.name()
+        );
+        assert_eq!(*vm.served.lock(), [13, 1], "{}", fx.name());
+        client.shutdown();
+        server.shutdown();
+        client.join();
+        server.join();
+    }
+}
+
 #[test]
 fn many_concurrent_sessions_stay_isolated_on_every_backend() {
     for fx in fixtures() {
@@ -259,7 +321,7 @@ fn touch_of(target: ObjectId, invoke: bool) -> Request {
 /// through `back`.
 #[derive(Default)]
 struct TouchLog {
-    touched: std::sync::Mutex<Vec<ObjectId>>,
+    touched: Mutex<Vec<ObjectId>>,
     back: std::sync::OnceLock<std::sync::Weak<Endpoint>>,
 }
 
@@ -267,7 +329,7 @@ impl Dispatcher for TouchLog {
     fn dispatch(&self, request: Request) -> Result<Reply, String> {
         match request {
             Request::FieldAccess { target, .. } | Request::Invoke { target, .. } => {
-                self.touched.lock().unwrap().push(target);
+                self.touched.lock().push(target);
                 Ok(Reply::Unit)
             }
             Request::GetSlot { slot, .. } => {
@@ -333,12 +395,7 @@ fn deferred_touches_are_served_once_and_in_order_on_every_backend() {
                 .call(read)
                 .unwrap_or_else(|e| panic!("{}: {e}", fx.name()));
         }
-        assert_eq!(
-            *at_server.touched.lock().unwrap(),
-            expected,
-            "{}",
-            fx.name()
-        );
+        assert_eq!(*at_server.touched.lock(), expected, "{}", fx.name());
         assert_eq!(server.requests_served(), 60, "{}", fx.name());
         // What the server deferred rode its replies — a replayed reply
         // carries the same — each served once, by the caller, before its
@@ -346,7 +403,7 @@ fn deferred_touches_are_served_once_and_in_order_on_every_backend() {
         let back: Vec<ObjectId> = (0..10)
             .flat_map(|n| [ObjectId::client(n), ObjectId::client(100 + n)])
             .collect();
-        assert_eq!(*at_client.touched.lock().unwrap(), back, "{}", fx.name());
+        assert_eq!(*at_client.touched.lock(), back, "{}", fx.name());
         assert_eq!(client.requests_served(), 20, "{}", fx.name());
         client.shutdown();
         server.shutdown();
@@ -523,7 +580,7 @@ fn busy_replies_surface_once_and_never_burn_retries_on_every_backend() {
 /// the platform's `VmDispatcher` honours: duplicate `RelayDeliver` calls
 /// for an already-applied txn acknowledge without re-installing.
 struct RelayTargetDispatcher {
-    applied: parking_lot::Mutex<std::collections::HashSet<u64>>,
+    applied: Mutex<std::collections::HashSet<u64>>,
     objects_installed: std::sync::atomic::AtomicU64,
 }
 
@@ -565,7 +622,7 @@ fn queued_relay_delivery_is_exactly_once_on_every_backend() {
             small_config(),
         );
         let target = Arc::new(RelayTargetDispatcher {
-            applied: parking_lot::Mutex::new(std::collections::HashSet::new()),
+            applied: Mutex::new(std::collections::HashSet::new()),
             objects_installed: std::sync::atomic::AtomicU64::new(0),
         });
         let server = Endpoint::start(

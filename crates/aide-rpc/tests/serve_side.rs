@@ -16,7 +16,9 @@
 mod wires;
 
 use std::collections::HashSet;
-use std::sync::{Arc, Barrier, Mutex, PoisonError};
+use std::sync::{Arc, Barrier};
+
+use aide_telemetry::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
@@ -58,7 +60,7 @@ struct Vmish {
 
 impl Vmish {
     fn execute(&self, request: &Request) -> Result<Reply, String> {
-        let mut executions = self.executions.lock().unwrap();
+        let mut executions = self.executions.lock();
         let thread = std::thread::current();
         executions.push((
             request.kind(),
@@ -69,7 +71,7 @@ impl Vmish {
     }
 
     fn executions(&self) -> Vec<Execution> {
-        self.executions.lock().unwrap().clone()
+        self.executions.lock().clone()
     }
 
     /// The names of the threads that executed anything, and how many
@@ -89,7 +91,7 @@ impl Vmish {
 
 impl Dispatcher for Vmish {
     fn dispatch(&self, request: Request) -> Result<Reply, String> {
-        let _vm = self.vm.lock().unwrap_or_else(PoisonError::into_inner);
+        let _vm = self.vm.lock();
         if let Request::Invoke { arg_bytes, .. } = request {
             std::thread::sleep(Duration::from_millis(u64::from(arg_bytes)));
         }
@@ -209,7 +211,7 @@ fn a_request_handed_to_a_worker_is_served_once_and_a_duplicate_gets_the_memo() {
         let server = start(ss, vmish.clone(), config());
         let counts = || served(&[&client, &server]);
         let before = counts();
-        let busy = vmish.vm.lock().unwrap();
+        let busy = vmish.vm.lock();
         let reply = std::thread::scope(|scope| {
             let caller = scope.spawn(|| client.call(access(8, true)));
             // Read by the carrier's thread, handed to a new worker, which
@@ -344,7 +346,7 @@ fn sibling_keeps_pace(name: &str, wire: &Wire, warm: bool) -> bool {
         });
         let before = set.recv().unwrap();
         let started = Instant::now();
-        eventually("the invoke holds A's VM", || slow.vm.try_lock().is_err());
+        eventually("the invoke holds A's VM", || slow.vm.try_lock().is_none());
         // Counted as it is taken, before it is served; nothing else runs.
         let led = since(a_counts(), before).0 == 1;
         let behind = scope.spawn(|| (a.call(access(8, false)), Instant::now()));

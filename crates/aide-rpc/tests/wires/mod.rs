@@ -8,7 +8,9 @@
 #![allow(dead_code)]
 
 use std::net::SocketAddr;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use aide_telemetry::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use aide_graph::CommParams;
@@ -69,7 +71,7 @@ impl Wire {
                     dialled.open_session().expect("open session"),
                     accepted.accept().expect("accept session"),
                 );
-                carriers.lock().unwrap().push([dialled, accepted]);
+                carriers.lock().push([dialled, accepted]);
                 ends
             }
             Wire::InProcess => {
@@ -86,7 +88,6 @@ impl Wire {
             Wire::Mux { dialled, accepted } => vec![dialled.stats(), accepted.stats()],
             Wire::Pair(carriers) => carriers
                 .lock()
-                .unwrap()
                 .iter()
                 .flatten()
                 .map(MuxConn::stats)

@@ -29,14 +29,14 @@
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use aide_core::{RefTables, VmDispatcher};
 use aide_rpc::{nudge, ConnKiller, Dispatcher, Reply, Request, TcpMuxListener};
+use aide_telemetry::sync::{Condvar, Mutex};
 use aide_vm::{Machine, Program, VmConfig};
-use parking_lot::Mutex;
 
 use crate::beacon::{spawn_announcer, Announcement, BeaconConfig};
 use crate::shard::{SessionParts, ShardConfig, ShardPool};
@@ -141,14 +141,14 @@ impl Dispatcher for FaultInjector {
 /// wakes them at once, so a shutdown never waits out their interval.
 #[derive(Debug, Default)]
 pub(crate) struct Stop {
-    stopped: std::sync::Mutex<bool>,
+    stopped: Mutex<bool>,
     wake: Condvar,
 }
 
 impl Stop {
     /// Sets the flag and wakes every sleeper; whether it was set already.
     pub(crate) fn stop(&self) -> bool {
-        let mut stopped = self.stopped.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut stopped = self.stopped.lock();
         let already = std::mem::replace(&mut *stopped, true);
         self.wake.notify_all();
         already
@@ -156,17 +156,16 @@ impl Stop {
 
     /// Whether the flag is set.
     pub(crate) fn is_stopped(&self) -> bool {
-        *self.stopped.lock().unwrap_or_else(PoisonError::into_inner)
+        *self.stopped.lock()
     }
 
     /// Sleeps for `interval`, or less if the flag is set meanwhile; whether
     /// it is set.
     pub(crate) fn sleep(&self, interval: Duration) -> bool {
-        let stopped = self.stopped.lock().unwrap_or_else(PoisonError::into_inner);
+        let stopped = self.stopped.lock();
         let (stopped, _) = self
             .wake
-            .wait_timeout_while(stopped, interval, |stopped| !*stopped)
-            .unwrap_or_else(PoisonError::into_inner);
+            .wait_timeout_while(stopped, interval, |stopped| !*stopped);
         *stopped
     }
 }

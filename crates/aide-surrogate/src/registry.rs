@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use aide_core::{ProviderContext, SurrogateLease, SurrogateProvider};
 use aide_graph::CommParams;
 use aide_rpc::{Dispatcher, Endpoint, EndpointConfig, MuxConn, NetClock, Reply, Request, Session};
-use parking_lot::Mutex;
+use aide_telemetry::sync::Mutex;
 
 /// EWMA smoothing factor for probe RTTs: each new sample contributes this
 /// fraction of the smoothed estimate (TCP's classic SRTT gain).

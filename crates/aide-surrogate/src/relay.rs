@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use aide_core::{RelayShipment, RelaySink};
 use aide_rpc::{Endpoint, GcClock, Request};
-use parking_lot::Mutex;
+use aide_telemetry::sync::Mutex;
 
 /// Tuning for a [`RelayQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -26,7 +26,7 @@ use aide_rpc::{
     ConnKiller, Delivered, Dispatcher, Endpoint, EndpointConfig, MuxConn, NetClock, Reply, Request,
     Session, TouchFailure, Touches, WorkerPool,
 };
-use parking_lot::Mutex;
+use aide_telemetry::sync::Mutex;
 
 /// Tuning for a [`ShardPool`].
 #[derive(Debug, Clone, Copy)]
@@ -823,7 +823,7 @@ mod tests {
     /// Logs the kind of every request it is handed, then serves it.
     struct KindLog {
         served: Arc<dyn Dispatcher>,
-        log: Arc<parking_lot::Mutex<Vec<&'static str>>>,
+        log: Arc<aide_telemetry::sync::Mutex<Vec<&'static str>>>,
     }
 
     impl Dispatcher for KindLog {
@@ -835,7 +835,7 @@ mod tests {
 
     #[test]
     fn touches_on_a_pool_sessions_frame_are_served_first_and_once() {
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = Arc::new(aide_telemetry::sync::Mutex::new(Vec::new()));
         let pool = {
             let log = log.clone();
             pool_serving("touches", ShardConfig::default(), move |served| {

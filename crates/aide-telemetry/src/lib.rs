@@ -46,10 +46,11 @@
 //!   evictions, a relay queue's expiries. Each is a plain atomic field,
 //!   read through that object's accessor or `stats()`.
 //!
-//! It depends only on `serde`, `serde_json` and `parking_lot`, so every
-//! other crate in the workspace can record into it without dependency
-//! cycles. Its process-wide state is the registry, each thread's context
-//! stack and lane, the thread serial and the span id springs.
+//! It depends only on `serde` and `serde_json`, so every other crate in the
+//! workspace can record into it without dependency cycles; it also holds
+//! the workspace's one lock type, [`sync`]: std's, without poisoning. Its
+//! process-wide state is the registry, each thread's context stack and
+//! lane, the thread serial and the span id springs.
 //!
 //! # Examples
 //!
@@ -80,6 +81,7 @@ mod metrics;
 mod recorder;
 mod span;
 mod store;
+pub mod sync;
 
 pub use context::{
     child_of, current_context, current_lane, set_thread_lane, span, Lane, SpanGuard,

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use crate::sync::RwLock;
 use serde::{Deserialize, Serialize};
 
 /// A monotonically increasing counter.

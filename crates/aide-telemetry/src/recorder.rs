@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::span::SpanContext;

@@ -14,10 +14,11 @@
 //! [`SpanRecord`]s.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::span::{LiveSpan, SpanRecord};
+use crate::sync::Mutex;
 
 /// The most spans one store keeps.
 pub const CAPACITY: usize = 1 << 16;
@@ -54,7 +55,7 @@ impl Store {
     }
 
     fn push(&self, span: Stored) {
-        let mut spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut spans = self.spans.lock();
         if spans.len() < CAPACITY {
             spans.push(span);
         } else {
@@ -92,13 +93,7 @@ impl SpanStore {
     /// Removes and returns every span stored so far, oldest first,
     /// rendered. A span still open when this runs is stored when it closes.
     pub fn drain(&self) -> Vec<SpanRecord> {
-        let spans = std::mem::take(
-            &mut *self
-                .store
-                .spans
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
+        let spans = std::mem::take(&mut *self.store.spans.lock());
         spans.into_iter().map(Stored::render).collect()
     }
 

@@ -519,16 +519,16 @@ mod tests {
     #[test]
     fn pending_events_flush_fifo_and_reuse_buffer() {
         #[derive(Default)]
-        struct Order(std::sync::Mutex<Vec<&'static str>>);
+        struct Order(aide_telemetry::sync::Mutex<Vec<&'static str>>);
         impl RuntimeHooks for Order {
             fn on_interaction(&self, _: Interaction) {
-                self.0.lock().unwrap().push("interaction");
+                self.0.lock().push("interaction");
             }
             fn on_work(&self, _: ClassId, _: f64) {
-                self.0.lock().unwrap().push("work");
+                self.0.lock().push("work");
             }
             fn on_method_exit(&self, _: ClassId, _: MethodId) {
-                self.0.lock().unwrap().push("exit");
+                self.0.lock().push("exit");
             }
         }
         let sink = Order::default();
@@ -554,7 +554,7 @@ mod tests {
         pending.flush(&sink);
         assert!(pending.is_empty());
         pending.flush(&sink); // flushing an empty queue is a no-op
-        assert_eq!(*sink.0.lock().unwrap(), vec!["work", "interaction", "exit"]);
+        assert_eq!(*sink.0.lock(), vec!["work", "interaction", "exit"]);
     }
 
     #[test]

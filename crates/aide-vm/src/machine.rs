@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::Mutex;
+use aide_telemetry::sync::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{VmError, VmResult};

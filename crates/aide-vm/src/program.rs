@@ -9,7 +9,7 @@
 
 use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::Mutex;
+use aide_telemetry::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 

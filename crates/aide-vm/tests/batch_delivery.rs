@@ -9,11 +9,11 @@ mod support;
 
 use std::sync::Arc;
 
+use aide_telemetry::sync::Mutex;
 use aide_vm::{
     ClassId, GcReport, HookChain, Interaction, Machine, MethodDef, MethodId, NativeKind, ObjectId,
     Op, PendingEvent, Program, ProgramBuilder, Reg, RunSummary, RuntimeHooks, VmConfig, VmResult,
 };
-use parking_lot::Mutex;
 
 /// Records every event as text. With `batched` it takes slices (noting how
 /// each was cut) and does not ask for the work boundary.

@@ -9,7 +9,9 @@
 mod support;
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
+
+use aide_telemetry::sync::Mutex;
 
 use aide_vm::{
     ClassId, GcReport, HookChain, Interaction, Machine, MethodDef, MethodId, NativeKind, ObjectId,
@@ -67,11 +69,11 @@ struct Sums {
 
 impl Sums {
     fn folded(&self) -> Folded {
-        self.folded.lock().unwrap().clone()
+        self.folded.lock().clone()
     }
 
     fn slices(&self) -> Vec<PendingEvent> {
-        self.slices.lock().unwrap().concat()
+        self.slices.lock().concat()
     }
 }
 
@@ -83,12 +85,12 @@ impl RuntimeHooks for Sums {
     }
 
     fn on_gc(&self, _: &GcReport) {
-        self.folded.lock().unwrap().gcs += 1;
+        self.folded.lock().gcs += 1;
     }
 
     fn on_events(&self, events: &[PendingEvent]) {
-        self.slices.lock().unwrap().push(events.to_vec());
-        let mut f = self.folded.lock().unwrap();
+        self.slices.lock().push(events.to_vec());
+        let mut f = self.folded.lock();
         for &event in events {
             match event {
                 PendingEvent::Interaction(i) => f.interaction(i, 1),
@@ -318,7 +320,7 @@ fn a_count_survives_an_epoch_bump_and_is_settled_at_the_next_fill() {
     let program = Arc::new(b.build(main, entry, 16, 0).unwrap());
     let sums = Arc::new(Sums::default());
     let machine = Machine::with_hooks(program, VmConfig::client(1 << 20), sums.clone());
-    let vm: Arc<parking_lot::Mutex<Vm>> = machine.vm().clone();
+    let vm: Arc<Mutex<Vm>> = machine.vm().clone();
     let epochs = Arc::new(Mutex::new(Vec::new()));
     let seen = epochs.clone();
     let _ = sums.on_alloc.set(Box::new(move |class| {
@@ -329,11 +331,11 @@ fn a_count_survives_an_epoch_bump_and_is_settled_at_the_next_fill() {
                 heap.migrate_out(ObjectId::client(2))
                     .expect("bystander moves");
             }
-            seen.lock().unwrap().push(heap.locality_epoch());
+            seen.lock().push(heap.locality_epoch());
         }
     }));
     machine.run_entry().expect("run succeeds");
-    assert_eq!(*epochs.lock().unwrap(), [1, 1], "one migration, then none");
+    assert_eq!(*epochs.lock(), [1, 1], "one migration, then none");
 
     // Ten reads before the bump: a fill and nine hits. The first read
     // after it misses on the epoch, which settles the nine before its own
@@ -383,7 +385,7 @@ impl RemoteAccess for Peer {
     }
     fn native(&self, _: ClassId, _: NativeKind, _: u32, _: u32, _: u32) -> VmResult<()> {
         let told = self.sums.folded().interactions.values().sum();
-        self.told_at_touch.lock().unwrap().push(told);
+        self.told_at_touch.lock().push(told);
         Ok(())
     }
     fn static_access(&self, _: ClassId, _: ClassId, _: u32, _: bool) -> VmResult<()> {
@@ -446,6 +448,6 @@ fn the_peer_is_touched_only_once_the_sink_has_its_counts() {
     let remote: Arc<dyn RemoteAccess> = peer.clone();
     machine.set_remote(&remote);
     machine.run_entry().expect("run succeeds");
-    assert_eq!(*peer.told_at_touch.lock().unwrap(), [25, 50, 75]);
+    assert_eq!(*peer.told_at_touch.lock(), [25, 50, 75]);
     assert_eq!(sums.folded().remote_natives, 3);
 }

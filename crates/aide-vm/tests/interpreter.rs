@@ -4,11 +4,11 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use aide_telemetry::sync::Mutex;
 use aide_vm::{
     ClassId, CountingHooks, GcConfig, Interaction, InteractionKind, Machine, MethodDef, MethodId,
     NativeKind, ObjectId, Op, ProgramBuilder, Reg, RuntimeHooks, VmConfig, VmError,
 };
-use parking_lot::Mutex;
 
 /// Collects full interaction events for fine-grained assertions.
 #[derive(Default)]
