@@ -26,20 +26,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use aide_rpc::{
-    dispatch_deferred, Dispatcher, Endpoint, ExportTable, GcClock, ImportTable, Reply, Request,
-    RpcError, TouchFailure, Touches,
+    Dispatcher, Endpoint, ExportTable, GcClock, ImportTable, Reply, Request, RpcError,
+    ServingInvokes, TouchFailure, Touches,
 };
 use aide_vm::{
     BuildIdHasher, ClassId, Machine, MethodId, NativeKind, ObjectId, ObjectRecord, RemoteAccess,
-    Vm, VmError, VmResult,
+    Vm, VmError, VmResult, Window,
 };
 use serde::{Deserialize, Serialize};
 
 /// Serves `touch` — one whose reply carries nothing
 /// ([`Request::is_deferrable`]) and that runs no code — on `vm`, as the
 /// peer would have: for a touch deferred to a surrogate that is gone. An
-/// `Invoke` is the interpreter's ([`Machine::call_on`]), which takes the VM
-/// itself.
+/// `Invoke` is the interpreter's ([`Machine::run_windows`]), which takes
+/// the VM itself.
 pub(crate) fn serve_here(vm: &mut Vm, touch: Request) -> VmResult<()> {
     match touch {
         Request::FieldAccess {
@@ -701,7 +701,7 @@ impl VmDispatcher {
     }
 
     /// Serves a short request ([`is_short`]) on `vm`, which the caller has
-    /// locked.
+    /// locked; refuses any other.
     fn serve_locked(&self, vm: &mut Vm, request: Request) -> VmResult<Reply> {
         match request {
             Request::FieldAccess {
@@ -743,8 +743,19 @@ impl VmDispatcher {
                 Ok(Reply::Unit)
             }
             Request::ClassOf { target } => vm.class_of_local(target).map(Reply::Class),
-            other => unreachable!("{} is not a short request", other.kind()),
+            other => Err(VmError::RemoteFailure(format!(
+                "{} is not served under the VM lock",
+                other.kind()
+            ))),
         }
+    }
+
+    /// The window `invoke` runs in, its arguments noted as imports first —
+    /// on `vm`, which [`Machine::run_windows`] holds.
+    fn window(&self, vm: &Vm, invoke: &Request) -> Window {
+        let (window, args) = window_of(invoke);
+        self.tables.import_if_remote(vm, args);
+        window
     }
 
     /// The dispatcher's reference tables (shared with the platform side).
@@ -776,6 +787,26 @@ impl VmDispatcher {
     }
 }
 
+/// Whether `request` runs the interpreter: an `Invoke`.
+pub(crate) fn is_invoke(request: &Request) -> bool {
+    matches!(request, Request::Invoke { .. })
+}
+
+/// The window an `Invoke` runs in ([`Machine::run_windows`]), and the
+/// arguments it passes.
+pub(crate) fn window_of(invoke: &Request) -> (Window, &[ObjectId]) {
+    match invoke {
+        &Request::Invoke {
+            target,
+            class,
+            method,
+            ref args,
+            ..
+        } => (Window::new(target, class, method, args), args),
+        other => unreachable!("{} is not an Invoke", other.kind()),
+    }
+}
+
 /// Whether `request` is one [`VmDispatcher`] serves under the VM lock alone:
 /// it touches one heap record (or none) and never re-enters the
 /// interpreter.
@@ -792,29 +823,37 @@ fn is_short(request: &Request) -> bool {
 }
 
 impl Dispatcher for VmDispatcher {
-    /// Each run of short touches (`is_short`) is served under one VM lock,
-    /// in order, as [`dispatch`](Dispatcher::dispatch) serves each; every
-    /// other touch — an `Invoke` — as a deferred one.
+    /// The frame's touches, in order, on one exec state
+    /// ([`Machine::run_windows`]): each `Invoke` as a window of one
+    /// interpreter run, named by [`ServingInvokes`] while it runs, and the
+    /// short touches (`is_short`) between them under the VM lock the run
+    /// holds — each as [`dispatch`](Dispatcher::dispatch) serves it.
     fn dispatch_touches(&self, touches: &Touches) -> Result<(), TouchFailure> {
-        let mut touches = touches.iter().enumerate().peekable();
-        while let Some((at, touch)) = touches.next() {
-            if !is_short(&touch) {
+        let serving = ServingInvokes::begin();
+        let mut touches = touches.iter().enumerate();
+        let mut invoked = 0;
+        let mut failed = None;
+        let run = self.machine.run_windows(&mut |vm| {
+            for (at, touch) in touches.by_ref() {
+                if is_invoke(&touch) {
+                    invoked = at;
+                    let window = self.window(vm, &touch);
+                    serving.serve((window.class, window.method));
+                    return Some(window);
+                }
                 let kind = touch.kind();
-                dispatch_deferred(self, touch).map_err(|e| TouchFailure::new(at, kind, e))?;
-                continue;
+                if let Err(e) = self.serve_locked(vm, touch) {
+                    failed = Some(TouchFailure::new(at, kind, e));
+                    return None;
+                }
             }
-            let mut vm = self.machine.vm().lock();
-            let mut first = Some((at, touch));
-            while let Some((at, touch)) = first
-                .take()
-                .or_else(|| touches.next_if(|(_, t)| is_short(t)))
-            {
-                let kind = touch.kind();
-                self.serve_locked(&mut vm, touch)
-                    .map_err(|e| TouchFailure::new(at, kind, e))?;
-            }
+            None
+        });
+        match (run, failed) {
+            (Err(e), _) => Err(TouchFailure::new(invoked, "Invoke", e)),
+            (Ok(()), Some(failure)) => Err(failure),
+            (Ok(()), None) => Ok(()),
         }
-        Ok(())
     }
 
     fn dispatch(&self, request: Request) -> Result<Reply, String> {
@@ -823,17 +862,10 @@ impl Dispatcher for VmDispatcher {
             Err(request) => request,
         };
         match request {
-            Request::Invoke {
-                target,
-                class,
-                method,
-                args,
-                ..
-            } => {
-                self.tables
-                    .import_if_remote(&self.machine.vm().lock(), &args);
+            invoke @ Request::Invoke { .. } => {
+                let mut invoke = Some(invoke);
                 self.machine
-                    .call_on(target, class, method, &args)
+                    .run_windows(&mut |vm| Some(self.window(vm, &invoke.take()?)))
                     .map(|()| Reply::Unit)
                     .map_err(|e| e.to_string())
             }

@@ -40,7 +40,7 @@ use aide_telemetry::{FlightRecorder, PlatformEvent};
 use aide_vm::{Machine, ObjectId, ObjectRecord, VmError, VmResult};
 use serde::{Deserialize, Serialize};
 
-use crate::adapter::{rpc_to_vm_error, serve_here, RefTables};
+use crate::adapter::{is_invoke, rpc_to_vm_error, serve_here, window_of, RefTables};
 use crate::monitor::NodeKey;
 use crate::nondet::NondetSource;
 use crate::offload::{gather_shipment, GatheredShipment};
@@ -739,25 +739,29 @@ impl FailoverCore {
     /// that fails. Its error is the run's: kept, every later touch through
     /// the core fails with it too ([`failed_at_home`](FailoverCore::failed_at_home)).
     fn serve_unserved(&self, unserved: Vec<Request>) -> VmResult<()> {
-        unserved
-            .into_iter()
-            .try_for_each(|touch| self.serve_at_home(touch))
+        self.serve_at_home(unserved)
             .map_err(|error| self.failed_at_home.get_or_init(|| error).clone())
     }
 
-    /// Serves on the client `touch`, deferred to a surrogate that is gone:
-    /// an `Invoke` through the interpreter, anything else under the VM.
-    fn serve_at_home(&self, touch: Request) -> VmResult<()> {
-        match touch {
-            Request::Invoke {
-                target,
-                class,
-                method,
-                args,
-                ..
-            } => self.client.call_on(target, class, method, &args),
-            touch => serve_here(&mut self.client.vm().lock(), touch),
-        }
+    /// Serves on the client `touches`, deferred to a surrogate that is gone,
+    /// on one exec state ([`Machine::run_windows`]): each `Invoke` as a
+    /// window, anything else under the VM lock the run holds.
+    fn serve_at_home(&self, touches: Vec<Request>) -> VmResult<()> {
+        let mut touches = touches.into_iter();
+        let mut served = Ok(());
+        self.client.run_windows(&mut |vm| {
+            for touch in touches.by_ref() {
+                if is_invoke(&touch) {
+                    return Some(window_of(&touch).0);
+                }
+                served = serve_here(vm, touch);
+                if served.is_err() {
+                    return None;
+                }
+            }
+            None
+        })?;
+        served
     }
 
     /// `Err` once a touch deferred to a surrogate that is gone failed at

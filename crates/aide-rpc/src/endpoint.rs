@@ -124,7 +124,7 @@ impl From<WireError> for RpcError {
 /// Executes requests arriving from the peer.
 ///
 /// The distributed platform implements this by re-entering the interpreter
-/// ([`aide_vm::Machine::call_on`] and friends) on the serving VM.
+/// ([`aide_vm::Machine::run_windows`]) on the serving VM.
 pub trait Dispatcher: Send + Sync {
     /// Executes `request`, returning a reply payload or an error string
     /// that will be transported back to the caller. Runs on a worker that

@@ -96,7 +96,7 @@ pub use reftable::{
     DEFAULT_LEASE_TTL_MS,
 };
 pub use responder::{
-    deferred_invoke_in_service, dispatch_deferred, Responder, Served, TouchFailure,
+    deferred_invoke_in_service, dispatch_deferred, Responder, Served, ServingInvokes, TouchFailure,
 };
 pub use rng::Xorshift64;
 pub use tcp::{dial_raw, nudge, tcp_pair, TcpMuxListener};

@@ -123,17 +123,26 @@ pub fn deferred_invoke_in_service() -> Option<(ClassId, MethodId)> {
     DEFERRED_INVOKE.with(Cell::get)
 }
 
-/// While alive, the thread serves a deferred `Invoke`; then what it served
-/// before, even if the dispatcher panicked.
-struct ServingInvoke(Option<(ClassId, MethodId)>);
+/// While alive, the thread serves deferred `Invoke`s, one after another,
+/// each named by [`serve`](ServingInvokes::serve) as it begins
+/// ([`deferred_invoke_in_service`]); then what it served before, even if
+/// the dispatcher panicked.
+pub struct ServingInvokes(Option<(ClassId, MethodId)>);
 
-impl ServingInvoke {
-    fn begin(invoked: (ClassId, MethodId)) -> ServingInvoke {
-        ServingInvoke(DEFERRED_INVOKE.with(|serving| serving.replace(Some(invoked))))
+impl ServingInvokes {
+    /// Serving begins; what the thread served before stays named until the
+    /// first `Invoke` is.
+    pub fn begin() -> ServingInvokes {
+        ServingInvokes(deferred_invoke_in_service())
+    }
+
+    /// The deferred `Invoke` of `invoked` is served from now on.
+    pub fn serve(&self, invoked: (ClassId, MethodId)) {
+        DEFERRED_INVOKE.with(|serving| serving.set(Some(invoked)));
     }
 }
 
-impl Drop for ServingInvoke {
+impl Drop for ServingInvokes {
     fn drop(&mut self) {
         DEFERRED_INVOKE.with(|serving| serving.set(self.0));
     }
@@ -146,10 +155,10 @@ pub fn dispatch_deferred<D: Dispatcher + ?Sized>(
     dispatcher: &D,
     touch: Request,
 ) -> Result<Reply, String> {
-    let _serving = match touch {
-        Request::Invoke { class, method, .. } => Some(ServingInvoke::begin((class, method))),
-        _ => None,
-    };
+    let serving = ServingInvokes::begin();
+    if let Request::Invoke { class, method, .. } = touch {
+        serving.serve((class, method));
+    }
     dispatcher.dispatch(touch)
 }
 

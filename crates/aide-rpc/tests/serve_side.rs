@@ -536,3 +536,34 @@ fn a_lead_ends_at_the_frame_that_closes_its_pool() {
     }
     assert_eq!(waited_out, 0, "teardowns that waited out a lead");
 }
+
+/// A lead at its own endpoint's shutdown, the peer silent: the worker that
+/// served the last call leads its carrier when the serving end alone winds
+/// down, and no frame comes to end the lead, so its `join` waits out the
+/// lead's handover — a socket receive timeout, which `close` cannot cut
+/// short. Counted (`WorkerPool::closed_leads_waited_out`, 11–14 of 20 runs on
+/// a 2-CPU machine) and bounded: each teardown still returns within a few
+/// timer ticks, far inside the drain timeout.
+#[test]
+fn a_lead_at_its_own_endpoints_shutdown_is_waited_out_for_a_handover_at_most() {
+    const RUNS: u64 = 20;
+    let mut waited_out = 0;
+    let mut slowest = Duration::ZERO;
+    for _ in 0..RUNS {
+        let wire = Wire::Pair(Mutex::default());
+        let (cs, ss) = wire.pair();
+        let server = start(ss, Arc::new(Vmish::default()), config());
+        let client = start(cs, Arc::new(Vmish::default()), config());
+        assert!(client.call(access(8, false)).is_ok());
+        let began = Instant::now();
+        wind_down(&[&server]);
+        slowest = slowest.max(began.elapsed());
+        waited_out += server.pool().closed_leads_waited_out();
+        wind_down(&[&client]);
+    }
+    eprintln!("{waited_out} of {RUNS} one-end teardowns waited out a lead; slowest {slowest:?}");
+    assert!(
+        slowest < config().drain_timeout / 5,
+        "a one-end teardown took {slowest:?}"
+    );
+}

@@ -34,7 +34,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use aide_core::{RefTables, VmDispatcher};
-use aide_rpc::{nudge, ConnKiller, Dispatcher, Reply, Request, TcpMuxListener};
+use aide_rpc::{
+    nudge, ConnKiller, Dispatcher, Reply, Request, TcpMuxListener, TouchFailure, Touches,
+};
 use aide_telemetry::sync::{Condvar, Mutex};
 use aide_vm::{Machine, Program, VmConfig};
 
@@ -126,12 +128,39 @@ struct FaultInjector {
     crashes: Arc<AtomicU64>,
 }
 
+impl FaultInjector {
+    /// Whether `request` is the one the session crashes on: its first of
+    /// the `crash_on` kind. (The session's shard serves its requests one at
+    /// a time, on its one worker.)
+    fn crashes_on(&self, request: &Request) -> bool {
+        request.kind() == self.crash_on && !self.fired.load(Ordering::SeqCst)
+    }
+
+    /// Severs the carrier: the error of the request it crashed on.
+    fn crash(&self) -> String {
+        self.fired.store(true, Ordering::SeqCst);
+        self.crashes.fetch_add(1, Ordering::Relaxed);
+        self.killer.kill();
+        format!("injected surrogate crash on {}", self.crash_on)
+    }
+}
+
 impl Dispatcher for FaultInjector {
+    /// A frame as the unrigged session serves it
+    /// ([`VmDispatcher`]'s `dispatch_touches`), up to the touch the session
+    /// crashes on, if the frame holds it.
+    fn dispatch_touches(&self, touches: &Touches) -> Result<(), TouchFailure> {
+        let Some(at) = touches.iter().position(|touch| self.crashes_on(&touch)) else {
+            return self.inner.dispatch_touches(touches);
+        };
+        let before: Vec<Request> = touches.iter().take(at).collect();
+        self.inner.dispatch_touches(&before.iter().collect())?;
+        Err(TouchFailure::new(at, self.crash_on, self.crash()))
+    }
+
     fn dispatch(&self, request: Request) -> Result<Reply, String> {
-        if request.kind() == self.crash_on && !self.fired.swap(true, Ordering::SeqCst) {
-            self.crashes.fetch_add(1, Ordering::Relaxed);
-            self.killer.kill();
-            return Err(format!("injected surrogate crash on {}", self.crash_on));
+        if self.crashes_on(&request) {
+            return Err(self.crash());
         }
         self.inner.dispatch(request)
     }
@@ -374,7 +403,7 @@ fn session_parts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aide_rpc::{Message, MuxConn, Touches};
+    use aide_rpc::{Message, MuxConn};
     use aide_vm::{ClassId, MethodDef, MethodId, ObjectId, ObjectRecord, ProgramBuilder};
     use std::time::Instant;
 
@@ -540,5 +569,12 @@ mod tests {
         let served: Touches = touches[..1].iter().collect();
         assert_eq!(unrigged.dispatcher.dispatch_touches(&served), Ok(()));
         assert_eq!(vm_state(&rigged), vm_state(&unrigged));
+        // Crashed, the session serves the rest as the unrigged one does.
+        let rest: Touches = touches[1..].iter().collect();
+        for session in [&rigged, &unrigged] {
+            assert_eq!(session.dispatcher.dispatch_touches(&rest), Ok(()));
+        }
+        assert_eq!(vm_state(&rigged), vm_state(&unrigged));
+        assert_eq!(crashes.load(Ordering::SeqCst), 1);
     }
 }

@@ -73,7 +73,7 @@ pub use hooks::{
 pub use ids::{BuildIdHasher, ClassId, IdHasher, MethodId, ObjectId, Reg};
 pub use machine::{
     CostModel, ExternalRootAudit, Machine, RemoteAccess, RunSummary, SlotWrites, Vm, VmConfig,
-    VmKind,
+    VmKind, Window,
 };
 pub use natives::{native_requires_client, NativeKind};
 pub use program::{CallClosure, ClassDef, EntryPoint, MethodDef, Op, Program, ProgramBuilder};

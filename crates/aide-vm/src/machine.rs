@@ -169,8 +169,51 @@ struct ExecState {
     /// Active `Loop` iteration counters, innermost last.
     loops: Vec<u32>,
     /// The slot's hook-event queue, parked here between runs; the running
-    /// `run_flat` holds it, because it flushes with the VM unlocked.
+    /// `Machine::run_windows` holds it, because it flushes with the VM
+    /// unlocked.
     pending: PendingEvents,
+}
+
+impl ExecState {
+    /// Pushes `frame`, a window's entry frame, on this state, which no
+    /// window holds, with `args` in its registers.
+    fn enter(&mut self, frame: Frame, args: &[Option<ObjectId>; Reg::COUNT]) {
+        debug_assert!(self.frames.is_empty() && self.values.is_empty() && self.loops.is_empty());
+        self.values.extend_from_slice(args);
+        self.frames.push(frame);
+    }
+}
+
+/// A method to run on a local receiver: one window of a
+/// [`Machine::run_windows`] run, its entry frame pushed on the run's exec
+/// state once the window before it has returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Window {
+    /// The receiver, which must be a local object of `class`.
+    pub target: ObjectId,
+    /// The receiver's class.
+    pub class: ClassId,
+    /// The method of `class` to run.
+    pub method: MethodId,
+    /// The entry frame's registers: the arguments, in order.
+    args: [Option<ObjectId>; Reg::COUNT],
+}
+
+impl Window {
+    /// `method` of `class` on `target`, passed `args` (those past
+    /// [`Reg::COUNT`] are not).
+    pub fn new(target: ObjectId, class: ClassId, method: MethodId, args: &[ObjectId]) -> Window {
+        let mut regs = [None; Reg::COUNT];
+        for (reg, &arg) in regs.iter_mut().zip(args) {
+            *reg = Some(arg);
+        }
+        Window {
+            target,
+            class,
+            method,
+            args: regs,
+        }
+    }
 }
 
 /// One inline-cache entry: the last object seen at a flat-IR site, the
@@ -287,16 +330,18 @@ fn counted(flat: &FlatProgram, site: u32, entry: IcEntry) -> PendingEvent {
     }
 }
 
-/// Ops executed per VM-lock acquisition by the flat interpreter. Large
-/// enough to amortise the lock, small enough that RPC worker threads
-/// serving the peer never starve.
+/// Ops executed per VM-lock acquisition by the flat interpreter, however
+/// many windows of a run ([`Machine::run_windows`]) they span. Large enough
+/// to amortise the lock, small enough that RPC worker threads serving the
+/// peer never starve.
 const BURST_OPS: u32 = 128;
 
 /// Why a flat-interpreter burst returned control to the (unlocked) driver.
 #[derive(Debug, Clone, Copy)]
 enum Exit {
-    /// The entry frame returned; the run is complete.
-    Done,
+    /// The window's entry frame returned, `left` ops of the burst's budget
+    /// unspent: the next window may spend them.
+    Done { left: u32 },
     /// Burst budget exhausted, or a `Work` op whose `on_work` the hooks
     /// asked to see before the next op.
     Yield,
@@ -725,6 +770,23 @@ impl Vm {
         self.gc.last_freed_by_class().clone()
     }
 
+    /// Charges the monitoring cost of one event told a sink, if it is set.
+    fn charge_monitor_event(&mut self) {
+        let cost = self.config.cost.monitor_event_micros;
+        if cost > 0.0 {
+            self.charge_hook_micros(cost);
+        }
+    }
+
+    /// Writes a register of the current (topmost) frame of exec state
+    /// `sid` — where the driver stores allocation and remote-read results
+    /// back into the window.
+    fn write_reg(&mut self, sid: usize, reg: u8, value: Option<ObjectId>) -> VmResult<()> {
+        let state = &mut self.exec_states[sid];
+        let f = *state.frames.last().expect("exec state has a frame");
+        reg_set(&mut state.values, f.base, reg, value)
+    }
+
     /// Queues onto `pending` part of what an accumulating sink is owed
     /// ([`Tallies::settle`]), returning whether more is owed; nothing when
     /// no run has compiled the program.
@@ -970,8 +1032,9 @@ impl Machine {
     /// [`RemoteAccess::flush`].
     pub fn run_entry(&self) -> VmResult<RunSummary> {
         let entry = self.vm.lock().program.entry();
-        let entry_obj = self.alloc_object(entry.class, entry.scalar_bytes, entry.ref_slots)?;
-        self.run_flat(Some(entry_obj), entry.class, entry.method, &[])?;
+        let entry_obj =
+            self.alloc_object(entry.class, entry.scalar_bytes, entry.ref_slots, None)?;
+        self.call_on(entry_obj, entry.class, entry.method, &[])?;
         self.flush_remote()?;
         let vm = self.vm.lock();
         Ok(RunSummary {
@@ -999,8 +1062,8 @@ impl Machine {
         }
     }
 
-    /// Executes `method` of `class` on the local object `target` (used by
-    /// RPC dispatchers serving a peer's invocation).
+    /// Executes `method` of `class` on the local object `target`: a run of
+    /// one window ([`Machine::run_windows`]).
     ///
     /// # Errors
     ///
@@ -1013,7 +1076,8 @@ impl Machine {
         method: MethodId,
         args: &[ObjectId],
     ) -> VmResult<()> {
-        self.run_flat(Some(target), class, method, args)
+        let mut window = Some(Window::new(target, class, method, args));
+        self.run_windows(&mut |_| window.take())
     }
 
     /// Performs a local field access on behalf of a peer
@@ -1061,37 +1125,34 @@ impl Machine {
 
     // ---- internal interpretation ------------------------------------------------
 
-    /// Allocates an object, collecting (and reporting) as needed.
+    /// Allocates an object, collecting (and reporting) as needed; with
+    /// `into`, `(sid, reg)`, the object goes into register `reg` of state
+    /// `sid`'s top frame under the lock that inserts it, where the
+    /// collector sees it as a root at once. An allocation that collects
+    /// nothing takes the VM lock once.
     fn alloc_object(
         &self,
         class: ClassId,
         scalar_bytes: u32,
         ref_slots: u16,
+        into: Option<(usize, u8)>,
     ) -> VmResult<ObjectId> {
-        // Periodic trigger: give the collector (and through its report, the
-        // offloading controller) a chance to run at this safe point.
-        let periodic = {
-            let mut vm = self.vm.lock();
-            if vm.gc.should_collect() {
-                Some(self.collect_locked(&mut vm))
-            } else {
-                None
-            }
-        };
-        if let Some(report) = periodic {
-            self.emit_gc(&report);
-        }
-
         // Allocation with OOM -> collect -> (hooks may offload) -> retry.
         // The retry budget must exceed the trigger policy's consecutive-
         // report requirement: each failed attempt emits one GC report, and
         // the offloading controller only reacts once the trigger fires.
         const MAX_ATTEMPTS: usize = 8;
         let mut attempts = 0usize;
+        // Periodic trigger, looked at first: give the collector (and
+        // through its report, the offloading controller) a chance to run
+        // at this safe point.
+        let mut periodic = true;
         loop {
-            let outcome = {
+            let report = {
                 let mut vm = self.vm.lock();
-                if vm.heap.fits(scalar_bytes, ref_slots) {
+                if std::mem::take(&mut periodic) && vm.gc.should_collect() {
+                    self.collect_locked(&mut vm)
+                } else if vm.heap.fits(scalar_bytes, ref_slots) {
                     let id = vm.mint_object_id();
                     let record = ObjectRecord::new(class, scalar_bytes, ref_slots);
                     let footprint = record.footprint();
@@ -1101,9 +1162,18 @@ impl Machine {
                     vm.gc.note_alloc(footprint);
                     let cost = vm.config.cost.alloc_micros;
                     vm.charge_micros(cost);
-                    Ok((id, footprint))
+                    // For the `on_alloc` below, as for every event told.
+                    vm.charge_monitor_event();
+                    let written = match into {
+                        Some((sid, reg)) => vm.write_reg(sid, reg, Some(id)),
+                        None => Ok(()),
+                    };
+                    drop(vm);
+                    self.hooks.on_alloc(class, id, footprint);
+                    return written.map(|()| id);
                 } else if attempts < MAX_ATTEMPTS {
-                    Err(Some(self.collect_locked(&mut vm)))
+                    attempts += 1;
+                    self.collect_locked(&mut vm)
                 } else {
                     let free = vm.heap.free_bytes();
                     return Err(VmError::OutOfMemory {
@@ -1113,20 +1183,9 @@ impl Machine {
                     });
                 }
             };
-            match outcome {
-                Ok((id, footprint)) => {
-                    self.hooks.on_alloc(class, id, footprint);
-                    self.charge_monitor_event();
-                    return Ok(id);
-                }
-                Err(Some(report)) => {
-                    attempts += 1;
-                    // Hooks run without the VM lock: the offloading
-                    // controller may react by migrating objects away.
-                    self.emit_gc(&report);
-                }
-                Err(None) => unreachable!(),
-            }
+            // Hooks run without the VM lock: the offloading controller may
+            // react by migrating objects away.
+            self.emit_gc(&report);
         }
     }
 
@@ -1168,11 +1227,7 @@ impl Machine {
     }
 
     fn charge_monitor_event(&self) {
-        let mut vm = self.vm.lock();
-        let cost = vm.config.cost.monitor_event_micros;
-        if cost > 0.0 {
-            vm.charge_hook_micros(cost);
-        }
+        self.vm.lock().charge_monitor_event();
     }
 
     fn class_of(&self, id: ObjectId) -> VmResult<ClassId> {
@@ -1212,21 +1267,31 @@ impl Machine {
 
     // ---- flat-IR interpretation -------------------------------------------------
 
-    /// Runs `(class, method)` on `self_obj` to completion: sets up an
-    /// [`ExecState`] in the VM (so its registers are GC roots), drives
-    /// bursts, and tears the state down.
-    fn run_flat(
-        &self,
-        self_obj: Option<ObjectId>,
-        class: ClassId,
-        method: MethodId,
-        args: &[ObjectId],
-    ) -> VmResult<()> {
-        if self.max_depth == 0 {
-            return Err(VmError::CallDepthExceeded(0));
-        }
+    /// Runs the windows `next` hands out, one after another, on one exec
+    /// state: one set-up and one tear-down for the run, each window's entry
+    /// frame pushed once the one before it has returned — in the same
+    /// burst, under the same VM lock, which is let go only where a window
+    /// needs the driver (an allocation, a touch of the peer) or the burst's
+    /// ops run out. `next` is called under that lock, with the VM, which it
+    /// may change (a peer's touches between two windows are served so) but
+    /// must not lock again; a run that `next` hands no window sets nothing
+    /// up. Each window's receiver, class and method are checked as
+    /// [`call_on`](Machine::call_on) checks them. An accumulating sink is
+    /// settled at the run's end, at every exit to the driver, at a
+    /// collection and at a failure, not between windows.
+    ///
+    /// # Errors
+    ///
+    /// The error of the window that failed — the last one `next` handed
+    /// out; nothing runs after it.
+    pub fn run_windows(&self, next: &mut dyn FnMut(&mut Vm) -> Option<Window>) -> VmResult<()> {
+        // An `ExecState` in the VM (so its registers are GC roots), set up
+        // with the first window, driven over every window, torn down.
         let (flat, sid, mut pending) = {
             let mut vm = self.vm.lock();
+            let Some(window) = next(&mut vm) else {
+                return Ok(());
+            };
             let flat = vm.flat_program();
             let sites = flat.site_count() as usize;
             if vm.ic.len() < sites {
@@ -1236,41 +1301,18 @@ impl Machine {
             if vm.tallies.work.len() < classes {
                 vm.tallies.work.resize(classes, ClassWork::default());
             }
-            if let Some(obj) = self_obj {
-                let found = vm.heap.get(obj)?.class;
-                if found != class {
-                    return Err(VmError::ClassMismatch {
-                        expected: class,
-                        found,
-                    });
-                }
-            }
-            let entry = flat
-                .method_entry(class, method)
-                .ok_or_else(|| flat.resolution_error(class, method))?;
-            let m = *flat.method(entry);
+            let frame = self.window_frame(&vm, &flat, &window)?;
             let sid = vm.free_states.pop().unwrap_or_else(|| {
                 vm.exec_states.push(ExecState::default());
                 vm.exec_states.len() - 1
             });
             let state = &mut vm.exec_states[sid];
-            state.values.resize(Reg::COUNT, None);
-            for (i, &a) in args.iter().take(Reg::COUNT).enumerate() {
-                state.values[i] = Some(a);
-            }
-            state.frames.push(Frame {
-                base: 0,
-                ip: m.code_start,
-                class,
-                method,
-                self_obj,
-                loop_base: 0,
-            });
+            state.enter(frame, &window.args);
             let pending = std::mem::take(&mut state.pending);
             (flat, sid, pending)
         };
 
-        let result = self.flat_drive(sid, &flat, &mut pending);
+        let result = self.flat_drive(sid, &flat, &mut pending, next);
 
         {
             let mut vm = self.vm.lock();
@@ -1303,33 +1345,78 @@ impl Machine {
         result
     }
 
+    /// The entry frame of `window`, once the depth limit admits a frame, its
+    /// receiver is a local object of its class and its method resolves.
+    fn window_frame(&self, vm: &Vm, flat: &FlatProgram, window: &Window) -> VmResult<Frame> {
+        if self.max_depth == 0 {
+            return Err(VmError::CallDepthExceeded(0));
+        }
+        let found = vm.heap.get(window.target)?.class;
+        if found != window.class {
+            return Err(VmError::ClassMismatch {
+                expected: window.class,
+                found,
+            });
+        }
+        let entry = flat
+            .method_entry(window.class, window.method)
+            .ok_or_else(|| flat.resolution_error(window.class, window.method))?;
+        Ok(Frame {
+            base: 0,
+            ip: flat.method(entry).code_start,
+            class: window.class,
+            method: window.method,
+            self_obj: Some(window.target),
+            loop_base: 0,
+        })
+    }
+
     /// The burst driver: repeatedly executes a locked burst, flushes the
     /// queued hook events outside the lock, then services whatever made
-    /// the burst exit (allocation, remote access) before re-entering.
+    /// the burst exit (allocation, remote access) before re-entering. A
+    /// window that returns makes way for the next one `next` hands out, in
+    /// the same burst.
     #[allow(clippy::too_many_lines)]
     fn flat_drive(
         &self,
         sid: usize,
         flat: &FlatProgram,
         pending: &mut PendingEvents,
+        next: &mut dyn FnMut(&mut Vm) -> Option<Window>,
     ) -> VmResult<()> {
         loop {
             let (exit, owing) = {
                 let mut vm = self.vm.lock();
-                let exit = flat_burst(
-                    &mut vm,
-                    sid,
-                    flat,
-                    pending,
-                    self.max_depth,
-                    self.yield_on_work,
-                    self.tally,
-                );
+                let mut budget = BURST_OPS;
+                let exit = loop {
+                    let exit = flat_burst(
+                        &mut vm,
+                        sid,
+                        flat,
+                        pending,
+                        budget,
+                        self.max_depth,
+                        self.yield_on_work,
+                        self.tally,
+                    );
+                    let Ok(Exit::Done { left }) = exit else {
+                        break exit;
+                    };
+                    let Some(then) = next(&mut vm) else {
+                        break exit;
+                    };
+                    match self.window_frame(&vm, flat, &then) {
+                        Ok(frame) => vm.exec_states[sid].enter(frame, &then.args),
+                        Err(error) => break Err(error),
+                    }
+                    budget = left;
+                };
                 // Settled wherever control goes somewhere that may read an
                 // accumulating sink: the `Work` boundary, the run's end, a
-                // touch of the peer (which may run code that collects).
-                // An allocation settles only if it collects (`emit_gc`),
-                // an error in `run_flat`.
+                // touch of the peer (which may run code that collects) —
+                // not where one window makes way for the next. An
+                // allocation settles only if it collects (`emit_gc`), an
+                // error in `run_windows`.
                 let settles = match exit {
                     Ok(Exit::Yield) => self.yield_on_work,
                     Ok(Exit::Alloc { .. }) | Err(_) => false,
@@ -1344,7 +1431,7 @@ impl Machine {
                 self.settle(pending);
             }
             match exit? {
-                Exit::Done => return Ok(()),
+                Exit::Done { .. } => return Ok(()),
                 Exit::Yield => {}
                 Exit::Alloc {
                     class,
@@ -1352,8 +1439,7 @@ impl Machine {
                     ref_slots,
                     dst,
                 } => {
-                    let id = self.alloc_object(class, scalar_bytes, ref_slots)?;
-                    self.flat_write_reg(sid, dst, Some(id))?;
+                    self.alloc_object(class, scalar_bytes, ref_slots, Some((sid, dst)))?;
                 }
                 Exit::Invoke {
                     call,
@@ -1470,14 +1556,9 @@ impl Machine {
         }
     }
 
-    /// Writes a register of the current (topmost) frame of flat state
-    /// `sid` — used by the driver to store allocation and remote-read
-    /// results back into the window.
+    /// [`Vm::write_reg`] under this machine's lock.
     fn flat_write_reg(&self, sid: usize, reg: u8, value: Option<ObjectId>) -> VmResult<()> {
-        let mut vm = self.vm.lock();
-        let state = &mut vm.exec_states[sid];
-        let f = *state.frames.last().expect("exec state has a frame");
-        reg_set(&mut state.values, f.base, reg, value)
+        self.vm.lock().write_reg(sid, reg, value)
     }
 }
 
@@ -1526,7 +1607,7 @@ fn reg_set(
     }
 }
 
-/// Executes up to [`BURST_OPS`] flat ops of state `sid` under one VM lock.
+/// Executes up to `budget` flat ops of state `sid` under one VM lock.
 ///
 /// Observable events are pushed onto `pending` (and their monitor cost
 /// charged to the hook clock immediately); anything that needs the
@@ -1537,11 +1618,15 @@ fn reg_set(
 /// instead, and method exits and local natives and static accesses are
 /// not queued (they are still charged).
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+// Out of line: inlined into `Machine::flat_drive`, which hands windows over
+// around it, its loop ran `local_mutator` about 12 % slower.
+#[inline(never)]
 fn flat_burst(
     vm: &mut Vm,
     sid: usize,
     flat: &FlatProgram,
     pending: &mut PendingEvents,
+    mut budget: u32,
     max_depth: usize,
     yield_on_work: bool,
     tally: bool,
@@ -1572,9 +1657,8 @@ fn flat_burst(
     let state = &mut exec_states[sid];
     // The hot loop works on a local copy of the top frame; resumable exits
     // write it back. Error returns skip the write-back deliberately: the
-    // whole state is torn down by `run_flat` on the error path.
+    // whole state is torn down by `Machine::run_windows` on the error path.
     let mut f = *state.frames.last().expect("exec state has a frame");
-    let mut budget = BURST_OPS;
 
     macro_rules! save {
         () => {
@@ -2118,7 +2202,7 @@ fn flat_burst(
                 state.loops.truncate(f.loop_base as usize);
                 match state.frames.last() {
                     Some(parent) => f = *parent,
-                    None => return Ok(Exit::Done),
+                    None => return Ok(Exit::Done { left: budget }),
                 }
             }
         }

@@ -12,7 +12,8 @@ use std::sync::Arc;
 use aide_telemetry::sync::Mutex;
 use aide_vm::{
     ClassId, GcReport, HookChain, Interaction, Machine, MethodDef, MethodId, NativeKind, ObjectId,
-    Op, PendingEvent, Program, ProgramBuilder, Reg, RunSummary, RuntimeHooks, VmConfig, VmResult,
+    Op, PendingEvent, Program, ProgramBuilder, Reg, RunSummary, RuntimeHooks, VmConfig, VmError,
+    VmResult, Window,
 };
 
 /// Records every event as text. With `batched` it takes slices (noting how
@@ -259,4 +260,53 @@ fn a_sink_that_needs_the_work_boundary_sees_a_leafs_work_inside_it() {
         }
     }
     assert_eq!(inside, 40 * 30, "one slice per leaf call");
+}
+
+/// Windows of one run ([`Machine::run_windows`]) are told as the same calls
+/// made one at a time ([`Machine::call_on`]): every event, in order, with
+/// allocation and collection events where they were — where the k-th
+/// window fails too. Short windows share a burst, so they share a slice.
+#[test]
+fn the_windows_of_a_run_are_told_as_calls_made_one_at_a_time() {
+    let (main, helper) = (ClassId(0), ClassId(1));
+    let (doc, aid) = (ObjectId::surrogate(1), ObjectId::surrogate(2));
+    let help = Window::new(aid, helper, MethodId(0), &[doc]);
+    // `main` allocates under the tight heap: collections mid-run.
+    let whole = Window::new(doc, main, MethodId(0), &[doc]);
+    let mismatched = Window::new(doc, helper, MethodId(0), &[doc]);
+    let machine = |log: &Arc<Log>| {
+        support::holding(
+            program(false),
+            VmConfig::client(2_048),
+            log.clone(),
+            &[(doc, main), (aid, helper)],
+        )
+    };
+    let mut windows = vec![help; 8];
+    windows.extend([whole, help, help, whole]);
+    let mut failing = windows.clone();
+    failing.insert(10, mismatched);
+    for (name, windows) in [("whole", windows), ("failing", failing)] {
+        let (run, one_by_one) = (Log::new(true), Log::new(true));
+        let mut each = windows.iter().copied();
+        let ran = machine(&run).run_windows(&mut |_| each.next());
+        let single = machine(&one_by_one);
+        let called = windows
+            .iter()
+            .try_for_each(|w| single.call_on(w.target, w.class, w.method, &[doc]));
+        let (ran, called) = (format!("{ran:?}"), format!("{called:?}"));
+        assert_eq!(ran, called, "{name}");
+        assert_eq!(run.events(), one_by_one.events(), "{name}");
+        assert!(run.events().iter().any(|e| e.starts_with("gc ")), "{name}");
+        let first = &run.batches.lock()[0];
+        let exits = first
+            .iter()
+            .filter(|e| matches!(e, PendingEvent::MethodExit { .. }))
+            .count();
+        assert_eq!(exits, 8, "{name}: the first slice holds every short window");
+    }
+    assert!(matches!(
+        machine(&Log::new(true)).run_windows(&mut |_| Some(mismatched)),
+        Err(VmError::ClassMismatch { .. })
+    ));
 }

@@ -16,7 +16,7 @@ use aide_telemetry::sync::Mutex;
 use aide_vm::{
     ClassId, GcReport, HookChain, Interaction, Machine, MethodDef, MethodId, NativeKind, ObjectId,
     Op, PendingEvent, Program, ProgramBuilder, Reg, RemoteAccess, RunSummary, RuntimeHooks, Vm,
-    VmConfig, VmKind, VmResult,
+    VmConfig, VmKind, VmResult, Window,
 };
 use support::{Ev, Recorder};
 
@@ -203,6 +203,37 @@ fn config() -> VmConfig {
 
 fn run(hooks: Arc<dyn RuntimeHooks>) -> VmResult<RunSummary> {
     Machine::with_hooks(program(), config(), hooks).run_entry()
+}
+
+/// Windows of one run ([`Machine::run_windows`]), collecting mid-run, have
+/// told an accumulating sink all they owe once the run returns: what the
+/// same calls made one at a time tell a per-event sink.
+#[test]
+fn the_windows_of_a_run_are_settled_by_its_end() {
+    let (main, helper) = (ClassId(0), ClassId(1));
+    let (doc, aid) = (ObjectId::surrogate(1), ObjectId::surrogate(2));
+    let help = Window::new(aid, helper, MethodId(0), &[doc]);
+    let whole = Window::new(doc, main, MethodId(0), &[doc]);
+    let holding = |hooks: Arc<dyn RuntimeHooks>| {
+        support::holding(program(), config(), hooks, &[(doc, main), (aid, helper)])
+    };
+    let mut windows = vec![help; 20];
+    windows.extend([whole, help, help]);
+    let sums = Arc::new(Sums::default());
+    let mut each = windows.iter().copied();
+    holding(sums.clone())
+        .run_windows(&mut |_| each.next())
+        .expect("the run succeeds");
+    let recorder = Arc::new(Recorder::default());
+    let single = holding(recorder.clone());
+    for w in &windows {
+        single
+            .call_on(w.target, w.class, w.method, &[doc])
+            .expect("the call succeeds");
+    }
+    let folded = sums.folded();
+    assert!(folded.gcs > 0, "the tight heap collects mid-run");
+    assert_eq!(folded, Folded::of(&recorder.events()));
 }
 
 #[test]

@@ -21,8 +21,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use aide_vm::{
-    ClassId, GcReport, Interaction, Machine, MethodId, NativeKind, ObjectId, Program, RunSummary,
-    RuntimeHooks, VmConfig, VmResult,
+    ClassId, GcReport, Interaction, Machine, MethodId, NativeKind, ObjectId, ObjectRecord, Program,
+    RunSummary, RuntimeHooks, VmConfig, VmResult,
 };
 use serde::{Deserialize, Serialize};
 
@@ -170,6 +170,28 @@ pub fn run_with(
     }
     let result = machine.run_entry();
     (result, rec.events())
+}
+
+/// A machine on `program` whose VM holds, pinned as a peer's objects are,
+/// `objects` — each an id and a class with 32 scalar bytes and no slots:
+/// receivers for [`Machine::run_windows`].
+pub fn holding(
+    program: Arc<Program>,
+    config: VmConfig,
+    hooks: Arc<dyn RuntimeHooks>,
+    objects: &[(ObjectId, ClassId)],
+) -> Machine {
+    let machine = Machine::with_hooks(program, config, hooks);
+    {
+        let mut vm = machine.vm().lock();
+        for &(id, class) in objects {
+            vm.heap_mut()
+                .migrate_in(id, ObjectRecord::new(class, 32, 0))
+                .expect("the heap holds the receivers");
+            vm.external_root_inc(id);
+        }
+    }
+    machine
 }
 
 /// The fixture line for one input: `name`, then the event count, the digest
